@@ -28,7 +28,7 @@
 //!
 //! Exits non-zero on regression.
 
-use blink_core::{CollectiveKind, Communicator, CommunicatorOptions};
+use blink_core::{CollectiveKind, Communicator};
 use blink_topology::presets::{dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
 use blink_train::{BlinkBackend, DnnModel, TrainerConfig, TrainingSimulator};
@@ -109,12 +109,10 @@ fn run_case(preset: &Preset, model: &DnnModel, config: TrainerConfig, fusion_gat
     // Replay the same overlapped schedule through the value-level oracle on
     // a fresh communicator: every group's program must deliver its full
     // collective, and every fused constituent its window of it.
-    let mut comm = Communicator::new(
-        preset.machine.clone(),
-        &alloc,
-        CommunicatorOptions::default(),
-    )
-    .expect("preset allocation plans");
+    let mut comm = Communicator::builder(preset.machine.clone())
+        .allocation(&alloc)
+        .build()
+        .expect("preset allocation plans");
     let requests: Vec<(u64, f64)> = buckets.iter().map(|b| (b.bytes, b.ready_us)).collect();
     let (run, checks) = comm
         .run_streamed_checked(CollectiveKind::AllReduce, &requests)

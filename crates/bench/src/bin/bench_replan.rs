@@ -19,7 +19,7 @@
 //! machine with >= 2 workers and are loudly SKIPPED otherwise, mirroring
 //! `bench_packing`. Exits non-zero on regression.
 
-use blink_core::{CollectiveKind, Communicator, CommunicatorOptions, ReplanReport, ScratchPool};
+use blink_core::{CollectiveKind, Communicator, ReplanReport, ScratchPool};
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology, TopologyDelta};
 use serde::Serialize;
@@ -203,16 +203,15 @@ where
 }
 
 fn run_scenario(s: &Scenario, warm_runs: usize, cold_runs: usize) -> ScenarioReport {
-    // Isolated caches: the process-wide shared tier would leak one
-    // iteration's plans into the next communicator's "cold" path.
-    let options = CommunicatorOptions {
-        isolated_plan_cache: true,
-        ..Default::default()
-    };
+    // Isolated caches: the process-wide store would leak one iteration's
+    // plans into the next communicator's "cold" path.
     let machine = s.machine.clone();
     let allocation = s.allocation.clone();
     let warm_setup = move || {
-        let mut comm = Communicator::new(machine.clone(), &allocation, options)
+        let mut comm = Communicator::builder(machine.clone())
+            .allocation(&allocation)
+            .isolated_plans()
+            .build()
             .expect("pre-delta communicator");
         // Populate the cache: an empty delta runs the root sweep without
         // changing the topology, so the timed replan below starts from a
@@ -224,7 +223,11 @@ fn run_scenario(s: &Scenario, warm_runs: usize, cold_runs: usize) -> ScenarioRep
     let machine = s.machine.clone();
     let allocation = s.allocation.clone();
     let cold_setup = move || {
-        Communicator::new(machine.clone(), &allocation, options).expect("pre-delta communicator")
+        Communicator::builder(machine.clone())
+            .allocation(&allocation)
+            .isolated_plans()
+            .build()
+            .expect("pre-delta communicator")
     };
 
     let (warm, warm_rep) = time_replans(warm_runs, warm_setup.clone(), &s.delta);

@@ -1,20 +1,21 @@
 //! Simulator hot-path perf baseline: segmented-payload programs vs the
 //! per-slot emission shape, both on the interned-resource engine.
 //!
-//! Two stages, each measured in-process on this machine and written to
+//! One stage, measured in-process on this machine and written to
 //! `BENCH_sim.json` so future PRs have a trajectory to compare against:
 //!
 //! * **allgather_dgx2** — the 16-GPU DGX-2 one-hop AllGather, the scenario
 //!   whose op count exploded under exact ranges (one copy per slot per edge).
-//!   The fast side runs the segmented program (one op per edge per chunk)
-//!   through [`blink_sim::Simulator::run_with_scratch`]; the naive side runs
-//!   the same program expanded back to one op per segment
-//!   ([`blink_sim::Program::split_segments`], the pre-aggregation emission
-//!   shape) through the **same** interned engine — the ratio isolates what
-//!   payload aggregation buys at equal scheduling machinery.
-//! * **multiserver_allreduce** — the three-phase AllReduce over a fragmented
-//!   2×DGX-1V allocation; its ops are mostly single-segment, so its ratio is
-//!   expected near 1x and recorded as a guard that splitting never *helps*.
+//!   Both sides run on the same interned engine
+//!   ([`blink_sim::Simulator::run_with_scratch`]), so the ratio isolates what
+//!   payload aggregation buys at equal scheduling machinery: the fast side
+//!   runs the segmented, interned program CodeGen emits (one op per edge per
+//!   chunk); the naive side runs the same program expanded back to one op
+//!   per slot segment ([`blink_sim::Program::split_segments`], the
+//!   pre-aggregation emission shape). The naive side used to run the split
+//!   program on the allocating reference scheduler, so the ratio recorded
+//!   then (36×) also counted the engine difference; today's ~8× counts
+//!   payload aggregation alone.
 //!
 //! The allocating reference scheduler (`Simulator::run_reference`) is
 //! retired from this benchmark's measurement path: it survives only as the
@@ -22,7 +23,7 @@
 //! against, so the recorded trajectory no longer pays for (or depends on)
 //! scheduling the naive side twice.
 //!
-//! Both stages simulate under a calibration with a non-zero
+//! The stage simulates under a calibration with a non-zero
 //! [`SimParams::per_segment_overhead_us`]: a batched multi-range copy pays
 //! the driver's per-extra-range cost explicitly, so the segmented program's
 //! *simulated* time is honest about batching (and still beats the split
@@ -30,26 +31,22 @@
 //!
 //! Run with `cargo run --release -p blink-bench --bin bench_sim`.
 //!
-//! `--check` runs a quick-mode measurement and exits non-zero if either
-//! stage's segmented-over-split speedup regressed more than
-//! [`CHECK_TOLERANCE`]× against the recorded `BENCH_sim.json`, or if the
-//! `allgather_dgx2` stage falls below [`ALLGATHER_FLOOR`]× outright, or if
-//! the segmented program's simulated time stops beating the split shape's.
-//! Both sides of each ratio run in this process, so runner hardware cancels
-//! out. It does not rewrite the JSON.
+//! `--check` runs a quick-mode measurement and exits non-zero if the
+//! segmented-over-split speedup regressed more than [`CHECK_TOLERANCE`]×
+//! against the recorded `BENCH_sim.json`, or falls below
+//! [`ALLGATHER_FLOOR`]× outright, or if the segmented program's simulated
+//! time stops beating the split shape's. Both sides of the ratio run in this
+//! process, so runner hardware cancels out. It does not rewrite the JSON.
 
-use blink_core::multiserver::three_phase_allreduce;
-use blink_core::{
-    CodeGenOptions, CollectiveKind, Communicator, CommunicatorOptions, TreeGenOptions,
-};
+use blink_core::{CollectiveKind, Communicator};
 use blink_sim::{EngineScratch, Program, SimParams, Simulator};
-use blink_topology::presets::{dgx2, multi_server, ServerKind};
+use blink_topology::presets::dgx2;
 use blink_topology::{GpuId, Topology};
 use serde::Serialize;
 use std::time::Instant;
 
-/// `--check` fails when a stage's segmented-over-split speedup ratio is more
-/// than this factor below the recorded trajectory.
+/// `--check` fails when the segmented-over-split speedup ratio is more than
+/// this factor below the recorded trajectory.
 const CHECK_TOLERANCE: f64 = 5.0;
 /// `--check` fails outright when the segmented AllGather path is not at
 /// least this many times faster than the per-slot shape on the same engine.
@@ -103,11 +100,8 @@ struct Config {
 #[derive(Debug, Serialize)]
 struct Report {
     config: Config,
-    /// DGX-2 one-hop AllGather: segmented + interned vs per-slot + allocating.
+    /// DGX-2 one-hop AllGather: segmented vs per-slot program, one engine.
     allgather_dgx2: SimStageReport,
-    /// Three-phase multi-server AllReduce: interned vs allocating scheduler
-    /// on the identical (single-segment) program.
-    multiserver_allreduce: SimStageReport,
 }
 
 /// Times `runs` runs of `f` and reports the per-run rate over `ops` ops.
@@ -173,7 +167,9 @@ fn measure(quick: bool) -> Report {
     // ---- DGX-2 one-hop AllGather (the per-slot op-count blow-up case) ----
     let machine = dgx2();
     let alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
-    let mut comm = Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default())
+    let mut comm = Communicator::builder(machine.clone())
+        .allocation(&alloc)
+        .build()
         .expect("full DGX-2 allocation");
     let (_, allgather_prog, _) = comm
         .run_traced(CollectiveKind::AllGather, mb(64))
@@ -186,41 +182,12 @@ fn measure(quick: bool) -> Report {
         naive_runs,
     );
 
-    // ---- three-phase multi-server AllReduce ----
-    let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
-    let alloc = vec![
-        GpuId(0),
-        GpuId(1),
-        GpuId(2),
-        GpuId(8),
-        GpuId(9),
-        GpuId(10),
-        GpuId(11),
-        GpuId(12),
-    ];
-    let (ms_prog, _) = three_phase_allreduce(
-        &machine,
-        &alloc,
-        mb(32),
-        &TreeGenOptions::default(),
-        &CodeGenOptions::default(),
-    )
-    .expect("fragmented 2-server slice plans");
-    let multiserver_allreduce = measure_stage(
-        "three-phase allreduce, 3+5 GPUs over 2 servers, 32 MiB",
-        &machine,
-        &ms_prog,
-        fast_runs,
-        naive_runs,
-    );
-
     Report {
         config: Config {
             fast_runs,
             naive_runs,
         },
         allgather_dgx2,
-        multiserver_allreduce,
     }
 }
 
@@ -232,54 +199,47 @@ fn main() {
         let recorded =
             std::fs::read_to_string("BENCH_sim.json").expect("BENCH_sim.json exists for --check");
         let recorded = serde_json::parse(&recorded).expect("BENCH_sim.json parses");
-        let recorded_speedup =
-            |stage: &str| -> Option<f64> { recorded.get(stage)?.get("speedup")?.as_f64() };
+        let stage = &out.allgather_dgx2;
         eprintln!(
-            "quick check: allgather {:.1}x ({} -> {} ops), multiserver {:.1}x over the \
-             per-slot shape on the same engine",
-            out.allgather_dgx2.speedup,
-            out.allgather_dgx2.naive.ops,
-            out.allgather_dgx2.fast.ops,
-            out.multiserver_allreduce.speedup,
+            "quick check: allgather {:.1}x ({} -> {} ops) over the per-slot shape on the \
+             same engine",
+            stage.speedup, stage.naive.ops, stage.fast.ops,
         );
         let mut failed = false;
-        if out.allgather_dgx2.speedup < ALLGATHER_FLOOR {
+        if stage.speedup < ALLGATHER_FLOOR {
             failed = true;
             eprintln!(
                 "REGRESSION: the segmented one-hop AllGather path is only {:.1}x over the \
                  per-slot shape (floor {ALLGATHER_FLOOR}x)",
-                out.allgather_dgx2.speedup
+                stage.speedup
             );
         }
-        for stage in [&out.allgather_dgx2, &out.multiserver_allreduce] {
-            if stage.fast_total_us > stage.naive_total_us {
-                failed = true;
-                eprintln!(
-                    "REGRESSION: {}: segmented program simulates slower ({:.1} us) than the \
-                     split shape ({:.1} us) under the calibrated per-segment overhead",
-                    stage.scenario, stage.fast_total_us, stage.naive_total_us
-                );
-            }
+        if stage.fast_total_us > stage.naive_total_us {
+            failed = true;
+            eprintln!(
+                "REGRESSION: {}: segmented program simulates slower ({:.1} us) than the \
+                 split shape ({:.1} us) under the calibrated per-segment overhead",
+                stage.scenario, stage.fast_total_us, stage.naive_total_us
+            );
         }
-        for (name, measured) in [
-            ("allgather_dgx2", out.allgather_dgx2.speedup),
-            ("multiserver_allreduce", out.multiserver_allreduce.speedup),
-        ] {
-            let Some(rec) = recorded_speedup(name) else {
-                continue; // stage not recorded yet — nothing to regress against
-            };
-            if measured < rec / CHECK_TOLERANCE {
+        let recorded_speedup = recorded
+            .get("allgather_dgx2")
+            .and_then(|s| s.get("speedup"))
+            .and_then(|s| s.as_f64());
+        if let Some(rec) = recorded_speedup {
+            if stage.speedup < rec / CHECK_TOLERANCE {
                 failed = true;
                 eprintln!(
-                    "REGRESSION: {name} fast path at {measured:.1}x over naive, more than \
-                     {CHECK_TOLERANCE}x below the recorded {rec:.1}x"
+                    "REGRESSION: allgather_dgx2 fast path at {:.1}x over naive, more than \
+                     {CHECK_TOLERANCE}x below the recorded {rec:.1}x",
+                    stage.speedup
                 );
             }
         }
         if failed {
             std::process::exit(1);
         }
-        eprintln!("all engine speedups within {CHECK_TOLERANCE}x of the recorded trajectory");
+        eprintln!("engine speedup within {CHECK_TOLERANCE}x of the recorded trajectory");
         return;
     }
 
@@ -288,10 +248,7 @@ fn main() {
     println!("{json}");
     eprintln!(
         "speedup: {:.1}x one-hop allgather ({} ops vs {} per-slot ops, both on the \
-         interned engine), {:.1}x three-phase allreduce",
-        out.allgather_dgx2.speedup,
-        out.allgather_dgx2.fast.ops,
-        out.allgather_dgx2.naive.ops,
-        out.multiserver_allreduce.speedup,
+         interned engine)",
+        out.allgather_dgx2.speedup, out.allgather_dgx2.fast.ops, out.allgather_dgx2.naive.ops,
     );
 }

@@ -358,15 +358,14 @@ pub struct AutotuneRow {
 pub fn fig12_chunk_autotune(iterations: usize) -> Vec<AutotuneRow> {
     let machine = dgx1v();
     let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-    let mut comm = blink_core::Communicator::new(
-        machine,
-        &alloc,
-        CommunicatorOptions {
+    let mut comm = blink_core::Communicator::builder(machine)
+        .allocation(&alloc)
+        .options(CommunicatorOptions {
             chunk_bytes: None,
             ..Default::default()
-        },
-    )
-    .expect("valid allocation");
+        })
+        .build()
+        .expect("valid allocation");
     let bytes = mb(500);
     for _ in 0..iterations {
         comm.broadcast(GpuId(0), bytes).expect("broadcast runs");

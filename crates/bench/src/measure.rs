@@ -51,7 +51,10 @@ pub fn blink_collective_with(
     bytes: u64,
     options: CommunicatorOptions,
 ) -> CollectiveMeasurement {
-    let mut comm = Communicator::new(machine.clone(), allocation, options)
+    let mut comm = Communicator::builder(machine.clone())
+        .allocation(allocation)
+        .options(options)
+        .build()
         .expect("harness allocations are valid");
     let report = comm
         .run(kind, bytes)

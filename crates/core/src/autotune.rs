@@ -9,50 +9,60 @@
 //! chunk size geometrically while throughput keeps improving, back off
 //! additively once it regresses, and settle into a steady state.
 //!
-//! The tuning loop re-issues the same collective over and over while only the
-//! chunk size changes — the tree set does not. [`PlanCache`] keeps the MWU
-//! packing out of that loop entirely: it memoises [`TreePlan`]s per
-//! `(root, link class)` and funnels every cache miss through one
-//! [`SharedPackingScratch`] pool, so even misses reuse the packing buffers
-//! (and plan concurrently when several roots miss at once, see
-//! [`PlanCache::plan_many`]).
+//! # Plan caching: one store, a handle per communicator, two tiers
 //!
-//! [`SharedPlanCache`] extends the memoisation *across* communicators: the
-//! scheduler slices in `blink-sched` hand many jobs identical allocations,
-//! and every one of those communicators would otherwise re-pack the same
-//! trees. The shared cache keys whole plans under
+//! The tuning loop re-issues the same collective over and over while only the
+//! chunk size changes — the tree set does not. Plans are memoised at two
+//! levels so the MWU packing stays out of that loop entirely:
+//!
+//! * [`SharedPlanCache`] is the one plan store. Every
+//!   [`crate::Communicator`] holds one: an explicit store passed to
+//!   [`crate::CommunicatorBuilder::shared_plans`], a private one for
+//!   [`crate::CommunicatorBuilder::isolated_plans`], and otherwise the
+//!   process-wide [`global_plan_cache`]. The scheduler slices in
+//!   `blink-sched` hand many jobs identical allocations, and the store lets
+//!   every one of those communicators (and every per-server planner of the
+//!   three-phase multi-server AllReduce) reuse the others' packing work.
+//! * Each communicator plans through a private handle on its store that
+//!   memoises `(root, link class) → plan` for its current induced topology
+//!   and options. Only handle misses reach the store, and a handle keeps its
+//!   plans even when the store evicts them.
+//!
+//! The store has two bounded LRU tiers. The *exact* tier keys plans by
 //! `(`[`plan_fingerprint`]`, root, link class)` — the fingerprint covers the
 //! induced topology and the link-class-normalised options, so equal job
-//! shapes hit and anything else misses.
+//! shapes hit and anything else misses. The opt-in *canonical* tier keys
+//! them by the allocation's canonical form, so topology-isomorphic
+//! allocations hit too. A lookup both tiers miss is packed — concurrently
+//! across roots, on the caller's [`ScratchPool`] — and published to both.
 //!
 //! # Delta invalidation and warm seeds
 //!
 //! When the hardware churns (a flaky NVLink disabled, a GPU cordoned off, a
-//! job grown by a server), [`PlanCache::note_delta`] takes the
-//! [`TopologyDelta`] and, instead of flushing wholesale, demotes exactly the
-//! plans the delta can touch: a cached plan survives a pure removal intact
-//! when none of its trees' edges and none of its link class's capacity
-//! groups intersect the removed links/GPUs, while any intersecting (or
-//! additively changed) plan is demoted to a *warm seed*. The next
-//! [`PlanCache::plan_for`]/[`PlanCache::plan_many`] miss for that key hands
-//! the seed to [`TreeGen::plan_warm`], whose repair-and-seed pass
-//! (`blink-graph`'s warm-start contract) typically reaches the packing
-//! certificate with zero MWU iterations. The cache never serves a demoted
-//! plan directly — warm seeds only ever enter through the packer, so every
-//! plan handed out has been re-certified against the current topology.
+//! job grown by a server), [`crate::Communicator::replan`] hands the
+//! [`TopologyDelta`] to its handle, which, instead of flushing wholesale,
+//! demotes exactly the plans the delta can touch: a cached plan survives a
+//! pure removal intact when none of its trees' edges and none of its link
+//! class's capacity groups intersect the removed links/GPUs, while any
+//! intersecting (or additively changed) plan is demoted to a *warm seed*.
+//! The next miss for that key hands the seed to [`TreeGen::plan_warm`],
+//! whose repair-and-seed pass (`blink-graph`'s warm-start contract)
+//! typically reaches the packing certificate with zero MWU iterations. The
+//! cache never serves a demoted plan directly — warm seeds only ever enter
+//! through the packer, so every plan handed out has been re-certified
+//! against the current topology.
 
-use crate::treegen::{
-    parallel_map, LinkSelection, SharedPackingScratch, TreeGen, TreeGenOptions, TreePlan,
-};
-use crate::{new_shared_scratch, Result};
+use crate::treegen::{parallel_map, LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
+use crate::Result;
 use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
 use blink_topology::enumerate::canonical_labeling;
 use blink_topology::{GpuId, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A 64-bit fingerprint of everything (besides the root and link class) a
 /// cached [`TreePlan`] depends on: the induced topology's GPUs, links and
@@ -79,18 +89,32 @@ pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
         l.lanes.hash(&mut h);
         l.bandwidth_gbps.to_bits().hash(&mut h);
     }
-    options.packing.epsilon.to_bits().hash(&mut h);
-    options.packing.max_iterations.hash(&mut h);
-    options.minimize.threshold.to_bits().hash(&mut h);
-    options.minimize.unit_gbps.map(f64::to_bits).hash(&mut h);
-    options.minimize.max_bb_nodes.hash(&mut h);
-    options
-        .minimize
-        .known_optimum
-        .map(f64::to_bits)
-        .hash(&mut h);
-    options.skip_minimize.hash(&mut h);
+    hash_options(options, &mut h);
     h.finish()
+}
+
+/// A 64-bit fingerprint of the [`TreeGenOptions`] alone (link class
+/// normalised away, exactly as in [`plan_fingerprint`]). The canonical tier
+/// keys on `(canonical form, options fingerprint, canonical root)` — the
+/// canonical form already captures the topology, so only the options need
+/// hashing separately.
+fn options_fingerprint(options: &TreeGenOptions) -> u64 {
+    let mut h = DefaultHasher::new();
+    hash_options(options, &mut h);
+    h.finish()
+}
+
+/// Feeds every [`TreeGenOptions`] field a plan depends on into `h`, in one
+/// fixed order — all of them except the link class, which callers key on
+/// separately.
+fn hash_options(options: &TreeGenOptions, h: &mut DefaultHasher) {
+    options.packing.epsilon.to_bits().hash(h);
+    options.packing.max_iterations.hash(h);
+    options.minimize.threshold.to_bits().hash(h);
+    options.minimize.unit_gbps.map(f64::to_bits).hash(h);
+    options.minimize.max_bb_nodes.hash(h);
+    options.minimize.known_optimum.map(f64::to_bits).hash(h);
+    options.skip_minimize.hash(h);
 }
 
 /// Largest allocation the canonical plan-sharing tier will label. The
@@ -100,27 +124,6 @@ pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
 /// allocations simply skip the canonical tier and rely on exact
 /// fingerprints.
 pub const CANONICAL_MAX_GPUS: usize = 8;
-
-/// A 64-bit fingerprint of the [`TreeGenOptions`] alone (link class
-/// normalised away, exactly as in [`plan_fingerprint`]). The canonical tier
-/// keys on `(canonical form, options fingerprint, canonical root)` — the
-/// canonical form already captures the topology, so only the options need
-/// hashing separately.
-fn options_fingerprint(options: &TreeGenOptions) -> u64 {
-    let mut h = DefaultHasher::new();
-    options.packing.epsilon.to_bits().hash(&mut h);
-    options.packing.max_iterations.hash(&mut h);
-    options.minimize.threshold.to_bits().hash(&mut h);
-    options.minimize.unit_gbps.map(f64::to_bits).hash(&mut h);
-    options.minimize.max_bb_nodes.hash(&mut h);
-    options
-        .minimize
-        .known_optimum
-        .map(f64::to_bits)
-        .hash(&mut h);
-    options.skip_minimize.hash(&mut h);
-    h.finish()
-}
 
 /// Rewrites every GPU id in `plan` through `map` (a bijection over the
 /// plan's GPUs). Weights, rates and diagnostics are untouched: a relabelled
@@ -153,341 +156,307 @@ fn relabel_plan(plan: &TreePlan, map: &BTreeMap<GpuId, GpuId>) -> TreePlan {
     }
 }
 
-/// A plan cache shared across communicators (and across the per-server
-/// TreeGens of the three-phase multi-server AllReduce): whole [`TreePlan`]s
-/// memoised under `(`[`plan_fingerprint`]`, root, link class)`.
+/// The plan store shared across communicators (and across the per-server
+/// TreeGens of the three-phase multi-server AllReduce): whole
+/// [`TreePlan`]s memoised for any number of job shapes at once — that is
+/// what lets the many identical allocations a `blink-sched` workload
+/// produces reuse each other's packing work instead of re-running MWU per
+/// communicator.
 ///
-/// Unlike [`PlanCache`], which keeps plans for exactly one fingerprint at a
-/// time (one communicator plans over one induced topology), the shared cache
-/// holds plans for any number of job shapes at once — that is what lets the
-/// many identical allocations a `blink-sched` workload produces reuse each
-/// other's packing work instead of re-running MWU per communicator.
+/// Cloning the handle shares the store. All methods are `&self` and
+/// thread-safe. Plans are stored behind [`Arc`], so a hit never re-packs and
+/// never copies a tree set.
 ///
-/// Cloning the handle shares the cache. All methods are `&self` and
-/// thread-safe: concurrent workers of a parallel root sweep consult and fill
-/// the cache directly. Plans are stored behind [`Arc`], so a hit clones tree
-/// vectors only when the caller materialises the plan, never re-packs.
+/// # Two bounded tiers
 ///
-/// The cache is **bounded**: it holds at most `capacity` plans (default
-/// [`SharedPlanCache::DEFAULT_CAPACITY`]) and evicts the least-recently-used
-/// entry when an insert would exceed the cap — a long-running scheduler whose
-/// workload mix turns over no longer grows one entry per job shape forever.
-/// A hit refreshes an entry's recency. Eviction only ever costs a re-pack:
-/// lookups are keyed by the caller's current fingerprint, so correctness is
-/// never at stake.
+/// The **exact** tier keys plans by `(`[`plan_fingerprint`]`, root, link
+/// class)` and serves topology-*identical* allocations bit-identically.
 ///
-/// # The canonical tier
-///
-/// Besides the exact tier above, the cache carries a second, **opt-in**
-/// tier keyed by `(`[`canonical form`]`, options fingerprint, canonical
-/// root)`. Where the exact tier only serves topology-*identical*
-/// allocations, the canonical tier serves topology-*isomorphic* ones: the
-/// mirror halves of a DGX-1V, every 3-GPU clique of an NVSwitch fabric, the
-/// stride subgroups of a process-group split. Plans are stored relabelled
-/// into canonical ids `0..n` and relabelled back through the looking-up
-/// allocation's [`canonical_labeling`] witness on a hit, so a hit is an
-/// isomorphic image of the published plan — same weights, same certified
-/// rate, valid for the new allocation, but *not* bit-identical to what a
-/// cold pack on that allocation would produce (the MWU trajectory depends
-/// on labels).
-///
-/// The tier is restricted to NVLink-only plans of at most
-/// [`CANONICAL_MAX_GPUS`] GPUs: the canonical form covers exactly the
+/// The opt-in **canonical** tier keys them by `(`[`canonical form`]`,
+/// options fingerprint, canonical root)` and serves topology-*isomorphic*
+/// allocations: the mirror halves of a DGX-1V, every 3-GPU clique of an
+/// NVSwitch fabric, the stride subgroups of a process-group split. Plans are
+/// stored relabelled into canonical ids `0..n` and relabelled back through
+/// the looking-up allocation's [`canonical_labeling`] witness on a hit, so a
+/// hit is an isomorphic image of the published plan — same weights, same
+/// certified rate, valid for the new allocation, but *not* bit-identical to
+/// what a cold pack on that allocation would produce (the MWU trajectory
+/// depends on labels). The tier is restricted to NVLink-only plans of at
+/// most [`CANONICAL_MAX_GPUS`] GPUs: the canonical form covers exactly the
 /// NVLink capacity matrix (NVLink packing reads nothing else), and the
 /// brute-force labelling is infeasible past one server. Canonical entries
 /// are shape-intrinsic — a looking-up communicator just *recomputed* the
 /// canonical form from its live induced topology, proving its hardware
 /// realises the shape — so unlike the exact tier they are never flushed by
-/// fingerprint invalidation or deltas. [`PlanCache`]s opt in via
-/// [`PlanCache::with_canonical_sharing`].
+/// fingerprint changes or deltas. Communicators opt in through
+/// [`crate::CommunicatorBuilder::canonical_plan_sharing`].
+///
+/// Each tier holds at most [`SharedPlanCache::DEFAULT_CAPACITY`] plans and
+/// evicts its least-recently-used entry when an insert would exceed the
+/// bound, so a long-running scheduler whose workload mix turns over no
+/// longer grows one entry per job shape forever. The tiers keep separate
+/// bounds and counters, so canonical churn never evicts exact plans or vice
+/// versa. Eviction only ever costs a re-pack: lookups are keyed by the
+/// caller's current fingerprint, so correctness is never at stake.
 ///
 /// [`canonical form`]: blink_topology::enumerate::canonical_form
 #[derive(Debug, Clone, Default)]
 pub struct SharedPlanCache {
-    inner: Arc<Mutex<SharedPlanCacheInner>>,
+    inner: Arc<Mutex<Tiers>>,
 }
 
 #[derive(Debug)]
-struct SharedPlanCacheInner {
-    /// Key -> (plan, last-touched tick). The tick drives LRU eviction.
-    plans: BTreeMap<(u64, GpuId, LinkSelection), (Arc<TreePlan>, u64)>,
-    /// The canonical tier: `(canonical form, options fingerprint, canonical
-    /// root index)` -> (plan relabelled into canonical ids, tick). Bounded
-    /// by the same `capacity`, evicted LRU independently of the exact tier.
-    canonical: BTreeMap<(String, u64, usize), (Arc<TreePlan>, u64)>,
+struct Tiers {
+    exact: Tier<(u64, GpuId, LinkSelection)>,
+    /// `(canonical form, options fingerprint, canonical root index)` → plan
+    /// relabelled into canonical ids.
+    canonical: Tier<(String, u64, usize)>,
+}
+
+impl Default for Tiers {
+    fn default() -> Self {
+        Tiers {
+            exact: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
+            canonical: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
+        }
+    }
+}
+
+/// One bounded LRU tier of the store: key → (plan, last-touched tick), with
+/// its own hit, miss and eviction counters. A hit refreshes the entry's
+/// recency; an insert past `capacity` evicts the least-recently-used entry.
+/// The O(n) scan per eviction is deliberate: capacities are small (plans
+/// are megabyte-scale, not millions of entries) and eviction only happens on
+/// inserts past the cap.
+#[derive(Debug)]
+struct Tier<K> {
+    entries: BTreeMap<K, (Arc<TreePlan>, u64)>,
     /// Monotonic access counter feeding the recency ticks.
     tick: u64,
     capacity: usize,
     hits: u64,
     misses: u64,
-    canonical_hits: u64,
-    canonical_misses: u64,
     evictions: u64,
 }
 
-impl Default for SharedPlanCacheInner {
-    fn default() -> Self {
-        SharedPlanCacheInner {
-            plans: BTreeMap::new(),
-            canonical: BTreeMap::new(),
+impl<K: Ord + Clone> Tier<K> {
+    fn new(capacity: usize) -> Self {
+        Tier {
+            entries: BTreeMap::new(),
             tick: 0,
-            capacity: SharedPlanCache::DEFAULT_CAPACITY,
+            capacity,
             hits: 0,
             misses: 0,
-            canonical_hits: 0,
-            canonical_misses: 0,
             evictions: 0,
+        }
+    }
+
+    /// Looks `key` up, counting a hit or a miss.
+    fn get(&mut self, key: &K) -> Option<Arc<TreePlan>> {
+        self.tick += 1;
+        match self.entries.get_mut(key) {
+            Some((plan, last_used)) => {
+                *last_used = self.tick;
+                self.hits += 1;
+                Some(plan.clone())
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Stores `plan`, evicting least-recently-used entries past the bound.
+    /// Two workers racing to plan the same key simply overwrite each other
+    /// with equivalent plans (planning is a pure function of the keyed
+    /// inputs).
+    fn insert(&mut self, key: K, plan: Arc<TreePlan>) {
+        self.tick += 1;
+        self.entries.insert(key, (plan, self.tick));
+        while self.entries.len() > self.capacity {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(k, _)| k.clone())
+                .expect("non-empty tier over capacity");
+            self.entries.remove(&oldest);
+            self.evictions += 1;
         }
     }
 }
 
 impl SharedPlanCache {
-    /// Default maximum number of memoised plans. Sized for a scheduler fleet:
-    /// a job shape costs one entry per (root, link class) it plans, so this
-    /// comfortably holds hundreds of distinct shapes while bounding a
+    /// Maximum number of memoised plans per tier. Sized for a scheduler
+    /// fleet: a job shape costs one entry per (root, link class) it plans,
+    /// so this comfortably holds hundreds of distinct shapes while bounding a
     /// pathological churn workload to a few thousand small tree sets.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
-    /// Creates an empty shared cache with [`SharedPlanCache::DEFAULT_CAPACITY`].
+    /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty shared cache bounded to `capacity` plans (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cache = Self::default();
-        cache.set_capacity(capacity);
-        cache
+    fn lock(&self) -> MutexGuard<'_, Tiers> {
+        self.inner.lock().expect("shared plan cache poisoned")
     }
 
-    /// Changes the LRU bound, evicting the least-recently-used entries
-    /// immediately if the cache currently exceeds it.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.inner.lock().expect("shared plan cache poisoned");
-        inner.capacity = capacity.max(1);
-        inner.evict_to_capacity();
-    }
-
-    /// The current LRU bound.
-    pub fn capacity(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("shared plan cache poisoned")
-            .capacity
-    }
-
-    /// Looks a plan up, counting a hit or a miss. A hit refreshes the
-    /// entry's LRU recency.
-    pub fn get(
-        &self,
-        fingerprint: u64,
-        root: GpuId,
-        links: LinkSelection,
-    ) -> Option<Arc<TreePlan>> {
-        let mut inner = self.inner.lock().expect("shared plan cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.plans.get_mut(&(fingerprint, root, links)) {
-            Some((plan, last_used)) => {
-                *last_used = tick;
-                let plan = plan.clone();
-                inner.hits += 1;
-                Some(plan)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly packed plan, evicting the least-recently-used entry
-    /// if the cache is at capacity. Two workers racing to plan the same key
-    /// simply overwrite each other with bit-identical plans (planning is a
-    /// pure function of the fingerprinted inputs), so no coordination beyond
-    /// the lock is needed.
-    pub fn insert(&self, fingerprint: u64, root: GpuId, links: LinkSelection, plan: Arc<TreePlan>) {
-        let mut inner = self.inner.lock().expect("shared plan cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.plans.insert((fingerprint, root, links), (plan, tick));
-        inner.evict_to_capacity();
-    }
-
-    /// Looks up the canonical tier: a plan published for any allocation
-    /// isomorphic to the one `canon` describes, rooted at the GPU playing
-    /// canonical role `root_index`. Counts a canonical hit or miss and
-    /// refreshes LRU recency. The returned plan is labelled in canonical ids
-    /// `0..n` — callers relabel it through their own
-    /// [`canonical_labeling`] witness.
-    pub fn get_canonical(
-        &self,
-        canon: &str,
-        options_fp: u64,
-        root_index: usize,
-    ) -> Option<Arc<TreePlan>> {
-        let mut inner = self.inner.lock().expect("shared plan cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner
-            .canonical
-            .get_mut(&(canon.to_string(), options_fp, root_index))
-        {
-            Some((plan, last_used)) => {
-                *last_used = tick;
-                let plan = plan.clone();
-                inner.canonical_hits += 1;
-                Some(plan)
-            }
-            None => {
-                inner.canonical_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Publishes a plan to the canonical tier. `plan` must already be
-    /// relabelled into canonical ids `0..n` (role `i` of `canon` is
-    /// `GpuId(i)`), rooted at `GpuId(root_index)`. Racing writers overwrite
-    /// each other with equivalent plans, exactly as in the exact tier.
-    pub fn insert_canonical(
-        &self,
-        canon: String,
-        options_fp: u64,
-        root_index: usize,
-        plan: Arc<TreePlan>,
-    ) {
-        let mut inner = self.inner.lock().expect("shared plan cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner
-            .canonical
-            .insert((canon, options_fp, root_index), (plan, tick));
-        inner.evict_to_capacity();
-    }
-
-    /// `(hits, misses)` counters of the canonical tier since creation (or
-    /// the last [`SharedPlanCache::invalidate`]).
-    pub fn canonical_stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("shared plan cache poisoned");
-        (inner.canonical_hits, inner.canonical_misses)
-    }
-
-    /// Number of plans memoised in the canonical tier.
-    pub fn canonical_len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("shared plan cache poisoned")
-            .canonical
-            .len()
-    }
-
-    /// Number of memoised plans (across all fingerprints).
+    /// Number of plans memoised in the exact tier (across all fingerprints).
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("shared plan cache poisoned")
-            .plans
-            .len()
+        self.lock().exact.entries.len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether the exact tier is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// `(hits, misses)` counters since creation (or the last
-    /// [`SharedPlanCache::invalidate`]).
+    /// `(hits, misses)` counters of the exact tier since creation.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("shared plan cache poisoned");
-        (inner.hits, inner.misses)
+        let tiers = self.lock();
+        (tiers.exact.hits, tiers.exact.misses)
     }
 
-    /// How many plans the LRU bound has evicted since creation (or the last
-    /// [`SharedPlanCache::invalidate`]). Explicit invalidation does not
-    /// count: evictions measure capacity pressure, not policy flushes.
+    /// `(hits, misses)` counters of the canonical tier since creation.
+    pub fn canonical_stats(&self) -> (u64, u64) {
+        let tiers = self.lock();
+        (tiers.canonical.hits, tiers.canonical.misses)
+    }
+
+    /// How many plans the LRU bounds have evicted from either tier since
+    /// creation. Delta and fingerprint invalidation do not count: evictions
+    /// measure capacity pressure, not policy flushes.
     pub fn evictions(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("shared plan cache poisoned")
-            .evictions
+        let tiers = self.lock();
+        tiers.exact.evictions + tiers.canonical.evictions
     }
 
-    /// Drops every memoised plan and resets the hit/miss/eviction counters
-    /// (the capacity is kept). Useful to force a flush when a scheduler's
-    /// workload mix turns over faster than LRU pressure would notice.
-    pub fn invalidate(&self) {
-        let mut inner = self.inner.lock().expect("shared plan cache poisoned");
-        inner.plans.clear();
-        inner.canonical.clear();
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.canonical_hits = 0;
-        inner.canonical_misses = 0;
-        inner.evictions = 0;
-    }
-
-    /// Drops every plan memoised under `fingerprint`, leaving other job
-    /// shapes (and the hit/miss counters) untouched. [`PlanCache`] calls this
-    /// automatically when a communicator's topology/options fingerprint
-    /// *changes* — a changed fingerprint usually means that shape's hardware
-    /// no longer exists as recorded (link failure, elastic re-allocation),
-    /// so its plans are dead weight.
-    ///
-    /// The flush is process-wide and deliberately conservative: if *other*
-    /// communicators still run the old shape, their next miss simply
-    /// re-packs and re-publishes — correctness is never at stake (lookups
-    /// are always keyed by the caller's current fingerprint), this only
-    /// trades a possible re-pack against unbounded retention of plans for
-    /// shapes that may never recur.
-    pub fn invalidate_fingerprint(&self, fingerprint: u64) {
-        let mut inner = self.inner.lock().expect("shared plan cache poisoned");
-        inner.plans.retain(|&(fp, _, _), _| fp != fingerprint);
-    }
-
-    /// Applies a topology-change event to the plans memoised under
-    /// `old_fingerprint` — the shared-tier half of [`PlanCache::note_delta`].
-    ///
-    /// Under a pure-growth delta ([`TopologyDelta::is_pure_growth`]) nothing
-    /// is touched at all: the pre-event shape persists verbatim as a subgraph
-    /// of the grown machine, so every plan memoised under `old_fingerprint`
-    /// still describes live hardware exactly and every certificate proved
-    /// against that shape still holds. Lookups keyed by the old shape keep
-    /// hitting — in particular, when a job grows by a server, the three-phase
-    /// planner's per-server lookups for the *original* servers re-hit the
-    /// plans published before the growth (their server-induced fingerprints
-    /// are unchanged).
-    ///
-    /// Under a pure-removal delta ([`TopologyDelta::is_pure_removal`]) a plan
-    /// whose trees avoid every removed link and GPU is still *exact* for the
-    /// post-event topology: removing capacity can only lower the broadcast
-    /// min-cut, so a plan within `(1 − ε)` of the old certificate is within
-    /// `(1 − ε)` of the new one, and its trees remain feasible. Those
-    /// survivors are re-keyed to `new_fingerprint` so lookups over the
-    /// post-event shape keep hitting. Every other plan — touched by a
-    /// removal, or any plan under a mixed add+remove delta that also adds
-    /// GPUs (the old shape is gone *and* the plan no longer spans the new
-    /// one) — is dropped; the observing communicator's local tier keeps its
-    /// own copies as warm-start seeds instead.
-    pub fn apply_delta(&self, old_fingerprint: u64, new_fingerprint: u64, delta: &TopologyDelta) {
-        if old_fingerprint == new_fingerprint || delta.is_pure_growth() {
-            return;
+    /// The one lookup-or-pack-and-publish routine. Each `(induced, fp, root)`
+    /// request is looked up in the exact tier and then, when `canonical` is
+    /// given, in the canonical tier. The requests both tiers miss are packed
+    /// concurrently on `scratch`'s workers — warm from `seed(root)` when it
+    /// yields a stale plan — and every fresh pack is published to both tiers
+    /// in request order. Results come back in request order, bit-identical
+    /// at every worker count; failed packs are returned, not cached.
+    pub(crate) fn resolve(
+        &self,
+        options: &TreeGenOptions,
+        requests: &[(&Topology, u64, GpuId)],
+        scratch: &ScratchPool,
+        canonical: Option<&Canonical<'_>>,
+        mut seed: impl FnMut(GpuId) -> Option<Arc<TreePlan>>,
+    ) -> Vec<Result<Arc<TreePlan>>> {
+        let links = options.links;
+        let mut resolved: Vec<Option<Result<Arc<TreePlan>>>> = Vec::with_capacity(requests.len());
+        let mut misses = Vec::new();
+        for (i, &(_, fp, root)) in requests.iter().enumerate() {
+            let exact = self.lock().exact.get(&(fp, root, links));
+            let hit = exact.or_else(|| canonical.and_then(|c| c.get(self, root)));
+            if hit.is_none() {
+                misses.push((i, seed(root)));
+            }
+            resolved.push(hit.map(Ok));
         }
-        let mut inner = self.inner.lock().expect("shared plan cache poisoned");
-        let stale: Vec<(u64, GpuId, LinkSelection)> = inner
-            .plans
+        let packed = parallel_map(misses, scratch.workers(), |(i, seed)| {
+            let (induced, _, root) = requests[i];
+            let tg = TreeGen::with_scratch(induced.clone(), *options, scratch.clone());
+            let plan = match seed {
+                Some(seed) => tg.plan_warm(root, &seed),
+                None => tg.plan(root),
+            };
+            (i, plan.map(Arc::new))
+        });
+        for (i, plan) in packed {
+            if let Ok(plan) = &plan {
+                let (_, fp, root) = requests[i];
+                self.lock().exact.insert((fp, root, links), plan.clone());
+                if let Some(c) = canonical {
+                    c.publish(self, root, plan);
+                }
+            }
+            resolved[i] = Some(plan);
+        }
+        resolved
+            .into_iter()
+            .map(|r| r.expect("every request is either a hit or packed"))
+            .collect()
+    }
+
+    /// Moves every exact-tier plan memoised under fingerprint `old` to `new`
+    /// where `keep` holds and drops the rest (recency is kept). Canonical
+    /// entries are shape-intrinsic and never touched.
+    fn retarget(&self, old: u64, new: u64, keep: impl Fn(&TreePlan) -> bool) {
+        let mut tiers = self.lock();
+        let stale: Vec<(u64, GpuId, LinkSelection)> = tiers
+            .exact
+            .entries
             .keys()
-            .filter(|(fp, _, _)| *fp == old_fingerprint)
+            .filter(|(fp, _, _)| *fp == old)
             .copied()
             .collect();
         for key in stale {
-            let (plan, tick) = inner.plans.remove(&key).expect("key just enumerated");
-            if plan_survives_delta(&plan, delta) {
-                inner
-                    .plans
-                    .insert((new_fingerprint, key.1, key.2), (plan, tick));
+            let entry = tiers.exact.entries.remove(&key).expect("key just listed");
+            if keep(&entry.0) {
+                tiers.exact.entries.insert((new, key.1, key.2), entry);
             }
         }
+    }
+}
+
+/// The canonical-tier view of one allocation, consulted when the exact tier
+/// misses. The labelling (brute force over `n!` permutations) is computed on
+/// first use and memoised in the handle's cell.
+pub(crate) struct Canonical<'a> {
+    induced: &'a Topology,
+    options_fp: u64,
+    labelling: &'a OnceCell<Option<(String, Vec<GpuId>)>>,
+}
+
+impl Canonical<'_> {
+    /// The allocation's canonical form and its witness: `order[i]` plays
+    /// canonical role `i`.
+    fn labelling(&self) -> Option<&(String, Vec<GpuId>)> {
+        self.labelling
+            .get_or_init(|| canonical_labeling(self.induced, &self.induced.gpu_ids()).ok())
+            .as_ref()
+    }
+
+    /// Looks up the plan published for `root`'s canonical role by any
+    /// isomorphic allocation, relabelled into this allocation's ids.
+    fn get(&self, store: &SharedPlanCache, root: GpuId) -> Option<Arc<TreePlan>> {
+        let (form, order) = self.labelling()?;
+        let role = order.iter().position(|&g| g == root)?;
+        let hit = store
+            .lock()
+            .canonical
+            .get(&(form.clone(), self.options_fp, role))?;
+        let map = order
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| (GpuId(i), g))
+            .collect();
+        Some(Arc::new(relabel_plan(&hit, &map)))
+    }
+
+    /// Publishes a fresh pack for `root` relabelled into canonical ids.
+    fn publish(&self, store: &SharedPlanCache, root: GpuId, plan: &TreePlan) {
+        let Some((form, order)) = self.labelling() else {
+            return;
+        };
+        let Some(role) = order.iter().position(|&g| g == root) else {
+            return;
+        };
+        let map = order
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| (g, GpuId(i)))
+            .collect();
+        store.lock().canonical.insert(
+            (form.clone(), self.options_fp, role),
+            Arc::new(relabel_plan(plan, &map)),
+        );
     }
 }
 
@@ -502,17 +471,12 @@ impl SharedPlanCache {
 ///   class can raise the *grown* shape's broadcast min-cut, so the plan may
 ///   no longer be near-optimal for the new hardware — this function still
 ///   reports it as surviving (exactness of what was proved is not voided),
-///   and [`PlanCache::note_delta`] separately *re-certifies* survivors
-///   against the grown cut, demoting to a warm seed any plan whose rate no
-///   longer meets the `(1 − ε)` guarantee so the next lookup re-packs
-///   through the new capacity;
+///   and the handle's delta routine separately *re-certifies* survivors
+///   against the grown cut;
 /// * added GPUs do stop a plan serving a *grown allocation* — it no longer
 ///   spans the job — so it cannot answer lookups under the post-event
-///   fingerprint. [`PlanCache::note_delta`] demotes it to a warm-start seed
-///   for the lookup shape that replaced it, while an attached
-///   [`SharedPlanCache`] keeps it published under the old shape's
-///   fingerprint, where it remains exact
-///   ([`SharedPlanCache::apply_delta`]);
+///   fingerprint; the store keeps it under the old shape's fingerprint,
+///   where it remains exact;
 /// * a removed GPU the plan spans, or a removed link of the plan's class on
 ///   a GPU pair some tree routes over (even one lane of several — the
 ///   pair's capacity shrank under the plan's rate), breaks feasibility;
@@ -539,273 +503,119 @@ fn plan_survives_delta(plan: &TreePlan, delta: &TopologyDelta) -> bool {
             .all(|t| t.tree.edges.iter().all(|e| !dead.contains(e)))
 }
 
-/// The process-wide [`SharedPlanCache`] that [`crate::Communicator`]s attach
-/// to by default, so identically shaped jobs in one process reuse each
-/// other's plans with no opt-in plumbing. Communicators that need isolation
-/// (e.g. a benchmark measuring cold packing) opt out via
-/// [`crate::CommunicatorOptions::isolated_plan_cache`]; callers wanting a
-/// *different* shared tier still pass one explicitly through
-/// [`crate::Communicator::with_shared_plans`].
+/// The process-wide [`SharedPlanCache`] that [`crate::Communicator`]s use by
+/// default, so identically shaped jobs in one process reuse each other's
+/// plans with no opt-in plumbing. Communicators that need isolation (e.g. a
+/// benchmark measuring cold packing) opt out through
+/// [`crate::CommunicatorBuilder::isolated_plans`]; callers wanting a
+/// *different* store pass one through
+/// [`crate::CommunicatorBuilder::shared_plans`].
 ///
 /// The handle is cloned out of a process-global [`OnceLock`]; all clones
-/// share the same LRU store.
+/// share the same store.
 pub fn global_plan_cache() -> SharedPlanCache {
     static GLOBAL: OnceLock<SharedPlanCache> = OnceLock::new();
     GLOBAL.get_or_init(SharedPlanCache::new).clone()
 }
 
-impl SharedPlanCacheInner {
-    /// Evicts least-recently-used entries until each tier fits the capacity.
-    /// An O(n) scan per eviction is deliberate: capacities are small (plans
-    /// are megabyte-scale, not millions of entries) and eviction only
-    /// happens on inserts past the cap. The tiers are bounded independently
-    /// so canonical churn cannot evict exact-tier plans or vice versa.
-    fn evict_to_capacity(&mut self) {
-        while self.plans.len() > self.capacity {
-            let oldest = self
-                .plans
-                .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(&k, _)| k)
-                .expect("non-empty cache over capacity");
-            self.plans.remove(&oldest);
-            self.evictions += 1;
-        }
-        while self.canonical.len() > self.capacity {
-            let oldest = self
-                .canonical
-                .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty canonical tier over capacity");
-            self.canonical.remove(&oldest);
-            self.evictions += 1;
-        }
-    }
-}
-
-/// Memoises [`TreePlan`]s per `(root, link class)`, sharing a single
-/// [`SharedPackingScratch`] across misses.
+/// A communicator's private handle on its [`SharedPlanCache`] store: plans
+/// memoised per `(root, link class)` under the fingerprint of the
+/// communicator's current induced topology and options, plus the warm seeds
+/// a delta demoted. Misses go through [`SharedPlanCache::resolve`] and pack
+/// over the handle's scratch pool.
 ///
-/// Every lookup carries a fingerprint of the induced topology and the
-/// (link-class-normalised) options; when it differs from the fingerprint the
-/// memoised plans were built under, the cache transparently drops them and
-/// rebuilds. A caller that swaps the topology (link failure, elastic
-/// re-allocation) or retunes the options therefore gets a fresh plan, never a
-/// stale one — and never the fixed-options panic the old debug assertion
-/// raised. [`PlanCache::invalidate`] remains available for explicit flushes.
-#[derive(Debug, Clone, Default)]
-pub struct PlanCache {
-    scratch: SharedPackingScratch,
-    plans: BTreeMap<(GpuId, LinkSelection), TreePlan>,
-    /// Warm-start seeds: stale plans demoted by [`PlanCache::note_delta`],
-    /// each consumed by the next miss on its key to drive
-    /// [`TreeGen::plan_warm`] instead of a cold pack.
-    seeds: BTreeMap<(GpuId, LinkSelection), TreePlan>,
-    /// Fingerprint of the (topology, normalised options) the memoised plans
-    /// were built under; `None` while the cache is empty.
+/// A lookup under a different fingerprint than the memoised plans were
+/// built under (an unannounced topology or options change) drops them — and
+/// the old shape's exact-tier entries, since the communicator just observed
+/// that hardware no longer exists as recorded — and rebuilds, so a caller
+/// never receives a stale plan.
+#[derive(Debug)]
+pub(crate) struct PlanCache {
+    store: SharedPlanCache,
+    scratch: ScratchPool,
+    /// Fingerprint the memoised plans were built under; `None` while empty.
     built_under: Option<u64>,
-    /// Optional cross-communicator tier: local misses consult it before
-    /// packing and publish what they pack.
-    shared: Option<SharedPlanCache>,
-    /// Whether misses may also consult/feed the shared tier's *canonical*
-    /// map (isomorphism-level sharing). Opt-in: canonical hits are valid
-    /// relabelled plans but not bit-identical to a cold pack.
+    plans: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
+    /// Stale plans demoted by [`PlanCache::note_delta`], each consumed by the
+    /// next miss on its key to drive [`TreeGen::plan_warm`].
+    seeds: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
+    /// Whether misses may also use the store's canonical tier. Opt-in:
+    /// canonical hits are valid relabelled plans but not bit-identical to a
+    /// cold pack.
     canonical: bool,
-    /// Memoised canonical labelling of the current induced topology, keyed
-    /// by the fingerprint it was computed under (the labelling is a pure
-    /// function of the topology, and brute-force labelling costs `n!`).
-    canon: Option<(u64, String, Vec<GpuId>)>,
+    /// Canonical labelling of the induced topology `built_under` describes.
+    labelling: OnceCell<Option<(String, Vec<GpuId>)>>,
 }
 
 impl PlanCache {
-    /// Creates an empty cache with its own scratch.
-    pub fn new() -> Self {
-        Self::with_scratch(new_shared_scratch())
-    }
-
-    /// Creates an empty cache that packs over caller-provided scratch buffers.
-    pub fn with_scratch(scratch: SharedPackingScratch) -> Self {
+    /// Creates an empty handle on `store` with its own scratch pool.
+    pub(crate) fn new(store: SharedPlanCache, canonical: bool) -> Self {
         PlanCache {
-            scratch,
+            store,
+            scratch: ScratchPool::new(),
+            built_under: None,
             plans: BTreeMap::new(),
             seeds: BTreeMap::new(),
-            built_under: None,
-            shared: None,
-            canonical: false,
-            canon: None,
+            canonical,
+            labelling: OnceCell::new(),
         }
     }
 
-    /// Attaches a cross-communicator [`SharedPlanCache`]: local misses
-    /// consult it before packing, and freshly packed plans are published to
-    /// it. Returns `self` for builder-style chaining.
-    pub fn with_shared(mut self, shared: SharedPlanCache) -> Self {
-        self.shared = Some(shared);
-        self
+    /// The store this handle looks misses up in and publishes packs to.
+    pub(crate) fn store(&self) -> &SharedPlanCache {
+        &self.store
     }
 
-    /// Additionally opts in to the attached shared tier's **canonical** map:
-    /// when an exact-fingerprint lookup misses, NVLink-only plans over at
-    /// most [`CANONICAL_MAX_GPUS`] GPUs are looked up (and published) under
-    /// the allocation's canonical form, so topology-*isomorphic* allocations
-    /// — mirror halves, NVSwitch cliques, process-group subgroups — reuse
-    /// each other's packing work. A canonical hit is relabelled through this
-    /// allocation's [`canonical_labeling`] witness: same weights and
-    /// certified rate, but not bit-identical to a cold pack. No-op without
-    /// an attached shared cache.
-    pub fn with_canonical_sharing(mut self) -> Self {
-        self.canonical = true;
-        self
-    }
-
-    /// Whether the canonical tier is consulted on misses.
-    pub fn canonical_sharing_enabled(&self) -> bool {
-        self.canonical
-    }
-
-    /// The cross-communicator cache tier, if one is attached.
-    pub fn shared_cache(&self) -> Option<&SharedPlanCache> {
-        self.shared.as_ref()
-    }
-
-    /// The scratch handle cache misses pack with (clone it to share buffers
-    /// with planners that bypass the cache, e.g. the hybrid planner).
-    pub fn scratch(&self) -> &SharedPackingScratch {
+    /// The scratch pool misses pack with.
+    pub(crate) fn scratch(&self) -> &ScratchPool {
         &self.scratch
     }
 
-    /// Rekeys the local tier to `fp`, dropping plans built under a different
-    /// fingerprint. When the fingerprint *changes* (as opposed to being set
-    /// for the first time), the old shape's plans in an attached
-    /// [`SharedPlanCache`] are flushed too: the communicator just observed
-    /// that the shape they were built for no longer exists (topology mutation,
-    /// retuned options), so serving them to a later communicator would hand
-    /// out plans for dead hardware.
+    /// Number of memoised plans.
+    pub(crate) fn len(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Number of warm-start seeds awaiting consumption.
+    pub(crate) fn seeded(&self) -> usize {
+        self.seeds.len()
+    }
+
+    /// Points the handle at fingerprint `fp`. A change (as opposed to the
+    /// first lookup) drops the memoised plans, the seeds — an unannounced
+    /// change could make them arbitrarily wrong as warm starts — and the old
+    /// shape's exact-tier entries.
     fn rekey(&mut self, fp: u64) {
         if self.built_under != Some(fp) {
-            self.plans.clear();
-            // an *unannounced* fingerprint change (no note_delta) means the
-            // topology mutated in an unknown way — seeds from it could be
-            // arbitrarily wrong as warm starts, so drop them too
-            self.seeds.clear();
-            if let (Some(old), Some(shared)) = (self.built_under, &self.shared) {
-                shared.invalidate_fingerprint(old);
+            if let Some(old) = self.built_under {
+                self.store.retarget(old, fp, |_| false);
             }
+            self.plans.clear();
+            self.seeds.clear();
             self.built_under = Some(fp);
+            self.labelling = OnceCell::new();
         }
     }
 
-    /// Whether this lookup shape may use the canonical tier: opted in, a
-    /// shared cache attached, NVLink-only (the canonical form covers exactly
-    /// the NVLink capacity matrix — and NVLink packing reads nothing else)
-    /// and small enough to label.
-    fn canonical_eligible(&self, induced: &Topology, options: &TreeGenOptions) -> bool {
-        self.canonical
-            && self.shared.is_some()
-            && options.links == LinkSelection::NvLinkOnly
-            && (2..=CANONICAL_MAX_GPUS).contains(&induced.gpus().len())
-    }
-
-    /// The memoised canonical labelling of `induced`, recomputed when the
-    /// fingerprint changed since it was cached.
-    fn ensure_canon(&mut self, induced: &Topology, fp: u64) -> Option<(String, Vec<GpuId>)> {
-        if self.canon.as_ref().map(|(f, _, _)| *f) != Some(fp) {
-            let ids = induced.gpu_ids();
-            let (canon, order) = canonical_labeling(induced, &ids).ok()?;
-            self.canon = Some((fp, canon, order));
-        }
-        self.canon.as_ref().map(|(_, c, o)| (c.clone(), o.clone()))
-    }
-
-    /// Tries the canonical tier for `root`, relabelling a hit through this
-    /// allocation's labelling witness (`GpuId(i) → order[i]`).
-    fn canonical_hit(
-        &mut self,
-        induced: &Topology,
-        options: &TreeGenOptions,
-        root: GpuId,
-        fp: u64,
-    ) -> Option<TreePlan> {
-        if !self.canonical_eligible(induced, options) {
-            return None;
-        }
-        let (canon, order) = self.ensure_canon(induced, fp)?;
-        let root_index = order.iter().position(|&g| g == root)?;
-        let hit = self.shared.as_ref()?.get_canonical(
-            &canon,
-            options_fingerprint(options),
-            root_index,
-        )?;
-        let map: BTreeMap<GpuId, GpuId> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (GpuId(i), g))
-            .collect();
-        Some(relabel_plan(&hit, &map))
-    }
-
-    /// Publishes a freshly packed plan to the canonical tier, relabelled
-    /// into canonical ids (`order[i] → GpuId(i)`).
-    fn publish_canonical(
-        &mut self,
-        induced: &Topology,
-        options: &TreeGenOptions,
-        root: GpuId,
-        fp: u64,
-        plan: &TreePlan,
-    ) {
-        if !self.canonical_eligible(induced, options) {
-            return;
-        }
-        let Some((canon, order)) = self.ensure_canon(induced, fp) else {
-            return;
-        };
-        let Some(root_index) = order.iter().position(|&g| g == root) else {
-            return;
-        };
-        let map: BTreeMap<GpuId, GpuId> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, GpuId(i)))
-            .collect();
-        if let Some(shared) = &self.shared {
-            shared.insert_canonical(
-                canon,
-                options_fingerprint(options),
-                root_index,
-                Arc::new(relabel_plan(plan, &map)),
-            );
-        }
-    }
-
-    /// Applies a topology-change event (delta invalidation): re-keys the
-    /// cache to the post-event fingerprint, keeps plans the delta provably
-    /// did not touch — untouched by removals, or any addition short of new
-    /// GPUs; additions never invalidate a certificate (see
-    /// [`plan_survives_delta`]) — and demotes every other plan to a
-    /// *warm-start seed*: the next miss on that key packs via
-    /// [`TreeGen::plan_warm`], seeded from the stale plan, instead of cold.
-    /// An attached [`SharedPlanCache`] is re-keyed the same way, except that
-    /// pure-growth deltas leave it entirely untouched — the old shape still
-    /// exists as a subgraph, so its entries keep serving lookups under the
-    /// old fingerprint ([`SharedPlanCache::apply_delta`]).
+    /// Applies a topology-change event to the handle and its store in one
+    /// pass. `induced` and `options` are the **post-event** planning inputs.
     ///
-    /// **Opportunistic re-pack on growth:** a plan that survives an additive
-    /// delta never *uses* the added links, so when the delta adds links of a
-    /// surviving plan's class, the plan is re-certified against the grown
-    /// topology's broadcast min-cut. If the certificate rose past the plan's
-    /// packed rate (the `(1 − ε)`-of-certificate guarantee no longer holds
-    /// on the new hardware), the plan is demoted to a warm seed like any
-    /// stale plan — the next lookup re-packs through the added capacity and
-    /// recovers the rate growth left on the table. Growth that does not
-    /// raise the relevant cut keeps plans live and bit-identical.
+    /// Locally, plans the delta provably did not touch — untouched by
+    /// removals, or any addition short of new GPUs (see
+    /// `plan_survives_delta`) — stay live; every other plan becomes a warm
+    /// seed. A surviving plan of a class the delta added links to is
+    /// re-certified against the grown topology's broadcast min-cut and
+    /// demoted too if its rate fell below `(1 − ε)` of it, so the next
+    /// lookup re-packs through the added capacity; growth that does not
+    /// raise the cut keeps plans live and bit-identical.
     ///
-    /// `induced` and `options` must describe the **post-event** planning
-    /// inputs — the same values the next [`PlanCache::plan_for`] /
-    /// [`PlanCache::plan_many`] call will pass; a later call with different
-    /// inputs simply rekeys again (dropping the seeds).
-    pub fn note_delta(
+    /// In the store, a pure-growth delta changes nothing — the old shape
+    /// persists as a subgraph, so its entries keep serving lookups under the
+    /// old fingerprint (a job grown by a server re-hits its original
+    /// servers' plans). Otherwise the old shape's exact-tier plans that
+    /// survive the delta are re-keyed to the new fingerprint and the rest are
+    /// dropped; the handle keeps its own copies as warm seeds instead.
+    pub(crate) fn note_delta(
         &mut self,
         induced: &Topology,
         options: &TreeGenOptions,
@@ -842,148 +652,91 @@ impl PlanCache {
                 self.seeds.insert(key, plan);
             }
         }
-        if let (Some(old), Some(shared)) = (self.built_under, &self.shared) {
-            shared.apply_delta(old, new_fp, delta);
+        if let Some(old) = self.built_under {
+            if !delta.is_pure_growth() {
+                self.store
+                    .retarget(old, new_fp, |plan| plan_survives_delta(plan, delta));
+            }
         }
         self.built_under = Some(new_fp);
+        self.labelling = OnceCell::new();
     }
 
-    /// Returns the cached plan for `(root, options.links)`, computing and
-    /// memoising it on first request. A changed topology or option set (as
-    /// judged by their fingerprint) invalidates all memoised plans first, so
-    /// the caller always receives a plan consistent with its inputs. When a
-    /// [`SharedPlanCache`] is attached, local misses try it before packing —
-    /// a fingerprint hit from another communicator is cloned in instead of
-    /// re-packed — and local packs are published to it.
-    ///
-    /// # Errors
-    /// Propagates planning failures (unknown root, unspannable link class);
-    /// failures are not cached.
-    pub fn plan_for(
+    /// The plan for `(root, options.links)`; see [`PlanCache::plan_many`].
+    pub(crate) fn plan_for(
         &mut self,
         induced: &Topology,
         options: &TreeGenOptions,
         root: GpuId,
-    ) -> Result<&TreePlan> {
-        let fp = plan_fingerprint(induced, options);
-        self.rekey(fp);
-        let key = (root, options.links);
-        if !self.plans.contains_key(&key) {
-            let shared_hit = self
-                .shared
-                .as_ref()
-                .and_then(|s| s.get(fp, root, options.links));
-            let plan = match shared_hit {
-                Some(plan) => (*plan).clone(),
-                None => match self.canonical_hit(induced, options, root, fp) {
-                    Some(plan) => plan,
-                    None => {
-                        let tg =
-                            TreeGen::with_scratch(induced.clone(), *options, self.scratch.clone());
-                        let plan = match self.seeds.remove(&key) {
-                            Some(seed) => tg.plan_warm(root, &seed)?,
-                            None => tg.plan(root)?,
-                        };
-                        if let Some(shared) = &self.shared {
-                            shared.insert(fp, root, options.links, Arc::new(plan.clone()));
-                        }
-                        self.publish_canonical(induced, options, root, fp, &plan);
-                        plan
-                    }
-                },
-            };
-            self.plans.insert(key, plan);
-        }
-        Ok(&self.plans[&key])
+    ) -> Result<Arc<TreePlan>> {
+        self.plan_many(induced, options, &[root])
+            .map(|mut plans| plans.remove(0))
     }
 
-    /// Memoised plans for several roots at once: roots already cached (local
-    /// or shared tier) are served, and the remaining misses are packed
-    /// **concurrently** on the scratch pool's workers. Plans come back in
-    /// `roots` order, bit-identical to calling [`PlanCache::plan_for`] per
-    /// root sequentially.
+    /// Plans for several roots at once, in `roots` order: memoised roots are
+    /// served locally and the rest go through [`SharedPlanCache::resolve`],
+    /// whose packs run concurrently and are bit-identical to planning each
+    /// root in turn.
     ///
     /// # Errors
     /// The first failing root (in `roots` order) wins; nothing is cached for
     /// failing roots.
-    pub fn plan_many(
+    pub(crate) fn plan_many(
         &mut self,
         induced: &Topology,
         options: &TreeGenOptions,
         roots: &[GpuId],
-    ) -> Result<Vec<&TreePlan>> {
+    ) -> Result<Vec<Arc<TreePlan>>> {
         let fp = plan_fingerprint(induced, options);
         self.rekey(fp);
         let links = options.links;
         let mut missing: Vec<GpuId> = Vec::new();
         for &root in roots {
-            if self.plans.contains_key(&(root, links)) || missing.contains(&root) {
-                continue;
-            }
-            if let Some(hit) = self.shared.as_ref().and_then(|s| s.get(fp, root, links)) {
-                self.plans.insert((root, links), (*hit).clone());
-            } else if let Some(plan) = self.canonical_hit(induced, options, root, fp) {
-                self.plans.insert((root, links), plan);
-            } else {
+            if !self.plans.contains_key(&(root, links)) && !missing.contains(&root) {
                 missing.push(root);
             }
         }
         if !missing.is_empty() {
-            let tg = TreeGen::with_scratch(induced.clone(), *options, self.scratch.clone());
-            let tasks: Vec<(GpuId, Option<TreePlan>)> = missing
-                .iter()
-                .map(|&root| (root, self.seeds.remove(&(root, links))))
-                .collect();
-            let planned = parallel_map(tasks, self.scratch.workers(), |(root, seed)| match seed {
-                Some(seed) => tg.plan_warm(root, &seed),
-                None => tg.plan(root),
+            // The canonical form covers exactly the NVLink capacity matrix
+            // (and NVLink packing reads nothing else); labelling is brute
+            // force, so only small allocations qualify.
+            let canonical = (self.canonical
+                && links == LinkSelection::NvLinkOnly
+                && (2..=CANONICAL_MAX_GPUS).contains(&induced.gpus().len()))
+            .then(|| Canonical {
+                induced,
+                options_fp: options_fingerprint(options),
+                labelling: &self.labelling,
             });
-            for (root, plan) in missing.into_iter().zip(planned) {
-                let plan = plan?;
-                if let Some(shared) = &self.shared {
-                    shared.insert(fp, root, links, Arc::new(plan.clone()));
+            let requests: Vec<(&Topology, u64, GpuId)> =
+                missing.iter().map(|&root| (induced, fp, root)).collect();
+            let seeds = &mut self.seeds;
+            let resolved = self.store.resolve(
+                options,
+                &requests,
+                &self.scratch,
+                canonical.as_ref(),
+                |root| seeds.remove(&(root, links)),
+            );
+            let mut first_error = None;
+            for (root, plan) in missing.into_iter().zip(resolved) {
+                match plan {
+                    Ok(plan) => {
+                        self.plans.insert((root, links), plan);
+                    }
+                    Err(e) => {
+                        first_error.get_or_insert(e);
+                    }
                 }
-                self.publish_canonical(induced, options, root, fp, &plan);
-                self.plans.insert((root, links), plan);
+            }
+            if let Some(e) = first_error {
+                return Err(e);
             }
         }
         Ok(roots
             .iter()
-            .map(|root| &self.plans[&(*root, links)])
+            .map(|&root| self.plans[&(root, links)].clone())
             .collect())
-    }
-
-    /// Whether a plan for `(root, links)` is already memoised.
-    pub fn contains(&self, root: GpuId, links: LinkSelection) -> bool {
-        self.plans.contains_key(&(root, links))
-    }
-
-    /// Number of warm-start seeds awaiting consumption (stale plans demoted
-    /// by [`PlanCache::note_delta`], not yet re-planned).
-    pub fn seeded(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// Number of memoised plans.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    /// Drops every memoised plan in the local tier (keeps the scratch buffers
-    /// and leaves an attached [`SharedPlanCache`] untouched — flush that
-    /// explicitly with [`SharedPlanCache::invalidate`]). Rarely needed —
-    /// [`PlanCache::plan_for`] already rekeys on topology/options changes —
-    /// but useful to bound memory or force a rebuild.
-    pub fn invalidate(&mut self) {
-        self.plans.clear();
-        self.seeds.clear();
-        self.built_under = None;
-        self.canon = None;
     }
 }
 
@@ -1084,26 +837,46 @@ mod tests {
     use super::*;
     use blink_topology::presets::dgx1v;
 
+    /// A handle on a fresh private store.
+    fn handle() -> PlanCache {
+        PlanCache::new(SharedPlanCache::new(), false)
+    }
+
+    fn exact_get(
+        store: &SharedPlanCache,
+        fp: u64,
+        root: GpuId,
+        links: LinkSelection,
+    ) -> Option<Arc<TreePlan>> {
+        store.lock().exact.get(&(fp, root, links))
+    }
+
+    fn store_with_capacity(capacity: usize) -> SharedPlanCache {
+        SharedPlanCache {
+            inner: Arc::new(Mutex::new(Tiers {
+                exact: Tier::new(capacity),
+                canonical: Tier::new(capacity),
+            })),
+        }
+    }
+
+    fn induced(topo: &Topology, n: usize) -> Topology {
+        topo.induced(&(0..n).map(GpuId).collect::<Vec<_>>())
+            .unwrap()
+    }
+
     #[test]
     fn plan_cache_memoises_per_root_and_link_class() {
-        let topo = dgx1v();
-        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let induced = topo.induced(&alloc).unwrap();
+        let induced = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default();
-        let mut cache = PlanCache::new();
-        assert!(cache.is_empty());
-        let rate = cache
-            .plan_for(&induced, &opts, GpuId(0))
-            .unwrap()
-            .rate_gbps();
+        let mut cache = handle();
+        assert_eq!(cache.len(), 0);
+        let first = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(cache.len(), 1);
-        // repeat hit: same plan object, no recomputation observable via len
-        let again = cache
-            .plan_for(&induced, &opts, GpuId(0))
-            .unwrap()
-            .rate_gbps();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(rate.to_bits(), again.to_bits());
+        // a repeat is served locally: the very same plan, no store traffic
+        let again = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(cache.store().stats(), (0, 1));
         // a different root and a different link class are distinct entries
         cache.plan_for(&induced, &opts, GpuId(1)).unwrap();
         let pcie = TreeGenOptions {
@@ -1112,16 +885,12 @@ mod tests {
         };
         cache.plan_for(&induced, &pcie, GpuId(0)).unwrap();
         assert_eq!(cache.len(), 3);
-        cache.invalidate();
-        assert!(cache.is_empty());
     }
 
     #[test]
     fn plan_cache_rekeys_on_changed_options_instead_of_panicking() {
-        let topo = dgx1v();
-        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let induced = topo.induced(&alloc).unwrap();
-        let mut cache = PlanCache::new();
+        let induced = induced(&dgx1v(), 8);
+        let mut cache = handle();
         let opts = TreeGenOptions::default();
         cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(cache.len(), 1);
@@ -1133,7 +902,7 @@ mod tests {
         cache.plan_for(&induced, &pcie, GpuId(0)).unwrap();
         assert_eq!(cache.len(), 2);
         // materially different options: the cache rebuilds instead of
-        // debug-panicking or serving a plan computed under the old options
+        // serving a plan computed under the old options
         let retuned = TreeGenOptions {
             skip_minimize: true,
             ..opts
@@ -1147,15 +916,11 @@ mod tests {
     fn plan_cache_rekeys_on_changed_topology() {
         let topo = dgx1v();
         let opts = TreeGenOptions::default();
-        let mut cache = PlanCache::new();
-        let full = topo
-            .induced(&(0..8).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let mut cache = handle();
+        let full = induced(&topo, 8);
         let full_rate = cache.plan_for(&full, &opts, GpuId(0)).unwrap().rate_gbps();
         // shrink the allocation: the cache must not serve the 8-GPU plan
-        let half = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let half = induced(&topo, 4);
         let half_plan = cache.plan_for(&half, &opts, GpuId(0)).unwrap();
         assert_eq!(half_plan.gpus.len(), 4);
         assert!(half_plan.rate_gbps() < full_rate);
@@ -1170,19 +935,18 @@ mod tests {
         let topo = blink_topology::presets::dgx1p();
         // GPUs 1 and 4 share no NVLink: NvLinkOnly planning fails
         let induced = topo.induced(&[GpuId(1), GpuId(4)]).unwrap();
-        let mut cache = PlanCache::new();
+        let mut cache = handle();
         assert!(cache
             .plan_for(&induced, &TreeGenOptions::default(), GpuId(1))
             .is_err());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
+        assert!(cache.store().is_empty());
     }
 
     #[test]
     fn fingerprint_normalises_the_link_class_away() {
         let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let induced = induced(&topo, 4);
         let nvlink = TreeGenOptions::default();
         let pcie = TreeGenOptions {
             links: LinkSelection::PcieOnly,
@@ -1194,19 +958,8 @@ mod tests {
             plan_fingerprint(&induced, &nvlink),
             plan_fingerprint(&induced, &pcie)
         );
-        // anything material diverges: options...
-        let retuned = TreeGenOptions {
-            skip_minimize: true,
-            ..nvlink
-        };
-        assert_ne!(
-            plan_fingerprint(&induced, &nvlink),
-            plan_fingerprint(&induced, &retuned)
-        );
-        // ...and topology
-        let half = topo
-            .induced(&(0..3).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        // ...and a different topology diverges
+        let half = self::induced(&topo, 3);
         assert_ne!(
             plan_fingerprint(&induced, &nvlink),
             plan_fingerprint(&half, &nvlink)
@@ -1214,78 +967,94 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_hands_plans_across_communicator_caches() {
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..8).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+    fn both_fingerprints_hash_every_option_field_but_the_link_class() {
+        let induced = induced(&dgx1v(), 4);
+        let fps = |o: &TreeGenOptions| (plan_fingerprint(&induced, o), options_fingerprint(o));
+        let base = TreeGenOptions::default();
+        let (plan_fp, options_fp) = fps(&base);
+        let mut variants = [base; 7];
+        variants[0].packing.epsilon = 0.1;
+        variants[1].packing.max_iterations += 1;
+        variants[2].minimize.threshold = 0.1;
+        variants[3].minimize.unit_gbps = Some(25.0);
+        variants[4].minimize.max_bb_nodes += 1;
+        variants[5].minimize.known_optimum = Some(138.0);
+        variants[6].skip_minimize = true;
+        for v in &variants {
+            let (p, o) = fps(v);
+            assert_ne!(p, plan_fp, "plan fingerprint ignores {v:?}");
+            assert_ne!(o, options_fp, "options fingerprint ignores {v:?}");
+        }
+        let pcie = TreeGenOptions {
+            links: LinkSelection::PcieOnly,
+            ..base
+        };
+        assert_eq!(fps(&pcie), (plan_fp, options_fp));
+    }
+
+    #[test]
+    fn the_store_hands_plans_across_handles() {
+        let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         // "communicator" A packs and publishes
-        let mut a = PlanCache::new().with_shared(shared.clone());
-        let plan_a = a.plan_for(&induced, &opts, GpuId(0)).unwrap().clone();
-        assert_eq!(shared.stats(), (0, 1), "first pack is a shared miss");
+        let mut a = PlanCache::new(shared.clone(), false);
+        let plan_a = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        assert_eq!(shared.stats(), (0, 1), "first pack is a store miss");
         assert_eq!(shared.len(), 1);
-        // "communicator" B of the same job shape reuses A's plan bit-for-bit
-        let mut b = PlanCache::new().with_shared(shared.clone());
-        let plan_b = b.plan_for(&induced, &opts, GpuId(0)).unwrap().clone();
+        // "communicator" B of the same job shape reuses A's plan
+        let mut b = PlanCache::new(shared.clone(), false);
+        let plan_b = b.plan_for(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1), "same shape must hit");
-        assert!(plan_a.bit_eq(&plan_b), "shared plan must be bit-identical");
-        // a *local* repeat hit never touches the shared tier
+        assert!(Arc::ptr_eq(&plan_a, &plan_b), "a hit shares the plan");
+        // a local repeat never touches the store
         b.plan_for(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1));
     }
 
     #[test]
-    fn shared_cache_misses_on_changed_topology_or_options() {
+    fn the_store_misses_on_changed_topology_or_options() {
         let topo = dgx1v();
-        let full = topo
-            .induced(&(0..8).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let full = induced(&topo, 8);
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
-        let mut a = PlanCache::new().with_shared(shared.clone());
-        a.plan_for(&full, &opts, GpuId(0)).unwrap();
-        // different allocation shape: miss, packed fresh
-        let half = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
+        PlanCache::new(shared.clone(), false)
+            .plan_for(&full, &opts, GpuId(0))
             .unwrap();
-        let mut b = PlanCache::new().with_shared(shared.clone());
-        b.plan_for(&half, &opts, GpuId(0)).unwrap();
+        // different allocation shape: miss, packed fresh
+        let half = induced(&topo, 4);
+        PlanCache::new(shared.clone(), false)
+            .plan_for(&half, &opts, GpuId(0))
+            .unwrap();
         // different options on the original shape: miss again
         let retuned = TreeGenOptions {
             skip_minimize: true,
             ..opts
         };
-        let mut c = PlanCache::new().with_shared(shared.clone());
-        c.plan_for(&full, &retuned, GpuId(0)).unwrap();
-        let (hits, misses) = shared.stats();
-        assert_eq!(hits, 0);
-        assert_eq!(misses, 3);
-        // unlike the local tier, the shared tier keeps all three shapes
+        PlanCache::new(shared.clone(), false)
+            .plan_for(&full, &retuned, GpuId(0))
+            .unwrap();
+        assert_eq!(shared.stats(), (0, 3));
+        // unlike a handle, the store keeps all three shapes
         assert_eq!(shared.len(), 3);
     }
 
     #[test]
-    fn a_changed_topology_fingerprint_auto_invalidates_the_shared_tier() {
+    fn a_changed_topology_fingerprint_drops_the_old_shape_from_the_store() {
         let topo = dgx1v();
-        let full = topo
-            .induced(&(0..8).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
-        let half = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let full = induced(&topo, 8);
+        let half = induced(&topo, 4);
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
-        // a second communicator keeps the full-shape plan alive in the
-        // shared tier
-        let mut other = PlanCache::new().with_shared(shared.clone());
-        other.plan_for(&full, &opts, GpuId(0)).unwrap();
+        // a second handle keeps the full-shape plan alive in the store
+        PlanCache::new(shared.clone(), false)
+            .plan_for(&full, &opts, GpuId(0))
+            .unwrap();
         assert_eq!(shared.len(), 1);
-        // communicator A observes its topology change full -> half: the
-        // full-shape plans are dropped from the shared tier automatically
-        // (the hardware they were built for no longer exists as recorded)
-        let mut a = PlanCache::new().with_shared(shared.clone());
+        // handle A observes its topology change full -> half: the
+        // full-shape plans are dropped from the store automatically (the
+        // hardware they were built for no longer exists as recorded)
+        let mut a = PlanCache::new(shared.clone(), false);
         a.plan_for(&full, &opts, GpuId(0)).unwrap();
         a.plan_for(&half, &opts, GpuId(0)).unwrap();
         assert_eq!(
@@ -1295,136 +1064,107 @@ mod tests {
         );
         let fp_half = plan_fingerprint(&half, &opts);
         assert!(
-            shared.get(fp_half, GpuId(0), opts.links).is_some(),
+            exact_get(&shared, fp_half, GpuId(0), opts.links).is_some(),
             "the new shape's plan is the survivor"
         );
-        // explicit per-fingerprint invalidation is also available directly
-        shared.invalidate_fingerprint(fp_half);
-        assert_eq!(shared.len(), 0);
     }
 
     #[test]
-    fn shared_cache_invalidation_forces_a_repack() {
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
-        let opts = TreeGenOptions::default();
-        let shared = SharedPlanCache::new();
-        let mut a = PlanCache::new().with_shared(shared.clone());
-        a.plan_for(&induced, &opts, GpuId(0)).unwrap();
-        assert_eq!(shared.len(), 1);
-        shared.invalidate();
-        assert!(shared.is_empty());
-        assert_eq!(shared.stats(), (0, 0), "counters reset too");
-        // a fresh communicator re-packs and re-publishes
-        let mut b = PlanCache::new().with_shared(shared.clone());
-        b.plan_for(&induced, &opts, GpuId(0)).unwrap();
-        assert_eq!(shared.stats(), (0, 1));
-        assert_eq!(shared.len(), 1);
-    }
-
-    #[test]
-    fn shared_cache_evicts_least_recently_used_past_capacity() {
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..8).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+    fn a_tier_evicts_its_least_recently_used_entry_past_capacity() {
+        let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
         let fp = plan_fingerprint(&induced, &opts);
-        let shared = SharedPlanCache::with_capacity(2);
-        assert_eq!(shared.capacity(), 2);
-        let plan = {
-            let mut c = PlanCache::new();
-            Arc::new(c.plan_for(&induced, &opts, GpuId(0)).unwrap().clone())
-        };
+        let plan = handle().plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let key = |r: usize| (fp, GpuId(r), opts.links);
+        let mut tier = Tier::new(2);
         // fill to capacity: roots 0 and 1
-        shared.insert(fp, GpuId(0), opts.links, plan.clone());
-        shared.insert(fp, GpuId(1), opts.links, plan.clone());
-        assert_eq!(shared.len(), 2);
-        assert_eq!(shared.evictions(), 0);
+        tier.insert(key(0), plan.clone());
+        tier.insert(key(1), plan.clone());
+        assert_eq!(tier.entries.len(), 2);
+        assert_eq!(tier.evictions, 0);
         // touch root 0 so root 1 becomes the LRU entry
-        assert!(shared.get(fp, GpuId(0), opts.links).is_some());
+        assert!(tier.get(&key(0)).is_some());
         // a third insert evicts root 1, not root 0
-        shared.insert(fp, GpuId(2), opts.links, plan.clone());
-        assert_eq!(shared.len(), 2);
-        assert_eq!(shared.evictions(), 1);
-        assert!(shared.get(fp, GpuId(0), opts.links).is_some());
-        assert!(shared.get(fp, GpuId(2), opts.links).is_some());
+        tier.insert(key(2), plan.clone());
+        assert_eq!(tier.entries.len(), 2);
+        assert_eq!(tier.evictions, 1);
+        assert!(tier.get(&key(0)).is_some());
+        assert!(tier.get(&key(2)).is_some());
         assert!(
-            shared.get(fp, GpuId(1), opts.links).is_none(),
+            tier.get(&key(1)).is_none(),
             "the least-recently-used entry must be the one evicted"
         );
-        // shrinking the capacity evicts immediately
-        shared.set_capacity(1);
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared.evictions(), 2);
-        // an evicted shape simply re-packs on its next miss — correctness
-        // is untouched, only the memoisation is
-        let mut c = PlanCache::new().with_shared(shared.clone());
-        let replanned = c.plan_for(&induced, &opts, GpuId(1)).unwrap().clone();
-        let fresh = PlanCache::new()
-            .plan_for(&induced, &opts, GpuId(1))
-            .unwrap()
-            .clone();
-        assert!(replanned.bit_eq(&fresh), "re-pack is bit-identical");
-        // invalidate resets the eviction counter with the others
-        shared.invalidate();
-        assert_eq!(shared.evictions(), 0);
+        assert_eq!((tier.hits, tier.misses), (3, 1));
     }
 
     #[test]
-    fn default_capacity_is_effectively_unbounded_for_tests() {
-        // the default cap must be far above anything the existing suites
-        // create, so bounding the cache changed no observable behaviour
+    fn a_handle_keeps_its_plans_when_the_store_evicts_them() {
+        let induced = induced(&dgx1v(), 8);
+        let opts = TreeGenOptions::default();
+        let shared = store_with_capacity(1);
+        let mut a = PlanCache::new(shared.clone(), false);
+        let first = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        a.plan_for(&induced, &opts, GpuId(1)).unwrap();
+        assert_eq!(shared.len(), 1);
+        assert_eq!(shared.evictions(), 1, "root 0 fell out of the store");
+        // the handle still serves root 0 without consulting the store
+        let again = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(shared.stats(), (0, 2));
+        // another handle simply re-packs the evicted root, bit-identically
+        let replanned = PlanCache::new(shared.clone(), false)
+            .plan_for(&induced, &opts, GpuId(0))
+            .unwrap();
+        assert!(replanned.bit_eq(&first), "re-pack is bit-identical");
+    }
+
+    #[test]
+    fn both_tiers_are_bounded_by_the_default_capacity() {
+        // the bound must be far above anything the existing suites create,
+        // so bounding the store changes no observable behaviour
         const { assert!(SharedPlanCache::DEFAULT_CAPACITY >= 1024) };
-        assert_eq!(
-            SharedPlanCache::new().capacity(),
-            SharedPlanCache::DEFAULT_CAPACITY
-        );
+        let tiers = SharedPlanCache::new();
+        let tiers = tiers.lock();
+        assert_eq!(tiers.exact.capacity, SharedPlanCache::DEFAULT_CAPACITY);
+        assert_eq!(tiers.canonical.capacity, SharedPlanCache::DEFAULT_CAPACITY);
     }
 
     #[test]
     fn plan_many_matches_per_root_plan_for_bitwise() {
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..8).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
         let roots: Vec<GpuId> = (0..8).map(GpuId).collect();
-        // reference: sequential plan_for on a single-worker cache
-        let mut seq = PlanCache::with_scratch(crate::treegen::ScratchPool::with_workers(1));
-        let reference: Vec<TreePlan> = roots
+        // reference: sequential plan_for on a single-worker handle
+        let mut seq = handle();
+        seq.scratch = ScratchPool::with_workers(1);
+        let reference: Vec<Arc<TreePlan>> = roots
             .iter()
-            .map(|&r| seq.plan_for(&induced, &opts, r).unwrap().clone())
+            .map(|&r| seq.plan_for(&induced, &opts, r).unwrap())
             .collect();
         // parallel misses through plan_many
-        let mut par = PlanCache::with_scratch(crate::treegen::ScratchPool::with_workers(4));
+        let mut par = handle();
+        par.scratch = ScratchPool::with_workers(4);
         let plans = par.plan_many(&induced, &opts, &roots).unwrap();
         assert_eq!(plans.len(), roots.len());
-        for (a, b) in reference.iter().zip(plans) {
+        for (a, b) in reference.iter().zip(&plans) {
             assert!(a.bit_eq(b), "plan_many diverged for root {}", a.root);
         }
         assert_eq!(par.len(), 8);
-        // repeated and duplicate roots are served from the local tier
+        // repeated and duplicate roots are served locally
         let again = par
             .plan_many(&induced, &opts, &[GpuId(0), GpuId(0), GpuId(7)])
             .unwrap();
         assert_eq!(again.len(), 3);
-        assert_eq!(
-            again[0].rate_gbps().to_bits(),
-            again[1].rate_gbps().to_bits()
-        );
+        assert!(Arc::ptr_eq(&again[0], &again[1]));
+        assert_eq!(par.store().stats(), (0, 8));
     }
 
     #[test]
     fn note_delta_demotes_touched_plans_to_seeds_and_replans_warm() {
-        use blink_topology::TopologyDelta;
-        let topo = dgx1v();
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let induced = topo.induced(&alloc).unwrap();
+        let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
-        let mut cache = PlanCache::new();
+        let mut cache = handle();
         cache.plan_many(&induced, &opts, &alloc).unwrap();
         assert_eq!(cache.len(), 8);
         // a physical NVLink connection dies
@@ -1438,14 +1178,9 @@ mod tests {
         // replanning consumes the seeds and yields plans that avoid the
         // dead pair and are never worse than a cold re-plan
         let dead = delta.removed_pairs();
-        let warm: Vec<TreePlan> = cache
-            .plan_many(&after, &opts, &alloc)
-            .unwrap()
-            .into_iter()
-            .cloned()
-            .collect();
+        let warm = cache.plan_many(&after, &opts, &alloc).unwrap();
         assert_eq!(cache.seeded(), 0, "seeds are consumed on use");
-        let mut cold_cache = PlanCache::new();
+        let mut cold_cache = handle();
         for (plan, &root) in warm.iter().zip(&alloc) {
             assert!(plan
                 .trees
@@ -1461,15 +1196,11 @@ mod tests {
 
     #[test]
     fn pure_removal_delta_keeps_unaffected_plans_live_across_tiers() {
-        use blink_topology::{LinkKind, TopologyDelta};
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        use blink_topology::LinkKind;
+        let induced = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default(); // NvLinkOnly
-        let shared = SharedPlanCache::new();
-        let mut cache = PlanCache::new().with_shared(shared.clone());
-        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap().clone();
+        let mut cache = handle();
+        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
         // a PCIe link dies; the NVLink plan never touched it
         let pcie = *induced
             .links()
@@ -1484,26 +1215,21 @@ mod tests {
         cache.note_delta(&after, &opts, &delta);
         assert_eq!(cache.len(), 1, "untouched plan stays live locally");
         assert_eq!(cache.seeded(), 0);
-        // the shared tier re-keyed the survivor to the new fingerprint
+        // the store re-keyed the survivor to the new fingerprint
         let fp_after = plan_fingerprint(&after, &opts);
-        assert!(shared.get(fp_after, GpuId(0), opts.links).is_some());
+        assert!(exact_get(cache.store(), fp_after, GpuId(0), opts.links).is_some());
         // and the next lookup serves it bit-identically without re-packing
         let again = cache.plan_for(&after, &opts, GpuId(0)).unwrap();
-        assert!(before.bit_eq(again));
+        assert!(before.bit_eq(&again));
     }
 
     #[test]
     fn growth_delta_demotes_every_plan_to_a_seed() {
-        use blink_topology::TopologyDelta;
         let topo = dgx1v();
-        let small = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
-        let big = topo
-            .induced(&(0..8).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let small = induced(&topo, 4);
+        let big = induced(&topo, 8);
         let opts = TreeGenOptions::default();
-        let mut cache = PlanCache::new();
+        let mut cache = handle();
         cache.plan_for(&small, &opts, GpuId(0)).unwrap();
         let delta = TopologyDelta::between(&small, &big);
         assert!(!delta.is_pure_removal());
@@ -1513,7 +1239,7 @@ mod tests {
         // never voided, so it is demoted to a warm seed, not dropped
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.seeded(), 1);
-        let grown = cache.plan_for(&big, &opts, GpuId(0)).unwrap().clone();
+        let grown = cache.plan_for(&big, &opts, GpuId(0)).unwrap();
         assert_eq!(grown.gpus.len(), 8);
         // growth replans carry the same near-optimality guarantee as cold
         // plans (the pointwise warm ≥ cold bound is only promised for pure
@@ -1523,15 +1249,11 @@ mod tests {
 
     #[test]
     fn growth_below_the_certificate_keeps_a_plan_live() {
-        use blink_topology::{Link, LinkKind, TopologyDelta};
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        use blink_topology::{Link, LinkKind};
+        let induced = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default();
-        let shared = SharedPlanCache::new();
-        let mut cache = PlanCache::new().with_shared(shared.clone());
-        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap().clone();
+        let mut cache = handle();
+        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
         let fp_before = plan_fingerprint(&induced, &opts);
         // a fresh NVLink lane appears between GPUs 0 and 3: pure growth. On
         // this quad the broadcast min-cut from root 0 is pinned by the
@@ -1555,24 +1277,21 @@ mod tests {
         assert_eq!(cache.seeded(), 0);
         let again = cache.plan_for(&after, &opts, GpuId(0)).unwrap();
         assert!(
-            before.bit_eq(again),
+            before.bit_eq(&again),
             "retained plan is served bit-identical"
         );
-        // the shared tier keeps the old shape's entry: that shape persists as
-        // a subgraph of the grown one, so its fingerprint is still meaningful
-        assert!(shared.get(fp_before, GpuId(0), opts.links).is_some());
+        // the store keeps the old shape's entry: that shape persists as a
+        // subgraph of the grown one, so its fingerprint is still meaningful
+        assert!(exact_get(cache.store(), fp_before, GpuId(0), opts.links).is_some());
     }
 
     #[test]
     fn growth_of_another_link_class_never_triggers_recertification() {
-        use blink_topology::{Link, LinkKind, TopologyDelta};
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        use blink_topology::{Link, LinkKind};
+        let induced = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default(); // NvLinkOnly
-        let mut cache = PlanCache::new();
-        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap().clone();
+        let mut cache = handle();
+        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
         // extra PCIe capacity appears: invisible to an NVLink plan
         let delta = TopologyDelta {
             added_links: vec![
@@ -1586,22 +1305,18 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.seeded(), 0);
         let again = cache.plan_for(&after, &opts, GpuId(0)).unwrap();
-        assert!(before.bit_eq(again));
+        assert!(before.bit_eq(&again));
     }
 
     #[test]
     fn growth_that_raises_the_certificate_repacks_and_recovers_the_rate() {
-        use blink_topology::TopologyDelta;
-        let topo = dgx1v();
-        let full = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let full = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default();
         // plan over a damaged quad (the 0-1 NVLink pair is down)...
         let kill = TopologyDelta::kill_link(&full, GpuId(0), GpuId(1));
         let damaged = full.apply_delta(&kill).unwrap();
-        let mut cache = PlanCache::new();
-        let degraded = cache.plan_for(&damaged, &opts, GpuId(0)).unwrap().clone();
+        let mut cache = handle();
+        let degraded = cache.plan_for(&damaged, &opts, GpuId(0)).unwrap();
         // ...then the link comes back: a pure-growth delta that raises the
         // broadcast min-cut from root 0
         let grow = TopologyDelta::between(&damaged, &full);
@@ -1614,10 +1329,9 @@ mod tests {
         );
         assert_eq!(cache.seeded(), 1);
         // the re-pack consumes the seed and recovers the full-topology rate
-        let recovered = cache.plan_for(&full, &opts, GpuId(0)).unwrap().clone();
+        let recovered = cache.plan_for(&full, &opts, GpuId(0)).unwrap();
         assert_eq!(cache.seeded(), 0, "warm seed consumed");
-        let mut cold_cache = PlanCache::new();
-        let cold = cold_cache.plan_for(&full, &opts, GpuId(0)).unwrap().clone();
+        let cold = handle().plan_for(&full, &opts, GpuId(0)).unwrap();
         assert!(
             recovered.rate_gbps() >= cold.rate_gbps() - 1e-9,
             "re-packed rate {} must recover the cold full-topology rate {}",
@@ -1637,20 +1351,19 @@ mod tests {
     }
 
     #[test]
-    fn growing_by_a_server_retains_shared_plans_for_the_old_shape() {
+    fn growing_by_a_server_retains_store_plans_for_the_old_shape() {
         use blink_topology::presets::{multi_server, ServerKind};
-        use blink_topology::TopologyDelta;
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let small_alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let induced8 = machine.induced(&small_alloc).unwrap();
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
-        let mut cache = PlanCache::new().with_shared(shared.clone());
+        let mut cache = PlanCache::new(shared.clone(), false);
         // a single-server 8-GPU job plans all roots and publishes them under
         // the server-induced fingerprint
         cache.plan_many(&induced8, &opts, &small_alloc).unwrap();
         let f0 = plan_fingerprint(&induced8, &opts);
-        assert!(shared.get(f0, GpuId(0), opts.links).is_some());
+        assert!(exact_get(&shared, f0, GpuId(0), opts.links).is_some());
 
         // the job grows by a server: a pure-growth delta over its induced
         // topology (new GPUs, their links, the second server's NIC)
@@ -1660,26 +1373,25 @@ mod tests {
         assert!(delta.is_pure_growth() && !delta.is_pure_removal());
         cache.note_delta(&induced16, &opts, &delta);
         // locally the old plans no longer span the grown job — seeds now —
-        // but the shared tier keeps the old shape's plans published verbatim
+        // but the store keeps the old shape's plans published verbatim
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.seeded(), 8);
         assert!(
-            shared.get(f0, GpuId(0), opts.links).is_some(),
-            "growth must not flush the old shape from the shared tier"
+            exact_get(&shared, f0, GpuId(0), opts.links).is_some(),
+            "growth must not flush the old shape from the store"
         );
 
         // and the three-phase planner's per-server lookups for server 0
         // (whose induced shape IS the old job shape) re-hit those plans
         let (hits_before, _) = shared.stats();
-        let scratch = new_shared_scratch();
         let (program, _info) = crate::multiserver::three_phase_allreduce_cached(
             &machine,
             &big_alloc,
             8 << 20,
             &opts,
             &crate::CodeGenOptions::default(),
-            &scratch,
-            Some(&shared),
+            &ScratchPool::new(),
+            &shared,
         )
         .unwrap();
         let (hits_after, _) = shared.stats();
@@ -1694,24 +1406,18 @@ mod tests {
     fn global_plan_cache_is_one_process_wide_store() {
         let a = global_plan_cache();
         let b = global_plan_cache();
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..2).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let induced = induced(&dgx1v(), 2);
         let opts = TreeGenOptions::default();
-        let plan = Arc::new(
-            PlanCache::new()
-                .plan_for(&induced, &opts, GpuId(0))
-                .unwrap()
-                .clone(),
-        );
+        let plan = handle().plan_for(&induced, &opts, GpuId(0)).unwrap();
         // a synthetic fingerprint no real communicator can collide with
         let fp = u64::MAX - 12345;
-        a.insert(fp, GpuId(999), opts.links, plan.clone());
-        let via_b = b.get(fp, GpuId(999), opts.links).unwrap();
+        a.lock()
+            .exact
+            .insert((fp, GpuId(999), opts.links), plan.clone());
+        let via_b = exact_get(&b, fp, GpuId(999), opts.links).unwrap();
         assert!(via_b.bit_eq(&plan));
-        b.invalidate_fingerprint(fp);
-        assert!(a.get(fp, GpuId(999), opts.links).is_none());
+        b.retarget(fp, fp, |_| false);
+        assert!(exact_get(&a, fp, GpuId(999), opts.links).is_none());
     }
 
     #[test]
@@ -1723,31 +1429,20 @@ mod tests {
         let ind_b = topo.induced(&quad_b).unwrap();
         let opts = TreeGenOptions::default(); // NvLinkOnly
         let shared = SharedPlanCache::new();
-        // communicator A packs every root of its quad and publishes both the
-        // exact entries and the canonical images
-        let mut a = PlanCache::new()
-            .with_shared(shared.clone())
-            .with_canonical_sharing();
-        let plans_a: Vec<TreePlan> = a
+        let canonical_entries = || shared.lock().canonical.entries.len();
+        // handle A packs every root of its quad and publishes both the exact
+        // entries and the canonical images
+        let plans_a = PlanCache::new(shared.clone(), true)
             .plan_many(&ind_a, &opts, &quad_a)
-            .unwrap()
-            .into_iter()
-            .cloned()
-            .collect();
+            .unwrap();
         assert_eq!(shared.canonical_stats(), (0, 4), "4 cold packs, all missed");
-        assert_eq!(shared.canonical_len(), 4, "every canonical role published");
-        // communicator B holds the *mirror* quad: exact fingerprints differ,
-        // so the exact tier can never serve it — the canonical tier does,
-        // for every root
-        let mut b = PlanCache::new()
-            .with_shared(shared.clone())
-            .with_canonical_sharing();
-        let plans_b: Vec<TreePlan> = b
+        assert_eq!(canonical_entries(), 4, "every canonical role published");
+        // handle B holds the *mirror* quad: exact fingerprints differ, so the
+        // exact tier can never serve it — the canonical tier does, for every
+        // root
+        let plans_b = PlanCache::new(shared.clone(), true)
             .plan_many(&ind_b, &opts, &quad_b)
-            .unwrap()
-            .into_iter()
-            .cloned()
-            .collect();
+            .unwrap();
         assert_eq!(
             shared.canonical_stats(),
             (4, 4),
@@ -1779,66 +1474,53 @@ mod tests {
         rates_b.sort_unstable();
         assert_eq!(rates_a, rates_b);
         // plan_for goes through the same tier
-        let mut c = PlanCache::new()
-            .with_shared(shared.clone())
-            .with_canonical_sharing();
-        c.plan_for(&ind_b, &opts, GpuId(5)).unwrap();
+        PlanCache::new(shared.clone(), true)
+            .plan_for(&ind_b, &opts, GpuId(5))
+            .unwrap();
         assert_eq!(shared.canonical_stats(), (5, 4));
-        // invalidate flushes the canonical tier with everything else
-        shared.invalidate();
-        assert_eq!(shared.canonical_len(), 0);
-        assert_eq!(shared.canonical_stats(), (0, 0));
     }
 
     #[test]
     fn canonical_tier_is_strictly_opt_in_and_gated() {
-        let topo = dgx1v();
-        let induced = topo
-            .induced(&(0..4).map(GpuId).collect::<Vec<_>>())
-            .unwrap();
+        let induced = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
+        let canonical_entries = || shared.lock().canonical.entries.len();
         // no opt-in: the canonical tier is never touched
-        let mut plain = PlanCache::new().with_shared(shared.clone());
-        plain.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        PlanCache::new(shared.clone(), false)
+            .plan_for(&induced, &opts, GpuId(0))
+            .unwrap();
         assert_eq!(shared.canonical_stats(), (0, 0));
-        assert_eq!(shared.canonical_len(), 0);
+        assert_eq!(canonical_entries(), 0);
         // opted in but PCIe-only: the canonical form only covers NVLink
         // capacities, so non-NVLink plans bypass the tier
         let pcie = TreeGenOptions {
             links: LinkSelection::PcieOnly,
             ..opts
         };
-        let mut p = PlanCache::new()
-            .with_shared(shared.clone())
-            .with_canonical_sharing();
-        p.plan_for(&induced, &pcie, GpuId(0)).unwrap();
+        PlanCache::new(shared.clone(), true)
+            .plan_for(&induced, &pcie, GpuId(0))
+            .unwrap();
         assert_eq!(shared.canonical_stats(), (0, 0));
         // opted in but past the labelling bound: a 9-GPU NVSwitch clique
         // skips the tier (9! labellings would be fine, 16! would not — the
         // gate is the documented constant, not luck)
         let dgx2 = blink_topology::presets::dgx2();
-        let big = dgx2
-            .induced(&(0..(CANONICAL_MAX_GPUS + 1)).map(GpuId).collect::<Vec<_>>())
+        let big = self::induced(&dgx2, CANONICAL_MAX_GPUS + 1);
+        PlanCache::new(shared.clone(), true)
+            .plan_for(&big, &opts, GpuId(0))
             .unwrap();
-        let mut q = PlanCache::new()
-            .with_shared(shared.clone())
-            .with_canonical_sharing();
-        q.plan_for(&big, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.canonical_stats(), (0, 0));
         // at the bound the tier engages
-        let eight = dgx2
-            .induced(&(0..CANONICAL_MAX_GPUS).map(GpuId).collect::<Vec<_>>())
+        let eight = self::induced(&dgx2, CANONICAL_MAX_GPUS);
+        PlanCache::new(shared.clone(), true)
+            .plan_for(&eight, &opts, GpuId(0))
             .unwrap();
-        let mut r = PlanCache::new()
-            .with_shared(shared.clone())
-            .with_canonical_sharing();
-        r.plan_for(&eight, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.canonical_stats(), (0, 1));
-        assert_eq!(shared.canonical_len(), 1);
+        assert_eq!(canonical_entries(), 1);
         // exact-tier stats were never polluted by canonical traffic: the
         // counters above saw exactly the four packs' exact misses
-        assert_eq!(shared.stats().0, 0);
+        assert_eq!(shared.stats(), (0, 4));
     }
 
     #[test]
@@ -1851,18 +1533,13 @@ mod tests {
         let shared = SharedPlanCache::new();
         let tri_a: Vec<GpuId> = vec![GpuId(0), GpuId(1), GpuId(2)];
         let tri_b: Vec<GpuId> = vec![GpuId(5), GpuId(9), GpuId(14)];
-        let mut a = PlanCache::new()
-            .with_shared(shared.clone())
-            .with_canonical_sharing();
-        let rate_a = {
-            let ind = dgx2.induced(&tri_a).unwrap();
-            a.plan_for(&ind, &opts, GpuId(0)).unwrap().rate_gbps()
-        };
-        let mut b = PlanCache::new()
-            .with_shared(shared.clone())
-            .with_canonical_sharing();
-        let ind_b = dgx2.induced(&tri_b).unwrap();
-        let plan_b = b.plan_for(&ind_b, &opts, GpuId(5)).unwrap().clone();
+        let rate_a = PlanCache::new(shared.clone(), true)
+            .plan_for(&dgx2.induced(&tri_a).unwrap(), &opts, GpuId(0))
+            .unwrap()
+            .rate_gbps();
+        let plan_b = PlanCache::new(shared.clone(), true)
+            .plan_for(&dgx2.induced(&tri_b).unwrap(), &opts, GpuId(5))
+            .unwrap();
         assert_eq!(shared.canonical_stats(), (1, 1));
         assert_eq!(plan_b.rate_gbps().to_bits(), rate_a.to_bits());
         assert_eq!(plan_b.gpus, tri_b);

@@ -36,7 +36,8 @@ use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Options for [`Communicator::new`].
+/// Options for a [`Communicator`] (set through
+/// [`CommunicatorBuilder::options`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CommunicatorOptions {
     /// Hardware calibration parameters for the simulator backend.
@@ -49,13 +50,6 @@ pub struct CommunicatorOptions {
     pub use_hybrid: bool,
     /// Reuse streams across trees (Section 4.2.2).
     pub stream_reuse: bool,
-    /// Opt out of the process-wide plan-sharing tier. By default every
-    /// communicator attaches to [`global_plan_cache`], so identically shaped
-    /// jobs in one process reuse each other's packed trees with no plumbing;
-    /// set this for strict isolation (e.g. benchmarks measuring cold packing
-    /// cost). Passing an explicit cache through
-    /// [`Communicator::with_shared_plans`] overrides both behaviours.
-    pub isolated_plan_cache: bool,
     /// Size threshold for the fusion pass applied by
     /// [`Communicator::run_streamed`]: concurrent same-kind requests smaller
     /// than this batch into one segmented program (see [`crate::fusion`]).
@@ -63,14 +57,6 @@ pub struct CommunicatorOptions {
     /// small per-layer gradient buckets whose launch overheads dominate
     /// while leaving bandwidth-bound transfers unfused.
     pub fusion_threshold_bytes: u64,
-    /// Also share plans at *isomorphism* level: NVLink-only plans over small
-    /// allocations are additionally keyed by the induced topology's canonical
-    /// form in the shared tier, so topology-isomorphic allocations (mirror
-    /// halves, NVSwitch cliques, process-group subgroups) reuse each other's
-    /// packing work. Canonical hits are relabelled plans — identical weights
-    /// and certified rate, but not bit-identical to a cold pack — hence the
-    /// opt-in. [`Communicator::split`] enables this for subgroup children.
-    pub canonical_plan_sharing: bool,
 }
 
 impl Default for CommunicatorOptions {
@@ -81,9 +67,7 @@ impl Default for CommunicatorOptions {
             chunk_bytes: Some(4 << 20),
             use_hybrid: false,
             stream_reuse: false,
-            isolated_plan_cache: false,
             fusion_threshold_bytes: 4 << 20,
-            canonical_plan_sharing: false,
         }
     }
 }
@@ -296,12 +280,13 @@ pub struct Communicator {
     sim: Simulator,
     options: CommunicatorOptions,
     autotuners: BTreeMap<String, ChunkAutotuner>,
-    /// Memoised tree plans plus the shared planning scratch (MWU packing,
-    /// minimisation and certificate buffers): collectives re-issued by the
-    /// autotune loop skip the packing stage entirely, and cache misses
-    /// (including the hybrid planner's) reuse one buffer set. The cache keys
-    /// its plans under a topology/options fingerprint, so it would rebuild
-    /// rather than serve stale plans if either ever changed.
+    /// This communicator's handle on its plan store, plus the planning
+    /// scratch (MWU packing, minimisation and certificate buffers):
+    /// collectives re-issued by the autotune loop skip the packing stage
+    /// entirely, and misses (including the hybrid and three-phase planners')
+    /// reuse one buffer set. The handle keys its plans under a
+    /// topology/options fingerprint, so it would rebuild rather than serve
+    /// stale plans if either ever changed.
     plans: PlanCache,
     /// Memoised [`Communicator::pick_root`] answer: the allocation and
     /// topology are fixed per communicator, so the best rootless-collective
@@ -333,126 +318,6 @@ impl Communicator {
         CommunicatorBuilder::on_machine(machine)
     }
 
-    /// Creates a communicator for `allocation` on `machine`.
-    ///
-    /// Equivalent to
-    /// `Communicator::builder(machine).allocation(allocation).options(options).build()`.
-    ///
-    /// # Errors
-    /// Fails if the allocation is empty or references unknown GPUs.
-    pub fn new(
-        machine: Topology,
-        allocation: &[GpuId],
-        options: CommunicatorOptions,
-    ) -> Result<Self> {
-        CommunicatorBuilder::on_machine(machine)
-            .allocation(allocation)
-            .options(options)
-            .build()
-    }
-
-    /// Creates a communicator whose plans are shared with other communicators
-    /// through `shared`: identical job shapes (same induced topology, same
-    /// TreeGen options — e.g. the many equal slices a `blink-sched` workload
-    /// produces) reuse each other's packed trees instead of re-running MWU.
-    /// The three-phase multi-server planner consults the same cache, keyed
-    /// per server-local induced topology.
-    ///
-    /// Equivalent to the builder path with
-    /// [`CommunicatorBuilder::shared_plans`].
-    ///
-    /// # Errors
-    /// Same as [`Communicator::new`].
-    pub fn with_shared_plans(
-        machine: Topology,
-        allocation: &[GpuId],
-        options: CommunicatorOptions,
-        shared: SharedPlanCache,
-    ) -> Result<Self> {
-        CommunicatorBuilder::on_machine(machine)
-            .allocation(allocation)
-            .options(options)
-            .shared_plans(shared)
-            .build()
-    }
-
-    /// Creates a communicator directly from a scheduler placement: the
-    /// per-server slices a `blink-sched` `Cluster` handed one job, in its
-    /// `(server index, global GPU ids)` convention. The machine model is the
-    /// placement-induced slice topology
-    /// ([`blink_topology::presets::placement_topology`]) — identical, link
-    /// order and all, to inducing on the full cluster, so plans cached here
-    /// are shared with communicators built either way. Uses the
-    /// process-default [`global_plan_cache`] unless
-    /// [`CommunicatorOptions::isolated_plan_cache`] opts out.
-    ///
-    /// Equivalent to the builder path with
-    /// [`CommunicatorBuilder::from_placement`].
-    ///
-    /// # Errors
-    /// Rejects malformed placements (empty, duplicated GPUs, ids inconsistent
-    /// with their server) and empty allocations.
-    pub fn for_placement(
-        kind: ServerKind,
-        nic_gbps: f64,
-        slices: &[(usize, Vec<GpuId>)],
-        options: CommunicatorOptions,
-    ) -> Result<Self> {
-        CommunicatorBuilder::from_placement(kind, nic_gbps, slices)
-            .options(options)
-            .build()
-    }
-
-    /// [`Communicator::for_placement`] with an explicit [`SharedPlanCache`]
-    /// (the fleet pipeline passes its own tier so hit-rate accounting stays
-    /// per-fleet rather than process-global).
-    ///
-    /// # Errors
-    /// Same as [`Communicator::for_placement`].
-    pub fn for_placement_shared(
-        kind: ServerKind,
-        nic_gbps: f64,
-        slices: &[(usize, Vec<GpuId>)],
-        options: CommunicatorOptions,
-        shared: SharedPlanCache,
-    ) -> Result<Self> {
-        CommunicatorBuilder::from_placement(kind, nic_gbps, slices)
-            .options(options)
-            .shared_plans(shared)
-            .build()
-    }
-
-    fn with_plan_cache(
-        machine: Topology,
-        allocation: &[GpuId],
-        options: CommunicatorOptions,
-        plans: PlanCache,
-    ) -> Result<Self> {
-        let plans = if options.canonical_plan_sharing && !plans.canonical_sharing_enabled() {
-            plans.with_canonical_sharing()
-        } else {
-            plans
-        };
-        let induced = machine
-            .induced(allocation)
-            .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        let sim = Simulator::new(machine.clone(), options.sim_params);
-        Ok(Communicator {
-            machine,
-            allocation: allocation.to_vec(),
-            induced,
-            sim,
-            options,
-            autotuners: BTreeMap::new(),
-            plans,
-            picked_root: None,
-            spannable: BTreeMap::new(),
-            hybrids: BTreeMap::new(),
-            switch_strategy: BTreeMap::new(),
-            engine_scratch: EngineScratch::new(),
-        })
-    }
-
     /// The GPUs this communicator spans.
     pub fn allocation(&self) -> &[GpuId] {
         &self.allocation
@@ -474,10 +339,10 @@ impl Communicator {
         &self.options
     }
 
-    /// The cross-communicator plan-sharing tier this communicator's plan
-    /// cache publishes to, if any.
-    pub(crate) fn plan_shared_cache(&self) -> Option<SharedPlanCache> {
-        self.plans.shared_cache().cloned()
+    /// The plan store this communicator looks misses up in and publishes
+    /// packs to.
+    pub(crate) fn plan_store(&self) -> &SharedPlanCache {
+        self.plans.store()
     }
 
     /// Whether the allocation spans more than one server.
@@ -488,11 +353,11 @@ impl Communicator {
     /// Splits this communicator into nested process-group subgroups (one
     /// child communicator per part of `split`), whose induced topologies
     /// share this machine's links. Children plan independently — through the
-    /// same shared plan tier as the parent, with canonical (isomorphism-
-    /// level) sharing enabled so same-shape subgroups reuse one packing —
-    /// and [`crate::ProcessGroups::run_concurrent`] executes one collective
-    /// per subgroup inside a single simulator session, contending for the
-    /// shared links. The parent communicator is not consumed and remains
+    /// parent's plan store, with canonical (isomorphism-level) sharing
+    /// enabled so same-shape subgroups reuse one packing — and
+    /// [`crate::ProcessGroups::run_concurrent`] executes one collective per
+    /// subgroup inside a single simulator session, contending for the shared
+    /// links. The parent communicator is not consumed and remains
     /// usable.
     ///
     /// # Errors
@@ -778,12 +643,11 @@ impl Communicator {
         root
     }
 
-    /// Plans every spannable candidate root through the plan cache
-    /// ([`PlanCache::plan_many`] fans misses out over the scratch pool's
-    /// workers, consuming any warm-start seeds a delta left behind) and picks
-    /// the best *plan* rate. The winning root's plan — and every runner-up's —
-    /// lands in the cache, so the sweep is the planning, not a separate Dinic
-    /// certificate pass. Plans are bit-identical at every worker count and
+    /// Plans every spannable candidate root through the plan cache (misses
+    /// fan out over the scratch pool's workers, consuming any warm-start
+    /// seeds a delta left behind) and picks the best *plan* rate. The
+    /// winning root's plan — and every runner-up's — lands in the cache, so
+    /// the sweep is the planning, not a separate Dinic certificate pass. Plans are bit-identical at every worker count and
     /// ties resolve in allocation order, so the picked root is deterministic.
     ///
     /// Returns a [`SweepOutcome`]; the fallback outcome (`allocation[0]`,
@@ -837,12 +701,12 @@ impl Communicator {
 
     /// Reacts to a topology-change event without rebuilding the communicator:
     /// applies `delta` to the machine model, re-induces the (possibly
-    /// shrunken or grown) allocation, delta-invalidates the plan cache
-    /// ([`PlanCache::note_delta`] keeps plans the event provably did not
-    /// touch and demotes the rest to warm-start seeds), then re-runs the
-    /// root sweep — every stale root re-plans **warm**, seeded from its old
-    /// trees, and re-certifies against the post-event min-cut. Collectives
-    /// issued afterwards use the recovered plans directly.
+    /// shrunken or grown) allocation, delta-invalidates the plan cache (it
+    /// keeps plans the event provably did not touch and demotes the rest to
+    /// warm-start seeds), then re-runs the root sweep — every stale root
+    /// re-plans **warm**, seeded from its old trees, and re-certifies against
+    /// the post-event min-cut. Collectives issued afterwards use the
+    /// recovered plans directly.
     ///
     /// Removed GPUs leave the allocation; GPUs added by the delta join it.
     /// Chunk autotuners reset (the hardware their throughput feedback
@@ -1013,16 +877,14 @@ impl Communicator {
                     "{kind} across servers is not supported; only AllReduce uses the three-phase protocol"
                 )));
             }
-            let scratch = self.plans.scratch().clone();
-            let shared = self.plans.shared_cache().cloned();
             let attempt = three_phase_allreduce_cached(
                 &self.machine,
                 &self.allocation,
                 bytes,
                 &self.options.treegen,
                 &self.codegen_options(chunk),
-                &scratch,
-                shared.as_ref(),
+                self.plans.scratch(),
+                self.plans.store(),
             );
             // A fragmented per-server slice may not be NVLink-spannable (e.g.
             // GPUs {1, 4} on a DGX-1V share no NVLink); retry the whole local
@@ -1045,8 +907,8 @@ impl Communicator {
                         bytes,
                         &pcie_tg,
                         &pcie_cg,
-                        &scratch,
-                        shared.as_ref(),
+                        self.plans.scratch(),
+                        self.plans.store(),
                     )?;
                     (program, info, true)
                 }
@@ -1243,15 +1105,19 @@ enum BuilderSource {
     },
 }
 
-/// The single construction path for [`Communicator`]s.
+/// The single construction path for [`Communicator`]s: start from
+/// [`Communicator::builder`] (an explicit machine) or
+/// [`CommunicatorBuilder::from_placement`] (a scheduler placement).
 ///
-/// Every legacy constructor ([`Communicator::new`],
-/// [`Communicator::with_shared_plans`], [`Communicator::for_placement`],
-/// [`Communicator::for_placement_shared`]) is a thin wrapper over this
-/// builder; new call sites should use it directly:
+/// The builder also picks the communicator's plan store: the process-wide
+/// [`global_plan_cache`] by default, an explicit store through
+/// [`CommunicatorBuilder::shared_plans`], or a private one through
+/// [`CommunicatorBuilder::isolated_plans`]. Store choice and
+/// [`CommunicatorBuilder::canonical_plan_sharing`] are builder state, so
+/// they hold in any order with [`CommunicatorBuilder::options`].
 ///
 /// ```
-/// use blink_core::{Communicator, CommunicatorOptions};
+/// use blink_core::Communicator;
 /// use blink_topology::presets::dgx2;
 /// use blink_topology::GpuId;
 ///
@@ -1270,6 +1136,8 @@ pub struct CommunicatorBuilder {
     allocation: Option<Vec<GpuId>>,
     options: CommunicatorOptions,
     shared: Option<SharedPlanCache>,
+    isolated: bool,
+    canonical: bool,
 }
 
 impl CommunicatorBuilder {
@@ -1277,12 +1145,7 @@ impl CommunicatorBuilder {
     /// whole-machine allocation, default options, process-wide
     /// [`global_plan_cache`] plan sharing.
     pub fn on_machine(machine: Topology) -> Self {
-        CommunicatorBuilder {
-            source: BuilderSource::Machine(machine),
-            allocation: None,
-            options: CommunicatorOptions::default(),
-            shared: None,
-        }
+        Self::from_source(BuilderSource::Machine(machine))
     }
 
     /// Builds communicators from a scheduler placement (`(server index,
@@ -1290,15 +1153,21 @@ impl CommunicatorBuilder {
     /// [`placement_topology`] at [`CommunicatorBuilder::build`] time. The
     /// allocation is the whole slice topology.
     pub fn from_placement(kind: ServerKind, nic_gbps: f64, slices: &[(usize, Vec<GpuId>)]) -> Self {
+        Self::from_source(BuilderSource::Placement {
+            kind,
+            nic_gbps,
+            slices: slices.to_vec(),
+        })
+    }
+
+    fn from_source(source: BuilderSource) -> Self {
         CommunicatorBuilder {
-            source: BuilderSource::Placement {
-                kind,
-                nic_gbps,
-                slices: slices.to_vec(),
-            },
+            source,
             allocation: None,
             options: CommunicatorOptions::default(),
             shared: None,
+            isolated: false,
+            canonical: false,
         }
     }
 
@@ -1316,25 +1185,31 @@ impl CommunicatorBuilder {
         self
     }
 
-    /// Attaches an explicit cross-communicator plan-sharing tier instead of
-    /// the process-wide [`global_plan_cache`].
+    /// Plans through `shared` instead of the process-wide
+    /// [`global_plan_cache`], e.g. a fleet-local store whose hit rate a
+    /// scheduler reports.
     pub fn shared_plans(mut self, shared: SharedPlanCache) -> Self {
         self.shared = Some(shared);
         self
     }
 
-    /// Opts out of plan sharing entirely (shorthand for setting
-    /// [`CommunicatorOptions::isolated_plan_cache`]); an explicit
-    /// [`CommunicatorBuilder::shared_plans`] tier still wins.
+    /// Plans through a private store no other communicator sees (e.g. a
+    /// benchmark measuring cold packing); an explicit
+    /// [`CommunicatorBuilder::shared_plans`] store still wins.
     pub fn isolated_plans(mut self) -> Self {
-        self.options.isolated_plan_cache = true;
+        self.isolated = true;
         self
     }
 
-    /// Enables isomorphism-level plan sharing (shorthand for setting
-    /// [`CommunicatorOptions::canonical_plan_sharing`]).
+    /// Also shares plans at *isomorphism* level: NVLink-only plans over small
+    /// allocations are additionally keyed by the induced topology's canonical
+    /// form in the store, so topology-isomorphic allocations (mirror halves,
+    /// NVSwitch cliques, process-group subgroups) reuse each other's packing
+    /// work. Canonical hits are relabelled plans — identical weights and
+    /// certified rate, but not bit-identical to a cold pack — hence the
+    /// opt-in. [`Communicator::split`] enables this for subgroup children.
     pub fn canonical_plan_sharing(mut self) -> Self {
-        self.options.canonical_plan_sharing = true;
+        self.canonical = true;
         self
     }
 
@@ -1356,12 +1231,29 @@ impl CommunicatorBuilder {
             Some(allocation) => allocation,
             None => machine.gpu_ids(),
         };
-        let plans = match self.shared {
-            Some(shared) => PlanCache::new().with_shared(shared),
-            None if self.options.isolated_plan_cache => PlanCache::new(),
-            None => PlanCache::new().with_shared(global_plan_cache()),
+        let store = match self.shared {
+            Some(shared) => shared,
+            None if self.isolated => SharedPlanCache::new(),
+            None => global_plan_cache(),
         };
-        Communicator::with_plan_cache(machine, &allocation, self.options, plans)
+        let induced = machine
+            .induced(&allocation)
+            .map_err(|e| BlinkError::Planning(e.to_string()))?;
+        let sim = Simulator::new(machine.clone(), self.options.sim_params);
+        Ok(Communicator {
+            machine,
+            allocation,
+            induced,
+            sim,
+            options: self.options,
+            autotuners: BTreeMap::new(),
+            plans: PlanCache::new(store, self.canonical),
+            picked_root: None,
+            spannable: BTreeMap::new(),
+            hybrids: BTreeMap::new(),
+            switch_strategy: BTreeMap::new(),
+            engine_scratch: EngineScratch::new(),
+        })
     }
 }
 
@@ -1418,7 +1310,10 @@ mod tests {
     #[test]
     fn full_dgx1v_broadcast_and_allreduce() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let bcast = comm.broadcast(GpuId(0), mb(500)).unwrap();
         assert!(bcast.algorithmic_bandwidth_gbps > 110.0, "{bcast}");
         assert_eq!(bcast.num_trees, 6);
@@ -1432,7 +1327,10 @@ mod tests {
         // Figure 2(b): Blink keeps using the available NVLinks while NCCL
         // falls back to PCIe.
         let alloc = [GpuId(0), GpuId(1), GpuId(4)];
-        let mut comm = Communicator::new(dgx1p(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1p())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let report = comm.broadcast(GpuId(0), mb(500)).unwrap();
         assert!(
             report.algorithmic_bandwidth_gbps > 15.0,
@@ -1443,7 +1341,10 @@ mod tests {
     #[test]
     fn nvlink_disconnected_pair_falls_back_to_pcie() {
         let alloc = [GpuId(1), GpuId(4)];
-        let mut comm = Communicator::new(dgx1p(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1p())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let report = comm.broadcast(GpuId(1), mb(100)).unwrap();
         assert!(report.strategy.contains("PCIe fallback"));
         assert!(report.algorithmic_bandwidth_gbps < 6.0);
@@ -1453,7 +1354,10 @@ mod tests {
     #[test]
     fn dgx2_allreduce_uses_one_hop_trees() {
         let alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx2(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx2())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let report = comm.all_reduce(mb(256)).unwrap();
         assert!(report.strategy.contains("one-hop"));
         assert_eq!(report.num_trees, 16);
@@ -1495,36 +1399,64 @@ mod tests {
     }
 
     #[test]
-    fn builder_is_the_single_construction_path() {
-        // the legacy constructors are thin wrappers: same allocation, same
-        // options, same plan-sharing behaviour, bit-identical execution
-        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut legacy =
-            Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
-        let mut built = Communicator::builder(dgx1v())
-            .allocation(&alloc)
-            .build()
-            .unwrap();
-        let a = legacy.broadcast(GpuId(0), mb(64)).unwrap();
-        let b = built.broadcast(GpuId(0), mb(64)).unwrap();
-        assert_eq!(a.strategy, b.strategy);
-        assert_eq!(a.elapsed_us.to_bits(), b.elapsed_us.to_bits());
+    fn builder_flags_hold_in_either_order_with_options() {
         // omitting .allocation() spans the whole machine
         let whole = Communicator::builder(dgx1v()).build().unwrap();
         assert_eq!(whole.allocation().len(), 8);
-        // builder-level opt-outs mirror the options flags
-        let isolated = Communicator::builder(dgx1v())
+        // the store choice and canonical sharing are builder state, so an
+        // .options() call after them cannot reset them
+        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let options = CommunicatorOptions {
+            stream_reuse: true,
+            ..Default::default()
+        };
+        for flags_first in [true, false] {
+            let builder = Communicator::builder(dgx1v()).allocation(&alloc);
+            let builder = if flags_first {
+                builder
+                    .isolated_plans()
+                    .canonical_plan_sharing()
+                    .options(options)
+            } else {
+                builder
+                    .options(options)
+                    .isolated_plans()
+                    .canonical_plan_sharing()
+            };
+            let mut comm = builder.build().unwrap();
+            assert!(comm.options().stream_reuse);
+            comm.broadcast(GpuId(0), mb(16)).unwrap();
+            // a private store sees exactly this communicator's one pack —
+            // the second communicator of the loop would hit a shared one
+            let store = comm.plan_store();
+            assert_eq!(store.stats(), (0, 1), "flags first: {flags_first}");
+            assert_eq!(
+                store.canonical_stats(),
+                (0, 1),
+                "flags first: {flags_first}"
+            );
+        }
+    }
+
+    #[test]
+    fn isolated_multi_server_communicators_pack_once() {
+        let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
+        let alloc: Vec<GpuId> = vec![GpuId(0), GpuId(1), GpuId(2), GpuId(8), GpuId(9), GpuId(10)];
+        let mut comm = Communicator::builder(machine)
             .allocation(&alloc)
             .isolated_plans()
             .build()
             .unwrap();
-        assert!(isolated.plan_shared_cache().is_none());
-        let canonical = Communicator::builder(dgx1v())
-            .allocation(&alloc)
-            .canonical_plan_sharing()
-            .build()
-            .unwrap();
-        assert!(canonical.options().canonical_plan_sharing);
+        let (report, first, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
+        assert!(report.strategy.contains("three-phase"), "{report}");
+        let store = comm.plan_store().clone();
+        // 2 servers x 3 partitions = 6 plans packed once
+        assert_eq!(store.stats(), (0, 6));
+        assert_eq!(store.len(), 6);
+        let (_, second, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
+        assert_eq!(store.stats(), (6, 6), "the second AllReduce packs nothing");
+        assert_eq!(store.len(), 6);
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -1540,7 +1472,10 @@ mod tests {
             GpuId(11),
             GpuId(12),
         ];
-        let mut comm = Communicator::new(machine, &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(machine)
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         assert!(comm.is_multi_server());
         let report = comm.all_reduce(mb(100)).unwrap();
         assert!(report.strategy.contains("three-phase"));
@@ -1558,9 +1493,9 @@ mod tests {
             (0usize, vec![GpuId(1), GpuId(4)]),
             (1usize, vec![GpuId(8), GpuId(9)]),
         ];
-        let mut comm =
-            Communicator::for_placement(ServerKind::Dgx1V, 5.0, &slices, Default::default())
-                .unwrap();
+        let mut comm = CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices)
+            .build()
+            .unwrap();
         assert!(comm.is_multi_server());
         let (report, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
         assert!(
@@ -1588,23 +1523,21 @@ mod tests {
             (0usize, (0..4).map(GpuId).collect::<Vec<_>>()),
             (1usize, (8..12).map(GpuId).collect::<Vec<_>>()),
         ];
-        let mut a = Communicator::for_placement_shared(
-            ServerKind::Dgx1V,
-            5.0,
-            &slices,
-            Default::default(),
-            shared.clone(),
-        )
-        .unwrap();
+        let mut a = CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices)
+            .shared_plans(shared.clone())
+            .build()
+            .unwrap();
         let ra = a.all_reduce(mb(64)).unwrap();
         let (hits_before, misses_before) = shared.stats();
         assert!(misses_before > 0, "first communicator packs fresh plans");
 
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let flat: Vec<GpuId> = slices.iter().flat_map(|(_, g)| g.clone()).collect();
-        let mut b =
-            Communicator::with_shared_plans(machine, &flat, Default::default(), shared.clone())
-                .unwrap();
+        let mut b = Communicator::builder(machine)
+            .allocation(&flat)
+            .shared_plans(shared.clone())
+            .build()
+            .unwrap();
         let rb = b.all_reduce(mb(64)).unwrap();
         let (hits_after, misses_after) = shared.stats();
         assert!(
@@ -1626,35 +1559,29 @@ mod tests {
     fn communicators_share_plans_across_instances() {
         let shared = SharedPlanCache::new();
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut a = Communicator::with_shared_plans(
-            dgx1v(),
-            &alloc,
-            CommunicatorOptions::default(),
-            shared.clone(),
-        )
-        .unwrap();
+        let mut a = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .shared_plans(shared.clone())
+            .build()
+            .unwrap();
         let ra = a.broadcast(GpuId(0), mb(100)).unwrap();
         assert_eq!(shared.stats(), (0, 1), "first communicator packs");
         // a second communicator of the same job shape reuses the plan
-        let mut b = Communicator::with_shared_plans(
-            dgx1v(),
-            &alloc,
-            CommunicatorOptions::default(),
-            shared.clone(),
-        )
-        .unwrap();
+        let mut b = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .shared_plans(shared.clone())
+            .build()
+            .unwrap();
         let rb = b.broadcast(GpuId(0), mb(100)).unwrap();
         assert_eq!(shared.stats(), (1, 1), "second communicator hits");
         assert_eq!(ra.num_trees, rb.num_trees);
         assert_eq!(ra.elapsed_us.to_bits(), rb.elapsed_us.to_bits());
         // a different shape misses instead of being served a stale plan
-        let mut c = Communicator::with_shared_plans(
-            dgx1v(),
-            &alloc[..4],
-            CommunicatorOptions::default(),
-            shared.clone(),
-        )
-        .unwrap();
+        let mut c = Communicator::builder(dgx1v())
+            .allocation(&alloc[..4])
+            .shared_plans(shared.clone())
+            .build()
+            .unwrap();
         c.broadcast(GpuId(0), mb(100)).unwrap();
         assert_eq!(shared.stats(), (1, 2));
     }
@@ -1664,23 +1591,19 @@ mod tests {
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let alloc: Vec<GpuId> = vec![GpuId(0), GpuId(1), GpuId(2), GpuId(8), GpuId(9), GpuId(10)];
         let shared = SharedPlanCache::new();
-        let mut a = Communicator::with_shared_plans(
-            machine.clone(),
-            &alloc,
-            CommunicatorOptions::default(),
-            shared.clone(),
-        )
-        .unwrap();
+        let mut a = Communicator::builder(machine.clone())
+            .allocation(&alloc)
+            .shared_plans(shared.clone())
+            .build()
+            .unwrap();
         let ra = a.all_reduce(mb(50)).unwrap();
         // 2 servers x 3 partitions = 6 plans packed once
         assert_eq!(shared.stats(), (0, 6));
-        let mut b = Communicator::with_shared_plans(
-            machine,
-            &alloc,
-            CommunicatorOptions::default(),
-            shared.clone(),
-        )
-        .unwrap();
+        let mut b = Communicator::builder(machine)
+            .allocation(&alloc)
+            .shared_plans(shared.clone())
+            .build()
+            .unwrap();
         let rb = b.all_reduce(mb(50)).unwrap();
         assert_eq!(shared.stats(), (6, 6), "every per-server plan reused");
         assert_eq!(ra.elapsed_us.to_bits(), rb.elapsed_us.to_bits());
@@ -1689,7 +1612,10 @@ mod tests {
     #[test]
     fn replan_recovers_from_a_killed_link_warm() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let before = comm.all_reduce(mb(100)).unwrap();
         assert!(before.algorithmic_bandwidth_gbps > 30.0);
         // one NVLink duplex dies
@@ -1714,8 +1640,10 @@ mod tests {
     fn replan_drops_a_gpu_and_grows_back() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let machine = dgx1v();
-        let mut comm =
-            Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(machine.clone())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         comm.all_reduce(mb(50)).unwrap();
         // GPU 7 drops out of the job
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(7))).unwrap();
@@ -1737,8 +1665,10 @@ mod tests {
 
     #[test]
     fn replan_rejects_an_emptied_allocation() {
-        let mut comm =
-            Communicator::new(dgx1v(), &[GpuId(3)], CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&[GpuId(3)])
+            .build()
+            .unwrap();
         assert!(comm.replan(&TopologyDelta::drop_gpu(GpuId(3))).is_err());
     }
 
@@ -1749,7 +1679,10 @@ mod tests {
     fn replan_compound_delta_reports_full_warm_repair() {
         use blink_topology::LinkKind;
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         comm.all_reduce(mb(100)).unwrap();
         let before = comm.induced_topology().clone();
         let dead = |l: &blink_topology::Link, a: usize, b: usize| {
@@ -1781,7 +1714,10 @@ mod tests {
     fn replan_nvlink_partition_reports_pcie_fallback() {
         use blink_topology::LinkKind;
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         comm.all_reduce(mb(50)).unwrap();
         let before = comm.induced_topology().clone();
         let after = before
@@ -1810,7 +1746,10 @@ mod tests {
     #[test]
     fn replan_disconnected_survivors_shrink_to_largest_component() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         comm.all_reduce(mb(50)).unwrap();
         let before = comm.induced_topology().clone();
         let after = before.filter_links(|l| l.src != GpuId(5) && l.dst != GpuId(5));
@@ -1832,15 +1771,14 @@ mod tests {
     #[test]
     fn hybrid_option_reports_pcie_share() {
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut comm = Communicator::new(
-            dgx1v(),
-            &alloc,
-            CommunicatorOptions {
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .options(CommunicatorOptions {
                 use_hybrid: true,
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            })
+            .build()
+            .unwrap();
         let report = comm.broadcast(GpuId(0), mb(500)).unwrap();
         assert!(report.strategy.contains("hybrid"));
     }
@@ -1848,15 +1786,14 @@ mod tests {
     #[test]
     fn autotuner_traces_are_recorded() {
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut comm = Communicator::new(
-            dgx1v(),
-            &alloc,
-            CommunicatorOptions {
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .options(CommunicatorOptions {
                 chunk_bytes: None,
                 ..Default::default()
-            },
-        )
-        .unwrap();
+            })
+            .build()
+            .unwrap();
         for _ in 0..5 {
             comm.broadcast(GpuId(0), mb(200)).unwrap();
         }
@@ -1868,12 +1805,17 @@ mod tests {
 
     #[test]
     fn trivial_cases_return_empty_reports() {
-        let mut comm =
-            Communicator::new(dgx1v(), &[GpuId(2)], CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&[GpuId(2)])
+            .build()
+            .unwrap();
         let report = comm.all_reduce(mb(10)).unwrap();
         assert_eq!(report.elapsed_us, 0.0);
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let report = comm.all_reduce(0).unwrap();
         assert_eq!(report.elapsed_us, 0.0);
     }
@@ -1881,7 +1823,10 @@ mod tests {
     #[test]
     fn gather_reduce_allgather_reducescatter_run() {
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         for report in [
             comm.gather(GpuId(0), mb(64)).unwrap(),
             comm.reduce(GpuId(0), mb(64)).unwrap(),
@@ -1896,7 +1841,10 @@ mod tests {
     #[test]
     fn streamed_allreduces_fuse_small_requests_and_pass_the_oracle() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         // four sub-threshold buckets and one large one, in ready order
         let requests = [
             (mb(1), 0.0),
@@ -1932,7 +1880,10 @@ mod tests {
     #[test]
     fn streamed_requests_contend_inside_one_session() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let alone = comm.all_reduce(mb(32)).unwrap().elapsed_us;
         // two full-size allreduces issued together share every link, so the
         // session cannot finish in one collective's time...
@@ -1952,7 +1903,10 @@ mod tests {
     #[test]
     fn gathering_collectives_never_fuse() {
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let run = comm
             .run_streamed(CollectiveKind::AllGather, &[(mb(1), 0.0), (mb(1), 0.0)])
             .unwrap();
@@ -1962,15 +1916,20 @@ mod tests {
 
     #[test]
     fn trivial_streamed_runs_complete_at_their_ready_times() {
-        let mut comm =
-            Communicator::new(dgx1v(), &[GpuId(2)], CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&[GpuId(2)])
+            .build()
+            .unwrap();
         let run = comm
             .run_streamed(CollectiveKind::AllReduce, &[(mb(1), 12.5)])
             .unwrap();
         assert_eq!(run.finish_us, 12.5);
         assert!(run.groups.is_empty());
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut comm = Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let run = comm
             .run_streamed(CollectiveKind::AllReduce, &[(0, 3.0), (0, 9.0)])
             .unwrap();

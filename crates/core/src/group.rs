@@ -10,20 +10,18 @@
 //! links their induced topologies share — the session's arbitration models
 //! the tensor-parallel/data-parallel overlap a real hierarchical job sees.
 //!
-//! Children opt into canonical plan sharing
-//! ([`CommunicatorOptions::canonical_plan_sharing`]): isomorphic subgroups
-//! (mirror halves of a DGX-1V, equal-size NVSwitch cliques) reuse each
-//! other's packed trees through the shared tier instead of packing twice.
+//! Children plan through the parent's plan store with canonical plan sharing
+//! on ([`crate::CommunicatorBuilder::canonical_plan_sharing`]): isomorphic
+//! subgroups (mirror halves of a DGX-1V, equal-size NVSwitch cliques) reuse
+//! each other's packed trees instead of packing twice.
 //!
 //! [`ProcessGroups::run_concurrent_checked`] is the conformance oracle for
 //! the whole construction: it lowers one collective per subgroup, admits all
 //! of them into one [`blink_sim::Session`], and replays every program
 //! value-level against its collective contract on the shared schedule.
-//!
-//! [`CommunicatorOptions::canonical_plan_sharing`]: crate::CommunicatorOptions::canonical_plan_sharing
 
 use crate::collective::CollectiveKind;
-use crate::communicator::{Communicator, CommunicatorOptions};
+use crate::communicator::Communicator;
 use crate::{BlinkError, Result};
 use blink_sim::{check_collective, EngineScratch, Program, Simulator, ValueCheck};
 use blink_topology::{GroupSplit, Topology};
@@ -73,21 +71,15 @@ impl ProcessGroups {
         let partitions = split
             .partition(&machine, parent.allocation())
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        // Children always share a plan tier: the parent's if it has one,
-        // otherwise a private tier spanning just this split — either way,
-        // isomorphic subgroups reach each other's plans canonically.
-        let shared = parent.plan_shared_cache().unwrap_or_default();
-        let options = CommunicatorOptions {
-            canonical_plan_sharing: true,
-            ..*parent.options()
-        };
+        let options = *parent.options();
         let mut children = Vec::with_capacity(partitions.len());
         for group in &partitions {
             children.push(
                 Communicator::builder(machine.clone())
                     .allocation(group)
                     .options(options)
-                    .shared_plans(shared.clone())
+                    .shared_plans(parent.plan_store().clone())
+                    .canonical_plan_sharing()
                     .build()?,
             );
         }
@@ -278,7 +270,7 @@ mod tests {
             .build()
             .unwrap();
         let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
-        let shared = groups.groups()[0].plan_shared_cache().unwrap();
+        let shared = groups.groups()[0].plan_store().clone();
         let requests = vec![(CollectiveKind::AllReduce, 16 << 20); 2];
         groups.run_concurrent(&requests).unwrap();
         let (hits, misses) = shared.canonical_stats();

@@ -14,15 +14,13 @@
 use crate::autotune::PlanCache;
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
-use crate::treegen::{
-    new_shared_scratch, parallel_map, LinkSelection, SharedPackingScratch, TreeGen, TreeGenOptions,
-    TreePlan,
-};
+use crate::treegen::{LinkSelection, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::WeightedTree;
 use blink_sim::{LinkClass, Program, ProgramBuilder, SimParams};
 use blink_topology::{GpuId, Topology};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The byte split chosen by Equation 8.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,93 +59,38 @@ pub fn split_data(total: u64, bw_nvlink: f64, bw_pcie: f64, t_dpa_us: f64) -> Hy
     }
 }
 
-/// The heaviest tree of a set, first maximum winning ties — the one rule for
-/// which PCIe tree a hybrid plan keeps, shared by the cached and uncached
-/// planning paths.
-fn heaviest_tree(trees: &[WeightedTree]) -> Option<&WeightedTree> {
-    let mut best: Option<&WeightedTree> = None;
-    for t in trees {
-        if best.is_none_or(|b| t.weight > b.weight) {
-            best = Some(t);
-        }
-    }
-    best
-}
-
 /// The hybrid planner: builds an NVLink plan and a PCIe plan for the same
 /// allocation and lowers collectives that use both simultaneously.
 #[derive(Debug, Clone)]
 pub struct HybridPlanner {
-    nvlink_plan: TreePlan,
+    nvlink_plan: Arc<TreePlan>,
     pcie_plan: TreePlan,
     num_gpus: u32,
 }
 
 impl HybridPlanner {
     /// Plans hybrid transfers rooted at `root` over the induced topology of an
-    /// allocation.
+    /// allocation, through a communicator's plan cache: the NVLink and PCIe
+    /// plans are memoised per root, so re-planning the same collective (the
+    /// autotune loop) skips the MWU packing entirely.
     ///
     /// # Errors
     /// Fails if either link class cannot span the allocation from `root`.
-    pub fn plan(induced: &Topology, root: GpuId, base: &TreeGenOptions) -> Result<Self> {
-        Self::plan_with_scratch(induced, root, base, &new_shared_scratch())
-    }
-
-    /// [`HybridPlanner::plan`] over caller-provided planning scratch buffers:
-    /// both the NVLink and the PCIe TreeGen pack, minimise and certify
-    /// through the same [`SharedPackingScratch`] pool, and callers planning
-    /// repeatedly (several roots, the communicator loop) amortise the buffers
-    /// across all of it. The two link classes are independent packings, so
-    /// they plan concurrently when the pool has more than one worker —
-    /// bit-identical to planning them back to back.
-    pub fn plan_with_scratch(
-        induced: &Topology,
-        root: GpuId,
-        base: &TreeGenOptions,
-        scratch: &SharedPackingScratch,
-    ) -> Result<Self> {
-        let mut plans = parallel_map(
-            vec![LinkSelection::NvLinkOnly, LinkSelection::PcieOnly],
-            scratch.workers(),
-            |links| {
-                TreeGen::with_scratch(
-                    induced.clone(),
-                    TreeGenOptions { links, ..*base },
-                    scratch.clone(),
-                )
-                .plan(root)
-            },
-        )
-        .into_iter();
-        // surface the NVLink failure first, like the sequential path did
-        let nvlink = plans.next().expect("two plans")?;
-        let pcie = plans.next().expect("two plans")?;
-        Ok(Self::from_plans(nvlink, pcie, induced.num_gpus() as u32))
-    }
-
-    /// Plans through a [`PlanCache`]: the NVLink and PCIe plans are memoised
-    /// per root, so re-planning the same collective (the autotune loop) skips
-    /// the MWU packing entirely.
-    ///
-    /// # Errors
-    /// Fails if either link class cannot span the allocation from `root`.
-    pub fn plan_cached(
+    pub(crate) fn plan_cached(
         cache: &mut PlanCache,
         induced: &Topology,
         root: GpuId,
         base: &TreeGenOptions,
     ) -> Result<Self> {
-        let nvlink = cache
-            .plan_for(
-                induced,
-                &TreeGenOptions {
-                    links: LinkSelection::NvLinkOnly,
-                    ..*base
-                },
-                root,
-            )?
-            .clone();
-        let pcie_src = cache.plan_for(
+        let nvlink_plan = cache.plan_for(
+            induced,
+            &TreeGenOptions {
+                links: LinkSelection::NvLinkOnly,
+                ..*base
+            },
+            root,
+        )?;
+        let pcie = cache.plan_for(
             induced,
             &TreeGenOptions {
                 links: LinkSelection::PcieOnly,
@@ -155,35 +98,28 @@ impl HybridPlanner {
             },
             root,
         )?;
-        // Only the heaviest PCIe tree survives from_plans; clone just that one
-        // instead of the whole cached tree set on every (cache-hit) call.
-        let pcie = TreePlan {
-            root: pcie_src.root,
-            gpus: pcie_src.gpus.clone(),
-            trees: heaviest_tree(&pcie_src.trees)
-                .cloned()
-                .into_iter()
-                .collect(),
-            optimal_rate_gbps: pcie_src.optimal_rate_gbps,
-            trees_before_minimize: pcie_src.trees_before_minimize,
-            links: pcie_src.links,
-            mwu: pcie_src.mwu,
-        };
-        Ok(Self::from_plans(nvlink, pcie, induced.num_gpus() as u32))
-    }
-
-    fn from_plans(nvlink: TreePlan, mut pcie: TreePlan, num_gpus: u32) -> Self {
         // PCIe is a shared switch hierarchy, not a set of independent
         // point-to-point links: packing several "PCIe trees" would double
         // count the fabric. Blink builds a single tree set over PCIe
-        // (Section 3.4), so keep only the heaviest tree — its weight (the
-        // slowest hop, ~5 GB/s) is the realistic fabric rate.
-        pcie.trees = heaviest_tree(&pcie.trees).cloned().into_iter().collect();
-        HybridPlanner {
-            nvlink_plan: nvlink,
-            pcie_plan: pcie,
-            num_gpus,
+        // (Section 3.4), so keep only the heaviest tree (first maximum wins
+        // ties) — its weight (the slowest hop, ~5 GB/s) is the realistic
+        // fabric rate.
+        let mut heaviest: Option<&WeightedTree> = None;
+        for t in &pcie.trees {
+            if heaviest.is_none_or(|h| t.weight > h.weight) {
+                heaviest = Some(t);
+            }
         }
+        let pcie_plan = TreePlan {
+            gpus: pcie.gpus.clone(),
+            trees: heaviest.cloned().into_iter().collect(),
+            ..*pcie
+        };
+        Ok(HybridPlanner {
+            nvlink_plan,
+            pcie_plan,
+            num_gpus: induced.num_gpus() as u32,
+        })
     }
 
     /// The NVLink tree plan.
@@ -292,8 +228,14 @@ impl HybridPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autotune::SharedPlanCache;
     use blink_sim::Simulator;
     use blink_topology::presets::dgx1v;
+
+    fn plan(induced: &Topology, root: GpuId) -> HybridPlanner {
+        let mut cache = PlanCache::new(SharedPlanCache::new(), false);
+        HybridPlanner::plan_cached(&mut cache, induced, root, &TreeGenOptions::default()).unwrap()
+    }
 
     fn mb(n: u64) -> u64 {
         n * 1024 * 1024
@@ -334,7 +276,7 @@ mod tests {
         let machine = dgx1v();
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let induced = machine.induced(&alloc).unwrap();
-        let planner = HybridPlanner::plan(&induced, GpuId(0), &TreeGenOptions::default()).unwrap();
+        let planner = plan(&induced, GpuId(0));
         let bytes = mb(500);
         let params = SimParams::default();
         let sim = Simulator::with_defaults(machine);
@@ -385,7 +327,7 @@ mod tests {
         let machine = dgx1v();
         let alloc: Vec<GpuId> = (0..3).map(GpuId).collect();
         let induced = machine.induced(&alloc).unwrap();
-        let planner = HybridPlanner::plan(&induced, GpuId(0), &TreeGenOptions::default()).unwrap();
+        let planner = plan(&induced, GpuId(0));
         assert!(planner.nvlink_plan().rate_gbps() > planner.pcie_plan().rate_gbps());
         assert!(planner.pcie_plan().rate_gbps() > 0.0);
     }

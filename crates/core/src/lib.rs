@@ -23,7 +23,10 @@
 //! * [`collective`] — the collective operations Blink exposes (Broadcast,
 //!   Gather, Reduce, AllGather, ReduceScatter, AllReduce) and their reports.
 //! * [`autotune`] — the multiplicative-increase / additive-decrease automatic
-//!   chunk-size selection (Section 4.2.1, Figure 12).
+//!   chunk-size selection (Section 4.2.1, Figure 12), and the plan cache
+//!   that keeps packing out of the tuning loop: one [`SharedPlanCache`]
+//!   store with an exact and a canonical tier, and a private handle on it in
+//!   every communicator.
 //! * [`fusion`] — batching of small concurrent same-kind collectives into one
 //!   segmented program over their concatenated logical space (the SparCML
 //!   observation applied to per-layer gradient buckets), with a window
@@ -52,8 +55,10 @@
 //! # Process groups and strategy selection
 //!
 //! Communicators are built through one path, [`CommunicatorBuilder`]
-//! ([`Communicator::builder`]); the historical constructors delegate to it.
-//! A communicator spans any induced subgraph of its machine — fragmented
+//! ([`Communicator::builder`], or [`CommunicatorBuilder::from_placement`]
+//! for a scheduler placement), which also picks the plan store: the
+//! process-wide [`global_plan_cache`] by default, an explicit one, or a
+//! private one for isolation. A communicator spans any induced subgraph of its machine — fragmented
 //! DGX-1 quads and *partially allocated* DGX-2 NVSwitch fabrics plan the
 //! same way. On all-to-all switch fabrics there is no hard-wired strategy:
 //! the first collective of each kind lowers **both** candidates — the
@@ -103,12 +108,14 @@
 //! resulting programs byte-exactly with [`Communicator::run_checked`].
 //!
 //! ```
-//! use blink_core::{Communicator, CommunicatorOptions};
+//! use blink_core::Communicator;
 //! use blink_topology::{presets, GpuId};
 //!
-//! let machine = presets::dgx1v();
 //! let allocation: Vec<GpuId> = (0..4).map(GpuId).collect();
-//! let mut comm = Communicator::new(machine, &allocation, CommunicatorOptions::default()).unwrap();
+//! let mut comm = Communicator::builder(presets::dgx1v())
+//!     .allocation(&allocation)
+//!     .build()
+//!     .unwrap();
 //! let report = comm.broadcast(GpuId(0), 64 << 20).unwrap();
 //! assert!(report.algorithmic_bandwidth_gbps > 20.0);
 //! ```
@@ -128,8 +135,7 @@ pub mod onehop;
 pub mod treegen;
 
 pub use autotune::{
-    global_plan_cache, plan_fingerprint, ChunkAutotuner, PlanCache, SharedPlanCache,
-    CANONICAL_MAX_GPUS,
+    global_plan_cache, plan_fingerprint, ChunkAutotuner, SharedPlanCache, CANONICAL_MAX_GPUS,
 };
 pub use codegen::{CodeGen, CodeGenOptions};
 pub use collective::{CollectiveKind, CollectiveReport};
@@ -140,8 +146,8 @@ pub use communicator::{
 pub use fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 pub use group::{GroupCollective, GroupRun, ProcessGroups};
 pub use treegen::{
-    new_shared_scratch, parallel_map, LinkSelection, PlannerScratch, ScratchGuard, ScratchPool,
-    SharedPackingScratch, TreeGen, TreeGenOptions, TreePlan,
+    parallel_map, LinkSelection, PlannerScratch, ScratchGuard, ScratchPool, TreeGen,
+    TreeGenOptions, TreePlan,
 };
 
 /// Errors surfaced by the Blink library.

@@ -16,7 +16,7 @@
 use crate::autotune::{plan_fingerprint, SharedPlanCache};
 use crate::codegen::{chunk_sizes, CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
-use crate::treegen::{new_shared_scratch, parallel_map, TreeGen, TreeGenOptions, TreePlan};
+use crate::treegen::{ScratchPool, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_sim::{LinkClass, OpId, Program, ProgramBuilder};
 use blink_topology::{GpuId, ServerId, Topology};
@@ -52,58 +52,26 @@ fn split_even(total: u64, parts: usize) -> Vec<u64> {
 /// Builds the three-phase AllReduce program for an allocation spanning
 /// multiple servers.
 ///
+/// Every per-server, per-partition-root plan is looked up in `store` under
+/// its server-induced-topology fingerprint first, and fresh packs are
+/// published back, so repeated collectives (the communicator's autotune
+/// loop) and other communicators of the same shape never re-pack. Misses
+/// across all servers and roots are embarrassingly parallel (PAPER.md §3.5)
+/// and plan concurrently on `scratch`'s workers; the resulting program is
+/// bit-identical at every worker count.
+///
 /// # Errors
 /// Fails when the allocation lives on a single server (use the single-server
 /// path instead) or when a server's local allocation cannot be spanned by the
 /// selected link class.
-pub fn three_phase_allreduce(
-    machine: &Topology,
-    allocation: &[GpuId],
-    bytes: u64,
-    tg_options: &TreeGenOptions,
-    cg_options: &CodeGenOptions,
-) -> Result<(Program, ThreePhaseInfo)> {
-    three_phase_allreduce_with_scratch(
-        machine,
-        allocation,
-        bytes,
-        tg_options,
-        cg_options,
-        &new_shared_scratch(),
-    )
-}
-
-/// [`three_phase_allreduce`] over caller-provided packing scratch buffers, so
-/// repeated multi-server collectives (the communicator's autotune loop) reuse
-/// one set of MWU allocations across every (server, partition-root) plan.
-pub fn three_phase_allreduce_with_scratch(
-    machine: &Topology,
-    allocation: &[GpuId],
-    bytes: u64,
-    tg_options: &TreeGenOptions,
-    cg_options: &CodeGenOptions,
-    scratch: &crate::treegen::SharedPackingScratch,
-) -> Result<(Program, ThreePhaseInfo)> {
-    three_phase_allreduce_cached(
-        machine, allocation, bytes, tg_options, cg_options, scratch, None,
-    )
-}
-
-/// [`three_phase_allreduce_with_scratch`] with an optional cross-communicator
-/// [`SharedPlanCache`]: every per-server, per-partition-root plan is looked up
-/// under its server-induced-topology fingerprint first, and fresh packs are
-/// published back. Cache misses across all servers and roots are
-/// embarrassingly parallel (PAPER.md §3.5) and plan concurrently on the
-/// scratch pool's workers; the resulting program is bit-identical to the
-/// sequential, uncached build at every worker count.
 pub fn three_phase_allreduce_cached(
     machine: &Topology,
     allocation: &[GpuId],
     bytes: u64,
     tg_options: &TreeGenOptions,
     cg_options: &CodeGenOptions,
-    scratch: &crate::treegen::SharedPackingScratch,
-    shared: Option<&SharedPlanCache>,
+    scratch: &ScratchPool,
+    store: &SharedPlanCache,
 ) -> Result<(Program, ThreePhaseInfo)> {
     // group by server, preserving allocation order
     let mut by_server: BTreeMap<ServerId, Vec<GpuId>> = BTreeMap::new();
@@ -128,51 +96,45 @@ pub fn three_phase_allreduce_cached(
         .max(1);
 
     // Plan local trees for every (server, partition root). The per-root
-    // packings are independent — one scratch checkout each — so they fan out
-    // over the pool's workers; plan order (and bit-for-bit content) matches
-    // the sequential sweep because planning is a pure function of
-    // (induced topology, root, options).
-    let mut tgs: Vec<(TreeGen, u64)> = Vec::with_capacity(servers.len());
-    let mut tasks: Vec<(usize, GpuId)> = Vec::with_capacity(servers.len() * partitions);
-    for (s, (_, gpus)) in servers.iter().enumerate() {
-        let induced = machine
+    // packings are independent, so the store's misses fan out over the
+    // pool's workers; plan order (and bit-for-bit content) matches the
+    // sequential sweep because planning is a pure function of (induced
+    // topology, root, options).
+    let mut induced: Vec<(Topology, u64)> = Vec::with_capacity(servers.len());
+    for (_, gpus) in &servers {
+        let topo = machine
             .induced(gpus)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        let fp = plan_fingerprint(&induced, tg_options);
-        tgs.push((
-            TreeGen::with_scratch(induced, *tg_options, scratch.clone()),
-            fp,
-        ));
-        for p in 0..partitions {
-            tasks.push((s, gpus[p % gpus.len()]));
-        }
+        let fp = plan_fingerprint(&topo, tg_options);
+        induced.push((topo, fp));
     }
-    let tgs = &tgs;
-    let planned = parallel_map(tasks, scratch.workers(), |(s, root)| -> Result<TreePlan> {
-        let (tg, fp) = &tgs[s];
-        if let Some(cache) = shared {
-            if let Some(hit) = cache.get(*fp, root, tg_options.links) {
-                return Ok((*hit).clone());
-            }
-            let plan = tg.plan(root)?;
-            cache.insert(*fp, root, tg_options.links, Arc::new(plan.clone()));
-            return Ok(plan);
-        }
-        tg.plan(root)
-    });
-    let mut planned = planned.into_iter();
-    let mut plans: Vec<Vec<TreePlan>> = Vec::new();
+    let requests: Vec<(&Topology, u64, GpuId)> = servers
+        .iter()
+        .zip(&induced)
+        .flat_map(|((_, gpus), (topo, fp))| {
+            (0..partitions).map(move |p| (topo, *fp, gpus[p % gpus.len()]))
+        })
+        .collect();
+    let mut planned = store
+        .resolve(tg_options, &requests, scratch, None, |_| None)
+        .into_iter();
+    let mut plans: Vec<Vec<Arc<TreePlan>>> = Vec::new();
     let mut roots: Vec<Vec<GpuId>> = Vec::new();
     let mut local_rates = Vec::new();
     for (_, gpus) in &servers {
         let mut server_plans = Vec::new();
         let mut server_roots = Vec::new();
         for p in 0..partitions {
-            server_plans.push(planned.next().expect("one plan per task")?);
+            server_plans.push(planned.next().expect("one plan per request")?);
             server_roots.push(gpus[p % gpus.len()]);
         }
-        local_rates
-            .push(server_plans.iter().map(TreePlan::rate_gbps).sum::<f64>() / partitions as f64);
+        local_rates.push(
+            server_plans
+                .iter()
+                .map(|plan| plan.rate_gbps())
+                .sum::<f64>()
+                / partitions as f64,
+        );
         plans.push(server_plans);
         roots.push(server_roots);
     }
@@ -335,6 +297,24 @@ mod tests {
         n * 1024 * 1024
     }
 
+    /// Default options on a fresh store, so every call packs.
+    fn three_phase(
+        machine: &Topology,
+        alloc: &[GpuId],
+        bytes: u64,
+        scratch: &ScratchPool,
+    ) -> Result<(Program, ThreePhaseInfo)> {
+        three_phase_allreduce_cached(
+            machine,
+            alloc,
+            bytes,
+            &TreeGenOptions::default(),
+            &CodeGenOptions::default(),
+            scratch,
+            &SharedPlanCache::new(),
+        )
+    }
+
     /// The paper's fragmented multi-server scenario: 3 GPUs on one DGX-1V and
     /// 5 on another, 40 Gb/s network.
     fn fragmented_allocation() -> (Topology, Vec<GpuId>) {
@@ -356,14 +336,7 @@ mod tests {
     fn three_phase_builds_and_runs_on_fragmented_allocation() {
         let (machine, alloc) = fragmented_allocation();
         let bytes = mb(100);
-        let (program, info) = three_phase_allreduce(
-            &machine,
-            &alloc,
-            bytes,
-            &TreeGenOptions::default(),
-            &CodeGenOptions::default(),
-        )
-        .unwrap();
+        let (program, info) = three_phase(&machine, &alloc, bytes, &ScratchPool::new()).unwrap();
         assert_eq!(info.servers, 2);
         assert_eq!(info.partitions, 3);
         assert_eq!(info.roots.len(), 2);
@@ -377,14 +350,7 @@ mod tests {
     fn cross_machine_traffic_is_bounded_by_the_protocol() {
         let (machine, alloc) = fragmented_allocation();
         let bytes = mb(64);
-        let (program, info) = three_phase_allreduce(
-            &machine,
-            &alloc,
-            bytes,
-            &TreeGenOptions::default(),
-            &CodeGenOptions::default(),
-        )
-        .unwrap();
+        let (program, info) = three_phase(&machine, &alloc, bytes, &ScratchPool::new()).unwrap();
         // phase 2 moves every slice (1/servers of each partition) once to its
         // owner and once back per non-owner server; summed over the whole
         // buffer that is 2 * (servers - 1) * bytes / servers per owner, i.e.
@@ -407,27 +373,11 @@ mod tests {
     fn parallel_planning_builds_a_bit_identical_program() {
         let (machine, alloc) = fragmented_allocation();
         let bytes = mb(50);
-        let sequential = three_phase_allreduce_cached(
-            &machine,
-            &alloc,
-            bytes,
-            &TreeGenOptions::default(),
-            &CodeGenOptions::default(),
-            &crate::treegen::ScratchPool::with_workers(1),
-            None,
-        )
-        .unwrap();
+        let sequential =
+            three_phase(&machine, &alloc, bytes, &ScratchPool::with_workers(1)).unwrap();
         for workers in [2, 4, 8] {
-            let parallel = three_phase_allreduce_cached(
-                &machine,
-                &alloc,
-                bytes,
-                &TreeGenOptions::default(),
-                &CodeGenOptions::default(),
-                &crate::treegen::ScratchPool::with_workers(workers),
-                None,
-            )
-            .unwrap();
+            let parallel =
+                three_phase(&machine, &alloc, bytes, &ScratchPool::with_workers(workers)).unwrap();
             assert_eq!(sequential.0, parallel.0, "workers = {workers}");
             assert_eq!(sequential.1.roots, parallel.1.roots);
             for (a, b) in sequential
@@ -445,15 +395,14 @@ mod tests {
     fn shared_cache_skips_repacking_across_builds() {
         let (machine, alloc) = fragmented_allocation();
         let cache = SharedPlanCache::new();
-        let scratch = new_shared_scratch();
         let first = three_phase_allreduce_cached(
             &machine,
             &alloc,
             mb(50),
             &TreeGenOptions::default(),
             &CodeGenOptions::default(),
-            &scratch,
-            Some(&cache),
+            &ScratchPool::new(),
+            &cache,
         )
         .unwrap();
         // 2 servers x 3 partitions = 6 plans, all misses
@@ -467,8 +416,8 @@ mod tests {
             mb(50),
             &TreeGenOptions::default(),
             &CodeGenOptions::default(),
-            &new_shared_scratch(),
-            Some(&cache),
+            &ScratchPool::new(),
+            &cache,
         )
         .unwrap();
         let (hits1, misses1) = cache.stats();
@@ -480,14 +429,7 @@ mod tests {
     fn single_server_allocation_is_rejected() {
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let err = three_phase_allreduce(
-            &machine,
-            &alloc,
-            mb(1),
-            &TreeGenOptions::default(),
-            &CodeGenOptions::default(),
-        )
-        .unwrap_err();
+        let err = three_phase(&machine, &alloc, mb(1), &ScratchPool::new()).unwrap_err();
         assert!(matches!(err, BlinkError::Planning(_)));
     }
 
@@ -510,14 +452,7 @@ mod tests {
         let mut last = 0.0;
         for nic in [5.0, 12.5, 50.0] {
             let machine = multi_server(2, ServerKind::Dgx1V, nic);
-            let (program, _) = three_phase_allreduce(
-                &machine,
-                &alloc,
-                bytes,
-                &TreeGenOptions::default(),
-                &CodeGenOptions::default(),
-            )
-            .unwrap();
+            let (program, _) = three_phase(&machine, &alloc, bytes, &ScratchPool::new()).unwrap();
             let bw = Simulator::with_defaults(machine)
                 .run(&program)
                 .unwrap()

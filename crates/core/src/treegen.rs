@@ -29,11 +29,10 @@
 //!   in `tests/properties.rs`.
 //!
 //! Callers that build several TreeGens over the same job (per-link-class, the
-//! hybrid planner, the communicator's autotune loop) pass one shared pool to
-//! [`TreeGen::with_scratch`] so all of them draw from a single set of
-//! buffers; [`crate::autotune::PlanCache`] builds on this to also memoise
-//! whole plans, and [`crate::autotune::SharedPlanCache`] extends the
-//! memoisation across communicators.
+//! per-server planners of the three-phase AllReduce, the communicator's
+//! autotune loop) pass one shared pool to [`TreeGen::with_scratch`] so all of
+//! them draw from a single set of buffers; [`crate::autotune`] builds on this
+//! to also memoise whole plans, within and across communicators.
 
 use crate::{BlinkError, Result};
 use blink_graph::{
@@ -178,17 +177,6 @@ impl Drop for ScratchGuard<'_> {
             }
         }
     }
-}
-
-/// The planning scratch handle TreeGens share. Kept as an alias of
-/// [`ScratchPool`]: the name predates the pool (it used to be an
-/// `Rc<RefCell<PlannerScratch>>`) and every planning entry point still
-/// accepts it.
-pub type SharedPackingScratch = ScratchPool;
-
-/// Creates a fresh [`SharedPackingScratch`] sized for this machine.
-pub fn new_shared_scratch() -> SharedPackingScratch {
-    ScratchPool::new()
 }
 
 /// Maps `tasks` through `f`, fanning out over up to `workers` scoped threads
@@ -368,24 +356,20 @@ impl TreePlan {
 pub struct TreeGen {
     topology: Topology,
     options: TreeGenOptions,
-    scratch: SharedPackingScratch,
+    scratch: ScratchPool,
 }
 
 impl TreeGen {
     /// Creates a TreeGen over the (already induced) topology of a job's
     /// allocation, with its own packing scratch.
     pub fn new(topology: Topology, options: TreeGenOptions) -> Self {
-        Self::with_scratch(topology, options, new_shared_scratch())
+        Self::with_scratch(topology, options, ScratchPool::new())
     }
 
     /// Creates a TreeGen that packs over caller-provided scratch buffers, so
     /// several TreeGens (e.g. one per link class, or the hybrid planner's
     /// pair) share one set of allocations.
-    pub fn with_scratch(
-        topology: Topology,
-        options: TreeGenOptions,
-        scratch: SharedPackingScratch,
-    ) -> Self {
+    pub fn with_scratch(topology: Topology, options: TreeGenOptions, scratch: ScratchPool) -> Self {
         TreeGen {
             topology,
             options,
@@ -395,7 +379,7 @@ impl TreeGen {
 
     /// The packing scratch this TreeGen plans with (clone the handle to share
     /// it with further TreeGens).
-    pub fn scratch(&self) -> &SharedPackingScratch {
+    pub fn scratch(&self) -> &ScratchPool {
         &self.scratch
     }
 

@@ -22,8 +22,8 @@ use crate::events::{EventMonitor, Stage};
 use crate::faults::{FaultConfig, FaultEvent, FaultInjector, FaultRecord, RetryPolicy};
 use crate::workload::{Job, WorkloadConfig, WorkloadGenerator};
 use blink_core::{
-    BlinkError, CollectiveKind, Communicator, CommunicatorOptions, DegradationLevel,
-    SharedPlanCache,
+    BlinkError, CollectiveKind, Communicator, CommunicatorBuilder, CommunicatorOptions,
+    DegradationLevel, SharedPlanCache,
 };
 use blink_topology::presets::{gpus_per_server, placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Link, LinkKind, ServerId, Topology, TopologyDelta};
@@ -59,9 +59,8 @@ pub struct FleetConfig {
     /// session; 0 disables the sampling. Subgroups of isomorphic shape reuse
     /// one packed plan through the fleet cache's canonical tier.
     pub subgroup_lift_every: usize,
-    /// Options for every job communicator. The pipeline always passes its
-    /// own shared plan cache explicitly, so `isolated_plan_cache` has no
-    /// effect here.
+    /// Options for every job communicator. Every job plans through the
+    /// pipeline's own plan store ([`FleetPipeline::shared_cache`]).
     pub comm_options: CommunicatorOptions,
     /// Seeded fault injection: `Some` weaves the deterministic fault
     /// schedule into the loop (see the crate-level "failure model" docs);
@@ -378,13 +377,7 @@ impl FleetPipeline {
             let place = self.monitor.commit(place);
 
             let plan = self.monitor.begin(job.id, Stage::Plan);
-            let mut comm = Communicator::for_placement_shared(
-                self.config.server_kind,
-                self.config.nic_gbps,
-                &placement.slices,
-                self.config.comm_options,
-                self.shared.clone(),
-            )?;
+            let mut comm = self.communicator(&placement)?;
             // A job placed while faults are in force starts degraded: links
             // the scheduler cannot see around (flaps between healthy GPUs,
             // degraded NICs) are replayed into the fresh communicator.
@@ -495,6 +488,19 @@ impl FleetPipeline {
             jobs_lost: self.jobs_lost,
             outcomes: self.outcomes.clone(),
         }
+    }
+
+    /// Builds a job's communicator over its placement, planning through the
+    /// fleet's plan store.
+    fn communicator(&self, placement: &Placement) -> blink_core::Result<Communicator> {
+        CommunicatorBuilder::from_placement(
+            self.config.server_kind,
+            self.config.nic_gbps,
+            &placement.slices,
+        )
+        .options(self.config.comm_options)
+        .shared_plans(self.shared.clone())
+        .build()
     }
 
     /// Splits a placed job's communicator into per-server process groups and
@@ -955,13 +961,7 @@ impl FleetPipeline {
     /// its restart collective. The job keeps its original outcome entry; a
     /// retry only restores it to the running set.
     fn admit_retry(&mut self, job: &Job, placement: Placement) -> blink_core::Result<()> {
-        let mut comm = Communicator::for_placement_shared(
-            self.config.server_kind,
-            self.config.nic_gbps,
-            &placement.slices,
-            self.config.comm_options,
-            self.shared.clone(),
-        )?;
+        let mut comm = self.communicator(&placement)?;
         self.degrade_fresh(&mut comm, &placement)?;
         let report = comm.run(CollectiveKind::AllReduce, self.config.collective_bytes)?;
         self.running.insert(
@@ -1159,13 +1159,6 @@ mod tests {
     fn subgroup_lifts_replay_conformant_concurrent_subgroups() {
         let mut pipeline = FleetPipeline::new(FleetConfig {
             subgroup_lift_every: 5,
-            // fleet-wide isomorphism-level sharing: slices of the same shape
-            // on *different* servers (different GPU ids, so the exact tier
-            // misses) reuse one packed plan through the canonical tier
-            comm_options: CommunicatorOptions {
-                canonical_plan_sharing: true,
-                ..Default::default()
-            },
             ..small_config()
         });
         let report = pipeline.run().unwrap();
@@ -1179,11 +1172,14 @@ mod tests {
             pipeline.monitor().count(Stage::SubgroupLift),
             report.subgroup_lifts
         );
-        // isomorphic per-server slices across lifted jobs pack once: the
-        // fleet cache's canonical tier must see real traffic and real reuse
-        let (canon_hits, canon_misses) = pipeline.shared_cache().canonical_stats();
-        assert!(canon_misses > 0, "no job ever reached the canonical tier");
-        assert!(canon_hits > 0, "no isomorphic plan reuse across servers");
+        // subgroups plan through the fleet store, where their parent job
+        // already published the per-server slices' plans: the lifts add
+        // store hits to the same job stream planned without them
+        let unlifted = FleetPipeline::new(small_config()).run().unwrap();
+        assert!(
+            report.shared_hits > unlifted.shared_hits,
+            "lifted subgroups never reused a fleet plan"
+        );
     }
 
     #[test]

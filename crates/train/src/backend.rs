@@ -3,7 +3,7 @@
 //! Both backends run against the same [`blink_sim`] hardware model, which is
 //! what makes the Blink-vs-NCCL end-to-end comparison apples-to-apples.
 
-use blink_core::{CollectiveKind, Communicator, CommunicatorOptions};
+use blink_core::{CollectiveKind, Communicator};
 use blink_nccl::schedule::{build_program, NcclCollective, ScheduleOptions};
 use blink_nccl::{NcclPlan, NcclPlanner, PlannerOptions};
 use blink_sim::{EngineScratch, SimParams, Simulator};
@@ -81,9 +81,11 @@ impl BlinkBackend {
     /// Creates the backend for an allocation on a machine.
     ///
     /// # Errors
-    /// Propagates planning errors from [`Communicator::new`].
+    /// Propagates planning errors from building the [`Communicator`].
     pub fn new(machine: Topology, allocation: &[GpuId]) -> Result<Self, blink_core::BlinkError> {
-        let comm = Communicator::new(machine, allocation, CommunicatorOptions::default())?;
+        let comm = Communicator::builder(machine)
+            .allocation(allocation)
+            .build()?;
         Ok(BlinkBackend {
             comm,
             cache: BTreeMap::new(),
@@ -152,7 +154,7 @@ pub struct NcclBackend {
     /// falls, so the plan tier below needs at most two entries.
     tree_threshold_bytes: u64,
     /// Memoised plans per byte regime (`true` = below the tree threshold),
-    /// mirroring `blink-core`'s `PlanCache` role for the baseline: re-sizing
+    /// mirroring `blink-core`'s plan cache for the baseline: re-sizing
     /// the collective re-lowers the program but never re-plans.
     plan_tier: BTreeMap<bool, NcclPlan>,
     /// Persistent engine buffers shared by every simulated run (the same

@@ -65,8 +65,10 @@ fn main() {
     );
 
     // 4. run an AllReduce with Blink on this slice
-    let mut comm =
-        Communicator::new(machine, &local, CommunicatorOptions::default()).expect("valid slice");
+    let mut comm = Communicator::builder(machine)
+        .allocation(&local)
+        .build()
+        .expect("valid slice");
     let report = comm.all_reduce(200 << 20).expect("allreduce runs");
     println!("Blink {report}");
 }

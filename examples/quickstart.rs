@@ -16,7 +16,9 @@ fn main() {
     let allocation = [GpuId(1), GpuId(4), GpuId(5), GpuId(6)];
     let bytes: u64 = 500 << 20;
 
-    let mut comm = Communicator::new(machine.clone(), &allocation, CommunicatorOptions::default())
+    let mut comm = Communicator::builder(machine.clone())
+        .allocation(&allocation)
+        .build()
         .expect("valid allocation");
     let bcast = comm.broadcast(GpuId(1), bytes).expect("broadcast plans");
     let ar = comm.all_reduce(bytes).expect("allreduce plans");

@@ -27,7 +27,8 @@ pub use blink_train as train;
 /// The most common entry points, re-exported flat for convenience.
 pub mod prelude {
     pub use blink_core::{
-        CollectiveKind, CollectiveReport, Communicator, CommunicatorOptions, SharedPlanCache,
+        CollectiveKind, CollectiveReport, Communicator, CommunicatorBuilder, CommunicatorOptions,
+        SharedPlanCache,
     };
     pub use blink_topology::{presets, GpuId, LinkKind, ServerId, Topology};
 }
@@ -40,7 +41,10 @@ mod tests {
     fn facade_reexports_work() {
         let machine = presets::dgx1v();
         let alloc: Vec<GpuId> = (0..3).map(GpuId).collect();
-        let mut comm = Communicator::new(machine, &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(machine)
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let report = comm.all_reduce(16 << 20).unwrap();
         assert!(report.algorithmic_bandwidth_gbps > 1.0);
     }

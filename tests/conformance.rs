@@ -57,8 +57,10 @@ fn random_allocation(rng: &mut StdRng, pool: &[GpuId], k: usize) -> Vec<GpuId> {
 /// Runs every collective kind on `alloc` through the communicator and asserts
 /// the oracle accepts each one.
 fn assert_conformant(machine: &Topology, alloc: &[GpuId], bytes: u64, label: &str) {
-    let mut comm =
-        Communicator::new(machine.clone(), alloc, CommunicatorOptions::default()).unwrap();
+    let mut comm = Communicator::builder(machine.clone())
+        .allocation(alloc)
+        .build()
+        .unwrap();
     for kind in all_kinds(alloc[0]) {
         let (report, check) = comm.run_checked(kind, bytes).unwrap();
         assert!(
@@ -109,15 +111,14 @@ fn one_hop_switch_trees_conform_on_dgx2() {
 fn hybrid_transfers_conform() {
     let machine = dgx1v();
     let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-    let mut comm = Communicator::new(
-        machine,
-        &alloc,
-        CommunicatorOptions {
+    let mut comm = Communicator::builder(machine)
+        .allocation(&alloc)
+        .options(CommunicatorOptions {
             use_hybrid: true,
             ..Default::default()
-        },
-    )
-    .unwrap();
+        })
+        .build()
+        .unwrap();
     // large enough that Equation 8 assigns the PCIe trees a non-zero share
     let bytes = mb(200) + 7;
     let mut saw_pcie_share = false;
@@ -143,7 +144,10 @@ fn hybrid_transfers_conform() {
 fn pcie_fallback_conforms() {
     let machine = dgx1p();
     let alloc = [GpuId(1), GpuId(4)]; // no NVLink between them on a DGX-1P
-    let mut comm = Communicator::new(machine, &alloc, CommunicatorOptions::default()).unwrap();
+    let mut comm = Communicator::builder(machine)
+        .allocation(&alloc)
+        .build()
+        .unwrap();
     for kind in all_kinds(GpuId(1)) {
         let (report, check) = comm.run_checked(kind, mb(4) + 5).unwrap();
         assert!(
@@ -179,8 +183,10 @@ fn three_phase_multi_server_conforms_on_random_slices() {
                 alloc.extend(random_allocation(&mut rng, &pool, k));
             }
             alloc.sort_unstable();
-            let mut comm =
-                Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default()).unwrap();
+            let mut comm = Communicator::builder(machine.clone())
+                .allocation(&alloc)
+                .build()
+                .unwrap();
             let mut ok = true;
             for bytes in [mb(8) + 13, 3 * 1024 * 1024 + 17] {
                 match comm.run_checked(CollectiveKind::AllReduce, bytes) {
@@ -235,8 +241,10 @@ fn process_group_splits_conform_concurrently() {
         for round in 0..2 {
             let k = 4 + rng.random_below((total - 3) as u64) as usize; // 4..=total
             let alloc = random_allocation(&mut rng, &pool, k);
-            let parent =
-                Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default()).unwrap();
+            let parent = Communicator::builder(machine.clone())
+                .allocation(&alloc)
+                .build()
+                .unwrap();
             let split = if round == 0 {
                 GroupSplit::ByStride(2)
             } else {
@@ -583,8 +591,10 @@ fn nccl_baseline_conforms() {
 #[test]
 fn run_checked_trivial_cases_and_address_spaces() {
     let machine = dgx1v();
-    let mut comm =
-        Communicator::new(machine.clone(), &[GpuId(0)], CommunicatorOptions::default()).unwrap();
+    let mut comm = Communicator::builder(machine.clone())
+        .allocation(&[GpuId(0)])
+        .build()
+        .unwrap();
     let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(1)).unwrap();
     assert!(
         check.is_correct(),
@@ -592,7 +602,10 @@ fn run_checked_trivial_cases_and_address_spaces() {
     );
 
     let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-    let mut comm = Communicator::new(machine, &alloc, CommunicatorOptions::default()).unwrap();
+    let mut comm = Communicator::builder(machine)
+        .allocation(&alloc)
+        .build()
+        .unwrap();
     let (_, check) = comm.run_checked(CollectiveKind::AllGather, mb(2)).unwrap();
     assert!(check.is_correct());
     assert_eq!(check.space, 4 * mb(2), "gathering space is n · bytes");
@@ -644,7 +657,10 @@ fn replanned_communicators_conform_across_failure_scenarios() {
         ),
     ];
     for (label, machine, alloc, delta) in scenarios {
-        let mut comm = Communicator::new(machine, &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(machine)
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         // Plan and run once pre-failure, exactly as a live job would.
         comm.all_reduce(mb(1)).unwrap();
         comm.replan(&delta).unwrap();
@@ -721,7 +737,10 @@ fn replanned_communicators_conform_across_compound_failures() {
         ];
     for (label, machine, alloc, delta) in scenarios {
         let multi = machine.servers().len() > 1;
-        let mut comm = Communicator::new(machine, &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(machine)
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         // Plan and run once pre-failure, exactly as a live job would.
         comm.all_reduce(mb(1)).unwrap();
         let rep = comm.replan(&delta).unwrap();
@@ -757,8 +776,10 @@ fn a_job_grown_by_a_server_replans_and_conforms() {
     let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
     let half: Vec<GpuId> = (0..8).map(GpuId).collect();
     let all: Vec<GpuId> = (0..16).map(GpuId).collect();
-    let mut comm =
-        Communicator::new(machine.clone(), &half, CommunicatorOptions::default()).unwrap();
+    let mut comm = Communicator::builder(machine.clone())
+        .allocation(&half)
+        .build()
+        .unwrap();
     comm.all_reduce(mb(1)).unwrap();
     let delta = TopologyDelta::between(
         &machine.induced(&half).unwrap(),
@@ -801,8 +822,10 @@ fn fused_streamed_programs_match_their_unfused_constituents() {
         CollectiveKind::Broadcast { root: GpuId(0) },
         CollectiveKind::Reduce { root: GpuId(0) },
     ] {
-        let mut comm =
-            Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(machine.clone())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         let (run, checks) = comm.run_streamed_checked(kind, &requests).unwrap();
         assert!(
             run.fused_programs() >= 1,
@@ -838,9 +861,10 @@ fn fused_streamed_programs_match_their_unfused_constituents() {
             // the unfused side of the equivalence: each constituent run
             // standalone satisfies the identical spec at the same byte count
             for (k, &m) in g.group.members.iter().enumerate() {
-                let mut solo =
-                    Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default())
-                        .unwrap();
+                let mut solo = Communicator::builder(machine.clone())
+                    .allocation(&alloc)
+                    .build()
+                    .unwrap();
                 let (_, solo_check) = solo.run_checked(kind, requests[m].0).unwrap();
                 assert!(
                     solo_check.is_correct(),
@@ -876,8 +900,10 @@ fn a_dropped_fused_constituent_is_caught_and_pinpointed() {
     let machine = dgx1v();
     let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
     let requests: Vec<(u64, f64)> = (0..4).map(|i| (mb(1) + 5, i as f64 * 25.0)).collect();
-    let mut comm =
-        Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default()).unwrap();
+    let mut comm = Communicator::builder(machine.clone())
+        .allocation(&alloc)
+        .build()
+        .unwrap();
     let kind = CollectiveKind::AllReduce;
     let run = comm.run_streamed(kind, &requests).unwrap();
     let g = run

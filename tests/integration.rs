@@ -4,11 +4,25 @@
 
 use blink::prelude::*;
 use blink_bench::measure::{blink_collective, mb, nccl_collective};
-use blink_core::multiserver::three_phase_allreduce;
-use blink_core::{CodeGenOptions, CollectiveKind, SharedPlanCache, TreeGenOptions};
-use blink_sim::{check_collective, CollectiveSpec, Simulator};
+use blink_core::multiserver::{three_phase_allreduce_cached, ThreePhaseInfo};
+use blink_core::{CodeGenOptions, CollectiveKind, ScratchPool, SharedPlanCache, TreeGenOptions};
+use blink_sim::{check_collective, CollectiveSpec, Program, Simulator};
 use blink_topology::enumerate::unique_allocations;
 use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
+
+/// The three-phase AllReduce with default options, planned on a fresh store.
+fn three_phase(machine: &Topology, alloc: &[GpuId], bytes: u64) -> (Program, ThreePhaseInfo) {
+    three_phase_allreduce_cached(
+        machine,
+        alloc,
+        bytes,
+        &TreeGenOptions::default(),
+        &CodeGenOptions::default(),
+        &ScratchPool::new(),
+        &SharedPlanCache::new(),
+    )
+    .unwrap()
+}
 
 /// Blink never loses to the NCCL baseline by more than a few percent on any
 /// unique DGX-1V allocation, and wins big where NCCL falls back to PCIe
@@ -100,7 +114,10 @@ fn multi_server_allreduce_end_to_end() {
         GpuId(11),
         GpuId(12),
     ];
-    let mut comm = Communicator::new(machine, &alloc, CommunicatorOptions::default()).unwrap();
+    let mut comm = Communicator::builder(machine)
+        .allocation(&alloc)
+        .build()
+        .unwrap();
     let report = comm.all_reduce(mb(100)).unwrap();
     assert!(report.strategy.contains("three-phase"));
     assert!(report.algorithmic_bandwidth_gbps > 0.5);
@@ -142,14 +159,7 @@ fn multi_server_allreduce_computes_the_correct_value() {
     ];
     for (machine, alloc) in cases {
         for bytes in [mb(30), 3 * 1024 * 1024 + 17] {
-            let (program, info) = three_phase_allreduce(
-                &machine,
-                &alloc,
-                bytes,
-                &TreeGenOptions::default(),
-                &CodeGenOptions::default(),
-            )
-            .unwrap();
+            let (program, info) = three_phase(&machine, &alloc, bytes);
             assert!(info.partitions >= 2, "multi-root partitioning in effect");
             let report = Simulator::with_defaults(machine.clone())
                 .run(&program)
@@ -178,18 +188,18 @@ fn identical_job_shapes_reuse_plans_across_communicators() {
     let machine = dgx1v();
     let alloc: Vec<GpuId> = vec![GpuId(0), GpuId(1), GpuId(2), GpuId(3)];
     let baseline = {
-        let mut comm =
-            Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default()).unwrap();
+        let mut comm = Communicator::builder(machine.clone())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
         comm.all_reduce(mb(64)).unwrap()
     };
     for i in 0..4 {
-        let mut comm = Communicator::with_shared_plans(
-            machine.clone(),
-            &alloc,
-            CommunicatorOptions::default(),
-            shared.clone(),
-        )
-        .unwrap();
+        let mut comm = Communicator::builder(machine.clone())
+            .allocation(&alloc)
+            .shared_plans(shared.clone())
+            .build()
+            .unwrap();
         let report = comm.all_reduce(mb(64)).unwrap();
         assert_eq!(
             report.elapsed_us.to_bits(),
@@ -211,7 +221,10 @@ fn identical_job_shapes_reuse_plans_across_communicators() {
 fn all_collectives_run_on_a_partial_allocation() {
     let machine = dgx1v();
     let alloc = vec![GpuId(2), GpuId(3), GpuId(5), GpuId(6), GpuId(7)];
-    let mut comm = Communicator::new(machine, &alloc, CommunicatorOptions::default()).unwrap();
+    let mut comm = Communicator::builder(machine)
+        .allocation(&alloc)
+        .build()
+        .unwrap();
     let bytes = mb(64);
     let reports = vec![
         comm.broadcast(GpuId(2), bytes).unwrap(),
@@ -274,7 +287,11 @@ fn interned_engine_matches_reference_on_real_collective_programs() {
         ),
     ];
     for (machine, alloc, options) in single {
-        let mut comm = Communicator::new(machine.clone(), &alloc, options).unwrap();
+        let mut comm = Communicator::builder(machine.clone())
+            .allocation(&alloc)
+            .options(options)
+            .build()
+            .unwrap();
         for kind in [
             CollectiveKind::Broadcast { root: alloc[0] },
             CollectiveKind::AllGather,
@@ -288,14 +305,7 @@ fn interned_engine_matches_reference_on_real_collective_programs() {
     // three-phase multi-server AllReduce
     let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
     let alloc: Vec<GpuId> = vec![GpuId(0), GpuId(1), GpuId(2), GpuId(8), GpuId(9), GpuId(10)];
-    let (program, _) = three_phase_allreduce(
-        &machine,
-        &alloc,
-        bytes,
-        &TreeGenOptions::default(),
-        &CodeGenOptions::default(),
-    )
-    .unwrap();
+    let (program, _) = three_phase(&machine, &alloc, bytes);
     assert_identical(&machine, &program);
     // the NCCL ring baseline
     let machine = dgx1v();

@@ -5,7 +5,7 @@
 
 use blink_core::codegen::{CodeGen, CodeGenOptions};
 use blink_core::treegen::{ScratchPool, TreeGen, TreeGenOptions};
-use blink_core::{CollectiveKind, PlanCache, SharedPlanCache};
+use blink_core::{CollectiveKind, Communicator, CommunicatorOptions, SharedPlanCache};
 use blink_graph::baseline::{minimize_trees_naive, optimal_broadcast_rate_naive};
 use blink_graph::{
     max_flow, minimize_trees_in, optimal_broadcast_rate, optimal_broadcast_rate_in,
@@ -186,33 +186,38 @@ proptest! {
     }
 
     /// Cross-communicator plan sharing over random induced subgraphs: a
-    /// second plan cache of the same job shape always hits the shared tier
-    /// and receives a bit-identical plan; perturbing the packing options
-    /// (or the topology, via a different random subgraph next case) misses.
+    /// second communicator of the same job shape always hits the shared store
+    /// and lowers the identical program; perturbing the packing options (or
+    /// the topology, via a different random subgraph next case) misses.
     #[test]
     fn shared_plan_cache_hits_equal_shapes_and_misses_changed_ones((alloc, root_pos) in allocation_strategy()) {
         let machine = dgx1v();
-        let sub = induced(&machine, &alloc);
         let root = GpuId(alloc[root_pos]);
         let opts = TreeGenOptions::default();
-        let probe = TreeGen::new(sub.clone(), opts);
+        let probe = TreeGen::new(induced(&machine, &alloc), opts);
         if !probe.can_span(root) {
             return Ok(());
         }
         let shared = SharedPlanCache::new();
-        let mut a = PlanCache::new().with_shared(shared.clone());
-        let plan_a = a.plan_for(&sub, &opts, root).unwrap().clone();
-        let mut b = PlanCache::new().with_shared(shared.clone());
-        let plan_b = b.plan_for(&sub, &opts, root).unwrap().clone();
-        prop_assert_eq!(shared.stats(), (1, 1), "same shape must hit the shared tier");
-        prop_assert!(plan_a.bit_eq(&plan_b), "shared plan must be bit-identical");
+        let gpus: Vec<GpuId> = alloc.iter().map(|&g| GpuId(g)).collect();
+        let broadcast = |treegen: TreeGenOptions| {
+            let mut comm = Communicator::builder(machine.clone())
+                .allocation(&gpus)
+                .options(CommunicatorOptions { treegen, ..Default::default() })
+                .shared_plans(shared.clone())
+                .build()
+                .unwrap();
+            comm.run_traced(CollectiveKind::Broadcast { root }, 4 << 20).unwrap().1
+        };
+        let program_a = broadcast(opts);
+        let program_b = broadcast(opts);
+        prop_assert_eq!(shared.stats(), (1, 1), "same shape must hit the shared store");
+        prop_assert!(program_a == program_b, "a shared plan must lower identically");
         // a perturbed option set fingerprints differently and misses
-        let retuned = TreeGenOptions {
+        broadcast(TreeGenOptions {
             packing: PackingOptions { epsilon: 0.04, ..Default::default() },
             ..opts
-        };
-        let mut c = PlanCache::new().with_shared(shared.clone());
-        c.plan_for(&sub, &retuned, root).unwrap();
+        });
         prop_assert_eq!(shared.stats(), (1, 2), "changed options must miss");
         prop_assert_eq!(shared.len(), 2);
     }
@@ -531,7 +536,7 @@ fn packed_certificate_is_4x_one_hop_on_a_pinned_dgx2_fragment() {
 
 // ---- fleet placements: slice topologies and end-to-end planning ----
 
-use blink_core::{Communicator, CommunicatorOptions};
+use blink_core::CommunicatorBuilder;
 use blink_topology::presets::{gpus_per_server, multi_server, placement_topology, ServerKind};
 use blink_topology::TopologyDelta;
 
@@ -572,12 +577,10 @@ fn check_contended_placement(
         return Err("slice topology differs from the cluster-induced subgraph".to_string());
     }
 
-    let options = CommunicatorOptions {
-        isolated_plan_cache: true,
-        ..Default::default()
-    };
-    let mut comm =
-        Communicator::for_placement(kind, 5.0, &slices, options).map_err(|e| e.to_string())?;
+    let mut comm = CommunicatorBuilder::from_placement(kind, 5.0, &slices)
+        .isolated_plans()
+        .build()
+        .map_err(|e| e.to_string())?;
     if comm.allocation() != flat {
         return Err(format!(
             "allocation {:?} disagrees with the scheduler's GPU ids {:?}",
