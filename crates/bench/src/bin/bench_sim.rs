@@ -17,11 +17,9 @@
 //!   then (36×) also counted the engine difference; today's ~8× counts
 //!   payload aggregation alone.
 //!
-//! The allocating reference scheduler (`Simulator::run_reference`) is
-//! retired from this benchmark's measurement path: it survives only as the
-//! bit-identity oracle the sim crate's regression tests pin the fast engine
-//! against, so the recorded trajectory no longer pays for (or depends on)
-//! scheduling the naive side twice.
+//! The allocating reference scheduler is not measured here: it survives only
+//! as the test-only bit-identity oracle the sim crate's unit tests pin the
+//! fast engine against.
 //!
 //! The stage simulates under a calibration with a non-zero
 //! [`SimParams::per_segment_overhead_us`]: a batched multi-range copy pays

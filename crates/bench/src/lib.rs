@@ -2,9 +2,10 @@
 //!
 //! The experiment harness: one function per figure of the Blink paper's
 //! evaluation, each regenerating the corresponding data series over the
-//! simulated substrate. The `src/bin/` binaries are thin wrappers that run one
-//! figure each and print the rows (and a JSON dump) to stdout; the Criterion
-//! benches in `benches/` exercise the same code paths in micro form.
+//! simulated substrate. The `fig*`/`tab*` binaries in `src/bin/` are thin
+//! wrappers that run one figure each and print the rows (and a JSON dump) to
+//! stdout; the `bench_*` binaries there gate the hot paths against the
+//! recorded `BENCH_*.json` trajectories.
 //!
 //! Run an individual figure with, e.g.
 //!

@@ -625,7 +625,7 @@ impl PlanCache {
         if self.built_under == Some(new_fp) {
             return;
         }
-        // Lazily built per link class: one graph + one Dinic certificate per
+        // Lazily built per link class: one graph + one certificate per
         // re-certified root, only on deltas that actually add links.
         let mut cert_graphs: BTreeMap<LinkSelection, DiGraph> = BTreeMap::new();
         for (key, plan) in std::mem::take(&mut self.plans) {

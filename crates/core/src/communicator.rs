@@ -34,7 +34,7 @@ use blink_sim::{check_collective, EngineScratch, Program, SimParams, Simulator, 
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Options for a [`Communicator`] (set through
 /// [`CommunicatorBuilder::options`]).
@@ -290,7 +290,7 @@ pub struct Communicator {
     plans: PlanCache,
     /// Memoised [`Communicator::pick_root`] answer: the allocation and
     /// topology are fixed per communicator, so the best rootless-collective
-    /// root is a constant — no per-call Dinic sweep.
+    /// root is a constant — no per-call certificate sweep.
     picked_root: Option<GpuId>,
     /// Memoised spannability verdicts per `(root, link class)` — including
     /// the negative ones the plan cache cannot represent, so PCIe-fallback
@@ -647,7 +647,7 @@ impl Communicator {
     /// fan out over the scratch pool's workers, consuming any warm-start
     /// seeds a delta left behind) and picks the best *plan* rate. The
     /// winning root's plan — and every runner-up's — lands in the cache, so
-    /// the sweep is the planning, not a separate Dinic certificate pass. Plans are bit-identical at every worker count and
+    /// the sweep is the planning, not a separate certificate pass. Plans are bit-identical at every worker count and
     /// ties resolve in allocation order, so the picked root is deterministic.
     ///
     /// Returns a [`SweepOutcome`]; the fallback outcome (`allocation[0]`,
@@ -1216,7 +1216,8 @@ impl CommunicatorBuilder {
     /// Builds the communicator.
     ///
     /// # Errors
-    /// Empty or unknown allocations, malformed placements.
+    /// Empty or unknown allocations, allocations naming a GPU twice,
+    /// malformed placements.
     pub fn build(self) -> Result<Communicator> {
         let machine = match self.source {
             BuilderSource::Machine(machine) => machine,
@@ -1231,14 +1232,24 @@ impl CommunicatorBuilder {
             Some(allocation) => allocation,
             None => machine.gpu_ids(),
         };
+        let induced = machine
+            .induced(&allocation)
+            .map_err(|e| BlinkError::Planning(e.to_string()))?;
+        // Inducing dedups the GPU set, so a repeated id shows up as a count
+        // mismatch; name the first repeat only on that failure path.
+        if induced.num_gpus() != allocation.len() {
+            let mut seen = BTreeSet::new();
+            if let Some(dup) = allocation.iter().find(|g| !seen.insert(**g)) {
+                return Err(BlinkError::Planning(format!(
+                    "{dup} appears more than once in the allocation"
+                )));
+            }
+        }
         let store = match self.shared {
             Some(shared) => shared,
             None if self.isolated => SharedPlanCache::new(),
             None => global_plan_cache(),
         };
-        let induced = machine
-            .induced(&allocation)
-            .map_err(|e| BlinkError::Planning(e.to_string()))?;
         let sim = Simulator::new(machine.clone(), self.options.sim_params);
         Ok(Communicator {
             machine,
@@ -1263,7 +1274,7 @@ impl CommunicatorBuilder {
 /// containing the earliest allocation GPU — so the shrink rung of the
 /// degradation ladder is deterministic.
 fn largest_connected_component(induced: &Topology, allocation: &[GpuId]) -> Vec<GpuId> {
-    use std::collections::{BTreeSet, VecDeque};
+    use std::collections::VecDeque;
     let mut adj: BTreeMap<GpuId, BTreeSet<GpuId>> = BTreeMap::new();
     for l in induced.links() {
         adj.entry(l.src).or_default().insert(l.dst);
@@ -1320,6 +1331,25 @@ mod tests {
         let ar = comm.all_reduce(mb(500)).unwrap();
         assert!(ar.algorithmic_bandwidth_gbps > 45.0, "{ar}");
         assert!(ar.algorithmic_bandwidth_gbps < bcast.algorithmic_bandwidth_gbps);
+    }
+
+    #[test]
+    fn duplicate_gpus_in_an_allocation_are_a_typed_error() {
+        let err = Communicator::builder(dgx1v())
+            .allocation(&[GpuId(0), GpuId(0), GpuId(1)])
+            .build()
+            .unwrap_err();
+        match err {
+            BlinkError::Planning(msg) => {
+                assert!(msg.contains("GPU0 appears more than once"), "{msg}")
+            }
+            other => panic!("expected a planning error, got {other}"),
+        }
+        // a repeat anywhere in the list is caught, not just adjacent ones
+        assert!(Communicator::builder(dgx1v())
+            .allocation(&[GpuId(3), GpuId(5), GpuId(3)])
+            .build()
+            .is_err());
     }
 
     #[test]

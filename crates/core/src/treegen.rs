@@ -4,7 +4,7 @@
 //! Every [`TreeGen`] plans over a [`ScratchPool`] — a thread-safe pool of
 //! [`PlannerScratch`] instances, each bundling the reusable MWU packing
 //! buffers ([`blink_graph::PackingScratch`]) with the minimisation arenas
-//! ([`blink_graph::MinimizeScratch`]) and a standalone Dinic scratch for
+//! ([`blink_graph::MinimizeScratch`]) and a standalone certificate scratch for
 //! certificate-only sweeps — so repeated `plan` calls (per-root, as in the
 //! three-phase multi-server AllReduce) never re-allocate any planning state.
 //!
@@ -47,17 +47,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The full set of reusable planning buffers one TreeGen pipeline needs: the
-/// MWU packing scratch, the tree-minimisation scratch (which embeds a Dinic
-/// arena) and a standalone max-flow scratch for certificate-only root sweeps.
+/// MWU packing scratch, the tree-minimisation scratch (which embeds a
+/// certificate scratch) and a standalone certificate scratch for
+/// certificate-only root sweeps.
 /// Buffer reuse only — contents never affect results (see the bit-identical
 /// regression tests in `tests/properties.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct PlannerScratch {
     /// MWU packing buffers (arborescence arena, lengths, tree accumulator).
     pub packing: PackingScratch,
-    /// Minimisation buffers (branch-and-bound stack, greedy peel, Dinic).
+    /// Minimisation buffers (branch-and-bound stack, greedy peel, certificate).
     pub minimize: MinimizeScratch,
-    /// Dinic buffers for certificate-only sweeps (the communicator's
+    /// Certificate buffers for certificate-only sweeps (the communicator's
     /// root-picking pass), so they reuse pool scratches too.
     pub certificate: MaxFlowScratch,
 }
@@ -409,54 +410,7 @@ impl TreeGen {
     /// Fails when the root is not in the allocation or the selected link class
     /// cannot span the allocation.
     pub fn plan(&self, root: GpuId) -> Result<TreePlan> {
-        let g = self.graph();
-        let gpus = self.topology.gpu_ids();
-        if gpus.len() == 1 {
-            return Ok(TreePlan {
-                root,
-                gpus,
-                trees: Vec::new(),
-                optimal_rate_gbps: 0.0,
-                trees_before_minimize: 0,
-                links: self.options.links,
-                mwu: PackingStats::trivial(),
-            });
-        }
-        let mut guard = self.scratch.checkout();
-        let scratch = &mut *guard;
-        let (packing, stats) =
-            pack_spanning_trees_in(&g, root, &self.options.packing, &mut scratch.packing)
-                .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        // The packing already computed the Edmonds/Lovász certificate for its
-        // early exit; reuse it instead of re-running Dinic — both here and
-        // inside the minimisation, which would otherwise solve the same n − 1
-        // flows a second time.
-        let optimal = stats.certificate_gbps;
-        let before = packing.num_trees();
-        let final_packing = if self.options.skip_minimize {
-            packing
-        } else {
-            let minimize = MinimizeOptions {
-                // an explicitly configured optimum wins; otherwise forward
-                // the certificate the packing just computed
-                known_optimum: self
-                    .options
-                    .minimize
-                    .known_optimum
-                    .or(Some(stats.certificate_gbps)),
-                ..self.options.minimize
-            };
-            minimize_trees_in(&g, &packing, &minimize, &mut scratch.minimize)
-        };
-        Ok(TreePlan {
-            root,
-            gpus,
-            trees: final_packing.trees,
-            optimal_rate_gbps: optimal,
-            trees_before_minimize: before,
-            links: self.options.links,
-            mwu: stats,
-        })
+        self.plan_seeded(root, None)
     }
 
     /// [`TreeGen::plan`] warm-started from a stale plan — the incremental
@@ -468,7 +422,7 @@ impl TreeGen {
     /// selection seeds the minimisation's branch-and-bound incumbent
     /// ([`minimize_trees_warm_in`]). On a small delta the packing typically
     /// converges in zero MWU iterations, making a warm plan build cost little
-    /// more than one Dinic certificate.
+    /// more than one certificate.
     ///
     /// Falls back to a cold [`TreeGen::plan`] when the stale plan cannot seed
     /// this one (different root or link class). The result always satisfies
@@ -482,6 +436,13 @@ impl TreeGen {
         if warm.root != root || warm.links != self.options.links || warm.trees.is_empty() {
             return self.plan(root);
         }
+        self.plan_seeded(root, Some(&TreePacking::new(root, warm.trees.clone())))
+    }
+
+    /// The one planning body behind [`TreeGen::plan`] (`warm == None`) and
+    /// [`TreeGen::plan_warm`]: packing, then minimisation, each seeded from
+    /// `warm` when given.
+    fn plan_seeded(&self, root: GpuId, warm: Option<&TreePacking>) -> Result<TreePlan> {
         let g = self.graph();
         let gpus = self.topology.gpu_ids();
         if gpus.len() == 1 {
@@ -495,37 +456,35 @@ impl TreeGen {
                 mwu: PackingStats::trivial(),
             });
         }
-        let warm_packing = TreePacking::new(root, warm.trees.clone());
         let mut guard = self.scratch.checkout();
         let scratch = &mut *guard;
-        let (packing, stats) = pack_spanning_trees_warm_in(
-            &g,
-            root,
-            &self.options.packing,
-            &mut scratch.packing,
-            &warm_packing,
-        )
+        let opts = &self.options.packing;
+        let (packing, stats) = match warm {
+            Some(w) => pack_spanning_trees_warm_in(&g, root, opts, &mut scratch.packing, w),
+            None => pack_spanning_trees_in(&g, root, opts, &mut scratch.packing),
+        }
         .map_err(|e| BlinkError::Planning(e.to_string()))?;
+        // The packing already computed the Edmonds/Lovász certificate for its
+        // early exit; reuse it instead of recomputing it — both here and
+        // inside the minimisation, which would otherwise solve the same cut
+        // problem a second time.
         let optimal = stats.certificate_gbps;
         let before = packing.num_trees();
         let final_packing = if self.options.skip_minimize {
             packing
         } else {
             let minimize = MinimizeOptions {
-                known_optimum: self
-                    .options
-                    .minimize
-                    .known_optimum
-                    .or(Some(stats.certificate_gbps)),
+                // an explicitly configured optimum wins; otherwise forward
+                // the certificate the packing just computed
+                known_optimum: self.options.minimize.known_optimum.or(Some(optimal)),
                 ..self.options.minimize
             };
-            minimize_trees_warm_in(
-                &g,
-                &packing,
-                &minimize,
-                &mut scratch.minimize,
-                &warm_packing,
-            )
+            match warm {
+                Some(w) => {
+                    minimize_trees_warm_in(&g, &packing, &minimize, &mut scratch.minimize, w)
+                }
+                None => minimize_trees_in(&g, &packing, &minimize, &mut scratch.minimize),
+            }
         };
         Ok(TreePlan {
             root,

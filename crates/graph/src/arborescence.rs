@@ -9,8 +9,8 @@
 //! cheapest-in-edge tables, cycle membership, vertex remapping, the working
 //! edge lists) is preallocated once and reused across calls, making the
 //! steady-state solve allocation-free. The classic recursive
-//! clone-per-contraction formulation survives in [`crate::baseline`] as the
-//! reference the perf harness compares against.
+//! clone-per-contraction formulation survives as a test-only oracle
+//! (`crate::baseline`) that pins this solver edge-for-edge.
 
 use crate::digraph::{DiGraph, EdgeIdx, NodeIdx};
 use blink_topology::GpuId;

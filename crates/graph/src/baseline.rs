@@ -1,21 +1,15 @@
-//! The pre-optimisation TreeGen path, kept verbatim as a reference.
+//! Test oracles: the pre-optimisation TreeGen solvers, kept verbatim.
 //!
 //! This module preserves the original recursive clone-per-contraction
-//! Chu–Liu/Edmonds solver and the `BTreeMap`-keyed MWU accumulator exactly as
-//! they were before the zero-allocation rewrite in [`crate::arborescence`] and
-//! [`crate::packing`], plus — since the minimisation/certificate arena rewrite
-//! — the per-sink-rebuild Dinic certificate
-//! ([`optimal_broadcast_rate_naive`]) and the recursive, clone-per-improvement
-//! tree minimisation ([`minimize_trees_naive`]). It exists for two reasons:
-//!
-//! 1. the perf harness (`blink-bench`'s `bench_packing` binary and the
-//!    `treegen` criterion bench) measures the fast paths against this baseline
-//!    in the same process, so the reported speedups are apples-to-apples;
-//! 2. regression tests cross-check that the rewritten solvers produce results
-//!    bit-identical to the baselines (same edge ids, same weights) across DGX
-//!    subsets, roots and randomized weight profiles.
-//!
-//! Nothing outside benches and tests should call into this module.
+//! Chu–Liu/Edmonds solver ([`min_arborescence_naive`]), the
+//! per-sink-rebuild Dinic certificate ([`optimal_broadcast_rate_naive`]) and
+//! the recursive, clone-per-improvement tree minimisation
+//! ([`minimize_trees_naive`]) exactly as they were before the arena rewrites
+//! in [`crate::arborescence`], [`crate::maxflow`] and [`crate::minimize`].
+//! Unit tests cross-check that the rewritten solvers produce results
+//! bit-identical to these oracles (same edge ids, same weights, same rate)
+//! across DGX subsets, roots and randomized weight profiles. The module is
+//! compiled only under `#[cfg(test)]`.
 
 // The code below is intentionally frozen at its pre-rewrite state; style
 // lints that would force edits defeat the purpose.
@@ -24,7 +18,7 @@
 use crate::arborescence::{arborescence_from_edges, min_arborescence, Arborescence};
 use crate::digraph::{DiGraph, EdgeIdx, NodeIdx};
 use crate::minimize::MinimizeOptions;
-use crate::packing::{PackingError, PackingOptions, TreePacking, WeightedTree};
+use crate::packing::{TreePacking, WeightedTree};
 use blink_topology::GpuId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -176,67 +170,6 @@ pub fn min_arborescence_naive(
     }
 
     solve(graph.num_nodes(), root, &edges)
-}
-
-/// The original MWU packing loop: re-solves with the recursive solver, keys
-/// the tree accumulator by cloned `(GpuId, GpuId)` edge lists in a `BTreeMap`,
-/// recomputes the Garg–Könemann dual value from scratch each iteration and
-/// never consults the min-cut certificate, so it always runs until the dual
-/// threshold (or the iteration cap) fires.
-///
-/// Returns the packing together with the number of MWU iterations executed.
-pub fn pack_spanning_trees_naive(
-    graph: &DiGraph,
-    root: GpuId,
-    opts: &PackingOptions,
-) -> Result<(TreePacking, usize), PackingError> {
-    if graph.num_nodes() == 0 {
-        return Err(PackingError::EmptyGraph);
-    }
-    let root_idx = graph.node(root).ok_or(PackingError::UnknownRoot(root))?;
-    if graph.num_nodes() == 1 {
-        return Ok((TreePacking::new(root, Vec::new()), 0));
-    }
-    if !graph.spans_from(root_idx) {
-        return Err(PackingError::Unreachable);
-    }
-    let m = graph.num_edges();
-    let eps = opts.epsilon.clamp(1e-3, 0.5);
-    let caps: Vec<f64> = graph.edges().iter().map(|e| e.capacity).collect();
-    // Garg–Könemann initialisation.
-    let delta = (1.0 + eps) * ((1.0 + eps) * m as f64).powf(-1.0 / eps);
-    let mut lengths: Vec<f64> = caps.iter().map(|c| delta / c).collect();
-    let mut raw: BTreeMap<Vec<(GpuId, GpuId)>, f64> = BTreeMap::new();
-    let mut iterations = 0usize;
-
-    for _ in 0..opts.max_iterations {
-        let d: f64 = lengths.iter().zip(&caps).map(|(l, c)| l * c).sum();
-        if d >= 1.0 {
-            break;
-        }
-        iterations += 1;
-        let edge_ids = min_arborescence_naive(graph, root_idx, &lengths)
-            .expect("spanning arborescence exists: graph spans from root");
-        let bottleneck = edge_ids
-            .iter()
-            .map(|&e| caps[e])
-            .fold(f64::INFINITY, f64::min);
-        let arb = arborescence_from_edges(graph, root_idx, &edge_ids);
-        *raw.entry(arb.edges.clone()).or_insert(0.0) += bottleneck;
-        for &e in &edge_ids {
-            lengths[e] *= 1.0 + eps * bottleneck / caps[e];
-        }
-    }
-
-    let trees: Vec<WeightedTree> = raw
-        .into_iter()
-        .map(|(edges, weight)| WeightedTree {
-            tree: Arborescence::new(root, edges),
-            weight,
-        })
-        .collect();
-    let packing = TreePacking::new(root, trees).scaled_to_feasible(graph);
-    Ok((packing, iterations))
 }
 
 // ---------------------------------------------------------------------------
@@ -614,7 +547,6 @@ mod tests {
     use super::*;
     use crate::arborescence::min_arborescence_in;
     use crate::arborescence::ArborescenceScratch;
-    use crate::maxflow::optimal_broadcast_rate;
     use blink_topology::presets::{dgx1p, dgx1v};
 
     /// The rewritten iterative solver must pick exactly the arborescence the
@@ -663,20 +595,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn naive_packing_matches_the_seed_behaviour() {
-        let topo = dgx1v();
-        let g = DiGraph::from_topology_filtered(&topo, |l| l.kind.is_nvlink());
-        let opts = PackingOptions {
-            epsilon: 0.08,
-            ..Default::default()
-        };
-        let (packing, iterations) = pack_spanning_trees_naive(&g, GpuId(0), &opts).unwrap();
-        let opt = optimal_broadcast_rate(&g, g.node(GpuId(0)).unwrap());
-        assert!(iterations > 0);
-        assert!(packing.is_feasible(&g));
-        assert!(packing.rate() >= 0.88 * opt);
     }
 }

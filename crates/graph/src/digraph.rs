@@ -8,7 +8,7 @@
 //! [`DiGraph::add_edge`] nevertheless permits parallel edges for hand-built
 //! graphs, and every capacity query agrees on their meaning: a node pair's
 //! capacity is the **sum** of its parallel edges ([`DiGraph::capacity_between`],
-//! [`crate::max_flow`], [`crate::packing::TreePacking::max_overuse`] all
+//! [`crate::optimal_broadcast_rate`], [`crate::packing::TreePacking::max_overuse`] all
 //! aggregate the pair). Only [`DiGraph::edge_between`] is first-edge-specific,
 //! and says so.
 
@@ -162,8 +162,9 @@ impl DiGraph {
     }
 
     /// Total capacity from `src` to `dst`: the sum over all parallel edges
-    /// (0.0 when there is no edge). Agrees with what [`crate::max_flow`] can
-    /// route across the pair and with how
+    /// (0.0 when there is no edge). Agrees with what the broadcast-rate
+    /// certificate ([`crate::optimal_broadcast_rate`]) can route across the
+    /// pair and with how
     /// [`crate::packing::TreePacking::max_overuse`] judges feasibility.
     pub fn capacity_between(&self, src: NodeIdx, dst: NodeIdx) -> f64 {
         self.out_adj[src]

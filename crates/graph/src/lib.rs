@@ -8,16 +8,14 @@
 //! * [`arborescence`] — spanning arborescences (directed spanning trees rooted
 //!   at the collective's root) and the Chu–Liu/Edmonds minimum-weight
 //!   arborescence algorithm.
-//! * [`maxflow`] — Dinic max-flow and the Edmonds/Lovász optimal broadcast
-//!   rate certificate (`min_v maxflow(root → v)`), the value a correct packing
-//!   must approach, over reusable [`MaxFlowScratch`] buffers.
+//! * [`maxflow`] — the Edmonds/Lovász optimal broadcast rate certificate
+//!   (`min_v maxflow(root → v)`, by Gray-code cut enumeration or one
+//!   Hao–Orlin all-sinks pass), the value a correct packing must approach,
+//!   over reusable [`MaxFlowScratch`] buffers.
 //! * [`packing`] — the multiplicative-weight-update (MWU) approximate
 //!   fractional packing of spanning arborescences (Section 3.2), engineered as
 //!   a zero-allocation hot loop over reusable [`PackingScratch`] buffers with
 //!   a min-cut-certificate early exit.
-//! * [`baseline`] — the pre-optimisation recursive solvers, packing loop,
-//!   per-sink-rebuild certificate and allocating minimisation, kept as the
-//!   references the perf harness measures against.
 //! * [`minimize`] — the tree-count minimisation step (Section 3.2.1): a 0/1
 //!   integer program solved by an iterative branch-and-bound over the MWU
 //!   candidates (reusable [`MinimizeScratch`] buffers), with the paper's
@@ -28,11 +26,13 @@
 //!   on the DGX-2.
 //!
 //! Everything in this crate is pure combinatorics: no simulator, no timing.
+//! The pre-optimisation recursive solvers, Dinic certificate and allocating
+//! minimisation survive only as test oracles in a `#[cfg(test)]` module.
 //!
 //! ## The scratch-reuse contract
 //!
 //! Every hot-path algorithm comes in two flavours: a convenience wrapper
-//! (`min_arborescence`, `pack_spanning_trees`, `minimize_trees`, `max_flow`,
+//! (`min_arborescence`, `pack_spanning_trees`, `minimize_trees`,
 //! `optimal_broadcast_rate`) that allocates its working state per call, and a
 //! `*_in` variant taking a caller-owned scratch ([`ArborescenceScratch`],
 //! [`PackingScratch`], [`MinimizeScratch`], [`MaxFlowScratch`]). Scratches
@@ -63,7 +63,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod arborescence;
-pub mod baseline;
+#[cfg(test)]
+mod baseline;
 pub mod dbtree;
 pub mod digraph;
 pub mod maxflow;
@@ -74,16 +75,15 @@ pub mod rings;
 pub use arborescence::{min_arborescence, min_arborescence_in, Arborescence, ArborescenceScratch};
 pub use digraph::{DiGraph, Edge, EdgeIdx, NodeIdx};
 pub use maxflow::{
-    broadcast_rate_all_sinks_in, broadcast_rate_per_sink_dinic_in, max_flow, max_flow_in,
-    optimal_broadcast_rate, optimal_broadcast_rate_in, MaxFlowScratch, CUT_ENUMERATION_MAX_NODES,
+    broadcast_rate_all_sinks_in, optimal_broadcast_rate, optimal_broadcast_rate_in, MaxFlowScratch,
+    CUT_ENUMERATION_MAX_NODES,
 };
 pub use minimize::{
     minimize_trees, minimize_trees_in, minimize_trees_warm_in, MinimizeOptions, MinimizeScratch,
 };
 pub use packing::{
-    pack_spanning_trees, pack_spanning_trees_in, pack_spanning_trees_warm_in,
-    pack_with_certificate, PackingError, PackingOptions, PackingScratch, PackingStats,
-    PackingTermination, TreePacking, WeightedTree,
+    pack_spanning_trees, pack_spanning_trees_in, pack_spanning_trees_warm_in, PackingError,
+    PackingOptions, PackingScratch, PackingStats, PackingTermination, TreePacking, WeightedTree,
 };
 pub use rings::{find_rings, Ring, RingSearch};
 

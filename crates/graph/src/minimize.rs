@@ -40,9 +40,9 @@
 //!   via [`MinimizeOptions::known_optimum`], in which case no flow is solved
 //!   here at all.
 //!
-//! The pre-optimisation path survives in
-//! [`crate::baseline::minimize_trees_naive`] for the perf harness; a
-//! regression test pins the two bit-identical on the DGX presets.
+//! The pre-optimisation path survives as a test-only oracle
+//! (`crate::baseline::minimize_trees_naive`); property tests below pin the
+//! two bit-identical on random DGX-1V/DGX-1P/DGX-2 subgraphs.
 //!
 //! Parallel edges between the same node pair are treated as pooled capacity
 //! (the unified [`DiGraph::capacity_between`] semantics): each pair's
@@ -86,7 +86,7 @@ pub struct MinimizeOptions {
     /// packing reports it in `PackingStats::certificate_gbps` and TreeGen
     /// threads it through so each plan build runs the certificate once, not
     /// twice. Must be exactly the value [`optimal_broadcast_rate_in`] would
-    /// return for the same graph and root (the Dinic solver is deterministic,
+    /// return for the same graph and root (the certificate is deterministic,
     /// so forwarding the packing's stat is bit-identical to recomputing);
     /// `None` recomputes it here.
     pub known_optimum: Option<f64>,
@@ -113,7 +113,7 @@ enum BbStep {
 }
 
 /// Reusable buffers for [`minimize_trees_in`]: the arborescence-solver arena
-/// and Dinic scratch, the pair-merged capacity view, the greedy-peel
+/// and certificate scratch, the pair-merged capacity view, the greedy-peel
 /// length/residual vectors, the candidate accumulator (flattened sorted
 /// edge-id keys) and the iterative branch-and-bound stack.
 ///
@@ -838,9 +838,12 @@ fn minimize_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{minimize_trees_naive, optimal_broadcast_rate_naive};
+    use crate::maxflow::optimal_broadcast_rate;
     use crate::packing::{pack_spanning_trees, PackingOptions};
-    use blink_topology::presets::{dgx1p, dgx1v};
+    use blink_topology::presets::{dgx1p, dgx1v, dgx2};
     use blink_topology::{GpuId, Topology};
+    use proptest::prelude::*;
 
     fn nvlink_graph(topo: &Topology, alloc: &[GpuId]) -> DiGraph {
         let sub = topo.induced(alloc).unwrap();
@@ -935,7 +938,7 @@ mod tests {
     fn forwarded_certificate_is_bit_identical_to_recomputing() {
         // Threading the packing's certificate through `known_optimum` must not
         // change a single bit of the minimised packing: the forwarded value is
-        // exactly what the embedded Dinic would have recomputed.
+        // exactly what the embedded certificate would have recomputed.
         let mut scratch = MinimizeScratch::new();
         for (topo, alloc) in [
             (dgx1v(), vec![0usize, 1, 2, 3, 4, 5, 6, 7]),
@@ -1089,7 +1092,7 @@ mod tests {
             ..Default::default()
         };
         let fast = minimize_trees(&g, &packing, &opts);
-        let naive = crate::baseline::minimize_trees_naive(&g, &packing, &opts);
+        let naive = minimize_trees_naive(&g, &packing, &opts);
         assert_eq!(fast.trees.len(), naive.trees.len());
         for (x, y) in fast.trees.iter().zip(&naive.trees) {
             assert_eq!(x.tree, y.tree);
@@ -1117,5 +1120,125 @@ mod tests {
             "rate {}",
             minimized.rate()
         );
+    }
+
+    /// A random subset of 2..=8 GPUs of an 8-GPU server, plus a root index.
+    fn allocation_strategy() -> impl Strategy<Value = (Vec<usize>, usize)> {
+        (proptest::collection::btree_set(0usize..8, 2..=8), 0usize..8).prop_map(|(set, seed)| {
+            let alloc: Vec<usize> = set.into_iter().collect();
+            let root = seed % alloc.len();
+            (alloc, root)
+        })
+    }
+
+    /// A random subset of 2..=16 GPUs of the 16-GPU DGX-2, plus a root index.
+    fn dgx2_allocation_strategy() -> impl Strategy<Value = (Vec<usize>, usize)> {
+        (
+            proptest::collection::btree_set(0usize..16, 2..=16),
+            0usize..16,
+        )
+            .prop_map(|(set, seed)| {
+                let alloc: Vec<usize> = set.into_iter().collect();
+                let root = seed % alloc.len();
+                (alloc, root)
+            })
+    }
+
+    fn induced_nvlink(machine: &Topology, ids: &[usize]) -> DiGraph {
+        let alloc: Vec<GpuId> = ids.iter().map(|&i| GpuId(i)).collect();
+        nvlink_graph(machine, &alloc)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The arena minimisation and certificate (through arbitrarily dirty
+        /// reused scratches) are bit-identical to the convenience wrappers
+        /// and to the frozen pre-optimisation oracles on DGX-1V/DGX-1P
+        /// subgraphs.
+        #[test]
+        fn minimize_and_certificate_match_baselines_bitwise(
+            (alloc, root_pos) in allocation_strategy(),
+            v100 in any::<bool>(),
+        ) {
+            let machine = if v100 { dgx1v() } else { dgx1p() };
+            let g = induced_nvlink(&machine, &alloc);
+            let root = GpuId(alloc[root_pos]);
+            let Some(root_idx) = g.node(root) else { return Ok(()); };
+            // dirty both scratches on an unrelated graph first
+            let mut mf_scratch = MaxFlowScratch::new();
+            let mut min_scratch = MinimizeScratch::new();
+            let other = DiGraph::from_topology_filtered(&dgx2(), |l| l.kind.is_nvlink());
+            optimal_broadcast_rate_in(&other, 0, &mut mf_scratch);
+            let cert_reused = optimal_broadcast_rate_in(&g, root_idx, &mut mf_scratch);
+            let cert_fresh = optimal_broadcast_rate(&g, root_idx);
+            let cert_naive = optimal_broadcast_rate_naive(&g, root_idx);
+            prop_assert_eq!(cert_reused.to_bits(), cert_fresh.to_bits());
+            prop_assert_eq!(cert_reused.to_bits(), cert_naive.to_bits());
+            if !g.spans_from(root_idx) {
+                return Ok(());
+            }
+            let packing = pack_spanning_trees(
+                &g,
+                root,
+                &PackingOptions { epsilon: 0.08, ..Default::default() },
+            ).unwrap();
+            // Effectively unbounded branch-and-bound: bit-identity with the
+            // frozen oracle is guaranteed only for searches that complete
+            // (a truncated arena search may legitimately return a *larger*
+            // selection than the truncated oracle).
+            let opts = MinimizeOptions { max_bb_nodes: usize::MAX, ..Default::default() };
+            let dirty_graph = DiGraph::from_topology_filtered(&dgx1p(), |l| l.kind.is_nvlink());
+            let dirty_packing =
+                pack_spanning_trees(&dirty_graph, GpuId(0), &PackingOptions::default()).unwrap();
+            minimize_trees_in(&dirty_graph, &dirty_packing, &opts, &mut min_scratch);
+            let reused = minimize_trees_in(&g, &packing, &opts, &mut min_scratch);
+            let fresh = minimize_trees_in(&g, &packing, &opts, &mut MinimizeScratch::new());
+            let naive = minimize_trees_naive(&g, &packing, &opts);
+            for (a, b) in [(&reused, &fresh), (&reused, &naive)] {
+                prop_assert_eq!(a.trees.len(), b.trees.len());
+                for (x, y) in a.trees.iter().zip(&b.trees) {
+                    prop_assert_eq!(&x.tree, &y.tree);
+                    prop_assert_eq!(x.weight.to_bits(), y.weight.to_bits());
+                }
+            }
+        }
+
+        /// The same bitwise pinning on DGX-2 (16-GPU NVSwitch) induced
+        /// subgraphs, which also exercises the Hao–Orlin side of the
+        /// certificate (the cut enumeration only covers ≤ 10 vertices).
+        #[test]
+        fn minimize_and_certificate_match_baselines_bitwise_dgx2(
+            (alloc, root_pos) in dgx2_allocation_strategy(),
+        ) {
+            let machine = dgx2();
+            let g = induced_nvlink(&machine, &alloc);
+            let root = GpuId(alloc[root_pos]);
+            let Some(root_idx) = g.node(root) else { return Ok(()); };
+            let mut mf_scratch = MaxFlowScratch::new();
+            let mut min_scratch = MinimizeScratch::new();
+            let other = DiGraph::from_topology_filtered(&dgx1p(), |l| l.kind.is_nvlink());
+            optimal_broadcast_rate_in(&other, 0, &mut mf_scratch);
+            let cert_reused = optimal_broadcast_rate_in(&g, root_idx, &mut mf_scratch);
+            let cert_naive = optimal_broadcast_rate_naive(&g, root_idx);
+            prop_assert_eq!(cert_reused.to_bits(), cert_naive.to_bits());
+            if !g.spans_from(root_idx) {
+                return Ok(());
+            }
+            let packing = pack_spanning_trees(
+                &g,
+                root,
+                &PackingOptions { epsilon: 0.08, ..Default::default() },
+            ).unwrap();
+            // unbounded search: see minimize_and_certificate_match_baselines_bitwise
+            let opts = MinimizeOptions { max_bb_nodes: usize::MAX, ..Default::default() };
+            let reused = minimize_trees_in(&g, &packing, &opts, &mut min_scratch);
+            let naive = minimize_trees_naive(&g, &packing, &opts);
+            prop_assert_eq!(reused.trees.len(), naive.trees.len());
+            for (x, y) in reused.trees.iter().zip(&naive.trees) {
+                prop_assert_eq!(&x.tree, &y.tree);
+                prop_assert_eq!(x.weight.to_bits(), y.weight.to_bits());
+            }
+        }
     }
 }

@@ -23,13 +23,10 @@
 //!   (a `Box<[u32]>` per *distinct* tree, not a cloned `Vec<(GpuId, GpuId)>`
 //!   per iteration), and edge lengths/usages are updated incrementally along
 //!   the chosen tree only;
-//! * the loop consults the Dinic min-cut certificate from [`crate::maxflow`]
+//! * the loop consults the min-cut certificate from [`crate::maxflow`]
 //!   once up front and exits as soon as the feasibility-scaled rate is within
 //!   `(1 − ε)` of it — usually orders of magnitude before the classical dual
 //!   stopping rule would fire.
-//!
-//! The pre-optimisation path survives in [`crate::baseline`] for the perf
-//! harness and regression tests.
 //!
 //! # Warm-start replanning
 //!
@@ -176,7 +173,7 @@ impl TreePacking {
     /// `max_(p, c) usage_(p, c) / capacity_between(p, c)`. A feasible packing
     /// has a factor ≤ 1 (+ numerical slack). Parallel edges between the same
     /// pair pool their capacity, matching [`DiGraph::capacity_between`] and
-    /// [`crate::max_flow`].
+    /// [`crate::optimal_broadcast_rate`].
     pub fn max_overuse(&self, graph: &DiGraph) -> f64 {
         let mut worst = 0.0f64;
         for ((p, c), usage) in self.edge_usage() {
@@ -467,8 +464,8 @@ fn pack_impl(
     }
     let m = graph.num_edges();
     let eps = opts.epsilon.clamp(1e-3, 0.5);
-    // The certificate the packed rate must approach (Edmonds/Lovász). Dinic on
-    // these graphs costs microseconds and lets the loop stop thousands of
+    // The certificate the packed rate must approach (Edmonds/Lovász). On
+    // these graphs it costs microseconds and lets the loop stop thousands of
     // iterations before the Garg–Könemann dual rule would.
     scratch.caps.clear();
     scratch
@@ -498,7 +495,7 @@ fn pack_impl(
             scratch.group_cap.push(e.capacity);
         } else {
             // parallel edges pool their capacity, mirroring
-            // TreePacking::max_overuse / DiGraph::capacity_between / max_flow
+            // TreePacking::max_overuse / DiGraph::capacity_between / the certificate
             scratch.group_cap[g as usize] += e.capacity;
         }
         scratch.edge_group.push(g);
@@ -506,7 +503,7 @@ fn pack_impl(
     scratch.group_usage.clear();
     scratch.group_usage.resize(scratch.group_cap.len(), 0.0);
     scratch.acc.clear();
-    // Dinic sums parallel edges exactly like max_overuse does, so the
+    // The certificate sums parallel edges exactly like max_overuse does, so the
     // certificate can be computed on the graph as-is — no pair-merged rebuild.
     let certificate = optimal_broadcast_rate_in(graph, root_idx, &mut scratch.maxflow);
     let target = (1.0 - eps) * certificate;
@@ -1053,25 +1050,6 @@ fn seed_residual_topup(
     }
 }
 
-/// Convenience wrapper: packs trees and reports how close the rate is to the
-/// max-flow certificate. Mostly used by tests and the experiment harness.
-pub fn pack_with_certificate(
-    graph: &DiGraph,
-    root: GpuId,
-    opts: &PackingOptions,
-) -> Result<(TreePacking, f64), PackingError> {
-    let mut scratch = PackingScratch::new();
-    let (packing, stats) = pack_spanning_trees_in(graph, root, opts, &mut scratch)?;
-    // The single-vertex case reports a 0.0 certificate in its stats (to keep
-    // the value JSON-safe); preserve the historical infinite optimum here.
-    let optimum = if graph.num_nodes() == 1 {
-        f64::INFINITY
-    } else {
-        stats.certificate_gbps
-    };
-    Ok((packing, optimum))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1085,8 +1063,9 @@ mod tests {
             epsilon: 0.08,
             ..Default::default()
         };
-        let (packing, opt) = pack_with_certificate(&g, root, &opts).unwrap();
-        (packing, opt, g)
+        let (packing, stats) =
+            pack_spanning_trees_in(&g, root, &opts, &mut PackingScratch::new()).unwrap();
+        (packing, stats.certificate_gbps, g)
     }
 
     #[test]
@@ -1241,7 +1220,7 @@ mod tests {
     #[test]
     fn parallel_edges_pool_capacity_in_the_certificate_exit() {
         // DiGraph::add_edge permits parallel edges (only from_topology* merges
-        // them); capacity_between, max_flow and max_overuse all treat a pair's
+        // them); capacity_between, the certificate and max_overuse all treat a pair's
         // parallel edges as pooled capacity, so the certificate must be their
         // sum and the early exit must still honour its (1 − ε) bound.
         let mut g = DiGraph::new();

@@ -15,7 +15,7 @@
 //! The autotune and planning loops simulate thousands of candidate programs,
 //! so the scheduler itself is a hot path. [`Simulator::run_with_scratch`]
 //! therefore splits execution into a **prepass** and a **zero-allocation
-//! scan**: the prepass interns every [`Resource`] an op touches to a dense
+//! scan**: the prepass interns every resource an op touches to a dense
 //! integer id and lays the per-op resource-id lists out in one flat CSR
 //! buffer, precomputes each op's duration, and builds the dependency
 //! children lists as a second CSR — after which the K-candidate scan (pick,
@@ -25,10 +25,10 @@
 //! live in an [`EngineScratch`] that callers reuse across runs.
 //!
 //! The flat-path schedule is **bit-identical** to the direct implementation
-//! ([`Simulator::run_reference`], kept as the allocating reference the
-//! regression tests compare against): interning only changes how a resource's
-//! free time is looked up, never which resources an op occupies, how long it
-//! runs, or how ties are broken.
+//! (an allocating reference scheduler over ordered maps, kept in this
+//! module's tests as the oracle they compare against): interning only
+//! changes how a resource's free time is looked up, never which resources an
+//! op occupies, how long it runs, or how ties are broken.
 //!
 //! # Streaming sessions: the admission / contention / determinism contract
 //!
@@ -370,7 +370,7 @@ impl Simulator {
     }
 
     /// The one definition of which hardware resources an op occupies, shared
-    /// by the allocating reference path and the interning prepass.
+    /// by the interning prepass and the test-only reference scheduler.
     fn for_each_resource(
         &self,
         kind: &OpKind,
@@ -432,12 +432,6 @@ impl Simulator {
         Ok(())
     }
 
-    fn op_resources(&self, kind: &OpKind, stream: StreamId) -> Result<Vec<Resource>, SimError> {
-        let mut res = Vec::new();
-        self.for_each_resource(kind, stream, |r| res.push(r))?;
-        Ok(res)
-    }
-
     /// Runs `program` and reports timings, allocating a fresh
     /// [`EngineScratch`] for the call. Loops that simulate many programs
     /// should hold a scratch and call [`Simulator::run_with_scratch`]
@@ -453,8 +447,8 @@ impl Simulator {
 
     /// Runs `program` over reusable `scratch` buffers: an interning prepass
     /// plus a flat-array candidate scan with no per-iteration allocation.
-    /// The returned report is bit-identical to [`Simulator::run_reference`]
-    /// on the same program (pinned by regression tests).
+    /// The returned report is bit-identical to the allocating reference
+    /// scheduler the engine's tests keep as an oracle.
     ///
     /// This is a thin wrapper over the session core: a one-program session
     /// admitted at `t = 0` (see the module docs for the contract that makes
@@ -744,137 +738,6 @@ impl Simulator {
             entries: Vec::new(),
         }
     }
-
-    /// The pre-interning scheduler, preserved verbatim: identical list
-    /// scheduling over ordered maps with per-candidate resource-list
-    /// allocation. Retired from `bench_sim`'s default measurement path (the
-    /// recorded BENCH trajectory now carries that comparison); it stays
-    /// compiled as the oracle the regression tests pin
-    /// [`Simulator::run_with_scratch`] bit-identical against.
-    ///
-    /// # Errors
-    /// Same conditions as [`Simulator::run`].
-    pub fn run_reference(&self, program: &Program) -> Result<RunReport, SimError> {
-        program
-            .validate()
-            .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
-        let n = program.len();
-        let ops = program.ops();
-
-        // implicit same-stream FIFO dependencies
-        let mut extra_dep: Vec<Option<usize>> = vec![None; n];
-        let mut last_in_stream: BTreeMap<StreamId, usize> = BTreeMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            if let Some(&prev) = last_in_stream.get(&op.stream) {
-                extra_dep[i] = Some(prev);
-            }
-            last_in_stream.insert(op.stream, i);
-        }
-
-        // dependency bookkeeping
-        let mut indeg = vec![0usize; n];
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, op) in ops.iter().enumerate() {
-            for &d in &op.deps {
-                indeg[i] += 1;
-                children[d.0].push(i);
-            }
-            if let Some(prev) = extra_dep[i] {
-                indeg[i] += 1;
-                children[prev].push(i);
-            }
-        }
-
-        let mut ready_time = vec![0.0f64; n];
-        let mut heap = BinaryHeap::new();
-        for (i, &deg) in indeg.iter().enumerate() {
-            if deg == 0 {
-                heap.push(Ready { time: 0.0, id: i });
-            }
-        }
-
-        let mut resource_free: BTreeMap<Resource, f64> = BTreeMap::new();
-        let mut op_spans = vec![(0.0, 0.0); n];
-        let mut link_busy: BTreeMap<(GpuId, GpuId, LinkClass), f64> = BTreeMap::new();
-        let mut link_bytes: BTreeMap<(GpuId, GpuId, LinkClass), u64> = BTreeMap::new();
-        let mut total = 0.0f64;
-        let mut done = 0usize;
-
-        while !heap.is_empty() {
-            let mut pulled: Vec<Ready> = Vec::with_capacity(CANDIDATES);
-            while pulled.len() < CANDIDATES {
-                match heap.pop() {
-                    Some(r) => pulled.push(r),
-                    None => break,
-                }
-            }
-            let mut best_idx = 0usize;
-            let mut best_start = f64::INFINITY;
-            let mut best_key = usize::MAX;
-            for (idx, cand) in pulled.iter().enumerate() {
-                let op = &ops[cand.id];
-                let resources = self.op_resources(&op.kind, op.stream)?;
-                let mut start = cand.time;
-                for r in &resources {
-                    start = start.max(resource_free.get(r).copied().unwrap_or(0.0));
-                }
-                if start < best_start - 1e-9 || (start < best_start + 1e-9 && cand.id < best_key) {
-                    best_start = start;
-                    best_idx = idx;
-                    best_key = cand.id;
-                }
-            }
-            let chosen = pulled.swap_remove(best_idx);
-            for other in pulled {
-                heap.push(other);
-            }
-            let Ready { time, id } = chosen;
-            let op = &ops[id];
-            let duration = self.op_duration(&op.kind)?;
-            let resources = self.op_resources(&op.kind, op.stream)?;
-            let mut start = time;
-            for r in &resources {
-                start = start.max(resource_free.get(r).copied().unwrap_or(0.0));
-            }
-            let end = start + duration;
-            for r in &resources {
-                resource_free.insert(*r, end);
-            }
-            op_spans[id] = (start, end);
-            total = total.max(end);
-            if let OpKind::Copy {
-                src, dst, class, ..
-            } = op.kind
-            {
-                *link_busy.entry((src, dst, class)).or_insert(0.0) += duration;
-                *link_bytes.entry((src, dst, class)).or_insert(0) += op.kind.payload_bytes();
-            }
-            done += 1;
-            for &c in &children[id] {
-                ready_time[c] = ready_time[c].max(end);
-                indeg[c] -= 1;
-                if indeg[c] == 0 {
-                    heap.push(Ready {
-                        time: ready_time[c],
-                        id: c,
-                    });
-                }
-            }
-        }
-
-        if done != n {
-            return Err(SimError::InvalidProgram(
-                "dependency cycle: not every op became ready".to_string(),
-            ));
-        }
-
-        Ok(RunReport {
-            total_us: total,
-            op_spans,
-            link_busy_us: link_busy,
-            link_bytes,
-        })
-    }
 }
 
 /// A streaming execution session: multiple in-flight programs sharing one
@@ -945,6 +808,142 @@ mod tests {
     use super::*;
     use crate::program::{ProgramBuilder, Segment};
     use blink_topology::presets::{dgx1v, dgx2, multi_server, ServerKind};
+
+    /// The pre-interning scheduler, preserved verbatim as the oracle the
+    /// tests pin [`Simulator::run_with_scratch`] and one-program sessions
+    /// bit-identical against: identical list scheduling over ordered maps
+    /// with per-candidate resource-list allocation.
+    impl Simulator {
+        fn op_resources(&self, kind: &OpKind, stream: StreamId) -> Result<Vec<Resource>, SimError> {
+            let mut res = Vec::new();
+            self.for_each_resource(kind, stream, |r| res.push(r))?;
+            Ok(res)
+        }
+
+        fn run_reference(&self, program: &Program) -> Result<RunReport, SimError> {
+            program
+                .validate()
+                .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
+            let n = program.len();
+            let ops = program.ops();
+
+            // implicit same-stream FIFO dependencies
+            let mut extra_dep: Vec<Option<usize>> = vec![None; n];
+            let mut last_in_stream: BTreeMap<StreamId, usize> = BTreeMap::new();
+            for (i, op) in ops.iter().enumerate() {
+                if let Some(&prev) = last_in_stream.get(&op.stream) {
+                    extra_dep[i] = Some(prev);
+                }
+                last_in_stream.insert(op.stream, i);
+            }
+
+            // dependency bookkeeping
+            let mut indeg = vec![0usize; n];
+            let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for (i, op) in ops.iter().enumerate() {
+                for &d in &op.deps {
+                    indeg[i] += 1;
+                    children[d.0].push(i);
+                }
+                if let Some(prev) = extra_dep[i] {
+                    indeg[i] += 1;
+                    children[prev].push(i);
+                }
+            }
+
+            let mut ready_time = vec![0.0f64; n];
+            let mut heap = BinaryHeap::new();
+            for (i, &deg) in indeg.iter().enumerate() {
+                if deg == 0 {
+                    heap.push(Ready { time: 0.0, id: i });
+                }
+            }
+
+            let mut resource_free: BTreeMap<Resource, f64> = BTreeMap::new();
+            let mut op_spans = vec![(0.0, 0.0); n];
+            let mut link_busy: BTreeMap<(GpuId, GpuId, LinkClass), f64> = BTreeMap::new();
+            let mut link_bytes: BTreeMap<(GpuId, GpuId, LinkClass), u64> = BTreeMap::new();
+            let mut total = 0.0f64;
+            let mut done = 0usize;
+
+            while !heap.is_empty() {
+                let mut pulled: Vec<Ready> = Vec::with_capacity(CANDIDATES);
+                while pulled.len() < CANDIDATES {
+                    match heap.pop() {
+                        Some(r) => pulled.push(r),
+                        None => break,
+                    }
+                }
+                let mut best_idx = 0usize;
+                let mut best_start = f64::INFINITY;
+                let mut best_key = usize::MAX;
+                for (idx, cand) in pulled.iter().enumerate() {
+                    let op = &ops[cand.id];
+                    let resources = self.op_resources(&op.kind, op.stream)?;
+                    let mut start = cand.time;
+                    for r in &resources {
+                        start = start.max(resource_free.get(r).copied().unwrap_or(0.0));
+                    }
+                    if start < best_start - 1e-9
+                        || (start < best_start + 1e-9 && cand.id < best_key)
+                    {
+                        best_start = start;
+                        best_idx = idx;
+                        best_key = cand.id;
+                    }
+                }
+                let chosen = pulled.swap_remove(best_idx);
+                for other in pulled {
+                    heap.push(other);
+                }
+                let Ready { time, id } = chosen;
+                let op = &ops[id];
+                let duration = self.op_duration(&op.kind)?;
+                let resources = self.op_resources(&op.kind, op.stream)?;
+                let mut start = time;
+                for r in &resources {
+                    start = start.max(resource_free.get(r).copied().unwrap_or(0.0));
+                }
+                let end = start + duration;
+                for r in &resources {
+                    resource_free.insert(*r, end);
+                }
+                op_spans[id] = (start, end);
+                total = total.max(end);
+                if let OpKind::Copy {
+                    src, dst, class, ..
+                } = op.kind
+                {
+                    *link_busy.entry((src, dst, class)).or_insert(0.0) += duration;
+                    *link_bytes.entry((src, dst, class)).or_insert(0) += op.kind.payload_bytes();
+                }
+                done += 1;
+                for &c in &children[id] {
+                    ready_time[c] = ready_time[c].max(end);
+                    indeg[c] -= 1;
+                    if indeg[c] == 0 {
+                        heap.push(Ready {
+                            time: ready_time[c],
+                            id: c,
+                        });
+                    }
+                }
+            }
+
+            if done != n {
+                return Err(SimError::InvalidProgram(
+                    "dependency cycle: not every op became ready".to_string(),
+                ));
+            }
+
+            Ok(RunReport {
+                total_us: total,
+                op_spans,
+                link_busy_us: link_busy,
+                link_bytes,
+            })
+        }
+    }
 
     fn mb(n: u64) -> u64 {
         n * 1024 * 1024
@@ -1334,6 +1333,126 @@ mod tests {
         let reference = sim.run_reference(&program).unwrap();
         let fast = sim.run(&program).unwrap();
         assert_reports_bit_identical(&reference, &fast);
+    }
+
+    /// A seeded random program on two DGX-2 servers that keeps more than
+    /// [`CANDIDATES`] ops ready at once, so the scan's candidate window
+    /// truncates and pushes ready ops back: a wave of dependency-free copies
+    /// on their own streams, then ops on shared streams with cross-stream
+    /// deps mixing NVSwitch copies (port caps), PCIe copies, cross-server
+    /// network copies (NICs), segmented copies, reductions and kernels.
+    fn wide_random_program(seed: u64) -> (Topology, Program) {
+        let topo = multi_server(2, ServerKind::Dgx2, 5.0);
+        let mut state = seed;
+        let mut next = move |bound: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut b = ProgramBuilder::new();
+        let mut streams = Vec::new();
+        let mut ops = Vec::new();
+        for i in 0..2 * CANDIDATES {
+            let s = b.new_stream();
+            streams.push(s);
+            let (src, dst) = (next(32), next(32));
+            let dst = if dst == src { (dst + 1) % 32 } else { dst };
+            let class = if src / 16 != dst / 16 {
+                LinkClass::Network
+            } else {
+                LinkClass::NvLink
+            };
+            let bytes = mb(1) + next(4096) as u64;
+            ops.push(b.copy(
+                GpuId(src),
+                GpuId(dst),
+                bytes,
+                class,
+                s,
+                vec![],
+                format!("w{i}"),
+            ));
+        }
+        for i in 0..2 * CANDIDATES {
+            let s = streams[next(streams.len())];
+            let deps: Vec<_> = (0..next(3)).map(|_| ops[next(ops.len())]).collect();
+            let server = 16 * next(2);
+            let (src, dst) = (server + next(16), server + next(16));
+            let dst = if dst == src {
+                server + (dst + 1) % 16
+            } else {
+                dst
+            };
+            let bytes = mb(1) + next(4096) as u64;
+            let op = match next(6) {
+                0 => b.copy(
+                    GpuId(src),
+                    GpuId(dst),
+                    bytes,
+                    LinkClass::NvLink,
+                    s,
+                    deps,
+                    "",
+                ),
+                1 => b.copy(GpuId(src), GpuId(dst), bytes, LinkClass::Pcie, s, deps, ""),
+                2 => b.copy(
+                    GpuId(src),
+                    GpuId((dst + 16) % 32),
+                    bytes,
+                    LinkClass::Network,
+                    s,
+                    deps,
+                    "",
+                ),
+                3 => b.copy_segs(
+                    GpuId(src),
+                    GpuId(dst),
+                    vec![Segment::new(0, bytes), Segment::new(2 * bytes, bytes)],
+                    LinkClass::NvLink,
+                    s,
+                    deps,
+                    "",
+                ),
+                4 => b.reduce(GpuId(src), bytes, s, deps, ""),
+                _ => b.compute(GpuId(src), 5.0 + next(50) as f64, s, deps, format!("k{i}")),
+            };
+            ops.push(op);
+        }
+        (topo, b.build().unwrap())
+    }
+
+    #[test]
+    fn engine_paths_agree_when_more_than_the_candidate_window_is_ready() {
+        for seed in [0x9e37_79b9_7f4a_7c15u64, 0x2545_f491_4f6c_dd1d, 0xdead_beef] {
+            let (topo, program) = wide_random_program(seed);
+            assert!(program.len() >= 300);
+            // ops with no deps that head their stream are all ready at t = 0
+            let mut seen = std::collections::HashSet::new();
+            let ready_at_start = program
+                .ops()
+                .iter()
+                .filter(|op| seen.insert(op.stream) && op.deps.is_empty())
+                .count();
+            assert!(ready_at_start > CANDIDATES, "{ready_at_start} ready ops");
+
+            let sim = Simulator::with_defaults(topo);
+            let reference = sim.run_reference(&program).unwrap();
+            let fast = sim
+                .run_with_scratch(&program, &mut EngineScratch::new())
+                .unwrap();
+            assert_reports_bit_identical(&reference, &fast);
+            let mut session = sim.session();
+            session.admit(program, 0.0);
+            let report = session.run().unwrap();
+            let streamed = RunReport {
+                total_us: report.total_us,
+                op_spans: report.programs[0].op_spans.clone(),
+                link_busy_us: report.link_busy_us,
+                link_bytes: report.link_bytes,
+            };
+            assert_reports_bit_identical(&reference, &streamed);
+        }
     }
 
     #[test]

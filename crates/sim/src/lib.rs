@@ -10,11 +10,11 @@
 //! that bound aggregate injection bandwidth. This crate models exactly those
 //! effects and nothing more:
 //!
-//! * [`program`] — a [`Program`](program::Program) is a DAG of operations
+//! * [`program`] — a [`Program`] is a DAG of operations
 //!   (peer-to-peer copies, local reductions, compute kernels, peer-access
 //!   toggles) organised into streams, the unit of FIFO ordering, mirroring the
 //!   CUDA-stream schedules Blink's CodeGen emits. Data-moving ops carry
-//!   **segmented payloads** ([`Segment`](program::Segment) lists of logical
+//!   **segmented payloads** ([`Segment`] lists of logical
 //!   byte ranges): one op models one batched CUDA call, so a gather edge can
 //!   move a whole subtree's non-contiguous slot payload with a single launch
 //!   overhead while the oracle still sees every byte range exactly. The
@@ -22,27 +22,25 @@
 //!   legacy helpers) are the one-segment case;
 //!   [`Program::split_segments`](program::Program::split_segments) expands a
 //!   program back to the one-op-per-segment shape for comparison.
-//! * [`engine`] — the [`Simulator`](engine::Simulator) executes a program
+//! * [`engine`] — the [`Simulator`] executes a program
 //!   against a [`blink_topology::Topology`] using list scheduling over link,
 //!   port, NIC and compute resources and reports per-op timings, total elapsed
 //!   time and per-link utilisation. The scheduler runs an **interned-resource
 //!   fast path**: a prepass interns every resource to a dense id and lays
 //!   per-op resource lists and dependency children out as flat CSR buffers in
-//!   a reusable [`EngineScratch`](engine::EngineScratch), so the candidate
-//!   scan allocates nothing per iteration; timings are bit-identical to the
-//!   preserved reference scheduler
-//!   ([`Simulator::run_reference`](engine::Simulator::run_reference)). The
-//!   scratch obeys the same buffers-not-state / high-water-mark / `Send`
+//!   a reusable [`EngineScratch`], so the candidate scan allocates nothing
+//!   per iteration; timings are bit-identical to the allocating reference
+//!   scheduler the engine's tests keep as an oracle. The scratch obeys the same buffers-not-state / high-water-mark / `Send`
 //!   contract as `blink-graph`'s planning scratches (see [`engine`]'s module
 //!   docs). The engine is also a **streaming executor**: a
-//!   [`Session`](engine::Session) admits multiple in-flight programs with
+//!   [`Session`] admits multiple in-flight programs with
 //!   issue timestamps and schedules them over one shared resource table, so
 //!   concurrent collectives contend for links (FIFO serialisation at op
-//!   granularity) while a [`SessionReport`](engine::SessionReport) breaks out
+//!   granularity) while a [`SessionReport`] breaks out
 //!   per-program and end-to-end spans; the session contract — admission,
 //!   link sharing, determinism, bit-identity to the single-program path when
 //!   one program is in flight — is specified in [`engine`]'s module docs.
-//! * [`params`] — calibration constants ([`SimParams`](params::SimParams)),
+//! * [`params`] — calibration constants ([`SimParams`]),
 //!   documented against the paper's own micro-benchmarks (Section 2.2 and
 //!   Appendix A).
 //! * [`patterns`] — builders for the paper's micro-benchmark traffic patterns

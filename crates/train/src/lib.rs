@@ -15,7 +15,7 @@
 //!   per-GPU compute times on P100 and V100 parts, and a deterministic
 //!   per-layer gradient profile
 //!   ([`DnnModel::layer_bytes`](models::DnnModel::layer_bytes)).
-//! * [`backend`] — a [`CollectiveBackend`](backend::CollectiveBackend) trait
+//! * [`backend`] — a [`CollectiveBackend`] trait
 //!   with adapters for the Blink communicator and the NCCL baseline, both
 //!   running over the same simulated hardware. Every backend synchronises a
 //!   step through

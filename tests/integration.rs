@@ -239,85 +239,3 @@ fn all_collectives_run_on_a_partial_allocation() {
         assert!(r.num_trees >= 1, "{r}");
     }
 }
-
-/// The interned-resource engine fast path must schedule every real collective
-/// program bit-identically to the reference scheduler — packed trees on the
-/// DGX-1V, one-hop trees on the DGX-2, the hybrid NVLink+PCIe build, the
-/// three-phase multi-server protocol and the NCCL ring baseline.
-#[test]
-fn interned_engine_matches_reference_on_real_collective_programs() {
-    use blink_core::communicator::TracedRun;
-
-    fn assert_identical(machine: &blink_topology::Topology, program: &blink_sim::Program) {
-        let sim = Simulator::with_defaults(machine.clone());
-        let fast = sim.run(program).unwrap();
-        let reference = sim.run_reference(program).unwrap();
-        assert_eq!(fast.total_us.to_bits(), reference.total_us.to_bits());
-        for (i, (a, b)) in fast.op_spans.iter().zip(&reference.op_spans).enumerate() {
-            assert_eq!(a.0.to_bits(), b.0.to_bits(), "op {i} start");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "op {i} end");
-        }
-        assert_eq!(fast.link_bytes, reference.link_bytes);
-        for ((ka, va), (kb, vb)) in fast.link_busy_us.iter().zip(&reference.link_busy_us) {
-            assert_eq!(ka, kb);
-            assert_eq!(va.to_bits(), vb.to_bits());
-        }
-    }
-
-    let bytes = mb(24) + 7;
-    // every single-machine strategy through the communicator
-    let single: Vec<(blink_topology::Topology, Vec<GpuId>, CommunicatorOptions)> = vec![
-        (
-            dgx1v(),
-            (0..8).map(GpuId).collect(),
-            CommunicatorOptions::default(),
-        ),
-        (
-            dgx2(),
-            (0..16).map(GpuId).collect(),
-            CommunicatorOptions::default(),
-        ),
-        (
-            dgx1v(),
-            (0..4).map(GpuId).collect(),
-            CommunicatorOptions {
-                use_hybrid: true,
-                ..Default::default()
-            },
-        ),
-    ];
-    for (machine, alloc, options) in single {
-        let mut comm = Communicator::builder(machine.clone())
-            .allocation(&alloc)
-            .options(options)
-            .build()
-            .unwrap();
-        for kind in [
-            CollectiveKind::Broadcast { root: alloc[0] },
-            CollectiveKind::AllGather,
-            CollectiveKind::AllReduce,
-            CollectiveKind::ReduceScatter,
-        ] {
-            let (_, program, _): TracedRun = comm.run_traced(kind, bytes).unwrap();
-            assert_identical(&machine, &program);
-        }
-    }
-    // three-phase multi-server AllReduce
-    let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
-    let alloc: Vec<GpuId> = vec![GpuId(0), GpuId(1), GpuId(2), GpuId(8), GpuId(9), GpuId(10)];
-    let (program, _) = three_phase(&machine, &alloc, bytes);
-    assert_identical(&machine, &program);
-    // the NCCL ring baseline
-    let machine = dgx1v();
-    let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-    let planner = blink_nccl::planner::NcclPlanner::with_defaults(machine.clone());
-    let plan = planner.plan(&alloc, bytes).unwrap();
-    let program = blink_nccl::schedule::build_program(
-        &plan,
-        blink_nccl::schedule::NcclCollective::AllReduce,
-        bytes,
-        &blink_nccl::schedule::ScheduleOptions::default(),
-    )
-    .unwrap();
-    assert_identical(&machine, &program);
-}

@@ -6,11 +6,9 @@
 use blink_core::codegen::{CodeGen, CodeGenOptions};
 use blink_core::treegen::{ScratchPool, TreeGen, TreeGenOptions};
 use blink_core::{CollectiveKind, Communicator, CommunicatorOptions, SharedPlanCache};
-use blink_graph::baseline::{minimize_trees_naive, optimal_broadcast_rate_naive};
 use blink_graph::{
-    max_flow, minimize_trees_in, optimal_broadcast_rate, optimal_broadcast_rate_in,
-    pack_spanning_trees, pack_spanning_trees_in, Arborescence, DiGraph, MaxFlowScratch,
-    MinimizeOptions, MinimizeScratch, PackingOptions, PackingScratch, TreePacking, WeightedTree,
+    optimal_broadcast_rate, pack_spanning_trees, pack_spanning_trees_in, Arborescence, DiGraph,
+    PackingOptions, PackingScratch, TreePacking, WeightedTree,
 };
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
@@ -177,8 +175,8 @@ proptest! {
     }
 
     /// The same parallel-determinism pinning on random DGX-2 (16-GPU
-    /// NVSwitch) induced subgraphs, which exercises the Dinic certificate
-    /// fallback inside concurrently planning workers.
+    /// NVSwitch) induced subgraphs, which exercises the Hao–Orlin side of
+    /// the certificate inside concurrently planning workers.
     #[test]
     fn parallel_sweep_is_bit_identical_dgx2((alloc, _) in dgx2_allocation_strategy()) {
         let violation = check_parallel_sweep_determinism(&dgx2(), &alloc);
@@ -320,9 +318,9 @@ proptest! {
     }
 
     /// Parallel edges between the same node pair mean pooled capacity, and
-    /// every capacity query agrees: `capacity_between` sums the pair,
-    /// `max_flow` routes the pooled sum, and `TreePacking::max_overuse`
-    /// judges usage against it.
+    /// every capacity query agrees: `capacity_between` sums the pair, the
+    /// broadcast-rate certificate routes the pooled sum, and
+    /// `TreePacking::max_overuse` judges usage against it.
     #[test]
     fn parallel_edge_capacity_semantics_agree(
         lanes in proptest::collection::btree_set((0usize..4, 1usize..4, 1u32..50), 1..=12),
@@ -350,10 +348,7 @@ proptest! {
                     pair.add_edge(a, b, f64::from(units) * 0.5);
                 }
             }
-            prop_assert!((max_flow(&pair, a, b) - total).abs() < 1e-9);
             prop_assert!((optimal_broadcast_rate(&pair, a) - total).abs() < 1e-9);
-            // the full graph can only route more across the pair
-            prop_assert!(max_flow(&g, u, v) >= total - 1e-9);
             // a tree crossing the pair at exactly the pooled capacity is
             // exactly feasible
             let tree = Arborescence::new(GpuId(u), vec![(GpuId(u), GpuId(v))]);
@@ -363,96 +358,6 @@ proptest! {
             );
             prop_assert!((packing.max_overuse(&g) - 1.0).abs() < 1e-9);
             prop_assert!(packing.is_feasible(&g));
-        }
-    }
-
-    /// The arena minimisation and certificate (through arbitrarily dirty
-    /// reused scratches) are bit-identical to the convenience wrappers and to
-    /// the frozen pre-optimisation baselines on DGX-1V/DGX-1P subgraphs.
-    #[test]
-    fn minimize_and_certificate_match_baselines_bitwise(
-        (alloc, root_pos) in allocation_strategy(),
-        v100 in any::<bool>(),
-    ) {
-        let machine = if v100 { dgx1v() } else { dgx1p() };
-        let sub = induced(&machine, &alloc);
-        let g = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
-        let root = GpuId(alloc[root_pos]);
-        let Some(root_idx) = g.node(root) else { return Ok(()); };
-        // dirty both scratches on an unrelated graph first
-        let mut mf_scratch = MaxFlowScratch::new();
-        let mut min_scratch = MinimizeScratch::new();
-        let other = DiGraph::from_topology_filtered(&dgx2(), |l| l.kind.is_nvlink());
-        optimal_broadcast_rate_in(&other, 0, &mut mf_scratch);
-        let cert_reused = optimal_broadcast_rate_in(&g, root_idx, &mut mf_scratch);
-        let cert_fresh = optimal_broadcast_rate(&g, root_idx);
-        let cert_naive = optimal_broadcast_rate_naive(&g, root_idx);
-        prop_assert_eq!(cert_reused.to_bits(), cert_fresh.to_bits());
-        prop_assert_eq!(cert_reused.to_bits(), cert_naive.to_bits());
-        if !g.spans_from(root_idx) {
-            return Ok(());
-        }
-        let packing = pack_spanning_trees(
-            &g,
-            root,
-            &PackingOptions { epsilon: 0.08, ..Default::default() },
-        ).unwrap();
-        // Effectively unbounded branch-and-bound: bit-identity with the
-        // frozen reference is guaranteed only for searches that complete
-        // (a truncated arena search may legitimately return a *larger*
-        // selection than the truncated reference).
-        let opts = MinimizeOptions { max_bb_nodes: usize::MAX, ..Default::default() };
-        let dirty_graph = DiGraph::from_topology_filtered(&dgx1p(), |l| l.kind.is_nvlink());
-        let dirty_packing =
-            pack_spanning_trees(&dirty_graph, GpuId(0), &PackingOptions::default()).unwrap();
-        minimize_trees_in(&dirty_graph, &dirty_packing, &opts, &mut min_scratch);
-        let reused = minimize_trees_in(&g, &packing, &opts, &mut min_scratch);
-        let fresh = minimize_trees_in(&g, &packing, &opts, &mut MinimizeScratch::new());
-        let naive = minimize_trees_naive(&g, &packing, &opts);
-        for (a, b) in [(&reused, &fresh), (&reused, &naive)] {
-            prop_assert_eq!(a.trees.len(), b.trees.len());
-            for (x, y) in a.trees.iter().zip(&b.trees) {
-                prop_assert_eq!(&x.tree, &y.tree);
-                prop_assert_eq!(x.weight.to_bits(), y.weight.to_bits());
-            }
-        }
-    }
-
-    /// The same bitwise pinning on DGX-2 (16-GPU NVSwitch) induced subgraphs,
-    /// which also exercises the Dinic fallback of the certificate (the
-    /// subset-cut enumeration only covers ≤ 10 vertices).
-    #[test]
-    fn minimize_and_certificate_match_baselines_bitwise_dgx2(
-        (alloc, root_pos) in dgx2_allocation_strategy(),
-    ) {
-        let machine = dgx2();
-        let sub = induced(&machine, &alloc);
-        let g = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
-        let root = GpuId(alloc[root_pos]);
-        let Some(root_idx) = g.node(root) else { return Ok(()); };
-        let mut mf_scratch = MaxFlowScratch::new();
-        let mut min_scratch = MinimizeScratch::new();
-        let other = DiGraph::from_topology_filtered(&dgx1p(), |l| l.kind.is_nvlink());
-        optimal_broadcast_rate_in(&other, 0, &mut mf_scratch);
-        let cert_reused = optimal_broadcast_rate_in(&g, root_idx, &mut mf_scratch);
-        let cert_naive = optimal_broadcast_rate_naive(&g, root_idx);
-        prop_assert_eq!(cert_reused.to_bits(), cert_naive.to_bits());
-        if !g.spans_from(root_idx) {
-            return Ok(());
-        }
-        let packing = pack_spanning_trees(
-            &g,
-            root,
-            &PackingOptions { epsilon: 0.08, ..Default::default() },
-        ).unwrap();
-        // unbounded search: see minimize_and_certificate_match_baselines_bitwise
-        let opts = MinimizeOptions { max_bb_nodes: usize::MAX, ..Default::default() };
-        let reused = minimize_trees_in(&g, &packing, &opts, &mut min_scratch);
-        let naive = minimize_trees_naive(&g, &packing, &opts);
-        prop_assert_eq!(reused.trees.len(), naive.trees.len());
-        for (x, y) in reused.trees.iter().zip(&naive.trees) {
-            prop_assert_eq!(&x.tree, &y.tree);
-            prop_assert_eq!(x.weight.to_bits(), y.weight.to_bits());
         }
     }
 
@@ -499,13 +404,9 @@ proptest! {
         let nv_rate = optimal_broadcast_rate(&nvlink, a);
         let full_rate = optimal_broadcast_rate(&all, b);
         prop_assert!(full_rate >= nv_rate - 1e-9);
-        // and per-pair max-flow never exceeds the source's out-capacity
-        for v in 0..all.num_nodes() {
-            if v != b {
-                let out_cap: f64 = all.out_edges(b).iter().map(|&e| all.edges()[e].capacity).sum();
-                prop_assert!(max_flow(&all, b, v) <= out_cap + 1e-6);
-            }
-        }
+        // and the certificate never exceeds the source's out-capacity
+        let out_cap: f64 = all.out_edges(b).iter().map(|&e| all.edges()[e].capacity).sum();
+        prop_assert!(full_rate <= out_cap + 1e-6);
     }
 }
 
