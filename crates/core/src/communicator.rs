@@ -480,12 +480,19 @@ impl Communicator {
     /// bandwidth under cross-program contention would mislead it.
     ///
     /// # Errors
-    /// Same conditions as [`Communicator::run`] on any member program.
+    /// A ready time that is negative, NaN or infinite; otherwise the same
+    /// conditions as [`Communicator::run`] on any member program.
     pub fn run_streamed(
         &mut self,
         kind: CollectiveKind,
         requests: &[(u64, f64)],
     ) -> Result<StreamedRun> {
+        if let Some(i) = requests.iter().position(|r| !r.1.is_finite() || r.1 < 0.0) {
+            return Err(BlinkError::Planning(format!(
+                "request {i} ready time {} must be finite and non-negative",
+                requests[i].1
+            )));
+        }
         let ready_floor = requests.iter().map(|r| r.1).fold(0.0f64, f64::max);
         if self.allocation.len() < 2 || requests.iter().all(|r| r.0 == 0) {
             // trivial: nothing moves; every request completes when ready
@@ -502,8 +509,10 @@ impl Communicator {
         };
         let groups = fuse_requests(&sizes, threshold);
         // lower every group first (planning borrows the communicator
-        // mutably), then admit the programs into one shared session
+        // mutably), then move the programs into one shared session and take
+        // them back after the run
         let mut lowered = Vec::with_capacity(groups.len());
+        let mut programs = Vec::with_capacity(groups.len());
         for group in groups {
             let bytes = group.total_bytes;
             let chunk = self.current_chunk(kind, bytes);
@@ -513,27 +522,31 @@ impl Communicator {
                 .iter()
                 .map(|&i| requests[i].1)
                 .fold(0.0f64, f64::max);
-            lowered.push((group, issue_us, program, strategy));
+            lowered.push((group, strategy));
+            programs.push((program, issue_us));
         }
         let mut session = self.sim.session();
-        for (_, issue_us, program, _) in &lowered {
-            session.admit(program.clone(), *issue_us);
+        for (program, issue_us) in programs {
+            session.admit(program, issue_us);
         }
         let report = session
             .run_with_scratch(&mut self.engine_scratch)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
-        let mut out = Vec::with_capacity(lowered.len());
-        for (idx, (group, issue_us, program, strategy)) in lowered.into_iter().enumerate() {
-            let span = &report.programs[idx];
-            out.push(StreamedGroup {
-                group,
-                issue_us,
-                end_us: span.end_us,
-                program,
-                op_spans: span.op_spans.clone(),
-                strategy,
-            });
-        }
+        let out = lowered
+            .into_iter()
+            .zip(session.into_programs())
+            .zip(report.programs)
+            .map(
+                |(((group, strategy), (program, issue_us)), span)| StreamedGroup {
+                    group,
+                    issue_us,
+                    end_us: span.end_us,
+                    program,
+                    op_spans: span.op_spans,
+                    strategy,
+                },
+            )
+            .collect();
         Ok(StreamedRun {
             finish_us: report.total_us.max(ready_floor),
             groups: out,
@@ -870,6 +883,13 @@ impl Communicator {
         bytes: u64,
         chunk: u64,
     ) -> Result<(Program, usize, String)> {
+        if let Some(root) = kind.root() {
+            if !self.allocation.contains(&root) {
+                return Err(BlinkError::Planning(format!(
+                    "root {root} is not in the allocation"
+                )));
+            }
+        }
         // ---- multi-server allocations: the three-phase protocol ----
         if self.is_multi_server() {
             if kind != CollectiveKind::AllReduce {
@@ -1965,5 +1985,75 @@ mod tests {
             .unwrap();
         assert_eq!(run.finish_us, 9.0);
         assert!(run.groups.is_empty());
+    }
+
+    #[test]
+    fn a_root_outside_the_allocation_is_a_typed_error() {
+        let two_servers = multi_server(2, ServerKind::Dgx1V, 5.0);
+        let cases = [
+            (dgx1v(), vec![GpuId(0), GpuId(1)]),
+            (dgx2(), vec![GpuId(0), GpuId(1)]),
+            (two_servers, vec![GpuId(0), GpuId(1), GpuId(8), GpuId(9)]),
+        ];
+        for (topo, alloc) in cases {
+            let mut comm = Communicator::builder(topo)
+                .allocation(&alloc)
+                .isolated_plans()
+                .build()
+                .unwrap();
+            let root = GpuId(5);
+            for kind in [
+                CollectiveKind::Broadcast { root },
+                CollectiveKind::Reduce { root },
+                CollectiveKind::Gather { root },
+            ] {
+                let expect_root_error = |err: BlinkError| match err {
+                    BlinkError::Planning(msg) => {
+                        assert!(msg.contains("root GPU5 is not in the allocation"), "{msg}")
+                    }
+                    other => panic!("expected a planning error, got {other}"),
+                };
+                expect_root_error(comm.run_traced(kind, mb(1)).unwrap_err());
+                expect_root_error(comm.run_streamed(kind, &[(mb(1), 0.0)]).unwrap_err());
+            }
+            // a root inside the allocation still runs
+            let inside = CollectiveKind::Broadcast { root: alloc[0] };
+            if !comm.is_multi_server() {
+                assert!(comm.run_checked(inside, mb(1)).unwrap().1.is_correct());
+            }
+            // process groups lower through the same check
+            let mut groups = comm.split(&GroupSplit::ByStride(1)).unwrap();
+            let err = groups.run_concurrent(&[(CollectiveKind::Broadcast { root }, mb(1))]);
+            assert!(matches!(err, Err(BlinkError::Planning(_))));
+        }
+    }
+
+    #[test]
+    fn streamed_ready_times_must_be_finite_and_non_negative() {
+        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            // rejected wherever it sits, and even when nothing would move
+            for requests in [
+                vec![(mb(1), bad), (mb(1), 500.0)],
+                vec![(mb(1), 500.0), (mb(1), bad)],
+                vec![(mb(1), bad)],
+                vec![(0, bad)],
+            ] {
+                match comm.run_streamed(CollectiveKind::AllReduce, &requests) {
+                    Err(BlinkError::Planning(msg)) => {
+                        assert!(msg.contains("must be finite and non-negative"), "{msg}")
+                    }
+                    other => panic!("ready time {bad} in {requests:?}: {other:?}"),
+                }
+            }
+        }
+        // zero is a valid ready time
+        assert!(comm
+            .run_streamed(CollectiveKind::AllReduce, &[(mb(1), 0.0)])
+            .is_ok());
     }
 }

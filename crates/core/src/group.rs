@@ -137,63 +137,51 @@ impl ProcessGroups {
                 self.children.len()
             )));
         }
-        // slot[i] = index of subgroup i's program in the session's admission
-        // order, or None for trivial subgroups.
-        let mut lowered: Vec<(Program, String)> = Vec::with_capacity(requests.len());
-        for (child, &(kind, bytes)) in self.children.iter_mut().zip(requests) {
-            if child.allocation().len() < 2 || bytes == 0 {
-                lowered.push((
+        // Non-empty programs move into one session; `admitted[k]` is the
+        // subgroup whose program was admitted k-th. Trivial subgroups keep
+        // their empty program and run nowhere.
+        let mut session = self.sim.session();
+        let mut admitted = Vec::with_capacity(requests.len());
+        let mut groups = Vec::with_capacity(requests.len());
+        for (i, (child, &(kind, bytes))) in self.children.iter_mut().zip(requests).enumerate() {
+            let (mut program, strategy) = if child.allocation().len() < 2 || bytes == 0 {
+                (
                     Program::default(),
                     "trivial (single GPU or empty buffer)".to_string(),
-                ));
-                continue;
-            }
-            let chunk = child.current_chunk(kind, bytes);
-            let (program, _trees, strategy) = child.build_program(kind, bytes, chunk)?;
-            lowered.push((program, strategy));
-        }
-
-        let mut session = self.sim.session();
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(lowered.len());
-        for (program, _) in &lowered {
-            if program.ops().is_empty() {
-                slots.push(None);
+                )
             } else {
-                slots.push(Some(session.admit(program.clone(), 0.0)));
-            }
-        }
-        let report = if slots.iter().all(Option::is_none) {
-            None
-        } else {
-            Some(
-                session
-                    .run_with_scratch(&mut self.engine_scratch)
-                    .map_err(|e| BlinkError::Simulation(e.to_string()))?,
-            )
-        };
-
-        let mut groups = Vec::with_capacity(lowered.len());
-        for (i, ((program, strategy), &(kind, bytes))) in
-            lowered.into_iter().zip(requests).enumerate()
-        {
-            let (end_us, op_spans) = match (slots[i], &report) {
-                (Some(slot), Some(report)) => {
-                    let span = &report.programs[slot];
-                    (span.end_us, span.op_spans.clone())
-                }
-                _ => (0.0, Vec::new()),
+                let chunk = child.current_chunk(kind, bytes);
+                let (program, _trees, strategy) = child.build_program(kind, bytes, chunk)?;
+                (program, strategy)
             };
+            if !program.ops().is_empty() {
+                session.admit(std::mem::take(&mut program), 0.0);
+                admitted.push(i);
+            }
             groups.push(GroupCollective {
                 kind,
                 bytes,
-                end_us,
+                end_us: 0.0,
                 strategy,
                 program,
-                op_spans,
+                op_spans: Vec::new(),
             });
         }
+        let report = session
+            .run_with_scratch(&mut self.engine_scratch)
+            .map_err(|e| BlinkError::Simulation(e.to_string()))?;
+        for ((i, (program, _)), span) in admitted
+            .into_iter()
+            .zip(session.into_programs())
+            .zip(report.programs)
+        {
+            let group = &mut groups[i];
+            group.program = program;
+            group.end_us = span.end_us;
+            group.op_spans = span.op_spans;
+        }
         Ok(GroupRun {
-            finish_us: report.map(|r| r.total_us).unwrap_or(0.0),
+            finish_us: report.total_us,
             groups,
         })
     }

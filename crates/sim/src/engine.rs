@@ -19,16 +19,34 @@
 //! integer id and lays the per-op resource-id lists out in one flat CSR
 //! buffer, precomputes each op's duration, and builds the dependency
 //! children lists as a second CSR — after which the K-candidate scan (pick,
-//! among the earliest-ready ops, the one that can *start* earliest given
+//! among the K earliest-ready ops, the one that can *start* earliest given
 //! current resource occupancy) runs entirely over flat `Vec` lookups with no
 //! per-iteration allocation and no ordered-map walks. All of those buffers
 //! live in an [`EngineScratch`] that callers reuse across runs.
 //!
+//! The K candidates live in a **sorted window** beside the ready heap, in
+//! the heap's pop order (ascending `(ready time, op id)`). Invariant: the
+//! window holds the `min(K, ready)` lowest-ranked ready ops and every heap
+//! entry ranks after all of them. Scheduling an op removes it from the
+//! window and refills the tail with one heap pop; a newly-ready op is
+//! inserted in rank order when the window has room, displaces the window's
+//! last op back to the heap when it ranks before it, and otherwise goes to
+//! the heap. Each scheduled op therefore costs O(1) heap operations instead
+//! of popping and re-pushing the whole window.
+//!
+//! The scan over the window **exits early, exactly**: no op starts before
+//! it is ready, so once a candidate's ready time reaches the best start
+//! found so far plus the 1e-9 µs tie tolerance, neither arm of the
+//! selection rule can fire for it, and — the window ascending in ready time
+//! while the best start only decreases — for no later candidate either.
+//!
 //! The flat-path schedule is **bit-identical** to the direct implementation
-//! (an allocating reference scheduler over ordered maps, kept in this
-//! module's tests as the oracle they compare against): interning only
-//! changes how a resource's free time is looked up, never which resources an
-//! op occupies, how long it runs, or how ties are broken.
+//! (an allocating reference scheduler over ordered maps that pops K ready
+//! ops, scans all of them and pushes the losers back, kept in this module's
+//! tests as the oracle they compare against): interning, the window and the
+//! early exit only change how the candidates and a resource's free time are
+//! looked up, never which ops are candidates, which resources an op
+//! occupies, how long it runs, or how ties are broken.
 //!
 //! # Streaming sessions: the admission / contention / determinism contract
 //!
@@ -217,20 +235,27 @@ fn class_tag(class: LinkClass) -> u8 {
     }
 }
 
-/// A ready op in the scheduler's priority queue (min-heap on `(time, id)`).
+/// A ready op: the time it became ready and its global op id. Ready ops are
+/// ranked by ascending `(time, id)` ([`Ready::rank`]); the candidate window
+/// is kept in that order, and the heap behind it pops in that order.
 #[derive(Debug, Clone, PartialEq)]
 struct Ready {
     time: f64,
     id: usize,
 }
+impl Ready {
+    /// Scheduling rank: `Less` when `self` comes before `other`.
+    fn rank(&self, other: &Self) -> std::cmp::Ordering {
+        self.time
+            .total_cmp(&other.time)
+            .then(self.id.cmp(&other.id))
+    }
+}
 impl Eq for Ready {}
 impl Ord for Ready {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // min-heap on (time, id)
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.id.cmp(&self.id))
+        // reversed, so `BinaryHeap` (a max-heap) pops the lowest rank first
+        other.rank(self)
     }
 }
 impl PartialOrd for Ready {
@@ -240,10 +265,11 @@ impl PartialOrd for Ready {
 }
 
 /// Among the ready operations, run the one that can actually *start* earliest
-/// given current resource occupancy (ties broken by issue order). Considering
-/// only the K earliest-ready candidates keeps the scheduler near-linear while
-/// still packing independent flows (e.g. the 16x15 one-hop pattern on a
-/// DGX-2) tightly.
+/// given current resource occupancy (ties broken by issue order). Only the K
+/// earliest-ready ops are candidates — the sorted window described in the
+/// module docs, which never holds more than K — so the scheduler stays
+/// near-linear while still packing independent flows (e.g. the 16x15
+/// one-hop pattern on a DGX-2) tightly.
 const CANDIDATES: usize = 128;
 
 /// Sentinel for "op occupies no link" in the prepass link table.
@@ -251,9 +277,9 @@ const NO_LINK: u32 = u32::MAX;
 
 /// Reusable buffers for [`Simulator::run_with_scratch`]: the resource intern
 /// table, the per-op resource-id and children CSRs, flat free-time and
-/// link-accounting arrays, and the scheduler's heap. See the module docs for
-/// the scratch-reuse contract; a fresh scratch is `Default`-constructible and
-/// the struct is `Clone` and `Send`.
+/// link-accounting arrays, and the scheduler's candidate window and ready
+/// heap. See the module docs for the scratch-reuse contract; a fresh scratch
+/// is `Default`-constructible and the struct is `Clone` and `Send`.
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     /// Resource -> dense id intern table (rebuilt per run; rebuilding a
@@ -284,8 +310,11 @@ pub struct EngineScratch {
     child_cursor: Vec<u32>,
     ready_time: Vec<f64>,
     last_in_stream: HashMap<StreamId, u32>,
+    /// The `min(CANDIDATES, ready)` lowest-ranked ready ops, ascending by
+    /// [`Ready::rank`]; never longer than `CANDIDATES`.
+    window: Vec<Ready>,
+    /// Every other ready op; each ranks after every op in `window`.
     heap: BinaryHeap<Ready>,
-    pulled: Vec<Ready>,
 }
 
 impl EngineScratch {
@@ -627,19 +656,25 @@ impl Simulator {
         let mut total = 0.0f64;
         let mut done = 0usize;
 
-        // ---- the zero-allocation K-candidate scan ----
-        while !s.heap.is_empty() {
-            s.pulled.clear();
-            while s.pulled.len() < CANDIDATES {
-                match s.heap.pop() {
-                    Some(r) => s.pulled.push(r),
-                    None => break,
-                }
+        s.window.clear();
+        while s.window.len() < CANDIDATES {
+            match s.heap.pop() {
+                Some(r) => s.window.push(r),
+                None => break,
             }
+        }
+
+        // ---- the zero-allocation K-candidate scan over the window ----
+        while !s.window.is_empty() {
             let mut best_idx = 0usize;
             let mut best_start = f64::INFINITY;
             let mut best_key = usize::MAX;
-            for (idx, cand) in s.pulled.iter().enumerate() {
+            for (idx, cand) in s.window.iter().enumerate() {
+                // start >= cand.time, and the window ascends in time: from
+                // here on no candidate can pass either arm of the rule below
+                if cand.time >= best_start + 1e-9 {
+                    break;
+                }
                 let (lo, hi) = (
                     s.op_res_start[cand.id] as usize,
                     s.op_res_start[cand.id + 1] as usize,
@@ -654,11 +689,10 @@ impl Simulator {
                     best_key = cand.id;
                 }
             }
-            let chosen = s.pulled.swap_remove(best_idx);
-            for other in s.pulled.drain(..) {
-                s.heap.push(other);
+            let Ready { time, id } = s.window.remove(best_idx);
+            if let Some(next) = s.heap.pop() {
+                s.window.push(next);
             }
-            let Ready { time, id } = chosen;
             let duration = s.durations[id];
             let (lo, hi) = (s.op_res_start[id] as usize, s.op_res_start[id + 1] as usize);
             let mut start = time;
@@ -683,10 +717,24 @@ impl Simulator {
                 s.ready_time[c] = s.ready_time[c].max(end);
                 s.indeg[c] -= 1;
                 if s.indeg[c] == 0 {
-                    s.heap.push(Ready {
+                    let r = Ready {
                         time: s.ready_time[c],
                         id: c,
-                    });
+                    };
+                    // the window has room only once the heap is empty
+                    if s.window.len() == CANDIDATES {
+                        if s.window[CANDIDATES - 1].rank(&r).is_lt() {
+                            s.heap.push(r);
+                            continue;
+                        }
+                        // evict before inserting: the window never grows
+                        // past CANDIDATES
+                        if let Some(last) = s.window.pop() {
+                            s.heap.push(last);
+                        }
+                    }
+                    let at = s.window.partition_point(|w| w.rank(&r).is_lt());
+                    s.window.insert(at, r);
                 }
             }
         }
@@ -782,6 +830,13 @@ impl Session<'_> {
         &self.entries
     }
 
+    /// Consumes the session and hands the admitted `(program, issue_us)`
+    /// entries back in admission order, so a caller that moved its programs
+    /// in can keep them after [`Session::run`] without cloning.
+    pub fn into_programs(self) -> Vec<(Program, f64)> {
+        self.entries
+    }
+
     /// Executes every admitted program, allocating a fresh scratch. Loops
     /// that run many sessions should hold an [`EngineScratch`] and call
     /// [`Session::run_with_scratch`].
@@ -806,13 +861,15 @@ impl Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{ProgramBuilder, Segment};
+    use crate::program::{Op, ProgramBuilder, Segment};
     use blink_topology::presets::{dgx1v, dgx2, multi_server, ServerKind};
 
-    /// The pre-interning scheduler, preserved verbatim as the oracle the
-    /// tests pin [`Simulator::run_with_scratch`] and one-program sessions
-    /// bit-identical against: identical list scheduling over ordered maps
-    /// with per-candidate resource-list allocation.
+    /// The pre-interning scheduler, kept as the oracle the tests pin
+    /// [`Simulator::run_with_scratch`] and [`Session`]s bit-identical
+    /// against: list scheduling over ordered maps with per-candidate
+    /// resource-list allocation, and the original candidate handling — pop
+    /// the `CANDIDATES` earliest-ready ops off the heap, scan every one of
+    /// them, push the losers back.
     impl Simulator {
         fn op_resources(&self, kind: &OpKind, stream: StreamId) -> Result<Vec<Resource>, SimError> {
             let mut res = Vec::new();
@@ -820,30 +877,65 @@ mod tests {
             Ok(res)
         }
 
+        /// One program issued at `t = 0`, reported like [`Simulator::run`].
         fn run_reference(&self, program: &Program) -> Result<RunReport, SimError> {
-            program
-                .validate()
-                .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
-            let n = program.len();
-            let ops = program.ops();
+            let mut session = self.run_reference_session(&[(program, 0.0)])?;
+            let prog = session.programs.pop().expect("one admitted program");
+            Ok(RunReport {
+                total_us: session.total_us,
+                op_spans: prog.op_spans,
+                link_busy_us: session.link_busy_us,
+                link_bytes: session.link_bytes,
+            })
+        }
 
-            // implicit same-stream FIFO dependencies
+        /// `(program, issue_us)` entries in admission order: streams are
+        /// namespaced per program, roots become ready at their program's
+        /// issue time, and ties break on the global op id (admission order,
+        /// then op id).
+        fn run_reference_session(
+            &self,
+            entries: &[(&Program, f64)],
+        ) -> Result<SessionReport, SimError> {
+            // the global op list: (program index, op)
+            let mut ops: Vec<(usize, &Op)> = Vec::new();
+            let mut base = Vec::with_capacity(entries.len());
+            for (p, (program, issue)) in entries.iter().enumerate() {
+                program
+                    .validate()
+                    .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
+                if !issue.is_finite() || *issue < 0.0 {
+                    return Err(SimError::InvalidProgram(format!("issue {issue}")));
+                }
+                base.push(ops.len());
+                ops.extend(program.ops().iter().map(|op| (p, op)));
+            }
+            let n = ops.len();
+
+            // one stream namespace per (program, stream), then the implicit
+            // same-stream FIFO dependencies
+            let mut namespaces: BTreeMap<(usize, StreamId), StreamId> = BTreeMap::new();
+            let mut stream_of = Vec::with_capacity(n);
+            for &(p, op) in &ops {
+                let fresh = StreamId(namespaces.len());
+                stream_of.push(*namespaces.entry((p, op.stream)).or_insert(fresh));
+            }
             let mut extra_dep: Vec<Option<usize>> = vec![None; n];
             let mut last_in_stream: BTreeMap<StreamId, usize> = BTreeMap::new();
-            for (i, op) in ops.iter().enumerate() {
-                if let Some(&prev) = last_in_stream.get(&op.stream) {
+            for (i, &stream) in stream_of.iter().enumerate() {
+                if let Some(&prev) = last_in_stream.get(&stream) {
                     extra_dep[i] = Some(prev);
                 }
-                last_in_stream.insert(op.stream, i);
+                last_in_stream.insert(stream, i);
             }
 
             // dependency bookkeeping
             let mut indeg = vec![0usize; n];
             let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (i, op) in ops.iter().enumerate() {
+            for (i, &(p, op)) in ops.iter().enumerate() {
                 for &d in &op.deps {
                     indeg[i] += 1;
-                    children[d.0].push(i);
+                    children[base[p] + d.0].push(i);
                 }
                 if let Some(prev) = extra_dep[i] {
                     indeg[i] += 1;
@@ -855,7 +947,8 @@ mod tests {
             let mut heap = BinaryHeap::new();
             for (i, &deg) in indeg.iter().enumerate() {
                 if deg == 0 {
-                    heap.push(Ready { time: 0.0, id: i });
+                    let issue = entries[ops[i].0].1;
+                    heap.push(Ready { time: issue, id: i });
                 }
             }
 
@@ -878,8 +971,8 @@ mod tests {
                 let mut best_start = f64::INFINITY;
                 let mut best_key = usize::MAX;
                 for (idx, cand) in pulled.iter().enumerate() {
-                    let op = &ops[cand.id];
-                    let resources = self.op_resources(&op.kind, op.stream)?;
+                    let op = ops[cand.id].1;
+                    let resources = self.op_resources(&op.kind, stream_of[cand.id])?;
                     let mut start = cand.time;
                     for r in &resources {
                         start = start.max(resource_free.get(r).copied().unwrap_or(0.0));
@@ -897,9 +990,9 @@ mod tests {
                     heap.push(other);
                 }
                 let Ready { time, id } = chosen;
-                let op = &ops[id];
+                let op = ops[id].1;
                 let duration = self.op_duration(&op.kind)?;
-                let resources = self.op_resources(&op.kind, op.stream)?;
+                let resources = self.op_resources(&op.kind, stream_of[id])?;
                 let mut start = time;
                 for r in &resources {
                     start = start.max(resource_free.get(r).copied().unwrap_or(0.0));
@@ -936,9 +1029,22 @@ mod tests {
                 ));
             }
 
-            Ok(RunReport {
+            let mut programs = Vec::with_capacity(entries.len());
+            for (p, &(program, issue)) in entries.iter().enumerate() {
+                let spans = op_spans[base[p]..base[p] + program.len()].to_vec();
+                let start = spans.iter().map(|s| s.0).reduce(f64::min);
+                let end = spans.iter().map(|s| s.1).fold(issue, f64::max);
+                total = total.max(end);
+                programs.push(ProgramSpan {
+                    issue_us: issue,
+                    start_us: start.unwrap_or(issue),
+                    end_us: end,
+                    op_spans: spans,
+                });
+            }
+            Ok(SessionReport {
                 total_us: total,
-                op_spans,
+                programs,
                 link_busy_us: link_busy,
                 link_bytes,
             })
@@ -1335,13 +1441,13 @@ mod tests {
         assert_reports_bit_identical(&reference, &fast);
     }
 
-    /// A seeded random program on two DGX-2 servers that keeps more than
-    /// [`CANDIDATES`] ops ready at once, so the scan's candidate window
-    /// truncates and pushes ready ops back: a wave of dependency-free copies
-    /// on their own streams, then ops on shared streams with cross-stream
-    /// deps mixing NVSwitch copies (port caps), PCIe copies, cross-server
-    /// network copies (NICs), segmented copies, reductions and kernels.
-    fn wide_random_program(seed: u64) -> (Topology, Program) {
+    /// A seeded random program on two DGX-2 servers: a wave of `width`
+    /// dependency-free copies on their own streams (all ready at issue, so
+    /// a width above [`CANDIDATES`] overfills the scan's candidate window),
+    /// then `width` ops on shared streams with cross-stream deps mixing
+    /// NVSwitch copies (port caps), PCIe copies, cross-server network
+    /// copies (NICs), segmented copies, reductions and kernels.
+    fn wide_random_program(seed: u64, width: usize) -> (Topology, Program) {
         let topo = multi_server(2, ServerKind::Dgx2, 5.0);
         let mut state = seed;
         let mut next = move |bound: usize| -> usize {
@@ -1353,7 +1459,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let mut streams = Vec::new();
         let mut ops = Vec::new();
-        for i in 0..2 * CANDIDATES {
+        for i in 0..width {
             let s = b.new_stream();
             streams.push(s);
             let (src, dst) = (next(32), next(32));
@@ -1374,7 +1480,7 @@ mod tests {
                 format!("w{i}"),
             ));
         }
-        for i in 0..2 * CANDIDATES {
+        for i in 0..width {
             let s = streams[next(streams.len())];
             let deps: Vec<_> = (0..next(3)).map(|_| ops[next(ops.len())]).collect();
             let server = 16 * next(2);
@@ -1422,18 +1528,38 @@ mod tests {
         (topo, b.build().unwrap())
     }
 
+    /// Ops with no deps that head their stream: ready at the issue time.
+    fn roots(program: &Program) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        program
+            .ops()
+            .iter()
+            .filter(|op| seen.insert(op.stream) && op.deps.is_empty())
+            .count()
+    }
+
+    fn assert_sessions_bit_identical(a: &SessionReport, b: &SessionReport) {
+        assert_eq!(a.programs.len(), b.programs.len());
+        for (i, (x, y)) in a.programs.iter().zip(&b.programs).enumerate() {
+            assert_eq!(x.issue_us.to_bits(), y.issue_us.to_bits(), "program {i}");
+            assert_eq!(x.start_us.to_bits(), y.start_us.to_bits(), "program {i}");
+            assert_eq!(x.end_us.to_bits(), y.end_us.to_bits(), "program {i}");
+        }
+        let flat = |r: &SessionReport| RunReport {
+            total_us: r.total_us,
+            op_spans: r.programs.iter().flat_map(|p| p.op_spans.clone()).collect(),
+            link_busy_us: r.link_busy_us.clone(),
+            link_bytes: r.link_bytes.clone(),
+        };
+        assert_reports_bit_identical(&flat(a), &flat(b));
+    }
+
     #[test]
     fn engine_paths_agree_when_more_than_the_candidate_window_is_ready() {
         for seed in [0x9e37_79b9_7f4a_7c15u64, 0x2545_f491_4f6c_dd1d, 0xdead_beef] {
-            let (topo, program) = wide_random_program(seed);
+            let (topo, program) = wide_random_program(seed, 2 * CANDIDATES);
             assert!(program.len() >= 300);
-            // ops with no deps that head their stream are all ready at t = 0
-            let mut seen = std::collections::HashSet::new();
-            let ready_at_start = program
-                .ops()
-                .iter()
-                .filter(|op| seen.insert(op.stream) && op.deps.is_empty())
-                .count();
+            let ready_at_start = roots(&program);
             assert!(ready_at_start > CANDIDATES, "{ready_at_start} ready ops");
 
             let sim = Simulator::with_defaults(topo);
@@ -1453,6 +1579,73 @@ mod tests {
             };
             assert_reports_bit_identical(&reference, &streamed);
         }
+    }
+
+    #[test]
+    fn staggered_sessions_agree_with_the_reference_when_more_than_the_window_is_ready() {
+        // Every program's roots wait in the ready set from t = 0, so more
+        // than CANDIDATES ops are ready; ops that become ready mid-run must
+        // displace later-issued roots from the window. Two programs share
+        // an issue time, so admission order breaks their ties.
+        let issues = [0.0, 40.0, 40.0, 250.5];
+        for seed in [0x51_7cc1_b727_220a_u64, 0x94d0_49bb_1331_11eb] {
+            let mut topo = None;
+            let mut programs = Vec::new();
+            for k in 0..issues.len() {
+                let (t, p) = wide_random_program(seed + k as u64, CANDIDATES / 2);
+                topo = Some(t);
+                programs.push(p);
+            }
+            let ready: usize = programs.iter().map(roots).sum();
+            assert!(ready > CANDIDATES, "{ready} ready ops");
+
+            let sim = Simulator::with_defaults(topo.unwrap());
+            let entries: Vec<(&Program, f64)> = programs.iter().zip(issues).collect();
+            let reference = sim.run_reference_session(&entries).unwrap();
+            let mut session = sim.session();
+            for (program, issue) in programs.clone().into_iter().zip(issues) {
+                session.admit(program, issue);
+            }
+            let fast = session.run_with_scratch(&mut EngineScratch::new()).unwrap();
+            assert_sessions_bit_identical(&reference, &fast);
+            // later issues really wait: no program starts before its issue
+            for (span, issue) in fast.programs.iter().zip(issues) {
+                assert!(span.start_us >= issue);
+            }
+            // the session hands its programs back in admission order
+            let back = session.into_programs();
+            assert!(back.iter().map(|(p, _)| p).eq(&programs));
+            assert!(back.iter().map(|(_, t)| *t).eq(issues));
+        }
+    }
+
+    #[test]
+    fn a_candidate_ready_exactly_at_the_best_start_still_competes() {
+        // X and Y (program B, issued at 0) share GPU0->GPU1 on two streams;
+        // Z (program A, admitted first so its op id is lowest) uses the same
+        // link and is issued exactly when X finishes. After X, Y can start at
+        // d and Z, ready at d, can too: the tie goes to Z's lower id, which
+        // the scan only sees if it keeps candidates ready within the 1e-9
+        // tolerance of the best start.
+        let sim = Simulator::with_defaults(dgx1v());
+        let copies = |n: usize| {
+            let mut b = ProgramBuilder::new();
+            for _ in 0..n {
+                let s = b.new_stream();
+                b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, vec![], "");
+            }
+            b.build().unwrap()
+        };
+        let d = sim.run(&copies(1)).unwrap().total_us;
+        let (a, b) = (copies(1), copies(2));
+        let reference = sim.run_reference_session(&[(&a, d), (&b, 0.0)]).unwrap();
+        let mut session = sim.session();
+        session.admit(a, d);
+        session.admit(b, 0.0);
+        let fast = session.run().unwrap();
+        assert_sessions_bit_identical(&reference, &fast);
+        assert_eq!(fast.programs[0].start_us.to_bits(), d.to_bits());
+        assert_eq!(fast.programs[1].op_spans[1].0.to_bits(), (d + d).to_bits());
     }
 
     #[test]

@@ -29,8 +29,12 @@
 //!   fast path**: a prepass interns every resource to a dense id and lays
 //!   per-op resource lists and dependency children out as flat CSR buffers in
 //!   a reusable [`EngineScratch`], so the candidate scan allocates nothing
-//!   per iteration; timings are bit-identical to the allocating reference
-//!   scheduler the engine's tests keep as an oracle. The scratch obeys the same buffers-not-state / high-water-mark / `Send`
+//!   per iteration. The K earliest-ready candidates sit in a sorted window
+//!   beside the ready heap (O(1) heap operations per scheduled op) and the
+//!   scan over it stops, exactly, at the first candidate that becomes ready
+//!   too late to win; timings are bit-identical to the allocating
+//!   pop-K-and-push-back reference scheduler the engine's tests keep as an
+//!   oracle. The scratch obeys the same buffers-not-state / high-water-mark / `Send`
 //!   contract as `blink-graph`'s planning scratches (see [`engine`]'s module
 //!   docs). The engine is also a **streaming executor**: a
 //!   [`Session`] admits multiple in-flight programs with
