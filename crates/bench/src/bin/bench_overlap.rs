@@ -24,6 +24,9 @@
 //!   * overlapped strictly beats serialized on every preset x model row;
 //!   * every overlapped/fused schedule passes the semantics oracle;
 //!   * the small-bucket rows actually fused at least one program;
+//!   * re-running each row's overlapped step lowers nothing new: every
+//!     group's program is the first run's memoised `Arc`, and the finish
+//!     time is bit-identical;
 //!   * each row's speedup is within `CHECK_TOLERANCE` of the recording.
 //!
 //! Exits non-zero on regression.
@@ -33,6 +36,7 @@ use blink_topology::presets::{dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
 use blink_train::{BlinkBackend, DnnModel, TrainerConfig, TrainingSimulator};
 use serde::Serialize;
+use std::sync::Arc;
 
 /// A measured speedup may drift this far below the recorded trajectory
 /// before `--check` fails. Simulated timings are deterministic, so the band
@@ -82,6 +86,10 @@ struct Row {
     /// The overlapped schedule (and every fused constituent) passed the
     /// value-level oracle.
     conformant: bool,
+    /// Re-running the overlapped step lowered nothing new (every group's
+    /// program is the first run's memoised one) and finished at the
+    /// bit-identical time.
+    rerun_memoised: bool,
 }
 
 #[derive(Serialize)]
@@ -117,6 +125,16 @@ fn run_case(preset: &Preset, model: &DnnModel, config: TrainerConfig, fusion_gat
     let (run, checks) = comm
         .run_streamed_checked(CollectiveKind::AllReduce, &requests)
         .expect("streamed schedule runs");
+    let rerun = comm
+        .run_streamed(CollectiveKind::AllReduce, &requests)
+        .expect("streamed schedule re-runs");
+    let rerun_memoised = rerun.finish_us.to_bits() == run.finish_us.to_bits()
+        && rerun.groups.len() == run.groups.len()
+        && rerun
+            .groups
+            .iter()
+            .zip(&run.groups)
+            .all(|(a, b)| Arc::ptr_eq(&a.program, &b.program));
 
     Row {
         machine: preset.name.to_string(),
@@ -132,6 +150,7 @@ fn run_case(preset: &Preset, model: &DnnModel, config: TrainerConfig, fusion_gat
         speedup: serialized.iteration_us / overlapped.iteration_us,
         fusion_gated,
         conformant: checks.iter().all(|c| c.is_correct()),
+        rerun_memoised,
     }
 }
 
@@ -234,6 +253,12 @@ fn main() {
             if row.fusion_gated && row.fused_programs == 0 {
                 failures.push(format!(
                     "{key}: small-bucket regime fused no programs (threshold pass inert)"
+                ));
+            }
+            if !row.rerun_memoised {
+                failures.push(format!(
+                    "{key}: re-running the overlapped step lowered a program again or \
+                     changed its finish time"
                 ));
             }
         }

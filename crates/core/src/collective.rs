@@ -10,7 +10,10 @@ use std::fmt;
 /// AllReduce and notes that the rest "follow similar patterns": Gather is the
 /// inverse of Broadcast, AllGather is AllReduce without the reduction, and
 /// ReduceScatter is the first half of AllReduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Kinds order and hash, so `(kind, bytes)` keys a communicator's
+/// per-signature state directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum CollectiveKind {
     /// One-to-all: `root` sends its buffer to every other GPU.
     Broadcast {

@@ -19,6 +19,22 @@
 //! than cold replans on single-link and single-GPU failures (see
 //! `bench_replan`); [`Communicator::run_checked`] then proves the recovered
 //! program byte-exact on the post-churn hardware.
+//!
+//! # The lowering memo
+//!
+//! Like Blink's CodeGen, which emits a collective once per allocation and
+//! lets every training iteration reuse it, a communicator lowers each
+//! collective signature — `(CollectiveKind, bytes)`, the key the chunk
+//! autotuners already use — once, and keeps the result as a shared
+//! `Arc<Program>` plus its tree count and strategy. The entry records the
+//! chunk size it was lowered at: a call whose chunk differs (the MIAD tuner
+//! moving under [`Communicator::run`]) re-lowers and replaces it, so the memo
+//! holds at most one program per signature a caller has issued.
+//! [`Communicator::replan`] clears it together with the tuners, the switch
+//! strategy verdicts and the hybrid planners; nothing else a lowering reads
+//! can change under a live communicator. [`Communicator::run_traced`],
+//! [`Communicator::run_streamed`] and [`crate::ProcessGroups::run_concurrent`]
+//! all lower through it.
 
 use crate::autotune::{global_plan_cache, ChunkAutotuner, PlanCache, SharedPlanCache};
 use crate::codegen::{CodeGen, CodeGenOptions};
@@ -35,6 +51,7 @@ use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Options for a [`Communicator`] (set through
 /// [`CommunicatorBuilder::options`]).
@@ -228,8 +245,36 @@ pub struct ReplanReport {
 }
 
 /// A collective's timing report plus the artifacts the value-level oracle
-/// replays: the lowered program and the engine's per-op `(start, end)` spans.
-pub type TracedRun = (CollectiveReport, Program, Vec<(f64, f64)>);
+/// replays: the lowered program (shared with the communicator's lowering
+/// memo) and the engine's per-op `(start, end)` spans.
+pub type TracedRun = (CollectiveReport, Arc<Program>, Vec<(f64, f64)>);
+
+/// One collective signature: the key of a communicator's chunk tuners and
+/// lowering memo.
+type Signature = (CollectiveKind, u64);
+
+/// What a communicator keeps per [`Signature`].
+#[derive(Debug, Default)]
+struct SignatureState {
+    /// The MIAD chunk tuner; consulted only when
+    /// [`CommunicatorOptions::chunk_bytes`] is `None`.
+    tuner: ChunkAutotuner,
+    /// The signature's last lowering (see "the lowering memo" in the module
+    /// docs).
+    lowered: Option<Lowered>,
+}
+
+/// A collective lowered at one chunk size.
+#[derive(Debug, Clone)]
+pub(crate) struct Lowered {
+    /// The chunk size the program was lowered at.
+    chunk: u64,
+    pub(crate) program: Arc<Program>,
+    /// Spanning trees (or partitions) the lowering used.
+    num_trees: usize,
+    /// Human-readable strategy tag of the lowering.
+    pub(crate) strategy: String,
+}
 
 /// One program of a [`StreamedRun`]: a fused batch (or unfused single
 /// request) with its issue time, completion time and the oracle-replayable
@@ -244,8 +289,9 @@ pub struct StreamedGroup {
     pub issue_us: f64,
     /// When the program's last op finished, on the session clock.
     pub end_us: f64,
-    /// The lowered (possibly fused) program.
-    pub program: Program,
+    /// The lowered (possibly fused) program, shared with the communicator's
+    /// lowering memo.
+    pub program: Arc<Program>,
     /// The engine's per-op `(start, end)` spans for this program.
     pub op_spans: Vec<(f64, f64)>,
     /// Human-readable strategy tag of the lowering.
@@ -279,7 +325,9 @@ pub struct Communicator {
     induced: Topology,
     sim: Simulator,
     options: CommunicatorOptions,
-    autotuners: BTreeMap<String, ChunkAutotuner>,
+    /// Per-signature chunk tuner and lowering memo; cleared by
+    /// [`Communicator::replan`].
+    signatures: BTreeMap<Signature, SignatureState>,
     /// This communicator's handle on its plan store, plus the planning
     /// scratch (MWU packing, minimisation and certificate buffers):
     /// collectives re-issued by the autotune loop skip the packing stage
@@ -300,8 +348,9 @@ pub struct Communicator {
     /// clone no tree plans at all.
     hybrids: BTreeMap<GpuId, HybridPlanner>,
     /// Memoised winner of the one-hop-vs-packed simulate-off per collective
-    /// signature on switch fabrics; cleared by [`Communicator::replan`].
-    switch_strategy: BTreeMap<String, SwitchChoice>,
+    /// kind (rooted kinds per root) on switch fabrics; cleared by
+    /// [`Communicator::replan`].
+    switch_strategy: BTreeMap<CollectiveKind, SwitchChoice>,
     /// Reusable engine buffers: the autotune loop executes one program per
     /// collective call, and the interned-resource scheduler's prepass tables
     /// amortise across all of them (see `blink_sim::engine`'s scratch-reuse
@@ -405,7 +454,8 @@ impl Communicator {
     /// Runs a collective and also returns the lowered program plus the
     /// engine's per-op `(start, end)` spans — exactly the inputs the
     /// value-level oracle needs. Trivial calls (single GPU, empty buffer)
-    /// return an empty program and no spans.
+    /// return an empty program and no spans. The program comes from the
+    /// lowering memo, so repeated calls return the same `Arc`.
     pub fn run_traced(&mut self, kind: CollectiveKind, bytes: u64) -> Result<TracedRun> {
         if self.allocation.len() < 2 || bytes == 0 {
             let report = CollectiveReport {
@@ -417,15 +467,19 @@ impl Communicator {
                 chunk_bytes: 0,
                 strategy: "trivial (single GPU or empty buffer)".to_string(),
             };
-            return Ok((report, Program::default(), Vec::new()));
+            return Ok((report, Arc::default(), Vec::new()));
         }
         for &g in &self.allocation {
             if !self.machine.contains(g) {
                 return Err(BlinkError::Planning(format!("GPU {g} not in topology")));
             }
         }
-        let chunk = self.current_chunk(kind, bytes);
-        let (program, num_trees, strategy) = self.build_program(kind, bytes, chunk)?;
+        let Lowered {
+            chunk,
+            program,
+            num_trees,
+            strategy,
+        } = self.lower(kind, bytes)?;
         let report = self
             .sim
             .run_with_scratch(&program, &mut self.engine_scratch)
@@ -507,46 +561,38 @@ impl Communicator {
         } else {
             0
         };
-        let groups = fuse_requests(&sizes, threshold);
-        // lower every group first (planning borrows the communicator
-        // mutably), then move the programs into one shared session and take
-        // them back after the run
-        let mut lowered = Vec::with_capacity(groups.len());
-        let mut programs = Vec::with_capacity(groups.len());
-        for group in groups {
-            let bytes = group.total_bytes;
-            let chunk = self.current_chunk(kind, bytes);
-            let (program, _, strategy) = self.build_program(kind, bytes, chunk)?;
+        // lower every group first (lowering borrows the communicator
+        // mutably), then run them all in one shared session
+        let mut out = Vec::new();
+        for group in fuse_requests(&sizes, threshold) {
+            let Lowered {
+                program, strategy, ..
+            } = self.lower(kind, group.total_bytes)?;
             let issue_us = group
                 .members
                 .iter()
                 .map(|&i| requests[i].1)
                 .fold(0.0f64, f64::max);
-            lowered.push((group, strategy));
-            programs.push((program, issue_us));
+            out.push(StreamedGroup {
+                group,
+                issue_us,
+                end_us: issue_us,
+                program,
+                op_spans: Vec::new(),
+                strategy,
+            });
         }
         let mut session = self.sim.session();
-        for (program, issue_us) in programs {
-            session.admit(program, issue_us);
+        for g in &out {
+            session.admit(g.program.clone(), g.issue_us);
         }
         let report = session
             .run_with_scratch(&mut self.engine_scratch)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
-        let out = lowered
-            .into_iter()
-            .zip(session.into_programs())
-            .zip(report.programs)
-            .map(
-                |(((group, strategy), (program, issue_us)), span)| StreamedGroup {
-                    group,
-                    issue_us,
-                    end_us: span.end_us,
-                    program,
-                    op_spans: span.op_spans,
-                    strategy,
-                },
-            )
-            .collect();
+        for (g, span) in out.iter_mut().zip(report.programs) {
+            g.end_us = span.end_us;
+            g.op_spans = span.op_spans;
+        }
         Ok(StreamedRun {
             finish_us: report.total_us.max(ready_floor),
             groups: out,
@@ -604,35 +650,50 @@ impl Communicator {
     pub fn current_chunk(&mut self, kind: CollectiveKind, bytes: u64) -> u64 {
         match self.options.chunk_bytes {
             Some(c) => c,
-            None => {
-                let key = Self::tuner_key(kind, bytes);
-                self.autotuners
-                    .entry(key)
-                    .or_insert_with(ChunkAutotuner::with_defaults)
-                    .chunk_bytes()
-            }
+            None => self
+                .signatures
+                .entry((kind, bytes))
+                .or_default()
+                .tuner
+                .chunk_bytes(),
         }
     }
 
     fn observe_chunk(&mut self, kind: CollectiveKind, bytes: u64, gbps: f64) {
         if self.options.chunk_bytes.is_none() {
-            let key = Self::tuner_key(kind, bytes);
-            if let Some(t) = self.autotuners.get_mut(&key) {
-                t.observe(gbps);
+            if let Some(state) = self.signatures.get_mut(&(kind, bytes)) {
+                state.tuner.observe(gbps);
             }
         }
     }
 
     /// The chunk-tuner trace for one collective signature (Figure 12).
     pub fn autotune_history(&self, kind: CollectiveKind, bytes: u64) -> Vec<(u64, f64)> {
-        self.autotuners
-            .get(&Self::tuner_key(kind, bytes))
-            .map(|t| t.history().to_vec())
+        self.signatures
+            .get(&(kind, bytes))
+            .map(|state| state.tuner.history().to_vec())
             .unwrap_or_default()
     }
 
-    fn tuner_key(kind: CollectiveKind, bytes: u64) -> String {
-        format!("{kind}:{bytes}")
+    /// Lowers `kind` over `bytes` at the signature's current chunk size,
+    /// through the lowering memo: a hit at the same chunk returns the
+    /// memoised lowering (the same `Arc<Program>`), anything else lowers
+    /// afresh and replaces the entry. Failed lowerings are not memoised.
+    pub(crate) fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Lowered> {
+        let chunk = self.current_chunk(kind, bytes);
+        let state = self.signatures.entry((kind, bytes)).or_default();
+        if let Some(hit) = state.lowered.as_ref().filter(|l| l.chunk == chunk) {
+            return Ok(hit.clone());
+        }
+        let (program, num_trees, strategy) = self.build_program(kind, bytes, chunk)?;
+        let lowered = Lowered {
+            chunk,
+            program: Arc::new(program),
+            num_trees,
+            strategy,
+        };
+        self.signatures.entry((kind, bytes)).or_default().lowered = Some(lowered.clone());
+        Ok(lowered)
     }
 
     fn codegen_options(&self, chunk: u64) -> CodeGenOptions {
@@ -723,8 +784,9 @@ impl Communicator {
     ///
     /// Removed GPUs leave the allocation; GPUs added by the delta join it.
     /// Chunk autotuners reset (the hardware their throughput feedback
-    /// calibrated against no longer exists); the engine scratch is kept —
-    /// scratch contents never affect results.
+    /// calibrated against no longer exists) and the lowering memo empties
+    /// (its programs may route over links the delta removed); the engine
+    /// scratch is kept — scratch contents never affect results.
     ///
     /// # Graceful-degradation ladder
     ///
@@ -829,7 +891,7 @@ impl Communicator {
         self.spannable.clear();
         self.hybrids.clear();
         self.switch_strategy.clear();
-        self.autotuners.clear();
+        self.signatures.clear();
         self.plans
             .note_delta(&self.induced, &self.options.treegen, delta);
         let plans_kept = self.plans.len();
@@ -877,7 +939,7 @@ impl Communicator {
         })
     }
 
-    pub(crate) fn build_program(
+    fn build_program(
         &mut self,
         kind: CollectiveKind,
         bytes: u64,
@@ -1039,8 +1101,7 @@ impl Communicator {
         bytes: u64,
         chunk: u64,
     ) -> Result<(Program, usize, String)> {
-        let key = format!("{kind}");
-        if let Some(&choice) = self.switch_strategy.get(&key) {
+        if let Some(&choice) = self.switch_strategy.get(&kind) {
             return self.switch_candidate(choice, kind, bytes, chunk);
         }
         let one_hop = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
@@ -1057,7 +1118,7 @@ impl Communicator {
             }
             Err(_) => (SwitchChoice::OneHop, one_hop),
         };
-        self.switch_strategy.insert(key, choice);
+        self.switch_strategy.insert(kind, choice);
         Ok(winner)
     }
 
@@ -1277,7 +1338,7 @@ impl CommunicatorBuilder {
             induced,
             sim,
             options: self.options,
-            autotuners: BTreeMap::new(),
+            signatures: BTreeMap::new(),
             plans: PlanCache::new(store, self.canonical),
             picked_root: None,
             spannable: BTreeMap::new(),
@@ -1332,6 +1393,7 @@ fn largest_connected_component(induced: &Topology, allocation: &[GpuId]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blink_sim::{LinkClass, OpKind};
     use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
 
     fn mb(n: u64) -> u64 {
@@ -1503,10 +1565,14 @@ mod tests {
         // 2 servers x 3 partitions = 6 plans packed once
         assert_eq!(store.stats(), (0, 6));
         assert_eq!(store.len(), 6);
+        // the same signature again is served by the lowering memo
         let (_, second, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
-        assert_eq!(store.stats(), (6, 6), "the second AllReduce packs nothing");
+        assert_eq!(store.stats(), (0, 6), "a memoised lowering plans nothing");
+        assert!(Arc::ptr_eq(&first, &second));
+        // a new size lowers again, over the stored plans
+        comm.run_traced(CollectiveKind::AllReduce, mb(16)).unwrap();
+        assert_eq!(store.stats(), (6, 6), "the second size packs nothing");
         assert_eq!(store.len(), 6);
-        assert_eq!(first, second);
     }
 
     #[test]
@@ -2026,6 +2092,129 @@ mod tests {
             let err = groups.run_concurrent(&[(CollectiveKind::Broadcast { root }, mb(1))]);
             assert!(matches!(err, Err(BlinkError::Planning(_))));
         }
+    }
+
+    #[test]
+    fn a_repeated_streamed_step_reuses_every_lowering() {
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
+        // fused small buckets, a repeated size and a large bucket
+        let requests = [
+            (mb(1), 0.0),
+            (mb(1), 5.0),
+            (mb(24), 20.0),
+            (mb(24), 60.0),
+            (mb(64), 90.0),
+        ];
+        let first = comm
+            .run_streamed(CollectiveKind::AllReduce, &requests)
+            .unwrap();
+        let second = comm
+            .run_streamed(CollectiveKind::AllReduce, &requests)
+            .unwrap();
+        assert_eq!(first.groups.len(), 4);
+        assert_eq!(first.finish_us.to_bits(), second.finish_us.to_bits());
+        for (a, b) in first.groups.iter().zip(&second.groups) {
+            assert!(Arc::ptr_eq(&a.program, &b.program), "{:?}", a.group);
+            assert_eq!(a.end_us.to_bits(), b.end_us.to_bits());
+            assert_eq!(a.op_spans.len(), b.op_spans.len());
+            for (x, y) in a.op_spans.iter().zip(&b.op_spans) {
+                assert_eq!(
+                    (x.0.to_bits(), x.1.to_bits()),
+                    (y.0.to_bits(), y.1.to_bits())
+                );
+            }
+        }
+        // the two 24 MiB buckets share one lowering within a step too
+        assert!(Arc::ptr_eq(
+            &first.groups[1].program,
+            &first.groups[2].program
+        ));
+    }
+
+    #[test]
+    fn replan_drops_lowerings_that_route_over_a_dead_link() {
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
+        let kind = CollectiveKind::AllReduce;
+        let (_, before, _) = comm.run_traced(kind, mb(16)).unwrap();
+        let uses = |program: &Program, a: GpuId, b: GpuId| {
+            program.ops().iter().any(|op| {
+                matches!(op.kind, OpKind::Copy { src, dst, class: LinkClass::NvLink, .. }
+                    if (src, dst) == (a, b) || (src, dst) == (b, a))
+            })
+        };
+        let (a, b) = program_nvlink_pair(&before);
+        assert!(uses(&before, a, b));
+        let delta = TopologyDelta::kill_link(comm.induced_topology(), a, b);
+        comm.replan(&delta).unwrap();
+        let (_, check) = comm.run_checked(kind, mb(16)).unwrap();
+        assert!(check.is_correct(), "{check}");
+        let (_, after, _) = comm.run_traced(kind, mb(16)).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after), "replan must re-lower");
+        assert!(!uses(&after, a, b), "the new lowering avoids the dead link");
+    }
+
+    /// The endpoints of the first NVLink copy in `program`.
+    fn program_nvlink_pair(program: &Program) -> (GpuId, GpuId) {
+        program
+            .ops()
+            .iter()
+            .find_map(|op| match op.kind {
+                OpKind::Copy {
+                    src,
+                    dst,
+                    class: LinkClass::NvLink,
+                    ..
+                } => Some((src, dst)),
+                _ => None,
+            })
+            .expect("the program copies over NVLink")
+    }
+
+    #[test]
+    fn memoised_lowerings_follow_the_tuned_chunk() {
+        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let shared = SharedPlanCache::new();
+        let mut tuned = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .shared_plans(shared.clone())
+            .options(CommunicatorOptions {
+                chunk_bytes: None,
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        let kind = CollectiveKind::Broadcast { root: GpuId(0) };
+        let mut previous: Option<(u64, Arc<Program>)> = None;
+        let mut chunks = BTreeSet::new();
+        for _ in 0..6 {
+            let (report, program, _) = tuned.run_traced(kind, mb(200)).unwrap();
+            // a communicator pinned at the reported chunk lowers the same
+            let mut pinned = Communicator::builder(dgx1v())
+                .allocation(&alloc)
+                .shared_plans(shared.clone())
+                .options(CommunicatorOptions {
+                    chunk_bytes: Some(report.chunk_bytes),
+                    ..Default::default()
+                })
+                .build()
+                .unwrap();
+            let (_, expected, _) = pinned.run_traced(kind, mb(200)).unwrap();
+            assert_eq!(*program, *expected, "chunk {}", report.chunk_bytes);
+            if let Some((chunk, prev)) = &previous {
+                assert_eq!(*chunk == report.chunk_bytes, Arc::ptr_eq(prev, &program));
+            }
+            chunks.insert(report.chunk_bytes);
+            previous = Some((report.chunk_bytes, program));
+        }
+        assert!(chunks.len() > 1, "the tuner moved: {chunks:?}");
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::communicator::Communicator;
 use crate::{BlinkError, Result};
 use blink_sim::{check_collective, EngineScratch, Program, Simulator, ValueCheck};
 use blink_topology::{GroupSplit, Topology};
+use std::sync::Arc;
 
 /// A set of sub-communicators produced by [`Communicator::split`], sharing
 /// one machine model and one simulator session.
@@ -47,8 +48,9 @@ pub struct GroupCollective {
     pub end_us: f64,
     /// Human-readable strategy the child communicator picked.
     pub strategy: String,
-    /// The lowered transfer program (empty for trivial requests).
-    pub program: Program,
+    /// The lowered transfer program (empty for trivial requests), shared
+    /// with the child communicator's lowering memo.
+    pub program: Arc<Program>,
     /// Per-op `(start, end)` times on the shared schedule, indexed by the
     /// program's op ids.
     pub op_spans: Vec<(f64, f64)>,
@@ -137,27 +139,17 @@ impl ProcessGroups {
                 self.children.len()
             )));
         }
-        // Non-empty programs move into one session; `admitted[k]` is the
-        // subgroup whose program was admitted k-th. Trivial subgroups keep
-        // their empty program and run nowhere.
-        let mut session = self.sim.session();
-        let mut admitted = Vec::with_capacity(requests.len());
         let mut groups = Vec::with_capacity(requests.len());
-        for (i, (child, &(kind, bytes))) in self.children.iter_mut().zip(requests).enumerate() {
-            let (mut program, strategy) = if child.allocation().len() < 2 || bytes == 0 {
+        for (child, &(kind, bytes)) in self.children.iter_mut().zip(requests) {
+            let (program, strategy) = if child.allocation().len() < 2 || bytes == 0 {
                 (
-                    Program::default(),
+                    Arc::default(),
                     "trivial (single GPU or empty buffer)".to_string(),
                 )
             } else {
-                let chunk = child.current_chunk(kind, bytes);
-                let (program, _trees, strategy) = child.build_program(kind, bytes, chunk)?;
-                (program, strategy)
+                let lowered = child.lower(kind, bytes)?;
+                (lowered.program, lowered.strategy)
             };
-            if !program.ops().is_empty() {
-                session.admit(std::mem::take(&mut program), 0.0);
-                admitted.push(i);
-            }
             groups.push(GroupCollective {
                 kind,
                 bytes,
@@ -167,18 +159,23 @@ impl ProcessGroups {
                 op_spans: Vec::new(),
             });
         }
+        // Non-empty programs share one session; `admitted[k]` is the
+        // subgroup whose program was admitted k-th. Trivial subgroups run
+        // nowhere.
+        let mut session = self.sim.session();
+        let mut admitted = Vec::with_capacity(groups.len());
+        for (i, group) in groups.iter().enumerate() {
+            if !group.program.is_empty() {
+                session.admit(group.program.clone(), 0.0);
+                admitted.push(i);
+            }
+        }
         let report = session
             .run_with_scratch(&mut self.engine_scratch)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
-        for ((i, (program, _)), span) in admitted
-            .into_iter()
-            .zip(session.into_programs())
-            .zip(report.programs)
-        {
-            let group = &mut groups[i];
-            group.program = program;
-            group.end_us = span.end_us;
-            group.op_spans = span.op_spans;
+        for (i, span) in admitted.into_iter().zip(report.programs) {
+            groups[i].end_us = span.end_us;
+            groups[i].op_spans = span.op_spans;
         }
         Ok(GroupRun {
             finish_us: report.total_us,

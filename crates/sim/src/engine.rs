@@ -15,7 +15,7 @@
 //! The autotune and planning loops simulate thousands of candidate programs,
 //! so the scheduler itself is a hot path. [`Simulator::run_with_scratch`]
 //! therefore splits execution into a **prepass** and a **zero-allocation
-//! scan**: the prepass interns every resource an op touches to a dense
+//! scan**: the prepass resolves every resource an op touches to a dense
 //! integer id and lays the per-op resource-id lists out in one flat CSR
 //! buffer, precomputes each op's duration, and builds the dependency
 //! children lists as a second CSR — after which the K-candidate scan (pick,
@@ -23,6 +23,24 @@
 //! current resource occupancy) runs entirely over flat `Vec` lookups with no
 //! per-iteration allocation and no ordered-map walks. All of those buffers
 //! live in an [`EngineScratch`] that callers reuse across runs.
+//!
+//! **Resource ids are fixed per [`Simulator`].** [`Simulator::new`] resolves
+//! the topology's hardware once: every directed `(src, dst, class)` the
+//! topology has links for gets a static id and its capacity (summed over
+//! those links in [`Topology::links`] order), followed by one id per GPU for
+//! its switch egress port, its switch ingress port and its compute engine
+//! (GPUs in a dense local index, sized by the topology's GPU count), and one
+//! id per server for its outgoing and its incoming NIC. A copy therefore
+//! resolves its link, capacity, ports and NICs with one binary search, and a
+//! kernel its compute engine with another. **Streams are appended per
+//! session**: a program's stream `s` gets id `static + base + s`, where
+//! `base` is the number of stream ids the programs admitted before it span,
+//! and the same-stream FIFO predecessor is kept in a `Vec` indexed the same
+//! way. Stream ids are never interned, so the engine's per-run tables grow
+//! with the largest stream id a program uses — [`ProgramBuilder`]'s
+//! `new_stream` hands them out densely from 0.
+//!
+//! [`ProgramBuilder`]: crate::program::ProgramBuilder
 //!
 //! The K candidates live in a **sorted window** beside the ready heap, in
 //! the heap's pop order (ascending `(ready time, op id)`). Invariant: the
@@ -42,11 +60,15 @@
 //!
 //! The flat-path schedule is **bit-identical** to the direct implementation
 //! (an allocating reference scheduler over ordered maps that pops K ready
-//! ops, scans all of them and pushes the losers back, kept in this module's
-//! tests as the oracle they compare against): interning, the window and the
-//! early exit only change how the candidates and a resource's free time are
-//! looked up, never which ops are candidates, which resources an op
-//! occupies, how long it runs, or how ties are broken.
+//! ops, scans all of them and pushes the losers back, and derives each op's
+//! resources and link capacity from the topology on its own, kept in this
+//! module's tests as the oracle they compare against): the resource table,
+//! the window and the early exit only change how the candidates and a
+//! resource's free time are looked up, never which ops are candidates, which
+//! resources an op occupies, how long it runs, or how ties are broken. Errors
+//! agree too, op by op: a copy without a link of its class fails with
+//! [`SimError::MissingLink`] before an endpoint outside the topology is
+//! reported as [`SimError::UnknownGpu`].
 //!
 //! # Streaming sessions: the admission / contention / determinism contract
 //!
@@ -60,7 +82,7 @@
 //!   cross-program ordering (e.g. "this bucket's gradient is ready at t"):
 //!   programs themselves stay independent DAGs.
 //! * **Link sharing.** All admitted programs are scheduled over **one**
-//!   interned resource table, so contending ops FIFO-serialise on every
+//!   resource table, so contending ops FIFO-serialise on every
 //!   shared resource — directed links, switch ports, NICs, compute engines —
 //!   at op (chunk) granularity. At that granularity interleaved
 //!   serialisation is the engine's stand-in for fair time-sharing of a link,
@@ -91,10 +113,12 @@
 //! across threads — but never share one mutably between concurrent runs.
 
 use crate::params::SimParams;
-use crate::program::{LinkClass, OpKind, Program, StreamId};
+use crate::program::{LinkClass, OpKind, Program};
 use blink_topology::{GpuId, LinkKind, ServerId, Topology};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised while executing a program.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,22 +240,165 @@ pub struct SessionReport {
     pub link_bytes: BTreeMap<(GpuId, GpuId, LinkClass), u64>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum Resource {
-    Link(GpuId, GpuId, u8),
-    EgressPort(GpuId),
-    IngressPort(GpuId),
-    NicOut(ServerId),
-    NicIn(ServerId),
-    Compute(GpuId),
-    Stream(StreamId),
+/// The link class a topology link of `kind` serves.
+fn link_class(kind: LinkKind) -> LinkClass {
+    match kind {
+        LinkKind::NvLinkGen1 | LinkKind::NvLinkGen2 | LinkKind::NvSwitch => LinkClass::NvLink,
+        LinkKind::Pcie => LinkClass::Pcie,
+        LinkKind::Network => LinkClass::Network,
+    }
 }
 
-fn class_tag(class: LinkClass) -> u8 {
-    match class {
-        LinkClass::NvLink => 0,
-        LinkClass::Pcie => 1,
-        LinkClass::Network => 2,
+/// One directed `(src, dst, class)` of the topology: static link `i` of a
+/// [`ResourceTable`] is also static resource id `i`.
+#[derive(Debug, Clone)]
+struct LinkResources {
+    key: (GpuId, GpuId, LinkClass),
+    /// Capacity of the class's links from `src` to `dst`, summed in
+    /// [`Topology::links`] order.
+    capacity_gbps: f64,
+    /// The first endpoint (`src`, then `dst`) missing from the topology's
+    /// GPU list; a copy over the link fails with it.
+    unknown: Option<GpuId>,
+    /// The resource ids a copy over the link occupies besides its stream:
+    /// the link itself, then the switch ports (NVLink class, capped GPUs) or
+    /// the NICs (network class, servers with a NIC) it crosses.
+    res: [u32; 3],
+    res_len: u8,
+}
+
+impl LinkResources {
+    fn push(&mut self, id: u32) {
+        self.res[self.res_len as usize] = id;
+        self.res_len += 1;
+    }
+
+    fn resources(&self) -> &[u32] {
+        &self.res[..self.res_len as usize]
+    }
+}
+
+/// The hardware resources of one topology, resolved once in
+/// [`Simulator::new`] (see "the interned-resource scheduling model" in the
+/// module docs).
+#[derive(Debug, Clone)]
+struct ResourceTable {
+    /// The topology's GPU ids, sorted and deduplicated: a GPU's dense local
+    /// index is its position here.
+    gpus: Vec<GpuId>,
+    /// Every directed `(src, dst, class)` with at least one link, sorted by
+    /// key.
+    links: Vec<LinkResources>,
+    /// GPU `i`'s compute engine is resource `compute_base + i`.
+    compute_base: u32,
+    /// Number of static resource ids; session streams are numbered after
+    /// them.
+    num_static: u32,
+}
+
+impl ResourceTable {
+    fn new(topology: &Topology) -> Self {
+        // a stable sort keeps each id's first entry first, as `Topology::gpu`
+        // finds it
+        let mut gpus: Vec<(GpuId, ServerId)> =
+            topology.gpus().iter().map(|g| (g.id, g.server)).collect();
+        gpus.sort_by_key(|g| g.0);
+        gpus.dedup_by_key(|g| g.0);
+        let index = |g: GpuId| {
+            gpus.binary_search_by_key(&g, |e| e.0)
+                .ok()
+                .map(|i| i as u32)
+        };
+        let servers = topology.servers();
+        // the NIC pair of GPU `g`'s server, when it has a NIC
+        let nic = |g: u32| {
+            let server = gpus[g as usize].1;
+            topology.server_nic(server)?;
+            servers.binary_search(&server).ok().map(|k| k as u32)
+        };
+
+        let mut keyed: Vec<((GpuId, GpuId, LinkClass), f64)> = topology
+            .links()
+            .iter()
+            .map(|l| ((l.src, l.dst, link_class(l.kind)), l.capacity_gbps()))
+            .collect();
+        // stable: the links of one key stay in `Topology::links` order
+        keyed.sort_by_key(|k| k.0);
+        let mut links: Vec<LinkResources> = Vec::new();
+        for (key, capacity) in keyed {
+            match links.last_mut() {
+                Some(last) if last.key == key => last.capacity_gbps += capacity,
+                _ => links.push(LinkResources {
+                    key,
+                    capacity_gbps: capacity,
+                    unknown: None,
+                    res: [0; 3],
+                    res_len: 0,
+                }),
+            }
+        }
+        // static ids: links, then per GPU its egress port, ingress port and
+        // compute engine, then per server its outgoing and incoming NIC
+        let n = gpus.len() as u32;
+        let egress = links.len() as u32;
+        let (ingress, compute, nics) = (egress + n, egress + 2 * n, egress + 3 * n);
+        for (id, link) in links.iter_mut().enumerate() {
+            let (src, dst, class) = link.key;
+            link.push(id as u32);
+            let (s, d) = match (index(src), index(dst)) {
+                (Some(s), Some(d)) => (s, d),
+                (None, _) => {
+                    link.unknown = Some(src);
+                    continue;
+                }
+                (_, None) => {
+                    link.unknown = Some(dst);
+                    continue;
+                }
+            };
+            match class {
+                LinkClass::NvLink => {
+                    if topology.gpu_cap(src).is_some() {
+                        link.push(egress + s);
+                    }
+                    if topology.gpu_cap(dst).is_some() {
+                        link.push(ingress + d);
+                    }
+                }
+                LinkClass::Network => {
+                    if let Some(k) = nic(s) {
+                        link.push(nics + 2 * k);
+                    }
+                    if let Some(k) = nic(d) {
+                        link.push(nics + 2 * k + 1);
+                    }
+                }
+                LinkClass::Pcie => {}
+            }
+        }
+        ResourceTable {
+            gpus: gpus.iter().map(|g| g.0).collect(),
+            links,
+            compute_base: compute,
+            num_static: nics + 2 * servers.len() as u32,
+        }
+    }
+
+    /// The `(src, dst, class)` link, or [`SimError::MissingLink`] when the
+    /// topology has none.
+    fn link(&self, src: GpuId, dst: GpuId, class: LinkClass) -> Result<&LinkResources, SimError> {
+        self.links
+            .binary_search_by(|l| l.key.cmp(&(src, dst, class)))
+            .map(|i| &self.links[i])
+            .map_err(|_| SimError::MissingLink { src, dst, class })
+    }
+
+    /// `gpu`'s dense local index, or [`SimError::UnknownGpu`].
+    fn gpu(&self, gpu: GpuId) -> Result<u32, SimError> {
+        self.gpus
+            .binary_search(&gpu)
+            .map(|i| i as u32)
+            .map_err(|_| SimError::UnknownGpu(gpu))
     }
 }
 
@@ -272,44 +439,47 @@ impl PartialOrd for Ready {
 /// one-hop pattern on a DGX-2) tightly.
 const CANDIDATES: usize = 128;
 
-/// Sentinel for "op occupies no link" in the prepass link table.
-const NO_LINK: u32 = u32::MAX;
+/// Sentinel for "no op" (no link, no FIFO predecessor) in the prepass
+/// tables.
+const NONE: u32 = u32::MAX;
 
-/// Reusable buffers for [`Simulator::run_with_scratch`]: the resource intern
-/// table, the per-op resource-id and children CSRs, flat free-time and
-/// link-accounting arrays, and the scheduler's candidate window and ready
-/// heap. See the module docs for the scratch-reuse contract; a fresh scratch
-/// is `Default`-constructible and the struct is `Clone` and `Send`.
+/// Reusable buffers for [`Simulator::run_with_scratch`]: the per-op
+/// resource-id and children CSRs, flat free-time and link-accounting arrays,
+/// and the scheduler's candidate window and ready heap. The resource ids
+/// themselves come from the [`Simulator`]'s table; the scratch only holds
+/// per-run state. See the module docs for the scratch-reuse contract; a
+/// fresh scratch is `Default`-constructible and the struct is `Clone` and
+/// `Send`.
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
-    /// Resource -> dense id intern table (rebuilt per run; rebuilding a
-    /// `HashMap` reuses its allocation, unlike an ordered map).
-    res_ids: HashMap<Resource, u32>,
     /// CSR offsets: op `i`'s resource ids live at `op_res[op_res_start[i]..op_res_start[i+1]]`.
     op_res_start: Vec<u32>,
     op_res: Vec<u32>,
     /// Precomputed duration per op.
     durations: Vec<f64>,
-    /// Link intern table for the per-link busy/bytes accounting.
-    link_ids: HashMap<(GpuId, GpuId, LinkClass), u32>,
-    links: Vec<(GpuId, GpuId, LinkClass)>,
-    /// Interned link id per op (`NO_LINK` for non-copies).
+    /// Static link id per op (`NONE` for non-copies), for the per-link
+    /// busy/bytes accounting.
     op_link: Vec<u32>,
     /// Payload bytes per op (copies only; 0 otherwise).
     op_bytes: Vec<u64>,
-    /// Free time per interned resource id.
+    /// Free time per resource id: the simulator's static ids, then the
+    /// session's streams.
     resource_free: Vec<f64>,
+    /// Busy time, bytes and whether any op used it, per static link id.
     link_busy: Vec<f64>,
     link_bytes: Vec<u64>,
+    link_used: Vec<bool>,
     indeg: Vec<u32>,
-    /// Implicit same-stream FIFO predecessor (`u32::MAX` = none).
+    /// Implicit same-stream FIFO predecessor (`NONE` = none).
     extra_dep: Vec<u32>,
     /// Children CSR (op -> ops whose dependencies include it).
     child_start: Vec<u32>,
     children: Vec<u32>,
     child_cursor: Vec<u32>,
     ready_time: Vec<f64>,
-    last_in_stream: HashMap<StreamId, u32>,
+    /// The last op seen so far on each session stream (`NONE` = none),
+    /// indexed like the stream resource ids minus the static ones.
+    last_in_stream: Vec<u32>,
     /// The `min(CANDIDATES, ready)` lowest-ranked ready ops, ascending by
     /// [`Ready::rank`]; never longer than `CANDIDATES`.
     window: Vec<Ready>,
@@ -336,12 +506,20 @@ const _: () = {
 pub struct Simulator {
     topology: Topology,
     params: SimParams,
+    resources: ResourceTable,
 }
 
 impl Simulator {
-    /// Creates a simulator for `topology` with `params`.
+    /// Creates a simulator for `topology` with `params`, resolving the
+    /// topology's links, switch ports, NICs and compute engines to the
+    /// static resource ids every run schedules over.
     pub fn new(topology: Topology, params: SimParams) -> Self {
-        Simulator { topology, params }
+        let resources = ResourceTable::new(&topology);
+        Simulator {
+            topology,
+            params,
+            resources,
+        }
     }
 
     /// Creates a simulator with default calibration parameters.
@@ -359,25 +537,14 @@ impl Simulator {
         &self.params
     }
 
-    fn link_capacity(&self, src: GpuId, dst: GpuId, class: LinkClass) -> f64 {
-        self.topology
-            .links_between(src, dst)
-            .filter(|l| match class {
-                LinkClass::NvLink => l.kind.is_nvlink(),
-                LinkClass::Pcie => l.kind == LinkKind::Pcie,
-                LinkClass::Network => l.kind == LinkKind::Network,
-            })
-            .map(|l| l.capacity_gbps())
-            .sum()
-    }
-
-    fn op_duration(&self, kind: &OpKind) -> Result<f64, SimError> {
+    /// How long `kind` runs. `bw` is a copy's link capacity (GB/s) between
+    /// its endpoints in its class, and is ignored for every other kind.
+    fn op_duration(&self, kind: &OpKind, bw: f64) -> Result<f64, SimError> {
         let p = &self.params;
         Ok(match *kind {
             OpKind::Copy {
                 src, dst, class, ..
             } => {
-                let bw = self.link_capacity(src, dst, class);
                 if bw <= 0.0 {
                     return Err(SimError::MissingLink { src, dst, class });
                 }
@@ -398,69 +565,6 @@ impl Simulator {
         })
     }
 
-    /// The one definition of which hardware resources an op occupies, shared
-    /// by the interning prepass and the test-only reference scheduler.
-    fn for_each_resource(
-        &self,
-        kind: &OpKind,
-        stream: StreamId,
-        mut f: impl FnMut(Resource),
-    ) -> Result<(), SimError> {
-        f(Resource::Stream(stream));
-        match *kind {
-            OpKind::Copy {
-                src, dst, class, ..
-            } => {
-                if !self.topology.contains(src) {
-                    return Err(SimError::UnknownGpu(src));
-                }
-                if !self.topology.contains(dst) {
-                    return Err(SimError::UnknownGpu(dst));
-                }
-                f(Resource::Link(src, dst, class_tag(class)));
-                if class == LinkClass::NvLink {
-                    if self.topology.gpu_cap(src).is_some() {
-                        f(Resource::EgressPort(src));
-                    }
-                    if self.topology.gpu_cap(dst).is_some() {
-                        f(Resource::IngressPort(dst));
-                    }
-                }
-                if class == LinkClass::Network {
-                    let s_srv = self
-                        .topology
-                        .gpu(src)
-                        .map_err(|_| SimError::UnknownGpu(src))?
-                        .server;
-                    let d_srv = self
-                        .topology
-                        .gpu(dst)
-                        .map_err(|_| SimError::UnknownGpu(dst))?
-                        .server;
-                    if self.topology.server_nic(s_srv).is_some() {
-                        f(Resource::NicOut(s_srv));
-                    }
-                    if self.topology.server_nic(d_srv).is_some() {
-                        f(Resource::NicIn(d_srv));
-                    }
-                }
-            }
-            OpKind::Reduce { gpu, .. } => {
-                if !self.topology.contains(gpu) {
-                    return Err(SimError::UnknownGpu(gpu));
-                }
-            }
-            OpKind::Compute { gpu, .. } => {
-                if !self.topology.contains(gpu) {
-                    return Err(SimError::UnknownGpu(gpu));
-                }
-                f(Resource::Compute(gpu));
-            }
-            OpKind::TogglePeerAccess { .. } => {}
-        }
-        Ok(())
-    }
-
     /// Runs `program` and reports timings, allocating a fresh
     /// [`EngineScratch`] for the call. Loops that simulate many programs
     /// should hold a scratch and call [`Simulator::run_with_scratch`]
@@ -474,8 +578,9 @@ impl Simulator {
         self.run_with_scratch(program, &mut EngineScratch::new())
     }
 
-    /// Runs `program` over reusable `scratch` buffers: an interning prepass
-    /// plus a flat-array candidate scan with no per-iteration allocation.
+    /// Runs `program` over reusable `scratch` buffers: a prepass over the
+    /// simulator's resource table plus a flat-array candidate scan with no
+    /// per-iteration allocation.
     /// The returned report is bit-identical to the allocating reference
     /// scheduler the engine's tests keep as an oracle.
     ///
@@ -504,15 +609,16 @@ impl Simulator {
     }
 
     /// The session core: schedules every op of every `(program, issue_us)`
-    /// entry over one shared interned resource table. Single-program
+    /// entry over the simulator's one resource table. Single-program
     /// execution is the `entries.len() == 1`, `issue_us == 0.0` special case.
-    fn run_entries(
+    fn run_entries<P: Borrow<Program>>(
         &self,
-        entries: &[(&Program, f64)],
+        entries: &[(P, f64)],
         scratch: &mut EngineScratch,
     ) -> Result<SessionReport, SimError> {
         for (program, issue) in entries {
             program
+                .borrow()
                 .validate()
                 .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
             if !issue.is_finite() || *issue < 0.0 {
@@ -521,77 +627,103 @@ impl Simulator {
                 )));
             }
         }
-        let n: usize = entries.iter().map(|(p, _)| p.len()).sum();
+        let programs = || entries.iter().map(|(p, _)| p.borrow());
+        let n: usize = programs().map(Program::len).sum();
         // Global op id = op_base[program index] + local op id; the scan's
         // tie-break on global id is what makes admission order part of the
         // determinism contract.
         let mut op_base: Vec<usize> = Vec::with_capacity(entries.len() + 1);
+        let t = &self.resources;
         let s = scratch;
 
-        // ---- prepass: durations, interned per-op resource lists (CSR),
-        //      per-program stream namespacing, same-stream FIFO deps ----
-        s.res_ids.clear();
-        s.link_ids.clear();
-        s.links.clear();
+        // ---- prepass: durations, per-op resource lists (CSR), per-program
+        //      stream namespacing, same-stream FIFO deps ----
         s.op_res.clear();
         s.op_res_start.clear();
         s.durations.clear();
         s.op_link.clear();
         s.op_bytes.clear();
         s.extra_dep.clear();
-        s.extra_dep.resize(n, u32::MAX);
+        s.extra_dep.resize(n, NONE);
         s.last_in_stream.clear();
-        let mut stream_base = 0usize;
+        s.link_used.clear();
+        s.link_used.resize(t.links.len(), false);
         let mut g = 0usize;
-        for (program, _) in entries {
+        for program in programs() {
             op_base.push(g);
-            let mut max_stream: Option<usize> = None;
+            // Namespace streams per program so two programs' stream 0 never
+            // FIFO-serialise against each other: this program's streams
+            // take the ids after every earlier program's.
+            let stream_base = s.last_in_stream.len();
+            let width = program
+                .ops()
+                .iter()
+                .map(|op| op.stream.0.saturating_add(1))
+                .max()
+                .unwrap_or(0);
+            match stream_base.checked_add(width) {
+                Some(end) if end <= (u32::MAX - t.num_static) as usize => {
+                    s.last_in_stream.resize(end, NONE)
+                }
+                _ => {
+                    return Err(SimError::InvalidProgram(format!(
+                        "stream ids up to {} exceed the engine's resource ids",
+                        width - 1
+                    )))
+                }
+            }
             for op in program.ops() {
                 s.op_res_start.push(s.op_res.len() as u32);
-                s.durations.push(self.op_duration(&op.kind)?);
-                // Namespace streams per program so two programs' stream 0
-                // never FIFO-serialise against each other.
-                let stream = StreamId(stream_base + op.stream.0);
-                max_stream = Some(max_stream.map_or(op.stream.0, |m| m.max(op.stream.0)));
-                let res_ids = &mut s.res_ids;
-                let op_res = &mut s.op_res;
-                self.for_each_resource(&op.kind, stream, |r| {
-                    let next = res_ids.len() as u32;
-                    let id = *res_ids.entry(r).or_insert(next);
-                    op_res.push(id);
-                })?;
-                if let OpKind::Copy {
-                    src, dst, class, ..
-                } = op.kind
-                {
-                    let next = s.links.len() as u32;
-                    let id = *s.link_ids.entry((src, dst, class)).or_insert(next);
-                    if id == next {
-                        s.links.push((src, dst, class));
+                let stream = stream_base + op.stream.0;
+                s.op_res.push(t.num_static + stream as u32);
+                let (duration, link) = match op.kind {
+                    OpKind::Copy {
+                        src, dst, class, ..
+                    } => {
+                        let link = t.link(src, dst, class)?;
+                        let duration = self.op_duration(&op.kind, link.capacity_gbps)?;
+                        if let Some(gpu) = link.unknown {
+                            return Err(SimError::UnknownGpu(gpu));
+                        }
+                        s.op_res.extend_from_slice(link.resources());
+                        // a link's static id is its first resource id
+                        (duration, link.res[0])
                     }
-                    s.op_link.push(id);
-                    s.op_bytes.push(op.kind.payload_bytes());
-                } else {
-                    s.op_link.push(NO_LINK);
+                    OpKind::Reduce { gpu, .. } => {
+                        let duration = self.op_duration(&op.kind, 0.0)?;
+                        t.gpu(gpu)?;
+                        (duration, NONE)
+                    }
+                    OpKind::Compute { gpu, .. } => {
+                        let duration = self.op_duration(&op.kind, 0.0)?;
+                        s.op_res.push(t.compute_base + t.gpu(gpu)?);
+                        (duration, NONE)
+                    }
+                    OpKind::TogglePeerAccess { .. } => (self.op_duration(&op.kind, 0.0)?, NONE),
+                };
+                s.durations.push(duration);
+                s.op_link.push(link);
+                if link == NONE {
                     s.op_bytes.push(0);
+                } else {
+                    s.link_used[link as usize] = true;
+                    s.op_bytes.push(op.kind.payload_bytes());
                 }
-                if let Some(&prev) = s.last_in_stream.get(&stream) {
-                    s.extra_dep[g] = prev;
-                }
-                s.last_in_stream.insert(stream, g as u32);
+                s.extra_dep[g] = s.last_in_stream[stream];
+                s.last_in_stream[stream] = g as u32;
                 g += 1;
             }
-            stream_base += max_stream.map_or(0, |m| m + 1);
         }
         op_base.push(g);
         s.op_res_start.push(s.op_res.len() as u32);
+        let num_resources = t.num_static as usize + s.last_in_stream.len();
 
         // ---- dependency bookkeeping: in-degrees + children CSR ----
         s.indeg.clear();
         s.indeg.resize(n, 0);
         s.child_start.clear();
         s.child_start.resize(n + 1, 0);
-        for (p_idx, (program, _)) in entries.iter().enumerate() {
+        for (p_idx, program) in programs().enumerate() {
             let base = op_base[p_idx];
             for (i, op) in program.ops().iter().enumerate() {
                 let gi = base + i;
@@ -599,7 +731,7 @@ impl Simulator {
                     s.indeg[gi] += 1;
                     s.child_start[base + d.0 + 1] += 1;
                 }
-                if s.extra_dep[gi] != u32::MAX {
+                if s.extra_dep[gi] != NONE {
                     s.indeg[gi] += 1;
                     s.child_start[s.extra_dep[gi] as usize + 1] += 1;
                 }
@@ -612,7 +744,7 @@ impl Simulator {
         s.children.resize(s.child_start[n] as usize, 0);
         s.child_cursor.clear();
         s.child_cursor.extend_from_slice(&s.child_start[..n]);
-        for (p_idx, (program, _)) in entries.iter().enumerate() {
+        for (p_idx, program) in programs().enumerate() {
             let base = op_base[p_idx];
             for (i, op) in program.ops().iter().enumerate() {
                 let gi = base + i;
@@ -621,7 +753,7 @@ impl Simulator {
                     s.children[*c as usize] = gi as u32;
                     *c += 1;
                 }
-                if s.extra_dep[gi] != u32::MAX {
+                if s.extra_dep[gi] != NONE {
                     let c = &mut s.child_cursor[s.extra_dep[gi] as usize];
                     s.children[*c as usize] = gi as u32;
                     *c += 1;
@@ -631,11 +763,11 @@ impl Simulator {
 
         // ---- flat state arrays ----
         s.resource_free.clear();
-        s.resource_free.resize(s.res_ids.len(), 0.0);
+        s.resource_free.resize(num_resources, 0.0);
         s.link_busy.clear();
-        s.link_busy.resize(s.links.len(), 0.0);
+        s.link_busy.resize(t.links.len(), 0.0);
         s.link_bytes.clear();
-        s.link_bytes.resize(s.links.len(), 0);
+        s.link_bytes.resize(t.links.len(), 0);
         s.ready_time.clear();
         s.ready_time.resize(n, 0.0);
         s.heap.clear();
@@ -705,7 +837,7 @@ impl Simulator {
             }
             op_spans[id] = (start, end);
             total = total.max(end);
-            if s.op_link[id] != NO_LINK {
+            if s.op_link[id] != NONE {
                 let l = s.op_link[id] as usize;
                 s.link_busy[l] += duration;
                 s.link_bytes[l] += s.op_bytes[id];
@@ -747,9 +879,12 @@ impl Simulator {
 
         let mut link_busy = BTreeMap::new();
         let mut link_bytes = BTreeMap::new();
-        for (i, &key) in s.links.iter().enumerate() {
-            link_busy.insert(key, s.link_busy[i]);
-            link_bytes.insert(key, s.link_bytes[i]);
+        // only links some op used appear in the report
+        for (l, link) in t.links.iter().enumerate() {
+            if s.link_used[l] {
+                link_busy.insert(link.key, s.link_busy[l]);
+                link_bytes.insert(link.key, s.link_bytes[l]);
+            }
         }
         let mut programs = Vec::with_capacity(entries.len());
         for (p_idx, (_, issue)) in entries.iter().enumerate() {
@@ -793,25 +928,28 @@ impl Simulator {
 ///
 /// Admit each program with its issue timestamp, then [`Session::run`] (or
 /// [`Session::run_with_scratch`] in hot loops) schedules every op of every
-/// program over one shared interned resource table, so concurrent programs
+/// program over the simulator's one resource table, so concurrent programs
 /// contend for links, ports, NICs and compute engines exactly like the
 /// streams of a single program do. The module docs spell out the full
 /// admission / link-sharing / determinism contract; the headline guarantees
 /// are FIFO serialisation at op granularity on shared resources and spans
 /// that are a pure function of the admitted `(program, issue)` pairs and
 /// their admission order.
+///
+/// The session shares the programs it holds: admitting an `Arc<Program>`
+/// (a lowering a caller memoises, say) clones nothing.
 #[derive(Debug, Clone)]
 pub struct Session<'a> {
     sim: &'a Simulator,
-    entries: Vec<(Program, f64)>,
+    entries: Vec<(Arc<Program>, f64)>,
 }
 
 impl Session<'_> {
-    /// Admits `program` into the session with issue timestamp `issue_us`
-    /// (microseconds; must be finite and non-negative) and returns the
-    /// program's index into [`SessionReport::programs`].
-    pub fn admit(&mut self, program: Program, issue_us: f64) -> usize {
-        self.entries.push((program, issue_us));
+    /// Admits `program` (owned or shared) into the session with issue
+    /// timestamp `issue_us` (microseconds; must be finite and non-negative)
+    /// and returns the program's index into [`SessionReport::programs`].
+    pub fn admit(&mut self, program: impl Into<Arc<Program>>, issue_us: f64) -> usize {
+        self.entries.push((program.into(), issue_us));
         self.entries.len() - 1
     }
 
@@ -826,15 +964,8 @@ impl Session<'_> {
     }
 
     /// The admitted `(program, issue_us)` entries, in admission order.
-    pub fn programs(&self) -> &[(Program, f64)] {
+    pub fn programs(&self) -> &[(Arc<Program>, f64)] {
         &self.entries
-    }
-
-    /// Consumes the session and hands the admitted `(program, issue_us)`
-    /// entries back in admission order, so a caller that moved its programs
-    /// in can keep them after [`Session::run`] without cloning.
-    pub fn into_programs(self) -> Vec<(Program, f64)> {
-        self.entries
     }
 
     /// Executes every admitted program, allocating a fresh scratch. Loops
@@ -853,24 +984,123 @@ impl Session<'_> {
     /// # Errors
     /// Same conditions as [`Session::run`].
     pub fn run_with_scratch(&self, scratch: &mut EngineScratch) -> Result<SessionReport, SimError> {
-        let refs: Vec<(&Program, f64)> = self.entries.iter().map(|(p, t)| (p, *t)).collect();
-        self.sim.run_entries(&refs, scratch)
+        self.sim.run_entries(&self.entries, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Op, ProgramBuilder, Segment};
-    use blink_topology::presets::{dgx1v, dgx2, multi_server, ServerKind};
+    use crate::program::{Op, ProgramBuilder, Segment, StreamId};
+    use blink_topology::presets::{dgx1v, dgx2, multi_server, placement_topology, ServerKind};
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Resource {
+        Link(GpuId, GpuId, LinkClass),
+        EgressPort(GpuId),
+        IngressPort(GpuId),
+        NicOut(ServerId),
+        NicIn(ServerId),
+        Compute(GpuId),
+        Stream(StreamId),
+    }
 
     /// The pre-interning scheduler, kept as the oracle the tests pin
     /// [`Simulator::run_with_scratch`] and [`Session`]s bit-identical
     /// against: list scheduling over ordered maps with per-candidate
     /// resource-list allocation, and the original candidate handling — pop
     /// the `CANDIDATES` earliest-ready ops off the heap, scan every one of
-    /// them, push the losers back.
+    /// them, push the losers back. It derives every op's resources and link
+    /// capacity straight from the topology, independently of the
+    /// simulator's resource table.
     impl Simulator {
+        /// Capacity of the `class` links from `src` to `dst`, by a scan of
+        /// every topology link.
+        fn link_capacity(&self, src: GpuId, dst: GpuId, class: LinkClass) -> f64 {
+            self.topology
+                .links_between(src, dst)
+                .filter(|l| match class {
+                    LinkClass::NvLink => l.kind.is_nvlink(),
+                    LinkClass::Pcie => l.kind == LinkKind::Pcie,
+                    LinkClass::Network => l.kind == LinkKind::Network,
+                })
+                .map(|l| l.capacity_gbps())
+                .sum()
+        }
+
+        fn reference_duration(&self, kind: &OpKind) -> Result<f64, SimError> {
+            let bw = match *kind {
+                OpKind::Copy {
+                    src, dst, class, ..
+                } => self.link_capacity(src, dst, class),
+                _ => 0.0,
+            };
+            self.op_duration(kind, bw)
+        }
+
+        /// Which hardware resources an op occupies, from the topology's
+        /// queries.
+        fn for_each_resource(
+            &self,
+            kind: &OpKind,
+            stream: StreamId,
+            mut f: impl FnMut(Resource),
+        ) -> Result<(), SimError> {
+            f(Resource::Stream(stream));
+            match *kind {
+                OpKind::Copy {
+                    src, dst, class, ..
+                } => {
+                    if !self.topology.contains(src) {
+                        return Err(SimError::UnknownGpu(src));
+                    }
+                    if !self.topology.contains(dst) {
+                        return Err(SimError::UnknownGpu(dst));
+                    }
+                    f(Resource::Link(src, dst, class));
+                    if class == LinkClass::NvLink {
+                        if self.topology.gpu_cap(src).is_some() {
+                            f(Resource::EgressPort(src));
+                        }
+                        if self.topology.gpu_cap(dst).is_some() {
+                            f(Resource::IngressPort(dst));
+                        }
+                    }
+                    if class == LinkClass::Network {
+                        let s_srv = self
+                            .topology
+                            .gpu(src)
+                            .map_err(|_| SimError::UnknownGpu(src))?
+                            .server;
+                        let d_srv = self
+                            .topology
+                            .gpu(dst)
+                            .map_err(|_| SimError::UnknownGpu(dst))?
+                            .server;
+                        if self.topology.server_nic(s_srv).is_some() {
+                            f(Resource::NicOut(s_srv));
+                        }
+                        if self.topology.server_nic(d_srv).is_some() {
+                            f(Resource::NicIn(d_srv));
+                        }
+                    }
+                }
+                OpKind::Reduce { gpu, .. } => {
+                    if !self.topology.contains(gpu) {
+                        return Err(SimError::UnknownGpu(gpu));
+                    }
+                }
+                OpKind::Compute { gpu, .. } => {
+                    if !self.topology.contains(gpu) {
+                        return Err(SimError::UnknownGpu(gpu));
+                    }
+                    f(Resource::Compute(gpu));
+                }
+                OpKind::TogglePeerAccess { .. } => {}
+            }
+            Ok(())
+        }
+
         fn op_resources(&self, kind: &OpKind, stream: StreamId) -> Result<Vec<Resource>, SimError> {
             let mut res = Vec::new();
             self.for_each_resource(kind, stream, |r| res.push(r))?;
@@ -919,6 +1149,13 @@ mod tests {
             for &(p, op) in &ops {
                 let fresh = StreamId(namespaces.len());
                 stream_of.push(*namespaces.entry((p, op.stream)).or_insert(fresh));
+            }
+            // errors surface per op, in op order: a copy's missing link
+            // before an unknown endpoint
+            let mut durations = Vec::with_capacity(n);
+            for (&(_, op), &stream) in ops.iter().zip(&stream_of) {
+                durations.push(self.reference_duration(&op.kind)?);
+                self.op_resources(&op.kind, stream)?;
             }
             let mut extra_dep: Vec<Option<usize>> = vec![None; n];
             let mut last_in_stream: BTreeMap<StreamId, usize> = BTreeMap::new();
@@ -991,7 +1228,7 @@ mod tests {
                 }
                 let Ready { time, id } = chosen;
                 let op = ops[id].1;
-                let duration = self.op_duration(&op.kind)?;
+                let duration = durations[id];
                 let resources = self.op_resources(&op.kind, stream_of[id])?;
                 let mut start = time;
                 for r in &resources {
@@ -1612,10 +1849,10 @@ mod tests {
             for (span, issue) in fast.programs.iter().zip(issues) {
                 assert!(span.start_us >= issue);
             }
-            // the session hands its programs back in admission order
-            let back = session.into_programs();
-            assert!(back.iter().map(|(p, _)| p).eq(&programs));
-            assert!(back.iter().map(|(_, t)| *t).eq(issues));
+            // the session holds its programs in admission order
+            let held = session.programs();
+            assert!(held.iter().map(|(p, _)| &**p).eq(&programs));
+            assert!(held.iter().map(|(_, t)| *t).eq(issues));
         }
     }
 
@@ -1846,6 +2083,150 @@ mod tests {
                     .unwrap();
                 assert_reports_bit_identical(&dirty, &fresh);
             }
+        }
+    }
+
+    /// A seeded random program over `topo`'s own links: copies along
+    /// randomly picked links (in each link's class), reductions, kernels and
+    /// peer-access toggles, spread over `streams` shared streams with random
+    /// backward deps.
+    fn random_program_on(topo: &Topology, seed: u64, len: usize, streams: usize) -> Program {
+        let mut state = seed;
+        let mut next = move |bound: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (links, gpus) = (topo.links(), topo.gpu_ids());
+        let mut b = ProgramBuilder::new();
+        let streams: Vec<StreamId> = (0..streams).map(|_| b.new_stream()).collect();
+        let mut ops = Vec::new();
+        for i in 0..len {
+            let s = streams[next(streams.len())];
+            let deps: Vec<_> = match ops.len() {
+                0 => Vec::new(),
+                k => (0..next(3)).map(|_| ops[next(k)]).collect(),
+            };
+            let bytes = mb(1) + next(4096) as u64;
+            let op = match next(8) {
+                0 => b.reduce(gpus[next(gpus.len())], bytes, s, deps, ""),
+                1 => b.compute(gpus[next(gpus.len())], next(50) as f64, s, deps, ""),
+                2 => b.toggle_peer_access(2, s, deps, ""),
+                _ => {
+                    let l = links[next(links.len())];
+                    let class = link_class(l.kind);
+                    b.copy(l.src, l.dst, bytes, class, s, deps, format!("c{i}"))
+                }
+            };
+            ops.push(op);
+        }
+        b.build().unwrap()
+    }
+
+    /// The table prepass against the reference, bit for bit: one program
+    /// alone, then three sharing a session at staggered issue times.
+    fn assert_table_matches_the_reference(topo: Topology, seed: u64) {
+        let sim = Simulator::with_defaults(topo);
+        let programs: Vec<Program> = (0..3)
+            .map(|k| random_program_on(sim.topology(), seed + k, 160, 24))
+            .collect();
+        let reference = sim.run_reference(&programs[0]).unwrap();
+        let fast = sim.run(&programs[0]).unwrap();
+        assert_reports_bit_identical(&reference, &fast);
+        assert!(fast.links_used() > 1);
+
+        let issues = [0.0, 15.5, 15.5];
+        let entries: Vec<(&Program, f64)> = programs.iter().zip(issues).collect();
+        let reference = sim.run_reference_session(&entries).unwrap();
+        let mut session = sim.session();
+        for (program, issue) in programs.into_iter().zip(issues) {
+            session.admit(program, issue);
+        }
+        let fast = session.run_with_scratch(&mut EngineScratch::new()).unwrap();
+        assert_sessions_bit_identical(&reference, &fast);
+    }
+
+    #[test]
+    fn the_table_matches_the_reference_on_a_sparse_multi_server_placement() {
+        // non-contiguous GPU ids on servers 0, 2 and 3, each with a NIC: with
+        // three servers, two copies out of one server can share its outgoing
+        // NIC without sharing an incoming one
+        let slices = [
+            (0, vec![GpuId(1), GpuId(4), GpuId(6)]),
+            (2, vec![GpuId(17), GpuId(19), GpuId(22)]),
+            (3, vec![GpuId(24), GpuId(30)]),
+        ];
+        let topo = placement_topology(ServerKind::Dgx1V, 5.0, &slices).unwrap();
+        assert!([0, 2, 3]
+            .into_iter()
+            .all(|s| topo.server_nic(ServerId(s)).is_some()));
+        assert!(topo.links().iter().any(|l| l.kind == LinkKind::Network));
+        for seed in [0x243f_6a88_85a3_08d3u64, 0x1319_8a2e_0370_7344] {
+            assert_table_matches_the_reference(topo.clone(), seed);
+        }
+    }
+
+    #[test]
+    fn the_table_matches_the_reference_on_a_partial_dgx2_with_port_caps() {
+        let alloc: Vec<GpuId> = [1, 4, 9, 12, 14].into_iter().map(GpuId).collect();
+        let topo = dgx2().induced(&alloc).unwrap();
+        assert!(alloc.iter().all(|&g| topo.gpu_cap(g).is_some()));
+        for seed in [0xa409_3822_299f_31d0u64, 0x082e_fa98_ec4e_6c89] {
+            assert_table_matches_the_reference(topo.clone(), seed);
+        }
+    }
+
+    #[test]
+    fn errors_match_the_reference_op_by_op() {
+        let sim = Simulator::with_defaults(dgx1v());
+        let missing = |src, dst, class| SimError::MissingLink { src, dst, class };
+        // each case: the ops before the bad one are valid
+        type Emit = fn(&mut ProgramBuilder, StreamId);
+        let cases: [(Emit, SimError); 5] = [
+            // a copy to a GPU outside the topology has no link first
+            (
+                |b, s| {
+                    b.copy(GpuId(0), GpuId(9), 64, LinkClass::NvLink, s, vec![], "");
+                },
+                missing(GpuId(0), GpuId(9), LinkClass::NvLink),
+            ),
+            (
+                |b, s| {
+                    b.reduce(GpuId(42), 64, s, vec![], "");
+                },
+                SimError::UnknownGpu(GpuId(42)),
+            ),
+            (
+                |b, s| {
+                    b.compute(GpuId(42), 1.0, s, vec![], "");
+                },
+                SimError::UnknownGpu(GpuId(42)),
+            ),
+            // GPUs 1 and 4 share PCIe but no NVLink
+            (
+                |b, s| {
+                    b.copy(GpuId(1), GpuId(4), 64, LinkClass::NvLink, s, vec![], "");
+                },
+                missing(GpuId(1), GpuId(4), LinkClass::NvLink),
+            ),
+            // the first bad op wins: the missing link precedes the kernel
+            (
+                |b, s| {
+                    b.copy(GpuId(1), GpuId(4), 64, LinkClass::NvLink, s, vec![], "");
+                    b.compute(GpuId(42), 1.0, s, vec![], "");
+                },
+                missing(GpuId(1), GpuId(4), LinkClass::NvLink),
+            ),
+        ];
+        for (emit, expected) in cases {
+            let mut b = ProgramBuilder::new();
+            let s = b.new_stream();
+            b.copy(GpuId(1), GpuId(4), 64, LinkClass::Pcie, s, vec![], "ok");
+            emit(&mut b, s);
+            let program = b.build().unwrap();
+            assert_eq!(sim.run(&program).unwrap_err(), expected);
+            assert_eq!(sim.run_reference(&program).unwrap_err(), expected);
         }
     }
 }

@@ -26,10 +26,13 @@
 //!   against a [`blink_topology::Topology`] using list scheduling over link,
 //!   port, NIC and compute resources and reports per-op timings, total elapsed
 //!   time and per-link utilisation. The scheduler runs an **interned-resource
-//!   fast path**: a prepass interns every resource to a dense id and lays
-//!   per-op resource lists and dependency children out as flat CSR buffers in
-//!   a reusable [`EngineScratch`], so the candidate scan allocates nothing
-//!   per iteration. The K earliest-ready candidates sit in a sorted window
+//!   fast path**: [`Simulator::new`] resolves the topology's links, switch
+//!   ports, NICs and compute engines to static dense ids (with each link's
+//!   capacity) once, and a per-run prepass maps every op onto them —
+//!   streams appended per session — laying per-op resource lists and
+//!   dependency children out as flat CSR buffers in a reusable
+//!   [`EngineScratch`], so the candidate scan allocates nothing per
+//!   iteration. The K earliest-ready candidates sit in a sorted window
 //!   beside the ready heap (O(1) heap operations per scheduled op) and the
 //!   scan over it stops, exactly, at the first candidate that becomes ready
 //!   too late to win; timings are bit-identical to the allocating
