@@ -4,9 +4,12 @@
 //! the job — to a planned communicator and measures how long
 //! [`Communicator::replan`] takes when the plan cache warm-starts packing and
 //! minimisation from the stale plans (warm) versus when the same delta lands
-//! on a communicator with an empty cache and every root packs from scratch
-//! (cold). Both paths run the exact same `replan` code; the only difference
-//! is whether delta invalidation had stale plans to demote into seeds.
+//! on a communicator with an empty cache and every root the sweep packs
+//! starts from scratch (cold). Both paths run the exact same `replan` code;
+//! the only difference is whether delta invalidation had stale plans to
+//! demote into seeds. Each communicator plans through a fresh
+//! [`SharedPlanCache`], whose misses count the root packs one replan
+//! performs (`warm_packs` / `cold_packs`).
 //!
 //! Without arguments: measures with full run counts and writes
 //! `BENCH_replan.json` to the working directory (repo root under
@@ -14,12 +17,13 @@
 //!
 //! With `--check`: quick re-measurement compared against the recorded file.
 //! Result-quality gates (replanned programs conformant, warm rate never worse
-//! than cold on pure-removal scenarios) are enforced on every runner; the
+//! than cold on pure-removal scenarios) and the work gate (no scenario packs
+//! more roots per replan than recorded) are enforced on every runner; the
 //! latency gates (warm-over-cold floor, recorded-trajectory tolerance) need a
 //! machine with >= 2 workers and are loudly SKIPPED otherwise, mirroring
 //! `bench_packing`. Exits non-zero on regression.
 
-use blink_core::{CollectiveKind, Communicator, ReplanReport, ScratchPool};
+use blink_core::{CollectiveKind, Communicator, ReplanReport, ScratchPool, SharedPlanCache};
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology, TopologyDelta};
 use serde::Serialize;
@@ -132,6 +136,10 @@ struct ScenarioReport {
     cold: PathStats,
     /// cold p50 / warm p50 — how much faster the warm replan is.
     speedup_p50: f64,
+    /// Roots packed by one warm replan (misses in its plan store).
+    warm_packs: u64,
+    /// Roots packed by one cold replan.
+    cold_packs: u64,
     plans_kept: usize,
     seeds_demoted: usize,
     warm_seeded_trees: usize,
@@ -175,67 +183,80 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     sorted_us[idx]
 }
 
-/// Times `runs` replans, building a fresh communicator per iteration via
-/// `setup` (untimed) so each timed call sees the same pre-delta state.
-fn time_replans<F>(runs: usize, mut setup: F, delta: &TopologyDelta) -> (PathStats, ReplanReport)
+/// What one timed path measured: latency percentiles, the last replan's
+/// report and the roots it packed.
+struct PathRun {
+    stats: PathStats,
+    report: ReplanReport,
+    packs: u64,
+}
+
+/// Times `runs` replans, building a fresh communicator and plan store per
+/// iteration via `setup` (untimed) so each timed call sees the same
+/// pre-delta state. The store's misses across the replan are its packs.
+fn time_replans<F>(runs: usize, mut setup: F, delta: &TopologyDelta) -> PathRun
 where
-    F: FnMut() -> Communicator,
+    F: FnMut() -> (Communicator, SharedPlanCache),
 {
     let mut samples = Vec::with_capacity(runs);
     let mut last = None;
     for _ in 0..runs {
-        let mut comm = setup();
+        let (mut comm, store) = setup();
+        let (_, misses_before) = store.stats();
         let t0 = Instant::now();
         let report = comm.replan(delta).expect("replan succeeds");
         samples.push(t0.elapsed().as_secs_f64() * 1e6);
-        last = Some(report);
+        last = Some((report, store.stats().1 - misses_before));
     }
     samples.sort_by(f64::total_cmp);
     let total_us: f64 = samples.iter().sum();
-    let stats = PathStats {
-        p50_us: percentile(&samples, 0.50),
-        p99_us: percentile(&samples, 0.99),
-        mean_us: total_us / runs as f64,
-        replans_per_sec: runs as f64 / (total_us / 1e6),
-        runs,
-    };
-    (stats, last.expect("at least one run"))
+    let (report, packs) = last.expect("at least one run");
+    PathRun {
+        stats: PathStats {
+            p50_us: percentile(&samples, 0.50),
+            p99_us: percentile(&samples, 0.99),
+            mean_us: total_us / runs as f64,
+            replans_per_sec: runs as f64 / (total_us / 1e6),
+            runs,
+        },
+        report,
+        packs,
+    }
 }
 
 fn run_scenario(s: &Scenario, warm_runs: usize, cold_runs: usize) -> ScenarioReport {
-    // Isolated caches: the process-wide store would leak one iteration's
-    // plans into the next communicator's "cold" path.
-    let machine = s.machine.clone();
-    let allocation = s.allocation.clone();
-    let warm_setup = move || {
-        let mut comm = Communicator::builder(machine.clone())
-            .allocation(&allocation)
-            .isolated_plans()
-            .build()
-            .expect("pre-delta communicator");
-        // Populate the cache: an empty delta runs the root sweep without
-        // changing the topology, so the timed replan below starts from a
-        // fully planned communicator exactly as a live job would.
-        comm.replan(&TopologyDelta::default())
-            .expect("initial plan");
-        comm
-    };
+    // A fresh store per communicator: the process-wide store would leak one
+    // iteration's plans into the next communicator's "cold" path.
     let machine = s.machine.clone();
     let allocation = s.allocation.clone();
     let cold_setup = move || {
-        Communicator::builder(machine.clone())
+        let store = SharedPlanCache::new();
+        let comm = Communicator::builder(machine.clone())
             .allocation(&allocation)
-            .isolated_plans()
+            .shared_plans(store.clone())
             .build()
-            .expect("pre-delta communicator")
+            .expect("pre-delta communicator");
+        (comm, store)
+    };
+    let warm_setup = {
+        let cold_setup = cold_setup.clone();
+        move || {
+            let (mut comm, store) = cold_setup();
+            // Populate the cache: an empty delta runs the root sweep without
+            // changing the topology, so the timed replan below starts from a
+            // fully planned communicator exactly as a live job would.
+            comm.replan(&TopologyDelta::default())
+                .expect("initial plan");
+            (comm, store)
+        }
     };
 
-    let (warm, warm_rep) = time_replans(warm_runs, warm_setup.clone(), &s.delta);
-    let (cold, cold_rep) = time_replans(cold_runs, cold_setup, &s.delta);
+    let warm = time_replans(warm_runs, warm_setup.clone(), &s.delta);
+    let cold = time_replans(cold_runs, cold_setup, &s.delta);
 
     // Conformance: the recovered program must still move every byte to
     // exactly the right place on the post-delta topology.
-    let mut comm = warm_setup();
+    let (mut comm, _) = warm_setup();
     comm.replan(&s.delta).expect("replan succeeds");
     let (_, check) = comm
         .run_checked(CollectiveKind::AllReduce, CHECK_BYTES)
@@ -245,18 +266,20 @@ fn run_scenario(s: &Scenario, warm_runs: usize, cold_runs: usize) -> ScenarioRep
         name: s.name.to_string(),
         topology: s.topology.to_string(),
         gpus_before: s.allocation.len(),
-        gpus_after: warm_rep.num_gpus,
-        speedup_p50: cold.p50_us / warm.p50_us,
-        warm,
-        cold,
-        plans_kept: warm_rep.plans_kept,
-        seeds_demoted: warm_rep.seeds_demoted,
-        warm_seeded_trees: warm_rep.warm_seeded_trees,
-        warm_iterations: warm_rep.warm_iterations,
-        repair_path: warm_rep.repair_path.to_string(),
-        warm_rate_gbps: warm_rep.rate_gbps,
-        cold_rate_gbps: cold_rep.rate_gbps,
-        rate_not_worse: warm_rep.rate_gbps >= cold_rep.rate_gbps - 1e-9,
+        gpus_after: warm.report.num_gpus,
+        speedup_p50: cold.stats.p50_us / warm.stats.p50_us,
+        warm_packs: warm.packs,
+        cold_packs: cold.packs,
+        plans_kept: warm.report.plans_kept,
+        seeds_demoted: warm.report.seeds_demoted,
+        warm_seeded_trees: warm.report.warm_seeded_trees,
+        warm_iterations: warm.report.warm_iterations,
+        repair_path: warm.report.repair_path.to_string(),
+        warm_rate_gbps: warm.report.rate_gbps,
+        cold_rate_gbps: cold.report.rate_gbps,
+        rate_not_worse: warm.report.rate_gbps >= cold.report.rate_gbps - 1e-9,
+        warm: warm.stats,
+        cold: cold.stats,
         rate_gated: s.rate_gated,
         conformant: check.is_correct(),
         floor: s.floor,
@@ -283,19 +306,22 @@ fn measure(quick: bool) -> Report {
     }
 }
 
+/// The recorded entry for scenario `name`, if any.
+fn recorded_scenario<'a>(recorded: &'a serde::Value, name: &str) -> Option<&'a serde::Value> {
+    recorded
+        .get("scenarios")?
+        .as_array()?
+        .iter()
+        .find(|r| r.get("name").and_then(|n| n.as_str()) == Some(name))
+}
+
 /// Compares measured per-scenario speedups against the recorded trajectory;
 /// returns (scenario, recorded, measured) for each one that fell more than
 /// `CHECK_TOLERANCE`x below its recording.
 fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<(String, f64, f64)> {
     let mut failures = Vec::new();
-    let Some(recorded) = recorded.get("scenarios").and_then(|v| v.as_array()) else {
-        return failures;
-    };
     for sc in &report.scenarios {
-        let rec = recorded
-            .iter()
-            .find(|r| r.get("name").and_then(|n| n.as_str()) == Some(sc.name.as_str()));
-        let Some(rec) = rec
+        let Some(rec) = recorded_scenario(recorded, &sc.name)
             .and_then(|r| r.get("speedup_p50"))
             .and_then(|v| v.as_f64())
         else {
@@ -308,6 +334,28 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<(Stri
     failures
 }
 
+/// The work gate: roots packed per replan are the same on every host, so a
+/// scenario that packs more than its recording is a regression anywhere.
+fn packs_over_recorded(recorded: &serde::Value, report: &Report) -> Vec<String> {
+    let mut failures = Vec::new();
+    for sc in &report.scenarios {
+        let Some(rec) = recorded_scenario(recorded, &sc.name) else {
+            continue;
+        };
+        for (path, measured) in [("warm_packs", sc.warm_packs), ("cold_packs", sc.cold_packs)] {
+            if let Some(limit) = rec.get(path).and_then(|v| v.as_f64()) {
+                if measured as f64 > limit {
+                    failures.push(format!(
+                        "{}: {path} at {measured}, above the recorded {limit}",
+                        sc.name
+                    ));
+                }
+            }
+        }
+    }
+    failures
+}
+
 fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
     let out = measure(check_mode);
@@ -315,12 +363,14 @@ fn main() {
     for sc in &out.scenarios {
         eprintln!(
             "{:<20} warm p50 {:>9.1} us (p99 {:>9.1})  cold p50 {:>9.1} us  \
-             {:>5.2}x  kept {} demoted {} seeded {}  conformant {}",
+             {:>5.2}x  packs {}/{}  kept {} demoted {} seeded {}  conformant {}",
             sc.name,
             sc.warm.p50_us,
             sc.warm.p99_us,
             sc.cold.p50_us,
             sc.speedup_p50,
+            sc.warm_packs,
+            sc.cold_packs,
             sc.plans_kept,
             sc.seeds_demoted,
             sc.warm_seeded_trees,
@@ -333,9 +383,10 @@ fn main() {
             .expect("BENCH_replan.json exists for --check");
         let recorded = serde_json::parse(&recorded).expect("BENCH_replan.json parses");
 
-        // Result-quality gates first: these are deterministic properties of
-        // the replanned plans, not timings, so they hold on any runner.
-        let mut hard_failures = Vec::new();
+        // Result-quality and work gates first: these are deterministic
+        // properties of the replanned plans, not timings, so they hold on
+        // any runner.
+        let mut hard_failures = packs_over_recorded(&recorded, &out);
         for sc in &out.scenarios {
             if !sc.conformant {
                 hard_failures.push(format!(
@@ -409,7 +460,10 @@ fn main() {
         }
 
         if hard_failures.is_empty() && latency_failures.is_empty() {
-            eprintln!("replan check passed: all scenarios conformant, rates preserved");
+            eprintln!(
+                "replan check passed: all scenarios conformant, rates preserved, \
+                 packs within the recording"
+            );
             return;
         }
         for f in hard_failures.iter().chain(&latency_failures) {

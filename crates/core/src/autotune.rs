@@ -33,8 +33,9 @@
 //! induced topology and the link-class-normalised options, so equal job
 //! shapes hit and anything else misses. The opt-in *canonical* tier keys
 //! them by the allocation's canonical form, so topology-isomorphic
-//! allocations hit too. A lookup both tiers miss is packed — concurrently
-//! across roots, on the caller's [`ScratchPool`] — and published to both.
+//! allocations hit too. A lookup both tiers miss is packed on the caller's
+//! [`ScratchPool`] (a batch of misses, as the three-phase planner issues,
+//! concurrently across roots) and published to both.
 //!
 //! # Delta invalidation and warm seeds
 //!
@@ -44,7 +45,8 @@
 //! demotes exactly the plans the delta can touch: a cached plan survives a
 //! pure removal intact when none of its trees' edges and none of its link
 //! class's capacity groups intersect the removed links/GPUs, while any
-//! intersecting (or additively changed) plan is demoted to a *warm seed*.
+//! intersecting (or additively changed) plan is demoted to a *warm seed* —
+//! or dropped, when its GPUs no longer cover the job's allocation.
 //! The next miss for that key hands the seed to [`TreeGen::plan_warm`],
 //! whose repair-and-seed pass (`blink-graph`'s warm-start contract)
 //! typically reaches the packing certificate with zero MWU iterations. The
@@ -602,12 +604,15 @@ impl PlanCache {
     ///
     /// Locally, plans the delta provably did not touch — untouched by
     /// removals, or any addition short of new GPUs (see
-    /// `plan_survives_delta`) — stay live; every other plan becomes a warm
-    /// seed. A surviving plan of a class the delta added links to is
-    /// re-certified against the grown topology's broadcast min-cut and
-    /// demoted too if its rate fell below `(1 − ε)` of it, so the next
-    /// lookup re-packs through the added capacity; growth that does not
-    /// raise the cut keeps plans live and bit-identical.
+    /// `plan_survives_delta`) — stay live. A surviving plan of a class the
+    /// delta added links to is re-certified against the grown topology's
+    /// broadcast min-cut and demoted too if its rate fell below `(1 − ε)` of
+    /// it, so the next lookup re-packs through the added capacity; growth
+    /// that does not raise the cut keeps plans live and bit-identical. A
+    /// demoted plan becomes a warm seed only if its GPUs cover the
+    /// post-event allocation: after a grow, a heal that adds a GPU or a
+    /// consolidation move it cannot span the new GPUs, and repairing it
+    /// costs more than a cold pack, so it is dropped.
     ///
     /// In the store, a pure-growth delta changes nothing — the old shape
     /// persists as a subgraph, so its entries keep serving lookups under the
@@ -648,7 +653,7 @@ impl PlanCache {
                 };
             if survives && !outgrown {
                 self.plans.insert(key, plan);
-            } else {
+            } else if induced.gpus().iter().all(|g| plan.gpus.contains(&g.id)) {
                 self.seeds.insert(key, plan);
             }
         }
@@ -662,81 +667,49 @@ impl PlanCache {
         self.labelling = OnceCell::new();
     }
 
-    /// The plan for `(root, options.links)`; see [`PlanCache::plan_many`].
+    /// The plan for `(root, options.links)`: served from the handle when
+    /// memoised, otherwise through [`SharedPlanCache::resolve`] (a store hit,
+    /// or a pack — warm from the root's seed when a delta left one).
+    ///
+    /// # Errors
+    /// A failed pack; nothing is cached for it.
     pub(crate) fn plan_for(
         &mut self,
         induced: &Topology,
         options: &TreeGenOptions,
         root: GpuId,
     ) -> Result<Arc<TreePlan>> {
-        self.plan_many(induced, options, &[root])
-            .map(|mut plans| plans.remove(0))
-    }
-
-    /// Plans for several roots at once, in `roots` order: memoised roots are
-    /// served locally and the rest go through [`SharedPlanCache::resolve`],
-    /// whose packs run concurrently and are bit-identical to planning each
-    /// root in turn.
-    ///
-    /// # Errors
-    /// The first failing root (in `roots` order) wins; nothing is cached for
-    /// failing roots.
-    pub(crate) fn plan_many(
-        &mut self,
-        induced: &Topology,
-        options: &TreeGenOptions,
-        roots: &[GpuId],
-    ) -> Result<Vec<Arc<TreePlan>>> {
         let fp = plan_fingerprint(induced, options);
         self.rekey(fp);
         let links = options.links;
-        let mut missing: Vec<GpuId> = Vec::new();
-        for &root in roots {
-            if !self.plans.contains_key(&(root, links)) && !missing.contains(&root) {
-                missing.push(root);
-            }
+        if let Some(plan) = self.plans.get(&(root, links)) {
+            return Ok(plan.clone());
         }
-        if !missing.is_empty() {
-            // The canonical form covers exactly the NVLink capacity matrix
-            // (and NVLink packing reads nothing else); labelling is brute
-            // force, so only small allocations qualify.
-            let canonical = (self.canonical
-                && links == LinkSelection::NvLinkOnly
-                && (2..=CANONICAL_MAX_GPUS).contains(&induced.gpus().len()))
-            .then(|| Canonical {
-                induced,
-                options_fp: options_fingerprint(options),
-                labelling: &self.labelling,
-            });
-            let requests: Vec<(&Topology, u64, GpuId)> =
-                missing.iter().map(|&root| (induced, fp, root)).collect();
-            let seeds = &mut self.seeds;
-            let resolved = self.store.resolve(
+        // The canonical form covers exactly the NVLink capacity matrix (and
+        // NVLink packing reads nothing else); labelling is brute force, so
+        // only small allocations qualify.
+        let canonical = (self.canonical
+            && links == LinkSelection::NvLinkOnly
+            && (2..=CANONICAL_MAX_GPUS).contains(&induced.gpus().len()))
+        .then(|| Canonical {
+            induced,
+            options_fp: options_fingerprint(options),
+            labelling: &self.labelling,
+        });
+        let seeds = &mut self.seeds;
+        let plan = self
+            .store
+            .resolve(
                 options,
-                &requests,
+                &[(induced, fp, root)],
                 &self.scratch,
                 canonical.as_ref(),
                 |root| seeds.remove(&(root, links)),
-            );
-            let mut first_error = None;
-            for (root, plan) in missing.into_iter().zip(resolved) {
-                match plan {
-                    Ok(plan) => {
-                        self.plans.insert((root, links), plan);
-                    }
-                    Err(e) => {
-                        first_error.get_or_insert(e);
-                    }
-                }
-            }
-            if let Some(e) = first_error {
-                return Err(e);
-            }
-        }
-        Ok(roots
-            .iter()
-            .map(|&root| self.plans[&(root, links)].clone())
-            .collect())
+            )
+            .pop()
+            .expect("resolve answers every request")?;
+        self.plans.insert((root, links), plan.clone());
+        Ok(plan)
     }
 }
 
@@ -1129,33 +1102,38 @@ mod tests {
         assert_eq!(tiers.canonical.capacity, SharedPlanCache::DEFAULT_CAPACITY);
     }
 
+    /// Plans every root of `roots` through `cache`, in order.
+    fn plan_each(
+        cache: &mut PlanCache,
+        induced: &Topology,
+        opts: &TreeGenOptions,
+        roots: &[GpuId],
+    ) -> Vec<Arc<TreePlan>> {
+        roots
+            .iter()
+            .map(|&r| cache.plan_for(induced, opts, r).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn plan_many_matches_per_root_plan_for_bitwise() {
+    fn plan_for_is_bit_identical_at_every_worker_count() {
         let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
         let roots: Vec<GpuId> = (0..8).map(GpuId).collect();
-        // reference: sequential plan_for on a single-worker handle
         let mut seq = handle();
         seq.scratch = ScratchPool::with_workers(1);
-        let reference: Vec<Arc<TreePlan>> = roots
-            .iter()
-            .map(|&r| seq.plan_for(&induced, &opts, r).unwrap())
-            .collect();
-        // parallel misses through plan_many
+        let reference = plan_each(&mut seq, &induced, &opts, &roots);
         let mut par = handle();
         par.scratch = ScratchPool::with_workers(4);
-        let plans = par.plan_many(&induced, &opts, &roots).unwrap();
-        assert_eq!(plans.len(), roots.len());
+        let plans = plan_each(&mut par, &induced, &opts, &roots);
         for (a, b) in reference.iter().zip(&plans) {
-            assert!(a.bit_eq(b), "plan_many diverged for root {}", a.root);
+            assert!(a.bit_eq(b), "root {} diverged at 4 workers", a.root);
         }
         assert_eq!(par.len(), 8);
-        // repeated and duplicate roots are served locally
-        let again = par
-            .plan_many(&induced, &opts, &[GpuId(0), GpuId(0), GpuId(7)])
-            .unwrap();
-        assert_eq!(again.len(), 3);
+        // repeated roots are served locally
+        let again = plan_each(&mut par, &induced, &opts, &[GpuId(0), GpuId(0), GpuId(7)]);
         assert!(Arc::ptr_eq(&again[0], &again[1]));
+        assert!(Arc::ptr_eq(&again[0], &plans[0]));
         assert_eq!(par.store().stats(), (0, 8));
     }
 
@@ -1165,7 +1143,7 @@ mod tests {
         let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
         let mut cache = handle();
-        cache.plan_many(&induced, &opts, &alloc).unwrap();
+        plan_each(&mut cache, &induced, &opts, &alloc);
         assert_eq!(cache.len(), 8);
         // a physical NVLink connection dies
         let delta = TopologyDelta::kill_link(&induced, GpuId(0), GpuId(1));
@@ -1178,7 +1156,7 @@ mod tests {
         // replanning consumes the seeds and yields plans that avoid the
         // dead pair and are never worse than a cold re-plan
         let dead = delta.removed_pairs();
-        let warm = cache.plan_many(&after, &opts, &alloc).unwrap();
+        let warm = plan_each(&mut cache, &after, &opts, &alloc);
         assert_eq!(cache.seeded(), 0, "seeds are consumed on use");
         let mut cold_cache = handle();
         for (plan, &root) in warm.iter().zip(&alloc) {
@@ -1224,7 +1202,7 @@ mod tests {
     }
 
     #[test]
-    fn growth_delta_demotes_every_plan_to_a_seed() {
+    fn growth_delta_drops_plans_that_cannot_span_the_grown_allocation() {
         let topo = dgx1v();
         let small = induced(&topo, 4);
         let big = induced(&topo, 8);
@@ -1234,17 +1212,13 @@ mod tests {
         let delta = TopologyDelta::between(&small, &big);
         assert!(!delta.is_pure_removal());
         cache.note_delta(&big, &opts, &delta);
-        // the 4-GPU plan no longer spans the grown 8-GPU allocation, so it
-        // cannot serve lookups over the new shape — but its certificate was
-        // never voided, so it is demoted to a warm seed, not dropped
+        // the 4-GPU plan cannot span the grown 8-GPU allocation: repairing
+        // it would cost more than a cold pack, so it is dropped, not seeded
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.seeded(), 1);
+        assert_eq!(cache.seeded(), 0);
         let grown = cache.plan_for(&big, &opts, GpuId(0)).unwrap();
-        assert_eq!(grown.gpus.len(), 8);
-        // growth replans carry the same near-optimality guarantee as cold
-        // plans (the pointwise warm ≥ cold bound is only promised for pure
-        // removals — added capacity reshapes the whole MWU trajectory)
-        assert!(grown.rate_gbps() >= (1.0 - opts.packing.epsilon) * grown.optimal_rate_gbps - 1e-9);
+        let cold = handle().plan_for(&big, &opts, GpuId(0)).unwrap();
+        assert!(grown.bit_eq(&cold), "the grown plan is a cold pack");
     }
 
     #[test]
@@ -1361,7 +1335,7 @@ mod tests {
         let mut cache = PlanCache::new(shared.clone(), false);
         // a single-server 8-GPU job plans all roots and publishes them under
         // the server-induced fingerprint
-        cache.plan_many(&induced8, &opts, &small_alloc).unwrap();
+        plan_each(&mut cache, &induced8, &opts, &small_alloc);
         let f0 = plan_fingerprint(&induced8, &opts);
         assert!(exact_get(&shared, f0, GpuId(0), opts.links).is_some());
 
@@ -1372,10 +1346,10 @@ mod tests {
         let delta = TopologyDelta::between(&induced8, &induced16);
         assert!(delta.is_pure_growth() && !delta.is_pure_removal());
         cache.note_delta(&induced16, &opts, &delta);
-        // locally the old plans no longer span the grown job — seeds now —
+        // locally the old plans no longer span the grown job and are dropped,
         // but the store keeps the old shape's plans published verbatim
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.seeded(), 8);
+        assert_eq!(cache.seeded(), 0);
         assert!(
             exact_get(&shared, f0, GpuId(0), opts.links).is_some(),
             "growth must not flush the old shape from the store"
@@ -1432,17 +1406,23 @@ mod tests {
         let canonical_entries = || shared.lock().canonical.entries.len();
         // handle A packs every root of its quad and publishes both the exact
         // entries and the canonical images
-        let plans_a = PlanCache::new(shared.clone(), true)
-            .plan_many(&ind_a, &opts, &quad_a)
-            .unwrap();
+        let plans_a = plan_each(
+            &mut PlanCache::new(shared.clone(), true),
+            &ind_a,
+            &opts,
+            &quad_a,
+        );
         assert_eq!(shared.canonical_stats(), (0, 4), "4 cold packs, all missed");
         assert_eq!(canonical_entries(), 4, "every canonical role published");
         // handle B holds the *mirror* quad: exact fingerprints differ, so the
         // exact tier can never serve it — the canonical tier does, for every
         // root
-        let plans_b = PlanCache::new(shared.clone(), true)
-            .plan_many(&ind_b, &opts, &quad_b)
-            .unwrap();
+        let plans_b = plan_each(
+            &mut PlanCache::new(shared.clone(), true),
+            &ind_b,
+            &opts,
+            &quad_b,
+        );
         assert_eq!(
             shared.canonical_stats(),
             (4, 4),

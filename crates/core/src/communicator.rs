@@ -8,17 +8,26 @@
 //! the simulator, feeds the measured throughput back into the MIAD chunk
 //! tuner, and returns a [`CollectiveReport`].
 //!
+//! Rootless collectives (AllReduce, AllGather, ReduceScatter) run over the
+//! trees of one picked root. The pick is a root sweep bounded by the
+//! Edmonds/Lovász certificate: candidates are walked in allocation order and
+//! a candidate is packed only if its certificate beats the best plan rate so
+//! far. The pick equals that of an exhaustive sweep, and on a DGX-1's
+//! symmetric NVLink graphs one root packs instead of every GPU. Rooted
+//! collectives pack their own root on first use.
+//!
 //! When the fabric changes underneath a live job, [`Communicator::replan`]
 //! takes a [`TopologyDelta`] and recovers in place: the plan cache demotes
 //! only the plans the delta touches (everything else is kept verbatim), the
 //! demoted plans re-enter the packer as warm seeds via
 //! `TreeGen::plan_warm` — repairing damaged trees around dead links instead
 //! of re-packing from scratch — and the resulting plan is re-certified by
-//! the same MWU certificate a cold plan gets. Warm replans are therefore
-//! bit-identical-or-better in rate and roughly an order of magnitude faster
-//! than cold replans on single-link and single-GPU failures (see
-//! `bench_replan`); [`Communicator::run_checked`] then proves the recovered
-//! program byte-exact on the post-churn hardware.
+//! the same MWU certificate a cold plan gets. The replan re-runs the bounded
+//! sweep, so a delta that touches the picked root's plan repairs that one
+//! root. Warm replans are bit-identical-or-better in rate and faster than
+//! cold replans on link and GPU failures (see `bench_replan`);
+//! [`Communicator::run_checked`] then proves the recovered program
+//! byte-exact on the post-churn hardware.
 //!
 //! # The lowering memo
 //!
@@ -45,7 +54,7 @@ use crate::multiserver::three_phase_allreduce_cached;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
 use crate::treegen::{LinkSelection, TreeGenOptions};
 use crate::{BlinkError, Result};
-use blink_graph::{DiGraph, WeightedTree};
+use blink_graph::{optimal_broadcast_rate_in, DiGraph, NodeIdx, WeightedTree};
 use blink_sim::{check_collective, EngineScratch, Program, SimParams, Simulator, ValueCheck};
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
@@ -706,8 +715,10 @@ impl Communicator {
 
     /// Picks the root that maximises the achievable packing rate for
     /// all-to-all collectives (any root works; a well-connected one packs
-    /// more trees). Memoised: the allocation only changes through
-    /// [`Communicator::replan`], which re-runs the sweep itself.
+    /// more trees) through the certificate-bounded [`Communicator::root_sweep`],
+    /// so only the picked root's plan is cached. Memoised: the allocation
+    /// only changes through [`Communicator::replan`], which re-runs the sweep
+    /// itself.
     fn pick_root(&mut self) -> GpuId {
         if let Some(root) = self.picked_root {
             return root;
@@ -717,12 +728,23 @@ impl Communicator {
         root
     }
 
-    /// Plans every spannable candidate root through the plan cache (misses
-    /// fan out over the scratch pool's workers, consuming any warm-start
-    /// seeds a delta left behind) and picks the best *plan* rate. The
-    /// winning root's plan — and every runner-up's — lands in the cache, so
-    /// the sweep is the planning, not a separate certificate pass. Plans are bit-identical at every worker count and
-    /// ties resolve in allocation order, so the picked root is deterministic.
+    /// Walks the spannable candidate roots in allocation order, plans each
+    /// one that can still win through the plan cache (consuming any
+    /// warm-start seed a delta left behind) and picks the first with the
+    /// strictly highest *plan* rate.
+    ///
+    /// The sweep is bounded by the certificate. Before packing a candidate
+    /// it computes the candidate's Edmonds/Lovász optimum on the same graph
+    /// the packer uses — bit for bit the `optimal_rate_gbps` its plan would
+    /// record — and skips the candidate when that is `<=` the best plan rate
+    /// so far. A plan is a feasible packing, so its rate never exceeds its
+    /// root's certificate: a skipped candidate could at most tie, and a tie
+    /// keeps the earlier root. The pick, its plan and every program lowered
+    /// from it are therefore those of the exhaustive sweep, which packed
+    /// every candidate. On the symmetric NVLink graphs of a DGX-1 the first
+    /// candidate attains the (root-independent) optimum, so one root packs
+    /// instead of all of them. Runner-up roots are no longer cached; rooted
+    /// collectives pack their root on first use.
     ///
     /// Returns a [`SweepOutcome`]; the fallback outcome (`allocation[0]`,
     /// rate 0, `spannable: false`) when no candidate spans the selected link
@@ -730,57 +752,66 @@ impl Communicator {
     fn root_sweep(&mut self) -> SweepOutcome {
         let links = self.options.treegen.links;
         let g = DiGraph::from_topology_filtered(&self.induced, |l| links.matches(l));
-        let candidates: Vec<GpuId> = self
+        let candidates: Vec<(GpuId, NodeIdx)> = self
             .allocation
             .iter()
-            .copied()
-            .filter(|&cand| {
-                let spans = g.node(cand).map(|i| g.spans_from(i)).unwrap_or(false);
-                self.spannable.insert((cand, links), spans);
-                spans
+            .filter_map(|&cand| {
+                let idx = g.node(cand).filter(|&i| g.spans_from(i));
+                self.spannable.insert((cand, links), idx.is_some());
+                idx.map(|i| (cand, i))
             })
             .collect();
-        if candidates.is_empty() {
+        let Some(&(first, _)) = candidates.first() else {
             return SweepOutcome::fallback(self.allocation[0]);
-        }
+        };
         let treegen = self.options.treegen;
-        match self.plans.plan_many(&self.induced, &treegen, &candidates) {
-            Ok(plans) => {
-                let mut out = SweepOutcome {
-                    root: candidates[0],
-                    rate_gbps: -1.0,
-                    spannable: true,
-                    ..SweepOutcome::fallback(candidates[0])
-                };
-                for (plan, &cand) in plans.iter().zip(&candidates) {
-                    // Only warm-rebuilt roots contribute repair evidence:
-                    // kept plans carry their original cold-pack iteration
-                    // counts, which would drown the zero-iteration signal.
-                    if plan.mwu.warm_seeded > 0 {
-                        out.warm_seeded += plan.mwu.warm_seeded;
-                        out.warm_iterations += plan.mwu.iterations;
-                        out.warm_repaired += plan.mwu.warm_repaired;
-                        out.warm_topup += plan.mwu.warm_topup;
-                    }
-                    if plan.rate_gbps() > out.rate_gbps {
-                        out.rate_gbps = plan.rate_gbps();
-                        out.root = cand;
-                    }
-                }
-                out
+        let mut out = SweepOutcome {
+            rate_gbps: -1.0,
+            spannable: true,
+            ..SweepOutcome::fallback(first)
+        };
+        for (cand, idx) in candidates {
+            // The first candidate packs unconditionally (no plan to beat yet).
+            if out.rate_gbps >= 0.0
+                && optimal_broadcast_rate_in(
+                    &g,
+                    idx,
+                    &mut self.plans.scratch().checkout().certificate,
+                ) <= out.rate_gbps
+            {
+                continue;
             }
-            Err(_) => SweepOutcome::fallback(self.allocation[0]),
+            let Ok(plan) = self.plans.plan_for(&self.induced, &treegen, cand) else {
+                return SweepOutcome::fallback(self.allocation[0]);
+            };
+            // Only warm-rebuilt roots contribute repair evidence: kept plans
+            // carry their original cold-pack iteration counts, which would
+            // drown the zero-iteration signal.
+            if plan.mwu.warm_seeded > 0 {
+                out.warm_seeded += plan.mwu.warm_seeded;
+                out.warm_iterations += plan.mwu.iterations;
+                out.warm_repaired += plan.mwu.warm_repaired;
+                out.warm_topup += plan.mwu.warm_topup;
+            }
+            if plan.rate_gbps() > out.rate_gbps {
+                out.rate_gbps = plan.rate_gbps();
+                out.root = cand;
+            }
         }
+        out
     }
 
     /// Reacts to a topology-change event without rebuilding the communicator:
     /// applies `delta` to the machine model, re-induces the (possibly
     /// shrunken or grown) allocation, delta-invalidates the plan cache (it
-    /// keeps plans the event provably did not touch and demotes the rest to
-    /// warm-start seeds), then re-runs the root sweep — every stale root
-    /// re-plans **warm**, seeded from its old trees, and re-certifies against
-    /// the post-event min-cut. Collectives issued afterwards use the
-    /// recovered plans directly.
+    /// keeps plans the event provably did not touch, demotes the rest to
+    /// warm-start seeds and drops those that cannot span the new
+    /// allocation), then re-runs the certificate-bounded root sweep — every
+    /// root the sweep packs re-plans **warm** when a seed is left for it,
+    /// seeded from its old trees, and re-certifies against the post-event
+    /// min-cut. Collectives issued afterwards use the recovered plans
+    /// directly; a seed the sweep did not consume warms the first rooted
+    /// collective on its root.
     ///
     /// Removed GPUs leave the allocation; GPUs added by the delta join it.
     /// Chunk autotuners reset (the hardware their throughput feedback
@@ -797,7 +828,9 @@ impl Communicator {
     ///    repaired from its warm seeds in zero MWU iterations (or survived
     ///    invalidation untouched): as fast as before, no cold planning.
     /// 2. **[`DegradationLevel::PackedReplan`]** — ordinary packing re-ran on
-    ///    the survivor graph (cold, or warm plus corrective iterations).
+    ///    the survivor graph (cold, or warm plus corrective iterations). A
+    ///    delta that drops the picked root lands here: no seed is left for
+    ///    the successor root, which packs cold ([`RepairPath::Cold`]).
     /// 3. **[`DegradationLevel::PcieFallback`]** — no candidate root spans
     ///    the surviving NVLink graph; collectives lower over PCIe trees (or
     ///    one-hop on switch fabrics) until a heal restores spannability.
@@ -1777,6 +1810,73 @@ mod tests {
         assert_eq!(report.num_gpus, 8);
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(50)).unwrap();
         assert!(check.is_correct(), "{check:?}");
+    }
+
+    /// A communicator over `alloc` of `machine` with a fresh private store,
+    /// returned with that store.
+    fn with_fresh_store(machine: Topology, alloc: &[GpuId]) -> (Communicator, SharedPlanCache) {
+        let store = SharedPlanCache::new();
+        let comm = Communicator::builder(machine)
+            .allocation(alloc)
+            .shared_plans(store.clone())
+            .build()
+            .unwrap();
+        (comm, store)
+    }
+
+    #[test]
+    fn a_full_dgx1v_sweep_packs_one_root() {
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
+        let sweep = comm.root_sweep();
+        // every root's certificate is the global min cut, which the first
+        // candidate's plan attains, so no other root can beat it
+        assert_eq!(sweep.root, GpuId(0));
+        assert_eq!(sweep.rate_gbps, 138.0);
+        assert_eq!(store.stats(), (0, 1), "exactly one root packed");
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn a_later_candidate_with_a_higher_rate_still_wins() {
+        // DGX-1V {0, 2, 3}: roots 0 and 2 pack 65.55 GB/s, root 3 packs 69
+        let alloc = [GpuId(0), GpuId(2), GpuId(3)];
+        let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
+        let sweep = comm.root_sweep();
+        assert_eq!(sweep.root, GpuId(3), "{sweep:?}");
+        assert_eq!(sweep.rate_gbps, 69.0);
+        let (_, misses) = store.stats();
+        assert!(misses >= 2, "the winner was packed after the first root");
+    }
+
+    #[test]
+    fn dropping_the_picked_root_packs_its_successor_cold() {
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
+        comm.all_reduce(mb(16)).unwrap();
+        assert_eq!(comm.picked_root, Some(GpuId(0)));
+        let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(0))).unwrap();
+        // the dropped root's plan cannot seed another root
+        assert_eq!(report.repair_path, RepairPath::Cold, "{report:?}");
+        assert_eq!(report.degradation, DegradationLevel::PackedReplan);
+        assert_eq!(report.root, GpuId(1));
+        assert_eq!(report.rate_gbps, 92.0);
+        assert_eq!(store.stats(), (0, 2), "the successor is the only new pack");
+        let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
+        assert!(check.is_correct(), "{check}");
+    }
+
+    #[test]
+    fn dropping_another_gpu_repairs_the_picked_root_warm() {
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
+        comm.all_reduce(mb(16)).unwrap();
+        let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(7))).unwrap();
+        assert_eq!(report.degradation, DegradationLevel::FullWarmRepair);
+        assert_eq!(report.repair_path, RepairPath::Reroute, "{report:?}");
+        assert_eq!(report.warm_iterations, 0);
+        assert_eq!((report.seeds_demoted, report.root), (1, GpuId(0)));
+        assert_eq!(store.stats(), (0, 2), "only the picked root re-plans");
     }
 
     #[test]

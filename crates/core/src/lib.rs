@@ -43,10 +43,12 @@
 //!   Figure 10, Figure 22).
 //! * [`communicator`] — the NCCL-flavoured front door: create a communicator
 //!   for an allocation, call collectives, get timing reports back from the
-//!   simulator. [`Communicator::replan`] absorbs topology churn (failures
+//!   simulator. Rootless collectives run over one root picked by a sweep
+//!   that packs only the candidates whose certificate can still beat the
+//!   best plan. [`Communicator::replan`] absorbs topology churn (failures
 //!   and elasticity) by delta-invalidating the plan cache and warm-starting
-//!   the packer from the surviving trees, an order of magnitude faster than
-//!   planning cold (`bench_replan` records the trajectory).
+//!   the packer from the surviving trees (`bench_replan` records warm and
+//!   cold latency and the roots each packs).
 //! * [`group`] — hierarchical process groups: [`Communicator::split`] turns
 //!   one communicator into nested subgroups whose induced topologies share
 //!   the parent's links, executed concurrently through one simulator session
@@ -93,7 +95,8 @@
 //!    [`ReplanReport::repair_path`]` == `[`RepairPath::Reroute`].
 //! 2. [`DegradationLevel::PackedReplan`] — ordinary (cold or iterated-warm)
 //!    packing on the survivor graph; rate re-certified against the
-//!    post-event min-cut.
+//!    post-event min-cut. Dropping the picked root lands here: its plan
+//!    cannot seed the successor root, which packs cold.
 //! 3. [`DegradationLevel::PcieFallback`] — the surviving NVLink graph spans
 //!    from no candidate root; collectives lower over the always-complete
 //!    PCIe mesh (or one-hop on switch fabrics) until a heal event restores

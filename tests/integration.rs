@@ -208,12 +208,12 @@ fn identical_job_shapes_reuse_plans_across_communicators() {
         );
     }
     let (hits, misses) = shared.stats();
-    // the rootless-collective sweep plans every spannable candidate root
-    // (picking the best by plan rate), so the first communicator packs one
-    // tree set per candidate — each exactly once — and every later
-    // communicator reuses all of them
-    assert_eq!(misses, 4, "one pack per candidate root, never repeated");
-    assert_eq!(hits, 12, "every later communicator reuses the whole sweep");
+    // the rootless-collective sweep packs only candidates whose certificate
+    // can beat the best plan so far; on this quad the first root attains
+    // the optimum, so the first communicator packs once and every later
+    // communicator reuses that one plan
+    assert_eq!(misses, 1, "one pack for the picked root, never repeated");
+    assert_eq!(hits, 3, "every later communicator reuses it");
 }
 
 /// The communicator handles every collective kind on an arbitrary allocation.

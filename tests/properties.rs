@@ -10,6 +10,7 @@ use blink_graph::{
     optimal_broadcast_rate, pack_spanning_trees, pack_spanning_trees_in, Arborescence, DiGraph,
     PackingOptions, PackingScratch, TreePacking, WeightedTree,
 };
+use blink_topology::enumerate::unique_allocations;
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
 use proptest::prelude::*;
@@ -433,6 +434,122 @@ fn packed_certificate_is_4x_one_hop_on_a_pinned_dgx2_fragment() {
         (packed - 4.0 * 138.0).abs() < 1e-6,
         "packed certificate {packed} must be (m−1)·b = 552"
     );
+}
+
+// ---- the certificate-bounded root sweep ----
+
+/// The exhaustive root sweep: every NVLink-spannable root of `alloc`, in
+/// allocation order, packed cold; the first strictly highest plan rate wins,
+/// and `(alloc[0], 0)` stands when no root spans. Also fails if any plan's
+/// rate exceeds its own certificate, the bound the communicator's sweep
+/// skips candidates by.
+fn exhaustive_sweep(induced: &Topology, alloc: &[GpuId]) -> Result<(GpuId, f64), String> {
+    let tg = TreeGen::with_scratch(
+        induced.clone(),
+        TreeGenOptions::default(),
+        ScratchPool::with_workers(1),
+    );
+    let mut best: Option<(GpuId, f64)> = None;
+    for &root in alloc.iter().filter(|&&r| tg.can_span(r)) {
+        let plan = tg.plan(root).map_err(|e| e.to_string())?;
+        if plan.rate_gbps() > plan.optimal_rate_gbps {
+            return Err(format!(
+                "root {root}: plan rate {} above its certificate {}",
+                plan.rate_gbps(),
+                plan.optimal_rate_gbps
+            ));
+        }
+        if best.is_none_or(|(_, rate)| plan.rate_gbps() > rate) {
+            best = Some((root, plan.rate_gbps()));
+        }
+    }
+    Ok(best.unwrap_or((alloc[0], 0.0)))
+}
+
+/// Runs the communicator's bounded sweep over `alloc` of `machine` (an empty
+/// replan sweeps without changing anything) and checks that its root and
+/// rate equal the exhaustive sweep's, bit for bit.
+fn check_bounded_sweep(machine: &Topology, alloc: &[GpuId]) -> Result<(), String> {
+    let mut comm = Communicator::builder(machine.clone())
+        .allocation(alloc)
+        .isolated_plans()
+        .build()
+        .map_err(|e| e.to_string())?;
+    let report = comm
+        .replan(&TopologyDelta::default())
+        .map_err(|e| e.to_string())?;
+    let (root, rate) = exhaustive_sweep(comm.induced_topology(), comm.allocation())?;
+    if (report.root, report.rate_gbps.to_bits()) != (root, rate.to_bits()) {
+        return Err(format!(
+            "bounded sweep picked {} at {} GB/s, exhaustive {root} at {rate} GB/s",
+            report.root, report.rate_gbps
+        ));
+    }
+    Ok(())
+}
+
+/// `machine` with the NVLink pair `seed` selects among `alloc`'s connected
+/// pairs killed (unchanged when the allocation has no NVLink pair).
+fn kill_one_nvlink_pair(machine: &Topology, alloc: &[GpuId], seed: usize) -> Topology {
+    let pairs: Vec<(GpuId, GpuId)> = alloc
+        .iter()
+        .flat_map(|&a| alloc.iter().map(move |&b| (a, b)))
+        .filter(|&(a, b)| a < b && machine.has_nvlink(a, b))
+        .collect();
+    if pairs.is_empty() {
+        return machine.clone();
+    }
+    let (a, b) = pairs[seed % pairs.len()];
+    let mut delta = TopologyDelta::kill_link(machine, a, b);
+    delta.removed_links.retain(|l| l.kind.is_nvlink());
+    machine.apply_delta(&delta).unwrap()
+}
+
+/// Every member of every DGX-1V and DGX-1P allocation class of 3–8 GPUs.
+#[test]
+fn bounded_root_sweep_matches_the_exhaustive_sweep_on_every_dgx1_allocation() {
+    for machine in [dgx1v(), dgx1p()] {
+        for class in unique_allocations(&machine, 3..=8).unwrap() {
+            for alloc in &class.members {
+                if let Err(e) = check_bounded_sweep(&machine, alloc) {
+                    panic!("{alloc:?}: {e}");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random DGX-1V/1P allocations with one NVLink pair killed: the
+    /// symmetry that lets the first root win is broken, and the bounded
+    /// sweep must still pick the exhaustive sweep's root.
+    #[test]
+    fn bounded_root_sweep_matches_the_exhaustive_sweep_on_link_killed_dgx1(
+        (alloc, seed) in allocation_strategy(),
+        v100 in any::<bool>(),
+    ) {
+        let machine = if v100 { dgx1v() } else { dgx1p() };
+        let gpus: Vec<GpuId> = alloc.iter().map(|&g| GpuId(g)).collect();
+        let damaged = kill_one_nvlink_pair(&machine, &gpus, seed);
+        let verdict = check_bounded_sweep(&damaged, &gpus);
+        prop_assert!(verdict.is_ok(), "{gpus:?}: {}", verdict.unwrap_err());
+    }
+
+    /// Random DGX-2 allocations with one NVLink pair killed — no longer a
+    /// switch fabric, so the communicator sweeps roots over them too.
+    #[test]
+    fn bounded_root_sweep_matches_the_exhaustive_sweep_on_link_killed_dgx2(
+        set in proptest::collection::btree_set(0usize..16, 3..=12),
+        seed in 0usize..1000,
+    ) {
+        let machine = dgx2();
+        let gpus: Vec<GpuId> = set.into_iter().map(GpuId).collect();
+        let damaged = kill_one_nvlink_pair(&machine, &gpus, seed);
+        let verdict = check_bounded_sweep(&damaged, &gpus);
+        prop_assert!(verdict.is_ok(), "{gpus:?}: {}", verdict.unwrap_err());
+    }
 }
 
 // ---- fleet placements: slice topologies and end-to-end planning ----
