@@ -30,7 +30,7 @@
 //! The wall-clock recovery-latency gates need a machine with >= 2 workers
 //! and are loudly SKIPPED otherwise. Exits non-zero on regression.
 
-use blink_core::ScratchPool;
+use blink_bench::{percentiles, runner_cpus, Percentiles};
 use blink_sched::{EventRecord, FaultConfig, FleetConfig, FleetPipeline, FleetReport, Stage};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -44,37 +44,6 @@ const FULL_JOBS: usize = 2_000;
 /// Jobs in quick (`--check`) mode — enough chaos for every fault class and
 /// ladder rung to appear, small enough for CI.
 const QUICK_JOBS: usize = 300;
-
-#[derive(Serialize)]
-struct Percentiles {
-    p50_us: f64,
-    p99_us: f64,
-    mean_us: f64,
-    samples: usize,
-}
-
-fn percentiles(mut xs: Vec<f64>) -> Percentiles {
-    let samples = xs.len();
-    if samples == 0 {
-        return Percentiles {
-            p50_us: 0.0,
-            p99_us: 0.0,
-            mean_us: 0.0,
-            samples,
-        };
-    }
-    xs.sort_by(f64::total_cmp);
-    let pct = |p: f64| {
-        let idx = ((samples as f64 * p).ceil() as usize).max(1).min(samples) - 1;
-        xs[idx]
-    };
-    Percentiles {
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        mean_us: xs.iter().sum::<f64>() / samples as f64,
-        samples,
-    }
-}
 
 #[derive(Serialize)]
 struct Config {
@@ -167,7 +136,7 @@ fn build_report(run: &Run, quick: bool, config: &FleetConfig) -> Report {
         .collect();
     Report {
         config: Config {
-            workers: ScratchPool::new().workers(),
+            workers: runner_cpus(),
             quick,
             servers: config.servers,
             jobs: config.jobs,

@@ -22,7 +22,7 @@
 //! need a machine with >= 2 workers and are loudly SKIPPED otherwise,
 //! mirroring the other benches. Exits non-zero on regression.
 
-use blink_core::ScratchPool;
+use blink_bench::{percentiles, runner_cpus, Percentiles};
 use blink_sched::{FleetConfig, FleetPipeline, FleetReport, Stage, WorkloadConfig};
 use serde::Serialize;
 use std::time::Instant;
@@ -35,37 +35,6 @@ const FULL_JOBS: usize = 2_000;
 /// Jobs in quick (`--check`) mode — enough for fragmentation, departures and
 /// cache reuse to all appear, small enough for CI.
 const QUICK_JOBS: usize = 400;
-
-#[derive(Serialize)]
-struct Percentiles {
-    p50_us: f64,
-    p99_us: f64,
-    mean_us: f64,
-    samples: usize,
-}
-
-fn percentiles(mut xs: Vec<f64>) -> Percentiles {
-    let samples = xs.len();
-    if samples == 0 {
-        return Percentiles {
-            p50_us: 0.0,
-            p99_us: 0.0,
-            mean_us: 0.0,
-            samples,
-        };
-    }
-    xs.sort_by(f64::total_cmp);
-    let pct = |p: f64| {
-        let idx = ((samples as f64 * p).ceil() as usize).max(1).min(samples) - 1;
-        xs[idx]
-    };
-    Percentiles {
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        mean_us: xs.iter().sum::<f64>() / samples as f64,
-        samples,
-    }
-}
 
 #[derive(Serialize)]
 struct Config {
@@ -140,7 +109,7 @@ fn build_report(run: &Run, quick: bool, workload: &WorkloadConfig, config: &Flee
     let lookups = r.shared_hits + r.shared_misses;
     Report {
         config: Config {
-            workers: ScratchPool::new().workers(),
+            workers: runner_cpus(),
             quick,
             servers: config.servers,
             jobs: config.jobs,

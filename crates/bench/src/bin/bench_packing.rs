@@ -15,11 +15,7 @@
 //! * **certificate_allsinks** — the Hao–Orlin-style all-sinks pass
 //!   ([`blink_graph::broadcast_rate_all_sinks_in`]) on a 24-vertex
 //!   three-server DGX-1V fabric, the regime past
-//!   [`blink_graph::CUT_ENUMERATION_MAX_NODES`] where production runs it;
-//! * **parallel_sweep** — the all-roots TreeGen sweep
-//!   ([`blink_core::TreeGen::plan_roots`], the multi-root planning loop of
-//!   the three-phase AllReduce) through a multi-worker
-//!   [`blink_core::ScratchPool`] vs the single-worker sequential path.
+//!   [`blink_graph::CUT_ENUMERATION_MAX_NODES`] where production runs it.
 //!
 //! The pre-optimisation naive solvers are not measured here: they survive
 //! only as the test-only bit-identity oracles the graph crate's unit tests
@@ -41,14 +37,10 @@
 //! * the minimised packing must not use more trees than recorded;
 //! * the broadcast-rate certificate on the DGX-1V and the all-sinks
 //!   certificate on the multi-server fabric must each reproduce the recorded
-//!   value exactly (they are deterministic functions of the topology);
-//! * on machines with more than one core, the parallel sweep must not be
-//!   slower than the sequential sweep (on a single core the two paths are
-//!   identical by construction, so that gate is vacuous there).
+//!   value exactly (they are deterministic functions of the topology).
 //!
 //! It does not rewrite the JSON.
 
-use blink_core::{ScratchPool, TreeGen, TreeGenOptions};
 use blink_graph::{
     broadcast_rate_all_sinks_in, minimize_trees_in, optimal_broadcast_rate,
     optimal_broadcast_rate_in, pack_spanning_trees_in, DiGraph, MaxFlowScratch, MinimizeOptions,
@@ -69,13 +61,6 @@ const QUALITY_TOLERANCE: f64 = 0.01;
 /// recorded count: producing the same packing with twice the solves is a
 /// hot-path regression even though the output is unchanged.
 const WORK_TOLERANCE: f64 = 2.0;
-/// `--check` fails when the multi-worker parallel sweep is slower than this
-/// fraction of the sequential sweep. Strictly "not slower" would be 1.0, but
-/// the quick-mode sweep window is tens of milliseconds — a shared CI runner
-/// needs a noise band so an unrelated PR is not failed by a background
-/// scheduler hiccup. A genuinely serialised pool shows up far below 0.9.
-const SWEEP_TOLERANCE: f64 = 0.9;
-
 /// Throughput and quality of the MWU packing fast path.
 #[derive(Debug, Serialize)]
 struct PackingReport {
@@ -142,30 +127,6 @@ struct Config {
     fast_runs: usize,
 }
 
-/// One path (sequential or parallel) of the multi-root sweep stage.
-#[derive(Debug, Serialize)]
-struct SweepPathReport {
-    /// Complete all-roots sweeps per second.
-    sweeps_per_sec: f64,
-    /// Mean wall-clock microseconds per sweep.
-    us_per_sweep: f64,
-}
-
-/// The multi-root planning sweep: all 8 DGX-1V roots planned through a
-/// single-worker pool (sequential) vs the machine-default multi-worker pool.
-#[derive(Debug, Serialize)]
-struct ParallelSweepReport {
-    /// Roots planned per sweep.
-    roots: usize,
-    /// Workers the parallel path used (1 on a single-core machine, in which
-    /// case both paths are the same code and the speedup is ≈ 1).
-    workers: usize,
-    sequential: SweepPathReport,
-    parallel: SweepPathReport,
-    /// `parallel.sweeps_per_sec / sequential.sweeps_per_sec`.
-    speedup: f64,
-}
-
 #[derive(Debug, Serialize)]
 struct Report {
     config: Config,
@@ -177,8 +138,6 @@ struct Report {
     certificate: CertificateReport,
     /// The all-sinks certificate on the three-server fabric graph.
     certificate_allsinks: CertificateAllSinksReport,
-    /// Multi-root sweep through the scratch pool: parallel vs sequential.
-    parallel_sweep: ParallelSweepReport,
 }
 
 /// Times `runs` invocations of `f` and returns mean seconds per call.
@@ -277,39 +236,6 @@ fn measure(quick: bool) -> Report {
         rate_gbps: allsinks_value,
     };
 
-    // ---- parallel_sweep: all 8 roots through the scratch pool ----
-    let sweep_runs = if quick { 10 } else { 50 };
-    let roots: Vec<GpuId> = (0..8).map(GpuId).collect();
-    let sequential_tg = TreeGen::with_scratch(
-        topo.clone(),
-        TreeGenOptions::default(),
-        ScratchPool::with_workers(1),
-    );
-    sequential_tg.plan_roots(&roots).expect("dgx1v spans"); // warm up
-    let per_seq_sweep = time_calls(sweep_runs, || {
-        sequential_tg.plan_roots(&roots).expect("dgx1v spans");
-    });
-    let parallel_pool = ScratchPool::new();
-    let workers = parallel_pool.workers();
-    let parallel_tg = TreeGen::with_scratch(topo.clone(), TreeGenOptions::default(), parallel_pool);
-    parallel_tg.plan_roots(&roots).expect("dgx1v spans"); // warm up
-    let per_par_sweep = time_calls(sweep_runs, || {
-        parallel_tg.plan_roots(&roots).expect("dgx1v spans");
-    });
-    let parallel_sweep = ParallelSweepReport {
-        roots: roots.len(),
-        workers,
-        speedup: per_seq_sweep / per_par_sweep,
-        sequential: SweepPathReport {
-            sweeps_per_sec: 1.0 / per_seq_sweep,
-            us_per_sweep: per_seq_sweep * 1e6,
-        },
-        parallel: SweepPathReport {
-            sweeps_per_sec: 1.0 / per_par_sweep,
-            us_per_sweep: per_par_sweep * 1e6,
-        },
-    };
-
     Report {
         config: Config {
             topology: "dgx1v".to_string(),
@@ -322,7 +248,6 @@ fn measure(quick: bool) -> Report {
         minimize,
         certificate,
         certificate_allsinks,
-        parallel_sweep,
     }
 }
 
@@ -404,8 +329,7 @@ fn main() {
         let failures = check_against_recorded(&recorded, &out);
         eprintln!(
             "quick check: packing {:.1} us ({} trees, rate/optimal {:.3}), minimize {:.1} us \
-             ({} trees), certificate {:.1} us; all-sinks certificate {:.1} us ({} vertices); \
-             parallel sweep {:.2}x over sequential ({} workers)",
+             ({} trees), certificate {:.1} us; all-sinks certificate {:.1} us ({} vertices)",
             out.packing.us_per_packing,
             out.packing.num_trees,
             out.packing.rate_over_optimal,
@@ -414,37 +338,8 @@ fn main() {
             out.certificate.us_per_call,
             out.certificate_allsinks.allsinks_us_per_call,
             out.certificate_allsinks.vertices,
-            out.parallel_sweep.speedup,
-            out.parallel_sweep.workers,
         );
-        // Absolute gate: with real parallelism available, the parallel sweep
-        // must never lose to the sequential path (beyond measurement noise,
-        // see SWEEP_TOLERANCE). With one worker the two paths are the same
-        // code, so the comparison would only measure noise — skip loudly so a
-        // single-core runner is never mistaken for a passing gate.
-        if out.parallel_sweep.workers < 2 {
-            eprintln!(
-                "=================================================================\n\
-                 SKIPPED: parallel-sweep gate NOT enforced — this runner exposes \n\
-                 only {} worker(s) (std::thread::available_parallelism), so the \n\
-                 parallel and sequential sweeps are the same code path and the \n\
-                 {:.2}x \"speedup\" above is two timings of identical work. Run \n\
-                 --check on a machine with >= 2 cores to arm this gate.\n\
-                 =================================================================",
-                out.parallel_sweep.workers, out.parallel_sweep.speedup
-            );
-        }
-        let sweep_regressed =
-            out.parallel_sweep.workers >= 2 && out.parallel_sweep.speedup < SWEEP_TOLERANCE;
-        if sweep_regressed {
-            eprintln!(
-                "REGRESSION: parallel sweep at {:.2}x over sequential with {} workers — \
-                 the parallel path must not be slower than sequential \
-                 (tolerance {SWEEP_TOLERANCE})",
-                out.parallel_sweep.speedup, out.parallel_sweep.workers
-            );
-        }
-        if failures.is_empty() && !sweep_regressed {
+        if failures.is_empty() {
             eprintln!("all packing quality gates hold against the recorded trajectory");
             return;
         }
@@ -460,7 +355,7 @@ fn main() {
     eprintln!(
         "packing {:.1} us/call ({} trees, rate/optimal {:.3}), minimize {:.1} us/call \
          ({} trees), certificate {:.1} us/call, all-sinks certificate {:.1} us/call \
-         @ {} vertices, {:.2}x parallel sweep @ {} workers",
+         @ {} vertices",
         out.packing.us_per_packing,
         out.packing.num_trees,
         out.packing.rate_over_optimal,
@@ -469,7 +364,5 @@ fn main() {
         out.certificate.us_per_call,
         out.certificate_allsinks.allsinks_us_per_call,
         out.certificate_allsinks.vertices,
-        out.parallel_sweep.speedup,
-        out.parallel_sweep.workers,
     );
 }

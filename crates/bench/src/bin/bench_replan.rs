@@ -23,7 +23,8 @@
 //! machine with >= 2 workers and are loudly SKIPPED otherwise, mirroring
 //! `bench_packing`. Exits non-zero on regression.
 
-use blink_core::{CollectiveKind, Communicator, ReplanReport, ScratchPool, SharedPlanCache};
+use blink_bench::runner_cpus;
+use blink_core::{CollectiveKind, Communicator, ReplanReport, SharedPlanCache};
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology, TopologyDelta};
 use serde::Serialize;
@@ -288,7 +289,7 @@ fn run_scenario(s: &Scenario, warm_runs: usize, cold_runs: usize) -> ScenarioRep
 
 fn measure(quick: bool) -> Report {
     let (warm_runs, cold_runs) = if quick { (12, 5) } else { (60, 25) };
-    let workers = ScratchPool::new().workers();
+    let workers = runner_cpus();
     let scenarios = scenarios()
         .iter()
         .map(|s| run_scenario(s, warm_runs, cold_runs))

@@ -24,6 +24,51 @@ pub mod measure;
 
 pub use measure::{blink_collective, nccl_collective, CollectiveMeasurement};
 
+/// The CPUs this runner exposes (`std::thread::available_parallelism`, 1
+/// when unknown) — what the `bench_*` binaries record as `workers` and arm
+/// their wall-clock gates on.
+pub fn runner_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Wall-clock latency percentiles of one sample set, as the `bench_*`
+/// binaries record them.
+#[derive(Debug, serde::Serialize)]
+pub struct Percentiles {
+    /// Median (nearest-rank) in µs.
+    pub p50_us: f64,
+    /// 99th percentile (nearest-rank) in µs.
+    pub p99_us: f64,
+    /// Arithmetic mean in µs.
+    pub mean_us: f64,
+    /// Number of samples.
+    pub samples: usize,
+}
+
+/// Nearest-rank percentiles of `xs` (µs); all zero for an empty set.
+pub fn percentiles(mut xs: Vec<f64>) -> Percentiles {
+    let samples = xs.len();
+    if samples == 0 {
+        return Percentiles {
+            p50_us: 0.0,
+            p99_us: 0.0,
+            mean_us: 0.0,
+            samples,
+        };
+    }
+    xs.sort_by(f64::total_cmp);
+    let pct = |p: f64| {
+        let idx = ((samples as f64 * p).ceil() as usize).max(1).min(samples) - 1;
+        xs[idx]
+    };
+    Percentiles {
+        p50_us: pct(0.50),
+        p99_us: pct(0.99),
+        mean_us: xs.iter().sum::<f64>() / samples as f64,
+        samples,
+    }
+}
+
 /// Prints a slice of serialisable rows as an aligned text table followed by a
 /// JSON dump (so results can be archived / plotted).
 pub fn print_rows<T: serde::Serialize>(title: &str, rows: &[T]) {

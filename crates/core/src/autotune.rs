@@ -34,8 +34,11 @@
 //! shapes hit and anything else misses. The opt-in *canonical* tier keys
 //! them by the allocation's canonical form, so topology-isomorphic
 //! allocations hit too. A lookup both tiers miss is packed on the caller's
-//! [`ScratchPool`] (a batch of misses, as the three-phase planner issues,
-//! concurrently across roots) and published to both.
+//! [`ScratchPool`] and published to both. A batch of misses (the three-phase
+//! planner's per-server roots) is the workspace's one thread fan-out: it
+//! packs concurrently only when its work (the summed GPU count of the
+//! allocations it packs) reaches a measured crossover, and inline
+//! otherwise.
 //!
 //! # Delta invalidation and warm seeds
 //!
@@ -54,7 +57,7 @@
 //! through the packer, so every plan handed out has been re-certified
 //! against the current topology.
 
-use crate::treegen::{parallel_map, LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
+use crate::treegen::{LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
 use crate::Result;
 use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
 use blink_topology::enumerate::canonical_labeling;
@@ -64,6 +67,7 @@ use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A 64-bit fingerprint of everything (besides the root and link class) a
@@ -289,6 +293,73 @@ impl<K: Ord + Clone> Tier<K> {
     }
 }
 
+/// The batch work — summed GPU count of the allocations a
+/// [`SharedPlanCache`] miss batch packs — at which the batch fans out over
+/// threads instead of packing inline.
+///
+/// Spawning workers costs ~100 µs per batch, which a two-GPU slice never
+/// earns back. Measured on a 2-vCPU x86-64 host: cold three-phase batches
+/// on DGX-1V servers and a fresh store, 1 MiB, median µs of 40 calls,
+/// packed inline vs over two workers (a range where two runs differed):
+///
+/// | GPUs per server | work | inline µs | 2 workers µs | speedup |
+/// |---|---:|---:|---:|---:|
+/// | 1+1 | 2 | 15 | 110 | 0.13× |
+/// | 2+2 | 8 | 73 | 235 | 0.31× |
+/// | 2+2+2+2 | 16 | 144 | 221 | 0.65× |
+/// | 3+5 | 24 | 263 | 376 | 0.70× |
+/// | 3+7 | 30 | 3,950 | 3,047 | 1.30× |
+/// | 4+4 | 32 | 1,327 | 1,044 | 1.27× |
+/// | 2 on each of 8 servers | 32 | 544 | 710 | 0.77× |
+/// | 5+5 | 50 | 529–580 | 760–769 | 0.70–0.75× |
+/// | 4+4+4+4 | 64 | 2,368–4,705 | 1,962–3,508 | 1.21–1.34× |
+/// | 6+6+4 | 64 | 4,262–4,351 | 2,733–3,243 | 1.31–1.59× |
+/// | 5+5+6 | 80 | 1,672–2,076 | 1,465–2,575 | 0.81–1.14× |
+/// | 8+8 | 128 | 20,551 | 13,196 | 1.56× |
+///
+/// Below 64, fan-out loses on most shapes, every fleet-sized slice among
+/// them, and wins only where a few large packs dominate (3+7, 4+4). From 64
+/// on it wins, or ties within the host's noise (5+5+6). Per-pack cost
+/// depends on a slice's wiring, not only its size, so no size threshold
+/// separates the rows exactly; 64 keeps inline every shape that lost in
+/// both runs.
+const FAN_OUT_MIN_WORK: usize = 64;
+
+/// Maps `tasks` through `f` over `workers` scoped threads (capped at the
+/// task count), or inline with no thread spawned when that is at most one.
+/// Results come back in task order. The work distribution (an atomic
+/// cursor) is racy by design, but `f` is pure per task, so the output is
+/// deterministic. A panic in `f` propagates to the caller.
+fn fan_out<T: Sync, R: Send>(tasks: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = workers.min(tasks.len());
+    if workers <= 1 {
+        return tasks.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(task) = tasks.get(i) else {
+                            return out;
+                        };
+                        out.push((i, f(task)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 impl SharedPlanCache {
     /// Maximum number of memoised plans per tier. Sized for a scheduler
     /// fleet: a job shape costs one entry per (root, link class) it plans,
@@ -338,10 +409,12 @@ impl SharedPlanCache {
     /// The one lookup-or-pack-and-publish routine. Each `(induced, fp, root)`
     /// request is looked up in the exact tier and then, when `canonical` is
     /// given, in the canonical tier. The requests both tiers miss are packed
-    /// concurrently on `scratch`'s workers — warm from `seed(root)` when it
-    /// yields a stale plan — and every fresh pack is published to both tiers
-    /// in request order. Results come back in request order, bit-identical
-    /// at every worker count; failed packs are returned, not cached.
+    /// on `scratch` — warm from `seed(root)` when it yields a stale plan —
+    /// inline, or fanned out over one worker per available CPU when the
+    /// batch's work (the summed GPU count of the allocations it packs)
+    /// reaches [`FAN_OUT_MIN_WORK`]. Every fresh pack is published to both
+    /// tiers in request order. Results come back in request order,
+    /// bit-identical either way; failed packs are returned, not cached.
     pub(crate) fn resolve(
         &self,
         options: &TreeGenOptions,
@@ -361,16 +434,28 @@ impl SharedPlanCache {
             }
             resolved.push(hit.map(Ok));
         }
-        let packed = parallel_map(misses, scratch.workers(), |(i, seed)| {
-            let (induced, _, root) = requests[i];
+        let work: usize = misses
+            .iter()
+            .map(|&(i, _)| requests[i].0.gpus().len())
+            .sum();
+        let armed = work >= FAN_OUT_MIN_WORK;
+        let workers = if armed {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            1
+        };
+        #[cfg(test)]
+        let workers = tests::fan_out_seam(armed, workers);
+        let packed = fan_out(&misses, workers, |(i, seed)| {
+            let (induced, _, root) = requests[*i];
             let tg = TreeGen::with_scratch(induced.clone(), *options, scratch.clone());
             let plan = match seed {
-                Some(seed) => tg.plan_warm(root, &seed),
+                Some(seed) => tg.plan_warm(root, seed),
                 None => tg.plan(root),
             };
-            (i, plan.map(Arc::new))
+            plan.map(Arc::new)
         });
-        for (i, plan) in packed {
+        for (&(i, _), plan) in misses.iter().zip(packed) {
             if let Ok(plan) = &plan {
                 let (_, fp, root) = requests[i];
                 self.lock().exact.insert((fp, root, links), plan.clone());
@@ -809,6 +894,7 @@ impl Default for ChunkAutotuner {
 mod tests {
     use super::*;
     use blink_topology::presets::dgx1v;
+    use std::cell::Cell;
 
     /// A handle on a fresh private store.
     fn handle() -> PlanCache {
@@ -1115,26 +1201,154 @@ mod tests {
             .collect()
     }
 
+    thread_local! {
+        /// `Some(n)`: every miss batch `resolve` packs on this thread fans
+        /// out over `n` workers, whatever its work.
+        static FORCED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+        /// Whether the last miss batch `resolve` packed on this thread
+        /// reached the fan-out crossover.
+        static LAST_ARMED: Cell<Option<bool>> = const { Cell::new(None) };
+    }
+
+    /// The test seam `resolve` passes its arming decision through: records
+    /// it, and overrides the worker count when a test forces one.
+    pub(super) fn fan_out_seam(armed: bool, workers: usize) -> usize {
+        LAST_ARMED.set(Some(armed));
+        FORCED_WORKERS.get().unwrap_or(workers)
+    }
+
+    /// Runs `f` with every miss batch forced over `workers` workers.
+    fn forcing_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+        FORCED_WORKERS.set(Some(workers));
+        let out = f();
+        FORCED_WORKERS.set(None);
+        out
+    }
+
+    /// A cold three-phase AllReduce over the first `per_server[s]` GPUs of
+    /// each DGX-1V server `s`, on a fresh store.
+    fn cold_three_phase(
+        per_server: &[usize],
+    ) -> (blink_sim::Program, crate::multiserver::ThreePhaseInfo) {
+        use blink_topology::presets::{multi_server, ServerKind};
+        let machine = multi_server(per_server.len(), ServerKind::Dgx1V, 5.0);
+        let alloc: Vec<GpuId> = per_server
+            .iter()
+            .enumerate()
+            .flat_map(|(s, &k)| (0..k).map(move |i| GpuId(8 * s + i)))
+            .collect();
+        crate::multiserver::three_phase_allreduce_cached(
+            &machine,
+            &alloc,
+            (4 << 20) + 7,
+            &TreeGenOptions::default(),
+            &crate::CodeGenOptions::default(),
+            &ScratchPool::new(),
+            &SharedPlanCache::new(),
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn plan_for_is_bit_identical_at_every_worker_count() {
-        let induced = induced(&dgx1v(), 8);
-        let opts = TreeGenOptions::default();
-        let roots: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut seq = handle();
-        seq.scratch = ScratchPool::with_workers(1);
-        let reference = plan_each(&mut seq, &induced, &opts, &roots);
-        let mut par = handle();
-        par.scratch = ScratchPool::with_workers(4);
-        let plans = plan_each(&mut par, &induced, &opts, &roots);
-        for (a, b) in reference.iter().zip(&plans) {
-            assert!(a.bit_eq(b), "root {} diverged at 4 workers", a.root);
+    fn fan_out_is_armed_by_the_batch_work() {
+        let cases: [(&[usize], bool); 4] = [
+            (&[1, 1], false),
+            (&[2, 2], false),
+            (&[3, 5], false),
+            (&[8, 8], true),
+        ];
+        for (shape, fans_out) in cases {
+            LAST_ARMED.set(None);
+            cold_three_phase(shape);
+            assert_eq!(
+                LAST_ARMED.get(),
+                Some(fans_out),
+                "{shape:?}: fan-out armed must be {fans_out}"
+            );
         }
-        assert_eq!(par.len(), 8);
-        // repeated roots are served locally
-        let again = plan_each(&mut par, &induced, &opts, &[GpuId(0), GpuId(0), GpuId(7)]);
-        assert!(Arc::ptr_eq(&again[0], &again[1]));
-        assert!(Arc::ptr_eq(&again[0], &plans[0]));
-        assert_eq!(par.store().stats(), (0, 8));
+        // a single-root lookup of a whole DGX-2 stays under the crossover
+        LAST_ARMED.set(None);
+        let dgx2 = induced(&blink_topology::presets::dgx2(), 16);
+        handle()
+            .plan_for(&dgx2, &TreeGenOptions::default(), GpuId(0))
+            .unwrap();
+        assert_eq!(LAST_ARMED.get(), Some(false));
+    }
+
+    #[test]
+    fn fanned_out_miss_batches_are_bit_identical_to_inline() {
+        use blink_topology::presets::{multi_server, ServerKind};
+        // the 8+8 DGX-1V three-phase batch, end to end: the lowered program,
+        // the roots and the per-server rates
+        let inline = forcing_workers(1, || cold_three_phase(&[8, 8]));
+        for workers in [2, 4, 8] {
+            let fanned = forcing_workers(workers, || cold_three_phase(&[8, 8]));
+            assert_eq!(inline.0, fanned.0, "program diverged at {workers} workers");
+            assert_eq!(inline.1.roots, fanned.1.roots);
+            let bits = |info: &crate::multiserver::ThreePhaseInfo| -> Vec<u64> {
+                info.local_rates_gbps.iter().map(|r| r.to_bits()).collect()
+            };
+            assert_eq!(bits(&inline.1), bits(&fanned.1));
+        }
+        // random 2- and 3-server DGX-2 slices, every root of every server's
+        // slice in one batch. One server holds more GPUs than the cut
+        // enumeration covers, so the Hao–Orlin certificate runs inside the
+        // concurrent workers.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let opts = TreeGenOptions::default();
+        for servers in [2, 3, 2, 3] {
+            let machine = multi_server(servers, ServerKind::Dgx2, 5.0);
+            let slices: Vec<Topology> = (0..servers)
+                .map(|s| {
+                    let k = if s == 0 {
+                        blink_graph::CUT_ENUMERATION_MAX_NODES + 1
+                    } else {
+                        2 + draw(6) as usize
+                    };
+                    let mut pool: Vec<GpuId> = (0..16).map(|i| GpuId(16 * s + i)).collect();
+                    let mut alloc = Vec::with_capacity(k);
+                    for _ in 0..k {
+                        alloc.push(pool.swap_remove(draw(pool.len() as u64) as usize));
+                    }
+                    alloc.sort_unstable();
+                    machine.induced(&alloc).unwrap()
+                })
+                .collect();
+            let fps: Vec<u64> = slices.iter().map(|t| plan_fingerprint(t, &opts)).collect();
+            let requests: Vec<(&Topology, u64, GpuId)> = slices
+                .iter()
+                .zip(&fps)
+                .flat_map(|(t, &fp)| t.gpu_ids().into_iter().map(move |g| (t, fp, g)))
+                .collect();
+            let resolve = |workers| {
+                forcing_workers(workers, || {
+                    SharedPlanCache::new().resolve(
+                        &opts,
+                        &requests,
+                        &ScratchPool::new(),
+                        None,
+                        |_| None,
+                    )
+                })
+            };
+            let reference = resolve(1);
+            for workers in [2, 4, 8] {
+                for (a, b) in reference.iter().zip(resolve(workers)) {
+                    let (a, b) = (a.as_ref().unwrap(), b.unwrap());
+                    assert!(
+                        a.bit_eq(&b),
+                        "root {} diverged at {workers} workers",
+                        a.root
+                    );
+                }
+            }
+        }
     }
 
     #[test]

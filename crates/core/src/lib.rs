@@ -5,9 +5,10 @@
 //!
 //! * [`treegen`] — the TreeGen stage (Figure 9): probe the topology induced by
 //!   a job's GPU allocation, pack spanning trees with the MWU approximation
-//!   and minimise the number of trees (Sections 3.1–3.2). Multi-root sweeps
-//!   plan concurrently over a [`ScratchPool`] of reusable planning buffers,
-//!   bit-identical to the sequential path at every worker count.
+//!   and minimise the number of trees (Sections 3.1–3.2) over one
+//!   [`ScratchPool`] of reusable planning buffers. The only thread fan-out
+//!   is the plan store's miss batch ([`SharedPlanCache`]), armed by the
+//!   batch's work and bit-identical to planning it inline.
 //! * [`codegen`] — the CodeGen stage: lower a tree plan into a chunked,
 //!   pipelined transfer program with one stream per link per tree and stream
 //!   reuse for fair link sharing (Section 4). Every emitted op carries its
@@ -149,8 +150,7 @@ pub use communicator::{
 pub use fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 pub use group::{GroupCollective, GroupRun, ProcessGroups};
 pub use treegen::{
-    parallel_map, LinkSelection, PlannerScratch, ScratchGuard, ScratchPool, TreeGen,
-    TreeGenOptions, TreePlan,
+    LinkSelection, PlannerScratch, ScratchGuard, ScratchPool, TreeGen, TreeGenOptions, TreePlan,
 };
 
 /// Errors surfaced by the Blink library.

@@ -8,25 +8,24 @@
 //! certificate-only sweeps — so repeated `plan` calls (per-root, as in the
 //! three-phase multi-server AllReduce) never re-allocate any planning state.
 //!
-//! ## The pool checkout/return contract
+//! ## One pool, one fan-out site
 //!
-//! Planning used to be single-threaded behind an `Rc<RefCell<_>>` handle; the
-//! pool generalises that to any number of workers without giving up the
-//! zero-allocation steady state:
-//!
-//! * [`ScratchPool::checkout`] pops a warm [`PlannerScratch`] (or lazily
-//!   creates one the first time a worker asks); the returned guard hands it
-//!   back on drop. A single-threaded caller therefore cycles one scratch
-//!   through every plan, exactly like the old `RefCell` borrow — no heap
-//!   traffic once warm.
+//! * [`ScratchPool::checkout`] pops a warm [`PlannerScratch`] (or creates one
+//!   the first time it is asked); the returned guard hands it back on drop.
+//!   A single-threaded caller therefore cycles one scratch through every
+//!   plan — no heap traffic once warm.
 //! * The pool is `Send + Sync` (scratches themselves are `Send`, rule 4 of
-//!   blink-graph's scratch contract), so [`std::thread::scope`] workers check
-//!   out one scratch each and plan concurrently. The pool retains at most one
-//!   warm scratch per peak-concurrent worker.
-//! * Scratch contents never affect results (rule 1 of the contract), so a
-//!   parallel sweep over N roots returns [`TreePlan`]s **bit-identical** to
-//!   the sequential sweep at every worker count — pinned by determinism tests
-//!   in `tests/properties.rs`.
+//!   blink-graph's scratch contract) and retains at most one warm scratch
+//!   per peak-concurrent checkout. The only place planning runs on several
+//!   threads is the plan store's miss batch
+//!   ([`crate::SharedPlanCache`]), which fans a batch out only when its
+//!   work — the summed GPU count of the allocations it must pack — reaches
+//!   a measured crossover; smaller batches, which is every single-root
+//!   lookup and every fleet-sized three-phase slice, plan inline.
+//! * Scratch contents never affect results (rule 1 of the contract), and
+//!   planning is a pure function of (induced topology, root, options), so a
+//!   batch packed inline and one fanned out over any number of workers
+//!   return **bit-identical** [`TreePlan`]s.
 //!
 //! Callers that build several TreeGens over the same job (per-link-class, the
 //! per-server planners of the three-phase AllReduce, the communicator's
@@ -43,7 +42,6 @@ use blink_graph::{
 use blink_topology::{GpuId, LinkKind, Topology};
 use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The full set of reusable planning buffers one TreeGen pipeline needs: the
@@ -71,79 +69,41 @@ impl PlannerScratch {
 }
 
 /// A thread-safe pool of [`PlannerScratch`] instances with checkout/return
-/// semantics, plus the worker count parallel sweeps over it use.
+/// semantics.
 ///
-/// Cloning the pool handle shares the underlying scratches (and the worker
-/// count). See the module docs for the checkout/return contract; the short
-/// version is: one scratch per concurrent worker, buffers only — results are
-/// bit-identical at every worker count.
-#[derive(Debug, Clone)]
+/// Cloning the pool handle shares the underlying scratches. See the module
+/// docs for the checkout/return contract; the short version is: one scratch
+/// per concurrent checkout, buffers only — results never depend on which
+/// scratch served them.
+#[derive(Debug, Clone, Default)]
 pub struct ScratchPool {
-    shared: Arc<PoolShared>,
-}
-
-#[derive(Debug)]
-struct PoolShared {
-    workers: usize,
-    free: Mutex<Vec<PlannerScratch>>,
-}
-
-impl Default for ScratchPool {
-    fn default() -> Self {
-        Self::new()
-    }
+    free: Arc<Mutex<Vec<PlannerScratch>>>,
 }
 
 impl ScratchPool {
-    /// Creates an empty pool sized for this machine: parallel sweeps use one
-    /// worker per available core, capped at 16 — the widest root sweep any
-    /// supported topology produces (all 16 roots of a DGX-2); beyond that
-    /// extra workers would only idle. Scratches are created lazily on first
-    /// checkout.
+    /// Creates an empty pool. Scratches are created lazily on first checkout.
     pub fn new() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(16);
-        Self::with_workers(workers)
-    }
-
-    /// Creates an empty pool whose parallel sweeps use exactly
-    /// `workers.max(1)` workers. `with_workers(1)` is the sequential path:
-    /// every plan cycles through the same single warm scratch.
-    pub fn with_workers(workers: usize) -> Self {
-        ScratchPool {
-            shared: Arc::new(PoolShared {
-                workers: workers.max(1),
-                free: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// The worker count parallel sweeps over this pool use.
-    pub fn workers(&self) -> usize {
-        self.shared.workers
+        Self::default()
     }
 
     /// Number of warm scratches currently parked in the pool (diagnostics;
     /// equals the peak number of concurrent checkouts seen so far when
     /// nothing is checked out).
     pub fn warm(&self) -> usize {
-        self.shared.free.lock().expect("pool lock poisoned").len()
+        self.free.lock().expect("pool lock poisoned").len()
     }
 
     /// Checks a scratch out of the pool (reusing a warm one when available),
     /// returning a guard that hands it back on drop.
     pub fn checkout(&self) -> ScratchGuard<'_> {
         let scratch = self
-            .shared
             .free
             .lock()
             .expect("pool lock poisoned")
             .pop()
             .unwrap_or_default();
         ScratchGuard {
-            pool: &self.shared,
+            pool: &self.free,
             scratch: Some(scratch),
         }
     }
@@ -153,7 +113,7 @@ impl ScratchPool {
 /// scratch and returns it to the pool on drop.
 #[derive(Debug)]
 pub struct ScratchGuard<'a> {
-    pool: &'a PoolShared,
+    pool: &'a Mutex<Vec<PlannerScratch>>,
     scratch: Option<PlannerScratch>,
 }
 
@@ -173,60 +133,11 @@ impl DerefMut for ScratchGuard<'_> {
 impl Drop for ScratchGuard<'_> {
     fn drop(&mut self) {
         if let Some(scratch) = self.scratch.take() {
-            if let Ok(mut free) = self.pool.free.lock() {
+            if let Ok(mut free) = self.pool.lock() {
                 free.push(scratch);
             }
         }
     }
-}
-
-/// Maps `tasks` through `f`, fanning out over up to `workers` scoped threads
-/// (capped at the task count). Results come back in task order; with one
-/// worker or one task the whole thing runs inline with no thread spawned.
-///
-/// The work distribution (an atomic cursor) is racy by design, but callers
-/// only ever pass pure-per-task functions — each result depends on its task
-/// alone, never on which worker ran it — so the output is deterministic.
-/// Panics in `f` propagate to the caller when the scope joins.
-pub fn parallel_map<T, R, F>(tasks: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = tasks.len();
-    if workers <= 1 || n <= 1 {
-        return tasks.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let task = slots[i]
-                    .lock()
-                    .expect("slot lock poisoned")
-                    .take()
-                    .expect("each slot is claimed exactly once");
-                let out = f(task);
-                *results[i].lock().expect("result lock poisoned") = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result lock poisoned")
-                .expect("every slot was filled")
-        })
-        .collect()
 }
 
 /// Which link class TreeGen packs trees over.
@@ -323,8 +234,8 @@ impl TreePlan {
 
     /// Whether two plans are **bit-identical**: every field equal, with
     /// floating-point weights and rates compared by bit pattern rather than
-    /// numeric equality. This is the determinism contract the parallel
-    /// sweeps and the shared plan cache promise (and the comparison the
+    /// numeric equality. This is the determinism contract the fanned-out
+    /// miss batches and the shared plan cache promise (and the comparison the
     /// regression suites pin it with) — stricter than a `PartialEq` would
     /// be, since `0.0 == -0.0` and NaN inequality have no place in a
     /// reproducibility check.
@@ -351,8 +262,7 @@ impl TreePlan {
 /// state: scratch contents never affect results — see the bit-identical
 /// regression test in `tests/properties.rs`). A TreeGen is `Sync`:
 /// [`TreeGen::plan`] may be called from several threads at once, each call
-/// checking its own scratch out of the pool — [`TreeGen::plan_roots`] does
-/// exactly that.
+/// checking its own scratch out of the pool.
 #[derive(Debug, Clone)]
 pub struct TreeGen {
     topology: Topology,
@@ -496,22 +406,6 @@ impl TreeGen {
             mwu: stats,
         })
     }
-
-    /// Plans every root of `roots`, fanning the (embarrassingly parallel)
-    /// per-root packings out over the scratch pool's workers. Plans come back
-    /// in `roots` order and are bit-identical to calling [`TreeGen::plan`]
-    /// sequentially, at every worker count.
-    ///
-    /// # Errors
-    /// Fails if any root is not in the allocation or cannot span it; the
-    /// first failing root (in `roots` order) wins, like a sequential sweep.
-    pub fn plan_roots(&self, roots: &[GpuId]) -> Result<Vec<TreePlan>> {
-        parallel_map(roots.to_vec(), self.scratch.workers(), |root| {
-            self.plan(root)
-        })
-        .into_iter()
-        .collect()
-    }
 }
 
 #[cfg(test)]
@@ -584,35 +478,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_root_sweep_matches_sequential_at_every_worker_count() {
-        let topo = induced(&dgx1v(), &[0, 1, 2, 3, 4, 5, 6, 7]);
-        let roots: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let sequential = TreeGen::with_scratch(
-            topo.clone(),
-            TreeGenOptions::default(),
-            ScratchPool::with_workers(1),
-        )
-        .plan_roots(&roots)
-        .unwrap();
-        assert_eq!(sequential.len(), 8);
-        for workers in [2, 4, 8] {
-            let parallel = TreeGen::with_scratch(
-                topo.clone(),
-                TreeGenOptions::default(),
-                ScratchPool::with_workers(workers),
-            )
-            .plan_roots(&roots)
-            .unwrap();
-            for (a, b) in sequential.iter().zip(&parallel) {
-                assert!(a.bit_eq(b), "root {} diverged at {workers} workers", a.root);
-            }
-        }
-    }
-
-    #[test]
     fn scratch_pool_reuses_warm_scratches() {
-        let pool = ScratchPool::with_workers(1);
-        assert_eq!(pool.workers(), 1);
+        let pool = ScratchPool::new();
         assert_eq!(pool.warm(), 0);
         {
             let _a = pool.checkout();
@@ -624,30 +491,6 @@ mod tests {
             assert_eq!(pool.warm(), 1, "checkout reuses a warm scratch");
         }
         assert_eq!(pool.warm(), 2);
-        // worker counts are clamped to at least one
-        assert_eq!(ScratchPool::with_workers(0).workers(), 1);
-    }
-
-    #[test]
-    fn parallel_map_preserves_task_order() {
-        let squares = parallel_map((0..100u64).collect(), 8, |i| i * i);
-        assert_eq!(squares, (0..100u64).map(|i| i * i).collect::<Vec<_>>());
-        // degenerate cases run inline
-        assert_eq!(parallel_map(vec![7u64], 8, |i| i + 1), vec![8]);
-        assert_eq!(parallel_map(Vec::<u64>::new(), 8, |i| i), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn plan_roots_surfaces_the_first_failing_root() {
-        // GPUs 1 and 4 share no NVLink on the DGX-1P: every root fails, and
-        // the parallel sweep must report the error deterministically.
-        let topo = induced(&dgx1p(), &[1, 4]);
-        let tg = TreeGen::with_scratch(
-            topo,
-            TreeGenOptions::default(),
-            ScratchPool::with_workers(4),
-        );
-        assert!(tg.plan_roots(&[GpuId(1), GpuId(4)]).is_err());
     }
 
     #[test]

@@ -52,12 +52,14 @@
 //! 4. **One scratch per worker.** Every scratch struct is `Send` (asserted at
 //!    compile time below): a scratch may be checked out of a pool, carried
 //!    into a worker thread, used for any number of solves and returned. The
-//!    structs are deliberately *not* shared mutably across threads — callers
-//!    hand each concurrent solve its own scratch (see `blink-core`'s
-//!    `ScratchPool`, which implements the checkout/return protocol). Because
-//!    of rule 1 (buffers, not state) the results of a multi-worker sweep are
-//!    bit-identical to running the same solves sequentially through one
-//!    scratch, regardless of which worker ran which solve.
+//!    structs are deliberately *not* shared mutably across threads — each
+//!    concurrent solve gets its own scratch. `blink-core` keeps one
+//!    `ScratchPool` per communicator for the checkout/return protocol, and
+//!    its plan store's miss batch is the one place solves run on several
+//!    threads, armed only when the batch's work pays for them. Because of
+//!    rule 1 (buffers, not state) such a batch is bit-identical to running
+//!    the same solves inline through one scratch, regardless of which
+//!    worker ran which solve.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -87,9 +89,9 @@ pub use packing::{
 };
 pub use rings::{find_rings, Ring, RingSearch};
 
-// Rule 4 of the scratch-reuse contract: every scratch is `Send` so per-worker
-// pools can move them across threads. A scratch silently losing `Send` (e.g.
-// by gaining an `Rc` field) would break `blink-core`'s parallel planning at a
+// Rule 4 of the scratch-reuse contract: every scratch is `Send` so a pool can
+// move them across threads. A scratch silently losing `Send` (e.g. by gaining
+// an `Rc` field) would break `blink-core`'s fanned-out miss batches at a
 // distance, so pin it here.
 const _: () = {
     const fn assert_send<T: Send>() {}

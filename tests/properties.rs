@@ -4,7 +4,7 @@
 //! allocations of the real DGX topologies.
 
 use blink_core::codegen::{CodeGen, CodeGenOptions};
-use blink_core::treegen::{ScratchPool, TreeGen, TreeGenOptions};
+use blink_core::treegen::{TreeGen, TreeGenOptions};
 use blink_core::{CollectiveKind, Communicator, CommunicatorOptions, SharedPlanCache};
 use blink_graph::{
     optimal_broadcast_rate, pack_spanning_trees, pack_spanning_trees_in, Arborescence, DiGraph,
@@ -81,45 +81,6 @@ fn induced(machine: &Topology, ids: &[usize]) -> Topology {
     machine.induced(&alloc).unwrap()
 }
 
-/// Shared body of the parallel-determinism properties: sweeps every spannable
-/// root of the induced subgraph sequentially (one worker), then re-sweeps at
-/// 2, 4 and 8 workers and asserts every [`TreePlan`] field is bit-identical.
-fn check_parallel_sweep_determinism(machine: &Topology, alloc: &[usize]) -> Result<(), String> {
-    let sub = induced(machine, alloc);
-    let probe = TreeGen::with_scratch(
-        sub.clone(),
-        TreeGenOptions::default(),
-        ScratchPool::with_workers(1),
-    );
-    let roots: Vec<GpuId> = alloc
-        .iter()
-        .map(|&i| GpuId(i))
-        .filter(|&r| probe.can_span(r))
-        .collect();
-    if roots.is_empty() {
-        return Ok(());
-    }
-    let sequential = probe.plan_roots(&roots).map_err(|e| e.to_string())?;
-    for workers in [2usize, 4, 8] {
-        let parallel = TreeGen::with_scratch(
-            sub.clone(),
-            TreeGenOptions::default(),
-            ScratchPool::with_workers(workers),
-        )
-        .plan_roots(&roots)
-        .map_err(|e| e.to_string())?;
-        for (a, b) in sequential.iter().zip(&parallel) {
-            if !a.bit_eq(b) {
-                return Err(format!(
-                    "plan for root {} diverged at {workers} workers",
-                    a.root
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -162,26 +123,6 @@ proptest! {
     fn packed_rate_meets_the_epsilon_bound_dgx2((alloc, root_pos) in dgx2_allocation_strategy()) {
         let violation = check_epsilon_bound(&dgx2(), &alloc, root_pos);
         prop_assert!(violation.is_none(), "{}", violation.unwrap_or_default());
-    }
-
-    /// Parallel root sweeps are invisible in the output: planning every
-    /// spannable root of a random DGX-1V/DGX-1P induced subgraph with 2, 4
-    /// and 8 scoped workers produces `TreePlan`s bit-identical to the
-    /// sequential single-scratch sweep.
-    #[test]
-    fn parallel_sweep_is_bit_identical_dgx1((alloc, _) in allocation_strategy(), v100 in any::<bool>()) {
-        let machine = if v100 { dgx1v() } else { dgx1p() };
-        let violation = check_parallel_sweep_determinism(&machine, &alloc);
-        prop_assert!(violation.is_ok(), "{}", violation.unwrap_err());
-    }
-
-    /// The same parallel-determinism pinning on random DGX-2 (16-GPU
-    /// NVSwitch) induced subgraphs, which exercises the Hao–Orlin side of
-    /// the certificate inside concurrently planning workers.
-    #[test]
-    fn parallel_sweep_is_bit_identical_dgx2((alloc, _) in dgx2_allocation_strategy()) {
-        let violation = check_parallel_sweep_determinism(&dgx2(), &alloc);
-        prop_assert!(violation.is_ok(), "{}", violation.unwrap_err());
     }
 
     /// Cross-communicator plan sharing over random induced subgraphs: a
@@ -444,11 +385,7 @@ fn packed_certificate_is_4x_one_hop_on_a_pinned_dgx2_fragment() {
 /// rate exceeds its own certificate, the bound the communicator's sweep
 /// skips candidates by.
 fn exhaustive_sweep(induced: &Topology, alloc: &[GpuId]) -> Result<(GpuId, f64), String> {
-    let tg = TreeGen::with_scratch(
-        induced.clone(),
-        TreeGenOptions::default(),
-        ScratchPool::with_workers(1),
-    );
+    let tg = TreeGen::new(induced.clone(), TreeGenOptions::default());
     let mut best: Option<(GpuId, f64)> = None;
     for &root in alloc.iter().filter(|&&r| tg.can_span(r)) {
         let plan = tg.plan(root).map_err(|e| e.to_string())?;
