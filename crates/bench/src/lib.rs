@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod alloc;
 pub mod figures;
 pub mod measure;
 

@@ -30,14 +30,49 @@
 //! per chunk** whose [`Segment`] list names every sub-range exactly. One op
 //! models one (batched) CUDA call, so per-op launch overhead no longer
 //! scales with subtree size while the oracle still sees byte-exact ranges.
+//!
+//! Each tree's shape is **resolved once per lowering** into a private
+//! layout: its BFS order and, per vertex, the parent, depth, sorted children,
+//! subtree members (as slot ranks) and the stream slots of the edges into and
+//! out of it. The emitters walk those index arrays for every chunk, with
+//! per-vertex arrival slots in place of maps, so no op re-derives its tree's
+//! shape from the edge list. Malformed input — a non-finite or negative tree
+//! weight, a tree that is not an arborescence, trees over different vertex
+//! sets — is rejected while the layouts are built, and a lowering whose chunk
+//! count would push its program past [`MAX_PROGRAM_OPS`] is rejected before
+//! anything is emitted.
 
 use crate::collective::CollectiveKind;
 use crate::{BlinkError, Result};
-use blink_graph::{Arborescence, WeightedTree};
+use blink_graph::WeightedTree;
 use blink_sim::{LinkClass, OpId, Program, ProgramBuilder, Segment, StreamId};
 use blink_topology::GpuId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod reference;
+
+/// The most ops one lowered program may hold. A lowering whose chunk count
+/// would take its program past this returns [`BlinkError::CodeGen`] before
+/// it allocates a chunk (ask for fewer, larger chunks instead). The largest
+/// program any test, `bench_*` binary, figure, example or the repository
+/// benchmark lowers has 20,688 ops, so the budget sits about 50× above real
+/// use, while a byte count such as `u64::MAX` fails fast instead of aborting
+/// the process on a failed allocation.
+pub const MAX_PROGRAM_OPS: usize = 1 << 20;
+
+/// Fails when `planned` more ops on top of the `held` a program already
+/// has would exceed [`MAX_PROGRAM_OPS`].
+pub(crate) fn check_op_budget(held: usize, planned: u128) -> Result<()> {
+    if held as u128 + planned > MAX_PROGRAM_OPS as u128 {
+        return Err(BlinkError::CodeGen(format!(
+            "lowering needs {planned} ops on top of {held}, past the \
+             {MAX_PROGRAM_OPS}-op program budget; use larger chunks"
+        )));
+    }
+    Ok(())
+}
 
 /// Options for CodeGen.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -73,21 +108,52 @@ pub struct CodeGen {
     options: CodeGenOptions,
 }
 
-pub(crate) fn chunk_sizes(total: u64, target: u64) -> Vec<u64> {
-    if total == 0 {
-        return Vec::new();
-    }
-    let target = target.max(1);
-    let chunks = total.div_ceil(target);
-    let base = total / chunks;
-    let rem = total % chunks;
-    (0..chunks)
-        .map(|i| if i < rem { base + 1 } else { base })
-        .filter(|&b| b > 0)
-        .collect()
+/// A `len`-byte share cut into near-equal chunks of at most the target
+/// size: chunk `i` starts `i · base + min(i, rem)` bytes into the share and
+/// is `base + 1` bytes long for `i < rem`, `base` after. Chunks are computed
+/// on demand, never materialised, so counting them costs nothing however
+/// large the share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chunks {
+    count: u64,
+    base: u64,
+    rem: u64,
 }
 
-pub(crate) fn split_by_weight(trees: &[WeightedTree], bytes: u64) -> Vec<u64> {
+impl Chunks {
+    pub(crate) fn new(len: u64, target: u64) -> Self {
+        if len == 0 {
+            return Chunks {
+                count: 0,
+                base: 0,
+                rem: 0,
+            };
+        }
+        let count = len.div_ceil(target.max(1));
+        Chunks {
+            count,
+            base: len / count,
+            rem: len % count,
+        }
+    }
+
+    /// Number of chunks.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Offset within the share and length of chunk `i < count`.
+    pub(crate) fn get(&self, i: u64) -> (u64, u64) {
+        (
+            i * self.base + i.min(self.rem),
+            self.base + u64::from(i < self.rem),
+        )
+    }
+}
+
+/// Splits `bytes` across `trees` proportionally to their (finite,
+/// non-negative) weights; the heaviest tree takes the rounding remainder.
+fn split_by_weight(trees: &[WeightedTree], bytes: u64) -> Vec<u64> {
     let total_weight: f64 = trees.iter().map(|t| t.weight).sum();
     if trees.is_empty() || total_weight <= 0.0 {
         return vec![0; trees.len()];
@@ -96,80 +162,230 @@ pub(crate) fn split_by_weight(trees: &[WeightedTree], bytes: u64) -> Vec<u64> {
         .iter()
         .map(|t| ((t.weight / total_weight) * bytes as f64).floor() as u64)
         .collect();
-    let assigned: u64 = out.iter().sum();
-    if let Some(idx) = (0..trees.len()).max_by(|&a, &b| {
-        trees[a]
-            .weight
-            .partial_cmp(&trees[b].weight)
-            .expect("finite weights")
-    }) {
-        out[idx] += bytes - assigned;
+    // rounding over-assigns only past f64's exact-integer range
+    let mut left = bytes;
+    for share in &mut out {
+        *share = (*share).min(left);
+        left -= *share;
+    }
+    if let Some(idx) = (0..trees.len()).max_by(|&a, &b| trees[a].weight.total_cmp(&trees[b].weight))
+    {
+        out[idx] += left;
     }
     out
 }
 
-/// Allocates streams per (link, tree position), reusing them across trees when
-/// enabled.
-struct StreamAllocator {
+/// Stream slots per (link, tree position): one per tree edge and direction,
+/// or one per `(src, dst, position)` shared across trees when stream reuse
+/// is on. A slot becomes a stream on first use, so stream ids are handed out
+/// in emission order.
+struct Streams {
     reuse: bool,
-    by_position: BTreeMap<(GpuId, GpuId, usize), StreamId>,
-    by_tree_edge: BTreeMap<(usize, GpuId, GpuId), StreamId>,
+    by_position: BTreeMap<(GpuId, GpuId, usize), usize>,
+    ids: Vec<Option<StreamId>>,
 }
 
-impl StreamAllocator {
+impl Streams {
     fn new(reuse: bool) -> Self {
-        StreamAllocator {
+        Streams {
             reuse,
             by_position: BTreeMap::new(),
-            by_tree_edge: BTreeMap::new(),
+            ids: Vec::new(),
         }
     }
 
-    fn stream(
-        &mut self,
-        b: &mut ProgramBuilder,
-        tree_idx: usize,
-        src: GpuId,
-        dst: GpuId,
-        position: usize,
-    ) -> StreamId {
-        if self.reuse {
+    /// The slot of the `src → dst` edge at tree depth `position`.
+    fn slot(&mut self, src: GpuId, dst: GpuId, position: usize) -> usize {
+        let fresh = self.ids.len();
+        let slot = if self.reuse {
             *self
                 .by_position
                 .entry((src, dst, position))
-                .or_insert_with(|| b.new_stream())
+                .or_insert(fresh)
         } else {
-            *self
-                .by_tree_edge
-                .entry((tree_idx, src, dst))
-                .or_insert_with(|| b.new_stream())
+            fresh
+        };
+        if slot == fresh {
+            self.ids.push(None);
+        }
+        slot
+    }
+
+    fn stream(&mut self, b: &mut ProgramBuilder, slot: usize) -> StreamId {
+        *self.ids[slot].get_or_insert_with(|| b.new_stream())
+    }
+}
+
+/// One tree's shape, resolved once per lowering. Vertices are indices into
+/// `order`; index 0 is the root.
+struct TreeLayout {
+    /// Vertices in BFS order from the root, each vertex's children in
+    /// ascending [`GpuId`] order — so the children of vertex `i` are the
+    /// contiguous run `first_child[i]..first_child[i + 1]`.
+    order: Vec<GpuId>,
+    /// Parent of each vertex (the root's entry is unused).
+    parent: Vec<usize>,
+    /// Distance from the root.
+    depth: Vec<usize>,
+    first_child: Vec<usize>,
+    /// Subtree of vertex `i` — itself, then its descendants in BFS order — as
+    /// slot ranks: `subtree[subtree_start[i]..subtree_start[i + 1]]`.
+    subtree: Vec<usize>,
+    subtree_start: Vec<usize>,
+    /// Stream slot of the edge into each vertex (parent → vertex).
+    down: Vec<usize>,
+    /// Stream slot of the edge out of each vertex (vertex → parent).
+    up: Vec<usize>,
+}
+
+impl TreeLayout {
+    /// Walks `wt`'s tree breadth-first from its root, rejecting a weight the
+    /// byte split cannot use and any edge list that is not an arborescence
+    /// (a vertex reached twice, an edge the root does not reach).
+    fn walk(wt: &WeightedTree) -> Result<Self> {
+        let tree = &wt.tree;
+        if !(wt.weight.is_finite() && wt.weight >= 0.0) {
+            return Err(BlinkError::CodeGen(format!(
+                "tree rooted at {} has weight {}; weights must be finite and non-negative",
+                tree.root, wt.weight
+            )));
+        }
+        let mut edges = tree.edges.clone();
+        edges.sort_unstable();
+        let n = edges.len() + 1;
+        let mut order = Vec::with_capacity(n);
+        let mut parent = Vec::with_capacity(n);
+        let mut depth = Vec::with_capacity(n);
+        let mut first_child = Vec::with_capacity(n + 1);
+        order.push(tree.root);
+        parent.push(0);
+        depth.push(0);
+        let mut i = 0;
+        while i < order.len() {
+            let v = order[i];
+            first_child.push(order.len());
+            let start = edges.partition_point(|&(p, _)| p < v);
+            for &(_, c) in edges[start..].iter().take_while(|&&(p, _)| p == v) {
+                if order.contains(&c) {
+                    return Err(BlinkError::CodeGen(format!(
+                        "tree rooted at {} reaches {c} twice",
+                        tree.root
+                    )));
+                }
+                order.push(c);
+                parent.push(i);
+                depth.push(depth[i] + 1);
+            }
+            i += 1;
+        }
+        first_child.push(order.len());
+        if order.len() != n {
+            return Err(BlinkError::CodeGen(format!(
+                "tree rooted at {} has edges its root does not reach",
+                tree.root
+            )));
+        }
+        Ok(TreeLayout {
+            order,
+            parent,
+            depth,
+            first_child,
+            subtree: Vec::new(),
+            subtree_start: Vec::new(),
+            down: Vec::new(),
+            up: Vec::new(),
+        })
+    }
+
+    /// Resolves the subtrees (as ranks in `participants`) and stream slots.
+    /// Fails unless the tree spans exactly `participants`.
+    fn resolve(&mut self, participants: &[GpuId], streams: &mut Streams) -> Result<()> {
+        let n = self.order.len();
+        let rank = |g: &GpuId| participants.binary_search(g);
+        if n != participants.len() || self.order.iter().any(|g| rank(g).is_err()) {
+            return Err(BlinkError::CodeGen(format!(
+                "tree rooted at {} spans {:?}, not the first tree's {participants:?}",
+                self.order[0], self.order
+            )));
+        }
+        self.subtree_start = Vec::with_capacity(n + 1);
+        for v in 0..n {
+            let start = self.subtree.len();
+            self.subtree_start.push(start);
+            self.subtree.push(v);
+            let mut j = start;
+            while j < self.subtree.len() {
+                let u = self.subtree[j];
+                self.subtree.extend(self.children(u));
+                j += 1;
+            }
+        }
+        self.subtree_start.push(self.subtree.len());
+        for m in &mut self.subtree {
+            *m = rank(&self.order[*m]).expect("every vertex was ranked above");
+        }
+        self.down = vec![usize::MAX; n];
+        self.up = vec![usize::MAX; n];
+        for v in 1..n {
+            let (p, c) = (self.order[self.parent[v]], self.order[v]);
+            self.down[v] = streams.slot(p, c, self.depth[self.parent[v]]);
+            self.up[v] = streams.slot(c, p, self.depth[v]);
+        }
+        Ok(())
+    }
+
+    fn children(&self, v: usize) -> std::ops::Range<usize> {
+        self.first_child[v]..self.first_child[v + 1]
+    }
+
+    fn subtree(&self, v: usize) -> &[usize] {
+        &self.subtree[self.subtree_start[v]..self.subtree_start[v + 1]]
+    }
+
+    /// Upper bound on the ops one chunk of `kind` emits over this tree.
+    fn ops_per_chunk(&self, kind: CollectiveKind) -> u128 {
+        let edges = (self.order.len() - 1) as u128;
+        let reduces = (0..self.order.len())
+            .filter(|&v| !self.children(v).is_empty())
+            .count() as u128;
+        match kind {
+            CollectiveKind::Broadcast { .. } | CollectiveKind::Gather { .. } => edges,
+            CollectiveKind::Reduce { .. } => edges + reduces,
+            CollectiveKind::AllGather => 2 * edges,
+            CollectiveKind::AllReduce | CollectiveKind::ReduceScatter => 2 * edges + reduces,
         }
     }
 }
 
-/// Per-tree, per-chunk emission context shared by the collective lowerings.
-struct TreeChunk<'a> {
-    tree_idx: usize,
-    tree: &'a Arborescence,
-    chunk_idx: usize,
-    /// Length of this chunk's logical range.
-    bytes: u64,
-    /// Absolute start of this chunk's range within the collective's
-    /// per-participant buffer `[0, total)`.
+/// One chunk of one tree's share.
+struct Chunk {
+    tree: usize,
+    idx: u64,
+    /// Absolute start of the chunk's range within `[0, total)`.
     offset: u64,
-    /// The collective's full per-participant buffer size — the slot stride of
-    /// the gathering collectives' concatenated address space.
-    total: u64,
-    /// Participants in slot-rank order (ascending [`GpuId`] over the tree's
-    /// vertex set, matching the oracle's rank assignment).
-    participants: &'a [GpuId],
-    class: LinkClass,
-    /// Ops that must complete before any op of this chunk with no other
-    /// dependency may start (e.g. a peer-access toggle for PCIe trees).
-    gate: &'a [OpId],
+    bytes: u64,
 }
 
-impl TreeChunk<'_> {
+/// Emission state of one lowering, shared by the per-chunk emitters.
+struct Emitter<'a> {
+    b: &'a mut ProgramBuilder,
+    streams: Streams,
+    class: LinkClass,
+    /// Ops that must complete before any op with no other dependency may
+    /// start (e.g. a peer-access toggle for PCIe trees).
+    gate: &'a [OpId],
+    /// The collective's full per-participant buffer size — the slot stride
+    /// of the gathering collectives' concatenated address space.
+    total: u64,
+    /// Canonical ReduceScatter shard `[start, end)` of each rank: rank `i`
+    /// of `n` owns `[⌊i·total/n⌋, ⌊(i+1)·total/n⌋)` (the oracle's contract).
+    shards: Vec<(u64, u64)>,
+    /// Per-vertex arrival slot: the op that last moved the current chunk
+    /// into (or, going up, out of) each vertex.
+    arrival: Vec<Option<OpId>>,
+}
+
+impl Emitter<'_> {
     fn gated(&self, deps: Vec<OpId>) -> Vec<OpId> {
         if deps.is_empty() {
             self.gate.to_vec()
@@ -178,29 +394,164 @@ impl TreeChunk<'_> {
         }
     }
 
-    /// Slot base of `gpu` in the gathering collectives' concatenated address
-    /// space: `rank · total`, ranks in ascending [`GpuId`] order.
-    fn slot_base(&self, gpu: GpuId) -> u64 {
-        let rank = self
-            .participants
-            .binary_search(&gpu)
-            .expect("every tree vertex is a participant");
-        rank as u64 * self.total
+    /// Deps of an op sent down from vertex `p`: `root_deps` at the root,
+    /// else whatever delivered the chunk to `p`.
+    fn deps_below(&self, p: usize, root_deps: &[OpId]) -> Vec<OpId> {
+        if p == 0 {
+            self.gated(root_deps.to_vec())
+        } else {
+            self.gated(self.arrival[p].into_iter().collect())
+        }
     }
 
-    /// The part of `gpu`'s canonical ReduceScatter shard this chunk carries:
-    /// rank `i` of `n` owns `[⌊i·total/n⌋, ⌊(i+1)·total/n⌋)` of the whole
-    /// buffer (the oracle's contract), and each chunk delivers its
-    /// intersection with that shard. May be empty.
-    fn shard_of(&self, gpu: GpuId) -> (u64, u64) {
-        let n = self.participants.len().max(1) as u64;
-        let i = self
-            .participants
-            .binary_search(&gpu)
-            .expect("every tree vertex is a participant") as u64;
-        let start = (i * self.total / n).max(self.offset);
-        let end = ((i + 1) * self.total / n).min(self.offset + self.bytes);
-        (start, end.saturating_sub(start))
+    /// Broadcast one chunk down a tree; `root_deps` (if non-empty) gate the
+    /// root's sends (used by AllReduce, where the reduced value must exist
+    /// first).
+    ///
+    /// `bases` are the absolute range starts the payload covers; every edge
+    /// carries **one** copy whose segment list holds `c.bytes` at each base.
+    /// Plain Broadcast passes the chunk's own offset (a one-segment
+    /// payload); the AllGather redistribution passes every participant's
+    /// slot sub-range for this chunk, which is non-contiguous in slot space
+    /// but still one op per edge.
+    fn broadcast(&mut self, t: &TreeLayout, c: &Chunk, root_deps: &[OpId], bases: &[u64]) {
+        // BFS order lists the edges parent-first
+        for v in 1..t.order.len() {
+            let p = t.parent[v];
+            let stream = self.streams.stream(self.b, t.down[v]);
+            let deps = self.deps_below(p, root_deps);
+            let segs = bases.iter().map(|&b| Segment::new(b, c.bytes)).collect();
+            let id = self.b.copy_segs(
+                t.order[p],
+                t.order[v],
+                segs,
+                self.class,
+                stream,
+                deps,
+                format!("blink bcast t{} c{}", c.tree, c.idx),
+            );
+            self.arrival[v] = Some(id);
+        }
+    }
+
+    /// Gather one chunk up a tree (no reduction): every vertex forwards its
+    /// own slot sub-range and the slot sub-ranges its subtree delivered as
+    /// **one** copy per edge whose segment list names every slot exactly —
+    /// op counts stay one per edge per chunk no matter how deep the subtree,
+    /// without giving up range exactness. Returns the copies that arrive at
+    /// the root (the deps a follow-up redistribution phase must wait for).
+    fn gather(&mut self, t: &TreeLayout, c: &Chunk) -> Vec<OpId> {
+        let mut root_arrivals = Vec::new();
+        for v in (1..t.order.len()).rev() {
+            let p = t.parent[v];
+            let deps: Vec<OpId> = t.children(v).filter_map(|ch| self.arrival[ch]).collect();
+            let stream = self.streams.stream(self.b, t.up[v]);
+            let segs = t
+                .subtree(v)
+                .iter()
+                .map(|&r| Segment::new(r as u64 * self.total + c.offset, c.bytes))
+                .collect();
+            let deps = self.gated(deps);
+            let id = self.b.copy_segs(
+                t.order[v],
+                t.order[p],
+                segs,
+                self.class,
+                stream,
+                deps,
+                format!("blink gather t{} c{}", c.tree, c.idx),
+            );
+            if p == 0 {
+                root_arrivals.push(id);
+            }
+            self.arrival[v] = Some(id);
+        }
+        root_arrivals
+    }
+
+    /// Reduce one chunk up a tree. Returns the root's final reduction op
+    /// (when the tree has more than one vertex).
+    fn reduce(&mut self, t: &TreeLayout, c: &Chunk) -> Option<OpId> {
+        let mut root_reduce = None;
+        for v in (0..t.order.len()).rev() {
+            let kids = t.children(v);
+            let mut deps: Vec<OpId> = kids.clone().filter_map(|ch| self.arrival[ch]).collect();
+            if !kids.is_empty() {
+                // reduce the children's contributions with the local
+                // buffer, in the stream of the outgoing copy (or the first
+                // child's downward stream at the root)
+                let slot = if v == 0 { t.down[kids.start] } else { t.up[v] };
+                let stream = self.streams.stream(self.b, slot);
+                let gated = self.gated(std::mem::take(&mut deps));
+                let red = self.b.reduce_range(
+                    t.order[v],
+                    c.offset,
+                    c.bytes,
+                    stream,
+                    gated,
+                    format!("blink reduce t{} c{}", c.tree, c.idx),
+                );
+                deps.push(red);
+                if v == 0 {
+                    root_reduce = Some(red);
+                }
+            }
+            if v != 0 {
+                let stream = self.streams.stream(self.b, t.up[v]);
+                let deps = self.gated(deps);
+                let id = self.b.copy_range(
+                    t.order[v],
+                    t.order[t.parent[v]],
+                    c.offset,
+                    c.bytes,
+                    self.class,
+                    stream,
+                    deps,
+                    format!("blink reduce-up t{} c{}", c.tree, c.idx),
+                );
+                self.arrival[v] = Some(id);
+            }
+        }
+        root_reduce
+    }
+
+    /// Scatter shards from the root down a tree: the edge into a child
+    /// carries the (chunk-relative) shard of every GPU in that child's
+    /// subtree as one exact-range copy whose segments are the non-empty
+    /// shards. An edge whose subtree has no shard bytes in this chunk emits
+    /// nothing.
+    fn scatter(&mut self, t: &TreeLayout, c: &Chunk, root_dep: Option<OpId>) {
+        let end = c.offset + c.bytes;
+        for v in 1..t.order.len() {
+            let segs: Vec<Segment> = t
+                .subtree(v)
+                .iter()
+                .filter_map(|&r| {
+                    let (lo, hi) = self.shards[r];
+                    let start = lo.max(c.offset);
+                    let len = hi.min(end).saturating_sub(start);
+                    (len > 0).then(|| Segment::new(start, len))
+                })
+                .collect();
+            if segs.is_empty() {
+                // the whole subtree skips this chunk: no descendant reads
+                // the vertex's arrival slot
+                continue;
+            }
+            let p = t.parent[v];
+            let stream = self.streams.stream(self.b, t.down[v]);
+            let deps = self.deps_below(p, root_dep.as_slice());
+            let id = self.b.copy_segs(
+                t.order[p],
+                t.order[v],
+                segs,
+                self.class,
+                stream,
+                deps,
+                format!("blink scatter t{} c{}", c.tree, c.idx),
+            );
+            self.arrival[v] = Some(id);
+        }
     }
 }
 
@@ -222,6 +573,13 @@ impl CodeGen {
     /// root; [`crate::treegen::TreeGen`] guarantees this. Multi-root tree sets
     /// (the DGX-2 one-hop plan) may only be used with the all-to-all
     /// collectives.
+    ///
+    /// # Errors
+    /// [`BlinkError::CodeGen`] when a tree is rooted elsewhere, is not an
+    /// arborescence, spans a different vertex set than the first tree or
+    /// has a non-finite or negative weight, when the gathering collectives'
+    /// slot space overflows `u64`, or when the program would exceed
+    /// [`MAX_PROGRAM_OPS`].
     pub fn build(
         &self,
         trees: &[WeightedTree],
@@ -239,6 +597,10 @@ impl CodeGen {
     /// data dependency of their own are gated on `gate` — this is how the
     /// hybrid planner makes PCIe trees wait for the peer-access toggle and how
     /// the multi-server protocol chains its phases.
+    ///
+    /// # Errors
+    /// As [`CodeGen::build`]; the op budget counts the ops `builder`
+    /// already holds.
     pub fn emit_into(
         &self,
         builder: &mut ProgramBuilder,
@@ -257,6 +619,10 @@ impl CodeGen {
     /// partition its own disjoint sub-range — both end up emitting
     /// byte-exact ranges the value-level oracle can verify against the whole
     /// collective's contract.
+    ///
+    /// # Errors
+    /// As [`CodeGen::emit_into`], and when the sub-range leaves
+    /// `[0, total)`.
     #[allow(clippy::too_many_arguments)]
     pub fn emit_range_into(
         &self,
@@ -275,99 +641,106 @@ impl CodeGen {
                 )));
             }
         }
-        if base + share > total {
+        if base.checked_add(share).is_none_or(|end| end > total) {
             return Err(BlinkError::CodeGen(format!(
                 "range [{base}, {}) exceeds the {total}-byte buffer",
-                base + share
+                u128::from(base) + u128::from(share)
             )));
         }
-        // slot ranks are assigned in ascending GpuId order over the tree's
-        // vertex set, matching blink_sim::semantics::check_collective
-        let participants: Vec<GpuId> = trees
-            .first()
-            .map(|t| {
-                let mut v = t.tree.bfs_order();
-                v.sort_unstable();
-                v
-            })
-            .unwrap_or_default();
-        let shares = split_by_weight(trees, share);
-        let mut streams = StreamAllocator::new(self.options.stream_reuse);
+        let mut layouts = trees
+            .iter()
+            .map(TreeLayout::walk)
+            .collect::<Result<Vec<_>>>()?;
+        // slot ranks are assigned in ascending GpuId order over the first
+        // tree's vertex set, matching blink_sim::semantics::check_collective
+        let mut participants = layouts.first().map(|l| l.order.clone()).unwrap_or_default();
+        participants.sort_unstable();
+        let n = participants.len() as u128;
+        if matches!(
+            kind,
+            CollectiveKind::Gather { .. } | CollectiveKind::AllGather
+        ) && n * u128::from(total) > u128::from(u64::MAX)
+        {
+            return Err(BlinkError::CodeGen(format!(
+                "{kind} slot space of {n} x {total} bytes overflows u64"
+            )));
+        }
+        let mut streams = Streams::new(self.options.stream_reuse);
+        for layout in &mut layouts {
+            layout.resolve(&participants, &mut streams)?;
+        }
 
         // per-tree chunk ranges: tree `t` owns the contiguous sub-range of
         // `[base, base + share)` after the shares of trees 0..t, and its
         // chunks tile that sub-range in order
         let mut tree_base = base;
-        let chunk_lists: Vec<Vec<(u64, u64)>> = shares
-            .iter()
-            .map(|&tree_share| {
-                let mut off = tree_base;
+        let chunks: Vec<(u64, Chunks)> = split_by_weight(trees, share)
+            .into_iter()
+            .map(|tree_share| {
+                let start = tree_base;
                 tree_base += tree_share;
-                chunk_sizes(tree_share, self.options.chunk_bytes)
-                    .into_iter()
-                    .map(|len| {
-                        let range = (off, len);
-                        off += len;
-                        range
-                    })
-                    .collect()
+                (start, Chunks::new(tree_share, self.options.chunk_bytes))
             })
             .collect();
-        let max_chunks = chunk_lists.iter().map(Vec::len).max().unwrap_or(0);
+        let planned = layouts
+            .iter()
+            .zip(&chunks)
+            .map(|(l, (_, ch))| u128::from(ch.count()) * l.ops_per_chunk(kind))
+            .sum();
+        check_op_budget(builder.len(), planned)?;
 
-        for chunk_idx in 0..max_chunks {
-            for (tree_idx, wt) in trees.iter().enumerate() {
-                let Some(&(chunk_offset, chunk_bytes)) = chunk_lists[tree_idx].get(chunk_idx)
-                else {
-                    continue;
-                };
-                if chunk_bytes == 0 {
+        let shards = (0..n)
+            .map(|i| {
+                let cut = |i: u128| (i * u128::from(total) / n.max(1)) as u64;
+                (cut(i), cut(i + 1))
+            })
+            .collect();
+        let mut e = Emitter {
+            b: builder,
+            streams,
+            class: self.options.link_class,
+            gate,
+            total,
+            shards,
+            arrival: vec![None; participants.len()],
+        };
+        let mut bases = Vec::new();
+        let max_chunks = chunks.iter().map(|(_, ch)| ch.count()).max().unwrap_or(0);
+        for idx in 0..max_chunks {
+            for (tree, (t, &(tree_base, ch))) in layouts.iter().zip(&chunks).enumerate() {
+                if idx >= ch.count() {
                     continue;
                 }
-                let ctx = TreeChunk {
-                    tree_idx,
-                    tree: &wt.tree,
-                    chunk_idx,
-                    bytes: chunk_bytes,
-                    offset: chunk_offset,
-                    total,
-                    participants: &participants,
-                    class: self.options.link_class,
-                    gate,
+                let (off, bytes) = ch.get(idx);
+                let c = Chunk {
+                    tree,
+                    idx,
+                    offset: tree_base + off,
+                    bytes,
                 };
                 match kind {
-                    CollectiveKind::Broadcast { .. } => {
-                        emit_broadcast(builder, &mut streams, &ctx, Vec::new(), &[ctx.offset]);
-                    }
+                    CollectiveKind::Broadcast { .. } => e.broadcast(t, &c, &[], &[c.offset]),
                     CollectiveKind::Gather { .. } => {
-                        emit_gather(builder, &mut streams, &ctx);
+                        e.gather(t, &c);
                     }
                     CollectiveKind::Reduce { .. } => {
-                        emit_reduce(builder, &mut streams, &ctx);
+                        e.reduce(t, &c);
                     }
                     CollectiveKind::AllReduce => {
-                        let root_reduce = emit_reduce(builder, &mut streams, &ctx);
-                        emit_broadcast(
-                            builder,
-                            &mut streams,
-                            &ctx,
-                            root_reduce.map(|d| vec![d]).unwrap_or_default(),
-                            &[ctx.offset],
-                        );
+                        let root_reduce = e.reduce(t, &c);
+                        e.broadcast(t, &c, root_reduce.as_slice(), &[c.offset]);
                     }
                     CollectiveKind::AllGather => {
-                        let root_arrivals = emit_gather(builder, &mut streams, &ctx);
+                        let root_arrivals = e.gather(t, &c);
                         // after gathering, the root redistributes every
                         // participant's slot sub-range for this chunk
-                        let slots: Vec<u64> = participants
-                            .iter()
-                            .map(|&g| ctx.slot_base(g) + ctx.offset)
-                            .collect();
-                        emit_broadcast(builder, &mut streams, &ctx, root_arrivals, &slots);
+                        bases.clear();
+                        bases.extend((0..n as u64).map(|r| r * total + c.offset));
+                        e.broadcast(t, &c, &root_arrivals, &bases);
                     }
                     CollectiveKind::ReduceScatter => {
-                        let root_reduce = emit_reduce(builder, &mut streams, &ctx);
-                        emit_scatter(builder, &mut streams, &ctx, root_reduce);
+                        let root_reduce = e.reduce(t, &c);
+                        e.scatter(t, &c, root_reduce);
                     }
                 }
             }
@@ -376,214 +749,11 @@ impl CodeGen {
     }
 }
 
-/// Broadcast one chunk down a tree; `root_deps` (if non-empty) gate the root's
-/// sends (used by AllReduce, where the reduced value must exist first).
-///
-/// `bases` are the absolute range starts the payload covers; every edge
-/// carries **one** copy whose segment list holds `ctx.bytes` at each base.
-/// Plain Broadcast passes the chunk's own offset (a one-segment payload); the
-/// AllGather redistribution passes every participant's slot sub-range for
-/// this chunk, which is non-contiguous in slot space but still one op per
-/// edge.
-fn emit_broadcast(
-    b: &mut ProgramBuilder,
-    streams: &mut StreamAllocator,
-    ctx: &TreeChunk<'_>,
-    root_deps: Vec<OpId>,
-    bases: &[u64],
-) {
-    let tree = ctx.tree;
-    let mut arrival: BTreeMap<GpuId, OpId> = BTreeMap::new();
-    for (parent, child) in tree.edges_bfs() {
-        let depth = tree.depth_of(parent).unwrap_or(0);
-        let stream = streams.stream(b, ctx.tree_idx, parent, child, depth);
-        let deps = if parent == tree.root {
-            ctx.gated(root_deps.clone())
-        } else {
-            ctx.gated(arrival.get(&parent).map(|&a| vec![a]).unwrap_or_default())
-        };
-        let segs: Vec<Segment> = bases
-            .iter()
-            .map(|&base| Segment::new(base, ctx.bytes))
-            .collect();
-        let id = b.copy_segs(
-            parent,
-            child,
-            segs,
-            ctx.class,
-            stream,
-            deps,
-            format!("blink bcast t{} c{}", ctx.tree_idx, ctx.chunk_idx),
-        );
-        arrival.insert(child, id);
-    }
-}
-
-/// Gather one chunk up a tree (no reduction): every vertex forwards its own
-/// slot sub-range and the slot sub-ranges its subtree delivered as **one**
-/// copy per edge whose segment list names every slot exactly — op counts stay
-/// one per edge per chunk no matter how deep the subtree, without giving up
-/// range exactness. Returns the copies that arrive at the root (the deps a
-/// follow-up redistribution phase must wait for).
-fn emit_gather(
-    b: &mut ProgramBuilder,
-    streams: &mut StreamAllocator,
-    ctx: &TreeChunk<'_>,
-) -> Vec<OpId> {
-    let tree = ctx.tree;
-    let mut order = tree.bfs_order();
-    order.reverse();
-    let mut sent: BTreeMap<GpuId, OpId> = BTreeMap::new();
-    let mut root_arrivals = Vec::new();
-    for &v in &order {
-        let Some(parent) = tree.parent(v) else {
-            continue;
-        };
-        let deps: Vec<OpId> = tree
-            .children(v)
-            .iter()
-            .filter_map(|c| sent.get(c).copied())
-            .collect();
-        let depth = tree.depth_of(v).unwrap_or(0);
-        let stream = streams.stream(b, ctx.tree_idx, v, parent, depth);
-        let segs: Vec<Segment> = subtree_members(tree, v)
-            .into_iter()
-            .map(|m| Segment::new(ctx.slot_base(m) + ctx.offset, ctx.bytes))
-            .collect();
-        let id = b.copy_segs(
-            v,
-            parent,
-            segs,
-            ctx.class,
-            stream,
-            ctx.gated(deps),
-            format!("blink gather t{} c{}", ctx.tree_idx, ctx.chunk_idx),
-        );
-        if parent == tree.root {
-            root_arrivals.push(id);
-        }
-        sent.insert(v, id);
-    }
-    root_arrivals
-}
-
-/// Reduce one chunk up a tree. Returns the root's final reduction op (when the
-/// tree has more than one vertex).
-fn emit_reduce(
-    b: &mut ProgramBuilder,
-    streams: &mut StreamAllocator,
-    ctx: &TreeChunk<'_>,
-) -> Option<OpId> {
-    let tree = ctx.tree;
-    let mut order = tree.bfs_order();
-    order.reverse();
-    let mut uploaded: BTreeMap<GpuId, OpId> = BTreeMap::new();
-    let mut root_reduce = None;
-    for &v in &order {
-        let children = tree.children(v);
-        let mut deps: Vec<OpId> = children
-            .iter()
-            .filter_map(|c| uploaded.get(c).copied())
-            .collect();
-        let parent = tree.parent(v);
-        let depth = tree.depth_of(v).unwrap_or(0);
-        if !children.is_empty() {
-            // reduce the children's contributions with the local buffer, in
-            // the stream of the outgoing copy (or the first child's reverse
-            // stream at the root)
-            let stream = match parent {
-                Some(p) => streams.stream(b, ctx.tree_idx, v, p, depth),
-                None => streams.stream(b, ctx.tree_idx, v, children[0], depth),
-            };
-            let red = b.reduce_range(
-                v,
-                ctx.offset,
-                ctx.bytes,
-                stream,
-                ctx.gated(deps.clone()),
-                format!("blink reduce t{} c{}", ctx.tree_idx, ctx.chunk_idx),
-            );
-            deps = vec![red];
-            if parent.is_none() {
-                root_reduce = Some(red);
-            }
-        }
-        if let Some(p) = parent {
-            let stream = streams.stream(b, ctx.tree_idx, v, p, depth);
-            let id = b.copy_range(
-                v,
-                p,
-                ctx.offset,
-                ctx.bytes,
-                ctx.class,
-                stream,
-                ctx.gated(deps),
-                format!("blink reduce-up t{} c{}", ctx.tree_idx, ctx.chunk_idx),
-            );
-            uploaded.insert(v, id);
-        }
-    }
-    root_reduce
-}
-
-/// Scatter shards from the root down a tree: the edge into a child carries
-/// the (chunk-relative) shard of every GPU in that child's subtree as one
-/// exact-range copy whose segments are the non-empty shards. An edge whose
-/// subtree has no shard bytes in this chunk emits nothing.
-fn emit_scatter(
-    b: &mut ProgramBuilder,
-    streams: &mut StreamAllocator,
-    ctx: &TreeChunk<'_>,
-    root_dep: Option<OpId>,
-) {
-    let tree = ctx.tree;
-    let mut arrival: BTreeMap<GpuId, OpId> = BTreeMap::new();
-    for (parent, child) in tree.edges_bfs() {
-        let segs: Vec<Segment> = subtree_members(tree, child)
-            .into_iter()
-            .filter_map(|m| {
-                let (start, len) = ctx.shard_of(m);
-                (len > 0).then(|| Segment::new(start, len))
-            })
-            .collect();
-        if segs.is_empty() {
-            continue;
-        }
-        let depth = tree.depth_of(parent).unwrap_or(0);
-        let stream = streams.stream(b, ctx.tree_idx, parent, child, depth);
-        let deps = if parent == tree.root {
-            ctx.gated(root_dep.map(|d| vec![d]).unwrap_or_default())
-        } else {
-            ctx.gated(arrival.get(&parent).map(|&a| vec![a]).unwrap_or_default())
-        };
-        let id = b.copy_segs(
-            parent,
-            child,
-            segs,
-            ctx.class,
-            stream,
-            deps,
-            format!("blink scatter t{} c{}", ctx.tree_idx, ctx.chunk_idx),
-        );
-        arrival.insert(child, id);
-    }
-}
-
-/// The vertices of `v`'s subtree (including `v`), in DFS order.
-fn subtree_members(tree: &Arborescence, v: GpuId) -> Vec<GpuId> {
-    let mut out = vec![v];
-    let mut i = 0;
-    while i < out.len() {
-        out.extend(tree.children(out[i]));
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::treegen::{TreeGen, TreeGenOptions};
+    use blink_graph::Arborescence;
     use blink_sim::{OpKind, Simulator};
     use blink_topology::presets::dgx1v;
     use blink_topology::Topology;
@@ -861,7 +1031,7 @@ mod tests {
         trees
             .iter()
             .zip(shares)
-            .map(|(t, s)| t.tree.edges.len() * chunk_sizes(s, chunk).len())
+            .map(|(t, s)| t.tree.edges.len() * Chunks::new(s, chunk).count() as usize)
             .sum()
     }
 
@@ -943,11 +1113,279 @@ mod tests {
     #[test]
     fn chunk_splitting_conserves_bytes() {
         for (total, target) in [(mb(500), 4 << 20), (12345u64, 1000u64), (1, 1 << 20)] {
-            let sizes = chunk_sizes(total, target);
-            assert_eq!(sizes.iter().sum::<u64>(), total);
+            let chunks = Chunks::new(total, target);
+            let mut next = 0;
+            for i in 0..chunks.count() {
+                let (offset, len) = chunks.get(i);
+                assert_eq!(offset, next, "chunks tile their share");
+                assert!(len > 0 && len <= target);
+                next += len;
+            }
+            assert_eq!(next, total);
         }
+        // counting the chunks of a huge share allocates nothing
+        assert_eq!(Chunks::new(u64::MAX, 1).count(), u64::MAX);
         let (_, trees) = plan_for(&[0, 1, 2, 3, 4, 5, 6, 7], 0);
         let shares = split_by_weight(&trees, mb(1000));
         assert_eq!(shares.iter().sum::<u64>(), mb(1000));
+    }
+
+    /// One tree set of the identity matrix: rooted collectives lower over
+    /// `rooted` (every tree rooted at `root`), all-to-all ones over
+    /// `rootless`.
+    struct MatrixCase {
+        label: String,
+        root: GpuId,
+        rooted: Vec<WeightedTree>,
+        rootless: Vec<WeightedTree>,
+        class: LinkClass,
+    }
+
+    /// Every DGX-1V and DGX-1P isomorphism class of 2–8 GPUs (two members
+    /// each, packed at the member's first GPU, over PCIe where NVLink cannot
+    /// span it), plus DGX-2 packed and one-hop tree sets.
+    fn identity_matrix() -> Vec<MatrixCase> {
+        use crate::onehop::{one_hop_broadcast_tree, one_hop_trees};
+        use crate::treegen::LinkSelection;
+        use blink_topology::enumerate::unique_allocations;
+        use blink_topology::presets::{dgx1p, dgx2};
+
+        let packed = |machine: &Topology, alloc: &[GpuId], links: LinkSelection| {
+            let topo = machine.induced(alloc).unwrap();
+            let options = TreeGenOptions {
+                links,
+                ..Default::default()
+            };
+            TreeGen::new(topo, options).plan(alloc[0]).ok()
+        };
+        let mut cases = Vec::new();
+        for machine in [dgx1v(), dgx1p()] {
+            for class in unique_allocations(&machine, 2..=8).unwrap() {
+                for alloc in class.members.iter().take(2) {
+                    let (plan, class) = match packed(&machine, alloc, LinkSelection::NvLinkOnly) {
+                        Some(plan) => (plan, LinkClass::NvLink),
+                        None => (
+                            packed(&machine, alloc, LinkSelection::PcieOnly).unwrap(),
+                            LinkClass::Pcie,
+                        ),
+                    };
+                    cases.push(MatrixCase {
+                        label: format!("{} {alloc:?} packed", machine.name()),
+                        root: alloc[0],
+                        rooted: plan.trees.clone(),
+                        rootless: plan.trees,
+                        class,
+                    });
+                }
+            }
+        }
+        let machine = dgx2();
+        for alloc in [
+            (0..16).map(GpuId).collect::<Vec<_>>(),
+            [1, 4, 9, 12, 14].into_iter().map(GpuId).collect(),
+        ] {
+            let plan = packed(&machine, &alloc, LinkSelection::NvLinkOnly).unwrap();
+            cases.push(MatrixCase {
+                label: format!("dgx2 {alloc:?} packed"),
+                root: alloc[0],
+                rooted: plan.trees.clone(),
+                rootless: plan.trees,
+                class: LinkClass::NvLink,
+            });
+            let cap = 138.0;
+            cases.push(MatrixCase {
+                label: format!("dgx2 {alloc:?} one-hop"),
+                root: alloc[1],
+                rooted: vec![one_hop_broadcast_tree(&alloc, alloc[1], cap)],
+                rootless: one_hop_trees(&alloc, cap / alloc.len() as f64),
+                class: LinkClass::NvLink,
+            });
+        }
+        cases
+    }
+
+    #[test]
+    fn layout_emitters_match_the_per_op_reference() {
+        let cases = identity_matrix();
+        // (bytes, chunk, stream reuse)
+        let sizes = [
+            (mb(64), 4 << 20, false),
+            (1_000_003, 65_536, true),
+            (7, 1, false),
+        ];
+        let mut programs = 0;
+        for case in &cases {
+            let kinds = [
+                CollectiveKind::Broadcast { root: case.root },
+                CollectiveKind::Gather { root: case.root },
+                CollectiveKind::Reduce { root: case.root },
+                CollectiveKind::AllReduce,
+                CollectiveKind::AllGather,
+                CollectiveKind::ReduceScatter,
+            ];
+            for kind in kinds {
+                let trees = if kind.root().is_some() {
+                    &case.rooted
+                } else {
+                    &case.rootless
+                };
+                for (bytes, chunk_bytes, stream_reuse) in sizes {
+                    let options = CodeGenOptions {
+                        chunk_bytes,
+                        stream_reuse,
+                        link_class: case.class,
+                    };
+                    let got = CodeGen::new(options).build(trees, kind, bytes).unwrap();
+                    let want = reference::build(&options, trees, kind, bytes).unwrap();
+                    assert!(
+                        got == want,
+                        "{}: {kind} over {bytes} B diverges from the reference",
+                        case.label
+                    );
+                    // a gated sub-range emission after foreign ops
+                    let emit = |reference_side: bool| {
+                        let mut b = ProgramBuilder::new();
+                        let s = b.new_stream();
+                        let gate = b.toggle_peer_access(3, s, vec![], "dpa");
+                        let (base, share) = (bytes / 4, bytes / 2);
+                        if reference_side {
+                            reference::emit_range_into(
+                                &options,
+                                &mut b,
+                                trees,
+                                kind,
+                                bytes,
+                                base,
+                                share,
+                                &[gate],
+                            )
+                        } else {
+                            CodeGen::new(options).emit_range_into(
+                                &mut b,
+                                trees,
+                                kind,
+                                bytes,
+                                base,
+                                share,
+                                &[gate],
+                            )
+                        }
+                        .unwrap();
+                        b.build().unwrap()
+                    };
+                    assert!(
+                        emit(false) == emit(true),
+                        "{}: gated sub-range {kind} over {bytes} B diverges",
+                        case.label
+                    );
+                    programs += 2;
+                }
+            }
+        }
+        assert!(programs > 2_000, "the matrix shrank to {programs} programs");
+    }
+
+    #[test]
+    fn malformed_plans_are_codegen_errors_not_panics() {
+        let (_, trees) = plan_for(&[0, 1, 2, 3], 0);
+        let cg = CodeGen::default();
+        let kinds = [
+            CollectiveKind::Broadcast { root: GpuId(0) },
+            CollectiveKind::Gather { root: GpuId(0) },
+            CollectiveKind::Reduce { root: GpuId(0) },
+            CollectiveKind::AllReduce,
+            CollectiveKind::AllGather,
+            CollectiveKind::ReduceScatter,
+        ];
+        let rejects = |trees: &[WeightedTree], what: &str| {
+            for kind in kinds {
+                let err = cg.build(trees, kind, mb(8)).unwrap_err();
+                assert!(
+                    matches!(err, BlinkError::CodeGen(_)),
+                    "{what}, {kind}: {err}"
+                );
+            }
+        };
+        for weight in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut bad = trees.clone();
+            bad[0].weight = weight;
+            rejects(&bad, &format!("weight {weight}"));
+        }
+        // a tree over a different vertex set than the first
+        let (_, fewer) = plan_for(&[0, 1, 3], 0);
+        rejects(&[trees[0].clone(), fewer[0].clone()], "vertex sets differ");
+        rejects(&[fewer[0].clone(), trees[0].clone()], "vertex sets differ");
+        // edge lists that are not arborescences
+        let tree = |edges: &[(usize, usize)]| WeightedTree {
+            tree: Arborescence {
+                root: GpuId(0),
+                edges: edges.iter().map(|&(p, c)| (GpuId(p), GpuId(c))).collect(),
+            },
+            weight: 1.0,
+        };
+        rejects(&[tree(&[(0, 1), (1, 2), (2, 1)])], "a vertex reached twice");
+        rejects(&[tree(&[(0, 1), (0, 1)])], "a duplicated edge");
+        rejects(
+            &[tree(&[(0, 1), (2, 3)])],
+            "an edge the root does not reach",
+        );
+    }
+
+    #[test]
+    fn huge_byte_counts_are_rejected_before_allocating() {
+        let (_, trees) = plan_for(&[0, 1, 2, 3], 0);
+        let cg = CodeGen::default();
+        for bytes in [u64::MAX, 1_000_000_000_000_000] {
+            let err = cg
+                .build(&trees, CollectiveKind::AllReduce, bytes)
+                .unwrap_err();
+            assert!(err.to_string().contains("op program budget"), "{err}");
+        }
+        // the budget counts what the builder already holds
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        for _ in 0..MAX_PROGRAM_OPS {
+            b.compute(GpuId(0), 0.0, s, vec![], "filler");
+        }
+        let err = cg
+            .emit_into(&mut b, &trees, CollectiveKind::AllReduce, 1, &[])
+            .unwrap_err();
+        assert!(matches!(err, BlinkError::CodeGen(_)), "{err}");
+        // a sub-range whose end overflows u64 is out of bounds, not a panic
+        let mut b = ProgramBuilder::new();
+        let err = cg
+            .emit_range_into(
+                &mut b,
+                &trees,
+                CollectiveKind::AllReduce,
+                u64::MAX,
+                u64::MAX,
+                1,
+                &[],
+            )
+            .unwrap_err();
+        assert!(matches!(err, BlinkError::CodeGen(_)), "{err}");
+        // one chunk per tree: a u64::MAX buffer lowers with exact ranges,
+        // except where the gathered slot space itself overflows u64
+        let whole = CodeGen::new(CodeGenOptions {
+            chunk_bytes: u64::MAX,
+            ..Default::default()
+        });
+        for kind in [
+            CollectiveKind::Broadcast { root: GpuId(0) },
+            CollectiveKind::Reduce { root: GpuId(0) },
+            CollectiveKind::AllReduce,
+            CollectiveKind::ReduceScatter,
+        ] {
+            let prog = whole.build(&trees, kind, u64::MAX).unwrap();
+            assert!(!prog.is_empty(), "{kind}");
+        }
+        for kind in [
+            CollectiveKind::Gather { root: GpuId(0) },
+            CollectiveKind::AllGather,
+        ] {
+            let err = whole.build(&trees, kind, u64::MAX).unwrap_err();
+            assert!(err.to_string().contains("overflows"), "{kind}: {err}");
+        }
     }
 }

@@ -55,7 +55,9 @@ use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
 use crate::treegen::{LinkSelection, TreeGenOptions};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate_in, DiGraph, NodeIdx, WeightedTree};
-use blink_sim::{check_collective, EngineScratch, Program, SimParams, Simulator, ValueCheck};
+use blink_sim::{
+    check_collective, EngineScratch, Program, RunReport, SimParams, Simulator, ValueCheck,
+};
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
@@ -273,6 +275,11 @@ struct SignatureState {
     lowered: Option<Lowered>,
 }
 
+/// A fresh lowering: the program, the trees (or partitions) it uses, its
+/// strategy tag and, when a switch-fabric strategy race simulated the
+/// winner, that run.
+type Built = (Program, usize, String, Option<RunReport>);
+
 /// A collective lowered at one chunk size.
 #[derive(Debug, Clone)]
 pub(crate) struct Lowered {
@@ -483,16 +490,19 @@ impl Communicator {
                 return Err(BlinkError::Planning(format!("GPU {g} not in topology")));
             }
         }
-        let Lowered {
-            chunk,
-            program,
-            num_trees,
-            strategy,
-        } = self.lower(kind, bytes)?;
-        let report = self
-            .sim
-            .run_with_scratch(&program, &mut self.engine_scratch)
-            .map_err(|e| BlinkError::Simulation(e.to_string()))?;
+        let (
+            Lowered {
+                chunk,
+                program,
+                num_trees,
+                strategy,
+            },
+            raced,
+        ) = self.lower_raced(kind, bytes)?;
+        let report = match raced {
+            Some(report) => report,
+            None => self.simulate(&program)?,
+        };
         let gbps = report.algorithmic_bandwidth_gbps(bytes);
         self.observe_chunk(kind, bytes, gbps);
         let collective_report = CollectiveReport {
@@ -689,12 +699,24 @@ impl Communicator {
     /// memoised lowering (the same `Arc<Program>`), anything else lowers
     /// afresh and replaces the entry. Failed lowerings are not memoised.
     pub(crate) fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Lowered> {
+        self.lower_raced(kind, bytes).map(|(lowered, _)| lowered)
+    }
+
+    /// [`Communicator::lower`], plus the winner's run when this lowering
+    /// was fresh and raced two switch-fabric strategies (see
+    /// [`Communicator::build_switch_program`]): the race already simulated
+    /// the program, so the caller about to run it can report that run.
+    fn lower_raced(
+        &mut self,
+        kind: CollectiveKind,
+        bytes: u64,
+    ) -> Result<(Lowered, Option<RunReport>)> {
         let chunk = self.current_chunk(kind, bytes);
         let state = self.signatures.entry((kind, bytes)).or_default();
         if let Some(hit) = state.lowered.as_ref().filter(|l| l.chunk == chunk) {
-            return Ok(hit.clone());
+            return Ok((hit.clone(), None));
         }
-        let (program, num_trees, strategy) = self.build_program(kind, bytes, chunk)?;
+        let (program, num_trees, strategy, raced) = self.build_program(kind, bytes, chunk)?;
         let lowered = Lowered {
             chunk,
             program: Arc::new(program),
@@ -702,7 +724,7 @@ impl Communicator {
             strategy,
         };
         self.signatures.entry((kind, bytes)).or_default().lowered = Some(lowered.clone());
-        Ok(lowered)
+        Ok((lowered, raced))
     }
 
     fn codegen_options(&self, chunk: u64) -> CodeGenOptions {
@@ -972,12 +994,7 @@ impl Communicator {
         })
     }
 
-    fn build_program(
-        &mut self,
-        kind: CollectiveKind,
-        bytes: u64,
-        chunk: u64,
-    ) -> Result<(Program, usize, String)> {
+    fn build_program(&mut self, kind: CollectiveKind, bytes: u64, chunk: u64) -> Result<Built> {
         if let Some(root) = kind.root() {
             if !self.allocation.contains(&root) {
                 return Err(BlinkError::Planning(format!(
@@ -1035,7 +1052,7 @@ impl Communicator {
                 info.partitions,
                 if fell_back { "; PCIe fallback" } else { "" }
             );
-            return Ok((program, info.partitions, strategy));
+            return Ok((program, info.partitions, strategy, None));
         }
 
         let cg = CodeGen::new(self.codegen_options(chunk));
@@ -1079,7 +1096,7 @@ impl Communicator {
                     planner.build(kind, bytes, &self.codegen_options(chunk), self.sim.params())?;
                 let n = planner.nvlink_plan().num_trees() + planner.pcie_plan().num_trees();
                 let strategy = format!("hybrid NVLink+PCIe ({} B over PCIe)", split.pcie_bytes);
-                return Ok((program, n, strategy));
+                return Ok((program, n, strategy, None));
             }
             let treegen_opts = self.options.treegen;
             let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
@@ -1090,7 +1107,7 @@ impl Communicator {
             } else {
                 "packed spanning trees (NVLink)".to_string()
             };
-            return Ok((program, n, strategy));
+            return Ok((program, n, strategy, None));
         }
 
         // ---- NVLink cannot span the allocation: fall back to PCIe trees ----
@@ -1111,7 +1128,7 @@ impl Communicator {
         } else {
             "packed spanning trees (PCIe fallback)".to_string()
         };
-        Ok((program, n, strategy))
+        Ok((program, n, strategy, None))
     }
 
     /// Lowers a collective on an all-to-all switch fabric (NVSwitch): one-hop
@@ -1128,31 +1145,37 @@ impl Communicator {
     /// The memoised winner is keyed by the collective signature (kind and
     /// root), decided at the first call's byte size, and cleared by
     /// [`Communicator::replan`].
+    ///
+    /// The race's winning run is the first call's report: it is returned
+    /// with the lowering, and [`Communicator::run_traced`] reports it instead
+    /// of simulating the winner a second time. It is never stored, so later
+    /// calls (memo hits) simulate their program once, as on any fabric.
     fn build_switch_program(
         &mut self,
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
-    ) -> Result<(Program, usize, String)> {
+    ) -> Result<Built> {
         if let Some(&choice) = self.switch_strategy.get(&kind) {
-            return self.switch_candidate(choice, kind, bytes, chunk);
+            let (program, n, strategy) = self.switch_candidate(choice, kind, bytes, chunk)?;
+            return Ok((program, n, strategy, None));
         }
         let one_hop = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
-        let (choice, winner) = match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk)
-        {
-            Ok(packed) => {
-                let one_hop_us = self.simulate_total_us(&one_hop.0)?;
-                let packed_us = self.simulate_total_us(&packed.0)?;
-                if packed_us + 1e-9 < one_hop_us {
-                    (SwitchChoice::Packed, packed)
-                } else {
-                    (SwitchChoice::OneHop, one_hop)
+        let (choice, (program, n, strategy), run) =
+            match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk) {
+                Ok(packed) => {
+                    let one_hop_run = self.simulate(&one_hop.0)?;
+                    let packed_run = self.simulate(&packed.0)?;
+                    if packed_run.total_us + 1e-9 < one_hop_run.total_us {
+                        (SwitchChoice::Packed, packed, Some(packed_run))
+                    } else {
+                        (SwitchChoice::OneHop, one_hop, Some(one_hop_run))
+                    }
                 }
-            }
-            Err(_) => (SwitchChoice::OneHop, one_hop),
-        };
+                Err(_) => (SwitchChoice::OneHop, one_hop, None),
+            };
         self.switch_strategy.insert(kind, choice);
-        Ok(winner)
+        Ok((program, n, strategy, run))
     }
 
     /// Builds one switch-fabric candidate lowering.
@@ -1195,13 +1218,11 @@ impl Communicator {
         }
     }
 
-    /// Simulates a candidate program once (strategy-competition probe).
-    fn simulate_total_us(&mut self, program: &Program) -> Result<f64> {
-        Ok(self
-            .sim
+    /// Simulates `program` once on the communicator's engine scratch.
+    fn simulate(&mut self, program: &Program) -> Result<RunReport> {
+        self.sim
             .run_with_scratch(program, &mut self.engine_scratch)
-            .map_err(|e| BlinkError::Simulation(e.to_string()))?
-            .total_us)
+            .map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 }
 
@@ -1541,6 +1562,89 @@ mod tests {
             .run_checked(CollectiveKind::Broadcast { root: GpuId(4) }, mb(16))
             .unwrap();
         assert!(check.is_correct(), "{check}");
+    }
+
+    #[test]
+    fn a_raced_dgx2_first_call_reports_the_winners_run() {
+        // the race simulates the winner once and the first call reports
+        // that run: it must pass the oracle and match a memo-hit call (and
+        // a fresh simulation of the same program) bit for bit
+        let options = CommunicatorOptions {
+            chunk_bytes: Some(4 << 20),
+            ..Default::default()
+        };
+        let full: Vec<GpuId> = (0..16).map(GpuId).collect();
+        let fragment: Vec<GpuId> = [1, 4, 9, 12, 14].into_iter().map(GpuId).collect();
+        let cases = [
+            (full, CollectiveKind::AllReduce, "one-hop switch trees"),
+            (
+                fragment,
+                CollectiveKind::Broadcast { root: GpuId(4) },
+                "packed spanning trees (NVLink switch fabric)",
+            ),
+        ];
+        for (alloc, kind, winner) in cases {
+            let bytes = mb(256);
+            let mut comm = Communicator::builder(dgx2())
+                .allocation(&alloc)
+                .options(options)
+                .isolated_plans()
+                .build()
+                .unwrap();
+            let (first, program, spans) = comm.run_traced(kind, bytes).unwrap();
+            assert_eq!(first.strategy, winner, "{alloc:?}");
+            let check = check_collective(kind.spec(), &program, &spans, &alloc, bytes);
+            assert!(check.is_correct(), "{alloc:?}: {check}");
+            let (second, again, second_spans) = comm.run_traced(kind, bytes).unwrap();
+            assert!(
+                Arc::ptr_eq(&program, &again),
+                "the second call is a memo hit"
+            );
+            assert_eq!(first.elapsed_us.to_bits(), second.elapsed_us.to_bits());
+            let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
+                s.iter().map(|&(a, b)| (a.to_bits(), b.to_bits())).collect()
+            };
+            assert_eq!(bits(&spans), bits(&second_spans), "{alloc:?}");
+            let fresh = Simulator::new(dgx2(), options.sim_params)
+                .run(&program)
+                .unwrap();
+            assert_eq!(bits(&spans), bits(&fresh.op_spans), "{alloc:?}");
+            // and the first run_checked on a fresh communicator conforms
+            let mut comm = Communicator::builder(dgx2())
+                .allocation(&alloc)
+                .options(options)
+                .isolated_plans()
+                .build()
+                .unwrap();
+            let (report, check) = comm.run_checked(kind, bytes).unwrap();
+            assert_eq!(report.strategy, winner, "{alloc:?}");
+            assert!(check.is_correct(), "{alloc:?}: {check}");
+        }
+    }
+
+    #[test]
+    fn huge_byte_counts_are_codegen_errors_not_aborts() {
+        let dgx1v_quad: Vec<GpuId> = (0..4).map(GpuId).collect();
+        for (machine, alloc) in [
+            (dgx1v(), dgx1v_quad),
+            (dgx2(), (0..16).map(GpuId).collect()),
+        ] {
+            let mut comm = Communicator::builder(machine.clone())
+                .allocation(&alloc)
+                .isolated_plans()
+                .build()
+                .unwrap();
+            for bytes in [u64::MAX, 1_000_000_000_000_000] {
+                let err = comm.run(CollectiveKind::AllReduce, bytes).unwrap_err();
+                assert!(
+                    matches!(err, BlinkError::CodeGen(_)),
+                    "{} {bytes} B: {err}",
+                    machine.name()
+                );
+            }
+            // the communicator stays usable
+            comm.run(CollectiveKind::AllReduce, mb(16)).unwrap();
+        }
     }
 
     #[test]

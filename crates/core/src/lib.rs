@@ -158,7 +158,8 @@ pub use treegen::{
 pub enum BlinkError {
     /// The allocation or topology cannot support the requested collective.
     Planning(String),
-    /// Lowering a plan to a program failed (indicates an internal bug).
+    /// Lowering a plan to a program failed: a malformed tree set, a
+    /// program past [`codegen::MAX_PROGRAM_OPS`], or an internal bug.
     CodeGen(String),
     /// Executing the program on the simulator failed.
     Simulation(String),

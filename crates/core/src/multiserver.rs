@@ -14,7 +14,7 @@
 //!    reduced partition over the local trees.
 
 use crate::autotune::{plan_fingerprint, SharedPlanCache};
-use crate::codegen::{chunk_sizes, CodeGen, CodeGenOptions};
+use crate::codegen::{check_op_budget, Chunks, CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
 use crate::treegen::{ScratchPool, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
@@ -198,13 +198,13 @@ pub fn three_phase_allreduce_cached(
             slice_base += slice;
             let owner = roots[q][p];
             let owner_stream = builder.new_stream();
-            let mut chunk_off = sbase;
-            for (c_idx, &sz) in chunk_sizes(slice, cg_options.chunk_bytes)
-                .iter()
-                .enumerate()
-            {
-                let off = chunk_off;
-                chunk_off += sz;
+            let chunks = Chunks::new(slice, cg_options.chunk_bytes);
+            // per chunk: a copy in and a copy out per other server, one reduce
+            let per_chunk = 2 * n_servers as u128 - 1;
+            check_op_budget(builder.len(), u128::from(chunks.count()) * per_chunk)?;
+            for c_idx in 0..chunks.count() {
+                let (rel, sz) = chunks.get(c_idx);
+                let off = sbase + rel;
                 let mut arrivals = Vec::new();
                 for s in 0..n_servers {
                     if s == q {
