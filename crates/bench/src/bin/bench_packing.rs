@@ -17,6 +17,14 @@
 //!   three-server DGX-1V fabric, the regime past
 //!   [`blink_graph::CUT_ENUMERATION_MAX_NODES`] where production runs it.
 //!
+//! A fifth stage, **dgx2_packing**, packs and minimises the full 16-GPU DGX-2
+//! NVSwitch graph — the largest single-server packing, and the one that sets
+//! the tail of a communicator's first collective. It records only work
+//! counts: MWU iterations, trees before and after minimisation, the
+//! certificate, and heap allocations per steady-state packing (the binary
+//! installs the [`blink_bench::alloc::Counting`] allocator). Its wall time is
+//! context.
+//!
 //! The pre-optimisation naive solvers are not measured here: they survive
 //! only as the test-only bit-identity oracles the graph crate's unit tests
 //! pin the fast paths against. The recorded throughput here is consequently
@@ -37,19 +45,27 @@
 //! * the minimised packing must not use more trees than recorded;
 //! * the broadcast-rate certificate on the DGX-1V and the all-sinks
 //!   certificate on the multi-server fabric must each reproduce the recorded
-//!   value exactly (they are deterministic functions of the topology).
+//!   value exactly (they are deterministic functions of the topology);
+//! * the DGX-2 stage's MWU iterations, trees before and after minimisation
+//!   and allocations per packing must not exceed the recording, and its
+//!   certificate must reproduce the recorded value exactly. These counts
+//!   are the same on every runner, so the gate is armed everywhere.
 //!
 //! It does not rewrite the JSON.
 
+use blink_bench::alloc::{allocations, Counting};
 use blink_graph::{
     broadcast_rate_all_sinks_in, minimize_trees_in, optimal_broadcast_rate,
     optimal_broadcast_rate_in, pack_spanning_trees_in, DiGraph, MaxFlowScratch, MinimizeOptions,
     MinimizeScratch, PackingOptions, PackingScratch,
 };
-use blink_topology::presets::{dgx1v, multi_server, ServerKind, DEFAULT_NIC_GBPS};
+use blink_topology::presets::{dgx1v, dgx2, multi_server, ServerKind, DEFAULT_NIC_GBPS};
 use blink_topology::GpuId;
 use serde::Serialize;
 use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 const EPSILON: f64 = 0.05;
 const ROOT: GpuId = GpuId(0);
@@ -118,6 +134,26 @@ struct CertificateAllSinksReport {
     rate_gbps: f64,
 }
 
+/// Work counts of packing and minimising the full 16-GPU DGX-2.
+#[derive(Debug, Serialize)]
+struct Dgx2PackingReport {
+    /// GPUs in the packed graph.
+    gpus: usize,
+    /// MWU iterations (min-arborescence solves) one packing runs (gated).
+    mwu_iterations: usize,
+    /// Distinct trees in the MWU packing (gated).
+    trees_packed: usize,
+    /// Trees left after minimisation (gated).
+    trees_minimized: usize,
+    /// The broadcast-rate certificate in GB/s (gated exactly).
+    certificate_gbps: f64,
+    /// Heap allocations and reallocations per steady-state packing through
+    /// a reused scratch (gated).
+    allocs_per_packing: f64,
+    /// Mean wall-clock microseconds per packing (context only).
+    us_per_packing: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct Config {
     topology: String,
@@ -138,6 +174,8 @@ struct Report {
     certificate: CertificateReport,
     /// The all-sinks certificate on the three-server fabric graph.
     certificate_allsinks: CertificateAllSinksReport,
+    /// Packing and minimising the full DGX-2: work counts only.
+    dgx2_packing: Dgx2PackingReport,
 }
 
 /// Times `runs` invocations of `f` and returns mean seconds per call.
@@ -236,6 +274,29 @@ fn measure(quick: bool) -> Report {
         rate_gbps: allsinks_value,
     };
 
+    // ---- dgx2_packing: work counts on the 16-GPU NVSwitch graph ----
+    let dgx2_runs = if quick { 10 } else { 40 };
+    let g16 = DiGraph::from_topology_filtered(&dgx2(), |l| l.kind.is_nvlink());
+    let (packed16, stats16) =
+        pack_spanning_trees_in(&g16, ROOT, &opts, &mut scratch).expect("dgx2 spans");
+    let before = allocations();
+    let t0 = Instant::now();
+    for _ in 0..dgx2_runs {
+        pack_spanning_trees_in(&g16, ROOT, &opts, &mut scratch).expect("dgx2 spans");
+    }
+    let per_packing16 = t0.elapsed().as_secs_f64() / dgx2_runs as f64;
+    let allocs16 = allocations() - before;
+    let dgx2_packing = Dgx2PackingReport {
+        gpus: g16.num_nodes(),
+        mwu_iterations: stats16.iterations,
+        trees_packed: packed16.num_trees(),
+        trees_minimized: minimize_trees_in(&g16, &packed16, &min_opts, &mut min_scratch)
+            .num_trees(),
+        certificate_gbps: stats16.certificate_gbps,
+        allocs_per_packing: allocs16 as f64 / dgx2_runs as f64,
+        us_per_packing: per_packing16 * 1e6,
+    };
+
     Report {
         config: Config {
             topology: "dgx1v".to_string(),
@@ -248,6 +309,7 @@ fn measure(quick: bool) -> Report {
         minimize,
         certificate,
         certificate_allsinks,
+        dgx2_packing,
     }
 }
 
@@ -315,6 +377,31 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
             ));
         }
     }
+    let d = &report.dgx2_packing;
+    for (name, now) in [
+        ("mwu_iterations", d.mwu_iterations as f64),
+        ("trees_packed", d.trees_packed as f64),
+        ("trees_minimized", d.trees_minimized as f64),
+        ("allocs_per_packing", d.allocs_per_packing),
+    ] {
+        match recorded_f64(&["dgx2_packing", name]) {
+            Some(rec) if now > rec => failures.push(format!(
+                "dgx2_packing {name} is {now}, above the recorded {rec}"
+            )),
+            Some(_) => {}
+            None => failures.push(format!("BENCH_packing.json records no dgx2_packing.{name}")),
+        }
+    }
+    match recorded_f64(&["dgx2_packing", "certificate_gbps"]) {
+        Some(rec) if (d.certificate_gbps - rec).abs() > 1e-6 * rec.max(1.0) => {
+            failures.push(format!(
+                "DGX-2 certificate is {:.6} GB/s but the recording says {rec:.6}",
+                d.certificate_gbps
+            ))
+        }
+        Some(_) => {}
+        None => failures.push("BENCH_packing.json records no dgx2_packing.certificate_gbps".into()),
+    }
     failures
 }
 
@@ -339,6 +426,7 @@ fn main() {
             out.certificate_allsinks.allsinks_us_per_call,
             out.certificate_allsinks.vertices,
         );
+        eprintln!("{}", dgx2_summary(&out.dgx2_packing));
         if failures.is_empty() {
             eprintln!("all packing quality gates hold against the recorded trajectory");
             return;
@@ -365,4 +453,19 @@ fn main() {
         out.certificate_allsinks.allsinks_us_per_call,
         out.certificate_allsinks.vertices,
     );
+    eprintln!("{}", dgx2_summary(&out.dgx2_packing));
+}
+
+fn dgx2_summary(d: &Dgx2PackingReport) -> String {
+    format!(
+        "dgx2_packing: {} GPUs, {} MWU iterations, {} -> {} trees, certificate {} GB/s, \
+         {} allocations/packing; {:.1} us/packing (context only)",
+        d.gpus,
+        d.mwu_iterations,
+        d.trees_packed,
+        d.trees_minimized,
+        d.certificate_gbps,
+        d.allocs_per_packing,
+        d.us_per_packing
+    )
 }

@@ -1355,7 +1355,15 @@ impl CommunicatorBuilder {
     /// malformed placements.
     pub fn build(self) -> Result<Communicator> {
         let machine = match self.source {
-            BuilderSource::Machine(machine) => machine,
+            // `Topology` is `Deserialize`, so a caller's machine may not have
+            // gone through `add_link`'s checks; planning needs finite positive
+            // capacities. Placement topologies are built through `add_link`.
+            BuilderSource::Machine(machine) => {
+                machine
+                    .validate()
+                    .map_err(|e| BlinkError::Planning(e.to_string()))?;
+                machine
+            }
             BuilderSource::Placement {
                 kind,
                 nic_gbps,
@@ -1486,6 +1494,53 @@ mod tests {
             .allocation(&[GpuId(3), GpuId(5), GpuId(3)])
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn degenerate_link_capacities_are_a_typed_error() {
+        use blink_topology::{LinkKind, ServerId, Topology};
+        // Three GPUs in a line; the 1 <-> 2 link is the one corrupted. The
+        // corruptions go in through JSON because `add_link` already refuses
+        // them, and a deserialized topology bypasses it.
+        let mut line = Topology::new("line");
+        for i in 0..3 {
+            line.add_gpu(GpuId(i), ServerId(0), i).unwrap();
+        }
+        line.add_duplex(GpuId(0), GpuId(1), LinkKind::NvLinkGen2, 1)
+            .unwrap();
+        line.add_duplex_with_bandwidth(GpuId(1), GpuId(2), LinkKind::NvLinkGen2, 3, 12.5)
+            .unwrap();
+        let json = serde_json::to_string(&line).unwrap();
+        assert!(
+            json.contains(r#""lanes":3"#) && json.contains("12.5"),
+            "{json}"
+        );
+        let cases = [
+            ("NaN bandwidth", json.replace("12.5", "null")),
+            ("infinite bandwidth", json.replace("12.5", "1e999")),
+            ("zero lanes", json.replace(r#""lanes":3"#, r#""lanes":0"#)),
+            ("negative bandwidth", json.replace("12.5", "-12.5")),
+        ];
+        for (case, corrupted) in cases {
+            // the builder refuses it instead of panicking in, or spinning
+            // through, planning
+            let machine: Topology = serde_json::from_str(&corrupted).unwrap();
+            match Communicator::builder(machine).isolated_plans().build() {
+                Err(BlinkError::Planning(msg)) => {
+                    assert!(msg.contains("finite positive capacity"), "{case}: {msg}")
+                }
+                Err(other) => panic!("{case}: expected a planning error, got {other}"),
+                Ok(_) => panic!("{case}: the builder accepted it"),
+            }
+        }
+        // the uncorrupted topology plans and conforms
+        let machine: Topology = serde_json::from_str(&json).unwrap();
+        let mut comm = Communicator::builder(machine)
+            .isolated_plans()
+            .build()
+            .unwrap();
+        let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(1)).unwrap();
+        assert!(check.is_correct(), "{check:?}");
     }
 
     #[test]

@@ -4,13 +4,39 @@
 //! Blink's MWU packing (Section 3.2) repeatedly needs the *minimum-length*
 //! spanning arborescence under the current edge lengths; Chu–Liu/Edmonds
 //! computes it exactly. The packing loop invokes the solver `O(m ln m / ε²)`
-//! times per job, so the implementation here is an *iterative* contraction
-//! loop over an [`ArborescenceScratch`] arena: every buffer (per-level
-//! cheapest-in-edge tables, cycle membership, vertex remapping, the working
-//! edge lists) is preallocated once and reused across calls, making the
-//! steady-state solve allocation-free. The classic recursive
-//! clone-per-contraction formulation survives as a test-only oracle
-//! (`crate::baseline`) that pins this solver edge-for-edge.
+//! times per job, so [`min_arborescence_in`] contracts cycles in place over
+//! an [`ArborescenceScratch`] arena instead of rebuilding the graph per
+//! contraction:
+//!
+//! * **Cheapest in-edges.** Every vertex starts with its cheapest in-edge
+//!   (self-loops and edges into the root never count).
+//! * **Walks.** From each unfinished vertex in node order the solver follows
+//!   cheapest in-edges backwards. A walk that reaches the root or a finished
+//!   node finishes every node on it. A walk that meets itself has closed a
+//!   cycle, which becomes a super-node and the walk continues from it.
+//! * **Contraction.** A super-node's candidates are its members' live
+//!   in-edges, each reweighted `w − best_w[member]`; edges between members
+//!   are dropped once, at that contraction. Each edge therefore carries the
+//!   exact subtraction sequence of the classic level-by-level formulation.
+//! * **Expansion.** Outermost super-node first, the edge entering a
+//!   super-node breaks its cycle at the member holding the edge's head;
+//!   every other member keeps its cheapest in-edge.
+//!
+//! **Tie rule.** A cheapest in-edge is the minimum by `(weight, edge id)`:
+//! among equal weights the lowest edge id wins. Cycles of the cheapest-edge
+//! graph are disjoint and contracting one leaves the others unchanged, so
+//! the order in which cycles are found does not affect the selected edge
+//! set; the recursive oracle in `crate::baseline` pins the solver to it
+//! edge-for-edge.
+//!
+//! **Emission order.** The returned edges list, for every non-root vertex
+//! in node order, the edge entering it. Callers that fold floating-point
+//! values over a tree should walk its edges in an order of their own (the
+//! MWU packer walks sorted edge ids) rather than rely on this one.
+//!
+//! **Finite weights.** Weights must be finite: contraction subtracts them,
+//! and a NaN or infinity would make the `(weight, edge id)` minimum
+//! meaningless. Debug builds assert it.
 
 use crate::digraph::{DiGraph, EdgeIdx, NodeIdx};
 use blink_topology::GpuId;
@@ -181,37 +207,31 @@ impl Arborescence {
     }
 }
 
-/// A working edge inside the iterative solver. Original edge ids are carried
-/// through every contraction level so the final selection can be reported in
-/// the caller's edge numbering.
-#[derive(Debug, Clone, Copy)]
-struct WorkEdge {
-    u: u32,
-    v: u32,
-    w: f64,
-    id: u32,
-}
+/// Marks "no edge" / "no enclosing super-node" in the solver's `u32` tables.
+const NONE: u32 = u32::MAX;
 
-/// Per-contraction-level state the expansion pass needs to undo one cycle
-/// contraction. All vectors are reused (cleared, never shrunk) across calls.
-#[derive(Debug, Clone, Default)]
-struct ContractionLevel {
-    /// Cheapest incoming edge id per vertex of this level (`u32::MAX` = none).
-    best_id: Vec<u32>,
-    /// Tail vertex of the cheapest incoming edge per vertex.
-    best_u: Vec<u32>,
-    /// Weight of the cheapest incoming edge per vertex.
-    best_w: Vec<f64>,
-    /// Vertices of the contracted cycle, in walk order.
-    cycle: Vec<u32>,
-    /// Cycle membership, indexed by this level's vertex numbering.
-    in_cycle: Vec<bool>,
-    /// Head vertex (this level's numbering) per *original* edge id;
-    /// `u32::MAX` when the edge no longer exists at this level.
-    head_of: Vec<u32>,
+/// Walk state of a solver node.
+const UNVISITED: u8 = 0;
+/// On the walk currently being followed.
+const ON_PATH: u8 = 1;
+/// Its cheapest-in-edge chain reaches the root; never revisited.
+const DONE: u8 = 2;
+/// Merged into a super-node; only the super-node is visited from now on.
+const CONTRACTED: u8 = 3;
+
+/// A super-node's candidate in-edge: the original edge id and its weight
+/// after every reweighting of the contractions it entered.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    id: u32,
+    w: f64,
 }
 
 /// Reusable buffers for [`min_arborescence_in`].
+///
+/// Solver nodes are numbered `0..n` for the graph's vertices, then `n..` for
+/// super-nodes in creation order, so an enclosing super-node always has a
+/// larger number than the nodes it contains.
 ///
 /// One scratch serves any number of solves over graphs of any size: buffers
 /// grow to the high-water mark on first use and are only cleared afterwards,
@@ -220,12 +240,25 @@ struct ContractionLevel {
 /// through its thousands of solver invocations.
 #[derive(Debug, Clone, Default)]
 pub struct ArborescenceScratch {
-    cur: Vec<WorkEdge>,
-    next: Vec<WorkEdge>,
-    levels: Vec<ContractionLevel>,
-    map: Vec<u32>,
-    color: Vec<u8>,
+    /// Per node: its cheapest live in-edge (`NONE` when it has none).
+    best_id: Vec<u32>,
+    /// Per node: that edge's weight as seen by the node.
+    best_w: Vec<f64>,
+    /// Per node: the super-node it was merged into (`NONE` while outermost).
+    parent: Vec<u32>,
+    /// Per node: walk state (`UNVISITED`, `ON_PATH`, `DONE`, `CONTRACTED`).
+    state: Vec<u8>,
+    /// Per node on the current walk: its index in `path`.
+    path_pos: Vec<u32>,
+    /// Per vertex: the outermost node containing it.
+    top: Vec<u32>,
+    /// Super-node `k`'s candidates are `cands[cand_off[k]..cand_off[k + 1]]`.
+    cand_off: Vec<u32>,
+    cands: Vec<Candidate>,
+    /// The walk being followed, as solver nodes.
     path: Vec<u32>,
+    /// Per node: the selected edge entering it (expansion pass).
+    enter: Vec<u32>,
     result: Vec<EdgeIdx>,
 }
 
@@ -233,6 +266,71 @@ impl ArborescenceScratch {
     /// Creates an empty scratch. Buffers are sized lazily on first solve.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Appends a fresh outermost node with the given cheapest in-edge.
+    fn push_node(&mut self, best_id: u32, best_w: f64) -> u32 {
+        self.best_id.push(best_id);
+        self.best_w.push(best_w);
+        self.parent.push(NONE);
+        self.state.push(UNVISITED);
+        self.path_pos.push(NONE);
+        (self.best_id.len() - 1) as u32
+    }
+
+    /// Merges the cycle `path[from..]` into a new super-node, which replaces
+    /// it on the path. Candidates whose tail lies inside the cycle are dropped;
+    /// every other member in-edge is reweighted by its member's cheapest
+    /// weight, and the super-node's cheapest candidate is the minimum by
+    /// `(weight, edge id)`.
+    fn contract(&mut self, graph: &DiGraph, weights: &[f64], from: usize) {
+        let n = graph.num_nodes();
+        let s = self.push_node(NONE, 0.0);
+        for &c in &self.path[from..] {
+            self.parent[c as usize] = s;
+            self.state[c as usize] = CONTRACTED;
+        }
+        // Every vertex whose outermost node was a member now lives in `s`.
+        for t in self.top.iter_mut() {
+            if self.state[*t as usize] == CONTRACTED {
+                *t = s;
+            }
+        }
+        let edges = graph.edges();
+        let (mut best_id, mut best_w) = (NONE, 0.0);
+        for i in from..self.path.len() {
+            let c = self.path[i] as usize;
+            let offset = self.best_w[c];
+            let mut admit = |id: u32, w: f64, cands: &mut Vec<Candidate>| {
+                if self.top[edges[id as usize].src] == s {
+                    return; // internal to the cycle
+                }
+                let w = w - offset;
+                if best_id == NONE || w < best_w || (w == best_w && id < best_id) {
+                    best_id = id;
+                    best_w = w;
+                }
+                cands.push(Candidate { id, w });
+            };
+            if c < n {
+                for &e in graph.in_edges(c) {
+                    admit(e as u32, weights[e], &mut self.cands);
+                }
+            } else {
+                let k = c - n;
+                for j in self.cand_off[k] as usize..self.cand_off[k + 1] as usize {
+                    let cand = self.cands[j];
+                    admit(cand.id, cand.w, &mut self.cands);
+                }
+            }
+        }
+        self.cand_off.push(self.cands.len() as u32);
+        self.best_id[s as usize] = best_id;
+        self.best_w[s as usize] = best_w;
+        self.path.truncate(from);
+        self.path_pos[s as usize] = from as u32;
+        self.state[s as usize] = ON_PATH;
+        self.path.push(s);
     }
 }
 
@@ -254,6 +352,10 @@ pub fn min_arborescence(graph: &DiGraph, root: NodeIdx, weights: &[f64]) -> Opti
 /// fast path. The returned slice borrows `scratch` and is valid until the next
 /// solve.
 ///
+/// The slice lists, for every non-root vertex in node order, the chosen edge
+/// entering it. Weights must be finite (see the module docs); debug builds
+/// assert it.
+///
 /// Unreachability is detected by the solver itself (a vertex — possibly a
 /// contracted super-node — with no incoming edge), so no separate reachability
 /// pass is run per call.
@@ -264,168 +366,103 @@ pub fn min_arborescence_in<'s>(
     scratch: &'s mut ArborescenceScratch,
 ) -> Option<&'s [EdgeIdx]> {
     assert_eq!(weights.len(), graph.num_edges(), "one weight per edge");
-    if graph.num_nodes() == 0 {
+    debug_assert!(
+        weights.iter().all(|w| w.is_finite()),
+        "arborescence weights must be finite"
+    );
+    let n = graph.num_nodes();
+    if n == 0 {
         return None;
     }
-    let m = graph.num_edges();
+    let edges = graph.edges();
+    scratch.best_id.clear();
+    scratch.best_w.clear();
+    scratch.parent.clear();
+    scratch.state.clear();
+    scratch.path_pos.clear();
+    scratch.cands.clear();
+    scratch.cand_off.clear();
+    scratch.cand_off.push(0);
+    scratch.top.clear();
+    scratch.top.extend(0..n as u32);
     scratch.result.clear();
-    scratch.cur.clear();
-    for (id, e) in graph.edges().iter().enumerate() {
-        if e.src != e.dst {
-            scratch.cur.push(WorkEdge {
-                u: e.src as u32,
-                v: e.dst as u32,
-                w: weights[id],
-                id: id as u32,
-            });
-        }
-    }
-    let mut n = graph.num_nodes();
-    let mut root = root as u32;
-    let mut depth = 0usize;
-    loop {
-        if n <= 1 {
-            break;
-        }
-        if depth == scratch.levels.len() {
-            scratch.levels.push(ContractionLevel::default());
-        }
-        let level = &mut scratch.levels[depth];
-        // 1. cheapest incoming edge for every non-root vertex (first edge wins
-        // ties, matching the scan order of the reference implementation)
-        level.best_id.clear();
-        level.best_id.resize(n, u32::MAX);
-        level.best_u.clear();
-        level.best_u.resize(n, u32::MAX);
-        level.best_w.clear();
-        level.best_w.resize(n, 0.0);
-        for e in &scratch.cur {
-            if e.v == root {
-                continue;
-            }
-            let v = e.v as usize;
-            if level.best_id[v] == u32::MAX || e.w < level.best_w[v] {
-                level.best_id[v] = e.id;
-                level.best_u[v] = e.u;
-                level.best_w[v] = e.w;
-            }
-        }
-        for v in 0..n {
-            if v as u32 != root && level.best_id[v] == u32::MAX {
-                return None; // unreachable (possibly a contracted component)
-            }
-        }
-        // 2. look for a cycle among the chosen edges
-        scratch.color.clear();
-        scratch.color.resize(n, 0); // 0 unvisited, 1 in progress, 2 done
-        scratch.color[root as usize] = 2;
-        level.cycle.clear();
-        for start in 0..n {
-            if scratch.color[start] != 0 {
-                continue;
-            }
-            scratch.path.clear();
-            let mut v = start as u32;
-            while scratch.color[v as usize] == 0 {
-                scratch.color[v as usize] = 1;
-                scratch.path.push(v);
-                v = level.best_u[v as usize];
-            }
-            if scratch.color[v as usize] == 1 {
-                // found a cycle: the suffix of `path` starting at v
-                let pos = scratch
-                    .path
-                    .iter()
-                    .position(|&x| x == v)
-                    .expect("v is on path");
-                level.cycle.extend_from_slice(&scratch.path[pos..]);
-            }
-            for &x in &scratch.path {
-                scratch.color[x as usize] = 2;
-            }
-            if !level.cycle.is_empty() {
-                break;
-            }
-        }
-        if level.cycle.is_empty() {
-            // no cycle: this level's chosen edges complete the solution
-            for v in 0..n {
-                if v as u32 != root {
-                    scratch.result.push(level.best_id[v] as EdgeIdx);
+    // Each vertex's cheapest in-edge: `in_edges` lists ids in ascending
+    // order, so a strict `<` keeps the lowest id among equal weights.
+    for v in 0..n {
+        let (mut best_id, mut best_w) = (NONE, 0.0);
+        if v != root {
+            for &e in graph.in_edges(v) {
+                if edges[e].src != v && (best_id == NONE || weights[e] < best_w) {
+                    best_id = e as u32;
+                    best_w = weights[e];
                 }
             }
-            break;
         }
-        // 3. contract the cycle into a single super-node
-        level.in_cycle.clear();
-        level.in_cycle.resize(n, false);
-        for &v in &level.cycle {
-            level.in_cycle[v as usize] = true;
-        }
-        level.head_of.clear();
-        level.head_of.resize(m, u32::MAX);
-        scratch.map.clear();
-        scratch.map.resize(n, u32::MAX);
-        let mut next_id = 0u32;
-        for v in 0..n {
-            if !level.in_cycle[v] {
-                scratch.map[v] = next_id;
-                next_id += 1;
-            }
-        }
-        let super_node = next_id;
-        for &v in &level.cycle {
-            scratch.map[v as usize] = super_node;
-        }
-        scratch.next.clear();
-        for e in &scratch.cur {
-            level.head_of[e.id as usize] = e.v;
-            let (nu, nv) = (scratch.map[e.u as usize], scratch.map[e.v as usize]);
-            if nu == nv {
-                continue;
-            }
-            let w = if level.in_cycle[e.v as usize] {
-                e.w - level.best_w[e.v as usize]
-            } else {
-                e.w
-            };
-            scratch.next.push(WorkEdge {
-                u: nu,
-                v: nv,
-                w,
-                id: e.id,
-            });
-        }
-        std::mem::swap(&mut scratch.cur, &mut scratch.next);
-        n = super_node as usize + 1;
-        root = scratch.map[root as usize];
-        depth += 1;
+        scratch.push_node(best_id, best_w);
     }
-    // 4. expand: walk the contraction levels innermost-out. At each level the
-    // partial solution has exactly one edge whose head lies on that level's
-    // cycle; that vertex breaks the cycle and every other cycle vertex keeps
-    // its cheapest incoming edge.
-    for lvl in (0..depth).rev() {
-        let level = &scratch.levels[lvl];
-        let mut entering_head = u32::MAX;
-        for &id in &scratch.result {
-            let h = level.head_of[id];
-            if h != u32::MAX && level.in_cycle[h as usize] {
-                entering_head = h;
+    scratch.state[root] = DONE;
+    // Follow cheapest in-edges backwards from every vertex until the walk
+    // reaches a finished node (its whole path is finished) or closes a cycle
+    // (contracted into a super-node, whose walk continues).
+    for start in 0..n as u32 {
+        if scratch.state[start as usize] != UNVISITED {
+            continue;
+        }
+        scratch.path.clear();
+        scratch.path.push(start);
+        scratch.path_pos[start as usize] = 0;
+        scratch.state[start as usize] = ON_PATH;
+        loop {
+            let v = *scratch.path.last().expect("the walk is never empty");
+            let e = scratch.best_id[v as usize];
+            if e == NONE {
+                return None; // unreachable (possibly a contracted component)
+            }
+            let u = scratch.top[edges[e as usize].src];
+            match scratch.state[u as usize] {
+                DONE => break,
+                UNVISITED => {
+                    scratch.path_pos[u as usize] = scratch.path.len() as u32;
+                    scratch.state[u as usize] = ON_PATH;
+                    scratch.path.push(u);
+                }
+                _ => {
+                    let from = scratch.path_pos[u as usize] as usize;
+                    scratch.contract(graph, weights, from);
+                }
             }
         }
-        assert_ne!(
-            entering_head,
-            u32::MAX,
-            "some edge must enter the contracted cycle"
-        );
-        for i in 0..level.cycle.len() {
-            let v = level.cycle[i];
-            if v != entering_head {
-                scratch.result.push(level.best_id[v as usize] as EdgeIdx);
-            }
+        for &x in &scratch.path {
+            scratch.state[x as usize] = DONE;
         }
     }
+    // Expand outermost-first (descending node number): each node enters by
+    // its own cheapest edge unless its super-node's entering edge lands
+    // inside it, in which case that edge breaks the cycle there.
+    let nodes = scratch.best_id.len();
+    scratch.enter.clear();
+    scratch.enter.resize(nodes, NONE);
+    for x in (0..nodes).rev() {
+        if x == root {
+            continue;
+        }
+        if scratch.enter[x] == NONE {
+            scratch.enter[x] = scratch.best_id[x];
+        }
+        if x >= n {
+            let e = scratch.enter[x];
+            let mut c = edges[e as usize].dst as u32;
+            while scratch.parent[c as usize] != x as u32 {
+                c = scratch.parent[c as usize];
+            }
+            scratch.enter[c as usize] = e;
+        }
+    }
+    scratch.result.extend(
+        (0..n)
+            .filter(|&v| v != root)
+            .map(|v| scratch.enter[v] as EdgeIdx),
+    );
     Some(&scratch.result)
 }
 

@@ -547,14 +547,43 @@ mod tests {
     use super::*;
     use crate::arborescence::min_arborescence_in;
     use crate::arborescence::ArborescenceScratch;
-    use blink_topology::presets::{dgx1p, dgx1v};
+    use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 
-    /// The rewritten iterative solver must pick exactly the arborescence the
+    /// Weight profiles the packing and minimisation loops actually produce,
+    /// plus the tie-heavy corners where the tie rule decides the tree.
+    #[derive(Debug, Clone, Copy)]
+    enum Profile {
+        /// Independent uniform weights: ties essentially never happen.
+        Random,
+        /// Every edge the same length: the MWU's first iteration on a
+        /// uniform fabric, where every choice is a tie.
+        AllEqual,
+        /// Two lengths one ulp apart: ties that reweighting must preserve.
+        OneUlp,
+        /// Minimisation's `1 / residual` lengths with saturated edges at `1e9`.
+        Saturated,
+    }
+
+    /// A graph with the same vertices and only the edges `keep` admits.
+    fn subgraph(g: &DiGraph, keep: impl Fn(&crate::digraph::Edge) -> bool) -> DiGraph {
+        let mut out = DiGraph::new();
+        for &gpu in g.gpus() {
+            out.add_node(gpu);
+        }
+        for e in g.edges().iter().filter(|e| keep(e)) {
+            out.add_edge(e.src, e.dst, e.capacity);
+        }
+        out
+    }
+
+    /// The incremental solver must pick exactly the arborescence the
     /// recursive baseline picks — same edge ids, hence identical total weight
-    /// — across DGX subsets, roots and weight profiles. (Tie-breaking and
-    /// contraction order were preserved by construction; this pins it.)
+    /// — and list it in its documented order (one edge per non-root vertex,
+    /// in node order), across DGX-1V/1P subsets, DGX-2 allocations of 2–16
+    /// GPUs, parallel edges with self-loops, unreachable graphs and every
+    /// weight profile.
     #[test]
-    fn iterative_solver_matches_the_recursive_baseline() {
+    fn incremental_solver_matches_the_recursive_baseline() {
         let mut scratch = ArborescenceScratch::new();
         // deterministic LCG so the test needs no rand dependency
         let mut state = 0x2545f491_4f6cdd1du64;
@@ -564,36 +593,106 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64) / (u32::MAX as f64) + 0.01
         };
+        let mut graphs: Vec<DiGraph> = Vec::new();
         for topo in [dgx1v(), dgx1p()] {
             for mask in [0xffu32, 0xb3, 0x5a, 0x2f, 0x07] {
                 let alloc: Vec<GpuId> = (0..8).filter(|i| mask >> i & 1 == 1).map(GpuId).collect();
                 let sub = topo.induced(&alloc).unwrap();
-                let g = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
-                for &root in &alloc {
-                    let Some(root_idx) = g.node(root) else {
-                        continue;
-                    };
-                    for _ in 0..8 {
-                        let weights: Vec<f64> = (0..g.num_edges()).map(|_| next()).collect();
-                        let naive = min_arborescence_naive(&g, root_idx, &weights);
-                        let fast = min_arborescence_in(&g, root_idx, &weights, &mut scratch)
-                            .map(|ids| ids.to_vec());
-                        match (naive, fast) {
-                            (None, None) => {}
-                            (Some(mut a), Some(mut b)) => {
-                                a.sort_unstable();
-                                b.sort_unstable();
-                                assert_eq!(a, b, "solvers diverged (root {root})");
+                graphs.push(DiGraph::from_topology_filtered(&sub, |l| {
+                    l.kind.is_nvlink()
+                }));
+            }
+        }
+        let machine = dgx2();
+        for k in 2..=16usize {
+            // a contiguous block and a strided fragment of every size
+            let block: Vec<GpuId> = (0..k).map(GpuId).collect();
+            let strided: Vec<GpuId> = (0..k).map(|i| GpuId((i * 7 + 3) % 16)).collect();
+            for alloc in [block, strided] {
+                let sub = machine.induced(&alloc).unwrap();
+                graphs.push(DiGraph::from_topology_filtered(&sub, |l| {
+                    l.kind.is_nvlink()
+                }));
+            }
+        }
+        // Every edge doubled (parallel pairs tie on weight under the equal
+        // profiles) plus a self-loop per vertex, which no tree may use.
+        let base = graphs[0].clone();
+        let mut doubled = subgraph(&base, |_| true);
+        for e in base.edges() {
+            doubled.add_edge(e.src, e.dst, e.capacity);
+        }
+        for v in 0..base.num_nodes() {
+            doubled.add_edge(v, v, 1.0);
+        }
+        graphs.push(doubled);
+        // Unreachable: vertex 3 loses its in-edges, and {4, 5} keep only the
+        // edges between them, a cycle nothing enters.
+        graphs.push(subgraph(&base, |e| e.dst != 3));
+        graphs.push(subgraph(&base, |e| {
+            let inside = |v| v == 4 || v == 5;
+            !inside(e.dst) || inside(e.src)
+        }));
+
+        let mut solves = 0usize;
+        let mut unreachable = 0usize;
+        for g in &graphs {
+            for root_idx in 0..g.num_nodes() {
+                // independent random draws per root, as many as the
+                // DGX-1 sweep always ran; the tie profiles once each
+                let profiles = [
+                    (Profile::Random, 8),
+                    (Profile::AllEqual, 1),
+                    (Profile::OneUlp, 1),
+                    (Profile::Saturated, 1),
+                ];
+                for profile in profiles
+                    .into_iter()
+                    .flat_map(|(p, draws)| std::iter::repeat_n(p, draws))
+                {
+                    let one_up = f64::from_bits(1.0f64.to_bits() + 1);
+                    let weights: Vec<f64> = (0..g.num_edges())
+                        .map(|_| match profile {
+                            Profile::Random => next(),
+                            Profile::AllEqual => 1.0,
+                            Profile::OneUlp => [1.0, one_up][(next() * 2.0) as usize % 2],
+                            Profile::Saturated => {
+                                [1e9, 1.0, 0.5, 1.0 / 3.0][(next() * 4.0) as usize % 4]
                             }
-                            (a, b) => panic!(
-                                "reachability verdicts diverged for root {root}: naive {:?} vs fast {:?}",
-                                a.is_some(),
-                                b.is_some()
-                            ),
+                        })
+                        .collect();
+                    let naive = min_arborescence_naive(g, root_idx, &weights);
+                    let fast = min_arborescence_in(g, root_idx, &weights, &mut scratch)
+                        .map(|ids| ids.to_vec());
+                    solves += 1;
+                    match (naive, fast) {
+                        (None, None) => unreachable += 1,
+                        (Some(mut a), Some(b)) => {
+                            let heads: Vec<usize> = b.iter().map(|&e| g.edges()[e].dst).collect();
+                            let expected: Vec<usize> =
+                                (0..g.num_nodes()).filter(|&v| v != root_idx).collect();
+                            assert_eq!(heads, expected, "emission order (root {root_idx})");
+                            let mut b = b;
+                            a.sort_unstable();
+                            b.sort_unstable();
+                            assert_eq!(
+                                a, b,
+                                "solvers diverged (root {root_idx}, {profile:?}, {} nodes)",
+                                g.num_nodes()
+                            );
                         }
+                        (a, b) => panic!(
+                            "reachability verdicts diverged for root {root_idx}: naive {:?} vs fast {:?}",
+                            a.is_some(),
+                            b.is_some()
+                        ),
                     }
                 }
             }
         }
+        assert!(
+            solves > 1_000 && unreachable > 0,
+            "{solves} solves, {unreachable} unreachable"
+        );
     }
 }

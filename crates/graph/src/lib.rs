@@ -7,7 +7,9 @@
 //!   are GPUs, built from a [`blink_topology::Topology`].
 //! * [`arborescence`] — spanning arborescences (directed spanning trees rooted
 //!   at the collective's root) and the Chu–Liu/Edmonds minimum-weight
-//!   arborescence algorithm.
+//!   arborescence algorithm, which contracts cycles in place (super-nodes
+//!   over their members' in-edge lists) in reusable [`ArborescenceScratch`]
+//!   buffers.
 //! * [`maxflow`] — the Edmonds/Lovász optimal broadcast rate certificate
 //!   (`min_v maxflow(root → v)`, by Gray-code cut enumeration or one
 //!   Hao–Orlin all-sinks pass), the value a correct packing must approach,
@@ -45,7 +47,10 @@
 //! 2. **High-water-mark allocation.** Buffers grow to the largest problem
 //!    seen and are cleared, never shrunk, so the steady state of a planning
 //!    loop performs no heap allocation inside the algorithms (only returned
-//!    results and first-seen dedup keys allocate).
+//!    results and first-seen dedup keys allocate). For the arborescence
+//!    solver "largest" also means deepest: its super-node candidate lists
+//!    grow with the most nested contraction seen, at most `m` edges per
+//!    level.
 //! 3. **One scratch, any graphs.** A single scratch may be threaded through
 //!    solves over different graphs, roots and options in any order; it is
 //!    `Default`-constructible and `Clone`.

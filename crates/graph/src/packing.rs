@@ -16,13 +16,15 @@
 //! The hot loop is engineered for speed (this is the synthesizer-latency
 //! bottleneck PCCL identifies):
 //!
-//! * every MWU iteration runs the iterative arena-backed solver
-//!   ([`crate::arborescence::min_arborescence_in`]) over buffers owned by a
-//!   [`PackingScratch`], so the steady state allocates nothing;
+//! * every MWU iteration runs the in-place contracting Chu–Liu/Edmonds
+//!   solver ([`crate::arborescence::min_arborescence_in`]) over buffers owned
+//!   by a [`PackingScratch`], so the steady state allocates nothing;
 //! * accumulated trees are keyed by compact sorted-edge-id keys in a hash map
 //!   (a `Box<[u32]>` per *distinct* tree, not a cloned `Vec<(GpuId, GpuId)>`
-//!   per iteration), and edge lengths/usages are updated incrementally along
-//!   the chosen tree only;
+//!   per iteration), and edge lengths/usages/the dual are updated
+//!   incrementally along the chosen tree only, in sorted-key order, so the
+//!   trajectory depends on each tree's edge set and not on the order the
+//!   solver lists it in;
 //! * the loop consults the min-cut certificate from [`crate::maxflow`]
 //!   once up front and exits as soon as the feasibility-scaled rate is within
 //!   `(1 − ε)` of it — usually orders of magnitude before the classical dual
@@ -375,6 +377,39 @@ impl PackingScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Routes `weight` along the tree whose sorted edge ids are in `key`: the
+    /// accumulator, the raw total, the per-pair usage and running overuse,
+    /// the edge lengths and the dual move exactly as in one MWU iteration.
+    /// Walking the sorted key makes the dual's floating-point sum depend on
+    /// the tree's edge set only, not on the order its edges were found in.
+    fn route_key(
+        &mut self,
+        weight: f64,
+        eps: f64,
+        total_raw: &mut f64,
+        max_overuse: &mut f64,
+        dual: &mut f64,
+    ) {
+        if let Some(w) = self.acc.get_mut(self.key.as_slice()) {
+            *w += weight;
+        } else {
+            self.acc.insert(self.key.as_slice().into(), weight);
+        }
+        *total_raw += weight;
+        for &e in &self.key {
+            let e = e as usize;
+            let g = self.edge_group[e] as usize;
+            self.group_usage[g] += weight;
+            let overuse = self.group_usage[g] / self.group_cap[g];
+            if overuse > *max_overuse {
+                *max_overuse = overuse;
+            }
+            let old_len = self.lengths[e];
+            self.lengths[e] = old_len * (1.0 + eps * weight / self.caps[e]);
+            *dual += (self.lengths[e] - old_len) * self.caps[e];
+        }
+    }
 }
 
 /// Packs spanning arborescences rooted at `root` into `graph` using the MWU
@@ -573,33 +608,14 @@ fn pack_impl(
             .iter()
             .map(|&e| scratch.caps[e])
             .fold(f64::INFINITY, f64::min);
-        // Accumulate under a compact sorted-edge-id key; the boxed key is only
-        // allocated the first time a distinct tree appears.
+        // Accumulate and route under a compact sorted-edge-id key; the boxed
+        // key is only allocated the first time a distinct tree appears. The
+        // running worst over-subscription factor `route_key` maintains gives
+        // the feasibility-scaled rate for free.
         scratch.key.clear();
         scratch.key.extend(tree.iter().map(|&e| e as u32));
         scratch.key.sort_unstable();
-        if let Some(w) = scratch.acc.get_mut(scratch.key.as_slice()) {
-            *w += bottleneck;
-        } else {
-            scratch
-                .acc
-                .insert(scratch.key.as_slice().into(), bottleneck);
-        }
-        total_raw += bottleneck;
-        // Incremental updates along the chosen tree only: lengths inflate
-        // multiplicatively, usage accumulates, and the running worst
-        // over-subscription factor gives the feasibility-scaled rate for free.
-        for &e in tree {
-            let g = scratch.edge_group[e] as usize;
-            scratch.group_usage[g] += bottleneck;
-            let overuse = scratch.group_usage[g] / scratch.group_cap[g];
-            if overuse > max_overuse {
-                max_overuse = overuse;
-            }
-            let old_len = scratch.lengths[e];
-            scratch.lengths[e] = old_len * (1.0 + eps * bottleneck / scratch.caps[e]);
-            dual += (scratch.lengths[e] - old_len) * scratch.caps[e];
-        }
+        scratch.route_key(bottleneck, eps, &mut total_raw, &mut max_overuse, &mut dual);
         if certificate.is_finite() && total_raw / max_overuse.max(1.0) >= target {
             termination = PackingTermination::Certificate;
             break;
@@ -912,24 +928,7 @@ fn seed_warm_trees(
             if weight <= SPLIT_EPS {
                 break;
             }
-            if let Some(w) = scratch.acc.get_mut(scratch.key.as_slice()) {
-                *w += weight;
-            } else {
-                scratch.acc.insert(scratch.key.as_slice().into(), weight);
-            }
-            *total_raw += weight;
-            for &e in &scratch.key {
-                let e = e as usize;
-                let g = scratch.edge_group[e] as usize;
-                scratch.group_usage[g] += weight;
-                let overuse = scratch.group_usage[g] / scratch.group_cap[g];
-                if overuse > *max_overuse {
-                    *max_overuse = overuse;
-                }
-                let old_len = scratch.lengths[e];
-                scratch.lengths[e] = old_len * (1.0 + eps * weight / scratch.caps[e]);
-                *dual += (scratch.lengths[e] - old_len) * scratch.caps[e];
-            }
+            scratch.route_key(weight, eps, total_raw, max_overuse, dual);
             seeded_any = true;
             remaining -= weight;
             // An intact tree reroutes nothing: its clamp can only have been a
@@ -1026,26 +1025,7 @@ fn seed_residual_topup(
             }
         }
         scratch.key.sort_unstable();
-        if let Some(w) = scratch.acc.get_mut(scratch.key.as_slice()) {
-            *w += bottleneck;
-        } else {
-            scratch
-                .acc
-                .insert(scratch.key.as_slice().into(), bottleneck);
-        }
-        *total_raw += bottleneck;
-        for &e in &scratch.key {
-            let e = e as usize;
-            let g = scratch.edge_group[e] as usize;
-            scratch.group_usage[g] += bottleneck;
-            let overuse = scratch.group_usage[g] / scratch.group_cap[g];
-            if overuse > *max_overuse {
-                *max_overuse = overuse;
-            }
-            let old_len = scratch.lengths[e];
-            scratch.lengths[e] = old_len * (1.0 + eps * bottleneck / scratch.caps[e]);
-            *dual += (scratch.lengths[e] - old_len) * scratch.caps[e];
-        }
+        scratch.route_key(bottleneck, eps, total_raw, max_overuse, dual);
         *warm_topup += 1;
     }
 }

@@ -21,6 +21,14 @@ pub enum TopologyError {
         /// Link destination.
         dst: GpuId,
     },
+    /// A link's capacity (`lanes × bandwidth`) is not a finite positive
+    /// number: zero lanes, a zero, negative, NaN or infinite bandwidth.
+    InvalidCapacity {
+        /// Link source.
+        src: GpuId,
+        /// Link destination.
+        dst: GpuId,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -34,6 +42,9 @@ impl fmt::Display for TopologyError {
                     f,
                     "link {src} -> {dst} references a GPU not in the topology"
                 )
+            }
+            TopologyError::InvalidCapacity { src, dst } => {
+                write!(f, "link {src} -> {dst} needs a finite positive capacity")
             }
         }
     }
@@ -145,14 +156,10 @@ impl Topology {
         Ok(())
     }
 
-    /// Adds a directed link. Both endpoints must already be present.
+    /// Adds a directed link. Both endpoints must already be present and its
+    /// capacity must be finite and positive.
     pub fn add_link(&mut self, link: Link) -> crate::Result<()> {
-        if !self.contains(link.src) || !self.contains(link.dst) {
-            return Err(TopologyError::DanglingLink {
-                src: link.src,
-                dst: link.dst,
-            });
-        }
+        check_link(&link, |g| self.contains(g))?;
         self.links.push(link);
         Ok(())
     }
@@ -382,19 +389,34 @@ impl Topology {
         m
     }
 
-    /// Checks structural invariants: every link endpoint exists and lane
-    /// counts / bandwidths are positive. Intended for tests and debug builds.
+    /// Checks structural invariants: GPU ids are distinct, every link
+    /// endpoint exists and every link's capacity is finite and positive.
+    /// [`Topology::add_link`] enforces the same per link; this re-checks a
+    /// topology that bypassed it (a deserialized one).
     pub fn validate(&self) -> crate::Result<()> {
-        for l in &self.links {
-            if !self.contains(l.src) || !self.contains(l.dst) {
-                return Err(TopologyError::DanglingLink {
-                    src: l.src,
-                    dst: l.dst,
-                });
-            }
+        let mut ids: Vec<GpuId> = self.gpus.iter().map(|g| g.id).collect();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(TopologyError::DuplicateGpu(w[0]));
         }
-        Ok(())
+        let contains = |g: GpuId| ids.binary_search(&g).is_ok();
+        self.links.iter().try_for_each(|l| check_link(l, contains))
     }
+}
+
+/// The per-link invariants [`Topology::add_link`] and [`Topology::validate`]
+/// enforce: both endpoints are GPUs of the topology (`contains`) and the
+/// capacity is finite and positive.
+fn check_link(l: &Link, contains: impl Fn(GpuId) -> bool) -> crate::Result<()> {
+    let (src, dst) = (l.src, l.dst);
+    if !contains(src) || !contains(dst) {
+        return Err(TopologyError::DanglingLink { src, dst });
+    }
+    let cap = l.capacity_gbps();
+    if !(cap.is_finite() && cap > 0.0) {
+        return Err(TopologyError::InvalidCapacity { src, dst });
+    }
+    Ok(())
 }
 
 impl fmt::Display for Topology {
@@ -449,6 +471,32 @@ mod tests {
             .add_link(Link::new(GpuId(0), GpuId(9), LinkKind::Pcie))
             .unwrap_err();
         assert!(matches!(err, TopologyError::DanglingLink { .. }));
+    }
+
+    #[test]
+    fn degenerate_capacities_rejected() {
+        let mut t = Topology::new("t");
+        t.add_gpu(GpuId(0), ServerId(0), 0).unwrap();
+        t.add_gpu(GpuId(1), ServerId(0), 1).unwrap();
+        let link = Link::new(GpuId(0), GpuId(1), LinkKind::NvLinkGen2);
+        for bad in [
+            link.with_lanes(0),
+            link.with_bandwidth(0.0),
+            link.with_bandwidth(-1.0),
+            link.with_bandwidth(f64::NAN),
+            link.with_bandwidth(f64::INFINITY),
+        ] {
+            assert_eq!(
+                t.add_link(bad),
+                Err(TopologyError::InvalidCapacity {
+                    src: GpuId(0),
+                    dst: GpuId(1)
+                })
+            );
+        }
+        assert!(t.links().is_empty());
+        t.add_link(link).unwrap();
+        assert!(t.validate().is_ok());
     }
 
     #[test]
@@ -507,6 +555,24 @@ mod tests {
         assert_eq!(back.num_gpus(), t.num_gpus());
         assert_eq!(back.links().len(), t.links().len());
         assert_eq!(back.name(), t.name());
+        assert!(back.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_catches_what_deserialization_lets_through() {
+        let json = serde_json::to_string(&tiny()).unwrap();
+        // GPU 2 renamed to 0: a duplicate id
+        let dup = json.replacen(r#""id":2"#, r#""id":0"#, 1);
+        assert_ne!(dup, json);
+        let t: Topology = serde_json::from_str(&dup).unwrap();
+        assert_eq!(t.validate(), Err(TopologyError::DuplicateGpu(GpuId(0))));
+        // GPU 2 renamed to 7: its links dangle
+        let gap = json.replacen(r#""id":2"#, r#""id":7"#, 1);
+        let t: Topology = serde_json::from_str(&gap).unwrap();
+        assert!(matches!(
+            t.validate(),
+            Err(TopologyError::DanglingLink { .. })
+        ));
     }
 
     #[test]
