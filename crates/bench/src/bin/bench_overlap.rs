@@ -27,7 +27,10 @@
 //!   * re-running each row's overlapped step lowers nothing new: every
 //!     group's program is the first run's memoised `Arc`, and the finish
 //!     time is bit-identical;
-//!   * each row's speedup is within `CHECK_TOLERANCE` of the recording.
+//!   * each row's `overlapped_us`, `serialized_us` and `comm_us` equal the
+//!     recording bit for bit: they are pure functions of the lowered
+//!     programs and the engine, and the JSON round-trips every `f64`
+//!     exactly.
 //!
 //! Exits non-zero on regression.
 
@@ -38,10 +41,6 @@ use blink_train::{BlinkBackend, DnnModel, TrainerConfig, TrainingSimulator};
 use serde::Serialize;
 use std::sync::Arc;
 
-/// A measured speedup may drift this far below the recorded trajectory
-/// before `--check` fails. Simulated timings are deterministic, so the band
-/// only absorbs intentional recalibrations, not runner hardware.
-const CHECK_TOLERANCE: f64 = 1.25;
 /// Bucket size of the small-bucket (fusion) regime.
 const SMALL_BUCKET_BYTES: u64 = 2 << 20;
 
@@ -96,7 +95,6 @@ struct Row {
 struct Config {
     default_bucket_bytes: u64,
     small_bucket_bytes: u64,
-    check_tolerance: f64,
 }
 
 #[derive(Serialize)]
@@ -175,35 +173,42 @@ fn measure() -> Report {
         config: Config {
             default_bucket_bytes: TrainerConfig::default().bucket_bytes,
             small_bucket_bytes: SMALL_BUCKET_BYTES,
-            check_tolerance: CHECK_TOLERANCE,
         },
         rows,
     }
 }
 
-/// Compares measured per-row speedups against the recorded trajectory;
-/// returns (row key, recorded, measured) for each row that fell more than
-/// `CHECK_TOLERANCE`x below its recording.
-fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<(String, f64, f64)> {
+/// The simulated times `--check` pins to the recording bit for bit.
+const EXACT_FIELDS: [&str; 3] = ["overlapped_us", "serialized_us", "comm_us"];
+
+/// Compares every row's simulated times against the recorded rows; returns
+/// one message per row that is missing from the recording or whose time
+/// differs from it in any bit.
+fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<String> {
+    let recorded = recorded.get("rows").and_then(|v| v.as_array());
     let mut failures = Vec::new();
-    let Some(recorded) = recorded.get("rows").and_then(|v| v.as_array()) else {
-        return failures;
-    };
     for row in &report.rows {
-        let rec = recorded.iter().find(|r| {
+        let key = format!("{}/{}/{}B", row.machine, row.model, row.bucket_bytes);
+        let rec = recorded.into_iter().flatten().find(|r| {
             r.get("machine").and_then(|v| v.as_str()) == Some(row.machine.as_str())
                 && r.get("model").and_then(|v| v.as_str()) == Some(row.model.as_str())
                 && r.get("bucket_bytes").and_then(|v| v.as_f64()) == Some(row.bucket_bytes as f64)
         });
-        let Some(rec) = rec.and_then(|r| r.get("speedup")).and_then(|v| v.as_f64()) else {
-            continue; // row not recorded yet — nothing to regress against
+        let Some(rec) = rec else {
+            failures.push(format!("{key}: BENCH_overlap.json records no such row"));
+            continue;
         };
-        if row.speedup < rec / CHECK_TOLERANCE {
-            failures.push((
-                format!("{}/{}/{}B", row.machine, row.model, row.bucket_bytes),
-                rec,
-                row.speedup,
-            ));
+        for (field, now) in
+            EXACT_FIELDS
+                .into_iter()
+                .zip([row.overlapped_us, row.serialized_us, row.comm_us])
+        {
+            let was = rec.get(field).and_then(|v| v.as_f64());
+            if was.map(f64::to_bits) != Some(now.to_bits()) {
+                failures.push(format!(
+                    "{key}: {field} is {now:?} us, the recording has {was:?}"
+                ));
+            }
         }
     }
     failures
@@ -262,15 +267,13 @@ fn main() {
                 ));
             }
         }
-        for (key, rec, measured) in check_against_recorded(&recorded, &out) {
-            failures.push(format!(
-                "{key}: overlap speedup {measured:.3}x, more than {CHECK_TOLERANCE}x below \
-                 the recorded {rec:.3}x"
-            ));
-        }
+        failures.extend(check_against_recorded(&recorded, &out));
 
         if failures.is_empty() {
-            eprintln!("overlap check passed: every preset overlaps, fuses and conforms");
+            eprintln!(
+                "overlap check passed: every preset overlaps, fuses and conforms, and every \
+                 simulated time equals the recording bit for bit"
+            );
             return;
         }
         for f in &failures {

@@ -359,8 +359,6 @@ impl TreeLayout {
 
 /// One chunk of one tree's share.
 struct Chunk {
-    tree: usize,
-    idx: u64,
     /// Absolute start of the chunk's range within `[0, total)`.
     offset: u64,
     bytes: u64,
@@ -428,7 +426,7 @@ impl Emitter<'_> {
                 self.class,
                 stream,
                 deps,
-                format!("blink bcast t{} c{}", c.tree, c.idx),
+                "blink bcast",
             );
             self.arrival[v] = Some(id);
         }
@@ -459,7 +457,7 @@ impl Emitter<'_> {
                 self.class,
                 stream,
                 deps,
-                format!("blink gather t{} c{}", c.tree, c.idx),
+                "blink gather",
             );
             if p == 0 {
                 root_arrivals.push(id);
@@ -489,7 +487,7 @@ impl Emitter<'_> {
                     c.bytes,
                     stream,
                     gated,
-                    format!("blink reduce t{} c{}", c.tree, c.idx),
+                    "blink reduce",
                 );
                 deps.push(red);
                 if v == 0 {
@@ -507,7 +505,7 @@ impl Emitter<'_> {
                     self.class,
                     stream,
                     deps,
-                    format!("blink reduce-up t{} c{}", c.tree, c.idx),
+                    "blink reduce-up",
                 );
                 self.arrival[v] = Some(id);
             }
@@ -548,7 +546,7 @@ impl Emitter<'_> {
                 self.class,
                 stream,
                 deps,
-                format!("blink scatter t{} c{}", c.tree, c.idx),
+                "blink scatter",
             );
             self.arrival[v] = Some(id);
         }
@@ -707,14 +705,12 @@ impl CodeGen {
         let mut bases = Vec::new();
         let max_chunks = chunks.iter().map(|(_, ch)| ch.count()).max().unwrap_or(0);
         for idx in 0..max_chunks {
-            for (tree, (t, &(tree_base, ch))) in layouts.iter().zip(&chunks).enumerate() {
+            for (t, &(tree_base, ch)) in layouts.iter().zip(&chunks) {
                 if idx >= ch.count() {
                     continue;
                 }
                 let (off, bytes) = ch.get(idx);
                 let c = Chunk {
-                    tree,
-                    idx,
                     offset: tree_base + off,
                     bytes,
                 };
@@ -974,7 +970,7 @@ mod tests {
                 .iter()
                 .filter(|o| {
                     matches!(o.kind, OpKind::Copy { dst: d, .. } if d == GpuId(rank as usize))
-                        && o.tag.starts_with("blink scatter")
+                        && o.tag == "blink scatter"
                 })
                 .flat_map(|o| o.kind.segments().iter().map(|s| (s.offset, s.end())))
                 .filter(|&(s, e)| s >= shard_s && e <= shard_e)
@@ -1067,20 +1063,22 @@ mod tests {
         );
 
         // ReduceScatter: the scatter phase never issues two copies for the
-        // same (edge, chunk) — shards travel as segments of one op
+        // same (edge, chunk) — shards travel as segments of one op. A
+        // chunk's shard segments lie inside that chunk's range, so two
+        // copies of one (edge, chunk) would repeat their first segment.
         let prog = cg
             .build(&trees, CollectiveKind::ReduceScatter, bytes)
             .unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for o in prog.ops() {
-            if !o.tag.starts_with("blink scatter") {
+            if o.tag != "blink scatter" {
                 continue;
             }
-            if let OpKind::Copy { src, dst, .. } = o.kind {
+            if let OpKind::Copy { src, dst, segs, .. } = &o.kind {
                 assert!(
-                    seen.insert((src, dst, o.tag.clone())),
-                    "duplicate scatter op for {src}->{dst} {}",
-                    o.tag
+                    seen.insert((*src, *dst, segs[0])),
+                    "duplicate scatter op for {src}->{dst} at {:?}",
+                    segs[0]
                 );
             }
         }
@@ -1099,7 +1097,7 @@ mod tests {
         // ops exactly one (a one-hop subtree is a single leaf)
         for o in prog.ops() {
             let n_segs = o.kind.segments().len();
-            if o.tag.starts_with("blink bcast") {
+            if o.tag == "blink bcast" {
                 assert_eq!(n_segs, 16, "{}", o.tag);
             } else {
                 assert_eq!(n_segs, 1, "{}", o.tag);

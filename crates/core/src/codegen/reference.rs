@@ -90,7 +90,6 @@ impl StreamAllocator {
 struct TreeChunk<'a> {
     tree_idx: usize,
     tree: &'a Arborescence,
-    chunk_idx: usize,
     bytes: u64,
     offset: u64,
     total: u64,
@@ -207,7 +206,6 @@ pub(super) fn emit_range_into(
             let ctx = TreeChunk {
                 tree_idx,
                 tree: &wt.tree,
-                chunk_idx,
                 bytes: chunk_bytes,
                 offset: chunk_offset,
                 total,
@@ -274,15 +272,7 @@ fn emit_broadcast(
             .iter()
             .map(|&base| Segment::new(base, ctx.bytes))
             .collect();
-        let id = b.copy_segs(
-            parent,
-            child,
-            segs,
-            ctx.class,
-            stream,
-            deps,
-            format!("blink bcast t{} c{}", ctx.tree_idx, ctx.chunk_idx),
-        );
+        let id = b.copy_segs(parent, child, segs, ctx.class, stream, deps, "blink bcast");
         arrival.insert(child, id);
     }
 }
@@ -319,7 +309,7 @@ fn emit_gather(
             ctx.class,
             stream,
             ctx.gated(deps),
-            format!("blink gather t{} c{}", ctx.tree_idx, ctx.chunk_idx),
+            "blink gather",
         );
         if parent == tree.root {
             root_arrivals.push(id);
@@ -358,7 +348,7 @@ fn emit_reduce(
                 ctx.bytes,
                 stream,
                 ctx.gated(deps.clone()),
-                format!("blink reduce t{} c{}", ctx.tree_idx, ctx.chunk_idx),
+                "blink reduce",
             );
             deps = vec![red];
             if parent.is_none() {
@@ -375,7 +365,7 @@ fn emit_reduce(
                 ctx.class,
                 stream,
                 ctx.gated(deps),
-                format!("blink reduce-up t{} c{}", ctx.tree_idx, ctx.chunk_idx),
+                "blink reduce-up",
             );
             uploaded.insert(v, id);
         }
@@ -416,7 +406,7 @@ fn emit_scatter(
             ctx.class,
             stream,
             deps,
-            format!("blink scatter t{} c{}", ctx.tree_idx, ctx.chunk_idx),
+            "blink scatter",
         );
         arrival.insert(child, id);
     }

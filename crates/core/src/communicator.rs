@@ -2504,4 +2504,69 @@ mod tests {
             .run_streamed(CollectiveKind::AllReduce, &[(mb(1), 0.0)])
             .is_ok());
     }
+
+    #[test]
+    fn op_durations_must_be_finite_and_non_negative() {
+        use blink_sim::engine::SimError;
+        use blink_sim::ProgramBuilder;
+        let invalid = |r: std::result::Result<blink_sim::RunReport, SimError>, what: &str| match r {
+            Err(SimError::InvalidProgram(msg)) => {
+                assert!(msg.contains("finite and non-negative"), "{what}: {msg}")
+            }
+            other => panic!("{what}: {other:?}"),
+        };
+        // kernels: a NaN and a negative duration
+        let sim = Simulator::with_defaults(dgx1v());
+        for (duration, what) in [(f64::NAN, "NaN kernel"), (-50.0, "-50 us kernel")] {
+            let mut b = ProgramBuilder::new();
+            let s = b.new_stream();
+            b.compute(GpuId(0), duration, s, vec![], "k");
+            invalid(sim.run(&b.build().unwrap()), what);
+        }
+        // calibrations: a latency that outweighs the transfer, and a
+        // reduction kernel that never finishes
+        let bad_params = [
+            (
+                SimParams {
+                    link_latency_us: -1e6,
+                    ..SimParams::default()
+                },
+                "negative link latency",
+            ),
+            (
+                SimParams {
+                    reduce_bandwidth_gbps: 0.0,
+                    ..SimParams::default()
+                },
+                "zero reduce bandwidth",
+            ),
+        ];
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        for (params, what) in bad_params {
+            let sim = Simulator::new(dgx1v(), params);
+            let mut b = ProgramBuilder::new();
+            let s = b.new_stream();
+            let c = b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, vec![], "c");
+            b.reduce(GpuId(1), mb(1), s, vec![c], "r");
+            invalid(sim.run(&b.build().unwrap()), what);
+
+            for machine in [dgx1v(), dgx2()] {
+                let options = CommunicatorOptions {
+                    sim_params: params,
+                    ..Default::default()
+                };
+                let built = Communicator::builder(machine)
+                    .allocation(&alloc)
+                    .options(options)
+                    .build();
+                let outcome = built.and_then(|mut comm| comm.all_reduce(mb(64)));
+                match outcome {
+                    Err(BlinkError::Simulation(msg)) => {
+                        assert!(msg.contains("finite and non-negative"), "{what}: {msg}")
+                    }
+                    other => panic!("{what}: {other:?}"),
+                }
+            }
+        }
+    }
 }

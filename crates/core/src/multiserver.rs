@@ -174,13 +174,7 @@ pub fn three_phase_allreduce_cached(
             )?;
             let deps: Vec<OpId> = (start..builder.len()).map(OpId).collect();
             let stream = builder.new_stream();
-            let barrier = builder.compute(
-                roots[s][p],
-                0.0,
-                stream,
-                deps,
-                format!("phase1 barrier p{p} s{s}"),
-            );
+            let barrier = builder.compute(roots[s][p], 0.0, stream, deps, "phase1 barrier");
             phase1_barriers.push(barrier);
         }
         // ---- phase 2: cross-server one-hop reduce + return ----
@@ -219,19 +213,13 @@ pub fn three_phase_allreduce_cached(
                         LinkClass::Network,
                         stream,
                         vec![phase1_barriers[s]],
-                        format!("phase2 in p{p} q{q} s{s} c{c_idx}"),
+                        "phase2 in",
                     ));
                 }
                 let mut red_deps = arrivals;
                 red_deps.push(phase1_barriers[q]);
-                let red = builder.reduce_range(
-                    owner,
-                    off,
-                    sz,
-                    owner_stream,
-                    red_deps,
-                    format!("phase2 red p{p} q{q} c{c_idx}"),
-                );
+                let red =
+                    builder.reduce_range(owner, off, sz, owner_stream, red_deps, "phase2 red");
                 phase2_barriers[q].push(red);
                 for s in 0..n_servers {
                     if s == q {
@@ -246,7 +234,7 @@ pub fn three_phase_allreduce_cached(
                         LinkClass::Network,
                         stream,
                         vec![red],
-                        format!("phase2 out p{p} q{q} s{s} c{c_idx}"),
+                        "phase2 out",
                     );
                     phase2_barriers[s].push(back);
                 }
@@ -260,7 +248,7 @@ pub fn three_phase_allreduce_cached(
                 0.0,
                 stream,
                 phase2_barriers[s].clone(),
-                format!("phase3 gate p{p} s{s}"),
+                "phase3 gate",
             );
             cg.emit_range_into(
                 &mut builder,

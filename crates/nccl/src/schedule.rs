@@ -246,7 +246,7 @@ fn ring_broadcast(
     }
     let streams: Vec<StreamId> = (0..order.len() - 1).map(|_| b.new_stream()).collect();
     let mut off = base;
-    for (c, &sz) in chunk_sizes(share, opts.chunk_bytes).iter().enumerate() {
+    for sz in chunk_sizes(share, opts.chunk_bytes) {
         let mut arrival: Option<OpId> = None;
         for hop in 0..order.len() - 1 {
             let deps = arrival.map(|a| vec![a]).unwrap_or_default();
@@ -258,7 +258,7 @@ fn ring_broadcast(
                 class,
                 streams[hop],
                 deps,
-                format!("nccl-bcast c{c} h{hop}"),
+                "nccl-bcast",
             ));
         }
         off += sz;
@@ -330,26 +330,10 @@ fn ring_allreduce(
                 let mut deps = last[s].map(|a| vec![a]).unwrap_or_default();
                 if j > 0 {
                     // the partial sum must be produced before it is forwarded
-                    let red = b.reduce_range(
-                        src,
-                        off,
-                        sz,
-                        stream,
-                        deps.clone(),
-                        format!("nccl-ar red s{s} p{pass} j{j}"),
-                    );
+                    let red = b.reduce_range(src, off, sz, stream, deps.clone(), "nccl-ar red");
                     deps = vec![red];
                 }
-                last[s] = Some(b.copy_range(
-                    src,
-                    dst,
-                    off,
-                    sz,
-                    class,
-                    stream,
-                    deps,
-                    format!("nccl-ar rs s{s} p{pass} j{j}"),
-                ));
+                last[s] = Some(b.copy_range(src, dst, off, sz, class, stream, deps, "nccl-ar rs"));
             }
         }
         // final reduction at each segment owner
@@ -366,7 +350,7 @@ fn ring_allreduce(
                 sz,
                 owner_stream,
                 last[s].map(|a| vec![a]).unwrap_or_default(),
-                format!("nccl-ar own s{s} p{pass}"),
+                "nccl-ar own",
             ));
         }
         // all-gather rounds: the reduced segment travels n-1 more hops
@@ -387,7 +371,7 @@ fn ring_allreduce(
                     class,
                     stream,
                     last[s].map(|a| vec![a]).unwrap_or_default(),
-                    format!("nccl-ar ag s{s} p{pass} j{j}"),
+                    "nccl-ar ag",
                 ));
             }
         }
@@ -435,7 +419,7 @@ fn tree_broadcast(
         streams.insert((p, c), b.new_stream());
     }
     let mut off = base;
-    for (c_idx, &sz) in chunk_sizes(share, opts.chunk_bytes).iter().enumerate() {
+    for sz in chunk_sizes(share, opts.chunk_bytes) {
         let mut arrival: BTreeMap<GpuId, OpId> = BTreeMap::new();
         for &(p, child) in &oriented {
             let deps = arrival.get(&p).map(|&a| vec![a]).unwrap_or_default();
@@ -447,7 +431,7 @@ fn tree_broadcast(
                 LinkClass::NvLink,
                 streams[&(p, child)],
                 deps,
-                format!("nccl-tree bc c{c_idx}"),
+                "nccl-tree bc",
             );
             arrival.insert(child, id);
         }
@@ -477,7 +461,7 @@ fn tree_allreduce(
     let mut order = tree.bfs_order();
     order.reverse();
     let mut off = base;
-    for (c_idx, &sz) in chunk_sizes(share, opts.chunk_bytes).iter().enumerate() {
+    for sz in chunk_sizes(share, opts.chunk_bytes) {
         // reduce phase: every vertex sends its (reduced) value to its parent
         let mut uploaded: BTreeMap<GpuId, OpId> = BTreeMap::new();
         let mut reduced_at: BTreeMap<GpuId, OpId> = BTreeMap::new();
@@ -496,14 +480,7 @@ fn tree_allreduce(
                     // downlink so the broadcast can chain off it
                     down_streams[&(v, children[0])]
                 };
-                let red = b.reduce_range(
-                    v,
-                    off,
-                    sz,
-                    stream,
-                    deps.clone(),
-                    format!("nccl-dbt red c{c_idx}"),
-                );
+                let red = b.reduce_range(v, off, sz, stream, deps.clone(), "nccl-dbt red");
                 reduced_at.insert(v, red);
                 deps = vec![red];
             }
@@ -516,7 +493,7 @@ fn tree_allreduce(
                     LinkClass::NvLink,
                     up_streams[&(v, parent)],
                     deps,
-                    format!("nccl-dbt up c{c_idx}"),
+                    "nccl-dbt up",
                 );
                 uploaded.insert(v, id);
             }
@@ -538,7 +515,7 @@ fn tree_allreduce(
                 LinkClass::NvLink,
                 down_streams[&(p, child)],
                 deps,
-                format!("nccl-dbt down c{c_idx}"),
+                "nccl-dbt down",
             );
             arrival.insert(child, id);
         }
@@ -789,7 +766,7 @@ mod tests {
         let target = program
             .ops()
             .iter()
-            .rposition(|o| o.tag.starts_with("nccl-ar ag"))
+            .rposition(|o| o.tag == "nccl-ar ag")
             .expect("the RS+AG schedule all-gathers");
         let mut b = ProgramBuilder::new();
         for (i, op) in program.ops().iter().enumerate() {

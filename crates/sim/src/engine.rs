@@ -15,14 +15,15 @@
 //! The autotune and planning loops simulate thousands of candidate programs,
 //! so the scheduler itself is a hot path. [`Simulator::run_with_scratch`]
 //! therefore splits execution into a **prepass** and a **zero-allocation
-//! scan**: the prepass resolves every resource an op touches to a dense
-//! integer id and lays the per-op resource-id lists out in one flat CSR
-//! buffer, precomputes each op's duration, and builds the dependency
-//! children lists as a second CSR — after which the K-candidate scan (pick,
-//! among the K earliest-ready ops, the one that can *start* earliest given
-//! current resource occupancy) runs entirely over flat `Vec` lookups with no
-//! per-iteration allocation and no ordered-map walks. All of those buffers
-//! live in an [`EngineScratch`] that callers reuse across runs.
+//! scan**: the prepass resolves the resources that can delay each op (its
+//! *binding resources*, below) to dense integer ids and lays the per-op
+//! id lists out in one flat CSR buffer, precomputes each op's duration, and
+//! builds the dependency children lists as a second CSR — after which the
+//! K-candidate scan (pick, among the K earliest-ready ops, the one that can
+//! *start* earliest given current resource occupancy) runs entirely over
+//! flat `Vec` lookups with no per-iteration allocation and no ordered-map
+//! walks. All of those buffers live in an [`EngineScratch`] that callers
+//! reuse across runs.
 //!
 //! **Resource ids are fixed per [`Simulator`].** [`Simulator::new`] resolves
 //! the topology's hardware once: every directed `(src, dst, class)` the
@@ -31,16 +32,42 @@
 //! its switch egress port, its switch ingress port and its compute engine
 //! (GPUs in a dense local index, sized by the topology's GPU count), and one
 //! id per server for its outgoing and its incoming NIC. A copy therefore
-//! resolves its link, capacity, ports and NICs with one binary search, and a
-//! kernel its compute engine with another. **Streams are appended per
-//! session**: a program's stream `s` gets id `static + base + s`, where
-//! `base` is the number of stream ids the programs admitted before it span,
-//! and the same-stream FIFO predecessor is kept in a `Vec` indexed the same
-//! way. Stream ids are never interned, so the engine's per-run tables grow
-//! with the largest stream id a program uses — [`ProgramBuilder`]'s
-//! `new_stream` hands them out densely from 0.
+//! resolves its link, capacity and binding resources with one binary
+//! search, and a kernel its compute engine with another.
+//!
+//! **Streams are not resources.** Each op depends on the op before it in
+//! its stream (the FIFO predecessor, kept per session in a `Vec` indexed by
+//! `base + s` for a program's stream `s`, where `base` is the number of
+//! stream slots the programs admitted before it span). Streams are never
+//! interned, so that table grows with the largest stream id a program uses
+//! — [`ProgramBuilder`]'s `new_stream` hands them out densely from 0.
 //!
 //! [`ProgramBuilder`]: crate::program::ProgramBuilder
+//!
+//! **Binding resources.** An op's start is the largest of its ready time
+//! and the free times of the resources it holds, so a resource whose free
+//! time can never exceed another term of that maximum is left out of the
+//! op's list; the maximum, an exact `f64` selection, is unchanged bit for
+//! bit. Two such resources exist:
+//!
+//! * *the op's stream.* Its free time is the end of the stream's last
+//!   scheduled op, the FIFO predecessor, and the op's ready time is already
+//!   at least every dependency's end;
+//! * *a link that crosses a switch port or a NIC.* Every op over the link
+//!   holds that port or NIC too and sets both free times to the same end,
+//!   so the port's or NIC's free time is at least the link's at all times.
+//!   A copy over such a link lists its ports or NICs only; a link that
+//!   crosses neither binds on its own id.
+//!
+//! So a DGX-2 copy reads two free times (its egress and ingress ports), a
+//! DGX-1V NVLink copy one (its link), a reduction or peer-access toggle
+//! none. Both rules rest on free times never decreasing, which holds
+//! because **every op duration is finite and non-negative**: the prepass
+//! checks each duration as it computes it, and a NaN, infinite or negative
+//! one is [`SimError::InvalidProgram`]. Roots become ready at their
+//! program's issue time plus `+0.0`, so no time the scan compares is `-0.0`
+//! and `max` never has to choose between two zeros. Per-link busy time and
+//! bytes are still accounted per link, from the op's link id.
 //!
 //! The K candidates live in a **sorted window** beside the ready heap, in
 //! the heap's pop order (ascending `(ready time, op id)`). Invariant: the
@@ -64,8 +91,10 @@
 //! resources and link capacity from the topology on its own, kept in this
 //! module's tests as the oracle they compare against): the resource table,
 //! the window and the early exit only change how the candidates and a
-//! resource's free time are looked up, never which ops are candidates, which
-//! resources an op occupies, how long it runs, or how ties are broken. Errors
+//! resource's free time are looked up, never which ops are candidates, when
+//! an op can start, how long it runs, or how ties are broken. The reference
+//! keeps every resource an op holds — stream, link, ports, NICs — so it
+//! checks the binding-resource rule too. Errors
 //! agree too, op by op: a copy without a link of its class fails with
 //! [`SimError::MissingLink`] before an endpoint outside the topology is
 //! reported as [`SimError::UnknownGpu`].
@@ -113,7 +142,7 @@
 //! across threads — but never share one mutably between concurrent runs.
 
 use crate::params::SimParams;
-use crate::program::{LinkClass, OpKind, Program};
+use crate::program::{LinkClass, Op, OpKind, Program};
 use blink_topology::{GpuId, LinkKind, ServerId, Topology};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -134,7 +163,9 @@ pub enum SimError {
     },
     /// A GPU referenced by the program is not part of the topology.
     UnknownGpu(GpuId),
-    /// The program failed validation.
+    /// The program failed validation, an issue timestamp or stream id is
+    /// out of range, or an op's duration under the simulator's parameters
+    /// is not finite and non-negative.
     InvalidProgram(String),
 }
 
@@ -260,10 +291,11 @@ struct LinkResources {
     /// The first endpoint (`src`, then `dst`) missing from the topology's
     /// GPU list; a copy over the link fails with it.
     unknown: Option<GpuId>,
-    /// The resource ids a copy over the link occupies besides its stream:
-    /// the link itself, then the switch ports (NVLink class, capped GPUs) or
-    /// the NICs (network class, servers with a NIC) it crosses.
-    res: [u32; 3],
+    /// The resource ids that can delay a copy over the link (see "binding
+    /// resources" in the module docs): the switch ports (NVLink class,
+    /// capped GPUs) or the NICs (network class, servers with a NIC) it
+    /// crosses, or the link itself when it crosses neither.
+    res: [u32; 2],
     res_len: u8,
 }
 
@@ -291,8 +323,7 @@ struct ResourceTable {
     links: Vec<LinkResources>,
     /// GPU `i`'s compute engine is resource `compute_base + i`.
     compute_base: u32,
-    /// Number of static resource ids; session streams are numbered after
-    /// them.
+    /// Number of static resource ids.
     num_static: u32,
 }
 
@@ -332,7 +363,7 @@ impl ResourceTable {
                     key,
                     capacity_gbps: capacity,
                     unknown: None,
-                    res: [0; 3],
+                    res: [0; 2],
                     res_len: 0,
                 }),
             }
@@ -344,7 +375,6 @@ impl ResourceTable {
         let (ingress, compute, nics) = (egress + n, egress + 2 * n, egress + 3 * n);
         for (id, link) in links.iter_mut().enumerate() {
             let (src, dst, class) = link.key;
-            link.push(id as u32);
             let (s, d) = match (index(src), index(dst)) {
                 (Some(s), Some(d)) => (s, d),
                 (None, _) => {
@@ -375,6 +405,10 @@ impl ResourceTable {
                 }
                 LinkClass::Pcie => {}
             }
+            // a port or NIC every op over the link holds dominates the link
+            if link.res_len == 0 {
+                link.push(id as u32);
+            }
         }
         ResourceTable {
             gpus: gpus.iter().map(|g| g.0).collect(),
@@ -384,12 +418,12 @@ impl ResourceTable {
         }
     }
 
-    /// The `(src, dst, class)` link, or [`SimError::MissingLink`] when the
-    /// topology has none.
-    fn link(&self, src: GpuId, dst: GpuId, class: LinkClass) -> Result<&LinkResources, SimError> {
+    /// The static id of the `(src, dst, class)` link, or
+    /// [`SimError::MissingLink`] when the topology has none.
+    fn link(&self, src: GpuId, dst: GpuId, class: LinkClass) -> Result<u32, SimError> {
         self.links
             .binary_search_by(|l| l.key.cmp(&(src, dst, class)))
-            .map(|i| &self.links[i])
+            .map(|i| i as u32)
             .map_err(|_| SimError::MissingLink { src, dst, class })
     }
 
@@ -452,7 +486,8 @@ const NONE: u32 = u32::MAX;
 /// `Send`.
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
-    /// CSR offsets: op `i`'s resource ids live at `op_res[op_res_start[i]..op_res_start[i+1]]`.
+    /// CSR offsets: op `i`'s binding resource ids live at
+    /// `op_res[op_res_start[i]..op_res_start[i+1]]`.
     op_res_start: Vec<u32>,
     op_res: Vec<u32>,
     /// Precomputed duration per op.
@@ -462,8 +497,7 @@ pub struct EngineScratch {
     op_link: Vec<u32>,
     /// Payload bytes per op (copies only; 0 otherwise).
     op_bytes: Vec<u64>,
-    /// Free time per resource id: the simulator's static ids, then the
-    /// session's streams.
+    /// Free time per static resource id.
     resource_free: Vec<f64>,
     /// Busy time, bytes and whether any op used it, per static link id.
     link_busy: Vec<f64>,
@@ -478,7 +512,8 @@ pub struct EngineScratch {
     child_cursor: Vec<u32>,
     ready_time: Vec<f64>,
     /// The last op seen so far on each session stream (`NONE` = none),
-    /// indexed like the stream resource ids minus the static ones.
+    /// indexed by `base + s` for a program's stream `s` (see the module
+    /// docs).
     last_in_stream: Vec<u32>,
     /// The `min(CANDIDATES, ready)` lowest-ranked ready ops, ascending by
     /// [`Ready::rank`]; never longer than `CANDIDATES`.
@@ -537,11 +572,18 @@ impl Simulator {
         &self.params
     }
 
-    /// How long `kind` runs. `bw` is a copy's link capacity (GB/s) between
+    /// How long `op` runs. `bw` is a copy's link capacity (GB/s) between
     /// its endpoints in its class, and is ignored for every other kind.
-    fn op_duration(&self, kind: &OpKind, bw: f64) -> Result<f64, SimError> {
+    ///
+    /// A duration must be finite and non-negative; anything else (a NaN or
+    /// negative kernel, a calibration whose negative latency outweighs the
+    /// transfer, a zero reduction bandwidth) is
+    /// [`SimError::InvalidProgram`]. The binding-resource rule of the
+    /// module docs depends on it.
+    fn op_duration(&self, op: &Op, bw: f64) -> Result<f64, SimError> {
         let p = &self.params;
-        Ok(match *kind {
+        let kind = &op.kind;
+        let duration = match *kind {
             OpKind::Copy {
                 src, dst, class, ..
             } => {
@@ -562,7 +604,15 @@ impl Simulator {
             }
             OpKind::Compute { duration_us, .. } => p.op_launch_overhead_us + duration_us,
             OpKind::TogglePeerAccess { gpus } => f64::from(gpus) * p.dpa_per_gpu_us,
-        })
+        };
+        if !(duration.is_finite() && duration >= 0.0) {
+            return Err(SimError::InvalidProgram(format!(
+                "op {} would run for {duration} us; op durations must be finite and \
+                 non-negative",
+                op.id.0
+            )));
+        }
+        Ok(duration)
     }
 
     /// Runs `program` and reports timings, allocating a fresh
@@ -572,8 +622,9 @@ impl Simulator {
     ///
     /// # Errors
     /// Fails if the program is structurally invalid, references GPUs outside
-    /// the topology, or copies over a link class that does not exist between
-    /// the two endpoints.
+    /// the topology, copies over a link class that does not exist between
+    /// the two endpoints, or has an op whose duration is NaN, infinite or
+    /// negative (a bad kernel length or calibration).
     pub fn run(&self, program: &Program) -> Result<RunReport, SimError> {
         self.run_with_scratch(program, &mut EngineScratch::new())
     }
@@ -636,8 +687,8 @@ impl Simulator {
         let t = &self.resources;
         let s = scratch;
 
-        // ---- prepass: durations, per-op resource lists (CSR), per-program
-        //      stream namespacing, same-stream FIFO deps ----
+        // ---- prepass: durations, per-op binding-resource lists (CSR),
+        //      per-program stream namespacing, same-stream FIFO deps ----
         s.op_res.clear();
         s.op_res_start.clear();
         s.durations.clear();
@@ -653,7 +704,7 @@ impl Simulator {
             op_base.push(g);
             // Namespace streams per program so two programs' stream 0 never
             // FIFO-serialise against each other: this program's streams
-            // take the ids after every earlier program's.
+            // take the slots after every earlier program's.
             let stream_base = s.last_in_stream.len();
             let width = program
                 .ops()
@@ -662,44 +713,40 @@ impl Simulator {
                 .max()
                 .unwrap_or(0);
             match stream_base.checked_add(width) {
-                Some(end) if end <= (u32::MAX - t.num_static) as usize => {
-                    s.last_in_stream.resize(end, NONE)
-                }
+                Some(end) if end <= u32::MAX as usize => s.last_in_stream.resize(end, NONE),
                 _ => {
                     return Err(SimError::InvalidProgram(format!(
-                        "stream ids up to {} exceed the engine's resource ids",
+                        "stream ids up to {} exceed the engine's u32 stream table",
                         width - 1
                     )))
                 }
             }
             for op in program.ops() {
                 s.op_res_start.push(s.op_res.len() as u32);
-                let stream = stream_base + op.stream.0;
-                s.op_res.push(t.num_static + stream as u32);
                 let (duration, link) = match op.kind {
                     OpKind::Copy {
                         src, dst, class, ..
                     } => {
-                        let link = t.link(src, dst, class)?;
-                        let duration = self.op_duration(&op.kind, link.capacity_gbps)?;
+                        let id = t.link(src, dst, class)?;
+                        let link = &t.links[id as usize];
+                        let duration = self.op_duration(op, link.capacity_gbps)?;
                         if let Some(gpu) = link.unknown {
                             return Err(SimError::UnknownGpu(gpu));
                         }
                         s.op_res.extend_from_slice(link.resources());
-                        // a link's static id is its first resource id
-                        (duration, link.res[0])
+                        (duration, id)
                     }
                     OpKind::Reduce { gpu, .. } => {
-                        let duration = self.op_duration(&op.kind, 0.0)?;
+                        let duration = self.op_duration(op, 0.0)?;
                         t.gpu(gpu)?;
                         (duration, NONE)
                     }
                     OpKind::Compute { gpu, .. } => {
-                        let duration = self.op_duration(&op.kind, 0.0)?;
+                        let duration = self.op_duration(op, 0.0)?;
                         s.op_res.push(t.compute_base + t.gpu(gpu)?);
                         (duration, NONE)
                     }
-                    OpKind::TogglePeerAccess { .. } => (self.op_duration(&op.kind, 0.0)?, NONE),
+                    OpKind::TogglePeerAccess { .. } => (self.op_duration(op, 0.0)?, NONE),
                 };
                 s.durations.push(duration);
                 s.op_link.push(link);
@@ -709,6 +756,7 @@ impl Simulator {
                     s.link_used[link as usize] = true;
                     s.op_bytes.push(op.kind.payload_bytes());
                 }
+                let stream = stream_base + op.stream.0;
                 s.extra_dep[g] = s.last_in_stream[stream];
                 s.last_in_stream[stream] = g as u32;
                 g += 1;
@@ -716,7 +764,6 @@ impl Simulator {
         }
         op_base.push(g);
         s.op_res_start.push(s.op_res.len() as u32);
-        let num_resources = t.num_static as usize + s.last_in_stream.len();
 
         // ---- dependency bookkeeping: in-degrees + children CSR ----
         s.indeg.clear();
@@ -763,7 +810,7 @@ impl Simulator {
 
         // ---- flat state arrays ----
         s.resource_free.clear();
-        s.resource_free.resize(num_resources, 0.0);
+        s.resource_free.resize(t.num_static as usize, 0.0);
         s.link_busy.clear();
         s.link_busy.resize(t.links.len(), 0.0);
         s.link_bytes.clear();
@@ -774,10 +821,13 @@ impl Simulator {
         for (p_idx, (_, issue)) in entries.iter().enumerate() {
             // Roots become ready at their program's issue timestamp; every
             // other op inherits `>= issue` transitively through its deps.
+            // Adding +0.0 turns an issue of -0.0 into +0.0, so every time
+            // the scan compares is >= +0.0 and `max` never meets two zeros.
+            let issue = *issue + 0.0;
             for gi in op_base[p_idx]..op_base[p_idx + 1] {
                 if s.indeg[gi] == 0 {
                     s.heap.push(Ready {
-                        time: *issue,
+                        time: issue,
                         id: gi,
                     });
                 }
@@ -991,7 +1041,7 @@ impl Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Op, ProgramBuilder, Segment, StreamId};
+    use crate::program::{ProgramBuilder, Segment, StreamId};
     use blink_topology::presets::{dgx1v, dgx2, multi_server, placement_topology, ServerKind};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -1028,14 +1078,14 @@ mod tests {
                 .sum()
         }
 
-        fn reference_duration(&self, kind: &OpKind) -> Result<f64, SimError> {
-            let bw = match *kind {
+        fn reference_duration(&self, op: &Op) -> Result<f64, SimError> {
+            let bw = match op.kind {
                 OpKind::Copy {
                     src, dst, class, ..
                 } => self.link_capacity(src, dst, class),
                 _ => 0.0,
             };
-            self.op_duration(kind, bw)
+            self.op_duration(op, bw)
         }
 
         /// Which hardware resources an op occupies, from the topology's
@@ -1154,7 +1204,7 @@ mod tests {
             // before an unknown endpoint
             let mut durations = Vec::with_capacity(n);
             for (&(_, op), &stream) in ops.iter().zip(&stream_of) {
-                durations.push(self.reference_duration(&op.kind)?);
+                durations.push(self.reference_duration(op)?);
                 self.op_resources(&op.kind, stream)?;
             }
             let mut extra_dep: Vec<Option<usize>> = vec![None; n];
@@ -2124,13 +2174,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The table prepass against the reference, bit for bit: one program
-    /// alone, then three sharing a session at staggered issue times.
-    fn assert_table_matches_the_reference(topo: Topology, seed: u64) {
-        let sim = Simulator::with_defaults(topo);
-        let programs: Vec<Program> = (0..3)
-            .map(|k| random_program_on(sim.topology(), seed + k, 160, 24))
-            .collect();
+    /// The table prepass against the reference, bit for bit: the first
+    /// program alone, then all of them sharing a session at staggered issue
+    /// times.
+    fn assert_table_matches_the_reference(sim: &Simulator, programs: Vec<Program>) {
         let reference = sim.run_reference(&programs[0]).unwrap();
         let fast = sim.run(&programs[0]).unwrap();
         assert_reports_bit_identical(&reference, &fast);
@@ -2145,6 +2192,19 @@ mod tests {
         }
         let fast = session.run_with_scratch(&mut EngineScratch::new()).unwrap();
         assert_sessions_bit_identical(&reference, &fast);
+    }
+
+    /// Three seeded [`random_program_on`] programs of 160 ops over 24
+    /// streams each, so every program uses the same stream ids.
+    fn random_programs(topo: &Topology, seed: u64) -> Vec<Program> {
+        (0..3)
+            .map(|k| random_program_on(topo, seed + k, 160, 24))
+            .collect()
+    }
+
+    fn assert_random_programs_match_the_reference(topo: Topology, seed: u64) {
+        let programs = random_programs(&topo, seed);
+        assert_table_matches_the_reference(&Simulator::with_defaults(topo), programs);
     }
 
     #[test]
@@ -2163,7 +2223,7 @@ mod tests {
             .all(|s| topo.server_nic(ServerId(s)).is_some()));
         assert!(topo.links().iter().any(|l| l.kind == LinkKind::Network));
         for seed in [0x243f_6a88_85a3_08d3u64, 0x1319_8a2e_0370_7344] {
-            assert_table_matches_the_reference(topo.clone(), seed);
+            assert_random_programs_match_the_reference(topo.clone(), seed);
         }
     }
 
@@ -2173,7 +2233,181 @@ mod tests {
         let topo = dgx2().induced(&alloc).unwrap();
         assert!(alloc.iter().all(|&g| topo.gpu_cap(g).is_some()));
         for seed in [0xa409_3822_299f_31d0u64, 0x082e_fa98_ec4e_6c89] {
-            assert_table_matches_the_reference(topo.clone(), seed);
+            assert_random_programs_match_the_reference(topo.clone(), seed);
+        }
+    }
+
+    /// A hand-built fabric: GPU `i` sits on server `servers[i]`, `links`
+    /// are directed, GPUs in `caps` get a switch-port cap and servers in
+    /// `nics` a NIC.
+    fn fabric(
+        servers: &[usize],
+        links: &[(usize, usize, LinkKind)],
+        caps: &[usize],
+        nics: &[usize],
+    ) -> Topology {
+        let mut topo = Topology::new("fabric");
+        for (i, &server) in servers.iter().enumerate() {
+            topo.add_gpu(GpuId(i), ServerId(server), i).unwrap();
+        }
+        for &(src, dst, kind) in links {
+            topo.add_link(blink_topology::Link::new(GpuId(src), GpuId(dst), kind))
+                .unwrap();
+        }
+        for &g in caps {
+            topo.set_gpu_cap(GpuId(g), 40.0).unwrap();
+        }
+        for &server in nics {
+            topo.set_server_nic(ServerId(server), 12.5);
+        }
+        topo
+    }
+
+    /// Switch links among four GPUs of one server: GPU 0 only sends (or,
+    /// with `into_capped`, only receives), GPUs 1–3 are fully connected.
+    fn one_port_capped(into_capped: bool) -> Topology {
+        let mut links = Vec::new();
+        for g in 1..4 {
+            links.push(if into_capped {
+                (g, 0, LinkKind::NvSwitch)
+            } else {
+                (0, g, LinkKind::NvSwitch)
+            });
+            for h in 1..4 {
+                if g != h {
+                    links.push((g, h, LinkKind::NvSwitch));
+                }
+            }
+        }
+        fabric(&[0; 4], &links, &[0], &[])
+    }
+
+    #[test]
+    fn the_table_matches_the_reference_when_only_the_source_has_a_port_cap() {
+        // every link out of GPU 0 binds on GPU 0's egress port alone, and
+        // copies from 0 to different GPUs contend on it
+        let topo = one_port_capped(false);
+        assert!(topo.links().iter().all(|l| l.dst != GpuId(0)));
+        for seed in [0x3c6e_f372_fe94_f82bu64, 0xa54f_f53a_5f1d_36f1] {
+            assert_random_programs_match_the_reference(topo.clone(), seed);
+        }
+    }
+
+    #[test]
+    fn the_table_matches_the_reference_when_only_the_destination_has_a_port_cap() {
+        let topo = one_port_capped(true);
+        assert!(topo.links().iter().all(|l| l.src != GpuId(0)));
+        for seed in [0x510e_527f_ade6_82d1u64, 0x9b05_688c_2b3e_6c1f] {
+            assert_random_programs_match_the_reference(topo.clone(), seed);
+        }
+    }
+
+    #[test]
+    fn the_table_matches_the_reference_when_only_one_server_has_a_nic() {
+        // two servers of two GPUs; only server 0 has a NIC, so a network
+        // copy holds server 0's outgoing or incoming NIC and nothing else
+        let mut links = vec![
+            (0, 1, LinkKind::NvLinkGen2),
+            (1, 0, LinkKind::NvLinkGen2),
+            (2, 3, LinkKind::NvLinkGen2),
+            (3, 2, LinkKind::NvLinkGen2),
+        ];
+        for a in 0..2 {
+            for b in 2..4 {
+                links.push((a, b, LinkKind::Network));
+                links.push((b, a, LinkKind::Network));
+            }
+        }
+        let topo = fabric(&[0, 0, 1, 1], &links, &[], &[0]);
+        assert!(topo.server_nic(ServerId(1)).is_none());
+        for seed in [0x1f83_d9ab_fb41_bd6bu64, 0x5be0_cd19_137e_2179] {
+            assert_random_programs_match_the_reference(topo.clone(), seed);
+        }
+    }
+
+    #[test]
+    fn programs_sharing_stream_ids_in_one_session_match_the_reference() {
+        // both programs put every op on their stream 0; namespacing keeps
+        // the second program's chain from queueing behind the first's
+        let topo = dgx1v();
+        let chain = |a: usize, b: usize| {
+            let mut p = ProgramBuilder::new();
+            let s = p.new_stream();
+            let k = p.compute(GpuId(a), 30.0, s, vec![], "k");
+            let c = p.copy(
+                GpuId(a),
+                GpuId(b),
+                mb(2),
+                LinkClass::NvLink,
+                s,
+                vec![k],
+                "c",
+            );
+            p.reduce(GpuId(b), mb(2), s, vec![c], "r");
+            p.build().unwrap()
+        };
+        let programs = [chain(0, 1), chain(2, 3)];
+        let sim = Simulator::with_defaults(topo);
+        let entries: Vec<(&Program, f64)> = programs.iter().map(|p| (p, 0.0)).collect();
+        let reference = sim.run_reference_session(&entries).unwrap();
+        let alone: Vec<f64> = programs
+            .iter()
+            .map(|p| sim.run(p).unwrap().total_us)
+            .collect();
+        let mut session = sim.session();
+        for program in programs {
+            session.admit(program, 0.0);
+        }
+        let fast = session.run().unwrap();
+        assert_sessions_bit_identical(&reference, &fast);
+        // the two chains share no resource, so each runs as if alone
+        for (span, alone) in fast.programs.iter().zip(alone) {
+            assert_eq!(span.start_us, 0.0);
+            assert_eq!(span.end_us.to_bits(), alone.to_bits());
+        }
+    }
+
+    #[test]
+    fn zero_duration_ops_match_the_reference() {
+        // no launch, latency or toggle cost: zero-byte copies and
+        // reductions, zero-length kernels and peer-access toggles all take
+        // no time, so ops tie on start times throughout
+        let params = SimParams {
+            op_launch_overhead_us: 0.0,
+            dpa_per_gpu_us: 0.0,
+            link_latency_us: 0.0,
+            network_latency_us: 0.0,
+            ..SimParams::default()
+        };
+        let zero_every_other = |program: Program| {
+            let mut b = ProgramBuilder::new();
+            for op in program.ops() {
+                let mut kind = op.kind.clone();
+                if let OpKind::Copy { segs, .. } | OpKind::Reduce { segs, .. } = &mut kind {
+                    if op.id.0 % 2 == 0 {
+                        segs[0].bytes = 0;
+                    }
+                }
+                b.push(kind, op.stream, op.deps.clone(), op.tag.clone());
+            }
+            b.build().unwrap()
+        };
+        let alloc: Vec<GpuId> = [0, 3, 5, 8, 11].into_iter().map(GpuId).collect();
+        let partial_dgx2 = dgx2().induced(&alloc).unwrap();
+        let two_servers = multi_server(2, ServerKind::Dgx1V, 5.0);
+        for (topo, seed) in [
+            (partial_dgx2, 0x6a09_e667_f3bc_c908u64),
+            (two_servers, 0xbb67_ae85_84ca_a73b),
+        ] {
+            let programs: Vec<Program> = random_programs(&topo, seed)
+                .into_iter()
+                .map(zero_every_other)
+                .collect();
+            let sim = Simulator::new(topo, params);
+            let zero = sim.run(&programs[0]).unwrap();
+            let instant = zero.op_spans.iter().filter(|(s, e)| s == e).count();
+            assert!(instant > 40, "{instant} zero-duration ops");
+            assert_table_matches_the_reference(&sim, programs);
         }
     }
 

@@ -32,7 +32,7 @@ pub fn chain_forward(chain: &[GpuId], bytes: u64, chunks: u64) -> Result<Program
     let mut b = ProgramBuilder::new();
     if chain.len() >= 2 {
         let streams: Vec<StreamId> = (0..chain.len() - 1).map(|_| b.new_stream()).collect();
-        for (c, &sz) in chunk_sizes(bytes, chunks).iter().enumerate() {
+        for sz in chunk_sizes(bytes, chunks) {
             let mut arrival: Option<OpId> = None;
             for hop in 0..chain.len() - 1 {
                 let deps = arrival.map(|a| vec![a]).unwrap_or_default();
@@ -43,7 +43,7 @@ pub fn chain_forward(chain: &[GpuId], bytes: u64, chunks: u64) -> Result<Program
                     LinkClass::NvLink,
                     streams[hop],
                     deps,
-                    format!("fwd c{c} h{hop}"),
+                    "fwd",
                 );
                 arrival = Some(id);
             }
@@ -62,20 +62,14 @@ pub fn chain_reduce_forward(
     let mut b = ProgramBuilder::new();
     if chain.len() >= 2 {
         let streams: Vec<StreamId> = (0..chain.len() - 1).map(|_| b.new_stream()).collect();
-        for (c, &sz) in chunk_sizes(bytes, chunks).iter().enumerate() {
+        for sz in chunk_sizes(bytes, chunks) {
             let mut arrival: Option<OpId> = None;
             for hop in 0..chain.len() - 1 {
                 // intermediate GPUs reduce the incoming chunk with local data
                 // before forwarding; the reduction shares the outgoing stream.
                 let mut deps = arrival.map(|a| vec![a]).unwrap_or_default();
                 if hop > 0 {
-                    let red = b.reduce(
-                        chain[hop],
-                        sz,
-                        streams[hop],
-                        deps.clone(),
-                        format!("red c{c} h{hop}"),
-                    );
+                    let red = b.reduce(chain[hop], sz, streams[hop], deps.clone(), "red");
                     deps = vec![red];
                 }
                 let id = b.copy(
@@ -85,7 +79,7 @@ pub fn chain_reduce_forward(
                     LinkClass::NvLink,
                     streams[hop],
                     deps,
-                    format!("rf c{c} h{hop}"),
+                    "rf",
                 );
                 arrival = Some(id);
             }
@@ -105,19 +99,13 @@ pub fn chain_reduce_broadcast(
     if chain.len() >= 2 {
         let fwd_streams: Vec<StreamId> = (0..chain.len() - 1).map(|_| b.new_stream()).collect();
         let back_streams: Vec<StreamId> = (0..chain.len() - 1).map(|_| b.new_stream()).collect();
-        for (c, &sz) in chunk_sizes(bytes, chunks).iter().enumerate() {
+        for sz in chunk_sizes(bytes, chunks) {
             // reduce toward the tail
             let mut arrival: Option<OpId> = None;
             for hop in 0..chain.len() - 1 {
                 let mut deps = arrival.map(|a| vec![a]).unwrap_or_default();
                 if hop > 0 {
-                    let red = b.reduce(
-                        chain[hop],
-                        sz,
-                        fwd_streams[hop],
-                        deps.clone(),
-                        format!("red c{c} h{hop}"),
-                    );
+                    let red = b.reduce(chain[hop], sz, fwd_streams[hop], deps.clone(), "red");
                     deps = vec![red];
                 }
                 let id = b.copy(
@@ -127,7 +115,7 @@ pub fn chain_reduce_broadcast(
                     LinkClass::NvLink,
                     fwd_streams[hop],
                     deps,
-                    format!("up c{c} h{hop}"),
+                    "up",
                 );
                 arrival = Some(id);
             }
@@ -138,7 +126,7 @@ pub fn chain_reduce_broadcast(
                 sz,
                 back_streams[tail - 1],
                 arrival.map(|a| vec![a]).unwrap_or_default(),
-                format!("final red c{c}"),
+                "final red",
             );
             let mut back_arrival = final_red;
             for hop in (0..chain.len() - 1).rev() {
@@ -149,7 +137,7 @@ pub fn chain_reduce_broadcast(
                     LinkClass::NvLink,
                     back_streams[hop],
                     vec![back_arrival],
-                    format!("down c{c} h{hop}"),
+                    "down",
                 );
             }
         }
@@ -168,18 +156,10 @@ pub fn fan_in_forward(
 ) -> Result<Program, ProgramError> {
     let mut b = ProgramBuilder::new();
     let out_stream = b.new_stream();
-    for (s_idx, &src) in sources.iter().enumerate() {
+    for &src in sources {
         let in_stream = b.new_stream();
-        for (c, &sz) in chunk_sizes(bytes_per_source, chunks).iter().enumerate() {
-            let arr = b.copy(
-                src,
-                center,
-                sz,
-                LinkClass::NvLink,
-                in_stream,
-                vec![],
-                format!("in s{s_idx} c{c}"),
-            );
+        for sz in chunk_sizes(bytes_per_source, chunks) {
+            let arr = b.copy(src, center, sz, LinkClass::NvLink, in_stream, vec![], "in");
             b.copy(
                 center,
                 sink,
@@ -187,7 +167,7 @@ pub fn fan_in_forward(
                 LinkClass::NvLink,
                 out_stream,
                 vec![arr],
-                format!("out s{s_idx} c{c}"),
+                "out",
             );
         }
     }
@@ -207,20 +187,12 @@ pub fn fan_in_reduce_forward(
     let mut b = ProgramBuilder::new();
     let out_stream = b.new_stream();
     let in_streams: Vec<StreamId> = sources.iter().map(|_| b.new_stream()).collect();
-    for (c, &sz) in chunk_sizes(bytes, chunks).iter().enumerate() {
+    for sz in chunk_sizes(bytes, chunks) {
         let mut arrivals = Vec::new();
-        for (s_idx, &src) in sources.iter().enumerate() {
-            arrivals.push(b.copy(
-                src,
-                center,
-                sz,
-                LinkClass::NvLink,
-                in_streams[s_idx],
-                vec![],
-                format!("in s{s_idx} c{c}"),
-            ));
+        for (&src, &in_stream) in sources.iter().zip(&in_streams) {
+            arrivals.push(b.copy(src, center, sz, LinkClass::NvLink, in_stream, vec![], "in"));
         }
-        let red = b.reduce(center, sz, out_stream, arrivals, format!("red c{c}"));
+        let red = b.reduce(center, sz, out_stream, arrivals, "red");
         b.copy(
             center,
             sink,
@@ -228,7 +200,7 @@ pub fn fan_in_reduce_forward(
             LinkClass::NvLink,
             out_stream,
             vec![red],
-            format!("out c{c}"),
+            "out",
         );
     }
     b.build()
@@ -246,7 +218,7 @@ pub fn fan_out_forward(
     let mut b = ProgramBuilder::new();
     let in_stream = b.new_stream();
     let out_streams: Vec<StreamId> = sinks.iter().map(|_| b.new_stream()).collect();
-    for (c, &sz) in chunk_sizes(bytes, chunks).iter().enumerate() {
+    for sz in chunk_sizes(bytes, chunks) {
         let arr = b.copy(
             source,
             center,
@@ -254,7 +226,7 @@ pub fn fan_out_forward(
             LinkClass::NvLink,
             in_stream,
             vec![],
-            format!("in c{c}"),
+            "in",
         );
         for (k, &sink) in sinks.iter().enumerate() {
             b.copy(
@@ -264,7 +236,7 @@ pub fn fan_out_forward(
                 LinkClass::NvLink,
                 out_streams[k],
                 vec![arr],
-                format!("out k{k} c{c}"),
+                "out",
             );
         }
     }
@@ -283,10 +255,10 @@ pub fn mimo(
 ) -> Result<Program, ProgramError> {
     let mut b = ProgramBuilder::new();
     let flows = [(producers.0, consumers.0), (producers.1, consumers.1)];
-    for (f, &(src, dst)) in flows.iter().enumerate() {
+    for (src, dst) in flows {
         let in_stream = b.new_stream();
         let out_stream = b.new_stream();
-        for (c, &sz) in chunk_sizes(bytes_per_flow, chunks).iter().enumerate() {
+        for sz in chunk_sizes(bytes_per_flow, chunks) {
             let arr = b.copy(
                 src,
                 center,
@@ -294,15 +266,9 @@ pub fn mimo(
                 LinkClass::NvLink,
                 in_stream,
                 vec![],
-                format!("mimo f{f} in c{c}"),
+                "mimo in",
             );
-            let red = b.reduce(
-                center,
-                sz,
-                out_stream,
-                vec![arr],
-                format!("mimo f{f} red c{c}"),
-            );
+            let red = b.reduce(center, sz, out_stream, vec![arr], "mimo red");
             b.copy(
                 center,
                 dst,
@@ -310,7 +276,7 @@ pub fn mimo(
                 LinkClass::NvLink,
                 out_stream,
                 vec![red],
-                format!("mimo f{f} out c{c}"),
+                "mimo out",
             );
         }
     }
@@ -333,11 +299,11 @@ pub fn mca(
     let b_streams: Vec<StreamId> = (0..chain_b.len()).map(|_| b.new_stream()).collect();
     let out_stream = b.new_stream();
 
-    for (c, &sz) in chunk_sizes(bytes, chunks).iter().enumerate() {
+    for sz in chunk_sizes(bytes, chunks) {
         let run_chain = |builder: &mut ProgramBuilder,
                          chain: &[GpuId],
                          streams: &[StreamId],
-                         label: &str|
+                         (red_label, copy_label): (&'static str, &'static str)|
          -> Option<OpId> {
             let mut arrival: Option<OpId> = None;
             for hop in 0..chain.len() {
@@ -348,13 +314,7 @@ pub fn mca(
                 };
                 let mut deps = arrival.map(|a| vec![a]).unwrap_or_default();
                 if hop > 0 {
-                    let red = builder.reduce(
-                        chain[hop],
-                        sz,
-                        streams[hop],
-                        deps.clone(),
-                        format!("{label} red c{c} h{hop}"),
-                    );
+                    let red = builder.reduce(chain[hop], sz, streams[hop], deps.clone(), red_label);
                     deps = vec![red];
                 }
                 arrival = Some(builder.copy(
@@ -364,15 +324,15 @@ pub fn mca(
                     LinkClass::NvLink,
                     streams[hop],
                     deps,
-                    format!("{label} c{c} h{hop}"),
+                    copy_label,
                 ));
             }
             arrival
         };
-        let a_arr = run_chain(&mut b, chain_a, &a_streams, "mca-a");
-        let b_arr = run_chain(&mut b, chain_b, &b_streams, "mca-b");
+        let a_arr = run_chain(&mut b, chain_a, &a_streams, ("mca-a red", "mca-a"));
+        let b_arr = run_chain(&mut b, chain_b, &b_streams, ("mca-b red", "mca-b"));
         let deps: Vec<OpId> = [a_arr, b_arr].into_iter().flatten().collect();
-        let red = b.reduce(center, sz, out_stream, deps, format!("mca merge c{c}"));
+        let red = b.reduce(center, sz, out_stream, deps, "mca merge");
         b.copy(
             center,
             sink,
@@ -380,7 +340,7 @@ pub fn mca(
             LinkClass::NvLink,
             out_stream,
             vec![red],
-            format!("mca out c{c}"),
+            "mca out",
         );
     }
     b.build()

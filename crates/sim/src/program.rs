@@ -11,6 +11,7 @@
 
 use blink_topology::GpuId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -156,9 +157,13 @@ pub struct Op {
     /// Ops that must complete before this one may start (cross-stream
     /// dependencies, i.e. CUDA events).
     pub deps: Vec<OpId>,
-    /// Optional human-readable tag (tree index, chunk index, phase name…)
-    /// surfaced in traces.
-    pub tag: String,
+    /// Human-readable label of the phase that emitted the op (`"blink
+    /// bcast"`, `"phase2 in"`, `"nccl-ar rs"`…), for traces and tests. The
+    /// library's emitters pass `&'static str` phase labels, so labelling an
+    /// op allocates nothing; the op's stream and segments already identify
+    /// its tree and chunk. Callers may pass an owned `String` instead.
+    /// Nothing in the simulator or the oracle reads it.
+    pub tag: Cow<'static, str>,
 }
 
 /// Errors detected by [`Program::validate`].
@@ -376,7 +381,7 @@ impl ProgramBuilder {
         kind: OpKind,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         let id = OpId(self.ops.len());
         self.ops.push(Op {
@@ -399,7 +404,7 @@ impl ProgramBuilder {
         class: LinkClass,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.copy_range(src, dst, 0, bytes, class, stream, deps, tag)
     }
@@ -417,7 +422,7 @@ impl ProgramBuilder {
         class: LinkClass,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.copy_segs(
             src,
@@ -441,7 +446,7 @@ impl ProgramBuilder {
         class: LinkClass,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.push(
             OpKind::Copy {
@@ -463,7 +468,7 @@ impl ProgramBuilder {
         bytes: u64,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.reduce_range(gpu, 0, bytes, stream, deps, tag)
     }
@@ -478,7 +483,7 @@ impl ProgramBuilder {
         bytes: u64,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.reduce_segs(gpu, vec![Segment::new(offset, bytes)], stream, deps, tag)
     }
@@ -491,7 +496,7 @@ impl ProgramBuilder {
         segs: Vec<Segment>,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.push(OpKind::Reduce { gpu, segs }, stream, deps, tag)
     }
@@ -503,7 +508,7 @@ impl ProgramBuilder {
         duration_us: f64,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.push(OpKind::Compute { gpu, duration_us }, stream, deps, tag)
     }
@@ -514,7 +519,7 @@ impl ProgramBuilder {
         gpus: u32,
         stream: StreamId,
         deps: Vec<OpId>,
-        tag: impl Into<String>,
+        tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.push(OpKind::TogglePeerAccess { gpus }, stream, deps, tag)
     }
@@ -685,5 +690,26 @@ mod tests {
         assert_eq!(split.ops()[0].stream, s0);
         assert_eq!(split.ops()[5].tag, "tail");
         assert_eq!(split.num_streams(), 2);
+    }
+
+    #[test]
+    fn static_and_owned_tags_round_trip_through_serde() {
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        let a = b.copy(
+            GpuId(0),
+            GpuId(1),
+            8,
+            LinkClass::NvLink,
+            s,
+            vec![],
+            "static",
+        );
+        b.reduce(GpuId(1), 8, s, vec![a], format!("owned {}", 7));
+        let p = b.build().unwrap();
+        assert!(matches!(p.ops()[0].tag, Cow::Borrowed("static")));
+        let back = Program::from_value(&p.to_value()).unwrap();
+        assert_eq!(back, p);
+        assert_eq!(back.ops()[1].tag, "owned 7");
     }
 }
