@@ -6,21 +6,28 @@
 //! communicator over its placement-induced slice topology, plans through one
 //! fleet-wide shared plan cache, and runs its first AllReduce on the
 //! simulator; departures trigger delta-based consolidation replans. Measures
-//! sustained planning throughput (shared-cache lookups per second), the
-//! shared-cache hit rate, and p50/p99 wall-clock time-to-first-collective.
+//! sustained planning throughput (plans served per second: plan-store
+//! lookups plus lowering-tier hits), the shared-cache hit rate, and p50/p99
+//! wall-clock time-to-first-collective, plus the run's deterministic work:
+//! fresh lowerings, lowering-tier hits, packs (plan-store misses) and
+//! planner scratches created.
 //!
-//! Without arguments: runs the full job count and writes `BENCH_fleet.json`
-//! to the working directory.
+//! Without arguments: runs the job stream and writes `BENCH_fleet.json` to
+//! the working directory.
 //!
-//! With `--check`: quick re-measurement compared against the recorded file.
-//! Deterministic result-quality gates are enforced on every runner — sampled
-//! first collectives must pass the value-level oracle, the shared cache must
-//! actually hit, the stream must fragment (else the run proves nothing about
-//! the paper's scenario), accounting must balance, and two runs over one
-//! seed must agree event-for-event and bit-for-bit on simulated rates. The
-//! wall-clock latency gates (TTFC percentiles, plans/sec vs the recording)
-//! need a machine with >= 2 workers and are loudly SKIPPED otherwise,
-//! mirroring the other benches. Exits non-zero on regression.
+//! With `--check`: re-measures the same stream (it takes well under a second)
+//! and compares it against the recorded file, like with like.
+//! Deterministic gates are enforced on every runner — sampled first
+//! collectives must pass the value-level oracle, the shared cache and the
+//! lowering tier must actually hit, the stream must fragment (else the run
+//! proves nothing about the paper's scenario), accounting must balance, two
+//! runs over one seed must agree event-for-event and bit-for-bit on
+//! simulated rates, and no work count may exceed the recorded `work`
+//! (scratches created may reach the runner's worker count, the most the plan
+//! store's fan-out checks out at once). The wall-clock latency gates (TTFC
+//! percentiles, plans/sec vs the recording) need a machine with >= 2
+//! workers and are loudly SKIPPED otherwise, mirroring the other benches.
+//! Exits non-zero on regression.
 
 use blink_bench::{percentiles, runner_cpus, Percentiles};
 use blink_sched::{FleetConfig, FleetPipeline, FleetReport, Stage, WorkloadConfig};
@@ -30,22 +37,31 @@ use std::time::Instant;
 /// Wall-clock metrics (TTFC percentiles, plans/sec) may drift this factor
 /// against the recorded trajectory before `--check` fails.
 const CHECK_TOLERANCE: f64 = 4.0;
-/// Jobs in the recorded (full) run; the ISSUE-level floor is 2,000 submitted.
-const FULL_JOBS: usize = 2_000;
-/// Jobs in quick (`--check`) mode — enough for fragmentation, departures and
-/// cache reuse to all appear, small enough for CI.
-const QUICK_JOBS: usize = 400;
+/// Jobs in the recorded and the checked run.
+const JOBS: usize = 2_000;
 
 #[derive(Serialize)]
 struct Config {
     workers: usize,
-    quick: bool,
     servers: usize,
     jobs: usize,
     collective_bytes: u64,
     check_every: usize,
     seed: u64,
     check_tolerance: f64,
+}
+
+/// A run's deterministic work, read off the fleet's plan store.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+struct Work {
+    /// Lowering-tier misses: collectives lowered afresh.
+    fresh_lowerings: u64,
+    /// Lowering-tier hits: collectives that took a stored lowering.
+    lowering_hits: u64,
+    /// Plan-store misses: plans packed.
+    packs: u64,
+    /// Planner scratches the store's pool created.
+    scratches_created: u64,
 }
 
 #[derive(Serialize)]
@@ -64,8 +80,9 @@ struct Report {
     shared_hits: u64,
     shared_misses: u64,
     hit_rate: f64,
-    /// Shared-cache lookups (hits + misses, i.e. plans served) per wall
-    /// second — the fleet's sustained planning throughput.
+    /// Plans served (shared-cache lookups plus lowering-tier hits, each of
+    /// which serves its plans without a lookup) per wall second — the
+    /// fleet's sustained planning throughput.
     plans_per_sec: f64,
     jobs_per_sec: f64,
     checks_run: usize,
@@ -75,12 +92,14 @@ struct Report {
     /// TTFC over the fragmented (multi-server) subset — the jobs whose first
     /// collective rides the three-phase protocol.
     ttfc_fragmented: Percentiles,
+    /// This run's deterministic work.
+    work: Work,
 }
 
-fn fleet_config(quick: bool) -> FleetConfig {
+fn fleet_config() -> FleetConfig {
     FleetConfig {
-        jobs: if quick { QUICK_JOBS } else { FULL_JOBS },
-        check_every: if quick { 25 } else { 50 },
+        jobs: JOBS,
+        check_every: 50,
         ..Default::default()
     }
 }
@@ -89,6 +108,7 @@ struct Run {
     report: FleetReport,
     order: Vec<(u64, Stage)>,
     wall_seconds: f64,
+    work: Work,
 }
 
 fn run_fleet(config: FleetConfig) -> Run {
@@ -96,21 +116,28 @@ fn run_fleet(config: FleetConfig) -> Run {
     let t0 = Instant::now();
     let report = pipeline.run().expect("fleet pipeline runs to completion");
     let wall_seconds = t0.elapsed().as_secs_f64();
+    let store = pipeline.shared_cache();
+    let (lowering_hits, fresh_lowerings) = store.lowering_stats();
     Run {
+        work: Work {
+            fresh_lowerings,
+            lowering_hits,
+            packs: store.stats().1,
+            scratches_created: store.scratch().created(),
+        },
         report,
         order: pipeline.monitor().order(),
         wall_seconds,
     }
 }
 
-fn build_report(run: &Run, quick: bool, workload: &WorkloadConfig, config: &FleetConfig) -> Report {
+fn build_report(run: &Run, workload: &WorkloadConfig, config: &FleetConfig) -> Report {
     let r = &run.report;
     let multi: Vec<&blink_sched::JobOutcome> = r.outcomes.iter().filter(|o| o.gpus >= 2).collect();
-    let lookups = r.shared_hits + r.shared_misses;
+    let served = r.shared_hits + r.shared_misses + run.work.lowering_hits;
     Report {
         config: Config {
             workers: runner_cpus(),
-            quick,
             servers: config.servers,
             jobs: config.jobs,
             collective_bytes: config.collective_bytes,
@@ -134,7 +161,7 @@ fn build_report(run: &Run, quick: bool, workload: &WorkloadConfig, config: &Flee
         shared_hits: r.shared_hits,
         shared_misses: r.shared_misses,
         hit_rate: r.hit_rate(),
-        plans_per_sec: lookups as f64 / run.wall_seconds,
+        plans_per_sec: served as f64 / run.wall_seconds,
         jobs_per_sec: r.submitted as f64 / run.wall_seconds,
         checks_run: r.checks_run,
         checks_failed: r.checks_failed,
@@ -146,6 +173,7 @@ fn build_report(run: &Run, quick: bool, workload: &WorkloadConfig, config: &Flee
                 .map(|o| o.ttfc_us)
                 .collect(),
         ),
+        work: run.work,
     }
 }
 
@@ -181,6 +209,9 @@ fn hard_gates(run: &Run, out: &Report) -> Vec<String> {
     }
     if out.shared_hits == 0 {
         failures.push("shared plan cache never hit across the whole fleet".to_string());
+    }
+    if out.work.lowering_hits == 0 {
+        failures.push("no job took a lowering the fleet already made".to_string());
     }
     if out.fragmented_placements == 0 || out.three_phase_jobs == 0 {
         failures.push(format!(
@@ -234,12 +265,16 @@ fn determinism_gate(a: &Run, b: &Run) -> Vec<String> {
         ra.consolidations,
         ra.shared_hits,
         ra.shared_misses,
+        a.work.lowering_hits,
+        a.work.fresh_lowerings,
     ) != (
         rb.placed,
         rb.departures,
         rb.consolidations,
         rb.shared_hits,
         rb.shared_misses,
+        b.work.lowering_hits,
+        b.work.fresh_lowerings,
     ) {
         failures.push("fleet counters differ between two runs of one seed".to_string());
     }
@@ -253,6 +288,30 @@ fn determinism_gate(a: &Run, b: &Run) -> Vec<String> {
                 oa.job_id
             ));
             break;
+        }
+    }
+    failures
+}
+
+/// The work gates: no count of `work` may exceed the recorded one, except
+/// that scratches created may reach `workers`.
+fn work_gates(recorded: &serde::Value, work: &Work, workers: usize) -> Vec<String> {
+    let Some(bound) = recorded.get("work") else {
+        return vec!["BENCH_fleet.json records no work".to_string()];
+    };
+    let mut failures = Vec::new();
+    for (key, measured, floor) in [
+        ("fresh_lowerings", work.fresh_lowerings, 0),
+        ("lowering_hits", work.lowering_hits, 0),
+        ("packs", work.packs, 0),
+        ("scratches_created", work.scratches_created, workers as u64),
+    ] {
+        match bound.get(key).and_then(serde::Value::as_f64) {
+            Some(recorded) if measured > (recorded as u64).max(floor) => {
+                failures.push(format!("{key}: {measured}, above the recorded {recorded}"))
+            }
+            Some(_) => {}
+            None => failures.push(format!("the recorded work has no {key}")),
         }
     }
     failures
@@ -293,10 +352,10 @@ fn check_against_recorded(recorded: &serde::Value, out: &Report) -> Vec<String> 
 
 fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
-    let config = fleet_config(check_mode);
+    let config = fleet_config();
     let workload = config.workload.clone();
     let run = run_fleet(config.clone());
-    let out = build_report(&run, check_mode, &workload, &config);
+    let out = build_report(&run, &workload, &config);
 
     eprintln!(
         "fleet: {} submitted, {} placed ({} fragmented, {} three-phase), \
@@ -332,6 +391,7 @@ fn main() {
         "oracle: {} sampled first collectives, {} failures",
         out.checks_run, out.checks_failed
     );
+    eprintln!("work: {:?}", out.work);
 
     if check_mode {
         let recorded = std::fs::read_to_string("BENCH_fleet.json")
@@ -339,7 +399,8 @@ fn main() {
         let recorded = serde_json::parse(&recorded).expect("BENCH_fleet.json parses");
 
         let mut hard_failures = hard_gates(&run, &out);
-        let rerun = run_fleet(fleet_config(true));
+        hard_failures.extend(work_gates(&recorded, &out.work, out.config.workers));
+        let rerun = run_fleet(fleet_config());
         hard_failures.extend(determinism_gate(&run, &rerun));
 
         let mut latency_failures = Vec::new();

@@ -9,7 +9,7 @@
 //! chunk size geometrically while throughput keeps improving, back off
 //! additively once it regresses, and settle into a steady state.
 //!
-//! # Plan caching: one store, a handle per communicator, two tiers
+//! # Plan caching: one store, a handle per communicator
 //!
 //! The tuning loop re-issues the same collective over and over while only the
 //! chunk size changes — the tree set does not. Plans are memoised at two
@@ -28,7 +28,13 @@
 //!   and options. Only handle misses reach the store, and a handle keeps its
 //!   plans even when the store evicts them.
 //!
-//! The store has two bounded LRU tiers. The *exact* tier keys plans by
+//! The store also owns everything else a plan's users would otherwise keep
+//! privately: the one [`ScratchPool`] its communicators pack and simulate
+//! with, and the programs they lower from its plans (the lowering tier,
+//! below). A communicator built for a freshly placed job therefore starts
+//! from warm buffers and takes a lowering the fleet already made.
+//!
+//! The store has two bounded LRU plan tiers. The *exact* tier keys plans by
 //! `(`[`plan_fingerprint`]`, root, link class)` — the fingerprint covers the
 //! induced topology and the link-class-normalised options, so equal job
 //! shapes hit and anything else misses. The opt-in *canonical* tier keys
@@ -56,10 +62,34 @@
 //! cache never serves a demoted plan directly — warm seeds only ever enter
 //! through the packer, so every plan handed out has been re-certified
 //! against the current topology.
+//!
+//! # The lowering tier
+//!
+//! Like Blink's CodeGen, which emits a collective once per allocation and
+//! lets every training iteration reuse it, the store keeps each lowered
+//! program next to the plans it was lowered from. An entry is keyed by the
+//! communicator's lowering fingerprint — its plan fingerprint, allocation
+//! order, every option a lowering reads and its canonical-sharing flag,
+//! computed once per build and per replan — plus `(kind, bytes, chunk)` and,
+//! on a switch fabric, the communicator's own strategy verdict. It holds the
+//! shared `Arc<Program>`, the tree count, the strategy tag, the picked root
+//! and the plans the lowering read; a hit hands those plans to the
+//! communicator's handle, so it ends up exactly as a fresh lowering would
+//! have left it.
+//!
+//! A lowering is published only while every plan it read is the exact
+//! tier's current plan for its key, and it is dropped when any of them is
+//! replaced, evicted or retargeted, so it lives exactly as long as the plans
+//! a fresh lowering would read. That is what keeps a hit bit-identical to
+//! lowering afresh; a lowering over relabelled canonical-tier plans, or over
+//! a plan the store no longer holds, is simply never shared.
 
+use crate::collective::CollectiveKind;
+use crate::communicator::SwitchChoice;
 use crate::treegen::{LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
 use crate::Result;
 use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
+use blink_sim::Program;
 use blink_topology::enumerate::canonical_labeling;
 use blink_topology::{GpuId, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
@@ -205,18 +235,34 @@ fn relabel_plan(plan: &TreePlan, map: &BTreeMap<GpuId, GpuId>) -> TreePlan {
 /// versa. Eviction only ever costs a re-pack: lookups are keyed by the
 /// caller's current fingerprint, so correctness is never at stake.
 ///
+/// # The lowering tier and the scratch pool
+///
+/// A third tier, bounded the same way, holds lowered programs (see "the
+/// lowering tier" in the module docs); [`SharedPlanCache::lowering_stats`]
+/// counts its hits and misses. The store also owns the one [`ScratchPool`]
+/// every attached communicator packs and simulates with
+/// ([`SharedPlanCache::scratch`]). Cloning the handle shares both.
+///
 /// [`canonical form`]: blink_topology::enumerate::canonical_form
 #[derive(Debug, Clone, Default)]
 pub struct SharedPlanCache {
     inner: Arc<Mutex<Tiers>>,
+    scratch: ScratchPool,
 }
+
+/// An exact-tier key: `(plan fingerprint, root, link class)`.
+type PlanKey = (u64, GpuId, LinkSelection);
+
+/// Plans a lowering read, each with its exact-tier fingerprint.
+pub(crate) type PlanReads = Vec<(u64, Arc<TreePlan>)>;
 
 #[derive(Debug)]
 struct Tiers {
-    exact: Tier<(u64, GpuId, LinkSelection)>,
+    exact: Tier<PlanKey, Arc<TreePlan>>,
     /// `(canonical form, options fingerprint, canonical root index)` → plan
     /// relabelled into canonical ids.
-    canonical: Tier<(String, u64, usize)>,
+    canonical: Tier<(String, u64, usize), Arc<TreePlan>>,
+    lowerings: Tier<LoweringKey, Arc<Lowering>>,
 }
 
 impl Default for Tiers {
@@ -224,19 +270,74 @@ impl Default for Tiers {
         Tiers {
             exact: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             canonical: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
+            lowerings: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
         }
     }
 }
 
-/// One bounded LRU tier of the store: key → (plan, last-touched tick), with
+impl Tiers {
+    /// Publishes `plan` to the exact tier. Lowerings read from a plan the
+    /// insert replaced or evicted go with it.
+    fn publish(&mut self, key: PlanKey, plan: Arc<TreePlan>) {
+        let displaced = self.exact.insert(key, plan);
+        self.drop_lowerings_reading(&displaced);
+    }
+
+    /// Drops every lowering that read a plan under one of `keys`.
+    fn drop_lowerings_reading(&mut self, keys: &[PlanKey]) {
+        if !keys.is_empty() {
+            self.lowerings
+                .entries
+                .retain(|_, (lowering, _)| !lowering.plan_keys().any(|k| keys.contains(&k)));
+        }
+    }
+}
+
+/// The lowering tier's key: the communicator's lowering fingerprint, the
+/// collective signature, the chunk size and, on a switch fabric, the
+/// communicator's strategy verdict for the kind (`None` elsewhere, and
+/// before the communicator has raced the kind — a lookup no entry answers).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct LoweringKey {
+    pub(crate) base: u64,
+    pub(crate) kind: CollectiveKind,
+    pub(crate) bytes: u64,
+    pub(crate) chunk: u64,
+    pub(crate) verdict: Option<SwitchChoice>,
+}
+
+/// One lowered collective in the lowering tier.
+#[derive(Debug)]
+pub(crate) struct Lowering {
+    pub(crate) program: Arc<Program>,
+    /// Spanning trees (or partitions) the lowering used.
+    pub(crate) num_trees: usize,
+    /// Human-readable strategy tag of the lowering.
+    pub(crate) strategy: String,
+    /// The picked root, when the lowering ran over it.
+    pub(crate) root: Option<GpuId>,
+    /// Every plan the lowering read; the first `sweep` are the picked
+    /// root's sweep.
+    pub(crate) plans: PlanReads,
+    pub(crate) sweep: usize,
+}
+
+impl Lowering {
+    /// The exact-tier keys of the plans the lowering read.
+    fn plan_keys(&self) -> impl Iterator<Item = PlanKey> + '_ {
+        self.plans.iter().map(|(fp, p)| (*fp, p.root, p.links))
+    }
+}
+
+/// One bounded LRU tier of the store: key → (value, last-touched tick), with
 /// its own hit, miss and eviction counters. A hit refreshes the entry's
 /// recency; an insert past `capacity` evicts the least-recently-used entry.
 /// The O(n) scan per eviction is deliberate: capacities are small (plans
 /// are megabyte-scale, not millions of entries) and eviction only happens on
 /// inserts past the cap.
 #[derive(Debug)]
-struct Tier<K> {
-    entries: BTreeMap<K, (Arc<TreePlan>, u64)>,
+struct Tier<K, V> {
+    entries: BTreeMap<K, (V, u64)>,
     /// Monotonic access counter feeding the recency ticks.
     tick: u64,
     capacity: usize,
@@ -245,7 +346,7 @@ struct Tier<K> {
     evictions: u64,
 }
 
-impl<K: Ord + Clone> Tier<K> {
+impl<K: Ord + Clone, V: Clone> Tier<K, V> {
     fn new(capacity: usize) -> Self {
         Tier {
             entries: BTreeMap::new(),
@@ -258,13 +359,19 @@ impl<K: Ord + Clone> Tier<K> {
     }
 
     /// Looks `key` up, counting a hit or a miss.
-    fn get(&mut self, key: &K) -> Option<Arc<TreePlan>> {
+    fn get(&mut self, key: &K) -> Option<V> {
+        self.get_if(key, |_| true)
+    }
+
+    /// Looks `key` up, counting a hit if it is present and `accept`s, and a
+    /// miss otherwise.
+    fn get_if(&mut self, key: &K, accept: impl FnOnce(&V) -> bool) -> Option<V> {
         self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some((plan, last_used)) => {
+        match self.entries.get_mut(key).filter(|(value, _)| accept(value)) {
+            Some((value, last_used)) => {
                 *last_used = self.tick;
                 self.hits += 1;
-                Some(plan.clone())
+                Some(value.clone())
             }
             None => {
                 self.misses += 1;
@@ -273,13 +380,29 @@ impl<K: Ord + Clone> Tier<K> {
         }
     }
 
-    /// Stores `plan`, evicting least-recently-used entries past the bound.
-    /// Two workers racing to plan the same key simply overwrite each other
-    /// with equivalent plans (planning is a pure function of the keyed
-    /// inputs).
-    fn insert(&mut self, key: K, plan: Arc<TreePlan>) {
+    /// Refreshes `key`'s recency, if present, without counting a lookup.
+    fn touch(&mut self, key: &K) {
+        if let Some((_, last_used)) = self.entries.get_mut(key) {
+            self.tick += 1;
+            *last_used = self.tick;
+        }
+    }
+
+    /// Stores `value`, evicting least-recently-used entries past the bound,
+    /// and returns the keys whose entries went away: `key` itself if it was
+    /// present, then every evicted key. Two workers racing to plan the same
+    /// key simply overwrite each other with equivalent plans (planning is a
+    /// pure function of the keyed inputs).
+    fn insert(&mut self, key: K, value: V) -> Vec<K> {
         self.tick += 1;
-        self.entries.insert(key, (plan, self.tick));
+        let mut displaced = Vec::new();
+        if self
+            .entries
+            .insert(key.clone(), (value, self.tick))
+            .is_some()
+        {
+            displaced.push(key);
+        }
         while self.entries.len() > self.capacity {
             let oldest = self
                 .entries
@@ -289,7 +412,9 @@ impl<K: Ord + Clone> Tier<K> {
                 .expect("non-empty tier over capacity");
             self.entries.remove(&oldest);
             self.evictions += 1;
+            displaced.push(oldest);
         }
+        displaced
     }
 }
 
@@ -361,15 +486,35 @@ fn fan_out<T: Sync, R: Send>(tasks: &[T], workers: usize, f: impl Fn(&T) -> R + 
 }
 
 impl SharedPlanCache {
-    /// Maximum number of memoised plans per tier. Sized for a scheduler
-    /// fleet: a job shape costs one entry per (root, link class) it plans,
-    /// so this comfortably holds hundreds of distinct shapes while bounding a
-    /// pathological churn workload to a few thousand small tree sets.
+    /// Maximum number of entries per tier. Sized for a scheduler fleet: a
+    /// job shape costs one plan per (root, link class) it plans and one
+    /// lowering per collective signature it issues, so this comfortably
+    /// holds hundreds of distinct shapes while bounding a pathological churn
+    /// workload to a few thousand small tree sets and programs.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty store whose plan tiers hold at most `capacity` plans each.
+    #[cfg(test)]
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        SharedPlanCache {
+            inner: Arc::new(Mutex::new(Tiers {
+                exact: Tier::new(capacity),
+                canonical: Tier::new(capacity),
+                ..Tiers::default()
+            })),
+            scratch: ScratchPool::new(),
+        }
+    }
+
+    /// The scratch pool every communicator attached to this store packs and
+    /// simulates with.
+    pub fn scratch(&self) -> &ScratchPool {
+        &self.scratch
     }
 
     fn lock(&self) -> MutexGuard<'_, Tiers> {
@@ -398,19 +543,58 @@ impl SharedPlanCache {
         (tiers.canonical.hits, tiers.canonical.misses)
     }
 
-    /// How many plans the LRU bounds have evicted from either tier since
-    /// creation. Delta and fingerprint invalidation do not count: evictions
-    /// measure capacity pressure, not policy flushes.
+    /// `(hits, misses)` counters of the lowering tier since creation: each
+    /// miss is one fresh lowering.
+    pub fn lowering_stats(&self) -> (u64, u64) {
+        let tiers = self.lock();
+        (tiers.lowerings.hits, tiers.lowerings.misses)
+    }
+
+    /// How many plans the LRU bounds have evicted from either plan tier
+    /// since creation. Delta and fingerprint invalidation do not count:
+    /// evictions measure capacity pressure, not policy flushes.
     pub fn evictions(&self) -> u64 {
         let tiers = self.lock();
         tiers.exact.evictions + tiers.canonical.evictions
     }
 
+    /// The lowering under `key`, if one is stored and `accept` takes it; a
+    /// hit refreshes the recency of every plan it read.
+    pub(crate) fn lowering(
+        &self,
+        key: &LoweringKey,
+        accept: impl FnOnce(&Lowering) -> bool,
+    ) -> Option<Arc<Lowering>> {
+        let mut tiers = self.lock();
+        let hit = tiers.lowerings.get_if(key, |l| accept(l))?;
+        for k in hit.plan_keys() {
+            tiers.exact.touch(&k);
+        }
+        Some(hit)
+    }
+
+    /// Stores `lowering` under `key` if every plan it read is still the
+    /// exact tier's plan for its key; otherwise a fresh lowering by another
+    /// communicator could read different plans, so it is not shared.
+    pub(crate) fn publish_lowering(&self, key: LoweringKey, lowering: Arc<Lowering>) {
+        let mut tiers = self.lock();
+        let current = lowering.plans.iter().all(|(fp, plan)| {
+            tiers
+                .exact
+                .entries
+                .get(&(*fp, plan.root, plan.links))
+                .is_some_and(|(stored, _)| Arc::ptr_eq(stored, plan))
+        });
+        if current {
+            tiers.lowerings.insert(key, lowering);
+        }
+    }
+
     /// The one lookup-or-pack-and-publish routine. Each `(induced, fp, root)`
     /// request is looked up in the exact tier and then, when `canonical` is
     /// given, in the canonical tier. The requests both tiers miss are packed
-    /// on `scratch` — warm from `seed(root)` when it yields a stale plan —
-    /// inline, or fanned out over one worker per available CPU when the
+    /// on the store's pool — warm from `seed(root)` when it yields a stale
+    /// plan — inline, or fanned out over one worker per available CPU when the
     /// batch's work (the summed GPU count of the allocations it packs)
     /// reaches [`FAN_OUT_MIN_WORK`]. Every fresh pack is published to both
     /// tiers in request order. Results come back in request order,
@@ -419,7 +603,6 @@ impl SharedPlanCache {
         &self,
         options: &TreeGenOptions,
         requests: &[(&Topology, u64, GpuId)],
-        scratch: &ScratchPool,
         canonical: Option<&Canonical<'_>>,
         mut seed: impl FnMut(GpuId) -> Option<Arc<TreePlan>>,
     ) -> Vec<Result<Arc<TreePlan>>> {
@@ -448,7 +631,7 @@ impl SharedPlanCache {
         let workers = tests::fan_out_seam(armed, workers);
         let packed = fan_out(&misses, workers, |(i, seed)| {
             let (induced, _, root) = requests[*i];
-            let tg = TreeGen::with_scratch(induced.clone(), *options, scratch.clone());
+            let tg = TreeGen::with_scratch(induced.clone(), *options, self.scratch.clone());
             let plan = match seed {
                 Some(seed) => tg.plan_warm(root, seed),
                 None => tg.plan(root),
@@ -458,7 +641,7 @@ impl SharedPlanCache {
         for (&(i, _), plan) in misses.iter().zip(packed) {
             if let Ok(plan) = &plan {
                 let (_, fp, root) = requests[i];
-                self.lock().exact.insert((fp, root, links), plan.clone());
+                self.lock().publish((fp, root, links), plan.clone());
                 if let Some(c) = canonical {
                     c.publish(self, root, plan);
                 }
@@ -472,23 +655,36 @@ impl SharedPlanCache {
     }
 
     /// Moves every exact-tier plan memoised under fingerprint `old` to `new`
-    /// where `keep` holds and drops the rest (recency is kept). Canonical
-    /// entries are shape-intrinsic and never touched.
+    /// where `keep` holds and drops the rest (recency is kept), together with
+    /// every lowering read from a plan it moved, dropped or overwrote.
+    /// Canonical entries are shape-intrinsic and never touched.
     fn retarget(&self, old: u64, new: u64, keep: impl Fn(&TreePlan) -> bool) {
         let mut tiers = self.lock();
-        let stale: Vec<(u64, GpuId, LinkSelection)> = tiers
+        let mut displaced: Vec<PlanKey> = tiers
             .exact
             .entries
             .keys()
             .filter(|(fp, _, _)| *fp == old)
             .copied()
             .collect();
-        for key in stale {
-            let entry = tiers.exact.entries.remove(&key).expect("key just listed");
-            if keep(&entry.0) {
-                tiers.exact.entries.insert((new, key.1, key.2), entry);
+        for i in 0..displaced.len() {
+            let (_, root, links) = displaced[i];
+            let entry = tiers
+                .exact
+                .entries
+                .remove(&displaced[i])
+                .expect("key just listed");
+            if keep(&entry.0)
+                && tiers
+                    .exact
+                    .entries
+                    .insert((new, root, links), entry)
+                    .is_some()
+            {
+                displaced.push((new, root, links));
             }
         }
+        tiers.drop_lowerings_reading(&displaced);
     }
 }
 
@@ -609,7 +805,9 @@ pub fn global_plan_cache() -> SharedPlanCache {
 /// memoised per `(root, link class)` under the fingerprint of the
 /// communicator's current induced topology and options, plus the warm seeds
 /// a delta demoted. Misses go through [`SharedPlanCache::resolve`] and pack
-/// over the handle's scratch pool.
+/// over the store's scratch pool. The handle also records the plans it
+/// serves, so a lowering can list what it read (see "the lowering tier" in
+/// the module docs).
 ///
 /// A lookup under a different fingerprint than the memoised plans were
 /// built under (an unannounced topology or options change) drops them — and
@@ -619,7 +817,6 @@ pub fn global_plan_cache() -> SharedPlanCache {
 #[derive(Debug)]
 pub(crate) struct PlanCache {
     store: SharedPlanCache,
-    scratch: ScratchPool,
     /// Fingerprint the memoised plans were built under; `None` while empty.
     built_under: Option<u64>,
     plans: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
@@ -632,19 +829,22 @@ pub(crate) struct PlanCache {
     canonical: bool,
     /// Canonical labelling of the induced topology `built_under` describes.
     labelling: OnceCell<Option<(String, Vec<GpuId>)>>,
+    /// Every plan served (or recorded through [`PlanCache::record`]) since
+    /// the last [`PlanCache::take_reads`], with its exact-tier fingerprint.
+    reads: PlanReads,
 }
 
 impl PlanCache {
-    /// Creates an empty handle on `store` with its own scratch pool.
+    /// Creates an empty handle on `store`.
     pub(crate) fn new(store: SharedPlanCache, canonical: bool) -> Self {
         PlanCache {
             store,
-            scratch: ScratchPool::new(),
             built_under: None,
             plans: BTreeMap::new(),
             seeds: BTreeMap::new(),
             canonical,
             labelling: OnceCell::new(),
+            reads: Vec::new(),
         }
     }
 
@@ -653,9 +853,37 @@ impl PlanCache {
         &self.store
     }
 
-    /// The scratch pool misses pack with.
-    pub(crate) fn scratch(&self) -> &ScratchPool {
-        &self.scratch
+    /// Whether the handle's opt-in canonical sharing is on.
+    pub(crate) fn canonical(&self) -> bool {
+        self.canonical
+    }
+
+    /// Records plans read outside the handle (the three-phase planner's
+    /// per-server plans) next to the ones it served.
+    pub(crate) fn record(&mut self, reads: impl IntoIterator<Item = (u64, Arc<TreePlan>)>) {
+        self.reads.extend(reads);
+    }
+
+    /// Takes the plans served or recorded since the last call.
+    pub(crate) fn take_reads(&mut self) -> PlanReads {
+        std::mem::take(&mut self.reads)
+    }
+
+    /// Whether the handle holds a plan under fingerprint `fp` for `plan`'s
+    /// key other than `plan` itself.
+    pub(crate) fn contradicts(&self, fp: u64, plan: &Arc<TreePlan>) -> bool {
+        self.built_under == Some(fp)
+            && self
+                .plans
+                .get(&(plan.root, plan.links))
+                .is_some_and(|held| !Arc::ptr_eq(held, plan))
+    }
+
+    /// Takes `plan`, read under fingerprint `fp` by a lowering another
+    /// communicator made, as if this handle had served it.
+    pub(crate) fn adopt(&mut self, fp: u64, plan: Arc<TreePlan>) {
+        self.rekey(fp);
+        self.plans.entry((plan.root, plan.links)).or_insert(plan);
     }
 
     /// Number of memoised plans.
@@ -768,6 +996,7 @@ impl PlanCache {
         self.rekey(fp);
         let links = options.links;
         if let Some(plan) = self.plans.get(&(root, links)) {
+            self.reads.push((fp, plan.clone()));
             return Ok(plan.clone());
         }
         // The canonical form covers exactly the NVLink capacity matrix (and
@@ -787,13 +1016,13 @@ impl PlanCache {
             .resolve(
                 options,
                 &[(induced, fp, root)],
-                &self.scratch,
                 canonical.as_ref(),
                 |root| seeds.remove(&(root, links)),
             )
             .pop()
             .expect("resolve answers every request")?;
         self.plans.insert((root, links), plan.clone());
+        self.reads.push((fp, plan.clone()));
         Ok(plan)
     }
 }
@@ -908,15 +1137,6 @@ mod tests {
         links: LinkSelection,
     ) -> Option<Arc<TreePlan>> {
         store.lock().exact.get(&(fp, root, links))
-    }
-
-    fn store_with_capacity(capacity: usize) -> SharedPlanCache {
-        SharedPlanCache {
-            inner: Arc::new(Mutex::new(Tiers {
-                exact: Tier::new(capacity),
-                canonical: Tier::new(capacity),
-            })),
-        }
     }
 
     fn induced(topo: &Topology, n: usize) -> Topology {
@@ -1160,7 +1380,7 @@ mod tests {
     fn a_handle_keeps_its_plans_when_the_store_evicts_them() {
         let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
-        let shared = store_with_capacity(1);
+        let shared = SharedPlanCache::with_capacity(1);
         let mut a = PlanCache::new(shared.clone(), false);
         let first = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
         a.plan_for(&induced, &opts, GpuId(1)).unwrap();
@@ -1186,6 +1406,7 @@ mod tests {
         let tiers = tiers.lock();
         assert_eq!(tiers.exact.capacity, SharedPlanCache::DEFAULT_CAPACITY);
         assert_eq!(tiers.canonical.capacity, SharedPlanCache::DEFAULT_CAPACITY);
+        assert_eq!(tiers.lowerings.capacity, SharedPlanCache::DEFAULT_CAPACITY);
     }
 
     /// Plans every root of `roots` through `cache`, in order.
@@ -1243,7 +1464,6 @@ mod tests {
             (4 << 20) + 7,
             &TreeGenOptions::default(),
             &crate::CodeGenOptions::default(),
-            &ScratchPool::new(),
             &SharedPlanCache::new(),
         )
         .unwrap()
@@ -1328,13 +1548,7 @@ mod tests {
                 .collect();
             let resolve = |workers| {
                 forcing_workers(workers, || {
-                    SharedPlanCache::new().resolve(
-                        &opts,
-                        &requests,
-                        &ScratchPool::new(),
-                        None,
-                        |_| None,
-                    )
+                    SharedPlanCache::new().resolve(&opts, &requests, None, |_| None)
                 })
             };
             let reference = resolve(1);
@@ -1578,7 +1792,6 @@ mod tests {
             8 << 20,
             &opts,
             &crate::CodeGenOptions::default(),
-            &ScratchPool::new(),
             &shared,
         )
         .unwrap();

@@ -29,39 +29,44 @@
 //! [`Communicator::run_checked`] then proves the recovered program
 //! byte-exact on the post-churn hardware.
 //!
-//! # The lowering memo
+//! # Lowerings live in the plan store
 //!
-//! Like Blink's CodeGen, which emits a collective once per allocation and
-//! lets every training iteration reuse it, a communicator lowers each
-//! collective signature — `(CollectiveKind, bytes)`, the key the chunk
-//! autotuners already use — once, and keeps the result as a shared
-//! `Arc<Program>` plus its tree count and strategy. The entry records the
-//! chunk size it was lowered at: a call whose chunk differs (the MIAD tuner
-//! moving under [`Communicator::run`]) re-lowers and replaces it, so the memo
-//! holds at most one program per signature a caller has issued.
-//! [`Communicator::replan`] clears it together with the tuners, the switch
-//! strategy verdicts and the hybrid planners; nothing else a lowering reads
-//! can change under a live communicator. [`Communicator::run_traced`],
-//! [`Communicator::run_streamed`] and [`crate::ProcessGroups::run_concurrent`]
-//! all lower through it.
+//! A communicator keeps no lowered programs and no scratch of its own. Every
+//! collective it lowers goes to its plan store's lowering tier (see
+//! [`crate::autotune`]), keyed by `(kind, bytes, chunk)` under the
+//! communicator's lowering fingerprint, so a repeated call — or a call any
+//! communicator of the same shape and options already made — takes the
+//! stored `Arc<Program>` instead of lowering again, and a call whose chunk
+//! differs (the MIAD tuner moving under [`Communicator::run`]) lowers
+//! afresh. The fingerprint is computed once when the communicator is built
+//! and once per [`Communicator::replan`]; the entries a replan makes stale
+//! die with their plans in the store. What stays per communicator is what
+//! must not be shared: the MIAD tuners, the hybrid planners and, on switch
+//! fabrics, the strategy verdicts, which enter the key instead.
+//! [`Communicator::run_traced`], [`Communicator::run_streamed`] and
+//! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
+//! simulate on a scratch checked out of the store's pool for one run.
 
-use crate::autotune::{global_plan_cache, ChunkAutotuner, PlanCache, SharedPlanCache};
+use crate::autotune::{
+    global_plan_cache, plan_fingerprint, ChunkAutotuner, Lowering, LoweringKey, PlanCache,
+    SharedPlanCache,
+};
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::{CollectiveKind, CollectiveReport};
 use crate::fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 use crate::hybrid::HybridPlanner;
-use crate::multiserver::three_phase_allreduce_cached;
+use crate::multiserver::three_phase_lowering;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
-use crate::treegen::{LinkSelection, TreeGenOptions};
+use crate::treegen::{LinkSelection, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate_in, DiGraph, NodeIdx, WeightedTree};
-use blink_sim::{
-    check_collective, EngineScratch, Program, RunReport, SimParams, Simulator, ValueCheck,
-};
+use blink_sim::{check_collective, Program, RunReport, SimParams, Simulator, ValueCheck};
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Options for a [`Communicator`] (set through
@@ -103,8 +108,8 @@ impl Default for CommunicatorOptions {
 /// Which lowering won the strategy competition for one collective signature
 /// on an all-to-all switch fabric (see
 /// [`Communicator::build_switch_program`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SwitchChoice {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum SwitchChoice {
     /// Star/one-hop trees through the switch (the paper's DGX-2 strategy).
     OneHop,
     /// MWU-packed spanning trees over the induced switch graph.
@@ -112,12 +117,13 @@ enum SwitchChoice {
 }
 
 /// What one [`Communicator::root_sweep`] observed: the winning root and
-/// rate, whether any candidate spans the selected link class, and the
-/// warm-repair evidence summed over warm-rebuilt roots only.
-#[derive(Debug, Clone, Copy)]
+/// rate, the plans it read, whether any candidate spans the selected link
+/// class, and the warm-repair evidence summed over warm-rebuilt roots only.
+#[derive(Debug, Clone)]
 struct SweepOutcome {
     root: GpuId,
     rate_gbps: f64,
+    plans: Vec<Arc<TreePlan>>,
     /// At least one candidate root spans the selected link class.
     spannable: bool,
     warm_seeded: usize,
@@ -131,6 +137,7 @@ impl SweepOutcome {
         SweepOutcome {
             root,
             rate_gbps: 0.0,
+            plans: Vec::new(),
             spannable: false,
             warm_seeded: 0,
             warm_iterations: 0,
@@ -256,41 +263,17 @@ pub struct ReplanReport {
 }
 
 /// A collective's timing report plus the artifacts the value-level oracle
-/// replays: the lowered program (shared with the communicator's lowering
-/// memo) and the engine's per-op `(start, end)` spans.
+/// replays: the lowered program (shared with the plan store's lowering
+/// tier) and the engine's per-op `(start, end)` spans.
 pub type TracedRun = (CollectiveReport, Arc<Program>, Vec<(f64, f64)>);
 
-/// One collective signature: the key of a communicator's chunk tuners and
-/// lowering memo.
+/// One collective signature: the key of a communicator's chunk tuners.
 type Signature = (CollectiveKind, u64);
-
-/// What a communicator keeps per [`Signature`].
-#[derive(Debug, Default)]
-struct SignatureState {
-    /// The MIAD chunk tuner; consulted only when
-    /// [`CommunicatorOptions::chunk_bytes`] is `None`.
-    tuner: ChunkAutotuner,
-    /// The signature's last lowering (see "the lowering memo" in the module
-    /// docs).
-    lowered: Option<Lowered>,
-}
 
 /// A fresh lowering: the program, the trees (or partitions) it uses, its
 /// strategy tag and, when a switch-fabric strategy race simulated the
 /// winner, that run.
 type Built = (Program, usize, String, Option<RunReport>);
-
-/// A collective lowered at one chunk size.
-#[derive(Debug, Clone)]
-pub(crate) struct Lowered {
-    /// The chunk size the program was lowered at.
-    chunk: u64,
-    pub(crate) program: Arc<Program>,
-    /// Spanning trees (or partitions) the lowering used.
-    num_trees: usize,
-    /// Human-readable strategy tag of the lowering.
-    pub(crate) strategy: String,
-}
 
 /// One program of a [`StreamedRun`]: a fused batch (or unfused single
 /// request) with its issue time, completion time and the oracle-replayable
@@ -305,8 +288,8 @@ pub struct StreamedGroup {
     pub issue_us: f64,
     /// When the program's last op finished, on the session clock.
     pub end_us: f64,
-    /// The lowered (possibly fused) program, shared with the communicator's
-    /// lowering memo.
+    /// The lowered (possibly fused) program, shared with the plan store's
+    /// lowering tier.
     pub program: Arc<Program>,
     /// The engine's per-op `(start, end)` spans for this program.
     pub op_spans: Vec<(f64, f64)>,
@@ -341,21 +324,25 @@ pub struct Communicator {
     induced: Topology,
     sim: Simulator,
     options: CommunicatorOptions,
-    /// Per-signature chunk tuner and lowering memo; cleared by
+    /// Per-signature MIAD chunk tuners, consulted only when
+    /// [`CommunicatorOptions::chunk_bytes`] is `None`; cleared by
     /// [`Communicator::replan`].
-    signatures: BTreeMap<Signature, SignatureState>,
-    /// This communicator's handle on its plan store, plus the planning
-    /// scratch (MWU packing, minimisation and certificate buffers):
-    /// collectives re-issued by the autotune loop skip the packing stage
-    /// entirely, and misses (including the hybrid and three-phase planners')
-    /// reuse one buffer set. The handle keys its plans under a
-    /// topology/options fingerprint, so it would rebuild rather than serve
-    /// stale plans if either ever changed.
+    tuners: BTreeMap<Signature, ChunkAutotuner>,
+    /// This communicator's handle on its plan store: collectives re-issued
+    /// by the autotune loop skip the packing stage entirely. The handle
+    /// keys its plans under a topology/options fingerprint, so it would
+    /// rebuild rather than serve stale plans if either ever changed.
     plans: PlanCache,
-    /// Memoised [`Communicator::pick_root`] answer: the allocation and
-    /// topology are fixed per communicator, so the best rootless-collective
-    /// root is a constant — no per-call certificate sweep.
-    picked_root: Option<GpuId>,
+    /// [`plan_fingerprint`] of the induced topology and TreeGen options.
+    plan_fp: u64,
+    /// The key the store's lowering tier files this communicator's
+    /// lowerings under (see [`lowering_fingerprint`]).
+    lowering_fp: u64,
+    /// Memoised [`Communicator::pick_root`] answer and the plans its root
+    /// sweep read: the allocation and topology are fixed per communicator,
+    /// so the best rootless-collective root is a constant — no per-call
+    /// certificate sweep.
+    picked: Option<(GpuId, Vec<Arc<TreePlan>>)>,
     /// Memoised spannability verdicts per `(root, link class)` — including
     /// the negative ones the plan cache cannot represent, so PCIe-fallback
     /// communicators stop rebuilding the NVLink graph every collective.
@@ -365,13 +352,56 @@ pub struct Communicator {
     hybrids: BTreeMap<GpuId, HybridPlanner>,
     /// Memoised winner of the one-hop-vs-packed simulate-off per collective
     /// kind (rooted kinds per root) on switch fabrics; cleared by
-    /// [`Communicator::replan`].
+    /// [`Communicator::replan`]. Per communicator, and part of its lowering
+    /// keys: a shared verdict would let one communicator's first call pick
+    /// another's strategy.
     switch_strategy: BTreeMap<CollectiveKind, SwitchChoice>,
-    /// Reusable engine buffers: the autotune loop executes one program per
-    /// collective call, and the interned-resource scheduler's prepass tables
-    /// amortise across all of them (see `blink_sim::engine`'s scratch-reuse
-    /// contract).
-    engine_scratch: EngineScratch,
+}
+
+/// The lowering tier's key for a communicator: everything a lowering reads
+/// besides the collective signature, the chunk and the plans themselves —
+/// the plan fingerprint, the allocation order, every option a lowering
+/// reads and whether plans may come from the canonical tier. Computed once
+/// per build and per replan.
+fn lowering_fingerprint(
+    plan_fp: u64,
+    allocation: &[GpuId],
+    options: &CommunicatorOptions,
+    canonical: bool,
+) -> u64 {
+    // Destructured so a new option cannot be silently left out.
+    let CommunicatorOptions {
+        sim_params,
+        treegen,
+        chunk_bytes: _,
+        use_hybrid,
+        stream_reuse,
+        fusion_threshold_bytes: _,
+    } = *options;
+    let SimParams {
+        op_launch_overhead_us,
+        reduce_bandwidth_gbps,
+        dpa_per_gpu_us,
+        link_latency_us,
+        network_latency_us,
+        per_segment_overhead_us,
+    } = sim_params;
+    let mut h = DefaultHasher::new();
+    plan_fp.hash(&mut h);
+    allocation.hash(&mut h);
+    treegen.links.hash(&mut h);
+    for x in [
+        op_launch_overhead_us,
+        reduce_bandwidth_gbps,
+        dpa_per_gpu_us,
+        link_latency_us,
+        network_latency_us,
+        per_segment_overhead_us,
+    ] {
+        x.to_bits().hash(&mut h);
+    }
+    (use_hybrid, stream_reuse, canonical).hash(&mut h);
+    h.finish()
 }
 
 impl Communicator {
@@ -471,7 +501,7 @@ impl Communicator {
     /// engine's per-op `(start, end)` spans — exactly the inputs the
     /// value-level oracle needs. Trivial calls (single GPU, empty buffer)
     /// return an empty program and no spans. The program comes from the
-    /// lowering memo, so repeated calls return the same `Arc`.
+    /// plan store's lowering tier, so repeated calls return the same `Arc`.
     pub fn run_traced(&mut self, kind: CollectiveKind, bytes: u64) -> Result<TracedRun> {
         if self.allocation.len() < 2 || bytes == 0 {
             let report = CollectiveReport {
@@ -490,18 +520,10 @@ impl Communicator {
                 return Err(BlinkError::Planning(format!("GPU {g} not in topology")));
             }
         }
-        let (
-            Lowered {
-                chunk,
-                program,
-                num_trees,
-                strategy,
-            },
-            raced,
-        ) = self.lower_raced(kind, bytes)?;
+        let (lowering, chunk, raced) = self.lower_raced(kind, bytes)?;
         let report = match raced {
             Some(report) => report,
-            None => self.simulate(&program)?,
+            None => self.simulate(&lowering.program)?,
         };
         let gbps = report.algorithmic_bandwidth_gbps(bytes);
         self.observe_chunk(kind, bytes, gbps);
@@ -510,11 +532,11 @@ impl Communicator {
             bytes,
             elapsed_us: report.total_us,
             algorithmic_bandwidth_gbps: gbps,
-            num_trees,
+            num_trees: lowering.num_trees,
             chunk_bytes: chunk,
-            strategy,
+            strategy: lowering.strategy.clone(),
         };
-        Ok((collective_report, program, report.op_spans))
+        Ok((collective_report, lowering.program.clone(), report.op_spans))
     }
 
     /// Runs a collective end to end and replays the executed program through
@@ -584,9 +606,7 @@ impl Communicator {
         // mutably), then run them all in one shared session
         let mut out = Vec::new();
         for group in fuse_requests(&sizes, threshold) {
-            let Lowered {
-                program, strategy, ..
-            } = self.lower(kind, group.total_bytes)?;
+            let lowering = self.lower(kind, group.total_bytes)?;
             let issue_us = group
                 .members
                 .iter()
@@ -596,9 +616,9 @@ impl Communicator {
                 group,
                 issue_us,
                 end_us: issue_us,
-                program,
+                program: lowering.program.clone(),
                 op_spans: Vec::new(),
-                strategy,
+                strategy: lowering.strategy.clone(),
             });
         }
         let mut session = self.sim.session();
@@ -606,7 +626,7 @@ impl Communicator {
             session.admit(g.program.clone(), g.issue_us);
         }
         let report = session
-            .run_with_scratch(&mut self.engine_scratch)
+            .run_with_scratch(&mut self.plans.store().scratch().checkout().engine)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
         for (g, span) in out.iter_mut().zip(report.programs) {
             g.end_us = span.end_us;
@@ -669,62 +689,125 @@ impl Communicator {
     pub fn current_chunk(&mut self, kind: CollectiveKind, bytes: u64) -> u64 {
         match self.options.chunk_bytes {
             Some(c) => c,
-            None => self
-                .signatures
-                .entry((kind, bytes))
-                .or_default()
-                .tuner
-                .chunk_bytes(),
+            None => self.tuners.entry((kind, bytes)).or_default().chunk_bytes(),
         }
     }
 
     fn observe_chunk(&mut self, kind: CollectiveKind, bytes: u64, gbps: f64) {
         if self.options.chunk_bytes.is_none() {
-            if let Some(state) = self.signatures.get_mut(&(kind, bytes)) {
-                state.tuner.observe(gbps);
+            if let Some(tuner) = self.tuners.get_mut(&(kind, bytes)) {
+                tuner.observe(gbps);
             }
         }
     }
 
     /// The chunk-tuner trace for one collective signature (Figure 12).
     pub fn autotune_history(&self, kind: CollectiveKind, bytes: u64) -> Vec<(u64, f64)> {
-        self.signatures
+        self.tuners
             .get(&(kind, bytes))
-            .map(|state| state.tuner.history().to_vec())
+            .map(|tuner| tuner.history().to_vec())
             .unwrap_or_default()
     }
 
     /// Lowers `kind` over `bytes` at the signature's current chunk size,
-    /// through the lowering memo: a hit at the same chunk returns the
-    /// memoised lowering (the same `Arc<Program>`), anything else lowers
-    /// afresh and replaces the entry. Failed lowerings are not memoised.
-    pub(crate) fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Lowered> {
-        self.lower_raced(kind, bytes).map(|(lowered, _)| lowered)
+    /// through the plan store's lowering tier: a hit returns the stored
+    /// lowering (the same `Arc<Program>`), a miss lowers afresh and
+    /// publishes the result. Failed lowerings are not stored.
+    pub(crate) fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Arc<Lowering>> {
+        self.lower_raced(kind, bytes)
+            .map(|(lowering, _, _)| lowering)
     }
 
-    /// [`Communicator::lower`], plus the winner's run when this lowering
-    /// was fresh and raced two switch-fabric strategies (see
-    /// [`Communicator::build_switch_program`]): the race already simulated
-    /// the program, so the caller about to run it can report that run.
+    /// [`Communicator::lower`], plus the chunk size it lowered at and the
+    /// winner's run when this lowering was fresh and raced two
+    /// switch-fabric strategies (see [`Communicator::build_switch_program`]):
+    /// the race already simulated the program, so the caller about to run
+    /// it can report that run.
     fn lower_raced(
         &mut self,
         kind: CollectiveKind,
         bytes: u64,
-    ) -> Result<(Lowered, Option<RunReport>)> {
+    ) -> Result<(Arc<Lowering>, u64, Option<RunReport>)> {
         let chunk = self.current_chunk(kind, bytes);
-        let state = self.signatures.entry((kind, bytes)).or_default();
-        if let Some(hit) = state.lowered.as_ref().filter(|l| l.chunk == chunk) {
-            return Ok((hit.clone(), None));
-        }
-        let (program, num_trees, strategy, raced) = self.build_program(kind, bytes, chunk)?;
-        let lowered = Lowered {
+        let base = self.lowering_fp;
+        let key = |verdict| LoweringKey {
+            base,
+            kind,
+            bytes,
             chunk,
+            verdict,
+        };
+        let lookup = key(self.switch_strategy.get(&kind).copied());
+        if let Some(hit) = self.plans.store().lowering(&lookup, |l| self.accepts(l)) {
+            self.adopt(&hit);
+            return Ok((hit, chunk, None));
+        }
+        self.plans.take_reads();
+        let (program, num_trees, strategy, raced) = self.build_program(kind, bytes, chunk)?;
+        let mut plans = Vec::new();
+        let mut root = None;
+        if kind.root().is_none() && self.packs_per_root() {
+            if let Some((picked, swept)) = &self.picked {
+                root = Some(*picked);
+                plans.extend(swept.iter().map(|p| (self.plan_fp, p.clone())));
+            }
+        }
+        let sweep = plans.len();
+        for (fp, plan) in self.plans.take_reads() {
+            if !plans.iter().any(|(_, p)| Arc::ptr_eq(p, &plan)) {
+                plans.push((fp, plan));
+            }
+        }
+        let lowering = Arc::new(Lowering {
             program: Arc::new(program),
             num_trees,
             strategy,
-        };
-        self.signatures.entry((kind, bytes)).or_default().lowered = Some(lowered.clone());
-        Ok((lowered, raced))
+            root,
+            plans,
+            sweep,
+        });
+        let publish = key(self.switch_strategy.get(&kind).copied());
+        self.plans
+            .store()
+            .publish_lowering(publish, lowering.clone());
+        Ok((lowering, chunk, raced))
+    }
+
+    /// Whether a stored lowering is the one this communicator would lower
+    /// afresh: no plan it read conflicts with a plan the handle holds. The
+    /// store keeps it only while its plans are the exact tier's, which is
+    /// where a fresh lowering would find any plan the handle lacks. That
+    /// covers the picked root too: the handle holds every plan its own root
+    /// sweep read, and a sweep over the same plans picks the same root.
+    fn accepts(&self, lowering: &Lowering) -> bool {
+        lowering
+            .plans
+            .iter()
+            .all(|(fp, plan)| !self.plans.contradicts(*fp, plan))
+    }
+
+    /// Leaves the communicator as lowering afresh would have: the plans the
+    /// stored lowering read join the handle, and its picked root (with its
+    /// sweep's plans) becomes this communicator's.
+    fn adopt(&mut self, lowering: &Lowering) {
+        for (fp, plan) in &lowering.plans {
+            if *fp == self.plan_fp {
+                self.plans.adopt(*fp, plan.clone());
+            }
+        }
+        if let (Some(root), None) = (lowering.root, &self.picked) {
+            let swept = lowering.plans[..lowering.sweep].iter();
+            self.picked = Some((root, swept.map(|(_, p)| p.clone()).collect()));
+        }
+    }
+
+    /// Whether rootless collectives run over per-root packed trees and a
+    /// picked root: a multi-GPU allocation on one server that is not a
+    /// switch fabric.
+    fn packs_per_root(&self) -> bool {
+        self.allocation.len() >= 2
+            && !self.is_multi_server()
+            && !is_switch_fabric(&self.induced, &self.allocation)
     }
 
     fn codegen_options(&self, chunk: u64) -> CodeGenOptions {
@@ -742,12 +825,12 @@ impl Communicator {
     /// only changes through [`Communicator::replan`], which re-runs the sweep
     /// itself.
     fn pick_root(&mut self) -> GpuId {
-        if let Some(root) = self.picked_root {
-            return root;
+        if let Some((root, _)) = &self.picked {
+            return *root;
         }
-        let root = self.root_sweep().root;
-        self.picked_root = Some(root);
-        root
+        let sweep = self.root_sweep();
+        self.picked = Some((sweep.root, sweep.plans));
+        sweep.root
     }
 
     /// Walks the spannable candidate roots in allocation order, plans each
@@ -798,7 +881,7 @@ impl Communicator {
                 && optimal_broadcast_rate_in(
                     &g,
                     idx,
-                    &mut self.plans.scratch().checkout().certificate,
+                    &mut self.plans.store().scratch().checkout().certificate,
                 ) <= out.rate_gbps
             {
                 continue;
@@ -819,6 +902,7 @@ impl Communicator {
                 out.rate_gbps = plan.rate_gbps();
                 out.root = cand;
             }
+            out.plans.push(plan);
         }
         out
     }
@@ -837,9 +921,10 @@ impl Communicator {
     ///
     /// Removed GPUs leave the allocation; GPUs added by the delta join it.
     /// Chunk autotuners reset (the hardware their throughput feedback
-    /// calibrated against no longer exists) and the lowering memo empties
-    /// (its programs may route over links the delta removed); the engine
-    /// scratch is kept — scratch contents never affect results.
+    /// calibrated against no longer exists), and the communicator's lowering
+    /// fingerprint is recomputed, so it never takes a lowering made for the
+    /// old shape; the store drops those together with the plans the delta
+    /// touched.
     ///
     /// # Graceful-degradation ladder
     ///
@@ -942,24 +1027,29 @@ impl Communicator {
         self.allocation = allocation;
         self.induced = induced;
         self.sim = Simulator::new(self.machine.clone(), self.options.sim_params);
-        self.picked_root = None;
+        self.picked = None;
         self.spannable.clear();
         self.hybrids.clear();
         self.switch_strategy.clear();
-        self.signatures.clear();
+        self.tuners.clear();
         self.plans
             .note_delta(&self.induced, &self.options.treegen, delta);
+        self.plan_fp = plan_fingerprint(&self.induced, &self.options.treegen);
+        self.lowering_fp = lowering_fingerprint(
+            self.plan_fp,
+            &self.allocation,
+            &self.options,
+            self.plans.canonical(),
+        );
         let plans_kept = self.plans.len();
         let seeds_demoted = self.plans.seeded();
-        let packed_path = self.allocation.len() >= 2
-            && !self.is_multi_server()
-            && !is_switch_fabric(&self.induced, &self.allocation);
-        let sweep = if packed_path {
+        let packed_path = self.packs_per_root();
+        let mut sweep = if packed_path {
             self.root_sweep()
         } else {
             SweepOutcome::fallback(self.allocation[0])
         };
-        self.picked_root = Some(sweep.root);
+        self.picked = Some((sweep.root, std::mem::take(&mut sweep.plans)));
         let repair_path = if sweep.warm_seeded > 0 && sweep.warm_iterations == 0 {
             RepairPath::Reroute
         } else if sweep.warm_seeded > 0 {
@@ -1009,21 +1099,20 @@ impl Communicator {
                     "{kind} across servers is not supported; only AllReduce uses the three-phase protocol"
                 )));
             }
-            let attempt = three_phase_allreduce_cached(
+            let attempt = three_phase_lowering(
                 &self.machine,
                 &self.allocation,
                 bytes,
                 &self.options.treegen,
                 &self.codegen_options(chunk),
-                self.plans.scratch(),
                 self.plans.store(),
             );
             // A fragmented per-server slice may not be NVLink-spannable (e.g.
             // GPUs {1, 4} on a DGX-1V share no NVLink); retry the whole local
             // phase over the always-complete PCIe mesh, mirroring the
             // single-server fallback below.
-            let (program, info, fell_back) = match attempt {
-                Ok((program, info)) => (program, info, false),
+            let (program, info, reads, fell_back) = match attempt {
+                Ok((program, info, reads)) => (program, info, reads, false),
                 Err(_) if self.options.treegen.links == LinkSelection::NvLinkOnly => {
                     let pcie_tg = TreeGenOptions {
                         links: LinkSelection::PcieOnly,
@@ -1033,19 +1122,19 @@ impl Communicator {
                         link_class: blink_sim::LinkClass::Pcie,
                         ..self.codegen_options(chunk)
                     };
-                    let (program, info) = three_phase_allreduce_cached(
+                    let (program, info, reads) = three_phase_lowering(
                         &self.machine,
                         &self.allocation,
                         bytes,
                         &pcie_tg,
                         &pcie_cg,
-                        self.plans.scratch(),
                         self.plans.store(),
                     )?;
-                    (program, info, true)
+                    (program, info, reads, true)
                 }
                 Err(e) => return Err(e),
             };
+            self.plans.record(reads);
             let strategy = format!(
                 "three-phase multi-server ({} servers, {} partitions{})",
                 info.servers,
@@ -1143,13 +1232,15 @@ impl Communicator {
     /// default.
     ///
     /// The memoised winner is keyed by the collective signature (kind and
-    /// root), decided at the first call's byte size, and cleared by
-    /// [`Communicator::replan`].
+    /// root), decided at the first call's byte size, cleared by
+    /// [`Communicator::replan`], and part of the key every later lowering of
+    /// the kind is stored under.
     ///
     /// The race's winning run is the first call's report: it is returned
     /// with the lowering, and [`Communicator::run_traced`] reports it instead
     /// of simulating the winner a second time. It is never stored, so later
-    /// calls (memo hits) simulate their program once, as on any fabric.
+    /// calls (lowering-tier hits) simulate their program once, as on any
+    /// fabric.
     fn build_switch_program(
         &mut self,
         kind: CollectiveKind,
@@ -1218,10 +1309,12 @@ impl Communicator {
         }
     }
 
-    /// Simulates `program` once on the communicator's engine scratch.
-    fn simulate(&mut self, program: &Program) -> Result<RunReport> {
+    /// Simulates `program` once on a scratch checked out of the store's
+    /// pool.
+    fn simulate(&self, program: &Program) -> Result<RunReport> {
+        let mut scratch = self.plans.store().scratch().checkout();
         self.sim
-            .run_with_scratch(program, &mut self.engine_scratch)
+            .run_with_scratch(program, &mut scratch.engine)
             .map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 }
@@ -1394,19 +1487,22 @@ impl CommunicatorBuilder {
             None => global_plan_cache(),
         };
         let sim = Simulator::new(machine.clone(), self.options.sim_params);
+        let plan_fp = plan_fingerprint(&induced, &self.options.treegen);
+        let lowering_fp = lowering_fingerprint(plan_fp, &allocation, &self.options, self.canonical);
         Ok(Communicator {
             machine,
             allocation,
             induced,
             sim,
             options: self.options,
-            signatures: BTreeMap::new(),
+            tuners: BTreeMap::new(),
             plans: PlanCache::new(store, self.canonical),
-            picked_root: None,
+            plan_fp,
+            lowering_fp,
+            picked: None,
             spannable: BTreeMap::new(),
             hybrids: BTreeMap::new(),
             switch_strategy: BTreeMap::new(),
-            engine_scratch: EngineScratch::new(),
         })
     }
 }
@@ -1494,6 +1590,33 @@ mod tests {
             .allocation(&[GpuId(3), GpuId(5), GpuId(3)])
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn malformed_placements_are_typed_errors_not_panics() {
+        let planning_error = |builder: CommunicatorBuilder, want: &str| match builder.build() {
+            Err(BlinkError::Planning(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("expected a planning error naming {want:?}, got {other:?}"),
+        };
+        // a server index whose GPU ids overflow, alone or beside a valid slice
+        for server in [usize::MAX, usize::MAX / 8] {
+            for slices in [
+                vec![(server, vec![GpuId(0)])],
+                vec![(0, vec![GpuId(0)]), (server, vec![GpuId(1)])],
+            ] {
+                let builder = CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices);
+                planning_error(builder, &format!("server index {server}"));
+            }
+        }
+        // a NIC that is not finite and positive, even on one server
+        let one = vec![(0usize, vec![GpuId(0), GpuId(1)])];
+        let two = vec![(0usize, vec![GpuId(0)]), (1, vec![GpuId(8)])];
+        for nic in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            for slices in [&one, &two] {
+                let builder = CommunicatorBuilder::from_placement(ServerKind::Dgx1V, nic, slices);
+                planning_error(builder, "NIC bandwidth");
+            }
+        }
     }
 
     #[test]
@@ -1622,7 +1745,7 @@ mod tests {
     #[test]
     fn a_raced_dgx2_first_call_reports_the_winners_run() {
         // the race simulates the winner once and the first call reports
-        // that run: it must pass the oracle and match a memo-hit call (and
+        // that run: it must pass the oracle and match a lowering-tier hit (and
         // a fresh simulation of the same program) bit for bit
         let options = CommunicatorOptions {
             chunk_bytes: Some(4 << 20),
@@ -1653,7 +1776,7 @@ mod tests {
             let (second, again, second_spans) = comm.run_traced(kind, bytes).unwrap();
             assert!(
                 Arc::ptr_eq(&program, &again),
-                "the second call is a memo hit"
+                "the second call is a lowering-tier hit"
             );
             assert_eq!(first.elapsed_us.to_bits(), second.elapsed_us.to_bits());
             let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
@@ -1757,9 +1880,10 @@ mod tests {
         // 2 servers x 3 partitions = 6 plans packed once
         assert_eq!(store.stats(), (0, 6));
         assert_eq!(store.len(), 6);
-        // the same signature again is served by the lowering memo
+        // the same signature again is a lowering-tier hit
         let (_, second, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
-        assert_eq!(store.stats(), (0, 6), "a memoised lowering plans nothing");
+        assert_eq!(store.stats(), (0, 6), "a stored lowering plans nothing");
+        assert_eq!(store.lowering_stats(), (1, 1));
         assert!(Arc::ptr_eq(&first, &second));
         // a new size lowers again, over the stored plans
         comm.run_traced(CollectiveKind::AllReduce, mb(16)).unwrap();
@@ -1823,9 +1947,9 @@ mod tests {
     #[test]
     fn placement_communicators_share_plans_with_cluster_built_ones() {
         // The same fragmented job shape, built once from the placement
-        // slices and once from the full cluster model: identical per-server
-        // fingerprints, so the second communicator's three-phase planning
-        // hits the first one's shared-cache entries.
+        // slices and once from the full cluster model: identical
+        // fingerprints, so the second communicator takes the first one's
+        // lowering from the store and plans nothing.
         let shared = SharedPlanCache::new();
         let slices = vec![
             (0usize, (0..4).map(GpuId).collect::<Vec<_>>()),
@@ -1838,6 +1962,7 @@ mod tests {
         let ra = a.all_reduce(mb(64)).unwrap();
         let (hits_before, misses_before) = shared.stats();
         assert!(misses_before > 0, "first communicator packs fresh plans");
+        assert_eq!(shared.lowering_stats(), (0, 1));
 
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let flat: Vec<GpuId> = slices.iter().flat_map(|(_, g)| g.clone()).collect();
@@ -1847,13 +1972,14 @@ mod tests {
             .build()
             .unwrap();
         let rb = b.all_reduce(mb(64)).unwrap();
-        let (hits_after, misses_after) = shared.stats();
-        assert!(
-            hits_after > hits_before,
-            "cluster-built communicator must hit the placement-built plans"
+        assert_eq!(
+            shared.lowering_stats(),
+            (1, 1),
+            "cluster-built communicator must hit the placement-built lowering"
         );
         assert_eq!(
-            misses_after, misses_before,
+            shared.stats(),
+            (hits_before, misses_before),
             "no re-packing for an identical job shape"
         );
         assert_eq!(
@@ -1874,14 +2000,17 @@ mod tests {
             .unwrap();
         let ra = a.broadcast(GpuId(0), mb(100)).unwrap();
         assert_eq!(shared.stats(), (0, 1), "first communicator packs");
-        // a second communicator of the same job shape reuses the plan
+        assert_eq!(shared.lowering_stats(), (0, 1), "and lowers");
+        // a second communicator of the same job shape reuses the lowering
+        // and the plan it was lowered from
         let mut b = Communicator::builder(dgx1v())
             .allocation(&alloc)
             .shared_plans(shared.clone())
             .build()
             .unwrap();
         let rb = b.broadcast(GpuId(0), mb(100)).unwrap();
-        assert_eq!(shared.stats(), (1, 1), "second communicator hits");
+        assert_eq!(shared.lowering_stats(), (1, 1), "second communicator hits");
+        assert_eq!(shared.stats(), (0, 1), "and packs nothing");
         assert_eq!(ra.num_trees, rb.num_trees);
         assert_eq!(ra.elapsed_us.to_bits(), rb.elapsed_us.to_bits());
         // a different shape misses instead of being served a stale plan
@@ -1891,7 +2020,8 @@ mod tests {
             .build()
             .unwrap();
         c.broadcast(GpuId(0), mb(100)).unwrap();
-        assert_eq!(shared.stats(), (1, 2));
+        assert_eq!(shared.stats(), (0, 2));
+        assert_eq!(shared.lowering_stats(), (1, 2));
     }
 
     #[test]
@@ -1907,13 +2037,19 @@ mod tests {
         let ra = a.all_reduce(mb(50)).unwrap();
         // 2 servers x 3 partitions = 6 plans packed once
         assert_eq!(shared.stats(), (0, 6));
+        assert_eq!(shared.lowering_stats(), (0, 1));
         let mut b = Communicator::builder(machine)
             .allocation(&alloc)
             .shared_plans(shared.clone())
             .build()
             .unwrap();
         let rb = b.all_reduce(mb(50)).unwrap();
-        assert_eq!(shared.stats(), (6, 6), "every per-server plan reused");
+        assert_eq!(
+            shared.lowering_stats(),
+            (1, 1),
+            "the lowering over every per-server plan is reused"
+        );
+        assert_eq!(shared.stats(), (0, 6), "and nothing is packed again");
         assert_eq!(ra.elapsed_us.to_bits(), rb.elapsed_us.to_bits());
     }
 
@@ -2013,7 +2149,7 @@ mod tests {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
         comm.all_reduce(mb(16)).unwrap();
-        assert_eq!(comm.picked_root, Some(GpuId(0)));
+        assert_eq!(comm.picked.as_ref().map(|p| p.0), Some(GpuId(0)));
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(0))).unwrap();
         // the dropped root's plan cannot seed another root
         assert_eq!(report.repair_path, RepairPath::Cold, "{report:?}");
@@ -2418,6 +2554,72 @@ mod tests {
         let (_, after, _) = comm.run_traced(kind, mb(16)).unwrap();
         assert!(!Arc::ptr_eq(&before, &after), "replan must re-lower");
         assert!(!uses(&after, a, b), "the new lowering avoids the dead link");
+    }
+
+    #[test]
+    fn a_lowering_dies_with_a_plan_the_store_evicts() {
+        let store = SharedPlanCache::with_capacity(1);
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let build = || {
+            Communicator::builder(dgx1v())
+                .allocation(&alloc)
+                .shared_plans(store.clone())
+                .build()
+                .unwrap()
+        };
+        let mut a = build();
+        a.all_reduce(mb(16)).unwrap();
+        // root 1's plan evicts root 0's, which the AllReduce was lowered from
+        a.broadcast(GpuId(1), mb(1)).unwrap();
+        assert_eq!(store.evictions(), 1);
+        let (packs, (hits, misses)) = (store.stats().1, store.lowering_stats());
+        build().all_reduce(mb(16)).unwrap();
+        assert_eq!(store.lowering_stats(), (hits, misses + 1), "lowered afresh");
+        assert_eq!(store.stats().1, packs + 1, "over a fresh pack");
+    }
+
+    #[test]
+    fn a_stored_lowering_over_plans_the_handle_does_not_hold_is_not_taken() {
+        // At capacity 2 the exact tier forgets a communicator's plan while
+        // its handle keeps it, so another communicator can store a lowering
+        // of the same signature over a different plan of the same shape.
+        let store = SharedPlanCache::with_capacity(2);
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let build = || {
+            Communicator::builder(dgx1v())
+                .allocation(&alloc)
+                .shared_plans(store.clone())
+                .build()
+                .unwrap()
+        };
+        let kind = CollectiveKind::AllReduce;
+        let kill = |comm: &Communicator, a: usize, b: usize| {
+            TopologyDelta::kill_link(comm.induced_topology(), GpuId(a), GpuId(b))
+        };
+        // b repairs two link failures one at a time
+        let mut b = build();
+        b.all_reduce(mb(16)).unwrap();
+        let healthy = b.induced_topology().clone();
+        b.replan(&kill(&b, 0, 1)).unwrap();
+        b.replan(&kill(&b, 2, 3)).unwrap();
+        let (_, mine, _) = b.run_traced(kind, mb(16)).unwrap();
+        for root in [1, 2] {
+            b.broadcast(GpuId(root), mb(1)).unwrap();
+        }
+        // d repairs both at once, and stores its own lowering
+        let mut d = build();
+        d.all_reduce(mb(16)).unwrap();
+        d.replan(&TopologyDelta::between(&healthy, b.induced_topology()))
+            .unwrap();
+        let (_, theirs, _) = d.run_traced(kind, mb(16)).unwrap();
+        let (_, again, _) = b.run_traced(kind, mb(16)).unwrap();
+        assert!(
+            !Arc::ptr_eq(&again, &theirs),
+            "b must not take d's lowering"
+        );
+        assert_eq!(*again, *mine, "b lowers over its own plan");
+        let (_, check) = b.run_checked(kind, mb(16)).unwrap();
+        assert!(check.is_correct(), "{check}");
     }
 
     /// The endpoints of the first NVLink copy in `program`.

@@ -22,8 +22,9 @@
 
 use crate::collective::CollectiveKind;
 use crate::communicator::Communicator;
+use crate::SharedPlanCache;
 use crate::{BlinkError, Result};
-use blink_sim::{check_collective, EngineScratch, Program, Simulator, ValueCheck};
+use blink_sim::{check_collective, Program, Simulator, ValueCheck};
 use blink_topology::{GroupSplit, Topology};
 use std::sync::Arc;
 
@@ -34,7 +35,8 @@ pub struct ProcessGroups {
     machine: Topology,
     sim: Simulator,
     children: Vec<Communicator>,
-    engine_scratch: EngineScratch,
+    /// The parent's plan store: its pool serves the shared session's runs.
+    store: SharedPlanCache,
 }
 
 /// One subgroup's outcome inside a [`GroupRun`].
@@ -49,7 +51,7 @@ pub struct GroupCollective {
     /// Human-readable strategy the child communicator picked.
     pub strategy: String,
     /// The lowered transfer program (empty for trivial requests), shared
-    /// with the child communicator's lowering memo.
+    /// with the plan store's lowering tier.
     pub program: Arc<Program>,
     /// Per-op `(start, end)` times on the shared schedule, indexed by the
     /// program's op ids.
@@ -74,13 +76,14 @@ impl ProcessGroups {
             .partition(&machine, parent.allocation())
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
         let options = *parent.options();
+        let store = parent.plan_store().clone();
         let mut children = Vec::with_capacity(partitions.len());
         for group in &partitions {
             children.push(
                 Communicator::builder(machine.clone())
                     .allocation(group)
                     .options(options)
-                    .shared_plans(parent.plan_store().clone())
+                    .shared_plans(store.clone())
                     .canonical_plan_sharing()
                     .build()?,
             );
@@ -90,7 +93,7 @@ impl ProcessGroups {
             machine,
             sim,
             children,
-            engine_scratch: EngineScratch::new(),
+            store,
         })
     }
 
@@ -147,8 +150,8 @@ impl ProcessGroups {
                     "trivial (single GPU or empty buffer)".to_string(),
                 )
             } else {
-                let lowered = child.lower(kind, bytes)?;
-                (lowered.program, lowered.strategy)
+                let lowering = child.lower(kind, bytes)?;
+                (lowering.program.clone(), lowering.strategy.clone())
             };
             groups.push(GroupCollective {
                 kind,
@@ -171,7 +174,7 @@ impl ProcessGroups {
             }
         }
         let report = session
-            .run_with_scratch(&mut self.engine_scratch)
+            .run_with_scratch(&mut self.store.scratch().checkout().engine)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
         for (i, span) in admitted.into_iter().zip(report.programs) {
             groups[i].end_us = span.end_us;

@@ -5,9 +5,10 @@
 //!
 //! * [`treegen`] — the TreeGen stage (Figure 9): probe the topology induced by
 //!   a job's GPU allocation, pack spanning trees with the MWU approximation
-//!   and minimise the number of trees (Sections 3.1–3.2) over one
-//!   [`ScratchPool`] of reusable planning buffers. The only thread fan-out
-//!   is the plan store's miss batch ([`SharedPlanCache`]), armed by the
+//!   and minimise the number of trees (Sections 3.1–3.2) over a
+//!   [`ScratchPool`] of reusable planning and engine buffers, which the plan
+//!   store ([`SharedPlanCache`]) owns for every communicator attached to it.
+//!   The only thread fan-out is the store's miss batch, armed by the
 //!   batch's work and bit-identical to planning it inline.
 //! * [`codegen`] — the CodeGen stage: lower a tree plan into a chunked,
 //!   pipelined transfer program with one stream per link per tree and stream
@@ -25,9 +26,10 @@
 //!   Gather, Reduce, AllGather, ReduceScatter, AllReduce) and their reports.
 //! * [`autotune`] — the multiplicative-increase / additive-decrease automatic
 //!   chunk-size selection (Section 4.2.1, Figure 12), and the plan cache
-//!   that keeps packing out of the tuning loop: one [`SharedPlanCache`]
-//!   store with an exact and a canonical tier, and a private handle on it in
-//!   every communicator.
+//!   that keeps packing and lowering out of the tuning loop: one
+//!   [`SharedPlanCache`] store with an exact and a canonical plan tier and a
+//!   tier of lowered programs, and a private handle on it in every
+//!   communicator.
 //! * [`fusion`] — batching of small concurrent same-kind collectives into one
 //!   segmented program over their concatenated logical space (the SparCML
 //!   observation applied to per-layer gradient buckets), with a window

@@ -13,10 +13,10 @@
 //! 3. **Local broadcast** — every server-local root broadcasts its fully
 //!    reduced partition over the local trees.
 
-use crate::autotune::{plan_fingerprint, SharedPlanCache};
+use crate::autotune::{plan_fingerprint, PlanReads, SharedPlanCache};
 use crate::codegen::{check_op_budget, Chunks, CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
-use crate::treegen::{ScratchPool, TreeGenOptions, TreePlan};
+use crate::treegen::{TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_sim::{LinkClass, OpId, Program, ProgramBuilder};
 use blink_topology::{GpuId, ServerId, Topology};
@@ -60,7 +60,7 @@ fn split_even(total: u64, parts: usize) -> Vec<u64> {
 /// go to the store as one batch, which fans out over threads only when it
 /// is large enough to pay for them (a two-server, sixteen-GPU DGX-1V job
 /// is; a fleet-sized fragment is not). The program is bit-identical either
-/// way.
+/// way. Packs use the store's scratch pool.
 ///
 /// # Errors
 /// Fails when the allocation lives on a single server (use the single-server
@@ -72,9 +72,22 @@ pub fn three_phase_allreduce_cached(
     bytes: u64,
     tg_options: &TreeGenOptions,
     cg_options: &CodeGenOptions,
-    scratch: &ScratchPool,
     store: &SharedPlanCache,
 ) -> Result<(Program, ThreePhaseInfo)> {
+    three_phase_lowering(machine, allocation, bytes, tg_options, cg_options, store)
+        .map(|(program, info, _)| (program, info))
+}
+
+/// [`three_phase_allreduce_cached`], plus every per-server plan the program
+/// was lowered from, each with its server-induced fingerprint.
+pub(crate) fn three_phase_lowering(
+    machine: &Topology,
+    allocation: &[GpuId],
+    bytes: u64,
+    tg_options: &TreeGenOptions,
+    cg_options: &CodeGenOptions,
+    store: &SharedPlanCache,
+) -> Result<(Program, ThreePhaseInfo, PlanReads)> {
     // group by server, preserving allocation order
     let mut by_server: BTreeMap<ServerId, Vec<GpuId>> = BTreeMap::new();
     for &g in allocation {
@@ -117,16 +130,19 @@ pub fn three_phase_allreduce_cached(
         })
         .collect();
     let mut planned = store
-        .resolve(tg_options, &requests, scratch, None, |_| None)
+        .resolve(tg_options, &requests, None, |_| None)
         .into_iter();
+    let mut reads = Vec::with_capacity(requests.len());
     let mut plans: Vec<Vec<Arc<TreePlan>>> = Vec::new();
     let mut roots: Vec<Vec<GpuId>> = Vec::new();
     let mut local_rates = Vec::new();
-    for (_, gpus) in &servers {
+    for ((_, gpus), &(_, fp)) in servers.iter().zip(&induced) {
         let mut server_plans = Vec::new();
         let mut server_roots = Vec::new();
         for p in 0..partitions {
-            server_plans.push(planned.next().expect("one plan per request")?);
+            let plan = planned.next().expect("one plan per request")?;
+            reads.push((fp, plan.clone()));
+            server_plans.push(plan);
             server_roots.push(gpus[p % gpus.len()]);
         }
         local_rates.push(
@@ -273,6 +289,7 @@ pub fn three_phase_allreduce_cached(
             roots,
             local_rates_gbps: local_rates,
         },
+        reads,
     ))
 }
 
@@ -291,7 +308,6 @@ mod tests {
         machine: &Topology,
         alloc: &[GpuId],
         bytes: u64,
-        scratch: &ScratchPool,
     ) -> Result<(Program, ThreePhaseInfo)> {
         three_phase_allreduce_cached(
             machine,
@@ -299,7 +315,6 @@ mod tests {
             bytes,
             &TreeGenOptions::default(),
             &CodeGenOptions::default(),
-            scratch,
             &SharedPlanCache::new(),
         )
     }
@@ -325,7 +340,7 @@ mod tests {
     fn three_phase_builds_and_runs_on_fragmented_allocation() {
         let (machine, alloc) = fragmented_allocation();
         let bytes = mb(100);
-        let (program, info) = three_phase(&machine, &alloc, bytes, &ScratchPool::new()).unwrap();
+        let (program, info) = three_phase(&machine, &alloc, bytes).unwrap();
         assert_eq!(info.servers, 2);
         assert_eq!(info.partitions, 3);
         assert_eq!(info.roots.len(), 2);
@@ -339,7 +354,7 @@ mod tests {
     fn cross_machine_traffic_is_bounded_by_the_protocol() {
         let (machine, alloc) = fragmented_allocation();
         let bytes = mb(64);
-        let (program, info) = three_phase(&machine, &alloc, bytes, &ScratchPool::new()).unwrap();
+        let (program, info) = three_phase(&machine, &alloc, bytes).unwrap();
         // phase 2 moves every slice (1/servers of each partition) once to its
         // owner and once back per non-owner server; summed over the whole
         // buffer that is 2 * (servers - 1) * bytes / servers per owner, i.e.
@@ -368,7 +383,6 @@ mod tests {
             mb(50),
             &TreeGenOptions::default(),
             &CodeGenOptions::default(),
-            &ScratchPool::new(),
             &cache,
         )
         .unwrap();
@@ -383,7 +397,6 @@ mod tests {
             mb(50),
             &TreeGenOptions::default(),
             &CodeGenOptions::default(),
-            &ScratchPool::new(),
             &cache,
         )
         .unwrap();
@@ -396,7 +409,7 @@ mod tests {
     fn single_server_allocation_is_rejected() {
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let err = three_phase(&machine, &alloc, mb(1), &ScratchPool::new()).unwrap_err();
+        let err = three_phase(&machine, &alloc, mb(1)).unwrap_err();
         assert!(matches!(err, BlinkError::Planning(_)));
     }
 
@@ -419,7 +432,7 @@ mod tests {
         let mut last = 0.0;
         for nic in [5.0, 12.5, 50.0] {
             let machine = multi_server(2, ServerKind::Dgx1V, nic);
-            let (program, _) = three_phase(&machine, &alloc, bytes, &ScratchPool::new()).unwrap();
+            let (program, _) = three_phase(&machine, &alloc, bytes).unwrap();
             let bw = Simulator::with_defaults(machine)
                 .run(&program)
                 .unwrap()

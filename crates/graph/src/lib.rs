@@ -58,9 +58,10 @@
 //!    compile time below): a scratch may be checked out of a pool, carried
 //!    into a worker thread, used for any number of solves and returned. The
 //!    structs are deliberately *not* shared mutably across threads — each
-//!    concurrent solve gets its own scratch. `blink-core` keeps one
-//!    `ScratchPool` per communicator for the checkout/return protocol, and
-//!    its plan store's miss batch is the one place solves run on several
+//!    concurrent solve gets its own scratch. `blink-core`'s plan store owns
+//!    one `ScratchPool` for the checkout/return protocol, shared by every
+//!    communicator attached to it, and its miss batch is the one place
+//!    solves run on several
 //!    threads, armed only when the batch's work pays for them. Because of
 //!    rule 1 (buffers, not state) such a batch is bit-identical to running
 //!    the same solves inline through one scratch, regardless of which

@@ -136,10 +136,18 @@
 //! scratches: it is a buffer, not state (any run through an arbitrarily
 //! dirty scratch returns a report bit-identical to a fresh-scratch run — the
 //! prepass rewrites every entry it will read), it grows to the largest
-//! program seen and never shrinks, one scratch may be threaded through runs
-//! over different programs and topologies in any order, and it is `Send`
-//! (asserted at compile time below) so per-worker pools can move scratches
-//! across threads — but never share one mutably between concurrent runs.
+//! program seen and never shrinks, and it is `Send` (asserted at compile
+//! time below) so pools can move scratches across threads — but never share
+//! one mutably between concurrent runs.
+//!
+//! One scratch may be threaded through runs over different programs *and
+//! different simulators* in any order: the per-resource arrays are sized
+//! from the running simulator's resource table on every run, so a scratch
+//! last used on a 16-GPU DGX-2 serves a two-GPU slice unchanged, and the
+//! other way round. That is what lets `blink-core` keep engine scratches in
+//! its plan store's pool, next to the planning buffers, and hand whichever
+//! is free to whichever communicator runs next, instead of each
+//! communicator (or process group) holding one for its lifetime.
 
 use crate::params::SimParams;
 use crate::program::{LinkClass, Op, OpKind, Program};

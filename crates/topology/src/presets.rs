@@ -294,15 +294,20 @@ pub fn multi_server(n_servers: usize, kind: ServerKind, nic_gbps: f64) -> Topolo
 /// this equivalence.
 ///
 /// # Errors
-/// Rejects empty placements ([`TopologyError::EmptyAllocation`]), GPU ids
-/// inconsistent with their slice's server index
-/// ([`TopologyError::UnknownGpu`]), and GPUs listed twice
-/// ([`TopologyError::DuplicateGpu`]).
+/// Rejects a NIC bandwidth that is not finite and positive
+/// ([`TopologyError::InvalidNicBandwidth`]), empty placements
+/// ([`TopologyError::EmptyAllocation`]), server indices whose GPU ids
+/// overflow ([`TopologyError::ServerOutOfRange`]), GPU ids inconsistent with
+/// their slice's server index ([`TopologyError::UnknownGpu`]), and GPUs
+/// listed twice ([`TopologyError::DuplicateGpu`]).
 pub fn placement_topology(
     kind: ServerKind,
     nic_gbps: f64,
     slices: &[(usize, Vec<GpuId>)],
 ) -> crate::Result<Topology> {
+    if !(nic_gbps.is_finite() && nic_gbps > 0.0) {
+        return Err(TopologyError::InvalidNicBandwidth);
+    }
     let gps = gpus_per_server(kind);
     let mut by_server: BTreeMap<usize, BTreeSet<GpuId>> = BTreeMap::new();
     for (server, gpus) in slices {
@@ -316,6 +321,14 @@ pub fn placement_topology(
     by_server.retain(|_, gpus| !gpus.is_empty());
     if by_server.is_empty() {
         return Err(TopologyError::EmptyAllocation);
+    }
+    // Every id below numbers a GPU of one of these servers, so none can
+    // overflow once each server's last id fits.
+    for &server in by_server.keys() {
+        server
+            .checked_add(1)
+            .and_then(|next| next.checked_mul(gps))
+            .ok_or(TopologyError::ServerOutOfRange(server))?;
     }
     let all_ids: Vec<String> = by_server
         .values()
@@ -641,6 +654,24 @@ mod tests {
             placement_topology(ServerKind::Dgx1V, 5.0, &[]).unwrap_err(),
             TopologyError::EmptyAllocation
         );
+        // server indices whose GPU ids cannot be numbered
+        for server in [usize::MAX, usize::MAX / 8] {
+            let huge = vec![(server, vec![GpuId(0)])];
+            assert_eq!(
+                placement_topology(ServerKind::Dgx1V, 5.0, &huge).unwrap_err(),
+                TopologyError::ServerOutOfRange(server)
+            );
+        }
+        // NIC bandwidths that are not finite and positive, single-server
+        // placements included
+        let one = vec![(0usize, vec![GpuId(0), GpuId(1)])];
+        for nic in [f64::NAN, f64::INFINITY, 0.0, -5.0] {
+            assert_eq!(
+                placement_topology(ServerKind::Dgx1V, nic, &one).unwrap_err(),
+                TopologyError::InvalidNicBandwidth,
+                "NIC {nic}"
+            );
+        }
     }
 
     #[test]

@@ -29,6 +29,10 @@ pub enum TopologyError {
         /// Link destination.
         dst: GpuId,
     },
+    /// A server index too large for its servers' GPU ids to be numbered.
+    ServerOutOfRange(usize),
+    /// A NIC bandwidth that is not a finite positive number.
+    InvalidNicBandwidth,
 }
 
 impl fmt::Display for TopologyError {
@@ -45,6 +49,12 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::InvalidCapacity { src, dst } => {
                 write!(f, "link {src} -> {dst} needs a finite positive capacity")
+            }
+            TopologyError::ServerOutOfRange(s) => {
+                write!(f, "server index {s} is too large to number its GPUs")
+            }
+            TopologyError::InvalidNicBandwidth => {
+                write!(f, "NIC bandwidth must be a finite positive number")
             }
         }
     }

@@ -5,7 +5,7 @@
 use blink::prelude::*;
 use blink_bench::measure::{blink_collective, mb, nccl_collective};
 use blink_core::multiserver::{three_phase_allreduce_cached, ThreePhaseInfo};
-use blink_core::{CodeGenOptions, CollectiveKind, ScratchPool, SharedPlanCache, TreeGenOptions};
+use blink_core::{CodeGenOptions, CollectiveKind, SharedPlanCache, TreeGenOptions};
 use blink_sim::{check_collective, CollectiveSpec, Program, Simulator};
 use blink_topology::enumerate::unique_allocations;
 use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
@@ -18,7 +18,6 @@ fn three_phase(machine: &Topology, alloc: &[GpuId], bytes: u64) -> (Program, Thr
         bytes,
         &TreeGenOptions::default(),
         &CodeGenOptions::default(),
-        &ScratchPool::new(),
         &SharedPlanCache::new(),
     )
     .unwrap()
@@ -210,10 +209,15 @@ fn identical_job_shapes_reuse_plans_across_communicators() {
     let (hits, misses) = shared.stats();
     // the rootless-collective sweep packs only candidates whose certificate
     // can beat the best plan so far; on this quad the first root attains
-    // the optimum, so the first communicator packs once and every later
-    // communicator reuses that one plan
+    // the optimum, so the first communicator packs once and lowers once,
+    // and every later communicator reuses that lowering and its plan
     assert_eq!(misses, 1, "one pack for the picked root, never repeated");
-    assert_eq!(hits, 3, "every later communicator reuses it");
+    assert_eq!(hits, 0, "no later communicator looks a plan up");
+    assert_eq!(
+        shared.lowering_stats(),
+        (3, 1),
+        "every later communicator reuses the lowering"
+    );
 }
 
 /// The communicator handles every collective kind on an arbitrary allocation.

@@ -1,0 +1,498 @@
+//! The plan store as the owner of scratch and lowerings: a scratch's history
+//! never changes a plan, a program or a schedule, and a lowering taken from
+//! the store's lowering tier is the one a communicator would have lowered
+//! afresh — down to the state a later replan starts from.
+
+use blink::prelude::*;
+use blink_core::multiserver::three_phase_allreduce_cached;
+use blink_core::{
+    CodeGen, CodeGenOptions, LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan,
+};
+use blink_sim::{check_collective, LinkClass, OpKind, Program, RunReport, SimParams, Simulator};
+use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
+use blink_topology::{GroupSplit, TopologyDelta};
+use std::sync::Arc;
+
+fn ids(v: &[usize]) -> Vec<GpuId> {
+    v.iter().map(|&i| GpuId(i)).collect()
+}
+
+/// A run's every field, floats included bit for bit (`Debug` prints each
+/// float's shortest round-trip form).
+fn run_bits(report: &RunReport) -> String {
+    format!("{report:?}")
+}
+
+/// One planning case: a machine, an allocation, a root and a link class.
+struct Shape {
+    machine: Topology,
+    alloc: Vec<GpuId>,
+    root: GpuId,
+    links: LinkSelection,
+}
+
+fn shapes() -> Vec<Shape> {
+    let shape = |machine: Topology, alloc: &[usize], links| Shape {
+        machine,
+        alloc: ids(alloc),
+        root: GpuId(alloc[0]),
+        links,
+    };
+    vec![
+        shape(
+            dgx1v(),
+            &[0, 1, 2, 3, 4, 5, 6, 7],
+            LinkSelection::NvLinkOnly,
+        ),
+        shape(dgx1v(), &[1, 4, 5, 6], LinkSelection::NvLinkOnly),
+        // GPUs 1 and 4 share no NVLink on a DGX-1P: the PCIe fallback
+        shape(dgx1p(), &[1, 4], LinkSelection::PcieOnly),
+        shape(dgx1p(), &[0, 1, 3, 4, 5, 7], LinkSelection::NvLinkOnly),
+        shape(dgx2(), &[0, 3, 7, 11, 12], LinkSelection::NvLinkOnly),
+        shape(
+            dgx2(),
+            &(0..16).collect::<Vec<_>>(),
+            LinkSelection::NvLinkOnly,
+        ),
+    ]
+}
+
+impl Shape {
+    fn options(&self) -> TreeGenOptions {
+        TreeGenOptions {
+            links: self.links,
+            ..Default::default()
+        }
+    }
+
+    /// Plans the shape over `pool`, lowers an AllReduce from the plan and
+    /// simulates it on the pool's engine scratch.
+    fn plan_and_run(&self, pool: &ScratchPool) -> (TreePlan, Program, RunReport) {
+        let induced = self.machine.induced(&self.alloc).unwrap();
+        let plan = TreeGen::with_scratch(induced, self.options(), pool.clone())
+            .plan(self.root)
+            .unwrap();
+        let class = match self.links {
+            LinkSelection::NvLinkOnly => LinkClass::NvLink,
+            LinkSelection::PcieOnly => LinkClass::Pcie,
+        };
+        let program = CodeGen::new(CodeGenOptions {
+            link_class: class,
+            ..Default::default()
+        })
+        .build(&plan.trees, CollectiveKind::AllReduce, (8 << 20) + 3)
+        .unwrap();
+        let sim = Simulator::new(self.machine.clone(), SimParams::default());
+        let run = sim
+            .run_with_scratch(&program, &mut pool.checkout().engine)
+            .unwrap();
+        (plan, program, run)
+    }
+}
+
+#[test]
+fn a_pool_last_used_by_any_shape_plans_and_runs_bit_identically() {
+    let shapes = shapes();
+    let (large, small) = (&shapes[5], &shapes[2]);
+    for shape in &shapes {
+        let (plan, program, run) = shape.plan_and_run(&ScratchPool::new());
+        // the pool's last user was larger (the whole DGX-2) or smaller (a
+        // PCIe pair) than this shape, or this very shape
+        for last in [large, small, shape] {
+            let pool = ScratchPool::new();
+            last.plan_and_run(&pool);
+            let (again, reprogram, rerun) = shape.plan_and_run(&pool);
+            assert!(
+                plan.bit_eq(&again),
+                "{:?} after {:?}",
+                shape.alloc,
+                last.alloc
+            );
+            assert_eq!(program, reprogram);
+            assert_eq!(run_bits(&run), run_bits(&rerun), "{:?}", shape.alloc);
+            assert_eq!(pool.created(), 1, "one scratch served every step");
+        }
+    }
+}
+
+#[test]
+fn a_store_whose_pool_is_warm_lowers_the_three_phase_program_unchanged() {
+    let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
+    let alloc = ids(&[0, 1, 2, 8, 9, 10, 11, 12]);
+    let lower = |store: &SharedPlanCache| {
+        three_phase_allreduce_cached(
+            &machine,
+            &alloc,
+            (32 << 20) + 5,
+            &TreeGenOptions::default(),
+            &CodeGenOptions::default(),
+            store,
+        )
+        .unwrap()
+    };
+    let (fresh, info) = lower(&SharedPlanCache::new());
+    let sim = Simulator::new(machine.clone(), SimParams::default());
+    let fresh_run = sim.run(&fresh).unwrap();
+    for last in [&shapes()[5], &shapes()[2]] {
+        let store = SharedPlanCache::new();
+        last.plan_and_run(store.scratch());
+        let (program, warm_info) = lower(&store);
+        assert_eq!(program, fresh);
+        assert_eq!(info.roots, warm_info.roots);
+        let run = sim
+            .run_with_scratch(&program, &mut store.scratch().checkout().engine)
+            .unwrap();
+        assert_eq!(run_bits(&run), run_bits(&fresh_run));
+        assert_eq!(store.scratch().created(), 1);
+    }
+}
+
+#[test]
+fn one_engine_scratch_moves_between_simulators_of_any_size() {
+    // a DGX-2's resource table is several times a DGX-1V pair's
+    let shapes = shapes();
+    let programs: Vec<(&Shape, Program, RunReport)> = [&shapes[5], &shapes[1], &shapes[2]]
+        .into_iter()
+        .map(|s| {
+            let (_, program, run) = s.plan_and_run(&ScratchPool::new());
+            (s, program, run)
+        })
+        .collect();
+    let pool = ScratchPool::new();
+    let mut scratch = pool.checkout();
+    for round in 0..2 {
+        for (shape, program, fresh) in &programs {
+            let sim = Simulator::new(shape.machine.clone(), SimParams::default());
+            let run = sim.run_with_scratch(program, &mut scratch.engine).unwrap();
+            assert_eq!(run_bits(&run), run_bits(fresh), "round {round}");
+        }
+    }
+}
+
+/// Runs `calls` on a communicator built by `build` over `store`, returning
+/// every lowered program.
+fn lowered(
+    build: &dyn Fn() -> CommunicatorBuilder,
+    store: &SharedPlanCache,
+    calls: &[(CollectiveKind, u64)],
+) -> Vec<Arc<Program>> {
+    let mut comm = build().shared_plans(store.clone()).build().unwrap();
+    calls
+        .iter()
+        .map(|&(kind, bytes)| {
+            let (_, program, spans) = comm.run_traced(kind, bytes).unwrap();
+            let check = check_collective(kind.spec(), &program, &spans, comm.allocation(), bytes);
+            assert!(check.is_correct(), "{check}");
+            program
+        })
+        .collect()
+}
+
+#[test]
+fn tier_hits_are_the_programs_a_fresh_lowering_makes() {
+    let mb = |n: u64| n << 20;
+    let all_reduce = CollectiveKind::AllReduce;
+    let on = |machine: Topology, alloc: Vec<GpuId>, options: CommunicatorOptions| {
+        move || {
+            Communicator::builder(machine.clone())
+                .allocation(&alloc)
+                .options(options)
+        }
+    };
+    let hybrid = CommunicatorOptions {
+        use_hybrid: true,
+        ..Default::default()
+    };
+    let slices = vec![(0usize, ids(&[0, 1, 2])), (1usize, ids(&[8, 9, 10, 11]))];
+    let three_phase = move || CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices);
+    type Build = Box<dyn Fn() -> CommunicatorBuilder>;
+    type Calls = Vec<(CollectiveKind, u64)>;
+    let cases: Vec<(&str, Build, Calls)> = vec![
+        (
+            "dgx1v",
+            Box::new(on(dgx1v(), ids(&[0, 2, 3, 5]), Default::default())),
+            vec![
+                (all_reduce, mb(16)),
+                (CollectiveKind::Broadcast { root: GpuId(3) }, mb(4)),
+            ],
+        ),
+        (
+            "dgx1p pcie fallback",
+            Box::new(on(dgx1p(), ids(&[1, 4]), Default::default())),
+            vec![(all_reduce, mb(16)), (CollectiveKind::AllGather, mb(2))],
+        ),
+        (
+            "hybrid",
+            Box::new(on(dgx1v(), ids(&[0, 1, 2, 3]), hybrid)),
+            vec![
+                (CollectiveKind::Broadcast { root: GpuId(0) }, mb(64)),
+                (all_reduce, mb(8)),
+            ],
+        ),
+        (
+            "three-phase",
+            Box::new(three_phase),
+            vec![(all_reduce, mb(16)), (all_reduce, mb(3))],
+        ),
+    ];
+    for (name, build, calls) in cases {
+        let shared = SharedPlanCache::new();
+        let first = lowered(&*build, &shared, &calls);
+        let (hits, _) = shared.lowering_stats();
+        let second = lowered(&*build, &shared, &calls);
+        assert_eq!(
+            shared.lowering_stats().0,
+            hits + calls.len() as u64,
+            "{name}: the second communicator hits for every call"
+        );
+        let bypassed = lowered(&*build, &SharedPlanCache::new(), &calls);
+        for ((a, b), c) in first.iter().zip(&second).zip(&bypassed) {
+            assert!(Arc::ptr_eq(a, b), "{name}: a hit shares the program");
+            assert_eq!(**b, **c, "{name}: a hit equals a fresh lowering");
+        }
+    }
+}
+
+#[test]
+fn placed_jobs_lower_what_a_private_communicator_lowers() {
+    // Fleet-style placements on DGX-1V servers: one- and two-server slices,
+    // drawn with repeats so later jobs hit lowerings earlier jobs stored.
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut draw = |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % below
+    };
+    let slice = |server: usize, draw: &mut dyn FnMut(u64) -> u64| {
+        let k = 1 + draw(8) as usize;
+        let mut local: Vec<usize> = (0..8).collect();
+        let mut gpus: Vec<GpuId> = (0..k)
+            .map(|_| GpuId(8 * server + local.swap_remove(draw(local.len() as u64) as usize)))
+            .collect();
+        gpus.sort();
+        (server, gpus)
+    };
+    let shapes: Vec<Vec<(usize, Vec<GpuId>)>> = (0..12)
+        .map(|i| {
+            let first = slice(i % 4, &mut draw);
+            if i % 3 == 0 {
+                vec![first, slice(4 + i % 4, &mut draw)]
+            } else {
+                vec![first]
+            }
+        })
+        .collect();
+    let fleet = SharedPlanCache::new();
+    for _ in 0..48 {
+        let slices = &shapes[draw(shapes.len() as u64) as usize];
+        let placed = || CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, slices);
+        let calls = [(CollectiveKind::AllReduce, 16 << 20)];
+        let shared = lowered(&placed, &fleet, &calls);
+        let private = lowered(&placed, &SharedPlanCache::new(), &calls);
+        assert_eq!(*shared[0], *private[0], "{slices:?}");
+    }
+    assert!(
+        fleet.lowering_stats().0 > 0,
+        "some placed job took a stored lowering"
+    );
+}
+
+#[test]
+fn switch_verdicts_stay_with_the_communicator_that_raced() {
+    // On a whole DGX-2 the AllReduce race picks packed trees at 16 MiB and
+    // one-hop trees at 256 MiB, so two communicators whose first calls use
+    // those sizes hold different verdicts for the same kind.
+    let full = ids(&(0..16).collect::<Vec<_>>());
+    let build = || Communicator::builder(dgx2()).allocation(&full);
+    let (big, small) = (
+        (CollectiveKind::AllReduce, 256 << 20),
+        (CollectiveKind::AllReduce, 16 << 20),
+    );
+    let shared = SharedPlanCache::new();
+    let a = lowered(&build, &shared, &[big, small]);
+    let b = lowered(&build, &shared, &[small, big]);
+    let fresh_a = lowered(&build, &SharedPlanCache::new(), &[big, small]);
+    let fresh_b = lowered(&build, &SharedPlanCache::new(), &[small, big]);
+    for (got, fresh) in a.iter().chain(&b).zip(fresh_a.iter().chain(&fresh_b)) {
+        assert_eq!(**got, **fresh);
+    }
+    assert_ne!(
+        *a[0], *b[1],
+        "the verdicts differ, so the 256 MiB programs do"
+    );
+}
+
+#[test]
+fn canonical_subgroups_take_only_lowerings_a_fresh_split_would_make() {
+    let requests = vec![(CollectiveKind::AllReduce, 8 << 20); 2];
+    let split_and_run = |store: &SharedPlanCache| {
+        let parent = Communicator::builder(dgx1v())
+            .shared_plans(store.clone())
+            .build()
+            .unwrap();
+        let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
+        let (run, checks) = groups.run_concurrent_checked(&requests).unwrap();
+        assert!(checks.iter().all(|c| c.is_correct()));
+        run.groups
+            .into_iter()
+            .map(|g| g.program)
+            .collect::<Vec<_>>()
+    };
+    let shared = SharedPlanCache::new();
+    let first = split_and_run(&shared);
+    let (hits, _) = shared.lowering_stats();
+    let second = split_and_run(&shared);
+    // the first subgroup's plan is the exact tier's, so its lowering is
+    // shared; the mirror subgroup reads a relabelled canonical plan, so its
+    // lowering never is
+    assert_eq!(shared.lowering_stats().0, hits + 1);
+    assert!(Arc::ptr_eq(&first[0], &second[0]));
+    assert!(!Arc::ptr_eq(&first[1], &second[1]));
+    let fresh = split_and_run(&SharedPlanCache::new());
+    for (a, b) in second.iter().zip(&fresh) {
+        assert_eq!(**a, **b);
+    }
+}
+
+#[test]
+fn a_replan_after_a_tier_hit_reports_what_it_would_after_a_fresh_lowering() {
+    // (machine, allocation, delta, calls before the replan)
+    type Delta = fn(&Topology) -> TopologyDelta;
+    let cases: [(Topology, Vec<GpuId>, Delta, usize); 4] = [
+        (
+            dgx1v(),
+            ids(&[0, 1, 2, 3, 4, 5, 6, 7]),
+            |t| TopologyDelta::kill_link(t, GpuId(0), GpuId(1)),
+            1,
+        ),
+        (
+            dgx1v(),
+            ids(&[0, 1, 2, 3, 4, 5, 6, 7]),
+            |_| TopologyDelta::drop_gpu(GpuId(7)),
+            1,
+        ),
+        // two roots pack in this allocation's sweep
+        (
+            dgx1v(),
+            ids(&[0, 2, 3]),
+            |t| TopologyDelta::kill_link(t, GpuId(2), GpuId(3)),
+            1,
+        ),
+        // the first call of a kind on a switch fabric always races, so the
+        // second is the one that takes a stored lowering
+        (
+            dgx2(),
+            ids(&[0, 3, 7, 11, 12]),
+            |t| TopologyDelta::kill_link(t, GpuId(0), GpuId(3)),
+            2,
+        ),
+    ];
+    // The earlier communicator lowers 4 MiB (running the root sweep) before
+    // 8 MiB; the tested one issues 8 MiB first, so it takes a lowering made
+    // after the sweep, and replans right after its tier hit.
+    let sizes = [8 << 20, 4 << 20];
+    for (machine, alloc, delta, calls) in cases {
+        let replanned = |mut comm: Communicator| {
+            let programs: Vec<Arc<Program>> = sizes[..calls]
+                .iter()
+                .map(|&bytes| comm.run_traced(CollectiveKind::AllReduce, bytes).unwrap().1)
+                .collect();
+            let report = comm.replan(&delta(comm.induced_topology())).unwrap();
+            let (_, after, _) = comm.run_traced(CollectiveKind::AllReduce, 4 << 20).unwrap();
+            (programs, format!("{report:?}"), after)
+        };
+        let on = |store: &SharedPlanCache| {
+            Communicator::builder(machine.clone())
+                .allocation(&alloc)
+                .shared_plans(store.clone())
+                .build()
+                .unwrap()
+        };
+        let shared = SharedPlanCache::new();
+        let mut earlier = on(&shared);
+        for bytes in sizes.iter().rev() {
+            earlier.run(CollectiveKind::AllReduce, *bytes).unwrap();
+        }
+        let (hits, _) = shared.lowering_stats();
+        let (programs, report, after) = replanned(on(&shared));
+        assert_eq!(
+            shared.lowering_stats().0,
+            hits + 1,
+            "{alloc:?}: one tier hit"
+        );
+        let fresh = SharedPlanCache::new();
+        let (fresh_programs, fresh_report, fresh_after) = replanned(on(&fresh));
+        assert_eq!(fresh.lowering_stats().0, 0);
+        for (a, b) in programs.iter().zip(&fresh_programs) {
+            assert_eq!(**a, **b, "{alloc:?}");
+        }
+        assert_eq!(report, fresh_report, "{alloc:?}");
+        assert_eq!(*after, *fresh_after, "{alloc:?}");
+    }
+}
+
+/// Whether `program` copies over NVLink between `a` and `b`, either way.
+fn uses(program: &Program, a: GpuId, b: GpuId) -> bool {
+    program.ops().iter().any(|op| {
+        matches!(op.kind, OpKind::Copy { src, dst, class: LinkClass::NvLink, .. }
+            if (src, dst) == (a, b) || (src, dst) == (b, a))
+    })
+}
+
+#[test]
+fn no_communicator_of_a_shared_store_takes_a_lowering_over_a_dead_link() {
+    let alloc = ids(&[0, 1, 2, 3, 4, 5, 6, 7]);
+    let store = SharedPlanCache::new();
+    let build = |machine: Topology| {
+        Communicator::builder(machine)
+            .allocation(&alloc)
+            .shared_plans(store.clone())
+            .build()
+            .unwrap()
+    };
+    let kind = CollectiveKind::AllReduce;
+    let mut a = build(dgx1v());
+    let mut b = build(dgx1v());
+    let (_, before, _) = a.run_traced(kind, 16 << 20).unwrap();
+    let (_, shared, _) = b.run_traced(kind, 16 << 20).unwrap();
+    assert!(Arc::ptr_eq(&before, &shared), "b took a's lowering");
+    let (x, y) = program_nvlink_pair(&before);
+    let delta = TopologyDelta::kill_link(a.induced_topology(), x, y);
+    // a replans first and b after it, through the same store
+    for comm in [&mut a, &mut b] {
+        comm.replan(&delta).unwrap();
+        let (_, check) = comm.run_checked(kind, 16 << 20).unwrap();
+        assert!(check.is_correct(), "{check}");
+        let (_, after, _) = comm.run_traced(kind, 16 << 20).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after), "replan must re-lower");
+        assert!(!uses(&after, x, y), "the new lowering avoids the dead link");
+    }
+    // a communicator built over the damaged machine never sees one
+    let damaged = dgx1v().apply_delta(&delta).unwrap();
+    let (_, fresh, _) = build(damaged).run_traced(kind, 16 << 20).unwrap();
+    assert!(!uses(&fresh, x, y));
+    // and the old lowering died with the plans the replans retargeted: a
+    // communicator still on the healthy machine lowers and packs afresh
+    let (lowerings, packs) = (store.lowering_stats(), store.stats());
+    build(dgx1v()).run_traced(kind, 16 << 20).unwrap();
+    assert_eq!(store.lowering_stats(), (lowerings.0, lowerings.1 + 1));
+    assert_eq!(store.stats().1, packs.1 + 1);
+}
+
+/// The endpoints of the first NVLink copy in `program`.
+fn program_nvlink_pair(program: &Program) -> (GpuId, GpuId) {
+    program
+        .ops()
+        .iter()
+        .find_map(|op| match op.kind {
+            OpKind::Copy {
+                src,
+                dst,
+                class: LinkClass::NvLink,
+                ..
+            } => Some((src, dst)),
+            _ => None,
+        })
+        .expect("the program copies over NVLink")
+}

@@ -151,14 +151,16 @@ proptest! {
         };
         let program_a = broadcast(opts);
         let program_b = broadcast(opts);
-        prop_assert_eq!(shared.stats(), (1, 1), "same shape must hit the shared store");
-        prop_assert!(program_a == program_b, "a shared plan must lower identically");
+        prop_assert_eq!(shared.lowering_stats(), (1, 1), "same shape must hit the shared store");
+        prop_assert_eq!(shared.stats(), (0, 1), "and pack nothing");
+        prop_assert!(program_a == program_b, "a shared lowering is the same program");
         // a perturbed option set fingerprints differently and misses
         broadcast(TreeGenOptions {
             packing: PackingOptions { epsilon: 0.04, ..Default::default() },
             ..opts
         });
-        prop_assert_eq!(shared.stats(), (1, 2), "changed options must miss");
+        prop_assert_eq!(shared.lowering_stats(), (1, 2), "changed options must miss");
+        prop_assert_eq!(shared.stats(), (0, 2), "and pack afresh");
         prop_assert_eq!(shared.len(), 2);
     }
 
