@@ -12,12 +12,13 @@
 //! percentiles (the wall-clock replan + probe spans) and the
 //! degraded-mode occupancy of each ladder rung.
 //!
-//! Without arguments: runs the full job count and writes `BENCH_chaos.json`
-//! to the working directory.
+//! Without arguments: runs the job stream and writes `BENCH_chaos.json` to
+//! the working directory.
 //!
-//! With `--check`: quick re-measurement compared against the recorded file.
-//! The deterministic gates run on every runner and are what this bench
-//! exists for:
+//! With `--check`: re-measures the same stream (it takes well under a
+//! second) and compares it against the recorded file, like with like. The
+//! deterministic gates run on every runner and are what this bench exists
+//! for:
 //!
 //! * **zero jobs lost** — every evicted job must be re-placed within its
 //!   retry budget, and the retry queue must drain empty;
@@ -39,16 +40,12 @@ use std::time::Instant;
 /// Wall-clock metrics (recovery percentiles) may drift this factor against
 /// the recorded trajectory before `--check` fails.
 const CHECK_TOLERANCE: f64 = 4.0;
-/// Jobs in the recorded (full) run — the ISSUE-level floor is 2,000.
-const FULL_JOBS: usize = 2_000;
-/// Jobs in quick (`--check`) mode — enough chaos for every fault class and
-/// ladder rung to appear, small enough for CI.
-const QUICK_JOBS: usize = 300;
+/// Jobs in the recorded and the checked run.
+const JOBS: usize = 2_000;
 
 #[derive(Serialize)]
 struct Config {
     workers: usize,
-    quick: bool,
     servers: usize,
     jobs: usize,
     collective_bytes: u64,
@@ -88,9 +85,9 @@ struct Report {
     restore: Percentiles,
 }
 
-fn fleet_config(quick: bool) -> FleetConfig {
+fn fleet_config() -> FleetConfig {
     FleetConfig {
-        jobs: if quick { QUICK_JOBS } else { FULL_JOBS },
+        jobs: JOBS,
         faults: Some(FaultConfig::default()),
         ..Default::default()
     }
@@ -126,7 +123,7 @@ fn stage_spans(records: &[EventRecord], stage: Stage) -> Vec<f64> {
         .collect()
 }
 
-fn build_report(run: &Run, quick: bool, config: &FleetConfig) -> Report {
+fn build_report(run: &Run, config: &FleetConfig) -> Report {
     let r = &run.report;
     let faults = config.faults.clone().expect("chaos config has faults");
     let rung_occupancy = r
@@ -137,7 +134,6 @@ fn build_report(run: &Run, quick: bool, config: &FleetConfig) -> Report {
     Report {
         config: Config {
             workers: runner_cpus(),
-            quick,
             servers: config.servers,
             jobs: config.jobs,
             collective_bytes: config.collective_bytes,
@@ -296,9 +292,9 @@ fn check_against_recorded(recorded: &serde::Value, out: &Report) -> Vec<String> 
 
 fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
-    let config = fleet_config(check_mode);
+    let config = fleet_config();
     let run = run_chaos(config.clone());
-    let out = build_report(&run, check_mode, &config);
+    let out = build_report(&run, &config);
 
     eprintln!(
         "chaos: {} submitted, {} placed, {} faults / {} heals, {} recoveries, \
@@ -332,7 +328,7 @@ fn main() {
         let recorded = serde_json::parse(&recorded).expect("BENCH_chaos.json parses");
 
         let mut hard_failures = hard_gates(&run, &out);
-        let rerun = run_chaos(fleet_config(true));
+        let rerun = run_chaos(fleet_config());
         hard_failures.extend(determinism_gate(&run, &rerun));
 
         let mut latency_failures = Vec::new();

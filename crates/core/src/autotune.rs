@@ -77,6 +77,18 @@
 //! communicator's handle, so it ends up exactly as a fresh lowering would
 //! have left it.
 //!
+//! An entry also keeps the engine's compiled form of its program
+//! ([`blink_sim::CompiledProgram`]), so a lowering a training loop replays
+//! every step is validated and resolved once, not once per run. A fresh
+//! lowering's first run compiles into the run's scratch, as any run does;
+//! only the entry's first hit compiles an owned copy, on the hitting
+//! communicator's simulator, and every later run that takes the entry uses
+//! it. The form records every simulator lookup it made, and a run on a
+//! simulator where any of them differs (another machine around the same
+//! induced topology, say) compiles into its scratch instead, so a shared
+//! form never changes a schedule. The form lives and dies with its entry:
+//! eviction and invalidation drop it with the lowering.
+//!
 //! A lowering is published only while every plan it read is the exact
 //! tier's current plan for its key, and it is dropped when any of them is
 //! replaced, evicted or retargeted, so it lives exactly as long as the plans
@@ -89,7 +101,7 @@ use crate::communicator::SwitchChoice;
 use crate::treegen::{LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
 use crate::Result;
 use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
-use blink_sim::Program;
+use blink_sim::{CompiledProgram, Program, Simulator};
 use blink_topology::enumerate::canonical_labeling;
 use blink_topology::{GpuId, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
@@ -310,6 +322,9 @@ pub(crate) struct LoweringKey {
 #[derive(Debug)]
 pub(crate) struct Lowering {
     pub(crate) program: Arc<Program>,
+    /// The engine's compiled form of `program`, made on the entry's first
+    /// hit (see "the lowering tier" in the module docs).
+    pub(crate) compiled: OnceLock<Arc<CompiledProgram>>,
     /// Spanning trees (or partitions) the lowering used.
     pub(crate) num_trees: usize,
     /// Human-readable strategy tag of the lowering.
@@ -323,6 +338,18 @@ pub(crate) struct Lowering {
 }
 
 impl Lowering {
+    /// Compiles the program on `sim` unless the entry keeps a compiled
+    /// form already. A program that fails to compile keeps none; its runs
+    /// report the error as a fresh lowering's would.
+    pub(crate) fn keep_compiled(&self, sim: &Simulator) {
+        if self.compiled.get().is_none() {
+            if let Ok(compiled) = sim.compile(self.program.clone()) {
+                // a concurrent hit may have kept its own copy first
+                let _ = self.compiled.set(Arc::new(compiled));
+            }
+        }
+    }
+
     /// The exact-tier keys of the plans the lowering read.
     fn plan_keys(&self) -> impl Iterator<Item = PlanKey> + '_ {
         self.plans.iter().map(|(fp, p)| (*fp, p.root, p.links))

@@ -45,7 +45,11 @@
 //! fabrics, the strategy verdicts, which enter the key instead.
 //! [`Communicator::run_traced`], [`Communicator::run_streamed`] and
 //! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
-//! simulate on a scratch checked out of the store's pool for one run.
+//! simulate on a scratch checked out of the store's pool for one run. A
+//! call that hits a stored lowering also runs the engine's compiled form
+//! the tier keeps beside it, so a repeated step skips validating and
+//! resolving its programs; a fresh lowering compiles into the run's
+//! scratch.
 
 use crate::autotune::{
     global_plan_cache, plan_fingerprint, ChunkAutotuner, Lowering, LoweringKey, PlanCache,
@@ -60,14 +64,16 @@ use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
 use crate::treegen::{LinkSelection, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate_in, DiGraph, NodeIdx, WeightedTree};
-use blink_sim::{check_collective, Program, RunReport, SimParams, Simulator, ValueCheck};
+use blink_sim::{
+    check_collective, CompiledProgram, Program, RunReport, SimParams, Simulator, ValueCheck,
+};
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Options for a [`Communicator`] (set through
 /// [`CommunicatorBuilder::options`]).
@@ -291,6 +297,10 @@ pub struct StreamedGroup {
     /// The lowered (possibly fused) program, shared with the plan store's
     /// lowering tier.
     pub program: Arc<Program>,
+    /// The compiled form of `program` the lowering tier keeps, once a call
+    /// hit the lowering (see [`crate::autotune`]); the session ran it when
+    /// it fits the communicator's simulator.
+    pub compiled: Option<Arc<CompiledProgram>>,
     /// The engine's per-op `(start, end)` spans for this program.
     pub op_spans: Vec<(f64, f64)>,
     /// Human-readable strategy tag of the lowering.
@@ -378,27 +388,12 @@ fn lowering_fingerprint(
         stream_reuse,
         fusion_threshold_bytes: _,
     } = *options;
-    let SimParams {
-        op_launch_overhead_us,
-        reduce_bandwidth_gbps,
-        dpa_per_gpu_us,
-        link_latency_us,
-        network_latency_us,
-        per_segment_overhead_us,
-    } = sim_params;
     let mut h = DefaultHasher::new();
     plan_fp.hash(&mut h);
     allocation.hash(&mut h);
     treegen.links.hash(&mut h);
-    for x in [
-        op_launch_overhead_us,
-        reduce_bandwidth_gbps,
-        dpa_per_gpu_us,
-        link_latency_us,
-        network_latency_us,
-        per_segment_overhead_us,
-    ] {
-        x.to_bits().hash(&mut h);
+    for bits in sim_params.to_bits() {
+        bits.hash(&mut h);
     }
     (use_hybrid, stream_reuse, canonical).hash(&mut h);
     h.finish()
@@ -523,7 +518,7 @@ impl Communicator {
         let (lowering, chunk, raced) = self.lower_raced(kind, bytes)?;
         let report = match raced {
             Some(report) => report,
-            None => self.simulate(&lowering.program)?,
+            None => self.simulate(&lowering.program, lowering.compiled.get())?,
         };
         let gbps = report.algorithmic_bandwidth_gbps(bytes);
         self.observe_chunk(kind, bytes, gbps);
@@ -617,13 +612,17 @@ impl Communicator {
                 issue_us,
                 end_us: issue_us,
                 program: lowering.program.clone(),
+                compiled: lowering.compiled.get().cloned(),
                 op_spans: Vec::new(),
                 strategy: lowering.strategy.clone(),
             });
         }
         let mut session = self.sim.session();
         for g in &out {
-            session.admit(g.program.clone(), g.issue_us);
+            match &g.compiled {
+                Some(compiled) => session.admit_compiled(compiled.clone(), g.issue_us),
+                None => session.admit(g.program.clone(), g.issue_us),
+            };
         }
         let report = session
             .run_with_scratch(&mut self.plans.store().scratch().checkout().engine)
@@ -740,6 +739,7 @@ impl Communicator {
         let lookup = key(self.switch_strategy.get(&kind).copied());
         if let Some(hit) = self.plans.store().lowering(&lookup, |l| self.accepts(l)) {
             self.adopt(&hit);
+            hit.keep_compiled(&self.sim);
             return Ok((hit, chunk, None));
         }
         self.plans.take_reads();
@@ -760,6 +760,7 @@ impl Communicator {
         }
         let lowering = Arc::new(Lowering {
             program: Arc::new(program),
+            compiled: OnceLock::new(),
             num_trees,
             strategy,
             root,
@@ -1255,8 +1256,8 @@ impl Communicator {
         let (choice, (program, n, strategy), run) =
             match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk) {
                 Ok(packed) => {
-                    let one_hop_run = self.simulate(&one_hop.0)?;
-                    let packed_run = self.simulate(&packed.0)?;
+                    let one_hop_run = self.simulate(&one_hop.0, None)?;
+                    let packed_run = self.simulate(&packed.0, None)?;
                     if packed_run.total_us + 1e-9 < one_hop_run.total_us {
                         (SwitchChoice::Packed, packed, Some(packed_run))
                     } else {
@@ -1309,13 +1310,19 @@ impl Communicator {
         }
     }
 
-    /// Simulates `program` once on a scratch checked out of the store's
-    /// pool.
-    fn simulate(&self, program: &Program) -> Result<RunReport> {
-        let mut scratch = self.plans.store().scratch().checkout();
-        self.sim
-            .run_with_scratch(program, &mut scratch.engine)
-            .map_err(|e| BlinkError::Simulation(e.to_string()))
+    /// Simulates `program` once, from its `compiled` form when there is
+    /// one, on a scratch checked out of the store's pool.
+    fn simulate(
+        &self,
+        program: &Program,
+        compiled: Option<&Arc<CompiledProgram>>,
+    ) -> Result<RunReport> {
+        let engine = &mut self.plans.store().scratch().checkout().engine;
+        match compiled {
+            Some(compiled) => self.sim.run_compiled(compiled, engine),
+            None => self.sim.run_with_scratch(program, engine),
+        }
+        .map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 }
 
@@ -2510,10 +2517,29 @@ mod tests {
         let second = comm
             .run_streamed(CollectiveKind::AllReduce, &requests)
             .unwrap();
+        let third = comm
+            .run_streamed(CollectiveKind::AllReduce, &requests)
+            .unwrap();
         assert_eq!(first.groups.len(), 4);
         assert_eq!(first.finish_us.to_bits(), second.finish_us.to_bits());
-        for (a, b) in first.groups.iter().zip(&second.groups) {
+        assert_eq!(first.finish_us.to_bits(), third.finish_us.to_bits());
+        // the second step hits every lowering, so it runs compiled forms,
+        // and the third runs the very same ones
+        for (b, c) in second.groups.iter().zip(&third.groups) {
+            let (b, c) = (b.compiled.as_ref(), c.compiled.as_ref());
+            assert!(Arc::ptr_eq(b.unwrap(), c.unwrap()));
+        }
+        for (a, b) in first
+            .groups
+            .iter()
+            .zip(&second.groups)
+            .chain(first.groups.iter().zip(&third.groups))
+        {
             assert!(Arc::ptr_eq(&a.program, &b.program), "{:?}", a.group);
+            assert!(Arc::ptr_eq(
+                &a.program,
+                b.compiled.as_ref().unwrap().program()
+            ));
             assert_eq!(a.end_us.to_bits(), b.end_us.to_bits());
             assert_eq!(a.op_spans.len(), b.op_spans.len());
             for (x, y) in a.op_spans.iter().zip(&b.op_spans) {

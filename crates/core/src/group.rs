@@ -24,7 +24,7 @@ use crate::collective::CollectiveKind;
 use crate::communicator::Communicator;
 use crate::SharedPlanCache;
 use crate::{BlinkError, Result};
-use blink_sim::{check_collective, Program, Simulator, ValueCheck};
+use blink_sim::{check_collective, CompiledProgram, Program, Simulator, ValueCheck};
 use blink_topology::{GroupSplit, Topology};
 use std::sync::Arc;
 
@@ -53,6 +53,10 @@ pub struct GroupCollective {
     /// The lowered transfer program (empty for trivial requests), shared
     /// with the plan store's lowering tier.
     pub program: Arc<Program>,
+    /// The compiled form of `program` the lowering tier keeps, once a call
+    /// hit the lowering; the shared session ran it when it fits the
+    /// machine's simulator.
+    pub compiled: Option<Arc<CompiledProgram>>,
     /// Per-op `(start, end)` times on the shared schedule, indexed by the
     /// program's op ids.
     pub op_spans: Vec<(f64, f64)>,
@@ -144,14 +148,19 @@ impl ProcessGroups {
         }
         let mut groups = Vec::with_capacity(requests.len());
         for (child, &(kind, bytes)) in self.children.iter_mut().zip(requests) {
-            let (program, strategy) = if child.allocation().len() < 2 || bytes == 0 {
+            let (program, compiled, strategy) = if child.allocation().len() < 2 || bytes == 0 {
                 (
                     Arc::default(),
+                    None,
                     "trivial (single GPU or empty buffer)".to_string(),
                 )
             } else {
                 let lowering = child.lower(kind, bytes)?;
-                (lowering.program.clone(), lowering.strategy.clone())
+                (
+                    lowering.program.clone(),
+                    lowering.compiled.get().cloned(),
+                    lowering.strategy.clone(),
+                )
             };
             groups.push(GroupCollective {
                 kind,
@@ -159,6 +168,7 @@ impl ProcessGroups {
                 end_us: 0.0,
                 strategy,
                 program,
+                compiled,
                 op_spans: Vec::new(),
             });
         }
@@ -169,7 +179,10 @@ impl ProcessGroups {
         let mut admitted = Vec::with_capacity(groups.len());
         for (i, group) in groups.iter().enumerate() {
             if !group.program.is_empty() {
-                session.admit(group.program.clone(), 0.0);
+                match &group.compiled {
+                    Some(compiled) => session.admit_compiled(compiled.clone(), 0.0),
+                    None => session.admit(group.program.clone(), 0.0),
+                };
                 admitted.push(i);
             }
         }

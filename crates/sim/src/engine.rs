@@ -13,17 +13,30 @@
 //! # The interned-resource scheduling model
 //!
 //! The autotune and planning loops simulate thousands of candidate programs,
-//! so the scheduler itself is a hot path. [`Simulator::run_with_scratch`]
-//! therefore splits execution into a **prepass** and a **zero-allocation
-//! scan**: the prepass resolves the resources that can delay each op (its
-//! *binding resources*, below) to dense integer ids and lays the per-op
-//! id lists out in one flat CSR buffer, precomputes each op's duration, and
-//! builds the dependency children lists as a second CSR — after which the
-//! K-candidate scan (pick, among the K earliest-ready ops, the one that can
-//! *start* earliest given current resource occupancy) runs entirely over
-//! flat `Vec` lookups with no per-iteration allocation and no ordered-map
-//! walks. All of those buffers live in an [`EngineScratch`] that callers
-//! reuse across runs.
+//! and a training loop replays the same few programs every step, so the
+//! scheduler itself is a hot path. Execution is therefore split into a
+//! **compile** step, a **splice** and a **zero-allocation scan**. Compiling
+//! a program resolves the resources that can delay each op (its *binding
+//! resources*, below) to dense integer ids and lays the per-op id lists out
+//! in one flat CSR buffer, precomputes each op's duration, link id and
+//! payload bytes, finds each op's FIFO predecessor on its stream, and builds
+//! the dependency children lists as a second CSR with per-op in-degrees.
+//! All of it is local to the program: op ids are the program's own, and
+//! streams are the program's own. A run splices the compiled programs of its
+//! entries into one set of tables, renumbering each program's ops after the
+//! ops of the programs admitted before it, and then the K-candidate scan
+//! (pick, among the K earliest-ready ops, the one that can *start* earliest
+//! given current resource occupancy) runs entirely over flat `Vec` lookups
+//! with no per-iteration allocation and no ordered-map walks.
+//!
+//! [`Simulator::run_with_scratch`] and [`Session::run_with_scratch`] compile
+//! every program straight into the spliced tables held in an
+//! [`EngineScratch`] that callers reuse across runs. A caller that runs one
+//! program many times can keep its [`CompiledProgram`] instead
+//! ([`Simulator::compile`], then [`Simulator::run_compiled`] or
+//! [`Session::admit_compiled`]): a run then skips validating and resolving
+//! the program, copies its tables into the splice, and, when it is the
+//! run's only program, scans them in place.
 //!
 //! **Resource ids are fixed per [`Simulator`].** [`Simulator::new`] resolves
 //! the topology's hardware once: every directed `(src, dst, class)` the
@@ -36,11 +49,14 @@
 //! search, and a kernel its compute engine with another.
 //!
 //! **Streams are not resources.** Each op depends on the op before it in
-//! its stream (the FIFO predecessor, kept per session in a `Vec` indexed by
-//! `base + s` for a program's stream `s`, where `base` is the number of
-//! stream slots the programs admitted before it span). Streams are never
-//! interned, so that table grows with the largest stream id a program uses
-//! — [`ProgramBuilder`]'s `new_stream` hands them out densely from 0.
+//! its stream (the FIFO predecessor, found at compile time through a `Vec`
+//! indexed by the program's stream ids). Streams are namespaced per
+//! program, so the predecessor is always an op of the same program. Streams
+//! are never interned, so that table grows with the largest stream id a
+//! program uses — [`ProgramBuilder`]'s `new_stream` hands them out densely
+//! from 0. A run still bounds the stream slots of all its programs
+//! together: program `p`'s slots follow those of every program admitted
+//! before it, and slots past `u32::MAX` are [`SimError::InvalidProgram`].
 //!
 //! [`ProgramBuilder`]: crate::program::ProgramBuilder
 //!
@@ -62,7 +78,7 @@
 //! So a DGX-2 copy reads two free times (its egress and ingress ports), a
 //! DGX-1V NVLink copy one (its link), a reduction or peer-access toggle
 //! none. Both rules rest on free times never decreasing, which holds
-//! because **every op duration is finite and non-negative**: the prepass
+//! because **every op duration is finite and non-negative**: compiling
 //! checks each duration as it computes it, and a NaN, infinite or negative
 //! one is [`SimError::InvalidProgram`]. Roots become ready at their
 //! program's issue time plus `+0.0`, so no time the scan compares is `-0.0`
@@ -90,14 +106,38 @@
 //! ops, scans all of them and pushes the losers back, and derives each op's
 //! resources and link capacity from the topology on its own, kept in this
 //! module's tests as the oracle they compare against): the resource table,
-//! the window and the early exit only change how the candidates and a
-//! resource's free time are looked up, never which ops are candidates, when
-//! an op can start, how long it runs, or how ties are broken. The reference
-//! keeps every resource an op holds — stream, link, ports, NICs — so it
-//! checks the binding-resource rule too. Errors
+//! the compiled tables, the window and the early exit only change how the
+//! candidates and a resource's free time are looked up, never which ops are
+//! candidates, when an op can start, how long it runs, or how ties are
+//! broken. The reference keeps every resource an op holds — stream, link,
+//! ports, NICs — so it checks the binding-resource rule too. Errors
 //! agree too, op by op: a copy without a link of its class fails with
 //! [`SimError::MissingLink`] before an endpoint outside the topology is
 //! reported as [`SimError::UnknownGpu`].
+//!
+//! # Compiled programs: what they read, and where they may run
+//!
+//! A [`CompiledProgram`] is a pure function of its program and of the
+//! lookups its compile made in the simulator, and it records every one of
+//! them: each link id a copy resolved, with that link's key, summed
+//! capacity (bit for bit) and binding resources; each GPU a reduction or
+//! kernel named, with its dense index; the compute engines' base id; and
+//! the [`SimParams`] every duration was computed under. A run reuses the
+//! form on a simulator only when all of those reads agree there
+//! ([`CompiledProgram::fits`]) — compiling the program on that simulator
+//! would then produce the very same tables, so the schedule is
+//! bit-identical — and otherwise compiles the program into its scratch as
+//! if no form had been given. The check costs what the form read, not the
+//! size of the simulator's resource table, and a [`Simulator`] keeps no
+//! digest of its table for it: every fleet job builds a simulator, and
+//! most never run a stored form.
+//!
+//! Compiled forms never change an error. A form exists only for a program
+//! that compiled; a run validates every entry that has no form and checks
+//! every entry's issue time, in admission order, before it resolves any op;
+//! then it compiles or splices entry by entry, checking the stream-slot
+//! bound for stored forms too, so the first error a session reports is the
+//! one it would report with no forms at all.
 //!
 //! # Streaming sessions: the admission / contention / determinism contract
 //!
@@ -122,8 +162,8 @@
 //!   (program, issue) pairs and their admission order. Ties between
 //!   equally-ready ops are broken by global issue index (admission order
 //!   first, then op id within a program), so re-running a session — or
-//!   replaying it through a dirty scratch — reproduces every span bit for
-//!   bit.
+//!   replaying it through a dirty scratch, or with any mix of compiled and
+//!   plain entries — reproduces every span bit for bit.
 //! * **Single-program identity.** A session holding exactly one program
 //!   admitted at `t = 0` produces spans bit-identical to
 //!   [`Simulator::run_with_scratch`] on that program; the single-program
@@ -135,10 +175,11 @@
 //! [`EngineScratch`] obeys the same rules as `blink-graph`'s planning
 //! scratches: it is a buffer, not state (any run through an arbitrarily
 //! dirty scratch returns a report bit-identical to a fresh-scratch run — the
-//! prepass rewrites every entry it will read), it grows to the largest
-//! program seen and never shrinks, and it is `Send` (asserted at compile
-//! time below) so pools can move scratches across threads — but never share
-//! one mutably between concurrent runs.
+//! compile and the splice rewrite every table entry the scan will read, and
+//! the compile temporaries are rewritten per program), it grows to the
+//! largest session seen and never shrinks, and it is `Send` (asserted at
+//! compile time below) so pools can move scratches across threads — but
+//! never share one mutably between concurrent runs.
 //!
 //! One scratch may be threaded through runs over different programs *and
 //! different simulators* in any order: the per-resource arrays are sized
@@ -148,6 +189,11 @@
 //! its plan store's pool, next to the planning buffers, and hand whichever
 //! is free to whichever communicator runs next, instead of each
 //! communicator (or process group) holding one for its lifetime.
+//!
+//! A [`CompiledProgram`] is not a buffer. It is immutable once compiled,
+//! owned by whoever keeps it, `Send` and `Sync`, and independent of any
+//! scratch: a run only reads it, so one form may serve any number of runs,
+//! scratches and fitting simulators, concurrently.
 
 use crate::params::SimParams;
 use crate::program::{LinkClass, Op, OpKind, Program};
@@ -316,6 +362,15 @@ impl LinkResources {
     fn resources(&self) -> &[u32] {
         &self.res[..self.res_len as usize]
     }
+
+    /// Whether a copy over `other` compiles as over `self`: the same key,
+    /// capacity bit for bit, endpoints and binding resources.
+    fn same_as(&self, other: &LinkResources) -> bool {
+        self.key == other.key
+            && self.capacity_gbps.to_bits() == other.capacity_gbps.to_bits()
+            && self.unknown == other.unknown
+            && self.resources() == other.resources()
+    }
 }
 
 /// The hardware resources of one topology, resolved once in
@@ -481,48 +536,126 @@ impl PartialOrd for Ready {
 /// one-hop pattern on a DGX-2) tightly.
 const CANDIDATES: usize = 128;
 
-/// Sentinel for "no op" (no link, no FIFO predecessor) in the prepass
+/// Sentinel for "no op" (no link, no FIFO predecessor) in the compiled
 /// tables.
 const NONE: u32 = u32::MAX;
 
-/// Reusable buffers for [`Simulator::run_with_scratch`]: the per-op
-/// resource-id and children CSRs, flat free-time and link-accounting arrays,
-/// and the scheduler's candidate window and ready heap. The resource ids
-/// themselves come from the [`Simulator`]'s table; the scratch only holds
-/// per-run state. See the module docs for the scratch-reuse contract; a
-/// fresh scratch is `Default`-constructible and the struct is `Clone` and
-/// `Send`.
-#[derive(Debug, Clone, Default)]
-pub struct EngineScratch {
-    /// CSR offsets: op `i`'s binding resource ids live at
-    /// `op_res[op_res_start[i]..op_res_start[i+1]]`.
+/// The per-op tables the scan reads, for one compiled program or for the
+/// splice of a run's programs. Op `i`'s binding resource ids live at
+/// `op_res[op_res_start[i]..op_res_start[i + 1]]` and its children at
+/// `children[child_start[i]..child_start[i + 1]]`; both offset lists start
+/// with a 0 and hold one more entry than there are ops.
+#[derive(Debug, Clone)]
+struct OpTables {
     op_res_start: Vec<u32>,
     op_res: Vec<u32>,
-    /// Precomputed duration per op.
+    /// Duration per op.
     durations: Vec<f64>,
     /// Static link id per op (`NONE` for non-copies), for the per-link
     /// busy/bytes accounting.
     op_link: Vec<u32>,
     /// Payload bytes per op (copies only; 0 otherwise).
     op_bytes: Vec<u64>,
+    /// Children CSR: op -> the ops that depend on it, explicitly or as
+    /// their FIFO predecessor.
+    child_start: Vec<u32>,
+    children: Vec<u32>,
+    /// Dependency count per op: explicit deps plus the FIFO predecessor.
+    indeg: Vec<u32>,
+}
+
+impl Default for OpTables {
+    fn default() -> Self {
+        OpTables {
+            op_res_start: vec![0],
+            op_res: Vec::new(),
+            durations: Vec::new(),
+            op_link: Vec::new(),
+            op_bytes: Vec::new(),
+            child_start: vec![0],
+            children: Vec::new(),
+            indeg: Vec::new(),
+        }
+    }
+}
+
+impl OpTables {
+    /// Number of ops.
+    fn len(&self) -> usize {
+        self.durations.len()
+    }
+
+    /// Reserves room for `additional` more ops in every per-op table.
+    fn reserve(&mut self, additional: usize) {
+        self.op_res_start.reserve(additional);
+        self.durations.reserve(additional);
+        self.op_link.reserve(additional);
+        self.op_bytes.reserve(additional);
+        self.child_start.reserve(additional);
+        self.indeg.reserve(additional);
+    }
+
+    /// Empties the tables, keeping their buffers.
+    fn clear(&mut self) {
+        for v in [&mut self.op_res_start, &mut self.child_start] {
+            v.clear();
+            v.push(0);
+        }
+        self.op_res.clear();
+        self.durations.clear();
+        self.op_link.clear();
+        self.op_bytes.clear();
+        self.children.clear();
+        self.indeg.clear();
+    }
+
+    /// Appends `other`'s ops, numbered after the ops already here.
+    fn splice(&mut self, other: &OpTables) {
+        let ops = self.len() as u32;
+        let res = self.op_res.len() as u32;
+        let kids = self.children.len() as u32;
+        self.op_res_start
+            .extend(other.op_res_start[1..].iter().map(|&k| k + res));
+        self.op_res.extend_from_slice(&other.op_res);
+        self.durations.extend_from_slice(&other.durations);
+        self.op_link.extend_from_slice(&other.op_link);
+        self.op_bytes.extend_from_slice(&other.op_bytes);
+        self.child_start
+            .extend(other.child_start[1..].iter().map(|&k| k + kids));
+        self.children
+            .extend(other.children.iter().map(|&c| c + ops));
+        self.indeg.extend_from_slice(&other.indeg);
+    }
+}
+
+/// Per-program temporaries of a compile.
+#[derive(Debug, Clone, Default)]
+struct CompileTemps {
+    /// Each op's FIFO predecessor, by the program's own op ids (`NONE` =
+    /// none).
+    extra_dep: Vec<u32>,
+    /// The last op seen so far on each of the program's streams (`NONE` =
+    /// none).
+    last_in_stream: Vec<u32>,
+    /// Next free children slot per op while the children CSR is filled.
+    child_cursor: Vec<u32>,
+}
+
+/// The scan's per-run state.
+#[derive(Debug, Clone, Default)]
+struct ScanState {
+    /// The first global op id of each entry, then the run's op count.
+    op_base: Vec<usize>,
+    /// Dependencies still unfinished per op (starts as the tables'
+    /// in-degrees).
+    indeg: Vec<u32>,
+    ready_time: Vec<f64>,
     /// Free time per static resource id.
     resource_free: Vec<f64>,
     /// Busy time, bytes and whether any op used it, per static link id.
     link_busy: Vec<f64>,
     link_bytes: Vec<u64>,
     link_used: Vec<bool>,
-    indeg: Vec<u32>,
-    /// Implicit same-stream FIFO predecessor (`NONE` = none).
-    extra_dep: Vec<u32>,
-    /// Children CSR (op -> ops whose dependencies include it).
-    child_start: Vec<u32>,
-    children: Vec<u32>,
-    child_cursor: Vec<u32>,
-    ready_time: Vec<f64>,
-    /// The last op seen so far on each session stream (`NONE` = none),
-    /// indexed by `base + s` for a program's stream `s` (see the module
-    /// docs).
-    last_in_stream: Vec<u32>,
     /// The `min(CANDIDATES, ready)` lowest-ranked ready ops, ascending by
     /// [`Ready::rank`]; never longer than `CANDIDATES`.
     window: Vec<Ready>,
@@ -530,10 +663,112 @@ pub struct EngineScratch {
     heap: BinaryHeap<Ready>,
 }
 
+/// Reusable buffers for [`Simulator::run_with_scratch`] and
+/// [`Session::run_with_scratch`]: the run's spliced op tables, the compile
+/// temporaries, and the scan's flat free-time and link-accounting arrays,
+/// candidate window and ready heap. The resource ids themselves come from
+/// the [`Simulator`]'s table; the scratch only holds per-run state. See the
+/// module docs for the scratch-reuse contract; a fresh scratch is
+/// `Default`-constructible and the struct is `Clone` and `Send`.
+#[derive(Debug, Clone, Default)]
+pub struct EngineScratch {
+    ops: OpTables,
+    compile: CompileTemps,
+    scan: ScanState,
+}
+
 impl EngineScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// What a compile read from its simulator (see "compiled programs" in the
+/// module docs).
+#[derive(Debug, Clone)]
+struct Reads {
+    /// Every link id a copy resolved, ascending, with the link as read.
+    links: Vec<(u32, LinkResources)>,
+    /// Every GPU a reduction or kernel named, with its dense index.
+    gpus: Vec<(GpuId, u32)>,
+    compute_base: u32,
+    /// The bits of the [`SimParams`] every duration was computed under.
+    params: [u64; 6],
+}
+
+/// A program compiled for the engine by [`Simulator::compile`]: its
+/// per-op binding resources, durations, link ids and bytes and its
+/// dependency CSR, together with every simulator lookup they came from.
+/// [`Simulator::run_compiled`] and [`Session::admit_compiled`] run it,
+/// skipping validation and resolution, on any simulator it
+/// [fits](CompiledProgram::fits), and compile the program afresh on any
+/// other; see "compiled programs" in the module docs.
+#[derive(Debug, Clone)]
+pub struct CompiledProgram {
+    program: Arc<Program>,
+    ops: OpTables,
+    /// Stream slots the program spans: its largest stream id plus one.
+    streams: usize,
+    reads: Reads,
+}
+
+impl CompiledProgram {
+    /// The program this form was compiled from.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// Whether every lookup the compile made agrees on `sim`: then compiling
+    /// the program on `sim` would produce this very form, and a run on `sim`
+    /// uses it as it is.
+    pub fn fits(&self, sim: &Simulator) -> bool {
+        let (reads, table) = (&self.reads, &sim.resources);
+        reads.compute_base == table.compute_base
+            && reads.params == sim.params.to_bits()
+            && reads
+                .gpus
+                .iter()
+                .all(|&(gpu, i)| table.gpus.get(i as usize) == Some(&gpu))
+            && reads.links.iter().all(|(id, link)| {
+                table
+                    .links
+                    .get(*id as usize)
+                    .is_some_and(|l| l.same_as(link))
+            })
+    }
+}
+
+// Compiled forms are shared across threads (a plan store hands one to
+// whichever communicator hits its lowering).
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<CompiledProgram>();
+};
+
+/// The end of a program's stream slots when they follow `base` slots of
+/// the programs before it, or [`SimError::InvalidProgram`] past `u32::MAX`.
+fn stream_slots(base: usize, width: usize) -> Result<usize, SimError> {
+    match base.checked_add(width) {
+        Some(end) if end <= u32::MAX as usize => Ok(end),
+        _ => Err(SimError::InvalidProgram(format!(
+            "stream ids up to {} exceed the engine's u32 stream table",
+            width - 1
+        ))),
+    }
+}
+
+/// A one-program session's report as a [`RunReport`].
+fn single_program(mut session: SessionReport) -> RunReport {
+    let prog = session
+        .programs
+        .pop()
+        .expect("exactly one admitted program");
+    RunReport {
+        total_us: session.total_us,
+        op_spans: prog.op_spans,
+        link_busy_us: session.link_busy_us,
+        link_bytes: session.link_bytes,
     }
 }
 
@@ -637,11 +872,10 @@ impl Simulator {
         self.run_with_scratch(program, &mut EngineScratch::new())
     }
 
-    /// Runs `program` over reusable `scratch` buffers: a prepass over the
-    /// simulator's resource table plus a flat-array candidate scan with no
-    /// per-iteration allocation.
-    /// The returned report is bit-identical to the allocating reference
-    /// scheduler the engine's tests keep as an oracle.
+    /// Runs `program` over reusable `scratch` buffers: the program is
+    /// compiled into the scratch and scanned with no per-iteration
+    /// allocation. The returned report is bit-identical to the allocating
+    /// reference scheduler the engine's tests keep as an oracle.
     ///
     /// This is a thin wrapper over the session core: a one-program session
     /// admitted at `t = 0` (see the module docs for the contract that makes
@@ -654,175 +888,277 @@ impl Simulator {
         program: &Program,
         scratch: &mut EngineScratch,
     ) -> Result<RunReport, SimError> {
-        let mut session = self.run_entries(&[(program, 0.0)], scratch)?;
-        let prog = session
-            .programs
-            .pop()
-            .expect("exactly one admitted program");
-        Ok(RunReport {
-            total_us: session.total_us,
-            op_spans: prog.op_spans,
-            link_busy_us: session.link_busy_us,
-            link_bytes: session.link_bytes,
+        self.run_entries(&[(program, 0.0)], &[None::<&CompiledProgram>], scratch)
+            .map(single_program)
+    }
+
+    /// Compiles `program` for this simulator into a form that runs may keep
+    /// and reuse (see "compiled programs" in the module docs). Loops that
+    /// run a program once should call [`Simulator::run_with_scratch`]
+    /// instead, which compiles into its scratch.
+    ///
+    /// # Errors
+    /// Same conditions as [`Simulator::run`].
+    pub fn compile(&self, program: impl Into<Arc<Program>>) -> Result<CompiledProgram, SimError> {
+        let program = program.into();
+        program
+            .validate()
+            .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
+        let mut ops = OpTables::default();
+        let streams = self.compile_into(&program, 0, &mut ops, &mut CompileTemps::default())?;
+        // every other table was reserved at its final length
+        ops.op_res.shrink_to_fit();
+        let table = &self.resources;
+        // which link ids and GPU indices the compile looked up
+        let (mut link_read, mut links) = (vec![false; table.links.len()], 0);
+        for &l in &ops.op_link {
+            if l != NONE && !link_read[l as usize] {
+                link_read[l as usize] = true;
+                links += 1;
+            }
+        }
+        let (mut gpu_read, mut gpus) = (vec![false; table.gpus.len()], 0);
+        for op in program.ops() {
+            if let OpKind::Reduce { gpu, .. } | OpKind::Compute { gpu, .. } = op.kind {
+                if let Ok(i) = table.gpu(gpu) {
+                    gpus += usize::from(!gpu_read[i as usize]);
+                    gpu_read[i as usize] = true;
+                }
+            }
+        }
+        let mut reads = Reads {
+            links: Vec::with_capacity(links),
+            gpus: Vec::with_capacity(gpus),
+            compute_base: table.compute_base,
+            params: self.params.to_bits(),
+        };
+        for (l, link) in table.links.iter().enumerate() {
+            if link_read[l] {
+                reads.links.push((l as u32, link.clone()));
+            }
+        }
+        for (i, &gpu) in table.gpus.iter().enumerate() {
+            if gpu_read[i] {
+                reads.gpus.push((gpu, i as u32));
+            }
+        }
+        Ok(CompiledProgram {
+            program,
+            ops,
+            streams,
+            reads,
         })
     }
 
+    /// Runs a compiled program, as [`Simulator::run_with_scratch`] runs its
+    /// program: over the form's own tables when it
+    /// [fits](CompiledProgram::fits) this simulator, and otherwise by
+    /// compiling the program into `scratch`. Either way the report is
+    /// bit-identical to [`Simulator::run_with_scratch`] on the program.
+    ///
+    /// # Errors
+    /// Same conditions as [`Simulator::run`].
+    pub fn run_compiled(
+        &self,
+        compiled: &CompiledProgram,
+        scratch: &mut EngineScratch,
+    ) -> Result<RunReport, SimError> {
+        self.run_entries(&[(&*compiled.program, 0.0)], &[Some(compiled)], scratch)
+            .map(single_program)
+    }
+
+    /// Appends `program`'s compiled ops to `out`, numbered after the ops
+    /// already there: binding resources, durations, link ids and bytes, and
+    /// the children CSR and in-degrees over explicit deps and FIFO
+    /// predecessors. The program's stream slots follow `stream_base` slots
+    /// of the programs before it; returns where they end. Does not
+    /// validate the program.
+    fn compile_into(
+        &self,
+        program: &Program,
+        stream_base: usize,
+        out: &mut OpTables,
+        temps: &mut CompileTemps,
+    ) -> Result<usize, SimError> {
+        let t = &self.resources;
+        let width = program
+            .ops()
+            .iter()
+            .map(|op| op.stream.0.saturating_add(1))
+            .max()
+            .unwrap_or(0);
+        let streams = stream_slots(stream_base, width)?;
+        let (base, m) = (out.len(), program.len());
+        out.reserve(m);
+        // an op binds on at most two resources
+        out.op_res.reserve(2 * m);
+        temps.last_in_stream.clear();
+        temps.last_in_stream.resize(width, NONE);
+        temps.extra_dep.clear();
+        temps.extra_dep.reserve(m);
+        for (i, op) in program.ops().iter().enumerate() {
+            let (duration, link) = match op.kind {
+                OpKind::Copy {
+                    src, dst, class, ..
+                } => {
+                    let id = t.link(src, dst, class)?;
+                    let link = &t.links[id as usize];
+                    let duration = self.op_duration(op, link.capacity_gbps)?;
+                    if let Some(gpu) = link.unknown {
+                        return Err(SimError::UnknownGpu(gpu));
+                    }
+                    out.op_res.extend_from_slice(link.resources());
+                    (duration, id)
+                }
+                OpKind::Reduce { gpu, .. } => {
+                    let duration = self.op_duration(op, 0.0)?;
+                    t.gpu(gpu)?;
+                    (duration, NONE)
+                }
+                OpKind::Compute { gpu, .. } => {
+                    let duration = self.op_duration(op, 0.0)?;
+                    out.op_res.push(t.compute_base + t.gpu(gpu)?);
+                    (duration, NONE)
+                }
+                OpKind::TogglePeerAccess { .. } => (self.op_duration(op, 0.0)?, NONE),
+            };
+            out.op_res_start.push(out.op_res.len() as u32);
+            out.durations.push(duration);
+            out.op_link.push(link);
+            out.op_bytes.push(if link == NONE {
+                0
+            } else {
+                op.kind.payload_bytes()
+            });
+            let last = &mut temps.last_in_stream[op.stream.0];
+            temps.extra_dep.push(*last);
+            *last = i as u32;
+        }
+
+        // children CSR: count op d's children at slot d + 1, prefix-sum on
+        // from the children already in `out` so each slot holds its op's
+        // end, then fill from each op's start
+        let first = out.child_start.len();
+        out.child_start.resize(first + m, 0);
+        for (i, op) in program.ops().iter().enumerate() {
+            for &d in &op.deps {
+                out.child_start[first + d.0] += 1;
+            }
+            let prev = temps.extra_dep[i];
+            if prev != NONE {
+                out.child_start[first + prev as usize] += 1;
+            }
+            out.indeg
+                .push(op.deps.len() as u32 + u32::from(prev != NONE));
+        }
+        for k in first..first + m {
+            out.child_start[k] += out.child_start[k - 1];
+        }
+        out.children
+            .resize(out.child_start[first + m - 1] as usize, 0);
+        temps.child_cursor.clear();
+        temps
+            .child_cursor
+            .extend_from_slice(&out.child_start[base..base + m]);
+        for (i, op) in program.ops().iter().enumerate() {
+            let gi = (base + i) as u32;
+            for &d in &op.deps {
+                let c = &mut temps.child_cursor[d.0];
+                out.children[*c as usize] = gi;
+                *c += 1;
+            }
+            let prev = temps.extra_dep[i];
+            if prev != NONE {
+                let c = &mut temps.child_cursor[prev as usize];
+                out.children[*c as usize] = gi;
+                *c += 1;
+            }
+        }
+        Ok(streams)
+    }
+
     /// The session core: schedules every op of every `(program, issue_us)`
-    /// entry over the simulator's one resource table. Single-program
-    /// execution is the `entries.len() == 1`, `issue_us == 0.0` special case.
-    fn run_entries<P: Borrow<Program>>(
+    /// entry over the simulator's one resource table, running entry `i`
+    /// from `stored[i]`, its compiled form, when it has one that fits.
+    /// Single-program execution is the `entries.len() == 1`,
+    /// `issue_us == 0.0` special case.
+    fn run_entries<P: Borrow<Program>, C: Borrow<CompiledProgram>>(
         &self,
         entries: &[(P, f64)],
+        stored: &[Option<C>],
         scratch: &mut EngineScratch,
     ) -> Result<SessionReport, SimError> {
-        for (program, issue) in entries {
-            program
-                .borrow()
-                .validate()
-                .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
+        let stored = |i: usize| -> Option<&CompiledProgram> {
+            stored.get(i).and_then(Option::as_ref).map(Borrow::borrow)
+        };
+        // every entry is validated and its issue time checked before any op
+        // is resolved; a stored form's program validated when it compiled
+        for (i, (program, issue)) in entries.iter().enumerate() {
+            if stored(i).is_none() {
+                program
+                    .borrow()
+                    .validate()
+                    .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
+            }
             if !issue.is_finite() || *issue < 0.0 {
                 return Err(SimError::InvalidProgram(format!(
                     "issue timestamp {issue} must be finite and non-negative"
                 )));
             }
         }
-        let programs = || entries.iter().map(|(p, _)| p.borrow());
-        let n: usize = programs().map(Program::len).sum();
-        // Global op id = op_base[program index] + local op id; the scan's
-        // tie-break on global id is what makes admission order part of the
+        let fitting = |i: usize| stored(i).filter(|c| c.fits(self));
+        let EngineScratch { ops, compile, scan } = scratch;
+        // Global op id = op_base[entry] + local op id; the scan's tie-break
+        // on global id is what makes admission order part of the
         // determinism contract.
-        let mut op_base: Vec<usize> = Vec::with_capacity(entries.len() + 1);
-        let t = &self.resources;
-        let s = scratch;
-
-        // ---- prepass: durations, per-op binding-resource lists (CSR),
-        //      per-program stream namespacing, same-stream FIFO deps ----
-        s.op_res.clear();
-        s.op_res_start.clear();
-        s.durations.clear();
-        s.op_link.clear();
-        s.op_bytes.clear();
-        s.extra_dep.clear();
-        s.extra_dep.resize(n, NONE);
-        s.last_in_stream.clear();
-        s.link_used.clear();
-        s.link_used.resize(t.links.len(), false);
-        let mut g = 0usize;
-        for program in programs() {
-            op_base.push(g);
-            // Namespace streams per program so two programs' stream 0 never
-            // FIFO-serialise against each other: this program's streams
-            // take the slots after every earlier program's.
-            let stream_base = s.last_in_stream.len();
-            let width = program
-                .ops()
-                .iter()
-                .map(|op| op.stream.0.saturating_add(1))
-                .max()
-                .unwrap_or(0);
-            match stream_base.checked_add(width) {
-                Some(end) if end <= u32::MAX as usize => s.last_in_stream.resize(end, NONE),
-                _ => {
-                    return Err(SimError::InvalidProgram(format!(
-                        "stream ids up to {} exceed the engine's u32 stream table",
-                        width - 1
-                    )))
-                }
+        scan.op_base.clear();
+        let alone = if entries.len() == 1 { fitting(0) } else { None };
+        let tables = match alone {
+            Some(compiled) => {
+                scan.op_base.push(0);
+                &compiled.ops
             }
-            for op in program.ops() {
-                s.op_res_start.push(s.op_res.len() as u32);
-                let (duration, link) = match op.kind {
-                    OpKind::Copy {
-                        src, dst, class, ..
-                    } => {
-                        let id = t.link(src, dst, class)?;
-                        let link = &t.links[id as usize];
-                        let duration = self.op_duration(op, link.capacity_gbps)?;
-                        if let Some(gpu) = link.unknown {
-                            return Err(SimError::UnknownGpu(gpu));
+            None => {
+                ops.clear();
+                ops.reserve(entries.iter().map(|(p, _)| p.borrow().len()).sum());
+                let mut streams = 0;
+                for (i, (program, _)) in entries.iter().enumerate() {
+                    scan.op_base.push(ops.len());
+                    streams = match fitting(i) {
+                        Some(compiled) => {
+                            let end = stream_slots(streams, compiled.streams)?;
+                            ops.splice(&compiled.ops);
+                            end
                         }
-                        s.op_res.extend_from_slice(link.resources());
-                        (duration, id)
-                    }
-                    OpKind::Reduce { gpu, .. } => {
-                        let duration = self.op_duration(op, 0.0)?;
-                        t.gpu(gpu)?;
-                        (duration, NONE)
-                    }
-                    OpKind::Compute { gpu, .. } => {
-                        let duration = self.op_duration(op, 0.0)?;
-                        s.op_res.push(t.compute_base + t.gpu(gpu)?);
-                        (duration, NONE)
-                    }
-                    OpKind::TogglePeerAccess { .. } => (self.op_duration(op, 0.0)?, NONE),
-                };
-                s.durations.push(duration);
-                s.op_link.push(link);
-                if link == NONE {
-                    s.op_bytes.push(0);
-                } else {
-                    s.link_used[link as usize] = true;
-                    s.op_bytes.push(op.kind.payload_bytes());
+                        None => self.compile_into(program.borrow(), streams, ops, compile)?,
+                    };
                 }
-                let stream = stream_base + op.stream.0;
-                s.extra_dep[g] = s.last_in_stream[stream];
-                s.last_in_stream[stream] = g as u32;
-                g += 1;
+                &*ops
             }
-        }
-        op_base.push(g);
-        s.op_res_start.push(s.op_res.len() as u32);
+        };
+        scan.op_base.push(tables.len());
+        self.scan(tables, entries, scan)
+    }
 
-        // ---- dependency bookkeeping: in-degrees + children CSR ----
+    /// The K-candidate scan over spliced `ops` (see the module docs).
+    fn scan<P>(
+        &self,
+        ops: &OpTables,
+        entries: &[(P, f64)],
+        s: &mut ScanState,
+    ) -> Result<SessionReport, SimError> {
+        let t = &self.resources;
+        let n = ops.len();
         s.indeg.clear();
-        s.indeg.resize(n, 0);
-        s.child_start.clear();
-        s.child_start.resize(n + 1, 0);
-        for (p_idx, program) in programs().enumerate() {
-            let base = op_base[p_idx];
-            for (i, op) in program.ops().iter().enumerate() {
-                let gi = base + i;
-                for &d in &op.deps {
-                    s.indeg[gi] += 1;
-                    s.child_start[base + d.0 + 1] += 1;
-                }
-                if s.extra_dep[gi] != NONE {
-                    s.indeg[gi] += 1;
-                    s.child_start[s.extra_dep[gi] as usize + 1] += 1;
-                }
-            }
-        }
-        for k in 1..=n {
-            s.child_start[k] += s.child_start[k - 1];
-        }
-        s.children.clear();
-        s.children.resize(s.child_start[n] as usize, 0);
-        s.child_cursor.clear();
-        s.child_cursor.extend_from_slice(&s.child_start[..n]);
-        for (p_idx, program) in programs().enumerate() {
-            let base = op_base[p_idx];
-            for (i, op) in program.ops().iter().enumerate() {
-                let gi = base + i;
-                for &d in &op.deps {
-                    let c = &mut s.child_cursor[base + d.0];
-                    s.children[*c as usize] = gi as u32;
-                    *c += 1;
-                }
-                if s.extra_dep[gi] != NONE {
-                    let c = &mut s.child_cursor[s.extra_dep[gi] as usize];
-                    s.children[*c as usize] = gi as u32;
-                    *c += 1;
-                }
-            }
-        }
-
-        // ---- flat state arrays ----
+        s.indeg.extend_from_slice(&ops.indeg);
         s.resource_free.clear();
         s.resource_free.resize(t.num_static as usize, 0.0);
         s.link_busy.clear();
         s.link_busy.resize(t.links.len(), 0.0);
         s.link_bytes.clear();
         s.link_bytes.resize(t.links.len(), 0);
+        s.link_used.clear();
+        s.link_used.resize(t.links.len(), false);
         s.ready_time.clear();
         s.ready_time.resize(n, 0.0);
         s.heap.clear();
@@ -832,7 +1168,7 @@ impl Simulator {
             // Adding +0.0 turns an issue of -0.0 into +0.0, so every time
             // the scan compares is >= +0.0 and `max` never meets two zeros.
             let issue = *issue + 0.0;
-            for gi in op_base[p_idx]..op_base[p_idx + 1] {
+            for gi in s.op_base[p_idx]..s.op_base[p_idx + 1] {
                 if s.indeg[gi] == 0 {
                     s.heap.push(Ready {
                         time: issue,
@@ -866,11 +1202,11 @@ impl Simulator {
                     break;
                 }
                 let (lo, hi) = (
-                    s.op_res_start[cand.id] as usize,
-                    s.op_res_start[cand.id + 1] as usize,
+                    ops.op_res_start[cand.id] as usize,
+                    ops.op_res_start[cand.id + 1] as usize,
                 );
                 let mut start = cand.time;
-                for &r in &s.op_res[lo..hi] {
+                for &r in &ops.op_res[lo..hi] {
                     start = start.max(s.resource_free[r as usize]);
                 }
                 if start < best_start - 1e-9 || (start < best_start + 1e-9 && cand.id < best_key) {
@@ -883,27 +1219,34 @@ impl Simulator {
             if let Some(next) = s.heap.pop() {
                 s.window.push(next);
             }
-            let duration = s.durations[id];
-            let (lo, hi) = (s.op_res_start[id] as usize, s.op_res_start[id + 1] as usize);
+            let duration = ops.durations[id];
+            let (lo, hi) = (
+                ops.op_res_start[id] as usize,
+                ops.op_res_start[id + 1] as usize,
+            );
             let mut start = time;
-            for &r in &s.op_res[lo..hi] {
+            for &r in &ops.op_res[lo..hi] {
                 start = start.max(s.resource_free[r as usize]);
             }
             let end = start + duration;
-            for &r in &s.op_res[lo..hi] {
+            for &r in &ops.op_res[lo..hi] {
                 s.resource_free[r as usize] = end;
             }
             op_spans[id] = (start, end);
             total = total.max(end);
-            if s.op_link[id] != NONE {
-                let l = s.op_link[id] as usize;
+            if ops.op_link[id] != NONE {
+                let l = ops.op_link[id] as usize;
                 s.link_busy[l] += duration;
-                s.link_bytes[l] += s.op_bytes[id];
+                s.link_bytes[l] += ops.op_bytes[id];
+                s.link_used[l] = true;
             }
             done += 1;
-            let (clo, chi) = (s.child_start[id] as usize, s.child_start[id + 1] as usize);
-            for k in clo..chi {
-                let c = s.children[k] as usize;
+            let (clo, chi) = (
+                ops.child_start[id] as usize,
+                ops.child_start[id + 1] as usize,
+            );
+            for &c in &ops.children[clo..chi] {
+                let c = c as usize;
                 s.ready_time[c] = s.ready_time[c].max(end);
                 s.indeg[c] -= 1;
                 if s.indeg[c] == 0 {
@@ -946,7 +1289,7 @@ impl Simulator {
         }
         let mut programs = Vec::with_capacity(entries.len());
         for (p_idx, (_, issue)) in entries.iter().enumerate() {
-            let (lo, hi) = (op_base[p_idx], op_base[p_idx + 1]);
+            let (lo, hi) = (s.op_base[p_idx], s.op_base[p_idx + 1]);
             let spans = op_spans[lo..hi].to_vec();
             let (mut start, mut end) = (*issue, *issue);
             for (k, &(st, en)) in spans.iter().enumerate() {
@@ -977,6 +1320,7 @@ impl Simulator {
         Session {
             sim: self,
             entries: Vec::new(),
+            compiled: Vec::new(),
         }
     }
 }
@@ -995,11 +1339,14 @@ impl Simulator {
 /// their admission order.
 ///
 /// The session shares the programs it holds: admitting an `Arc<Program>`
-/// (a lowering a caller memoises, say) clones nothing.
+/// (a lowering a caller memoises, say) or an `Arc<CompiledProgram>` clones
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct Session<'a> {
     sim: &'a Simulator,
     entries: Vec<(Arc<Program>, f64)>,
+    /// Each entry's compiled form, when it was admitted with one.
+    compiled: Vec<Option<Arc<CompiledProgram>>>,
 }
 
 impl Session<'_> {
@@ -1008,6 +1355,17 @@ impl Session<'_> {
     /// and returns the program's index into [`SessionReport::programs`].
     pub fn admit(&mut self, program: impl Into<Arc<Program>>, issue_us: f64) -> usize {
         self.entries.push((program.into(), issue_us));
+        self.compiled.push(None);
+        self.entries.len() - 1
+    }
+
+    /// Admits a compiled program's program, as [`Session::admit`] does, and
+    /// runs it from the compiled form when the form
+    /// [fits](CompiledProgram::fits) the session's simulator. The report is
+    /// bit-identical either way.
+    pub fn admit_compiled(&mut self, compiled: Arc<CompiledProgram>, issue_us: f64) -> usize {
+        self.entries.push((compiled.program.clone(), issue_us));
+        self.compiled.push(Some(compiled));
         self.entries.len() - 1
     }
 
@@ -1042,14 +1400,14 @@ impl Session<'_> {
     /// # Errors
     /// Same conditions as [`Session::run`].
     pub fn run_with_scratch(&self, scratch: &mut EngineScratch) -> Result<SessionReport, SimError> {
-        self.sim.run_entries(&self.entries, scratch)
+        self.sim.run_entries(&self.entries, &self.compiled, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{ProgramBuilder, Segment, StreamId};
+    use crate::program::{OpId, ProgramBuilder, Segment, StreamId};
     use blink_topology::presets::{dgx1v, dgx2, multi_server, placement_topology, ServerKind};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -2182,7 +2540,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The table prepass against the reference, bit for bit: the first
+    /// The compiled tables against the reference, bit for bit: the first
     /// program alone, then all of them sharing a session at staggered issue
     /// times.
     fn assert_table_matches_the_reference(sim: &Simulator, programs: Vec<Program>) {
@@ -2469,6 +2827,244 @@ mod tests {
             let program = b.build().unwrap();
             assert_eq!(sim.run(&program).unwrap_err(), expected);
             assert_eq!(sim.run_reference(&program).unwrap_err(), expected);
+            assert_eq!(sim.compile(program).unwrap_err(), expected);
         }
+    }
+
+    /// Compiled runs against the reference and the direct path, bit for
+    /// bit: each program alone through [`Simulator::run_compiled`], then
+    /// all of them in one session at staggered issue times under every mix
+    /// of stored and plain entries. Every compiled run goes through one
+    /// scratch that the direct runs dirtied first.
+    fn assert_compiled_runs_match(sim: &Simulator, programs: &[Program]) {
+        let mut dirty = EngineScratch::new();
+        let compiled: Vec<Arc<CompiledProgram>> = programs
+            .iter()
+            .map(|p| Arc::new(sim.compile(p.clone()).unwrap()))
+            .collect();
+        for (program, stored) in programs.iter().zip(&compiled) {
+            assert!(stored.fits(sim));
+            assert_eq!(**stored.program(), *program);
+            let direct = sim.run_with_scratch(program, &mut dirty).unwrap();
+            assert_reports_bit_identical(&sim.run_reference(program).unwrap(), &direct);
+            let reused = sim.run_compiled(stored, &mut dirty).unwrap();
+            assert_reports_bit_identical(&direct, &reused);
+        }
+        let issues = [0.0, 15.5, 15.5, 40.25];
+        let entries: Vec<(&Program, f64)> = programs.iter().zip(issues).collect();
+        let reference = sim.run_reference_session(&entries).unwrap();
+        for mask in 0..1u32 << entries.len() {
+            let mut session = sim.session();
+            for (k, (&(program, issue), stored)) in entries.iter().zip(&compiled).enumerate() {
+                if mask >> k & 1 == 1 {
+                    session.admit_compiled(stored.clone(), issue);
+                } else {
+                    session.admit(program.clone(), issue);
+                }
+            }
+            let fast = session.run_with_scratch(&mut dirty).unwrap();
+            assert_sessions_bit_identical(&reference, &fast);
+        }
+    }
+
+    #[test]
+    fn compiled_runs_match_direct_runs_and_the_reference() {
+        let slices = [
+            (0, vec![GpuId(1), GpuId(4), GpuId(6)]),
+            (2, vec![GpuId(17), GpuId(19), GpuId(22)]),
+        ];
+        let placed = placement_topology(ServerKind::Dgx1V, 5.0, &slices).unwrap();
+        let alloc: Vec<GpuId> = [1, 4, 9, 12, 14].into_iter().map(GpuId).collect();
+        let partial_dgx2 = dgx2().induced(&alloc).unwrap();
+        for (topo, seed) in [
+            (placed, 0x71a3_92c4_05be_3d17u64),
+            (partial_dgx2, 0x3b1f_d85e_a2c7_6904),
+            (one_port_capped(false), 0xc2b2_ae3d_27d4_eb4f),
+            (one_port_capped(true), 0x1656_67b1_9e37_79f9),
+        ] {
+            let sim = Simulator::with_defaults(topo.clone());
+            let mut programs = random_programs(&topo, seed);
+            programs.push(ProgramBuilder::new().build().unwrap());
+            assert_compiled_runs_match(&sim, &programs);
+        }
+        // more ops ready than the candidate window holds
+        let (topo, wide) = wide_random_program(0x9e37_79b9_7f4a_7c15, 2 * CANDIDATES);
+        let (_, other) = wide_random_program(0x2545_f491_4f6c_dd1d, CANDIDATES / 2);
+        let sim = Simulator::with_defaults(topo);
+        assert_compiled_runs_match(&sim, &[wide.clone(), other, wide]);
+    }
+
+    #[test]
+    fn compiled_zero_duration_ops_match_the_reference() {
+        let params = SimParams {
+            op_launch_overhead_us: 0.0,
+            dpa_per_gpu_us: 0.0,
+            link_latency_us: 0.0,
+            network_latency_us: 0.0,
+            ..SimParams::default()
+        };
+        let topo = multi_server(2, ServerKind::Dgx1V, 5.0);
+        let programs: Vec<Program> = random_programs(&topo, 0x5851_f42d_4c95_7f2d)
+            .into_iter()
+            .map(|program| {
+                let mut b = ProgramBuilder::new();
+                for op in program.ops() {
+                    let mut kind = op.kind.clone();
+                    if let OpKind::Copy { segs, .. } | OpKind::Reduce { segs, .. } = &mut kind {
+                        segs[0].bytes = 0;
+                    }
+                    b.push(kind, op.stream, op.deps.clone(), op.tag.clone());
+                }
+                b.build().unwrap()
+            })
+            .collect();
+        let sim = Simulator::new(topo, params);
+        let zero = sim.run(&programs[0]).unwrap();
+        assert!(zero.op_spans.iter().filter(|(s, e)| s == e).count() > 40);
+        assert_compiled_runs_match(&sim, &programs);
+    }
+
+    /// A copy of `topo` whose first `(src, dst)` link carries `bump` more
+    /// bits of bandwidth.
+    fn nudged(topo: &Topology, src: GpuId, dst: GpuId, bump: u64) -> Topology {
+        let mut out = Topology::new(topo.name());
+        for g in topo.gpus() {
+            out.add_gpu(g.id, g.server, g.local_index).unwrap();
+            if let Some(cap) = topo.gpu_cap(g.id) {
+                out.set_gpu_cap(g.id, cap).unwrap();
+            }
+        }
+        for server in topo.servers() {
+            if let Some(nic) = topo.server_nic(server) {
+                out.set_server_nic(server, nic);
+            }
+        }
+        let mut pending = true;
+        for link in topo.links() {
+            let mut link = *link;
+            if pending && (link.src, link.dst) == (src, dst) {
+                link.bandwidth_gbps = f64::from_bits(link.bandwidth_gbps.to_bits() + bump);
+                pending = false;
+            }
+            out.add_link(link).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn a_form_runs_only_where_every_read_agrees() {
+        // GPUs 2-7 of a DGX-1V: on the whole machine, and on a machine of
+        // just those GPUs, where every GPU index and link id moves
+        let topo = dgx1v();
+        let renumbered = topo
+            .induced(&(2..8).map(GpuId).collect::<Vec<_>>())
+            .unwrap();
+        let program = random_program_on(&renumbered, 0x8a5c_d789_635d_2dff, 160, 24);
+        let copy = program
+            .ops()
+            .iter()
+            .find_map(|op| match op.kind {
+                OpKind::Copy { src, dst, .. } => Some((src, dst)),
+                _ => None,
+            })
+            .unwrap();
+        let stored = Simulator::with_defaults(topo.clone())
+            .compile(program.clone())
+            .unwrap();
+        let latency = SimParams {
+            link_latency_us: SimParams::default().link_latency_us + 0.5,
+            ..SimParams::default()
+        };
+        let elsewhere = [
+            (Simulator::with_defaults(topo.clone()), true),
+            // a NIC adds ids after every id the form read
+            (
+                Simulator::with_defaults(multi_server(1, ServerKind::Dgx1V, 5.0)),
+                true,
+            ),
+            // one link a copy uses is one ulp faster
+            (
+                Simulator::with_defaults(nudged(&topo, copy.0, copy.1, 1)),
+                false,
+            ),
+            (Simulator::new(topo.clone(), latency), false),
+            (Simulator::with_defaults(renumbered.clone()), false),
+        ];
+        for (sim, fits) in elsewhere {
+            assert_eq!(stored.fits(&sim), fits, "{}", sim.topology().name());
+            let direct = sim.run(&program).unwrap();
+            let reused = sim
+                .run_compiled(&stored, &mut EngineScratch::new())
+                .unwrap();
+            assert_reports_bit_identical(&direct, &reused);
+        }
+        // a form whose GPUs are missing fails there as its program would
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        b.compute(GpuId(0), 1.0, s, vec![], "");
+        let on_gpu0 = b.build().unwrap();
+        let stored = Simulator::with_defaults(topo).compile(on_gpu0).unwrap();
+        let sim = Simulator::with_defaults(renumbered);
+        assert!(!stored.fits(&sim));
+        assert_eq!(
+            sim.run_compiled(&stored, &mut EngineScratch::new())
+                .unwrap_err(),
+            SimError::UnknownGpu(GpuId(0))
+        );
+    }
+
+    #[test]
+    fn a_session_reports_the_first_error_in_admission_order() {
+        // entry 0 is well formed but issued at a negative time, entry 1
+        // depends on a later op: every issue time is checked before any
+        // later entry is validated or resolved, stored form or not
+        let sim = Simulator::with_defaults(dgx1v());
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, vec![], "");
+        let good = b.build().unwrap();
+        let op = |id: usize, deps: Vec<OpId>| Op {
+            id: OpId(id),
+            kind: OpKind::Compute {
+                gpu: GpuId(0),
+                duration_us: 1.0,
+            },
+            stream: StreamId(0),
+            deps,
+            tag: "".into(),
+        };
+        let forward = Program::from_ops_unchecked(vec![op(0, vec![OpId(1)]), op(1, vec![])]);
+        let stored = Arc::new(sim.compile(good.clone()).unwrap());
+        let issue_error = SimError::InvalidProgram(
+            "issue timestamp -1 must be finite and non-negative".to_string(),
+        );
+        for compiled in [false, true] {
+            let mut session = sim.session();
+            if compiled {
+                session.admit_compiled(stored.clone(), -1.0);
+            } else {
+                session.admit(good.clone(), -1.0);
+            }
+            session.admit(forward.clone(), 0.0);
+            assert_eq!(session.run().unwrap_err(), issue_error);
+        }
+        // issued in time, entry 1's validation error is the first
+        let mut session = sim.session();
+        session.admit_compiled(stored.clone(), 0.0);
+        session.admit(forward.clone(), 0.0);
+        assert_eq!(
+            session.run().unwrap_err(),
+            SimError::InvalidProgram("op 0 depends on later op 1".to_string())
+        );
+        assert!(sim.compile(forward).is_err());
+        // a stored entry's resolution cannot fail, so the next entry's does
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        b.compute(GpuId(42), 1.0, s, vec![], "");
+        let unknown = b.build().unwrap();
+        let mut session = sim.session();
+        session.admit_compiled(stored, 0.0);
+        session.admit(unknown, 0.0);
+        assert_eq!(session.run().unwrap_err(), SimError::UnknownGpu(GpuId(42)));
     }
 }

@@ -28,12 +28,16 @@
 //!   time and per-link utilisation. The scheduler runs an **interned-resource
 //!   fast path**: [`Simulator::new`] resolves the topology's links, switch
 //!   ports, NICs and compute engines to static dense ids (with each link's
-//!   capacity) once, and a per-run prepass maps every op onto them —
-//!   streams appended per session — laying per-op resource lists and
-//!   dependency children out as flat CSR buffers in a reusable
-//!   [`EngineScratch`], so the candidate scan allocates nothing per
-//!   iteration. The K earliest-ready candidates sit in a sorted window
-//!   beside the ready heap (O(1) heap operations per scheduled op) and the
+//!   capacity) once, and compiling a program maps every op onto them,
+//!   laying per-op resource lists, durations and dependency children out
+//!   as flat CSR tables local to the program. A run splices its programs'
+//!   tables in a reusable [`EngineScratch`], so the candidate scan
+//!   allocates nothing per iteration. A caller that replays a program keeps
+//!   its [`CompiledProgram`], which records every lookup it made and runs
+//!   as it is on any simulator where those lookups agree, skipping
+//!   validation and resolution. The K earliest-ready candidates sit in a
+//!   sorted window beside the ready heap (O(1) heap operations per
+//!   scheduled op) and the
 //!   scan over it stops, exactly, at the first candidate that becomes ready
 //!   too late to win; timings are bit-identical to the allocating
 //!   pop-K-and-push-back reference scheduler the engine's tests keep as an
@@ -73,7 +77,9 @@ pub mod patterns;
 pub mod program;
 pub mod semantics;
 
-pub use engine::{EngineScratch, ProgramSpan, RunReport, Session, SessionReport, Simulator};
+pub use engine::{
+    CompiledProgram, EngineScratch, ProgramSpan, RunReport, Session, SessionReport, Simulator,
+};
 pub use params::SimParams;
 pub use program::{LinkClass, Op, OpId, OpKind, Program, ProgramBuilder, Segment, StreamId};
 pub use semantics::{check_collective, CollectiveSpec, Contributions, ValueCheck, Violation};

@@ -89,6 +89,29 @@ impl SimParams {
     pub fn segment_overhead_us(&self, segments: usize) -> f64 {
         self.per_segment_overhead_us * segments.saturating_sub(1) as f64
     }
+
+    /// Every parameter's bit pattern, in declaration order. Two calibrations
+    /// with equal bits time every op identically.
+    pub fn to_bits(&self) -> [u64; 6] {
+        // Destructured so a new parameter cannot be silently left out.
+        let SimParams {
+            op_launch_overhead_us,
+            reduce_bandwidth_gbps,
+            dpa_per_gpu_us,
+            link_latency_us,
+            network_latency_us,
+            per_segment_overhead_us,
+        } = *self;
+        [
+            op_launch_overhead_us,
+            reduce_bandwidth_gbps,
+            dpa_per_gpu_us,
+            link_latency_us,
+            network_latency_us,
+            per_segment_overhead_us,
+        ]
+        .map(f64::to_bits)
+    }
 }
 
 #[cfg(test)]

@@ -219,6 +219,13 @@ pub struct Program {
 }
 
 impl Program {
+    /// A program over `ops` exactly as given, unvalidated, for tests that
+    /// feed the engine malformed programs.
+    #[cfg(test)]
+    pub(crate) fn from_ops_unchecked(ops: Vec<Op>) -> Self {
+        Program { ops }
+    }
+
     /// The ops, in issue order.
     pub fn ops(&self) -> &[Op] {
         &self.ops

@@ -6,9 +6,12 @@
 use blink::prelude::*;
 use blink_core::multiserver::three_phase_allreduce_cached;
 use blink_core::{
-    CodeGen, CodeGenOptions, LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan,
+    CodeGen, CodeGenOptions, GroupRun, LinkSelection, ScratchPool, StreamedRun, TreeGen,
+    TreeGenOptions, TreePlan,
 };
-use blink_sim::{check_collective, LinkClass, OpKind, Program, RunReport, SimParams, Simulator};
+use blink_sim::{
+    check_collective, CompiledProgram, LinkClass, OpKind, Program, RunReport, SimParams, Simulator,
+};
 use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
 use blink_topology::{GroupSplit, TopologyDelta};
 use std::sync::Arc;
@@ -495,4 +498,190 @@ fn program_nvlink_pair(program: &Program) -> (GpuId, GpuId) {
             _ => None,
         })
         .expect("the program copies over NVLink")
+}
+
+/// Streams three AllReduce buckets through `comm`.
+fn step(comm: &mut Communicator) -> StreamedRun {
+    let requests = [(16 << 20, 0.0), (16 << 20, 40.0), (4 << 20, 90.0)];
+    comm.run_streamed(CollectiveKind::AllReduce, &requests)
+        .unwrap()
+}
+
+/// Every group's spans and the finish time, floats bit for bit.
+fn step_bits(run: &StreamedRun) -> String {
+    let spans: Vec<_> = run.groups.iter().map(|g| (g.end_us, &g.op_spans)).collect();
+    format!("{:?} {spans:?}", run.finish_us)
+}
+
+/// The compiled forms a step ran, one per group; every group has one.
+fn compiled_forms(run: &StreamedRun) -> Vec<Arc<CompiledProgram>> {
+    run.groups
+        .iter()
+        .map(|g| g.compiled.clone().expect("a hit keeps a compiled form"))
+        .collect()
+}
+
+#[test]
+fn placement_communicators_over_the_same_slices_share_one_compiled_form() {
+    let slices = vec![(0usize, ids(&[0, 1, 2, 5])), (1usize, ids(&[9, 10]))];
+    let placed = || CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices);
+    let store = SharedPlanCache::new();
+    let mut a = placed().shared_plans(store.clone()).build().unwrap();
+    let fresh = step(&mut a);
+    // the second 16 MiB bucket already hits the first one's lowering
+    assert!(fresh.groups[0].compiled.is_none());
+    let repeat = step(&mut a);
+    let forms = compiled_forms(&repeat);
+    let mut b = placed().shared_plans(store.clone()).build().unwrap();
+    let shared = step(&mut b);
+    for (form, other) in forms.iter().zip(compiled_forms(&shared)) {
+        assert!(Arc::ptr_eq(form, &other), "b runs a's compiled form");
+    }
+    let private = step(&mut placed().isolated_plans().build().unwrap());
+    for run in [&repeat, &shared] {
+        assert_eq!(step_bits(run), step_bits(&fresh));
+    }
+    assert_eq!(step_bits(&private), step_bits(&fresh));
+}
+
+/// `machine` with the bandwidth of its first `(src, dst)` link one ulp
+/// higher.
+fn one_ulp_faster(machine: &Topology, src: GpuId, dst: GpuId) -> Topology {
+    let mut out = Topology::new(machine.name());
+    for g in machine.gpus() {
+        out.add_gpu(g.id, g.server, g.local_index).unwrap();
+    }
+    let mut pending = true;
+    for link in machine.links() {
+        let mut link = *link;
+        if pending && (link.src, link.dst) == (src, dst) {
+            link.bandwidth_gbps = f64::from_bits(link.bandwidth_gbps.to_bits() + 1);
+            pending = false;
+        }
+        out.add_link(link).unwrap();
+    }
+    out
+}
+
+#[test]
+fn a_machine_that_differs_in_one_read_recompiles() {
+    let alloc = ids(&[0, 1, 2, 3, 4, 5, 6, 7]);
+    let mut comm = Communicator::builder(dgx1v())
+        .allocation(&alloc)
+        .isolated_plans()
+        .build()
+        .unwrap();
+    step(&mut comm);
+    let home = step(&mut comm);
+    let home_sim = Simulator::new(dgx1v(), SimParams::default());
+    let slower = SimParams {
+        link_latency_us: SimParams::default().link_latency_us * 2.0,
+        ..SimParams::default()
+    };
+    let bits = |run: &RunReport| format!("{:?} {:?}", run.total_us, run.op_spans);
+    for form in compiled_forms(&home) {
+        let program = form.program();
+        let (src, dst) = program_nvlink_pair(program);
+        let elsewhere = [
+            Simulator::new(one_ulp_faster(&dgx1v(), src, dst), SimParams::default()),
+            Simulator::new(dgx1v(), slower),
+        ];
+        let own = home_sim.run(program).unwrap();
+        for sim in elsewhere {
+            assert!(!form.fits(&sim));
+            let fresh = sim.run(program).unwrap();
+            assert_ne!(bits(&fresh), bits(&own), "the read changes the schedule");
+            let reused = sim
+                .run_compiled(&form, &mut ScratchPool::new().checkout().engine)
+                .unwrap();
+            assert_eq!(run_bits(&reused), run_bits(&fresh));
+        }
+    }
+    // a fresh communicator under the changed calibration lowers the same
+    // programs and runs them as the stored forms do on its simulator
+    let mut slow = Communicator::builder(dgx1v())
+        .allocation(&alloc)
+        .options(CommunicatorOptions {
+            sim_params: slower,
+            ..Default::default()
+        })
+        .isolated_plans()
+        .build()
+        .unwrap();
+    let slow_run = step(&mut slow);
+    let slow_sim = Simulator::new(dgx1v(), slower);
+    let mut session = slow_sim.session();
+    for (g, form) in home.groups.iter().zip(compiled_forms(&home)) {
+        session.admit_compiled(form, g.issue_us);
+    }
+    let report = session.run().unwrap();
+    for ((g, fresh), span) in home
+        .groups
+        .iter()
+        .zip(&slow_run.groups)
+        .zip(&report.programs)
+    {
+        assert_eq!(*g.program, *fresh.program);
+        assert_eq!(
+            format!("{:?}", span.op_spans),
+            format!("{:?}", fresh.op_spans)
+        );
+    }
+}
+
+#[test]
+fn a_communicator_on_a_renumbered_machine_recompiles_a_shared_form() {
+    // GPUs 4-7 induce the same topology on a whole DGX-1V and on a machine
+    // of GPUs 2-7, so both communicators share one lowering; on the second
+    // machine every GPU index and link id differs
+    let alloc = ids(&[4, 5, 6, 7]);
+    let renumbered = dgx1v().induced(&ids(&[2, 3, 4, 5, 6, 7])).unwrap();
+    let store = SharedPlanCache::new();
+    let on = |machine: Topology, store: &SharedPlanCache| {
+        Communicator::builder(machine)
+            .allocation(&alloc)
+            .shared_plans(store.clone())
+            .build()
+            .unwrap()
+    };
+    let mut whole = on(dgx1v(), &store);
+    step(&mut whole);
+    let forms = compiled_forms(&step(&mut whole));
+    let sim = Simulator::new(renumbered.clone(), SimParams::default());
+    let shared = step(&mut on(renumbered.clone(), &store));
+    for (form, other) in forms.iter().zip(compiled_forms(&shared)) {
+        assert!(Arc::ptr_eq(form, &other), "the lowering is shared");
+        assert!(!form.fits(&sim));
+    }
+    let private = step(&mut on(renumbered, &SharedPlanCache::new()));
+    assert_eq!(step_bits(&shared), step_bits(&private));
+}
+
+#[test]
+fn a_repeated_concurrent_step_reuses_every_compiled_form() {
+    let parent = Communicator::builder(dgx1v())
+        .isolated_plans()
+        .build()
+        .unwrap();
+    // subgroups that are not isomorphic, so neither runs canonical-tier
+    // plans (whose lowerings the store never keeps)
+    let split = GroupSplit::Explicit(vec![ids(&[0, 1, 2, 3]), ids(&[4, 5, 6])]);
+    let mut groups = parent.split(&split).unwrap();
+    let requests = vec![(CollectiveKind::AllReduce, 8 << 20); 2];
+    let runs: Vec<_> = (0..3)
+        .map(|_| groups.run_concurrent(&requests).unwrap())
+        .collect();
+    let forms = |run: &GroupRun| -> Vec<Option<Arc<CompiledProgram>>> {
+        run.groups.iter().map(|g| g.compiled.clone()).collect()
+    };
+    for (a, b) in forms(&runs[1]).iter().zip(forms(&runs[2])) {
+        let (a, b) = (a.as_ref().unwrap(), b.unwrap());
+        assert!(Arc::ptr_eq(a, &b), "the third step compiles nothing new");
+    }
+    for run in &runs[1..] {
+        assert_eq!(run.finish_us.to_bits(), runs[0].finish_us.to_bits());
+        for (g, first) in run.groups.iter().zip(&runs[0].groups) {
+            assert_eq!(format!("{:?}", g.op_spans), format!("{:?}", first.op_spans));
+        }
+    }
 }
