@@ -1,57 +1,62 @@
-//! Fleet-service planning-loop throughput: submit → place → plan → run over
-//! thousands of jobs.
+//! Fleet-service planning loop, fault-free and under chaos: submit → place →
+//! plan → run over thousands of jobs.
 //!
 //! Drives `blink-sched`'s [`FleetPipeline`] over the contended Figure 3
 //! workload on an 8-server DGX-1V cluster: every placed job gets a
 //! communicator over its placement-induced slice topology, plans through one
-//! fleet-wide shared plan cache, and runs its first AllReduce on the
-//! simulator; departures trigger delta-based consolidation replans. Measures
-//! sustained planning throughput (plans served per second: plan-store
-//! lookups plus lowering-tier hits), the shared-cache hit rate, and p50/p99
-//! wall-clock time-to-first-collective, plus the run's deterministic work:
-//! fresh lowerings, lowering-tier hits, packs (plan-store misses) and
-//! planner scratches created.
+//! fleet-wide plan store, and runs its first AllReduce on the simulator;
+//! departures trigger delta-based consolidation replans. The recorded
+//! 2,000-job stream is replayed twice, and each replay is one section of
+//! `BENCH_fleet.json`:
 //!
-//! Without arguments: runs the job stream and writes `BENCH_fleet.json` to
-//! the working directory.
+//! * **fleet** — fault-free, sampling every 50th first collective through
+//!   the value-level oracle;
+//! * **chaos** — under [`FaultConfig::default`]'s seeded fault schedule,
+//!   which flaps NVLink pairs, drops GPUs, degrades NICs and kills whole
+//!   servers. Every affected job replans through `Communicator::replan`'s
+//!   graceful-degradation ladder (full warm repair → packed replan → PCIe
+//!   fallback → shrunk subgroup) and re-runs its collective as a recovery
+//!   probe; jobs whose every GPU is lost are evicted and re-offered under
+//!   the bounded retry policy.
 //!
-//! With `--check`: re-measures the same stream (it takes well under a second)
-//! and compares it against the recorded file, like with like.
-//! Deterministic gates are enforced on every runner — sampled first
-//! collectives must pass the value-level oracle, the shared cache and the
-//! lowering tier must actually hit, the stream must fragment (else the run
-//! proves nothing about the paper's scenario), accounting must balance, two
-//! runs over one seed must agree event-for-event and bit-for-bit on
-//! simulated rates, and no work count may exceed the recorded `work`
-//! (scratches created may reach the runner's worker count, the most the plan
-//! store's fan-out checks out at once). The wall-clock latency gates (TTFC
-//! percentiles, plans/sec vs the recording) need a machine with >= 2
-//! workers and are loudly SKIPPED otherwise, mirroring the other benches.
+//! Each section records the replay's deterministic work, read off its plan
+//! store: fresh lowerings, lowering-tier hits, packs (plan-store misses), the
+//! MWU iterations those packs ran, and planner scratches created. Wall time
+//! — time-to-first-collective (TTFC), plans served per second, recovery
+//! spans — is printed and recorded as context only.
+//!
+//! Without arguments: runs both replays and writes `BENCH_fleet.json` to the
+//! working directory.
+//!
+//! With `--check`: runs both replays twice (well under a second) and fails,
+//! on every runner, unless
+//!
+//! * **work** — no counter of either section's `work` exceeds its recording
+//!   (scratches created may reach the runner's CPU count, the most the plan
+//!   store's fan-out checks out at once);
+//! * **fleet** — sampled first collectives pass the oracle, the plan store
+//!   and the lowering tier hit, the stream fragments into three-phase jobs,
+//!   and placements, rejections and stage events balance;
+//! * **chaos** — zero jobs are lost and the retry queue drains, every full
+//!   warm repair ran zero MWU iterations, rung counts sum to the recovery
+//!   total, and every retry, fault and heal left its event;
+//! * **replay** — the two runs of each section agree event for event, on
+//!   every deterministic counter, and bit for bit on every simulated rate.
+//!
 //! Exits non-zero on regression.
 
-use blink_bench::{percentiles, runner_cpus, Percentiles};
-use blink_sched::{FleetConfig, FleetPipeline, FleetReport, Stage, WorkloadConfig};
+use blink_bench::{over_recording, percentiles, runner_cpus, Percentiles};
+use blink_sched::{
+    EventRecord, FaultConfig, FleetConfig, FleetPipeline, FleetReport, JobOutcome, Stage,
+};
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Wall-clock metrics (TTFC percentiles, plans/sec) may drift this factor
-/// against the recorded trajectory before `--check` fails.
-const CHECK_TOLERANCE: f64 = 4.0;
-/// Jobs in the recorded and the checked run.
+/// Jobs in the recorded and the checked stream.
 const JOBS: usize = 2_000;
 
-#[derive(Serialize)]
-struct Config {
-    workers: usize,
-    servers: usize,
-    jobs: usize,
-    collective_bytes: u64,
-    check_every: usize,
-    seed: u64,
-    check_tolerance: f64,
-}
-
-/// A run's deterministic work, read off the fleet's plan store.
+/// A replay's deterministic work, read off the fleet's plan store.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 struct Work {
     /// Lowering-tier misses: collectives lowered afresh.
@@ -60,13 +65,89 @@ struct Work {
     lowering_hits: u64,
     /// Plan-store misses: plans packed.
     packs: u64,
+    /// MWU iterations the packs ran.
+    mwu_iterations: u64,
     /// Planner scratches the store's pool created.
     scratches_created: u64,
 }
 
+impl Work {
+    /// The counters under their recorded keys.
+    fn counters(&self) -> [(&'static str, u64); 5] {
+        [
+            ("fresh_lowerings", self.fresh_lowerings),
+            ("lowering_hits", self.lowering_hits),
+            ("packs", self.packs),
+            ("mwu_iterations", self.mwu_iterations),
+            ("scratches_created", self.scratches_created),
+        ]
+    }
+}
+
+/// One replay of the stream.
+#[derive(Clone)]
+struct Run {
+    config: FleetConfig,
+    report: FleetReport,
+    records: Vec<EventRecord>,
+    wall_seconds: f64,
+    work: Work,
+}
+
+/// The fault-free replay's configuration, or with `chaos` the chaos
+/// replay's.
+fn config(chaos: bool) -> FleetConfig {
+    if chaos {
+        FleetConfig {
+            jobs: JOBS,
+            faults: Some(FaultConfig::default()),
+            ..Default::default()
+        }
+    } else {
+        FleetConfig {
+            jobs: JOBS,
+            check_every: 50,
+            ..Default::default()
+        }
+    }
+}
+
+fn replay(config: FleetConfig) -> Run {
+    let mut pipeline = FleetPipeline::new(config.clone());
+    let t0 = Instant::now();
+    let report = pipeline.run().expect("fleet pipeline runs to completion");
+    let wall_seconds = t0.elapsed().as_secs_f64();
+    let store = pipeline.shared_cache();
+    let (lowering_hits, fresh_lowerings) = store.lowering_stats();
+    Run {
+        config,
+        report,
+        records: pipeline.monitor().records().to_vec(),
+        wall_seconds,
+        work: Work {
+            fresh_lowerings,
+            lowering_hits,
+            packs: store.stats().1,
+            mwu_iterations: store.mwu_iterations(),
+            scratches_created: store.scratch().created(),
+        },
+    }
+}
+
 #[derive(Serialize)]
-struct Report {
-    config: Config,
+struct FleetSectionConfig {
+    workers: usize,
+    servers: usize,
+    jobs: usize,
+    collective_bytes: u64,
+    check_every: usize,
+    seed: u64,
+}
+
+/// The fault-free replay.
+#[derive(Serialize)]
+struct FleetSection {
+    config: FleetSectionConfig,
     wall_seconds: f64,
     submitted: usize,
     placed: usize,
@@ -81,8 +162,7 @@ struct Report {
     shared_misses: u64,
     hit_rate: f64,
     /// Plans served (shared-cache lookups plus lowering-tier hits, each of
-    /// which serves its plans without a lookup) per wall second — the
-    /// fleet's sustained planning throughput.
+    /// which serves its plans without a lookup) per wall second.
     plans_per_sec: f64,
     jobs_per_sec: f64,
     checks_run: usize,
@@ -92,58 +172,82 @@ struct Report {
     /// TTFC over the fragmented (multi-server) subset — the jobs whose first
     /// collective rides the three-phase protocol.
     ttfc_fragmented: Percentiles,
-    /// This run's deterministic work.
     work: Work,
 }
 
-fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        jobs: JOBS,
-        check_every: 50,
-        ..Default::default()
-    }
+#[derive(Serialize)]
+struct ChaosSectionConfig {
+    workers: usize,
+    servers: usize,
+    jobs: usize,
+    collective_bytes: u64,
+    workload_seed: u64,
+    fault_seed: u64,
+    mean_fault_interval: f64,
+    mean_outage: f64,
+    retry_max_attempts: u32,
 }
 
-struct Run {
-    report: FleetReport,
-    order: Vec<(u64, Stage)>,
+/// The replay under the fault schedule.
+#[derive(Serialize)]
+struct ChaosSection {
+    config: ChaosSectionConfig,
     wall_seconds: f64,
+    submitted: usize,
+    placed: usize,
+    departures: usize,
+    faults_injected: usize,
+    heals_applied: usize,
+    fault_recoveries: usize,
+    /// Recoveries per degradation-ladder rung (tag -> count).
+    recovery_rungs: BTreeMap<String, usize>,
+    /// Fraction of all recoveries each rung absorbed — the fleet's
+    /// degraded-mode occupancy.
+    rung_occupancy: BTreeMap<String, f64>,
+    recoveries_full_warm: usize,
+    recoveries_full_warm_zero_iter: usize,
+    gpus_shed: usize,
+    evictions: usize,
+    retries_scheduled: usize,
+    retries_succeeded: usize,
+    jobs_lost: usize,
+    /// Wall-clock replan + recovery-probe span over jobs hit by a fault.
+    recovery: Percentiles,
+    /// Wall-clock replan span over jobs restored by a heal.
+    restore: Percentiles,
     work: Work,
 }
 
-fn run_fleet(config: FleetConfig) -> Run {
-    let mut pipeline = FleetPipeline::new(config);
-    let t0 = Instant::now();
-    let report = pipeline.run().expect("fleet pipeline runs to completion");
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let store = pipeline.shared_cache();
-    let (lowering_hits, fresh_lowerings) = store.lowering_stats();
-    Run {
-        work: Work {
-            fresh_lowerings,
-            lowering_hits,
-            packs: store.stats().1,
-            scratches_created: store.scratch().created(),
-        },
-        report,
-        order: pipeline.monitor().order(),
-        wall_seconds,
-    }
+#[derive(Serialize)]
+struct Report {
+    fleet: FleetSection,
+    chaos: ChaosSection,
 }
 
-fn build_report(run: &Run, workload: &WorkloadConfig, config: &FleetConfig) -> Report {
-    let r = &run.report;
-    let multi: Vec<&blink_sched::JobOutcome> = r.outcomes.iter().filter(|o| o.gpus >= 2).collect();
+/// Placed multi-GPU jobs: the ones that run a real first collective.
+fn multi_gpu(r: &FleetReport) -> impl Iterator<Item = &JobOutcome> {
+    r.outcomes.iter().filter(|o| o.gpus >= 2)
+}
+
+fn fleet_section(run: &Run) -> FleetSection {
+    let (r, config) = (&run.report, &run.config);
     let served = r.shared_hits + r.shared_misses + run.work.lowering_hits;
-    Report {
-        config: Config {
+    let ttfc = |fragmented_only: bool| {
+        percentiles(
+            multi_gpu(r)
+                .filter(|o| o.fragmented || !fragmented_only)
+                .map(|o| o.ttfc_us)
+                .collect(),
+        )
+    };
+    FleetSection {
+        config: FleetSectionConfig {
             workers: runner_cpus(),
             servers: config.servers,
             jobs: config.jobs,
             collective_bytes: config.collective_bytes,
             check_every: config.check_every,
-            seed: workload.seed,
-            check_tolerance: CHECK_TOLERANCE,
+            seed: config.workload.seed,
         },
         wall_seconds: run.wall_seconds,
         submitted: r.submitted,
@@ -153,9 +257,8 @@ fn build_report(run: &Run, workload: &WorkloadConfig, config: &FleetConfig) -> R
         departures: r.departures,
         consolidations: r.consolidations,
         consolidations_improved: r.consolidations_improved,
-        fragmented_placements: multi.iter().filter(|o| o.fragmented).count(),
-        three_phase_jobs: multi
-            .iter()
+        fragmented_placements: multi_gpu(r).filter(|o| o.fragmented).count(),
+        three_phase_jobs: multi_gpu(r)
             .filter(|o| o.strategy.contains("three-phase"))
             .count(),
         shared_hits: r.shared_hits,
@@ -165,22 +268,71 @@ fn build_report(run: &Run, workload: &WorkloadConfig, config: &FleetConfig) -> R
         jobs_per_sec: r.submitted as f64 / run.wall_seconds,
         checks_run: r.checks_run,
         checks_failed: r.checks_failed,
-        ttfc: percentiles(multi.iter().map(|o| o.ttfc_us).collect()),
-        ttfc_fragmented: percentiles(
-            multi
-                .iter()
-                .filter(|o| o.fragmented)
-                .map(|o| o.ttfc_us)
-                .collect(),
-        ),
+        ttfc: ttfc(false),
+        ttfc_fragmented: ttfc(true),
         work: run.work,
     }
 }
 
-/// The deterministic result-quality gates — properties of the planning loop
-/// itself, independent of runner speed.
-fn hard_gates(run: &Run, out: &Report) -> Vec<String> {
-    let r = &run.report;
+/// Begin/end spans of one stage (the instantaneous fault/heal records have
+/// zero duration and are excluded — spans are the per-job recoveries).
+fn stage_spans(records: &[EventRecord], stage: Stage) -> Vec<f64> {
+    records
+        .iter()
+        .filter(|r| r.stage == stage && r.duration_us() > 0.0)
+        .map(EventRecord::duration_us)
+        .collect()
+}
+
+fn chaos_section(run: &Run) -> ChaosSection {
+    let (r, config) = (&run.report, &run.config);
+    let faults = config.faults.clone().expect("the chaos replay has faults");
+    let rung_occupancy = r
+        .recovery_rungs
+        .iter()
+        .map(|(rung, &n)| (rung.clone(), n as f64 / r.fault_recoveries.max(1) as f64))
+        .collect();
+    ChaosSection {
+        config: ChaosSectionConfig {
+            workers: runner_cpus(),
+            servers: config.servers,
+            jobs: config.jobs,
+            collective_bytes: config.collective_bytes,
+            workload_seed: config.workload.seed,
+            fault_seed: faults.seed,
+            mean_fault_interval: faults.mean_interval,
+            mean_outage: faults.mean_outage,
+            retry_max_attempts: config.retry.max_attempts,
+        },
+        wall_seconds: run.wall_seconds,
+        submitted: r.submitted,
+        placed: r.placed,
+        departures: r.departures,
+        faults_injected: r.faults_injected,
+        heals_applied: r.heals_applied,
+        fault_recoveries: r.fault_recoveries,
+        recovery_rungs: r.recovery_rungs.clone(),
+        rung_occupancy,
+        recoveries_full_warm: r.recoveries_full_warm,
+        recoveries_full_warm_zero_iter: r.recoveries_full_warm_zero_iter,
+        gpus_shed: r.gpus_shed,
+        evictions: r.evictions,
+        retries_scheduled: r.retries_scheduled,
+        retries_succeeded: r.retries_succeeded,
+        jobs_lost: r.jobs_lost,
+        recovery: percentiles(stage_spans(&run.records, Stage::Fault)),
+        restore: percentiles(stage_spans(&run.records, Stage::Heal)),
+        work: run.work,
+    }
+}
+
+/// Records of one stage in a replay's event stream.
+fn events(run: &Run, stage: Stage) -> usize {
+    run.records.iter().filter(|r| r.stage == stage).count()
+}
+
+/// The fault-free replay's result-quality gates.
+fn fleet_gates(run: &Run, out: &FleetSection) -> Vec<String> {
     let mut failures = Vec::new();
     if out.checks_failed > 0 {
         failures.push(format!(
@@ -197,14 +349,11 @@ fn hard_gates(run: &Run, out: &Report) -> Vec<String> {
             out.rejected_capacity
         ));
     }
-    if out.placed + out.rejected_contention as usize + out.rejected_capacity as usize
-        != out.submitted
-    {
+    let rejected = (out.rejected_contention + out.rejected_capacity) as usize;
+    if out.placed + rejected != out.submitted {
         failures.push(format!(
-            "accounting broken: {} placed + {} rejected != {} submitted",
-            out.placed,
-            out.rejected_contention + out.rejected_capacity,
-            out.submitted
+            "accounting broken: {} placed + {rejected} rejected != {} submitted",
+            out.placed, out.submitted
         ));
     }
     if out.shared_hits == 0 {
@@ -225,216 +374,301 @@ fn hard_gates(run: &Run, out: &Report) -> Vec<String> {
     }
     // every placed job emitted its full Place -> Plan -> FirstCollective span
     // triple, every rejection its Reject event
-    let count = |stage: Stage| run.order.iter().filter(|&&(_, s)| s == stage).count();
     for (stage, expect) in [
         (Stage::Place, out.placed),
         (Stage::Plan, out.placed),
         (Stage::FirstCollective, out.placed),
-        (
-            Stage::Reject,
-            (out.rejected_contention + out.rejected_capacity) as usize,
-        ),
+        (Stage::Reject, rejected),
         (Stage::Depart, out.departures),
         (Stage::Consolidate, out.consolidations),
     ] {
-        let got = count(stage);
+        let got = events(run, stage);
         if got != expect {
             failures.push(format!(
                 "event stream records {got} {stage:?} events, expected {expect}"
             ));
         }
     }
-    if r.outcomes.iter().any(|o| o.gpus >= 2 && o.rate_gbps <= 0.0) {
+    if multi_gpu(&run.report).any(|o| o.rate_gbps <= 0.0) {
         failures.push("a placed multi-GPU job reported a zero collective rate".to_string());
     }
     failures
 }
 
-/// Two runs over one seed must agree on everything but wall-clock: event
-/// order, placements, simulated rates (bit-for-bit), cache and rejection
-/// counters.
-fn determinism_gate(a: &Run, b: &Run) -> Vec<String> {
+/// The chaos replay's result-quality gates.
+fn chaos_gates(run: &Run, out: &ChaosSection) -> Vec<String> {
     let mut failures = Vec::new();
-    if a.order != b.order {
-        failures.push("event order differs between two runs of one seed".to_string());
+    if out.jobs_lost != 0 {
+        failures.push(format!(
+            "{} jobs lost — every eviction must be re-placed within its retry budget",
+            out.jobs_lost
+        ));
     }
-    let (ra, rb) = (&a.report, &b.report);
-    if (
-        ra.placed,
-        ra.departures,
-        ra.consolidations,
-        ra.shared_hits,
-        ra.shared_misses,
-        a.work.lowering_hits,
-        a.work.fresh_lowerings,
-    ) != (
-        rb.placed,
-        rb.departures,
-        rb.consolidations,
-        rb.shared_hits,
-        rb.shared_misses,
-        b.work.lowering_hits,
-        b.work.fresh_lowerings,
-    ) {
-        failures.push("fleet counters differ between two runs of one seed".to_string());
+    if run.report.retries_pending != 0 {
+        failures.push(format!(
+            "{} retries still pending after the tail drain",
+            run.report.retries_pending
+        ));
     }
-    for (oa, ob) in ra.outcomes.iter().zip(&rb.outcomes) {
-        if oa.job_id != ob.job_id
+    if out.faults_injected == 0 || out.heals_applied == 0 {
+        failures.push(format!(
+            "schedule injected {} faults / {} heals — the chaos never ran",
+            out.faults_injected, out.heals_applied
+        ));
+    }
+    if out.fault_recoveries == 0 {
+        failures.push("no running job was ever hit by a fault".to_string());
+    }
+    if out.recoveries_full_warm != out.recoveries_full_warm_zero_iter {
+        failures.push(format!(
+            "{} of {} full warm repairs needed MWU iterations — the \
+             zero-iteration warm-repair guarantee is broken",
+            out.recoveries_full_warm - out.recoveries_full_warm_zero_iter,
+            out.recoveries_full_warm
+        ));
+    }
+    if out.recovery_rungs.values().sum::<usize>() != out.fault_recoveries {
+        failures.push("recovery rung counts do not sum to the recovery total".to_string());
+    }
+    if !out.recovery_rungs.contains_key("full-warm-repair") {
+        failures.push("no recovery ever took the full-warm-repair rung".to_string());
+    }
+    if out.evictions > 0 && out.retries_scheduled == 0 {
+        failures.push("evictions happened but no retry was ever scheduled".to_string());
+    }
+    // every retry attempt and every fault/heal leaves its event record
+    if events(run, Stage::Retry) != out.retries_scheduled {
+        failures.push(format!(
+            "event stream records {} Retry spans, expected {}",
+            events(run, Stage::Retry),
+            out.retries_scheduled
+        ));
+    }
+    if events(run, Stage::Fault) < out.faults_injected
+        || events(run, Stage::Heal) < out.heals_applied
+    {
+        failures.push("fault/heal events are missing from the record stream".to_string());
+    }
+    failures
+}
+
+/// The work gate: no counter may exceed its recording, except that
+/// scratches created may reach `cpus`.
+fn work_gate(recorded: Option<&serde::Value>, work: &Work, cpus: usize) -> Vec<String> {
+    let counters = work.counters().map(|(key, n)| {
+        // as many scratches as the runner has CPUs are never over the bound
+        let free = key == "scratches_created" && n <= cpus as u64;
+        (key, if free { 0.0 } else { n as f64 })
+    });
+    over_recording("work", recorded, &counters)
+}
+
+/// Two replays of one configuration must agree on everything but wall
+/// time: event order, every counter, and each job's strategy and simulated
+/// rate, bit for bit.
+fn determinism_gate(a: &Run, b: &Run) -> Vec<String> {
+    let order = |run: &Run| -> Vec<(u64, Stage)> {
+        run.records.iter().map(|r| (r.job_id, r.stage)).collect()
+    };
+    // scratches created depend on how the fan-out's workers interleave
+    let work = |run: &Run| Work {
+        scratches_created: 0,
+        ..run.work
+    };
+    let counters = |r: &FleetReport| {
+        (
+            (r.placed, r.departures, r.consolidations),
+            (r.shared_hits, r.shared_misses, r.checks_run),
+            (r.faults_injected, r.heals_applied, r.fault_recoveries),
+            (r.evictions, r.retries_scheduled, r.retries_succeeded),
+            (r.jobs_lost, r.gpus_shed, r.recovery_rungs.clone()),
+        )
+    };
+    let mut failures = Vec::new();
+    if order(a) != order(b) {
+        failures.push("event order differs between two replays".to_string());
+    }
+    if counters(&a.report) != counters(&b.report) || work(a) != work(b) {
+        failures.push("counters differ between two replays".to_string());
+    }
+    let (ra, rb) = (&a.report.outcomes, &b.report.outcomes);
+    if let Some((oa, _)) = ra.iter().zip(rb).find(|(oa, ob)| {
+        oa.job_id != ob.job_id
             || oa.rate_gbps.to_bits() != ob.rate_gbps.to_bits()
             || oa.strategy != ob.strategy
-        {
-            failures.push(format!(
-                "job {} diverged between two runs of one seed",
-                oa.job_id
-            ));
-            break;
-        }
-    }
-    failures
-}
-
-/// The work gates: no count of `work` may exceed the recorded one, except
-/// that scratches created may reach `workers`.
-fn work_gates(recorded: &serde::Value, work: &Work, workers: usize) -> Vec<String> {
-    let Some(bound) = recorded.get("work") else {
-        return vec!["BENCH_fleet.json records no work".to_string()];
-    };
-    let mut failures = Vec::new();
-    for (key, measured, floor) in [
-        ("fresh_lowerings", work.fresh_lowerings, 0),
-        ("lowering_hits", work.lowering_hits, 0),
-        ("packs", work.packs, 0),
-        ("scratches_created", work.scratches_created, workers as u64),
-    ] {
-        match bound.get(key).and_then(serde::Value::as_f64) {
-            Some(recorded) if measured > (recorded as u64).max(floor) => {
-                failures.push(format!("{key}: {measured}, above the recorded {recorded}"))
-            }
-            Some(_) => {}
-            None => failures.push(format!("the recorded work has no {key}")),
-        }
-    }
-    failures
-}
-
-fn check_against_recorded(recorded: &serde::Value, out: &Report) -> Vec<String> {
-    let mut failures = Vec::new();
-    let rec = |path: &[&str]| -> Option<f64> {
-        let mut v = recorded;
-        for key in path {
-            v = v.get(key)?;
-        }
-        v.as_f64()
-    };
-    if let Some(rec_pps) = rec(&["plans_per_sec"]) {
-        if out.plans_per_sec < rec_pps / CHECK_TOLERANCE {
-            failures.push(format!(
-                "plans/sec at {:.0}, more than {CHECK_TOLERANCE}x below the recorded {:.0}",
-                out.plans_per_sec, rec_pps
-            ));
-        }
-    }
-    for (label, measured, path) in [
-        ("TTFC p50", out.ttfc.p50_us, ["ttfc", "p50_us"]),
-        ("TTFC p99", out.ttfc.p99_us, ["ttfc", "p99_us"]),
-    ] {
-        if let Some(recorded_us) = rec(&path) {
-            if measured > recorded_us * CHECK_TOLERANCE {
-                failures.push(format!(
-                    "{label} at {measured:.0} us, more than {CHECK_TOLERANCE}x above \
-                     the recorded {recorded_us:.0} us"
-                ));
-            }
-        }
+    }) {
+        failures.push(format!("job {} diverged between two replays", oa.job_id));
     }
     failures
 }
 
 fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
-    let config = fleet_config();
-    let workload = config.workload.clone();
-    let run = run_fleet(config.clone());
-    let out = build_report(&run, &workload, &config);
+    let (fleet, chaos) = (replay(config(false)), replay(config(true)));
+    let out = Report {
+        fleet: fleet_section(&fleet),
+        chaos: chaos_section(&chaos),
+    };
 
+    let f = &out.fleet;
     eprintln!(
         "fleet: {} submitted, {} placed ({} fragmented, {} three-phase), \
          {} rejected (contention), {} departures, {} consolidations ({} improved)",
-        out.submitted,
-        out.placed,
-        out.fragmented_placements,
-        out.three_phase_jobs,
-        out.rejected_contention,
-        out.departures,
-        out.consolidations,
-        out.consolidations_improved,
+        f.submitted,
+        f.placed,
+        f.fragmented_placements,
+        f.three_phase_jobs,
+        f.rejected_contention,
+        f.departures,
+        f.consolidations,
+        f.consolidations_improved,
     );
     eprintln!(
-        "plans: {} lookups ({} hits, {:.1}% hit rate), {:.0} plans/sec, {:.1} jobs/sec",
-        out.shared_hits + out.shared_misses,
-        out.shared_hits,
-        100.0 * out.hit_rate,
-        out.plans_per_sec,
-        out.jobs_per_sec,
+        "plans: {} lookups ({} hits, {:.1}% hit rate); oracle: {} sampled first \
+         collectives, {} failures",
+        f.shared_hits + f.shared_misses,
+        f.shared_hits,
+        100.0 * f.hit_rate,
+        f.checks_run,
+        f.checks_failed,
+    );
+    let c = &out.chaos;
+    eprintln!(
+        "chaos: {} submitted, {} placed, {} faults / {} heals, {} recoveries, \
+         {} GPUs shed, {} evictions",
+        c.submitted,
+        c.placed,
+        c.faults_injected,
+        c.heals_applied,
+        c.fault_recoveries,
+        c.gpus_shed,
+        c.evictions,
     );
     eprintln!(
-        "TTFC (multi-GPU): p50 {:.0} us, p99 {:.0} us over {} jobs; \
-         fragmented subset: p50 {:.0} us, p99 {:.0} us over {} jobs",
-        out.ttfc.p50_us,
-        out.ttfc.p99_us,
-        out.ttfc.samples,
-        out.ttfc_fragmented.p50_us,
-        out.ttfc_fragmented.p99_us,
-        out.ttfc_fragmented.samples,
+        "ladder: {:?}; full warm {} ({} zero-iteration); retries: {} scheduled, \
+         {} succeeded, {} jobs lost",
+        c.recovery_rungs,
+        c.recoveries_full_warm,
+        c.recoveries_full_warm_zero_iter,
+        c.retries_scheduled,
+        c.retries_succeeded,
+        c.jobs_lost,
     );
+    eprintln!("fleet work: {:?}", f.work);
+    eprintln!("chaos work: {:?}", c.work);
     eprintln!(
-        "oracle: {} sampled first collectives, {} failures",
-        out.checks_run, out.checks_failed
+        "wall (context only): TTFC {}; {:.0} plans/sec; chaos recovery {}",
+        f.ttfc, f.plans_per_sec, c.recovery
     );
-    eprintln!("work: {:?}", out.work);
 
-    if check_mode {
-        let recorded = std::fs::read_to_string("BENCH_fleet.json")
-            .expect("BENCH_fleet.json exists for --check");
-        let recorded = serde_json::parse(&recorded).expect("BENCH_fleet.json parses");
-
-        let mut hard_failures = hard_gates(&run, &out);
-        hard_failures.extend(work_gates(&recorded, &out.work, out.config.workers));
-        let rerun = run_fleet(fleet_config());
-        hard_failures.extend(determinism_gate(&run, &rerun));
-
-        let mut latency_failures = Vec::new();
-        if out.config.workers < 2 {
-            eprintln!(
-                "=================================================================\n\
-                 SKIPPED: fleet latency gates NOT enforced — this runner exposes\n\
-                 only {} worker(s) (std::thread::available_parallelism), so the\n\
-                 TTFC percentiles and plans/sec above are noise-dominated. The\n\
-                 conformance, determinism, cache-hit and accounting gates above\n\
-                 still ran. Run --check on a machine with >= 2 cores to arm the\n\
-                 TTFC and plans/sec trajectory gates ({CHECK_TOLERANCE}x band\n\
-                 against BENCH_fleet.json).\n\
-                 =================================================================",
-                out.config.workers
-            );
-        } else {
-            latency_failures.extend(check_against_recorded(&recorded, &out));
-        }
-
-        if hard_failures.is_empty() && latency_failures.is_empty() {
-            eprintln!(
-                "fleet check passed: conformant, deterministic, cache hitting, \
-                 accounting balanced"
-            );
-            return;
-        }
-        for f in hard_failures.iter().chain(&latency_failures) {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
+    if !check_mode {
+        let json = serde_json::to_string_pretty(&out).expect("serializable");
+        std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
+        println!("{json}");
+        return;
     }
 
-    let json = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    println!("{json}");
+    let recorded =
+        std::fs::read_to_string("BENCH_fleet.json").expect("BENCH_fleet.json exists for --check");
+    let recorded = serde_json::parse(&recorded).expect("BENCH_fleet.json parses");
+    let mut failures = fleet_gates(&fleet, &out.fleet);
+    failures.extend(chaos_gates(&chaos, &out.chaos));
+    for (name, run) in [("fleet", &fleet), ("chaos", &chaos)] {
+        let section = recorded.get(name).and_then(|s| s.get("work"));
+        let rerun = replay(run.config.clone());
+        for failure in work_gate(section, &run.work, runner_cpus())
+            .into_iter()
+            .chain(determinism_gate(run, &rerun))
+        {
+            failures.push(format!("{name}: {failure}"));
+        }
+    }
+    if failures.is_empty() {
+        eprintln!(
+            "fleet check passed: work within the recording, conformant, cache hitting, \
+             accounting balanced, zero jobs lost, replays bit-identical"
+        );
+        return;
+    }
+    for f in &failures {
+        eprintln!("REGRESSION: {f}");
+    }
+    std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WORK: Work = Work {
+        fresh_lowerings: 226,
+        lowering_hits: 184,
+        packs: 341,
+        mwu_iterations: 14_842,
+        scratches_created: 2,
+    };
+
+    fn recorded() -> serde::Value {
+        serde_json::to_value(&WORK).unwrap()
+    }
+
+    #[test]
+    fn the_work_gate_passes_at_the_recording() {
+        assert!(work_gate(Some(&recorded()), &WORK, 1).is_empty());
+    }
+
+    #[test]
+    fn the_work_gate_fails_any_counter_one_over_its_recording() {
+        let bumps: [fn(&mut Work); 5] = [
+            |w| w.fresh_lowerings += 1,
+            |w| w.lowering_hits += 1,
+            |w| w.packs += 1,
+            |w| w.mwu_iterations += 1,
+            |w| w.scratches_created += 1,
+        ];
+        for (bump, (key, _)) in bumps.iter().zip(WORK.counters()) {
+            let mut work = WORK;
+            bump(&mut work);
+            let failures = work_gate(Some(&recorded()), &work, 2);
+            assert_eq!(failures.len(), 1, "{key}: {failures:?}");
+            assert!(failures[0].contains(key), "{failures:?}");
+        }
+        // scratches up to the runner's CPU count pass
+        let work = Work {
+            scratches_created: 4,
+            ..WORK
+        };
+        assert!(work_gate(Some(&recorded()), &work, 4).is_empty());
+    }
+
+    #[test]
+    fn the_work_gate_fails_a_counter_missing_from_the_recording() {
+        let mut recorded = recorded();
+        if let serde::Value::Object(map) = &mut recorded {
+            map.remove("mwu_iterations");
+        }
+        let failures = work_gate(Some(&recorded), &WORK, 1);
+        assert_eq!(failures, ["work mwu_iterations is not recorded"]);
+        assert_eq!(work_gate(None, &WORK, 1).len(), 5);
+    }
+
+    #[test]
+    fn the_determinism_gate_fails_on_one_flipped_rate_bit() {
+        let run = replay(FleetConfig {
+            jobs: 60,
+            ..config(false)
+        });
+        assert!(determinism_gate(&run, &run.clone()).is_empty());
+        let mut flipped = run.clone();
+        let job = flipped
+            .report
+            .outcomes
+            .iter_mut()
+            .find(|o| o.gpus >= 2)
+            .expect("a multi-GPU job among the first 60");
+        job.rate_gbps = f64::from_bits(job.rate_gbps.to_bits() ^ 1);
+        let failures = determinism_gate(&run, &flipped);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("diverged"), "{failures:?}");
+    }
 }

@@ -37,11 +37,10 @@
 //! do not depend on runner hardware:
 //!
 //! * the packed rate must meet the MWU approximation guarantee
-//!   (`rate_over_optimal >= 1 - ε`) and must not drift below the recorded
-//!   ratio by more than [`QUALITY_TOLERANCE`];
-//! * the MWU iteration count must not inflate past [`WORK_TOLERANCE`]× the
-//!   recording (work blow-up with unchanged output quality is still a
-//!   regression);
+//!   (`rate_over_optimal >= 1 - ε`) and must not fall below the recorded
+//!   ratio (the packing is deterministic);
+//! * the MWU iteration count must not exceed the recording (work blow-up
+//!   with unchanged output quality is still a regression);
 //! * the minimised packing must not use more trees than recorded;
 //! * the broadcast-rate certificate on the DGX-1V and the all-sinks
 //!   certificate on the multi-server fabric must each reproduce the recorded
@@ -54,6 +53,7 @@
 //! It does not rewrite the JSON.
 
 use blink_bench::alloc::{allocations, Counting};
+use blink_bench::over_recording;
 use blink_graph::{
     broadcast_rate_all_sinks_in, minimize_trees_in, optimal_broadcast_rate,
     optimal_broadcast_rate_in, pack_spanning_trees_in, DiGraph, MaxFlowScratch, MinimizeOptions,
@@ -69,14 +69,6 @@ static ALLOC: Counting = Counting;
 
 const EPSILON: f64 = 0.05;
 const ROOT: GpuId = GpuId(0);
-/// `--check` fails when `rate_over_optimal` drifts more than this far below
-/// the recorded value. The packing is deterministic, so the band only
-/// absorbs intentional recalibrations, not runner hardware.
-const QUALITY_TOLERANCE: f64 = 0.01;
-/// `--check` fails when the MWU iteration count exceeds this factor of the
-/// recorded count: producing the same packing with twice the solves is a
-/// hot-path regression even though the output is unchanged.
-const WORK_TOLERANCE: f64 = 2.0;
 /// Throughput and quality of the MWU packing fast path.
 #[derive(Debug, Serialize)]
 struct PackingReport {
@@ -333,32 +325,24 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
             1.0 - EPSILON
         ));
     }
-    if let Some(rec) = recorded_f64(&["packing", "rate_over_optimal"]) {
-        if report.packing.rate_over_optimal < rec - QUALITY_TOLERANCE {
-            failures.push(format!(
-                "packing rate_over_optimal {:.4} drifted more than {QUALITY_TOLERANCE} below \
-                 the recorded {rec:.4}",
-                report.packing.rate_over_optimal
-            ));
-        }
+    match recorded_f64(&["packing", "rate_over_optimal"]) {
+        Some(rec) if report.packing.rate_over_optimal < rec => failures.push(format!(
+            "packing rate_over_optimal {} is below the recorded {rec}",
+            report.packing.rate_over_optimal
+        )),
+        Some(_) => {}
+        None => failures.push("BENCH_packing.json records no packing.rate_over_optimal".into()),
     }
-    if let Some(rec) = recorded_f64(&["packing", "mwu_iterations"]) {
-        if report.packing.mwu_iterations as f64 > rec * WORK_TOLERANCE {
-            failures.push(format!(
-                "packing runs {} MWU iterations, more than {WORK_TOLERANCE}x the recorded {rec}",
-                report.packing.mwu_iterations
-            ));
-        }
-    }
-    if let Some(rec) = recorded_f64(&["minimize", "num_trees"]) {
-        if report.minimize.num_trees as f64 > rec {
-            failures.push(format!(
-                "minimised packing uses {} trees, more than the recorded {rec} \
-                 (re-record BENCH_packing.json if this is an intentional trade)",
-                report.minimize.num_trees
-            ));
-        }
-    }
+    failures.extend(over_recording(
+        "packing",
+        recorded.get("packing"),
+        &[("mwu_iterations", report.packing.mwu_iterations as f64)],
+    ));
+    failures.extend(over_recording(
+        "minimize",
+        recorded.get("minimize"),
+        &[("num_trees", report.minimize.num_trees as f64)],
+    ));
     if let Some(rec) = recorded_f64(&["certificate", "rate_gbps"]) {
         if (report.certificate.rate_gbps - rec).abs() > 1e-6 * rec.max(1.0) {
             failures.push(format!(
@@ -378,20 +362,16 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
         }
     }
     let d = &report.dgx2_packing;
-    for (name, now) in [
-        ("mwu_iterations", d.mwu_iterations as f64),
-        ("trees_packed", d.trees_packed as f64),
-        ("trees_minimized", d.trees_minimized as f64),
-        ("allocs_per_packing", d.allocs_per_packing),
-    ] {
-        match recorded_f64(&["dgx2_packing", name]) {
-            Some(rec) if now > rec => failures.push(format!(
-                "dgx2_packing {name} is {now}, above the recorded {rec}"
-            )),
-            Some(_) => {}
-            None => failures.push(format!("BENCH_packing.json records no dgx2_packing.{name}")),
-        }
-    }
+    failures.extend(over_recording(
+        "dgx2_packing",
+        recorded.get("dgx2_packing"),
+        &[
+            ("mwu_iterations", d.mwu_iterations as f64),
+            ("trees_packed", d.trees_packed as f64),
+            ("trees_minimized", d.trees_minimized as f64),
+            ("allocs_per_packing", d.allocs_per_packing),
+        ],
+    ));
     match recorded_f64(&["dgx2_packing", "certificate_gbps"]) {
         Some(rec) if (d.certificate_gbps - rec).abs() > 1e-6 * rec.max(1.0) => {
             failures.push(format!(

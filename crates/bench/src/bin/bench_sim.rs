@@ -36,16 +36,16 @@
 //!
 //! Run with `cargo run --release -p blink-bench --bin bench_sim`.
 //!
-//! `--check` runs a quick-mode measurement and exits non-zero if the
-//! segmented-over-split speedup regressed more than [`CHECK_TOLERANCE`]×
-//! against the recorded `BENCH_sim.json`, or falls below
-//! [`ALLGATHER_FLOOR`]× outright, or if the segmented program's simulated
-//! time stops beating the split shape's. Both sides of the ratio run in this
-//! process, so runner hardware cancels out. It also fails, on any host, when
-//! a codegen lowering makes more allocations per op, or emits more ops, than
-//! `BENCH_sim.json` records. It does not rewrite the JSON.
+//! `--check` runs a quick-mode measurement and exits non-zero, on any host,
+//! when the AllGather stage's op counts or simulated totals (segmented and
+//! split) differ from `BENCH_sim.json` by a single bit, when the segmented
+//! program's simulated time stops beating the split shape's, or when a
+//! codegen lowering makes more allocations per op, or emits more ops, than
+//! recorded. The measured speedup and wall times are context only. It does
+//! not rewrite the JSON.
 
 use blink_bench::alloc::{allocations, Counting};
+use blink_bench::over_recording;
 use blink_core::onehop::one_hop_trees;
 use blink_core::{CodeGen, CollectiveKind, Communicator, TreeGen, TreeGenOptions};
 use blink_graph::WeightedTree;
@@ -59,12 +59,6 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// `--check` fails when the segmented-over-split speedup ratio is more than
-/// this factor below the recorded trajectory.
-const CHECK_TOLERANCE: f64 = 5.0;
-/// `--check` fails outright when the segmented AllGather path is not at
-/// least this many times faster than the per-slot shape on the same engine.
-const ALLGATHER_FLOOR: f64 = 3.0;
 /// Calibrated per-extra-range cost of a batched multi-segment transfer
 /// (µs). Small next to [`SimParams::op_launch_overhead_us`] — batching a
 /// range is cheap, launching an op is not — which is exactly the asymmetry
@@ -101,7 +95,7 @@ struct SimStageReport {
     naive_total_us: f64,
     naive: EnginePathReport,
     fast: EnginePathReport,
-    /// `fast.programs_per_sec / naive.programs_per_sec`.
+    /// `fast.programs_per_sec / naive.programs_per_sec` (context only).
     speedup: f64,
 }
 
@@ -248,43 +242,63 @@ fn measure_codegen(runs: usize) -> CodegenStage {
     }
 }
 
+/// `--check`'s AllGather gate: both program shapes' op counts and
+/// simulated totals equal the recording bit for bit (they are pure
+/// functions of CodeGen and the engine), and the segmented program
+/// simulates no slower than the split shape.
+fn check_allgather(stage: &SimStageReport, recorded: &serde_json::Value) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (key, now) in [
+        ("fast.ops", stage.fast.ops as f64),
+        ("naive.ops", stage.naive.ops as f64),
+        ("fast_total_us", stage.fast_total_us),
+        ("naive_total_us", stage.naive_total_us),
+    ] {
+        let was = key
+            .split('.')
+            .fold(recorded.get("allgather_dgx2"), |v, k| {
+                v.and_then(|v| v.get(k))
+            })
+            .and_then(|v| v.as_f64());
+        if was.map(f64::to_bits) != Some(now.to_bits()) {
+            failures.push(format!(
+                "allgather_dgx2 {key} is {now}, but BENCH_sim.json records {was:?}"
+            ));
+        }
+    }
+    if stage.fast_total_us > stage.naive_total_us {
+        failures.push(format!(
+            "{}: segmented program simulates slower ({:.1} us) than the split shape \
+             ({:.1} us) under the calibrated per-segment overhead",
+            stage.scenario, stage.fast_total_us, stage.naive_total_us
+        ));
+    }
+    failures
+}
+
 /// `--check`'s codegen gate: every lowering's allocations per op and op
-/// count must not exceed the recording. Returns whether it failed.
-fn check_codegen(stage: &CodegenStage, recorded: &serde_json::Value) -> bool {
-    let mut failed = false;
+/// count must not exceed the recording.
+fn check_codegen(stage: &CodegenStage, recorded: &serde_json::Value) -> Vec<String> {
+    let mut failures = Vec::new();
     for (name, now) in [
         ("dgx1v_packed", &stage.dgx1v_packed),
         ("dgx2_one_hop", &stage.dgx2_one_hop),
     ] {
-        let rec = recorded.get("codegen").and_then(|c| c.get(name));
-        let field = |key: &str| rec.and_then(|r| r.get(key)).and_then(|v| v.as_f64());
-        let (Some(rec_allocs), Some(rec_ops)) = (field("allocs_per_op"), field("ops")) else {
-            eprintln!("REGRESSION: BENCH_sim.json records no codegen.{name} to gate against");
-            failed = true;
-            continue;
-        };
         eprintln!(
-            "quick check: codegen {name}: {} ops, {:.3} allocations/op (recorded {rec_ops} \
-             ops, {rec_allocs:.3}/op); {:.0} ns/op wall (context only)",
+            "quick check: codegen {name}: {} ops, {:.3} allocations/op; {:.0} ns/op wall \
+             (context only)",
             now.ops, now.allocs_per_op, now.ns_per_op
         );
-        if now.allocs_per_op > rec_allocs {
-            failed = true;
-            eprintln!(
-                "REGRESSION: codegen {name} makes {:.3} allocations per op, above the \
-                 recorded {rec_allocs:.3}",
-                now.allocs_per_op
-            );
-        }
-        if now.ops as f64 > rec_ops {
-            failed = true;
-            eprintln!(
-                "REGRESSION: codegen {name} emits {} ops, above the recorded {rec_ops}",
-                now.ops
-            );
-        }
+        failures.extend(over_recording(
+            &format!("codegen {name}"),
+            recorded.get("codegen").and_then(|c| c.get(name)),
+            &[
+                ("allocs_per_op", now.allocs_per_op),
+                ("ops", now.ops as f64),
+            ],
+        ));
     }
-    failed
+    failures
 }
 
 fn measure(quick: bool) -> Report {
@@ -331,49 +345,27 @@ fn main() {
         let recorded = serde_json::parse(&recorded).expect("BENCH_sim.json parses");
         let stage = &out.allgather_dgx2;
         eprintln!(
-            "quick check: allgather {:.1}x ({} -> {} ops) over the per-slot shape on the \
-             same engine",
-            stage.speedup, stage.naive.ops, stage.fast.ops,
+            "quick check: allgather {} -> {} ops, simulated {} -> {} us; {:.1}x over the \
+             per-slot shape on the same engine (context only)",
+            stage.naive.ops,
+            stage.fast.ops,
+            stage.naive_total_us,
+            stage.fast_total_us,
+            stage.speedup,
         );
-        let mut failed = check_codegen(&out.codegen, &recorded);
-        if stage.speedup < ALLGATHER_FLOOR {
-            failed = true;
+        let mut failures = check_allgather(stage, &recorded);
+        failures.extend(check_codegen(&out.codegen, &recorded));
+        if failures.is_empty() {
             eprintln!(
-                "REGRESSION: the segmented one-hop AllGather path is only {:.1}x over the \
-                 per-slot shape (floor {ALLGATHER_FLOOR}x)",
-                stage.speedup
+                "allgather ops and simulated totals match the recording; codegen \
+                 allocations and ops within it"
             );
+            return;
         }
-        if stage.fast_total_us > stage.naive_total_us {
-            failed = true;
-            eprintln!(
-                "REGRESSION: {}: segmented program simulates slower ({:.1} us) than the \
-                 split shape ({:.1} us) under the calibrated per-segment overhead",
-                stage.scenario, stage.fast_total_us, stage.naive_total_us
-            );
+        for f in &failures {
+            eprintln!("REGRESSION: {f}");
         }
-        let recorded_speedup = recorded
-            .get("allgather_dgx2")
-            .and_then(|s| s.get("speedup"))
-            .and_then(|s| s.as_f64());
-        if let Some(rec) = recorded_speedup {
-            if stage.speedup < rec / CHECK_TOLERANCE {
-                failed = true;
-                eprintln!(
-                    "REGRESSION: allgather_dgx2 fast path at {:.1}x over naive, more than \
-                     {CHECK_TOLERANCE}x below the recorded {rec:.1}x",
-                    stage.speedup
-                );
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "engine speedup within {CHECK_TOLERANCE}x of the recorded trajectory; codegen \
-             allocations and ops within the recording"
-        );
-        return;
+        std::process::exit(1);
     }
 
     let json = serde_json::to_string_pretty(&out).expect("serializable");

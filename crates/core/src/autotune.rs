@@ -275,6 +275,8 @@ struct Tiers {
     /// relabelled into canonical ids.
     canonical: Tier<(String, u64, usize), Arc<TreePlan>>,
     lowerings: Tier<LoweringKey, Arc<Lowering>>,
+    /// MWU iterations summed over every plan the store packed.
+    mwu_iterations: u64,
 }
 
 impl Default for Tiers {
@@ -283,6 +285,7 @@ impl Default for Tiers {
             exact: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             canonical: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             lowerings: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
+            mwu_iterations: 0,
         }
     }
 }
@@ -577,6 +580,12 @@ impl SharedPlanCache {
         (tiers.lowerings.hits, tiers.lowerings.misses)
     }
 
+    /// MWU iterations (min-arborescence solves) summed over every plan the
+    /// store packed since creation; a hit in any tier adds none.
+    pub fn mwu_iterations(&self) -> u64 {
+        self.lock().mwu_iterations
+    }
+
     /// How many plans the LRU bounds have evicted from either plan tier
     /// since creation. Delta and fingerprint invalidation do not count:
     /// evictions measure capacity pressure, not policy flushes.
@@ -668,7 +677,10 @@ impl SharedPlanCache {
         for (&(i, _), plan) in misses.iter().zip(packed) {
             if let Ok(plan) = &plan {
                 let (_, fp, root) = requests[i];
-                self.lock().publish((fp, root, links), plan.clone());
+                let mut tiers = self.lock();
+                tiers.mwu_iterations += plan.mwu.iterations as u64;
+                tiers.publish((fp, root, links), plan.clone());
+                drop(tiers);
                 if let Some(c) = canonical {
                     c.publish(self, root, plan);
                 }
@@ -1316,6 +1328,25 @@ mod tests {
         // a local repeat never touches the store
         b.plan_for(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1));
+    }
+
+    #[test]
+    fn mwu_iterations_count_packs_and_not_hits() {
+        let induced = induced(&dgx1v(), 8);
+        let opts = TreeGenOptions::default();
+        let shared = SharedPlanCache::new();
+        assert_eq!(shared.mwu_iterations(), 0);
+        let plan = PlanCache::new(shared.clone(), false)
+            .plan_for(&induced, &opts, GpuId(0))
+            .unwrap();
+        assert!(plan.mwu.iterations > 0, "the full DGX-1V packs with MWU");
+        assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
+        // another handle's lookup is an exact-tier hit: no packing, no count
+        PlanCache::new(shared.clone(), false)
+            .plan_for(&induced, &opts, GpuId(0))
+            .unwrap();
+        assert_eq!(shared.stats(), (1, 1));
+        assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
     }
 
     #[test]

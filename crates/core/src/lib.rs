@@ -93,7 +93,7 @@
 //!    entirely from warm seeds (min-cost reroute over the packing residual,
 //!    zero MWU iterations) or did not touch the cached plans at all. This is
 //!    the common rung for link flaps and single/compound GPU drops, and the
-//!    one `bench_replan`/`bench_chaos` pin with
+//!    one `bench_replan` and `bench_fleet`'s chaos replay pin with
 //!    [`ReplanReport::warm_iterations`]` == 0` and
 //!    [`ReplanReport::repair_path`]` == `[`RepairPath::Reroute`].
 //! 2. [`DegradationLevel::PackedReplan`] — ordinary (cold or iterated-warm)

@@ -36,8 +36,8 @@ pub enum Stage {
     /// A fault event: the injected record itself (instantaneous, keyed by
     /// fault id) and, as a begin/end span keyed by job id, each affected
     /// job's recovery — the replan through the degradation ladder plus the
-    /// post-fault probe collective. The span durations are what `bench_chaos`
-    /// computes recovery percentiles from.
+    /// post-fault probe collective. The span durations are what `bench_fleet`'s
+    /// chaos replay computes recovery percentiles from.
     Fault,
     /// A heal event: the injected record (instantaneous, keyed by fault id)
     /// and each affected job's restore replan (span, keyed by job id).

@@ -7,8 +7,8 @@
 //! [`FaultConfig`] (and the server kind), exactly like the workload stream
 //! is a pure function of its [`crate::WorkloadConfig`] — two pipelines over
 //! the same `(workload seed, fault seed)` pair replay the identical chaos
-//! experiment, which is what lets `bench_chaos` gate on bit-identical
-//! recovery outcomes.
+//! experiment, which is what lets `bench_fleet`'s chaos replay gate on
+//! bit-identical recovery outcomes.
 //!
 //! The injector does not know about jobs: [`crate::FleetPipeline`] pulls due
 //! records at each arrival ([`FaultInjector::pull_until`]), translates them

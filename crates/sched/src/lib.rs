@@ -65,8 +65,8 @@
 //! (exponential backoff, deterministic ascending `(retry time, job id)`
 //! order); exhausting the attempts counts the job lost. The whole run —
 //! event order, recovery rungs, rates, every counter — is a pure function of
-//! the `(workload seed, fault seed)` pair, which is what `bench_chaos` gates
-//! on.
+//! the `(workload seed, fault seed)` pair, which is what `bench_fleet`'s chaos
+//! replay gates on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -181,8 +181,8 @@ pub struct FleetReport {
     /// Recoveries that reported [`DegradationLevel::FullWarmRepair`].
     pub recoveries_full_warm: usize,
     /// Of those, recoveries that also ran **zero** MWU iterations — the
-    /// min-cost-reroute guarantee `bench_chaos` gates on (the two counters
-    /// must be equal).
+    /// min-cost-reroute guarantee `bench_fleet`'s chaos replay gates on (the
+    /// two counters must be equal).
     pub recoveries_full_warm_zero_iter: usize,
     /// GPUs shed by shrink-rung recoveries across all jobs.
     pub gpus_shed: usize,
