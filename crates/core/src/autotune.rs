@@ -34,17 +34,17 @@
 //! below). A communicator built for a freshly placed job therefore starts
 //! from warm buffers and takes a lowering the fleet already made.
 //!
-//! The store has two bounded LRU plan tiers. The *exact* tier keys plans by
+//! The store has one bounded LRU plan tier, keyed by
 //! `(`[`plan_fingerprint`]`, root, link class)` — the fingerprint covers the
 //! induced topology and the link-class-normalised options, so equal job
-//! shapes hit and anything else misses. The opt-in *canonical* tier keys
-//! them by the allocation's canonical form, so topology-isomorphic
-//! allocations hit too. A lookup both tiers miss is packed on the caller's
-//! [`ScratchPool`] and published to both. A batch of misses (the three-phase
-//! planner's per-server roots) is the workspace's one thread fan-out: it
-//! packs concurrently only when its work (the summed GPU count of the
-//! allocations it packs) reaches a measured crossover, and inline
-//! otherwise.
+//! shapes hit and anything else misses. Every communicator's plans, and so
+//! its programs, are therefore a pure function of its allocation and
+//! options, whatever the store saw before. A lookup the tier misses is
+//! packed on the store's [`ScratchPool`] and published. A batch of misses
+//! (the three-phase planner's per-server roots) is the workspace's one
+//! thread fan-out: it packs concurrently only when its work (the summed GPU
+//! count of the allocations it packs) reaches a measured crossover, and
+//! inline otherwise.
 //!
 //! # Delta invalidation and warm seeds
 //!
@@ -69,8 +69,8 @@
 //! lets every training iteration reuse it, the store keeps each lowered
 //! program next to the plans it was lowered from. An entry is keyed by the
 //! communicator's lowering fingerprint — its plan fingerprint, allocation
-//! order, every option a lowering reads and its canonical-sharing flag,
-//! computed once per build and per replan — plus `(kind, bytes, chunk)` and,
+//! order and every option a lowering reads, computed once per build and per
+//! replan — plus `(kind, bytes, chunk)` and,
 //! on a switch fabric, the communicator's own strategy verdict. It holds the
 //! shared `Arc<Program>`, the tree count, the strategy tag, the picked root
 //! and the plans the lowering read; a hit hands those plans to the
@@ -89,23 +89,21 @@
 //! form never changes a schedule. The form lives and dies with its entry:
 //! eviction and invalidation drop it with the lowering.
 //!
-//! A lowering is published only while every plan it read is the exact
-//! tier's current plan for its key, and it is dropped when any of them is
-//! replaced, evicted or retargeted, so it lives exactly as long as the plans
-//! a fresh lowering would read. That is what keeps a hit bit-identical to
-//! lowering afresh; a lowering over relabelled canonical-tier plans, or over
-//! a plan the store no longer holds, is simply never shared.
+//! A lowering is published only while every plan it read is the plan tier's
+//! current plan for its key, and it is dropped when any of them is replaced,
+//! evicted or retargeted, so it lives exactly as long as the plans a fresh
+//! lowering would read. That is what keeps a hit bit-identical to lowering
+//! afresh; a lowering over a plan the store no longer holds is simply never
+//! shared.
 
 use crate::collective::CollectiveKind;
 use crate::communicator::SwitchChoice;
 use crate::treegen::{LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
 use crate::Result;
-use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
+use blink_graph::{optimal_broadcast_rate, DiGraph};
 use blink_sim::{CompiledProgram, Program, Simulator};
-use blink_topology::enumerate::canonical_labeling;
 use blink_topology::{GpuId, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
-use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
@@ -137,71 +135,20 @@ pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
         l.lanes.hash(&mut h);
         l.bandwidth_gbps.to_bits().hash(&mut h);
     }
-    hash_options(options, &mut h);
+    // every option field a plan depends on, in one fixed order — all of
+    // them except the link class, which the cache keys on separately
+    options.packing.epsilon.to_bits().hash(&mut h);
+    options.packing.max_iterations.hash(&mut h);
+    options.minimize.threshold.to_bits().hash(&mut h);
+    options.minimize.unit_gbps.map(f64::to_bits).hash(&mut h);
+    options.minimize.max_bb_nodes.hash(&mut h);
+    options
+        .minimize
+        .known_optimum
+        .map(f64::to_bits)
+        .hash(&mut h);
+    options.skip_minimize.hash(&mut h);
     h.finish()
-}
-
-/// A 64-bit fingerprint of the [`TreeGenOptions`] alone (link class
-/// normalised away, exactly as in [`plan_fingerprint`]). The canonical tier
-/// keys on `(canonical form, options fingerprint, canonical root)` — the
-/// canonical form already captures the topology, so only the options need
-/// hashing separately.
-fn options_fingerprint(options: &TreeGenOptions) -> u64 {
-    let mut h = DefaultHasher::new();
-    hash_options(options, &mut h);
-    h.finish()
-}
-
-/// Feeds every [`TreeGenOptions`] field a plan depends on into `h`, in one
-/// fixed order — all of them except the link class, which callers key on
-/// separately.
-fn hash_options(options: &TreeGenOptions, h: &mut DefaultHasher) {
-    options.packing.epsilon.to_bits().hash(h);
-    options.packing.max_iterations.hash(h);
-    options.minimize.threshold.to_bits().hash(h);
-    options.minimize.unit_gbps.map(f64::to_bits).hash(h);
-    options.minimize.max_bb_nodes.hash(h);
-    options.minimize.known_optimum.map(f64::to_bits).hash(h);
-    options.skip_minimize.hash(h);
-}
-
-/// Largest allocation the canonical plan-sharing tier will label. The
-/// canonical form is computed by brute force over all `n!` labellings
-/// (`blink_topology::enumerate::canonical_form`), which is instantaneous up
-/// to one server's 8 GPUs and infeasible at a DGX-2's 16 — larger
-/// allocations simply skip the canonical tier and rely on exact
-/// fingerprints.
-pub const CANONICAL_MAX_GPUS: usize = 8;
-
-/// Rewrites every GPU id in `plan` through `map` (a bijection over the
-/// plan's GPUs). Weights, rates and diagnostics are untouched: a relabelled
-/// plan packs the isomorphic image of the original trees at identical rates,
-/// which is exactly why canonical-tier hits are valid for any allocation
-/// that realises the canonical shape.
-fn relabel_plan(plan: &TreePlan, map: &BTreeMap<GpuId, GpuId>) -> TreePlan {
-    let m = |g: GpuId| map[&g];
-    let mut gpus: Vec<GpuId> = plan.gpus.iter().map(|&g| m(g)).collect();
-    gpus.sort();
-    let trees = plan
-        .trees
-        .iter()
-        .map(|t| WeightedTree {
-            tree: Arborescence::new(
-                m(t.tree.root),
-                t.tree.edges.iter().map(|&(a, b)| (m(a), m(b))).collect(),
-            ),
-            weight: t.weight,
-        })
-        .collect();
-    TreePlan {
-        root: m(plan.root),
-        gpus,
-        trees,
-        optimal_rate_gbps: plan.optimal_rate_gbps,
-        trees_before_minimize: plan.trees_before_minimize,
-        links: plan.links,
-        mwu: plan.mwu,
-    }
 }
 
 /// The plan store shared across communicators (and across the per-server
@@ -215,65 +162,43 @@ fn relabel_plan(plan: &TreePlan, map: &BTreeMap<GpuId, GpuId>) -> TreePlan {
 /// thread-safe. Plans are stored behind [`Arc`], so a hit never re-packs and
 /// never copies a tree set.
 ///
-/// # Two bounded tiers
+/// # One bounded plan tier
 ///
-/// The **exact** tier keys plans by `(`[`plan_fingerprint`]`, root, link
-/// class)` and serves topology-*identical* allocations bit-identically.
+/// Plans are keyed by `(`[`plan_fingerprint`]`, root, link class)`, so a
+/// hit serves a topology-*identical* allocation the very plan a cold pack
+/// would make. Isomorphic allocations (the mirror halves of a DGX-1V, the
+/// stride subgroups of a process-group split) are different keys: each
+/// packs its own plans, exactly as a private communicator would.
 ///
-/// The opt-in **canonical** tier keys them by `(`[`canonical form`]`,
-/// options fingerprint, canonical root)` and serves topology-*isomorphic*
-/// allocations: the mirror halves of a DGX-1V, every 3-GPU clique of an
-/// NVSwitch fabric, the stride subgroups of a process-group split. Plans are
-/// stored relabelled into canonical ids `0..n` and relabelled back through
-/// the looking-up allocation's [`canonical_labeling`] witness on a hit, so a
-/// hit is an isomorphic image of the published plan — same weights, same
-/// certified rate, valid for the new allocation, but *not* bit-identical to
-/// what a cold pack on that allocation would produce (the MWU trajectory
-/// depends on labels). The tier is restricted to NVLink-only plans of at
-/// most [`CANONICAL_MAX_GPUS`] GPUs: the canonical form covers exactly the
-/// NVLink capacity matrix (NVLink packing reads nothing else), and the
-/// brute-force labelling is infeasible past one server. Canonical entries
-/// are shape-intrinsic — a looking-up communicator just *recomputed* the
-/// canonical form from its live induced topology, proving its hardware
-/// realises the shape — so unlike the exact tier they are never flushed by
-/// fingerprint changes or deltas. Communicators opt in through
-/// [`crate::CommunicatorBuilder::canonical_plan_sharing`].
-///
-/// Each tier holds at most [`SharedPlanCache::DEFAULT_CAPACITY`] plans and
+/// The tier holds at most [`SharedPlanCache::DEFAULT_CAPACITY`] plans and
 /// evicts its least-recently-used entry when an insert would exceed the
 /// bound, so a long-running scheduler whose workload mix turns over no
-/// longer grows one entry per job shape forever. The tiers keep separate
-/// bounds and counters, so canonical churn never evicts exact plans or vice
-/// versa. Eviction only ever costs a re-pack: lookups are keyed by the
-/// caller's current fingerprint, so correctness is never at stake.
+/// longer grows one entry per job shape forever. Eviction only ever costs a
+/// re-pack: lookups are keyed by the caller's current fingerprint, so
+/// correctness is never at stake.
 ///
 /// # The lowering tier and the scratch pool
 ///
-/// A third tier, bounded the same way, holds lowered programs (see "the
+/// A second tier, bounded the same way, holds lowered programs (see "the
 /// lowering tier" in the module docs); [`SharedPlanCache::lowering_stats`]
 /// counts its hits and misses. The store also owns the one [`ScratchPool`]
 /// every attached communicator packs and simulates with
 /// ([`SharedPlanCache::scratch`]). Cloning the handle shares both.
-///
-/// [`canonical form`]: blink_topology::enumerate::canonical_form
 #[derive(Debug, Clone, Default)]
 pub struct SharedPlanCache {
     inner: Arc<Mutex<Tiers>>,
     scratch: ScratchPool,
 }
 
-/// An exact-tier key: `(plan fingerprint, root, link class)`.
+/// A plan-tier key: `(plan fingerprint, root, link class)`.
 type PlanKey = (u64, GpuId, LinkSelection);
 
-/// Plans a lowering read, each with its exact-tier fingerprint.
+/// Plans a lowering read, each with its plan fingerprint.
 pub(crate) type PlanReads = Vec<(u64, Arc<TreePlan>)>;
 
 #[derive(Debug)]
 struct Tiers {
-    exact: Tier<PlanKey, Arc<TreePlan>>,
-    /// `(canonical form, options fingerprint, canonical root index)` → plan
-    /// relabelled into canonical ids.
-    canonical: Tier<(String, u64, usize), Arc<TreePlan>>,
+    plans: Tier<PlanKey, Arc<TreePlan>>,
     lowerings: Tier<LoweringKey, Arc<Lowering>>,
     /// MWU iterations summed over every plan the store packed.
     mwu_iterations: u64,
@@ -282,8 +207,7 @@ struct Tiers {
 impl Default for Tiers {
     fn default() -> Self {
         Tiers {
-            exact: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
-            canonical: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
+            plans: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             lowerings: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             mwu_iterations: 0,
         }
@@ -291,10 +215,10 @@ impl Default for Tiers {
 }
 
 impl Tiers {
-    /// Publishes `plan` to the exact tier. Lowerings read from a plan the
+    /// Publishes `plan` to the plan tier. Lowerings read from a plan the
     /// insert replaced or evicted go with it.
     fn publish(&mut self, key: PlanKey, plan: Arc<TreePlan>) {
-        let displaced = self.exact.insert(key, plan);
+        let displaced = self.plans.insert(key, plan);
         self.drop_lowerings_reading(&displaced);
     }
 
@@ -353,7 +277,7 @@ impl Lowering {
         }
     }
 
-    /// The exact-tier keys of the plans the lowering read.
+    /// The plan-tier keys of the plans the lowering read.
     fn plan_keys(&self) -> impl Iterator<Item = PlanKey> + '_ {
         self.plans.iter().map(|(fp, p)| (*fp, p.root, p.links))
     }
@@ -528,13 +452,12 @@ impl SharedPlanCache {
         Self::default()
     }
 
-    /// An empty store whose plan tiers hold at most `capacity` plans each.
+    /// An empty store whose plan tier holds at most `capacity` plans.
     #[cfg(test)]
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         SharedPlanCache {
             inner: Arc::new(Mutex::new(Tiers {
-                exact: Tier::new(capacity),
-                canonical: Tier::new(capacity),
+                plans: Tier::new(capacity),
                 ..Tiers::default()
             })),
             scratch: ScratchPool::new(),
@@ -551,26 +474,20 @@ impl SharedPlanCache {
         self.inner.lock().expect("shared plan cache poisoned")
     }
 
-    /// Number of plans memoised in the exact tier (across all fingerprints).
+    /// Number of plans memoised in the plan tier (across all fingerprints).
     pub fn len(&self) -> usize {
-        self.lock().exact.entries.len()
+        self.lock().plans.entries.len()
     }
 
-    /// Whether the exact tier is empty.
+    /// Whether the plan tier is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// `(hits, misses)` counters of the exact tier since creation.
+    /// `(hits, misses)` counters of the plan tier since creation.
     pub fn stats(&self) -> (u64, u64) {
         let tiers = self.lock();
-        (tiers.exact.hits, tiers.exact.misses)
-    }
-
-    /// `(hits, misses)` counters of the canonical tier since creation.
-    pub fn canonical_stats(&self) -> (u64, u64) {
-        let tiers = self.lock();
-        (tiers.canonical.hits, tiers.canonical.misses)
+        (tiers.plans.hits, tiers.plans.misses)
     }
 
     /// `(hits, misses)` counters of the lowering tier since creation: each
@@ -586,12 +503,11 @@ impl SharedPlanCache {
         self.lock().mwu_iterations
     }
 
-    /// How many plans the LRU bounds have evicted from either plan tier
-    /// since creation. Delta and fingerprint invalidation do not count:
-    /// evictions measure capacity pressure, not policy flushes.
+    /// How many plans the LRU bound has evicted from the plan tier since
+    /// creation. Delta and fingerprint invalidation do not count: evictions
+    /// measure capacity pressure, not policy flushes.
     pub fn evictions(&self) -> u64 {
-        let tiers = self.lock();
-        tiers.exact.evictions + tiers.canonical.evictions
+        self.lock().plans.evictions
     }
 
     /// The lowering under `key`, if one is stored and `accept` takes it; a
@@ -604,19 +520,19 @@ impl SharedPlanCache {
         let mut tiers = self.lock();
         let hit = tiers.lowerings.get_if(key, |l| accept(l))?;
         for k in hit.plan_keys() {
-            tiers.exact.touch(&k);
+            tiers.plans.touch(&k);
         }
         Some(hit)
     }
 
     /// Stores `lowering` under `key` if every plan it read is still the
-    /// exact tier's plan for its key; otherwise a fresh lowering by another
+    /// plan tier's plan for its key; otherwise a fresh lowering by another
     /// communicator could read different plans, so it is not shared.
     pub(crate) fn publish_lowering(&self, key: LoweringKey, lowering: Arc<Lowering>) {
         let mut tiers = self.lock();
         let current = lowering.plans.iter().all(|(fp, plan)| {
             tiers
-                .exact
+                .plans
                 .entries
                 .get(&(*fp, plan.root, plan.links))
                 .is_some_and(|(stored, _)| Arc::ptr_eq(stored, plan))
@@ -627,27 +543,24 @@ impl SharedPlanCache {
     }
 
     /// The one lookup-or-pack-and-publish routine. Each `(induced, fp, root)`
-    /// request is looked up in the exact tier and then, when `canonical` is
-    /// given, in the canonical tier. The requests both tiers miss are packed
-    /// on the store's pool — warm from `seed(root)` when it yields a stale
-    /// plan — inline, or fanned out over one worker per available CPU when the
-    /// batch's work (the summed GPU count of the allocations it packs)
-    /// reaches [`FAN_OUT_MIN_WORK`]. Every fresh pack is published to both
-    /// tiers in request order. Results come back in request order,
-    /// bit-identical either way; failed packs are returned, not cached.
+    /// request is looked up in the plan tier. The requests it misses are
+    /// packed on the store's pool — warm from `seed(root)` when it yields a
+    /// stale plan — inline, or fanned out over one worker per available CPU
+    /// when the batch's work (the summed GPU count of the allocations it
+    /// packs) reaches [`FAN_OUT_MIN_WORK`]. Every fresh pack is published in
+    /// request order. Results come back in request order, bit-identical
+    /// either way; failed packs are returned, not cached.
     pub(crate) fn resolve(
         &self,
         options: &TreeGenOptions,
         requests: &[(&Topology, u64, GpuId)],
-        canonical: Option<&Canonical<'_>>,
         mut seed: impl FnMut(GpuId) -> Option<Arc<TreePlan>>,
     ) -> Vec<Result<Arc<TreePlan>>> {
         let links = options.links;
         let mut resolved: Vec<Option<Result<Arc<TreePlan>>>> = Vec::with_capacity(requests.len());
         let mut misses = Vec::new();
         for (i, &(_, fp, root)) in requests.iter().enumerate() {
-            let exact = self.lock().exact.get(&(fp, root, links));
-            let hit = exact.or_else(|| canonical.and_then(|c| c.get(self, root)));
+            let hit = self.lock().plans.get(&(fp, root, links));
             if hit.is_none() {
                 misses.push((i, seed(root)));
             }
@@ -680,10 +593,6 @@ impl SharedPlanCache {
                 let mut tiers = self.lock();
                 tiers.mwu_iterations += plan.mwu.iterations as u64;
                 tiers.publish((fp, root, links), plan.clone());
-                drop(tiers);
-                if let Some(c) = canonical {
-                    c.publish(self, root, plan);
-                }
             }
             resolved[i] = Some(plan);
         }
@@ -693,14 +602,13 @@ impl SharedPlanCache {
             .collect()
     }
 
-    /// Moves every exact-tier plan memoised under fingerprint `old` to `new`
-    /// where `keep` holds and drops the rest (recency is kept), together with
-    /// every lowering read from a plan it moved, dropped or overwrote.
-    /// Canonical entries are shape-intrinsic and never touched.
+    /// Moves every plan memoised under fingerprint `old` to `new` where
+    /// `keep` holds and drops the rest (recency is kept), together with every
+    /// lowering read from a plan it moved, dropped or overwrote.
     fn retarget(&self, old: u64, new: u64, keep: impl Fn(&TreePlan) -> bool) {
         let mut tiers = self.lock();
         let mut displaced: Vec<PlanKey> = tiers
-            .exact
+            .plans
             .entries
             .keys()
             .filter(|(fp, _, _)| *fp == old)
@@ -709,13 +617,13 @@ impl SharedPlanCache {
         for i in 0..displaced.len() {
             let (_, root, links) = displaced[i];
             let entry = tiers
-                .exact
+                .plans
                 .entries
                 .remove(&displaced[i])
                 .expect("key just listed");
             if keep(&entry.0)
                 && tiers
-                    .exact
+                    .plans
                     .entries
                     .insert((new, root, links), entry)
                     .is_some()
@@ -724,61 +632,6 @@ impl SharedPlanCache {
             }
         }
         tiers.drop_lowerings_reading(&displaced);
-    }
-}
-
-/// The canonical-tier view of one allocation, consulted when the exact tier
-/// misses. The labelling (brute force over `n!` permutations) is computed on
-/// first use and memoised in the handle's cell.
-pub(crate) struct Canonical<'a> {
-    induced: &'a Topology,
-    options_fp: u64,
-    labelling: &'a OnceCell<Option<(String, Vec<GpuId>)>>,
-}
-
-impl Canonical<'_> {
-    /// The allocation's canonical form and its witness: `order[i]` plays
-    /// canonical role `i`.
-    fn labelling(&self) -> Option<&(String, Vec<GpuId>)> {
-        self.labelling
-            .get_or_init(|| canonical_labeling(self.induced, &self.induced.gpu_ids()).ok())
-            .as_ref()
-    }
-
-    /// Looks up the plan published for `root`'s canonical role by any
-    /// isomorphic allocation, relabelled into this allocation's ids.
-    fn get(&self, store: &SharedPlanCache, root: GpuId) -> Option<Arc<TreePlan>> {
-        let (form, order) = self.labelling()?;
-        let role = order.iter().position(|&g| g == root)?;
-        let hit = store
-            .lock()
-            .canonical
-            .get(&(form.clone(), self.options_fp, role))?;
-        let map = order
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (GpuId(i), g))
-            .collect();
-        Some(Arc::new(relabel_plan(&hit, &map)))
-    }
-
-    /// Publishes a fresh pack for `root` relabelled into canonical ids.
-    fn publish(&self, store: &SharedPlanCache, root: GpuId, plan: &TreePlan) {
-        let Some((form, order)) = self.labelling() else {
-            return;
-        };
-        let Some(role) = order.iter().position(|&g| g == root) else {
-            return;
-        };
-        let map = order
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, GpuId(i)))
-            .collect();
-        store.lock().canonical.insert(
-            (form.clone(), self.options_fp, role),
-            Arc::new(relabel_plan(plan, &map)),
-        );
     }
 }
 
@@ -850,7 +703,7 @@ pub fn global_plan_cache() -> SharedPlanCache {
 ///
 /// A lookup under a different fingerprint than the memoised plans were
 /// built under (an unannounced topology or options change) drops them — and
-/// the old shape's exact-tier entries, since the communicator just observed
+/// the old shape's store entries, since the communicator just observed
 /// that hardware no longer exists as recorded — and rebuilds, so a caller
 /// never receives a stale plan.
 #[derive(Debug)]
@@ -862,27 +715,19 @@ pub(crate) struct PlanCache {
     /// Stale plans demoted by [`PlanCache::note_delta`], each consumed by the
     /// next miss on its key to drive [`TreeGen::plan_warm`].
     seeds: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
-    /// Whether misses may also use the store's canonical tier. Opt-in:
-    /// canonical hits are valid relabelled plans but not bit-identical to a
-    /// cold pack.
-    canonical: bool,
-    /// Canonical labelling of the induced topology `built_under` describes.
-    labelling: OnceCell<Option<(String, Vec<GpuId>)>>,
     /// Every plan served (or recorded through [`PlanCache::record`]) since
-    /// the last [`PlanCache::take_reads`], with its exact-tier fingerprint.
+    /// the last [`PlanCache::take_reads`], with its plan fingerprint.
     reads: PlanReads,
 }
 
 impl PlanCache {
     /// Creates an empty handle on `store`.
-    pub(crate) fn new(store: SharedPlanCache, canonical: bool) -> Self {
+    pub(crate) fn new(store: SharedPlanCache) -> Self {
         PlanCache {
             store,
             built_under: None,
             plans: BTreeMap::new(),
             seeds: BTreeMap::new(),
-            canonical,
-            labelling: OnceCell::new(),
             reads: Vec::new(),
         }
     }
@@ -890,11 +735,6 @@ impl PlanCache {
     /// The store this handle looks misses up in and publishes packs to.
     pub(crate) fn store(&self) -> &SharedPlanCache {
         &self.store
-    }
-
-    /// Whether the handle's opt-in canonical sharing is on.
-    pub(crate) fn canonical(&self) -> bool {
-        self.canonical
     }
 
     /// Records plans read outside the handle (the three-phase planner's
@@ -938,7 +778,7 @@ impl PlanCache {
     /// Points the handle at fingerprint `fp`. A change (as opposed to the
     /// first lookup) drops the memoised plans, the seeds — an unannounced
     /// change could make them arbitrarily wrong as warm starts — and the old
-    /// shape's exact-tier entries.
+    /// shape's store entries.
     fn rekey(&mut self, fp: u64) {
         if self.built_under != Some(fp) {
             if let Some(old) = self.built_under {
@@ -947,7 +787,6 @@ impl PlanCache {
             self.plans.clear();
             self.seeds.clear();
             self.built_under = Some(fp);
-            self.labelling = OnceCell::new();
         }
     }
 
@@ -969,7 +808,7 @@ impl PlanCache {
     /// In the store, a pure-growth delta changes nothing — the old shape
     /// persists as a subgraph, so its entries keep serving lookups under the
     /// old fingerprint (a job grown by a server re-hits its original
-    /// servers' plans). Otherwise the old shape's exact-tier plans that
+    /// servers' plans). Otherwise the old shape's store plans that
     /// survive the delta are re-keyed to the new fingerprint and the rest are
     /// dropped; the handle keeps its own copies as warm seeds instead.
     pub(crate) fn note_delta(
@@ -1016,7 +855,6 @@ impl PlanCache {
             }
         }
         self.built_under = Some(new_fp);
-        self.labelling = OnceCell::new();
     }
 
     /// The plan for `(root, options.links)`: served from the handle when
@@ -1038,26 +876,12 @@ impl PlanCache {
             self.reads.push((fp, plan.clone()));
             return Ok(plan.clone());
         }
-        // The canonical form covers exactly the NVLink capacity matrix (and
-        // NVLink packing reads nothing else); labelling is brute force, so
-        // only small allocations qualify.
-        let canonical = (self.canonical
-            && links == LinkSelection::NvLinkOnly
-            && (2..=CANONICAL_MAX_GPUS).contains(&induced.gpus().len()))
-        .then(|| Canonical {
-            induced,
-            options_fp: options_fingerprint(options),
-            labelling: &self.labelling,
-        });
         let seeds = &mut self.seeds;
         let plan = self
             .store
-            .resolve(
-                options,
-                &[(induced, fp, root)],
-                canonical.as_ref(),
-                |root| seeds.remove(&(root, links)),
-            )
+            .resolve(options, &[(induced, fp, root)], |root| {
+                seeds.remove(&(root, links))
+            })
             .pop()
             .expect("resolve answers every request")?;
         self.plans.insert((root, links), plan.clone());
@@ -1166,7 +990,7 @@ mod tests {
 
     /// A handle on a fresh private store.
     fn handle() -> PlanCache {
-        PlanCache::new(SharedPlanCache::new(), false)
+        PlanCache::new(SharedPlanCache::new())
     }
 
     fn exact_get(
@@ -1175,7 +999,7 @@ mod tests {
         root: GpuId,
         links: LinkSelection,
     ) -> Option<Arc<TreePlan>> {
-        store.lock().exact.get(&(fp, root, links))
+        store.lock().plans.get(&(fp, root, links))
     }
 
     fn induced(topo: &Topology, n: usize) -> Topology {
@@ -1285,11 +1109,10 @@ mod tests {
     }
 
     #[test]
-    fn both_fingerprints_hash_every_option_field_but_the_link_class() {
+    fn the_plan_fingerprint_hashes_every_option_field_but_the_link_class() {
         let induced = induced(&dgx1v(), 4);
-        let fps = |o: &TreeGenOptions| (plan_fingerprint(&induced, o), options_fingerprint(o));
+        let fp = |o: &TreeGenOptions| plan_fingerprint(&induced, o);
         let base = TreeGenOptions::default();
-        let (plan_fp, options_fp) = fps(&base);
         let mut variants = [base; 7];
         variants[0].packing.epsilon = 0.1;
         variants[1].packing.max_iterations += 1;
@@ -1299,15 +1122,13 @@ mod tests {
         variants[5].minimize.known_optimum = Some(138.0);
         variants[6].skip_minimize = true;
         for v in &variants {
-            let (p, o) = fps(v);
-            assert_ne!(p, plan_fp, "plan fingerprint ignores {v:?}");
-            assert_ne!(o, options_fp, "options fingerprint ignores {v:?}");
+            assert_ne!(fp(v), fp(&base), "plan fingerprint ignores {v:?}");
         }
         let pcie = TreeGenOptions {
             links: LinkSelection::PcieOnly,
             ..base
         };
-        assert_eq!(fps(&pcie), (plan_fp, options_fp));
+        assert_eq!(fp(&pcie), fp(&base));
     }
 
     #[test]
@@ -1316,12 +1137,12 @@ mod tests {
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         // "communicator" A packs and publishes
-        let mut a = PlanCache::new(shared.clone(), false);
+        let mut a = PlanCache::new(shared.clone());
         let plan_a = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (0, 1), "first pack is a store miss");
         assert_eq!(shared.len(), 1);
         // "communicator" B of the same job shape reuses A's plan
-        let mut b = PlanCache::new(shared.clone(), false);
+        let mut b = PlanCache::new(shared.clone());
         let plan_b = b.plan_for(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1), "same shape must hit");
         assert!(Arc::ptr_eq(&plan_a, &plan_b), "a hit shares the plan");
@@ -1336,13 +1157,13 @@ mod tests {
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         assert_eq!(shared.mwu_iterations(), 0);
-        let plan = PlanCache::new(shared.clone(), false)
+        let plan = PlanCache::new(shared.clone())
             .plan_for(&induced, &opts, GpuId(0))
             .unwrap();
         assert!(plan.mwu.iterations > 0, "the full DGX-1V packs with MWU");
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
-        // another handle's lookup is an exact-tier hit: no packing, no count
-        PlanCache::new(shared.clone(), false)
+        // another handle's lookup is a store hit: no packing, no count
+        PlanCache::new(shared.clone())
             .plan_for(&induced, &opts, GpuId(0))
             .unwrap();
         assert_eq!(shared.stats(), (1, 1));
@@ -1355,12 +1176,12 @@ mod tests {
         let full = induced(&topo, 8);
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
-        PlanCache::new(shared.clone(), false)
+        PlanCache::new(shared.clone())
             .plan_for(&full, &opts, GpuId(0))
             .unwrap();
         // different allocation shape: miss, packed fresh
         let half = induced(&topo, 4);
-        PlanCache::new(shared.clone(), false)
+        PlanCache::new(shared.clone())
             .plan_for(&half, &opts, GpuId(0))
             .unwrap();
         // different options on the original shape: miss again
@@ -1368,7 +1189,7 @@ mod tests {
             skip_minimize: true,
             ..opts
         };
-        PlanCache::new(shared.clone(), false)
+        PlanCache::new(shared.clone())
             .plan_for(&full, &retuned, GpuId(0))
             .unwrap();
         assert_eq!(shared.stats(), (0, 3));
@@ -1384,14 +1205,14 @@ mod tests {
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         // a second handle keeps the full-shape plan alive in the store
-        PlanCache::new(shared.clone(), false)
+        PlanCache::new(shared.clone())
             .plan_for(&full, &opts, GpuId(0))
             .unwrap();
         assert_eq!(shared.len(), 1);
         // handle A observes its topology change full -> half: the
         // full-shape plans are dropped from the store automatically (the
         // hardware they were built for no longer exists as recorded)
-        let mut a = PlanCache::new(shared.clone(), false);
+        let mut a = PlanCache::new(shared.clone());
         a.plan_for(&full, &opts, GpuId(0)).unwrap();
         a.plan_for(&half, &opts, GpuId(0)).unwrap();
         assert_eq!(
@@ -1439,7 +1260,7 @@ mod tests {
         let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::with_capacity(1);
-        let mut a = PlanCache::new(shared.clone(), false);
+        let mut a = PlanCache::new(shared.clone());
         let first = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
         a.plan_for(&induced, &opts, GpuId(1)).unwrap();
         assert_eq!(shared.len(), 1);
@@ -1449,7 +1270,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(shared.stats(), (0, 2));
         // another handle simply re-packs the evicted root, bit-identically
-        let replanned = PlanCache::new(shared.clone(), false)
+        let replanned = PlanCache::new(shared.clone())
             .plan_for(&induced, &opts, GpuId(0))
             .unwrap();
         assert!(replanned.bit_eq(&first), "re-pack is bit-identical");
@@ -1462,8 +1283,7 @@ mod tests {
         const { assert!(SharedPlanCache::DEFAULT_CAPACITY >= 1024) };
         let tiers = SharedPlanCache::new();
         let tiers = tiers.lock();
-        assert_eq!(tiers.exact.capacity, SharedPlanCache::DEFAULT_CAPACITY);
-        assert_eq!(tiers.canonical.capacity, SharedPlanCache::DEFAULT_CAPACITY);
+        assert_eq!(tiers.plans.capacity, SharedPlanCache::DEFAULT_CAPACITY);
         assert_eq!(tiers.lowerings.capacity, SharedPlanCache::DEFAULT_CAPACITY);
     }
 
@@ -1606,7 +1426,7 @@ mod tests {
                 .collect();
             let resolve = |workers| {
                 forcing_workers(workers, || {
-                    SharedPlanCache::new().resolve(&opts, &requests, None, |_| None)
+                    SharedPlanCache::new().resolve(&opts, &requests, |_| None)
                 })
             };
             let reference = resolve(1);
@@ -1818,7 +1638,7 @@ mod tests {
         let induced8 = machine.induced(&small_alloc).unwrap();
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
-        let mut cache = PlanCache::new(shared.clone(), false);
+        let mut cache = PlanCache::new(shared.clone());
         // a single-server 8-GPU job plans all roots and publishes them under
         // the server-induced fingerprint
         plan_each(&mut cache, &induced8, &opts, &small_alloc);
@@ -1871,143 +1691,12 @@ mod tests {
         // a synthetic fingerprint no real communicator can collide with
         let fp = u64::MAX - 12345;
         a.lock()
-            .exact
+            .plans
             .insert((fp, GpuId(999), opts.links), plan.clone());
         let via_b = exact_get(&b, fp, GpuId(999), opts.links).unwrap();
         assert!(via_b.bit_eq(&plan));
         b.retarget(fp, fp, |_| false);
         assert!(exact_get(&a, fp, GpuId(999), opts.links).is_none());
-    }
-
-    #[test]
-    fn canonical_tier_shares_plans_across_isomorphic_allocations() {
-        let topo = dgx1v();
-        let quad_a: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let quad_b: Vec<GpuId> = (4..8).map(GpuId).collect();
-        let ind_a = topo.induced(&quad_a).unwrap();
-        let ind_b = topo.induced(&quad_b).unwrap();
-        let opts = TreeGenOptions::default(); // NvLinkOnly
-        let shared = SharedPlanCache::new();
-        let canonical_entries = || shared.lock().canonical.entries.len();
-        // handle A packs every root of its quad and publishes both the exact
-        // entries and the canonical images
-        let plans_a = plan_each(
-            &mut PlanCache::new(shared.clone(), true),
-            &ind_a,
-            &opts,
-            &quad_a,
-        );
-        assert_eq!(shared.canonical_stats(), (0, 4), "4 cold packs, all missed");
-        assert_eq!(canonical_entries(), 4, "every canonical role published");
-        // handle B holds the *mirror* quad: exact fingerprints differ, so the
-        // exact tier can never serve it — the canonical tier does, for every
-        // root
-        let plans_b = plan_each(
-            &mut PlanCache::new(shared.clone(), true),
-            &ind_b,
-            &opts,
-            &quad_b,
-        );
-        assert_eq!(
-            shared.canonical_stats(),
-            (4, 4),
-            "all of B's roots reuse A's packing work"
-        );
-        let (exact_hits, _) = shared.stats();
-        assert_eq!(exact_hits, 0, "the exact tier never fired across quads");
-        // the relabelled plans are real plans for B's GPUs: right root, right
-        // span, edges inside the allocation, certified near-optimal rate
-        for (plan, &root) in plans_b.iter().zip(&quad_b) {
-            assert_eq!(plan.root, root);
-            assert_eq!(plan.gpus, quad_b);
-            assert!(plan.trees.iter().all(|t| {
-                t.tree.root == root
-                    && t.tree
-                        .edges
-                        .iter()
-                        .all(|&(p, c)| quad_b.contains(&p) && quad_b.contains(&c))
-            }));
-            assert!(
-                plan.rate_gbps() >= (1.0 - opts.packing.epsilon) * plan.optimal_rate_gbps - 1e-9
-            );
-        }
-        // isomorphic images carry the original rates exactly (weights are
-        // copied, only labels move) — compare the sorted rate multisets
-        let mut rates_a: Vec<u64> = plans_a.iter().map(|p| p.rate_gbps().to_bits()).collect();
-        let mut rates_b: Vec<u64> = plans_b.iter().map(|p| p.rate_gbps().to_bits()).collect();
-        rates_a.sort_unstable();
-        rates_b.sort_unstable();
-        assert_eq!(rates_a, rates_b);
-        // plan_for goes through the same tier
-        PlanCache::new(shared.clone(), true)
-            .plan_for(&ind_b, &opts, GpuId(5))
-            .unwrap();
-        assert_eq!(shared.canonical_stats(), (5, 4));
-    }
-
-    #[test]
-    fn canonical_tier_is_strictly_opt_in_and_gated() {
-        let induced = induced(&dgx1v(), 4);
-        let opts = TreeGenOptions::default();
-        let shared = SharedPlanCache::new();
-        let canonical_entries = || shared.lock().canonical.entries.len();
-        // no opt-in: the canonical tier is never touched
-        PlanCache::new(shared.clone(), false)
-            .plan_for(&induced, &opts, GpuId(0))
-            .unwrap();
-        assert_eq!(shared.canonical_stats(), (0, 0));
-        assert_eq!(canonical_entries(), 0);
-        // opted in but PCIe-only: the canonical form only covers NVLink
-        // capacities, so non-NVLink plans bypass the tier
-        let pcie = TreeGenOptions {
-            links: LinkSelection::PcieOnly,
-            ..opts
-        };
-        PlanCache::new(shared.clone(), true)
-            .plan_for(&induced, &pcie, GpuId(0))
-            .unwrap();
-        assert_eq!(shared.canonical_stats(), (0, 0));
-        // opted in but past the labelling bound: a 9-GPU NVSwitch clique
-        // skips the tier (9! labellings would be fine, 16! would not — the
-        // gate is the documented constant, not luck)
-        let dgx2 = blink_topology::presets::dgx2();
-        let big = self::induced(&dgx2, CANONICAL_MAX_GPUS + 1);
-        PlanCache::new(shared.clone(), true)
-            .plan_for(&big, &opts, GpuId(0))
-            .unwrap();
-        assert_eq!(shared.canonical_stats(), (0, 0));
-        // at the bound the tier engages
-        let eight = self::induced(&dgx2, CANONICAL_MAX_GPUS);
-        PlanCache::new(shared.clone(), true)
-            .plan_for(&eight, &opts, GpuId(0))
-            .unwrap();
-        assert_eq!(shared.canonical_stats(), (0, 1));
-        assert_eq!(canonical_entries(), 1);
-        // exact-tier stats were never polluted by canonical traffic: the
-        // counters above saw exactly the four packs' exact misses
-        assert_eq!(shared.stats(), (0, 4));
-    }
-
-    #[test]
-    fn canonical_hits_on_nvswitch_cliques_of_equal_size() {
-        // on a DGX-2 every m-subset induces the same complete graph, so one
-        // pack serves *any* same-size allocation — the partial-allocation
-        // scenario of Figure 3 at its most extreme
-        let dgx2 = blink_topology::presets::dgx2();
-        let opts = TreeGenOptions::default();
-        let shared = SharedPlanCache::new();
-        let tri_a: Vec<GpuId> = vec![GpuId(0), GpuId(1), GpuId(2)];
-        let tri_b: Vec<GpuId> = vec![GpuId(5), GpuId(9), GpuId(14)];
-        let rate_a = PlanCache::new(shared.clone(), true)
-            .plan_for(&dgx2.induced(&tri_a).unwrap(), &opts, GpuId(0))
-            .unwrap()
-            .rate_gbps();
-        let plan_b = PlanCache::new(shared.clone(), true)
-            .plan_for(&dgx2.induced(&tri_b).unwrap(), &opts, GpuId(5))
-            .unwrap();
-        assert_eq!(shared.canonical_stats(), (1, 1));
-        assert_eq!(plan_b.rate_gbps().to_bits(), rate_a.to_bits());
-        assert_eq!(plan_b.gpus, tri_b);
     }
 
     #[test]

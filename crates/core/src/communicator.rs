@@ -41,8 +41,8 @@
 //! afresh. The fingerprint is computed once when the communicator is built
 //! and once per [`Communicator::replan`]; the entries a replan makes stale
 //! die with their plans in the store. What stays per communicator is what
-//! must not be shared: the MIAD tuners, the hybrid planners and, on switch
-//! fabrics, the strategy verdicts, which enter the key instead.
+//! must not be shared: the MIAD tuners and, on switch fabrics, the strategy
+//! verdicts, which enter the key instead.
 //! [`Communicator::run_traced`], [`Communicator::run_streamed`] and
 //! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
 //! simulate on a scratch checked out of the store's pool for one run. A
@@ -334,51 +334,66 @@ pub struct Communicator {
     induced: Topology,
     sim: Simulator,
     options: CommunicatorOptions,
-    /// Per-signature MIAD chunk tuners, consulted only when
-    /// [`CommunicatorOptions::chunk_bytes`] is `None`; cleared by
-    /// [`Communicator::replan`].
-    tuners: BTreeMap<Signature, ChunkAutotuner>,
     /// This communicator's handle on its plan store: collectives re-issued
     /// by the autotune loop skip the packing stage entirely. The handle
     /// keys its plans under a topology/options fingerprint, so it would
     /// rebuild rather than serve stale plans if either ever changed.
     plans: PlanCache,
+    /// What the communicator derived from its current shape.
+    shape: ShapeState,
+}
+
+/// Everything a communicator derives from its allocation, induced topology
+/// and options, and must drop when they change. [`ShapeState::new`] is the
+/// one place it is made, by [`CommunicatorBuilder::build`] and again by
+/// [`Communicator::replan`], so no memo kept here can outlive its shape.
+#[derive(Debug)]
+struct ShapeState {
     /// [`plan_fingerprint`] of the induced topology and TreeGen options.
     plan_fp: u64,
     /// The key the store's lowering tier files this communicator's
     /// lowerings under (see [`lowering_fingerprint`]).
     lowering_fp: u64,
+    /// Per-signature MIAD chunk tuners, consulted only when
+    /// [`CommunicatorOptions::chunk_bytes`] is `None`.
+    tuners: BTreeMap<Signature, ChunkAutotuner>,
     /// Memoised [`Communicator::pick_root`] answer and the plans its root
-    /// sweep read: the allocation and topology are fixed per communicator,
-    /// so the best rootless-collective root is a constant — no per-call
-    /// certificate sweep.
+    /// sweep read: the allocation and topology are fixed per shape, so the
+    /// best rootless-collective root is a constant — no per-call certificate
+    /// sweep.
     picked: Option<(GpuId, Vec<Arc<TreePlan>>)>,
     /// Memoised spannability verdicts per `(root, link class)` — including
     /// the negative ones the plan cache cannot represent, so PCIe-fallback
     /// communicators stop rebuilding the NVLink graph every collective.
     spannable: BTreeMap<(GpuId, LinkSelection), bool>,
-    /// Memoised assembled hybrid planners per root, so hybrid-mode cache hits
-    /// clone no tree plans at all.
-    hybrids: BTreeMap<GpuId, HybridPlanner>,
     /// Memoised winner of the one-hop-vs-packed simulate-off per collective
-    /// kind (rooted kinds per root) on switch fabrics; cleared by
-    /// [`Communicator::replan`]. Per communicator, and part of its lowering
-    /// keys: a shared verdict would let one communicator's first call pick
-    /// another's strategy.
+    /// kind (rooted kinds per root) on switch fabrics. Per communicator, and
+    /// part of its lowering keys: a shared verdict would let one
+    /// communicator's first call pick another's strategy.
     switch_strategy: BTreeMap<CollectiveKind, SwitchChoice>,
+}
+
+impl ShapeState {
+    /// The fresh state of a communicator over `allocation`, whose induced
+    /// topology is `induced`.
+    fn new(induced: &Topology, allocation: &[GpuId], options: &CommunicatorOptions) -> Self {
+        let plan_fp = plan_fingerprint(induced, &options.treegen);
+        ShapeState {
+            plan_fp,
+            lowering_fp: lowering_fingerprint(plan_fp, allocation, options),
+            tuners: BTreeMap::new(),
+            picked: None,
+            spannable: BTreeMap::new(),
+            switch_strategy: BTreeMap::new(),
+        }
+    }
 }
 
 /// The lowering tier's key for a communicator: everything a lowering reads
 /// besides the collective signature, the chunk and the plans themselves —
-/// the plan fingerprint, the allocation order, every option a lowering
-/// reads and whether plans may come from the canonical tier. Computed once
-/// per build and per replan.
-fn lowering_fingerprint(
-    plan_fp: u64,
-    allocation: &[GpuId],
-    options: &CommunicatorOptions,
-    canonical: bool,
-) -> u64 {
+/// the plan fingerprint, the allocation order and every option a lowering
+/// reads. Computed once per build and per replan.
+fn lowering_fingerprint(plan_fp: u64, allocation: &[GpuId], options: &CommunicatorOptions) -> u64 {
     // Destructured so a new option cannot be silently left out.
     let CommunicatorOptions {
         sim_params,
@@ -395,7 +410,7 @@ fn lowering_fingerprint(
     for bits in sim_params.to_bits() {
         bits.hash(&mut h);
     }
-    (use_hybrid, stream_reuse, canonical).hash(&mut h);
+    (use_hybrid, stream_reuse).hash(&mut h);
     h.finish()
 }
 
@@ -442,9 +457,8 @@ impl Communicator {
 
     /// Splits this communicator into nested process-group subgroups (one
     /// child communicator per part of `split`), whose induced topologies
-    /// share this machine's links. Children plan independently — through the
-    /// parent's plan store, with canonical (isomorphism-level) sharing
-    /// enabled so same-shape subgroups reuse one packing — and
+    /// share this machine's links. Children plan and lower through the
+    /// parent's plan store like any communicator on it, and
     /// [`crate::ProcessGroups::run_concurrent`] executes one collective per
     /// subgroup inside a single simulator session, contending for the shared
     /// links. The parent communicator is not consumed and remains
@@ -688,13 +702,18 @@ impl Communicator {
     pub fn current_chunk(&mut self, kind: CollectiveKind, bytes: u64) -> u64 {
         match self.options.chunk_bytes {
             Some(c) => c,
-            None => self.tuners.entry((kind, bytes)).or_default().chunk_bytes(),
+            None => self
+                .shape
+                .tuners
+                .entry((kind, bytes))
+                .or_default()
+                .chunk_bytes(),
         }
     }
 
     fn observe_chunk(&mut self, kind: CollectiveKind, bytes: u64, gbps: f64) {
         if self.options.chunk_bytes.is_none() {
-            if let Some(tuner) = self.tuners.get_mut(&(kind, bytes)) {
+            if let Some(tuner) = self.shape.tuners.get_mut(&(kind, bytes)) {
                 tuner.observe(gbps);
             }
         }
@@ -702,7 +721,8 @@ impl Communicator {
 
     /// The chunk-tuner trace for one collective signature (Figure 12).
     pub fn autotune_history(&self, kind: CollectiveKind, bytes: u64) -> Vec<(u64, f64)> {
-        self.tuners
+        self.shape
+            .tuners
             .get(&(kind, bytes))
             .map(|tuner| tuner.history().to_vec())
             .unwrap_or_default()
@@ -728,7 +748,7 @@ impl Communicator {
         bytes: u64,
     ) -> Result<(Arc<Lowering>, u64, Option<RunReport>)> {
         let chunk = self.current_chunk(kind, bytes);
-        let base = self.lowering_fp;
+        let base = self.shape.lowering_fp;
         let key = |verdict| LoweringKey {
             base,
             kind,
@@ -736,7 +756,7 @@ impl Communicator {
             chunk,
             verdict,
         };
-        let lookup = key(self.switch_strategy.get(&kind).copied());
+        let lookup = key(self.shape.switch_strategy.get(&kind).copied());
         if let Some(hit) = self.plans.store().lowering(&lookup, |l| self.accepts(l)) {
             self.adopt(&hit);
             hit.keep_compiled(&self.sim);
@@ -747,9 +767,9 @@ impl Communicator {
         let mut plans = Vec::new();
         let mut root = None;
         if kind.root().is_none() && self.packs_per_root() {
-            if let Some((picked, swept)) = &self.picked {
+            if let Some((picked, swept)) = &self.shape.picked {
                 root = Some(*picked);
-                plans.extend(swept.iter().map(|p| (self.plan_fp, p.clone())));
+                plans.extend(swept.iter().map(|p| (self.shape.plan_fp, p.clone())));
             }
         }
         let sweep = plans.len();
@@ -767,7 +787,7 @@ impl Communicator {
             plans,
             sweep,
         });
-        let publish = key(self.switch_strategy.get(&kind).copied());
+        let publish = key(self.shape.switch_strategy.get(&kind).copied());
         self.plans
             .store()
             .publish_lowering(publish, lowering.clone());
@@ -776,7 +796,7 @@ impl Communicator {
 
     /// Whether a stored lowering is the one this communicator would lower
     /// afresh: no plan it read conflicts with a plan the handle holds. The
-    /// store keeps it only while its plans are the exact tier's, which is
+    /// store keeps it only while its plans are the plan tier's, which is
     /// where a fresh lowering would find any plan the handle lacks. That
     /// covers the picked root too: the handle holds every plan its own root
     /// sweep read, and a sweep over the same plans picks the same root.
@@ -792,13 +812,13 @@ impl Communicator {
     /// sweep's plans) becomes this communicator's.
     fn adopt(&mut self, lowering: &Lowering) {
         for (fp, plan) in &lowering.plans {
-            if *fp == self.plan_fp {
+            if *fp == self.shape.plan_fp {
                 self.plans.adopt(*fp, plan.clone());
             }
         }
-        if let (Some(root), None) = (lowering.root, &self.picked) {
+        if let (Some(root), None) = (lowering.root, &self.shape.picked) {
             let swept = lowering.plans[..lowering.sweep].iter();
-            self.picked = Some((root, swept.map(|(_, p)| p.clone()).collect()));
+            self.shape.picked = Some((root, swept.map(|(_, p)| p.clone()).collect()));
         }
     }
 
@@ -826,11 +846,11 @@ impl Communicator {
     /// only changes through [`Communicator::replan`], which re-runs the sweep
     /// itself.
     fn pick_root(&mut self) -> GpuId {
-        if let Some((root, _)) = &self.picked {
+        if let Some((root, _)) = &self.shape.picked {
             return *root;
         }
         let sweep = self.root_sweep();
-        self.picked = Some((sweep.root, sweep.plans));
+        self.shape.picked = Some((sweep.root, sweep.plans));
         sweep.root
     }
 
@@ -863,7 +883,7 @@ impl Communicator {
             .iter()
             .filter_map(|&cand| {
                 let idx = g.node(cand).filter(|&i| g.spans_from(i));
-                self.spannable.insert((cand, links), idx.is_some());
+                self.shape.spannable.insert((cand, links), idx.is_some());
                 idx.map(|i| (cand, i))
             })
             .collect();
@@ -1028,20 +1048,9 @@ impl Communicator {
         self.allocation = allocation;
         self.induced = induced;
         self.sim = Simulator::new(self.machine.clone(), self.options.sim_params);
-        self.picked = None;
-        self.spannable.clear();
-        self.hybrids.clear();
-        self.switch_strategy.clear();
-        self.tuners.clear();
+        self.shape = ShapeState::new(&self.induced, &self.allocation, &self.options);
         self.plans
             .note_delta(&self.induced, &self.options.treegen, delta);
-        self.plan_fp = plan_fingerprint(&self.induced, &self.options.treegen);
-        self.lowering_fp = lowering_fingerprint(
-            self.plan_fp,
-            &self.allocation,
-            &self.options,
-            self.plans.canonical(),
-        );
         let plans_kept = self.plans.len();
         let seeds_demoted = self.plans.seeded();
         let packed_path = self.packs_per_root();
@@ -1050,7 +1059,7 @@ impl Communicator {
         } else {
             SweepOutcome::fallback(self.allocation[0])
         };
-        self.picked = Some((sweep.root, std::mem::take(&mut sweep.plans)));
+        self.shape.picked = Some((sweep.root, std::mem::take(&mut sweep.plans)));
         let repair_path = if sweep.warm_seeded > 0 && sweep.warm_iterations == 0 {
             RepairPath::Reroute
         } else if sweep.warm_seeded > 0 {
@@ -1161,27 +1170,23 @@ impl Communicator {
         // build and reachability walk; the verdict (positive or negative) is
         // memoised for every later call.
         let links = self.options.treegen.links;
-        let nvlink_spans = match self.spannable.get(&(root, links)) {
+        let nvlink_spans = match self.shape.spannable.get(&(root, links)) {
             Some(&spans) => spans,
             None => {
                 let g = DiGraph::from_topology_filtered(&self.induced, |l| links.matches(l));
                 let spans = g.node(root).map(|i| g.spans_from(i)).unwrap_or(false);
-                self.spannable.insert((root, links), spans);
+                self.shape.spannable.insert((root, links), spans);
                 spans
             }
         };
         if nvlink_spans {
             if self.options.use_hybrid {
-                if !self.hybrids.contains_key(&root) {
-                    let planner = HybridPlanner::plan_cached(
-                        &mut self.plans,
-                        &self.induced,
-                        root,
-                        &self.options.treegen,
-                    )?;
-                    self.hybrids.insert(root, planner);
-                }
-                let planner = &self.hybrids[&root];
+                let planner = HybridPlanner::plan_cached(
+                    &mut self.plans,
+                    &self.induced,
+                    root,
+                    &self.options.treegen,
+                )?;
                 let (program, split) =
                     planner.build(kind, bytes, &self.codegen_options(chunk), self.sim.params())?;
                 let n = planner.nvlink_plan().num_trees() + planner.pcie_plan().num_trees();
@@ -1248,7 +1253,7 @@ impl Communicator {
         bytes: u64,
         chunk: u64,
     ) -> Result<Built> {
-        if let Some(&choice) = self.switch_strategy.get(&kind) {
+        if let Some(&choice) = self.shape.switch_strategy.get(&kind) {
             let (program, n, strategy) = self.switch_candidate(choice, kind, bytes, chunk)?;
             return Ok((program, n, strategy, None));
         }
@@ -1266,7 +1271,7 @@ impl Communicator {
                 }
                 Err(_) => (SwitchChoice::OneHop, one_hop, None),
             };
-        self.switch_strategy.insert(kind, choice);
+        self.shape.switch_strategy.insert(kind, choice);
         Ok((program, n, strategy, run))
     }
 
@@ -1347,9 +1352,8 @@ enum BuilderSource {
 /// The builder also picks the communicator's plan store: the process-wide
 /// [`global_plan_cache`] by default, an explicit store through
 /// [`CommunicatorBuilder::shared_plans`], or a private one through
-/// [`CommunicatorBuilder::isolated_plans`]. Store choice and
-/// [`CommunicatorBuilder::canonical_plan_sharing`] are builder state, so
-/// they hold in any order with [`CommunicatorBuilder::options`].
+/// [`CommunicatorBuilder::isolated_plans`]. The store choice is builder
+/// state, so it holds in any order with [`CommunicatorBuilder::options`].
 ///
 /// ```
 /// use blink_core::Communicator;
@@ -1372,7 +1376,6 @@ pub struct CommunicatorBuilder {
     options: CommunicatorOptions,
     shared: Option<SharedPlanCache>,
     isolated: bool,
-    canonical: bool,
 }
 
 impl CommunicatorBuilder {
@@ -1402,7 +1405,6 @@ impl CommunicatorBuilder {
             options: CommunicatorOptions::default(),
             shared: None,
             isolated: false,
-            canonical: false,
         }
     }
 
@@ -1433,18 +1435,6 @@ impl CommunicatorBuilder {
     /// [`CommunicatorBuilder::shared_plans`] store still wins.
     pub fn isolated_plans(mut self) -> Self {
         self.isolated = true;
-        self
-    }
-
-    /// Also shares plans at *isomorphism* level: NVLink-only plans over small
-    /// allocations are additionally keyed by the induced topology's canonical
-    /// form in the store, so topology-isomorphic allocations (mirror halves,
-    /// NVSwitch cliques, process-group subgroups) reuse each other's packing
-    /// work. Canonical hits are relabelled plans — identical weights and
-    /// certified rate, but not bit-identical to a cold pack — hence the
-    /// opt-in. [`Communicator::split`] enables this for subgroup children.
-    pub fn canonical_plan_sharing(mut self) -> Self {
-        self.canonical = true;
         self
     }
 
@@ -1494,22 +1484,15 @@ impl CommunicatorBuilder {
             None => global_plan_cache(),
         };
         let sim = Simulator::new(machine.clone(), self.options.sim_params);
-        let plan_fp = plan_fingerprint(&induced, &self.options.treegen);
-        let lowering_fp = lowering_fingerprint(plan_fp, &allocation, &self.options, self.canonical);
+        let shape = ShapeState::new(&induced, &allocation, &self.options);
         Ok(Communicator {
             machine,
             allocation,
             induced,
             sim,
             options: self.options,
-            tuners: BTreeMap::new(),
-            plans: PlanCache::new(store, self.canonical),
-            plan_fp,
-            lowering_fp,
-            picked: None,
-            spannable: BTreeMap::new(),
-            hybrids: BTreeMap::new(),
-            switch_strategy: BTreeMap::new(),
+            plans: PlanCache::new(store),
+            shape,
         })
     }
 }
@@ -1837,8 +1820,8 @@ mod tests {
         // omitting .allocation() spans the whole machine
         let whole = Communicator::builder(dgx1v()).build().unwrap();
         assert_eq!(whole.allocation().len(), 8);
-        // the store choice and canonical sharing are builder state, so an
-        // .options() call after them cannot reset them
+        // the store choice is builder state, so an .options() call after it
+        // cannot reset it
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let options = CommunicatorOptions {
             stream_reuse: true,
@@ -1847,15 +1830,9 @@ mod tests {
         for flags_first in [true, false] {
             let builder = Communicator::builder(dgx1v()).allocation(&alloc);
             let builder = if flags_first {
-                builder
-                    .isolated_plans()
-                    .canonical_plan_sharing()
-                    .options(options)
+                builder.isolated_plans().options(options)
             } else {
-                builder
-                    .options(options)
-                    .isolated_plans()
-                    .canonical_plan_sharing()
+                builder.options(options).isolated_plans()
             };
             let mut comm = builder.build().unwrap();
             assert!(comm.options().stream_reuse);
@@ -1864,11 +1841,6 @@ mod tests {
             // the second communicator of the loop would hit a shared one
             let store = comm.plan_store();
             assert_eq!(store.stats(), (0, 1), "flags first: {flags_first}");
-            assert_eq!(
-                store.canonical_stats(),
-                (0, 1),
-                "flags first: {flags_first}"
-            );
         }
     }
 
@@ -2156,7 +2128,7 @@ mod tests {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
         comm.all_reduce(mb(16)).unwrap();
-        assert_eq!(comm.picked.as_ref().map(|p| p.0), Some(GpuId(0)));
+        assert_eq!(comm.shape.picked.as_ref().map(|p| p.0), Some(GpuId(0)));
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(0))).unwrap();
         // the dropped root's plan cannot seed another root
         assert_eq!(report.repair_path, RepairPath::Cold, "{report:?}");
@@ -2299,6 +2271,40 @@ mod tests {
             .unwrap();
         let report = comm.broadcast(GpuId(0), mb(500)).unwrap();
         assert!(report.strategy.contains("hybrid"));
+    }
+
+    #[test]
+    fn every_hybrid_lowering_lists_both_plans_it_reads() {
+        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .options(CommunicatorOptions {
+                use_hybrid: true,
+                ..Default::default()
+            })
+            .isolated_plans()
+            .build()
+            .unwrap();
+        let root = GpuId(0);
+        let both = vec![
+            (root, LinkSelection::NvLinkOnly),
+            (root, LinkSelection::PcieOnly),
+        ];
+        // the second and third lowerings read the same two plans as the
+        // first, so the store must be able to drop them with either
+        for (kind, bytes) in [
+            (CollectiveKind::Broadcast { root }, mb(64)),
+            (CollectiveKind::Broadcast { root }, mb(8)),
+            (CollectiveKind::AllReduce, mb(8)),
+        ] {
+            let lowering = comm.lower(kind, bytes).unwrap();
+            let read: Vec<_> = lowering
+                .plans
+                .iter()
+                .map(|(_, p)| (p.root, p.links))
+                .collect();
+            assert_eq!(read, both, "{kind} at {bytes} B");
+        }
     }
 
     #[test]
@@ -2606,7 +2612,7 @@ mod tests {
 
     #[test]
     fn a_stored_lowering_over_plans_the_handle_does_not_hold_is_not_taken() {
-        // At capacity 2 the exact tier forgets a communicator's plan while
+        // At capacity 2 the plan tier forgets a communicator's plan while
         // its handle keeps it, so another communicator can store a lowering
         // of the same signature over a different plan of the same shape.
         let store = SharedPlanCache::with_capacity(2);

@@ -10,10 +10,11 @@
 //! links their induced topologies share — the session's arbitration models
 //! the tensor-parallel/data-parallel overlap a real hierarchical job sees.
 //!
-//! Children plan through the parent's plan store with canonical plan sharing
-//! on ([`crate::CommunicatorBuilder::canonical_plan_sharing`]): isomorphic
-//! subgroups (mirror halves of a DGX-1V, equal-size NVSwitch cliques) reuse
-//! each other's packed trees instead of packing twice.
+//! Children plan and lower through the parent's plan store exactly as any
+//! communicator on that store would: each child's programs are the ones a
+//! private communicator over the same subgroup lowers, and a repeated split
+//! takes every child's lowerings (and their compiled forms) from the store's
+//! lowering tier.
 //!
 //! [`ProcessGroups::run_concurrent_checked`] is the conformance oracle for
 //! the whole construction: it lowers one collective per subgroup, admits all
@@ -88,7 +89,6 @@ impl ProcessGroups {
                     .allocation(group)
                     .options(options)
                     .shared_plans(store.clone())
-                    .canonical_plan_sharing()
                     .build()?,
             );
         }
@@ -260,23 +260,6 @@ mod tests {
             assert!(g.end_us <= run.finish_us + 1e-9);
             assert!(check.is_correct(), "subgroup violates contract: {check}");
         }
-    }
-
-    #[test]
-    fn isomorphic_subgroups_share_plans_canonically() {
-        // The two stride halves of a DGX-1V are isomorphic 4-GPU topologies:
-        // the second subgroup must hit the canonical tier, not pack again.
-        let parent = Communicator::builder(dgx1v())
-            .isolated_plans()
-            .build()
-            .unwrap();
-        let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
-        let shared = groups.groups()[0].plan_store().clone();
-        let requests = vec![(CollectiveKind::AllReduce, 16 << 20); 2];
-        groups.run_concurrent(&requests).unwrap();
-        let (hits, misses) = shared.canonical_stats();
-        assert!(misses >= 1, "first subgroup should miss canonically");
-        assert!(hits >= 1, "second subgroup should hit the canonical tier");
     }
 
     #[test]

@@ -233,7 +233,7 @@ mod tests {
     use blink_topology::presets::dgx1v;
 
     fn plan(induced: &Topology, root: GpuId) -> HybridPlanner {
-        let mut cache = PlanCache::new(SharedPlanCache::new(), false);
+        let mut cache = PlanCache::new(SharedPlanCache::new());
         HybridPlanner::plan_cached(&mut cache, induced, root, &TreeGenOptions::default()).unwrap()
     }
 

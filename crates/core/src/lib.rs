@@ -27,9 +27,9 @@
 //! * [`autotune`] — the multiplicative-increase / additive-decrease automatic
 //!   chunk-size selection (Section 4.2.1, Figure 12), and the plan cache
 //!   that keeps packing and lowering out of the tuning loop: one
-//!   [`SharedPlanCache`] store with an exact and a canonical plan tier and a
-//!   tier of lowered programs, and a private handle on it in every
-//!   communicator.
+//!   [`SharedPlanCache`] store with one plan tier keyed by the allocation's
+//!   exact shape and a tier of lowered programs, and a private handle on it
+//!   in every communicator.
 //! * [`fusion`] — batching of small concurrent same-kind collectives into one
 //!   segmented program over their concatenated logical space (the SparCML
 //!   observation applied to per-layer gradient buckets), with a window
@@ -77,10 +77,11 @@
 //! [`Communicator::split`] partitions an allocation with a
 //! [`blink_topology::GroupSplit`] (by server / by stride / explicit sets)
 //! into child communicators that run concurrently over the links they share
-//! ([`ProcessGroups::run_concurrent`]); children enable canonical plan
-//! sharing, so topology-isomorphic subgroups reuse one packed plan via the
-//! [`SharedPlanCache`] keyed by
-//! [`blink_topology::enumerate::canonical_form`].
+//! ([`ProcessGroups::run_concurrent`]). Children plan and lower like any
+//! other communicator on the parent's [`SharedPlanCache`]: a subgroup's
+//! program is the one a private communicator over the same GPUs lowers, so
+//! a split costs nothing beyond its children, and a repeated split takes
+//! every child's lowering from the store.
 //!
 //! # The graceful-degradation ladder
 //!
@@ -140,9 +141,7 @@ pub mod multiserver;
 pub mod onehop;
 pub mod treegen;
 
-pub use autotune::{
-    global_plan_cache, plan_fingerprint, ChunkAutotuner, SharedPlanCache, CANONICAL_MAX_GPUS,
-};
+pub use autotune::{global_plan_cache, plan_fingerprint, ChunkAutotuner, SharedPlanCache};
 pub use codegen::{CodeGen, CodeGenOptions};
 pub use collective::{CollectiveKind, CollectiveReport};
 pub use communicator::{

@@ -129,9 +129,7 @@ pub(crate) fn three_phase_lowering(
             (0..partitions).map(move |p| (topo, *fp, gpus[p % gpus.len()]))
         })
         .collect();
-    let mut planned = store
-        .resolve(tg_options, &requests, None, |_| None)
-        .into_iter();
+    let mut planned = store.resolve(tg_options, &requests, |_| None).into_iter();
     let mut reads = Vec::with_capacity(requests.len());
     let mut plans: Vec<Vec<Arc<TreePlan>>> = Vec::new();
     let mut roots: Vec<Vec<GpuId>> = Vec::new();

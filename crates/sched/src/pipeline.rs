@@ -56,8 +56,9 @@ pub struct FleetConfig {
     /// per-server process groups ([`Communicator::split`] with
     /// [`GroupSplit::ByServer`]) and replay one concurrent AllReduce per
     /// subgroup through the value-level oracle on a shared simulator
-    /// session; 0 disables the sampling. Subgroups of isomorphic shape reuse
-    /// one packed plan through the fleet cache's canonical tier.
+    /// session; 0 disables the sampling. Subgroups plan and lower through
+    /// the fleet cache like any job communicator, so a subgroup whose slice
+    /// a job already planned reuses that job's plans and lowerings.
     pub subgroup_lift_every: usize,
     /// Options for every job communicator. Every job plans through the
     /// pipeline's own plan store ([`FleetPipeline::shared_cache`]).
@@ -506,8 +507,8 @@ impl FleetPipeline {
     /// Splits a placed job's communicator into per-server process groups and
     /// replays one concurrent AllReduce per subgroup through the value-level
     /// oracle on a shared session — the hierarchical-job conformance probe.
-    /// Subgroup communicators publish into the fleet cache's canonical tier,
-    /// so isomorphic per-server slices across jobs pack once.
+    /// Subgroup communicators plan through the fleet cache like any job's,
+    /// so a per-server slice planned before packs no second time.
     fn lift_subgroups(&mut self, job_id: u64, comm: &Communicator) -> blink_core::Result<()> {
         let span = self.monitor.begin(job_id, Stage::SubgroupLift);
         let mut groups = comm.split(&GroupSplit::ByServer)?;

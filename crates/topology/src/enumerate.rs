@@ -1,5 +1,5 @@
 //! Enumeration of the *unique* allocation-induced topologies of a server —
-//! product surface for schedulers and plan caches, not just a test helper.
+//! product surface for schedulers and reports, not just a test helper.
 //!
 //! A cluster scheduler may hand a job any subset of a server's GPUs
 //! (Figure 3 of the paper). Many of those subsets induce the same
@@ -10,20 +10,18 @@
 //! (Section 5.2). This module reproduces that binning and exposes its
 //! primitives as stable API:
 //!
-//! * [`canonical_form`] is the **cross-communicator plan-cache key**: two
-//!   allocations share it iff their induced NVLink graphs are isomorphic, so
-//!   NVLink-only tree plans packed for one member of a class serve every
-//!   other member after relabelling (`blink-core`'s canonical plan-sharing
-//!   tier builds on exactly this, via [`canonical_labeling`]).
+//! * [`canonical_form`] is the paper's **class-binning key**: two
+//!   allocations share it iff their induced NVLink graphs are isomorphic.
+//!   It bins allocations for reporting only; plans are never keyed by it
+//!   (`blink-core` packs every allocation's own trees, as Blink does).
 //! * [`AllocationClass::label`] is the stable human-readable class name used
 //!   on the paper's x-axes and in scheduler reports.
 //!
 //! Canonicalisation is brute force: for every subset we try all permutations
 //! of its members and keep the lexicographically smallest NVLink capacity
 //! matrix. Subsets have at most 8 members (8! = 40 320 permutations), so this
-//! is instantaneous at the scale of a single server — callers wanting the key
-//! for larger allocations (e.g. a full DGX-2) should fall back to exact
-//! fingerprints instead.
+//! is instantaneous at the scale of a single server and infeasible for larger
+//! allocations (e.g. a full DGX-2).
 
 use crate::{GpuId, Topology};
 use serde::{Deserialize, Serialize};
@@ -65,7 +63,7 @@ impl AllocationClass {
 /// Two allocations have equal fingerprints iff their induced NVLink graphs are
 /// isomorphic (as capacity-weighted directed graphs).
 ///
-/// The textual format is stable and safe to persist as a plan-cache key:
+/// The textual format is stable and safe to persist as a report key:
 /// `"n{n}:"` followed by the row-major canonical capacity matrix, each entry
 /// the link capacity in integer tenths of GB/s, comma-joined.
 pub fn canonical_form(topo: &Topology, allocation: &[GpuId]) -> crate::Result<String> {
@@ -101,58 +99,6 @@ pub fn canonical_form(topo: &Topology, allocation: &[GpuId]) -> crate::Result<St
             .collect::<Vec<_>>()
             .join(",")
     ))
-}
-
-/// Like [`canonical_form`], but also returns the witnessing labelling: a
-/// vector `order` with `order[i]` naming the allocation GPU that plays
-/// canonical role `i`. Relabelling `order[i] → i` turns the induced NVLink
-/// graph into exactly the canonical capacity matrix, so a tree plan packed
-/// over the canonical graph becomes a valid plan for *this* allocation by
-/// substituting `i → order[i]` (and vice versa when publishing).
-///
-/// Among permutations achieving the canonical matrix, the lexicographically
-/// smallest index permutation wins, making the labelling deterministic for
-/// equal inputs.
-pub fn canonical_labeling(
-    topo: &Topology,
-    allocation: &[GpuId],
-) -> crate::Result<(String, Vec<GpuId>)> {
-    let sub = topo.induced(allocation)?.nvlink_only();
-    let ids = sub.gpu_ids();
-    let n = ids.len();
-    let index: BTreeMap<GpuId, usize> = ids.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-    let mut cap = vec![vec![0u64; n]; n];
-    for l in sub.links() {
-        cap[index[&l.src]][index[&l.dst]] += (l.capacity_gbps() * 10.0).round() as u64;
-    }
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best: Option<(Vec<u64>, Vec<usize>)> = None;
-    permute(&mut perm, 0, &mut |p| {
-        let mut flat = Vec::with_capacity(n * n);
-        for &i in p {
-            for &j in p {
-                flat.push(cap[i][j]);
-            }
-        }
-        let better = match &best {
-            None => true,
-            Some((b, bp)) => flat < *b || (flat == *b && p < bp.as_slice()),
-        };
-        if better {
-            best = Some((flat, p.to_vec()));
-        }
-    });
-    let (flat, p) = best.unwrap_or_default();
-    let canon = format!(
-        "n{}:{}",
-        n,
-        flat.iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    let order = p.iter().map(|&i| ids[i]).collect();
-    Ok((canon, order))
 }
 
 fn permute<F: FnMut(&[usize])>(arr: &mut Vec<usize>, k: usize, f: &mut F) {
@@ -318,55 +264,6 @@ mod tests {
                 c.representative.iter().map(|g| g.0).collect::<Vec<_>>()
             );
         }
-    }
-
-    #[test]
-    fn canonical_labeling_witnesses_the_canonical_matrix() {
-        let t = dgx1v();
-        for alloc in [
-            vec![GpuId(0), GpuId(1), GpuId(2), GpuId(3)],
-            vec![GpuId(4), GpuId(5), GpuId(6), GpuId(7)],
-            vec![GpuId(1), GpuId(3), GpuId(6)],
-            vec![GpuId(0), GpuId(2), GpuId(5), GpuId(6), GpuId(7)],
-        ] {
-            let (canon, order) = canonical_labeling(&t, &alloc).unwrap();
-            assert_eq!(canon, canonical_form(&t, &alloc).unwrap());
-            // `order` is a permutation of the allocation
-            let mut sorted = order.clone();
-            sorted.sort();
-            let mut expect = alloc.clone();
-            expect.sort();
-            assert_eq!(sorted, expect);
-            // relabelling order[i] -> i reproduces the canonical matrix
-            let sub = t.induced(&alloc).unwrap().nvlink_only();
-            let n = order.len();
-            let mut flat = Vec::with_capacity(n * n);
-            for &a in &order {
-                for &b in &order {
-                    let cap: f64 = sub
-                        .links()
-                        .iter()
-                        .filter(|l| l.src == a && l.dst == b)
-                        .map(|l| l.capacity_gbps())
-                        .sum();
-                    flat.push((cap * 10.0).round() as u64);
-                }
-            }
-            let rebuilt = format!(
-                "n{}:{}",
-                n,
-                flat.iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            assert_eq!(rebuilt, canon);
-        }
-        // mirror halves agree on the canonical form, with possibly different
-        // witnesses — that is precisely what lets them share cached plans
-        let a = canonical_labeling(&t, &[GpuId(0), GpuId(1), GpuId(2), GpuId(3)]).unwrap();
-        let b = canonical_labeling(&t, &[GpuId(4), GpuId(5), GpuId(6), GpuId(7)]).unwrap();
-        assert_eq!(a.0, b.0);
     }
 
     fn binomial(n: usize, k: usize) -> usize {

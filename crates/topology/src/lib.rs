@@ -30,7 +30,7 @@
 //! # Enumerating unique allocation topologies
 //!
 //! [`enumerate`] is product surface, not a test helper: schedulers bin job
-//! shapes by [`enumerate::canonical_form`] — the cross-communicator plan-cache
+//! shapes by [`enumerate::canonical_form`] — the paper's topology-uniqueness
 //! key — and report classes by their stable [`enumerate::AllocationClass::label`]
 //! format (comma-joined ascending GPU ids of the representative):
 //!
@@ -42,8 +42,7 @@
 //! let classes = unique_allocations(&machine, 3..=4).unwrap();
 //! let labels: Vec<String> = classes.iter().map(|c| c.label()).collect();
 //! assert!(labels.contains(&"0,1,2".to_string()));
-//! // every member of a class shares the representative's canonical form —
-//! // plans cached under it serve all of them
+//! // every member of a class shares the representative's canonical form
 //! let class = &classes[0];
 //! for member in &class.members {
 //!     assert_eq!(canonical_form(&machine, member).unwrap(), class.canonical);

@@ -12,6 +12,7 @@ use blink_core::{
 use blink_sim::{
     check_collective, CompiledProgram, LinkClass, OpKind, Program, RunReport, SimParams, Simulator,
 };
+use blink_topology::enumerate::unique_allocations;
 use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
 use blink_topology::{GroupSplit, TopologyDelta};
 use std::sync::Arc;
@@ -327,35 +328,91 @@ fn switch_verdicts_stay_with_the_communicator_that_raced() {
 }
 
 #[test]
-fn canonical_subgroups_take_only_lowerings_a_fresh_split_would_make() {
-    let requests = vec![(CollectiveKind::AllReduce, 8 << 20); 2];
+fn repeated_splits_take_every_subgroup_lowering_a_private_communicator_makes() {
+    let (kind, bytes) = (CollectiveKind::AllReduce, 8 << 20);
     let split_and_run = |store: &SharedPlanCache| {
         let parent = Communicator::builder(dgx1v())
             .shared_plans(store.clone())
             .build()
             .unwrap();
+        // the two stride halves of a DGX-1V are isomorphic
         let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
-        let (run, checks) = groups.run_concurrent_checked(&requests).unwrap();
+        let (run, checks) = groups.run_concurrent_checked(&[(kind, bytes); 2]).unwrap();
         assert!(checks.iter().all(|c| c.is_correct()));
-        run.groups
-            .into_iter()
-            .map(|g| g.program)
-            .collect::<Vec<_>>()
+        let allocs: Vec<Vec<GpuId>> = groups
+            .groups()
+            .iter()
+            .map(|g| g.allocation().to_vec())
+            .collect();
+        let programs: Vec<Arc<Program>> = run.groups.into_iter().map(|g| g.program).collect();
+        (allocs, programs)
     };
     let shared = SharedPlanCache::new();
-    let first = split_and_run(&shared);
+    let (_, first) = split_and_run(&shared);
     let (hits, _) = shared.lowering_stats();
-    let second = split_and_run(&shared);
-    // the first subgroup's plan is the exact tier's, so its lowering is
-    // shared; the mirror subgroup reads a relabelled canonical plan, so its
-    // lowering never is
-    assert_eq!(shared.lowering_stats().0, hits + 1);
-    assert!(Arc::ptr_eq(&first[0], &second[0]));
-    assert!(!Arc::ptr_eq(&first[1], &second[1]));
-    let fresh = split_and_run(&SharedPlanCache::new());
-    for (a, b) in second.iter().zip(&fresh) {
-        assert_eq!(**a, **b);
+    let (allocs, second) = split_and_run(&shared);
+    assert_eq!(
+        shared.lowering_stats().0,
+        hits + 2,
+        "both subgroups take their lowering from the store"
+    );
+    for ((a, b), alloc) in first.iter().zip(&second).zip(&allocs) {
+        assert!(Arc::ptr_eq(a, b));
+        let mut private = Communicator::builder(dgx1v())
+            .allocation(alloc)
+            .isolated_plans()
+            .build()
+            .unwrap();
+        let (_, fresh, _) = private.run_traced(kind, bytes).unwrap();
+        assert_eq!(**b, *fresh, "subgroup {alloc:?}");
     }
+}
+
+#[test]
+fn every_dgx1_class_member_lowers_what_a_private_communicator_lowers() {
+    // Every member of every 2-8 GPU isomorphism class, each a one-group
+    // split over a store the whole class shares: what the store saw before
+    // never changes a member's program.
+    let bytes = 8 << 20;
+    let mut lowerings = 0;
+    let mut differ = Vec::new();
+    for machine in [dgx1v(), dgx1p()] {
+        for class in unique_allocations(&machine, 2..=8).unwrap() {
+            let store = SharedPlanCache::new();
+            for member in &class.members {
+                let parent = Communicator::builder(machine.clone())
+                    .shared_plans(store.clone())
+                    .build()
+                    .unwrap();
+                let mut groups = parent
+                    .split(&GroupSplit::Explicit(vec![member.clone()]))
+                    .unwrap();
+                let mut private = Communicator::builder(machine.clone())
+                    .allocation(member)
+                    .isolated_plans()
+                    .build()
+                    .unwrap();
+                for kind in [
+                    CollectiveKind::AllReduce,
+                    CollectiveKind::Broadcast { root: member[0] },
+                ] {
+                    let (_, shared, _) = groups.group_mut(0).run_traced(kind, bytes).unwrap();
+                    let (_, fresh, _) = private.run_traced(kind, bytes).unwrap();
+                    lowerings += 1;
+                    if *shared != *fresh {
+                        differ.push(format!("{} {member:?} {kind}", machine.name()));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(lowerings, 988);
+    assert!(
+        differ.is_empty(),
+        "{} of {lowerings} lowerings differ, first: {:?}",
+        differ.len(),
+        &differ[..differ.len().min(4)]
+    );
 }
 
 #[test]
@@ -663,10 +720,7 @@ fn a_repeated_concurrent_step_reuses_every_compiled_form() {
         .isolated_plans()
         .build()
         .unwrap();
-    // subgroups that are not isomorphic, so neither runs canonical-tier
-    // plans (whose lowerings the store never keeps)
-    let split = GroupSplit::Explicit(vec![ids(&[0, 1, 2, 3]), ids(&[4, 5, 6])]);
-    let mut groups = parent.split(&split).unwrap();
+    let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
     let requests = vec![(CollectiveKind::AllReduce, 8 << 20); 2];
     let runs: Vec<_> = (0..3)
         .map(|_| groups.run_concurrent(&requests).unwrap())
