@@ -34,17 +34,20 @@
 //! below). A communicator built for a freshly placed job therefore starts
 //! from warm buffers and takes a lowering the fleet already made.
 //!
-//! The store has one bounded LRU plan tier, keyed by
-//! `(`[`plan_fingerprint`]`, root, link class)` — the fingerprint covers the
-//! induced topology and the link-class-normalised options, so equal job
-//! shapes hit and anything else misses. Every communicator's plans, and so
-//! its programs, are therefore a pure function of its allocation and
-//! options, whatever the store saw before. A lookup the tier misses is
-//! packed on the store's [`ScratchPool`] and published. A batch of misses
-//! (the three-phase planner's per-server roots) is the workspace's one
-//! thread fan-out: it packs concurrently only when its work (the summed GPU
-//! count of the allocations it packs) reaches a measured crossover, and
-//! inline otherwise.
+//! The store has one bounded LRU plan tier, keyed by `(rank fingerprint,
+//! root rank, link class)` — the rank fingerprint covers the induced
+//! topology, with GPUs and servers numbered by rank, and the
+//! link-class-normalised options. The same job shape on any server of a
+//! fleet therefore hits, relabelled by position onto the looking-up
+//! slice's GPUs, and anything else misses. Relabelling keeps the GPUs'
+//! order, so a hit is the plan a private pack would make: every
+//! communicator's plans, and so its programs, are a pure function of its
+//! allocation and options, whatever the store saw before. A lookup the tier
+//! misses is packed on the store's [`ScratchPool`] and published. A batch
+//! of lookups (the three-phase planner's per-server roots) packs each
+//! distinct key once, and is the workspace's one thread fan-out: it packs
+//! concurrently only when its work (the summed GPU count of the allocations
+//! it packs) reaches a measured crossover, and inline otherwise.
 //!
 //! # Delta invalidation and warm seeds
 //!
@@ -63,15 +66,23 @@
 //! through the packer, so every plan handed out has been re-certified
 //! against the current topology.
 //!
+//! In the store, plans a delta leaves intact are also filed under the
+//! post-event fingerprint. Since that fingerprint numbers GPUs by rank,
+//! another communicator whose slice has the same post-event shape, on any
+//! server, may then hit a surviving plan (or a warm repack), just as a
+//! communicator on the same GPUs already could. Only plans packed for the
+//! changed slice's own GPUs leave the pre-event fingerprint; the same shape
+//! on other servers keeps its plans.
+//!
 //! # The lowering tier
 //!
 //! Like Blink's CodeGen, which emits a collective once per allocation and
 //! lets every training iteration reuse it, the store keeps each lowered
 //! program next to the plans it was lowered from. An entry is keyed by the
-//! communicator's lowering fingerprint — its plan fingerprint, allocation
-//! order and every option a lowering reads, computed once per build and per
-//! replan — plus `(kind, bytes, chunk)` and,
-//! on a switch fabric, the communicator's own strategy verdict. It holds the
+//! communicator's lowering fingerprint — its rank fingerprint, allocation
+//! order (which pins the GPU ids) and every option a lowering reads,
+//! computed once per build and per replan — plus `(kind, bytes, chunk)`
+//! and, on a switch fabric, the communicator's own strategy verdict. It holds the
 //! shared `Arc<Program>`, the tree count, the strategy tag, the picked root
 //! and the plans the lowering read; a hit hands those plans to the
 //! communicator's handle, so it ends up exactly as a fresh lowering would
@@ -90,7 +101,8 @@
 //! eviction and invalidation drop it with the lowering.
 //!
 //! A lowering is published only while every plan it read is the plan tier's
-//! current plan for its key, and it is dropped when any of them is replaced,
+//! current plan for its key (bit for bit, after relabelling the stored plan
+//! onto the lowering's GPUs), and it is dropped when any of them is replaced,
 //! evicted or retargeted, so it lives exactly as long as the plans a fresh
 //! lowering would read. That is what keeps a hit bit-identical to lowering
 //! afresh; a lowering over a plan the store no longer holds is simply never
@@ -99,10 +111,10 @@
 use crate::collective::CollectiveKind;
 use crate::communicator::SwitchChoice;
 use crate::treegen::{LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
-use crate::Result;
-use blink_graph::{optimal_broadcast_rate, DiGraph};
+use crate::{BlinkError, Result};
+use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
 use blink_sim::{CompiledProgram, Program, Simulator};
-use blink_topology::{GpuId, Topology, TopologyDelta};
+use blink_topology::{GpuId, ServerId, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -117,24 +129,112 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// differ only in link class — the hybrid planner's NVLink/PCIe pair — share
 /// one fingerprint).
 ///
-/// Two communicators over topology-identical allocations with equivalent
-/// options therefore compute the same fingerprint, which is what lets
-/// [`SharedPlanCache`] hand one communicator's plans to the next.
+/// It tells GPU and server ids apart: two topologies share it only when
+/// they are identical, so a plan made for one can be lowered on the other
+/// as it is. [`SharedPlanCache`] keys its plans by a coarser fingerprint
+/// that numbers GPUs and servers by rank, which the same slice shape on
+/// different servers shares.
 pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
     let mut h = DefaultHasher::new();
+    rank_fingerprint(induced, options).hash(&mut h);
     for g in induced.gpus() {
-        g.id.0.hash(&mut h);
-        g.server.0.hash(&mut h);
-        g.local_index.hash(&mut h);
-        induced.gpu_cap(g.id).map(f64::to_bits).hash(&mut h);
+        (g.id, g.server).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Ids spanning more than this many values keep id keys in
+/// [`rank_fingerprint`] instead of building a rank table that large.
+const MAX_RANK_SPAN: usize = 1 << 16;
+
+/// Each GPU's rank — its position in a strictly ascending GPU id list — as
+/// one table dense over the list's id range, built once per list.
+struct Ranks {
+    first: usize,
+    of: Vec<u32>,
+}
+
+impl Ranks {
+    /// The ranks of `ids`; `None` unless they ascend strictly and span at
+    /// most [`MAX_RANK_SPAN`] values.
+    fn new(ids: impl Iterator<Item = GpuId> + Clone) -> Option<Ranks> {
+        let mut rest = ids.clone();
+        let first = rest.next()?.0;
+        let mut last = first;
+        for g in rest {
+            if g.0 <= last {
+                return None;
+            }
+            last = g.0;
+        }
+        if last - first >= MAX_RANK_SPAN {
+            return None;
+        }
+        let mut of = vec![u32::MAX; last - first + 1];
+        for (rank, g) in ids.enumerate() {
+            if let Some(slot) = of.get_mut(g.0 - first) {
+                *slot = rank as u32;
+            }
+        }
+        Some(Ranks { first, of })
+    }
+
+    /// The rank of `g`, if it is in the list.
+    fn get(&self, g: GpuId) -> Option<usize> {
+        let slot = *self.of.get(g.0.checked_sub(self.first)?)?;
+        (slot != u32::MAX).then_some(slot as usize)
+    }
+}
+
+/// The plan tier's fingerprint: everything (besides the root and link
+/// class) a cached [`TreePlan`] depends on — each GPU's local index and
+/// fabric cap, each link's kind, lanes and bandwidth, and the
+/// [`TreeGenOptions`] but the link class — with each GPU and link endpoint
+/// hashed by its **rank** (its position in the topology's ascending GPU
+/// ids) and each server by its position among the topology's servers,
+/// instead of by id. [`plan_fingerprint`] is this plus the ids.
+///
+/// Slices related by an order-preserving renumbering — the same local
+/// shape on two servers of one kind, say `{0, 1, 3}` and `{24, 25, 27}` —
+/// therefore share it. Their planning graphs are equal up to that
+/// renumbering, nodes and edges in the same order, so TreeGen makes the
+/// same plan for both up to relabelling (see [`SharedPlanCache`]). Other
+/// isomorphic slices (the mirror halves of a DGX-1V) do not share it, and
+/// neither does a topology whose GPU ids do not ascend or span more than
+/// [`MAX_RANK_SPAN`] values: those hash ids, as [`plan_fingerprint`] does.
+pub(crate) fn rank_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
+    let ranks = Ranks::new(gpu_ids(induced));
+    let gpu = |g: GpuId| match &ranks {
+        Some(r) => r.get(g).map_or(u64::MAX, |rank| rank as u64),
+        None => g.0 as u64,
+    };
+    let mut servers: Vec<ServerId> = induced.gpus().iter().map(|g| g.server).collect();
+    servers.sort_unstable();
+    servers.dedup();
+    let server = |s: ServerId| match ranks {
+        Some(_) => servers.partition_point(|&other| other < s) as u64,
+        None => s.0 as u64,
+    };
+    // One buffer, hashed in one write: the hasher's cost is per write.
+    let mut bytes = Vec::with_capacity(1 + 33 * induced.gpus().len() + 29 * induced.links().len());
+    bytes.push(u8::from(ranks.is_some()));
+    for g in induced.gpus() {
+        let cap = induced.gpu_cap(g.id);
+        for word in [gpu(g.id), server(g.server), g.local_index as u64] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.push(u8::from(cap.is_some()));
+        bytes.extend_from_slice(&cap.map_or(0, f64::to_bits).to_le_bytes());
     }
     for l in induced.links() {
-        l.src.0.hash(&mut h);
-        l.dst.0.hash(&mut h);
-        l.kind.hash(&mut h);
-        l.lanes.hash(&mut h);
-        l.bandwidth_gbps.to_bits().hash(&mut h);
+        bytes.extend_from_slice(&gpu(l.src).to_le_bytes());
+        bytes.extend_from_slice(&gpu(l.dst).to_le_bytes());
+        bytes.push(l.kind as u8);
+        bytes.extend_from_slice(&l.lanes.to_le_bytes());
+        bytes.extend_from_slice(&l.bandwidth_gbps.to_bits().to_le_bytes());
     }
+    let mut h = DefaultHasher::new();
+    h.write(&bytes);
     // every option field a plan depends on, in one fixed order — all of
     // them except the link class, which the cache keys on separately
     options.packing.epsilon.to_bits().hash(&mut h);
@@ -151,6 +251,61 @@ pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
     h.finish()
 }
 
+/// `induced`'s GPU ids, in its order.
+fn gpu_ids(induced: &Topology) -> impl Iterator<Item = GpuId> + Clone + '_ {
+    induced.gpus().iter().map(|g| g.id)
+}
+
+/// `plan` relabelled by position onto the GPUs `to`: its `i`-th GPU
+/// becomes the `i`-th of `to`. That is `plan` itself when its GPUs already
+/// are `to`. `None` when the two lists differ in length or either does not
+/// ascend, since renaming could then reorder the GPUs.
+fn relabelled(
+    plan: &Arc<TreePlan>,
+    to: impl Iterator<Item = GpuId> + Clone,
+) -> Option<Arc<TreePlan>> {
+    if plan.gpus.iter().copied().eq(to.clone()) {
+        return Some(plan.clone());
+    }
+    let to: Vec<GpuId> = to.collect();
+    if to.len() != plan.gpus.len() || to.windows(2).any(|w| w[0] >= w[1]) {
+        return None;
+    }
+    let from = Ranks::new(plan.gpus.iter().copied())?;
+    let map = |g: GpuId| from.get(g).and_then(|rank| to.get(rank).copied());
+    let trees = plan
+        .trees
+        .iter()
+        .map(|t| {
+            let edges = t.tree.edges.iter().map(|&(a, b)| Some((map(a)?, map(b)?)));
+            Some(WeightedTree {
+                tree: Arborescence {
+                    root: map(t.tree.root)?,
+                    edges: edges.collect::<Option<_>>()?,
+                },
+                weight: t.weight,
+            })
+        })
+        .collect::<Option<_>>()?;
+    let root = map(plan.root)?;
+    Some(Arc::new(TreePlan {
+        root,
+        gpus: to,
+        trees,
+        optimal_rate_gbps: plan.optimal_rate_gbps,
+        trees_before_minimize: plan.trees_before_minimize,
+        links: plan.links,
+        mwu: plan.mwu,
+    }))
+}
+
+/// The plan-tier key of `plan`, read under rank fingerprint `fp`; `None`
+/// when its root is not one of its GPUs.
+fn plan_key(fp: u64, plan: &TreePlan) -> Option<PlanKey> {
+    let rank = plan.gpus.iter().position(|&g| g == plan.root)?;
+    Some((fp, rank, plan.links))
+}
+
 /// The plan store shared across communicators (and across the per-server
 /// TreeGens of the three-phase multi-server AllReduce): whole
 /// [`TreePlan`]s memoised for any number of job shapes at once — that is
@@ -164,11 +319,18 @@ pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
 ///
 /// # One bounded plan tier
 ///
-/// Plans are keyed by `(`[`plan_fingerprint`]`, root, link class)`, so a
-/// hit serves a topology-*identical* allocation the very plan a cold pack
-/// would make. Isomorphic allocations (the mirror halves of a DGX-1V, the
-/// stride subgroups of a process-group split) are different keys: each
-/// packs its own plans, exactly as a private communicator would.
+/// Plans are keyed by `(rank fingerprint, root rank, link class)`, the
+/// rank fingerprint being [`plan_fingerprint`] with each GPU, link endpoint
+/// and server hashed by its rank among the slice's instead of by its id.
+/// Slices related by an order-preserving renumbering — one local shape on
+/// different servers — share a key: a stored plan keeps the GPU labels of
+/// the slice that packed it, and a hit from another slice gets a copy
+/// relabelled by position onto its own GPUs, which is the very plan a cold
+/// pack there would make (a hit on the packing slice's own GPUs gets the
+/// stored plan itself). Other isomorphic allocations (the mirror halves of
+/// a DGX-1V, the stride subgroups of a process-group split) reorder GPUs
+/// and are different keys: each packs its own plans, exactly as a private
+/// communicator would.
 ///
 /// The tier holds at most [`SharedPlanCache::DEFAULT_CAPACITY`] plans and
 /// evicts its least-recently-used entry when an insert would exceed the
@@ -190,10 +352,11 @@ pub struct SharedPlanCache {
     scratch: ScratchPool,
 }
 
-/// A plan-tier key: `(plan fingerprint, root, link class)`.
-type PlanKey = (u64, GpuId, LinkSelection);
+/// A plan-tier key: `(rank fingerprint, root rank, link class)`, the root's
+/// rank being its position among the slice's GPUs.
+type PlanKey = (u64, usize, LinkSelection);
 
-/// Plans a lowering read, each with its plan fingerprint.
+/// Plans a lowering read, each with its rank fingerprint.
 pub(crate) type PlanReads = Vec<(u64, Arc<TreePlan>)>;
 
 #[derive(Debug)]
@@ -279,7 +442,7 @@ impl Lowering {
 
     /// The plan-tier keys of the plans the lowering read.
     fn plan_keys(&self) -> impl Iterator<Item = PlanKey> + '_ {
-        self.plans.iter().map(|(fp, p)| (*fp, p.root, p.links))
+        self.plans.iter().filter_map(|(fp, p)| plan_key(*fp, p))
     }
 }
 
@@ -313,6 +476,7 @@ impl<K: Ord + Clone, V: Clone> Tier<K, V> {
     }
 
     /// Looks `key` up, counting a hit or a miss.
+    #[cfg(test)]
     fn get(&mut self, key: &K) -> Option<V> {
         self.get_if(key, |_| true)
     }
@@ -357,18 +521,28 @@ impl<K: Ord + Clone, V: Clone> Tier<K, V> {
         {
             displaced.push(key);
         }
+        displaced.extend(self.evict_past_capacity());
+        displaced
+    }
+
+    /// Evicts least-recently-used entries until the tier is within its
+    /// bound, and returns their keys.
+    fn evict_past_capacity(&mut self) -> Vec<K> {
+        let mut evicted = Vec::new();
         while self.entries.len() > self.capacity {
-            let oldest = self
+            let Some(oldest) = self
                 .entries
                 .iter()
                 .min_by_key(|(_, (_, last_used))| *last_used)
                 .map(|(k, _)| k.clone())
-                .expect("non-empty tier over capacity");
+            else {
+                break;
+            };
             self.entries.remove(&oldest);
             self.evictions += 1;
-            displaced.push(oldest);
+            evicted.push(oldest);
         }
-        displaced
+        evicted
     }
 }
 
@@ -402,6 +576,12 @@ impl<K: Ord + Clone, V: Clone> Tier<K, V> {
 /// depends on a slice's wiring, not only its size, so no size threshold
 /// separates the rows exactly; 64 keeps inline every shape that lost in
 /// both runs.
+///
+/// The table predates the per-batch merge of equal plan keys, when every
+/// server packed its own roots. A batch now packs one server's roots per
+/// distinct local shape, so rows that repeat one shape (1+1, 2+2, 4+4,
+/// 4+4+4+4, 8+8, 2 on each of 8 servers) pack and weigh one server's share:
+/// 8+8 is work 64 and still fans out, 4+4+4+4 is work 16 and packs inline.
 const FAN_OUT_MIN_WORK: usize = 64;
 
 /// Maps `tasks` through `f` over `workers` scoped threads (capped at the
@@ -526,49 +706,79 @@ impl SharedPlanCache {
     }
 
     /// Stores `lowering` under `key` if every plan it read is still the
-    /// plan tier's plan for its key; otherwise a fresh lowering by another
-    /// communicator could read different plans, so it is not shared.
+    /// plan tier's plan for its key, relabelled onto the plan's GPUs;
+    /// otherwise a fresh lowering by another communicator could read
+    /// different plans, so it is not shared.
     pub(crate) fn publish_lowering(&self, key: LoweringKey, lowering: Arc<Lowering>) {
         let mut tiers = self.lock();
         let current = lowering.plans.iter().all(|(fp, plan)| {
-            tiers
-                .plans
-                .entries
-                .get(&(*fp, plan.root, plan.links))
-                .is_some_and(|(stored, _)| Arc::ptr_eq(stored, plan))
+            plan_key(*fp, plan)
+                .and_then(|key| tiers.plans.entries.get(&key))
+                .and_then(|(stored, _)| relabelled(stored, plan.gpus.iter().copied()))
+                .is_some_and(|stored| Arc::ptr_eq(&stored, plan) || stored.bit_eq(plan))
         });
         if current {
             tiers.lowerings.insert(key, lowering);
         }
     }
 
-    /// The one lookup-or-pack-and-publish routine. Each `(induced, fp, root)`
-    /// request is looked up in the plan tier. The requests it misses are
-    /// packed on the store's pool — warm from `seed(root)` when it yields a
-    /// stale plan — inline, or fanned out over one worker per available CPU
-    /// when the batch's work (the summed GPU count of the allocations it
-    /// packs) reaches [`FAN_OUT_MIN_WORK`]. Every fresh pack is published in
-    /// request order. Results come back in request order, bit-identical
-    /// either way; failed packs are returned, not cached.
+    /// The one lookup-or-pack-and-publish routine. Each `(induced, fp,
+    /// root)` request, `fp` being `induced`'s [`rank_fingerprint`], is
+    /// looked up in the plan tier; a hit comes back relabelled onto
+    /// `induced`'s GPUs. The batch packs each key it misses once, for the
+    /// first request with that key — warm from `seed(root)` when it yields
+    /// a stale plan — and every later request with the key takes that pack,
+    /// relabelled, as a hit. Packs run on the store's pool inline, or fanned
+    /// out over one worker per available CPU when the batch's work (the
+    /// summed GPU count of the allocations it packs) reaches
+    /// [`FAN_OUT_MIN_WORK`], and are published in request order. Results
+    /// come back one per request, in request order, bit-identical either
+    /// way; failed packs are returned, not cached.
     pub(crate) fn resolve(
         &self,
         options: &TreeGenOptions,
         requests: &[(&Topology, u64, GpuId)],
         mut seed: impl FnMut(GpuId) -> Option<Arc<TreePlan>>,
     ) -> Vec<Result<Arc<TreePlan>>> {
-        let links = options.links;
-        let mut resolved: Vec<Option<Result<Arc<TreePlan>>>> = Vec::with_capacity(requests.len());
-        let mut misses = Vec::new();
-        for (i, &(_, fp, root)) in requests.iter().enumerate() {
-            let hit = self.lock().plans.get(&(fp, root, links));
-            if hit.is_none() {
-                misses.push((i, seed(root)));
-            }
-            resolved.push(hit.map(Ok));
+        /// How a request is answered: now, or by the batch's `n`-th pack.
+        enum Answer {
+            Now(Result<Arc<TreePlan>>),
+            Pack(usize),
         }
-        let work: usize = misses
+        let links = options.links;
+        let mut answers = Vec::with_capacity(requests.len());
+        // per pack: the request it packs for, its key and its warm seed
+        let mut packs: Vec<(usize, PlanKey, Option<Arc<TreePlan>>)> = Vec::new();
+        for (i, &(induced, fp, root)) in requests.iter().enumerate() {
+            let Some(rank) = induced.gpus().iter().position(|g| g.id == root) else {
+                let e = BlinkError::Planning(format!("root {root} is not in the allocation"));
+                answers.push(Answer::Now(Err(e)));
+                continue;
+            };
+            let key = (fp, rank, links);
+            let mut tiers = self.lock();
+            if let Some(pack) = packs.iter().position(|p| p.1 == key) {
+                tiers.plans.hits += 1;
+                answers.push(Answer::Pack(pack));
+                continue;
+            }
+            let mut hit = None;
+            tiers.plans.get_if(&key, |stored| {
+                hit = relabelled(stored, gpu_ids(induced));
+                hit.is_some()
+            });
+            drop(tiers);
+            answers.push(match hit {
+                Some(plan) => Answer::Now(Ok(plan)),
+                None => {
+                    packs.push((i, key, seed(root)));
+                    Answer::Pack(packs.len() - 1)
+                }
+            });
+        }
+        let work: usize = packs
             .iter()
-            .map(|&(i, _)| requests[i].0.gpus().len())
+            .map(|&(i, ..)| requests[i].0.gpus().len())
             .sum();
         let armed = work >= FAN_OUT_MIN_WORK;
         let workers = if armed {
@@ -578,7 +788,7 @@ impl SharedPlanCache {
         };
         #[cfg(test)]
         let workers = tests::fan_out_seam(armed, workers);
-        let packed = fan_out(&misses, workers, |(i, seed)| {
+        let packed = fan_out(&packs, workers, |(i, _, seed)| {
             let (induced, _, root) = requests[*i];
             let tg = TreeGen::with_scratch(induced.clone(), *options, self.scratch.clone());
             let plan = match seed {
@@ -587,50 +797,73 @@ impl SharedPlanCache {
             };
             plan.map(Arc::new)
         });
-        for (&(i, _), plan) in misses.iter().zip(packed) {
-            if let Ok(plan) = &plan {
-                let (_, fp, root) = requests[i];
+        for ((_, key, _), plan) in packs.iter().zip(&packed) {
+            if let Ok(plan) = plan {
                 let mut tiers = self.lock();
                 tiers.mwu_iterations += plan.mwu.iterations as u64;
-                tiers.publish((fp, root, links), plan.clone());
+                tiers.publish(*key, plan.clone());
             }
-            resolved[i] = Some(plan);
         }
-        resolved
+        answers
             .into_iter()
-            .map(|r| r.expect("every request is either a hit or packed"))
+            .zip(requests)
+            .map(|(answer, &(induced, ..))| {
+                // `fan_out` returns one result per pack, in order
+                let pack = match answer {
+                    Answer::Now(plan) => return plan,
+                    Answer::Pack(pack) => &packed[pack],
+                };
+                // Requests with equal keys have equal rank fingerprints, so
+                // relabelling fails only if two shapes' fingerprints collide.
+                let plan = pack.as_ref().map_err(Clone::clone)?;
+                relabelled(plan, gpu_ids(induced)).ok_or_else(|| {
+                    BlinkError::Planning("plan fingerprints of two slices collide".into())
+                })
+            })
             .collect()
     }
 
-    /// Moves every plan memoised under fingerprint `old` to `new` where
-    /// `keep` holds and drops the rest (recency is kept), together with every
-    /// lowering read from a plan it moved, dropped or overwrote.
-    fn retarget(&self, old: u64, new: u64, keep: impl Fn(&TreePlan) -> bool) {
+    /// Re-files the plans memoised under fingerprint `old` after a caller
+    /// whose GPUs under `old` are `labels` saw its topology change to
+    /// fingerprint `new`. A plan packed for `labels` themselves leaves `old`,
+    /// since the caller just observed that the hardware it was packed for no
+    /// longer exists as recorded; a plan packed for another slice of the
+    /// shape stays, since that slice's hardware did not change. Each plan
+    /// for which `keep` holds, relabelled onto `labels`, is also filed under
+    /// `new` (recency is kept). Every lowering read from a plan that left
+    /// `old`, or that a re-filed plan overwrote or evicted, goes with it.
+    fn retarget(&self, old: u64, new: u64, labels: &[GpuId], keep: impl Fn(&TreePlan) -> bool) {
         let mut tiers = self.lock();
-        let mut displaced: Vec<PlanKey> = tiers
+        let listed: Vec<PlanKey> = tiers
             .plans
             .entries
             .keys()
             .filter(|(fp, _, _)| *fp == old)
             .copied()
             .collect();
-        for i in 0..displaced.len() {
-            let (_, root, links) = displaced[i];
-            let entry = tiers
-                .plans
-                .entries
-                .remove(&displaced[i])
-                .expect("key just listed");
-            if keep(&entry.0)
+        let mut displaced = Vec::new();
+        for key in listed {
+            let Some((plan, last_used)) = tiers.plans.entries.get(&key).cloned() else {
+                continue;
+            };
+            let own = plan.gpus == labels;
+            if own {
+                tiers.plans.entries.remove(&key);
+                displaced.push(key);
+            }
+            let (_, rank, links) = key;
+            if (own || new != old)
+                && relabelled(&plan, labels.iter().copied()).is_some_and(|plan| keep(&plan))
                 && tiers
                     .plans
                     .entries
-                    .insert((new, root, links), entry)
+                    .insert((new, rank, links), (plan, last_used))
                     .is_some()
             {
-                displaced.push((new, root, links));
+                displaced.push((new, rank, links));
             }
         }
+        displaced.extend(tiers.plans.evict_past_capacity());
         tiers.drop_lowerings_reading(&displaced);
     }
 }
@@ -694,29 +927,33 @@ pub fn global_plan_cache() -> SharedPlanCache {
 }
 
 /// A communicator's private handle on its [`SharedPlanCache`] store: plans
-/// memoised per `(root, link class)` under the fingerprint of the
-/// communicator's current induced topology and options, plus the warm seeds
+/// memoised per `(root, link class)` under the rank fingerprint and GPUs of
+/// the communicator's current induced topology and options, plus the warm seeds
 /// a delta demoted. Misses go through [`SharedPlanCache::resolve`] and pack
 /// over the store's scratch pool. The handle also records the plans it
 /// serves, so a lowering can list what it read (see "the lowering tier" in
 /// the module docs).
 ///
-/// A lookup under a different fingerprint than the memoised plans were
-/// built under (an unannounced topology or options change) drops them — and
-/// the old shape's store entries, since the communicator just observed
-/// that hardware no longer exists as recorded — and rebuilds, so a caller
-/// never receives a stale plan.
+/// A lookup under a different fingerprint or GPUs than the memoised plans
+/// were built under (an unannounced topology or options change) drops them
+/// — and, when the fingerprint changed, the store entries packed for its
+/// GPUs under the old shape, since the communicator just observed that
+/// hardware no longer exists as recorded — and rebuilds, so a caller never
+/// receives a stale plan.
 #[derive(Debug)]
 pub(crate) struct PlanCache {
     store: SharedPlanCache,
-    /// Fingerprint the memoised plans were built under; `None` while empty.
+    /// Rank fingerprint the memoised plans were built under; `None` while
+    /// empty.
     built_under: Option<u64>,
+    /// The GPUs the memoised plans span, in the induced topology's order.
+    labels: Vec<GpuId>,
     plans: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
     /// Stale plans demoted by [`PlanCache::note_delta`], each consumed by the
     /// next miss on its key to drive [`TreeGen::plan_warm`].
     seeds: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
     /// Every plan served (or recorded through [`PlanCache::record`]) since
-    /// the last [`PlanCache::take_reads`], with its plan fingerprint.
+    /// the last [`PlanCache::take_reads`], with its rank fingerprint.
     reads: PlanReads,
 }
 
@@ -726,6 +963,7 @@ impl PlanCache {
         PlanCache {
             store,
             built_under: None,
+            labels: Vec::new(),
             plans: BTreeMap::new(),
             seeds: BTreeMap::new(),
             reads: Vec::new(),
@@ -749,19 +987,19 @@ impl PlanCache {
     }
 
     /// Whether the handle holds a plan under fingerprint `fp` for `plan`'s
-    /// key other than `plan` itself.
+    /// key that differs from `plan` by a bit.
     pub(crate) fn contradicts(&self, fp: u64, plan: &Arc<TreePlan>) -> bool {
         self.built_under == Some(fp)
             && self
                 .plans
                 .get(&(plan.root, plan.links))
-                .is_some_and(|held| !Arc::ptr_eq(held, plan))
+                .is_some_and(|held| !Arc::ptr_eq(held, plan) && !held.bit_eq(plan))
     }
 
     /// Takes `plan`, read under fingerprint `fp` by a lowering another
     /// communicator made, as if this handle had served it.
     pub(crate) fn adopt(&mut self, fp: u64, plan: Arc<TreePlan>) {
-        self.rekey(fp);
+        self.rekey(fp, plan.gpus.iter().copied());
         self.plans.entry((plan.root, plan.links)).or_insert(plan);
     }
 
@@ -775,19 +1013,22 @@ impl PlanCache {
         self.seeds.len()
     }
 
-    /// Points the handle at fingerprint `fp`. A change (as opposed to the
-    /// first lookup) drops the memoised plans, the seeds — an unannounced
-    /// change could make them arbitrarily wrong as warm starts — and the old
-    /// shape's store entries.
-    fn rekey(&mut self, fp: u64) {
-        if self.built_under != Some(fp) {
-            if let Some(old) = self.built_under {
-                self.store.retarget(old, fp, |_| false);
-            }
-            self.plans.clear();
-            self.seeds.clear();
-            self.built_under = Some(fp);
+    /// Points the handle at fingerprint `fp` over GPUs `gpus`. A change (as
+    /// opposed to the first lookup) drops the memoised plans and the seeds —
+    /// an unannounced change could make them arbitrarily wrong as warm
+    /// starts — and a changed fingerprint also the store entries packed for
+    /// the old GPUs under the old shape.
+    fn rekey(&mut self, fp: u64, gpus: impl Iterator<Item = GpuId> + Clone) {
+        if self.built_under == Some(fp) && self.labels.iter().copied().eq(gpus.clone()) {
+            return;
         }
+        if let Some(old) = self.built_under.filter(|&old| old != fp) {
+            self.store.retarget(old, fp, &self.labels, |_| false);
+        }
+        self.plans.clear();
+        self.seeds.clear();
+        self.built_under = Some(fp);
+        self.labels = gpus.collect();
     }
 
     /// Applies a topology-change event to the handle and its store in one
@@ -808,17 +1049,19 @@ impl PlanCache {
     /// In the store, a pure-growth delta changes nothing — the old shape
     /// persists as a subgraph, so its entries keep serving lookups under the
     /// old fingerprint (a job grown by a server re-hits its original
-    /// servers' plans). Otherwise the old shape's store plans that
-    /// survive the delta are re-keyed to the new fingerprint and the rest are
-    /// dropped; the handle keeps its own copies as warm seeds instead.
+    /// servers' plans). Otherwise the old shape's store plans that survive
+    /// the delta are also filed under the new fingerprint, and those packed
+    /// for this slice's own GPUs leave the old one; the handle keeps its own
+    /// copies as warm seeds instead (see `SharedPlanCache::retarget`).
     pub(crate) fn note_delta(
         &mut self,
         induced: &Topology,
         options: &TreeGenOptions,
         delta: &TopologyDelta,
     ) {
-        let new_fp = plan_fingerprint(induced, options);
-        if self.built_under == Some(new_fp) {
+        let new_fp = rank_fingerprint(induced, options);
+        let gpus = gpu_ids(induced);
+        if self.built_under == Some(new_fp) && self.labels.iter().copied().eq(gpus.clone()) {
             return;
         }
         // Lazily built per link class: one graph + one certificate per
@@ -850,11 +1093,13 @@ impl PlanCache {
         }
         if let Some(old) = self.built_under {
             if !delta.is_pure_growth() {
-                self.store
-                    .retarget(old, new_fp, |plan| plan_survives_delta(plan, delta));
+                self.store.retarget(old, new_fp, &self.labels, |plan| {
+                    plan_survives_delta(plan, delta)
+                });
             }
         }
         self.built_under = Some(new_fp);
+        self.labels = gpus.collect();
     }
 
     /// The plan for `(root, options.links)`: served from the handle when
@@ -869,14 +1114,15 @@ impl PlanCache {
         options: &TreeGenOptions,
         root: GpuId,
     ) -> Result<Arc<TreePlan>> {
-        let fp = plan_fingerprint(induced, options);
-        self.rekey(fp);
+        let fp = rank_fingerprint(induced, options);
+        self.rekey(fp, gpu_ids(induced));
         let links = options.links;
         if let Some(plan) = self.plans.get(&(root, links)) {
             self.reads.push((fp, plan.clone()));
             return Ok(plan.clone());
         }
         let seeds = &mut self.seeds;
+        // `resolve` answers its requests one to one, merged or not
         let plan = self
             .store
             .resolve(options, &[(induced, fp, root)], |root| {
@@ -993,13 +1239,14 @@ mod tests {
         PlanCache::new(SharedPlanCache::new())
     }
 
-    fn exact_get(
+    /// The store's plan under `(fp, root rank, links)`.
+    fn stored(
         store: &SharedPlanCache,
         fp: u64,
-        root: GpuId,
+        rank: usize,
         links: LinkSelection,
     ) -> Option<Arc<TreePlan>> {
-        store.lock().plans.get(&(fp, root, links))
+        store.lock().plans.get(&(fp, rank, links))
     }
 
     fn induced(topo: &Topology, n: usize) -> Topology {
@@ -1131,6 +1378,154 @@ mod tests {
         assert_eq!(fp(&pcie), fp(&base));
     }
 
+    /// GPUs {0, 1, 3} of server `s` of an eight-server DGX-1V fleet.
+    fn local_shape(s: usize) -> Topology {
+        use blink_topology::presets::{multi_server, ServerKind};
+        let gpus = [GpuId(8 * s), GpuId(8 * s + 1), GpuId(8 * s + 3)];
+        multi_server(8, ServerKind::Dgx1V, 5.0)
+            .induced(&gpus)
+            .unwrap()
+    }
+
+    #[test]
+    fn one_shape_on_two_servers_shares_a_rank_fingerprint() {
+        let nvlink = TreeGenOptions::default();
+        let pcie = TreeGenOptions {
+            links: LinkSelection::PcieOnly,
+            ..nvlink
+        };
+        let (a, b) = (local_shape(0), local_shape(5));
+        assert_eq!(rank_fingerprint(&a, &nvlink), rank_fingerprint(&b, &nvlink));
+        assert_eq!(
+            rank_fingerprint(&a, &nvlink),
+            rank_fingerprint(&b, &pcie),
+            "the link class is normalised away"
+        );
+        // the exact fingerprint still tells the two servers' GPUs apart
+        assert_ne!(plan_fingerprint(&a, &nvlink), plan_fingerprint(&b, &nvlink));
+        // and an isomorphic slice that reorders GPUs is another key
+        let mirrored = dgx1v().induced(&[GpuId(4), GpuId(5), GpuId(7)]).unwrap();
+        assert_ne!(
+            rank_fingerprint(&a, &nvlink),
+            rank_fingerprint(&mirrored, &nvlink)
+        );
+    }
+
+    #[test]
+    fn one_ulp_of_one_link_separates_rank_keys() {
+        let opts = TreeGenOptions::default();
+        let (a, b) = (local_shape(0), local_shape(5));
+        let mut faster = Topology::new(b.name());
+        for g in b.gpus() {
+            faster.add_gpu(g.id, g.server, g.local_index).unwrap();
+        }
+        for (i, link) in b.links().iter().enumerate() {
+            let mut link = *link;
+            if i == 0 {
+                link.bandwidth_gbps = f64::from_bits(link.bandwidth_gbps.to_bits() + 1);
+            }
+            faster.add_link(link).unwrap();
+        }
+        assert_ne!(
+            rank_fingerprint(&a, &opts),
+            rank_fingerprint(&faster, &opts)
+        );
+        // so the store relabels server 0's plan for server 5's slice, but
+        // packs the faster slice afresh
+        let store = SharedPlanCache::new();
+        PlanCache::new(store.clone())
+            .plan_for(&a, &opts, GpuId(0))
+            .unwrap();
+        PlanCache::new(store.clone())
+            .plan_for(&b, &opts, GpuId(40))
+            .unwrap();
+        PlanCache::new(store.clone())
+            .plan_for(&faster, &opts, GpuId(40))
+            .unwrap();
+        assert_eq!(store.stats(), (1, 2));
+    }
+
+    #[test]
+    fn a_hit_from_another_server_is_that_servers_own_pack() {
+        let opts = TreeGenOptions::default();
+        let (a, b) = (local_shape(0), local_shape(5));
+        let store = SharedPlanCache::new();
+        let packed = PlanCache::new(store.clone())
+            .plan_for(&a, &opts, GpuId(1))
+            .unwrap();
+        let hit = PlanCache::new(store.clone())
+            .plan_for(&b, &opts, GpuId(41))
+            .unwrap();
+        assert_eq!(store.stats(), (1, 1));
+        let own = handle().plan_for(&b, &opts, GpuId(41)).unwrap();
+        assert!(hit.bit_eq(&own));
+        // a hit on the packing slice's own GPUs is the stored plan itself
+        let again = PlanCache::new(store.clone())
+            .plan_for(&a, &opts, GpuId(1))
+            .unwrap();
+        assert!(Arc::ptr_eq(&packed, &again));
+    }
+
+    #[test]
+    fn a_stored_plan_that_cannot_be_relabelled_is_a_miss() {
+        let opts = TreeGenOptions::default();
+        let (three, two) = (induced(&dgx1v(), 3), induced(&dgx1v(), 2));
+        let plan = handle().plan_for(&three, &opts, GpuId(0)).unwrap();
+        let onto = |ids: &[usize]| relabelled(&plan, ids.iter().map(|&i| GpuId(i)));
+        assert!(Arc::ptr_eq(&onto(&[0, 1, 2]).unwrap(), &plan));
+        assert!(onto(&[0, 1]).is_none(), "one GPU short");
+        assert!(onto(&[10, 9, 8]).is_none(), "descending");
+        let moved = onto(&[8, 9, 10]).unwrap();
+        assert_eq!((moved.root, &moved.gpus), (GpuId(8), &ids_of(&[8, 9, 10])));
+        for (t, m) in plan.trees.iter().zip(&moved.trees) {
+            let shifted: Vec<_> = t
+                .tree
+                .edges
+                .iter()
+                .map(|&(a, b)| (GpuId(a.0 + 8), GpuId(b.0 + 8)))
+                .collect();
+            assert_eq!(m.tree.edges, shifted);
+        }
+        // a plan filed under a key it does not fit — a fingerprint
+        // collision — is a miss and packs afresh
+        let store = SharedPlanCache::new();
+        let fp = rank_fingerprint(&two, &opts);
+        store.lock().plans.insert((fp, 0, opts.links), plan.clone());
+        let got = PlanCache::new(store.clone())
+            .plan_for(&two, &opts, GpuId(0))
+            .unwrap();
+        assert_eq!(got.gpus, two.gpu_ids());
+        assert_eq!(store.stats(), (0, 1));
+    }
+
+    fn ids_of(v: &[usize]) -> Vec<GpuId> {
+        v.iter().map(|&i| GpuId(i)).collect()
+    }
+
+    #[test]
+    fn a_delta_retires_only_the_plans_packed_for_its_own_slice() {
+        let opts = TreeGenOptions::default();
+        let (a, b) = (local_shape(0), local_shape(5));
+        let fp = rank_fingerprint(&a, &opts);
+        let store = SharedPlanCache::new();
+        PlanCache::new(store.clone())
+            .plan_for(&a, &opts, GpuId(0))
+            .unwrap();
+        // server 5's slice takes server 0's plan, then loses a link: the
+        // plan stays filed for server 0's slice, whose hardware is intact
+        let mut on_b = PlanCache::new(store.clone());
+        on_b.plan_for(&b, &opts, GpuId(40)).unwrap();
+        let delta = TopologyDelta::kill_link(&b, GpuId(40), GpuId(41));
+        on_b.note_delta(&b.apply_delta(&delta).unwrap(), &opts, &delta);
+        assert!(stored(&store, fp, 0, opts.links).is_some());
+        // server 0's own slice losing the link retires it
+        let mut on_a = PlanCache::new(store.clone());
+        on_a.plan_for(&a, &opts, GpuId(0)).unwrap();
+        let delta = TopologyDelta::kill_link(&a, GpuId(0), GpuId(1));
+        on_a.note_delta(&a.apply_delta(&delta).unwrap(), &opts, &delta);
+        assert!(stored(&store, fp, 0, opts.links).is_none());
+    }
+
     #[test]
     fn the_store_hands_plans_across_handles() {
         let induced = induced(&dgx1v(), 8);
@@ -1220,9 +1615,9 @@ mod tests {
             1,
             "only the half-shape plan survives the fingerprint change"
         );
-        let fp_half = plan_fingerprint(&half, &opts);
+        let fp_half = rank_fingerprint(&half, &opts);
         assert!(
-            exact_get(&shared, fp_half, GpuId(0), opts.links).is_some(),
+            stored(&shared, fp_half, 0, opts.links).is_some(),
             "the new shape's plan is the survivor"
         );
     }
@@ -1231,7 +1626,7 @@ mod tests {
     fn a_tier_evicts_its_least_recently_used_entry_past_capacity() {
         let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
-        let fp = plan_fingerprint(&induced, &opts);
+        let fp = rank_fingerprint(&induced, &opts);
         let plan = handle().plan_for(&induced, &opts, GpuId(0)).unwrap();
         let key = |r: usize| (fp, GpuId(r), opts.links);
         let mut tier = Tier::new(2);
@@ -1418,7 +1813,7 @@ mod tests {
                     machine.induced(&alloc).unwrap()
                 })
                 .collect();
-            let fps: Vec<u64> = slices.iter().map(|t| plan_fingerprint(t, &opts)).collect();
+            let fps: Vec<u64> = slices.iter().map(|t| rank_fingerprint(t, &opts)).collect();
             let requests: Vec<(&Topology, u64, GpuId)> = slices
                 .iter()
                 .zip(&fps)
@@ -1500,8 +1895,8 @@ mod tests {
         assert_eq!(cache.len(), 1, "untouched plan stays live locally");
         assert_eq!(cache.seeded(), 0);
         // the store re-keyed the survivor to the new fingerprint
-        let fp_after = plan_fingerprint(&after, &opts);
-        assert!(exact_get(cache.store(), fp_after, GpuId(0), opts.links).is_some());
+        let fp_after = rank_fingerprint(&after, &opts);
+        assert!(stored(cache.store(), fp_after, 0, opts.links).is_some());
         // and the next lookup serves it bit-identically without re-packing
         let again = cache.plan_for(&after, &opts, GpuId(0)).unwrap();
         assert!(before.bit_eq(&again));
@@ -1534,7 +1929,7 @@ mod tests {
         let opts = TreeGenOptions::default();
         let mut cache = handle();
         let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
-        let fp_before = plan_fingerprint(&induced, &opts);
+        let fp_before = rank_fingerprint(&induced, &opts);
         // a fresh NVLink lane appears between GPUs 0 and 3: pure growth. On
         // this quad the broadcast min-cut from root 0 is pinned by the
         // capacity *into* GPU 1, which the new lane does not touch — the
@@ -1562,7 +1957,7 @@ mod tests {
         );
         // the store keeps the old shape's entry: that shape persists as a
         // subgraph of the grown one, so its fingerprint is still meaningful
-        assert!(exact_get(cache.store(), fp_before, GpuId(0), opts.links).is_some());
+        assert!(stored(cache.store(), fp_before, 0, opts.links).is_some());
     }
 
     #[test]
@@ -1642,8 +2037,8 @@ mod tests {
         // a single-server 8-GPU job plans all roots and publishes them under
         // the server-induced fingerprint
         plan_each(&mut cache, &induced8, &opts, &small_alloc);
-        let f0 = plan_fingerprint(&induced8, &opts);
-        assert!(exact_get(&shared, f0, GpuId(0), opts.links).is_some());
+        let f0 = rank_fingerprint(&induced8, &opts);
+        assert!(stored(&shared, f0, 0, opts.links).is_some());
 
         // the job grows by a server: a pure-growth delta over its induced
         // topology (new GPUs, their links, the second server's NIC)
@@ -1657,7 +2052,7 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.seeded(), 0);
         assert!(
-            exact_get(&shared, f0, GpuId(0), opts.links).is_some(),
+            stored(&shared, f0, 0, opts.links).is_some(),
             "growth must not flush the old shape from the store"
         );
 
@@ -1690,13 +2085,11 @@ mod tests {
         let plan = handle().plan_for(&induced, &opts, GpuId(0)).unwrap();
         // a synthetic fingerprint no real communicator can collide with
         let fp = u64::MAX - 12345;
-        a.lock()
-            .plans
-            .insert((fp, GpuId(999), opts.links), plan.clone());
-        let via_b = exact_get(&b, fp, GpuId(999), opts.links).unwrap();
+        a.lock().plans.insert((fp, 999, opts.links), plan.clone());
+        let via_b = stored(&b, fp, 999, opts.links).unwrap();
         assert!(via_b.bit_eq(&plan));
-        b.retarget(fp, fp, |_| false);
-        assert!(exact_get(&a, fp, GpuId(999), opts.links).is_none());
+        b.retarget(fp, fp, &plan.gpus, |_| false);
+        assert!(stored(&a, fp, 999, opts.links).is_none());
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! scratch.
 
 use crate::autotune::{
-    global_plan_cache, plan_fingerprint, ChunkAutotuner, Lowering, LoweringKey, PlanCache,
+    global_plan_cache, rank_fingerprint, ChunkAutotuner, Lowering, LoweringKey, PlanCache,
     SharedPlanCache,
 };
 use crate::codegen::{CodeGen, CodeGenOptions};
@@ -349,7 +349,7 @@ pub struct Communicator {
 /// [`Communicator::replan`], so no memo kept here can outlive its shape.
 #[derive(Debug)]
 struct ShapeState {
-    /// [`plan_fingerprint`] of the induced topology and TreeGen options.
+    /// [`rank_fingerprint`] of the induced topology and TreeGen options.
     plan_fp: u64,
     /// The key the store's lowering tier files this communicator's
     /// lowerings under (see [`lowering_fingerprint`]).
@@ -377,7 +377,7 @@ impl ShapeState {
     /// The fresh state of a communicator over `allocation`, whose induced
     /// topology is `induced`.
     fn new(induced: &Topology, allocation: &[GpuId], options: &CommunicatorOptions) -> Self {
-        let plan_fp = plan_fingerprint(induced, &options.treegen);
+        let plan_fp = rank_fingerprint(induced, &options.treegen);
         ShapeState {
             plan_fp,
             lowering_fp: lowering_fingerprint(plan_fp, allocation, options),
@@ -391,8 +391,9 @@ impl ShapeState {
 
 /// The lowering tier's key for a communicator: everything a lowering reads
 /// besides the collective signature, the chunk and the plans themselves —
-/// the plan fingerprint, the allocation order and every option a lowering
-/// reads. Computed once per build and per replan.
+/// the rank fingerprint, the allocation order (the GPU ids the rank
+/// fingerprint leaves out) and every option a lowering reads. Computed once
+/// per build and per replan.
 fn lowering_fingerprint(plan_fp: u64, allocation: &[GpuId], options: &CommunicatorOptions) -> u64 {
     // Destructured so a new option cannot be silently left out.
     let CommunicatorOptions {
@@ -1856,18 +1857,19 @@ mod tests {
         let (report, first, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
         assert!(report.strategy.contains("three-phase"), "{report}");
         let store = comm.plan_store().clone();
-        // 2 servers x 3 partitions = 6 plans packed once
-        assert_eq!(store.stats(), (0, 6));
-        assert_eq!(store.len(), 6);
+        // 2 servers x 3 partitions = 6 plans; both servers hold the same
+        // local shape, so 3 packs serve them and the other 3 are relabelled
+        assert_eq!(store.stats(), (3, 3));
+        assert_eq!(store.len(), 3);
         // the same signature again is a lowering-tier hit
         let (_, second, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
-        assert_eq!(store.stats(), (0, 6), "a stored lowering plans nothing");
+        assert_eq!(store.stats(), (3, 3), "a stored lowering plans nothing");
         assert_eq!(store.lowering_stats(), (1, 1));
         assert!(Arc::ptr_eq(&first, &second));
         // a new size lowers again, over the stored plans
         comm.run_traced(CollectiveKind::AllReduce, mb(16)).unwrap();
-        assert_eq!(store.stats(), (6, 6), "the second size packs nothing");
-        assert_eq!(store.len(), 6);
+        assert_eq!(store.stats(), (9, 3), "the second size packs nothing");
+        assert_eq!(store.len(), 3);
     }
 
     #[test]
@@ -2014,8 +2016,9 @@ mod tests {
             .build()
             .unwrap();
         let ra = a.all_reduce(mb(50)).unwrap();
-        // 2 servers x 3 partitions = 6 plans packed once
-        assert_eq!(shared.stats(), (0, 6));
+        // 2 servers x 3 partitions = 6 plans, from 3 packs of the one
+        // local shape both servers hold
+        assert_eq!(shared.stats(), (3, 3));
         assert_eq!(shared.lowering_stats(), (0, 1));
         let mut b = Communicator::builder(machine)
             .allocation(&alloc)
@@ -2028,7 +2031,7 @@ mod tests {
             (1, 1),
             "the lowering over every per-server plan is reused"
         );
-        assert_eq!(shared.stats(), (0, 6), "and nothing is packed again");
+        assert_eq!(shared.stats(), (3, 3), "and nothing is packed again");
         assert_eq!(ra.elapsed_us.to_bits(), rb.elapsed_us.to_bits());
     }
 

@@ -13,7 +13,7 @@
 //! 3. **Local broadcast** — every server-local root broadcasts its fully
 //!    reduced partition over the local trees.
 
-use crate::autotune::{plan_fingerprint, PlanReads, SharedPlanCache};
+use crate::autotune::{rank_fingerprint, PlanReads, SharedPlanCache};
 use crate::codegen::{check_op_budget, Chunks, CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
 use crate::treegen::{TreeGenOptions, TreePlan};
@@ -53,14 +53,16 @@ fn split_even(total: u64, parts: usize) -> Vec<u64> {
 /// multiple servers.
 ///
 /// Every per-server, per-partition-root plan is looked up in `store` under
-/// its server-induced-topology fingerprint first, and fresh packs are
-/// published back, so repeated collectives (the communicator's autotune
-/// loop) and other communicators of the same shape never re-pack. The
-/// misses across all servers and roots are independent (PAPER.md §3.5) and
-/// go to the store as one batch, which fans out over threads only when it
-/// is large enough to pay for them (a two-server, sixteen-GPU DGX-1V job
-/// is; a fleet-sized fragment is not). The program is bit-identical either
-/// way. Packs use the store's scratch pool.
+/// its server-induced topology's rank fingerprint first, and fresh packs
+/// are published back, so repeated collectives (the communicator's autotune
+/// loop) and other communicators of the same shape, on any servers, never
+/// re-pack. The lookups across all servers and roots are independent
+/// (PAPER.md §3.5) and go to the store as one batch, which packs each
+/// distinct key once (servers with the same local shape share their packs)
+/// and fans out over threads only when its packs are large enough to pay
+/// for them (a two-server, sixteen-GPU DGX-1V job's are; a fleet-sized
+/// fragment's are not). The program is bit-identical either way. Packs use
+/// the store's scratch pool.
 ///
 /// # Errors
 /// Fails when the allocation lives on a single server (use the single-server
@@ -79,7 +81,7 @@ pub fn three_phase_allreduce_cached(
 }
 
 /// [`three_phase_allreduce_cached`], plus every per-server plan the program
-/// was lowered from, each with its server-induced fingerprint.
+/// was lowered from, each with its server-induced rank fingerprint.
 pub(crate) fn three_phase_lowering(
     machine: &Topology,
     allocation: &[GpuId],
@@ -111,7 +113,9 @@ pub(crate) fn three_phase_lowering(
         .max(1);
 
     // Plan local trees for every (server, partition root) in one store
-    // batch. Plan order and bit-for-bit content do not depend on whether the
+    // batch, which packs each distinct rank key once: the same local shape
+    // on two servers packs its roots for one and relabels them for the
+    // other. Plan order and bit-for-bit content do not depend on whether the
     // batch fans out, because planning is a pure function of (induced
     // topology, root, options).
     let mut induced: Vec<(Topology, u64)> = Vec::with_capacity(servers.len());
@@ -119,40 +123,39 @@ pub(crate) fn three_phase_lowering(
         let topo = machine
             .induced(gpus)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        let fp = plan_fingerprint(&topo, tg_options);
+        let fp = rank_fingerprint(&topo, tg_options);
         induced.push((topo, fp));
     }
-    let requests: Vec<(&Topology, u64, GpuId)> = servers
+    let roots: Vec<Vec<GpuId>> = servers
         .iter()
-        .zip(&induced)
-        .flat_map(|((_, gpus), (topo, fp))| {
-            (0..partitions).map(move |p| (topo, *fp, gpus[p % gpus.len()]))
-        })
+        .map(|(_, gpus)| (0..partitions).map(|p| gpus[p % gpus.len()]).collect())
         .collect();
-    let mut planned = store.resolve(tg_options, &requests, |_| None).into_iter();
-    let mut reads = Vec::with_capacity(requests.len());
-    let mut plans: Vec<Vec<Arc<TreePlan>>> = Vec::new();
-    let mut roots: Vec<Vec<GpuId>> = Vec::new();
-    let mut local_rates = Vec::new();
-    for ((_, gpus), &(_, fp)) in servers.iter().zip(&induced) {
-        let mut server_plans = Vec::new();
-        let mut server_roots = Vec::new();
-        for p in 0..partitions {
-            let plan = planned.next().expect("one plan per request")?;
-            reads.push((fp, plan.clone()));
-            server_plans.push(plan);
-            server_roots.push(gpus[p % gpus.len()]);
-        }
-        local_rates.push(
+    let requests: Vec<(&Topology, u64, GpuId)> = induced
+        .iter()
+        .zip(&roots)
+        .flat_map(|((topo, fp), server_roots)| server_roots.iter().map(move |&r| (topo, *fp, r)))
+        .collect();
+    let planned: Vec<Arc<TreePlan>> = store
+        .resolve(tg_options, &requests, |_| None)
+        .into_iter()
+        .collect::<Result<_>>()?;
+    let reads: PlanReads = requests
+        .iter()
+        .zip(&planned)
+        .map(|(&(_, fp, _), plan)| (fp, plan.clone()))
+        .collect();
+    // `resolve` answers its requests one to one, `partitions` per server
+    let plans: Vec<&[Arc<TreePlan>]> = planned.chunks(partitions).collect();
+    let local_rates: Vec<f64> = plans
+        .iter()
+        .map(|server_plans| {
             server_plans
                 .iter()
                 .map(|plan| plan.rate_gbps())
                 .sum::<f64>()
-                / partitions as f64,
-        );
-        plans.push(server_plans);
-        roots.push(server_roots);
-    }
+                / partitions as f64
+        })
+        .collect();
 
     let cg = CodeGen::new(*cg_options);
     let mut builder = ProgramBuilder::new();

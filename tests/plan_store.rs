@@ -303,6 +303,74 @@ fn placed_jobs_lower_what_a_private_communicator_lowers() {
 }
 
 #[test]
+fn one_local_shape_on_every_server_packs_once() {
+    // GPUs {0, 1, 3} of each of eight DGX-1V servers: one shape up to an
+    // order-preserving renumbering, so one rank key per root
+    let placed = |server: usize| {
+        let slice = vec![(server, ids(&[8 * server, 8 * server + 1, 8 * server + 3]))];
+        move || CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slice)
+    };
+    let calls = [(CollectiveKind::AllReduce, 16 << 20)];
+    let single = SharedPlanCache::new();
+    lowered(&placed(0), &single, &calls);
+    let fleet = SharedPlanCache::new();
+    for server in 0..8 {
+        let shared = lowered(&placed(server), &fleet, &calls);
+        let mut private = placed(server)().isolated_plans().build().unwrap();
+        let (_, program, _) = private.run_traced(calls[0].0, calls[0].1).unwrap();
+        assert_eq!(*shared[0], *program, "server {server}");
+    }
+    assert_eq!(fleet.len(), single.len());
+    assert_eq!(fleet.stats().1, single.stats().1, "packs");
+    assert_eq!(fleet.mwu_iterations(), single.mwu_iterations());
+}
+
+#[test]
+fn a_two_server_job_packs_the_local_shape_its_servers_share_once() {
+    let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
+    let alloc = ids(&(0..16).collect::<Vec<_>>());
+    let lower = |store: &SharedPlanCache| {
+        three_phase_allreduce_cached(
+            &machine,
+            &alloc,
+            (32 << 20) + 5,
+            &TreeGenOptions::default(),
+            &CodeGenOptions::default(),
+            store,
+        )
+        .unwrap()
+        .0
+    };
+    // a fresh store: server 0 packs its 8 partition roots, server 1 takes
+    // them relabelled
+    let fresh = SharedPlanCache::new();
+    let program = lower(&fresh);
+    assert_eq!(fresh.stats(), (8, 8), "8 misses, not 16");
+    assert_eq!(fresh.len(), 8);
+    // a store holding server 1's own packs: now server 0 takes those
+    let second = SharedPlanCache::new();
+    let mut server1 = Communicator::builder(machine.clone())
+        .allocation(&alloc[8..])
+        .shared_plans(second.clone())
+        .build()
+        .unwrap();
+    for &root in &alloc[8..] {
+        server1.broadcast(root, 1 << 20).unwrap();
+    }
+    let (_, packs) = second.stats();
+    assert_eq!(lower(&second), program);
+    assert_eq!(second.stats().1, packs, "the job packs nothing");
+    // and a communicator of the job lowers what a private one lowers
+    let job = || Communicator::builder(machine.clone()).allocation(&alloc);
+    let calls = [(CollectiveKind::AllReduce, 16 << 20)];
+    let shared = lowered(&job, &second, &calls);
+    let mut private = job().isolated_plans().build().unwrap();
+    let (_, fresh, _) = private.run_traced(calls[0].0, calls[0].1).unwrap();
+    assert_eq!(*shared[0], *fresh);
+    assert_eq!(second.stats().1, packs);
+}
+
+#[test]
 fn switch_verdicts_stay_with_the_communicator_that_raced() {
     // On a whole DGX-2 the AllReduce race picks packed trees at 16 MiB and
     // one-hop trees at 256 MiB, so two communicators whose first calls use
