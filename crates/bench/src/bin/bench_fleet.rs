@@ -20,8 +20,9 @@
 //!   the bounded retry policy.
 //!
 //! Each section records the replay's deterministic work, read off its plan
-//! store: fresh lowerings, lowering-tier hits, packs (plan-store misses), the
-//! MWU iterations those packs ran, and planner scratches created. Wall time
+//! store: fresh lowerings, lowering-tier hits, the ops those fresh lowerings
+//! emitted, packs (plan-store misses), the MWU iterations those packs ran,
+//! and planner scratches created. Wall time
 //! — time-to-first-collective (TTFC), plans served per second, recovery
 //! spans — is printed and recorded as context only.
 //!
@@ -63,6 +64,8 @@ struct Work {
     fresh_lowerings: u64,
     /// Lowering-tier hits: collectives that took a stored lowering.
     lowering_hits: u64,
+    /// Ops summed over the fresh lowerings' programs.
+    lowered_ops: u64,
     /// Plan-store misses: plans packed.
     packs: u64,
     /// MWU iterations the packs ran.
@@ -73,10 +76,11 @@ struct Work {
 
 impl Work {
     /// The counters under their recorded keys.
-    fn counters(&self) -> [(&'static str, u64); 5] {
+    fn counters(&self) -> [(&'static str, u64); 6] {
         [
             ("fresh_lowerings", self.fresh_lowerings),
             ("lowering_hits", self.lowering_hits),
+            ("lowered_ops", self.lowered_ops),
             ("packs", self.packs),
             ("mwu_iterations", self.mwu_iterations),
             ("scratches_created", self.scratches_created),
@@ -127,6 +131,7 @@ fn replay(config: FleetConfig) -> Run {
         work: Work {
             fresh_lowerings,
             lowering_hits,
+            lowered_ops: store.lowered_ops(),
             packs: store.stats().1,
             mwu_iterations: store.mwu_iterations(),
             scratches_created: store.scratch().created(),
@@ -603,6 +608,7 @@ mod tests {
     const WORK: Work = Work {
         fresh_lowerings: 226,
         lowering_hits: 184,
+        lowered_ops: 40_000,
         packs: 341,
         mwu_iterations: 14_842,
         scratches_created: 2,
@@ -619,9 +625,10 @@ mod tests {
 
     #[test]
     fn the_work_gate_fails_any_counter_one_over_its_recording() {
-        let bumps: [fn(&mut Work); 5] = [
+        let bumps: [fn(&mut Work); 6] = [
             |w| w.fresh_lowerings += 1,
             |w| w.lowering_hits += 1,
+            |w| w.lowered_ops += 1,
             |w| w.packs += 1,
             |w| w.mwu_iterations += 1,
             |w| w.scratches_created += 1,
@@ -649,7 +656,7 @@ mod tests {
         }
         let failures = work_gate(Some(&recorded), &WORK, 1);
         assert_eq!(failures, ["work mwu_iterations is not recorded"]);
-        assert_eq!(work_gate(None, &WORK, 1).len(), 5);
+        assert_eq!(work_gate(None, &WORK, 1).len(), 6);
     }
 
     #[test]

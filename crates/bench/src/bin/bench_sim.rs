@@ -19,10 +19,14 @@
 //!   payload aggregation alone.
 //! * **codegen** — one 64 MiB AllReduce lowering ([`CodeGen::build`] at its
 //!   default 4 MiB chunks) over the full DGX-1V's packed trees and over the
-//!   16-GPU DGX-2's one-hop trees. The binary installs the counting
-//!   allocator ([`blink_bench::alloc::Counting`]), so each lowering records
-//!   its ops and heap allocations — counts that are the same on every host.
-//!   Wall time per lowering and per op is recorded as context only.
+//!   16-GPU DGX-2's one-hop trees, and the DGX-1V lowering again at a
+//!   quarter of the chunk size (about 4× the ops over the same trees). The
+//!   binary installs the counting allocator
+//!   ([`blink_bench::alloc::Counting`]), so each lowering records its ops
+//!   and heap allocations — counts that are the same on every host — and
+//!   the stage records how many more allocations the 4×-ops lowering makes
+//!   than the 1× one. Wall time per lowering and per op is recorded as
+//!   context only.
 //!
 //! The allocating reference scheduler is not measured here: it survives only
 //! as the test-only bit-identity oracle the sim crate's unit tests pin the
@@ -39,15 +43,17 @@
 //! `--check` runs a quick-mode measurement and exits non-zero, on any host,
 //! when the AllGather stage's op counts or simulated totals (segmented and
 //! split) differ from `BENCH_sim.json` by a single bit, when the segmented
-//! program's simulated time stops beating the split shape's, or when a
-//! codegen lowering makes more allocations per op, or emits more ops, than
-//! recorded. The measured speedup and wall times are context only. It does
-//! not rewrite the JSON.
+//! program's simulated time stops beating the split shape's, when a codegen
+//! lowering makes more allocations per op, or emits more ops, than
+//! recorded, or when the quarter-chunk lowering makes more allocations than
+//! the 1× lowering plus the recorded difference — so an allocation per op
+//! cannot hide behind a small per-op average. The measured speedup and wall
+//! times are context only. It does not rewrite the JSON.
 
 use blink_bench::alloc::{allocations, Counting};
 use blink_bench::over_recording;
 use blink_core::onehop::one_hop_trees;
-use blink_core::{CodeGen, CollectiveKind, Communicator, TreeGen, TreeGenOptions};
+use blink_core::{CodeGen, CodeGenOptions, CollectiveKind, Communicator, TreeGen, TreeGenOptions};
 use blink_graph::WeightedTree;
 use blink_sim::{EngineScratch, Program, SimParams, Simulator};
 use blink_topology::presets::{dgx1v, dgx2};
@@ -123,6 +129,13 @@ struct CodegenStage {
     dgx1v_packed: LoweringReport,
     /// The 16-GPU DGX-2's one-hop trees.
     dgx2_one_hop: LoweringReport,
+    /// The full DGX-1V's packed trees at a quarter of the default chunk
+    /// size: about 4× `dgx1v_packed`'s ops.
+    dgx1v_packed_quarter_chunk: LoweringReport,
+    /// `dgx1v_packed_quarter_chunk.allocations - dgx1v_packed.allocations`
+    /// (`--check`: must not grow). An allocation per op would put it near
+    /// three times `dgx1v_packed.ops`.
+    quarter_chunk_extra_allocations: i64,
 }
 
 #[derive(Debug, Serialize)]
@@ -197,10 +210,18 @@ fn measure_stage(
     }
 }
 
-/// Counts one 64 MiB AllReduce lowering over `trees`, then times `runs`
-/// more.
-fn measure_lowering(scenario: &str, trees: &[WeightedTree], runs: usize) -> LoweringReport {
-    let cg = CodeGen::default();
+/// Counts one 64 MiB AllReduce lowering over `trees` in `chunk_bytes`
+/// chunks, then times `runs` more.
+fn measure_lowering(
+    scenario: &str,
+    trees: &[WeightedTree],
+    chunk_bytes: u64,
+    runs: usize,
+) -> LoweringReport {
+    let cg = CodeGen::new(CodeGenOptions {
+        chunk_bytes,
+        ..CodeGenOptions::default()
+    });
     let lower = || cg.build(black_box(trees), CollectiveKind::AllReduce, mb(64));
     let before = allocations();
     let program = lower().expect("64 MiB AllReduce lowers");
@@ -227,18 +248,37 @@ fn measure_codegen(runs: usize) -> CodegenStage {
     let plan = TreeGen::new(machine.clone(), TreeGenOptions::default())
         .plan(GpuId(0))
         .expect("the full DGX-1V packs");
-    let dgx1v_packed =
-        measure_lowering("dgx1v packed allreduce, 8 GPUs, 64 MiB", &plan.trees, runs);
+    let chunk = CodeGenOptions::default().chunk_bytes;
+    let dgx1v_packed = measure_lowering(
+        "dgx1v packed allreduce, 8 GPUs, 64 MiB",
+        &plan.trees,
+        chunk,
+        runs,
+    );
+    let dgx1v_packed_quarter_chunk = measure_lowering(
+        "dgx1v packed allreduce, 8 GPUs, 64 MiB, quarter chunks",
+        &plan.trees,
+        chunk / 4,
+        runs,
+    );
     let machine = dgx2();
     let alloc = machine.gpu_ids();
     let cap = machine
         .gpu_cap(alloc[0])
         .expect("DGX-2 GPUs have an NVSwitch cap");
     let trees = one_hop_trees(&alloc, cap / alloc.len() as f64);
-    let dgx2_one_hop = measure_lowering("dgx2 one-hop allreduce, 16 GPUs, 64 MiB", &trees, runs);
+    let dgx2_one_hop = measure_lowering(
+        "dgx2 one-hop allreduce, 16 GPUs, 64 MiB",
+        &trees,
+        chunk,
+        runs,
+    );
     CodegenStage {
+        quarter_chunk_extra_allocations: dgx1v_packed_quarter_chunk.allocations as i64
+            - dgx1v_packed.allocations as i64,
         dgx1v_packed,
         dgx2_one_hop,
+        dgx1v_packed_quarter_chunk,
     }
 }
 
@@ -277,12 +317,30 @@ fn check_allgather(stage: &SimStageReport, recorded: &serde_json::Value) -> Vec<
 }
 
 /// `--check`'s codegen gate: every lowering's allocations per op and op
-/// count must not exceed the recording.
+/// count, and the quarter-chunk lowering's extra allocations, must not
+/// exceed the recording.
 fn check_codegen(stage: &CodegenStage, recorded: &serde_json::Value) -> Vec<String> {
-    let mut failures = Vec::new();
+    let recorded = recorded.get("codegen");
+    eprintln!(
+        "quick check: codegen at quarter chunks: {} more ops, {} more allocations",
+        stage.dgx1v_packed_quarter_chunk.ops - stage.dgx1v_packed.ops,
+        stage.quarter_chunk_extra_allocations
+    );
+    let mut failures = over_recording(
+        "codegen",
+        recorded,
+        &[(
+            "quarter_chunk_extra_allocations",
+            stage.quarter_chunk_extra_allocations as f64,
+        )],
+    );
     for (name, now) in [
         ("dgx1v_packed", &stage.dgx1v_packed),
         ("dgx2_one_hop", &stage.dgx2_one_hop),
+        (
+            "dgx1v_packed_quarter_chunk",
+            &stage.dgx1v_packed_quarter_chunk,
+        ),
     ] {
         eprintln!(
             "quick check: codegen {name}: {} ops, {:.3} allocations/op; {:.0} ns/op wall \
@@ -291,7 +349,7 @@ fn check_codegen(stage: &CodegenStage, recorded: &serde_json::Value) -> Vec<Stri
         );
         failures.extend(over_recording(
             &format!("codegen {name}"),
-            recorded.get("codegen").and_then(|c| c.get(name)),
+            recorded.and_then(|c| c.get(name)),
             &[
                 ("allocs_per_op", now.allocs_per_op),
                 ("ops", now.ops as f64),
@@ -376,10 +434,19 @@ fn main() {
          interned engine)",
         out.allgather_dgx2.speedup, out.allgather_dgx2.fast.ops, out.allgather_dgx2.naive.ops,
     );
-    for l in [&out.codegen.dgx1v_packed, &out.codegen.dgx2_one_hop] {
+    let codegen = &out.codegen;
+    for l in [
+        &codegen.dgx1v_packed,
+        &codegen.dgx2_one_hop,
+        &codegen.dgx1v_packed_quarter_chunk,
+    ] {
         eprintln!(
             "codegen: {}: {} ops, {:.3} allocations/op, {:.0} ns/op",
             l.scenario, l.ops, l.allocs_per_op, l.ns_per_op
         );
     }
+    eprintln!(
+        "codegen: quarter chunks make {} more allocations than the default",
+        codegen.quarter_chunk_extra_allocations
+    );
 }

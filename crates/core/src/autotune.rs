@@ -365,6 +365,8 @@ struct Tiers {
     lowerings: Tier<LoweringKey, Arc<Lowering>>,
     /// MWU iterations summed over every plan the store packed.
     mwu_iterations: u64,
+    /// Ops summed over every fresh lowering offered to the lowering tier.
+    lowered_ops: u64,
 }
 
 impl Default for Tiers {
@@ -373,6 +375,7 @@ impl Default for Tiers {
             plans: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             lowerings: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             mwu_iterations: 0,
+            lowered_ops: 0,
         }
     }
 }
@@ -683,6 +686,13 @@ impl SharedPlanCache {
         self.lock().mwu_iterations
     }
 
+    /// Ops summed over every fresh lowering the store was offered since
+    /// creation ([`Program::len`] of each lowering-tier miss's program,
+    /// stored or not); a lowering-tier hit adds none.
+    pub fn lowered_ops(&self) -> u64 {
+        self.lock().lowered_ops
+    }
+
     /// How many plans the LRU bound has evicted from the plan tier since
     /// creation. Delta and fingerprint invalidation do not count: evictions
     /// measure capacity pressure, not policy flushes.
@@ -711,6 +721,7 @@ impl SharedPlanCache {
     /// different plans, so it is not shared.
     pub(crate) fn publish_lowering(&self, key: LoweringKey, lowering: Arc<Lowering>) {
         let mut tiers = self.lock();
+        tiers.lowered_ops += lowering.program.len() as u64;
         let current = lowering.plans.iter().all(|(fp, plan)| {
             plan_key(*fp, plan)
                 .and_then(|key| tiers.plans.entries.get(&key))
@@ -2073,7 +2084,7 @@ mod tests {
             hits_after > hits_before,
             "per-server lookups must reuse the retained plans"
         );
-        assert!(!program.ops().is_empty());
+        assert!(!program.is_empty());
     }
 
     #[test]

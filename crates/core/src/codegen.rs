@@ -45,7 +45,7 @@
 use crate::collective::CollectiveKind;
 use crate::{BlinkError, Result};
 use blink_graph::WeightedTree;
-use blink_sim::{LinkClass, OpId, Program, ProgramBuilder, Segment, StreamId};
+use blink_sim::{LinkClass, OpId, OpKind, Program, ProgramBuilder, Segment, StreamId};
 use blink_topology::GpuId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -186,11 +186,11 @@ struct Streams {
 }
 
 impl Streams {
-    fn new(reuse: bool) -> Self {
+    fn new(reuse: bool, slots: usize) -> Self {
         Streams {
             reuse,
             by_position: BTreeMap::new(),
-            ids: Vec::new(),
+            ids: Vec::with_capacity(slots),
         }
     }
 
@@ -216,33 +216,42 @@ impl Streams {
     }
 }
 
-/// One tree's shape, resolved once per lowering. Vertices are indices into
-/// `order`; index 0 is the root.
-struct TreeLayout {
-    /// Vertices in BFS order from the root, each vertex's children in
-    /// ascending [`GpuId`] order — so the children of vertex `i` are the
-    /// contiguous run `first_child[i]..first_child[i + 1]`.
-    order: Vec<GpuId>,
-    /// Parent of each vertex (the root's entry is unused).
-    parent: Vec<usize>,
+/// One vertex of a [`TreeLayout`].
+#[derive(Debug, Clone, Copy)]
+struct Vertex {
+    gpu: GpuId,
+    /// The GPU's slot rank among the participants.
+    rank: usize,
+    /// Parent's index (the root's entry is unused).
+    parent: usize,
     /// Distance from the root.
-    depth: Vec<usize>,
-    first_child: Vec<usize>,
-    /// Subtree of vertex `i` — itself, then its descendants in BFS order — as
-    /// slot ranks: `subtree[subtree_start[i]..subtree_start[i + 1]]`.
+    depth: usize,
+    /// The children: the contiguous BFS run `children.0..children.1`.
+    children: (usize, usize),
+    /// The subtree — the vertex, then its descendants in BFS order — as
+    /// slot ranks: `TreeLayout::subtree[subtree.0..subtree.1]`.
+    subtree: (usize, usize),
+    /// Stream slot of the edge into the vertex (parent → vertex).
+    down: usize,
+    /// Stream slot of the edge out of the vertex (vertex → parent).
+    up: usize,
+}
+
+/// One tree's shape, resolved once per lowering: its vertices in BFS order
+/// from the root (index 0), each vertex's children in ascending [`GpuId`]
+/// order, and every vertex's subtree ranks in one array. A layout is two
+/// allocations whatever the tree's size.
+struct TreeLayout {
+    vertices: Vec<Vertex>,
     subtree: Vec<usize>,
-    subtree_start: Vec<usize>,
-    /// Stream slot of the edge into each vertex (parent → vertex).
-    down: Vec<usize>,
-    /// Stream slot of the edge out of each vertex (vertex → parent).
-    up: Vec<usize>,
 }
 
 impl TreeLayout {
     /// Walks `wt`'s tree breadth-first from its root, rejecting a weight the
     /// byte split cannot use and any edge list that is not an arborescence
-    /// (a vertex reached twice, an edge the root does not reach).
-    fn walk(wt: &WeightedTree) -> Result<Self> {
+    /// (a vertex reached twice, an edge the root does not reach). `edges`
+    /// is scratch for the sorted edge list.
+    fn walk(wt: &WeightedTree, edges: &mut Vec<(GpuId, GpuId)>) -> Result<Self> {
         let tree = &wt.tree;
         if !(wt.weight.is_finite() && wt.weight >= 0.0) {
             return Err(BlinkError::CodeGen(format!(
@@ -250,68 +259,73 @@ impl TreeLayout {
                 tree.root, wt.weight
             )));
         }
-        let mut edges = tree.edges.clone();
+        edges.clear();
+        edges.extend_from_slice(&tree.edges);
         edges.sort_unstable();
         let n = edges.len() + 1;
-        let mut order = Vec::with_capacity(n);
-        let mut parent = Vec::with_capacity(n);
-        let mut depth = Vec::with_capacity(n);
-        let mut first_child = Vec::with_capacity(n + 1);
-        order.push(tree.root);
-        parent.push(0);
-        depth.push(0);
+        let vertex = |gpu, parent, depth| Vertex {
+            gpu,
+            rank: 0,
+            parent,
+            depth,
+            children: (0, 0),
+            subtree: (0, 0),
+            down: usize::MAX,
+            up: usize::MAX,
+        };
+        let mut vertices = Vec::with_capacity(n);
+        vertices.push(vertex(tree.root, 0, 0));
         let mut i = 0;
-        while i < order.len() {
-            let v = order[i];
-            first_child.push(order.len());
+        while i < vertices.len() {
+            let (v, first) = (vertices[i].gpu, vertices.len());
+            let depth = vertices[i].depth + 1;
             let start = edges.partition_point(|&(p, _)| p < v);
             for &(_, c) in edges[start..].iter().take_while(|&&(p, _)| p == v) {
-                if order.contains(&c) {
+                if vertices.iter().any(|x: &Vertex| x.gpu == c) {
                     return Err(BlinkError::CodeGen(format!(
                         "tree rooted at {} reaches {c} twice",
                         tree.root
                     )));
                 }
-                order.push(c);
-                parent.push(i);
-                depth.push(depth[i] + 1);
+                vertices.push(vertex(c, i, depth));
             }
+            vertices[i].children = (first, vertices.len());
             i += 1;
         }
-        first_child.push(order.len());
-        if order.len() != n {
+        if vertices.len() != n {
             return Err(BlinkError::CodeGen(format!(
                 "tree rooted at {} has edges its root does not reach",
                 tree.root
             )));
         }
         Ok(TreeLayout {
-            order,
-            parent,
-            depth,
-            first_child,
+            vertices,
             subtree: Vec::new(),
-            subtree_start: Vec::new(),
-            down: Vec::new(),
-            up: Vec::new(),
         })
     }
 
-    /// Resolves the subtrees (as ranks in `participants`) and stream slots.
-    /// Fails unless the tree spans exactly `participants`.
+    /// Resolves the slot ranks, subtrees and stream slots. Fails unless the
+    /// tree spans exactly `participants`.
     fn resolve(&mut self, participants: &[GpuId], streams: &mut Streams) -> Result<()> {
-        let n = self.order.len();
-        let rank = |g: &GpuId| participants.binary_search(g);
-        if n != participants.len() || self.order.iter().any(|g| rank(g).is_err()) {
+        let n = self.len();
+        let mut spans = n == participants.len();
+        for x in &mut self.vertices {
+            match participants.binary_search(&x.gpu) {
+                Ok(rank) => x.rank = rank,
+                Err(_) => spans = false,
+            }
+        }
+        if !spans {
+            let order: Vec<GpuId> = self.vertices.iter().map(|x| x.gpu).collect();
             return Err(BlinkError::CodeGen(format!(
-                "tree rooted at {} spans {:?}, not the first tree's {participants:?}",
-                self.order[0], self.order
+                "tree rooted at {} spans {order:?}, not the first tree's {participants:?}",
+                order[0]
             )));
         }
-        self.subtree_start = Vec::with_capacity(n + 1);
+        // a vertex lies in the subtree of each of its depth + 1 ancestors
+        self.subtree = Vec::with_capacity(self.vertices.iter().map(|x| x.depth + 1).sum());
         for v in 0..n {
             let start = self.subtree.len();
-            self.subtree_start.push(start);
             self.subtree.push(v);
             let mut j = start;
             while j < self.subtree.len() {
@@ -319,41 +333,68 @@ impl TreeLayout {
                 self.subtree.extend(self.children(u));
                 j += 1;
             }
+            self.vertices[v].subtree = (start, self.subtree.len());
         }
-        self.subtree_start.push(self.subtree.len());
         for m in &mut self.subtree {
-            *m = rank(&self.order[*m]).expect("every vertex was ranked above");
+            *m = self.vertices[*m].rank;
         }
-        self.down = vec![usize::MAX; n];
-        self.up = vec![usize::MAX; n];
         for v in 1..n {
-            let (p, c) = (self.order[self.parent[v]], self.order[v]);
-            self.down[v] = streams.slot(p, c, self.depth[self.parent[v]]);
-            self.up[v] = streams.slot(c, p, self.depth[v]);
+            let (c, p) = (self.vertices[v], self.vertices[self.vertices[v].parent]);
+            self.vertices[v].down = streams.slot(p.gpu, c.gpu, p.depth);
+            self.vertices[v].up = streams.slot(c.gpu, p.gpu, c.depth);
         }
         Ok(())
     }
 
+    fn len(&self) -> usize {
+        self.vertices.len()
+    }
+
+    fn gpu(&self, v: usize) -> GpuId {
+        self.vertices[v].gpu
+    }
+
     fn children(&self, v: usize) -> std::ops::Range<usize> {
-        self.first_child[v]..self.first_child[v + 1]
+        let (first, end) = self.vertices[v].children;
+        first..end
     }
 
     fn subtree(&self, v: usize) -> &[usize] {
-        &self.subtree[self.subtree_start[v]..self.subtree_start[v + 1]]
+        let (start, end) = self.vertices[v].subtree;
+        &self.subtree[start..end]
     }
 
-    /// Upper bound on the ops one chunk of `kind` emits over this tree.
-    fn ops_per_chunk(&self, kind: CollectiveKind) -> u128 {
-        let edges = (self.order.len() - 1) as u128;
-        let reduces = (0..self.order.len())
-            .filter(|&v| !self.children(v).is_empty())
-            .count() as u128;
-        match kind {
-            CollectiveKind::Broadcast { .. } | CollectiveKind::Gather { .. } => edges,
-            CollectiveKind::Reduce { .. } => edges + reduces,
-            CollectiveKind::AllGather => 2 * edges,
-            CollectiveKind::AllReduce | CollectiveKind::ReduceScatter => 2 * edges + reduces,
-        }
+    /// Upper bounds on the ops, dependencies and payload segments one
+    /// chunk of `kind` emits over this tree, for a gate of `gate` ops and
+    /// `participants` slots. The op bound is the program budget's; the
+    /// other two only size the program's arrays, where a bound that falls
+    /// short costs a reallocation.
+    fn per_chunk(&self, kind: CollectiveKind, gate: usize, participants: usize) -> [u128; 3] {
+        let n = self.len();
+        let edges = (n - 1) as u128;
+        let reduces = (0..n).filter(|&v| !self.children(v).is_empty()).count() as u128;
+        let root_children = self.children(0).len() as u128;
+        // a gated op has no dependency of its own: a root's child in a
+        // plain broadcast, a leaf going up
+        let gated = root_children + (edges + 1 - reduces);
+        // slots the edges of a gather carry: every non-root vertex's subtree
+        let gathered = (self.subtree.len() - n) as u128;
+        let slots = participants as u128;
+        let (ops, segs) = match kind {
+            CollectiveKind::Broadcast { .. } => (edges, edges),
+            CollectiveKind::Gather { .. } => (edges, gathered),
+            CollectiveKind::Reduce { .. } => (edges + reduces, edges + reduces),
+            CollectiveKind::AllReduce => (2 * edges + reduces, 2 * edges + reduces),
+            CollectiveKind::AllGather => (2 * edges, gathered + edges * slots),
+            CollectiveKind::ReduceScatter => (2 * edges + reduces, edges + reduces + gathered),
+        };
+        // an op depends on at most one op per child, a root's child in the
+        // AllGather redistribution on every root arrival
+        let redistribute = match kind {
+            CollectiveKind::AllGather => root_children * root_children,
+            _ => 0,
+        };
+        [ops, ops + redistribute + gated * gate as u128, segs]
     }
 }
 
@@ -364,7 +405,9 @@ struct Chunk {
     bytes: u64,
 }
 
-/// Emission state of one lowering, shared by the per-chunk emitters.
+/// Emission state of one lowering, shared by the per-chunk emitters. Each
+/// op's dependencies and payload are staged in the reusable `deps` and
+/// `segs` buffers, which the builder copies into the program's arrays.
 struct Emitter<'a> {
     b: &'a mut ProgramBuilder,
     streams: Streams,
@@ -381,24 +424,40 @@ struct Emitter<'a> {
     /// Per-vertex arrival slot: the op that last moved the current chunk
     /// into (or, going up, out of) each vertex.
     arrival: Vec<Option<OpId>>,
+    /// The next op's own dependencies.
+    deps: Vec<OpId>,
+    /// The next op's payload.
+    segs: Vec<Segment>,
+    /// The gather copies that arrived at the root in the current chunk.
+    root_arrivals: Vec<OpId>,
 }
 
 impl Emitter<'_> {
-    fn gated(&self, deps: Vec<OpId>) -> Vec<OpId> {
-        if deps.is_empty() {
-            self.gate.to_vec()
+    /// Emits one `kind` op carrying `segs`, depending on `deps` or, when it
+    /// has none of its own, on the gate.
+    fn emit(&mut self, kind: OpKind, stream: StreamId, tag: &'static str) -> OpId {
+        let deps = if self.deps.is_empty() {
+            self.gate
         } else {
-            deps
-        }
+            &self.deps
+        };
+        self.b.push(kind, &self.segs, stream, deps, tag)
     }
 
-    /// Deps of an op sent down from vertex `p`: `root_deps` at the root,
-    /// else whatever delivered the chunk to `p`.
-    fn deps_below(&self, p: usize, root_deps: &[OpId]) -> Vec<OpId> {
+    /// A copy from `src` to `dst` over the lowering's link class.
+    fn copy(&mut self, src: GpuId, dst: GpuId, stream: StreamId, tag: &'static str) -> OpId {
+        let class = self.class;
+        self.emit(OpKind::Copy { src, dst, class }, stream, tag)
+    }
+
+    /// Stages the deps of an op sent down from vertex `p`: `root_deps` at
+    /// the root, else whatever delivered the chunk to `p`.
+    fn deps_below(&mut self, p: usize, root_deps: &[OpId]) {
+        self.deps.clear();
         if p == 0 {
-            self.gated(root_deps.to_vec())
+            self.deps.extend_from_slice(root_deps);
         } else {
-            self.gated(self.arrival[p].into_iter().collect())
+            self.deps.extend(self.arrival[p]);
         }
     }
 
@@ -413,21 +472,15 @@ impl Emitter<'_> {
     /// slot sub-range for this chunk, which is non-contiguous in slot space
     /// but still one op per edge.
     fn broadcast(&mut self, t: &TreeLayout, c: &Chunk, root_deps: &[OpId], bases: &[u64]) {
+        self.segs.clear();
+        self.segs
+            .extend(bases.iter().map(|&b| Segment::new(b, c.bytes)));
         // BFS order lists the edges parent-first
-        for v in 1..t.order.len() {
-            let p = t.parent[v];
-            let stream = self.streams.stream(self.b, t.down[v]);
-            let deps = self.deps_below(p, root_deps);
-            let segs = bases.iter().map(|&b| Segment::new(b, c.bytes)).collect();
-            let id = self.b.copy_segs(
-                t.order[p],
-                t.order[v],
-                segs,
-                self.class,
-                stream,
-                deps,
-                "blink bcast",
-            );
+        for v in 1..t.len() {
+            let Vertex { parent, down, .. } = t.vertices[v];
+            let stream = self.streams.stream(self.b, down);
+            self.deps_below(parent, root_deps);
+            let id = self.copy(t.gpu(parent), t.gpu(v), stream, "blink bcast");
             self.arrival[v] = Some(id);
         }
     }
@@ -436,77 +489,66 @@ impl Emitter<'_> {
     /// own slot sub-range and the slot sub-ranges its subtree delivered as
     /// **one** copy per edge whose segment list names every slot exactly —
     /// op counts stay one per edge per chunk no matter how deep the subtree,
-    /// without giving up range exactness. Returns the copies that arrive at
-    /// the root (the deps a follow-up redistribution phase must wait for).
-    fn gather(&mut self, t: &TreeLayout, c: &Chunk) -> Vec<OpId> {
-        let mut root_arrivals = Vec::new();
-        for v in (1..t.order.len()).rev() {
-            let p = t.parent[v];
-            let deps: Vec<OpId> = t.children(v).filter_map(|ch| self.arrival[ch]).collect();
-            let stream = self.streams.stream(self.b, t.up[v]);
-            let segs = t
-                .subtree(v)
-                .iter()
-                .map(|&r| Segment::new(r as u64 * self.total + c.offset, c.bytes))
-                .collect();
-            let deps = self.gated(deps);
-            let id = self.b.copy_segs(
-                t.order[v],
-                t.order[p],
-                segs,
-                self.class,
-                stream,
-                deps,
-                "blink gather",
+    /// without giving up range exactness. Leaves the copies that arrive at
+    /// the root (the deps a follow-up redistribution phase must wait for)
+    /// in `root_arrivals`.
+    fn gather(&mut self, t: &TreeLayout, c: &Chunk) {
+        self.root_arrivals.clear();
+        for v in (1..t.len()).rev() {
+            let Vertex { parent, up, .. } = t.vertices[v];
+            self.deps.clear();
+            self.deps
+                .extend(t.children(v).filter_map(|ch| self.arrival[ch]));
+            let stream = self.streams.stream(self.b, up);
+            self.segs.clear();
+            let (total, offset) = (self.total, c.offset);
+            self.segs.extend(
+                t.subtree(v)
+                    .iter()
+                    .map(|&r| Segment::new(r as u64 * total + offset, c.bytes)),
             );
-            if p == 0 {
-                root_arrivals.push(id);
+            let id = self.copy(t.gpu(v), t.gpu(parent), stream, "blink gather");
+            if parent == 0 {
+                self.root_arrivals.push(id);
             }
             self.arrival[v] = Some(id);
         }
-        root_arrivals
     }
 
     /// Reduce one chunk up a tree. Returns the root's final reduction op
     /// (when the tree has more than one vertex).
     fn reduce(&mut self, t: &TreeLayout, c: &Chunk) -> Option<OpId> {
         let mut root_reduce = None;
-        for v in (0..t.order.len()).rev() {
+        self.segs.clear();
+        self.segs.push(Segment::new(c.offset, c.bytes));
+        for v in (0..t.len()).rev() {
+            let Vertex {
+                gpu, parent, up, ..
+            } = t.vertices[v];
             let kids = t.children(v);
-            let mut deps: Vec<OpId> = kids.clone().filter_map(|ch| self.arrival[ch]).collect();
+            self.deps.clear();
+            self.deps
+                .extend(kids.clone().filter_map(|ch| self.arrival[ch]));
             if !kids.is_empty() {
                 // reduce the children's contributions with the local
                 // buffer, in the stream of the outgoing copy (or the first
                 // child's downward stream at the root)
-                let slot = if v == 0 { t.down[kids.start] } else { t.up[v] };
+                let slot = if v == 0 {
+                    t.vertices[kids.start].down
+                } else {
+                    up
+                };
                 let stream = self.streams.stream(self.b, slot);
-                let gated = self.gated(std::mem::take(&mut deps));
-                let red = self.b.reduce_range(
-                    t.order[v],
-                    c.offset,
-                    c.bytes,
-                    stream,
-                    gated,
-                    "blink reduce",
-                );
-                deps.push(red);
+                let red = self.emit(OpKind::Reduce { gpu }, stream, "blink reduce");
+                self.deps.clear();
+                self.deps.push(red);
                 if v == 0 {
                     root_reduce = Some(red);
                 }
             }
             if v != 0 {
-                let stream = self.streams.stream(self.b, t.up[v]);
-                let deps = self.gated(deps);
-                let id = self.b.copy_range(
-                    t.order[v],
-                    t.order[t.parent[v]],
-                    c.offset,
-                    c.bytes,
-                    self.class,
-                    stream,
-                    deps,
-                    "blink reduce-up",
-                );
+                let stream = self.streams.stream(self.b, up);
+                let id = self.copy(gpu, t.gpu(parent), stream, "blink reduce-up");
                 self.arrival[v] = Some(id);
             }
         }
@@ -520,34 +562,24 @@ impl Emitter<'_> {
     /// nothing.
     fn scatter(&mut self, t: &TreeLayout, c: &Chunk, root_dep: Option<OpId>) {
         let end = c.offset + c.bytes;
-        for v in 1..t.order.len() {
-            let segs: Vec<Segment> = t
-                .subtree(v)
-                .iter()
-                .filter_map(|&r| {
-                    let (lo, hi) = self.shards[r];
-                    let start = lo.max(c.offset);
-                    let len = hi.min(end).saturating_sub(start);
-                    (len > 0).then(|| Segment::new(start, len))
-                })
-                .collect();
-            if segs.is_empty() {
+        for v in 1..t.len() {
+            self.segs.clear();
+            let shards = &self.shards;
+            self.segs.extend(t.subtree(v).iter().filter_map(|&r| {
+                let (lo, hi) = shards[r];
+                let start = lo.max(c.offset);
+                let len = hi.min(end).saturating_sub(start);
+                (len > 0).then(|| Segment::new(start, len))
+            }));
+            if self.segs.is_empty() {
                 // the whole subtree skips this chunk: no descendant reads
                 // the vertex's arrival slot
                 continue;
             }
-            let p = t.parent[v];
-            let stream = self.streams.stream(self.b, t.down[v]);
-            let deps = self.deps_below(p, root_dep.as_slice());
-            let id = self.b.copy_segs(
-                t.order[p],
-                t.order[v],
-                segs,
-                self.class,
-                stream,
-                deps,
-                "blink scatter",
-            );
+            let Vertex { parent, down, .. } = t.vertices[v];
+            let stream = self.streams.stream(self.b, down);
+            self.deps_below(parent, root_dep.as_slice());
+            let id = self.copy(t.gpu(parent), t.gpu(v), stream, "blink scatter");
             self.arrival[v] = Some(id);
         }
     }
@@ -645,13 +677,17 @@ impl CodeGen {
                 u128::from(base) + u128::from(share)
             )));
         }
+        let mut edges = Vec::new();
         let mut layouts = trees
             .iter()
-            .map(TreeLayout::walk)
+            .map(|wt| TreeLayout::walk(wt, &mut edges))
             .collect::<Result<Vec<_>>>()?;
         // slot ranks are assigned in ascending GpuId order over the first
         // tree's vertex set, matching blink_sim::semantics::check_collective
-        let mut participants = layouts.first().map(|l| l.order.clone()).unwrap_or_default();
+        let mut participants: Vec<GpuId> = layouts
+            .first()
+            .map(|l| l.vertices.iter().map(|x| x.gpu).collect())
+            .unwrap_or_default();
         participants.sort_unstable();
         let n = participants.len() as u128;
         if matches!(
@@ -663,7 +699,9 @@ impl CodeGen {
                 "{kind} slot space of {n} x {total} bytes overflows u64"
             )));
         }
-        let mut streams = Streams::new(self.options.stream_reuse);
+        // two stream slots per tree edge at most
+        let slots = layouts.iter().map(|l| 2 * (l.len() - 1)).sum();
+        let mut streams = Streams::new(self.options.stream_reuse, slots);
         for layout in &mut layouts {
             layout.resolve(&participants, &mut streams)?;
         }
@@ -680,12 +718,17 @@ impl CodeGen {
                 (start, Chunks::new(tree_share, self.options.chunk_bytes))
             })
             .collect();
-        let planned = layouts
-            .iter()
-            .zip(&chunks)
-            .map(|(l, (_, ch))| u128::from(ch.count()) * l.ops_per_chunk(kind))
-            .sum();
-        check_op_budget(builder.len(), planned)?;
+        let mut planned = [0u128; 3];
+        for (l, (_, ch)) in layouts.iter().zip(&chunks) {
+            let per_chunk = l.per_chunk(kind, gate.len(), participants.len());
+            for (sum, per) in planned.iter_mut().zip(per_chunk) {
+                *sum += u128::from(ch.count()) * per;
+            }
+        }
+        check_op_budget(builder.len(), planned[0])?;
+        // within the op budget every bound fits a usize on 64-bit targets
+        let [ops, deps, segs] = planned.map(|n| usize::try_from(n).unwrap_or(0));
+        builder.reserve(ops, deps, segs);
 
         let shards = (0..n)
             .map(|i| {
@@ -701,6 +744,11 @@ impl CodeGen {
             total,
             shards,
             arrival: vec![None; participants.len()],
+            // an op depends on at most every vertex or on the gate, and
+            // carries at most one segment per slot
+            deps: Vec::with_capacity(participants.len().max(gate.len())),
+            segs: Vec::with_capacity(participants.len()),
+            root_arrivals: Vec::with_capacity(participants.len()),
         };
         let mut bases = Vec::new();
         let max_chunks = chunks.iter().map(|(_, ch)| ch.count()).max().unwrap_or(0);
@@ -727,12 +775,14 @@ impl CodeGen {
                         e.broadcast(t, &c, root_reduce.as_slice(), &[c.offset]);
                     }
                     CollectiveKind::AllGather => {
-                        let root_arrivals = e.gather(t, &c);
+                        e.gather(t, &c);
                         // after gathering, the root redistributes every
                         // participant's slot sub-range for this chunk
                         bases.clear();
                         bases.extend((0..n as u64).map(|r| r * total + c.offset));
+                        let root_arrivals = std::mem::take(&mut e.root_arrivals);
                         e.broadcast(t, &c, &root_arrivals, &bases);
+                        e.root_arrivals = root_arrivals;
                     }
                     CollectiveKind::ReduceScatter => {
                         let root_reduce = e.reduce(t, &c);
@@ -903,7 +953,7 @@ mod tests {
         let (machine, trees) = plan_for(&[0, 1, 3], 0);
         let mut builder = ProgramBuilder::new();
         let s = builder.new_stream();
-        let gate = builder.toggle_peer_access(3, s, vec![], "dpa");
+        let gate = builder.toggle_peer_access(3, s, &[], "dpa");
         CodeGen::default()
             .emit_into(
                 &mut builder,
@@ -917,7 +967,7 @@ mod tests {
         let report = Simulator::with_defaults(machine).run(&prog).unwrap();
         let (_, gate_end) = report.op_spans[gate.0];
         // every copy starts after the gate completes
-        for (i, op) in prog.ops().iter().enumerate() {
+        for (i, op) in prog.ops().enumerate() {
             if i == gate.0 {
                 continue;
             }
@@ -951,9 +1001,8 @@ mod tests {
         for dst in 1..4 {
             let ranges: Vec<(u64, u64)> = prog
                 .ops()
-                .iter()
                 .filter(|o| matches!(o.kind, OpKind::Copy { dst: d, .. } if d == GpuId(dst)))
-                .flat_map(|o| o.kind.segments().iter().map(|s| (s.offset, s.end())))
+                .flat_map(|o| o.segments.iter().map(|s| (s.offset, s.end())))
                 .collect();
             assert_tiles(ranges, 0, bytes, "broadcast delivery");
         }
@@ -967,12 +1016,11 @@ mod tests {
             let (shard_s, shard_e) = (rank * bytes / 4, (rank + 1) * bytes / 4);
             let ranges: Vec<(u64, u64)> = prog
                 .ops()
-                .iter()
                 .filter(|o| {
                     matches!(o.kind, OpKind::Copy { dst: d, .. } if d == GpuId(rank as usize))
                         && o.tag == "blink scatter"
                 })
-                .flat_map(|o| o.kind.segments().iter().map(|s| (s.offset, s.end())))
+                .flat_map(|o| o.segments.iter().map(|s| (s.offset, s.end())))
                 .filter(|&(s, e)| s >= shard_s && e <= shard_e)
                 .collect();
             assert_tiles(ranges, shard_s, shard_e, "scatter shard");
@@ -994,7 +1042,7 @@ mod tests {
         .unwrap();
         let prog = b.build().unwrap();
         for op in prog.ops() {
-            for seg in op.kind.segments() {
+            for seg in op.segments {
                 assert!(
                     seg.offset >= base && seg.end() <= base + share,
                     "op range [{}, {}) escapes the share [{base}, {})",
@@ -1047,10 +1095,7 @@ mod tests {
             .build(&trees, CollectiveKind::Gather { root: GpuId(0) }, bytes)
             .unwrap();
         assert_eq!(prog.len(), expect, "gather is one op per edge per chunk");
-        assert!(prog
-            .ops()
-            .iter()
-            .all(|o| matches!(o.kind, OpKind::Copy { .. })));
+        assert!(prog.ops().all(|o| matches!(o.kind, OpKind::Copy { .. })));
 
         // AllGather: the gather plus the slot redistribution — two copies
         // per edge per chunk (the redistribution carries every slot as one
@@ -1074,9 +1119,10 @@ mod tests {
             if o.tag != "blink scatter" {
                 continue;
             }
-            if let OpKind::Copy { src, dst, segs, .. } = &o.kind {
+            if let OpKind::Copy { src, dst, .. } = o.kind {
+                let segs = o.segments;
                 assert!(
-                    seen.insert((*src, *dst, segs[0])),
+                    seen.insert((src, dst, segs[0])),
                     "duplicate scatter op for {src}->{dst} at {:?}",
                     segs[0]
                 );
@@ -1096,7 +1142,7 @@ mod tests {
         // the redistribution ops each carry all 16 slot segments; the gather
         // ops exactly one (a one-hop subtree is a single leaf)
         for o in prog.ops() {
-            let n_segs = o.kind.segments().len();
+            let n_segs = o.segments.len();
             if o.tag == "blink bcast" {
                 assert_eq!(n_segs, 16, "{}", o.tag);
             } else {
@@ -1244,7 +1290,7 @@ mod tests {
                     let emit = |reference_side: bool| {
                         let mut b = ProgramBuilder::new();
                         let s = b.new_stream();
-                        let gate = b.toggle_peer_access(3, s, vec![], "dpa");
+                        let gate = b.toggle_peer_access(3, s, &[], "dpa");
                         let (base, share) = (bytes / 4, bytes / 2);
                         if reference_side {
                             reference::emit_range_into(
@@ -1343,7 +1389,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
         for _ in 0..MAX_PROGRAM_OPS {
-            b.compute(GpuId(0), 0.0, s, vec![], "filler");
+            b.compute(GpuId(0), 0.0, s, &[], "filler");
         }
         let err = cg
             .emit_into(&mut b, &trees, CollectiveKind::AllReduce, 1, &[])

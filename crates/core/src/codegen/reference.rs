@@ -272,7 +272,15 @@ fn emit_broadcast(
             .iter()
             .map(|&base| Segment::new(base, ctx.bytes))
             .collect();
-        let id = b.copy_segs(parent, child, segs, ctx.class, stream, deps, "blink bcast");
+        let id = b.copy_segs(
+            parent,
+            child,
+            &segs,
+            ctx.class,
+            stream,
+            &deps,
+            "blink bcast",
+        );
         arrival.insert(child, id);
     }
 }
@@ -305,10 +313,10 @@ fn emit_gather(
         let id = b.copy_segs(
             v,
             parent,
-            segs,
+            &segs,
             ctx.class,
             stream,
-            ctx.gated(deps),
+            &ctx.gated(deps),
             "blink gather",
         );
         if parent == tree.root {
@@ -347,7 +355,7 @@ fn emit_reduce(
                 ctx.offset,
                 ctx.bytes,
                 stream,
-                ctx.gated(deps.clone()),
+                &ctx.gated(deps.clone()),
                 "blink reduce",
             );
             deps = vec![red];
@@ -364,7 +372,7 @@ fn emit_reduce(
                 ctx.bytes,
                 ctx.class,
                 stream,
-                ctx.gated(deps),
+                &ctx.gated(deps),
                 "blink reduce-up",
             );
             uploaded.insert(v, id);
@@ -402,10 +410,10 @@ fn emit_scatter(
         let id = b.copy_segs(
             parent,
             child,
-            segs,
+            &segs,
             ctx.class,
             stream,
-            deps,
+            &deps,
             "blink scatter",
         );
         arrival.insert(child, id);

@@ -1982,6 +1982,8 @@ mod tests {
         let ra = a.broadcast(GpuId(0), mb(100)).unwrap();
         assert_eq!(shared.stats(), (0, 1), "first communicator packs");
         assert_eq!(shared.lowering_stats(), (0, 1), "and lowers");
+        let lowered = shared.lowered_ops();
+        assert!(lowered > 0, "a fresh lowering counts its ops");
         // a second communicator of the same job shape reuses the lowering
         // and the plan it was lowered from
         let mut b = Communicator::builder(dgx1v())
@@ -1992,6 +1994,7 @@ mod tests {
         let rb = b.broadcast(GpuId(0), mb(100)).unwrap();
         assert_eq!(shared.lowering_stats(), (1, 1), "second communicator hits");
         assert_eq!(shared.stats(), (0, 1), "and packs nothing");
+        assert_eq!(shared.lowered_ops(), lowered, "a hit lowers no ops");
         assert_eq!(ra.num_trees, rb.num_trees);
         assert_eq!(ra.elapsed_us.to_bits(), rb.elapsed_us.to_bits());
         // a different shape misses instead of being served a stale plan
@@ -2003,6 +2006,7 @@ mod tests {
         c.broadcast(GpuId(0), mb(100)).unwrap();
         assert_eq!(shared.stats(), (0, 2));
         assert_eq!(shared.lowering_stats(), (1, 2));
+        assert!(shared.lowered_ops() > lowered);
     }
 
     #[test]
@@ -2575,7 +2579,7 @@ mod tests {
         let kind = CollectiveKind::AllReduce;
         let (_, before, _) = comm.run_traced(kind, mb(16)).unwrap();
         let uses = |program: &Program, a: GpuId, b: GpuId| {
-            program.ops().iter().any(|op| {
+            program.ops().any(|op| {
                 matches!(op.kind, OpKind::Copy { src, dst, class: LinkClass::NvLink, .. }
                     if (src, dst) == (a, b) || (src, dst) == (b, a))
             })
@@ -2661,7 +2665,6 @@ mod tests {
     fn program_nvlink_pair(program: &Program) -> (GpuId, GpuId) {
         program
             .ops()
-            .iter()
             .find_map(|op| match op.kind {
                 OpKind::Copy {
                     src,
@@ -2757,7 +2760,7 @@ mod tests {
         for (duration, what) in [(f64::NAN, "NaN kernel"), (-50.0, "-50 us kernel")] {
             let mut b = ProgramBuilder::new();
             let s = b.new_stream();
-            b.compute(GpuId(0), duration, s, vec![], "k");
+            b.compute(GpuId(0), duration, s, &[], "k");
             invalid(sim.run(&b.build().unwrap()), what);
         }
         // calibrations: a latency that outweighs the transfer, and a
@@ -2783,8 +2786,8 @@ mod tests {
             let sim = Simulator::new(dgx1v(), params);
             let mut b = ProgramBuilder::new();
             let s = b.new_stream();
-            let c = b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, vec![], "c");
-            b.reduce(GpuId(1), mb(1), s, vec![c], "r");
+            let c = b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, &[], "c");
+            b.reduce(GpuId(1), mb(1), s, &[c], "r");
             invalid(sim.run(&b.build().unwrap()), what);
 
             for machine in [dgx1v(), dgx2()] {

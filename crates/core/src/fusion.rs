@@ -130,63 +130,35 @@ pub fn fuse_requests(sizes: &[u64], threshold_bytes: u64) -> Vec<FusedGroup> {
 /// exactly — the contribution-equivalence check the conformance matrix runs.
 pub fn restrict_to_window(program: &Program, window: Segment) -> Program {
     let mut b = ProgramBuilder::new();
+    b.reserve(program.len(), program.num_deps(), program.num_segments());
+    let mut segs = Vec::new();
     for op in program.ops() {
-        let kind = match &op.kind {
-            OpKind::Copy {
-                src, dst, class, ..
-            } => {
-                let segs = clip_segments(op.kind.segments(), window);
-                if segs.is_empty() {
-                    OpKind::Compute {
-                        gpu: *src,
-                        duration_us: 0.0,
-                    }
-                } else {
-                    OpKind::Copy {
-                        src: *src,
-                        dst: *dst,
-                        class: *class,
-                        segs,
-                    }
+        // the window-relative parts of the op's segments inside the window
+        segs.clear();
+        segs.extend(op.segments.iter().filter_map(|s| {
+            let lo = s.offset.max(window.offset);
+            let hi = s.end().min(window.end());
+            (lo < hi).then(|| Segment::new(lo - window.offset, hi - lo))
+        }));
+        let kind = match op.kind {
+            OpKind::Copy { src: gpu, .. } | OpKind::Reduce { gpu } if segs.is_empty() => {
+                OpKind::Compute {
+                    gpu,
+                    duration_us: 0.0,
                 }
             }
-            OpKind::Reduce { gpu, .. } => {
-                let segs = clip_segments(op.kind.segments(), window);
-                if segs.is_empty() {
-                    OpKind::Compute {
-                        gpu: *gpu,
-                        duration_us: 0.0,
-                    }
-                } else {
-                    OpKind::Reduce { gpu: *gpu, segs }
-                }
-            }
-            other => other.clone(),
+            kind => kind,
         };
-        b.push(kind, op.stream, op.deps.clone(), op.tag.clone());
+        b.push(kind, &segs, op.stream, op.deps, op.tag.clone());
     }
     b.build()
         .expect("restriction preserves structural validity")
 }
 
-/// Intersects `segs` with `window` and rebases the survivors to a
-/// window-relative offset.
-fn clip_segments(segs: &[Segment], window: Segment) -> Vec<Segment> {
-    let mut out = Vec::new();
-    for s in segs {
-        let lo = s.offset.max(window.offset);
-        let hi = s.end().min(window.end());
-        if lo < hi {
-            out.push(Segment::new(lo - window.offset, hi - lo));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blink_sim::LinkClass;
+    use blink_sim::{LinkClass, OpId};
     use blink_topology::GpuId;
 
     const MB: u64 = 1 << 20;
@@ -255,28 +227,22 @@ mod tests {
         let head = b.copy_segs(
             GpuId(0),
             GpuId(1),
-            vec![Segment::new(0, 300)],
+            &[Segment::new(0, 300)],
             LinkClass::NvLink,
             s,
-            vec![],
+            &[],
             "head",
         );
         // entirely outside the window
-        b.reduce_segs(
-            GpuId(1),
-            vec![Segment::new(250, 50)],
-            s,
-            vec![head],
-            "outside",
-        );
+        b.reduce_segs(GpuId(1), &[Segment::new(250, 50)], s, &[head], "outside");
         // two segments, one in, one out
         b.copy_segs(
             GpuId(1),
             GpuId(2),
-            vec![Segment::new(120, 30), Segment::new(260, 10)],
+            &[Segment::new(120, 30), Segment::new(260, 10)],
             LinkClass::NvLink,
             s,
-            vec![head],
+            &[head],
             "mixed",
         );
         let program = b.build().unwrap();
@@ -284,19 +250,19 @@ mod tests {
         let restricted = restrict_to_window(&program, window);
         assert_eq!(restricted.len(), program.len());
         // op 0: clipped to [100, 250) and rebased to [0, 150)
-        assert_eq!(restricted.ops()[0].kind.segments(), &[Segment::new(0, 150)]);
+        assert_eq!(restricted.op(OpId(0)).segments, &[Segment::new(0, 150)]);
         // op 1: emptied — now a zero-duration compute on its own GPU
         assert!(matches!(
-            restricted.ops()[1].kind,
+            restricted.op(OpId(1)).kind,
             OpKind::Compute {
                 gpu: GpuId(1),
                 duration_us
             } if duration_us == 0.0
         ));
         // op 2: in-window segment survives rebased, the other is dropped
-        assert_eq!(restricted.ops()[2].kind.segments(), &[Segment::new(20, 30)]);
+        assert_eq!(restricted.op(OpId(2)).segments, &[Segment::new(20, 30)]);
         // ids, streams and deps are preserved verbatim
-        for (a, b) in program.ops().iter().zip(restricted.ops()) {
+        for (a, b) in program.ops().zip(restricted.ops()) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.stream, b.stream);
             assert_eq!(a.deps, b.deps);

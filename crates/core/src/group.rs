@@ -256,7 +256,7 @@ mod tests {
         assert_eq!(run.groups.len(), 2);
         assert!(run.finish_us > 0.0);
         for (g, check) in run.groups.iter().zip(&checks) {
-            assert!(!g.program.ops().is_empty());
+            assert!(!g.program.is_empty());
             assert!(g.end_us <= run.finish_us + 1e-9);
             assert!(check.is_correct(), "subgroup violates contract: {check}");
         }
@@ -281,7 +281,7 @@ mod tests {
         ];
         let (run, checks) = groups.run_concurrent_checked(&requests).unwrap();
         // the singleton subgroup is trivially complete
-        assert!(run.groups[1].program.ops().is_empty());
+        assert!(run.groups[1].program.is_empty());
         assert_eq!(run.groups[1].end_us, 0.0);
         assert!(checks.iter().all(ValueCheck::is_correct));
         // parent is untouched by the children
@@ -306,7 +306,7 @@ mod tests {
         // partial-DGX-2 broadcast goes through the strategy competition;
         // whichever wins, the program must be non-trivial and conformant
         for g in &run.groups {
-            assert!(!g.program.ops().is_empty());
+            assert!(!g.program.is_empty());
             assert!(g.strategy.contains("switch"), "strategy: {}", g.strategy);
         }
     }

@@ -202,7 +202,7 @@ impl HybridPlanner {
         )?;
         if split.pcie_bytes > 0 {
             let stream = builder.new_stream();
-            let toggle = builder.toggle_peer_access(self.num_gpus, stream, vec![], "dpa");
+            let toggle = builder.toggle_peer_access(self.num_gpus, stream, &[], "dpa");
             let pcie_cg = CodeGen::new(CodeGenOptions {
                 link_class: LinkClass::Pcie,
                 chunk_bytes: options.chunk_bytes.min(Self::PCIE_CHUNK),

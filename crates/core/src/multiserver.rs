@@ -169,6 +169,8 @@ pub(crate) fn three_phase_lowering(
     // inherit its segmented one-op-per-edge-per-chunk emission; the phase-2
     // network ops are single contiguous slices by construction.
     let mut partition_base = 0u64;
+    // the next op's dependencies, reused op to op
+    let mut deps: Vec<OpId> = Vec::new();
     for p in 0..partitions {
         let pb = partition_bytes[p];
         if pb == 0 {
@@ -189,9 +191,10 @@ pub(crate) fn three_phase_lowering(
                 pb,
                 &[],
             )?;
-            let deps: Vec<OpId> = (start..builder.len()).map(OpId).collect();
+            deps.clear();
+            deps.extend((start..builder.len()).map(OpId));
             let stream = builder.new_stream();
-            let barrier = builder.compute(roots[s][p], 0.0, stream, deps, "phase1 barrier");
+            let barrier = builder.compute(roots[s][p], 0.0, stream, &deps, "phase1 barrier");
             phase1_barriers.push(barrier);
         }
         // ---- phase 2: cross-server one-hop reduce + return ----
@@ -216,27 +219,27 @@ pub(crate) fn three_phase_lowering(
             for c_idx in 0..chunks.count() {
                 let (rel, sz) = chunks.get(c_idx);
                 let off = sbase + rel;
-                let mut arrivals = Vec::new();
+                // the reduction waits for every arrival and the owner's
+                // own phase-1 barrier
+                deps.clear();
                 for s in 0..n_servers {
                     if s == q {
                         continue;
                     }
                     let stream = builder.new_stream();
-                    arrivals.push(builder.copy_range(
+                    deps.push(builder.copy_range(
                         roots[s][p],
                         owner,
                         off,
                         sz,
                         LinkClass::Network,
                         stream,
-                        vec![phase1_barriers[s]],
+                        &[phase1_barriers[s]],
                         "phase2 in",
                     ));
                 }
-                let mut red_deps = arrivals;
-                red_deps.push(phase1_barriers[q]);
-                let red =
-                    builder.reduce_range(owner, off, sz, owner_stream, red_deps, "phase2 red");
+                deps.push(phase1_barriers[q]);
+                let red = builder.reduce_range(owner, off, sz, owner_stream, &deps, "phase2 red");
                 phase2_barriers[q].push(red);
                 for s in 0..n_servers {
                     if s == q {
@@ -250,7 +253,7 @@ pub(crate) fn three_phase_lowering(
                         sz,
                         LinkClass::Network,
                         stream,
-                        vec![red],
+                        &[red],
                         "phase2 out",
                     );
                     phase2_barriers[s].push(back);
@@ -260,13 +263,8 @@ pub(crate) fn three_phase_lowering(
         // ---- phase 3: local broadcast of the fully reduced partition ----
         for s in 0..n_servers {
             let stream = builder.new_stream();
-            let gate = builder.compute(
-                roots[s][p],
-                0.0,
-                stream,
-                phase2_barriers[s].clone(),
-                "phase3 gate",
-            );
+            let gate =
+                builder.compute(roots[s][p], 0.0, stream, &phase2_barriers[s], "phase3 gate");
             cg.emit_range_into(
                 &mut builder,
                 &plans[s][p].trees,

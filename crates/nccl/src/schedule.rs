@@ -249,7 +249,6 @@ fn ring_broadcast(
     for sz in chunk_sizes(share, opts.chunk_bytes) {
         let mut arrival: Option<OpId> = None;
         for hop in 0..order.len() - 1 {
-            let deps = arrival.map(|a| vec![a]).unwrap_or_default();
             arrival = Some(b.copy_range(
                 order[hop],
                 order[hop + 1],
@@ -257,7 +256,7 @@ fn ring_broadcast(
                 sz,
                 class,
                 streams[hop],
-                deps,
+                arrival.as_slice(),
                 "nccl-bcast",
             ));
         }
@@ -327,13 +326,23 @@ fn ring_allreduce(
                 let src = order[(s + 1 + j) % n];
                 let dst = order[(s + 2 + j) % n];
                 let stream = streams[&(src, dst)];
-                let mut deps = last[s].map(|a| vec![a]).unwrap_or_default();
+                let mut dep = last[s];
                 if j > 0 {
                     // the partial sum must be produced before it is forwarded
-                    let red = b.reduce_range(src, off, sz, stream, deps.clone(), "nccl-ar red");
-                    deps = vec![red];
+                    let red = b.reduce_range(src, off, sz, stream, dep.as_slice(), "nccl-ar red");
+                    dep = Some(red);
                 }
-                last[s] = Some(b.copy_range(src, dst, off, sz, class, stream, deps, "nccl-ar rs"));
+                let rs = b.copy_range(
+                    src,
+                    dst,
+                    off,
+                    sz,
+                    class,
+                    stream,
+                    dep.as_slice(),
+                    "nccl-ar rs",
+                );
+                last[s] = Some(rs);
             }
         }
         // final reduction at each segment owner
@@ -349,7 +358,7 @@ fn ring_allreduce(
                 piece_off[s],
                 sz,
                 owner_stream,
-                last[s].map(|a| vec![a]).unwrap_or_default(),
+                last[s].as_slice(),
                 "nccl-ar own",
             ));
         }
@@ -370,7 +379,7 @@ fn ring_allreduce(
                     sz,
                     class,
                     stream,
-                    last[s].map(|a| vec![a]).unwrap_or_default(),
+                    last[s].as_slice(),
                     "nccl-ar ag",
                 ));
             }
@@ -422,7 +431,7 @@ fn tree_broadcast(
     for sz in chunk_sizes(share, opts.chunk_bytes) {
         let mut arrival: BTreeMap<GpuId, OpId> = BTreeMap::new();
         for &(p, child) in &oriented {
-            let deps = arrival.get(&p).map(|&a| vec![a]).unwrap_or_default();
+            let dep = arrival.get(&p).copied();
             let id = b.copy_range(
                 p,
                 child,
@@ -430,7 +439,7 @@ fn tree_broadcast(
                 sz,
                 LinkClass::NvLink,
                 streams[&(p, child)],
-                deps,
+                dep.as_slice(),
                 "nccl-tree bc",
             );
             arrival.insert(child, id);
@@ -480,7 +489,7 @@ fn tree_allreduce(
                     // downlink so the broadcast can chain off it
                     down_streams[&(v, children[0])]
                 };
-                let red = b.reduce_range(v, off, sz, stream, deps.clone(), "nccl-dbt red");
+                let red = b.reduce_range(v, off, sz, stream, &deps, "nccl-dbt red");
                 reduced_at.insert(v, red);
                 deps = vec![red];
             }
@@ -492,7 +501,7 @@ fn tree_allreduce(
                     sz,
                     LinkClass::NvLink,
                     up_streams[&(v, parent)],
-                    deps,
+                    &deps,
                     "nccl-dbt up",
                 );
                 uploaded.insert(v, id);
@@ -502,10 +511,10 @@ fn tree_allreduce(
         let root_dep = reduced_at.get(&tree.root).copied();
         let mut arrival: BTreeMap<GpuId, OpId> = BTreeMap::new();
         for (p, child) in tree.edges_bfs() {
-            let deps = if p == tree.root {
-                root_dep.map(|d| vec![d]).unwrap_or_default()
+            let dep = if p == tree.root {
+                root_dep
             } else {
-                arrival.get(&p).map(|&a| vec![a]).unwrap_or_default()
+                arrival.get(&p).copied()
             };
             let id = b.copy_range(
                 p,
@@ -514,7 +523,7 @@ fn tree_allreduce(
                 sz,
                 LinkClass::NvLink,
                 down_streams[&(p, child)],
-                deps,
+                dep.as_slice(),
                 "nccl-dbt down",
             );
             arrival.insert(child, id);
@@ -765,18 +774,15 @@ mod tests {
         .unwrap();
         let target = program
             .ops()
-            .iter()
             .rposition(|o| o.tag == "nccl-ar ag")
             .expect("the RS+AG schedule all-gathers");
         let mut b = ProgramBuilder::new();
-        for (i, op) in program.ops().iter().enumerate() {
-            let mut kind = op.kind.clone();
-            if i == target {
-                if let OpKind::Copy { segs, .. } = &mut kind {
-                    segs[0].offset += 1;
-                }
+        for (i, op) in program.ops().enumerate() {
+            let mut segs = op.segments.to_vec();
+            if i == target && matches!(op.kind, OpKind::Copy { .. }) {
+                segs[0].offset += 1;
             }
-            b.push(kind, op.stream, op.deps.clone(), op.tag.clone());
+            b.push(op.kind, &segs, op.stream, op.deps, op.tag.clone());
         }
         let mutated = b.build().unwrap();
         let sim = Simulator::with_defaults(topo);

@@ -16,12 +16,15 @@
 //! and a training loop replays the same few programs every step, so the
 //! scheduler itself is a hot path. Execution is therefore split into a
 //! **compile** step, a **splice** and a **zero-allocation scan**. Compiling
-//! a program resolves the resources that can delay each op (its *binding
-//! resources*, below) to dense integer ids and lays the per-op id lists out
-//! in one flat CSR buffer, precomputes each op's duration, link id and
-//! payload bytes, finds each op's FIFO predecessor on its stream, and builds
-//! the dependency children lists as a second CSR with per-op in-degrees.
-//! All of it is local to the program: op ids are the program's own, and
+//! a program walks its flat arrays (each op's record, with its dependencies
+//! and payload segments as contiguous runs of the program's two shared
+//! arrays; see [`crate::program`]), resolves the resources that can delay
+//! each op (its *binding resources*, below) to dense integer ids and lays
+//! the per-op id lists out in one flat CSR buffer, precomputes each op's
+//! duration, link id and payload bytes, finds each op's FIFO predecessor on
+//! its stream, and builds the dependency children lists as a second CSR
+//! with per-op in-degrees, read straight off the program's dependency
+//! array. All of it is local to the program: op ids are the program's own, and
 //! streams are the program's own. A run splices the compiled programs of its
 //! entries into one set of tables, renumbering each program's ops after the
 //! ops of the programs admitted before it, and then the K-candidate scan
@@ -196,7 +199,7 @@
 //! scratches and fitting simulators, concurrently.
 
 use crate::params::SimParams;
-use crate::program::{LinkClass, Op, OpKind, Program};
+use crate::program::{LinkClass, OpKind, OpRef, Program};
 use blink_topology::{GpuId, LinkKind, ServerId, Topology};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -823,13 +826,11 @@ impl Simulator {
     /// transfer, a zero reduction bandwidth) is
     /// [`SimError::InvalidProgram`]. The binding-resource rule of the
     /// module docs depends on it.
-    fn op_duration(&self, op: &Op, bw: f64) -> Result<f64, SimError> {
+    fn op_duration(&self, op: OpRef<'_>, bw: f64) -> Result<f64, SimError> {
         let p = &self.params;
-        let kind = &op.kind;
-        let duration = match *kind {
-            OpKind::Copy {
-                src, dst, class, ..
-            } => {
+        let segments = op.segments.len();
+        let duration = match op.kind {
+            OpKind::Copy { src, dst, class } => {
                 if bw <= 0.0 {
                     return Err(SimError::MissingLink { src, dst, class });
                 }
@@ -839,11 +840,11 @@ impl Simulator {
                 };
                 p.op_launch_overhead_us
                     + latency
-                    + SimParams::transfer_us(kind.payload_bytes(), bw)
-                    + p.segment_overhead_us(kind.segments().len())
+                    + SimParams::transfer_us(op.payload_bytes(), bw)
+                    + p.segment_overhead_us(segments)
             }
             OpKind::Reduce { .. } => {
-                p.reduce_us(kind.payload_bytes()) + p.segment_overhead_us(kind.segments().len())
+                p.reduce_us(op.payload_bytes()) + p.segment_overhead_us(segments)
             }
             OpKind::Compute { duration_us, .. } => p.op_launch_overhead_us + duration_us,
             OpKind::TogglePeerAccess { gpus } => f64::from(gpus) * p.dpa_per_gpu_us,
@@ -919,7 +920,7 @@ impl Simulator {
         }
         let (mut gpu_read, mut gpus) = (vec![false; table.gpus.len()], 0);
         for op in program.ops() {
-            if let OpKind::Reduce { gpu, .. } | OpKind::Compute { gpu, .. } = op.kind {
+            if let OpKind::Reduce { gpu } | OpKind::Compute { gpu, .. } = op.kind {
                 if let Ok(i) = table.gpu(gpu) {
                     gpus += usize::from(!gpu_read[i as usize]);
                     gpu_read[i as usize] = true;
@@ -983,7 +984,6 @@ impl Simulator {
         let t = &self.resources;
         let width = program
             .ops()
-            .iter()
             .map(|op| op.stream.0.saturating_add(1))
             .max()
             .unwrap_or(0);
@@ -996,11 +996,9 @@ impl Simulator {
         temps.last_in_stream.resize(width, NONE);
         temps.extra_dep.clear();
         temps.extra_dep.reserve(m);
-        for (i, op) in program.ops().iter().enumerate() {
+        for (i, op) in program.ops().enumerate() {
             let (duration, link) = match op.kind {
-                OpKind::Copy {
-                    src, dst, class, ..
-                } => {
+                OpKind::Copy { src, dst, class } => {
                     let id = t.link(src, dst, class)?;
                     let link = &t.links[id as usize];
                     let duration = self.op_duration(op, link.capacity_gbps)?;
@@ -1010,7 +1008,7 @@ impl Simulator {
                     out.op_res.extend_from_slice(link.resources());
                     (duration, id)
                 }
-                OpKind::Reduce { gpu, .. } => {
+                OpKind::Reduce { gpu } => {
                     let duration = self.op_duration(op, 0.0)?;
                     t.gpu(gpu)?;
                     (duration, NONE)
@@ -1025,11 +1023,8 @@ impl Simulator {
             out.op_res_start.push(out.op_res.len() as u32);
             out.durations.push(duration);
             out.op_link.push(link);
-            out.op_bytes.push(if link == NONE {
-                0
-            } else {
-                op.kind.payload_bytes()
-            });
+            out.op_bytes
+                .push(if link == NONE { 0 } else { op.payload_bytes() });
             let last = &mut temps.last_in_stream[op.stream.0];
             temps.extra_dep.push(*last);
             *last = i as u32;
@@ -1040,8 +1035,8 @@ impl Simulator {
         // end, then fill from each op's start
         let first = out.child_start.len();
         out.child_start.resize(first + m, 0);
-        for (i, op) in program.ops().iter().enumerate() {
-            for &d in &op.deps {
+        for (i, op) in program.ops().enumerate() {
+            for &d in op.deps {
                 out.child_start[first + d.0] += 1;
             }
             let prev = temps.extra_dep[i];
@@ -1060,9 +1055,9 @@ impl Simulator {
         temps
             .child_cursor
             .extend_from_slice(&out.child_start[base..base + m]);
-        for (i, op) in program.ops().iter().enumerate() {
+        for (i, op) in program.ops().enumerate() {
             let gi = (base + i) as u32;
-            for &d in &op.deps {
+            for &d in op.deps {
                 let c = &mut temps.child_cursor[d.0];
                 out.children[*c as usize] = gi;
                 *c += 1;
@@ -1407,7 +1402,7 @@ impl Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{OpId, ProgramBuilder, Segment, StreamId};
+    use crate::program::{OpId, OpRef, ProgramBuilder, Segment, StreamId};
     use blink_topology::presets::{dgx1v, dgx2, multi_server, placement_topology, ServerKind};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -1444,11 +1439,9 @@ mod tests {
                 .sum()
         }
 
-        fn reference_duration(&self, op: &Op) -> Result<f64, SimError> {
+        fn reference_duration(&self, op: OpRef<'_>) -> Result<f64, SimError> {
             let bw = match op.kind {
-                OpKind::Copy {
-                    src, dst, class, ..
-                } => self.link_capacity(src, dst, class),
+                OpKind::Copy { src, dst, class } => self.link_capacity(src, dst, class),
                 _ => 0.0,
             };
             self.op_duration(op, bw)
@@ -1544,7 +1537,7 @@ mod tests {
             entries: &[(&Program, f64)],
         ) -> Result<SessionReport, SimError> {
             // the global op list: (program index, op)
-            let mut ops: Vec<(usize, &Op)> = Vec::new();
+            let mut ops: Vec<(usize, OpRef<'_>)> = Vec::new();
             let mut base = Vec::with_capacity(entries.len());
             for (p, (program, issue)) in entries.iter().enumerate() {
                 program
@@ -1554,7 +1547,7 @@ mod tests {
                     return Err(SimError::InvalidProgram(format!("issue {issue}")));
                 }
                 base.push(ops.len());
-                ops.extend(program.ops().iter().map(|op| (p, op)));
+                ops.extend(program.ops().map(|op| (p, op)));
             }
             let n = ops.len();
 
@@ -1586,7 +1579,7 @@ mod tests {
             let mut indeg = vec![0usize; n];
             let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
             for (i, &(p, op)) in ops.iter().enumerate() {
-                for &d in &op.deps {
+                for &d in op.deps {
                     indeg[i] += 1;
                     children[base[p] + d.0].push(i);
                 }
@@ -1656,12 +1649,9 @@ mod tests {
                 }
                 op_spans[id] = (start, end);
                 total = total.max(end);
-                if let OpKind::Copy {
-                    src, dst, class, ..
-                } = op.kind
-                {
+                if let OpKind::Copy { src, dst, class } = op.kind {
                     *link_busy.entry((src, dst, class)).or_insert(0.0) += duration;
-                    *link_bytes.entry((src, dst, class)).or_insert(0) += op.kind.payload_bytes();
+                    *link_bytes.entry((src, dst, class)).or_insert(0) += op.payload_bytes();
                 }
                 done += 1;
                 for &c in &children[id] {
@@ -1715,15 +1705,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
         // GPU0 -> GPU3 is a doubled lane: 46 GB/s
-        b.copy(
-            GpuId(0),
-            GpuId(3),
-            mb(100),
-            LinkClass::NvLink,
-            s,
-            vec![],
-            "",
-        );
+        b.copy(GpuId(0), GpuId(3), mb(100), LinkClass::NvLink, s, &[], "");
         let report = sim.run(&b.build().unwrap()).unwrap();
         let expect = 100.0 * 1024.0 * 1024.0 / 46_000.0;
         assert!(
@@ -1742,7 +1724,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
         // no NVLink between GPU 1 and GPU 4
-        b.copy(GpuId(1), GpuId(4), 1024, LinkClass::NvLink, s, vec![], "");
+        b.copy(GpuId(1), GpuId(4), 1024, LinkClass::NvLink, s, &[], "");
         let err = sim.run(&b.build().unwrap()).unwrap_err();
         assert!(matches!(err, SimError::MissingLink { .. }));
     }
@@ -1755,31 +1737,15 @@ mod tests {
         // GPU0->GPU1 and GPU5->GPU7 are both single NVLink lanes (23 GB/s)
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.copy(GpuId(0), GpuId(1), mb(50), LinkClass::NvLink, s, vec![], "");
-        b.copy(GpuId(5), GpuId(7), mb(50), LinkClass::NvLink, s, vec![], "");
+        b.copy(GpuId(0), GpuId(1), mb(50), LinkClass::NvLink, s, &[], "");
+        b.copy(GpuId(5), GpuId(7), mb(50), LinkClass::NvLink, s, &[], "");
         let serial = sim.run(&b.build().unwrap()).unwrap().total_us;
 
         let mut b = ProgramBuilder::new();
         let s0 = b.new_stream();
         let s1 = b.new_stream();
-        b.copy(
-            GpuId(0),
-            GpuId(1),
-            mb(50),
-            LinkClass::NvLink,
-            s0,
-            vec![],
-            "",
-        );
-        b.copy(
-            GpuId(5),
-            GpuId(7),
-            mb(50),
-            LinkClass::NvLink,
-            s1,
-            vec![],
-            "",
-        );
+        b.copy(GpuId(0), GpuId(1), mb(50), LinkClass::NvLink, s0, &[], "");
+        b.copy(GpuId(5), GpuId(7), mb(50), LinkClass::NvLink, s1, &[], "");
         let parallel = sim.run(&b.build().unwrap()).unwrap().total_us;
         assert!(
             parallel < 0.6 * serial,
@@ -1794,24 +1760,8 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let s0 = b.new_stream();
         let s1 = b.new_stream();
-        b.copy(
-            GpuId(0),
-            GpuId(1),
-            mb(50),
-            LinkClass::NvLink,
-            s0,
-            vec![],
-            "",
-        );
-        b.copy(
-            GpuId(0),
-            GpuId(1),
-            mb(50),
-            LinkClass::NvLink,
-            s1,
-            vec![],
-            "",
-        );
+        b.copy(GpuId(0), GpuId(1), mb(50), LinkClass::NvLink, s0, &[], "");
+        b.copy(GpuId(0), GpuId(1), mb(50), LinkClass::NvLink, s1, &[], "");
         let report = sim.run(&b.build().unwrap()).unwrap();
         let one = 50.0 * 1024.0 * 1024.0 / 23_000.0;
         assert!(report.total_us > 1.9 * one, "total {}", report.total_us);
@@ -1825,22 +1775,14 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let s0 = b.new_stream();
         let s1 = b.new_stream();
-        let first = b.copy(
-            GpuId(0),
-            GpuId(1),
-            mb(10),
-            LinkClass::NvLink,
-            s0,
-            vec![],
-            "",
-        );
+        let first = b.copy(GpuId(0), GpuId(1), mb(10), LinkClass::NvLink, s0, &[], "");
         b.copy(
             GpuId(1),
             GpuId(3),
             mb(10),
             LinkClass::NvLink,
             s1,
-            vec![first],
+            &[first],
             "",
         );
         let report = sim.run(&b.build().unwrap()).unwrap();
@@ -1866,7 +1808,7 @@ mod tests {
                 per_peer,
                 LinkClass::NvLink,
                 s,
-                vec![],
+                &[],
                 "",
             );
         }
@@ -1890,7 +1832,7 @@ mod tests {
                 mb(10),
                 LinkClass::Network,
                 s,
-                vec![],
+                &[],
                 "",
             );
         }
@@ -1906,7 +1848,7 @@ mod tests {
         let sim = Simulator::with_defaults(topo);
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.toggle_peer_access(8, s, vec![], "dpa");
+        b.toggle_peer_access(8, s, &[], "dpa");
         let report = sim.run(&b.build().unwrap()).unwrap();
         let expect = 8.0 * sim.params().dpa_per_gpu_us;
         assert!((report.total_us - expect).abs() < 1e-6);
@@ -1930,14 +1872,13 @@ mod tests {
             for c in 0..chunks {
                 let mut arrival = None;
                 for hop in 0..chain.len() - 1 {
-                    let deps = arrival.map(|a| vec![a]).unwrap_or_default();
                     let id = b.copy(
                         chain[hop],
                         chain[hop + 1],
                         per,
                         LinkClass::NvLink,
                         streams[hop],
-                        deps,
+                        arrival.as_slice(),
                         format!("c{c}h{hop}"),
                     );
                     arrival = Some(id);
@@ -1977,21 +1918,21 @@ mod tests {
         b.copy_segs(
             GpuId(0),
             GpuId(3),
-            vec![
+            &[
                 Segment::new(0, mb(10)),
                 Segment::new(mb(30), mb(10)),
                 Segment::new(mb(90), mb(10)),
             ],
             LinkClass::NvLink,
             s,
-            vec![],
+            &[],
             "seg",
         );
         let segged = sim.run(&b.build().unwrap()).unwrap().total_us;
         // ...vs one contiguous copy of the same total volume
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.copy(GpuId(0), GpuId(3), mb(30), LinkClass::NvLink, s, vec![], "");
+        b.copy(GpuId(0), GpuId(3), mb(30), LinkClass::NvLink, s, &[], "");
         let contiguous = sim.run(&b.build().unwrap()).unwrap().total_us;
         assert_eq!(
             segged.to_bits(),
@@ -2010,23 +1951,15 @@ mod tests {
         let s0 = b.new_stream();
         let s1 = b.new_stream();
         let s2 = b.new_stream();
-        let a = b.copy(
-            GpuId(0),
-            GpuId(1),
-            mb(13),
-            LinkClass::NvLink,
-            s0,
-            vec![],
-            "a",
-        );
-        let r = b.reduce(GpuId(1), mb(13), s0, vec![a], "r");
+        let a = b.copy(GpuId(0), GpuId(1), mb(13), LinkClass::NvLink, s0, &[], "a");
+        let r = b.reduce(GpuId(1), mb(13), s0, &[a], "r");
         b.copy_segs(
             GpuId(1),
             GpuId(2),
-            vec![Segment::new(0, mb(5)), Segment::new(mb(8), mb(5))],
+            &[Segment::new(0, mb(5)), Segment::new(mb(8), mb(5))],
             LinkClass::NvLink,
             s1,
-            vec![r],
+            &[r],
             "segs",
         );
         b.copy(
@@ -2035,20 +1968,12 @@ mod tests {
             mb(7),
             LinkClass::Network,
             s2,
-            vec![],
+            &[],
             "net",
         );
-        b.copy(
-            GpuId(3),
-            GpuId(0),
-            mb(3),
-            LinkClass::Pcie,
-            s2,
-            vec![],
-            "pcie",
-        );
-        b.compute(GpuId(2), 42.0, s1, vec![], "k");
-        b.toggle_peer_access(4, s0, vec![], "dpa");
+        b.copy(GpuId(3), GpuId(0), mb(3), LinkClass::Pcie, s2, &[], "pcie");
+        b.compute(GpuId(2), 42.0, s1, &[], "k");
+        b.toggle_peer_access(4, s0, &[], "dpa");
         // a fan of independent copies inside the fully-connected quad
         // {0,1,2,3}, so the candidate scan has real packing work to do
         for i in 0..32usize {
@@ -2059,7 +1984,7 @@ mod tests {
                 mb(1) + i as u64,
                 LinkClass::NvLink,
                 s,
-                vec![],
+                &[],
                 format!("fan{i}"),
             );
         }
@@ -2129,7 +2054,7 @@ mod tests {
                 bytes,
                 class,
                 s,
-                vec![],
+                &[],
                 format!("w{i}"),
             ));
         }
@@ -2151,30 +2076,30 @@ mod tests {
                     bytes,
                     LinkClass::NvLink,
                     s,
-                    deps,
+                    &deps,
                     "",
                 ),
-                1 => b.copy(GpuId(src), GpuId(dst), bytes, LinkClass::Pcie, s, deps, ""),
+                1 => b.copy(GpuId(src), GpuId(dst), bytes, LinkClass::Pcie, s, &deps, ""),
                 2 => b.copy(
                     GpuId(src),
                     GpuId((dst + 16) % 32),
                     bytes,
                     LinkClass::Network,
                     s,
-                    deps,
+                    &deps,
                     "",
                 ),
                 3 => b.copy_segs(
                     GpuId(src),
                     GpuId(dst),
-                    vec![Segment::new(0, bytes), Segment::new(2 * bytes, bytes)],
+                    &[Segment::new(0, bytes), Segment::new(2 * bytes, bytes)],
                     LinkClass::NvLink,
                     s,
-                    deps,
+                    &deps,
                     "",
                 ),
-                4 => b.reduce(GpuId(src), bytes, s, deps, ""),
-                _ => b.compute(GpuId(src), 5.0 + next(50) as f64, s, deps, format!("k{i}")),
+                4 => b.reduce(GpuId(src), bytes, s, &deps, ""),
+                _ => b.compute(GpuId(src), 5.0 + next(50) as f64, s, &deps, format!("k{i}")),
             };
             ops.push(op);
         }
@@ -2186,7 +2111,6 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         program
             .ops()
-            .iter()
             .filter(|op| seen.insert(op.stream) && op.deps.is_empty())
             .count()
     }
@@ -2285,7 +2209,7 @@ mod tests {
             let mut b = ProgramBuilder::new();
             for _ in 0..n {
                 let s = b.new_stream();
-                b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, vec![], "");
+                b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, &[], "");
             }
             b.build().unwrap()
         };
@@ -2313,21 +2237,21 @@ mod tests {
         b.copy_segs(
             GpuId(0),
             GpuId(3),
-            vec![
+            &[
                 Segment::new(0, mb(10)),
                 Segment::new(mb(30), mb(10)),
                 Segment::new(mb(90), mb(10)),
             ],
             LinkClass::NvLink,
             s,
-            vec![],
+            &[],
             "seg",
         );
         let prog = b.build().unwrap();
         let segged = sim.run(&prog).unwrap().total_us;
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.copy(GpuId(0), GpuId(3), mb(30), LinkClass::NvLink, s, vec![], "");
+        b.copy(GpuId(0), GpuId(3), mb(30), LinkClass::NvLink, s, &[], "");
         let contiguous = sim.run(&b.build().unwrap()).unwrap().total_us;
         // three ranges = two extra descriptors beyond the first
         assert!(
@@ -2366,7 +2290,7 @@ mod tests {
         let one_copy = || {
             let mut b = ProgramBuilder::new();
             let s = b.new_stream();
-            b.copy(GpuId(0), GpuId(1), mb(50), LinkClass::NvLink, s, vec![], "");
+            b.copy(GpuId(0), GpuId(1), mb(50), LinkClass::NvLink, s, &[], "");
             b.build().unwrap()
         };
         let alone = sim.run(&one_copy()).unwrap().total_us;
@@ -2404,7 +2328,7 @@ mod tests {
                 mb(50),
                 LinkClass::NvLink,
                 s,
-                vec![],
+                &[],
                 "",
             );
             b.build().unwrap()
@@ -2426,7 +2350,7 @@ mod tests {
         let sim = Simulator::with_defaults(dgx1v());
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.copy(GpuId(0), GpuId(1), mb(10), LinkClass::NvLink, s, vec![], "");
+        b.copy(GpuId(0), GpuId(1), mb(10), LinkClass::NvLink, s, &[], "");
         let prog = b.build().unwrap();
         let alone = sim.run(&prog).unwrap().total_us;
         let mut session = sim.session();
@@ -2481,7 +2405,7 @@ mod tests {
         let (multi_topo, multi_prog) = mixed_program();
         let mut small = ProgramBuilder::new();
         let s = small.new_stream();
-        small.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, vec![], "");
+        small.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, &[], "");
         let small_prog = small.build().unwrap();
         let empty_prog = ProgramBuilder::new().build().unwrap();
 
@@ -2526,13 +2450,13 @@ mod tests {
             };
             let bytes = mb(1) + next(4096) as u64;
             let op = match next(8) {
-                0 => b.reduce(gpus[next(gpus.len())], bytes, s, deps, ""),
-                1 => b.compute(gpus[next(gpus.len())], next(50) as f64, s, deps, ""),
-                2 => b.toggle_peer_access(2, s, deps, ""),
+                0 => b.reduce(gpus[next(gpus.len())], bytes, s, &deps, ""),
+                1 => b.compute(gpus[next(gpus.len())], next(50) as f64, s, &deps, ""),
+                2 => b.toggle_peer_access(2, s, &deps, ""),
                 _ => {
                     let l = links[next(links.len())];
                     let class = link_class(l.kind);
-                    b.copy(l.src, l.dst, bytes, class, s, deps, format!("c{i}"))
+                    b.copy(l.src, l.dst, bytes, class, s, &deps, format!("c{i}"))
                 }
             };
             ops.push(op);
@@ -2699,17 +2623,9 @@ mod tests {
         let chain = |a: usize, b: usize| {
             let mut p = ProgramBuilder::new();
             let s = p.new_stream();
-            let k = p.compute(GpuId(a), 30.0, s, vec![], "k");
-            let c = p.copy(
-                GpuId(a),
-                GpuId(b),
-                mb(2),
-                LinkClass::NvLink,
-                s,
-                vec![k],
-                "c",
-            );
-            p.reduce(GpuId(b), mb(2), s, vec![c], "r");
+            let k = p.compute(GpuId(a), 30.0, s, &[], "k");
+            let c = p.copy(GpuId(a), GpuId(b), mb(2), LinkClass::NvLink, s, &[k], "c");
+            p.reduce(GpuId(b), mb(2), s, &[c], "r");
             p.build().unwrap()
         };
         let programs = [chain(0, 1), chain(2, 3)];
@@ -2748,13 +2664,11 @@ mod tests {
         let zero_every_other = |program: Program| {
             let mut b = ProgramBuilder::new();
             for op in program.ops() {
-                let mut kind = op.kind.clone();
-                if let OpKind::Copy { segs, .. } | OpKind::Reduce { segs, .. } = &mut kind {
-                    if op.id.0 % 2 == 0 {
-                        segs[0].bytes = 0;
-                    }
+                let mut segs = op.segments.to_vec();
+                if let Some(seg) = segs.first_mut().filter(|_| op.id.0 % 2 == 0) {
+                    seg.bytes = 0;
                 }
-                b.push(kind, op.stream, op.deps.clone(), op.tag.clone());
+                b.push(op.kind, &segs, op.stream, op.deps, op.tag.clone());
             }
             b.build().unwrap()
         };
@@ -2787,34 +2701,34 @@ mod tests {
             // a copy to a GPU outside the topology has no link first
             (
                 |b, s| {
-                    b.copy(GpuId(0), GpuId(9), 64, LinkClass::NvLink, s, vec![], "");
+                    b.copy(GpuId(0), GpuId(9), 64, LinkClass::NvLink, s, &[], "");
                 },
                 missing(GpuId(0), GpuId(9), LinkClass::NvLink),
             ),
             (
                 |b, s| {
-                    b.reduce(GpuId(42), 64, s, vec![], "");
+                    b.reduce(GpuId(42), 64, s, &[], "");
                 },
                 SimError::UnknownGpu(GpuId(42)),
             ),
             (
                 |b, s| {
-                    b.compute(GpuId(42), 1.0, s, vec![], "");
+                    b.compute(GpuId(42), 1.0, s, &[], "");
                 },
                 SimError::UnknownGpu(GpuId(42)),
             ),
             // GPUs 1 and 4 share PCIe but no NVLink
             (
                 |b, s| {
-                    b.copy(GpuId(1), GpuId(4), 64, LinkClass::NvLink, s, vec![], "");
+                    b.copy(GpuId(1), GpuId(4), 64, LinkClass::NvLink, s, &[], "");
                 },
                 missing(GpuId(1), GpuId(4), LinkClass::NvLink),
             ),
             // the first bad op wins: the missing link precedes the kernel
             (
                 |b, s| {
-                    b.copy(GpuId(1), GpuId(4), 64, LinkClass::NvLink, s, vec![], "");
-                    b.compute(GpuId(42), 1.0, s, vec![], "");
+                    b.copy(GpuId(1), GpuId(4), 64, LinkClass::NvLink, s, &[], "");
+                    b.compute(GpuId(42), 1.0, s, &[], "");
                 },
                 missing(GpuId(1), GpuId(4), LinkClass::NvLink),
             ),
@@ -2822,7 +2736,7 @@ mod tests {
         for (emit, expected) in cases {
             let mut b = ProgramBuilder::new();
             let s = b.new_stream();
-            b.copy(GpuId(1), GpuId(4), 64, LinkClass::Pcie, s, vec![], "ok");
+            b.copy(GpuId(1), GpuId(4), 64, LinkClass::Pcie, s, &[], "ok");
             emit(&mut b, s);
             let program = b.build().unwrap();
             assert_eq!(sim.run(&program).unwrap_err(), expected);
@@ -2909,11 +2823,11 @@ mod tests {
             .map(|program| {
                 let mut b = ProgramBuilder::new();
                 for op in program.ops() {
-                    let mut kind = op.kind.clone();
-                    if let OpKind::Copy { segs, .. } | OpKind::Reduce { segs, .. } = &mut kind {
-                        segs[0].bytes = 0;
+                    let mut segs = op.segments.to_vec();
+                    if let Some(seg) = segs.first_mut() {
+                        seg.bytes = 0;
                     }
-                    b.push(kind, op.stream, op.deps.clone(), op.tag.clone());
+                    b.push(op.kind, &segs, op.stream, op.deps, op.tag.clone());
                 }
                 b.build().unwrap()
             })
@@ -2962,7 +2876,6 @@ mod tests {
         let program = random_program_on(&renumbered, 0x8a5c_d789_635d_2dff, 160, 24);
         let copy = program
             .ops()
-            .iter()
             .find_map(|op| match op.kind {
                 OpKind::Copy { src, dst, .. } => Some((src, dst)),
                 _ => None,
@@ -3001,7 +2914,7 @@ mod tests {
         // a form whose GPUs are missing fails there as its program would
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.compute(GpuId(0), 1.0, s, vec![], "");
+        b.compute(GpuId(0), 1.0, s, &[], "");
         let on_gpu0 = b.build().unwrap();
         let stored = Simulator::with_defaults(topo).compile(on_gpu0).unwrap();
         let sim = Simulator::with_defaults(renumbered);
@@ -3021,19 +2934,13 @@ mod tests {
         let sim = Simulator::with_defaults(dgx1v());
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, vec![], "");
+        b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, &[], "");
         let good = b.build().unwrap();
-        let op = |id: usize, deps: Vec<OpId>| Op {
-            id: OpId(id),
-            kind: OpKind::Compute {
-                gpu: GpuId(0),
-                duration_us: 1.0,
-            },
-            stream: StreamId(0),
-            deps,
-            tag: "".into(),
-        };
-        let forward = Program::from_ops_unchecked(vec![op(0, vec![OpId(1)]), op(1, vec![])]);
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        b.compute(GpuId(0), 1.0, s, &[OpId(1)], "");
+        b.compute(GpuId(0), 1.0, s, &[], "");
+        let forward = b.build_unchecked();
         let stored = Arc::new(sim.compile(good.clone()).unwrap());
         let issue_error = SimError::InvalidProgram(
             "issue timestamp -1 must be finite and non-negative".to_string(),
@@ -3060,7 +2967,7 @@ mod tests {
         // a stored entry's resolution cannot fail, so the next entry's does
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.compute(GpuId(42), 1.0, s, vec![], "");
+        b.compute(GpuId(42), 1.0, s, &[], "");
         let unknown = b.build().unwrap();
         let mut session = sim.session();
         session.admit_compiled(stored, 0.0);

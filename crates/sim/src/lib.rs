@@ -21,7 +21,10 @@
 //!   single-range builders (`copy_range`/`reduce_range` and the offset-0
 //!   legacy helpers) are the one-segment case;
 //!   [`Program::split_segments`](program::Program::split_segments) expands a
-//!   program back to the one-op-per-segment shape for comparison.
+//!   program back to the one-op-per-segment shape for comparison. A program
+//!   is flat — every op's dependencies in one array and every op's segments
+//!   in another, read through borrowed [`OpRef`] views — so building one
+//!   allocates nothing per op.
 //! * [`engine`] — the [`Simulator`] executes a program
 //!   against a [`blink_topology::Topology`] using list scheduling over link,
 //!   port, NIC and compute resources and reports per-op timings, total elapsed
@@ -81,5 +84,5 @@ pub use engine::{
     CompiledProgram, EngineScratch, ProgramSpan, RunReport, Session, SessionReport, Simulator,
 };
 pub use params::SimParams;
-pub use program::{LinkClass, Op, OpId, OpKind, Program, ProgramBuilder, Segment, StreamId};
+pub use program::{LinkClass, OpId, OpKind, OpRef, Program, ProgramBuilder, Segment, StreamId};
 pub use semantics::{check_collective, CollectiveSpec, Contributions, ValueCheck, Violation};

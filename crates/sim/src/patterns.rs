@@ -35,14 +35,13 @@ pub fn chain_forward(chain: &[GpuId], bytes: u64, chunks: u64) -> Result<Program
         for sz in chunk_sizes(bytes, chunks) {
             let mut arrival: Option<OpId> = None;
             for hop in 0..chain.len() - 1 {
-                let deps = arrival.map(|a| vec![a]).unwrap_or_default();
                 let id = b.copy(
                     chain[hop],
                     chain[hop + 1],
                     sz,
                     LinkClass::NvLink,
                     streams[hop],
-                    deps,
+                    arrival.as_slice(),
                     "fwd",
                 );
                 arrival = Some(id);
@@ -67,10 +66,9 @@ pub fn chain_reduce_forward(
             for hop in 0..chain.len() - 1 {
                 // intermediate GPUs reduce the incoming chunk with local data
                 // before forwarding; the reduction shares the outgoing stream.
-                let mut deps = arrival.map(|a| vec![a]).unwrap_or_default();
+                let mut dep = arrival;
                 if hop > 0 {
-                    let red = b.reduce(chain[hop], sz, streams[hop], deps.clone(), "red");
-                    deps = vec![red];
+                    dep = Some(b.reduce(chain[hop], sz, streams[hop], dep.as_slice(), "red"));
                 }
                 let id = b.copy(
                     chain[hop],
@@ -78,7 +76,7 @@ pub fn chain_reduce_forward(
                     sz,
                     LinkClass::NvLink,
                     streams[hop],
-                    deps,
+                    dep.as_slice(),
                     "rf",
                 );
                 arrival = Some(id);
@@ -103,10 +101,10 @@ pub fn chain_reduce_broadcast(
             // reduce toward the tail
             let mut arrival: Option<OpId> = None;
             for hop in 0..chain.len() - 1 {
-                let mut deps = arrival.map(|a| vec![a]).unwrap_or_default();
+                let mut dep = arrival;
                 if hop > 0 {
-                    let red = b.reduce(chain[hop], sz, fwd_streams[hop], deps.clone(), "red");
-                    deps = vec![red];
+                    let stream = fwd_streams[hop];
+                    dep = Some(b.reduce(chain[hop], sz, stream, dep.as_slice(), "red"));
                 }
                 let id = b.copy(
                     chain[hop],
@@ -114,7 +112,7 @@ pub fn chain_reduce_broadcast(
                     sz,
                     LinkClass::NvLink,
                     fwd_streams[hop],
-                    deps,
+                    dep.as_slice(),
                     "up",
                 );
                 arrival = Some(id);
@@ -125,7 +123,7 @@ pub fn chain_reduce_broadcast(
                 chain[tail],
                 sz,
                 back_streams[tail - 1],
-                arrival.map(|a| vec![a]).unwrap_or_default(),
+                arrival.as_slice(),
                 "final red",
             );
             let mut back_arrival = final_red;
@@ -136,7 +134,7 @@ pub fn chain_reduce_broadcast(
                     sz,
                     LinkClass::NvLink,
                     back_streams[hop],
-                    vec![back_arrival],
+                    &[back_arrival],
                     "down",
                 );
             }
@@ -159,14 +157,14 @@ pub fn fan_in_forward(
     for &src in sources {
         let in_stream = b.new_stream();
         for sz in chunk_sizes(bytes_per_source, chunks) {
-            let arr = b.copy(src, center, sz, LinkClass::NvLink, in_stream, vec![], "in");
+            let arr = b.copy(src, center, sz, LinkClass::NvLink, in_stream, &[], "in");
             b.copy(
                 center,
                 sink,
                 sz,
                 LinkClass::NvLink,
                 out_stream,
-                vec![arr],
+                &[arr],
                 "out",
             );
         }
@@ -190,16 +188,16 @@ pub fn fan_in_reduce_forward(
     for sz in chunk_sizes(bytes, chunks) {
         let mut arrivals = Vec::new();
         for (&src, &in_stream) in sources.iter().zip(&in_streams) {
-            arrivals.push(b.copy(src, center, sz, LinkClass::NvLink, in_stream, vec![], "in"));
+            arrivals.push(b.copy(src, center, sz, LinkClass::NvLink, in_stream, &[], "in"));
         }
-        let red = b.reduce(center, sz, out_stream, arrivals, "red");
+        let red = b.reduce(center, sz, out_stream, &arrivals, "red");
         b.copy(
             center,
             sink,
             sz,
             LinkClass::NvLink,
             out_stream,
-            vec![red],
+            &[red],
             "out",
         );
     }
@@ -219,15 +217,7 @@ pub fn fan_out_forward(
     let in_stream = b.new_stream();
     let out_streams: Vec<StreamId> = sinks.iter().map(|_| b.new_stream()).collect();
     for sz in chunk_sizes(bytes, chunks) {
-        let arr = b.copy(
-            source,
-            center,
-            sz,
-            LinkClass::NvLink,
-            in_stream,
-            vec![],
-            "in",
-        );
+        let arr = b.copy(source, center, sz, LinkClass::NvLink, in_stream, &[], "in");
         for (k, &sink) in sinks.iter().enumerate() {
             b.copy(
                 center,
@@ -235,7 +225,7 @@ pub fn fan_out_forward(
                 sz,
                 LinkClass::NvLink,
                 out_streams[k],
-                vec![arr],
+                &[arr],
                 "out",
             );
         }
@@ -265,17 +255,17 @@ pub fn mimo(
                 sz,
                 LinkClass::NvLink,
                 in_stream,
-                vec![],
+                &[],
                 "mimo in",
             );
-            let red = b.reduce(center, sz, out_stream, vec![arr], "mimo red");
+            let red = b.reduce(center, sz, out_stream, &[arr], "mimo red");
             b.copy(
                 center,
                 dst,
                 sz,
                 LinkClass::NvLink,
                 out_stream,
-                vec![red],
+                &[red],
                 "mimo out",
             );
         }
@@ -312,10 +302,11 @@ pub fn mca(
                 } else {
                     center
                 };
-                let mut deps = arrival.map(|a| vec![a]).unwrap_or_default();
+                let mut dep = arrival;
                 if hop > 0 {
-                    let red = builder.reduce(chain[hop], sz, streams[hop], deps.clone(), red_label);
-                    deps = vec![red];
+                    let red =
+                        builder.reduce(chain[hop], sz, streams[hop], dep.as_slice(), red_label);
+                    dep = Some(red);
                 }
                 arrival = Some(builder.copy(
                     chain[hop],
@@ -323,7 +314,7 @@ pub fn mca(
                     sz,
                     LinkClass::NvLink,
                     streams[hop],
-                    deps,
+                    dep.as_slice(),
                     copy_label,
                 ));
             }
@@ -332,14 +323,14 @@ pub fn mca(
         let a_arr = run_chain(&mut b, chain_a, &a_streams, ("mca-a red", "mca-a"));
         let b_arr = run_chain(&mut b, chain_b, &b_streams, ("mca-b red", "mca-b"));
         let deps: Vec<OpId> = [a_arr, b_arr].into_iter().flatten().collect();
-        let red = b.reduce(center, sz, out_stream, deps, "mca merge");
+        let red = b.reduce(center, sz, out_stream, &deps, "mca merge");
         b.copy(
             center,
             sink,
             sz,
             LinkClass::NvLink,
             out_stream,
-            vec![red],
+            &[red],
             "mca out",
         );
     }

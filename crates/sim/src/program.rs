@@ -3,11 +3,28 @@
 //! Blink's CodeGen (Section 4.1) turns a set of spanning trees into CUDA
 //! code: per-link `cudaMemcpy` calls for each chunk, reduction kernels, and
 //! CUDA events for cross-stream synchronisation. A [`Program`] is the
-//! simulator-level equivalent: each [`Op`] corresponds to one such CUDA call
-//! and carries its dependencies explicitly. Streams reproduce CUDA-stream FIFO
+//! simulator-level equivalent: each op corresponds to one such CUDA call and
+//! carries its dependencies explicitly. Streams reproduce CUDA-stream FIFO
 //! semantics — two ops in the same stream never overlap and execute in
 //! insertion order — which is also how the stream-reuse fair-sharing trick of
 //! Section 4.2.2 is expressed.
+//!
+//! # Layout
+//!
+//! A program is flat. Each op is a small record — its [`OpKind`], stream,
+//! tag and two ranges — and the program keeps every op's dependencies in one
+//! `Vec<OpId>` and every op's payload segments in one `Vec<Segment>`, op
+//! after op, the ranges saying where each op's run sits. A
+//! [`ProgramBuilder`] appends a pushed op's dependencies and segments to
+//! those arrays, so building a program allocates nothing per op: three
+//! arrays grow (or are reserved up front with [`ProgramBuilder::reserve`]).
+//! Readers borrow an op as an [`OpRef`] ([`Program::op`], [`Program::ops`])
+//! whose `deps` and `segments` are slices of the arrays, so the engine, the
+//! oracle and every rewrite walk contiguous memory.
+//!
+//! One op costs its 88-byte record on 64-bit targets, plus 8 bytes per
+//! dependency and 16 per segment: about 112 bytes for a typical CodeGen op
+//! with one of each, and no heap block of its own.
 
 use blink_topology::GpuId;
 use serde::{Deserialize, Serialize};
@@ -70,23 +87,24 @@ impl Segment {
     }
 }
 
-/// One simulated operation.
+/// What one simulated operation does.
 ///
 /// Data-moving ops ([`OpKind::Copy`], [`OpKind::Reduce`]) carry a **segmented
 /// payload**: a list of logical byte ranges ([`Segment`]s) into the
-/// collective's address space. One op models one CUDA call, so the engine
-/// charges a single launch overhead and times the *summed* segment bytes,
-/// while the value-level oracle folds each segment into its interval maps
+/// collective's address space, held by the op's [`Program`] and read through
+/// [`OpRef::segments`]. One op models one CUDA call, so the engine charges a
+/// single launch overhead and times the *summed* segment bytes, while the
+/// value-level oracle folds each segment into its interval maps
 /// individually — this is what lets the gathering collectives carry a whole
 /// subtree's (non-contiguous) slot payload over an edge as one op instead of
 /// one op per slot. Most ops carry exactly one segment; the builders
 /// ([`ProgramBuilder::copy_range`], [`ProgramBuilder::reduce_range`] and the
 /// offset-0 legacy helpers) cover that case, with
 /// [`ProgramBuilder::copy_segs`]/[`ProgramBuilder::reduce_segs`] for
-/// multi-segment payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// multi-segment payloads. Other kinds carry no segments.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum OpKind {
-    /// A peer-to-peer copy of the `segs` payload from `src` to `dst` over
+    /// A peer-to-peer copy of the op's payload from `src` to `dst` over
     /// `class`.
     Copy {
         /// Source GPU.
@@ -95,16 +113,12 @@ pub enum OpKind {
         dst: GpuId,
         /// Link class used.
         class: LinkClass,
-        /// The logical byte ranges the copy moves.
-        segs: Vec<Segment>,
     },
     /// A local reduction kernel on `gpu` folding the received data of the
-    /// `segs` ranges into resident data.
+    /// op's payload ranges into resident data.
     Reduce {
         /// GPU running the reduction.
         gpu: GpuId,
-        /// The logical byte ranges the reduction folds.
-        segs: Vec<Segment>,
     },
     /// A compute kernel (used by the training simulator for forward/backward
     /// passes) of a fixed duration.
@@ -124,30 +138,36 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Total payload bytes of a data-moving op (the sum over its segments);
-    /// zero for compute kernels and peer-access toggles. This is the value
-    /// the engine converts to transfer/reduction time.
-    pub fn payload_bytes(&self) -> u64 {
-        match self {
-            OpKind::Copy { segs, .. } | OpKind::Reduce { segs, .. } => {
-                segs.iter().map(|s| s.bytes).sum()
-            }
-            OpKind::Compute { .. } | OpKind::TogglePeerAccess { .. } => 0,
-        }
-    }
-
-    /// The payload segments of a data-moving op (empty for other kinds).
-    pub fn segments(&self) -> &[Segment] {
-        match self {
-            OpKind::Copy { segs, .. } | OpKind::Reduce { segs, .. } => segs,
-            OpKind::Compute { .. } | OpKind::TogglePeerAccess { .. } => &[],
-        }
+    /// Whether ops of this kind move data: a data-moving op carries at least
+    /// one payload segment, any other op none ([`Program::validate`]).
+    pub fn moves_data(&self) -> bool {
+        matches!(self, OpKind::Copy { .. } | OpKind::Reduce { .. })
     }
 }
 
-/// An operation plus its scheduling metadata.
+/// Where one op's dependencies or segments sit in its program's array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+/// One op's record: everything but its dependencies and segments, which
+/// the program keeps in two shared arrays.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Op {
+struct OpRecord {
+    kind: OpKind,
+    stream: StreamId,
+    deps: Span,
+    segs: Span,
+    tag: Cow<'static, str>,
+}
+
+/// One operation of a [`Program`], borrowed from it: its kind and
+/// scheduling metadata, with its dependencies and payload segments as
+/// slices of the program's arrays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpRef<'a> {
     /// The operation's id (its index in the program).
     pub id: OpId,
     /// What the operation does.
@@ -156,14 +176,26 @@ pub struct Op {
     pub stream: StreamId,
     /// Ops that must complete before this one may start (cross-stream
     /// dependencies, i.e. CUDA events).
-    pub deps: Vec<OpId>,
+    pub deps: &'a [OpId],
+    /// The logical byte ranges a data-moving op moves or folds (empty for
+    /// other kinds).
+    pub segments: &'a [Segment],
     /// Human-readable label of the phase that emitted the op (`"blink
     /// bcast"`, `"phase2 in"`, `"nccl-ar rs"`…), for traces and tests. The
     /// library's emitters pass `&'static str` phase labels, so labelling an
     /// op allocates nothing; the op's stream and segments already identify
     /// its tree and chunk. Callers may pass an owned `String` instead.
     /// Nothing in the simulator or the oracle reads it.
-    pub tag: Cow<'static, str>,
+    pub tag: &'a Cow<'static, str>,
+}
+
+impl OpRef<'_> {
+    /// Total payload bytes (the sum over the op's segments; zero for compute
+    /// kernels and peer-access toggles). This is the value the engine
+    /// converts to transfer/reduction time.
+    pub fn payload_bytes(&self) -> u64 {
+        self.segments.iter().map(|s| s.bytes).sum()
+    }
 }
 
 /// Errors detected by [`Program::validate`].
@@ -189,6 +221,17 @@ pub enum ProgramError {
         /// The op with the empty segment list.
         op: OpId,
     },
+    /// An op that moves no data carries payload segments.
+    StrayPayload {
+        /// The compute kernel or peer-access toggle with segments.
+        op: OpId,
+    },
+    /// An op's dependency or segment range does not continue where the
+    /// previous op's ends (only a deserialized program can have one).
+    Layout {
+        /// The op whose range is out of place.
+        op: OpId,
+    },
     /// The dependency graph contains a cycle.
     Cycle,
 }
@@ -205,6 +248,12 @@ impl fmt::Display for ProgramError {
             ProgramError::EmptyPayload { op } => {
                 write!(f, "data-moving op {} carries no payload segments", op.0)
             }
+            ProgramError::StrayPayload { op } => {
+                write!(f, "op {} moves no data but carries payload segments", op.0)
+            }
+            ProgramError::Layout { op } => {
+                write!(f, "op {}'s dependencies or segments are out of place", op.0)
+            }
             ProgramError::Cycle => write!(f, "dependency cycle"),
         }
     }
@@ -212,23 +261,47 @@ impl fmt::Display for ProgramError {
 
 impl std::error::Error for ProgramError {}
 
-/// A complete schedule: ops in issue order.
+/// A complete schedule: ops in issue order, laid out flat (see the module
+/// docs).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Program {
-    ops: Vec<Op>,
+    ops: Vec<OpRecord>,
+    /// Every op's dependencies, op after op.
+    deps: Vec<OpId>,
+    /// Every op's payload segments, op after op.
+    segs: Vec<Segment>,
 }
 
 impl Program {
-    /// A program over `ops` exactly as given, unvalidated, for tests that
-    /// feed the engine malformed programs.
-    #[cfg(test)]
-    pub(crate) fn from_ops_unchecked(ops: Vec<Op>) -> Self {
-        Program { ops }
+    /// Record `op`, the program's `i`-th, as an [`OpRef`].
+    fn view<'a>(&'a self, i: usize, op: &'a OpRecord) -> OpRef<'a> {
+        // a range is in bounds in every program that validates; reading
+        // one that is not as empty keeps a malformed deserialized program
+        // readable until validation rejects it
+        OpRef {
+            id: OpId(i),
+            kind: op.kind,
+            stream: op.stream,
+            deps: self.deps.get(op.deps.start..op.deps.end).unwrap_or(&[]),
+            segments: self.segs.get(op.segs.start..op.segs.end).unwrap_or(&[]),
+            tag: &op.tag,
+        }
+    }
+
+    /// The op `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` is not an op of the program (`id.0 >= self.len()`).
+    pub fn op(&self, id: OpId) -> OpRef<'_> {
+        self.view(id.0, &self.ops[id.0])
     }
 
     /// The ops, in issue order.
-    pub fn ops(&self) -> &[Op] {
-        &self.ops
+    pub fn ops(&self) -> impl ExactSizeIterator<Item = OpRef<'_>> + DoubleEndedIterator + Clone {
+        self.ops
+            .iter()
+            .enumerate()
+            .map(move |(i, op)| self.view(i, op))
     }
 
     /// Number of ops.
@@ -241,15 +314,22 @@ impl Program {
         self.ops.is_empty()
     }
 
+    /// Number of dependencies, summed over the ops.
+    pub fn num_deps(&self) -> usize {
+        self.deps.len()
+    }
+
+    /// Number of payload segments, summed over the ops.
+    pub fn num_segments(&self) -> usize {
+        self.segs.len()
+    }
+
     /// Total bytes moved by copy ops (all link classes, summed over payload
     /// segments).
     pub fn total_copy_bytes(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|o| match o.kind {
-                OpKind::Copy { .. } => o.kind.payload_bytes(),
-                _ => 0,
-            })
+        self.ops()
+            .filter(|o| matches!(o.kind, OpKind::Copy { .. }))
+            .map(|o| o.payload_bytes())
             .sum()
     }
 
@@ -262,26 +342,41 @@ impl Program {
         set.len()
     }
 
-    /// Checks structural validity: dependencies exist and point backwards
-    /// (which, together with stream ordering, guarantees a DAG), and every
-    /// data-moving op carries at least one payload segment — an empty
-    /// segment list is always an emitter bug (a copy that moves nothing
-    /// would still be charged a launch overhead and skew timings).
+    /// Checks structural validity: every op's dependencies and segments
+    /// continue the arrays where the previous op's end, dependencies exist
+    /// and point backwards (which, together with stream ordering,
+    /// guarantees a DAG), and every data-moving op carries at least one
+    /// payload segment while no other op carries any — an empty segment
+    /// list is always an emitter bug (a copy that moves nothing would still
+    /// be charged a launch overhead and skew timings).
     pub fn validate(&self) -> Result<(), ProgramError> {
-        for op in &self.ops {
-            for &dep in &op.deps {
+        let (mut deps_end, mut segs_end) = (0, 0);
+        for (i, record) in self.ops.iter().enumerate() {
+            let id = OpId(i);
+            let (d, s) = (record.deps, record.segs);
+            if d.start != deps_end || d.end < d.start || s.start != segs_end || s.end < s.start {
+                return Err(ProgramError::Layout { op: id });
+            }
+            (deps_end, segs_end) = (d.end, s.end);
+            let op = self.view(i, record);
+            for &dep in op.deps {
                 if dep.0 >= self.ops.len() {
-                    return Err(ProgramError::UnknownDependency { op: op.id, dep });
+                    return Err(ProgramError::UnknownDependency { op: id, dep });
                 }
-                if dep.0 >= op.id.0 {
-                    return Err(ProgramError::ForwardDependency { op: op.id, dep });
+                if dep.0 >= i {
+                    return Err(ProgramError::ForwardDependency { op: id, dep });
                 }
             }
-            if matches!(op.kind, OpKind::Copy { .. } | OpKind::Reduce { .. })
-                && op.kind.segments().is_empty()
-            {
-                return Err(ProgramError::EmptyPayload { op: op.id });
+            match (op.kind.moves_data(), op.segments.is_empty()) {
+                (true, true) => return Err(ProgramError::EmptyPayload { op: id }),
+                (false, false) => return Err(ProgramError::StrayPayload { op: id }),
+                _ => {}
             }
+        }
+        if (deps_end, segs_end) != (self.deps.len(), self.segs.len()) {
+            return Err(ProgramError::Layout {
+                op: OpId(self.ops.len().saturating_sub(1)),
+            });
         }
         Ok(())
     }
@@ -289,12 +384,9 @@ impl Program {
     /// Per-(src, dst, class) bytes moved; useful for link-utilisation checks.
     pub fn bytes_per_link(&self) -> BTreeMap<(GpuId, GpuId, LinkClass), u64> {
         let mut out = BTreeMap::new();
-        for o in &self.ops {
-            if let OpKind::Copy {
-                src, dst, class, ..
-            } = o.kind
-            {
-                *out.entry((src, dst, class)).or_insert(0) += o.kind.payload_bytes();
+        for o in self.ops() {
+            if let OpKind::Copy { src, dst, class } = o.kind {
+                *out.entry((src, dst, class)).or_insert(0) += o.payload_bytes();
             }
         }
         out
@@ -309,53 +401,49 @@ impl Program {
     /// exactly the same ordering constraints; only the per-op launch
     /// accounting differs. The perf harness uses this to measure what
     /// segmented payloads buy, and tests use it to cross-check the oracle on
-    /// both shapes.
+    /// both shapes. A program that fails [`Program::validate`] is returned
+    /// unchanged.
     pub fn split_segments(&self) -> Program {
-        let mut b = ProgramBuilder::new();
-        // old op id -> the new ids of its pieces
-        let mut pieces: Vec<Vec<OpId>> = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
-            let deps: Vec<OpId> = op
-                .deps
-                .iter()
-                .flat_map(|d| pieces[d.0].iter().copied())
-                .collect();
-            let segs = op.kind.segments();
-            let ids = if segs.len() > 1 {
-                segs.iter()
-                    .map(|&seg| {
-                        let kind = match &op.kind {
-                            OpKind::Copy {
-                                src, dst, class, ..
-                            } => OpKind::Copy {
-                                src: *src,
-                                dst: *dst,
-                                class: *class,
-                                segs: vec![seg],
-                            },
-                            OpKind::Reduce { gpu, .. } => OpKind::Reduce {
-                                gpu: *gpu,
-                                segs: vec![seg],
-                            },
-                            _ => unreachable!("only data-moving ops have segments"),
-                        };
-                        b.push(kind, op.stream, deps.clone(), op.tag.clone())
-                    })
-                    .collect()
-            } else {
-                vec![b.push(op.kind.clone(), op.stream, deps, op.tag.clone())]
-            };
-            pieces.push(ids);
+        if self.validate().is_err() {
+            return self.clone();
         }
-        b.build().expect("splitting preserves structural validity")
+        let mut b = ProgramBuilder::new();
+        // op i's pieces are the new ids first[i]..first[i + 1]
+        let mut first: Vec<usize> = Vec::with_capacity(self.len());
+        let mut deps = Vec::new();
+        for op in self.ops() {
+            first.push(b.len());
+            deps.clear();
+            // a valid program's deps point backwards, so each one's pieces
+            // are already delimited
+            for d in op.deps {
+                deps.extend((first[d.0]..first[d.0 + 1]).map(OpId));
+            }
+            if op.segments.len() > 1 {
+                for seg in op.segments {
+                    b.push(
+                        op.kind,
+                        std::slice::from_ref(seg),
+                        op.stream,
+                        &deps,
+                        op.tag.clone(),
+                    );
+                }
+            } else {
+                b.push(op.kind, op.segments, op.stream, &deps, op.tag.clone());
+            }
+        }
+        // pieces keep their op's kind, a segment each and backward deps:
+        // the split of a valid program is valid
+        b.program
     }
 }
 
-/// Incremental builder for [`Program`]s: hands out stream ids and op ids and
-/// keeps dependencies well-formed.
+/// Incremental builder for [`Program`]s: hands out stream ids and op ids,
+/// and appends each op's dependencies and segments to the program's arrays.
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
-    ops: Vec<Op>,
+    program: Program,
     next_stream: usize,
 }
 
@@ -363,6 +451,16 @@ impl ProgramBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Reserves room for `ops` more ops carrying `deps` more dependencies
+    /// and `segs` more payload segments between them, so pushing that many
+    /// reallocates nothing.
+    pub fn reserve(&mut self, ops: usize, deps: usize, segs: usize) {
+        let p = &mut self.program;
+        p.ops.reserve(ops);
+        p.deps.reserve(deps);
+        p.segs.reserve(segs);
     }
 
     /// Allocates a fresh stream.
@@ -374,30 +472,40 @@ impl ProgramBuilder {
 
     /// Number of ops added so far.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.program.len()
     }
 
     /// Whether no ops have been added yet.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.program.is_empty()
     }
 
-    /// Adds an op and returns its id.
+    /// Adds an op with payload `segs` (empty unless `kind` moves data) and
+    /// returns its id.
     pub fn push(
         &mut self,
         kind: OpKind,
+        segs: &[Segment],
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
-        let id = OpId(self.ops.len());
-        self.ops.push(Op {
-            id,
+        let p = &mut self.program;
+        let id = OpId(p.ops.len());
+        let append = |start: usize, len: usize| Span {
+            start,
+            end: start + len,
+        };
+        let record = OpRecord {
             kind,
             stream,
-            deps,
+            deps: append(p.deps.len(), deps.len()),
+            segs: append(p.segs.len(), segs.len()),
             tag: tag.into(),
-        });
+        };
+        p.deps.extend_from_slice(deps);
+        p.segs.extend_from_slice(segs);
+        p.ops.push(record);
         id
     }
 
@@ -410,7 +518,7 @@ impl ProgramBuilder {
         bytes: u64,
         class: LinkClass,
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.copy_range(src, dst, 0, bytes, class, stream, deps, tag)
@@ -428,18 +536,11 @@ impl ProgramBuilder {
         bytes: u64,
         class: LinkClass,
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
-        self.copy_segs(
-            src,
-            dst,
-            vec![Segment::new(offset, bytes)],
-            class,
-            stream,
-            deps,
-            tag,
-        )
+        let seg = Segment::new(offset, bytes);
+        self.copy_segs(src, dst, &[seg], class, stream, deps, tag)
     }
 
     /// Adds a copy op carrying an arbitrary list of logical byte ranges as
@@ -449,23 +550,13 @@ impl ProgramBuilder {
         &mut self,
         src: GpuId,
         dst: GpuId,
-        segs: Vec<Segment>,
+        segs: &[Segment],
         class: LinkClass,
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
-        self.push(
-            OpKind::Copy {
-                src,
-                dst,
-                class,
-                segs,
-            },
-            stream,
-            deps,
-            tag,
-        )
+        self.push(OpKind::Copy { src, dst, class }, segs, stream, deps, tag)
     }
 
     /// Adds a reduction op at logical offset 0 (a whole-buffer fold).
@@ -474,7 +565,7 @@ impl ProgramBuilder {
         gpu: GpuId,
         bytes: u64,
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
         self.reduce_range(gpu, 0, bytes, stream, deps, tag)
@@ -489,10 +580,10 @@ impl ProgramBuilder {
         offset: u64,
         bytes: u64,
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
-        self.reduce_segs(gpu, vec![Segment::new(offset, bytes)], stream, deps, tag)
+        self.reduce_segs(gpu, &[Segment::new(offset, bytes)], stream, deps, tag)
     }
 
     /// Adds a reduction op folding an arbitrary list of logical byte ranges
@@ -500,12 +591,12 @@ impl ProgramBuilder {
     pub fn reduce_segs(
         &mut self,
         gpu: GpuId,
-        segs: Vec<Segment>,
+        segs: &[Segment],
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
-        self.push(OpKind::Reduce { gpu, segs }, stream, deps, tag)
+        self.push(OpKind::Reduce { gpu }, segs, stream, deps, tag)
     }
 
     /// Adds a compute op.
@@ -514,10 +605,11 @@ impl ProgramBuilder {
         gpu: GpuId,
         duration_us: f64,
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
-        self.push(OpKind::Compute { gpu, duration_us }, stream, deps, tag)
+        let kind = OpKind::Compute { gpu, duration_us };
+        self.push(kind, &[], stream, deps, tag)
     }
 
     /// Adds a peer-access toggle op.
@@ -525,10 +617,10 @@ impl ProgramBuilder {
         &mut self,
         gpus: u32,
         stream: StreamId,
-        deps: Vec<OpId>,
+        deps: &[OpId],
         tag: impl Into<Cow<'static, str>>,
     ) -> OpId {
-        self.push(OpKind::TogglePeerAccess { gpus }, stream, deps, tag)
+        self.push(OpKind::TogglePeerAccess { gpus }, &[], stream, deps, tag)
     }
 
     /// Finalises the program.
@@ -536,9 +628,15 @@ impl ProgramBuilder {
     /// # Errors
     /// Returns the first structural error found (see [`Program::validate`]).
     pub fn build(self) -> Result<Program, ProgramError> {
-        let p = Program { ops: self.ops };
-        p.validate()?;
-        Ok(p)
+        self.program.validate()?;
+        Ok(self.program)
+    }
+
+    /// The program as built so far, unvalidated, for tests that feed the
+    /// engine malformed programs.
+    #[cfg(test)]
+    pub(crate) fn build_unchecked(self) -> Program {
+        self.program
     }
 }
 
@@ -552,16 +650,8 @@ mod tests {
         let s0 = b.new_stream();
         let s1 = b.new_stream();
         assert_ne!(s0, s1);
-        let a = b.copy(
-            GpuId(0),
-            GpuId(1),
-            1024,
-            LinkClass::NvLink,
-            s0,
-            vec![],
-            "c0",
-        );
-        let r = b.reduce(GpuId(1), 1024, s1, vec![a], "r0");
+        let a = b.copy(GpuId(0), GpuId(1), 1024, LinkClass::NvLink, s0, &[], "c0");
+        let r = b.reduce(GpuId(1), 1024, s1, &[a], "r0");
         assert_eq!(a, OpId(0));
         assert_eq!(r, OpId(1));
         let p = b.build().unwrap();
@@ -575,29 +665,13 @@ mod tests {
     fn forward_dependencies_are_rejected() {
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.copy(
-            GpuId(0),
-            GpuId(1),
-            8,
-            LinkClass::Pcie,
-            s,
-            vec![OpId(5)],
-            "bad",
-        );
+        b.copy(GpuId(0), GpuId(1), 8, LinkClass::Pcie, s, &[OpId(5)], "bad");
         let err = b.build().unwrap_err();
         assert!(matches!(err, ProgramError::UnknownDependency { .. }));
 
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.push(
-            OpKind::Compute {
-                gpu: GpuId(0),
-                duration_us: 1.0,
-            },
-            s,
-            vec![OpId(0)],
-            "self",
-        );
+        b.compute(GpuId(0), 1.0, s, &[OpId(0)], "self");
         let err = b.build().unwrap_err();
         assert!(matches!(err, ProgramError::ForwardDependency { .. }));
     }
@@ -606,9 +680,9 @@ mod tests {
     fn bytes_per_link_aggregates_copies() {
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.copy(GpuId(0), GpuId(1), 100, LinkClass::NvLink, s, vec![], "");
-        b.copy(GpuId(0), GpuId(1), 50, LinkClass::NvLink, s, vec![], "");
-        b.copy(GpuId(0), GpuId(1), 7, LinkClass::Pcie, s, vec![], "");
+        b.copy(GpuId(0), GpuId(1), 100, LinkClass::NvLink, s, &[], "");
+        b.copy(GpuId(0), GpuId(1), 50, LinkClass::NvLink, s, &[], "");
+        b.copy(GpuId(0), GpuId(1), 7, LinkClass::Pcie, s, &[], "");
         let p = b.build().unwrap();
         let per = p.bytes_per_link();
         assert_eq!(per[&(GpuId(0), GpuId(1), LinkClass::NvLink)], 150);
@@ -630,21 +704,21 @@ mod tests {
         let first = b.copy_segs(
             GpuId(0),
             GpuId(1),
-            vec![
+            &[
                 Segment::new(0, 10),
                 Segment::new(100, 20),
                 Segment::new(300, 30),
             ],
             LinkClass::NvLink,
             s0,
-            vec![],
+            &[],
             "multi",
         );
         let red = b.reduce_segs(
             GpuId(1),
-            vec![Segment::new(0, 10), Segment::new(100, 20)],
+            &[Segment::new(0, 10), Segment::new(100, 20)],
             s0,
-            vec![first],
+            &[first],
             "fold",
         );
         b.copy_range(
@@ -654,13 +728,13 @@ mod tests {
             7,
             LinkClass::Pcie,
             s1,
-            vec![red],
+            &[red],
             "tail",
         );
         let p = b.build().unwrap();
-        assert_eq!(p.ops()[0].kind.payload_bytes(), 60);
-        assert_eq!(p.ops()[0].kind.segments().len(), 3);
-        assert_eq!(p.ops()[1].kind.payload_bytes(), 30);
+        assert_eq!(p.op(OpId(0)).payload_bytes(), 60);
+        assert_eq!(p.op(OpId(0)).segments.len(), 3);
+        assert_eq!(p.op(OpId(1)).payload_bytes(), 30);
         assert_eq!(p.total_copy_bytes(), 67);
         assert_eq!(Segment::new(100, 20).end(), 120);
 
@@ -670,14 +744,14 @@ mod tests {
         assert_eq!(split.total_copy_bytes(), p.total_copy_bytes());
         // the reduce pieces (ids 3 and 4) must depend on all three copy pieces
         for i in [3usize, 4] {
-            let deps: Vec<usize> = split.ops()[i].deps.iter().map(|d| d.0).collect();
+            let deps: Vec<usize> = split.op(OpId(i)).deps.iter().map(|d| d.0).collect();
             assert_eq!(deps, vec![0, 1, 2], "piece {i}");
         }
         // the tail copy depends on both reduce pieces
-        let tail_deps: Vec<usize> = split.ops()[5].deps.iter().map(|d| d.0).collect();
+        let tail_deps: Vec<usize> = split.op(OpId(5)).deps.iter().map(|d| d.0).collect();
         assert_eq!(tail_deps, vec![3, 4]);
         // every split op carries exactly one segment
-        assert!(split.ops().iter().all(|o| o.kind.segments().len() == 1));
+        assert!(split.ops().all(|o| o.segments.len() == 1));
 
         // an empty segment list is rejected at build time
         let mut b = ProgramBuilder::new();
@@ -685,17 +759,17 @@ mod tests {
         b.copy_segs(
             GpuId(0),
             GpuId(1),
-            Vec::new(),
+            &[],
             LinkClass::NvLink,
             s,
-            vec![],
+            &[],
             "nothing",
         );
         let err = b.build().unwrap_err();
         assert!(matches!(err, ProgramError::EmptyPayload { op } if op == OpId(0)));
         // streams and tags survive
-        assert_eq!(split.ops()[0].stream, s0);
-        assert_eq!(split.ops()[5].tag, "tail");
+        assert_eq!(split.op(OpId(0)).stream, s0);
+        assert_eq!(split.op(OpId(5)).tag, "tail");
         assert_eq!(split.num_streams(), 2);
     }
 
@@ -703,20 +777,59 @@ mod tests {
     fn static_and_owned_tags_round_trip_through_serde() {
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        let a = b.copy(
-            GpuId(0),
-            GpuId(1),
-            8,
-            LinkClass::NvLink,
-            s,
-            vec![],
-            "static",
-        );
-        b.reduce(GpuId(1), 8, s, vec![a], format!("owned {}", 7));
+        let a = b.copy(GpuId(0), GpuId(1), 8, LinkClass::NvLink, s, &[], "static");
+        b.reduce(GpuId(1), 8, s, &[a], format!("owned {}", 7));
         let p = b.build().unwrap();
-        assert!(matches!(p.ops()[0].tag, Cow::Borrowed("static")));
+        assert!(matches!(p.op(OpId(0)).tag, Cow::Borrowed("static")));
         let back = Program::from_value(&p.to_value()).unwrap();
         assert_eq!(back, p);
-        assert_eq!(back.ops()[1].tag, "owned 7");
+        assert_eq!(back.op(OpId(1)).tag, "owned 7");
+        assert_eq!(back.validate(), Ok(()));
+    }
+
+    #[test]
+    fn an_op_is_a_record_and_two_array_runs() {
+        // the per-op cost the module docs state
+        assert_eq!(std::mem::size_of::<OpRecord>(), 88);
+        let mut b = ProgramBuilder::new();
+        b.reserve(3, 3, 4);
+        let s = b.new_stream();
+        let a = b.copy(GpuId(0), GpuId(1), 8, LinkClass::NvLink, s, &[], "a");
+        let t = b.toggle_peer_access(2, s, &[a], "t");
+        let segs = [Segment::new(0, 4), Segment::new(8, 4), Segment::new(16, 4)];
+        let r = b.reduce_segs(GpuId(1), &segs, s, &[a, t], "r");
+        let p = b.build().unwrap();
+        assert_eq!((p.num_deps(), p.num_segments()), (3, 4));
+        let op = p.op(r);
+        assert_eq!((op.id, op.deps, op.segments), (r, &[a, t][..], &segs[..]));
+        assert_eq!(op.payload_bytes(), 12);
+        assert!(p.op(t).segments.is_empty() && p.op(t).deps == [a]);
+        assert_eq!(p.ops().rev().map(|o| o.id).collect::<Vec<_>>(), [r, t, a]);
+    }
+
+    #[test]
+    fn stray_payloads_and_misplaced_ranges_are_rejected() {
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        let kind = OpKind::Compute {
+            gpu: GpuId(0),
+            duration_us: 1.0,
+        };
+        b.push(kind, &[Segment::new(0, 1)], s, &[], "kernel");
+        let err = b.build().unwrap_err();
+        assert_eq!(err, ProgramError::StrayPayload { op: OpId(0) });
+
+        // a deserialized program whose ranges overlap reads without a panic
+        // and fails validation
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        let a = b.copy(GpuId(0), GpuId(1), 8, LinkClass::NvLink, s, &[], "a");
+        b.copy(GpuId(1), GpuId(2), 8, LinkClass::NvLink, s, &[a], "b");
+        let mut bad = b.build().unwrap();
+        bad.ops[1].segs = Span { start: 0, end: 9 };
+        let back = Program::from_value(&bad.to_value()).unwrap();
+        assert!(back.op(OpId(1)).segments.is_empty());
+        assert_eq!(back.validate(), Err(ProgramError::Layout { op: OpId(1) }));
+        assert_eq!(back.split_segments(), back);
     }
 }

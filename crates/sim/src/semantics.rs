@@ -77,7 +77,7 @@
 //! identical timestamp are flagged as [`Violation::AmbiguousOverwrite`] — an
 //! overlap race the engine's deterministic tie-breaking would otherwise hide.
 
-use crate::program::{OpKind, Program};
+use crate::program::{OpId, OpKind, Program};
 use blink_topology::GpuId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -441,9 +441,8 @@ pub fn check_collective(
     participants: &[GpuId],
     bytes: u64,
 ) -> ValueCheck {
-    let ops = program.ops();
     assert!(
-        op_spans.len() >= ops.len(),
+        op_spans.len() >= program.len(),
         "op_spans must cover every op of the program"
     );
     let mut sorted: Vec<GpuId> = participants.to_vec();
@@ -471,41 +470,47 @@ pub fn check_collective(
     }
 
     // ---- event-driven replay along the engine's schedule ----
-    let mut events: Vec<(f64, EventKind, usize)> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
+    // each event names the GPU it acts on: a copy's source (snapshot) and
+    // destination (delivery), a reduction's GPU (fold)
+    let mut events: Vec<(f64, EventKind, usize, GpuId)> = Vec::new();
+    for (i, op) in program.ops().enumerate() {
         let (start, end) = op_spans[i];
         match op.kind {
-            OpKind::Copy { .. } => {
-                events.push((start, EventKind::Snapshot, i));
-                events.push((end, EventKind::Deliver, i));
+            OpKind::Copy { src, dst, .. } => {
+                events.push((start, EventKind::Snapshot, i, src));
+                events.push((end, EventKind::Deliver, i, dst));
             }
-            OpKind::Reduce { .. } => events.push((end, EventKind::Fold, i)),
+            OpKind::Reduce { gpu } => events.push((end, EventKind::Fold, i, gpu)),
             OpKind::Compute { .. } | OpKind::TogglePeerAccess { .. } => {}
         }
     }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    // (kind, op) is unique (a copy's two events differ in kind), so the
+    // order is total: the GPU never breaks a tie and an unstable sort is
+    // exact
+    events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
-    let mut pending: Vec<Option<Vec<(u64, u64, Contributions)>>> = vec![None; ops.len()];
-    for (time, kind, i) in events {
-        match (kind, &ops[i].kind) {
-            (EventKind::Snapshot, OpKind::Copy { src, segs, .. }) => {
-                let st = state.entry(*src).or_default();
+    let mut pending: Vec<Option<Vec<(u64, u64, Contributions)>>> = vec![None; program.len()];
+    for (time, kind, i, gpu) in events {
+        let segs = program.op(OpId(i)).segments;
+        match kind {
+            EventKind::Snapshot => {
+                let st = state.entry(gpu).or_default();
                 let mut snapshot = Vec::new();
                 for seg in segs {
                     snapshot.extend(st.visible(seg.offset, seg.end()));
                 }
                 pending[i] = Some(snapshot);
             }
-            (EventKind::Deliver, OpKind::Copy { dst, .. }) => {
+            EventKind::Deliver => {
                 let segs = pending[i].take().expect("snapshot precedes delivery");
                 state
-                    .entry(*dst)
+                    .entry(gpu)
                     .or_default()
                     .staged
                     .push(Arrival { time, segs });
             }
-            (EventKind::Fold, OpKind::Reduce { gpu, segs }) => {
-                let st = state.entry(*gpu).or_default();
+            EventKind::Fold => {
+                let st = state.entry(gpu).or_default();
                 // each payload segment folds independently (the ranges a
                 // well-formed reduce carries are disjoint, so the order
                 // cannot matter)
@@ -539,7 +544,6 @@ pub fn check_collective(
                     st.staged = kept;
                 }
             }
-            _ => unreachable!("event kinds match their op kinds"),
         }
     }
 
@@ -740,29 +744,21 @@ mod tests {
         let up = [b.new_stream(), b.new_stream()];
         let down = [b.new_stream(), b.new_stream()];
         let bytes = mb(8);
-        let a2 = b.copy(
-            g(2),
-            g(1),
-            bytes,
-            LinkClass::NvLink,
-            up[1],
-            vec![],
-            "up 2->1",
-        );
-        let r1 = b.reduce(g(1), bytes, up[0], vec![a2], "red @1");
+        let a2 = b.copy(g(2), g(1), bytes, LinkClass::NvLink, up[1], &[], "up 2->1");
+        let r1 = b.reduce(g(1), bytes, up[0], &[a2], "red @1");
         let a1 = b.copy(
             g(1),
             g(0),
             bytes,
             LinkClass::NvLink,
             up[0],
-            vec![r1],
+            &[r1],
             "up 1->0",
         );
-        let r0 = b.reduce(g(0), bytes, up[0], vec![a1], "red @0");
+        let r0 = b.reduce(g(0), bytes, up[0], &[a1], "red @0");
         // the broadcast must wait for the final reduction — dropping the
         // dependency is the data race the checker has to catch
-        let gate = if skip_gate { vec![] } else { vec![r0] };
+        let gate: &[OpId] = if skip_gate { &[] } else { &[r0] };
         let d0 = b.copy(
             g(0),
             g(1),
@@ -778,7 +774,7 @@ mod tests {
             bytes,
             LinkClass::NvLink,
             down[1],
-            vec![d0],
+            &[d0],
             "down 1->2",
         );
         b.build().unwrap()
@@ -817,10 +813,10 @@ mod tests {
         let bytes = mb(4);
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        let a1 = b.copy(g(1), g(0), bytes, LinkClass::NvLink, s, vec![], "up");
-        let dup = b.copy(g(1), g(0), bytes, LinkClass::NvLink, s, vec![], "dup");
-        let red = b.reduce(g(0), bytes, s, vec![a1, dup], "red");
-        b.copy(g(0), g(1), bytes, LinkClass::NvLink, s, vec![red], "down");
+        let a1 = b.copy(g(1), g(0), bytes, LinkClass::NvLink, s, &[], "up");
+        let dup = b.copy(g(1), g(0), bytes, LinkClass::NvLink, s, &[], "dup");
+        let red = b.reduce(g(0), bytes, s, &[a1, dup], "red");
+        b.copy(g(0), g(1), bytes, LinkClass::NvLink, s, &[red], "down");
         let p = b.build().unwrap();
         let spans = run(&p);
         let parts = [g(0), g(1)];
@@ -846,9 +842,9 @@ mod tests {
         let half = mb(2);
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        b.copy_range(g(0), g(1), 0, half, LinkClass::NvLink, s, vec![], "lo");
+        b.copy_range(g(0), g(1), 0, half, LinkClass::NvLink, s, &[], "lo");
         // BUG: should be offset `half`
-        b.copy_range(g(0), g(1), 0, half, LinkClass::NvLink, s, vec![], "hi");
+        b.copy_range(g(0), g(1), 0, half, LinkClass::NvLink, s, &[], "hi");
         let p = b.build().unwrap();
         let spans = run(&p);
         let parts = [g(0), g(1)];
@@ -874,16 +870,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
         // only [0, bytes/2) is broadcast
-        b.copy_range(
-            g(0),
-            g(1),
-            0,
-            bytes / 2,
-            LinkClass::NvLink,
-            s,
-            vec![],
-            "half",
-        );
+        b.copy_range(g(0), g(1), 0, bytes / 2, LinkClass::NvLink, s, &[], "half");
         let p = b.build().unwrap();
         let spans = run(&p);
         let check = check_collective(
@@ -909,7 +896,7 @@ mod tests {
         let s = b.new_stream();
         // participants sorted: ranks 0,1,2 = GPUs 0,1,2; root 0 needs slots
         // 1 and 2 delivered into [bytes, 2*bytes) and [2*bytes, 3*bytes)
-        b.copy_range(g(1), g(0), bytes, bytes, LinkClass::NvLink, s, vec![], "s1");
+        b.copy_range(g(1), g(0), bytes, bytes, LinkClass::NvLink, s, &[], "s1");
         b.copy_range(
             g(2),
             g(0),
@@ -917,7 +904,7 @@ mod tests {
             bytes,
             LinkClass::NvLink,
             s,
-            vec![],
+            &[],
             "s2",
         );
         let p = b.build().unwrap();
@@ -944,10 +931,10 @@ mod tests {
             bytes,
             LinkClass::NvLink,
             s,
-            vec![],
+            &[],
             "s1",
         );
-        b.copy_range(g(2), g(0), bytes, bytes, LinkClass::NvLink, s, vec![], "s2");
+        b.copy_range(g(2), g(0), bytes, bytes, LinkClass::NvLink, s, &[], "s2");
         let p = b.build().unwrap();
         let spans = run(&p);
         let bad = check_collective(
@@ -969,10 +956,10 @@ mod tests {
         // canonical shard [0, half), GPU 1 owns [half, bytes)
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        let a = b.copy_range(g(1), g(0), 0, half, LinkClass::NvLink, s, vec![], "to0");
-        b.reduce_range(g(0), 0, half, s, vec![a], "r0");
-        let c = b.copy_range(g(0), g(1), half, half, LinkClass::NvLink, s, vec![], "to1");
-        b.reduce_range(g(1), half, half, s, vec![c], "r1");
+        let a = b.copy_range(g(1), g(0), 0, half, LinkClass::NvLink, s, &[], "to0");
+        b.reduce_range(g(0), 0, half, s, &[a], "r0");
+        let c = b.copy_range(g(0), g(1), half, half, LinkClass::NvLink, s, &[], "to1");
+        b.reduce_range(g(1), half, half, s, &[c], "r1");
         let p = b.build().unwrap();
         let spans = run(&p);
         let parts = [g(0), g(1)];
@@ -982,8 +969,8 @@ mod tests {
         // drop GPU 1's half: its shard never received GPU 0's contribution
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        let a = b.copy_range(g(1), g(0), 0, half, LinkClass::NvLink, s, vec![], "to0");
-        b.reduce_range(g(0), 0, half, s, vec![a], "r0");
+        let a = b.copy_range(g(1), g(0), 0, half, LinkClass::NvLink, s, &[], "to0");
+        b.reduce_range(g(0), 0, half, s, &[a], "r0");
         let p = b.build().unwrap();
         let spans = run(&p);
         let bad = check_collective(CollectiveSpec::ReduceScatter, &p, &spans, &parts, bytes);
@@ -1001,10 +988,10 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
         // 1 and 2 contribute to 0, but only 1 gets the result back
-        let a1 = b.copy(g(1), g(0), bytes, LinkClass::NvLink, s, vec![], "up 1");
-        let a2 = b.copy(g(2), g(0), bytes, LinkClass::NvLink, s, vec![], "up 2");
-        let red = b.reduce(g(0), bytes, s, vec![a1, a2], "red");
-        b.copy(g(0), g(1), bytes, LinkClass::NvLink, s, vec![red], "down 1");
+        let a1 = b.copy(g(1), g(0), bytes, LinkClass::NvLink, s, &[], "up 1");
+        let a2 = b.copy(g(2), g(0), bytes, LinkClass::NvLink, s, &[], "up 2");
+        let red = b.reduce(g(0), bytes, s, &[a1, a2], "red");
+        b.copy(g(0), g(1), bytes, LinkClass::NvLink, s, &[red], "down 1");
         let p = b.build().unwrap();
         let spans = run(&p);
         let parts = [g(0), g(1), g(2)];
@@ -1051,9 +1038,9 @@ mod tests {
         let bytes = mb(2);
         let mut b = ProgramBuilder::new();
         let s = b.new_stream();
-        let a = b.copy_range(g(1), g(0), bytes, bytes, LinkClass::NvLink, s, vec![], "s1");
+        let a = b.copy_range(g(1), g(0), bytes, bytes, LinkClass::NvLink, s, &[], "s1");
         // BUG: should be left as an unfolded arrival (overwrite), not reduced
-        b.reduce_range(g(0), bytes, bytes, s, vec![a], "bogus red");
+        b.reduce_range(g(0), bytes, bytes, s, &[a], "bogus red");
         let p = b.build().unwrap();
         let spans = run(&p);
         let check = check_collective(

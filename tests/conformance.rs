@@ -304,17 +304,21 @@ fn generated_program(kind: CollectiveKind, bytes: u64) -> (Topology, Vec<GpuId>,
     (machine, alloc, program)
 }
 
-/// Rebuilds `program` with `mutate` applied to each op's kind (same streams,
-/// same dependencies).
-fn rebuild_with(program: &Program, mutate: impl Fn(usize, OpKind) -> OpKind) -> Program {
+/// Rebuilds `program` with `mutate` applied to each op's kind and to a copy
+/// of its payload segments (same streams, same dependencies). An op the
+/// mutation turns into a kind that moves no data drops its segments.
+fn rebuild_with(
+    program: &Program,
+    mutate: impl Fn(usize, OpKind, &mut Vec<Segment>) -> OpKind,
+) -> Program {
     let mut b = ProgramBuilder::new();
-    for (i, op) in program.ops().iter().enumerate() {
-        b.push(
-            mutate(i, op.kind.clone()),
-            op.stream,
-            op.deps.clone(),
-            op.tag.clone(),
-        );
+    let mut segs = Vec::new();
+    for (i, op) in program.ops().enumerate() {
+        segs.clear();
+        segs.extend_from_slice(op.segments);
+        let kind = mutate(i, op.kind, &mut segs);
+        let payload = if kind.moves_data() { &segs[..] } else { &[] };
+        b.push(kind, payload, op.stream, op.deps, op.tag.clone());
     }
     b.build()
         .expect("mutations keep the program structurally valid")
@@ -324,7 +328,6 @@ fn rebuild_with(program: &Program, mutate: impl Fn(usize, OpKind) -> OpKind) -> 
 fn last_copy(program: &Program) -> usize {
     program
         .ops()
-        .iter()
         .rposition(|o| matches!(o.kind, OpKind::Copy { .. }))
         .expect("generated programs move data")
 }
@@ -357,7 +360,7 @@ fn mutations_are_rejected_for_every_collective_kind() {
         let target = last_copy(&program);
 
         // ---- defect 1: dropped op (the copy becomes a no-op kernel) ----
-        let dropped = rebuild_with(&program, |i, k| {
+        let dropped = rebuild_with(&program, |i, k, _| {
             if i == target {
                 OpKind::Compute {
                     gpu: GpuId(0),
@@ -372,11 +375,9 @@ fn mutations_are_rejected_for_every_collective_kind() {
         assert!(!check.violations.is_empty());
 
         // ---- defect 2: halved bytes ----
-        let halved = rebuild_with(&program, |i, mut k| {
-            if i == target {
-                if let OpKind::Copy { segs, .. } = &mut k {
-                    segs[0].bytes /= 2;
-                }
+        let halved = rebuild_with(&program, |i, k, segs| {
+            if i == target && matches!(k, OpKind::Copy { .. }) {
+                segs[0].bytes /= 2;
             }
             k
         });
@@ -384,11 +385,9 @@ fn mutations_are_rejected_for_every_collective_kind() {
         assert!(!check.is_correct(), "{kind}: halved bytes must be rejected");
 
         // ---- defect 3: shifted offset ----
-        let shifted = rebuild_with(&program, |i, mut k| {
-            if i == target {
-                if let OpKind::Copy { segs, .. } = &mut k {
-                    segs[0].offset += (segs[0].bytes / 2).max(1);
-                }
+        let shifted = rebuild_with(&program, |i, k, segs| {
+            if i == target && matches!(k, OpKind::Copy { .. }) {
+                segs[0].offset += (segs[0].bytes / 2).max(1);
             }
             k
         });
@@ -425,14 +424,14 @@ fn a_duplicated_fold_is_rejected_with_the_exact_multiplicity() {
         // the last reduce and the copy it folds
         let red_idx = program
             .ops()
-            .iter()
             .rposition(|o| matches!(o.kind, OpKind::Reduce { .. }))
             .expect("reducing collectives reduce");
-        let fed_by = program.ops()[red_idx]
+        let fed_by = program
+            .op(OpId(red_idx))
             .deps
             .iter()
             .copied()
-            .find(|d| matches!(program.ops()[d.0].kind, OpKind::Copy { .. }))
+            .find(|&d| matches!(program.op(d).kind, OpKind::Copy { .. }))
             .expect("the reduce folds an arrival");
 
         // rebuild with the copy duplicated right after itself; ops after the
@@ -450,12 +449,13 @@ fn a_duplicated_fold_is_rejected_with_the_exact_multiplicity() {
             if op.id.0 == red_idx {
                 deps.push(OpId(fed_by.0 + 1));
             }
-            b.push(op.kind.clone(), op.stream, deps, op.tag.clone());
+            b.push(op.kind, op.segments, op.stream, &deps, op.tag.clone());
             if op.id.0 == fed_by.0 {
                 b.push(
-                    op.kind.clone(),
+                    op.kind,
+                    op.segments,
                     op.stream,
-                    vec![op.id],
+                    &[op.id],
                     format!("{} (dup)", op.tag),
                 );
             }
@@ -492,8 +492,7 @@ fn a_corrupted_single_segment_is_rejected() {
         assert!(baseline.is_correct(), "{kind} baseline:\n{baseline}");
         let Some(target) = program
             .ops()
-            .iter()
-            .rposition(|o| matches!(o.kind, OpKind::Copy { .. }) && o.kind.segments().len() >= 2)
+            .rposition(|o| matches!(o.kind, OpKind::Copy { .. }) && o.segments.len() >= 2)
         else {
             // a scatter chunk may happen to intersect only one shard per
             // subtree on this slice; the gathering collectives must always
@@ -501,15 +500,13 @@ fn a_corrupted_single_segment_is_rejected() {
             assert_eq!(kind, CollectiveKind::ReduceScatter, "{kind}");
             continue;
         };
-        let n_segs = program.ops()[target].kind.segments().len();
+        let n_segs = program.op(OpId(target)).segments.len();
 
         // ---- shift the last segment of the op ----
-        let shifted = rebuild_with(&program, |i, mut k| {
-            if i == target {
-                if let OpKind::Copy { segs, .. } = &mut k {
-                    let last = segs.len() - 1;
-                    segs[last].offset += (segs[last].bytes / 2).max(1);
-                }
+        let shifted = rebuild_with(&program, |i, k, segs| {
+            if i == target && matches!(k, OpKind::Copy { .. }) {
+                let last = segs.len() - 1;
+                segs[last].offset += (segs[last].bytes / 2).max(1);
             }
             k
         });
@@ -520,15 +517,13 @@ fn a_corrupted_single_segment_is_rejected() {
         );
 
         // ---- drop one segment of the op ----
-        let dropped = rebuild_with(&program, |i, mut k| {
-            if i == target {
-                if let OpKind::Copy { segs, .. } = &mut k {
-                    segs.pop();
-                }
+        let dropped = rebuild_with(&program, |i, k, segs| {
+            if i == target && matches!(k, OpKind::Copy { .. }) {
+                segs.pop();
             }
             k
         });
-        assert_eq!(dropped.ops()[target].kind.segments().len(), n_segs - 1);
+        assert_eq!(dropped.op(OpId(target)).segments.len(), n_segs - 1);
         let check = run_and_check(&machine, &alloc, kind, bytes, &dropped);
         assert!(
             !check.is_correct(),
@@ -922,46 +917,20 @@ fn a_dropped_fused_constituent_is_caught_and_pinpointed() {
 
     let dropped_k = 1;
     let window = g.group.window(dropped_k);
-    let mutated = rebuild_with(&g.program, |_, k| match k {
-        OpKind::Copy {
-            src,
-            dst,
-            class,
-            segs,
-        } => {
-            let segs: Vec<Segment> = segs
-                .iter()
-                .flat_map(|&s| subtract_window(s, window))
-                .collect();
-            if segs.is_empty() {
-                OpKind::Compute {
-                    gpu: src,
-                    duration_us: 0.0,
-                }
-            } else {
-                OpKind::Copy {
-                    src,
-                    dst,
-                    class,
-                    segs,
-                }
-            }
-        }
-        OpKind::Reduce { gpu, segs } => {
-            let segs: Vec<Segment> = segs
-                .iter()
-                .flat_map(|&s| subtract_window(s, window))
-                .collect();
-            if segs.is_empty() {
+    let mutated = rebuild_with(&g.program, |_, k, segs| {
+        *segs = segs
+            .iter()
+            .flat_map(|&s| subtract_window(s, window))
+            .collect();
+        match k {
+            OpKind::Copy { src: gpu, .. } | OpKind::Reduce { gpu } if segs.is_empty() => {
                 OpKind::Compute {
                     gpu,
                     duration_us: 0.0,
                 }
-            } else {
-                OpKind::Reduce { gpu, segs }
             }
+            other => other,
         }
-        other => other,
     });
 
     // the whole fused collective is no longer delivered ...

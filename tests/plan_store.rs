@@ -562,7 +562,7 @@ fn a_replan_after_a_tier_hit_reports_what_it_would_after_a_fresh_lowering() {
 
 /// Whether `program` copies over NVLink between `a` and `b`, either way.
 fn uses(program: &Program, a: GpuId, b: GpuId) -> bool {
-    program.ops().iter().any(|op| {
+    program.ops().any(|op| {
         matches!(op.kind, OpKind::Copy { src, dst, class: LinkClass::NvLink, .. }
             if (src, dst) == (a, b) || (src, dst) == (b, a))
     })
@@ -612,7 +612,6 @@ fn no_communicator_of_a_shared_store_takes_a_lowering_over_a_dead_link() {
 fn program_nvlink_pair(program: &Program) -> (GpuId, GpuId) {
     program
         .ops()
-        .iter()
         .find_map(|op| match op.kind {
             OpKind::Copy {
                 src,
