@@ -21,8 +21,9 @@
 //!
 //! Each section records the replay's deterministic work, read off its plan
 //! store: fresh lowerings, lowering-tier hits, the ops those fresh lowerings
-//! emitted, packs (plan-store misses), the MWU iterations those packs ran,
-//! and planner scratches created. Wall time
+//! emitted, the compiled forms the lowering tier kept, packs (plan-store
+//! misses), the MWU iterations those packs ran, and planner scratches
+//! created. Wall time
 //! — time-to-first-collective (TTFC), plans served per second, recovery
 //! spans — is printed and recorded as context only.
 //!
@@ -66,6 +67,8 @@ struct Work {
     lowering_hits: u64,
     /// Ops summed over the fresh lowerings' programs.
     lowered_ops: u64,
+    /// Compiled forms the lowering tier kept (one per entry at most).
+    compiled_forms: u64,
     /// Plan-store misses: plans packed.
     packs: u64,
     /// MWU iterations the packs ran.
@@ -76,11 +79,12 @@ struct Work {
 
 impl Work {
     /// The counters under their recorded keys.
-    fn counters(&self) -> [(&'static str, u64); 6] {
+    fn counters(&self) -> [(&'static str, u64); 7] {
         [
             ("fresh_lowerings", self.fresh_lowerings),
             ("lowering_hits", self.lowering_hits),
             ("lowered_ops", self.lowered_ops),
+            ("compiled_forms", self.compiled_forms),
             ("packs", self.packs),
             ("mwu_iterations", self.mwu_iterations),
             ("scratches_created", self.scratches_created),
@@ -132,6 +136,7 @@ fn replay(config: FleetConfig) -> Run {
             fresh_lowerings,
             lowering_hits,
             lowered_ops: store.lowered_ops(),
+            compiled_forms: store.compiled_forms(),
             packs: store.stats().1,
             mwu_iterations: store.mwu_iterations(),
             scratches_created: store.scratch().created(),
@@ -609,6 +614,7 @@ mod tests {
         fresh_lowerings: 226,
         lowering_hits: 184,
         lowered_ops: 40_000,
+        compiled_forms: 79,
         packs: 341,
         mwu_iterations: 14_842,
         scratches_created: 2,
@@ -625,10 +631,11 @@ mod tests {
 
     #[test]
     fn the_work_gate_fails_any_counter_one_over_its_recording() {
-        let bumps: [fn(&mut Work); 6] = [
+        let bumps: [fn(&mut Work); 7] = [
             |w| w.fresh_lowerings += 1,
             |w| w.lowering_hits += 1,
             |w| w.lowered_ops += 1,
+            |w| w.compiled_forms += 1,
             |w| w.packs += 1,
             |w| w.mwu_iterations += 1,
             |w| w.scratches_created += 1,
@@ -656,7 +663,7 @@ mod tests {
         }
         let failures = work_gate(Some(&recorded), &WORK, 1);
         assert_eq!(failures, ["work mwu_iterations is not recorded"]);
-        assert_eq!(work_gate(None, &WORK, 1).len(), 6);
+        assert_eq!(work_gate(None, &WORK, 1).len(), 7);
     }
 
     #[test]

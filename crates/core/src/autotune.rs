@@ -79,26 +79,43 @@
 //! Like Blink's CodeGen, which emits a collective once per allocation and
 //! lets every training iteration reuse it, the store keeps each lowered
 //! program next to the plans it was lowered from. An entry is keyed by the
-//! communicator's lowering fingerprint — its rank fingerprint, allocation
-//! order (which pins the GPU ids) and every option a lowering reads,
-//! computed once per build and per replan — plus `(kind, bytes, chunk)`
-//! and, on a switch fabric, the communicator's own strategy verdict. It holds the
-//! shared `Arc<Program>`, the tree count, the strategy tag, the picked root
-//! and the plans the lowering read; a hit hands those plans to the
-//! communicator's handle, so it ends up exactly as a fresh lowering would
-//! have left it.
+//! communicator's lowering fingerprint — its rank fingerprint, its
+//! allocation order by rank, and every option a lowering reads, computed
+//! once per build and per replan — plus `(kind, bytes, chunk)` and, on a
+//! switch fabric, the communicator's own strategy verdict. Like the plan
+//! tier's, the key names GPUs by rank, so one slice shape in one order is
+//! one key on every server of a fleet; a slice whose ids do not ascend
+//! keeps id keys. An entry holds the shared `Arc<Program>` over the GPUs of
+//! the communicator that lowered it (its labels), the tree count, the
+//! strategy tag, the picked root and the plans the lowering read.
 //!
-//! An entry also keeps the engine's compiled form of its program
-//! ([`blink_sim::CompiledProgram`]), so a lowering a training loop replays
-//! every step is validated and resolved once, not once per run. A fresh
-//! lowering's first run compiles into the run's scratch, as any run does;
-//! only the entry's first hit compiles an owned copy, on the hitting
-//! communicator's simulator, and every later run that takes the entry uses
-//! it. The form records every simulator lookup it made, and a run on a
-//! simulator where any of them differs (another machine around the same
-//! induced topology, say) compiles into its scratch instead, so a shared
-//! form never changes a schedule. The form lives and dies with its entry:
-//! eviction and invalidation drop it with the lowering.
+//! A hit hands those plans to the communicator's handle, so it ends up
+//! exactly as a fresh lowering would have left it. A hit on the lowering
+//! slice's own GPUs takes everything as stored, program `Arc` included. A
+//! hit from another slice of the shape takes them renamed position by
+//! position from the entry's labels onto its own allocation: its plans (as
+//! the plan tier relabels them) and its picked root at once, and its
+//! program only when the caller reads it ([`crate::Communicator::run`]
+//! does not). Renaming keeps the GPUs' order, so the renamed program is the
+//! one a fresh lowering there would emit, op for op; whether the stored
+//! plans contradict the handle's is judged after renaming, by content.
+//!
+//! An entry also keeps one engine compiled form ([`blink_sim::CompiledProgram`]),
+//! so a lowering a training loop replays every step, or a fleet places on
+//! server after server, is validated and resolved once, not once per run.
+//! A fresh lowering's first run compiles into the run's scratch, as any run
+//! does; only the entry's first hit compiles an owned form, of the program
+//! over the hitting communicator's GPUs on its simulator
+//! ([`SharedPlanCache::compiled_forms`] counts them). A form names GPUs by
+//! dense index (their position among the simulator's GPU ids), so it runs
+//! a later hit's program wherever that communicator's GPUs sit at the same
+//! dense indices as the first hitter's (every placement of the shape: a
+//! placement's machine is its slices) and the form
+//! [fits](blink_sim::CompiledProgram::fits) its simulator. Anywhere else
+//! (another machine around the same induced topology, a degraded link) the
+//! run compiles the communicator's own program into its scratch, so a
+//! shared form never changes a schedule. The form lives and dies with its
+//! entry: eviction and invalidation drop it with the lowering.
 //!
 //! A lowering is published only while every plan it read is the plan tier's
 //! current plan for its key (bit for bit, after relabelling the stored plan
@@ -106,7 +123,11 @@
 //! evicted or retargeted, so it lives exactly as long as the plans a fresh
 //! lowering would read. That is what keeps a hit bit-identical to lowering
 //! afresh; a lowering over a plan the store no longer holds is simply never
-//! shared.
+//! shared. A delta on one slice drops exactly the entries that read a plan
+//! packed for that slice's own GPUs (those leave the plan tier). The same
+//! shape's jobs on other servers then re-lower, over the plans their
+//! handles hold or a fresh pack of the same plans, exactly what they were
+//! served; entries over plans another slice packed keep serving them.
 
 use crate::collective::CollectiveKind;
 use crate::communicator::SwitchChoice;
@@ -203,11 +224,35 @@ impl Ranks {
 /// neither does a topology whose GPU ids do not ascend or span more than
 /// [`MAX_RANK_SPAN`] values: those hash ids, as [`plan_fingerprint`] does.
 pub(crate) fn rank_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
+    fingerprint_under(&Ranks::new(gpu_ids(induced)), induced, options)
+}
+
+/// [`rank_fingerprint`], and `allocation` named as it names GPUs: each by
+/// rank, or by id where the fingerprint hashes ids. Two allocations whose
+/// induced topologies share the fingerprint list their GPUs in the same
+/// order exactly when the names agree.
+pub(crate) fn rank_fingerprint_and_order(
+    induced: &Topology,
+    options: &TreeGenOptions,
+    allocation: &[GpuId],
+) -> (u64, Vec<u64>) {
     let ranks = Ranks::new(gpu_ids(induced));
-    let gpu = |g: GpuId| match &ranks {
+    let order = allocation.iter().map(|&g| gpu_name(&ranks, g)).collect();
+    (fingerprint_under(&ranks, induced, options), order)
+}
+
+/// How [`rank_fingerprint`] names `g`: by its rank in `ranks`, or by id
+/// when there are none.
+fn gpu_name(ranks: &Option<Ranks>, g: GpuId) -> u64 {
+    match ranks {
         Some(r) => r.get(g).map_or(u64::MAX, |rank| rank as u64),
         None => g.0 as u64,
-    };
+    }
+}
+
+/// [`rank_fingerprint`] with `ranks`, the ranks of `induced`'s GPUs.
+fn fingerprint_under(ranks: &Option<Ranks>, induced: &Topology, options: &TreeGenOptions) -> u64 {
+    let gpu = |g: GpuId| gpu_name(ranks, g);
     let mut servers: Vec<ServerId> = induced.gpus().iter().map(|g| g.server).collect();
     servers.sort_unstable();
     servers.dedup();
@@ -299,6 +344,46 @@ fn relabelled(
     }))
 }
 
+/// A renaming of one slice's GPUs onto another's, position by position:
+/// what turns a lowering made for one slice into the lowering for the same
+/// shape on another server (see "the lowering tier" in the module docs).
+#[derive(Debug)]
+pub(crate) struct Renaming {
+    /// `(from, to)` pairs, ascending by `from`.
+    pairs: Vec<(GpuId, GpuId)>,
+}
+
+impl Renaming {
+    /// The renaming of each `from[i]` to `to[i]`; `None` when the lists
+    /// differ in length.
+    pub(crate) fn new(from: &[GpuId], to: &[GpuId]) -> Option<Renaming> {
+        if from.len() != to.len() {
+            return None;
+        }
+        let mut pairs: Vec<(GpuId, GpuId)> = from.iter().copied().zip(to.iter().copied()).collect();
+        pairs.sort_unstable();
+        Some(Renaming { pairs })
+    }
+
+    /// `g` renamed; a GPU outside `from` keeps its id.
+    pub(crate) fn gpu(&self, g: GpuId) -> GpuId {
+        match self.pairs.binary_search_by_key(&g, |&(from, _)| from) {
+            Ok(i) => self.pairs[i].1,
+            Err(_) => g,
+        }
+    }
+
+    /// `plan` renamed; `None` when the renaming would reorder its GPUs.
+    pub(crate) fn plan(&self, plan: &Arc<TreePlan>) -> Option<Arc<TreePlan>> {
+        relabelled(plan, plan.gpus.iter().map(|&g| self.gpu(g)))
+    }
+
+    /// `program` renamed.
+    pub(crate) fn program(&self, program: &Program) -> Program {
+        program.renamed(|g| self.gpu(g))
+    }
+}
+
 /// The plan-tier key of `plan`, read under rank fingerprint `fp`; `None`
 /// when its root is not one of its GPUs.
 fn plan_key(fp: u64, plan: &TreePlan) -> Option<PlanKey> {
@@ -367,6 +452,8 @@ struct Tiers {
     mwu_iterations: u64,
     /// Ops summed over every fresh lowering offered to the lowering tier.
     lowered_ops: u64,
+    /// Compiled forms kept in lowering-tier entries.
+    compiled_forms: u64,
 }
 
 impl Default for Tiers {
@@ -376,6 +463,7 @@ impl Default for Tiers {
             lowerings: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             mwu_iterations: 0,
             lowered_ops: 0,
+            compiled_forms: 0,
         }
     }
 }
@@ -398,10 +486,11 @@ impl Tiers {
     }
 }
 
-/// The lowering tier's key: the communicator's lowering fingerprint, the
-/// collective signature, the chunk size and, on a switch fabric, the
-/// communicator's strategy verdict for the kind (`None` elsewhere, and
-/// before the communicator has raced the kind — a lookup no entry answers).
+/// The lowering tier's key: the communicator's lowering fingerprint (its
+/// slice shape by rank, not its GPU ids), the collective signature, the
+/// chunk size and, on a switch fabric, the communicator's strategy verdict
+/// for the kind (`None` elsewhere, and before the communicator has raced
+/// the kind — a lookup no entry answers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct LoweringKey {
     pub(crate) base: u64,
@@ -414,10 +503,14 @@ pub(crate) struct LoweringKey {
 /// One lowered collective in the lowering tier.
 #[derive(Debug)]
 pub(crate) struct Lowering {
+    /// The program, over the GPUs of the communicator that lowered it.
     pub(crate) program: Arc<Program>,
-    /// The engine's compiled form of `program`, made on the entry's first
+    /// That communicator's allocation, in its order: a communicator of
+    /// another slice renames `labels[i]` to its own `i`-th GPU.
+    pub(crate) labels: Vec<GpuId>,
+    /// The engine's compiled form of the program, made on the entry's first
     /// hit (see "the lowering tier" in the module docs).
-    pub(crate) compiled: OnceLock<Arc<CompiledProgram>>,
+    pub(crate) compiled: OnceLock<Compiled>,
     /// Spanning trees (or partitions) the lowering used.
     pub(crate) num_trees: usize,
     /// Human-readable strategy tag of the lowering.
@@ -430,17 +523,29 @@ pub(crate) struct Lowering {
     pub(crate) sweep: usize,
 }
 
+/// A lowering's compiled form and the allocation it was compiled for: the
+/// program the first hit ran, over that communicator's GPUs, compiled on
+/// its simulator.
+#[derive(Debug)]
+pub(crate) struct Compiled {
+    pub(crate) form: Arc<CompiledProgram>,
+    /// The dense index ([`Simulator::gpu_index`]) of each GPU of that
+    /// allocation, in its order.
+    dense: Vec<usize>,
+}
+
 impl Lowering {
-    /// Compiles the program on `sim` unless the entry keeps a compiled
-    /// form already. A program that fails to compile keeps none; its runs
-    /// report the error as a fresh lowering's would.
-    pub(crate) fn keep_compiled(&self, sim: &Simulator) {
-        if self.compiled.get().is_none() {
-            if let Ok(compiled) = sim.compile(self.program.clone()) {
-                // a concurrent hit may have kept its own copy first
-                let _ = self.compiled.set(Arc::new(compiled));
-            }
-        }
+    /// The entry's compiled form, when it was compiled for an allocation
+    /// whose GPUs sit at `dense` — the dense indices, in allocation order,
+    /// of the caller's GPUs on its simulator. The entry's program renamed
+    /// onto the caller's allocation is then the form's program renamed by
+    /// dense index, so the form runs it wherever it
+    /// [fits](CompiledProgram::fits).
+    pub(crate) fn form_for(&self, dense: &[usize]) -> Option<&Arc<CompiledProgram>> {
+        self.compiled
+            .get()
+            .filter(|c| c.dense == dense)
+            .map(|c| &c.form)
     }
 
     /// The plan-tier keys of the plans the lowering read.
@@ -691,6 +796,40 @@ impl SharedPlanCache {
     /// stored or not); a lowering-tier hit adds none.
     pub fn lowered_ops(&self) -> u64 {
         self.lock().lowered_ops
+    }
+
+    /// Compiled forms the lowering tier's entries kept since creation: one
+    /// per entry at most, made on its first hit. Runs that compile into a
+    /// scratch (fresh lowerings, a form that does not fit) add none.
+    pub fn compiled_forms(&self) -> u64 {
+        self.lock().compiled_forms
+    }
+
+    /// Compiles `program` — `lowering`'s program over the hitting
+    /// communicator's GPUs, whose dense indices on `sim` are `dense` — and
+    /// keeps the form in the entry, unless it keeps one already. A program
+    /// that fails to compile keeps none; its runs report the error as a
+    /// fresh lowering's would.
+    pub(crate) fn keep_compiled(
+        &self,
+        lowering: &Lowering,
+        program: &Arc<Program>,
+        sim: &Simulator,
+        dense: &[usize],
+    ) {
+        if lowering.compiled.get().is_some() {
+            return;
+        }
+        if let Ok(form) = sim.compile(program.clone()) {
+            let compiled = Compiled {
+                form: Arc::new(form),
+                dense: dense.to_vec(),
+            };
+            // a concurrent hit may have kept its own form first
+            if lowering.compiled.set(compiled).is_ok() {
+                self.lock().compiled_forms += 1;
+            }
+        }
     }
 
     /// How many plans the LRU bound has evicted from the plan tier since
@@ -1420,6 +1559,49 @@ mod tests {
             rank_fingerprint(&a, &nvlink),
             rank_fingerprint(&mirrored, &nvlink)
         );
+    }
+
+    #[test]
+    fn an_allocation_is_ordered_by_rank_unless_its_slice_hashes_ids() {
+        let opts = TreeGenOptions::default();
+        let (a, b) = (local_shape(0), local_shape(5));
+        let order = |induced: &Topology, alloc: &[usize]| {
+            let alloc: Vec<GpuId> = alloc.iter().map(|&g| GpuId(g)).collect();
+            rank_fingerprint_and_order(induced, &opts, &alloc)
+        };
+        // one shape in one order on two servers: one key
+        let (fp, ranks) = order(&a, &[0, 1, 3]);
+        assert_eq!((fp, ranks.clone()), order(&b, &[40, 41, 43]));
+        assert_eq!(fp, rank_fingerprint(&a, &opts));
+        assert_eq!(ranks, [0, 1, 2]);
+        // the same GPUs in another order are another order
+        assert_eq!(order(&b, &[43, 40, 41]).1, [2, 0, 1]);
+        // a slice whose ids do not ascend names GPUs by id
+        let mut descending = Topology::new("descending");
+        for g in a.gpus().iter().rev() {
+            descending.add_gpu(g.id, g.server, g.local_index).unwrap();
+        }
+        assert_eq!(order(&descending, &[0, 1, 3]).1, [0, 1, 3]);
+    }
+
+    #[test]
+    fn a_renaming_maps_position_by_position() {
+        let ids = |v: &[usize]| v.iter().map(|&g| GpuId(g)).collect::<Vec<_>>();
+        let renaming = Renaming::new(&ids(&[3, 0, 1]), &ids(&[43, 40, 41])).unwrap();
+        assert_eq!(renaming.gpu(GpuId(0)), GpuId(40));
+        assert_eq!(renaming.gpu(GpuId(3)), GpuId(43));
+        assert_eq!(renaming.gpu(GpuId(7)), GpuId(7), "outside the slice");
+        assert!(Renaming::new(&ids(&[0, 1]), &ids(&[40])).is_none());
+        // a plan packed on one server, renamed, is the other server's pack
+        let opts = TreeGenOptions::default();
+        let packed = handle().plan_for(&local_shape(0), &opts, GpuId(1)).unwrap();
+        let own = handle()
+            .plan_for(&local_shape(5), &opts, GpuId(41))
+            .unwrap();
+        assert!(renaming.plan(&packed).unwrap().bit_eq(&own));
+        // an order-reversing renaming would reorder the plan's GPUs
+        let reversed = Renaming::new(&ids(&[0, 1, 3]), &ids(&[43, 41, 40])).unwrap();
+        assert!(reversed.plan(&packed).is_none());
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //! collective it lowers goes to its plan store's lowering tier (see
 //! [`crate::autotune`]), keyed by `(kind, bytes, chunk)` under the
 //! communicator's lowering fingerprint, so a repeated call — or a call any
-//! communicator of the same shape and options already made — takes the
-//! stored `Arc<Program>` instead of lowering again, and a call whose chunk
+//! communicator of the same slice shape and options already made, on any
+//! server — takes the stored lowering instead of lowering again (renamed
+//! onto its own GPUs when another slice made it), and a call whose chunk
 //! differs (the MIAD tuner moving under [`Communicator::run`]) lowers
 //! afresh. The fingerprint is computed once when the communicator is built
 //! and once per [`Communicator::replan`]; the entries a replan makes stale
@@ -47,13 +48,13 @@
 //! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
 //! simulate on a scratch checked out of the store's pool for one run. A
 //! call that hits a stored lowering also runs the engine's compiled form
-//! the tier keeps beside it, so a repeated step skips validating and
-//! resolving its programs; a fresh lowering compiles into the run's
-//! scratch.
+//! the tier keeps beside it where that form runs here, so a repeated step,
+//! or the same job shape on another server, skips validating and resolving
+//! its programs; a fresh lowering compiles into the run's scratch.
 
 use crate::autotune::{
-    global_plan_cache, rank_fingerprint, ChunkAutotuner, Lowering, LoweringKey, PlanCache,
-    SharedPlanCache,
+    global_plan_cache, rank_fingerprint_and_order, ChunkAutotuner, Lowering, LoweringKey,
+    PlanCache, PlanReads, Renaming, SharedPlanCache,
 };
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::{CollectiveKind, CollectiveReport};
@@ -70,6 +71,7 @@ use blink_sim::{
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
@@ -273,6 +275,10 @@ pub struct ReplanReport {
 /// tier) and the engine's per-op `(start, end)` spans.
 pub type TracedRun = (CollectiveReport, Arc<Program>, Vec<(f64, f64)>);
 
+/// A [`TracedRun`] with the lowering it ran (`None` for a trivial call) in
+/// place of its program.
+type LoweredRun = (CollectiveReport, Option<Lowered>, Vec<(f64, f64)>);
+
 /// One collective signature: the key of a communicator's chunk tuners.
 type Signature = (CollectiveKind, u64);
 
@@ -280,6 +286,42 @@ type Signature = (CollectiveKind, u64);
 /// strategy tag and, when a switch-fabric strategy race simulated the
 /// winner, that run.
 type Built = (Program, usize, String, Option<RunReport>);
+
+/// A lowering as one communicator runs it: the lowering tier's entry and,
+/// when another slice lowered it, the renaming of its GPUs onto the
+/// communicator's.
+#[derive(Debug)]
+pub(crate) struct Lowered {
+    pub(crate) entry: Arc<Lowering>,
+    renaming: Option<Renaming>,
+    /// The renamed program, once a caller read it.
+    program: OnceCell<Arc<Program>>,
+}
+
+impl Lowered {
+    /// The program over the communicator's GPUs: the entry's own `Arc` for
+    /// a lowering of its slice, and otherwise its renaming, made on the
+    /// first call.
+    pub(crate) fn program(&self) -> Arc<Program> {
+        match &self.renaming {
+            None => self.entry.program.clone(),
+            Some(renaming) => self
+                .program
+                .get_or_init(|| Arc::new(renaming.program(&self.entry.program)))
+                .clone(),
+        }
+    }
+}
+
+/// What a stored lowering hands the communicator taking it (see
+/// [`Communicator::hand`]): the plans it read and its picked root, as the
+/// communicator names its GPUs.
+struct Handed {
+    /// The lowering's plans renamed; `None` when they need no renaming.
+    plans: Option<PlanReads>,
+    root: Option<GpuId>,
+    renaming: Option<Renaming>,
+}
 
 /// One program of a [`StreamedRun`]: a fused batch (or unfused single
 /// request) with its issue time, completion time and the oracle-replayable
@@ -297,9 +339,10 @@ pub struct StreamedGroup {
     /// The lowered (possibly fused) program, shared with the plan store's
     /// lowering tier.
     pub program: Arc<Program>,
-    /// The compiled form of `program` the lowering tier keeps, once a call
-    /// hit the lowering (see [`crate::autotune`]); the session ran it when
-    /// it fits the communicator's simulator.
+    /// The compiled form the lowering tier keeps beside the lowering, once
+    /// a call hit it (see [`crate::autotune`]): `program`'s, up to renaming
+    /// its GPUs by dense index. The session ran it when it was compiled for
+    /// GPUs at this communicator's dense indices and fits its simulator.
     pub compiled: Option<Arc<CompiledProgram>>,
     /// The engine's per-op `(start, end)` spans for this program.
     pub op_spans: Vec<(f64, f64)>,
@@ -329,9 +372,10 @@ impl StreamedRun {
 /// cluster slice).
 #[derive(Debug)]
 pub struct Communicator {
-    machine: Topology,
     allocation: Vec<GpuId>,
     induced: Topology,
+    /// The simulator over the machine model, which holds the communicator's
+    /// one copy of that model.
     sim: Simulator,
     options: CommunicatorOptions,
     /// This communicator's handle on its plan store: collectives re-issued
@@ -349,11 +393,17 @@ pub struct Communicator {
 /// [`Communicator::replan`], so no memo kept here can outlive its shape.
 #[derive(Debug)]
 struct ShapeState {
-    /// [`rank_fingerprint`] of the induced topology and TreeGen options.
+    /// [`crate::autotune::rank_fingerprint`] of the induced topology and
+    /// TreeGen options.
     plan_fp: u64,
     /// The key the store's lowering tier files this communicator's
     /// lowerings under (see [`lowering_fingerprint`]).
     lowering_fp: u64,
+    /// The dense index ([`Simulator::gpu_index`]) of each allocation GPU on
+    /// the communicator's simulator, in allocation order: where a stored
+    /// compiled form must have been compiled for to run here (see
+    /// [`Lowering::form_for`]).
+    dense: Vec<usize>,
     /// Per-signature MIAD chunk tuners, consulted only when
     /// [`CommunicatorOptions::chunk_bytes`] is `None`.
     tuners: BTreeMap<Signature, ChunkAutotuner>,
@@ -375,12 +425,22 @@ struct ShapeState {
 
 impl ShapeState {
     /// The fresh state of a communicator over `allocation`, whose induced
-    /// topology is `induced`.
-    fn new(induced: &Topology, allocation: &[GpuId], options: &CommunicatorOptions) -> Self {
-        let plan_fp = rank_fingerprint(induced, &options.treegen);
+    /// topology is `induced`, simulated on `sim`.
+    fn new(
+        induced: &Topology,
+        allocation: &[GpuId],
+        options: &CommunicatorOptions,
+        sim: &Simulator,
+    ) -> Self {
+        let (plan_fp, order) = rank_fingerprint_and_order(induced, &options.treegen, allocation);
+        let dense = allocation
+            .iter()
+            .map(|&g| sim.gpu_index(g).unwrap_or(usize::MAX))
+            .collect();
         ShapeState {
             plan_fp,
-            lowering_fp: lowering_fingerprint(plan_fp, allocation, options),
+            lowering_fp: lowering_fingerprint(plan_fp, &order, options),
+            dense,
             tuners: BTreeMap::new(),
             picked: None,
             spannable: BTreeMap::new(),
@@ -391,10 +451,11 @@ impl ShapeState {
 
 /// The lowering tier's key for a communicator: everything a lowering reads
 /// besides the collective signature, the chunk and the plans themselves —
-/// the rank fingerprint, the allocation order (the GPU ids the rank
-/// fingerprint leaves out) and every option a lowering reads. Computed once
-/// per build and per replan.
-fn lowering_fingerprint(plan_fp: u64, allocation: &[GpuId], options: &CommunicatorOptions) -> u64 {
+/// the rank fingerprint, the allocation `order` as that fingerprint names
+/// GPUs (by rank, so the same slice shape on any server shares the key; by
+/// id where the slice's ids do not ascend) and every option a lowering
+/// reads. Computed once per build and per replan.
+fn lowering_fingerprint(plan_fp: u64, order: &[u64], options: &CommunicatorOptions) -> u64 {
     // Destructured so a new option cannot be silently left out.
     let CommunicatorOptions {
         sim_params,
@@ -406,7 +467,7 @@ fn lowering_fingerprint(plan_fp: u64, allocation: &[GpuId], options: &Communicat
     } = *options;
     let mut h = DefaultHasher::new();
     plan_fp.hash(&mut h);
-    allocation.hash(&mut h);
+    order.hash(&mut h);
     treegen.links.hash(&mut h);
     for bits in sim_params.to_bits() {
         bits.hash(&mut h);
@@ -437,7 +498,7 @@ impl Communicator {
     /// The full machine model the communicator was created over (a superset
     /// of [`Communicator::induced_topology`] when the allocation is partial).
     pub fn machine_topology(&self) -> &Topology {
-        &self.machine
+        self.sim.topology()
     }
 
     /// The options the communicator was built with.
@@ -504,7 +565,7 @@ impl Communicator {
 
     /// Runs an arbitrary collective.
     pub fn run(&mut self, kind: CollectiveKind, bytes: u64) -> Result<CollectiveReport> {
-        self.run_traced(kind, bytes).map(|(report, _, _)| report)
+        self.run_lowered(kind, bytes).map(|(report, _, _)| report)
     }
 
     /// Runs a collective and also returns the lowered program plus the
@@ -513,6 +574,14 @@ impl Communicator {
     /// return an empty program and no spans. The program comes from the
     /// plan store's lowering tier, so repeated calls return the same `Arc`.
     pub fn run_traced(&mut self, kind: CollectiveKind, bytes: u64) -> Result<TracedRun> {
+        let (report, lowered, spans) = self.run_lowered(kind, bytes)?;
+        let program = lowered.map(|l| l.program()).unwrap_or_default();
+        Ok((report, program, spans))
+    }
+
+    /// [`Communicator::run_traced`], with the lowering it ran in place of
+    /// its program: only callers that read the program rename it.
+    fn run_lowered(&mut self, kind: CollectiveKind, bytes: u64) -> Result<LoweredRun> {
         if self.allocation.len() < 2 || bytes == 0 {
             let report = CollectiveReport {
                 kind,
@@ -523,18 +592,19 @@ impl Communicator {
                 chunk_bytes: 0,
                 strategy: "trivial (single GPU or empty buffer)".to_string(),
             };
-            return Ok((report, Arc::default(), Vec::new()));
+            return Ok((report, None, Vec::new()));
         }
         for &g in &self.allocation {
-            if !self.machine.contains(g) {
+            if !self.sim.topology().contains(g) {
                 return Err(BlinkError::Planning(format!("GPU {g} not in topology")));
             }
         }
-        let (lowering, chunk, raced) = self.lower_raced(kind, bytes)?;
+        let (lowered, chunk, raced) = self.lower_raced(kind, bytes)?;
         let report = match raced {
             Some(report) => report,
-            None => self.simulate(&lowering.program, lowering.compiled.get())?,
+            None => self.simulate_lowered(&lowered)?,
         };
+        let lowering = &lowered.entry;
         let gbps = report.algorithmic_bandwidth_gbps(bytes);
         self.observe_chunk(kind, bytes, gbps);
         let collective_report = CollectiveReport {
@@ -546,7 +616,7 @@ impl Communicator {
             chunk_bytes: chunk,
             strategy: lowering.strategy.clone(),
         };
-        Ok((collective_report, lowering.program.clone(), report.op_spans))
+        Ok((collective_report, Some(lowered), report.op_spans))
     }
 
     /// Runs a collective end to end and replays the executed program through
@@ -615,27 +685,30 @@ impl Communicator {
         // lower every group first (lowering borrows the communicator
         // mutably), then run them all in one shared session
         let mut out = Vec::new();
+        // whether each group runs from its entry's compiled form
+        let mut from_form = Vec::new();
         for group in fuse_requests(&sizes, threshold) {
-            let lowering = self.lower(kind, group.total_bytes)?;
+            let lowered = self.lower(kind, group.total_bytes)?;
             let issue_us = group
                 .members
                 .iter()
                 .map(|&i| requests[i].1)
                 .fold(0.0f64, f64::max);
+            from_form.push(self.form_for(&lowered).is_some());
             out.push(StreamedGroup {
                 group,
                 issue_us,
                 end_us: issue_us,
-                program: lowering.program.clone(),
-                compiled: lowering.compiled.get().cloned(),
+                program: lowered.program(),
+                compiled: lowered.entry.compiled.get().map(|c| c.form.clone()),
                 op_spans: Vec::new(),
-                strategy: lowering.strategy.clone(),
+                strategy: lowered.entry.strategy.clone(),
             });
         }
         let mut session = self.sim.session();
-        for g in &out {
-            match &g.compiled {
-                Some(compiled) => session.admit_compiled(compiled.clone(), g.issue_us),
+        for (g, from_form) in out.iter().zip(from_form) {
+            match g.compiled.clone().filter(|_| from_form) {
+                Some(compiled) => session.admit_compiled(g.program.clone(), compiled, g.issue_us),
                 None => session.admit(g.program.clone(), g.issue_us),
             };
         }
@@ -731,11 +804,11 @@ impl Communicator {
 
     /// Lowers `kind` over `bytes` at the signature's current chunk size,
     /// through the plan store's lowering tier: a hit returns the stored
-    /// lowering (the same `Arc<Program>`), a miss lowers afresh and
-    /// publishes the result. Failed lowerings are not stored.
-    pub(crate) fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Arc<Lowering>> {
-        self.lower_raced(kind, bytes)
-            .map(|(lowering, _, _)| lowering)
+    /// lowering (renamed onto this communicator's GPUs when another slice
+    /// lowered it), a miss lowers afresh and publishes the result. Failed
+    /// lowerings are not stored.
+    pub(crate) fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Lowered> {
+        self.lower_raced(kind, bytes).map(|(lowered, _, _)| lowered)
     }
 
     /// [`Communicator::lower`], plus the chunk size it lowered at and the
@@ -747,7 +820,7 @@ impl Communicator {
         &mut self,
         kind: CollectiveKind,
         bytes: u64,
-    ) -> Result<(Arc<Lowering>, u64, Option<RunReport>)> {
+    ) -> Result<(Lowered, u64, Option<RunReport>)> {
         let chunk = self.current_chunk(kind, bytes);
         let base = self.shape.lowering_fp;
         let key = |verdict| LoweringKey {
@@ -758,10 +831,29 @@ impl Communicator {
             verdict,
         };
         let lookup = key(self.shape.switch_strategy.get(&kind).copied());
-        if let Some(hit) = self.plans.store().lowering(&lookup, |l| self.accepts(l)) {
-            self.adopt(&hit);
-            hit.keep_compiled(&self.sim);
-            return Ok((hit, chunk, None));
+        let mut handed = None;
+        let hit = self.plans.store().lowering(&lookup, |l| {
+            handed = self.hand(l);
+            handed.is_some()
+        });
+        if let (Some(hit), Some(handed)) = (hit, handed) {
+            let renaming = self.adopt(&hit, handed);
+            let lowered = Lowered {
+                entry: hit,
+                renaming,
+                program: OnceCell::new(),
+            };
+            // the entry's first hit compiles its program over this
+            // communicator's GPUs; later hits read no program to run it
+            if lowered.entry.compiled.get().is_none() {
+                self.plans.store().keep_compiled(
+                    &lowered.entry,
+                    &lowered.program(),
+                    &self.sim,
+                    &self.shape.dense,
+                );
+            }
+            return Ok((lowered, chunk, None));
         }
         self.plans.take_reads();
         let (program, num_trees, strategy, raced) = self.build_program(kind, bytes, chunk)?;
@@ -781,6 +873,7 @@ impl Communicator {
         }
         let lowering = Arc::new(Lowering {
             program: Arc::new(program),
+            labels: self.allocation.clone(),
             compiled: OnceLock::new(),
             num_trees,
             strategy,
@@ -792,35 +885,77 @@ impl Communicator {
         self.plans
             .store()
             .publish_lowering(publish, lowering.clone());
-        Ok((lowering, chunk, raced))
+        let lowered = Lowered {
+            entry: lowering,
+            renaming: None,
+            program: OnceCell::new(),
+        };
+        Ok((lowered, chunk, raced))
     }
 
-    /// Whether a stored lowering is the one this communicator would lower
-    /// afresh: no plan it read conflicts with a plan the handle holds. The
+    /// What a stored lowering hands this communicator, if it is the one
+    /// this communicator would lower afresh: no plan it read, renamed onto
+    /// this communicator's GPUs, conflicts with a plan the handle holds. The
     /// store keeps it only while its plans are the plan tier's, which is
     /// where a fresh lowering would find any plan the handle lacks. That
     /// covers the picked root too: the handle holds every plan its own root
     /// sweep read, and a sweep over the same plans picks the same root.
-    fn accepts(&self, lowering: &Lowering) -> bool {
-        lowering
-            .plans
+    ///
+    /// A lowering another slice made is handed renamed position by position
+    /// from its allocation onto this one (its lowering key is this
+    /// communicator's, so both list one slice shape in one order): its
+    /// plans and picked root now, its program when a caller reads it.
+    fn hand(&self, lowering: &Lowering) -> Option<Handed> {
+        let renaming = if lowering.labels == self.allocation {
+            None
+        } else {
+            Some(Renaming::new(&lowering.labels, &self.allocation)?)
+        };
+        let plans = match &renaming {
+            None => None,
+            Some(renaming) => Some(
+                lowering
+                    .plans
+                    .iter()
+                    .map(|(fp, plan)| Some((*fp, renaming.plan(plan)?)))
+                    .collect::<Option<PlanReads>>()?,
+            ),
+        };
+        let read = plans.as_ref().unwrap_or(&lowering.plans);
+        if read
             .iter()
-            .all(|(fp, plan)| !self.plans.contradicts(*fp, plan))
+            .any(|(fp, plan)| self.plans.contradicts(*fp, plan))
+        {
+            return None;
+        }
+        let root = match &renaming {
+            Some(renaming) => lowering.root.map(|g| renaming.gpu(g)),
+            None => lowering.root,
+        };
+        Some(Handed {
+            plans,
+            root,
+            renaming,
+        })
     }
 
     /// Leaves the communicator as lowering afresh would have: the plans the
     /// stored lowering read join the handle, and its picked root (with its
-    /// sweep's plans) becomes this communicator's.
-    fn adopt(&mut self, lowering: &Lowering) {
-        for (fp, plan) in &lowering.plans {
+    /// sweep's plans) becomes this communicator's, all as `handed` names
+    /// them. Returns the renaming of the lowering's GPUs onto this
+    /// communicator's, when it has one.
+    fn adopt(&mut self, lowering: &Lowering, handed: Handed) -> Option<Renaming> {
+        let plans = handed.plans.as_ref().unwrap_or(&lowering.plans);
+        for (fp, plan) in plans {
             if *fp == self.shape.plan_fp {
                 self.plans.adopt(*fp, plan.clone());
             }
         }
-        if let (Some(root), None) = (lowering.root, &self.shape.picked) {
-            let swept = lowering.plans[..lowering.sweep].iter();
+        if let (Some(root), None) = (handed.root, &self.shape.picked) {
+            let swept = plans[..lowering.sweep].iter();
             self.shape.picked = Some((root, swept.map(|(_, p)| p.clone()).collect()));
         }
+        handed.renaming
     }
 
     /// Whether rootless collectives run over per-root packed trees and a
@@ -986,19 +1121,19 @@ impl Communicator {
             added_links: delta
                 .added_links
                 .iter()
-                .filter(|l| !self.machine.links().contains(l))
+                .filter(|l| !self.sim.topology().links().contains(l))
                 .copied()
                 .collect(),
             removed_gpus: delta
                 .removed_gpus
                 .iter()
-                .filter(|&&g| self.machine.contains(g))
+                .filter(|&&g| self.sim.topology().contains(g))
                 .copied()
                 .collect(),
             added_gpus: delta
                 .added_gpus
                 .iter()
-                .filter(|g| !self.machine.contains(g.id))
+                .filter(|g| !self.sim.topology().contains(g.id))
                 .copied()
                 .collect(),
             added_gpu_caps: delta.added_gpu_caps.clone(),
@@ -1006,7 +1141,8 @@ impl Communicator {
             changed_server_nics: delta.changed_server_nics.clone(),
         };
         let machine = self
-            .machine
+            .sim
+            .topology()
             .apply_delta(&machine_delta)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
         let mut allocation: Vec<GpuId> = self
@@ -1045,11 +1181,10 @@ impl Communicator {
                 .map_err(|e| BlinkError::Planning(e.to_string()))?;
             allocation = survivors;
         }
-        self.machine = machine;
         self.allocation = allocation;
         self.induced = induced;
-        self.sim = Simulator::new(self.machine.clone(), self.options.sim_params);
-        self.shape = ShapeState::new(&self.induced, &self.allocation, &self.options);
+        self.sim = Simulator::new(machine, self.options.sim_params);
+        self.shape = ShapeState::new(&self.induced, &self.allocation, &self.options, &self.sim);
         self.plans
             .note_delta(&self.induced, &self.options.treegen, delta);
         let plans_kept = self.plans.len();
@@ -1111,7 +1246,7 @@ impl Communicator {
                 )));
             }
             let attempt = three_phase_lowering(
-                &self.machine,
+                self.sim.topology(),
                 &self.allocation,
                 bytes,
                 &self.options.treegen,
@@ -1134,7 +1269,7 @@ impl Communicator {
                         ..self.codegen_options(chunk)
                     };
                     let (program, info, reads) = three_phase_lowering(
-                        &self.machine,
+                        self.sim.topology(),
                         &self.allocation,
                         bytes,
                         &pcie_tg,
@@ -1262,8 +1397,8 @@ impl Communicator {
         let (choice, (program, n, strategy), run) =
             match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk) {
                 Ok(packed) => {
-                    let one_hop_run = self.simulate(&one_hop.0, None)?;
-                    let packed_run = self.simulate(&packed.0, None)?;
+                    let one_hop_run = self.simulate(&one_hop.0)?;
+                    let packed_run = self.simulate(&packed.0)?;
                     if packed_run.total_us + 1e-9 < one_hop_run.total_us {
                         (SwitchChoice::Packed, packed, Some(packed_run))
                     } else {
@@ -1316,19 +1451,36 @@ impl Communicator {
         }
     }
 
-    /// Simulates `program` once, from its `compiled` form when there is
-    /// one, on a scratch checked out of the store's pool.
-    fn simulate(
-        &self,
-        program: &Program,
-        compiled: Option<&Arc<CompiledProgram>>,
-    ) -> Result<RunReport> {
+    /// The compiled form `lowered`'s entry keeps, when it was compiled for
+    /// GPUs at this communicator's dense indices (see
+    /// [`Lowering::form_for`]).
+    pub(crate) fn form_for<'a>(&self, lowered: &'a Lowered) -> Option<&'a Arc<CompiledProgram>> {
+        lowered.entry.form_for(&self.shape.dense)
+    }
+
+    /// Simulates `program` once on a scratch checked out of the store's
+    /// pool.
+    fn simulate(&self, program: &Program) -> Result<RunReport> {
         let engine = &mut self.plans.store().scratch().checkout().engine;
-        match compiled {
-            Some(compiled) => self.sim.run_compiled(compiled, engine),
-            None => self.sim.run_with_scratch(program, engine),
-        }
-        .map_err(|e| BlinkError::Simulation(e.to_string()))
+        self.sim
+            .run_with_scratch(program, engine)
+            .map_err(|e| BlinkError::Simulation(e.to_string()))
+    }
+
+    /// Simulates `lowered` once on a scratch checked out of the store's
+    /// pool: from its entry's compiled form where that runs here, without
+    /// renaming the program, and from its program otherwise.
+    fn simulate_lowered(&self, lowered: &Lowered) -> Result<RunReport> {
+        let form = self.form_for(lowered).filter(|form| form.fits(&self.sim));
+        let Some(form) = form else {
+            return self.simulate(&lowered.program());
+        };
+        let engine = &mut self.plans.store().scratch().checkout().engine;
+        // a fitting form reads nothing of the program it runs but its
+        // length, which renaming keeps, so the entry's own stands in
+        self.sim
+            .run_compiled(&lowered.entry.program, form, engine)
+            .map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 }
 
@@ -1466,9 +1618,21 @@ impl CommunicatorBuilder {
             Some(allocation) => allocation,
             None => machine.gpu_ids(),
         };
-        let induced = machine
-            .induced(&allocation)
-            .map_err(|e| BlinkError::Planning(e.to_string()))?;
+        // An allocation of the whole machine, in its order, induces the
+        // machine itself (a placement's always does): copy it rather than
+        // re-induce it.
+        let induced = if machine
+            .gpus()
+            .iter()
+            .map(|g| g.id)
+            .eq(allocation.iter().copied())
+        {
+            machine.clone()
+        } else {
+            machine
+                .induced(&allocation)
+                .map_err(|e| BlinkError::Planning(e.to_string()))?
+        };
         // Inducing dedups the GPU set, so a repeated id shows up as a count
         // mismatch; name the first repeat only on that failure path.
         if induced.num_gpus() != allocation.len() {
@@ -1484,10 +1648,9 @@ impl CommunicatorBuilder {
             None if self.isolated => SharedPlanCache::new(),
             None => global_plan_cache(),
         };
-        let sim = Simulator::new(machine.clone(), self.options.sim_params);
-        let shape = ShapeState::new(&induced, &allocation, &self.options);
+        let sim = Simulator::new(machine, self.options.sim_params);
+        let shape = ShapeState::new(&induced, &allocation, &self.options, &sim);
         Ok(Communicator {
-            machine,
             allocation,
             induced,
             sim,
@@ -1971,6 +2134,31 @@ mod tests {
     }
 
     #[test]
+    fn a_whole_machine_allocation_is_its_own_induced_topology() {
+        // a placement's allocation is its whole machine: the communicator
+        // keeps a copy of it instead of inducing one, which differs only in
+        // its name
+        let slices = vec![
+            (0usize, vec![GpuId(1), GpuId(2), GpuId(5)]),
+            (3usize, vec![GpuId(24), GpuId(27)]),
+        ];
+        let comm = CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices)
+            .isolated_plans()
+            .build()
+            .unwrap();
+        let machine = comm.machine_topology();
+        let induced = machine
+            .induced(comm.allocation())
+            .unwrap()
+            .with_name(machine.name());
+        assert_eq!(comm.allocation(), machine.gpu_ids());
+        assert_eq!(
+            format!("{:?}", comm.induced_topology()),
+            format!("{induced:?}")
+        );
+    }
+
+    #[test]
     fn communicators_share_plans_across_instances() {
         let shared = SharedPlanCache::new();
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
@@ -2304,7 +2492,7 @@ mod tests {
             (CollectiveKind::Broadcast { root }, mb(8)),
             (CollectiveKind::AllReduce, mb(8)),
         ] {
-            let lowering = comm.lower(kind, bytes).unwrap();
+            let lowering = comm.lower(kind, bytes).unwrap().entry;
             let read: Vec<_> = lowering
                 .plans
                 .iter()
@@ -2507,6 +2695,39 @@ mod tests {
             let err = groups.run_concurrent(&[(CollectiveKind::Broadcast { root }, mb(1))]);
             assert!(matches!(err, Err(BlinkError::Planning(_))));
         }
+    }
+
+    #[test]
+    fn a_form_runs_only_for_allocations_at_its_dense_indices() {
+        // GPUs {0, 1, 3} of servers 0 and 2 of one machine share a lowering
+        // key. On that machine's simulator server 0's form fits server 2's
+        // job too, yet it reads server 0's links, so server 2's job must
+        // compile its own program.
+        let machine = multi_server(4, ServerKind::Dgx1V, 5.0);
+        let store = SharedPlanCache::new();
+        let on = |gpus: [usize; 3]| {
+            Communicator::builder(machine.clone())
+                .allocation(&gpus.map(GpuId))
+                .shared_plans(store.clone())
+                .build()
+                .unwrap()
+        };
+        let kind = CollectiveKind::AllReduce;
+        on([0, 1, 3]).lower(kind, mb(8)).unwrap();
+        let home = on([0, 1, 3]);
+        let (mut again, mut away) = (on([0, 1, 3]), on([16, 17, 19]));
+        let hit = again.lower(kind, mb(8)).unwrap();
+        let form = hit
+            .entry
+            .compiled
+            .get()
+            .expect("the first hit keeps a form");
+        assert!(form.form.fits(&away.sim));
+        assert!(again.form_for(&hit).is_some() && home.form_for(&hit).is_some());
+        let renamed = away.lower(kind, mb(8)).unwrap();
+        assert!(Arc::ptr_eq(&renamed.entry, &hit.entry), "one entry");
+        assert!(away.form_for(&renamed).is_none());
+        assert_eq!(store.compiled_forms(), 1);
     }
 
     #[test]

@@ -54,9 +54,10 @@ pub struct GroupCollective {
     /// The lowered transfer program (empty for trivial requests), shared
     /// with the plan store's lowering tier.
     pub program: Arc<Program>,
-    /// The compiled form of `program` the lowering tier keeps, once a call
-    /// hit the lowering; the shared session ran it when it fits the
-    /// machine's simulator.
+    /// The compiled form the lowering tier keeps beside the lowering, once
+    /// a call hit it: `program`'s, up to renaming its GPUs by dense index.
+    /// The shared session ran it when it was compiled for GPUs at the
+    /// subgroup's dense indices and fits the machine's simulator.
     pub compiled: Option<Arc<CompiledProgram>>,
     /// Per-op `(start, end)` times on the shared schedule, indexed by the
     /// program's op ids.
@@ -147,19 +148,24 @@ impl ProcessGroups {
             )));
         }
         let mut groups = Vec::with_capacity(requests.len());
+        // whether each subgroup runs from its entry's compiled form
+        let mut from_form = Vec::with_capacity(requests.len());
         for (child, &(kind, bytes)) in self.children.iter_mut().zip(requests) {
             let (program, compiled, strategy) = if child.allocation().len() < 2 || bytes == 0 {
+                from_form.push(false);
                 (
                     Arc::default(),
                     None,
                     "trivial (single GPU or empty buffer)".to_string(),
                 )
             } else {
-                let lowering = child.lower(kind, bytes)?;
+                let lowered = child.lower(kind, bytes)?;
+                // children simulate on machines equal to this one
+                from_form.push(child.form_for(&lowered).is_some());
                 (
-                    lowering.program.clone(),
-                    lowering.compiled.get().cloned(),
-                    lowering.strategy.clone(),
+                    lowered.program(),
+                    lowered.entry.compiled.get().map(|c| c.form.clone()),
+                    lowered.entry.strategy.clone(),
                 )
             };
             groups.push(GroupCollective {
@@ -177,10 +183,10 @@ impl ProcessGroups {
         // nowhere.
         let mut session = self.sim.session();
         let mut admitted = Vec::with_capacity(groups.len());
-        for (i, group) in groups.iter().enumerate() {
+        for (i, (group, from_form)) in groups.iter().zip(from_form).enumerate() {
             if !group.program.is_empty() {
-                match &group.compiled {
-                    Some(compiled) => session.admit_compiled(compiled.clone(), 0.0),
+                match group.compiled.clone().filter(|_| from_form) {
+                    Some(compiled) => session.admit_compiled(group.program.clone(), compiled, 0.0),
                     None => session.admit(group.program.clone(), 0.0),
                 };
                 admitted.push(i);

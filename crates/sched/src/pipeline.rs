@@ -21,6 +21,7 @@ use crate::cluster::{Cluster, Placement};
 use crate::events::{EventMonitor, Stage};
 use crate::faults::{FaultConfig, FaultEvent, FaultInjector, FaultRecord, RetryPolicy};
 use crate::workload::{Job, WorkloadConfig, WorkloadGenerator};
+use blink_core::communicator::TracedRun;
 use blink_core::{
     BlinkError, CollectiveKind, Communicator, CommunicatorBuilder, CommunicatorOptions,
     DegradationLevel, SharedPlanCache,
@@ -271,6 +272,9 @@ pub struct FleetPipeline {
     retries_scheduled: usize,
     retries_succeeded: usize,
     jobs_lost: usize,
+    /// Unsampled first collectives' placements and traced runs, once
+    /// [`FleetPipeline::keep_first_runs`] asked for them.
+    first_runs: Option<Vec<(Placement, TracedRun)>>,
 }
 
 impl FleetPipeline {
@@ -320,7 +324,23 @@ impl FleetPipeline {
             retries_scheduled: 0,
             retries_succeeded: 0,
             jobs_lost: 0,
+            first_runs: None,
         }
+    }
+
+    /// Keeps the placement and traced run — report, lowered program and op
+    /// spans — of every later first collective the oracle does not sample
+    /// (all of them when [`FleetConfig::check_every`] is 0), so a test can
+    /// hold what the fleet served against what a private communicator
+    /// lowers ([`FleetPipeline::first_runs`]).
+    pub fn keep_first_runs(&mut self) {
+        self.first_runs.get_or_insert_with(Vec::new);
+    }
+
+    /// The first collectives kept since [`FleetPipeline::keep_first_runs`],
+    /// in run order.
+    pub fn first_runs(&self) -> &[(Placement, TracedRun)] {
+        self.first_runs.as_deref().unwrap_or_default()
     }
 
     /// Replaces the fault injector — used by tests and benches that script an
@@ -388,12 +408,18 @@ impl FleetPipeline {
             let check_due = self.config.check_every > 0
                 && self.outcomes.len().is_multiple_of(self.config.check_every);
             let first = self.monitor.begin(job.id, Stage::FirstCollective);
+            let (kind, bytes) = (CollectiveKind::AllReduce, self.config.collective_bytes);
             let attempt = if check_due {
-                comm.run_checked(CollectiveKind::AllReduce, self.config.collective_bytes)
+                comm.run_checked(kind, bytes)
                     .map(|(report, check)| (report, true, Some(check)))
+            } else if let Some(kept) = &mut self.first_runs {
+                comm.run_traced(kind, bytes).map(|run| {
+                    let report = run.0.clone();
+                    kept.push((placement.clone(), run));
+                    (report, false, None)
+                })
             } else {
-                comm.run(CollectiveKind::AllReduce, self.config.collective_bytes)
-                    .map(|report| (report, false, None))
+                comm.run(kind, bytes).map(|report| (report, false, None))
             };
             let (report, checked) = match attempt {
                 Ok((report, checked, check)) => {
@@ -1173,13 +1199,20 @@ mod tests {
             pipeline.monitor().count(Stage::SubgroupLift),
             report.subgroup_lifts
         );
-        // subgroups plan through the fleet store, where their parent job
-        // already published the per-server slices' plans: the lifts add
-        // store hits to the same job stream planned without them
-        let unlifted = FleetPipeline::new(small_config()).run().unwrap();
+        // subgroups plan and lower through the fleet store, where their
+        // parent job and same-shape jobs on other servers already published
+        // plans and lowerings: the lifts add store hits (in the plan tier,
+        // or in the lowering tier that answers before it) to the same job
+        // stream planned without them
+        let hits = |pipeline: &FleetPipeline| {
+            let store = pipeline.shared_cache();
+            store.stats().0 + store.lowering_stats().0
+        };
+        let mut unlifted = FleetPipeline::new(small_config());
+        unlifted.run().unwrap();
         assert!(
-            report.shared_hits > unlifted.shared_hits,
-            "lifted subgroups never reused a fleet plan"
+            hits(&pipeline) > hits(&unlifted),
+            "lifted subgroups never reused fleet work"
         );
     }
 

@@ -122,22 +122,40 @@
 //!
 //! A [`CompiledProgram`] is a pure function of its program and of the
 //! lookups its compile made in the simulator, and it records every one of
-//! them: each link id a copy resolved, with that link's key, summed
-//! capacity (bit for bit) and binding resources; each GPU a reduction or
-//! kernel named, with its dense index; the compute engines' base id; and
-//! the [`SimParams`] every duration was computed under. A run reuses the
-//! form on a simulator only when all of those reads agree there
-//! ([`CompiledProgram::fits`]) — compiling the program on that simulator
-//! would then produce the very same tables, so the schedule is
-//! bit-identical — and otherwise compiles the program into its scratch as
-//! if no form had been given. The check costs what the form read, not the
-//! size of the simulator's resource table, and a [`Simulator`] keeps no
+//! them, naming each GPU by its **dense index** (its position among the
+//! simulator's GPU ids, ascending; [`Simulator::gpu_index`]) rather than by
+//! id: each link id a copy resolved, with that link's endpoints by dense
+//! index, class, summed capacity (bit for bit) and binding resources; the
+//! largest dense index a reduction or kernel named; the compute engines'
+//! base id; and the [`SimParams`] every duration was computed under. Its
+//! tables hold no GPU id either, only resource ids, durations, bytes and
+//! op ids.
+//!
+//! A form therefore fits ([`CompiledProgram::fits`]) every simulator whose
+//! resource table agrees on what it read, and there it is the compile of
+//! its program with each GPU renamed to that simulator's GPU of the same
+//! dense index: that renamed program resolves every copy to the same link
+//! id, capacity and binding resources, and every kernel to the same
+//! compute engine, so its schedule is bit-identical, and the run's report
+//! names the running simulator's links. One slice shape placed on two
+//! servers is such a pair (its GPUs ascend on both), so a form compiled
+//! for one server's job serves the same job shape on every other.
+//!
+//! The caller names the program a run executes
+//! ([`Simulator::run_compiled`], [`Session::admit_compiled`]) and vouches
+//! that the form is that program's up to such a renaming; the engine checks
+//! only what the form read. A run uses the form where it fits, and
+//! otherwise validates and compiles the caller's program into its scratch
+//! as if no form had been given — never the form's own program, whose GPUs
+//! may not exist on that simulator. The check costs what the form read, not
+//! the size of the simulator's resource table, and a [`Simulator`] keeps no
 //! digest of its table for it: every fleet job builds a simulator, and
 //! most never run a stored form.
 //!
 //! Compiled forms never change an error. A form exists only for a program
-//! that compiled; a run validates every entry that has no form and checks
-//! every entry's issue time, in admission order, before it resolves any op;
+//! that compiled; a run validates every entry that has no fitting form and
+//! checks every entry's issue time, in admission order, before it resolves
+//! any op;
 //! then it compiles or splices entry by entry, checking the stream-slot
 //! bound for stored forms too, so the first error a session reports is the
 //! one it would report with no forms at all.
@@ -345,6 +363,9 @@ struct LinkResources {
     /// Capacity of the class's links from `src` to `dst`, summed in
     /// [`Topology::links`] order.
     capacity_gbps: f64,
+    /// The dense indices of `src` and `dst` (meaningless when `unknown`
+    /// is set).
+    ends: [u32; 2],
     /// The first endpoint (`src`, then `dst`) missing from the topology's
     /// GPU list; a copy over the link fails with it.
     unknown: Option<GpuId>,
@@ -366,12 +387,14 @@ impl LinkResources {
         &self.res[..self.res_len as usize]
     }
 
-    /// Whether a copy over `other` compiles as over `self`: the same key,
-    /// capacity bit for bit, endpoints and binding resources.
+    /// Whether a copy over `other` compiles as over `self` once each GPU is
+    /// renamed to the GPU at its dense index: the same endpoints by dense
+    /// index, class, capacity bit for bit, and binding resources.
     fn same_as(&self, other: &LinkResources) -> bool {
-        self.key == other.key
+        self.ends == other.ends
+            && self.key.2 == other.key.2
             && self.capacity_gbps.to_bits() == other.capacity_gbps.to_bits()
-            && self.unknown == other.unknown
+            && self.unknown.is_some() == other.unknown.is_some()
             && self.resources() == other.resources()
     }
 }
@@ -428,6 +451,7 @@ impl ResourceTable {
                 _ => links.push(LinkResources {
                     key,
                     capacity_gbps: capacity,
+                    ends: [0; 2],
                     unknown: None,
                     res: [0; 2],
                     res_len: 0,
@@ -452,6 +476,7 @@ impl ResourceTable {
                     continue;
                 }
             };
+            link.ends = [s, d];
             match class {
                 LinkClass::NvLink => {
                     if topology.gpu_cap(src).is_some() {
@@ -688,13 +713,14 @@ impl EngineScratch {
 }
 
 /// What a compile read from its simulator (see "compiled programs" in the
-/// module docs).
+/// module docs). It names GPUs only by dense index.
 #[derive(Debug, Clone)]
 struct Reads {
     /// Every link id a copy resolved, ascending, with the link as read.
     links: Vec<(u32, LinkResources)>,
-    /// Every GPU a reduction or kernel named, with its dense index.
-    gpus: Vec<(GpuId, u32)>,
+    /// One past the largest dense index of a GPU a reduction or kernel
+    /// named; 0 when none did.
+    gpus: u32,
     compute_base: u32,
     /// The bits of the [`SimParams`] every duration was computed under.
     params: [u64; 6],
@@ -702,11 +728,12 @@ struct Reads {
 
 /// A program compiled for the engine by [`Simulator::compile`]: its
 /// per-op binding resources, durations, link ids and bytes and its
-/// dependency CSR, together with every simulator lookup they came from.
-/// [`Simulator::run_compiled`] and [`Session::admit_compiled`] run it,
-/// skipping validation and resolution, on any simulator it
-/// [fits](CompiledProgram::fits), and compile the program afresh on any
-/// other; see "compiled programs" in the module docs.
+/// dependency CSR, together with every simulator lookup they came from,
+/// GPUs named by dense index. [`Simulator::run_compiled`] and
+/// [`Session::admit_compiled`] run it, skipping validation and resolution,
+/// on any simulator it [fits](CompiledProgram::fits), and compile the
+/// caller's program afresh on any other; see "compiled programs" in the
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     program: Arc<Program>,
@@ -722,17 +749,17 @@ impl CompiledProgram {
         &self.program
     }
 
-    /// Whether every lookup the compile made agrees on `sim`: then compiling
-    /// the program on `sim` would produce this very form, and a run on `sim`
-    /// uses it as it is.
+    /// Whether every lookup the compile made agrees on `sim`, GPUs compared
+    /// by dense index: then compiling on `sim` the form's program with each
+    /// GPU renamed to `sim`'s GPU of the same dense index would produce this
+    /// very form, and a run of that program on `sim` uses it as it is. On
+    /// the simulator it was compiled on, and on any other with the same GPU
+    /// ids, that renaming changes nothing.
     pub fn fits(&self, sim: &Simulator) -> bool {
         let (reads, table) = (&self.reads, &sim.resources);
         reads.compute_base == table.compute_base
             && reads.params == sim.params.to_bits()
-            && reads
-                .gpus
-                .iter()
-                .all(|&(gpu, i)| table.gpus.get(i as usize) == Some(&gpu))
+            && reads.gpus as usize <= table.gpus.len()
             && reads.links.iter().all(|(id, link)| {
                 table
                     .links
@@ -918,29 +945,23 @@ impl Simulator {
                 links += 1;
             }
         }
-        let (mut gpu_read, mut gpus) = (vec![false; table.gpus.len()], 0);
+        let mut gpus = 0;
         for op in program.ops() {
             if let OpKind::Reduce { gpu } | OpKind::Compute { gpu, .. } = op.kind {
                 if let Ok(i) = table.gpu(gpu) {
-                    gpus += usize::from(!gpu_read[i as usize]);
-                    gpu_read[i as usize] = true;
+                    gpus = gpus.max(i + 1);
                 }
             }
         }
         let mut reads = Reads {
             links: Vec::with_capacity(links),
-            gpus: Vec::with_capacity(gpus),
+            gpus,
             compute_base: table.compute_base,
             params: self.params.to_bits(),
         };
         for (l, link) in table.links.iter().enumerate() {
             if link_read[l] {
                 reads.links.push((l as u32, link.clone()));
-            }
-        }
-        for (i, &gpu) in table.gpus.iter().enumerate() {
-            if gpu_read[i] {
-                reads.gpus.push((gpu, i as u32));
             }
         }
         Ok(CompiledProgram {
@@ -951,21 +972,37 @@ impl Simulator {
         })
     }
 
-    /// Runs a compiled program, as [`Simulator::run_with_scratch`] runs its
-    /// program: over the form's own tables when it
-    /// [fits](CompiledProgram::fits) this simulator, and otherwise by
-    /// compiling the program into `scratch`. Either way the report is
-    /// bit-identical to [`Simulator::run_with_scratch`] on the program.
+    /// Runs `program` as [`Simulator::run_with_scratch`] does, over
+    /// `compiled`'s tables when the form [fits](CompiledProgram::fits) this
+    /// simulator, and otherwise by compiling `program` into `scratch`.
+    /// Either way the report is bit-identical to
+    /// [`Simulator::run_with_scratch`] on `program`.
+    ///
+    /// `compiled` must be a form of `program` up to renaming by dense
+    /// index: compiled from `program` itself, or from a program that
+    /// `program` relabels GPU by GPU onto this simulator's GPU of the same
+    /// dense index (the same slice shape on another server, say). The
+    /// engine checks what the form read, not that relabelling; a fitting
+    /// form reads nothing of `program` but its length, and a form that does
+    /// not fit never runs its own program's GPUs here.
     ///
     /// # Errors
     /// Same conditions as [`Simulator::run`].
     pub fn run_compiled(
         &self,
+        program: &Program,
         compiled: &CompiledProgram,
         scratch: &mut EngineScratch,
     ) -> Result<RunReport, SimError> {
-        self.run_entries(&[(&*compiled.program, 0.0)], &[Some(compiled)], scratch)
+        self.run_entries(&[(program, 0.0)], &[Some(compiled)], scratch)
             .map(single_program)
+    }
+
+    /// The dense index of `gpu`: its position among this simulator's GPU
+    /// ids in ascending order, the index [`CompiledProgram::fits`] compares
+    /// GPUs by.
+    pub fn gpu_index(&self, gpu: GpuId) -> Option<usize> {
+        self.resources.gpu(gpu).ok().map(|i| i as usize)
     }
 
     /// Appends `program`'s compiled ops to `out`, numbered after the ops
@@ -1083,13 +1120,14 @@ impl Simulator {
         stored: &[Option<C>],
         scratch: &mut EngineScratch,
     ) -> Result<SessionReport, SimError> {
-        let stored = |i: usize| -> Option<&CompiledProgram> {
-            stored.get(i).and_then(Option::as_ref).map(Borrow::borrow)
+        let fitting = |i: usize| -> Option<&CompiledProgram> {
+            let form: &CompiledProgram = stored.get(i)?.as_ref()?.borrow();
+            form.fits(self).then_some(form)
         };
         // every entry is validated and its issue time checked before any op
-        // is resolved; a stored form's program validated when it compiled
+        // is resolved; a fitting form's program validated when it compiled
         for (i, (program, issue)) in entries.iter().enumerate() {
-            if stored(i).is_none() {
+            if fitting(i).is_none() {
                 program
                     .borrow()
                     .validate()
@@ -1101,7 +1139,6 @@ impl Simulator {
                 )));
             }
         }
-        let fitting = |i: usize| stored(i).filter(|c| c.fits(self));
         let EngineScratch { ops, compile, scan } = scratch;
         // Global op id = op_base[entry] + local op id; the scan's tie-break
         // on global id is what makes admission order part of the
@@ -1354,12 +1391,18 @@ impl Session<'_> {
         self.entries.len() - 1
     }
 
-    /// Admits a compiled program's program, as [`Session::admit`] does, and
-    /// runs it from the compiled form when the form
-    /// [fits](CompiledProgram::fits) the session's simulator. The report is
+    /// Admits `program` as [`Session::admit`] does, and runs it from
+    /// `compiled` when the form [fits](CompiledProgram::fits) the session's
+    /// simulator. `compiled` must be a form of `program` up to renaming by
+    /// dense index, as for [`Simulator::run_compiled`]. The report is
     /// bit-identical either way.
-    pub fn admit_compiled(&mut self, compiled: Arc<CompiledProgram>, issue_us: f64) -> usize {
-        self.entries.push((compiled.program.clone(), issue_us));
+    pub fn admit_compiled(
+        &mut self,
+        program: impl Into<Arc<Program>>,
+        compiled: Arc<CompiledProgram>,
+        issue_us: f64,
+    ) -> usize {
+        self.entries.push((program.into(), issue_us));
         self.compiled.push(Some(compiled));
         self.entries.len() - 1
     }
@@ -1404,6 +1447,7 @@ mod tests {
     use super::*;
     use crate::program::{OpId, OpRef, ProgramBuilder, Segment, StreamId};
     use blink_topology::presets::{dgx1v, dgx2, multi_server, placement_topology, ServerKind};
+    use blink_topology::TopologyDelta;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     enum Resource {
@@ -2761,7 +2805,7 @@ mod tests {
             assert_eq!(**stored.program(), *program);
             let direct = sim.run_with_scratch(program, &mut dirty).unwrap();
             assert_reports_bit_identical(&sim.run_reference(program).unwrap(), &direct);
-            let reused = sim.run_compiled(stored, &mut dirty).unwrap();
+            let reused = sim.run_compiled(program, stored, &mut dirty).unwrap();
             assert_reports_bit_identical(&direct, &reused);
         }
         let issues = [0.0, 15.5, 15.5, 40.25];
@@ -2771,7 +2815,7 @@ mod tests {
             let mut session = sim.session();
             for (k, (&(program, issue), stored)) in entries.iter().zip(&compiled).enumerate() {
                 if mask >> k & 1 == 1 {
-                    session.admit_compiled(stored.clone(), issue);
+                    session.admit_compiled(program.clone(), stored.clone(), issue);
                 } else {
                     session.admit(program.clone(), issue);
                 }
@@ -2838,9 +2882,9 @@ mod tests {
         assert_compiled_runs_match(&sim, &programs);
     }
 
-    /// A copy of `topo` whose first `(src, dst)` link carries `bump` more
-    /// bits of bandwidth.
-    fn nudged(topo: &Topology, src: GpuId, dst: GpuId, bump: u64) -> Topology {
+    /// A copy of `topo` whose first `(src, dst)` link has its bandwidth
+    /// changed by `change`.
+    fn nudged(topo: &Topology, src: GpuId, dst: GpuId, change: impl Fn(f64) -> f64) -> Topology {
         let mut out = Topology::new(topo.name());
         for g in topo.gpus() {
             out.add_gpu(g.id, g.server, g.local_index).unwrap();
@@ -2857,7 +2901,7 @@ mod tests {
         for link in topo.links() {
             let mut link = *link;
             if pending && (link.src, link.dst) == (src, dst) {
-                link.bandwidth_gbps = f64::from_bits(link.bandwidth_gbps.to_bits() + bump);
+                link.bandwidth_gbps = change(link.bandwidth_gbps);
                 pending = false;
             }
             out.add_link(link).unwrap();
@@ -2897,7 +2941,9 @@ mod tests {
             ),
             // one link a copy uses is one ulp faster
             (
-                Simulator::with_defaults(nudged(&topo, copy.0, copy.1, 1)),
+                Simulator::with_defaults(nudged(&topo, copy.0, copy.1, |bw| {
+                    f64::from_bits(bw.to_bits() + 1)
+                })),
                 false,
             ),
             (Simulator::new(topo.clone(), latency), false),
@@ -2907,7 +2953,7 @@ mod tests {
             assert_eq!(stored.fits(&sim), fits, "{}", sim.topology().name());
             let direct = sim.run(&program).unwrap();
             let reused = sim
-                .run_compiled(&stored, &mut EngineScratch::new())
+                .run_compiled(&program, &stored, &mut EngineScratch::new())
                 .unwrap();
             assert_reports_bit_identical(&direct, &reused);
         }
@@ -2916,14 +2962,161 @@ mod tests {
         let s = b.new_stream();
         b.compute(GpuId(0), 1.0, s, &[], "");
         let on_gpu0 = b.build().unwrap();
-        let stored = Simulator::with_defaults(topo).compile(on_gpu0).unwrap();
+        let stored = Simulator::with_defaults(topo)
+            .compile(on_gpu0.clone())
+            .unwrap();
         let sim = Simulator::with_defaults(renumbered);
         assert!(!stored.fits(&sim));
         assert_eq!(
-            sim.run_compiled(&stored, &mut EngineScratch::new())
+            sim.run_compiled(&on_gpu0, &stored, &mut EngineScratch::new())
                 .unwrap_err(),
             SimError::UnknownGpu(GpuId(0))
         );
+    }
+
+    /// `program` with each GPU of `from` renamed to the GPU of `to` at the
+    /// same position.
+    fn moved(program: &Program, from: &[GpuId], to: &[GpuId]) -> Program {
+        program.renamed(|g| to[from.iter().position(|&f| f == g).unwrap()])
+    }
+
+    /// One slice shape placed on two sets of servers: the simulators of
+    /// both placements and their GPUs in ascending order.
+    fn placed_twice(
+        kind: ServerKind,
+        here: &[(usize, &[usize])],
+        there: &[(usize, &[usize])],
+    ) -> [(Simulator, Vec<GpuId>); 2] {
+        [here, there].map(|slices| {
+            let slices: Vec<(usize, Vec<GpuId>)> = slices
+                .iter()
+                .map(|(server, gpus)| (*server, gpus.iter().map(|&g| GpuId(g)).collect()))
+                .collect();
+            let topo = placement_topology(kind, 5.0, &slices).unwrap();
+            let gpus = topo.gpu_ids();
+            (Simulator::with_defaults(topo), gpus)
+        })
+    }
+
+    #[test]
+    fn a_form_fits_the_same_slice_shape_on_another_server() {
+        type Slices = &'static [(usize, &'static [usize])];
+        let cases: [(ServerKind, Slices, Slices); 3] = [
+            (ServerKind::Dgx1V, &[(0, &[0, 1, 3])], &[(5, &[40, 41, 43])]),
+            // network links and NICs
+            (
+                ServerKind::Dgx1V,
+                &[(0, &[1, 4, 6]), (2, &[17, 19, 22])],
+                &[(3, &[25, 28, 30]), (6, &[49, 51, 54])],
+            ),
+            // switch ports
+            (
+                ServerKind::Dgx2,
+                &[(0, &[1, 4, 9, 12])],
+                &[(1, &[17, 20, 25, 28])],
+            ),
+        ];
+        for (kind, here, there) in cases {
+            let [(home, from), (away, to)] = placed_twice(kind, here, there);
+            for program in random_programs(home.topology(), 0x243f_6a88_85a3_08d3) {
+                let form = Arc::new(home.compile(program.clone()).unwrap());
+                assert!(form.fits(&away), "{there:?}");
+                let relabelled = moved(&program, &from, &to);
+                let direct = away.run(&relabelled).unwrap();
+                assert_reports_bit_identical(&away.run_reference(&relabelled).unwrap(), &direct);
+                let reused = away
+                    .run_compiled(&relabelled, &form, &mut EngineScratch::new())
+                    .unwrap();
+                assert_reports_bit_identical(&direct, &reused);
+                // beside a plain entry in one session
+                let entries = [(&relabelled, 0.0), (&relabelled, 7.5)];
+                let reference = away.run_reference_session(&entries).unwrap();
+                let mut session = away.session();
+                session.admit_compiled(relabelled.clone(), form, 0.0);
+                session.admit(relabelled.clone(), 7.5);
+                assert_sessions_bit_identical(&reference, &session.run().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_form_that_does_not_fit_runs_the_callers_program() {
+        let [(home, from), (away, to)] = placed_twice(
+            ServerKind::Dgx1V,
+            &[(0, &[0, 1, 2, 3])],
+            &[(5, &[40, 41, 42, 43])],
+        );
+        let program = random_program_on(home.topology(), 0x1319_8a2e_0370_7344, 160, 24);
+        let form = Arc::new(home.compile(program.clone()).unwrap());
+        let relabelled = moved(&program, &from, &to);
+        let (src, dst) = relabelled
+            .ops()
+            .find_map(|op| match op.kind {
+                OpKind::Copy {
+                    src,
+                    dst,
+                    class: LinkClass::NvLink,
+                } => Some((src, dst)),
+                _ => None,
+            })
+            .unwrap();
+        let far = away.topology();
+        let degraded = Simulator::with_defaults(nudged(far, src, dst, |bw| bw / 2.0));
+        let killed = Simulator::with_defaults(
+            far.apply_delta(&TopologyDelta::kill_link(far, src, dst))
+                .unwrap(),
+        );
+        for sim in [&degraded, &killed] {
+            assert!(!form.fits(sim), "{}", sim.topology().name());
+            // the form's own program names GPUs these servers lack
+            assert!(sim.run(&program).is_err());
+        }
+        let plain = degraded.run(&relabelled).unwrap();
+        assert_ne!(
+            plain.total_us.to_bits(),
+            away.run(&relabelled).unwrap().total_us.to_bits(),
+            "the degraded link slows the program"
+        );
+        let reused = degraded
+            .run_compiled(&relabelled, &form, &mut EngineScratch::new())
+            .unwrap();
+        assert_reports_bit_identical(&plain, &reused);
+        let mut session = degraded.session();
+        session.admit_compiled(relabelled.clone(), form.clone(), 0.0);
+        let reference = degraded
+            .run_reference_session(&[(&relabelled, 0.0)])
+            .unwrap();
+        assert_sessions_bit_identical(&reference, &session.run().unwrap());
+        // a link the form read joins other GPUs there, at the same id,
+        // class and capacity
+        let wired = |dst| fabric(&[0, 0, 0], &[(0, dst, LinkKind::NvLinkGen2)], &[], &[]);
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, &[], "");
+        let one_copy = b.build().unwrap();
+        let stored = Simulator::with_defaults(wired(1))
+            .compile(one_copy.clone())
+            .unwrap();
+        let rewired = Simulator::with_defaults(wired(2));
+        assert!(!stored.fits(&rewired));
+        assert_eq!(
+            rewired
+                .run_compiled(&one_copy, &stored, &mut EngineScratch::new())
+                .unwrap_err(),
+            rewired.run(&one_copy).unwrap_err()
+        );
+        // an error is the caller's program's, over the caller's GPUs
+        let error = killed.run(&relabelled).unwrap_err();
+        assert!(matches!(error, SimError::MissingLink { .. }), "{error}");
+        assert_eq!(
+            killed
+                .run_compiled(&relabelled, &form, &mut EngineScratch::new())
+                .unwrap_err(),
+            error
+        );
+        let mut session = killed.session();
+        session.admit_compiled(relabelled, form, 0.0);
+        assert_eq!(session.run().unwrap_err(), error);
     }
 
     #[test]
@@ -2948,7 +3141,7 @@ mod tests {
         for compiled in [false, true] {
             let mut session = sim.session();
             if compiled {
-                session.admit_compiled(stored.clone(), -1.0);
+                session.admit_compiled(good.clone(), stored.clone(), -1.0);
             } else {
                 session.admit(good.clone(), -1.0);
             }
@@ -2957,7 +3150,7 @@ mod tests {
         }
         // issued in time, entry 1's validation error is the first
         let mut session = sim.session();
-        session.admit_compiled(stored.clone(), 0.0);
+        session.admit_compiled(good.clone(), stored.clone(), 0.0);
         session.admit(forward.clone(), 0.0);
         assert_eq!(
             session.run().unwrap_err(),
@@ -2970,7 +3163,7 @@ mod tests {
         b.compute(GpuId(42), 1.0, s, &[], "");
         let unknown = b.build().unwrap();
         let mut session = sim.session();
-        session.admit_compiled(stored, 0.0);
+        session.admit_compiled(good, stored, 0.0);
         session.admit(unknown, 0.0);
         assert_eq!(session.run().unwrap_err(), SimError::UnknownGpu(GpuId(42)));
     }

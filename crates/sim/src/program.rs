@@ -392,6 +392,42 @@ impl Program {
         out
     }
 
+    /// The program with every GPU an op names renamed by `rename`: the same
+    /// ops, streams, dependencies, segments and tags, so it validates
+    /// exactly when this program does. An order-preserving renaming turns a
+    /// lowering for one slice into the lowering for the same slice shape on
+    /// another server.
+    pub fn renamed(&self, mut rename: impl FnMut(GpuId) -> GpuId) -> Program {
+        let ops = self
+            .ops
+            .iter()
+            .map(|op| OpRecord {
+                kind: match op.kind {
+                    OpKind::Copy { src, dst, class } => OpKind::Copy {
+                        src: rename(src),
+                        dst: rename(dst),
+                        class,
+                    },
+                    OpKind::Reduce { gpu } => OpKind::Reduce { gpu: rename(gpu) },
+                    OpKind::Compute { gpu, duration_us } => OpKind::Compute {
+                        gpu: rename(gpu),
+                        duration_us,
+                    },
+                    toggle @ OpKind::TogglePeerAccess { .. } => toggle,
+                },
+                stream: op.stream,
+                deps: op.deps,
+                segs: op.segs,
+                tag: op.tag.clone(),
+            })
+            .collect();
+        Program {
+            ops,
+            deps: self.deps.clone(),
+            segs: self.segs.clone(),
+        }
+    }
+
     /// Rewrites the program with every multi-segment data-moving op expanded
     /// into one single-segment op per segment — the pre-aggregation emission
     /// shape, where a gathering collective issued one copy per slot sub-range

@@ -9,6 +9,7 @@ use blink_core::{
     CodeGen, CodeGenOptions, GroupRun, LinkSelection, ScratchPool, StreamedRun, TreeGen,
     TreeGenOptions, TreePlan,
 };
+use blink_sched::{FleetConfig, FleetPipeline};
 use blink_sim::{
     check_collective, CompiledProgram, LinkClass, OpKind, Program, RunReport, SimParams, Simulator,
 };
@@ -716,7 +717,7 @@ fn a_machine_that_differs_in_one_read_recompiles() {
             let fresh = sim.run(program).unwrap();
             assert_ne!(bits(&fresh), bits(&own), "the read changes the schedule");
             let reused = sim
-                .run_compiled(&form, &mut ScratchPool::new().checkout().engine)
+                .run_compiled(program, &form, &mut ScratchPool::new().checkout().engine)
                 .unwrap();
             assert_eq!(run_bits(&reused), run_bits(&fresh));
         }
@@ -736,7 +737,7 @@ fn a_machine_that_differs_in_one_read_recompiles() {
     let slow_sim = Simulator::new(dgx1v(), slower);
     let mut session = slow_sim.session();
     for (g, form) in home.groups.iter().zip(compiled_forms(&home)) {
-        session.admit_compiled(form, g.issue_us);
+        session.admit_compiled(g.program.clone(), form, g.issue_us);
     }
     let report = session.run().unwrap();
     for ((g, fresh), span) in home
@@ -804,5 +805,170 @@ fn a_repeated_concurrent_step_reuses_every_compiled_form() {
         for (g, first) in run.groups.iter().zip(&runs[0].groups) {
             assert_eq!(format!("{:?}", g.op_spans), format!("{:?}", first.op_spans));
         }
+    }
+}
+
+/// GPUs `local` (indices within a server) of DGX-1V server `server`.
+fn on_server(server: usize, local: &[usize]) -> Vec<GpuId> {
+    local.iter().map(|&l| GpuId(8 * server + l)).collect()
+}
+
+/// A communicator over DGX-1V `slices`, planning through `store` (a private
+/// store when `None`).
+fn placed_on(
+    slices: &[(usize, Vec<GpuId>)],
+    options: CommunicatorOptions,
+    store: Option<&SharedPlanCache>,
+) -> Communicator {
+    let builder =
+        CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, slices).options(options);
+    match store {
+        Some(store) => builder.shared_plans(store.clone()),
+        None => builder.isolated_plans(),
+    }
+    .build()
+    .unwrap()
+}
+
+/// `comm`'s AllReduce of `bytes`: the program and the report with the op
+/// spans, floats bit for bit.
+fn all_reduce(comm: &mut Communicator, bytes: u64) -> (Arc<Program>, String) {
+    let (report, program, spans) = comm.run_traced(CollectiveKind::AllReduce, bytes).unwrap();
+    (program, format!("{report:?} {spans:?}"))
+}
+
+#[test]
+fn every_local_shape_lowers_on_every_server_what_an_isolated_communicator_lowers() {
+    let bytes = (3 << 20) + 5;
+    let hybrid = CommunicatorOptions {
+        use_hybrid: true,
+        ..Default::default()
+    };
+    // (local GPUs per server of the job, options): every 2-8 GPU subset of
+    // a DGX-1V server, PCIe-fallback pairs such as {1, 4} among them, then
+    // hybrid jobs and two-server (three-phase) jobs
+    let mut shapes: Vec<(Vec<Vec<usize>>, CommunicatorOptions)> = (0u32..256)
+        .filter(|mask| (2..=8).contains(&mask.count_ones()))
+        .map(|mask| {
+            let local = (0..8).filter(|l| mask >> l & 1 == 1).collect();
+            (vec![local], Default::default())
+        })
+        .collect();
+    assert_eq!(shapes.len(), 247);
+    for local in [vec![0, 1, 2, 3], vec![1, 2, 5, 6, 7], (0..8).collect()] {
+        shapes.push((vec![local], hybrid));
+    }
+    for pair in [
+        [vec![0, 1, 2], vec![0, 1, 2, 3]],
+        [vec![1, 4], vec![2, 5, 6]],
+        [vec![0, 3, 5, 6], vec![1, 7]],
+        [(0..8).collect(), vec![4, 5, 6, 7]],
+    ] {
+        shapes.push((pair.to_vec(), Default::default()));
+    }
+    let store = SharedPlanCache::new();
+    for (locals, options) in &shapes {
+        // the same shape's servers: in order, so slices keep their order
+        let server_sets: &[&[usize]] = match locals.len() {
+            1 => &[&[0], &[3], &[7]],
+            _ => &[&[0, 1], &[3, 6], &[2, 7]],
+        };
+        for (k, servers) in server_sets.iter().enumerate() {
+            let slices: Vec<(usize, Vec<GpuId>)> = servers
+                .iter()
+                .zip(locals)
+                .map(|(&server, local)| (server, on_server(server, local)))
+                .collect();
+            let (hits, misses) = store.lowering_stats();
+            let shared = all_reduce(&mut placed_on(&slices, *options, Some(&store)), bytes);
+            let private = all_reduce(&mut placed_on(&slices, *options, None), bytes);
+            assert_eq!(*shared.0, *private.0, "{slices:?}");
+            assert_eq!(shared.1, private.1, "{slices:?}");
+            if k > 0 {
+                assert_eq!(
+                    store.lowering_stats(),
+                    (hits + 1, misses),
+                    "{slices:?} takes the first server's lowering"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_delta_on_one_servers_job_leaves_what_another_servers_job_is_served() {
+    let bytes = 8 << 20;
+    let local = [0, 1, 2, 3, 5];
+    let slices = |server: usize| vec![(server, on_server(server, &local))];
+    let options = CommunicatorOptions::default();
+    let store = SharedPlanCache::new();
+    let mut first = placed_on(&slices(0), options, Some(&store));
+    let (before, _) = all_reduce(&mut first, bytes);
+    let mut other = placed_on(&slices(3), options, Some(&store));
+    let (served, report) = all_reduce(&mut other, bytes);
+    assert_eq!(
+        store.lowering_stats().0,
+        1,
+        "server 3 takes server 0's lowering"
+    );
+    // a link the first job's program copies over dies
+    let (x, y) = program_nvlink_pair(&before);
+    first
+        .replan(&TopologyDelta::kill_link(first.induced_topology(), x, y))
+        .unwrap();
+    let (after, _) = all_reduce(&mut first, bytes);
+    assert!(
+        !uses(&after, x, y),
+        "the replanned job avoids the dead link"
+    );
+    // the plan server 0 packed left the store with its lowering, so server
+    // 3's job re-lowers, and is served what it was
+    let misses = store.lowering_stats().1;
+    let again = all_reduce(&mut other, bytes);
+    assert_eq!(store.lowering_stats().1, misses + 1, "a re-lowering");
+    assert_eq!(*again.0, *served);
+    assert_eq!(again.1, report);
+    // and a new job of the shape, on server 7, lowers what a private
+    // communicator lowers
+    let shared = all_reduce(&mut placed_on(&slices(7), options, Some(&store)), bytes);
+    let private = all_reduce(&mut placed_on(&slices(7), options, None), bytes);
+    assert_eq!(*shared.0, *private.0);
+    assert_eq!(shared.1, private.1);
+}
+
+#[test]
+fn a_fleet_serves_every_first_collective_what_an_isolated_communicator_lowers() {
+    // the oracle samples none, so every first collective is kept
+    let config = FleetConfig {
+        jobs: 2_000,
+        check_every: 0,
+        ..Default::default()
+    };
+    assert_eq!(config.workload.seed, 42);
+    let mut fleet = FleetPipeline::new(config.clone());
+    fleet.keep_first_runs();
+    let report = fleet.run().unwrap();
+    assert_eq!(fleet.first_runs().len(), report.placed);
+    assert!(fleet.shared_cache().lowering_stats().0 > 0, "some job hit");
+    for (placement, (served, program, spans)) in fleet.first_runs() {
+        let mut private = CommunicatorBuilder::from_placement(
+            config.server_kind,
+            config.nic_gbps,
+            &placement.slices,
+        )
+        .options(config.comm_options)
+        .isolated_plans()
+        .build()
+        .unwrap();
+        let (fresh, fresh_program, fresh_spans) = private
+            .run_traced(CollectiveKind::AllReduce, config.collective_bytes)
+            .unwrap();
+        assert_eq!(**program, *fresh_program, "job {}", placement.job_id);
+        assert_eq!(
+            format!("{served:?} {spans:?}"),
+            format!("{fresh:?} {fresh_spans:?}"),
+            "job {}",
+            placement.job_id
+        );
     }
 }
