@@ -27,6 +27,15 @@
 //! — time-to-first-collective (TTFC), plans served per second, recovery
 //! spans — is printed and recorded as context only.
 //!
+//! A third section, `per_job_allocations`, records the fixed cost every
+//! placed job pays before its first AllReduce, as heap allocations (the
+//! binary installs [`blink_bench::alloc::Counting`]): for three placements
+//! — 2 GPUs on one server, 4 GPUs on one server, 2+2 GPUs over two servers
+//! — a store is warmed with the same slice shape on other servers (one
+//! fresh lowering, then the hit that compiles its form), and one
+//! `CommunicatorBuilder::from_placement(..).build()` and one first
+//! AllReduce, a lowering-tier hit, are counted.
+//!
 //! Without arguments: runs both replays and writes `BENCH_fleet.json` to the
 //! working directory.
 //!
@@ -43,17 +52,27 @@
 //!   warm repair ran zero MWU iterations, rung counts sum to the recovery
 //!   total, and every retry, fault and heal left its event;
 //! * **replay** — the two runs of each section agree event for event, on
-//!   every deterministic counter, and bit for bit on every simulated rate.
+//!   every deterministic counter, and bit for bit on every simulated rate;
+//! * **per-job allocations** — no placement's build or hit first
+//!   collective allocates more than recorded, and each first collective is
+//!   a lowering-tier hit.
 //!
 //! Exits non-zero on regression.
 
+use blink_bench::alloc::{allocations, Counting};
 use blink_bench::{over_recording, percentiles, runner_cpus, Percentiles};
+use blink_core::{CollectiveKind, CommunicatorBuilder, SharedPlanCache};
 use blink_sched::{
     EventRecord, FaultConfig, FleetConfig, FleetPipeline, FleetReport, JobOutcome, Stage,
 };
+use blink_topology::presets::gpus_per_server;
+use blink_topology::GpuId;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 /// Jobs in the recorded and the checked stream.
 const JOBS: usize = 2_000;
@@ -228,10 +247,113 @@ struct ChaosSection {
     work: Work,
 }
 
+/// Heap allocations of one placed job's fixed steps.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+struct JobAllocations {
+    /// `CommunicatorBuilder::from_placement(..).build()`.
+    build: u64,
+    /// The first AllReduce, a lowering-tier hit whose compiled form fits.
+    first_collective: u64,
+    /// Whether that first collective hit the lowering tier (recorded as
+    /// context; the gate requires it).
+    hit: bool,
+}
+
+/// The placements whose per-job allocations are recorded: a name and the
+/// local GPU indices of the slice on each of its servers.
+const ALLOCATION_PLACEMENTS: [(&str, &[&[usize]]); 3] = [
+    ("2_gpus_1_server", &[&[0, 1]]),
+    ("4_gpus_1_server", &[&[0, 1, 2, 3]]),
+    ("2_2_gpus_2_servers", &[&[0, 1], &[0, 1]]),
+];
+
+/// Counts one build and one first AllReduce of `shape` (local GPU indices
+/// per server) on a store warmed with the same shape on other servers: its
+/// first placement lowers afresh, its second hits and compiles the entry's
+/// form, its third is counted.
+fn job_allocations(shape: &[&[usize]]) -> JobAllocations {
+    let config = config(false);
+    let store = SharedPlanCache::new();
+    let gps = gpus_per_server(config.server_kind);
+    let placement = |k: usize| -> Vec<(usize, Vec<GpuId>)> {
+        shape
+            .iter()
+            .enumerate()
+            .map(|(i, locals)| {
+                let server = k * shape.len() + i;
+                (
+                    server,
+                    locals.iter().map(|g| GpuId(server * gps + g)).collect(),
+                )
+            })
+            .collect()
+    };
+    let (kind, bytes) = (CollectiveKind::AllReduce, config.collective_bytes);
+    let build = |slices: &[(usize, Vec<GpuId>)]| {
+        CommunicatorBuilder::from_placement(config.server_kind, config.nic_gbps, slices)
+            .options(config.comm_options)
+            .shared_plans(store.clone())
+            .build()
+            .expect("a fleet placement builds")
+    };
+    for k in 0..2 {
+        build(&placement(k)).run(kind, bytes).expect("warm-up runs");
+    }
+    let slices = placement(2);
+    let hits = store.lowering_stats().0;
+    let before = allocations();
+    let mut comm = build(&slices);
+    let built = allocations();
+    let report = comm.run(kind, bytes);
+    let ran = allocations();
+    report.expect("the counted first collective runs");
+    JobAllocations {
+        build: built - before,
+        first_collective: ran - built,
+        hit: store.lowering_stats().0 == hits + 1,
+    }
+}
+
+/// [`job_allocations`] of every [`ALLOCATION_PLACEMENTS`] entry, by name.
+fn per_job_allocations() -> BTreeMap<String, JobAllocations> {
+    ALLOCATION_PLACEMENTS
+        .iter()
+        .map(|(name, shape)| (name.to_string(), job_allocations(shape)))
+        .collect()
+}
+
+/// The per-job allocation gate: every placement's counts at most its
+/// recording, and every counted first collective a lowering-tier hit.
+fn allocation_gate(
+    recorded: Option<&serde::Value>,
+    now: &BTreeMap<String, JobAllocations>,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (name, a) in now {
+        if !a.hit {
+            failures.push(format!(
+                "{name}: the counted first collective missed the lowering tier"
+            ));
+        }
+        let counters = [
+            ("build", a.build as f64),
+            ("first_collective", a.first_collective as f64),
+        ];
+        let label = format!("per_job_allocations {name}");
+        failures.extend(over_recording(
+            &label,
+            recorded.and_then(|r| r.get(name)),
+            &counters,
+        ));
+    }
+    failures
+}
+
 #[derive(Serialize)]
 struct Report {
     fleet: FleetSection,
     chaos: ChaosSection,
+    per_job_allocations: BTreeMap<String, JobAllocations>,
 }
 
 /// Placed multi-GPU jobs: the ones that run a real first collective.
@@ -518,6 +640,7 @@ fn main() {
     let out = Report {
         fleet: fleet_section(&fleet),
         chaos: chaos_section(&chaos),
+        per_job_allocations: per_job_allocations(),
     };
 
     let f = &out.fleet;
@@ -566,6 +689,12 @@ fn main() {
     );
     eprintln!("fleet work: {:?}", f.work);
     eprintln!("chaos work: {:?}", c.work);
+    for (name, a) in &out.per_job_allocations {
+        eprintln!(
+            "{name}: build {} allocations, hit first collective {}",
+            a.build, a.first_collective
+        );
+    }
     eprintln!(
         "wall (context only): TTFC {}; {:.0} plans/sec; chaos recovery {}",
         f.ttfc, f.plans_per_sec, c.recovery
@@ -593,10 +722,15 @@ fn main() {
             failures.push(format!("{name}: {failure}"));
         }
     }
+    failures.extend(allocation_gate(
+        recorded.get("per_job_allocations"),
+        &out.per_job_allocations,
+    ));
     if failures.is_empty() {
         eprintln!(
             "fleet check passed: work within the recording, conformant, cache hitting, \
-             accounting balanced, zero jobs lost, replays bit-identical"
+             accounting balanced, zero jobs lost, replays bit-identical, per-job \
+             allocations within the recording"
         );
         return;
     }
@@ -664,6 +798,46 @@ mod tests {
         let failures = work_gate(Some(&recorded), &WORK, 1);
         assert_eq!(failures, ["work mwu_iterations is not recorded"]);
         assert_eq!(work_gate(None, &WORK, 1).len(), 7);
+    }
+
+    #[test]
+    fn the_allocation_gate_fails_a_count_over_its_recording_and_a_miss() {
+        let at = JobAllocations {
+            build: 13,
+            first_collective: 1,
+            hit: true,
+        };
+        let recorded = serde_json::to_value(&BTreeMap::from([("2_gpus_1_server", at)])).unwrap();
+        let gate = |a: JobAllocations| {
+            allocation_gate(
+                Some(&recorded),
+                &BTreeMap::from([("2_gpus_1_server".into(), a)]),
+            )
+        };
+        assert!(gate(at).is_empty());
+        for (over, key) in [
+            (JobAllocations { build: 14, ..at }, "build"),
+            (
+                JobAllocations {
+                    first_collective: 2,
+                    ..at
+                },
+                "first_collective",
+            ),
+        ] {
+            let failures = gate(over);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains(key), "{failures:?}");
+        }
+        let missed = gate(JobAllocations { hit: false, ..at });
+        assert_eq!(missed.len(), 1, "{missed:?}");
+        assert!(missed[0].contains("missed the lowering tier"), "{missed:?}");
+        // a placement missing from the recording fails both counts
+        let unrecorded = allocation_gate(
+            Some(&recorded),
+            &BTreeMap::from([("4_gpus_1_server".into(), at)]),
+        );
+        assert_eq!(unrecorded.len(), 2, "{unrecorded:?}");
     }
 
     #[test]

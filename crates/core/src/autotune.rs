@@ -94,11 +94,15 @@
 //! slice's own GPUs takes everything as stored, program `Arc` included. A
 //! hit from another slice of the shape takes them renamed position by
 //! position from the entry's labels onto its own allocation: its plans (as
-//! the plan tier relabels them) and its picked root at once, and its
-//! program only when the caller reads it ([`crate::Communicator::run`]
-//! does not). Renaming keeps the GPUs' order, so the renamed program is the
-//! one a fresh lowering there would emit, op for op; whether the stored
-//! plans contradict the handle's is judged after renaming, by content.
+//! the plan tier relabels them) and its picked root, and its program only
+//! when the caller reads it ([`crate::Communicator::run`] does not).
+//! Renaming keeps the GPUs' order, so the renamed program is the one a
+//! fresh lowering there would emit, op for op; whether the stored plans
+//! contradict the handle's is judged after renaming, by content. A handle
+//! that was never used holds no plan to contradict, so a fresh
+//! communicator's first hit takes the entry without renaming anything and
+//! adopts its plans and picked root only when something reads them (a
+//! later lowering, a replan); until then nothing can tell the difference.
 //!
 //! An entry also keeps one engine compiled form ([`blink_sim::CompiledProgram`]),
 //! so a lowering a training loop replays every step, or a fleet places on
@@ -135,7 +139,7 @@ use crate::treegen::{LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePl
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
 use blink_sim::{CompiledProgram, Program, Simulator};
-use blink_topology::{GpuId, ServerId, Topology, TopologyDelta};
+use blink_topology::{GpuId, GpuInfo, ServerId, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -165,45 +169,84 @@ pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
 }
 
 /// Ids spanning more than this many values keep id keys in
-/// [`rank_fingerprint`] instead of building a rank table that large.
+/// [`rank_fingerprint`].
 const MAX_RANK_SPAN: usize = 1 << 16;
 
-/// Each GPU's rank — its position in a strictly ascending GPU id list — as
-/// one table dense over the list's id range, built once per list.
-struct Ranks {
-    first: usize,
-    of: Vec<u32>,
+/// How [`rank_fingerprint`] names GPUs: by rank — position in the
+/// topology's GPU list, found by binary search — when the list's ids
+/// ascend strictly and span at most [`MAX_RANK_SPAN`] values, and by id
+/// otherwise.
+#[derive(Debug, Clone, Copy)]
+enum Names<'a> {
+    Ranks(&'a [GpuInfo]),
+    Ids,
 }
 
-impl Ranks {
-    /// The ranks of `ids`; `None` unless they ascend strictly and span at
-    /// most [`MAX_RANK_SPAN`] values.
-    fn new(ids: impl Iterator<Item = GpuId> + Clone) -> Option<Ranks> {
-        let mut rest = ids.clone();
-        let first = rest.next()?.0;
-        let mut last = first;
-        for g in rest {
-            if g.0 <= last {
-                return None;
+impl<'a> Names<'a> {
+    fn of(induced: &'a Topology) -> Self {
+        let gpus = induced.gpus();
+        let ascending = gpus.windows(2).all(|w| w[0].id < w[1].id);
+        match (gpus.first(), gpus.last()) {
+            (Some(first), Some(last)) if ascending && last.id.0 - first.id.0 < MAX_RANK_SPAN => {
+                Names::Ranks(gpus)
             }
-            last = g.0;
+            _ => Names::Ids,
         }
-        if last - first >= MAX_RANK_SPAN {
-            return None;
-        }
-        let mut of = vec![u32::MAX; last - first + 1];
-        for (rank, g) in ids.enumerate() {
-            if let Some(slot) = of.get_mut(g.0 - first) {
-                *slot = rank as u32;
-            }
-        }
-        Some(Ranks { first, of })
     }
 
-    /// The rank of `g`, if it is in the list.
-    fn get(&self, g: GpuId) -> Option<usize> {
-        let slot = *self.of.get(g.0.checked_sub(self.first)?)?;
-        (slot != u32::MAX).then_some(slot as usize)
+    /// `g`'s name: its rank (`u64::MAX` outside the list) or its id.
+    fn gpu(self, g: GpuId) -> u64 {
+        match self {
+            Names::Ranks(gpus) => gpus
+                .binary_search_by_key(&g, |info| info.id)
+                .map_or(u64::MAX, |rank| rank as u64),
+            Names::Ids => g.0 as u64,
+        }
+    }
+
+    /// Hashes `name`, a GPU's or server's: in four bytes by rank (ranks stay
+    /// below [`MAX_RANK_SPAN`], and `u64::MAX` becomes `u32::MAX`), in
+    /// eight by id.
+    fn put(self, h: &mut BufferedHasher, name: u64) {
+        match self {
+            Names::Ranks(_) => h.put(&u32::try_from(name).unwrap_or(u32::MAX).to_le_bytes()),
+            Names::Ids => h.put(&name.to_le_bytes()),
+        }
+    }
+}
+
+/// A hasher fed through a buffer on the stack, written to a buffer at a
+/// time: the hasher's cost is per write, and SipHash streams, so the hash
+/// is that of one write of every byte.
+struct BufferedHasher {
+    hasher: DefaultHasher,
+    buf: [u8; 512],
+    len: usize,
+}
+
+impl BufferedHasher {
+    fn new() -> Self {
+        BufferedHasher {
+            hasher: DefaultHasher::new(),
+            buf: [0; 512],
+            len: 0,
+        }
+    }
+
+    /// Appends `bytes` (at most the buffer's size).
+    fn put(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > self.buf.len() {
+            self.hasher.write(&self.buf[..self.len]);
+            self.len = 0;
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// The hasher, every byte written.
+    fn into_hasher(mut self) -> DefaultHasher {
+        self.hasher.write(&self.buf[..self.len]);
+        self.hasher
     }
 }
 
@@ -223,77 +266,92 @@ impl Ranks {
 /// isomorphic slices (the mirror halves of a DGX-1V) do not share it, and
 /// neither does a topology whose GPU ids do not ascend or span more than
 /// [`MAX_RANK_SPAN`] values: those hash ids, as [`plan_fingerprint`] does.
+///
+/// It allocates nothing when the topology's servers do not descend along
+/// its GPUs (a placement's and a preset's never do): ranks are binary
+/// searches in the GPU list, servers are numbered as they change, and the
+/// bytes are hashed through a stack buffer.
 pub(crate) fn rank_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
-    fingerprint_under(&Ranks::new(gpu_ids(induced)), induced, options)
+    fingerprint_under(Names::of(induced), induced, options)
 }
 
 /// [`rank_fingerprint`], and `allocation` named as it names GPUs: each by
 /// rank, or by id where the fingerprint hashes ids. Two allocations whose
 /// induced topologies share the fingerprint list their GPUs in the same
 /// order exactly when the names agree.
-pub(crate) fn rank_fingerprint_and_order(
-    induced: &Topology,
+pub(crate) fn rank_fingerprint_and_order<'a>(
+    induced: &'a Topology,
     options: &TreeGenOptions,
-    allocation: &[GpuId],
-) -> (u64, Vec<u64>) {
-    let ranks = Ranks::new(gpu_ids(induced));
-    let order = allocation.iter().map(|&g| gpu_name(&ranks, g)).collect();
-    (fingerprint_under(&ranks, induced, options), order)
+    allocation: &'a [GpuId],
+) -> (u64, impl ExactSizeIterator<Item = u64> + 'a) {
+    let names = Names::of(induced);
+    let order = allocation.iter().map(move |&g| names.gpu(g));
+    (fingerprint_under(names, induced, options), order)
 }
 
-/// How [`rank_fingerprint`] names `g`: by its rank in `ranks`, or by id
-/// when there are none.
-fn gpu_name(ranks: &Option<Ranks>, g: GpuId) -> u64 {
-    match ranks {
-        Some(r) => r.get(g).map_or(u64::MAX, |rank| rank as u64),
-        None => g.0 as u64,
-    }
-}
-
-/// [`rank_fingerprint`] with `ranks`, the ranks of `induced`'s GPUs.
-fn fingerprint_under(ranks: &Option<Ranks>, induced: &Topology, options: &TreeGenOptions) -> u64 {
-    let gpu = |g: GpuId| gpu_name(ranks, g);
-    let mut servers: Vec<ServerId> = induced.gpus().iter().map(|g| g.server).collect();
-    servers.sort_unstable();
-    servers.dedup();
-    let server = |s: ServerId| match ranks {
-        Some(_) => servers.partition_point(|&other| other < s) as u64,
-        None => s.0 as u64,
-    };
-    // One buffer, hashed in one write: the hasher's cost is per write.
-    let mut bytes = Vec::with_capacity(1 + 33 * induced.gpus().len() + 29 * induced.links().len());
-    bytes.push(u8::from(ranks.is_some()));
-    for g in induced.gpus() {
+/// [`rank_fingerprint`] with `names`, how it names `induced`'s GPUs.
+fn fingerprint_under(names: Names<'_>, induced: &Topology, options: &TreeGenOptions) -> u64 {
+    let gpus = induced.gpus();
+    let ranked = matches!(names, Names::Ranks(_));
+    // By rank, a server is named by its position among the topology's
+    // servers: counted as it changes along the GPUs when they never go
+    // back to a smaller server, and looked up in a sorted list otherwise.
+    let sorted: Option<Vec<ServerId>> =
+        (ranked && gpus.windows(2).any(|w| w[0].server > w[1].server)).then(|| {
+            let mut servers: Vec<ServerId> = gpus.iter().map(|g| g.server).collect();
+            servers.sort_unstable();
+            servers.dedup();
+            servers
+        });
+    let mut seen = 0u64;
+    let mut h = BufferedHasher::new();
+    h.put(&[u8::from(ranked)]);
+    for (i, g) in gpus.iter().enumerate() {
+        let server = match &sorted {
+            _ if !ranked => g.server.0 as u64,
+            Some(servers) => servers.partition_point(|&other| other < g.server) as u64,
+            None => {
+                seen += u64::from(i > 0 && gpus[i - 1].server != g.server);
+                seen
+            }
+        };
         let cap = induced.gpu_cap(g.id);
-        for word in [gpu(g.id), server(g.server), g.local_index as u64] {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
-        bytes.push(u8::from(cap.is_some()));
-        bytes.extend_from_slice(&cap.map_or(0, f64::to_bits).to_le_bytes());
+        names.put(&mut h, names.gpu(g.id));
+        names.put(&mut h, server);
+        h.put(&(g.local_index as u64).to_le_bytes());
+        h.put(&[u8::from(cap.is_some())]);
+        h.put(&cap.map_or(0, f64::to_bits).to_le_bytes());
     }
     for l in induced.links() {
-        bytes.extend_from_slice(&gpu(l.src).to_le_bytes());
-        bytes.extend_from_slice(&gpu(l.dst).to_le_bytes());
-        bytes.push(l.kind as u8);
-        bytes.extend_from_slice(&l.lanes.to_le_bytes());
-        bytes.extend_from_slice(&l.bandwidth_gbps.to_bits().to_le_bytes());
+        names.put(&mut h, names.gpu(l.src));
+        names.put(&mut h, names.gpu(l.dst));
+        h.put(&[l.kind as u8]);
+        h.put(&l.lanes.to_le_bytes());
+        h.put(&l.bandwidth_gbps.to_bits().to_le_bytes());
     }
-    let mut h = DefaultHasher::new();
-    h.write(&bytes);
     // every option field a plan depends on, in one fixed order — all of
     // them except the link class, which the cache keys on separately
-    options.packing.epsilon.to_bits().hash(&mut h);
-    options.packing.max_iterations.hash(&mut h);
-    options.minimize.threshold.to_bits().hash(&mut h);
-    options.minimize.unit_gbps.map(f64::to_bits).hash(&mut h);
-    options.minimize.max_bb_nodes.hash(&mut h);
-    options
-        .minimize
-        .known_optimum
-        .map(f64::to_bits)
-        .hash(&mut h);
-    options.skip_minimize.hash(&mut h);
-    h.finish()
+    let TreeGenOptions {
+        packing,
+        minimize,
+        skip_minimize,
+        links: _,
+    } = options;
+    let optional = |value: Option<f64>| {
+        value.map_or([0; 9], |v| {
+            let mut bytes = [1; 9];
+            bytes[1..].copy_from_slice(&v.to_bits().to_le_bytes());
+            bytes
+        })
+    };
+    h.put(&packing.epsilon.to_bits().to_le_bytes());
+    h.put(&(packing.max_iterations as u64).to_le_bytes());
+    h.put(&minimize.threshold.to_bits().to_le_bytes());
+    h.put(&optional(minimize.unit_gbps));
+    h.put(&(minimize.max_bb_nodes as u64).to_le_bytes());
+    h.put(&optional(minimize.known_optimum));
+    h.put(&[u8::from(*skip_minimize)]);
+    h.into_hasher().finish()
 }
 
 /// `induced`'s GPU ids, in its order.
@@ -313,11 +371,14 @@ fn relabelled(
         return Some(plan.clone());
     }
     let to: Vec<GpuId> = to.collect();
-    if to.len() != plan.gpus.len() || to.windows(2).any(|w| w[0] >= w[1]) {
+    let ascends = |gpus: &[GpuId]| gpus.windows(2).all(|w| w[0] < w[1]);
+    if to.len() != plan.gpus.len() || !ascends(&to) || !ascends(&plan.gpus) {
         return None;
     }
-    let from = Ranks::new(plan.gpus.iter().copied())?;
-    let map = |g: GpuId| from.get(g).and_then(|rank| to.get(rank).copied());
+    let map = |g: GpuId| {
+        let rank = plan.gpus.binary_search(&g).ok()?;
+        to.get(rank).copied()
+    };
     let trees = plan
         .trees
         .iter()
@@ -1136,6 +1197,12 @@ impl PlanCache {
         std::mem::take(&mut self.reads)
     }
 
+    /// Whether the handle was never looked up, adopted into or told of a
+    /// delta: it holds no plan and no seed, so it contradicts no plan.
+    pub(crate) fn is_unused(&self) -> bool {
+        self.built_under.is_none()
+    }
+
     /// Whether the handle holds a plan under fingerprint `fp` for `plan`'s
     /// key that differs from `plan` by a bit.
     pub(crate) fn contradicts(&self, fp: u64, plan: &Arc<TreePlan>) -> bool {
@@ -1567,7 +1634,8 @@ mod tests {
         let (a, b) = (local_shape(0), local_shape(5));
         let order = |induced: &Topology, alloc: &[usize]| {
             let alloc: Vec<GpuId> = alloc.iter().map(|&g| GpuId(g)).collect();
-            rank_fingerprint_and_order(induced, &opts, &alloc)
+            let (fp, names) = rank_fingerprint_and_order(induced, &opts, &alloc);
+            (fp, names.collect::<Vec<u64>>())
         };
         // one shape in one order on two servers: one key
         let (fp, ranks) = order(&a, &[0, 1, 3]);

@@ -51,6 +51,20 @@
 //! the tier keeps beside it where that form runs here, so a repeated step,
 //! or the same job shape on another server, skips validating and resolving
 //! its programs; a fresh lowering compiles into the run's scratch.
+//! [`Communicator::run`] reads only the run's total time, so the engine
+//! builds no per-op spans or per-link accounting for it, and a fresh
+//! communicator's first hit renames none of the stored lowering's plans
+//! until something reads them.
+//!
+//! # Building one
+//!
+//! [`CommunicatorBuilder::build`] derives everything in one pass over the
+//! machine model: a placement's topology is written straight into vectors
+//! sized up front ([`placement_topology`]); an allocation spanning the whole
+//! machine (a placement's always does) is its own induced topology, shared
+//! with the simulator rather than copied; the simulator's resource table
+//! reads each GPU's port cap and NIC once; and the plan fingerprint hashes
+//! through a stack buffer while the lowering fingerprint collects nothing.
 
 use crate::autotune::{
     global_plan_cache, rank_fingerprint_and_order, ChunkAutotuner, Lowering, LoweringKey,
@@ -66,10 +80,11 @@ use crate::treegen::{LinkSelection, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate_in, DiGraph, NodeIdx, WeightedTree};
 use blink_sim::{
-    check_collective, CompiledProgram, Program, RunReport, SimParams, Simulator, ValueCheck,
+    algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, RunReport, SimParams,
+    Simulator, ValueCheck,
 };
 use blink_topology::presets::{placement_topology, ServerKind};
-use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
+use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta, TopologyError};
 use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
@@ -288,28 +303,40 @@ type Signature = (CollectiveKind, u64);
 type Built = (Program, usize, String, Option<RunReport>);
 
 /// A lowering as one communicator runs it: the lowering tier's entry and,
-/// when another slice lowered it, the renaming of its GPUs onto the
-/// communicator's.
+/// once a caller read it, its program over the communicator's GPUs.
 #[derive(Debug)]
 pub(crate) struct Lowered {
     pub(crate) entry: Arc<Lowering>,
-    renaming: Option<Renaming>,
     /// The renamed program, once a caller read it.
     program: OnceCell<Arc<Program>>,
 }
 
 impl Lowered {
-    /// The program over the communicator's GPUs: the entry's own `Arc` for
-    /// a lowering of its slice, and otherwise its renaming, made on the
-    /// first call.
-    pub(crate) fn program(&self) -> Arc<Program> {
-        match &self.renaming {
-            None => self.entry.program.clone(),
-            Some(renaming) => self
-                .program
-                .get_or_init(|| Arc::new(renaming.program(&self.entry.program)))
-                .clone(),
+    fn new(entry: Arc<Lowering>) -> Self {
+        Lowered {
+            entry,
+            program: OnceCell::new(),
         }
+    }
+
+    /// The program over `allocation`, the GPUs of the communicator running
+    /// it: the entry's own `Arc` for a lowering of that allocation, and
+    /// otherwise its renaming position by position from the entry's labels
+    /// (the same slice shape in the same order, since the lowering key
+    /// says so), made on the first call.
+    pub(crate) fn program(&self, allocation: &[GpuId]) -> Arc<Program> {
+        if self.entry.labels == allocation {
+            return self.entry.program.clone();
+        }
+        self.program
+            .get_or_init(|| {
+                // the tier hands a lowering only to allocations of its
+                // labels' length, which is all a renaming needs
+                let renamed = Renaming::new(&self.entry.labels, allocation)
+                    .map(|renaming| renaming.program(&self.entry.program));
+                Arc::new(renamed.unwrap_or_default())
+            })
+            .clone()
     }
 }
 
@@ -320,7 +347,6 @@ struct Handed {
     /// The lowering's plans renamed; `None` when they need no renaming.
     plans: Option<PlanReads>,
     root: Option<GpuId>,
-    renaming: Option<Renaming>,
 }
 
 /// One program of a [`StreamedRun`]: a fused batch (or unfused single
@@ -373,9 +399,11 @@ impl StreamedRun {
 #[derive(Debug)]
 pub struct Communicator {
     allocation: Vec<GpuId>,
-    induced: Topology,
-    /// The simulator over the machine model, which holds the communicator's
-    /// one copy of that model.
+    /// Shared with the simulator when the allocation spans the whole machine
+    /// model (a placement's always does), which is then its induced
+    /// topology.
+    induced: Arc<Topology>,
+    /// The simulator over the machine model.
     sim: Simulator,
     options: CommunicatorOptions,
     /// This communicator's handle on its plan store: collectives re-issued
@@ -421,6 +449,11 @@ struct ShapeState {
     /// part of its lowering keys: a shared verdict would let one
     /// communicator's first call pick another's strategy.
     switch_strategy: BTreeMap<CollectiveKind, SwitchChoice>,
+    /// A stored lowering the communicator took while its plan handle was
+    /// unused, whose plans and picked root it has not adopted yet: a fresh
+    /// communicator's first collective reads neither, so it renames them
+    /// only when something does (see [`Communicator::settle`]).
+    unadopted: Option<Arc<Lowering>>,
 }
 
 impl ShapeState {
@@ -439,12 +472,13 @@ impl ShapeState {
             .collect();
         ShapeState {
             plan_fp,
-            lowering_fp: lowering_fingerprint(plan_fp, &order, options),
+            lowering_fp: lowering_fingerprint(plan_fp, order, options),
             dense,
             tuners: BTreeMap::new(),
             picked: None,
             spannable: BTreeMap::new(),
             switch_strategy: BTreeMap::new(),
+            unadopted: None,
         }
     }
 }
@@ -454,8 +488,13 @@ impl ShapeState {
 /// the rank fingerprint, the allocation `order` as that fingerprint names
 /// GPUs (by rank, so the same slice shape on any server shares the key; by
 /// id where the slice's ids do not ascend) and every option a lowering
-/// reads. Computed once per build and per replan.
-fn lowering_fingerprint(plan_fp: u64, order: &[u64], options: &CommunicatorOptions) -> u64 {
+/// reads. Computed once per build and per replan, without collecting the
+/// order.
+fn lowering_fingerprint(
+    plan_fp: u64,
+    order: impl ExactSizeIterator<Item = u64>,
+    options: &CommunicatorOptions,
+) -> u64 {
     // Destructured so a new option cannot be silently left out.
     let CommunicatorOptions {
         sim_params,
@@ -467,7 +506,9 @@ fn lowering_fingerprint(plan_fp: u64, order: &[u64], options: &CommunicatorOptio
     } = *options;
     let mut h = DefaultHasher::new();
     plan_fp.hash(&mut h);
-    order.hash(&mut h);
+    // as a `[u64]` hashes: its length, then each name
+    h.write_usize(order.len());
+    order.for_each(|name| h.write_u64(name));
     treegen.links.hash(&mut h);
     for bits in sim_params.to_bits() {
         bits.hash(&mut h);
@@ -563,9 +604,11 @@ impl Communicator {
         self.run(CollectiveKind::ReduceScatter, bytes)
     }
 
-    /// Runs an arbitrary collective.
+    /// Runs an arbitrary collective. Only the report is computed: the
+    /// engine builds no per-op spans or per-link accounting for it.
     pub fn run(&mut self, kind: CollectiveKind, bytes: u64) -> Result<CollectiveReport> {
-        self.run_lowered(kind, bytes).map(|(report, _, _)| report)
+        self.run_lowered(kind, bytes, false)
+            .map(|(report, _, _)| report)
     }
 
     /// Runs a collective and also returns the lowered program plus the
@@ -574,14 +617,17 @@ impl Communicator {
     /// return an empty program and no spans. The program comes from the
     /// plan store's lowering tier, so repeated calls return the same `Arc`.
     pub fn run_traced(&mut self, kind: CollectiveKind, bytes: u64) -> Result<TracedRun> {
-        let (report, lowered, spans) = self.run_lowered(kind, bytes)?;
-        let program = lowered.map(|l| l.program()).unwrap_or_default();
+        let (report, lowered, spans) = self.run_lowered(kind, bytes, true)?;
+        let program = lowered
+            .map(|l| l.program(&self.allocation))
+            .unwrap_or_default();
         Ok((report, program, spans))
     }
 
     /// [`Communicator::run_traced`], with the lowering it ran in place of
-    /// its program: only callers that read the program rename it.
-    fn run_lowered(&mut self, kind: CollectiveKind, bytes: u64) -> Result<LoweredRun> {
+    /// its program (only callers that read the program rename it), and the
+    /// per-op spans only when `spans` asks for them.
+    fn run_lowered(&mut self, kind: CollectiveKind, bytes: u64, spans: bool) -> Result<LoweredRun> {
         if self.allocation.len() < 2 || bytes == 0 {
             let report = CollectiveReport {
                 kind,
@@ -594,29 +640,28 @@ impl Communicator {
             };
             return Ok((report, None, Vec::new()));
         }
-        for &g in &self.allocation {
-            if !self.sim.topology().contains(g) {
-                return Err(BlinkError::Planning(format!("GPU {g} not in topology")));
-            }
+        if let Some(i) = self.shape.dense.iter().position(|&d| d == usize::MAX) {
+            let g = self.allocation[i];
+            return Err(BlinkError::Planning(format!("GPU {g} not in topology")));
         }
         let (lowered, chunk, raced) = self.lower_raced(kind, bytes)?;
-        let report = match raced {
-            Some(report) => report,
-            None => self.simulate_lowered(&lowered)?,
+        let (total_us, op_spans) = match raced {
+            Some(report) => (report.total_us, report.op_spans),
+            None => self.simulate_lowered(&lowered, spans)?,
         };
         let lowering = &lowered.entry;
-        let gbps = report.algorithmic_bandwidth_gbps(bytes);
+        let gbps = algorithmic_bandwidth_gbps(bytes, total_us);
         self.observe_chunk(kind, bytes, gbps);
         let collective_report = CollectiveReport {
             kind,
             bytes,
-            elapsed_us: report.total_us,
+            elapsed_us: total_us,
             algorithmic_bandwidth_gbps: gbps,
             num_trees: lowering.num_trees,
             chunk_bytes: chunk,
             strategy: lowering.strategy.clone(),
         };
-        Ok((collective_report, Some(lowered), report.op_spans))
+        Ok((collective_report, Some(lowered), op_spans))
     }
 
     /// Runs a collective end to end and replays the executed program through
@@ -699,7 +744,7 @@ impl Communicator {
                 group,
                 issue_us,
                 end_us: issue_us,
-                program: lowered.program(),
+                program: lowered.program(&self.allocation),
                 compiled: lowered.entry.compiled.get().map(|c| c.form.clone()),
                 op_spans: Vec::new(),
                 strategy: lowered.entry.strategy.clone(),
@@ -831,24 +876,31 @@ impl Communicator {
             verdict,
         };
         let lookup = key(self.shape.switch_strategy.get(&kind).copied());
+        self.settle();
+        // An unused handle holds no plan a stored lowering could contradict,
+        // so it takes a hit without reading the lowering's plans; it adopts
+        // them when something reads its plans.
+        let unused = self.plans.is_unused();
         let mut handed = None;
         let hit = self.plans.store().lowering(&lookup, |l| {
+            if unused {
+                return l.labels.len() == self.allocation.len();
+            }
             handed = self.hand(l);
             handed.is_some()
         });
-        if let (Some(hit), Some(handed)) = (hit, handed) {
-            let renaming = self.adopt(&hit, handed);
-            let lowered = Lowered {
-                entry: hit,
-                renaming,
-                program: OnceCell::new(),
-            };
+        if let Some(hit) = hit {
+            match handed {
+                Some(handed) => self.adopt(&hit, handed),
+                None => self.shape.unadopted = Some(hit.clone()),
+            }
+            let lowered = Lowered::new(hit);
             // the entry's first hit compiles its program over this
             // communicator's GPUs; later hits read no program to run it
             if lowered.entry.compiled.get().is_none() {
                 self.plans.store().keep_compiled(
                     &lowered.entry,
-                    &lowered.program(),
+                    &lowered.program(&self.allocation),
                     &self.sim,
                     &self.shape.dense,
                 );
@@ -885,12 +937,7 @@ impl Communicator {
         self.plans
             .store()
             .publish_lowering(publish, lowering.clone());
-        let lowered = Lowered {
-            entry: lowering,
-            renaming: None,
-            program: OnceCell::new(),
-        };
-        Ok((lowered, chunk, raced))
+        Ok((Lowered::new(lowering), chunk, raced))
     }
 
     /// What a stored lowering hands this communicator, if it is the one
@@ -904,7 +951,8 @@ impl Communicator {
     /// A lowering another slice made is handed renamed position by position
     /// from its allocation onto this one (its lowering key is this
     /// communicator's, so both list one slice shape in one order): its
-    /// plans and picked root now, its program when a caller reads it.
+    /// plans and picked root here, its program when a caller reads it
+    /// ([`Lowered::program`]).
     fn hand(&self, lowering: &Lowering) -> Option<Handed> {
         let renaming = if lowering.labels == self.allocation {
             None
@@ -932,19 +980,14 @@ impl Communicator {
             Some(renaming) => lowering.root.map(|g| renaming.gpu(g)),
             None => lowering.root,
         };
-        Some(Handed {
-            plans,
-            root,
-            renaming,
-        })
+        Some(Handed { plans, root })
     }
 
     /// Leaves the communicator as lowering afresh would have: the plans the
     /// stored lowering read join the handle, and its picked root (with its
     /// sweep's plans) becomes this communicator's, all as `handed` names
-    /// them. Returns the renaming of the lowering's GPUs onto this
-    /// communicator's, when it has one.
-    fn adopt(&mut self, lowering: &Lowering, handed: Handed) -> Option<Renaming> {
+    /// them.
+    fn adopt(&mut self, lowering: &Lowering, handed: Handed) {
         let plans = handed.plans.as_ref().unwrap_or(&lowering.plans);
         for (fp, plan) in plans {
             if *fp == self.shape.plan_fp {
@@ -955,7 +998,22 @@ impl Communicator {
             let swept = plans[..lowering.sweep].iter();
             self.shape.picked = Some((root, swept.map(|(_, p)| p.clone()).collect()));
         }
-        handed.renaming
+    }
+
+    /// Adopts the stored lowering the communicator took without reading
+    /// its plans ([`ShapeState::unadopted`]), as a hit on a used handle
+    /// adopts at once. Every reader of the handle's plans or the picked
+    /// root (a lowering-tier lookup, a replan) settles first, so the handle
+    /// is still as unused as when the lowering was taken, and the
+    /// communicator ends as the eager adoption would have left it. The
+    /// lowering key guarantees the renaming keeps each plan's GPU order, so
+    /// only a fingerprint collision could leave nothing to adopt.
+    fn settle(&mut self) {
+        if let Some(lowering) = self.shape.unadopted.take() {
+            if let Some(handed) = self.hand(&lowering) {
+                self.adopt(&lowering, handed);
+            }
+        }
     }
 
     /// Whether rootless collectives run over per-root packed trees and a
@@ -1111,6 +1169,7 @@ impl Communicator {
     /// machine model ([`Topology::apply_delta`]). A disconnected survivor
     /// graph is *not* an error — that is the shrink rung.
     pub fn replan(&mut self, delta: &TopologyDelta) -> Result<ReplanReport> {
+        self.settle();
         // The machine model may already know hardware the delta "adds" — a
         // job growing onto GPUs the scheduler had merely not allocated to it.
         // Apply only what the model is actually missing (and drop only what
@@ -1182,7 +1241,7 @@ impl Communicator {
             allocation = survivors;
         }
         self.allocation = allocation;
-        self.induced = induced;
+        self.induced = Arc::new(induced);
         self.sim = Simulator::new(machine, self.options.sim_params);
         self.shape = ShapeState::new(&self.induced, &self.allocation, &self.options, &self.sim);
         self.plans
@@ -1468,19 +1527,29 @@ impl Communicator {
     }
 
     /// Simulates `lowered` once on a scratch checked out of the store's
-    /// pool: from its entry's compiled form where that runs here, without
-    /// renaming the program, and from its program otherwise.
-    fn simulate_lowered(&self, lowered: &Lowered) -> Result<RunReport> {
+    /// pool — from its entry's compiled form where that runs here, without
+    /// renaming the program, and from its program otherwise — and returns
+    /// the total time with, when `spans` asks for them, the per-op spans.
+    fn simulate_lowered(&self, lowered: &Lowered, spans: bool) -> Result<(f64, Vec<(f64, f64)>)> {
         let form = self.form_for(lowered).filter(|form| form.fits(&self.sim));
-        let Some(form) = form else {
-            return self.simulate(&lowered.program());
-        };
-        let engine = &mut self.plans.store().scratch().checkout().engine;
         // a fitting form reads nothing of the program it runs but its
         // length, which renaming keeps, so the entry's own stands in
-        self.sim
-            .run_compiled(&lowered.entry.program, form, engine)
-            .map_err(|e| BlinkError::Simulation(e.to_string()))
+        let program = match form {
+            Some(_) => lowered.entry.program.clone(),
+            None => lowered.program(&self.allocation),
+        };
+        let engine = &mut self.plans.store().scratch().checkout().engine;
+        let run = if spans {
+            match form {
+                Some(form) => self.sim.run_compiled(&program, form, engine),
+                None => self.sim.run_with_scratch(&program, engine),
+            }
+            .map(|report| (report.total_us, report.op_spans))
+        } else {
+            let total_us = self.sim.run_total(&program, form.map(|f| &**f), engine);
+            total_us.map(|total_us| (total_us, Vec::new()))
+        };
+        run.map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 }
 
@@ -1489,13 +1558,10 @@ impl Communicator {
 enum BuilderSource {
     /// An explicit machine topology (optionally restricted to an allocation).
     Machine(Topology),
-    /// A scheduler placement: per-server slices materialised through
-    /// [`placement_topology`].
-    Placement {
-        kind: ServerKind,
-        nic_gbps: f64,
-        slices: Vec<(usize, Vec<GpuId>)>,
-    },
+    /// A scheduler placement's topology, materialised through
+    /// [`placement_topology`] when the builder was made, or why it could
+    /// not be.
+    Placement(std::result::Result<Topology, TopologyError>),
 }
 
 /// The single construction path for [`Communicator`]s: start from
@@ -1541,14 +1607,13 @@ impl CommunicatorBuilder {
 
     /// Builds communicators from a scheduler placement (`(server index,
     /// global GPU ids)` slices), materialised through
-    /// [`placement_topology`] at [`CommunicatorBuilder::build`] time. The
-    /// allocation is the whole slice topology.
+    /// [`placement_topology`] here, so the builder keeps no copy of the
+    /// slices; a malformed placement fails [`CommunicatorBuilder::build`].
+    /// The allocation is the whole slice topology.
     pub fn from_placement(kind: ServerKind, nic_gbps: f64, slices: &[(usize, Vec<GpuId>)]) -> Self {
-        Self::from_source(BuilderSource::Placement {
-            kind,
-            nic_gbps,
-            slices: slices.to_vec(),
-        })
+        Self::from_source(BuilderSource::Placement(placement_topology(
+            kind, nic_gbps, slices,
+        )))
     }
 
     fn from_source(source: BuilderSource) -> Self {
@@ -1607,20 +1672,18 @@ impl CommunicatorBuilder {
                     .map_err(|e| BlinkError::Planning(e.to_string()))?;
                 machine
             }
-            BuilderSource::Placement {
-                kind,
-                nic_gbps,
-                slices,
-            } => placement_topology(kind, nic_gbps, &slices)
-                .map_err(|e| BlinkError::Planning(e.to_string()))?,
+            BuilderSource::Placement(topology) => {
+                topology.map_err(|e| BlinkError::Planning(e.to_string()))?
+            }
         };
         let allocation = match self.allocation {
             Some(allocation) => allocation,
             None => machine.gpu_ids(),
         };
         // An allocation of the whole machine, in its order, induces the
-        // machine itself (a placement's always does): copy it rather than
-        // re-induce it.
+        // machine itself (a placement's always does): share it with the
+        // simulator rather than re-induce or copy it.
+        let machine = Arc::new(machine);
         let induced = if machine
             .gpus()
             .iter()
@@ -1629,9 +1692,10 @@ impl CommunicatorBuilder {
         {
             machine.clone()
         } else {
-            machine
+            let induced = machine
                 .induced(&allocation)
-                .map_err(|e| BlinkError::Planning(e.to_string()))?
+                .map_err(|e| BlinkError::Planning(e.to_string()))?;
+            Arc::new(induced)
         };
         // Inducing dedups the GPU set, so a repeated id shows up as a count
         // mismatch; name the first repeat only on that failure path.

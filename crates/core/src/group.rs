@@ -163,7 +163,7 @@ impl ProcessGroups {
                 // children simulate on machines equal to this one
                 from_form.push(child.form_for(&lowered).is_some());
                 (
-                    lowered.program(),
+                    lowered.program(child.allocation()),
                     lowered.entry.compiled.get().map(|c| c.form.clone()),
                     lowered.entry.strategy.clone(),
                 )

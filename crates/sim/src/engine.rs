@@ -34,7 +34,9 @@
 //!
 //! [`Simulator::run_with_scratch`] and [`Session::run_with_scratch`] compile
 //! every program straight into the spliced tables held in an
-//! [`EngineScratch`] that callers reuse across runs. A caller that runs one
+//! [`EngineScratch`] that callers reuse across runs; the scan leaves each
+//! op's span and each link's accounting there, and only a report copies
+//! them out ([`Simulator::run_total`] returns the total time alone). A caller that runs one
 //! program many times can keep its [`CompiledProgram`] instead
 //! ([`Simulator::compile`], then [`Simulator::run_compiled`] or
 //! [`Session::admit_compiled`]): a run then skips validating and resolving
@@ -218,7 +220,7 @@
 
 use crate::params::SimParams;
 use crate::program::{LinkClass, OpKind, OpRef, Program};
-use blink_topology::{GpuId, LinkKind, ServerId, Topology};
+use blink_topology::{GpuId, GpuInfo, LinkKind, ServerId, Topology};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
@@ -278,10 +280,7 @@ impl RunReport {
     /// throughput figures divide by), not the number of bytes physically
     /// moved.
     pub fn algorithmic_bandwidth_gbps(&self, logical_bytes: u64) -> f64 {
-        if self.total_us <= 0.0 {
-            return 0.0;
-        }
-        logical_bytes as f64 / (self.total_us * 1000.0)
+        algorithmic_bandwidth_gbps(logical_bytes, self.total_us)
     }
 
     /// Utilisation of a link over the whole run (busy time / total time).
@@ -299,6 +298,17 @@ impl RunReport {
     pub fn links_used(&self) -> usize {
         self.link_bytes.len()
     }
+}
+
+/// Algorithmic bandwidth of moving `logical_bytes` in `total_us`, in GB/s:
+/// what [`RunReport::algorithmic_bandwidth_gbps`] reports, for a caller that
+/// kept only the total time ([`Simulator::run_total`]). 0 for a run that
+/// took no time.
+pub fn algorithmic_bandwidth_gbps(logical_bytes: u64, total_us: f64) -> f64 {
+    if total_us <= 0.0 {
+        return 0.0;
+    }
+    logical_bytes as f64 / (total_us * 1000.0)
 }
 
 /// Timing of one admitted program inside a [`SessionReport`].
@@ -417,35 +427,62 @@ struct ResourceTable {
 }
 
 impl ResourceTable {
+    /// The table of `topology`, in one pass over its GPUs and one sort of
+    /// its links.
+    ///
+    /// The dense GPU order is the topology's GPU list itself when its ids
+    /// ascend (every preset's and placement's do), and otherwise that list
+    /// stably sorted by id with each id's first entry kept, as
+    /// [`Topology::gpu`] finds it. Each GPU's switch-port cap and its
+    /// server's NIC are read once, not once per link. The links' keys are
+    /// sorted with an unstable sort whose ties go by position, so each key's
+    /// capacity is summed in [`Topology::links`] order. The table is the one a stable sort of the
+    /// links with per-link map reads builds, bit for bit (ids, summed
+    /// capacities, binding resources and dense indices); the engine's
+    /// tests keep that construction as the reference they pin this one to.
     fn new(topology: &Topology) -> Self {
-        // a stable sort keeps each id's first entry first, as `Topology::gpu`
-        // finds it
-        let mut gpus: Vec<(GpuId, ServerId)> =
-            topology.gpus().iter().map(|g| (g.id, g.server)).collect();
-        gpus.sort_by_key(|g| g.0);
-        gpus.dedup_by_key(|g| g.0);
+        let listed = topology.gpus();
+        let sorted: Vec<GpuInfo>;
+        let gpus: &[GpuInfo] = if listed.windows(2).all(|w| w[0].id < w[1].id) {
+            listed
+        } else {
+            let mut by_id = listed.to_vec();
+            by_id.sort_by_key(|g| g.id);
+            by_id.dedup_by_key(|g| g.id);
+            sorted = by_id;
+            &sorted
+        };
         let index = |g: GpuId| {
-            gpus.binary_search_by_key(&g, |e| e.0)
+            gpus.binary_search_by_key(&g, |e| e.id)
                 .ok()
                 .map(|i| i as u32)
         };
-        let servers = topology.servers();
-        // the NIC pair of GPU `g`'s server, when it has a NIC
-        let nic = |g: u32| {
-            let server = gpus[g as usize].1;
-            topology.server_nic(server)?;
-            servers.binary_search(&server).ok().map(|k| k as u32)
-        };
-
-        let mut keyed: Vec<((GpuId, GpuId, LinkClass), f64)> = topology
-            .links()
+        let mut servers: Vec<ServerId> = listed.iter().map(|g| g.server).collect();
+        servers.sort_unstable();
+        servers.dedup();
+        // per dense GPU: whether it has a switch-port cap, and its server's
+        // NIC pair when the server has a NIC
+        let ports: Vec<(bool, Option<u32>)> = gpus
             .iter()
-            .map(|l| ((l.src, l.dst, link_class(l.kind)), l.capacity_gbps()))
+            .map(|g| {
+                let nic = topology
+                    .server_nic(g.server)
+                    .and_then(|_| servers.binary_search(&g.server).ok().map(|k| k as u32));
+                (topology.gpu_cap(g.id).is_some(), nic)
+            })
             .collect();
-        // stable: the links of one key stay in `Topology::links` order
-        keyed.sort_by_key(|k| k.0);
-        let mut links: Vec<LinkResources> = Vec::new();
-        for (key, capacity) in keyed {
+
+        let all = topology.links();
+        // each link's key and position: sorted, ties go by position
+        let mut keyed: Vec<((GpuId, GpuId, LinkClass), u32)> = all
+            .iter()
+            .enumerate()
+            .map(|(i, l)| ((l.src, l.dst, link_class(l.kind)), i as u32))
+            .collect();
+        keyed.sort_unstable();
+        let mut links: Vec<LinkResources> = Vec::with_capacity(all.len());
+        for (key, i) in keyed {
+            let capacity = all[i as usize].capacity_gbps();
             match links.last_mut() {
                 Some(last) if last.key == key => last.capacity_gbps += capacity,
                 _ => links.push(LinkResources {
@@ -477,20 +514,21 @@ impl ResourceTable {
                 }
             };
             link.ends = [s, d];
+            let (src_port, dst_port) = (ports[s as usize], ports[d as usize]);
             match class {
                 LinkClass::NvLink => {
-                    if topology.gpu_cap(src).is_some() {
+                    if src_port.0 {
                         link.push(egress + s);
                     }
-                    if topology.gpu_cap(dst).is_some() {
+                    if dst_port.0 {
                         link.push(ingress + d);
                     }
                 }
                 LinkClass::Network => {
-                    if let Some(k) = nic(s) {
+                    if let Some(k) = src_port.1 {
                         link.push(nics + 2 * k);
                     }
-                    if let Some(k) = nic(d) {
+                    if let Some(k) = dst_port.1 {
                         link.push(nics + 2 * k + 1);
                     }
                 }
@@ -502,7 +540,7 @@ impl ResourceTable {
             }
         }
         ResourceTable {
-            gpus: gpus.iter().map(|g| g.0).collect(),
+            gpus: gpus.iter().map(|g| g.id).collect(),
             links,
             compute_base: compute,
             num_static: nics + 2 * servers.len() as u32,
@@ -680,6 +718,8 @@ struct ScanState {
     ready_time: Vec<f64>,
     /// Free time per static resource id.
     resource_free: Vec<f64>,
+    /// Each op's `(start, end)`, by global op id.
+    op_spans: Vec<(f64, f64)>,
     /// Busy time, bytes and whether any op used it, per static link id.
     link_busy: Vec<f64>,
     link_bytes: Vec<u64>,
@@ -788,6 +828,18 @@ fn stream_slots(base: usize, width: usize) -> Result<usize, SimError> {
     }
 }
 
+/// When a program admitted at `issue` whose ops ran over `spans` started
+/// and ended: its first op's start and its latest op end, or `issue` for an
+/// empty program; the end is never before `issue`.
+fn program_window(issue: f64, spans: &[(f64, f64)]) -> (f64, f64) {
+    let (mut start, mut end) = (issue, issue);
+    for (k, &(st, en)) in spans.iter().enumerate() {
+        start = if k == 0 { st } else { start.min(st) };
+        end = end.max(en);
+    }
+    (start, end)
+}
+
 /// A one-program session's report as a [`RunReport`].
 fn single_program(mut session: SessionReport) -> RunReport {
     let prog = session
@@ -812,7 +864,9 @@ const _: () = {
 /// Executes [`Program`]s against a [`Topology`] with given [`SimParams`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    topology: Topology,
+    /// Shared, so a caller that keeps the same topology for itself (a
+    /// communicator over a whole placement) holds one copy.
+    topology: Arc<Topology>,
     params: SimParams,
     resources: ResourceTable,
 }
@@ -820,8 +874,10 @@ pub struct Simulator {
 impl Simulator {
     /// Creates a simulator for `topology` with `params`, resolving the
     /// topology's links, switch ports, NICs and compute engines to the
-    /// static resource ids every run schedules over.
-    pub fn new(topology: Topology, params: SimParams) -> Self {
+    /// static resource ids every run schedules over. `topology` may be
+    /// owned or shared; a shared one is not copied.
+    pub fn new(topology: impl Into<Arc<Topology>>, params: SimParams) -> Self {
+        let topology = topology.into();
         let resources = ResourceTable::new(&topology);
         Simulator {
             topology,
@@ -831,7 +887,7 @@ impl Simulator {
     }
 
     /// Creates a simulator with default calibration parameters.
-    pub fn with_defaults(topology: Topology) -> Self {
+    pub fn with_defaults(topology: impl Into<Arc<Topology>>) -> Self {
         Self::new(topology, SimParams::default())
     }
 
@@ -998,6 +1054,23 @@ impl Simulator {
             .map(single_program)
     }
 
+    /// The total time, bit for bit, of the report [`Simulator::run_compiled`]
+    /// makes for `program` and `compiled` — or, without a form,
+    /// [`Simulator::run_with_scratch`] — and nothing else: the same
+    /// schedule, without the per-link maps and per-op spans a report
+    /// copies out, for callers that read only the makespan.
+    ///
+    /// # Errors
+    /// Same conditions as [`Simulator::run`].
+    pub fn run_total(
+        &self,
+        program: &Program,
+        compiled: Option<&CompiledProgram>,
+        scratch: &mut EngineScratch,
+    ) -> Result<f64, SimError> {
+        self.schedule(&[(program, 0.0)], &[compiled], scratch)
+    }
+
     /// The dense index of `gpu`: its position among this simulator's GPU
     /// ids in ascending order, the index [`CompiledProgram::fits`] compares
     /// GPUs by.
@@ -1111,15 +1184,28 @@ impl Simulator {
 
     /// The session core: schedules every op of every `(program, issue_us)`
     /// entry over the simulator's one resource table, running entry `i`
-    /// from `stored[i]`, its compiled form, when it has one that fits.
-    /// Single-program execution is the `entries.len() == 1`,
-    /// `issue_us == 0.0` special case.
+    /// from `stored[i]`, its compiled form, when it has one that fits, and
+    /// reports the schedule. Single-program execution is the
+    /// `entries.len() == 1`, `issue_us == 0.0` special case.
     fn run_entries<P: Borrow<Program>, C: Borrow<CompiledProgram>>(
         &self,
         entries: &[(P, f64)],
         stored: &[Option<C>],
         scratch: &mut EngineScratch,
     ) -> Result<SessionReport, SimError> {
+        let total_us = self.schedule(entries, stored, scratch)?;
+        Ok(self.report(entries, &scratch.scan, total_us))
+    }
+
+    /// [`Simulator::run_entries`] up to the report: schedules every entry,
+    /// leaving each op's span and each link's accounting in the scan state,
+    /// and returns the session's total time.
+    fn schedule<P: Borrow<Program>, C: Borrow<CompiledProgram>>(
+        &self,
+        entries: &[(P, f64)],
+        stored: &[Option<C>],
+        scratch: &mut EngineScratch,
+    ) -> Result<f64, SimError> {
         let fitting = |i: usize| -> Option<&CompiledProgram> {
             let form: &CompiledProgram = stored.get(i)?.as_ref()?.borrow();
             form.fits(self).then_some(form)
@@ -1172,13 +1258,15 @@ impl Simulator {
         self.scan(tables, entries, scan)
     }
 
-    /// The K-candidate scan over spliced `ops` (see the module docs).
+    /// The K-candidate scan over spliced `ops` (see the module docs): each
+    /// op's `(start, end)` goes to `s.op_spans`, and the session's total
+    /// time — the latest op end or issue time — is returned.
     fn scan<P>(
         &self,
         ops: &OpTables,
         entries: &[(P, f64)],
         s: &mut ScanState,
-    ) -> Result<SessionReport, SimError> {
+    ) -> Result<f64, SimError> {
         let t = &self.resources;
         let n = ops.len();
         s.indeg.clear();
@@ -1210,7 +1298,8 @@ impl Simulator {
             }
         }
 
-        let mut op_spans = vec![(0.0, 0.0); n];
+        s.op_spans.clear();
+        s.op_spans.resize(n, (0.0, 0.0));
         let mut total = 0.0f64;
         let mut done = 0usize;
 
@@ -1264,7 +1353,7 @@ impl Simulator {
             for &r in &ops.op_res[lo..hi] {
                 s.resource_free[r as usize] = end;
             }
-            op_spans[id] = (start, end);
+            s.op_spans[id] = (start, end);
             total = total.max(end);
             if ops.op_link[id] != NONE {
                 let l = ops.op_link[id] as usize;
@@ -1310,38 +1399,45 @@ impl Simulator {
             ));
         }
 
+        for (p_idx, (_, issue)) in entries.iter().enumerate() {
+            let spans = &s.op_spans[s.op_base[p_idx]..s.op_base[p_idx + 1]];
+            total = total.max(program_window(*issue, spans).1);
+        }
+        Ok(total)
+    }
+
+    /// The report of the schedule [`Simulator::schedule`] left in `s`,
+    /// whose total time is `total_us`: only links some op used appear in
+    /// its maps.
+    fn report<P>(&self, entries: &[(P, f64)], s: &ScanState, total_us: f64) -> SessionReport {
         let mut link_busy = BTreeMap::new();
         let mut link_bytes = BTreeMap::new();
-        // only links some op used appear in the report
-        for (l, link) in t.links.iter().enumerate() {
+        for (l, link) in self.resources.links.iter().enumerate() {
             if s.link_used[l] {
                 link_busy.insert(link.key, s.link_busy[l]);
                 link_bytes.insert(link.key, s.link_bytes[l]);
             }
         }
-        let mut programs = Vec::with_capacity(entries.len());
-        for (p_idx, (_, issue)) in entries.iter().enumerate() {
-            let (lo, hi) = (s.op_base[p_idx], s.op_base[p_idx + 1]);
-            let spans = op_spans[lo..hi].to_vec();
-            let (mut start, mut end) = (*issue, *issue);
-            for (k, &(st, en)) in spans.iter().enumerate() {
-                start = if k == 0 { st } else { start.min(st) };
-                end = end.max(en);
-            }
-            total = total.max(end);
-            programs.push(ProgramSpan {
-                issue_us: *issue,
-                start_us: start,
-                end_us: end,
-                op_spans: spans,
-            });
-        }
-        Ok(SessionReport {
-            total_us: total,
+        let programs = entries
+            .iter()
+            .enumerate()
+            .map(|(p_idx, (_, issue))| {
+                let spans = &s.op_spans[s.op_base[p_idx]..s.op_base[p_idx + 1]];
+                let (start_us, end_us) = program_window(*issue, spans);
+                ProgramSpan {
+                    issue_us: *issue,
+                    start_us,
+                    end_us,
+                    op_spans: spans.to_vec(),
+                }
+            })
+            .collect();
+        SessionReport {
+            total_us,
             programs,
             link_busy_us: link_busy,
             link_bytes,
-        })
+        }
     }
 
     /// Creates an empty streaming [`Session`] over this simulator. Admit
@@ -1446,7 +1542,9 @@ impl Session<'_> {
 mod tests {
     use super::*;
     use crate::program::{OpId, OpRef, ProgramBuilder, Segment, StreamId};
-    use blink_topology::presets::{dgx1v, dgx2, multi_server, placement_topology, ServerKind};
+    use blink_topology::presets::{
+        dgx1p, dgx1v, dgx2, multi_server, placement_topology, ServerKind,
+    };
     use blink_topology::TopologyDelta;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -2512,10 +2610,17 @@ mod tests {
     /// program alone, then all of them sharing a session at staggered issue
     /// times.
     fn assert_table_matches_the_reference(sim: &Simulator, programs: Vec<Program>) {
+        assert_tables_identical(
+            &sim.resources,
+            &reference_table(sim.topology()),
+            sim.topology().name(),
+        );
         let reference = sim.run_reference(&programs[0]).unwrap();
         let fast = sim.run(&programs[0]).unwrap();
         assert_reports_bit_identical(&reference, &fast);
         assert!(fast.links_used() > 1);
+        let total = sim.run_total(&programs[0], None, &mut EngineScratch::new());
+        assert_eq!(total.unwrap().to_bits(), reference.total_us.to_bits());
 
         let issues = [0.0, 15.5, 15.5];
         let entries: Vec<(&Program, f64)> = programs.iter().zip(issues).collect();
@@ -2558,6 +2663,229 @@ mod tests {
         assert!(topo.links().iter().any(|l| l.kind == LinkKind::Network));
         for seed in [0x243f_6a88_85a3_08d3u64, 0x1319_8a2e_0370_7344] {
             assert_random_programs_match_the_reference(topo.clone(), seed);
+        }
+    }
+
+    #[test]
+    fn the_table_matches_the_reference_on_placements_of_one_to_three_servers() {
+        let ids = |locals: &[usize], base: usize| locals.iter().map(|l| GpuId(base + l)).collect();
+        let placements = [
+            (ServerKind::Dgx1V, vec![(2, ids(&[1, 3, 4, 6], 16))]),
+            (
+                ServerKind::Dgx1P,
+                vec![(0, ids(&[0, 5], 0)), (3, ids(&[2, 7], 24))],
+            ),
+            (
+                ServerKind::Dgx1V,
+                vec![
+                    (1, ids(&[0, 2], 8)),
+                    (4, ids(&[1, 5, 6], 32)),
+                    (5, ids(&[7], 40)),
+                ],
+            ),
+            (
+                ServerKind::Dgx2,
+                vec![(0, ids(&[1, 9], 0)), (1, ids(&[0, 4, 15], 16))],
+            ),
+        ];
+        for (i, (kind, slices)) in placements.into_iter().enumerate() {
+            let topo = placement_topology(kind, 5.0, &slices).unwrap();
+            let seed = 0x6a09_e667_f3bc_c908u64.wrapping_mul(i as u64 + 1);
+            assert_random_programs_match_the_reference(topo, seed);
+        }
+    }
+
+    /// The resource table as [`Simulator::new`] built it before it was built
+    /// in one pass: every link's key sorted stably, so each key's
+    /// capacities sum in [`Topology::links`] order, and each link's port
+    /// caps and NICs read from the topology's maps. The reference the
+    /// one-pass table is pinned to.
+    fn reference_table(topology: &Topology) -> ResourceTable {
+        let mut gpus: Vec<(GpuId, ServerId)> =
+            topology.gpus().iter().map(|g| (g.id, g.server)).collect();
+        gpus.sort_by_key(|g| g.0);
+        gpus.dedup_by_key(|g| g.0);
+        let index = |g: GpuId| {
+            gpus.binary_search_by_key(&g, |e| e.0)
+                .ok()
+                .map(|i| i as u32)
+        };
+        let servers = topology.servers();
+        let nic = |g: u32| {
+            let server = gpus[g as usize].1;
+            topology.server_nic(server)?;
+            servers.binary_search(&server).ok().map(|k| k as u32)
+        };
+        let mut keyed: Vec<((GpuId, GpuId, LinkClass), f64)> = topology
+            .links()
+            .iter()
+            .map(|l| ((l.src, l.dst, link_class(l.kind)), l.capacity_gbps()))
+            .collect();
+        keyed.sort_by_key(|k| k.0);
+        let mut links: Vec<LinkResources> = Vec::new();
+        for (key, capacity) in keyed {
+            match links.last_mut() {
+                Some(last) if last.key == key => last.capacity_gbps += capacity,
+                _ => links.push(LinkResources {
+                    key,
+                    capacity_gbps: capacity,
+                    ends: [0; 2],
+                    unknown: None,
+                    res: [0; 2],
+                    res_len: 0,
+                }),
+            }
+        }
+        let n = gpus.len() as u32;
+        let egress = links.len() as u32;
+        let (ingress, compute, nics) = (egress + n, egress + 2 * n, egress + 3 * n);
+        for (id, link) in links.iter_mut().enumerate() {
+            let (src, dst, class) = link.key;
+            let (s, d) = match (index(src), index(dst)) {
+                (Some(s), Some(d)) => (s, d),
+                (None, _) => {
+                    link.unknown = Some(src);
+                    continue;
+                }
+                (_, None) => {
+                    link.unknown = Some(dst);
+                    continue;
+                }
+            };
+            link.ends = [s, d];
+            match class {
+                LinkClass::NvLink => {
+                    if topology.gpu_cap(src).is_some() {
+                        link.push(egress + s);
+                    }
+                    if topology.gpu_cap(dst).is_some() {
+                        link.push(ingress + d);
+                    }
+                }
+                LinkClass::Network => {
+                    if let Some(k) = nic(s) {
+                        link.push(nics + 2 * k);
+                    }
+                    if let Some(k) = nic(d) {
+                        link.push(nics + 2 * k + 1);
+                    }
+                }
+                LinkClass::Pcie => {}
+            }
+            if link.res_len == 0 {
+                link.push(id as u32);
+            }
+        }
+        ResourceTable {
+            gpus: gpus.iter().map(|g| g.0).collect(),
+            links,
+            compute_base: compute,
+            num_static: nics + 2 * servers.len() as u32,
+        }
+    }
+
+    /// Panics unless the two tables agree field by field: GPUs, and per
+    /// link its key, capacity bits, ends, unknown endpoint and binding
+    /// resources, then the compute base and the static id count.
+    fn assert_tables_identical(a: &ResourceTable, b: &ResourceTable, what: &str) {
+        assert_eq!(a.gpus, b.gpus, "{what}: GPUs");
+        let links = |t: &ResourceTable| -> Vec<_> {
+            t.links
+                .iter()
+                .map(|l| {
+                    let res = l.resources().to_vec();
+                    (l.key, l.capacity_gbps.to_bits(), l.ends, l.unknown, res)
+                })
+                .collect()
+        };
+        assert_eq!(links(a), links(b), "{what}: links");
+        assert_eq!(a.compute_base, b.compute_base, "{what}: compute base");
+        assert_eq!(a.num_static, b.num_static, "{what}: static ids");
+    }
+
+    /// A random fabric: up to 11 GPUs with distinct ids, listed in
+    /// ascending or random order, on up to four servers, random links of every kind (several
+    /// per key, so capacities sum), and random port caps and NICs.
+    fn random_fabric(seed: u64) -> Topology {
+        let mut state = seed;
+        let mut next = move |bound: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut topo = Topology::new("random");
+        let mut ids: Vec<usize> = (0..40).collect();
+        let n = 2 + next(10);
+        let mut gpus: Vec<GpuId> = (0..n).map(|_| GpuId(ids.remove(next(ids.len())))).collect();
+        // ascending ids in half the fabrics, on servers in any order
+        if next(2) == 0 {
+            gpus.sort_unstable();
+        }
+        for (i, &g) in gpus.iter().enumerate() {
+            topo.add_gpu(g, ServerId(next(4)), i).unwrap();
+        }
+        let kinds = [
+            LinkKind::NvLinkGen1,
+            LinkKind::NvLinkGen2,
+            LinkKind::NvSwitch,
+            LinkKind::Pcie,
+            LinkKind::Network,
+        ];
+        for _ in 0..next(4 * n * n) {
+            let (a, b) = (gpus[next(n)], gpus[next(n)]);
+            let bandwidth = [0.3, 3.7, 11.1, 23.0, 1e-3][next(5)];
+            let link = blink_topology::Link::new(a, b, kinds[next(5)])
+                .with_lanes(1 + next(3) as u32)
+                .with_bandwidth(bandwidth);
+            topo.add_link(link).unwrap();
+        }
+        for &g in &gpus {
+            if next(3) == 0 {
+                topo.set_gpu_cap(g, 40.0).unwrap();
+            }
+        }
+        for server in 0..4 {
+            if next(2) == 0 {
+                topo.set_server_nic(ServerId(server), 12.5);
+            }
+        }
+        topo
+    }
+
+    #[test]
+    fn the_one_pass_table_is_the_reference_table() {
+        let mut topologies = vec![
+            dgx1p(),
+            dgx1v(),
+            dgx2(),
+            multi_server(3, ServerKind::Dgx1V, 5.0),
+            multi_server(2, ServerKind::Dgx2, 12.5),
+            dgx2().induced(&[GpuId(9), GpuId(2), GpuId(14)]).unwrap(),
+        ];
+        let slices = |kind: ServerKind, servers: &[usize], mask: usize| {
+            let gps = blink_topology::presets::gpus_per_server(kind);
+            servers
+                .iter()
+                .map(|&s| {
+                    let locals = (0..gps).filter(|l| mask >> (l % 8) & 1 == 1);
+                    (s, locals.map(|l| GpuId(gps * s + l)).collect())
+                })
+                .collect::<Vec<(usize, Vec<GpuId>)>>()
+        };
+        for (kind, servers, mask) in [
+            (ServerKind::Dgx1V, &[0][..], 0b1011_0010),
+            (ServerKind::Dgx1V, &[1, 6][..], 0b0000_0011),
+            (ServerKind::Dgx1P, &[0, 2, 5][..], 0b1100_0101),
+            (ServerKind::Dgx2, &[0, 3][..], 0b0110_1001),
+            (ServerKind::Dgx2, &[1, 2, 4][..], 0b0000_0001),
+        ] {
+            topologies.push(placement_topology(kind, 5.0, &slices(kind, servers, mask)).unwrap());
+        }
+        topologies.extend((1..=300).map(|k| random_fabric(0x9e37_79b9_7f4a_7c15 ^ k)));
+        for topo in &topologies {
+            let sim = Simulator::with_defaults(topo.clone());
+            assert_tables_identical(&sim.resources, &reference_table(topo), topo.name());
         }
     }
 
@@ -2807,6 +3135,10 @@ mod tests {
             assert_reports_bit_identical(&sim.run_reference(program).unwrap(), &direct);
             let reused = sim.run_compiled(program, stored, &mut dirty).unwrap();
             assert_reports_bit_identical(&direct, &reused);
+            for form in [None, Some(&**stored)] {
+                let total = sim.run_total(program, form, &mut dirty).unwrap();
+                assert_eq!(total.to_bits(), direct.total_us.to_bits());
+            }
         }
         let issues = [0.0, 15.5, 15.5, 40.25];
         let entries: Vec<(&Program, f64)> = programs.iter().zip(issues).collect();

@@ -81,7 +81,8 @@ pub mod program;
 pub mod semantics;
 
 pub use engine::{
-    CompiledProgram, EngineScratch, ProgramSpan, RunReport, Session, SessionReport, Simulator,
+    algorithmic_bandwidth_gbps, CompiledProgram, EngineScratch, ProgramSpan, RunReport, Session,
+    SessionReport, Simulator,
 };
 pub use params::SimParams;
 pub use program::{LinkClass, OpId, OpKind, OpRef, Program, ProgramBuilder, Segment, StreamId};

@@ -19,8 +19,9 @@
 //! PCIe 3.0 x16 numbers, because the switch hierarchy and host bridges are
 //! shared.
 
-use crate::{GpuId, LinkKind, ServerId, Topology, TopologyError};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::topology::listed_name;
+use crate::{GpuId, GpuInfo, Link, LinkKind, ServerId, Topology, TopologyError};
+use std::collections::BTreeMap;
 
 /// Effective GPU-to-GPU PCIe bandwidth within one PCIe root complex (GB/s).
 pub const PCIE_SAME_COMPLEX_GBPS: f64 = 5.0;
@@ -68,52 +69,9 @@ pub const DGX1V_DOUBLE_PAIRS: [(usize, usize); 8] = [
     (6, 7),
 ];
 
-fn add_dgx1_gpus(topo: &mut Topology, server: ServerId, base: usize) {
-    for i in 0..8 {
-        topo.add_gpu(GpuId(base + i), server, i)
-            .expect("preset GPU ids are unique");
-    }
-}
-
-fn add_dgx1_pcie(topo: &mut Topology, base: usize) {
-    for i in 0..8 {
-        for j in (i + 1)..8 {
-            let same_complex = (i < 4) == (j < 4);
-            let gbps = if same_complex {
-                PCIE_SAME_COMPLEX_GBPS
-            } else {
-                PCIE_CROSS_COMPLEX_GBPS
-            };
-            topo.add_duplex_with_bandwidth(
-                GpuId(base + i),
-                GpuId(base + j),
-                LinkKind::Pcie,
-                1,
-                gbps,
-            )
-            .expect("preset links reference existing GPUs");
-        }
-    }
-}
-
-fn add_dgx1_nvlinks(topo: &mut Topology, base: usize, kind: LinkKind, doubled: bool) {
-    for &(a, b) in &DGX1_NVLINK_PAIRS {
-        let mut lanes = 1;
-        if doubled && DGX1V_DOUBLE_PAIRS.contains(&(a, b)) {
-            lanes = 2;
-        }
-        topo.add_duplex(GpuId(base + a), GpuId(base + b), kind, lanes)
-            .expect("preset links reference existing GPUs");
-    }
-}
-
 /// A single DGX-1 server with P100 GPUs (NVLink Gen1, 4 bricks per GPU).
 pub fn dgx1p() -> Topology {
-    let mut t = Topology::new("dgx-1p");
-    add_dgx1_gpus(&mut t, ServerId(0), 0);
-    add_dgx1_nvlinks(&mut t, 0, LinkKind::NvLinkGen1, false);
-    add_dgx1_pcie(&mut t, 0);
-    t
+    build_servers("dgx-1p".into(), ServerKind::Dgx1P, None, &[(0, 0xff)])
 }
 
 /// A single DGX-1 server with V100 GPUs (NVLink Gen2, 6 bricks per GPU).
@@ -121,11 +79,7 @@ pub fn dgx1p() -> Topology {
 /// This matches the AWS `p3.16xlarge` instance used throughout the paper's
 /// evaluation.
 pub fn dgx1v() -> Topology {
-    let mut t = Topology::new("dgx-1v");
-    add_dgx1_gpus(&mut t, ServerId(0), 0);
-    add_dgx1_nvlinks(&mut t, 0, LinkKind::NvLinkGen2, true);
-    add_dgx1_pcie(&mut t, 0);
-    t
+    build_servers("dgx-1v".into(), ServerKind::Dgx1V, None, &[(0, 0xff)])
 }
 
 /// A DGX-2: 16 V100 GPUs connected through a non-blocking NVSwitch fabric.
@@ -137,48 +91,7 @@ pub fn dgx1v() -> Topology {
 /// and the cost models enforce. PCIe links are included as on the DGX-1, with
 /// GPUs 0–7 and 8–15 on the two root complexes.
 pub fn dgx2() -> Topology {
-    let mut t = Topology::new("dgx-2");
-    add_dgx2_gpus(&mut t, ServerId(0), 0);
-    add_dgx2_fabric(&mut t, 0);
-    add_dgx2_caps(&mut t, 0);
-    t
-}
-
-fn add_dgx2_gpus(topo: &mut Topology, server: ServerId, base: usize) {
-    for i in 0..16 {
-        topo.add_gpu(GpuId(base + i), server, i)
-            .expect("preset GPU ids are unique");
-    }
-}
-
-fn add_dgx2_fabric(topo: &mut Topology, base: usize) {
-    for i in 0..16 {
-        for j in (i + 1)..16 {
-            topo.add_duplex_with_bandwidth(
-                GpuId(base + i),
-                GpuId(base + j),
-                LinkKind::NvSwitch,
-                1,
-                DGX2_GPU_INJECTION_GBPS,
-            )
-            .expect("valid preset link");
-            topo.add_duplex_with_bandwidth(
-                GpuId(base + i),
-                GpuId(base + j),
-                LinkKind::Pcie,
-                1,
-                dgx_pcie_gbps(i, j, 8),
-            )
-            .expect("valid preset link");
-        }
-    }
-}
-
-fn add_dgx2_caps(topo: &mut Topology, base: usize) {
-    for i in 0..16 {
-        topo.set_gpu_cap(GpuId(base + i), DGX2_GPU_INJECTION_GBPS)
-            .expect("gpu exists");
-    }
+    build_servers("dgx-2".into(), ServerKind::Dgx2, None, &[(0, 0xffff)])
 }
 
 /// Effective PCIe bandwidth between local GPUs `i` and `j` on a server whose
@@ -218,30 +131,140 @@ fn kind_name(kind: ServerKind) -> &'static str {
     }
 }
 
-/// Adds one server's GPUs, intra-server links, fabric caps and NIC to `t`,
-/// with GPU ids based at `gpus_per_server(kind) * s`. Shared by
-/// [`multi_server`] (whole cluster) and [`placement_topology`] (only the
-/// allocated slice — via the membership-filtered link loops below).
-fn add_server(t: &mut Topology, kind: ServerKind, s: usize, nic_gbps: f64) {
-    let base = gpus_per_server(kind) * s;
+/// One server's share of a topology [`build_servers`] makes: the server's
+/// index and a bitmask of its local GPU indices (bit `l` for local GPU `l`;
+/// a server holds at most 16 GPUs).
+type ServerMask = (usize, u32);
+
+/// The local GPU indices set in `mask`, ascending.
+fn locals(kind: ServerKind, mask: u32) -> impl Iterator<Item = usize> + Clone {
+    (0..gpus_per_server(kind)).filter(move |&l| mask & (1 << l) != 0)
+}
+
+/// Directed intra-server links [`build_servers`] makes among the GPUs of
+/// `mask`.
+fn intra_links(kind: ServerKind, mask: u32) -> usize {
+    let k = mask.count_ones() as usize;
+    let pairs = k * k.saturating_sub(1) / 2;
+    let here = |l: usize| mask & (1 << l) != 0;
     match kind {
-        ServerKind::Dgx1P => {
-            add_dgx1_gpus(t, ServerId(s), base);
-            add_dgx1_nvlinks(t, base, LinkKind::NvLinkGen1, false);
-            add_dgx1_pcie(t, base);
+        ServerKind::Dgx1P | ServerKind::Dgx1V => {
+            let nvlink = DGX1_NVLINK_PAIRS
+                .iter()
+                .filter(|&&(a, b)| here(a) && here(b))
+                .count();
+            2 * (nvlink + pairs)
         }
-        ServerKind::Dgx1V => {
-            add_dgx1_gpus(t, ServerId(s), base);
-            add_dgx1_nvlinks(t, base, LinkKind::NvLinkGen2, true);
-            add_dgx1_pcie(t, base);
+        // an NVSwitch and a PCIe link per pair
+        ServerKind::Dgx2 => 4 * pairs,
+    }
+}
+
+/// The topology of the GPUs `servers` select, in one pass: every preset,
+/// [`multi_server`] and [`placement_topology`] are built here.
+///
+/// `servers` ascend by index, each with a non-empty mask, and every
+/// server's GPU ids `gpus_per_server(kind) * s + l` fit a `usize`; the
+/// callers guarantee it, so no link is checked as it is added
+/// ([`Topology::add_link`] would find every endpoint present and every
+/// capacity finite and positive). The GPUs come in ascending id order.
+/// Per server, in server order, come its intra-server links in preset
+/// enumeration order restricted to its GPUs — on a DGX-1 the NVLink pairs of
+/// [`DGX1_NVLINK_PAIRS`] (two lanes for [`DGX1V_DOUBLE_PAIRS`] on a V100),
+/// then a PCIe link per pair; on a DGX-2 an NVSwitch and a PCIe link per
+/// pair — each as two directed links, forward first. Then, for each pair of
+/// servers in order, a [`LinkKind::Network`] duplex of bandwidth `nic_gbps`
+/// per GPU pair. Each server gets the NIC `nic_gbps` when one is given (a
+/// topology of several servers needs one) and, on a DGX-2, every GPU the
+/// fabric cap [`DGX2_GPU_INJECTION_GBPS`].
+fn build_servers(
+    name: String,
+    kind: ServerKind,
+    nic_gbps: Option<f64>,
+    servers: &[ServerMask],
+) -> Topology {
+    let gps = gpus_per_server(kind);
+    let counts = servers.iter().map(|&(_, mask)| mask.count_ones() as usize);
+    let n: usize = counts.clone().sum();
+    let intra: usize = servers
+        .iter()
+        .map(|&(_, mask)| intra_links(kind, mask))
+        .sum();
+    let cross = n * n - counts.map(|k| k * k).sum::<usize>();
+    let mut gpus = Vec::with_capacity(n);
+    let mut links = Vec::with_capacity(intra + cross);
+    let mut duplex = |link: Link| {
+        links.push(link);
+        links.push(link.reversed());
+    };
+    let mut gpu_caps = BTreeMap::new();
+    let mut server_nics = BTreeMap::new();
+    for &(s, mask) in servers {
+        let base = gps * s;
+        let gpu = |l: usize| GpuId(base + l);
+        for l in locals(kind, mask) {
+            gpus.push(GpuInfo {
+                id: gpu(l),
+                server: ServerId(s),
+                local_index: l,
+            });
         }
-        ServerKind::Dgx2 => {
-            add_dgx2_gpus(t, ServerId(s), base);
-            add_dgx2_fabric(t, base);
-            add_dgx2_caps(t, base);
+        let pairs = locals(kind, mask).flat_map(|i| {
+            locals(kind, mask)
+                .filter(move |&j| j > i)
+                .map(move |j| (i, j))
+        });
+        match kind {
+            ServerKind::Dgx1P | ServerKind::Dgx1V => {
+                let (link_kind, doubled) = match kind {
+                    ServerKind::Dgx1P => (LinkKind::NvLinkGen1, false),
+                    _ => (LinkKind::NvLinkGen2, true),
+                };
+                for &(a, b) in &DGX1_NVLINK_PAIRS {
+                    if mask & (1 << a) == 0 || mask & (1 << b) == 0 {
+                        continue;
+                    }
+                    let lanes = if doubled && DGX1V_DOUBLE_PAIRS.contains(&(a, b)) {
+                        2
+                    } else {
+                        1
+                    };
+                    duplex(Link::new(gpu(a), gpu(b), link_kind).with_lanes(lanes));
+                }
+                for (i, j) in pairs {
+                    let pcie = dgx_pcie_gbps(i, j, 4);
+                    duplex(Link::new(gpu(i), gpu(j), LinkKind::Pcie).with_bandwidth(pcie));
+                }
+            }
+            ServerKind::Dgx2 => {
+                for (i, j) in pairs {
+                    let fabric = DGX2_GPU_INJECTION_GBPS;
+                    duplex(Link::new(gpu(i), gpu(j), LinkKind::NvSwitch).with_bandwidth(fabric));
+                    let pcie = dgx_pcie_gbps(i, j, 8);
+                    duplex(Link::new(gpu(i), gpu(j), LinkKind::Pcie).with_bandwidth(pcie));
+                }
+                for l in locals(kind, mask) {
+                    gpu_caps.insert(gpu(l), DGX2_GPU_INJECTION_GBPS);
+                }
+            }
+        }
+        if let Some(nic) = nic_gbps {
+            server_nics.insert(ServerId(s), nic);
         }
     }
-    t.set_server_nic(ServerId(s), nic_gbps);
+    if let Some(nic) = nic_gbps {
+        for (a, &(s1, m1)) in servers.iter().enumerate() {
+            for &(s2, m2) in &servers[a + 1..] {
+                for i in locals(kind, m1) {
+                    for j in locals(kind, m2) {
+                        let (src, dst) = (GpuId(gps * s1 + i), GpuId(gps * s2 + j));
+                        duplex(Link::new(src, dst, LinkKind::Network).with_bandwidth(nic));
+                    }
+                }
+            }
+        }
+    }
+    Topology::from_parts(name, gpus, links, gpu_caps, server_nics)
 }
 
 /// A cluster of `n_servers` identical servers connected by a network.
@@ -253,30 +276,21 @@ fn add_server(t: &mut Topology, kind: ServerKind, s: usize, nic_gbps: f64) {
 /// (also `nic_gbps`) is recorded via [`Topology::set_server_nic`] so that the
 /// simulator can model the NIC as a shared resource rather than a per-pair
 /// pipe.
+///
+/// # Panics
+/// When `nic_gbps` is not a finite positive number, whatever the server
+/// count: a cluster cannot be wired with it, and recording it as a NIC
+/// would mislead the simulator. [`placement_topology`] returns
+/// [`TopologyError::InvalidNicBandwidth`] for the same input instead.
 pub fn multi_server(n_servers: usize, kind: ServerKind, nic_gbps: f64) -> Topology {
+    assert!(
+        nic_gbps.is_finite() && nic_gbps > 0.0,
+        "multi_server: NIC bandwidth must be a finite positive number, got {nic_gbps}"
+    );
     let name = format!("{}x{}-{}gbps", n_servers, kind_name(kind), nic_gbps);
-    let gps = gpus_per_server(kind);
-    let mut t = Topology::new(name);
-    for s in 0..n_servers {
-        add_server(&mut t, kind, s, nic_gbps);
-    }
-    for s1 in 0..n_servers {
-        for s2 in (s1 + 1)..n_servers {
-            for i in 0..gps {
-                for j in 0..gps {
-                    t.add_duplex_with_bandwidth(
-                        GpuId(gps * s1 + i),
-                        GpuId(gps * s2 + j),
-                        LinkKind::Network,
-                        1,
-                        nic_gbps,
-                    )
-                    .expect("valid preset link");
-                }
-            }
-        }
-    }
-    t
+    let all = u32::MAX >> (32 - gpus_per_server(kind));
+    let servers: Vec<ServerMask> = (0..n_servers).map(|s| (s, all)).collect();
+    build_servers(name, kind, Some(nic_gbps), &servers)
 }
 
 /// Builds the topology *induced by a scheduler placement* directly from its
@@ -287,19 +301,30 @@ pub fn multi_server(n_servers: usize, kind: ServerKind, nic_gbps: f64) -> Topolo
 ///
 /// `slices` uses the `blink-sched` placement convention: `(server index,
 /// global GPU ids on that server)`, with GPU `g` of server `s` carrying the
-/// global id `gpus_per_server(kind) * s + g`. The result is **identical**
-/// (same GPU order, same link order, same caps — hence the same plan
-/// fingerprint) to `multi_server(n, kind, nic_gbps).induced(&flat_ids)`, so
-/// plans cached under either construction path serve the other; a test pins
-/// this equivalence.
+/// global id `gpus_per_server(kind) * s + g`; slices may list a server more
+/// than once and its GPUs in any order. The result is **identical** (same
+/// GPU order, same link order, same caps — hence the same plan fingerprint)
+/// to `multi_server(n, kind, nic_gbps).induced(&flat_ids)`, GPUs ordered by
+/// id, so plans cached under either construction path serve the other; a
+/// property test pins this equivalence. Its name is
+/// `"placement-{kind}[{ids}]"` (`kind` as `dgx-1p`, `dgx-1v` or `dgx-2`),
+/// the GPU ids ascending and comma separated.
+///
+/// It is built in one pass: the slices are validated once into one bitmask
+/// of local GPU indices per server, and the GPUs and links are then written
+/// into vectors sized up front, with no per-link endpoint check (see
+/// `build_servers`).
 ///
 /// # Errors
-/// Rejects a NIC bandwidth that is not finite and positive
-/// ([`TopologyError::InvalidNicBandwidth`]), empty placements
-/// ([`TopologyError::EmptyAllocation`]), server indices whose GPU ids
-/// overflow ([`TopologyError::ServerOutOfRange`]), GPU ids inconsistent with
-/// their slice's server index ([`TopologyError::UnknownGpu`]), and GPUs
-/// listed twice ([`TopologyError::DuplicateGpu`]).
+/// In this order of precedence: a NIC bandwidth that is not finite and
+/// positive ([`TopologyError::InvalidNicBandwidth`]); a GPU listed twice for
+/// one server index, the first repeat in listing order
+/// ([`TopologyError::DuplicateGpu`]); no GPU at all
+/// ([`TopologyError::EmptyAllocation`]); the smallest server index, among
+/// those listing a GPU, whose GPU ids overflow
+/// ([`TopologyError::ServerOutOfRange`]); and the first GPU, by server
+/// index and then id, inconsistent with its slice's server index
+/// ([`TopologyError::UnknownGpu`]).
 pub fn placement_topology(
     kind: ServerKind,
     nic_gbps: f64,
@@ -309,136 +334,67 @@ pub fn placement_topology(
         return Err(TopologyError::InvalidNicBandwidth);
     }
     let gps = gpus_per_server(kind);
-    let mut by_server: BTreeMap<usize, BTreeSet<GpuId>> = BTreeMap::new();
-    for (server, gpus) in slices {
-        let set = by_server.entry(*server).or_default();
-        for &g in gpus {
-            if !set.insert(g) {
-                return Err(TopologyError::DuplicateGpu(g));
+    // one bitmask of local GPU indices per server index, in listing order
+    let mut servers: Vec<ServerMask> = Vec::with_capacity(slices.len());
+    let mut overflow: Option<usize> = None;
+    // the first GPU outside its server, by (server, id)
+    let mut unknown: Option<(usize, GpuId)> = None;
+    for (i, (server, gpus)) in slices.iter().enumerate() {
+        let at = match servers.iter().position(|&(s, _)| s == *server) {
+            Some(at) => at,
+            None => {
+                servers.push((*server, 0));
+                servers.len() - 1
             }
-        }
-    }
-    by_server.retain(|_, gpus| !gpus.is_empty());
-    if by_server.is_empty() {
-        return Err(TopologyError::EmptyAllocation);
-    }
-    // Every id below numbers a GPU of one of these servers, so none can
-    // overflow once each server's last id fits.
-    for &server in by_server.keys() {
-        server
+        };
+        // the server's first GPU id, if its last one fits
+        let base = server
             .checked_add(1)
             .and_then(|next| next.checked_mul(gps))
-            .ok_or(TopologyError::ServerOutOfRange(server))?;
-    }
-    let all_ids: Vec<String> = by_server
-        .values()
-        .flatten()
-        .map(|g| g.0.to_string())
-        .collect();
-    let mut t = Topology::new(format!(
-        "placement-{}[{}]",
-        kind_name(kind),
-        all_ids.join(",")
-    ));
-    for (&server, gpus) in &by_server {
-        let base = server * gps;
-        for &g in gpus {
-            let local = g
-                .index()
-                .checked_sub(base)
-                .filter(|&l| l < gps)
-                .ok_or(TopologyError::UnknownGpu(g))?;
-            t.add_gpu(g, ServerId(server), local)?;
+            .map(|end| end - gps);
+        if base.is_none() && !gpus.is_empty() {
+            overflow = Some(overflow.map_or(*server, |o| o.min(*server)));
         }
-    }
-    // Intra-server links in preset enumeration order, restricted to the
-    // allocated local indices (this mirrors what `Topology::induced` keeps).
-    for (&server, gpus) in &by_server {
-        let base = server * gps;
-        let here = |i: usize| gpus.contains(&GpuId(base + i));
-        match kind {
-            ServerKind::Dgx1P | ServerKind::Dgx1V => {
-                let (link_kind, doubled) = match kind {
-                    ServerKind::Dgx1P => (LinkKind::NvLinkGen1, false),
-                    _ => (LinkKind::NvLinkGen2, true),
-                };
-                for &(a, b) in &DGX1_NVLINK_PAIRS {
-                    if !(here(a) && here(b)) {
-                        continue;
-                    }
-                    let lanes = if doubled && DGX1V_DOUBLE_PAIRS.contains(&(a, b)) {
-                        2
-                    } else {
-                        1
-                    };
-                    t.add_duplex(GpuId(base + a), GpuId(base + b), link_kind, lanes)?;
+        for (j, &g) in gpus.iter().enumerate() {
+            let local = base.and_then(|b| g.0.checked_sub(b)).filter(|&l| l < gps);
+            if let Some(l) = local {
+                if servers[at].1 & (1 << l) != 0 {
+                    return Err(TopologyError::DuplicateGpu(g));
                 }
-                for i in 0..8 {
-                    for j in (i + 1)..8 {
-                        if here(i) && here(j) {
-                            t.add_duplex_with_bandwidth(
-                                GpuId(base + i),
-                                GpuId(base + j),
-                                LinkKind::Pcie,
-                                1,
-                                dgx_pcie_gbps(i, j, 4),
-                            )?;
-                        }
-                    }
-                }
+                servers[at].1 |= 1 << l;
+                continue;
             }
-            ServerKind::Dgx2 => {
-                for i in 0..16 {
-                    for j in (i + 1)..16 {
-                        if !(here(i) && here(j)) {
-                            continue;
-                        }
-                        t.add_duplex_with_bandwidth(
-                            GpuId(base + i),
-                            GpuId(base + j),
-                            LinkKind::NvSwitch,
-                            1,
-                            DGX2_GPU_INJECTION_GBPS,
-                        )?;
-                        t.add_duplex_with_bandwidth(
-                            GpuId(base + i),
-                            GpuId(base + j),
-                            LinkKind::Pcie,
-                            1,
-                            dgx_pcie_gbps(i, j, 8),
-                        )?;
-                    }
-                }
-                for &g in gpus {
-                    t.set_gpu_cap(g, DGX2_GPU_INJECTION_GBPS)?;
-                }
+            // no bit to test: look for an earlier listing on this server
+            let earlier = slices[..i]
+                .iter()
+                .filter(|(s, _)| s == server)
+                .flat_map(|(_, listed)| listed)
+                .chain(&gpus[..j]);
+            if earlier.into_iter().any(|&e| e == g) {
+                return Err(TopologyError::DuplicateGpu(g));
             }
-        }
-        t.set_server_nic(ServerId(server), nic_gbps);
-    }
-    let servers: Vec<usize> = by_server.keys().copied().collect();
-    for (a, &s1) in servers.iter().enumerate() {
-        for &s2 in &servers[a + 1..] {
-            for i in 0..gps {
-                if !by_server[&s1].contains(&GpuId(gps * s1 + i)) {
-                    continue;
-                }
-                for j in 0..gps {
-                    if !by_server[&s2].contains(&GpuId(gps * s2 + j)) {
-                        continue;
-                    }
-                    t.add_duplex_with_bandwidth(
-                        GpuId(gps * s1 + i),
-                        GpuId(gps * s2 + j),
-                        LinkKind::Network,
-                        1,
-                        nic_gbps,
-                    )?;
-                }
+            if unknown.is_none_or(|first| (*server, g) < first) {
+                unknown = Some((*server, g));
             }
         }
     }
-    Ok(t)
+    // an overflowing or unknown GPU means the placement listed one
+    if let Some(server) = overflow {
+        return Err(TopologyError::ServerOutOfRange(server));
+    }
+    if let Some((_, g)) = unknown {
+        return Err(TopologyError::UnknownGpu(g));
+    }
+    servers.retain(|&(_, mask)| mask != 0);
+    if servers.is_empty() {
+        return Err(TopologyError::EmptyAllocation);
+    }
+    servers.sort_unstable();
+    let ids = servers
+        .iter()
+        .flat_map(|&(s, mask)| locals(kind, mask).map(move |l| gps * s + l));
+    let name = listed_name(&["placement-", kind_name(kind)], ids);
+    Ok(build_servers(name, kind, Some(nic_gbps), &servers))
 }
 
 #[cfg(test)]
@@ -633,6 +589,307 @@ mod tests {
             assert!(delta.is_empty(), "{kind:?}: non-empty delta {delta:?}");
             direct.validate().unwrap();
         }
+    }
+
+    /// The construction the presets had before they were built in one pass,
+    /// kept as the oracle `build_servers` is pinned to: every GPU through
+    /// `add_gpu`, every link through `add_duplex`, each checked as it is
+    /// added, and placements validated over ordered maps and sets.
+    mod reference {
+        use super::super::*;
+        use std::collections::BTreeSet;
+
+        fn add_server(t: &mut Topology, kind: ServerKind, s: usize, nic: Option<f64>) {
+            let gps = gpus_per_server(kind);
+            let base = gps * s;
+            for i in 0..gps {
+                t.add_gpu(GpuId(base + i), ServerId(s), i).unwrap();
+            }
+            let g = |i: usize| GpuId(base + i);
+            match kind {
+                ServerKind::Dgx1P | ServerKind::Dgx1V => {
+                    let doubled = kind == ServerKind::Dgx1V;
+                    let link = if doubled {
+                        LinkKind::NvLinkGen2
+                    } else {
+                        LinkKind::NvLinkGen1
+                    };
+                    for &(a, b) in &DGX1_NVLINK_PAIRS {
+                        let lanes = if doubled && DGX1V_DOUBLE_PAIRS.contains(&(a, b)) {
+                            2
+                        } else {
+                            1
+                        };
+                        t.add_duplex(g(a), g(b), link, lanes).unwrap();
+                    }
+                    for i in 0..8 {
+                        for j in (i + 1)..8 {
+                            let gbps = if (i < 4) == (j < 4) {
+                                PCIE_SAME_COMPLEX_GBPS
+                            } else {
+                                PCIE_CROSS_COMPLEX_GBPS
+                            };
+                            t.add_duplex_with_bandwidth(g(i), g(j), LinkKind::Pcie, 1, gbps)
+                                .unwrap();
+                        }
+                    }
+                }
+                ServerKind::Dgx2 => {
+                    for i in 0..16 {
+                        for j in (i + 1)..16 {
+                            let fabric = DGX2_GPU_INJECTION_GBPS;
+                            t.add_duplex_with_bandwidth(g(i), g(j), LinkKind::NvSwitch, 1, fabric)
+                                .unwrap();
+                            let pcie = dgx_pcie_gbps(i, j, 8);
+                            t.add_duplex_with_bandwidth(g(i), g(j), LinkKind::Pcie, 1, pcie)
+                                .unwrap();
+                        }
+                    }
+                    for i in 0..16 {
+                        t.set_gpu_cap(g(i), DGX2_GPU_INJECTION_GBPS).unwrap();
+                    }
+                }
+            }
+            if let Some(nic) = nic {
+                t.set_server_nic(ServerId(s), nic);
+            }
+        }
+
+        /// A single server without a NIC, named like its preset.
+        pub fn single(kind: ServerKind) -> Topology {
+            let mut t = Topology::new(kind_name(kind));
+            add_server(&mut t, kind, 0, None);
+            t
+        }
+
+        pub fn multi_server(n_servers: usize, kind: ServerKind, nic: f64) -> Topology {
+            let gps = gpus_per_server(kind);
+            let name = format!("{}x{}-{}gbps", n_servers, kind_name(kind), nic);
+            let mut t = Topology::new(name);
+            for s in 0..n_servers {
+                add_server(&mut t, kind, s, Some(nic));
+            }
+            for s1 in 0..n_servers {
+                for s2 in (s1 + 1)..n_servers {
+                    for i in 0..gps {
+                        for j in 0..gps {
+                            let (a, b) = (GpuId(gps * s1 + i), GpuId(gps * s2 + j));
+                            t.add_duplex_with_bandwidth(a, b, LinkKind::Network, 1, nic)
+                                .unwrap();
+                        }
+                    }
+                }
+            }
+            t
+        }
+
+        /// The error the map-and-set validation found for a placement.
+        pub fn placement_error(
+            kind: ServerKind,
+            nic: f64,
+            slices: &[(usize, Vec<GpuId>)],
+        ) -> Option<TopologyError> {
+            if !(nic.is_finite() && nic > 0.0) {
+                return Some(TopologyError::InvalidNicBandwidth);
+            }
+            let gps = gpus_per_server(kind);
+            let mut by_server: BTreeMap<usize, BTreeSet<GpuId>> = BTreeMap::new();
+            for (server, gpus) in slices {
+                let set = by_server.entry(*server).or_default();
+                for &g in gpus {
+                    if !set.insert(g) {
+                        return Some(TopologyError::DuplicateGpu(g));
+                    }
+                }
+            }
+            by_server.retain(|_, gpus| !gpus.is_empty());
+            if by_server.is_empty() {
+                return Some(TopologyError::EmptyAllocation);
+            }
+            for &server in by_server.keys() {
+                if server
+                    .checked_add(1)
+                    .and_then(|n| n.checked_mul(gps))
+                    .is_none()
+                {
+                    return Some(TopologyError::ServerOutOfRange(server));
+                }
+            }
+            for (&server, gpus) in &by_server {
+                for &g in gpus {
+                    let local = g.0.checked_sub(server * gps).filter(|&l| l < gps);
+                    if local.is_none() {
+                        return Some(TopologyError::UnknownGpu(g));
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    const KINDS: [ServerKind; 3] = [ServerKind::Dgx1P, ServerKind::Dgx1V, ServerKind::Dgx2];
+
+    #[test]
+    fn presets_are_the_link_by_link_construction() {
+        dgx1p().assert_identical(&reference::single(ServerKind::Dgx1P), "dgx-1p");
+        dgx1v().assert_identical(&reference::single(ServerKind::Dgx1V), "dgx-1v");
+        dgx2().assert_identical(&reference::single(ServerKind::Dgx2), "dgx-2");
+        for kind in KINDS {
+            for n in 1..=3 {
+                for nic in [DEFAULT_NIC_GBPS, 12.5] {
+                    let what = format!("{n}x{kind:?} at {nic}");
+                    multi_server(n, kind, nic)
+                        .assert_identical(&reference::multi_server(n, kind, nic), &what);
+                }
+            }
+        }
+    }
+
+    /// A xorshift stream: `next(bound)` is uniform enough below `bound`.
+    fn stream(mut state: u64) -> impl FnMut(usize) -> usize {
+        move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        }
+    }
+
+    /// Random well-formed slices of `kind`: 1–4 distinct servers among
+    /// 0..6, each a random non-empty GPU subset listed in random order, and
+    /// sometimes split over two listings of its server.
+    fn random_slices(
+        kind: ServerKind,
+        next: &mut impl FnMut(usize) -> usize,
+    ) -> Vec<(usize, Vec<GpuId>)> {
+        let gps = gpus_per_server(kind);
+        let mut servers: Vec<usize> = (0..6).collect();
+        let mut slices = Vec::new();
+        for _ in 0..1 + next(4) {
+            let s = servers.remove(next(servers.len()));
+            let mut locals: Vec<usize> = (0..gps).filter(|_| next(2) == 0).collect();
+            if locals.is_empty() {
+                locals.push(next(gps));
+            }
+            for i in (1..locals.len()).rev() {
+                locals.swap(i, next(i + 1));
+            }
+            let ids: Vec<GpuId> = locals.iter().map(|l| GpuId(gps * s + l)).collect();
+            if ids.len() > 1 && next(4) == 0 {
+                let (a, b) = ids.split_at(next(ids.len() - 1) + 1);
+                slices.push((s, a.to_vec()));
+                slices.push((s, b.to_vec()));
+            } else {
+                slices.push((s, ids));
+            }
+        }
+        slices
+    }
+
+    /// `placement_topology` against the whole cluster's induced subgraph on
+    /// random slice sets of every server kind: GPU order, links (capacity
+    /// bits), caps and the slices' NICs are identical, and the name is
+    /// `placement-{kind}[{ascending ids}]`.
+    #[test]
+    fn random_placements_are_the_clusters_induced_subgraph() {
+        let mut next = stream(0x9e37_79b9_7f4a_7c15);
+        for trial in 0..600 {
+            let kind = KINDS[trial % 3];
+            let nic = [DEFAULT_NIC_GBPS, 12.5, 50.0][next(3)];
+            let slices = random_slices(kind, &mut next);
+            let mut flat: Vec<GpuId> = slices.iter().flat_map(|(_, g)| g.clone()).collect();
+            flat.sort_unstable();
+            let n_servers = slices.iter().map(|(s, _)| s + 1).max().unwrap();
+            let induced = multi_server(n_servers, kind, nic).induced(&flat).unwrap();
+            let direct = placement_topology(kind, nic, &slices).unwrap();
+            let ids: Vec<String> = flat.iter().map(|g| g.0.to_string()).collect();
+            let name = format!("placement-{}[{}]", kind_name(kind), ids.join(","));
+            let servers: BTreeMap<ServerId, f64> = slices
+                .iter()
+                .map(|(s, _)| (ServerId(*s), induced.server_nic(ServerId(*s)).unwrap()))
+                .collect();
+            let caps = flat
+                .iter()
+                .filter_map(|&g| Some((g, induced.gpu_cap(g)?)))
+                .collect();
+            let expected = Topology::from_parts(
+                name,
+                induced.gpus().to_vec(),
+                induced.links().to_vec(),
+                caps,
+                servers,
+            );
+            direct.assert_identical(&expected, &format!("trial {trial}: {kind:?} {slices:?}"));
+        }
+    }
+
+    /// Malformed slices fail with the error the map-and-set validation
+    /// found, in its order of precedence, and well-formed ones build.
+    #[test]
+    fn malformed_placements_fail_as_the_reference_validation_does() {
+        let mut next = stream(0x2545_f491_4f6c_dd1d);
+        let mut failed = BTreeMap::new();
+        for trial in 0..3000 {
+            let kind = KINDS[trial % 3];
+            let gps = gpus_per_server(kind);
+            let mut slices = random_slices(kind, &mut next);
+            let nic = match next(12) {
+                0 => [f64::NAN, 0.0, -5.0, f64::INFINITY][next(4)],
+                _ => DEFAULT_NIC_GBPS,
+            };
+            for _ in 0..next(3) {
+                let k = next(slices.len());
+                match next(7) {
+                    // a repeat, in the same listing or another of its server
+                    0 if !slices[k].1.is_empty() => {
+                        let listed = slices[k].1.clone();
+                        let g = listed[next(listed.len())];
+                        slices.push((slices[k].0, vec![g]));
+                    }
+                    1 if !slices[k].1.is_empty() => {
+                        let g = slices[k].1[0];
+                        slices[k].1.push(g);
+                    }
+                    // a GPU of another server, or past the last
+                    2 => slices[k].1.push(GpuId(next(8 * gps))),
+                    3 => slices[k].1.push(GpuId(usize::MAX - next(3))),
+                    // a server whose ids overflow
+                    4 => {
+                        let s = [usize::MAX, usize::MAX / 8, usize::MAX / 16][next(3)];
+                        slices.push((s, vec![GpuId(next(4))]));
+                    }
+                    // listings with no GPUs
+                    5 => slices[k].1.clear(),
+                    6 => slices.push((next(6), Vec::new())),
+                    _ => {}
+                }
+            }
+            if next(40) == 0 {
+                slices.clear();
+            }
+            let direct = placement_topology(kind, nic, &slices);
+            let want = reference::placement_error(kind, nic, &slices);
+            assert_eq!(direct.as_ref().err(), want.as_ref(), "{kind:?} {slices:?}");
+            if let Some(e) = want {
+                *failed
+                    .entry(format!("{e:?}").split('(').next().unwrap().to_string())
+                    .or_insert(0) += 1;
+            }
+        }
+        // every error kind was exercised
+        assert_eq!(failed.len(), 5, "{failed:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "multi_server: NIC bandwidth must be a finite positive number")]
+    fn multi_server_rejects_a_zero_nic_up_front() {
+        multi_server(2, ServerKind::Dgx1V, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "multi_server: NIC bandwidth must be a finite positive number")]
+    fn multi_server_rejects_a_nan_nic_even_on_one_server() {
+        multi_server(1, ServerKind::Dgx2, f64::NAN);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::{GpuId, Link, LinkKind, ServerId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Errors produced while building or querying a [`Topology`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,6 +105,27 @@ impl Topology {
             gpu_caps: BTreeMap::new(),
             server_nics: BTreeMap::new(),
         }
+    }
+
+    /// A topology from parts its caller built valid — distinct GPU ids,
+    /// every link between two of them with a finite positive capacity — so
+    /// no per-link check runs (debug builds still validate).
+    pub(crate) fn from_parts(
+        name: String,
+        gpus: Vec<GpuInfo>,
+        links: Vec<Link>,
+        gpu_caps: BTreeMap<GpuId, f64>,
+        server_nics: BTreeMap<ServerId, f64>,
+    ) -> Self {
+        let t = Topology {
+            name,
+            gpus,
+            links,
+            gpu_caps,
+            server_nics,
+        };
+        debug_assert_eq!(t.validate(), Ok(()));
+        t
     }
 
     /// Sets a per-direction injection/ejection cap (GB/s) for one GPU.
@@ -313,43 +334,53 @@ impl Topology {
     /// This mirrors Blink's runtime topology probing: a job scheduled on GPUs
     /// `{1, 4, 5, 6}` only ever sees the links among those four GPUs.
     ///
+    /// One pass each over the GPUs and the links: membership is a binary
+    /// search in the allocation's sorted ids, and the result's vectors are
+    /// sized before they are filled. GPUs and links keep this topology's
+    /// order; the name is `"{name}[{ids}]"` with the allocation's ids, comma
+    /// separated, in its order.
+    ///
     /// # Errors
     /// Returns an error if the allocation is empty or references a GPU not in
-    /// this topology.
+    /// this topology (the smallest such id).
     pub fn induced(&self, allocation: &[GpuId]) -> crate::Result<Topology> {
         if allocation.is_empty() {
             return Err(TopologyError::EmptyAllocation);
         }
-        let set: BTreeSet<GpuId> = allocation.iter().copied().collect();
-        for &g in &set {
-            if !self.contains(g) {
-                return Err(TopologyError::UnknownGpu(g));
+        // the allocation's distinct ids, ascending, each with whether this
+        // topology has it
+        let mut set: Vec<(GpuId, bool)> = allocation.iter().map(|&g| (g, false)).collect();
+        set.sort_unstable();
+        set.dedup_by_key(|e| e.0);
+        let find = |set: &[(GpuId, bool)], g: GpuId| set.binary_search_by_key(&g, |e| e.0).ok();
+        let mut kept = 0;
+        for g in &self.gpus {
+            if let Some(i) = find(&set, g.id) {
+                set[i].1 = true;
+                kept += 1;
             }
         }
-        let mut sub = Topology::new(format!(
-            "{}[{}]",
-            self.name,
-            allocation
+        if let Some(&(g, _)) = set.iter().find(|e| !e.1) {
+            return Err(TopologyError::UnknownGpu(g));
+        }
+        let member = |g: GpuId| find(&set, g).is_some();
+        let mut gpus = Vec::with_capacity(kept);
+        gpus.extend(self.gpus.iter().filter(|g| member(g.id)).copied());
+        let inside = |l: &&Link| member(l.src) && member(l.dst);
+        let mut links = Vec::with_capacity(self.links.iter().filter(inside).count());
+        links.extend(self.links.iter().filter(inside).copied());
+        Ok(Topology {
+            name: listed_name(&[&self.name], allocation.iter().map(|g| g.0)),
+            gpus,
+            links,
+            gpu_caps: self
+                .gpu_caps
                 .iter()
-                .map(|g| g.0.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-        for g in self.gpus.iter().filter(|g| set.contains(&g.id)) {
-            sub.gpus.push(*g);
-        }
-        for l in self
-            .links
-            .iter()
-            .filter(|l| set.contains(&l.src) && set.contains(&l.dst))
-        {
-            sub.links.push(*l);
-        }
-        for (&g, &cap) in self.gpu_caps.iter().filter(|(g, _)| set.contains(g)) {
-            sub.gpu_caps.insert(g, cap);
-        }
-        sub.server_nics = self.server_nics.clone();
-        Ok(sub)
+                .filter(|(&g, _)| member(g))
+                .map(|(&g, &cap)| (g, cap))
+                .collect(),
+            server_nics: self.server_nics.clone(),
+        })
     }
 
     /// Returns a copy of the topology that keeps only links for which the
@@ -414,6 +445,29 @@ impl Topology {
     }
 }
 
+/// The concatenated `prefix` parts, then `[{ids}]` with the ids comma
+/// separated in their order, written into one `String` sized up front.
+pub(crate) fn listed_name(prefix: &[&str], ids: impl Iterator<Item = usize> + Clone) -> String {
+    let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let (count, digits) = ids
+        .clone()
+        .fold((0usize, 0), |(n, len), id| (n + 1, len + digits(id)));
+    let commas = count.saturating_sub(1);
+    let prefix_len: usize = prefix.iter().map(|p| p.len()).sum();
+    let mut name = String::with_capacity(prefix_len + 2 + digits + commas);
+    prefix.iter().for_each(|p| name.push_str(p));
+    name.push('[');
+    for (i, id) in ids.enumerate() {
+        if i > 0 {
+            name.push(',');
+        }
+        // writing into a `String` cannot fail
+        let _ = write!(name, "{id}");
+    }
+    name.push(']');
+    name
+}
+
 /// The per-link invariants [`Topology::add_link`] and [`Topology::validate`]
 /// enforce: both endpoints are GPUs of the topology (`contains`) and the
 /// capacity is finite and positive.
@@ -443,6 +497,34 @@ impl fmt::Display for Topology {
             writeln!(f, "  {l}")?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Topology {
+    /// Panics unless `self` and `other` are identical: name, GPUs in order,
+    /// links in order with capacities bit for bit, caps and NICs.
+    pub(crate) fn assert_identical(&self, other: &Topology, what: &str) {
+        assert_eq!(self.name, other.name, "{what}: name");
+        assert_eq!(self.gpus, other.gpus, "{what}: GPUs");
+        let bits = |t: &Topology| -> Vec<_> {
+            t.links
+                .iter()
+                .map(|l| (l.src, l.dst, l.kind, l.lanes, l.bandwidth_gbps.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(self), bits(other), "{what}: links");
+        let caps = |t: &Topology| -> Vec<_> {
+            t.gpu_caps.iter().map(|(&g, c)| (g, c.to_bits())).collect()
+        };
+        assert_eq!(caps(self), caps(other), "{what}: caps");
+        let nics = |t: &Topology| -> Vec<_> {
+            t.server_nics
+                .iter()
+                .map(|(&s, n)| (s, n.to_bits()))
+                .collect()
+        };
+        assert_eq!(nics(self), nics(other), "{what}: NICs");
     }
 }
 
@@ -531,12 +613,35 @@ mod tests {
     }
 
     #[test]
+    fn induced_keeps_the_topology_order_and_names_the_allocation_in_its_order() {
+        let t = tiny();
+        let sub = t.induced(&[GpuId(2), GpuId(0), GpuId(2)]).unwrap();
+        assert_eq!(sub.name(), "tiny[2,0,2]");
+        assert_eq!(sub.gpu_ids(), vec![GpuId(0), GpuId(2)]);
+        let ends: Vec<_> = sub.links().iter().map(|l| (l.src, l.dst)).collect();
+        assert_eq!(ends, [(GpuId(0), GpuId(2)), (GpuId(2), GpuId(0))]);
+    }
+
+    #[test]
+    fn listed_names_write_every_id_in_decimal() {
+        let ids = [0, 7, 10, 4096, usize::MAX];
+        let want = format!("a-b[0,7,10,4096,{}]", usize::MAX);
+        assert_eq!(listed_name(&["a-", "b"], ids.into_iter()), want);
+        assert_eq!(listed_name(&["x"], std::iter::empty()), "x[]");
+    }
+
+    #[test]
     fn induced_rejects_bad_allocations() {
         let t = tiny();
         assert_eq!(t.induced(&[]).unwrap_err(), TopologyError::EmptyAllocation);
         assert_eq!(
             t.induced(&[GpuId(17)]).unwrap_err(),
             TopologyError::UnknownGpu(GpuId(17))
+        );
+        // the smallest unknown id, wherever it is listed
+        assert_eq!(
+            t.induced(&[GpuId(1), GpuId(9), GpuId(4)]).unwrap_err(),
+            TopologyError::UnknownGpu(GpuId(4))
         );
     }
 
