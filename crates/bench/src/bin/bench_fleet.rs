@@ -22,8 +22,9 @@
 //! Each section records the replay's deterministic work, read off its plan
 //! store: fresh lowerings, lowering-tier hits, the ops those fresh lowerings
 //! emitted, the compiled forms the lowering tier kept, packs (plan-store
-//! misses), the MWU iterations those packs ran, and planner scratches
-//! created. Wall time
+//! misses), the packs among them that failed, the MWU iterations the packs
+//! ran, and the planner scratches the process's pool created during the
+//! replay. Wall time
 //! — time-to-first-collective (TTFC), plans served per second, recovery
 //! spans — is printed and recorded as context only.
 //!
@@ -34,7 +35,10 @@
 //! — a store is warmed with the same slice shape on other servers (one
 //! fresh lowering, then the hit that compiles its form), and one
 //! `CommunicatorBuilder::from_placement(..).build()` and one first
-//! AllReduce, a lowering-tier hit, are counted.
+//! AllReduce, a lowering-tier hit, are counted. Beside them,
+//! `cold_first_collective` counts what a job pays with nothing to hit: an
+//! isolated-store communicator over DGX-1V GPUs {0, 1, 2, 3}, built and run
+//! through one 64 MiB AllReduce after one warm-up of the same.
 //!
 //! Without arguments: runs both replays and writes `BENCH_fleet.json` to the
 //! working directory.
@@ -54,18 +58,18 @@
 //! * **replay** — the two runs of each section agree event for event, on
 //!   every deterministic counter, and bit for bit on every simulated rate;
 //! * **per-job allocations** — no placement's build or hit first
-//!   collective allocates more than recorded, and each first collective is
-//!   a lowering-tier hit.
+//!   collective, and no cold first collective, allocates more than
+//!   recorded, and each hit first collective is a lowering-tier hit.
 //!
 //! Exits non-zero on regression.
 
 use blink_bench::alloc::{allocations, Counting};
 use blink_bench::{over_recording, percentiles, runner_cpus, Percentiles};
-use blink_core::{CollectiveKind, CommunicatorBuilder, SharedPlanCache};
+use blink_core::{CollectiveKind, Communicator, CommunicatorBuilder, ScratchPool, SharedPlanCache};
 use blink_sched::{
     EventRecord, FaultConfig, FleetConfig, FleetPipeline, FleetReport, JobOutcome, Stage,
 };
-use blink_topology::presets::gpus_per_server;
+use blink_topology::presets::{dgx1v, gpus_per_server};
 use blink_topology::GpuId;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -90,21 +94,24 @@ struct Work {
     compiled_forms: u64,
     /// Plan-store misses: plans packed.
     packs: u64,
+    /// Packs that failed, their link class unable to span the slice.
+    failed_packs: u64,
     /// MWU iterations the packs ran.
     mwu_iterations: u64,
-    /// Planner scratches the store's pool created.
+    /// Planner scratches the process's pool created during the replay.
     scratches_created: u64,
 }
 
 impl Work {
     /// The counters under their recorded keys.
-    fn counters(&self) -> [(&'static str, u64); 7] {
+    fn counters(&self) -> [(&'static str, u64); 8] {
         [
             ("fresh_lowerings", self.fresh_lowerings),
             ("lowering_hits", self.lowering_hits),
             ("lowered_ops", self.lowered_ops),
             ("compiled_forms", self.compiled_forms),
             ("packs", self.packs),
+            ("failed_packs", self.failed_packs),
             ("mwu_iterations", self.mwu_iterations),
             ("scratches_created", self.scratches_created),
         ]
@@ -141,6 +148,7 @@ fn config(chaos: bool) -> FleetConfig {
 
 fn replay(config: FleetConfig) -> Run {
     let mut pipeline = FleetPipeline::new(config.clone());
+    let scratches = ScratchPool::process().created();
     let t0 = Instant::now();
     let report = pipeline.run().expect("fleet pipeline runs to completion");
     let wall_seconds = t0.elapsed().as_secs_f64();
@@ -157,8 +165,9 @@ fn replay(config: FleetConfig) -> Run {
             lowered_ops: store.lowered_ops(),
             compiled_forms: store.compiled_forms(),
             packs: store.stats().1,
+            failed_packs: store.failed_packs(),
             mwu_iterations: store.mwu_iterations(),
-            scratches_created: store.scratch().created(),
+            scratches_created: ScratchPool::process().created() - scratches,
         },
     }
 }
@@ -314,22 +323,70 @@ fn job_allocations(shape: &[&[usize]]) -> JobAllocations {
     }
 }
 
-/// [`job_allocations`] of every [`ALLOCATION_PLACEMENTS`] entry, by name.
-fn per_job_allocations() -> BTreeMap<String, JobAllocations> {
-    ALLOCATION_PLACEMENTS
-        .iter()
-        .map(|(name, shape)| (name.to_string(), job_allocations(shape)))
-        .collect()
+/// Heap allocations of a job with nothing to hit: an isolated-store
+/// communicator over DGX-1V GPUs {0, 1, 2, 3}, built and run through one
+/// 64 MiB AllReduce, after one warm-up of the same (which leaves the
+/// process's scratch pool warm).
+fn cold_first_collective() -> u64 {
+    let gpus = [0, 1, 2, 3].map(GpuId);
+    let cold = |machine| {
+        Communicator::builder(machine)
+            .allocation(&gpus)
+            .isolated_plans()
+            .build()
+            .and_then(|mut comm| comm.run(CollectiveKind::AllReduce, 64 << 20))
+            .expect("a cold DGX-1V job runs")
+    };
+    cold(dgx1v());
+    let machine = dgx1v();
+    let before = allocations();
+    cold(machine);
+    allocations() - before
 }
 
-/// The per-job allocation gate: every placement's counts at most its
-/// recording, and every counted first collective a lowering-tier hit.
-fn allocation_gate(
-    recorded: Option<&serde::Value>,
-    now: &BTreeMap<String, JobAllocations>,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, a) in now {
+/// The fixed per-job costs: a hit first collective per placement, by name,
+/// and one cold first collective. Serialised as one object, the cold count
+/// beside the placements.
+struct PerJobAllocations {
+    placements: BTreeMap<String, JobAllocations>,
+    cold_first_collective: u64,
+}
+
+impl Serialize for PerJobAllocations {
+    fn to_value(&self) -> serde::Value {
+        let mut map = serde::Map::new();
+        for (name, a) in &self.placements {
+            map.insert(name.clone(), a.to_value());
+        }
+        map.insert(
+            "cold_first_collective".to_string(),
+            self.cold_first_collective.to_value(),
+        );
+        serde::Value::Object(map)
+    }
+}
+
+/// [`job_allocations`] of every [`ALLOCATION_PLACEMENTS`] entry, by name,
+/// and [`cold_first_collective`].
+fn per_job_allocations() -> PerJobAllocations {
+    PerJobAllocations {
+        placements: ALLOCATION_PLACEMENTS
+            .iter()
+            .map(|(name, shape)| (name.to_string(), job_allocations(shape)))
+            .collect(),
+        cold_first_collective: cold_first_collective(),
+    }
+}
+
+/// The per-job allocation gate: every count at most its recording, and
+/// every counted hit first collective a lowering-tier hit.
+fn allocation_gate(recorded: Option<&serde::Value>, now: &PerJobAllocations) -> Vec<String> {
+    let mut failures = over_recording(
+        "per_job_allocations",
+        recorded,
+        &[("cold_first_collective", now.cold_first_collective as f64)],
+    );
+    for (name, a) in &now.placements {
         if !a.hit {
             failures.push(format!(
                 "{name}: the counted first collective missed the lowering tier"
@@ -353,7 +410,7 @@ fn allocation_gate(
 struct Report {
     fleet: FleetSection,
     chaos: ChaosSection,
-    per_job_allocations: BTreeMap<String, JobAllocations>,
+    per_job_allocations: PerJobAllocations,
 }
 
 /// Placed multi-GPU jobs: the ones that run a real first collective.
@@ -689,12 +746,17 @@ fn main() {
     );
     eprintln!("fleet work: {:?}", f.work);
     eprintln!("chaos work: {:?}", c.work);
-    for (name, a) in &out.per_job_allocations {
+    let per_job = &out.per_job_allocations;
+    for (name, a) in &per_job.placements {
         eprintln!(
             "{name}: build {} allocations, hit first collective {}",
             a.build, a.first_collective
         );
     }
+    eprintln!(
+        "cold DGX-1V 4-GPU build and first collective: {} allocations",
+        per_job.cold_first_collective
+    );
     eprintln!(
         "wall (context only): TTFC {}; {:.0} plans/sec; chaos recovery {}",
         f.ttfc, f.plans_per_sec, c.recovery
@@ -750,6 +812,7 @@ mod tests {
         lowered_ops: 40_000,
         compiled_forms: 79,
         packs: 341,
+        failed_packs: 30,
         mwu_iterations: 14_842,
         scratches_created: 2,
     };
@@ -765,12 +828,13 @@ mod tests {
 
     #[test]
     fn the_work_gate_fails_any_counter_one_over_its_recording() {
-        let bumps: [fn(&mut Work); 7] = [
+        let bumps: [fn(&mut Work); 8] = [
             |w| w.fresh_lowerings += 1,
             |w| w.lowering_hits += 1,
             |w| w.lowered_ops += 1,
             |w| w.compiled_forms += 1,
             |w| w.packs += 1,
+            |w| w.failed_packs += 1,
             |w| w.mwu_iterations += 1,
             |w| w.scratches_created += 1,
         ];
@@ -797,7 +861,7 @@ mod tests {
         }
         let failures = work_gate(Some(&recorded), &WORK, 1);
         assert_eq!(failures, ["work mwu_iterations is not recorded"]);
-        assert_eq!(work_gate(None, &WORK, 1).len(), 7);
+        assert_eq!(work_gate(None, &WORK, 1).len(), 8);
     }
 
     #[test]
@@ -807,14 +871,18 @@ mod tests {
             first_collective: 1,
             hit: true,
         };
-        let recorded = serde_json::to_value(&BTreeMap::from([("2_gpus_1_server", at)])).unwrap();
+        let per_job = |name: &str, a: JobAllocations, cold: u64| PerJobAllocations {
+            placements: BTreeMap::from([(name.to_string(), a)]),
+            cold_first_collective: cold,
+        };
+        let recorded = per_job("2_gpus_1_server", at, 166).to_value();
         let gate = |a: JobAllocations| {
-            allocation_gate(
-                Some(&recorded),
-                &BTreeMap::from([("2_gpus_1_server".into(), a)]),
-            )
+            allocation_gate(Some(&recorded), &per_job("2_gpus_1_server", a, 166))
         };
         assert!(gate(at).is_empty());
+        let colder = allocation_gate(Some(&recorded), &per_job("2_gpus_1_server", at, 167));
+        assert_eq!(colder.len(), 1, "{colder:?}");
+        assert!(colder[0].contains("cold_first_collective"), "{colder:?}");
         for (over, key) in [
             (JobAllocations { build: 14, ..at }, "build"),
             (
@@ -833,10 +901,7 @@ mod tests {
         assert_eq!(missed.len(), 1, "{missed:?}");
         assert!(missed[0].contains("missed the lowering tier"), "{missed:?}");
         // a placement missing from the recording fails both counts
-        let unrecorded = allocation_gate(
-            Some(&recorded),
-            &BTreeMap::from([("4_gpus_1_server".into(), at)]),
-        );
+        let unrecorded = allocation_gate(Some(&recorded), &per_job("4_gpus_1_server", at, 166));
         assert_eq!(unrecorded.len(), 2, "{unrecorded:?}");
     }
 

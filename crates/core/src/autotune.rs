@@ -28,11 +28,12 @@
 //!   and options. Only handle misses reach the store, and a handle keeps its
 //!   plans even when the store evicts them.
 //!
-//! The store also owns everything else a plan's users would otherwise keep
-//! privately: the one [`ScratchPool`] its communicators pack and simulate
-//! with, and the programs they lower from its plans (the lowering tier,
-//! below). A communicator built for a freshly placed job therefore starts
-//! from warm buffers and takes a lowering the fleet already made.
+//! The store also owns the programs its communicators lower from its plans
+//! (the lowering tier, below), so a communicator built for a freshly placed
+//! job takes a lowering the fleet already made. Buffers are not the store's:
+//! every store packs and simulates on the process's one
+//! [`ScratchPool`](crate::ScratchPool), so a fresh store starts from warm
+//! buffers too.
 //!
 //! The store has one bounded LRU plan tier, keyed by `(rank fingerprint,
 //! root rank, link class)` — the rank fingerprint covers the induced
@@ -43,9 +44,9 @@
 //! order, so a hit is the plan a private pack would make: every
 //! communicator's plans, and so its programs, are a pure function of its
 //! allocation and options, whatever the store saw before. A lookup the tier
-//! misses is packed on the store's [`ScratchPool`] and published. A batch
-//! of lookups (the three-phase planner's per-server roots) packs each
-//! distinct key once, and is the workspace's one thread fan-out: it packs
+//! misses is packed and published. A batch of lookups (the three-phase
+//! planner's per-server roots) packs each distinct key once, and is the
+//! workspace's one thread fan-out: it packs
 //! concurrently only when its work (the summed GPU count of the allocations
 //! it packs) reaches a measured crossover, and inline otherwise.
 //!
@@ -113,10 +114,11 @@
 //! ([`SharedPlanCache::compiled_forms`] counts them). A form names GPUs by
 //! dense index (their position among the simulator's GPU ids), so it runs
 //! a later hit's program wherever that communicator's GPUs sit at the same
-//! dense indices as the first hitter's (every placement of the shape: a
-//! placement's machine is its slices) and the form
-//! [fits](blink_sim::CompiledProgram::fits) its simulator. Anywhere else
-//! (another machine around the same induced topology, a degraded link) the
+//! dense indices as the first hitter's and the form
+//! [fits](blink_sim::CompiledProgram::fits) its simulator. A communicator
+//! simulates its own slice, so that is every slice of the shape, in the
+//! same order, on any server or machine. Anywhere else (GPUs at other
+//! dense indices, a simulator that differs in something the form read) the
 //! run compiles the communicator's own program into its scratch, so a
 //! shared form never changes a schedule. The form lives and dies with its
 //! entry: eviction and invalidation drop it with the lowering.
@@ -135,7 +137,7 @@
 
 use crate::collective::CollectiveKind;
 use crate::communicator::SwitchChoice;
-use crate::treegen::{LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
+use crate::treegen::{LinkSelection, TreeGen, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
 use blink_sim::{CompiledProgram, Program, Simulator};
@@ -485,17 +487,16 @@ fn plan_key(fp: u64, plan: &TreePlan) -> Option<PlanKey> {
 /// re-pack: lookups are keyed by the caller's current fingerprint, so
 /// correctness is never at stake.
 ///
-/// # The lowering tier and the scratch pool
+/// # The lowering tier
 ///
 /// A second tier, bounded the same way, holds lowered programs (see "the
 /// lowering tier" in the module docs); [`SharedPlanCache::lowering_stats`]
-/// counts its hits and misses. The store also owns the one [`ScratchPool`]
-/// every attached communicator packs and simulates with
-/// ([`SharedPlanCache::scratch`]). Cloning the handle shares both.
+/// counts its hits and misses. Cloning the handle shares both tiers. The
+/// store holds no buffers: its packs, and its communicators' runs, check
+/// theirs out of [`ScratchPool::process`](crate::ScratchPool::process).
 #[derive(Debug, Clone, Default)]
 pub struct SharedPlanCache {
     inner: Arc<Mutex<Tiers>>,
-    scratch: ScratchPool,
 }
 
 /// A plan-tier key: `(rank fingerprint, root rank, link class)`, the root's
@@ -511,6 +512,8 @@ struct Tiers {
     lowerings: Tier<LoweringKey, Arc<Lowering>>,
     /// MWU iterations summed over every plan the store packed.
     mwu_iterations: u64,
+    /// Packs that failed (the link class cannot span the slice).
+    failed_packs: u64,
     /// Ops summed over every fresh lowering offered to the lowering tier.
     lowered_ops: u64,
     /// Compiled forms kept in lowering-tier entries.
@@ -523,6 +526,7 @@ impl Default for Tiers {
             plans: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             lowerings: Tier::new(SharedPlanCache::DEFAULT_CAPACITY),
             mwu_iterations: 0,
+            failed_packs: 0,
             lowered_ops: 0,
             compiled_forms: 0,
         }
@@ -809,14 +813,7 @@ impl SharedPlanCache {
                 plans: Tier::new(capacity),
                 ..Tiers::default()
             })),
-            scratch: ScratchPool::new(),
         }
-    }
-
-    /// The scratch pool every communicator attached to this store packs and
-    /// simulates with.
-    pub fn scratch(&self) -> &ScratchPool {
-        &self.scratch
     }
 
     fn lock(&self) -> MutexGuard<'_, Tiers> {
@@ -850,6 +847,13 @@ impl SharedPlanCache {
     /// store packed since creation; a hit in any tier adds none.
     pub fn mwu_iterations(&self) -> u64 {
         self.lock().mwu_iterations
+    }
+
+    /// Packs that failed since creation, because the requested link class
+    /// cannot span the slice from the root. A failed pack is not stored, so
+    /// a later lookup of its key packs (and fails) again.
+    pub fn failed_packs(&self) -> u64 {
+        self.lock().failed_packs
     }
 
     /// Ops summed over every fresh lowering the store was offered since
@@ -939,10 +943,10 @@ impl SharedPlanCache {
     /// `induced`'s GPUs. The batch packs each key it misses once, for the
     /// first request with that key — warm from `seed(root)` when it yields
     /// a stale plan — and every later request with the key takes that pack,
-    /// relabelled, as a hit. Packs run on the store's pool inline, or fanned
-    /// out over one worker per available CPU when the batch's work (the
-    /// summed GPU count of the allocations it packs) reaches
-    /// [`FAN_OUT_MIN_WORK`], and are published in request order. Results
+    /// relabelled, as a hit. Packs run inline, or fanned out over one worker
+    /// per available CPU when the batch's work (the summed GPU count of the
+    /// allocations it packs) reaches [`FAN_OUT_MIN_WORK`], and are published
+    /// in request order. Results
     /// come back one per request, in request order, bit-identical either
     /// way; failed packs are returned, not cached.
     pub(crate) fn resolve(
@@ -1001,7 +1005,7 @@ impl SharedPlanCache {
         let workers = tests::fan_out_seam(armed, workers);
         let packed = fan_out(&packs, workers, |(i, _, seed)| {
             let (induced, _, root) = requests[*i];
-            let tg = TreeGen::with_scratch(induced.clone(), *options, self.scratch.clone());
+            let tg = TreeGen::new(induced.clone(), *options);
             let plan = match seed {
                 Some(seed) => tg.plan_warm(root, seed),
                 None => tg.plan(root),
@@ -1009,10 +1013,13 @@ impl SharedPlanCache {
             plan.map(Arc::new)
         });
         for ((_, key, _), plan) in packs.iter().zip(&packed) {
-            if let Ok(plan) = plan {
-                let mut tiers = self.lock();
-                tiers.mwu_iterations += plan.mwu.iterations as u64;
-                tiers.publish(*key, plan.clone());
+            let mut tiers = self.lock();
+            match plan {
+                Ok(plan) => {
+                    tiers.mwu_iterations += plan.mwu.iterations as u64;
+                    tiers.publish(*key, plan.clone());
+                }
+                Err(_) => tiers.failed_packs += 1,
             }
         }
         answers
@@ -1140,10 +1147,9 @@ pub fn global_plan_cache() -> SharedPlanCache {
 /// A communicator's private handle on its [`SharedPlanCache`] store: plans
 /// memoised per `(root, link class)` under the rank fingerprint and GPUs of
 /// the communicator's current induced topology and options, plus the warm seeds
-/// a delta demoted. Misses go through [`SharedPlanCache::resolve`] and pack
-/// over the store's scratch pool. The handle also records the plans it
-/// serves, so a lowering can list what it read (see "the lowering tier" in
-/// the module docs).
+/// a delta demoted. Misses go through [`SharedPlanCache::resolve`] and pack.
+/// The handle also records the plans it serves, so a lowering can list what
+/// it read (see "the lowering tier" in the module docs).
 ///
 /// A lookup under a different fingerprint or GPUs than the memoised plans
 /// were built under (an unannounced topology or options change) drops them

@@ -46,7 +46,7 @@
 //! verdicts, which enter the key instead.
 //! [`Communicator::run_traced`], [`Communicator::run_streamed`] and
 //! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
-//! simulate on a scratch checked out of the store's pool for one run. A
+//! simulate on a scratch checked out of the process's pool for one run. A
 //! call that hits a stored lowering also runs the engine's compiled form
 //! the tier keeps beside it where that form runs here, so a repeated step,
 //! or the same job shape on another server, skips validating and resolving
@@ -62,9 +62,19 @@
 //! machine model: a placement's topology is written straight into vectors
 //! sized up front ([`placement_topology`]); an allocation spanning the whole
 //! machine (a placement's always does) is its own induced topology, shared
-//! with the simulator rather than copied; the simulator's resource table
-//! reads each GPU's port cap and NIC once; and the plan fingerprint hashes
-//! through a stack buffer while the lowering fingerprint collects nothing.
+//! rather than copied; the simulator runs over the induced topology, so its
+//! resource table sorts only the slice's links and reads each of its GPUs'
+//! port cap and NIC once; and the plan fingerprint hashes through a stack
+//! buffer while the lowering fingerprint collects nothing.
+//!
+//! Simulating the slice rather than the machine changes no schedule: ops
+//! name only the allocation's GPUs, and the slice keeps every link between
+//! them, their capacities, switch ports and NICs. Only the engine's
+//! resource numbers and dense GPU indices change, the latter to positions
+//! within the slice, so a stored compiled form runs for the same slice
+//! shape on any machine. The machine model is kept beside the simulator
+//! for [`Communicator::machine_topology`], replans and process-group
+//! splits.
 
 use crate::autotune::{
     global_plan_cache, rank_fingerprint_and_order, ChunkAutotuner, Lowering, LoweringKey,
@@ -76,7 +86,7 @@ use crate::fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 use crate::hybrid::HybridPlanner;
 use crate::multiserver::three_phase_lowering;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
-use crate::treegen::{LinkSelection, TreeGenOptions, TreePlan};
+use crate::treegen::{LinkSelection, ScratchPool, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate_in, DiGraph, NodeIdx, WeightedTree};
 use blink_sim::{
@@ -399,11 +409,10 @@ impl StreamedRun {
 #[derive(Debug)]
 pub struct Communicator {
     allocation: Vec<GpuId>,
-    /// Shared with the simulator when the allocation spans the whole machine
-    /// model (a placement's always does), which is then its induced
-    /// topology.
-    induced: Arc<Topology>,
-    /// The simulator over the machine model.
+    /// The machine model, shared with the simulator when the allocation
+    /// spans all of it (a placement's always does).
+    machine: Arc<Topology>,
+    /// The simulator over the induced topology, which it holds.
     sim: Simulator,
     options: CommunicatorOptions,
     /// This communicator's handle on its plan store: collectives re-issued
@@ -457,15 +466,11 @@ struct ShapeState {
 }
 
 impl ShapeState {
-    /// The fresh state of a communicator over `allocation`, whose induced
-    /// topology is `induced`, simulated on `sim`.
-    fn new(
-        induced: &Topology,
-        allocation: &[GpuId],
-        options: &CommunicatorOptions,
-        sim: &Simulator,
-    ) -> Self {
-        let (plan_fp, order) = rank_fingerprint_and_order(induced, &options.treegen, allocation);
+    /// The fresh state of a communicator over `allocation`, simulated on
+    /// `sim` over its induced topology.
+    fn new(allocation: &[GpuId], options: &CommunicatorOptions, sim: &Simulator) -> Self {
+        let (plan_fp, order) =
+            rank_fingerprint_and_order(sim.topology(), &options.treegen, allocation);
         let dense = allocation
             .iter()
             .map(|&g| sim.gpu_index(g).unwrap_or(usize::MAX))
@@ -531,15 +536,15 @@ impl Communicator {
         &self.allocation
     }
 
-    /// The induced topology the communicator plans over.
+    /// The induced topology the communicator plans and simulates over.
     pub fn induced_topology(&self) -> &Topology {
-        &self.induced
+        self.sim.topology()
     }
 
     /// The full machine model the communicator was created over (a superset
     /// of [`Communicator::induced_topology`] when the allocation is partial).
     pub fn machine_topology(&self) -> &Topology {
-        self.sim.topology()
+        &self.machine
     }
 
     /// The options the communicator was built with.
@@ -555,7 +560,7 @@ impl Communicator {
 
     /// Whether the allocation spans more than one server.
     pub fn is_multi_server(&self) -> bool {
-        self.induced.servers().len() > 1
+        self.sim.topology().servers().len() > 1
     }
 
     /// Splits this communicator into nested process-group subgroups (one
@@ -758,7 +763,7 @@ impl Communicator {
             };
         }
         let report = session
-            .run_with_scratch(&mut self.plans.store().scratch().checkout().engine)
+            .run_with_scratch(&mut ScratchPool::process().checkout().engine)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
         for (g, span) in out.iter_mut().zip(report.programs) {
             g.end_us = span.end_us;
@@ -1022,7 +1027,7 @@ impl Communicator {
     fn packs_per_root(&self) -> bool {
         self.allocation.len() >= 2
             && !self.is_multi_server()
-            && !is_switch_fabric(&self.induced, &self.allocation)
+            && !is_switch_fabric(self.sim.topology(), &self.allocation)
     }
 
     fn codegen_options(&self, chunk: u64) -> CodeGenOptions {
@@ -1071,7 +1076,7 @@ impl Communicator {
     /// class (the later per-root planning surfaces the real error).
     fn root_sweep(&mut self) -> SweepOutcome {
         let links = self.options.treegen.links;
-        let g = DiGraph::from_topology_filtered(&self.induced, |l| links.matches(l));
+        let g = DiGraph::from_topology_filtered(self.sim.topology(), |l| links.matches(l));
         let candidates: Vec<(GpuId, NodeIdx)> = self
             .allocation
             .iter()
@@ -1096,12 +1101,12 @@ impl Communicator {
                 && optimal_broadcast_rate_in(
                     &g,
                     idx,
-                    &mut self.plans.store().scratch().checkout().certificate,
+                    &mut ScratchPool::process().checkout().certificate,
                 ) <= out.rate_gbps
             {
                 continue;
             }
-            let Ok(plan) = self.plans.plan_for(&self.induced, &treegen, cand) else {
+            let Ok(plan) = self.plans.plan_for(self.sim.topology(), &treegen, cand) else {
                 return SweepOutcome::fallback(self.allocation[0]);
             };
             // Only warm-rebuilt roots contribute repair evidence: kept plans
@@ -1180,19 +1185,19 @@ impl Communicator {
             added_links: delta
                 .added_links
                 .iter()
-                .filter(|l| !self.sim.topology().links().contains(l))
+                .filter(|l| !self.machine.links().contains(l))
                 .copied()
                 .collect(),
             removed_gpus: delta
                 .removed_gpus
                 .iter()
-                .filter(|&&g| self.sim.topology().contains(g))
+                .filter(|&&g| self.machine.contains(g))
                 .copied()
                 .collect(),
             added_gpus: delta
                 .added_gpus
                 .iter()
-                .filter(|g| !self.sim.topology().contains(g.id))
+                .filter(|g| !self.machine.contains(g.id))
                 .copied()
                 .collect(),
             added_gpu_caps: delta.added_gpu_caps.clone(),
@@ -1200,8 +1205,7 @@ impl Communicator {
             changed_server_nics: delta.changed_server_nics.clone(),
         };
         let machine = self
-            .sim
-            .topology()
+            .machine
             .apply_delta(&machine_delta)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
         let mut allocation: Vec<GpuId> = self
@@ -1241,11 +1245,11 @@ impl Communicator {
             allocation = survivors;
         }
         self.allocation = allocation;
-        self.induced = Arc::new(induced);
-        self.sim = Simulator::new(machine, self.options.sim_params);
-        self.shape = ShapeState::new(&self.induced, &self.allocation, &self.options, &self.sim);
+        self.machine = Arc::new(machine);
+        self.sim = Simulator::new(induced, self.options.sim_params);
+        self.shape = ShapeState::new(&self.allocation, &self.options, &self.sim);
         self.plans
-            .note_delta(&self.induced, &self.options.treegen, delta);
+            .note_delta(self.sim.topology(), &self.options.treegen, delta);
         let plans_kept = self.plans.len();
         let seeds_demoted = self.plans.seeded();
         let packed_path = self.packs_per_root();
@@ -1352,7 +1356,7 @@ impl Communicator {
         let cg = CodeGen::new(self.codegen_options(chunk));
 
         // ---- switch fabrics (DGX-2): one-hop vs packed competition ----
-        if is_switch_fabric(&self.induced, &self.allocation) {
+        if is_switch_fabric(self.sim.topology(), &self.allocation) {
             return self.build_switch_program(kind, bytes, chunk);
         }
 
@@ -1368,7 +1372,7 @@ impl Communicator {
         let nvlink_spans = match self.shape.spannable.get(&(root, links)) {
             Some(&spans) => spans,
             None => {
-                let g = DiGraph::from_topology_filtered(&self.induced, |l| links.matches(l));
+                let g = DiGraph::from_topology_filtered(self.sim.topology(), |l| links.matches(l));
                 let spans = g.node(root).map(|i| g.spans_from(i)).unwrap_or(false);
                 self.shape.spannable.insert((root, links), spans);
                 spans
@@ -1378,7 +1382,7 @@ impl Communicator {
             if self.options.use_hybrid {
                 let planner = HybridPlanner::plan_cached(
                     &mut self.plans,
-                    &self.induced,
+                    self.sim.topology(),
                     root,
                     &self.options.treegen,
                 )?;
@@ -1389,7 +1393,9 @@ impl Communicator {
                 return Ok((program, n, strategy, None));
             }
             let treegen_opts = self.options.treegen;
-            let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
+            let plan = self
+                .plans
+                .plan_for(self.sim.topology(), &treegen_opts, root)?;
             let n = plan.num_trees();
             let program = cg.build(&plan.trees, kind, bytes)?;
             let strategy = if plan.mwu.hit_iteration_cap {
@@ -1409,7 +1415,7 @@ impl Communicator {
             link_class: blink_sim::LinkClass::Pcie,
             ..self.codegen_options(chunk)
         });
-        let plan = self.plans.plan_for(&self.induced, &pcie_opts, root)?;
+        let plan = self.plans.plan_for(self.sim.topology(), &pcie_opts, root)?;
         let n = plan.num_trees();
         let capped = plan.mwu.hit_iteration_cap;
         let program = pcie_cg.build(&plan.trees, kind, bytes)?;
@@ -1482,7 +1488,8 @@ impl Communicator {
         match choice {
             SwitchChoice::OneHop => {
                 let cap = self
-                    .induced
+                    .sim
+                    .topology()
                     .gpu_cap(self.allocation[0])
                     .unwrap_or(23.0 * 6.0);
                 let trees: Vec<WeightedTree> = match kind.root() {
@@ -1498,7 +1505,9 @@ impl Communicator {
                 // so rootless collectives skip the root sweep.
                 let root = kind.root().unwrap_or(self.allocation[0]);
                 let treegen_opts = self.options.treegen;
-                let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
+                let plan = self
+                    .plans
+                    .plan_for(self.sim.topology(), &treegen_opts, root)?;
                 let n = plan.num_trees();
                 let program = cg.build(&plan.trees, kind, bytes)?;
                 Ok((
@@ -1517,16 +1526,16 @@ impl Communicator {
         lowered.entry.form_for(&self.shape.dense)
     }
 
-    /// Simulates `program` once on a scratch checked out of the store's
+    /// Simulates `program` once on a scratch checked out of the process's
     /// pool.
     fn simulate(&self, program: &Program) -> Result<RunReport> {
-        let engine = &mut self.plans.store().scratch().checkout().engine;
+        let engine = &mut ScratchPool::process().checkout().engine;
         self.sim
             .run_with_scratch(program, engine)
             .map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 
-    /// Simulates `lowered` once on a scratch checked out of the store's
+    /// Simulates `lowered` once on a scratch checked out of the process's
     /// pool — from its entry's compiled form where that runs here, without
     /// renaming the program, and from its program otherwise — and returns
     /// the total time with, when `spans` asks for them, the per-op spans.
@@ -1538,7 +1547,7 @@ impl Communicator {
             Some(_) => lowered.entry.program.clone(),
             None => lowered.program(&self.allocation),
         };
-        let engine = &mut self.plans.store().scratch().checkout().engine;
+        let engine = &mut ScratchPool::process().checkout().engine;
         let run = if spans {
             match form {
                 Some(form) => self.sim.run_compiled(&program, form, engine),
@@ -1681,8 +1690,8 @@ impl CommunicatorBuilder {
             None => machine.gpu_ids(),
         };
         // An allocation of the whole machine, in its order, induces the
-        // machine itself (a placement's always does): share it with the
-        // simulator rather than re-induce or copy it.
+        // machine itself (a placement's always does): share it rather than
+        // re-induce or copy it.
         let machine = Arc::new(machine);
         let induced = if machine
             .gpus()
@@ -1712,11 +1721,11 @@ impl CommunicatorBuilder {
             None if self.isolated => SharedPlanCache::new(),
             None => global_plan_cache(),
         };
-        let sim = Simulator::new(machine, self.options.sim_params);
-        let shape = ShapeState::new(&induced, &allocation, &self.options, &sim);
+        let sim = Simulator::new(induced, self.options.sim_params);
+        let shape = ShapeState::new(&allocation, &self.options, &sim);
         Ok(Communicator {
             allocation,
-            induced,
+            machine,
             sim,
             options: self.options,
             plans: PlanCache::new(store),
@@ -1769,7 +1778,7 @@ fn largest_connected_component(induced: &Topology, allocation: &[GpuId]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blink_sim::{LinkClass, OpKind};
+    use blink_sim::{EngineScratch, LinkClass, OpKind};
     use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
 
     fn mb(n: u64) -> u64 {
@@ -2762,11 +2771,12 @@ mod tests {
     }
 
     #[test]
-    fn a_form_runs_only_for_allocations_at_its_dense_indices() {
+    fn a_form_runs_for_the_same_slice_shape_on_any_server() {
         // GPUs {0, 1, 3} of servers 0 and 2 of one machine share a lowering
-        // key. On that machine's simulator server 0's form fits server 2's
-        // job too, yet it reads server 0's links, so server 2's job must
-        // compile its own program.
+        // key. Each job simulates its own slice, where its GPUs sit at dense
+        // indices 0, 1, 2, so server 2's job runs server 0's form, and the
+        // run is the one its own compile makes. A whole-machine simulator
+        // reads other links; the form does not fit it.
         let machine = multi_server(4, ServerKind::Dgx1V, 5.0);
         let store = SharedPlanCache::new();
         let on = |gpus: [usize; 3]| {
@@ -2778,19 +2788,30 @@ mod tests {
         };
         let kind = CollectiveKind::AllReduce;
         on([0, 1, 3]).lower(kind, mb(8)).unwrap();
-        let home = on([0, 1, 3]);
-        let (mut again, mut away) = (on([0, 1, 3]), on([16, 17, 19]));
+        let mut again = on([0, 1, 3]);
         let hit = again.lower(kind, mb(8)).unwrap();
         let form = hit
             .entry
             .compiled
             .get()
             .expect("the first hit keeps a form");
-        assert!(form.form.fits(&away.sim));
-        assert!(again.form_for(&hit).is_some() && home.form_for(&hit).is_some());
+        let mut away = on([16, 17, 19]);
         let renamed = away.lower(kind, mb(8)).unwrap();
         assert!(Arc::ptr_eq(&renamed.entry, &hit.entry), "one entry");
-        assert!(away.form_for(&renamed).is_none());
+        assert!(away.form_for(&renamed).is_some() && form.form.fits(&away.sim));
+        assert!(!form
+            .form
+            .fits(&Simulator::new(machine.clone(), SimParams::default())));
+        let (total, spans) = away.simulate_lowered(&renamed, true).unwrap();
+        let own = away
+            .sim
+            .run_with_scratch(
+                &renamed.program(away.allocation()),
+                &mut EngineScratch::new(),
+            )
+            .unwrap();
+        assert_eq!(total.to_bits(), own.total_us.to_bits());
+        assert_eq!(format!("{spans:?}"), format!("{:?}", own.op_spans));
         assert_eq!(store.compiled_forms(), 1);
     }
 

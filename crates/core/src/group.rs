@@ -4,17 +4,19 @@
 //! [`Communicator::split`] partitions one job's allocation with a
 //! [`GroupSplit`] (by server, by stride, or explicit GPU sets) and returns a
 //! [`ProcessGroups`]: one child [`Communicator`] per subgroup, each planning
-//! over its own induced topology, plus a *shared* simulator session built
-//! from the parent's machine model. Because every child plans against the
-//! same machine, concurrent subgroup collectives contend for exactly the
-//! links their induced topologies share — the session's arbitration models
-//! the tensor-parallel/data-parallel overlap a real hierarchical job sees.
+//! and simulating over its own induced topology, plus a *shared* simulator
+//! session built from the parent's machine model. Because every child's
+//! slice is part of that machine, concurrent subgroup collectives contend
+//! for exactly the links their induced topologies share — the session's
+//! arbitration models the tensor-parallel/data-parallel overlap a real
+//! hierarchical job sees.
 //!
 //! Children plan and lower through the parent's plan store exactly as any
 //! communicator on that store would: each child's programs are the ones a
 //! private communicator over the same subgroup lowers, and a repeated split
-//! takes every child's lowerings (and their compiled forms) from the store's
-//! lowering tier.
+//! takes every child's lowerings from the store's lowering tier. The shared
+//! session runs the programs themselves: a compiled form the tier keeps
+//! fits a simulator of its slice, not the machine's.
 //!
 //! [`ProcessGroups::run_concurrent_checked`] is the conformance oracle for
 //! the whole construction: it lowers one collective per subgroup, admits all
@@ -23,7 +25,7 @@
 
 use crate::collective::CollectiveKind;
 use crate::communicator::Communicator;
-use crate::SharedPlanCache;
+use crate::treegen::ScratchPool;
 use crate::{BlinkError, Result};
 use blink_sim::{check_collective, CompiledProgram, Program, Simulator, ValueCheck};
 use blink_topology::{GroupSplit, Topology};
@@ -33,11 +35,9 @@ use std::sync::Arc;
 /// one machine model and one simulator session.
 #[derive(Debug)]
 pub struct ProcessGroups {
-    machine: Topology,
+    /// The simulator over the parent's machine model, which it holds.
     sim: Simulator,
     children: Vec<Communicator>,
-    /// The parent's plan store: its pool serves the shared session's runs.
-    store: SharedPlanCache,
 }
 
 /// One subgroup's outcome inside a [`GroupRun`].
@@ -55,9 +55,9 @@ pub struct GroupCollective {
     /// with the plan store's lowering tier.
     pub program: Arc<Program>,
     /// The compiled form the lowering tier keeps beside the lowering, once
-    /// a call hit it: `program`'s, up to renaming its GPUs by dense index.
-    /// The shared session ran it when it was compiled for GPUs at the
-    /// subgroup's dense indices and fits the machine's simulator.
+    /// a call hit it: `program`'s, up to renaming its GPUs by dense index,
+    /// compiled on a simulator of the subgroup's slice. The shared session
+    /// simulates the machine, so it runs `program` itself.
     pub compiled: Option<Arc<CompiledProgram>>,
     /// Per-op `(start, end)` times on the shared schedule, indexed by the
     /// program's op ids.
@@ -82,7 +82,7 @@ impl ProcessGroups {
             .partition(&machine, parent.allocation())
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
         let options = *parent.options();
-        let store = parent.plan_store().clone();
+        let store = parent.plan_store();
         let mut children = Vec::with_capacity(partitions.len());
         for group in &partitions {
             children.push(
@@ -93,13 +93,8 @@ impl ProcessGroups {
                     .build()?,
             );
         }
-        let sim = Simulator::new(machine.clone(), options.sim_params);
-        Ok(ProcessGroups {
-            machine,
-            sim,
-            children,
-            store,
-        })
+        let sim = Simulator::new(machine, options.sim_params);
+        Ok(ProcessGroups { sim, children })
     }
 
     /// The child communicators, in subgroup order.
@@ -123,9 +118,9 @@ impl ProcessGroups {
         self.children.is_empty()
     }
 
-    /// The machine model every subgroup plans against.
+    /// The machine model every subgroup's slice is part of.
     pub fn machine_topology(&self) -> &Topology {
-        &self.machine
+        self.sim.topology()
     }
 
     /// Runs one collective per subgroup *concurrently* on the shared fabric.
@@ -148,11 +143,8 @@ impl ProcessGroups {
             )));
         }
         let mut groups = Vec::with_capacity(requests.len());
-        // whether each subgroup runs from its entry's compiled form
-        let mut from_form = Vec::with_capacity(requests.len());
         for (child, &(kind, bytes)) in self.children.iter_mut().zip(requests) {
             let (program, compiled, strategy) = if child.allocation().len() < 2 || bytes == 0 {
-                from_form.push(false);
                 (
                     Arc::default(),
                     None,
@@ -160,8 +152,6 @@ impl ProcessGroups {
                 )
             } else {
                 let lowered = child.lower(kind, bytes)?;
-                // children simulate on machines equal to this one
-                from_form.push(child.form_for(&lowered).is_some());
                 (
                     lowered.program(child.allocation()),
                     lowered.entry.compiled.get().map(|c| c.form.clone()),
@@ -183,17 +173,14 @@ impl ProcessGroups {
         // nowhere.
         let mut session = self.sim.session();
         let mut admitted = Vec::with_capacity(groups.len());
-        for (i, (group, from_form)) in groups.iter().zip(from_form).enumerate() {
+        for (i, group) in groups.iter().enumerate() {
             if !group.program.is_empty() {
-                match group.compiled.clone().filter(|_| from_form) {
-                    Some(compiled) => session.admit_compiled(group.program.clone(), compiled, 0.0),
-                    None => session.admit(group.program.clone(), 0.0),
-                };
+                session.admit(group.program.clone(), 0.0);
                 admitted.push(i);
             }
         }
         let report = session
-            .run_with_scratch(&mut self.store.scratch().checkout().engine)
+            .run_with_scratch(&mut ScratchPool::process().checkout().engine)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
         for (i, span) in admitted.into_iter().zip(report.programs) {
             groups[i].end_us = span.end_us;

@@ -6,9 +6,9 @@
 //! * [`treegen`] — the TreeGen stage (Figure 9): probe the topology induced by
 //!   a job's GPU allocation, pack spanning trees with the MWU approximation
 //!   and minimise the number of trees (Sections 3.1–3.2) over a
-//!   [`ScratchPool`] of reusable planning and engine buffers, which the plan
-//!   store ([`SharedPlanCache`]) owns for every communicator attached to it.
-//!   The only thread fan-out is the store's miss batch, armed by the
+//!   [`ScratchPool`] of reusable planning and engine buffers: one pool per
+//!   process ([`ScratchPool::process`]), whatever plan store
+//!   ([`SharedPlanCache`]) a communicator attaches to. The only thread fan-out is the store's miss batch, armed by the
 //!   batch's work and bit-identical to planning it inline.
 //! * [`codegen`] — the CodeGen stage: lower a tree plan into a chunked,
 //!   pipelined transfer program with one stream per link per tree and stream

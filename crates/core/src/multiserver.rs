@@ -61,8 +61,7 @@ fn split_even(total: u64, parts: usize) -> Vec<u64> {
 /// distinct key once (servers with the same local shape share their packs)
 /// and fans out over threads only when its packs are large enough to pay
 /// for them (a two-server, sixteen-GPU DGX-1V job's are; a fleet-sized
-/// fragment's are not). The program is bit-identical either way. Packs use
-/// the store's scratch pool.
+/// fragment's are not). The program is bit-identical either way.
 ///
 /// # Errors
 /// Fails when the allocation lives on a single server (use the single-server

@@ -1,22 +1,23 @@
 //! TreeGen: from a probed topology to a minimal set of weighted spanning
 //! trees (Sections 3.1–3.2 of the paper).
 //!
-//! Every [`TreeGen`] plans over a [`ScratchPool`] — a thread-safe pool of
-//! [`PlannerScratch`] instances, each bundling the reusable MWU packing
-//! buffers ([`blink_graph::PackingScratch`]), the minimisation arenas
+//! Every [`TreeGen`] plans over the process's one [`ScratchPool`]
+//! ([`ScratchPool::process`]) — a thread-safe pool of [`PlannerScratch`]
+//! instances, each bundling the reusable MWU packing buffers
+//! ([`blink_graph::PackingScratch`]), the minimisation arenas
 //! ([`blink_graph::MinimizeScratch`]), a standalone certificate scratch for
 //! certificate-only sweeps and the simulator's [`EngineScratch`] — so
 //! repeated `plan` calls (per-root, as in the three-phase multi-server
 //! AllReduce) and repeated simulations never re-allocate their buffers.
 //!
-//! ## One pool per plan store
+//! ## One pool per process
 //!
-//! * The plan store ([`crate::SharedPlanCache`]) owns the pool every
-//!   communicator attached to it plans and simulates with: a communicator,
-//!   its process groups and its plan handle hold no scratch of their own,
-//!   and check one out for the length of one pack or one simulated run. A
-//!   job placed into a fleet therefore starts from buffers its predecessors
-//!   already grew, and a job that departs takes none with it.
+//! * Every pack, certificate sweep and simulated run in the process checks
+//!   its buffers out of [`ScratchPool::process`]: no plan store,
+//!   communicator, process group or TreeGen holds a scratch of its own. A
+//!   communicator on a fresh private store, or a job placed into a fresh
+//!   fleet, therefore starts from buffers earlier work already grew, and a
+//!   job that departs takes none with it.
 //! * [`ScratchPool::checkout`] pops a warm [`PlannerScratch`] (or creates one
 //!   the first time it is asked); the returned guard hands it back on drop.
 //!   A single-threaded caller therefore cycles one scratch through every
@@ -32,12 +33,12 @@
 //! * Scratch contents never affect results (rule 1 of the contract):
 //!   planning is a pure function of (induced topology, root, options) and a
 //!   simulated run of (program, simulator), whatever shape last used the
-//!   scratch. A batch packed inline and one fanned out over any number of
-//!   workers return **bit-identical** [`TreePlan`]s.
+//!   scratch. Sharing one pool across plan stores shares buffers, never
+//!   plans or programs. A batch packed inline and one fanned out over any
+//!   number of workers return **bit-identical** [`TreePlan`]s.
 //!
-//! [`TreeGen::new`] plans over a pool of its own; [`TreeGen::with_scratch`]
-//! shares a caller's, which is how the store's packs reuse one set of
-//! buffers.
+//! [`ScratchPool::new`] makes a pool of its own, for tests that pin that
+//! buffer contract on a scratch whose history they control.
 
 use crate::{BlinkError, Result};
 use blink_graph::{
@@ -49,7 +50,7 @@ use blink_sim::EngineScratch;
 use blink_topology::{GpuId, LinkKind, Topology};
 use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The full set of reusable buffers one plan-and-run needs: the MWU packing
 /// scratch, the tree-minimisation scratch (which embeds a certificate
@@ -88,7 +89,8 @@ impl PlannerScratch {
 /// Cloning the pool handle shares the underlying scratches. See the module
 /// docs for the checkout/return contract; the short version is: one scratch
 /// per concurrent checkout, buffers only — results never depend on which
-/// scratch served them.
+/// scratch served them. Planning and simulation use the process's pool,
+/// [`ScratchPool::process`].
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {
     inner: Arc<Mutex<Pool>>,
@@ -103,8 +105,18 @@ struct Pool {
 
 impl ScratchPool {
     /// Creates an empty pool. Scratches are created lazily on first checkout.
+    /// Everything in the workspace plans and simulates on
+    /// [`ScratchPool::process`]; a pool of one's own is for tests of the
+    /// buffer contract.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The process's one pool, which every pack, certificate sweep and
+    /// simulated run checks its buffers out of.
+    pub fn process() -> &'static ScratchPool {
+        static PROCESS: OnceLock<ScratchPool> = OnceLock::new();
+        PROCESS.get_or_init(ScratchPool::new)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Pool> {
@@ -288,40 +300,22 @@ impl TreePlan {
 /// The TreeGen stage: owns the induced topology for one job and produces
 /// [`TreePlan`]s for requested roots.
 ///
-/// Cloning a TreeGen shares its packing scratch pool (buffer reuse, not
-/// state: scratch contents never affect results — see the bit-identical
-/// regression test in `tests/properties.rs`). A TreeGen is `Sync`:
-/// [`TreeGen::plan`] may be called from several threads at once, each call
-/// checking its own scratch out of the pool.
+/// Every plan checks its buffers out of [`ScratchPool::process`] (buffer
+/// reuse, not state: scratch contents never affect results — see the
+/// bit-identical regression test in `tests/properties.rs`). A TreeGen is
+/// `Sync`: [`TreeGen::plan`] may be called from several threads at once,
+/// each call checking its own scratch out of the pool.
 #[derive(Debug, Clone)]
 pub struct TreeGen {
     topology: Topology,
     options: TreeGenOptions,
-    scratch: ScratchPool,
 }
 
 impl TreeGen {
     /// Creates a TreeGen over the (already induced) topology of a job's
-    /// allocation, with its own packing scratch.
+    /// allocation.
     pub fn new(topology: Topology, options: TreeGenOptions) -> Self {
-        Self::with_scratch(topology, options, ScratchPool::new())
-    }
-
-    /// Creates a TreeGen that packs over caller-provided scratch buffers, so
-    /// several TreeGens (e.g. one per link class, or the hybrid planner's
-    /// pair) share one set of allocations.
-    pub fn with_scratch(topology: Topology, options: TreeGenOptions, scratch: ScratchPool) -> Self {
-        TreeGen {
-            topology,
-            options,
-            scratch,
-        }
-    }
-
-    /// The packing scratch this TreeGen plans with (clone the handle to share
-    /// it with further TreeGens).
-    pub fn scratch(&self) -> &ScratchPool {
-        &self.scratch
+        TreeGen { topology, options }
     }
 
     /// The induced topology this TreeGen plans over.
@@ -396,7 +390,7 @@ impl TreeGen {
                 mwu: PackingStats::trivial(),
             });
         }
-        let mut guard = self.scratch.checkout();
+        let mut guard = ScratchPool::process().checkout();
         let scratch = &mut *guard;
         let opts = &self.options.packing;
         let (packing, stats) = match warm {

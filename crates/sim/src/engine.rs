@@ -209,9 +209,9 @@
 //! from the running simulator's resource table on every run, so a scratch
 //! last used on a 16-GPU DGX-2 serves a two-GPU slice unchanged, and the
 //! other way round. That is what lets `blink-core` keep engine scratches in
-//! its plan store's pool, next to the planning buffers, and hand whichever
+//! one pool per process, next to the planning buffers, and hand whichever
 //! is free to whichever communicator runs next, instead of each
-//! communicator (or process group) holding one for its lifetime.
+//! communicator (or process group, or plan store) holding one.
 //!
 //! A [`CompiledProgram`] is not a buffer. It is immutable once compiled,
 //! owned by whoever keeps it, `Send` and `Sync`, and independent of any
@@ -862,10 +862,17 @@ const _: () = {
 };
 
 /// Executes [`Program`]s against a [`Topology`] with given [`SimParams`].
+///
+/// A program that names only some GPUs runs the same, bit for bit, on a
+/// simulator of the topology those GPUs induce as on one of the whole
+/// machine: the induced topology keeps every link between them, with its
+/// capacity, and every switch-port cap and NIC they reach. Only resource
+/// numbers and dense GPU indices differ. `blink-core`'s communicators
+/// therefore simulate their own slice, whose table is smaller to build.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     /// Shared, so a caller that keeps the same topology for itself (a
-    /// communicator over a whole placement) holds one copy.
+    /// machine spanned whole, as a placement's is) holds one copy.
     topology: Arc<Topology>,
     params: SimParams,
     resources: ResourceTable,

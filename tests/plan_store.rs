@@ -1,7 +1,8 @@
-//! The plan store as the owner of scratch and lowerings: a scratch's history
-//! never changes a plan, a program or a schedule, and a lowering taken from
-//! the store's lowering tier is the one a communicator would have lowered
-//! afresh — down to the state a later replan starts from.
+//! The plan store as the owner of lowerings, over the process's one scratch
+//! pool: a scratch's history never changes a plan, a program or a schedule,
+//! and a lowering taken from the store's lowering tier is the one a
+//! communicator would have lowered afresh — down to the state a later replan
+//! starts from.
 
 use blink::prelude::*;
 use blink_core::multiserver::three_phase_allreduce_cached;
@@ -70,11 +71,11 @@ impl Shape {
         }
     }
 
-    /// Plans the shape over `pool`, lowers an AllReduce from the plan and
-    /// simulates it on the pool's engine scratch.
+    /// Plans the shape (on the process's pool, as every plan is), lowers an
+    /// AllReduce from the plan and simulates it on `pool`'s engine scratch.
     fn plan_and_run(&self, pool: &ScratchPool) -> (TreePlan, Program, RunReport) {
         let induced = self.machine.induced(&self.alloc).unwrap();
-        let plan = TreeGen::with_scratch(induced, self.options(), pool.clone())
+        let plan = TreeGen::new(induced, self.options())
             .plan(self.root)
             .unwrap();
         let class = match self.links {
@@ -101,8 +102,9 @@ fn a_pool_last_used_by_any_shape_plans_and_runs_bit_identically() {
     let (large, small) = (&shapes[5], &shapes[2]);
     for shape in &shapes {
         let (plan, program, run) = shape.plan_and_run(&ScratchPool::new());
-        // the pool's last user was larger (the whole DGX-2) or smaller (a
-        // PCIe pair) than this shape, or this very shape
+        // the engine pool's last user, and the process pool's last planner
+        // on this thread, was larger (the whole DGX-2) or smaller (a PCIe
+        // pair) than this shape, or this very shape
         for last in [large, small, shape] {
             let pool = ScratchPool::new();
             last.plan_and_run(&pool);
@@ -138,17 +140,18 @@ fn a_store_whose_pool_is_warm_lowers_the_three_phase_program_unchanged() {
     let (fresh, info) = lower(&SharedPlanCache::new());
     let sim = Simulator::new(machine.clone(), SimParams::default());
     let fresh_run = sim.run(&fresh).unwrap();
+    // every store packs and simulates on the process's pool, which the
+    // whole DGX-2, then a PCIe pair, used last
+    let pool = ScratchPool::process();
     for last in [&shapes()[5], &shapes()[2]] {
-        let store = SharedPlanCache::new();
-        last.plan_and_run(store.scratch());
-        let (program, warm_info) = lower(&store);
+        last.plan_and_run(pool);
+        let (program, warm_info) = lower(&SharedPlanCache::new());
         assert_eq!(program, fresh);
         assert_eq!(info.roots, warm_info.roots);
         let run = sim
-            .run_with_scratch(&program, &mut store.scratch().checkout().engine)
+            .run_with_scratch(&program, &mut pool.checkout().engine)
             .unwrap();
         assert_eq!(run_bits(&run), run_bits(&fresh_run));
-        assert_eq!(store.scratch().created(), 1);
     }
 }
 
