@@ -24,9 +24,10 @@
 //! emitted, the compiled forms the lowering tier kept, packs (plan-store
 //! misses), the packs among them that failed, the MWU iterations the packs
 //! ran, and the planner scratches the process's pool created during the
-//! replay. Wall time
-//! — time-to-first-collective (TTFC), plans served per second, recovery
-//! spans — is printed and recorded as context only.
+//! replay beyond the one warm scratch it starts from (a replay plans on
+//! one thread, so any is a regression). Wall time — time-to-first-collective
+//! (TTFC), plans served per second, recovery spans — is printed and
+//! recorded as context only.
 //!
 //! A third section, `per_job_allocations`, records the fixed cost every
 //! placed job pays before its first AllReduce, as heap allocations (the
@@ -46,9 +47,7 @@
 //! With `--check`: runs both replays twice (well under a second) and fails,
 //! on every runner, unless
 //!
-//! * **work** — no counter of either section's `work` exceeds its recording
-//!   (scratches created may reach the runner's CPU count, the most the plan
-//!   store's fan-out checks out at once);
+//! * **work** — no counter of either section's `work` exceeds its recording;
 //! * **fleet** — sampled first collectives pass the oracle, the plan store
 //!   and the lowering tier hit, the stream fragments into three-phase jobs,
 //!   and placements, rejections and stage events balance;
@@ -64,7 +63,7 @@
 //! Exits non-zero on regression.
 
 use blink_bench::alloc::{allocations, Counting};
-use blink_bench::{over_recording, percentiles, runner_cpus, Percentiles};
+use blink_bench::{over_recording, percentiles, Percentiles};
 use blink_core::{CollectiveKind, Communicator, CommunicatorBuilder, ScratchPool, SharedPlanCache};
 use blink_sched::{
     EventRecord, FaultConfig, FleetConfig, FleetPipeline, FleetReport, JobOutcome, Stage,
@@ -98,7 +97,8 @@ struct Work {
     failed_packs: u64,
     /// MWU iterations the packs ran.
     mwu_iterations: u64,
-    /// Planner scratches the process's pool created during the replay.
+    /// Planner scratches the process's pool created during the replay,
+    /// beyond the one warm scratch it starts from.
     scratches_created: u64,
 }
 
@@ -148,6 +148,10 @@ fn config(chaos: bool) -> FleetConfig {
 
 fn replay(config: FleetConfig) -> Run {
     let mut pipeline = FleetPipeline::new(config.clone());
+    // A caller on one thread cycles one scratch through every pack and run,
+    // so start from one warm scratch: the replay then counts the scratches
+    // beyond it, whatever ran in the process before.
+    drop(ScratchPool::process().checkout());
     let scratches = ScratchPool::process().created();
     let t0 = Instant::now();
     let report = pipeline.run().expect("fleet pipeline runs to completion");
@@ -174,7 +178,6 @@ fn replay(config: FleetConfig) -> Run {
 
 #[derive(Serialize)]
 struct FleetSectionConfig {
-    workers: usize,
     servers: usize,
     jobs: usize,
     collective_bytes: u64,
@@ -215,7 +218,6 @@ struct FleetSection {
 
 #[derive(Serialize)]
 struct ChaosSectionConfig {
-    workers: usize,
     servers: usize,
     jobs: usize,
     collective_bytes: u64,
@@ -431,7 +433,6 @@ fn fleet_section(run: &Run) -> FleetSection {
     };
     FleetSection {
         config: FleetSectionConfig {
-            workers: runner_cpus(),
             servers: config.servers,
             jobs: config.jobs,
             collective_bytes: config.collective_bytes,
@@ -483,7 +484,6 @@ fn chaos_section(run: &Run) -> ChaosSection {
         .collect();
     ChaosSection {
         config: ChaosSectionConfig {
-            workers: runner_cpus(),
             servers: config.servers,
             jobs: config.jobs,
             collective_bytes: config.collective_bytes,
@@ -641,14 +641,9 @@ fn chaos_gates(run: &Run, out: &ChaosSection) -> Vec<String> {
     failures
 }
 
-/// The work gate: no counter may exceed its recording, except that
-/// scratches created may reach `cpus`.
-fn work_gate(recorded: Option<&serde::Value>, work: &Work, cpus: usize) -> Vec<String> {
-    let counters = work.counters().map(|(key, n)| {
-        // as many scratches as the runner has CPUs are never over the bound
-        let free = key == "scratches_created" && n <= cpus as u64;
-        (key, if free { 0.0 } else { n as f64 })
-    });
+/// The work gate: no counter may exceed its recording.
+fn work_gate(recorded: Option<&serde::Value>, work: &Work) -> Vec<String> {
+    let counters = work.counters().map(|(key, n)| (key, n as f64));
     over_recording("work", recorded, &counters)
 }
 
@@ -658,11 +653,6 @@ fn work_gate(recorded: Option<&serde::Value>, work: &Work, cpus: usize) -> Vec<S
 fn determinism_gate(a: &Run, b: &Run) -> Vec<String> {
     let order = |run: &Run| -> Vec<(u64, Stage)> {
         run.records.iter().map(|r| (r.job_id, r.stage)).collect()
-    };
-    // scratches created depend on how the fan-out's workers interleave
-    let work = |run: &Run| Work {
-        scratches_created: 0,
-        ..run.work
     };
     let counters = |r: &FleetReport| {
         (
@@ -677,7 +667,7 @@ fn determinism_gate(a: &Run, b: &Run) -> Vec<String> {
     if order(a) != order(b) {
         failures.push("event order differs between two replays".to_string());
     }
-    if counters(&a.report) != counters(&b.report) || work(a) != work(b) {
+    if counters(&a.report) != counters(&b.report) || a.work != b.work {
         failures.push("counters differ between two replays".to_string());
     }
     let (ra, rb) = (&a.report.outcomes, &b.report.outcomes);
@@ -777,7 +767,7 @@ fn main() {
     for (name, run) in [("fleet", &fleet), ("chaos", &chaos)] {
         let section = recorded.get(name).and_then(|s| s.get("work"));
         let rerun = replay(run.config.clone());
-        for failure in work_gate(section, &run.work, runner_cpus())
+        for failure in work_gate(section, &run.work)
             .into_iter()
             .chain(determinism_gate(run, &rerun))
         {
@@ -823,7 +813,7 @@ mod tests {
 
     #[test]
     fn the_work_gate_passes_at_the_recording() {
-        assert!(work_gate(Some(&recorded()), &WORK, 1).is_empty());
+        assert!(work_gate(Some(&recorded()), &WORK).is_empty());
     }
 
     #[test]
@@ -841,16 +831,10 @@ mod tests {
         for (bump, (key, _)) in bumps.iter().zip(WORK.counters()) {
             let mut work = WORK;
             bump(&mut work);
-            let failures = work_gate(Some(&recorded()), &work, 2);
+            let failures = work_gate(Some(&recorded()), &work);
             assert_eq!(failures.len(), 1, "{key}: {failures:?}");
             assert!(failures[0].contains(key), "{failures:?}");
         }
-        // scratches up to the runner's CPU count pass
-        let work = Work {
-            scratches_created: 4,
-            ..WORK
-        };
-        assert!(work_gate(Some(&recorded()), &work, 4).is_empty());
     }
 
     #[test]
@@ -859,9 +843,9 @@ mod tests {
         if let serde::Value::Object(map) = &mut recorded {
             map.remove("mwu_iterations");
         }
-        let failures = work_gate(Some(&recorded), &WORK, 1);
+        let failures = work_gate(Some(&recorded), &WORK);
         assert_eq!(failures, ["work mwu_iterations is not recorded"]);
-        assert_eq!(work_gate(None, &WORK, 1).len(), 8);
+        assert_eq!(work_gate(None, &WORK).len(), 8);
     }
 
     #[test]

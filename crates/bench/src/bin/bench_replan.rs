@@ -24,7 +24,7 @@
 //! scenario's packs or MWU iterations exceed the recording. Exits non-zero
 //! on regression.
 
-use blink_bench::{over_recording, percentiles, runner_cpus, Percentiles};
+use blink_bench::{over_recording, percentiles, Percentiles};
 use blink_core::{CollectiveKind, Communicator, ReplanReport, SharedPlanCache};
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology, TopologyDelta};
@@ -145,7 +145,6 @@ struct ScenarioReport {
 
 #[derive(Serialize)]
 struct Config {
-    workers: usize,
     quick: bool,
     warm_runs: usize,
     cold_runs: usize,
@@ -266,7 +265,6 @@ fn measure(quick: bool) -> Report {
         .collect();
     Report {
         config: Config {
-            workers: runner_cpus(),
             quick,
             warm_runs,
             cold_runs,

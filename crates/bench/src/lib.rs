@@ -25,14 +25,6 @@ pub mod measure;
 
 pub use measure::{blink_collective, nccl_collective, CollectiveMeasurement};
 
-/// The CPUs this runner exposes (`std::thread::available_parallelism`, 1
-/// when unknown). The `bench_*` binaries record it as `workers` for context;
-/// it arms no gate, and only `bench_fleet` reads it again, to let planner
-/// scratches created reach it.
-pub fn runner_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Wall-clock latency of one sample set, as the `bench_*` binaries record
 /// it (context only, never gated): the median, the highest whole percentile
 /// with at least ten samples beyond it, and the sample count.

@@ -44,11 +44,9 @@
 //! order, so a hit is the plan a private pack would make: every
 //! communicator's plans, and so its programs, are a pure function of its
 //! allocation and options, whatever the store saw before. A lookup the tier
-//! misses is packed and published. A batch of lookups (the three-phase
-//! planner's per-server roots) packs each distinct key once, and is the
-//! workspace's one thread fan-out: it packs
-//! concurrently only when its work (the summed GPU count of the allocations
-//! it packs) reaches a measured crossover, and inline otherwise.
+//! misses is packed on the caller's thread and published, so a later lookup
+//! of the key (the three-phase planner's next server of the same local
+//! shape, say) hits it.
 //!
 //! # Delta invalidation and warm seeds
 //!
@@ -146,7 +144,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A 64-bit fingerprint of everything (besides the root and link class) a
@@ -681,9 +678,10 @@ impl<K: Ord + Clone, V: Clone> Tier<K, V> {
 
     /// Stores `value`, evicting least-recently-used entries past the bound,
     /// and returns the keys whose entries went away: `key` itself if it was
-    /// present, then every evicted key. Two workers racing to plan the same
-    /// key simply overwrite each other with equivalent plans (planning is a
-    /// pure function of the keyed inputs).
+    /// present, then every evicted key. Two communicators on different
+    /// threads that miss the same key both pack it, and the later insert
+    /// overwrites the earlier with an equal plan (planning is a pure
+    /// function of the keyed inputs).
     fn insert(&mut self, key: K, value: V) -> Vec<K> {
         self.tick += 1;
         let mut displaced = Vec::new();
@@ -717,79 +715,6 @@ impl<K: Ord + Clone, V: Clone> Tier<K, V> {
         }
         evicted
     }
-}
-
-/// The batch work — summed GPU count of the allocations a
-/// [`SharedPlanCache`] miss batch packs — at which the batch fans out over
-/// threads instead of packing inline.
-///
-/// Spawning workers costs ~100 µs per batch, which a two-GPU slice never
-/// earns back. Measured on a 2-vCPU x86-64 host: cold three-phase batches
-/// on DGX-1V servers and a fresh store, 1 MiB, median µs of 40 calls,
-/// packed inline vs over two workers (a range where two runs differed):
-///
-/// | GPUs per server | work | inline µs | 2 workers µs | speedup |
-/// |---|---:|---:|---:|---:|
-/// | 1+1 | 2 | 15 | 110 | 0.13× |
-/// | 2+2 | 8 | 73 | 235 | 0.31× |
-/// | 2+2+2+2 | 16 | 144 | 221 | 0.65× |
-/// | 3+5 | 24 | 263 | 376 | 0.70× |
-/// | 3+7 | 30 | 3,950 | 3,047 | 1.30× |
-/// | 4+4 | 32 | 1,327 | 1,044 | 1.27× |
-/// | 2 on each of 8 servers | 32 | 544 | 710 | 0.77× |
-/// | 5+5 | 50 | 529–580 | 760–769 | 0.70–0.75× |
-/// | 4+4+4+4 | 64 | 2,368–4,705 | 1,962–3,508 | 1.21–1.34× |
-/// | 6+6+4 | 64 | 4,262–4,351 | 2,733–3,243 | 1.31–1.59× |
-/// | 5+5+6 | 80 | 1,672–2,076 | 1,465–2,575 | 0.81–1.14× |
-/// | 8+8 | 128 | 20,551 | 13,196 | 1.56× |
-///
-/// Below 64, fan-out loses on most shapes, every fleet-sized slice among
-/// them, and wins only where a few large packs dominate (3+7, 4+4). From 64
-/// on it wins, or ties within the host's noise (5+5+6). Per-pack cost
-/// depends on a slice's wiring, not only its size, so no size threshold
-/// separates the rows exactly; 64 keeps inline every shape that lost in
-/// both runs.
-///
-/// The table predates the per-batch merge of equal plan keys, when every
-/// server packed its own roots. A batch now packs one server's roots per
-/// distinct local shape, so rows that repeat one shape (1+1, 2+2, 4+4,
-/// 4+4+4+4, 8+8, 2 on each of 8 servers) pack and weigh one server's share:
-/// 8+8 is work 64 and still fans out, 4+4+4+4 is work 16 and packs inline.
-const FAN_OUT_MIN_WORK: usize = 64;
-
-/// Maps `tasks` through `f` over `workers` scoped threads (capped at the
-/// task count), or inline with no thread spawned when that is at most one.
-/// Results come back in task order. The work distribution (an atomic
-/// cursor) is racy by design, but `f` is pure per task, so the output is
-/// deterministic. A panic in `f` propagates to the caller.
-fn fan_out<T: Sync, R: Send>(tasks: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let workers = workers.min(tasks.len());
-    if workers <= 1 {
-        return tasks.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else {
-                            return out;
-                        };
-                        out.push((i, f(task)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, r)| r).collect()
 }
 
 impl SharedPlanCache {
@@ -937,108 +862,51 @@ impl SharedPlanCache {
         }
     }
 
-    /// The one lookup-or-pack-and-publish routine. Each `(induced, fp,
-    /// root)` request, `fp` being `induced`'s [`rank_fingerprint`], is
-    /// looked up in the plan tier; a hit comes back relabelled onto
-    /// `induced`'s GPUs. The batch packs each key it misses once, for the
-    /// first request with that key — warm from `seed(root)` when it yields
-    /// a stale plan — and every later request with the key takes that pack,
-    /// relabelled, as a hit. Packs run inline, or fanned out over one worker
-    /// per available CPU when the batch's work (the summed GPU count of the
-    /// allocations it packs) reaches [`FAN_OUT_MIN_WORK`], and are published
-    /// in request order. Results
-    /// come back one per request, in request order, bit-identical either
-    /// way; failed packs are returned, not cached.
+    /// The one lookup-or-pack-and-publish routine: the plan for `root` on
+    /// `induced`, `fp` being `induced`'s [`rank_fingerprint`]. A plan-tier
+    /// hit comes back relabelled onto `induced`'s GPUs. A miss packs on the
+    /// calling thread — warm from `seed` when one is given — and is
+    /// published; a failed pack is counted and returned, not cached.
     pub(crate) fn resolve(
         &self,
         options: &TreeGenOptions,
-        requests: &[(&Topology, u64, GpuId)],
-        mut seed: impl FnMut(GpuId) -> Option<Arc<TreePlan>>,
-    ) -> Vec<Result<Arc<TreePlan>>> {
-        /// How a request is answered: now, or by the batch's `n`-th pack.
-        enum Answer {
-            Now(Result<Arc<TreePlan>>),
-            Pack(usize),
-        }
-        let links = options.links;
-        let mut answers = Vec::with_capacity(requests.len());
-        // per pack: the request it packs for, its key and its warm seed
-        let mut packs: Vec<(usize, PlanKey, Option<Arc<TreePlan>>)> = Vec::new();
-        for (i, &(induced, fp, root)) in requests.iter().enumerate() {
-            let Some(rank) = induced.gpus().iter().position(|g| g.id == root) else {
-                let e = BlinkError::Planning(format!("root {root} is not in the allocation"));
-                answers.push(Answer::Now(Err(e)));
-                continue;
-            };
-            let key = (fp, rank, links);
-            let mut tiers = self.lock();
-            if let Some(pack) = packs.iter().position(|p| p.1 == key) {
-                tiers.plans.hits += 1;
-                answers.push(Answer::Pack(pack));
-                continue;
-            }
-            let mut hit = None;
-            tiers.plans.get_if(&key, |stored| {
-                hit = relabelled(stored, gpu_ids(induced));
-                hit.is_some()
-            });
-            drop(tiers);
-            answers.push(match hit {
-                Some(plan) => Answer::Now(Ok(plan)),
-                None => {
-                    packs.push((i, key, seed(root)));
-                    Answer::Pack(packs.len() - 1)
-                }
-            });
-        }
-        let work: usize = packs
-            .iter()
-            .map(|&(i, ..)| requests[i].0.gpus().len())
-            .sum();
-        let armed = work >= FAN_OUT_MIN_WORK;
-        let workers = if armed {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            1
+        induced: &Topology,
+        fp: u64,
+        root: GpuId,
+        seed: Option<Arc<TreePlan>>,
+    ) -> Result<Arc<TreePlan>> {
+        let Some(rank) = induced.gpus().iter().position(|g| g.id == root) else {
+            return Err(BlinkError::Planning(format!(
+                "root {root} is not in the allocation"
+            )));
         };
-        #[cfg(test)]
-        let workers = tests::fan_out_seam(armed, workers);
-        let packed = fan_out(&packs, workers, |(i, _, seed)| {
-            let (induced, _, root) = requests[*i];
-            let tg = TreeGen::new(induced.clone(), *options);
-            let plan = match seed {
-                Some(seed) => tg.plan_warm(root, seed),
-                None => tg.plan(root),
-            };
-            plan.map(Arc::new)
+        let key = (fp, rank, options.links);
+        let mut hit = None;
+        self.lock().plans.get_if(&key, |stored| {
+            hit = relabelled(stored, gpu_ids(induced));
+            hit.is_some()
         });
-        for ((_, key, _), plan) in packs.iter().zip(&packed) {
-            let mut tiers = self.lock();
-            match plan {
-                Ok(plan) => {
-                    tiers.mwu_iterations += plan.mwu.iterations as u64;
-                    tiers.publish(*key, plan.clone());
-                }
-                Err(_) => tiers.failed_packs += 1,
+        if let Some(plan) = hit {
+            return Ok(plan);
+        }
+        let tg = TreeGen::new(induced.clone(), *options);
+        let plan = match seed {
+            Some(seed) => tg.plan_warm(root, &seed),
+            None => tg.plan(root),
+        };
+        let mut tiers = self.lock();
+        match plan {
+            Ok(plan) => {
+                let plan = Arc::new(plan);
+                tiers.mwu_iterations += plan.mwu.iterations as u64;
+                tiers.publish(key, plan.clone());
+                Ok(plan)
+            }
+            Err(e) => {
+                tiers.failed_packs += 1;
+                Err(e)
             }
         }
-        answers
-            .into_iter()
-            .zip(requests)
-            .map(|(answer, &(induced, ..))| {
-                // `fan_out` returns one result per pack, in order
-                let pack = match answer {
-                    Answer::Now(plan) => return plan,
-                    Answer::Pack(pack) => &packed[pack],
-                };
-                // Requests with equal keys have equal rank fingerprints, so
-                // relabelling fails only if two shapes' fingerprints collide.
-                let plan = pack.as_ref().map_err(Clone::clone)?;
-                relabelled(plan, gpu_ids(induced)).ok_or_else(|| {
-                    BlinkError::Planning("plan fingerprints of two slices collide".into())
-                })
-            })
-            .collect()
     }
 
     /// Re-files the plans memoised under fingerprint `old` after a caller
@@ -1344,15 +1212,8 @@ impl PlanCache {
             self.reads.push((fp, plan.clone()));
             return Ok(plan.clone());
         }
-        let seeds = &mut self.seeds;
-        // `resolve` answers its requests one to one, merged or not
-        let plan = self
-            .store
-            .resolve(options, &[(induced, fp, root)], |root| {
-                seeds.remove(&(root, links))
-            })
-            .pop()
-            .expect("resolve answers every request")?;
+        let seed = self.seeds.remove(&(root, links));
+        let plan = self.store.resolve(options, induced, fp, root, seed)?;
         self.plans.insert((root, links), plan.clone());
         self.reads.push((fp, plan.clone()));
         Ok(plan)
@@ -1455,7 +1316,6 @@ impl Default for ChunkAutotuner {
 mod tests {
     use super::*;
     use blink_topology::presets::dgx1v;
-    use std::cell::Cell;
 
     /// A handle on a fresh private store.
     fn handle() -> PlanCache {
@@ -1960,149 +1820,6 @@ mod tests {
             .iter()
             .map(|&r| cache.plan_for(induced, opts, r).unwrap())
             .collect()
-    }
-
-    thread_local! {
-        /// `Some(n)`: every miss batch `resolve` packs on this thread fans
-        /// out over `n` workers, whatever its work.
-        static FORCED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
-        /// Whether the last miss batch `resolve` packed on this thread
-        /// reached the fan-out crossover.
-        static LAST_ARMED: Cell<Option<bool>> = const { Cell::new(None) };
-    }
-
-    /// The test seam `resolve` passes its arming decision through: records
-    /// it, and overrides the worker count when a test forces one.
-    pub(super) fn fan_out_seam(armed: bool, workers: usize) -> usize {
-        LAST_ARMED.set(Some(armed));
-        FORCED_WORKERS.get().unwrap_or(workers)
-    }
-
-    /// Runs `f` with every miss batch forced over `workers` workers.
-    fn forcing_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
-        FORCED_WORKERS.set(Some(workers));
-        let out = f();
-        FORCED_WORKERS.set(None);
-        out
-    }
-
-    /// A cold three-phase AllReduce over the first `per_server[s]` GPUs of
-    /// each DGX-1V server `s`, on a fresh store.
-    fn cold_three_phase(
-        per_server: &[usize],
-    ) -> (blink_sim::Program, crate::multiserver::ThreePhaseInfo) {
-        use blink_topology::presets::{multi_server, ServerKind};
-        let machine = multi_server(per_server.len(), ServerKind::Dgx1V, 5.0);
-        let alloc: Vec<GpuId> = per_server
-            .iter()
-            .enumerate()
-            .flat_map(|(s, &k)| (0..k).map(move |i| GpuId(8 * s + i)))
-            .collect();
-        crate::multiserver::three_phase_allreduce_cached(
-            &machine,
-            &alloc,
-            (4 << 20) + 7,
-            &TreeGenOptions::default(),
-            &crate::CodeGenOptions::default(),
-            &SharedPlanCache::new(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn fan_out_is_armed_by_the_batch_work() {
-        let cases: [(&[usize], bool); 4] = [
-            (&[1, 1], false),
-            (&[2, 2], false),
-            (&[3, 5], false),
-            (&[8, 8], true),
-        ];
-        for (shape, fans_out) in cases {
-            LAST_ARMED.set(None);
-            cold_three_phase(shape);
-            assert_eq!(
-                LAST_ARMED.get(),
-                Some(fans_out),
-                "{shape:?}: fan-out armed must be {fans_out}"
-            );
-        }
-        // a single-root lookup of a whole DGX-2 stays under the crossover
-        LAST_ARMED.set(None);
-        let dgx2 = induced(&blink_topology::presets::dgx2(), 16);
-        handle()
-            .plan_for(&dgx2, &TreeGenOptions::default(), GpuId(0))
-            .unwrap();
-        assert_eq!(LAST_ARMED.get(), Some(false));
-    }
-
-    #[test]
-    fn fanned_out_miss_batches_are_bit_identical_to_inline() {
-        use blink_topology::presets::{multi_server, ServerKind};
-        // the 8+8 DGX-1V three-phase batch, end to end: the lowered program,
-        // the roots and the per-server rates
-        let inline = forcing_workers(1, || cold_three_phase(&[8, 8]));
-        for workers in [2, 4, 8] {
-            let fanned = forcing_workers(workers, || cold_three_phase(&[8, 8]));
-            assert_eq!(inline.0, fanned.0, "program diverged at {workers} workers");
-            assert_eq!(inline.1.roots, fanned.1.roots);
-            let bits = |info: &crate::multiserver::ThreePhaseInfo| -> Vec<u64> {
-                info.local_rates_gbps.iter().map(|r| r.to_bits()).collect()
-            };
-            assert_eq!(bits(&inline.1), bits(&fanned.1));
-        }
-        // random 2- and 3-server DGX-2 slices, every root of every server's
-        // slice in one batch. One server holds more GPUs than the cut
-        // enumeration covers, so the Hao–Orlin certificate runs inside the
-        // concurrent workers.
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut draw = |below: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % below
-        };
-        let opts = TreeGenOptions::default();
-        for servers in [2, 3, 2, 3] {
-            let machine = multi_server(servers, ServerKind::Dgx2, 5.0);
-            let slices: Vec<Topology> = (0..servers)
-                .map(|s| {
-                    let k = if s == 0 {
-                        blink_graph::CUT_ENUMERATION_MAX_NODES + 1
-                    } else {
-                        2 + draw(6) as usize
-                    };
-                    let mut pool: Vec<GpuId> = (0..16).map(|i| GpuId(16 * s + i)).collect();
-                    let mut alloc = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        alloc.push(pool.swap_remove(draw(pool.len() as u64) as usize));
-                    }
-                    alloc.sort_unstable();
-                    machine.induced(&alloc).unwrap()
-                })
-                .collect();
-            let fps: Vec<u64> = slices.iter().map(|t| rank_fingerprint(t, &opts)).collect();
-            let requests: Vec<(&Topology, u64, GpuId)> = slices
-                .iter()
-                .zip(&fps)
-                .flat_map(|(t, &fp)| t.gpu_ids().into_iter().map(move |g| (t, fp, g)))
-                .collect();
-            let resolve = |workers| {
-                forcing_workers(workers, || {
-                    SharedPlanCache::new().resolve(&opts, &requests, |_| None)
-                })
-            };
-            let reference = resolve(1);
-            for workers in [2, 4, 8] {
-                for (a, b) in reference.iter().zip(resolve(workers)) {
-                    let (a, b) = (a.as_ref().unwrap(), b.unwrap());
-                    assert!(
-                        a.bit_eq(&b),
-                        "root {} diverged at {workers} workers",
-                        a.root
-                    );
-                }
-            }
-        }
     }
 
     #[test]

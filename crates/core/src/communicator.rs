@@ -2083,29 +2083,34 @@ mod tests {
 
     #[test]
     fn isolated_multi_server_communicators_pack_once() {
-        let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
-        let alloc: Vec<GpuId> = vec![GpuId(0), GpuId(1), GpuId(2), GpuId(8), GpuId(9), GpuId(10)];
-        let mut comm = Communicator::builder(machine)
-            .allocation(&alloc)
-            .isolated_plans()
-            .build()
-            .unwrap();
-        let (report, first, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
-        assert!(report.strategy.contains("three-phase"), "{report}");
-        let store = comm.plan_store().clone();
-        // 2 servers x 3 partitions = 6 plans; both servers hold the same
-        // local shape, so 3 packs serve them and the other 3 are relabelled
-        assert_eq!(store.stats(), (3, 3));
-        assert_eq!(store.len(), 3);
-        // the same signature again is a lowering-tier hit
-        let (_, second, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
-        assert_eq!(store.stats(), (3, 3), "a stored lowering plans nothing");
-        assert_eq!(store.lowering_stats(), (1, 1));
-        assert!(Arc::ptr_eq(&first, &second));
-        // a new size lowers again, over the stored plans
-        comm.run_traced(CollectiveKind::AllReduce, mb(16)).unwrap();
-        assert_eq!(store.stats(), (9, 3), "the second size packs nothing");
-        assert_eq!(store.len(), 3);
+        // the first `n` GPUs of each of two DGX-1V servers: 3+3, and 8+8
+        for n in [3u64, 8] {
+            let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
+            let alloc: Vec<GpuId> = (0..n).chain(8..8 + n).map(|g| GpuId(g as usize)).collect();
+            let mut comm = Communicator::builder(machine)
+                .allocation(&alloc)
+                .isolated_plans()
+                .build()
+                .unwrap();
+            let (report, first, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
+            assert!(report.strategy.contains("three-phase"), "{report}");
+            let store = comm.plan_store().clone();
+            // 2 servers x n partitions = 2n plans; both servers hold the same
+            // local shape, so n packs serve them and the other n are
+            // relabelled
+            assert_eq!(store.stats(), (n, n), "{n}+{n}");
+            assert_eq!(store.len(), n as usize);
+            assert_eq!(store.failed_packs(), 0);
+            // the same signature again is a lowering-tier hit
+            let (_, second, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
+            assert_eq!(store.stats(), (n, n), "a stored lowering plans nothing");
+            assert_eq!(store.lowering_stats(), (1, 1));
+            assert!(Arc::ptr_eq(&first, &second));
+            // a new size lowers again, over the stored plans
+            comm.run_traced(CollectiveKind::AllReduce, mb(16)).unwrap();
+            assert_eq!(store.stats(), (3 * n, n), "the second size packs nothing");
+            assert_eq!(store.len(), n as usize);
+        }
     }
 
     #[test]
@@ -2159,6 +2164,36 @@ mod tests {
         );
         assert!(check.is_correct(), "{check}");
         assert!(report.algorithmic_bandwidth_gbps > 0.1);
+    }
+
+    #[test]
+    fn a_three_phase_lowering_stops_at_its_first_unspannable_server() {
+        // Neither slice is NVLink-spannable on a DGX-1V ({1, 4} and {0, 5}
+        // share no NVLink), and the two are different local shapes, so no
+        // server's plans could serve the other's. Planning server by server
+        // stops at server 0's first root, then the PCIe fallback runs; a
+        // batch that packed every (server, root) key first failed 4 packs.
+        let slices = vec![
+            (0usize, vec![GpuId(1), GpuId(4)]),
+            (1usize, vec![GpuId(8), GpuId(13)]),
+        ];
+        let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
+        let opts = TreeGenOptions::default();
+        let fps: Vec<u64> = slices
+            .iter()
+            .map(|(_, gpus)| {
+                crate::autotune::rank_fingerprint(&machine.induced(gpus).unwrap(), &opts)
+            })
+            .collect();
+        assert_ne!(fps[0], fps[1], "the two slices must differ in shape");
+        let mut comm = CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices)
+            .isolated_plans()
+            .build()
+            .unwrap();
+        let (report, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
+        assert!(report.strategy.contains("PCIe fallback"), "{report}");
+        assert!(check.is_correct(), "{check}");
+        assert_eq!(comm.plan_store().failed_packs(), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   and minimise the number of trees (Sections 3.1–3.2) over a
 //!   [`ScratchPool`] of reusable planning and engine buffers: one pool per
 //!   process ([`ScratchPool::process`]), whatever plan store
-//!   ([`SharedPlanCache`]) a communicator attaches to. The only thread fan-out is the store's miss batch, armed by the
-//!   batch's work and bit-identical to planning it inline.
+//!   ([`SharedPlanCache`]) a communicator attaches to. Planning runs on
+//!   the caller's thread.
 //! * [`codegen`] — the CodeGen stage: lower a tree plan into a chunked,
 //!   pipelined transfer program with one stream per link per tree and stream
 //!   reuse for fair link sharing (Section 4). Every emitted op carries its

@@ -56,12 +56,11 @@ fn split_even(total: u64, parts: usize) -> Vec<u64> {
 /// its server-induced topology's rank fingerprint first, and fresh packs
 /// are published back, so repeated collectives (the communicator's autotune
 /// loop) and other communicators of the same shape, on any servers, never
-/// re-pack. The lookups across all servers and roots are independent
-/// (PAPER.md §3.5) and go to the store as one batch, which packs each
-/// distinct key once (servers with the same local shape share their packs)
-/// and fans out over threads only when its packs are large enough to pay
-/// for them (a two-server, sixteen-GPU DGX-1V job's are; a fleet-sized
-/// fragment's are not). The program is bit-identical either way.
+/// re-pack. The per-server plans are independent (PAPER.md §3.5); the
+/// servers plan one after another on the calling thread, so a server whose
+/// local shape an earlier one shares hits that server's fresh plans,
+/// relabelled. Planning stops at the first server the link class cannot
+/// span.
 ///
 /// # Errors
 /// Fails when the allocation lives on a single server (use the single-server
@@ -111,40 +110,27 @@ pub(crate) fn three_phase_lowering(
         .unwrap_or(1)
         .max(1);
 
-    // Plan local trees for every (server, partition root) in one store
-    // batch, which packs each distinct rank key once: the same local shape
-    // on two servers packs its roots for one and relabels them for the
-    // other. Plan order and bit-for-bit content do not depend on whether the
-    // batch fans out, because planning is a pure function of (induced
-    // topology, root, options).
-    let mut induced: Vec<(Topology, u64)> = Vec::with_capacity(servers.len());
-    for (_, gpus) in &servers {
-        let topo = machine
-            .induced(gpus)
-            .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        let fp = rank_fingerprint(&topo, tg_options);
-        induced.push((topo, fp));
-    }
+    // Plan local trees for every (server, partition root), server by
+    // server: the same local shape on a later server hits the plans the
+    // earlier one just published, relabelled onto its GPUs.
     let roots: Vec<Vec<GpuId>> = servers
         .iter()
         .map(|(_, gpus)| (0..partitions).map(|p| gpus[p % gpus.len()]).collect())
         .collect();
-    let requests: Vec<(&Topology, u64, GpuId)> = induced
-        .iter()
-        .zip(&roots)
-        .flat_map(|((topo, fp), server_roots)| server_roots.iter().map(move |&r| (topo, *fp, r)))
-        .collect();
-    let planned: Vec<Arc<TreePlan>> = store
-        .resolve(tg_options, &requests, |_| None)
-        .into_iter()
-        .collect::<Result<_>>()?;
-    let reads: PlanReads = requests
-        .iter()
-        .zip(&planned)
-        .map(|(&(_, fp, _), plan)| (fp, plan.clone()))
-        .collect();
-    // `resolve` answers its requests one to one, `partitions` per server
-    let plans: Vec<&[Arc<TreePlan>]> = planned.chunks(partitions).collect();
+    let mut plans: Vec<Vec<Arc<TreePlan>>> = Vec::with_capacity(servers.len());
+    let mut reads = PlanReads::with_capacity(servers.len() * partitions);
+    for ((_, gpus), server_roots) in servers.iter().zip(&roots) {
+        let topo = machine
+            .induced(gpus)
+            .map_err(|e| BlinkError::Planning(e.to_string()))?;
+        let fp = rank_fingerprint(&topo, tg_options);
+        let server_plans = server_roots
+            .iter()
+            .map(|&root| store.resolve(tg_options, &topo, fp, root, None))
+            .collect::<Result<Vec<_>>>()?;
+        reads.extend(server_plans.iter().map(|plan| (fp, plan.clone())));
+        plans.push(server_plans);
+    }
     let local_rates: Vec<f64> = plans
         .iter()
         .map(|server_plans| {

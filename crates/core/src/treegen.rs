@@ -23,19 +23,16 @@
 //!   A single-threaded caller therefore cycles one scratch through every
 //!   plan and every run — no heap traffic once warm.
 //! * The pool is `Send + Sync` (scratches themselves are `Send`, rule 4 of
-//!   blink-graph's scratch contract) and retains at most one warm scratch
-//!   per peak-concurrent checkout. The only place planning runs on several
-//!   threads is the plan store's miss batch, which fans a batch out only
-//!   when its work — the summed GPU count of the allocations it must pack —
-//!   reaches a measured crossover; smaller batches, which is every
-//!   single-root lookup and every fleet-sized three-phase slice, plan
-//!   inline.
+//!   blink-graph's scratch contract), because the process's pool is a
+//!   `static` that communicators on any thread check out of. It retains at
+//!   most one warm scratch per peak-concurrent checkout. The workspace
+//!   spawns no threads of its own: every pack, sweep and run checks out on
+//!   its caller's thread.
 //! * Scratch contents never affect results (rule 1 of the contract):
 //!   planning is a pure function of (induced topology, root, options) and a
 //!   simulated run of (program, simulator), whatever shape last used the
-//!   scratch. Sharing one pool across plan stores shares buffers, never
-//!   plans or programs. A batch packed inline and one fanned out over any
-//!   number of workers return **bit-identical** [`TreePlan`]s.
+//!   scratch. Sharing one pool across plan stores and threads shares
+//!   buffers, never plans or programs.
 //!
 //! [`ScratchPool::new`] makes a pool of its own, for tests that pin that
 //! buffer contract on a scratch whose history they control.
@@ -121,13 +118,6 @@ impl ScratchPool {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Pool> {
         self.inner.lock().expect("pool lock poisoned")
-    }
-
-    /// Number of warm scratches currently parked in the pool (diagnostics;
-    /// equals the peak number of concurrent checkouts seen so far when
-    /// nothing is checked out).
-    pub fn warm(&self) -> usize {
-        self.lock().free.len()
     }
 
     /// How many scratches the pool has created since it was made: its peak
@@ -276,8 +266,8 @@ impl TreePlan {
 
     /// Whether two plans are **bit-identical**: every field equal, with
     /// floating-point weights and rates compared by bit pattern rather than
-    /// numeric equality. This is the determinism contract the fanned-out
-    /// miss batches and the shared plan cache promise (and the comparison the
+    /// numeric equality. This is the determinism contract the shared plan
+    /// cache and its relabelled hits promise (and the comparison the
     /// regression suites pin it with) — stricter than a `PartialEq` would
     /// be, since `0.0 == -0.0` and NaN inequality have no place in a
     /// reproducibility check.
@@ -504,18 +494,23 @@ mod tests {
     #[test]
     fn scratch_pool_reuses_warm_scratches() {
         let pool = ScratchPool::new();
-        assert_eq!(pool.warm(), 0);
+        assert_eq!(pool.created(), 0);
         {
             let _a = pool.checkout();
             let _b = pool.checkout(); // concurrent checkout grows the pool
         }
-        assert_eq!(pool.warm(), 2);
+        assert_eq!(pool.created(), 2);
         {
             let _a = pool.checkout();
-            assert_eq!(pool.warm(), 1, "checkout reuses a warm scratch");
+            let _b = pool.checkout();
         }
-        assert_eq!(pool.warm(), 2);
-        assert_eq!(pool.created(), 2, "reuse creates nothing");
+        assert_eq!(pool.created(), 2, "checkouts reuse warm scratches");
+        {
+            let _a = pool.checkout();
+            let _b = pool.checkout();
+            let _c = pool.checkout(); // past the peak: one more
+        }
+        assert_eq!(pool.created(), 3);
     }
 
     #[test]

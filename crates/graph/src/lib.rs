@@ -54,18 +54,15 @@
 //! 3. **One scratch, any graphs.** A single scratch may be threaded through
 //!    solves over different graphs, roots and options in any order; it is
 //!    `Default`-constructible and `Clone`.
-//! 4. **One scratch per worker.** Every scratch struct is `Send` (asserted at
+//! 4. **One scratch per thread.** Every scratch struct is `Send` (asserted at
 //!    compile time below): a scratch may be checked out of a pool, carried
-//!    into a worker thread, used for any number of solves and returned. The
+//!    to another thread, used for any number of solves and returned. The
 //!    structs are deliberately *not* shared mutably across threads — each
-//!    concurrent solve gets its own scratch. `blink-core`'s plan store owns
-//!    one `ScratchPool` for the checkout/return protocol, shared by every
-//!    communicator attached to it, and its miss batch is the one place
-//!    solves run on several
-//!    threads, armed only when the batch's work pays for them. Because of
-//!    rule 1 (buffers, not state) such a batch is bit-identical to running
-//!    the same solves inline through one scratch, regardless of which
-//!    worker ran which solve.
+//!    concurrent solve gets its own scratch. `blink-core` keeps one
+//!    process-wide `ScratchPool` (a `static`) for the checkout/return
+//!    protocol, which communicators on any thread check their scratches out
+//!    of. Because of rule 1 (buffers, not state) a solve returns the same
+//!    result whichever thread's checkout served it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -97,8 +94,8 @@ pub use rings::{find_rings, Ring, RingSearch};
 
 // Rule 4 of the scratch-reuse contract: every scratch is `Send` so a pool can
 // move them across threads. A scratch silently losing `Send` (e.g. by gaining
-// an `Rc` field) would break `blink-core`'s fanned-out miss batches at a
-// distance, so pin it here.
+// an `Rc` field) would break `blink-core`'s process-wide `static` pool, which
+// must be `Sync`, at a distance, so pin it here.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ArborescenceScratch>();
