@@ -5,7 +5,8 @@
 //! workload on an 8-server DGX-1V cluster: every placed job gets a
 //! communicator over its placement-induced slice topology, plans through one
 //! fleet-wide plan store, and runs its first AllReduce on the simulator;
-//! departures trigger delta-based consolidation replans. The recorded
+//! departures trigger consolidation moves, each a new communicator over the
+//! job's new placement that runs its own first AllReduce. The recorded
 //! 2,000-job stream is replayed twice, and each replay is one section of
 //! `BENCH_fleet.json`:
 //!

@@ -51,13 +51,12 @@
 //! # Delta invalidation and warm seeds
 //!
 //! When the hardware churns (a flaky NVLink disabled, a GPU cordoned off, a
-//! job grown by a server), [`crate::Communicator::replan`] hands the
+//! link healed), [`crate::Communicator::replan`] hands the
 //! [`TopologyDelta`] to its handle, which, instead of flushing wholesale,
 //! demotes exactly the plans the delta can touch: a cached plan survives a
 //! pure removal intact when none of its trees' edges and none of its link
 //! class's capacity groups intersect the removed links/GPUs, while any
-//! intersecting (or additively changed) plan is demoted to a *warm seed* —
-//! or dropped, when its GPUs no longer cover the job's allocation.
+//! intersecting (or additively changed) plan is demoted to a *warm seed*.
 //! The next miss for that key hands the seed to [`TreeGen::plan_warm`],
 //! whose repair-and-seed pass (`blink-graph`'s warm-start contract)
 //! typically reaches the packing certificate with zero MWU iterations. The
@@ -954,23 +953,19 @@ impl SharedPlanCache {
     }
 }
 
-/// Whether `plan` still *serves its cache key* after `delta` — feasible over
-/// the post-event topology and still spanning the job's allocation — judged
-/// per the plan's own link class:
+/// Whether `plan` still *serves its cache key* after `delta` — an in-place
+/// event on the allocation's hardware, which adds no GPU — judged per the
+/// plan's own link class:
 ///
-/// * **additions never invalidate a certificate.** The pre-event topology
-///   persists as a subgraph of the grown one, so the plan's trees stay
+/// * **added links never invalidate a certificate.** The pre-event topology
+///   persists as a subgraph of the healed one, so the plan's trees stay
 ///   feasible at their packed rates and the packed-rate-vs-certificate bound
 ///   (proved against the old shape) still holds. Added links of the plan's
-///   class can raise the *grown* shape's broadcast min-cut, so the plan may
+///   class can raise the healed shape's broadcast min-cut, so the plan may
 ///   no longer be near-optimal for the new hardware — this function still
 ///   reports it as surviving (exactness of what was proved is not voided),
 ///   and the handle's delta routine separately *re-certifies* survivors
-///   against the grown cut;
-/// * added GPUs do stop a plan serving a *grown allocation* — it no longer
-///   spans the job — so it cannot answer lookups under the post-event
-///   fingerprint; the store keeps it under the old shape's fingerprint,
-///   where it remains exact;
+///   against the healed cut;
 /// * a removed GPU the plan spans, or a removed link of the plan's class on
 ///   a GPU pair some tree routes over (even one lane of several — the
 ///   pair's capacity shrank under the plan's rate), breaks feasibility;
@@ -978,9 +973,6 @@ impl SharedPlanCache {
 ///   avoid, added links of any class) leaves the plan's rate intact — the
 ///   plan survives.
 fn plan_survives_delta(plan: &TreePlan, delta: &TopologyDelta) -> bool {
-    if !delta.added_gpus.is_empty() {
-        return false;
-    }
     if delta.removed_gpus.iter().any(|g| plan.gpus.contains(g)) {
         return false;
     }
@@ -1122,28 +1114,25 @@ impl PlanCache {
         self.labels = gpus.collect();
     }
 
-    /// Applies a topology-change event to the handle and its store in one
-    /// pass. `induced` and `options` are the **post-event** planning inputs.
+    /// Applies an in-place topology-change event — a fault, a heal or a NIC
+    /// change; it adds no GPU — to the handle and its store in one pass.
+    /// `induced` and `options` are the **post-event** planning inputs.
     ///
     /// Locally, plans the delta provably did not touch — untouched by
-    /// removals, or any addition short of new GPUs (see
-    /// `plan_survives_delta`) — stay live. A surviving plan of a class the
-    /// delta added links to is re-certified against the grown topology's
-    /// broadcast min-cut and demoted too if its rate fell below `(1 − ε)` of
-    /// it, so the next lookup re-packs through the added capacity; growth
-    /// that does not raise the cut keeps plans live and bit-identical. A
-    /// demoted plan becomes a warm seed only if its GPUs cover the
-    /// post-event allocation: after a grow, a heal that adds a GPU or a
-    /// consolidation move it cannot span the new GPUs, and repairing it
-    /// costs more than a cold pack, so it is dropped.
+    /// removals, or healed by added links (see `plan_survives_delta`) — stay
+    /// live. A surviving plan of a class the delta added links to is
+    /// re-certified against the healed topology's broadcast min-cut and
+    /// demoted too if its rate fell below `(1 − ε)` of it, so the next lookup
+    /// re-packs through the restored capacity; a heal that does not raise the
+    /// cut keeps plans live and bit-identical. Every demoted plan becomes a
+    /// warm seed.
     ///
-    /// In the store, a pure-growth delta changes nothing — the old shape
-    /// persists as a subgraph, so its entries keep serving lookups under the
-    /// old fingerprint (a job grown by a server re-hits its original
-    /// servers' plans). Otherwise the old shape's store plans that survive
-    /// the delta are also filed under the new fingerprint, and those packed
-    /// for this slice's own GPUs leave the old one; the handle keeps its own
-    /// copies as warm seeds instead (see `SharedPlanCache::retarget`).
+    /// In the store, a delta that only adds links changes nothing — the old
+    /// shape persists as a subgraph, so its entries keep serving lookups
+    /// under the old fingerprint. Otherwise the old shape's store plans that
+    /// survive the delta are also filed under the new fingerprint, and those
+    /// packed for this slice's own GPUs leave the old one; the handle keeps
+    /// its own copies as warm seeds instead (see `SharedPlanCache::retarget`).
     pub(crate) fn note_delta(
         &mut self,
         induced: &Topology,
@@ -1178,7 +1167,7 @@ impl PlanCache {
                 };
             if survives && !outgrown {
                 self.plans.insert(key, plan);
-            } else if induced.gpus().iter().all(|g| plan.gpus.contains(&g.id)) {
+            } else {
                 self.seeds.insert(key, plan);
             }
         }
@@ -1887,26 +1876,6 @@ mod tests {
     }
 
     #[test]
-    fn growth_delta_drops_plans_that_cannot_span_the_grown_allocation() {
-        let topo = dgx1v();
-        let small = induced(&topo, 4);
-        let big = induced(&topo, 8);
-        let opts = TreeGenOptions::default();
-        let mut cache = handle();
-        cache.plan_for(&small, &opts, GpuId(0)).unwrap();
-        let delta = TopologyDelta::between(&small, &big);
-        assert!(!delta.is_pure_removal());
-        cache.note_delta(&big, &opts, &delta);
-        // the 4-GPU plan cannot span the grown 8-GPU allocation: repairing
-        // it would cost more than a cold pack, so it is dropped, not seeded
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.seeded(), 0);
-        let grown = cache.plan_for(&big, &opts, GpuId(0)).unwrap();
-        let cold = handle().plan_for(&big, &opts, GpuId(0)).unwrap();
-        assert!(grown.bit_eq(&cold), "the grown plan is a cold pack");
-    }
-
-    #[test]
     fn growth_below_the_certificate_keeps_a_plan_live() {
         use blink_topology::{Link, LinkKind};
         let induced = induced(&dgx1v(), 4);
@@ -2007,57 +1976,6 @@ mod tests {
             recovered.rate_gbps()
                 >= (1.0 - opts.packing.epsilon) * recovered.optimal_rate_gbps - 1e-9
         );
-    }
-
-    #[test]
-    fn growing_by_a_server_retains_store_plans_for_the_old_shape() {
-        use blink_topology::presets::{multi_server, ServerKind};
-        let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
-        let small_alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let induced8 = machine.induced(&small_alloc).unwrap();
-        let opts = TreeGenOptions::default();
-        let shared = SharedPlanCache::new();
-        let mut cache = PlanCache::new(shared.clone());
-        // a single-server 8-GPU job plans all roots and publishes them under
-        // the server-induced fingerprint
-        plan_each(&mut cache, &induced8, &opts, &small_alloc);
-        let f0 = rank_fingerprint(&induced8, &opts);
-        assert!(stored(&shared, f0, 0, opts.links).is_some());
-
-        // the job grows by a server: a pure-growth delta over its induced
-        // topology (new GPUs, their links, the second server's NIC)
-        let big_alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
-        let induced16 = machine.induced(&big_alloc).unwrap();
-        let delta = TopologyDelta::between(&induced8, &induced16);
-        assert!(delta.is_pure_growth() && !delta.is_pure_removal());
-        cache.note_delta(&induced16, &opts, &delta);
-        // locally the old plans no longer span the grown job and are dropped,
-        // but the store keeps the old shape's plans published verbatim
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.seeded(), 0);
-        assert!(
-            stored(&shared, f0, 0, opts.links).is_some(),
-            "growth must not flush the old shape from the store"
-        );
-
-        // and the three-phase planner's per-server lookups for server 0
-        // (whose induced shape IS the old job shape) re-hit those plans
-        let (hits_before, _) = shared.stats();
-        let (program, _info) = crate::multiserver::three_phase_allreduce_cached(
-            &machine,
-            &big_alloc,
-            8 << 20,
-            &opts,
-            &crate::CodeGenOptions::default(),
-            &shared,
-        )
-        .unwrap();
-        let (hits_after, _) = shared.stats();
-        assert!(
-            hits_after > hits_before,
-            "per-server lookups must reuse the retained plans"
-        );
-        assert!(!program.is_empty());
     }
 
     #[test]

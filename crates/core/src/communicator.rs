@@ -24,7 +24,8 @@
 //! of re-packing from scratch — and the resulting plan is re-certified by
 //! the same MWU certificate a cold plan gets. The replan re-runs the bounded
 //! sweep, so a delta that touches the picked root's plan repairs that one
-//! root. Warm replans are bit-identical-or-better in rate and faster than
+//! root. A replan never grows the allocation: a job handed more or other
+//! GPUs gets a new communicator over them. Warm replans are bit-identical-or-better in rate and faster than
 //! cold replans on link and GPU failures (see `bench_replan`);
 //! [`Communicator::run_checked`] then proves the recovered program
 //! byte-exact on the post-churn hardware.
@@ -1106,13 +1107,15 @@ impl Communicator {
             {
                 continue;
             }
+            let seeds = self.plans.seeded();
             let Ok(plan) = self.plans.plan_for(self.sim.topology(), &treegen, cand) else {
                 return SweepOutcome::fallback(self.allocation[0]);
             };
-            // Only warm-rebuilt roots contribute repair evidence: kept plans
-            // carry their original cold-pack iteration counts, which would
-            // drown the zero-iteration signal.
-            if plan.mwu.warm_seeded > 0 {
+            // Only roots that consumed a seed contribute repair evidence: a
+            // kept plan, or one a build took from the store, carries the
+            // iteration counts of whichever pack or repair made it, which
+            // would drown the zero-iteration signal.
+            if self.plans.seeded() < seeds && plan.mwu.warm_seeded > 0 {
                 out.warm_seeded += plan.mwu.warm_seeded;
                 out.warm_iterations += plan.mwu.iterations;
                 out.warm_repaired += plan.mwu.warm_repaired;
@@ -1127,20 +1130,21 @@ impl Communicator {
         out
     }
 
-    /// Reacts to a topology-change event without rebuilding the communicator:
+    /// Reacts to a change in the hardware under the allocation — a dead link
+    /// or GPU, a heal, a NIC change — without rebuilding the communicator:
     /// applies `delta` to the machine model, re-induces the (possibly
-    /// shrunken or grown) allocation, delta-invalidates the plan cache (it
-    /// keeps plans the event provably did not touch, demotes the rest to
-    /// warm-start seeds and drops those that cannot span the new
-    /// allocation), then re-runs the certificate-bounded root sweep — every
+    /// shrunken) allocation, delta-invalidates the plan cache (it keeps
+    /// plans the event provably did not touch and demotes the rest to
+    /// warm-start seeds), then re-runs the certificate-bounded root sweep — every
     /// root the sweep packs re-plans **warm** when a seed is left for it,
     /// seeded from its old trees, and re-certifies against the post-event
     /// min-cut. Collectives issued afterwards use the recovered plans
     /// directly; a seed the sweep did not consume warms the first rooted
     /// collective on its root.
     ///
-    /// Removed GPUs leave the allocation; GPUs added by the delta join it.
-    /// Chunk autotuners reset (the hardware their throughput feedback
+    /// Removed GPUs leave the allocation. An allocation never grows in
+    /// place: a job handed more GPUs gets a new communicator over them, as
+    /// Blink builds one per allocation. Chunk autotuners reset (the hardware their throughput feedback
     /// calibrated against no longer exists), and the communicator's lowering
     /// fingerprint is recomputed, so it never takes a lowering made for the
     /// old shape; the store drops those together with the plans the delta
@@ -1170,43 +1174,22 @@ impl Communicator {
     /// suite drives each rung through `run_checked`.
     ///
     /// # Errors
-    /// Fails if the delta empties the allocation or is inconsistent with the
-    /// machine model ([`Topology::apply_delta`]). A disconnected survivor
-    /// graph is *not* an error — that is the shrink rung.
+    /// Fails, leaving the communicator as it was, if the delta adds GPUs
+    /// (build a communicator over the grown allocation instead), empties the
+    /// allocation or is inconsistent with the machine model
+    /// ([`Topology::apply_delta`]). A disconnected survivor graph is *not*
+    /// an error — that is the shrink rung.
     pub fn replan(&mut self, delta: &TopologyDelta) -> Result<ReplanReport> {
+        if !delta.added_gpus.is_empty() {
+            return Err(BlinkError::Planning(
+                "replan cannot grow an allocation; build a communicator over the grown one"
+                    .to_string(),
+            ));
+        }
         self.settle();
-        // The machine model may already know hardware the delta "adds" — a
-        // job growing onto GPUs the scheduler had merely not allocated to it.
-        // Apply only what the model is actually missing (and drop only what
-        // it actually has), so allocation-level growth and hardware-level
-        // churn both replay cleanly.
-        let machine_delta = TopologyDelta {
-            removed_links: delta.removed_links.clone(),
-            added_links: delta
-                .added_links
-                .iter()
-                .filter(|l| !self.machine.links().contains(l))
-                .copied()
-                .collect(),
-            removed_gpus: delta
-                .removed_gpus
-                .iter()
-                .filter(|&&g| self.machine.contains(g))
-                .copied()
-                .collect(),
-            added_gpus: delta
-                .added_gpus
-                .iter()
-                .filter(|g| !self.machine.contains(g.id))
-                .copied()
-                .collect(),
-            added_gpu_caps: delta.added_gpu_caps.clone(),
-            added_server_nics: delta.added_server_nics.clone(),
-            changed_server_nics: delta.changed_server_nics.clone(),
-        };
         let machine = self
             .machine
-            .apply_delta(&machine_delta)
+            .apply_delta(delta)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
         let mut allocation: Vec<GpuId> = self
             .allocation
@@ -1214,11 +1197,6 @@ impl Communicator {
             .copied()
             .filter(|g| !delta.removed_gpus.contains(g))
             .collect();
-        for g in &delta.added_gpus {
-            if !allocation.contains(&g.id) {
-                allocation.push(g.id);
-            }
-        }
         if allocation.is_empty() {
             return Err(BlinkError::Planning(
                 "replan delta removed every GPU in the allocation".to_string(),
@@ -2363,7 +2341,7 @@ mod tests {
     }
 
     #[test]
-    fn replan_drops_a_gpu_and_grows_back() {
+    fn replan_drops_a_gpu_and_refuses_to_grow_back() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let machine = dgx1v();
         let mut comm = Communicator::builder(machine.clone())
@@ -2378,13 +2356,13 @@ mod tests {
         assert!(!comm.allocation().contains(&GpuId(7)));
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(50)).unwrap();
         assert!(check.is_correct(), "{check:?}");
-        // ...and the job grows back: the delta carries the GPU and its links
+        // ...but it cannot grow back in place: the delta that carries the
+        // GPU and its links is refused, and the communicator is unchanged
         let shrunk = comm.induced_topology().clone();
-        let full = machine.induced(&alloc).unwrap();
-        let grow = TopologyDelta::between(&shrunk, &full);
-        assert!(!grow.is_pure_removal());
-        let report = comm.replan(&grow).unwrap();
-        assert_eq!(report.num_gpus, 8);
+        let grow = TopologyDelta::between(&shrunk, &machine.induced(&alloc).unwrap());
+        assert!(matches!(comm.replan(&grow), Err(BlinkError::Planning(_))));
+        assert_eq!(comm.allocation(), &alloc[..7]);
+        assert!(TopologyDelta::between(comm.induced_topology(), &shrunk).is_empty());
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(50)).unwrap();
         assert!(check.is_correct(), "{check:?}");
     }

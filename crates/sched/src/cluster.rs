@@ -131,8 +131,9 @@ impl Cluster {
 
     /// Takes GPU `gpu` of server `server` out of service (a fault onset).
     /// Holds stack: each call must be balanced by one [`Cluster::heal`]. A
-    /// busy GPU keeps its owner — the pipeline decides whether the owning
-    /// job sheds it — but the GPU is not handed out again until healed.
+    /// busy GPU keeps its owner until the owning job sheds it
+    /// ([`Cluster::shed`]); either way it is not handed out again until
+    /// healed.
     pub fn quarantine(&mut self, server: usize, gpu: usize) {
         self.quarantined[server][gpu] += 1;
     }
@@ -179,6 +180,48 @@ impl Cluster {
             .collect();
         self.completions = kept.into();
         true
+    }
+
+    /// Returns GPUs a running job shed to the cluster: they leave the job's
+    /// allocation (a server left with none leaves it too) and become free,
+    /// handed out again once no fault holds them. GPUs the job does not own
+    /// are ignored.
+    pub fn shed(&mut self, job_id: u64, gpus: &[GpuId]) {
+        let Some((_, slices)) = self.running.iter_mut().find(|(id, _)| *id == job_id) else {
+            return;
+        };
+        let gps = self.gpus_per_server;
+        for (server, locals) in slices.iter_mut() {
+            locals.retain(|&g| {
+                let shed = gpus.contains(&GpuId(*server * gps + g));
+                if shed {
+                    self.free[*server][g] = true;
+                }
+                !shed
+            });
+        }
+        slices.retain(|(_, locals)| !locals.is_empty());
+    }
+
+    /// The cluster's record of a running job's GPUs, or `None` if the job is
+    /// not running.
+    pub fn placement(&self, job_id: u64) -> Option<Placement> {
+        let (_, slices) = self.running.iter().find(|(id, _)| *id == job_id)?;
+        Some(self.to_placement(job_id, slices))
+    }
+
+    /// `slices` under global GPU ids.
+    fn to_placement(&self, job_id: u64, slices: &ServerAllocation) -> Placement {
+        Placement {
+            job_id,
+            slices: slices
+                .iter()
+                .map(|(s, gpus)| {
+                    let global = gpus.iter().map(|g| GpuId(s * self.gpus_per_server + g));
+                    (*s, global.collect())
+                })
+                .collect(),
+        }
     }
 
     /// Jobs rejected for either reason — the sum of
@@ -306,21 +349,9 @@ impl Cluster {
             time: job.arrival + job.duration,
             job_id: job.id,
         });
-        self.running.push((job.id, slices.clone()));
-        Some(Placement {
-            job_id: job.id,
-            slices: slices
-                .into_iter()
-                .map(|(s, gpus)| {
-                    (
-                        s,
-                        gpus.into_iter()
-                            .map(|g| GpuId(s * self.gpus_per_server + g))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        })
+        let placement = self.to_placement(job.id, &slices);
+        self.running.push((job.id, slices));
+        Some(placement)
     }
 
     /// Runs an entire job stream and returns the placements that succeeded.
@@ -393,16 +424,8 @@ impl Cluster {
         }
         debug_assert_eq!(gpus.len(), total, "feasibility was checked above");
         gpus.sort_unstable();
-        self.running[pos].1 = vec![(target, gpus.clone())];
-        Some(Placement {
-            job_id,
-            slices: vec![(
-                target,
-                gpus.into_iter()
-                    .map(|g| GpuId(target * self.gpus_per_server + g))
-                    .collect(),
-            )],
-        })
+        self.running[pos].1 = vec![(target, gpus)];
+        Some(self.to_placement(job_id, &self.running[pos].1))
     }
 }
 
@@ -619,6 +642,34 @@ mod tests {
                 ..blocked
             })
             .is_some());
+    }
+
+    #[test]
+    fn shed_gpus_leave_the_job_and_return_once_healed() {
+        let mut cluster = Cluster::new(2, 8);
+        let job = Job {
+            id: 4,
+            gpus: 10,
+            arrival: 0.0,
+            duration: 10.0,
+        };
+        assert!(cluster.submit(&job).unwrap().is_fragmented());
+        // GPU 3 dies and the job sheds it; so does its whole second server
+        cluster.quarantine(0, 3);
+        cluster.shed(4, &[GpuId(3), GpuId(8), GpuId(9)]);
+        let record = cluster.placement(4).unwrap();
+        assert_eq!(
+            record.slices,
+            vec![(0, [0, 1, 2, 4, 5, 6, 7].map(GpuId).to_vec())]
+        );
+        // the live shed GPUs are free at once, the dead one once healed
+        assert_eq!(cluster.free_gpus(), 8);
+        cluster.heal(0, 3);
+        assert_eq!(cluster.free_gpus(), 9);
+        // the departure frees exactly what the job still held
+        assert_eq!(cluster.release_until(10.0), vec![4]);
+        assert_eq!(cluster.free_gpus(), 16);
+        assert!(cluster.placement(4).is_none());
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! [`SharedPlanCache`], and the job's first AllReduce runs on the simulator.
 //! Departures are drained before every arrival; each one releases GPUs,
 //! and — when [`FleetConfig::consolidate`] is on — fragmented survivors are
-//! opportunistically re-packed onto a single server, with the move replayed
-//! into their live communicator as a [`TopologyDelta`] (exercising the plan
-//! cache's delta invalidation rather than rebuilding from scratch).
+//! opportunistically re-packed onto a single server.
+//!
+//! A job starts on a placement one way, whether it is newly placed,
+//! re-placed by a retry or moved by a consolidation: a
+//! [`CommunicatorBuilder`] over the placement's topology, degraded by the
+//! faults in force, and a first AllReduce on that communicator. A moved job
+//! is a new communicator, as Blink builds one per allocation; only faults
+//! and heals reach a live communicator, through [`Communicator::replan`].
 //!
 //! Every stage is instrumented with begin/end events on an
 //! [`EventMonitor`]; see the crate docs for the exact event-ordering and
@@ -23,8 +28,8 @@ use crate::faults::{FaultConfig, FaultEvent, FaultInjector, FaultRecord, RetryPo
 use crate::workload::{Job, WorkloadConfig, WorkloadGenerator};
 use blink_core::communicator::TracedRun;
 use blink_core::{
-    BlinkError, CollectiveKind, Communicator, CommunicatorBuilder, CommunicatorOptions,
-    DegradationLevel, SharedPlanCache,
+    BlinkError, CollectiveKind, CollectiveReport, Communicator, CommunicatorBuilder,
+    CommunicatorOptions, DegradationLevel, SharedPlanCache,
 };
 use blink_topology::presets::{gpus_per_server, placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Link, LinkKind, ServerId, Topology, TopologyDelta};
@@ -51,7 +56,8 @@ pub struct FleetConfig {
     /// sampling.
     pub check_every: usize,
     /// Re-pack fragmented jobs onto a single server when departures free
-    /// room, replanning their communicators through the topology delta.
+    /// room. A moved job gets a new communicator over its new placement,
+    /// which runs its first AllReduce before it replaces the old one.
     pub consolidate: bool,
     /// Lift every `subgroup_lift_every`-th placed multi-GPU job into
     /// per-server process groups ([`Communicator::split`] with
@@ -71,10 +77,6 @@ pub struct FleetConfig {
     /// Bounded retry/backoff for jobs evicted by faults (or whose replan /
     /// collective failed while fault injection is active).
     pub retry: RetryPolicy,
-    /// Upper bound on successful consolidation moves per departure drain —
-    /// caps the synchronous re-pack work done between two arrivals.
-    /// `usize::MAX` (the default) keeps the historical unbounded sweep.
-    pub max_moves_per_drain: usize,
 }
 
 impl Default for FleetConfig {
@@ -96,7 +98,6 @@ impl Default for FleetConfig {
             comm_options: CommunicatorOptions::default(),
             faults: None,
             retry: RetryPolicy::default(),
-            max_moves_per_drain: usize::MAX,
         }
     }
 }
@@ -330,8 +331,9 @@ impl FleetPipeline {
 
     /// Keeps the placement and traced run — report, lowered program and op
     /// spans — of every later first collective the oracle does not sample
-    /// (all of them when [`FleetConfig::check_every`] is 0), so a test can
-    /// hold what the fleet served against what a private communicator
+    /// (all of them when [`FleetConfig::check_every`] is 0): a placed job's,
+    /// a retried job's and a moved job's on its new placement. A test can
+    /// then hold what the fleet served against what a private communicator
     /// lowers ([`FleetPipeline::first_runs`]).
     pub fn keep_first_runs(&mut self) {
         self.first_runs.get_or_insert_with(Vec::new);
@@ -399,38 +401,13 @@ impl FleetPipeline {
 
             let plan = self.monitor.begin(job.id, Stage::Plan);
             let mut comm = self.communicator(&placement)?;
-            // A job placed while faults are in force starts degraded: links
-            // the scheduler cannot see around (flaps between healthy GPUs,
-            // degraded NICs) are replayed into the fresh communicator.
-            self.degrade_fresh(&mut comm, &placement)?;
             let plan = self.monitor.commit(plan);
 
-            let check_due = self.config.check_every > 0
+            let checked = self.config.check_every > 0
                 && self.outcomes.len().is_multiple_of(self.config.check_every);
             let first = self.monitor.begin(job.id, Stage::FirstCollective);
-            let (kind, bytes) = (CollectiveKind::AllReduce, self.config.collective_bytes);
-            let attempt = if check_due {
-                comm.run_checked(kind, bytes)
-                    .map(|(report, check)| (report, true, Some(check)))
-            } else if let Some(kept) = &mut self.first_runs {
-                comm.run_traced(kind, bytes).map(|run| {
-                    let report = run.0.clone();
-                    kept.push((placement.clone(), run));
-                    (report, false, None)
-                })
-            } else {
-                comm.run(kind, bytes).map(|report| (report, false, None))
-            };
-            let (report, checked) = match attempt {
-                Ok((report, checked, check)) => {
-                    if let Some(check) = check {
-                        self.checks_run += 1;
-                        if !check.is_correct() {
-                            self.checks_failed += 1;
-                        }
-                    }
-                    (report, checked)
-                }
+            let report = match self.first_collective(&mut comm, &placement, checked) {
+                Ok(report) => report,
                 // Under fault injection a failed first collective evicts the
                 // job into the bounded retry queue instead of killing the
                 // whole fleet run.
@@ -518,16 +495,51 @@ impl FleetPipeline {
     }
 
     /// Builds a job's communicator over its placement, planning through the
-    /// fleet's plan store.
+    /// fleet's plan store: the one way a job starts, whether newly placed,
+    /// retried or moved. With faults in force it is built over the
+    /// placement's topology as they leave it (flapped links down, degraded
+    /// NICs), so it never plans over a link that is down.
     fn communicator(&self, placement: &Placement) -> blink_core::Result<Communicator> {
-        CommunicatorBuilder::from_placement(
-            self.config.server_kind,
-            self.config.nic_gbps,
-            &placement.slices,
-        )
-        .options(self.config.comm_options)
-        .shared_plans(self.shared.clone())
-        .build()
+        let builder = if self.active.is_empty() {
+            CommunicatorBuilder::from_placement(
+                self.config.server_kind,
+                self.config.nic_gbps,
+                &placement.slices,
+            )
+        } else {
+            Communicator::builder(self.degraded_target(placement)?)
+        };
+        builder
+            .options(self.config.comm_options)
+            .shared_plans(self.shared.clone())
+            .build()
+    }
+
+    /// Runs a started job's first AllReduce on `comm`: through the
+    /// value-level oracle when `checked`, traced and kept beside `placement`
+    /// once [`FleetPipeline::keep_first_runs`] asked, plainly otherwise.
+    fn first_collective(
+        &mut self,
+        comm: &mut Communicator,
+        placement: &Placement,
+        checked: bool,
+    ) -> blink_core::Result<CollectiveReport> {
+        let (kind, bytes) = (CollectiveKind::AllReduce, self.config.collective_bytes);
+        if checked {
+            let (report, check) = comm.run_checked(kind, bytes)?;
+            self.checks_run += 1;
+            if !check.is_correct() {
+                self.checks_failed += 1;
+            }
+            Ok(report)
+        } else if let Some(kept) = &mut self.first_runs {
+            let run = comm.run_traced(kind, bytes)?;
+            let report = run.0.clone();
+            kept.push((placement.clone(), run));
+            Ok(report)
+        } else {
+            comm.run(kind, bytes)
+        }
     }
 
     /// Splits a placed job's communicator into per-server process groups and
@@ -549,8 +561,9 @@ impl FleetPipeline {
     }
 
     /// Releases every job completed by `time`, records the departures, and —
-    /// when enabled — re-packs fragmented survivors into the freed room,
-    /// replaying each move into the job's communicator as a topology delta.
+    /// when enabled — re-packs fragmented survivors into the freed room. A
+    /// moved job runs its first AllReduce on a new communicator over the
+    /// new placement, which then replaces the old one.
     fn absorb_departures(&mut self, time: f64) -> blink_core::Result<()> {
         let departed = self.cluster.release_until(time);
         if departed.is_empty() {
@@ -570,32 +583,25 @@ impl FleetPipeline {
             .filter(|(_, j)| j.placement.is_fragmented())
             .map(|(&id, _)| id)
             .collect();
-        let mut moves = 0usize;
         for id in candidates {
-            if moves >= self.config.max_moves_per_drain {
-                break;
-            }
-            let Some(new_placement) = self.cluster.try_consolidate(id) else {
+            let Some(placement) = self.cluster.try_consolidate(id) else {
                 continue;
             };
-            // The target is degraded by whatever faults are in force: a
-            // consolidation must not replan a job onto a link that is down.
-            let target = self.degraded_target(&new_placement)?;
             let span = self.monitor.begin(id, Stage::Consolidate);
-            let job = self.running.get_mut(&id).expect("candidate is running");
-            let delta = TopologyDelta::between(job.comm.induced_topology(), &target);
-            job.comm.replan(&delta)?;
-            let report = job
-                .comm
-                .run(CollectiveKind::AllReduce, self.config.collective_bytes)?;
+            let mut comm = self.communicator(&placement)?;
+            let report = self.first_collective(&mut comm, &placement, false)?;
             self.consolidations += 1;
+            let job = self.running.get_mut(&id).expect("candidate is running");
             if report.algorithmic_bandwidth_gbps > job.rate_gbps + 1e-9 {
                 self.consolidations_improved += 1;
             }
-            job.rate_gbps = report.algorithmic_bandwidth_gbps;
-            job.placement = new_placement;
+            *job = RunningJob {
+                comm,
+                placement,
+                rate_gbps: report.algorithmic_bandwidth_gbps,
+                job: job.job,
+            };
             self.monitor.commit(span);
-            moves += 1;
         }
         Ok(())
     }
@@ -775,15 +781,13 @@ impl FleetPipeline {
         };
         match outcome {
             Ok((rep, report)) => {
-                {
-                    let job = self.running.get_mut(&id).expect("affected job is running");
-                    job.rate_gbps = report.algorithmic_bandwidth_gbps;
-                    if !rep.shed_gpus.is_empty() {
-                        for (_, gpus) in job.placement.slices.iter_mut() {
-                            gpus.retain(|g| !rep.shed_gpus.contains(g));
-                        }
-                        job.placement.slices.retain(|(_, gpus)| !gpus.is_empty());
-                    }
+                // Shed GPUs go back to the cluster, quarantined while the
+                // fault that cost them lasts, and the job keeps the rest.
+                self.cluster.shed(id, &rep.shed_gpus);
+                let job = self.running.get_mut(&id).expect("affected job is running");
+                job.rate_gbps = report.algorithmic_bandwidth_gbps;
+                if !rep.shed_gpus.is_empty() {
+                    job.placement = self.cluster.placement(id).expect("the job is running");
                 }
                 self.fault_recoveries += 1;
                 *self
@@ -883,25 +887,6 @@ impl FleetPipeline {
         self.config.nic_gbps * factor
     }
 
-    /// Replays active faults into a freshly built communicator (a job placed
-    /// mid-outage must not plan over links that are down).
-    fn degrade_fresh(
-        &mut self,
-        comm: &mut Communicator,
-        placement: &Placement,
-    ) -> blink_core::Result<()> {
-        if self.active.is_empty() {
-            return Ok(());
-        }
-        let target = self.degraded_target(placement)?;
-        let delta = TopologyDelta::between(comm.induced_topology(), &target);
-        if delta.is_empty() {
-            return Ok(());
-        }
-        comm.replan(&delta)?;
-        Ok(())
-    }
-
     // ---- eviction and bounded retries -----------------------------------
 
     fn evict_and_requeue(&mut self, id: u64, time: f64) {
@@ -989,8 +974,7 @@ impl FleetPipeline {
     /// retry only restores it to the running set.
     fn admit_retry(&mut self, job: &Job, placement: Placement) -> blink_core::Result<()> {
         let mut comm = self.communicator(&placement)?;
-        self.degrade_fresh(&mut comm, &placement)?;
-        let report = comm.run(CollectiveKind::AllReduce, self.config.collective_bytes)?;
+        let report = self.first_collective(&mut comm, &placement, false)?;
         self.running.insert(
             job.id,
             RunningJob {
@@ -1132,7 +1116,7 @@ mod tests {
     }
 
     #[test]
-    fn consolidation_replans_a_fragmented_job_and_recovers_its_rate() {
+    fn consolidation_moves_a_fragmented_job_and_recovers_its_rate() {
         let mut pipeline = FleetPipeline::new(FleetConfig {
             servers: 2,
             collective_bytes: 4 << 20,
@@ -1165,7 +1149,8 @@ mod tests {
             "a single-server re-pack must beat the NIC-bound three-phase rate"
         );
         // the consolidation happened between job 0's departure and job 3's
-        // placement, on job 2's communicator
+        // placement, and job 2 now runs on a communicator over its new
+        // placement
         let order = pipeline.monitor().order();
         let depart = order
             .iter()
@@ -1180,6 +1165,65 @@ mod tests {
             .position(|&e| e == (3, Stage::Place))
             .expect("trigger job placed");
         assert!(depart < consolidate && consolidate < placed);
+        let moved = &pipeline.running[&2];
+        assert_eq!(moved.comm.allocation(), &moved.placement.slices[0].1[..]);
+    }
+
+    #[test]
+    fn a_job_that_shed_a_dead_gpu_moves_onto_live_gpus_at_its_shrunk_size() {
+        let mut pipeline = FleetPipeline::new(FleetConfig {
+            servers: 2,
+            collective_bytes: 1 << 20,
+            ..Default::default()
+        });
+        // GPU 5 of server 0 dies at t=2 and stays dead
+        let drop = FaultRecord {
+            fault_id: 0,
+            at: 2.0,
+            event: FaultEvent::GpuDrop { server: 0, gpu: 5 },
+            heal: false,
+        };
+        pipeline.set_fault_injector(FaultInjector::scripted(vec![drop], 2, ServerKind::Dgx1V));
+        let job = |id, gpus, arrival: f64, duration: f64| Job {
+            id,
+            gpus,
+            arrival,
+            duration,
+        };
+        let jobs = [
+            job(0, 4, 0.0, 10.0),
+            job(1, 6, 0.0, 100.0),
+            // 6 GPUs with only 4+2 free: {4, 5, 6, 7} on server 0, {14, 15}
+            // on server 1
+            job(2, 6, 1.0, 100.0),
+            // pulls the fault in: job 2 sheds GPU 5 and keeps 5 GPUs
+            job(3, 1, 3.0, 1.0),
+            // arrives after job 0 departs: job 2 moves onto server 0
+            job(4, 1, 20.0, 1.0),
+        ];
+        let report = pipeline.run_jobs(&jobs).unwrap();
+        assert_eq!(report.gpus_shed, 1, "{report:?}");
+        assert_eq!(report.consolidations, 1, "{report:?}");
+        let dead = GpuId(5);
+        let moved = &pipeline.running[&2];
+        assert!(!moved.placement.is_fragmented());
+        assert_eq!(moved.placement.total_gpus(), 5, "the job stays shrunk");
+        assert!(
+            !moved.placement.slices[0].1.contains(&dead),
+            "the move landed on the dead GPU: {:?}",
+            moved.placement
+        );
+        assert_eq!(moved.comm.allocation(), &moved.placement.slices[0].1[..]);
+        let record = pipeline.cluster().placement(2).unwrap();
+        assert_eq!(record.slices, moved.placement.slices);
+        let (_, check) = pipeline
+            .running
+            .get_mut(&2)
+            .unwrap()
+            .comm
+            .run_checked(CollectiveKind::AllReduce, 1 << 20)
+            .unwrap();
+        assert!(check.is_correct(), "{check}");
     }
 
     #[test]
@@ -1259,22 +1303,6 @@ mod tests {
         // ...and a different fault seed produces a different experiment
         let (order_c, _) = run(chaos_config(12));
         assert_ne!(order_a, order_c);
-    }
-
-    #[test]
-    fn max_moves_per_drain_caps_consolidation_churn() {
-        let run = |cap: usize| {
-            let mut pipeline = FleetPipeline::new(FleetConfig {
-                max_moves_per_drain: cap,
-                ..small_config()
-            });
-            pipeline.run().unwrap().consolidations
-        };
-        let unbounded = run(usize::MAX);
-        assert!(unbounded > 0, "the contended stream must consolidate");
-        assert_eq!(run(0), 0, "a zero cap must disable consolidation moves");
-        let capped = run(1);
-        assert!(capped > 0 && capped <= unbounded);
     }
 
     #[test]

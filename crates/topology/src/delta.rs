@@ -1,7 +1,7 @@
 //! Topology-change events for incremental replanning.
 //!
-//! Real fleets churn: NVLink lanes fail, GPUs drop out of a job, jobs grow by
-//! a server. Blink's planner stack reacts to such an event through a
+//! Real fleets churn: NVLink lanes fail, GPUs drop out of a job, links heal.
+//! Blink's planner stack reacts to such an event through a
 //! [`TopologyDelta`] — a self-contained description of the links and GPUs
 //! that appeared or disappeared — rather than re-probing and re-planning the
 //! world from scratch. Deltas are derived by diffing two probed topologies
@@ -278,8 +278,7 @@ impl TopologyDelta {
     /// of the post-event one, so every certificate proved against it is still
     /// a true statement about live hardware — plan caches keep entries for
     /// the old shape alive under their old fingerprint instead of dropping
-    /// them (a job that grows by a server keeps re-hitting the original
-    /// servers' plans).
+    /// them (a healed link leaves the damaged shape's plans servable).
     pub fn is_pure_growth(&self) -> bool {
         self.removed_links.is_empty() && self.removed_gpus.is_empty()
     }

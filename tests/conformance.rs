@@ -763,10 +763,11 @@ fn replanned_communicators_conform_across_compound_failures() {
     }
 }
 
-/// Elasticity the other way: a job grown by a whole server replans onto the
-/// cross-machine protocol and stays byte-exact.
+/// Elasticity the other way: a job grown by a whole server is a new
+/// communicator over both servers, and it is byte-exact; the old
+/// communicator refuses the growth delta and is left as it was.
 #[test]
-fn a_job_grown_by_a_server_replans_and_conforms() {
+fn a_grown_job_is_a_new_communicator_and_conforms() {
     use blink_topology::TopologyDelta;
     let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
     let half: Vec<GpuId> = (0..8).map(GpuId).collect();
@@ -780,11 +781,20 @@ fn a_job_grown_by_a_server_replans_and_conforms() {
         &machine.induced(&half).unwrap(),
         &machine.induced(&all).unwrap(),
     );
-    let report = comm.replan(&delta).unwrap();
-    assert_eq!(report.num_gpus, 16, "the job now spans both servers");
-    let (report, check) = comm
+    assert!(comm.replan(&delta).is_err(), "replan never grows a job");
+    assert_eq!(comm.allocation(), &half[..]);
+    let mut grown = Communicator::builder(machine)
+        .allocation(&all)
+        .build()
+        .unwrap();
+    let (report, check) = grown
         .run_checked(CollectiveKind::AllReduce, mb(8) + 13)
         .unwrap();
+    assert!(
+        report.strategy.contains("three-phase"),
+        "the grown job spans both servers: {}",
+        report.strategy
+    );
     assert!(
         check.is_correct(),
         "grown-by-a-server AllReduce via '{}' must be byte-exact:\n{check}",

@@ -10,13 +10,13 @@ use blink_core::{
     CodeGen, CodeGenOptions, GroupRun, LinkSelection, ScratchPool, StreamedRun, TreeGen,
     TreeGenOptions, TreePlan,
 };
-use blink_sched::{FleetConfig, FleetPipeline};
+use blink_sched::{FaultEvent, FaultInjector, FaultRecord, FleetConfig, FleetPipeline, Job};
 use blink_sim::{
     check_collective, CompiledProgram, LinkClass, OpKind, Program, RunReport, SimParams, Simulator,
 };
 use blink_topology::enumerate::unique_allocations;
-use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
-use blink_topology::{GroupSplit, TopologyDelta};
+use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, placement_topology, ServerKind};
+use blink_topology::{GroupSplit, LinkKind, TopologyDelta};
 use std::sync::Arc;
 
 fn ids(v: &[usize]) -> Vec<GpuId> {
@@ -941,7 +941,8 @@ fn a_delta_on_one_servers_job_leaves_what_another_servers_job_is_served() {
 
 #[test]
 fn a_fleet_serves_every_first_collective_what_an_isolated_communicator_lowers() {
-    // the oracle samples none, so every first collective is kept
+    // the oracle samples none, so every first collective is kept: each
+    // placed job's, and each moved job's on its new placement
     let config = FleetConfig {
         jobs: 2_000,
         check_every: 0,
@@ -951,7 +952,11 @@ fn a_fleet_serves_every_first_collective_what_an_isolated_communicator_lowers() 
     let mut fleet = FleetPipeline::new(config.clone());
     fleet.keep_first_runs();
     let report = fleet.run().unwrap();
-    assert_eq!(fleet.first_runs().len(), report.placed);
+    assert!(report.consolidations > 0, "the stream consolidates");
+    assert_eq!(
+        fleet.first_runs().len(),
+        report.placed + report.consolidations
+    );
     assert!(fleet.shared_cache().lowering_stats().0 > 0, "some job hit");
     for (placement, (served, program, spans)) in fleet.first_runs() {
         let mut private = CommunicatorBuilder::from_placement(
@@ -974,4 +979,70 @@ fn a_fleet_serves_every_first_collective_what_an_isolated_communicator_lowers() 
             placement.job_id
         );
     }
+}
+
+#[test]
+fn a_job_placed_mid_outage_is_built_on_the_degraded_topology() {
+    // NVLink pair (0, 1) of server 0 flaps at t=0.5 and heals at t=50
+    let flap = FaultRecord {
+        fault_id: 0,
+        at: 0.5,
+        event: FaultEvent::LinkFlap {
+            server: 0,
+            a: 0,
+            b: 1,
+        },
+        heal: false,
+    };
+    let heal = FaultRecord {
+        at: 50.0,
+        heal: true,
+        ..flap
+    };
+    let config = FleetConfig {
+        check_every: 0,
+        ..Default::default()
+    };
+    let mut fleet = FleetPipeline::new(config.clone());
+    fleet.set_fault_injector(FaultInjector::scripted(
+        vec![flap, heal],
+        config.servers,
+        config.server_kind,
+    ));
+    fleet.keep_first_runs();
+    // arrives with the flap in force and takes server 0 whole
+    let job = Job {
+        id: 0,
+        gpus: 8,
+        arrival: 1.0,
+        duration: 10.0,
+    };
+    let report = fleet.run_jobs(&[job]).unwrap();
+    assert_eq!((report.placed, report.faults_injected), (1, 1));
+    let [(placement, (served, program, spans))] = fleet.first_runs() else {
+        panic!("one first collective is kept");
+    };
+    let (a, b) = (GpuId(0), GpuId(1));
+    assert_eq!(placement.slices, vec![(0, ids(&[0, 1, 2, 3, 4, 5, 6, 7]))]);
+    let flapped = [(a, b), (b, a)];
+    assert!(
+        !program.ops().any(|op| matches!(op.kind,
+            OpKind::Copy { src, dst, .. } if flapped.contains(&(src, dst)))),
+        "the job copies over the flapped pair"
+    );
+    let degraded = placement_topology(config.server_kind, config.nic_gbps, &placement.slices)
+        .unwrap()
+        .filter_links(|l| l.kind == LinkKind::Pcie || !flapped.contains(&(l.src, l.dst)));
+    let (fresh, fresh_program, fresh_spans) = Communicator::builder(degraded)
+        .options(config.comm_options)
+        .isolated_plans()
+        .build()
+        .unwrap()
+        .run_traced(CollectiveKind::AllReduce, config.collective_bytes)
+        .unwrap();
+    assert_eq!(**program, *fresh_program);
+    assert_eq!(
+        format!("{served:?} {spans:?}"),
+        format!("{fresh:?} {fresh_spans:?}")
+    );
 }
