@@ -1,5 +1,6 @@
 //! One function per figure of the paper's evaluation. Each returns the rows
-//! the corresponding plot is made of; the binaries in `src/bin/` print them.
+//! the corresponding plot is made of; the `bench_paper` binary prints them
+//! and records them in `BENCH_paper.json`.
 
 use crate::measure::{blink_collective, blink_collective_with, mb, nccl_collective};
 use blink_core::communicator::CommunicatorOptions;

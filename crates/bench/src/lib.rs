@@ -2,19 +2,17 @@
 //!
 //! The experiment harness: one function per figure of the Blink paper's
 //! evaluation, each regenerating the corresponding data series over the
-//! simulated substrate. The `fig*`/`tab*` binaries in `src/bin/` are thin
-//! wrappers that run one figure each and print the rows (and a JSON dump) to
-//! stdout; the `bench_*` binaries there gate the hot paths' deterministic
-//! work against the recorded `BENCH_*.json` trajectories.
-//!
-//! Run an individual figure with, e.g.
+//! simulated substrate. The `bench_paper` binary in `src/bin/` runs every
+//! figure, prints its rows and records them in `BENCH_paper.json`; the other
+//! `bench_*` binaries there gate the hot paths' deterministic work against
+//! their recorded `BENCH_*.json` trajectories. Run from the repository root:
 //!
 //! ```text
-//! cargo run -p blink-bench --release --bin fig15_broadcast_dgx1v
+//! cargo run -p blink-bench --release --bin bench_paper
 //! ```
 //!
-//! `EXPERIMENTS.md` at the repository root records paper-reported versus
-//! measured values for every figure.
+//! `EXPERIMENTS.md` at the repository root sets the paper's claims beside
+//! the values `BENCH_paper.json` records for every figure.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -89,8 +87,7 @@ pub fn over_recording(
         .collect()
 }
 
-/// Prints a slice of serialisable rows as an aligned text table followed by a
-/// JSON dump (so results can be archived / plotted).
+/// Prints a slice of serialisable rows as an aligned text table.
 pub fn print_rows<T: serde::Serialize>(title: &str, rows: &[T]) {
     println!("== {title} ==");
     for row in rows {
@@ -105,10 +102,6 @@ pub fn print_rows<T: serde::Serialize>(title: &str, rows: &[T]) {
             Ok(v) => println!("  {v}"),
             Err(e) => println!("  <serialization error: {e}>"),
         }
-    }
-    match serde_json::to_string_pretty(rows) {
-        Ok(json) => println!("--- json ---\n{json}"),
-        Err(e) => println!("--- json unavailable: {e} ---"),
     }
 }
 

@@ -6,10 +6,11 @@
 //! * the buffer is split across trees proportionally to their weights,
 //! * each tree's share is further divided into chunks so that forwarding can
 //!   start before the whole share has arrived (Figure 11),
-//! * every (link, tree position) gets a CUDA-stream equivalent; when the same
-//!   link appears at the same position in several trees the stream is *reused*
-//!   so chunks from the two trees interleave fairly (Section 4.2.2,
-//!   Figure 13),
+//! * every tree edge gets a CUDA-stream equivalent per direction. The paper
+//!   reuses one stream where a link sits at the same position in several
+//!   trees, to work around CUDA's unfair scheduling of competing streams
+//!   (Section 4.2.2, Figure 13); the simulator arbitrates links fairly, where
+//!   a shared FIFO stream only couples the trees, so streams are not shared,
 //! * reductions are issued into the stream of the outgoing copy, which is what
 //!   makes reduce-and-forward cost a little more than pure forwarding (the
 //!   effect measured in Figure 7).
@@ -48,7 +49,6 @@ use blink_graph::WeightedTree;
 use blink_sim::{LinkClass, OpId, OpKind, Program, ProgramBuilder, Segment, StreamId};
 use blink_topology::GpuId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 #[cfg(test)]
 mod reference;
@@ -80,9 +80,6 @@ pub struct CodeGenOptions {
     /// Target chunk size in bytes (the automatic tuner of Section 4.2.1 feeds
     /// this value).
     pub chunk_bytes: u64,
-    /// Reuse streams when a link occupies the same position in two trees
-    /// (Section 4.2.2). Disabling this is an ablation knob.
-    pub stream_reuse: bool,
     /// Which link class the copies use.
     pub link_class: LinkClass,
 }
@@ -91,12 +88,6 @@ impl Default for CodeGenOptions {
     fn default() -> Self {
         CodeGenOptions {
             chunk_bytes: 4 << 20,
-            // The paper reuses streams to work around CUDA's unfair scheduling
-            // of competing streams on one link. The simulator arbitrates links
-            // fairly at chunk granularity, so sharing a FIFO stream across
-            // trees only adds head-of-line coupling; it is therefore off by
-            // default and kept as an ablation knob.
-            stream_reuse: false,
             link_class: LinkClass::NvLink,
         }
     }
@@ -175,40 +166,23 @@ fn split_by_weight(trees: &[WeightedTree], bytes: u64) -> Vec<u64> {
     out
 }
 
-/// Stream slots per (link, tree position): one per tree edge and direction,
-/// or one per `(src, dst, position)` shared across trees when stream reuse
-/// is on. A slot becomes a stream on first use, so stream ids are handed out
-/// in emission order.
+/// Stream slots, one per tree edge and direction. A slot becomes a stream
+/// on first use, so stream ids are handed out in emission order.
 struct Streams {
-    reuse: bool,
-    by_position: BTreeMap<(GpuId, GpuId, usize), usize>,
     ids: Vec<Option<StreamId>>,
 }
 
 impl Streams {
-    fn new(reuse: bool, slots: usize) -> Self {
+    fn new(slots: usize) -> Self {
         Streams {
-            reuse,
-            by_position: BTreeMap::new(),
             ids: Vec::with_capacity(slots),
         }
     }
 
-    /// The slot of the `src → dst` edge at tree depth `position`.
-    fn slot(&mut self, src: GpuId, dst: GpuId, position: usize) -> usize {
-        let fresh = self.ids.len();
-        let slot = if self.reuse {
-            *self
-                .by_position
-                .entry((src, dst, position))
-                .or_insert(fresh)
-        } else {
-            fresh
-        };
-        if slot == fresh {
-            self.ids.push(None);
-        }
-        slot
+    /// A fresh slot for one tree edge in one direction.
+    fn slot(&mut self) -> usize {
+        self.ids.push(None);
+        self.ids.len() - 1
     }
 
     fn stream(&mut self, b: &mut ProgramBuilder, slot: usize) -> StreamId {
@@ -338,10 +312,9 @@ impl TreeLayout {
         for m in &mut self.subtree {
             *m = self.vertices[*m].rank;
         }
-        for v in 1..n {
-            let (c, p) = (self.vertices[v], self.vertices[self.vertices[v].parent]);
-            self.vertices[v].down = streams.slot(p.gpu, c.gpu, p.depth);
-            self.vertices[v].up = streams.slot(c.gpu, p.gpu, c.depth);
+        for x in self.vertices.iter_mut().skip(1) {
+            x.down = streams.slot();
+            x.up = streams.slot();
         }
         Ok(())
     }
@@ -699,9 +672,9 @@ impl CodeGen {
                 "{kind} slot space of {n} x {total} bytes overflows u64"
             )));
         }
-        // two stream slots per tree edge at most
+        // two stream slots per tree edge
         let slots = layouts.iter().map(|l| 2 * (l.len() - 1)).sum();
-        let mut streams = Streams::new(self.options.stream_reuse, slots);
+        let mut streams = Streams::new(slots);
         for layout in &mut layouts {
             layout.resolve(&participants, &mut streams)?;
         }
@@ -897,27 +870,6 @@ mod tests {
             .build(&trees, CollectiveKind::Broadcast { root: GpuId(1) }, mb(1))
             .unwrap_err();
         assert!(matches!(err, BlinkError::CodeGen(_)));
-    }
-
-    #[test]
-    fn stream_reuse_reduces_stream_count() {
-        let (_, trees) = plan_for(&[0, 1, 2, 3, 4, 5, 6, 7], 0);
-        let bytes = mb(100);
-        let with_reuse = CodeGen::new(CodeGenOptions {
-            stream_reuse: true,
-            ..Default::default()
-        })
-        .build(&trees, CollectiveKind::Broadcast { root: GpuId(0) }, bytes)
-        .unwrap()
-        .num_streams();
-        let without_reuse = CodeGen::new(CodeGenOptions {
-            stream_reuse: false,
-            ..Default::default()
-        })
-        .build(&trees, CollectiveKind::Broadcast { root: GpuId(0) }, bytes)
-        .unwrap()
-        .num_streams();
-        assert!(with_reuse <= without_reuse);
     }
 
     #[test]
@@ -1251,12 +1203,8 @@ mod tests {
     #[test]
     fn layout_emitters_match_the_per_op_reference() {
         let cases = identity_matrix();
-        // (bytes, chunk, stream reuse)
-        let sizes = [
-            (mb(64), 4 << 20, false),
-            (1_000_003, 65_536, true),
-            (7, 1, false),
-        ];
+        // (bytes, chunk)
+        let sizes = [(mb(64), 4 << 20), (1_000_003, 65_536), (7, 1)];
         let mut programs = 0;
         for case in &cases {
             let kinds = [
@@ -1273,10 +1221,9 @@ mod tests {
                 } else {
                     &case.rootless
                 };
-                for (bytes, chunk_bytes, stream_reuse) in sizes {
+                for (bytes, chunk_bytes) in sizes {
                     let options = CodeGenOptions {
                         chunk_bytes,
-                        stream_reuse,
                         link_class: case.class,
                     };
                     let got = CodeGen::new(options).build(trees, kind, bytes).unwrap();

@@ -47,19 +47,14 @@ fn split_by_weight(trees: &[WeightedTree], bytes: u64) -> Vec<u64> {
     out
 }
 
-/// Allocates streams per (link, tree position), reusing them across trees when
-/// enabled.
+/// Allocates one stream per tree edge and direction.
 struct StreamAllocator {
-    reuse: bool,
-    by_position: BTreeMap<(GpuId, GpuId, usize), StreamId>,
     by_tree_edge: BTreeMap<(usize, GpuId, GpuId), StreamId>,
 }
 
 impl StreamAllocator {
-    fn new(reuse: bool) -> Self {
+    fn new() -> Self {
         StreamAllocator {
-            reuse,
-            by_position: BTreeMap::new(),
             by_tree_edge: BTreeMap::new(),
         }
     }
@@ -70,19 +65,11 @@ impl StreamAllocator {
         tree_idx: usize,
         src: GpuId,
         dst: GpuId,
-        position: usize,
     ) -> StreamId {
-        if self.reuse {
-            *self
-                .by_position
-                .entry((src, dst, position))
-                .or_insert_with(|| b.new_stream())
-        } else {
-            *self
-                .by_tree_edge
-                .entry((tree_idx, src, dst))
-                .or_insert_with(|| b.new_stream())
-        }
+        *self
+            .by_tree_edge
+            .entry((tree_idx, src, dst))
+            .or_insert_with(|| b.new_stream())
     }
 }
 
@@ -175,7 +162,7 @@ pub(super) fn emit_range_into(
         })
         .unwrap_or_default();
     let shares = split_by_weight(trees, share);
-    let mut streams = StreamAllocator::new(options.stream_reuse);
+    let mut streams = StreamAllocator::new();
 
     let mut tree_base = base;
     let chunk_lists: Vec<Vec<(u64, u64)>> = shares
@@ -261,8 +248,7 @@ fn emit_broadcast(
     let tree = ctx.tree;
     let mut arrival: BTreeMap<GpuId, OpId> = BTreeMap::new();
     for (parent, child) in tree.edges_bfs() {
-        let depth = tree.depth_of(parent).unwrap_or(0);
-        let stream = streams.stream(b, ctx.tree_idx, parent, child, depth);
+        let stream = streams.stream(b, ctx.tree_idx, parent, child);
         let deps = if parent == tree.root {
             ctx.gated(root_deps.clone())
         } else {
@@ -304,8 +290,7 @@ fn emit_gather(
             .iter()
             .filter_map(|c| sent.get(c).copied())
             .collect();
-        let depth = tree.depth_of(v).unwrap_or(0);
-        let stream = streams.stream(b, ctx.tree_idx, v, parent, depth);
+        let stream = streams.stream(b, ctx.tree_idx, v, parent);
         let segs: Vec<Segment> = subtree_members(tree, v)
             .into_iter()
             .map(|m| Segment::new(ctx.slot_base(m) + ctx.offset, ctx.bytes))
@@ -344,11 +329,10 @@ fn emit_reduce(
             .filter_map(|c| uploaded.get(c).copied())
             .collect();
         let parent = tree.parent(v);
-        let depth = tree.depth_of(v).unwrap_or(0);
         if !children.is_empty() {
             let stream = match parent {
-                Some(p) => streams.stream(b, ctx.tree_idx, v, p, depth),
-                None => streams.stream(b, ctx.tree_idx, v, children[0], depth),
+                Some(p) => streams.stream(b, ctx.tree_idx, v, p),
+                None => streams.stream(b, ctx.tree_idx, v, children[0]),
             };
             let red = b.reduce_range(
                 v,
@@ -364,7 +348,7 @@ fn emit_reduce(
             }
         }
         if let Some(p) = parent {
-            let stream = streams.stream(b, ctx.tree_idx, v, p, depth);
+            let stream = streams.stream(b, ctx.tree_idx, v, p);
             let id = b.copy_range(
                 v,
                 p,
@@ -400,8 +384,7 @@ fn emit_scatter(
         if segs.is_empty() {
             continue;
         }
-        let depth = tree.depth_of(parent).unwrap_or(0);
-        let stream = streams.stream(b, ctx.tree_idx, parent, child, depth);
+        let stream = streams.stream(b, ctx.tree_idx, parent, child);
         let deps = if parent == tree.root {
             ctx.gated(root_dep.map(|d| vec![d]).unwrap_or_default())
         } else {

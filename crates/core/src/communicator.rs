@@ -115,8 +115,6 @@ pub struct CommunicatorOptions {
     pub chunk_bytes: Option<u64>,
     /// Enable hybrid PCIe + NVLink transfers (Section 3.4).
     pub use_hybrid: bool,
-    /// Reuse streams across trees (Section 4.2.2).
-    pub stream_reuse: bool,
     /// Size threshold for the fusion pass applied by
     /// [`Communicator::run_streamed`]: concurrent same-kind requests smaller
     /// than this batch into one segmented program (see [`crate::fusion`]).
@@ -133,7 +131,6 @@ impl Default for CommunicatorOptions {
             treegen: TreeGenOptions::default(),
             chunk_bytes: Some(4 << 20),
             use_hybrid: false,
-            stream_reuse: false,
             fusion_threshold_bytes: 4 << 20,
         }
     }
@@ -507,7 +504,6 @@ fn lowering_fingerprint(
         treegen,
         chunk_bytes: _,
         use_hybrid,
-        stream_reuse,
         fusion_threshold_bytes: _,
     } = *options;
     let mut h = DefaultHasher::new();
@@ -519,7 +515,7 @@ fn lowering_fingerprint(
     for bits in sim_params.to_bits() {
         bits.hash(&mut h);
     }
-    (use_hybrid, stream_reuse).hash(&mut h);
+    use_hybrid.hash(&mut h);
     h.finish()
 }
 
@@ -1034,7 +1030,6 @@ impl Communicator {
     fn codegen_options(&self, chunk: u64) -> CodeGenOptions {
         CodeGenOptions {
             chunk_bytes: chunk,
-            stream_reuse: self.options.stream_reuse,
             ..Default::default()
         }
     }
@@ -2039,7 +2034,7 @@ mod tests {
         // cannot reset it
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let options = CommunicatorOptions {
-            stream_reuse: true,
+            use_hybrid: true,
             ..Default::default()
         };
         for flags_first in [true, false] {
@@ -2050,12 +2045,13 @@ mod tests {
                 builder.options(options).isolated_plans()
             };
             let mut comm = builder.build().unwrap();
-            assert!(comm.options().stream_reuse);
+            assert!(comm.options().use_hybrid);
             comm.broadcast(GpuId(0), mb(16)).unwrap();
-            // a private store sees exactly this communicator's one pack —
-            // the second communicator of the loop would hit a shared one
+            // a private store sees exactly this communicator's two packs
+            // (the hybrid plan's NVLink and PCIe trees) — the second
+            // communicator of the loop would hit a shared one
             let store = comm.plan_store();
-            assert_eq!(store.stats(), (0, 1), "flags first: {flags_first}");
+            assert_eq!(store.stats(), (0, 2), "flags first: {flags_first}");
         }
     }
 

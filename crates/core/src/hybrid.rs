@@ -206,7 +206,6 @@ impl HybridPlanner {
             let pcie_cg = CodeGen::new(CodeGenOptions {
                 link_class: LinkClass::Pcie,
                 chunk_bytes: options.chunk_bytes.min(Self::PCIE_CHUNK),
-                ..*options
             });
             pcie_cg.emit_range_into(
                 &mut builder,

@@ -6,8 +6,7 @@
 //! simulator-level equivalent: each op corresponds to one such CUDA call and
 //! carries its dependencies explicitly. Streams reproduce CUDA-stream FIFO
 //! semantics — two ops in the same stream never overlap and execute in
-//! insertion order — which is also how the stream-reuse fair-sharing trick of
-//! Section 4.2.2 is expressed.
+//! insertion order.
 //!
 //! # Layout
 //!
@@ -37,8 +36,7 @@ use std::fmt;
 pub struct OpId(pub usize);
 
 /// Identifier of a stream. Streams are global to the program; by convention
-/// CodeGen allocates one per (tree, link) unless it reuses streams for fair
-/// sharing.
+/// CodeGen allocates one per tree edge and direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct StreamId(pub usize);
 

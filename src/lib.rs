@@ -11,8 +11,8 @@
 //! * [`sched`] — the multi-tenant cluster scheduler simulator.
 //! * [`train`] — the data-parallel training simulator.
 //!
-//! See the repository `README.md` for a quickstart and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology.
+//! See `examples/quickstart.rs` for a quickstart and the repository's
+//! `EXPERIMENTS.md` for the paper's claims beside the reproduced values.
 
 #![warn(missing_docs)]
 

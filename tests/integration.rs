@@ -30,7 +30,7 @@ fn three_phase(machine: &Topology, alloc: &[GpuId], bytes: u64) -> (Program, Thr
 fn blink_broadcast_dominates_nccl_across_unique_dgx1v_allocations() {
     let machine = dgx1v();
     let classes = unique_allocations(&machine, 3..=8).unwrap();
-    assert!(classes.len() >= 40, "expected ~46 unique classes");
+    assert!(classes.len() >= 40, "expected 53 unique classes");
     let bytes = mb(100);
     let mut big_wins = 0;
     for class in classes.iter().step_by(2) {
@@ -78,8 +78,12 @@ fn blink_allreduce_dominates_nccl_on_dgx1p_classes() {
     }
 }
 
-/// On the DGX-2, Blink's one-hop trees give a clear latency advantage at small
-/// sizes (the Figure 20 claim) while staying competitive at large sizes.
+/// The Figure 20 claim is that Blink's one-hop trees give the DGX-2 a clear
+/// latency advantage at small sizes. Measured, Blink is slower than the
+/// baseline's double binary trees at 1–16 KB (263 against 77 µs); at the
+/// 64 KB tested here it wins only because the baseline switches to rings
+/// there and jumps to 2,365 µs (`EXPERIMENTS.md`, the Fig. 20 row). Blink
+/// also stays competitive at large sizes.
 #[test]
 fn dgx2_small_message_latency_advantage() {
     let machine = dgx2();

@@ -15,7 +15,7 @@ fn isolated_communicators_never_reach_the_global_store() {
         (1usize, (8..11).map(GpuId).collect::<Vec<_>>()),
     ];
     let options = CommunicatorOptions {
-        stream_reuse: true,
+        use_hybrid: true,
         ..Default::default()
     };
     let before = global_plan_cache().stats();
@@ -29,7 +29,7 @@ fn isolated_communicators_never_reach_the_global_store() {
                 builder.options(options).isolated_plans()
             };
             let mut comm = builder.build().unwrap();
-            assert!(comm.options().stream_reuse);
+            assert!(comm.options().use_hybrid);
             comm.all_reduce(4 << 20).unwrap();
         }
     }
