@@ -24,7 +24,9 @@
 //! store: fresh lowerings, lowering-tier hits, the ops those fresh lowerings
 //! emitted, the compiled forms the lowering tier kept, packs (plan-store
 //! misses), the packs among them that failed, the MWU iterations the packs
-//! ran, and the planner scratches the process's pool created during the
+//! ran, the engine runs the communicators executed (a first collective
+//! served a stored lowering's memoised total runs none), and the planner
+//! scratches the process's pool created during the
 //! replay beyond the one warm scratch it starts from (a replay plans on
 //! one thread, so any is a regression). Wall time — time-to-first-collective
 //! (TTFC), plans served per second, recovery spans — is printed and
@@ -98,6 +100,9 @@ struct Work {
     failed_packs: u64,
     /// MWU iterations the packs ran.
     mwu_iterations: u64,
+    /// Engine runs the fleet's communicators executed; a first collective
+    /// served a stored lowering's memoised total runs none.
+    engine_runs: u64,
     /// Planner scratches the process's pool created during the replay,
     /// beyond the one warm scratch it starts from.
     scratches_created: u64,
@@ -105,7 +110,7 @@ struct Work {
 
 impl Work {
     /// The counters under their recorded keys.
-    fn counters(&self) -> [(&'static str, u64); 8] {
+    fn counters(&self) -> [(&'static str, u64); 9] {
         [
             ("fresh_lowerings", self.fresh_lowerings),
             ("lowering_hits", self.lowering_hits),
@@ -114,6 +119,7 @@ impl Work {
             ("packs", self.packs),
             ("failed_packs", self.failed_packs),
             ("mwu_iterations", self.mwu_iterations),
+            ("engine_runs", self.engine_runs),
             ("scratches_created", self.scratches_created),
         ]
     }
@@ -172,6 +178,7 @@ fn replay(config: FleetConfig) -> Run {
             packs: store.stats().1,
             failed_packs: store.failed_packs(),
             mwu_iterations: store.mwu_iterations(),
+            engine_runs: store.engine_runs(),
             scratches_created: ScratchPool::process().created() - scratches,
         },
     }
@@ -805,6 +812,7 @@ mod tests {
         packs: 341,
         failed_packs: 30,
         mwu_iterations: 14_842,
+        engine_runs: 410,
         scratches_created: 2,
     };
 
@@ -819,7 +827,7 @@ mod tests {
 
     #[test]
     fn the_work_gate_fails_any_counter_one_over_its_recording() {
-        let bumps: [fn(&mut Work); 8] = [
+        let bumps: [fn(&mut Work); 9] = [
             |w| w.fresh_lowerings += 1,
             |w| w.lowering_hits += 1,
             |w| w.lowered_ops += 1,
@@ -827,6 +835,7 @@ mod tests {
             |w| w.packs += 1,
             |w| w.failed_packs += 1,
             |w| w.mwu_iterations += 1,
+            |w| w.engine_runs += 1,
             |w| w.scratches_created += 1,
         ];
         for (bump, (key, _)) in bumps.iter().zip(WORK.counters()) {
@@ -846,7 +855,7 @@ mod tests {
         }
         let failures = work_gate(Some(&recorded), &WORK);
         assert_eq!(failures, ["work mwu_iterations is not recorded"]);
-        assert_eq!(work_gate(None, &WORK).len(), 8);
+        assert_eq!(work_gate(None, &WORK).len(), 9);
     }
 
     #[test]

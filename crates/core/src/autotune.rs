@@ -117,8 +117,19 @@
 //! same order, on any server or machine. Anywhere else (GPUs at other
 //! dense indices, a simulator that differs in something the form read) the
 //! run compiles the communicator's own program into its scratch, so a
-//! shared form never changes a schedule. The form lives and dies with its
-//! entry: eviction and invalidation drop it with the lowering.
+//! shared form never changes a schedule.
+//!
+//! Run alone from time 0, a fitting form's total is a pure function of what
+//! the form read, and `fits` compares every one of those reads. So the
+//! form also keeps that total, set by the first
+//! [`crate::Communicator::run`] that simulates it, and every later `run`
+//! whose form fits is served the total without touching the engine, as
+//! Blink's CodeGen emits a collective once and every later call reuses it.
+//! A fresh lowering, a form that does not fit, and every run that needs
+//! more than the total (traced and checked runs, streams, sessions and
+//! process groups) still simulate ([`SharedPlanCache::engine_runs`] counts
+//! the runs that did). The form and its total live and die with their
+//! entry: eviction and invalidation drop them with the lowering.
 //!
 //! A lowering is published only while every plan it read is the plan tier's
 //! current plan for its key (bit for bit, after relabelling the stored plan
@@ -514,6 +525,8 @@ struct Tiers {
     lowered_ops: u64,
     /// Compiled forms kept in lowering-tier entries.
     compiled_forms: u64,
+    /// Engine runs the store's communicators executed.
+    engine_runs: u64,
 }
 
 impl Default for Tiers {
@@ -525,6 +538,7 @@ impl Default for Tiers {
             failed_packs: 0,
             lowered_ops: 0,
             compiled_forms: 0,
+            engine_runs: 0,
         }
     }
 }
@@ -570,7 +584,8 @@ pub(crate) struct Lowering {
     /// another slice renames `labels[i]` to its own `i`-th GPU.
     pub(crate) labels: Vec<GpuId>,
     /// The engine's compiled form of the program, made on the entry's first
-    /// hit (see "the lowering tier" in the module docs).
+    /// hit, and its memoised total once a run simulated it (see "the
+    /// lowering tier" in the module docs).
     pub(crate) compiled: OnceLock<Compiled>,
     /// Spanning trees (or partitions) the lowering used.
     pub(crate) num_trees: usize,
@@ -586,13 +601,19 @@ pub(crate) struct Lowering {
 
 /// A lowering's compiled form and the allocation it was compiled for: the
 /// program the first hit ran, over that communicator's GPUs, compiled on
-/// its simulator.
+/// its simulator. Beside it, the form's isolated total once a run has
+/// simulated it (see "the lowering tier" in the module docs).
 #[derive(Debug)]
 pub(crate) struct Compiled {
     pub(crate) form: Arc<CompiledProgram>,
     /// The dense index ([`Simulator::gpu_index`]) of each GPU of that
     /// allocation, in its order.
     dense: Vec<usize>,
+    /// The total time of the form run alone from time 0 on a simulator it
+    /// [fits](CompiledProgram::fits), set by the first such run. A fitting
+    /// form reads nothing of the simulator but what `fits` compares, so
+    /// the total is the same on every simulator the form fits.
+    pub(crate) total_us: OnceLock<f64>,
 }
 
 impl Lowering {
@@ -602,11 +623,8 @@ impl Lowering {
     /// onto the caller's allocation is then the form's program renamed by
     /// dense index, so the form runs it wherever it
     /// [fits](CompiledProgram::fits).
-    pub(crate) fn form_for(&self, dense: &[usize]) -> Option<&Arc<CompiledProgram>> {
-        self.compiled
-            .get()
-            .filter(|c| c.dense == dense)
-            .map(|c| &c.form)
+    pub(crate) fn form_for(&self, dense: &[usize]) -> Option<&Compiled> {
+        self.compiled.get().filter(|c| c.dense == dense)
     }
 
     /// The plan-tier keys of the plans the lowering read.
@@ -794,6 +812,21 @@ impl SharedPlanCache {
         self.lock().compiled_forms
     }
 
+    /// Engine runs the store's communicators executed since creation: each
+    /// [`crate::Communicator::run`] or [`crate::Communicator::run_traced`]
+    /// that simulated its program, and each strategy a switch fabric's
+    /// first lowering of a kind raced. A run served a stored lowering's
+    /// memoised total adds none; streams, sessions and process groups are
+    /// not counted.
+    pub fn engine_runs(&self) -> u64 {
+        self.lock().engine_runs
+    }
+
+    /// Counts one engine run (see [`SharedPlanCache::engine_runs`]).
+    pub(crate) fn count_engine_run(&self) {
+        self.lock().engine_runs += 1;
+    }
+
     /// Compiles `program` — `lowering`'s program over the hitting
     /// communicator's GPUs, whose dense indices on `sim` are `dense` — and
     /// keeps the form in the entry, unless it keeps one already. A program
@@ -813,6 +846,7 @@ impl SharedPlanCache {
             let compiled = Compiled {
                 form: Arc::new(form),
                 dense: dense.to_vec(),
+                total_us: OnceLock::new(),
             };
             // a concurrent hit may have kept its own form first
             if lowering.compiled.set(compiled).is_ok() {

@@ -53,7 +53,9 @@
 //! or the same job shape on another server, skips validating and resolving
 //! its programs; a fresh lowering compiles into the run's scratch.
 //! [`Communicator::run`] reads only the run's total time, so the engine
-//! builds no per-op spans or per-link accounting for it, and a fresh
+//! builds no per-op spans or per-link accounting for it; where the stored
+//! form runs here and a run already simulated it, `run` takes the total the
+//! tier memoised beside the form and runs no engine at all. A fresh
 //! communicator's first hit renames none of the stored lowering's plans
 //! until something reads them.
 //!
@@ -78,7 +80,7 @@
 //! splits.
 
 use crate::autotune::{
-    global_plan_cache, rank_fingerprint_and_order, ChunkAutotuner, Lowering, LoweringKey,
+    global_plan_cache, rank_fingerprint_and_order, ChunkAutotuner, Compiled, Lowering, LoweringKey,
     PlanCache, PlanReads, Renaming, SharedPlanCache,
 };
 use crate::codegen::{CodeGen, CodeGenOptions};
@@ -607,7 +609,11 @@ impl Communicator {
     }
 
     /// Runs an arbitrary collective. Only the report is computed: the
-    /// engine builds no per-op spans or per-link accounting for it.
+    /// engine builds no per-op spans or per-link accounting for it. A
+    /// stored lowering whose compiled form fits this communicator's
+    /// simulator returns the total its first run memoised, bit for bit what
+    /// simulating it again would give, and runs no engine (see "the lowering
+    /// tier" in [`crate::autotune`]).
     pub fn run(&mut self, kind: CollectiveKind, bytes: u64) -> Result<CollectiveReport> {
         self.run_lowered(kind, bytes, false)
             .map(|(report, _, _)| report)
@@ -1495,13 +1501,14 @@ impl Communicator {
     /// The compiled form `lowered`'s entry keeps, when it was compiled for
     /// GPUs at this communicator's dense indices (see
     /// [`Lowering::form_for`]).
-    pub(crate) fn form_for<'a>(&self, lowered: &'a Lowered) -> Option<&'a Arc<CompiledProgram>> {
+    pub(crate) fn form_for<'a>(&self, lowered: &'a Lowered) -> Option<&'a Compiled> {
         lowered.entry.form_for(&self.shape.dense)
     }
 
     /// Simulates `program` once on a scratch checked out of the process's
     /// pool.
     fn simulate(&self, program: &Program) -> Result<RunReport> {
+        self.plans.store().count_engine_run();
         let engine = &mut ScratchPool::process().checkout().engine;
         self.sim
             .run_with_scratch(program, engine)
@@ -1512,8 +1519,15 @@ impl Communicator {
     /// pool — from its entry's compiled form where that runs here, without
     /// renaming the program, and from its program otherwise — and returns
     /// the total time with, when `spans` asks for them, the per-op spans.
+    /// Without spans, a fitting form whose total a run already memoised
+    /// returns that total and runs nothing; the first fitting run sets it.
     fn simulate_lowered(&self, lowered: &Lowered, spans: bool) -> Result<(f64, Vec<(f64, f64)>)> {
-        let form = self.form_for(lowered).filter(|form| form.fits(&self.sim));
+        let compiled = self.form_for(lowered).filter(|c| c.form.fits(&self.sim));
+        if let Some(&total_us) = compiled.and_then(|c| c.total_us.get()).filter(|_| !spans) {
+            return Ok((total_us, Vec::new()));
+        }
+        self.plans.store().count_engine_run();
+        let form = compiled.map(|c| &*c.form);
         // a fitting form reads nothing of the program it runs but its
         // length, which renaming keeps, so the entry's own stands in
         let program = match form {
@@ -1528,7 +1542,11 @@ impl Communicator {
             }
             .map(|report| (report.total_us, report.op_spans))
         } else {
-            let total_us = self.sim.run_total(&program, form.map(|f| &**f), engine);
+            let total_us = self.sim.run_total(&program, form, engine);
+            if let (Some(c), Ok(total_us)) = (compiled, &total_us) {
+                // a concurrent run of the same form sets the same bits
+                let _ = c.total_us.set(*total_us);
+            }
             total_us.map(|total_us| (total_us, Vec::new()))
         };
         run.map_err(|e| BlinkError::Simulation(e.to_string()))

@@ -48,8 +48,9 @@
 //! * **link flap** — every non-PCIe lane between one physical GPU pair of a
 //!   server goes down (targets are drawn from the machine's real NVLink
 //!   neighbour list); the PCIe mesh survives.
-//! * **GPU drop** — one device vanishes: all incident links die and the GPU
-//!   is quarantined in the cluster until its heal.
+//! * **GPU drop** — one device vanishes: it leaves its job's topology with
+//!   all its links, the job keeps its live GPUs, and the GPU is quarantined
+//!   in the cluster until its heal.
 //! * **NIC degradation** — one server's NIC drops to a fraction of its
 //!   configured bandwidth; stacked degradations take the worst factor.
 //! * **server loss** — every GPU of one server vanishes at once.

@@ -187,7 +187,8 @@ pub struct FleetReport {
     /// min-cost-reroute guarantee `bench_fleet`'s chaos replay gates on (the
     /// two counters must be equal).
     pub recoveries_full_warm_zero_iter: usize,
-    /// GPUs shed by shrink-rung recoveries across all jobs.
+    /// GPUs recoveries took from their jobs across all jobs: dead GPUs, and
+    /// the live ones a shrink-rung recovery shed.
     pub gpus_shed: usize,
     /// Jobs evicted because a fault left them with no usable GPU (or their
     /// recovery failed); each eviction enters the retry queue.
@@ -781,12 +782,22 @@ impl FleetPipeline {
         };
         match outcome {
             Ok((rep, report)) => {
-                // Shed GPUs go back to the cluster, quarantined while the
-                // fault that cost them lasts, and the job keeps the rest.
-                self.cluster.shed(id, &rep.shed_gpus);
+                // The GPUs the job lost — dead ones the delta removed and
+                // live ones a shrink shed — go back to the cluster,
+                // quarantined while the fault that cost them lasts, and the
+                // job keeps the rest.
                 let job = self.running.get_mut(&id).expect("affected job is running");
                 job.rate_gbps = report.algorithmic_bandwidth_gbps;
-                if !rep.shed_gpus.is_empty() {
+                let kept = job.comm.allocation();
+                let lost: Vec<GpuId> = job
+                    .placement
+                    .slices
+                    .iter()
+                    .flat_map(|(_, gpus)| gpus.iter().copied())
+                    .filter(|g| !kept.contains(g))
+                    .collect();
+                if !lost.is_empty() {
+                    self.cluster.shed(id, &lost);
                     job.placement = self.cluster.placement(id).expect("the job is running");
                 }
                 self.fault_recoveries += 1;
@@ -800,7 +811,7 @@ impl FleetPipeline {
                         self.recoveries_full_warm_zero_iter += 1;
                     }
                 }
-                self.gpus_shed += rep.shed_gpus.len();
+                self.gpus_shed += lost.len();
                 self.monitor.commit(span);
                 Ok(())
             }
@@ -815,9 +826,11 @@ impl FleetPipeline {
         }
     }
 
-    /// The placement topology with every active fault applied: dead GPUs and
-    /// flapped pairs lose their links, spanned servers get their effective
-    /// (possibly degraded) NIC bandwidth.
+    /// The placement topology with every active fault applied: dead GPUs
+    /// leave it, flapped pairs lose their links, spanned servers get their
+    /// effective (possibly degraded) NIC bandwidth. A dead GPU is removed,
+    /// not kept as a linkless singleton, so a recovery drops it from the
+    /// job; kept, it could tie with a live component and win the shrink.
     fn degraded_target(&self, placement: &Placement) -> blink_core::Result<Topology> {
         let gps = gpus_per_server(self.config.server_kind);
         let base = placement_topology(
@@ -826,7 +839,15 @@ impl FleetPipeline {
             &placement.slices,
         )
         .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        let mut target = base.filter_links(|l| self.link_alive(l, gps));
+        let live: Vec<GpuId> = base
+            .gpu_ids()
+            .into_iter()
+            .filter(|g| !self.gpu_dead(g.index() / gps, g.index() % gps))
+            .collect();
+        let mut target = base
+            .filter_links(|l| !self.link_flapped(l, gps))
+            .induced(&live)
+            .map_err(|e| BlinkError::Planning(e.to_string()))?;
         if placement.slices.len() > 1 {
             for (server, _) in &placement.slices {
                 target.set_server_nic(ServerId(*server), self.effective_nic(*server));
@@ -835,23 +856,17 @@ impl FleetPipeline {
         Ok(target)
     }
 
-    fn link_alive(&self, l: &Link, gps: usize) -> bool {
+    fn link_flapped(&self, l: &Link, gps: usize) -> bool {
         let (sa, la) = (l.src.index() / gps, l.src.index() % gps);
         let (sb, lb) = (l.dst.index() / gps, l.dst.index() % gps);
-        if self.gpu_dead(sa, la) || self.gpu_dead(sb, lb) {
+        if sa != sb || l.kind == LinkKind::Pcie {
             return false;
         }
-        if sa == sb && l.kind != LinkKind::Pcie {
-            let (lo, hi) = (la.min(lb), la.max(lb));
-            let flapped = self.active.values().any(|e| {
-                matches!(e, FaultEvent::LinkFlap { server, a, b }
-                    if *server == sa && *a == lo && *b == hi)
-            });
-            if flapped {
-                return false;
-            }
-        }
-        true
+        let (lo, hi) = (la.min(lb), la.max(lb));
+        self.active.values().any(|e| {
+            matches!(e, FaultEvent::LinkFlap { server, a, b }
+                if *server == sa && *a == lo && *b == hi)
+        })
     }
 
     fn gpu_dead(&self, server: usize, local: usize) -> bool {
@@ -1224,6 +1239,51 @@ mod tests {
             .run_checked(CollectiveKind::AllReduce, 1 << 20)
             .unwrap();
         assert!(check.is_correct(), "{check}");
+    }
+
+    #[test]
+    fn a_two_gpu_job_that_loses_its_first_gpu_keeps_the_live_one() {
+        let mut pipeline = FleetPipeline::new(FleetConfig {
+            servers: 1,
+            collective_bytes: 1 << 20,
+            ..Default::default()
+        });
+        // GPU 0 dies at t=2 and stays dead
+        let drop = FaultRecord {
+            fault_id: 0,
+            at: 2.0,
+            event: FaultEvent::GpuDrop { server: 0, gpu: 0 },
+            heal: false,
+        };
+        pipeline.set_fault_injector(FaultInjector::scripted(vec![drop], 1, ServerKind::Dgx1V));
+        let jobs = [
+            Job {
+                id: 0,
+                gpus: 2,
+                arrival: 0.0,
+                duration: 100.0,
+            },
+            // pulls the fault in
+            Job {
+                id: 1,
+                gpus: 1,
+                arrival: 3.0,
+                duration: 1.0,
+            },
+        ];
+        let report = pipeline.run_jobs(&jobs).unwrap();
+        assert_eq!(report.outcomes[0].job_id, 0);
+        assert_eq!(report.fault_recoveries, 1, "{report:?}");
+        assert_eq!(report.gpus_shed, 1, "only the dead GPU leaves: {report:?}");
+        let job = &pipeline.running[&0];
+        assert_eq!(job.placement.slices, vec![(0, vec![GpuId(1)])]);
+        assert_eq!(job.comm.allocation(), &[GpuId(1)]);
+        let record = pipeline.cluster().placement(0).unwrap();
+        assert_eq!(record.slices, job.placement.slices);
+        // the dead GPU is quarantined, not free, and not the job's; job 1
+        // still holds one GPU
+        assert_eq!(pipeline.cluster().quarantined_gpus(), 1);
+        assert_eq!(pipeline.cluster().free_gpus(), 5);
     }
 
     #[test]

@@ -786,6 +786,65 @@ fn a_communicator_on_a_renumbered_machine_recompiles_a_shared_form() {
 }
 
 #[test]
+fn a_shared_form_that_does_not_fit_never_serves_its_memoised_total() {
+    // A two-server placement's topology and a copy without server NICs
+    // share a lowering key (the key does not read NICs, and nor does a
+    // lowering), so both communicators take one lowering. Only the first
+    // simulates copies that bind on the NICs, so the form compiled there
+    // does not fit the second's simulator, and the second must simulate
+    // its own program on every run.
+    let slices = vec![(0usize, ids(&[0, 1, 2])), (1usize, ids(&[8, 9, 10, 11]))];
+    let with_nics = placement_topology(ServerKind::Dgx1V, 5.0, &slices).unwrap();
+    let mut without_nics = Topology::new(with_nics.name());
+    for g in with_nics.gpus() {
+        without_nics.add_gpu(g.id, g.server, g.local_index).unwrap();
+    }
+    for link in with_nics.links() {
+        without_nics.add_link(*link).unwrap();
+    }
+    let (kind, bytes) = (CollectiveKind::AllReduce, 16 << 20);
+    let store = SharedPlanCache::new();
+    let on = |machine: &Topology| {
+        Communicator::builder(machine.clone())
+            .shared_plans(store.clone())
+            .build()
+            .unwrap()
+    };
+    // a fresh lowering, then the hit that keeps the form and memoises its
+    // total, then a run served that total
+    let mut home = on(&with_nics);
+    let runs: Vec<_> = (0..3).map(|_| home.run(kind, bytes).unwrap()).collect();
+    assert_eq!(store.engine_runs(), 2, "the third run is served the memo");
+    assert_eq!(store.compiled_forms(), 1);
+    let mut away = on(&without_nics);
+    for i in 1..=2 {
+        let (hits, misses) = store.lowering_stats();
+        let report = away.run(kind, bytes).unwrap();
+        assert_eq!(
+            store.lowering_stats(),
+            (hits + 1, misses),
+            "a shared lowering"
+        );
+        assert_eq!(store.engine_runs(), 2 + i, "a form that does not fit runs");
+        let private = Communicator::builder(without_nics.clone())
+            .isolated_plans()
+            .build()
+            .unwrap()
+            .run(kind, bytes)
+            .unwrap();
+        assert_eq!(format!("{report:?}"), format!("{private:?}"));
+        assert_ne!(
+            report.elapsed_us.to_bits(),
+            runs[2].elapsed_us.to_bits(),
+            "the memoised total would have been wrong here"
+        );
+    }
+    for run in &runs[1..] {
+        assert_eq!(format!("{run:?}"), format!("{:?}", runs[0]));
+    }
+}
+
+#[test]
 fn a_repeated_concurrent_step_reuses_every_compiled_form() {
     let parent = Communicator::builder(dgx1v())
         .isolated_plans()
@@ -840,16 +899,14 @@ fn all_reduce(comm: &mut Communicator, bytes: u64) -> (Arc<Program>, String) {
     (program, format!("{report:?} {spans:?}"))
 }
 
-#[test]
-fn every_local_shape_lowers_on_every_server_what_an_isolated_communicator_lowers() {
-    let bytes = (3 << 20) + 5;
+/// (local GPUs per server of a job, options): every 2-8 GPU subset of a
+/// DGX-1V server, PCIe-fallback pairs such as {1, 4} among them, then
+/// hybrid jobs and two-server (three-phase) jobs.
+fn local_shapes() -> Vec<(Vec<Vec<usize>>, CommunicatorOptions)> {
     let hybrid = CommunicatorOptions {
         use_hybrid: true,
         ..Default::default()
     };
-    // (local GPUs per server of the job, options): every 2-8 GPU subset of
-    // a DGX-1V server, PCIe-fallback pairs such as {1, 4} among them, then
-    // hybrid jobs and two-server (three-phase) jobs
     let mut shapes: Vec<(Vec<Vec<usize>>, CommunicatorOptions)> = (0u32..256)
         .filter(|mask| (2..=8).contains(&mask.count_ones()))
         .map(|mask| {
@@ -869,22 +926,38 @@ fn every_local_shape_lowers_on_every_server_what_an_isolated_communicator_lowers
     ] {
         shapes.push((pair.to_vec(), Default::default()));
     }
-    let store = SharedPlanCache::new();
-    for (locals, options) in &shapes {
-        // the same shape's servers: in order, so slices keep their order
-        let server_sets: &[&[usize]] = match locals.len() {
-            1 => &[&[0], &[3], &[7]],
-            _ => &[&[0, 1], &[3, 6], &[2, 7]],
-        };
-        for (k, servers) in server_sets.iter().enumerate() {
-            let slices: Vec<(usize, Vec<GpuId>)> = servers
+    shapes
+}
+
+/// A job of `locals` (one local shape per server) placed on three sets of
+/// servers of a DGX-1V fleet, each set in ascending order, so slices keep
+/// their order.
+fn on_three_server_sets(locals: &[Vec<usize>]) -> Vec<Vec<(usize, Vec<GpuId>)>> {
+    let server_sets: &[&[usize]] = match locals.len() {
+        1 => &[&[0], &[3], &[7]],
+        _ => &[&[0, 1], &[3, 6], &[2, 7]],
+    };
+    server_sets
+        .iter()
+        .map(|servers| {
+            servers
                 .iter()
                 .zip(locals)
                 .map(|(&server, local)| (server, on_server(server, local)))
-                .collect();
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn every_local_shape_lowers_on_every_server_what_an_isolated_communicator_lowers() {
+    let bytes = (3 << 20) + 5;
+    let store = SharedPlanCache::new();
+    for (locals, options) in &local_shapes() {
+        for (k, slices) in on_three_server_sets(locals).iter().enumerate() {
             let (hits, misses) = store.lowering_stats();
-            let shared = all_reduce(&mut placed_on(&slices, *options, Some(&store)), bytes);
-            let private = all_reduce(&mut placed_on(&slices, *options, None), bytes);
+            let shared = all_reduce(&mut placed_on(slices, *options, Some(&store)), bytes);
+            let private = all_reduce(&mut placed_on(slices, *options, None), bytes);
             assert_eq!(*shared.0, *private.0, "{slices:?}");
             assert_eq!(shared.1, private.1, "{slices:?}");
             if k > 0 {
@@ -894,6 +967,37 @@ fn every_local_shape_lowers_on_every_server_what_an_isolated_communicator_lowers
                     "{slices:?} takes the first server's lowering"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn every_local_shape_runs_on_every_server_what_an_isolated_communicator_runs() {
+    // the first server lowers afresh and simulates; the second hits, keeps
+    // the entry's compiled form and simulates it, memoising its total; the
+    // third hits and is served that total without running the engine
+    let bytes = (3 << 20) + 5;
+    let kind = CollectiveKind::AllReduce;
+    let store = SharedPlanCache::new();
+    for (locals, options) in &local_shapes() {
+        for (k, slices) in on_three_server_sets(locals).iter().enumerate() {
+            let (hits, misses) = store.lowering_stats();
+            let runs = store.engine_runs();
+            let shared = placed_on(slices, *options, Some(&store))
+                .run(kind, bytes)
+                .unwrap();
+            let private = placed_on(slices, *options, None).run(kind, bytes).unwrap();
+            assert_eq!(format!("{shared:?}"), format!("{private:?}"), "{slices:?}");
+            assert_eq!(shared.elapsed_us.to_bits(), private.elapsed_us.to_bits());
+            let memo_hit = k == 2;
+            if k > 0 {
+                assert_eq!(store.lowering_stats(), (hits + 1, misses), "{slices:?}");
+            }
+            assert_eq!(
+                store.engine_runs(),
+                runs + u64::from(!memo_hit),
+                "{slices:?}: server set {k} runs the engine only without a memoised total"
+            );
         }
     }
 }
@@ -979,6 +1083,47 @@ fn a_fleet_serves_every_first_collective_what_an_isolated_communicator_lowers() 
             placement.job_id
         );
     }
+}
+
+#[test]
+fn a_fleet_served_memoised_totals_reports_what_a_fully_simulated_fleet_reports() {
+    // Kept first runs are traced, so every one simulates; without them a
+    // lowering-tier hit whose form fits is served its memoised total
+    let config = FleetConfig {
+        jobs: 2_000,
+        check_every: 0,
+        ..Default::default()
+    };
+    assert_eq!(config.workload.seed, 42);
+    let mut simulated = FleetPipeline::new(config.clone());
+    simulated.keep_first_runs();
+    let full = simulated.run().unwrap();
+    let mut memoised = FleetPipeline::new(config);
+    let served = memoised.run().unwrap();
+    // a single-GPU job's collective is trivial and runs nothing either way
+    let first_runs = simulated
+        .first_runs()
+        .iter()
+        .filter(|(placement, _)| placement.total_gpus() > 1)
+        .count() as u64;
+    assert_eq!(simulated.shared_cache().engine_runs(), first_runs);
+    assert!(
+        memoised.shared_cache().engine_runs() < first_runs,
+        "some first collective was served a memoised total"
+    );
+    assert_eq!(full.outcomes.len(), served.outcomes.len());
+    for (a, b) in full.outcomes.iter().zip(&served.outcomes) {
+        assert_eq!(a.job_id, b.job_id);
+        assert_eq!(a.strategy, b.strategy, "job {}", a.job_id);
+        assert_eq!(
+            a.rate_gbps.to_bits(),
+            b.rate_gbps.to_bits(),
+            "job {}",
+            a.job_id
+        );
+    }
+    assert_eq!(full.consolidations, served.consolidations);
+    assert_eq!(full.consolidations_improved, served.consolidations_improved);
 }
 
 #[test]
