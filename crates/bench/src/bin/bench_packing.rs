@@ -18,12 +18,16 @@
 //!   [`blink_graph::CUT_ENUMERATION_MAX_NODES`] where production runs it.
 //!
 //! A fifth stage, **dgx2_packing**, packs and minimises the full 16-GPU DGX-2
-//! NVSwitch graph — the largest single-server packing, and the one that sets
-//! the tail of a communicator's first collective. It records only work
+//! NVSwitch graph — the largest single-server packing. It records only work
 //! counts: MWU iterations, trees before and after minimisation, the
 //! certificate, and heap allocations per steady-state packing (the binary
 //! installs the [`blink_bench::alloc::Counting`] allocator). Its wall time is
-//! context.
+//! context. A communicator no longer runs this packing: an NVSwitch graph is
+//! complete and uniform, so [`blink_core::TreeGen`] plans it in closed form
+//! from its first GPU. The stage therefore also records, for the full DGX-2
+//! and its first 12 GPUs rooted at GPU 0, the TreeGen plan's MWU iterations
+//! (0) and trees (15 and 11), and whether that plan is bit-identical to the
+//! stage's own MWU-plus-minimisation plan of the same graph.
 //!
 //! The pre-optimisation naive solvers are not measured here: they survive
 //! only as the test-only bit-identity oracles the graph crate's unit tests
@@ -48,16 +52,20 @@
 //! * the DGX-2 stage's MWU iterations, trees before and after minimisation
 //!   and allocations per packing must not exceed the recording, and its
 //!   certificate must reproduce the recorded value exactly. These counts
-//!   are the same on every runner, so the gate is armed everywhere.
+//!   are the same on every runner, so the gate is armed everywhere;
+//! * the TreeGen plans of the full DGX-2 and its 12-GPU shape must run no
+//!   more MWU iterations and keep no more trees than recorded, and each must
+//!   be bit-identical to the stage's MWU-plus-minimisation plan.
 //!
 //! It does not rewrite the JSON.
 
 use blink_bench::alloc::{allocations, Counting};
 use blink_bench::over_recording;
+use blink_core::{TreeGen, TreeGenOptions};
 use blink_graph::{
     broadcast_rate_all_sinks_in, minimize_trees_in, optimal_broadcast_rate,
     optimal_broadcast_rate_in, pack_spanning_trees_in, DiGraph, MaxFlowScratch, MinimizeOptions,
-    MinimizeScratch, PackingOptions, PackingScratch,
+    MinimizeScratch, PackingOptions, PackingScratch, TreePacking,
 };
 use blink_topology::presets::{dgx1v, dgx2, multi_server, ServerKind, DEFAULT_NIC_GBPS};
 use blink_topology::GpuId;
@@ -144,6 +152,42 @@ struct Dgx2PackingReport {
     allocs_per_packing: f64,
     /// Mean wall-clock microseconds per packing (context only).
     us_per_packing: f64,
+    /// MWU iterations of the TreeGen plan of the full DGX-2 from GPU 0
+    /// (gated; 0, the closed form).
+    treegen16_iterations: usize,
+    /// Trees in that plan (gated).
+    treegen16_trees: usize,
+    /// Whether that plan is bit-identical to this stage's MWU packing plus
+    /// minimisation (gated true).
+    treegen16_bit_identical: bool,
+    /// MWU iterations of the TreeGen plan of the DGX-2's GPUs 0–11 from GPU 0
+    /// (gated; 0, the closed form).
+    treegen12_iterations: usize,
+    /// Trees in that plan (gated).
+    treegen12_trees: usize,
+    /// Whether that plan is bit-identical to an MWU packing plus minimisation
+    /// of the same graph (gated true).
+    treegen12_bit_identical: bool,
+}
+
+/// The TreeGen plan of the DGX-2's first `gpus` GPUs from GPU 0: its MWU
+/// iterations, its tree count, and whether its trees (order, edges, weight
+/// bits) and certificate bits equal `minimized` and `certificate`, the
+/// stage's MWU packing plus minimisation of the same graph.
+fn treegen_dgx2(gpus: usize, minimized: &TreePacking, certificate: f64) -> (usize, usize, bool) {
+    let alloc: Vec<GpuId> = (0..gpus).map(GpuId).collect();
+    let induced = dgx2().induced(&alloc).expect("a DGX-2 allocation");
+    let plan = TreeGen::new(induced, TreeGenOptions::default())
+        .plan(ROOT)
+        .expect("an NVSwitch allocation spans");
+    let same = plan.optimal_rate_gbps.to_bits() == certificate.to_bits()
+        && plan.trees.len() == minimized.trees.len()
+        && plan
+            .trees
+            .iter()
+            .zip(&minimized.trees)
+            .all(|(a, b)| a.tree == b.tree && a.weight.to_bits() == b.weight.to_bits());
+    (plan.mwu.iterations, plan.num_trees(), same)
 }
 
 #[derive(Debug, Serialize)]
@@ -278,15 +322,32 @@ fn measure(quick: bool) -> Report {
     }
     let per_packing16 = t0.elapsed().as_secs_f64() / dgx2_runs as f64;
     let allocs16 = allocations() - before;
+    let minimized16 = minimize_trees_in(&g16, &packed16, &min_opts, &mut min_scratch);
+    let (treegen16_iterations, treegen16_trees, treegen16_bit_identical) =
+        treegen_dgx2(16, &minimized16, stats16.certificate_gbps);
+    let first12: Vec<GpuId> = (0..12).map(GpuId).collect();
+    let g12 = DiGraph::from_topology_filtered(&dgx2().induced(&first12).expect("valid"), |l| {
+        l.kind.is_nvlink()
+    });
+    let (packed12, stats12) =
+        pack_spanning_trees_in(&g12, ROOT, &opts, &mut scratch).expect("dgx2 spans");
+    let minimized12 = minimize_trees_in(&g12, &packed12, &min_opts, &mut min_scratch);
+    let (treegen12_iterations, treegen12_trees, treegen12_bit_identical) =
+        treegen_dgx2(12, &minimized12, stats12.certificate_gbps);
     let dgx2_packing = Dgx2PackingReport {
         gpus: g16.num_nodes(),
         mwu_iterations: stats16.iterations,
         trees_packed: packed16.num_trees(),
-        trees_minimized: minimize_trees_in(&g16, &packed16, &min_opts, &mut min_scratch)
-            .num_trees(),
+        trees_minimized: minimized16.num_trees(),
         certificate_gbps: stats16.certificate_gbps,
         allocs_per_packing: allocs16 as f64 / dgx2_runs as f64,
         us_per_packing: per_packing16 * 1e6,
+        treegen16_iterations,
+        treegen16_trees,
+        treegen16_bit_identical,
+        treegen12_iterations,
+        treegen12_trees,
+        treegen12_bit_identical,
     };
 
     Report {
@@ -370,8 +431,25 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
             ("trees_packed", d.trees_packed as f64),
             ("trees_minimized", d.trees_minimized as f64),
             ("allocs_per_packing", d.allocs_per_packing),
+            ("treegen16_iterations", d.treegen16_iterations as f64),
+            ("treegen16_trees", d.treegen16_trees as f64),
+            ("treegen12_iterations", d.treegen12_iterations as f64),
+            ("treegen12_trees", d.treegen12_trees as f64),
         ],
     ));
+    for (key, same) in [
+        ("treegen16_bit_identical", d.treegen16_bit_identical),
+        ("treegen12_bit_identical", d.treegen12_bit_identical),
+    ] {
+        let recorded = recorded.get("dgx2_packing").and_then(|r| r.get(key));
+        match recorded.and_then(|v| v.as_bool()) {
+            Some(true) if same => {}
+            Some(_) => failures.push(format!(
+                "dgx2_packing {key} is {same}: the TreeGen plan must equal the MWU plan"
+            )),
+            None => failures.push(format!("dgx2_packing {key} is not recorded")),
+        }
+    }
     match recorded_f64(&["dgx2_packing", "certificate_gbps"]) {
         Some(rec) if (d.certificate_gbps - rec).abs() > 1e-6 * rec.max(1.0) => {
             failures.push(format!(
@@ -439,13 +517,21 @@ fn main() {
 fn dgx2_summary(d: &Dgx2PackingReport) -> String {
     format!(
         "dgx2_packing: {} GPUs, {} MWU iterations, {} -> {} trees, certificate {} GB/s, \
-         {} allocations/packing; {:.1} us/packing (context only)",
+         {} allocations/packing; {:.1} us/packing (context only); TreeGen from GPU 0: \
+         16 GPUs {} iterations, {} trees, bit-identical {}; 12 GPUs {} iterations, {} trees, \
+         bit-identical {}",
         d.gpus,
         d.mwu_iterations,
         d.trees_packed,
         d.trees_minimized,
         d.certificate_gbps,
         d.allocs_per_packing,
-        d.us_per_packing
+        d.us_per_packing,
+        d.treegen16_iterations,
+        d.treegen16_trees,
+        d.treegen16_bit_identical,
+        d.treegen12_iterations,
+        d.treegen12_trees,
+        d.treegen12_bit_identical,
     )
 }

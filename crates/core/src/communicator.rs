@@ -145,7 +145,9 @@ impl Default for CommunicatorOptions {
 pub(crate) enum SwitchChoice {
     /// Star/one-hop trees through the switch (the paper's DGX-2 strategy).
     OneHop,
-    /// MWU-packed spanning trees over the induced switch graph.
+    /// TreeGen's packed spanning trees over the induced switch graph: the
+    /// closed-form relay trees when the root is the allocation's smallest
+    /// GPU, MWU packing plus minimisation otherwise.
     Packed,
 }
 
@@ -1407,9 +1409,15 @@ impl Communicator {
     }
 
     /// Lowers a collective on an all-to-all switch fabric (NVSwitch): one-hop
-    /// trees and MWU-packed spanning trees over the induced switch graph are
-    /// *both* candidate strategies, and the first call per collective
-    /// signature simulates both programs once and memoises the faster one.
+    /// trees and TreeGen's packed spanning trees over the induced switch
+    /// graph are *both* candidate strategies, and the first call per
+    /// collective signature simulates both programs once and memoises the
+    /// faster one. The induced switch graph is complete and uniform, so a
+    /// packed plan from its smallest GPU (every rootless collective on a
+    /// sorted allocation) is TreeGen's closed form — the `n − 1` relay trees
+    /// ([`crate::onehop::relay_trees`]) MWU packing plus minimisation would
+    /// return, without running either; other roots still pack through the
+    /// MWU.
     /// One-hop is no longer a forced short-circuit — partial DGX-2
     /// allocations plan packed trees exactly like any other induced subgraph
     /// and win whenever their realised rate is higher (rooted collectives on
@@ -1466,11 +1474,12 @@ impl Communicator {
         let cg = CodeGen::new(self.codegen_options(chunk));
         match choice {
             SwitchChoice::OneHop => {
-                let cap = self
-                    .sim
-                    .topology()
-                    .gpu_cap(self.allocation[0])
-                    .unwrap_or(23.0 * 6.0);
+                // `is_switch_fabric` admits only allocations whose every GPU
+                // declares a fabric cap, so this error is never returned
+                let first = self.allocation[0];
+                let cap = self.sim.topology().gpu_cap(first).ok_or_else(|| {
+                    BlinkError::Planning(format!("switch-fabric GPU {first} declares no cap"))
+                })?;
                 let trees: Vec<WeightedTree> = match kind.root() {
                     Some(root) => vec![one_hop_broadcast_tree(&self.allocation, root, cap)],
                     None => one_hop_trees(&self.allocation, cap / self.allocation.len() as f64),

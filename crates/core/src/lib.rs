@@ -67,8 +67,9 @@
 //! DGX-1 quads and *partially allocated* DGX-2 NVSwitch fabrics plan the
 //! same way. On all-to-all switch fabrics there is no hard-wired strategy:
 //! the first collective of each kind lowers **both** candidates — the
-//! paper's one-hop broadcast trees and MWU-packed spanning trees over the
-//! induced switch graph — simulates each once, and memoises whichever
+//! paper's one-hop broadcast trees and TreeGen's packed spanning trees over
+//! the induced switch graph (in closed form from the smallest GPU, see
+//! [`onehop::relay_trees`]) — simulates each once, and memoises whichever
 //! finishes first (the packed certificate `(m−1)·b` beats one-hop's `b`
 //! on fragments where the root's re-injection is the bottleneck, while
 //! one-hop keeps its latency edge where aggregate rates tie). The verdict

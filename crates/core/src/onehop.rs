@@ -7,8 +7,26 @@
 //! broadcasts it back in one hop, which beats NCCL's double-binary trees on
 //! latency (Figures 19 and 20) because no chunk ever crosses more than two
 //! hops.
+//!
+//! ## Closed-form packed plans
+//!
+//! The packed candidate on a switch fabric needs no search either. Its
+//! planning graph is a *complete uniform* digraph — one edge per ordered GPU
+//! pair, every edge of capacity `c` ([`complete_uniform_capacity`]); so are
+//! DGX-1P NVLink quads and PCIe graphs within one CPU complex. Every
+//! non-root GPU's in-cut there is `(n − 1)·c`, the broadcast certificate,
+//! and the `n − 1` relay trees ([`relay_trees`]) reach it: tree `v` sends
+//! `root → v`, and `v` relays to every other GPU, so each edge carries at
+//! most one tree. With the default options and the root at the graph's
+//! first (smallest) GPU, MWU packing plus minimisation returns exactly these
+//! trees — ordered by ascending `v`, each weighted `c`, bit for bit (pinned
+//! against the MWU by `tests/properties.rs` on every DGX-1 subset and on
+//! DGX-2 subsets of every size). [`crate::treegen::TreeGen`] therefore
+//! returns them without packing or minimising. From any other root, the
+//! MWU's tie-breaks land on a different optimum, so those plans, and warm
+//! replans, still run the MWU.
 
-use blink_graph::{Arborescence, WeightedTree};
+use blink_graph::{Arborescence, DiGraph, WeightedTree};
 use blink_topology::{GpuId, Topology};
 
 /// Builds the `m` one-hop trees for a switch-fabric allocation, one rooted at
@@ -32,6 +50,65 @@ pub fn one_hop_trees(gpus: &[GpuId], per_tree_weight: f64) -> Vec<WeightedTree> 
             }
         })
         .collect()
+}
+
+/// The `n − 1` relay trees a complete uniform fabric plans from `root`: for
+/// every other GPU `v`, in ascending order, the tree `root → v` plus `v → u`
+/// for every remaining `u`, each weighted `capacity`.
+///
+/// Each edge carries at most one tree (`root → v` only tree `v`, `v → u` only
+/// tree `v`, and no edge enters the root), so the packing is feasible, and
+/// its rate `(n − 1)·capacity` is every non-root GPU's in-cut: the
+/// certificate. [`crate::treegen::TreeGen`] returns these trees instead of
+/// running MWU packing and minimisation where
+/// [`complete_uniform_capacity`] holds and the root is the graph's first
+/// (smallest) GPU — they are what that packing and minimisation produce
+/// there, bit for bit.
+pub fn relay_trees(gpus: &[GpuId], root: GpuId, capacity: f64) -> Vec<WeightedTree> {
+    gpus.iter()
+        .copied()
+        .filter(|&v| v != root)
+        .map(|v| {
+            let relayed = gpus.iter().copied().filter(|&u| u != root && u != v);
+            let edges = std::iter::once((root, v))
+                .chain(relayed.map(|u| (v, u)))
+                .collect();
+            WeightedTree {
+                tree: Arborescence::new(root, edges),
+                weight: capacity,
+            }
+        })
+        .collect()
+}
+
+/// The capacity `c` when `graph` is a complete uniform digraph — every
+/// ordered pair of distinct nodes joined by exactly one edge, every edge of
+/// the same finite positive capacity `c` — and `None` otherwise. Every
+/// NVSwitch allocation is one, and so are DGX-1P NVLink quads and PCIe
+/// graphs within one CPU complex. Allocation-free: one `u64` neighbour mask
+/// per node, so graphs of more than 64 nodes answer `None`.
+pub fn complete_uniform_capacity(graph: &DiGraph) -> Option<f64> {
+    let n = graph.num_nodes();
+    let c = graph.edges().first()?.capacity;
+    if !(2..=64).contains(&n) || graph.num_edges() != n * (n - 1) || !(c > 0.0 && c.is_finite()) {
+        return None;
+    }
+    let all = u64::MAX >> (64 - n);
+    for u in 0..n {
+        let mut seen = 0u64;
+        for &e in graph.out_edges(u) {
+            let edge = graph.edges()[e];
+            let bit = 1u64 << edge.dst;
+            if edge.dst == u || edge.capacity != c || seen & bit != 0 {
+                return None;
+            }
+            seen |= bit;
+        }
+        if seen != all & !(1u64 << u) {
+            return None;
+        }
+    }
+    Some(c)
 }
 
 /// A single one-hop tree rooted at `root` (used for Broadcast on a switch

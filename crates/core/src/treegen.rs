@@ -1,6 +1,17 @@
 //! TreeGen: from a probed topology to a minimal set of weighted spanning
 //! trees (Sections 3.1–3.2 of the paper).
 //!
+//! A plan is MWU packing followed by tree-count minimisation, with one
+//! exception: a cold plan over a complete uniform graph (every NVSwitch
+//! allocation, DGX-1P NVLink quads, PCIe graphs within one complex) from its
+//! smallest GPU, under the default options, is written down in closed form —
+//! the `n − 1` relay trees of [`crate::onehop::relay_trees`], which are what
+//! packing plus minimisation return there, bit for bit (see the
+//! [`crate::onehop`] module docs). Such a plan reports the work it did: zero
+//! MWU iterations, `n − 1` trees before minimisation and a
+//! [`blink_graph::PackingTermination::Certificate`] exit. Its certificate
+//! still comes from [`blink_graph::optimal_broadcast_rate_in`].
+//!
 //! Every [`TreeGen`] plans over the process's one [`ScratchPool`]
 //! ([`ScratchPool::process`]) — a thread-safe pool of [`PlannerScratch`]
 //! instances, each bundling the reusable MWU packing buffers
@@ -37,11 +48,12 @@
 //! [`ScratchPool::new`] makes a pool of its own, for tests that pin that
 //! buffer contract on a scratch whose history they control.
 
+use crate::onehop::{complete_uniform_capacity, relay_trees};
 use crate::{BlinkError, Result};
 use blink_graph::{
-    minimize_trees_in, minimize_trees_warm_in, pack_spanning_trees_in, pack_spanning_trees_warm_in,
-    DiGraph, MaxFlowScratch, MinimizeOptions, MinimizeScratch, PackingOptions, PackingScratch,
-    PackingStats, TreePacking, WeightedTree,
+    minimize_trees_in, minimize_trees_warm_in, optimal_broadcast_rate_in, pack_spanning_trees_in,
+    pack_spanning_trees_warm_in, DiGraph, MaxFlowScratch, MinimizeOptions, MinimizeScratch,
+    PackingOptions, PackingScratch, PackingStats, PackingTermination, TreePacking, WeightedTree,
 };
 use blink_sim::EngineScratch;
 use blink_topology::{GpuId, LinkKind, Topology};
@@ -382,6 +394,29 @@ impl TreeGen {
         }
         let mut guard = ScratchPool::process().checkout();
         let scratch = &mut *guard;
+        if let (None, Some(capacity)) = (warm, self.closed_form(&g, root)) {
+            let trees = relay_trees(&gpus, root, capacity);
+            let optimal = optimal_broadcast_rate_in(&g, 0, &mut scratch.certificate);
+            return Ok(TreePlan {
+                root,
+                gpus,
+                optimal_rate_gbps: optimal,
+                trees_before_minimize: trees.len(),
+                links: self.options.links,
+                mwu: PackingStats {
+                    iterations: 0,
+                    distinct_trees: trees.len(),
+                    hit_iteration_cap: false,
+                    termination: PackingTermination::Certificate,
+                    certificate_gbps: optimal,
+                    warm_seeded: 0,
+                    warm_dropped: 0,
+                    warm_repaired: 0,
+                    warm_topup: 0,
+                },
+                trees,
+            });
+        }
         let opts = &self.options.packing;
         let (packing, stats) = match warm {
             Some(w) => pack_spanning_trees_warm_in(&g, root, opts, &mut scratch.packing, w),
@@ -420,12 +455,31 @@ impl TreeGen {
             mwu: stats,
         })
     }
+
+    /// The capacity of every edge when a cold plan from `root` has a closed
+    /// form: `g` is a complete uniform digraph
+    /// ([`complete_uniform_capacity`]), `root` is its first node and its GPUs
+    /// ascend (so it is the smallest GPU), and the options are the default
+    /// ones, under which MWU packing plus minimisation returns the relay
+    /// trees ([`relay_trees`]) bit for bit. `None` otherwise.
+    fn closed_form(&self, g: &DiGraph, root: GpuId) -> Option<f64> {
+        let defaults = TreeGenOptions {
+            links: self.options.links,
+            ..TreeGenOptions::default()
+        };
+        let first = g.gpus().first() == Some(&root);
+        let ascending = g.gpus().windows(2).all(|w| w[0] < w[1]);
+        if self.options != defaults || !first || !ascending {
+            return None;
+        }
+        complete_uniform_capacity(g)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blink_topology::presets::{dgx1p, dgx1v};
+    use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 
     fn induced(topo: &Topology, ids: &[usize]) -> Topology {
         let alloc: Vec<GpuId> = ids.iter().map(|&i| GpuId(i)).collect();
@@ -511,6 +565,32 @@ mod tests {
             let _c = pool.checkout(); // past the peak: one more
         }
         assert_eq!(pool.created(), 3);
+    }
+
+    #[test]
+    fn only_a_cold_default_plan_from_the_smallest_gpu_is_closed_form() {
+        let topo = induced(&dgx2(), &[2, 5, 6, 11, 13]);
+        let cold = TreeGen::new(topo.clone(), TreeGenOptions::default());
+        let plan = cold.plan(GpuId(2)).unwrap();
+        assert_eq!((plan.mwu.iterations, plan.num_trees()), (0, 4));
+        // another root, a warm replan and non-default options run the MWU
+        assert!(cold.plan(GpuId(6)).unwrap().mwu.iterations > 0);
+        assert!(cold.plan_warm(GpuId(2), &plan).unwrap().mwu.warm_seeded > 0);
+        let raw = TreeGenOptions {
+            skip_minimize: true,
+            ..Default::default()
+        };
+        let coarse = TreeGenOptions {
+            packing: PackingOptions {
+                epsilon: 0.1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for options in [raw, coarse] {
+            let plan = TreeGen::new(topo.clone(), options).plan(GpuId(2)).unwrap();
+            assert!(plan.mwu.iterations > 0, "{options:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * [`canonical_form`] is the paper's **class-binning key**: two
 //!   allocations share it iff their induced NVLink graphs are isomorphic.
 //!   It bins allocations for reporting only; plans are never keyed by it
-//!   (`blink-core` packs every allocation's own trees, as Blink does).
+//!   (`blink-core` plans every allocation's own trees, as Blink does: it
+//!   packs them, or writes them down in closed form where the induced graph
+//!   is complete and uniform and the root is its smallest GPU).
 //! * [`AllocationClass::label`] is the stable human-readable class name used
 //!   on the paper's x-axes and in scheduler reports.
 //!

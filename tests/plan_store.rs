@@ -758,10 +758,12 @@ fn a_machine_that_differs_in_one_read_recompiles() {
 }
 
 #[test]
-fn a_communicator_on_a_renumbered_machine_recompiles_a_shared_form() {
+fn a_communicator_on_a_renumbered_machine_runs_the_shared_form() {
     // GPUs 4-7 induce the same topology on a whole DGX-1V and on a machine
-    // of GPUs 2-7, so both communicators share one lowering; on the second
-    // machine every GPU index and link id differs
+    // of GPUs 2-7, so both communicators share one lowering. Each simulates
+    // only its slice, where the GPUs sit at the same dense indices over the
+    // same link ids, so the second communicator runs the form the first
+    // compiled, and runs it as a private communicator runs its own programs
     let alloc = ids(&[4, 5, 6, 7]);
     let renumbered = dgx1v().induced(&ids(&[2, 3, 4, 5, 6, 7])).unwrap();
     let store = SharedPlanCache::new();
@@ -775,11 +777,12 @@ fn a_communicator_on_a_renumbered_machine_recompiles_a_shared_form() {
     let mut whole = on(dgx1v(), &store);
     step(&mut whole);
     let forms = compiled_forms(&step(&mut whole));
-    let sim = Simulator::new(renumbered.clone(), SimParams::default());
-    let shared = step(&mut on(renumbered.clone(), &store));
+    let mut away = on(renumbered.clone(), &store);
+    let slice = Simulator::new(away.induced_topology().clone(), SimParams::default());
+    let shared = step(&mut away);
     for (form, other) in forms.iter().zip(compiled_forms(&shared)) {
         assert!(Arc::ptr_eq(form, &other), "the lowering is shared");
-        assert!(!form.fits(&sim));
+        assert!(form.fits(&slice), "and its form runs on the second slice");
     }
     let private = step(&mut on(renumbered, &SharedPlanCache::new()));
     assert_eq!(step_bits(&shared), step_bits(&private));

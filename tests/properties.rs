@@ -4,16 +4,20 @@
 //! allocations of the real DGX topologies.
 
 use blink_core::codegen::{CodeGen, CodeGenOptions};
-use blink_core::treegen::{TreeGen, TreeGenOptions};
+use blink_core::onehop::complete_uniform_capacity;
+use blink_core::treegen::{LinkSelection, TreeGen, TreeGenOptions};
 use blink_core::{CollectiveKind, Communicator, CommunicatorOptions, SharedPlanCache};
 use blink_graph::{
-    optimal_broadcast_rate, pack_spanning_trees, pack_spanning_trees_in, Arborescence, DiGraph,
-    PackingOptions, PackingScratch, TreePacking, WeightedTree,
+    minimize_trees_in, optimal_broadcast_rate, pack_spanning_trees, pack_spanning_trees_in,
+    Arborescence, DiGraph, MinimizeOptions, MinimizeScratch, PackingOptions, PackingScratch,
+    PackingTermination, TreePacking, WeightedTree,
 };
 use blink_topology::enumerate::unique_allocations;
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A random subset of 2..=8 GPUs of an 8-GPU server, plus a root index.
 fn allocation_strategy() -> impl Strategy<Value = (Vec<usize>, usize)> {
@@ -377,6 +381,179 @@ fn packed_certificate_is_4x_one_hop_on_a_pinned_dgx2_fragment() {
         (packed - 4.0 * 138.0).abs() < 1e-6,
         "packed certificate {packed} must be (m−1)·b = 552"
     );
+}
+
+// ---- closed-form plans on complete uniform fabrics ----
+
+/// What TreeGen plans from `root` must equal: MWU packing, then
+/// minimisation, through blink-graph's public API with default options.
+/// `None` when the link class cannot span the allocation from `root`.
+fn mwu_oracle(g: &DiGraph, root: GpuId) -> Option<(Vec<WeightedTree>, f64)> {
+    if !g.spans_from(g.node(root)?) {
+        return None;
+    }
+    let (packing, stats) = pack_spanning_trees_in(
+        g,
+        root,
+        &PackingOptions::default(),
+        &mut PackingScratch::new(),
+    )
+    .unwrap();
+    let minimized = minimize_trees_in(
+        g,
+        &packing,
+        &MinimizeOptions::default(),
+        &mut MinimizeScratch::new(),
+    );
+    Some((minimized.trees, stats.certificate_gbps))
+}
+
+/// Plans `alloc` of `machine` over `links` from `root` and checks the plan
+/// against [`mwu_oracle`]: trees, order, weights and certificate bit for bit.
+/// Where the closed form applies (a complete uniform graph planned from its
+/// first GPU) it also checks that no MWU ran and that the relay trees use
+/// each edge at most once at the certificate's rate. Returns whether the
+/// closed form applied.
+fn check_closed_form(
+    machine: &Topology,
+    alloc: &[GpuId],
+    links: LinkSelection,
+    root: GpuId,
+) -> bool {
+    let sub = machine.induced(alloc).unwrap();
+    let g = DiGraph::from_topology_filtered(&sub, |l| links.matches(l));
+    let treegen = TreeGen::new(
+        sub,
+        TreeGenOptions {
+            links,
+            ..Default::default()
+        },
+    );
+    let case = format!("{alloc:?} {links:?} from {root}");
+    let Some((trees, certificate)) = mwu_oracle(&g, root) else {
+        assert!(treegen.plan(root).is_err(), "{case}: no spanning tree");
+        return false;
+    };
+    let plan = treegen.plan(root).unwrap();
+    assert_eq!(
+        plan.optimal_rate_gbps.to_bits(),
+        certificate.to_bits(),
+        "{case}"
+    );
+    assert_eq!(plan.trees.len(), trees.len(), "{case}");
+    for (a, b) in plan.trees.iter().zip(&trees) {
+        assert_eq!(a.tree, b.tree, "{case}");
+        assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{case}");
+    }
+    let closed = complete_uniform_capacity(&g).is_some() && root == alloc[0];
+    if closed {
+        let n = alloc.len();
+        assert_eq!(plan.mwu.iterations, 0, "{case}");
+        assert_eq!(
+            plan.mwu.termination,
+            PackingTermination::Certificate,
+            "{case}"
+        );
+        assert_eq!(plan.trees_before_minimize, n - 1, "{case}");
+        let mut edges: Vec<_> = plan
+            .trees
+            .iter()
+            .flat_map(|t| t.tree.edges.clone())
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        assert_eq!(
+            edges.len(),
+            (n - 1) * (n - 1),
+            "{case}: an edge carries two trees"
+        );
+        assert_eq!(plan.rate_gbps().to_bits(), certificate.to_bits(), "{case}");
+    } else {
+        assert!(plan.mwu.iterations > 0, "{case}: the MWU ran");
+    }
+    closed
+}
+
+/// Every DGX-1V and DGX-1P subset of 2–8 GPUs over either link class: a
+/// complete uniform one plans in closed form from its first GPU, equal to the
+/// MWU oracle, and from its other GPUs through the MWU, equal to it too; a
+/// sample of the others plans from its first GPU as the oracle does.
+#[test]
+fn closed_form_plans_are_the_mwu_plans_on_every_dgx1_subset() {
+    for machine in [dgx1v(), dgx1p()] {
+        let mut closed = 0;
+        for mask in 1u32..256 {
+            let alloc: Vec<GpuId> = (0..8)
+                .filter(|&i| mask & (1 << i) != 0)
+                .map(GpuId)
+                .collect();
+            if alloc.len() < 2 {
+                continue;
+            }
+            for links in [LinkSelection::NvLinkOnly, LinkSelection::PcieOnly] {
+                let g = DiGraph::from_topology_filtered(&machine.induced(&alloc).unwrap(), |l| {
+                    links.matches(l)
+                });
+                if complete_uniform_capacity(&g).is_some() {
+                    assert!(check_closed_form(&machine, &alloc, links, alloc[0]));
+                    let other = alloc[1 + mask as usize % (alloc.len() - 1)];
+                    assert!(!check_closed_form(&machine, &alloc, links, other));
+                    closed += 1;
+                } else if mask % 9 == 0 {
+                    assert!(!check_closed_form(&machine, &alloc, links, alloc[0]));
+                }
+            }
+        }
+        assert!(
+            closed >= 40,
+            "{}: {closed} complete uniform subsets",
+            machine.name()
+        );
+    }
+}
+
+/// Seeded DGX-2 subsets of every size 2–16 over either link class: the
+/// NVSwitch graph is always complete uniform and the PCIe one is within a
+/// complex of eight GPUs.
+#[test]
+fn closed_form_plans_are_the_mwu_plans_on_seeded_dgx2_subsets() {
+    let machine = dgx2();
+    let mut rng = StdRng::seed_from_u64(34);
+    let mut closed = 0;
+    for size in (2..=16usize).flat_map(|size| [size, size]) {
+        let mut ids: Vec<usize> = (0..16).collect();
+        for i in 0..size {
+            let j = i + rng.random::<u64>() as usize % (16 - i);
+            ids.swap(i, j);
+        }
+        let mut alloc: Vec<GpuId> = ids[..size].iter().map(|&i| GpuId(i)).collect();
+        alloc.sort_unstable();
+        let nvlink = LinkSelection::NvLinkOnly;
+        assert!(check_closed_form(&machine, &alloc, nvlink, alloc[0]));
+        closed += 1;
+        assert!(!check_closed_form(
+            &machine,
+            &alloc,
+            nvlink,
+            alloc[size - 1]
+        ));
+        // the PCIe graph of the GPUs in the first GPU's complex
+        let complex: Vec<GpuId> = alloc
+            .iter()
+            .copied()
+            .filter(|g| g.0 / 8 == alloc[0].0 / 8)
+            .collect();
+        if complex.len() >= 2 {
+            assert!(check_closed_form(
+                &machine,
+                &complex,
+                LinkSelection::PcieOnly,
+                complex[0]
+            ));
+            closed += 1;
+        }
+    }
+    assert!(closed >= 50, "{closed} closed-form plans");
 }
 
 // ---- the certificate-bounded root sweep ----
