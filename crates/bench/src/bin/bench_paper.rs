@@ -1,9 +1,10 @@
 //! The paper's evaluation in one run: every figure of
-//! [`blink_bench::figures`] and the Section 3.2.1 tree-minimisation case
-//! study, each printed as a table and recorded in `BENCH_paper.json` under
-//! its figure id. Figures 19 and 20 plot one sweep, recorded once as
-//! `fig19_20`. Every row is simulated, so it is the same on every runner;
-//! `EXPERIMENTS.md` reads each paper claim off a field of the recording.
+//! [`blink_bench::figures`], the Section 5.2 class counts (`sec5_2`) and
+//! the Section 3.2.1 tree-minimisation case study, each printed as a table
+//! and recorded in `BENCH_paper.json` under its figure id. Figures 19 and
+//! 20 plot one sweep, recorded once as `fig19_20`. Every row is simulated,
+//! so it is the same on every runner; `EXPERIMENTS.md` reads each paper
+//! claim off a field of the recording.
 //!
 //! Without arguments: writes `BENCH_paper.json` (run from the repo root).
 //!
@@ -27,7 +28,7 @@ fn rows<T: Serialize>(rows: Vec<T>) -> Vec<Value> {
 }
 
 /// Every figure once, in paper order: (figure id, rows).
-fn run_figures() -> [(&'static str, Vec<Value>); 18] {
+fn run_figures() -> [(&'static str, Vec<Value>); 19] {
     [
         ("fig02", rows(fig02_broadcast_motivation())),
         ("fig03", rows(fig03_scheduler_allocations(40_000))),
@@ -36,6 +37,7 @@ fn run_figures() -> [(&'static str, Vec<Value>); 18] {
         ("fig08", rows(fig08_mimo_mca())),
         ("fig12", rows(fig12_chunk_autotune(8))),
         ("fig14", rows(fig14_theoretical_speedup())),
+        ("sec5_2", rows(sec5_2_allocation_classes())),
         ("fig15", rows(fig15_broadcast_dgx1v())),
         ("fig16", rows(fig16_broadcast_dgx1p())),
         ("fig17", rows(fig17_allreduce_dgx1v())),

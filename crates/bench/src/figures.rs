@@ -459,6 +459,49 @@ pub fn fig14_theoretical_speedup() -> Vec<TheoreticalSpeedupRow> {
 }
 
 // ---------------------------------------------------------------------------
+// Section 5.2: unique allocation classes
+// ---------------------------------------------------------------------------
+
+/// The Section 5.2 binning of one machine's 3–8-GPU allocations.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct AllocationClassesRow {
+    /// Machine generation ("dgx-1v" or "dgx-1p").
+    pub machine: String,
+    /// Isomorphism classes of the induced NVLink graphs.
+    pub classes: usize,
+    /// Classes whose representative's NVLink graph spans from its first GPU.
+    pub nvlink_connected: usize,
+}
+
+/// Section 5.2: how many classes the DGX-1V and DGX-1P allocations of 3–8
+/// GPUs fall into (the paper counts 46 and 14 unique settings), and how
+/// many of them NVLink connects.
+pub fn sec5_2_allocation_classes() -> Vec<AllocationClassesRow> {
+    [(dgx1v(), "dgx-1v"), (dgx1p(), "dgx-1p")]
+        .into_iter()
+        .map(|(machine, name)| {
+            let classes = unique_allocations(&machine, 3..=8).expect("preset enumerates");
+            let nvlink_connected = classes
+                .iter()
+                .filter(|class| {
+                    let alloc = &class.representative;
+                    let sub = machine.induced(alloc).expect("valid class");
+                    let nvlink = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
+                    nvlink
+                        .node(alloc[0])
+                        .is_some_and(|root| nvlink.spans_from(root))
+                })
+                .count();
+            AllocationClassesRow {
+                machine: name.to_string(),
+                classes: classes.len(),
+                nvlink_connected,
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
 // Figures 15, 16, 17: Broadcast / AllReduce across all unique allocations
 // ---------------------------------------------------------------------------
 

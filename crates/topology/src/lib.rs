@@ -15,8 +15,9 @@
 //! * faithful presets of the paper's hardware ([`presets::dgx1p`],
 //!   [`presets::dgx1v`], [`presets::dgx2`], [`presets::multi_server`]),
 //! * enumeration of *unique* allocation-induced topologies up to isomorphism
-//!   ([`enumerate::unique_allocations`]), reproducing the paper's "46 unique
-//!   settings on DGX-1V, 14 on DGX-1P" analysis,
+//!   ([`enumerate::unique_allocations`]), the paper's Section 5.2 binning:
+//!   53 DGX-1V and 17 DGX-1P classes of 3–8 GPUs, of which the 46 and 14
+//!   whose NVLink graph is connected are the paper's "unique settings",
 //! * process-group splits ([`GroupSplit`]) that partition one job's
 //!   allocation into nested subgroups (by server, by stride, or explicit GPU
 //!   sets) whose induced topologies share the parent's links, and

@@ -416,8 +416,7 @@ impl Topology {
     /// A dense capacity matrix (GB/s), indexed by position in [`Topology::gpu_ids`].
     ///
     /// Entry `(i, j)` is the total directed capacity from the `i`-th to the
-    /// `j`-th GPU. Used by the isomorphism canonicalisation in
-    /// [`crate::enumerate`] and handy for debugging.
+    /// `j`-th GPU. Handy for debugging.
     pub fn capacity_matrix(&self) -> Vec<Vec<f64>> {
         let ids = self.gpu_ids();
         let index: BTreeMap<GpuId, usize> = ids.iter().enumerate().map(|(i, &g)| (g, i)).collect();

@@ -30,7 +30,7 @@ fn three_phase(machine: &Topology, alloc: &[GpuId], bytes: u64) -> (Program, Thr
 fn blink_broadcast_dominates_nccl_across_unique_dgx1v_allocations() {
     let machine = dgx1v();
     let classes = unique_allocations(&machine, 3..=8).unwrap();
-    assert!(classes.len() >= 40, "expected 53 unique classes");
+    assert_eq!(classes.len(), 53, "unique DGX-1V classes");
     let bytes = mb(100);
     let mut big_wins = 0;
     for class in classes.iter().step_by(2) {
