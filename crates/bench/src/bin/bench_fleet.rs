@@ -50,7 +50,8 @@
 //! With `--check`: runs both replays twice (well under a second) and fails,
 //! on every runner, unless
 //!
-//! * **work** — no counter of either section's `work` exceeds its recording;
+//! * **work** — no counter of either section's `work` exceeds its
+//!   recording, and lowering-tier hits do not fall below theirs;
 //! * **fleet** — sampled first collectives pass the oracle, the plan store
 //!   and the lowering tier hit, the stream fragments into three-phase jobs,
 //!   and placements, rejections and stage events balance;
@@ -649,10 +650,29 @@ fn chaos_gates(run: &Run, out: &ChaosSection) -> Vec<String> {
     failures
 }
 
-/// The work gate: no counter may exceed its recording.
+/// The work gate: no counter may exceed its recording, except lowering-tier
+/// hits, which may not fall below theirs. A hit is a fresh lowering
+/// avoided, and `fresh_lowerings` already bounds that work from above.
 fn work_gate(recorded: Option<&serde::Value>, work: &Work) -> Vec<String> {
-    let counters = work.counters().map(|(key, n)| (key, n as f64));
-    over_recording("work", recorded, &counters)
+    let counters: Vec<(&str, f64)> = work
+        .counters()
+        .into_iter()
+        .filter(|&(key, _)| key != "lowering_hits")
+        .map(|(key, n)| (key, n as f64))
+        .collect();
+    let mut failures = over_recording("work", recorded, &counters);
+    let hits = work.lowering_hits;
+    match recorded
+        .and_then(|r| r.get("lowering_hits"))
+        .and_then(|v| v.as_u64())
+    {
+        Some(rec) if hits < rec => failures.push(format!(
+            "work lowering_hits is {hits}, below the recorded {rec}"
+        )),
+        Some(_) => {}
+        None => failures.push("work lowering_hits is not recorded".to_string()),
+    }
+    failures
 }
 
 /// Two replays of one configuration must agree on everything but wall
@@ -826,10 +846,10 @@ mod tests {
     }
 
     #[test]
-    fn the_work_gate_fails_any_counter_one_over_its_recording() {
+    fn the_work_gate_fails_any_counter_one_worse_than_its_recording() {
         let bumps: [fn(&mut Work); 9] = [
             |w| w.fresh_lowerings += 1,
-            |w| w.lowering_hits += 1,
+            |w| w.lowering_hits -= 1,
             |w| w.lowered_ops += 1,
             |w| w.compiled_forms += 1,
             |w| w.packs += 1,
@@ -845,6 +865,15 @@ mod tests {
             assert_eq!(failures.len(), 1, "{key}: {failures:?}");
             assert!(failures[0].contains(key), "{failures:?}");
         }
+    }
+
+    #[test]
+    fn the_work_gate_passes_more_lowering_hits_than_recorded() {
+        let work = Work {
+            lowering_hits: WORK.lowering_hits + 4,
+            ..WORK
+        };
+        assert!(work_gate(Some(&recorded()), &work).is_empty());
     }
 
     #[test]

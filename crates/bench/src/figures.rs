@@ -844,21 +844,12 @@ pub fn tab_tree_minimization() -> TreeMinimizationRow {
     let machine = dgx1v();
     let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
     let induced = machine.induced(&alloc).expect("valid");
-    let raw = TreeGen::new(
-        induced.clone(),
-        TreeGenOptions {
-            skip_minimize: true,
-            ..Default::default()
-        },
-    )
-    .plan(GpuId(0))
-    .expect("plans");
     let minimized = TreeGen::new(induced, TreeGenOptions::default())
         .plan(GpuId(0))
         .expect("plans");
     TreeMinimizationRow {
         allocation: label(&alloc),
-        mwu_trees: raw.num_trees(),
+        mwu_trees: minimized.trees_before_minimize,
         minimized_trees: minimized.num_trees(),
         rate_lanes: minimized.rate_gbps() / 23.0,
         mb_per_tree: 1000.0 / minimized.num_trees() as f64,

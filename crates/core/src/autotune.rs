@@ -48,29 +48,25 @@
 //! of the key (the three-phase planner's next server of the same local
 //! shape, say) hits it.
 //!
-//! # Delta invalidation and warm seeds
+//! # A store entry is a pure function of its key
 //!
-//! When the hardware churns (a flaky NVLink disabled, a GPU cordoned off, a
-//! link healed), [`crate::Communicator::replan`] hands the
-//! [`TopologyDelta`] to its handle, which, instead of flushing wholesale,
-//! demotes exactly the plans the delta can touch: a cached plan survives a
-//! pure removal intact when none of its trees' edges and none of its link
-//! class's capacity groups intersect the removed links/GPUs, while any
-//! intersecting (or additively changed) plan is demoted to a *warm seed*.
-//! The next miss for that key hands the seed to [`TreeGen::plan_warm`],
-//! whose repair-and-seed pass (`blink-graph`'s warm-start contract)
-//! typically reaches the packing certificate with zero MWU iterations. The
-//! cache never serves a demoted plan directly — warm seeds only ever enter
-//! through the packer, so every plan handed out has been re-certified
-//! against the current topology.
+//! The plan tier holds only cold plans: a plan the store packed with no
+//! warm seed, which is what [`TreeGen::plan`] makes for the key's slice
+//! shape, root and options. Every lowering in the lowering tier was made
+//! by a communicator whose plans were all such plans. So whoever published
+//! an entry, and whenever, a hit is what a private communicator would plan
+//! or lower; nothing in the store is ever invalidated, and eviction only
+//! ever costs a re-pack or a re-lowering.
 //!
-//! In the store, plans a delta leaves intact are also filed under the
-//! post-event fingerprint. Since that fingerprint numbers GPUs by rank,
-//! another communicator whose slice has the same post-event shape, on any
-//! server, may then hit a surviving plan (or a warm repack), just as a
-//! communicator on the same GPUs already could. Only plans packed for the
-//! changed slice's own GPUs leave the pre-event fingerprint; the same shape
-//! on other servers keeps its plans.
+//! Warm and kept plans are private to the communicator that replanned.
+//! [`crate::Communicator::replan`] hands the [`TopologyDelta`] to its
+//! handle, which keeps the plans the delta provably did not touch and
+//! demotes the rest to *warm seeds*; the next miss on a seed's key repacks
+//! it through [`TreeGen::plan_warm`], typically with zero MWU iterations,
+//! and the result is not published. A communicator left holding kept plans
+//! or seeds files its lowerings under a key no other communicator can form.
+//! A hardware change gives the changed slice a new fingerprint, so every
+//! other communicator keeps being served the cold entries of its own key.
 //!
 //! # The lowering tier
 //!
@@ -95,12 +91,11 @@
 //! the plan tier relabels them) and its picked root, and its program only
 //! when the caller reads it ([`crate::Communicator::run`] does not).
 //! Renaming keeps the GPUs' order, so the renamed program is the one a
-//! fresh lowering there would emit, op for op; whether the stored plans
-//! contradict the handle's is judged after renaming, by content. A handle
-//! that was never used holds no plan to contradict, so a fresh
-//! communicator's first hit takes the entry without renaming anything and
-//! adopts its plans and picked root only when something reads them (a
-//! later lowering, a replan); until then nothing can tell the difference.
+//! fresh lowering there would emit, op for op. A communicator takes a hit
+//! without reading its plans, and adopts them and the picked root only when
+//! something reads them (a later lowering, a replan): the plans under one
+//! key are the same whoever holds them, so a handle holding some of them
+//! already holds the very same ones.
 //!
 //! An entry also keeps one engine compiled form ([`blink_sim::CompiledProgram`]),
 //! so a lowering a training loop replays every step, or a fleet places on
@@ -129,19 +124,7 @@
 //! more than the total (traced and checked runs, streams, sessions and
 //! process groups) still simulate ([`SharedPlanCache::engine_runs`] counts
 //! the runs that did). The form and its total live and die with their
-//! entry: eviction and invalidation drop them with the lowering.
-//!
-//! A lowering is published only while every plan it read is the plan tier's
-//! current plan for its key (bit for bit, after relabelling the stored plan
-//! onto the lowering's GPUs), and it is dropped when any of them is replaced,
-//! evicted or retargeted, so it lives exactly as long as the plans a fresh
-//! lowering would read. That is what keeps a hit bit-identical to lowering
-//! afresh; a lowering over a plan the store no longer holds is simply never
-//! shared. A delta on one slice drops exactly the entries that read a plan
-//! packed for that slice's own GPUs (those leave the plan tier). The same
-//! shape's jobs on other servers then re-lower, over the plans their
-//! handles hold or a fresh pack of the same plans, exactly what they were
-//! served; entries over plans another slice packed keep serving them.
+//! entry: eviction drops them with the lowering.
 
 use crate::collective::CollectiveKind;
 use crate::communicator::SwitchChoice;
@@ -343,7 +326,6 @@ fn fingerprint_under(names: Names<'_>, induced: &Topology, options: &TreeGenOpti
     let TreeGenOptions {
         packing,
         minimize,
-        skip_minimize,
         links: _,
     } = options;
     let optional = |value: Option<f64>| {
@@ -359,7 +341,6 @@ fn fingerprint_under(names: Names<'_>, induced: &Topology, options: &TreeGenOpti
     h.put(&optional(minimize.unit_gbps));
     h.put(&(minimize.max_bb_nodes as u64).to_le_bytes());
     h.put(&optional(minimize.known_optimum));
-    h.put(&[u8::from(*skip_minimize)]);
     h.into_hasher().finish()
 }
 
@@ -454,13 +435,6 @@ impl Renaming {
     }
 }
 
-/// The plan-tier key of `plan`, read under rank fingerprint `fp`; `None`
-/// when its root is not one of its GPUs.
-fn plan_key(fp: u64, plan: &TreePlan) -> Option<PlanKey> {
-    let rank = plan.gpus.iter().position(|&g| g == plan.root)?;
-    Some((fp, rank, plan.links))
-}
-
 /// The plan store shared across communicators (and across the per-server
 /// TreeGens of the three-phase multi-server AllReduce): whole
 /// [`TreePlan`]s memoised for any number of job shapes at once — that is
@@ -485,7 +459,8 @@ fn plan_key(fp: u64, plan: &TreePlan) -> Option<PlanKey> {
 /// stored plan itself). Other isomorphic allocations (the mirror halves of
 /// a DGX-1V, the stride subgroups of a process-group split) reorder GPUs
 /// and are different keys: each packs its own plans, exactly as a private
-/// communicator would.
+/// communicator would. The tier holds only cold plans (see "a store entry
+/// is a pure function of its key" in the module docs).
 ///
 /// The tier holds at most [`SharedPlanCache::DEFAULT_CAPACITY`] plans and
 /// evicts its least-recently-used entry when an insert would exceed the
@@ -509,9 +484,6 @@ pub struct SharedPlanCache {
 /// A plan-tier key: `(rank fingerprint, root rank, link class)`, the root's
 /// rank being its position among the slice's GPUs.
 type PlanKey = (u64, usize, LinkSelection);
-
-/// Plans a lowering read, each with its rank fingerprint.
-pub(crate) type PlanReads = Vec<(u64, Arc<TreePlan>)>;
 
 #[derive(Debug)]
 struct Tiers {
@@ -539,24 +511,6 @@ impl Default for Tiers {
             lowered_ops: 0,
             compiled_forms: 0,
             engine_runs: 0,
-        }
-    }
-}
-
-impl Tiers {
-    /// Publishes `plan` to the plan tier. Lowerings read from a plan the
-    /// insert replaced or evicted go with it.
-    fn publish(&mut self, key: PlanKey, plan: Arc<TreePlan>) {
-        let displaced = self.plans.insert(key, plan);
-        self.drop_lowerings_reading(&displaced);
-    }
-
-    /// Drops every lowering that read a plan under one of `keys`.
-    fn drop_lowerings_reading(&mut self, keys: &[PlanKey]) {
-        if !keys.is_empty() {
-            self.lowerings
-                .entries
-                .retain(|_, (lowering, _)| !lowering.plan_keys().any(|k| keys.contains(&k)));
         }
     }
 }
@@ -593,9 +547,10 @@ pub(crate) struct Lowering {
     pub(crate) strategy: String,
     /// The picked root, when the lowering ran over it.
     pub(crate) root: Option<GpuId>,
-    /// Every plan the lowering read; the first `sweep` are the picked
-    /// root's sweep.
-    pub(crate) plans: PlanReads,
+    /// Every plan the lowering read through its communicator's handle (a
+    /// three-phase lowering reads the store directly and lists none); the
+    /// first `sweep` are the picked root's sweep.
+    pub(crate) plans: Vec<Arc<TreePlan>>,
     pub(crate) sweep: usize,
 }
 
@@ -625,11 +580,6 @@ impl Lowering {
     /// [fits](CompiledProgram::fits).
     pub(crate) fn form_for(&self, dense: &[usize]) -> Option<&Compiled> {
         self.compiled.get().filter(|c| c.dense == dense)
-    }
-
-    /// The plan-tier keys of the plans the lowering read.
-    fn plan_keys(&self) -> impl Iterator<Item = PlanKey> + '_ {
-        self.plans.iter().filter_map(|(fp, p)| plan_key(*fp, p))
     }
 }
 
@@ -685,38 +635,13 @@ impl<K: Ord + Clone, V: Clone> Tier<K, V> {
         }
     }
 
-    /// Refreshes `key`'s recency, if present, without counting a lookup.
-    fn touch(&mut self, key: &K) {
-        if let Some((_, last_used)) = self.entries.get_mut(key) {
-            self.tick += 1;
-            *last_used = self.tick;
-        }
-    }
-
-    /// Stores `value`, evicting least-recently-used entries past the bound,
-    /// and returns the keys whose entries went away: `key` itself if it was
-    /// present, then every evicted key. Two communicators on different
-    /// threads that miss the same key both pack it, and the later insert
-    /// overwrites the earlier with an equal plan (planning is a pure
-    /// function of the keyed inputs).
-    fn insert(&mut self, key: K, value: V) -> Vec<K> {
+    /// Stores `value`, evicting least-recently-used entries past the bound.
+    /// Two communicators on different threads that miss the same key both
+    /// pack it, and the later insert overwrites the earlier with an equal
+    /// plan (planning is a pure function of the keyed inputs).
+    fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
-        let mut displaced = Vec::new();
-        if self
-            .entries
-            .insert(key.clone(), (value, self.tick))
-            .is_some()
-        {
-            displaced.push(key);
-        }
-        displaced.extend(self.evict_past_capacity());
-        displaced
-    }
-
-    /// Evicts least-recently-used entries until the tier is within its
-    /// bound, and returns their keys.
-    fn evict_past_capacity(&mut self) -> Vec<K> {
-        let mut evicted = Vec::new();
+        self.entries.insert(key, (value, self.tick));
         while self.entries.len() > self.capacity {
             let Some(oldest) = self
                 .entries
@@ -728,9 +653,7 @@ impl<K: Ord + Clone, V: Clone> Tier<K, V> {
             };
             self.entries.remove(&oldest);
             self.evictions += 1;
-            evicted.push(oldest);
         }
-        evicted
     }
 }
 
@@ -856,50 +779,33 @@ impl SharedPlanCache {
     }
 
     /// How many plans the LRU bound has evicted from the plan tier since
-    /// creation. Delta and fingerprint invalidation do not count: evictions
-    /// measure capacity pressure, not policy flushes.
+    /// creation.
     pub fn evictions(&self) -> u64 {
         self.lock().plans.evictions
     }
 
-    /// The lowering under `key`, if one is stored and `accept` takes it; a
-    /// hit refreshes the recency of every plan it read.
+    /// The lowering under `key`, if one is stored and `accept` takes it.
     pub(crate) fn lowering(
         &self,
         key: &LoweringKey,
         accept: impl FnOnce(&Lowering) -> bool,
     ) -> Option<Arc<Lowering>> {
-        let mut tiers = self.lock();
-        let hit = tiers.lowerings.get_if(key, |l| accept(l))?;
-        for k in hit.plan_keys() {
-            tiers.plans.touch(&k);
-        }
-        Some(hit)
+        self.lock().lowerings.get_if(key, |l| accept(l))
     }
 
-    /// Stores `lowering` under `key` if every plan it read is still the
-    /// plan tier's plan for its key, relabelled onto the plan's GPUs;
-    /// otherwise a fresh lowering by another communicator could read
-    /// different plans, so it is not shared.
+    /// Stores `lowering` under `key`.
     pub(crate) fn publish_lowering(&self, key: LoweringKey, lowering: Arc<Lowering>) {
         let mut tiers = self.lock();
         tiers.lowered_ops += lowering.program.len() as u64;
-        let current = lowering.plans.iter().all(|(fp, plan)| {
-            plan_key(*fp, plan)
-                .and_then(|key| tiers.plans.entries.get(&key))
-                .and_then(|(stored, _)| relabelled(stored, plan.gpus.iter().copied()))
-                .is_some_and(|stored| Arc::ptr_eq(&stored, plan) || stored.bit_eq(plan))
-        });
-        if current {
-            tiers.lowerings.insert(key, lowering);
-        }
+        tiers.lowerings.insert(key, lowering);
     }
 
     /// The one lookup-or-pack-and-publish routine: the plan for `root` on
     /// `induced`, `fp` being `induced`'s [`rank_fingerprint`]. A plan-tier
     /// hit comes back relabelled onto `induced`'s GPUs. A miss packs on the
-    /// calling thread — warm from `seed` when one is given — and is
-    /// published; a failed pack is counted and returned, not cached.
+    /// calling thread — warm from `seed` when one is given — and a cold
+    /// pack is published; a warm one stays the caller's, and a failed pack
+    /// is counted and returned, not cached.
     pub(crate) fn resolve(
         &self,
         options: &TreeGenOptions,
@@ -923,8 +829,8 @@ impl SharedPlanCache {
             return Ok(plan);
         }
         let tg = TreeGen::new(induced.clone(), *options);
-        let plan = match seed {
-            Some(seed) => tg.plan_warm(root, &seed),
+        let plan = match &seed {
+            Some(seed) => tg.plan_warm(root, seed),
             None => tg.plan(root),
         };
         let mut tiers = self.lock();
@@ -932,7 +838,9 @@ impl SharedPlanCache {
             Ok(plan) => {
                 let plan = Arc::new(plan);
                 tiers.mwu_iterations += plan.mwu.iterations as u64;
-                tiers.publish(key, plan.clone());
+                if seed.is_none() {
+                    tiers.plans.insert(key, plan.clone());
+                }
                 Ok(plan)
             }
             Err(e) => {
@@ -940,50 +848,6 @@ impl SharedPlanCache {
                 Err(e)
             }
         }
-    }
-
-    /// Re-files the plans memoised under fingerprint `old` after a caller
-    /// whose GPUs under `old` are `labels` saw its topology change to
-    /// fingerprint `new`. A plan packed for `labels` themselves leaves `old`,
-    /// since the caller just observed that the hardware it was packed for no
-    /// longer exists as recorded; a plan packed for another slice of the
-    /// shape stays, since that slice's hardware did not change. Each plan
-    /// for which `keep` holds, relabelled onto `labels`, is also filed under
-    /// `new` (recency is kept). Every lowering read from a plan that left
-    /// `old`, or that a re-filed plan overwrote or evicted, goes with it.
-    fn retarget(&self, old: u64, new: u64, labels: &[GpuId], keep: impl Fn(&TreePlan) -> bool) {
-        let mut tiers = self.lock();
-        let listed: Vec<PlanKey> = tiers
-            .plans
-            .entries
-            .keys()
-            .filter(|(fp, _, _)| *fp == old)
-            .copied()
-            .collect();
-        let mut displaced = Vec::new();
-        for key in listed {
-            let Some((plan, last_used)) = tiers.plans.entries.get(&key).cloned() else {
-                continue;
-            };
-            let own = plan.gpus == labels;
-            if own {
-                tiers.plans.entries.remove(&key);
-                displaced.push(key);
-            }
-            let (_, rank, links) = key;
-            if (own || new != old)
-                && relabelled(&plan, labels.iter().copied()).is_some_and(|plan| keep(&plan))
-                && tiers
-                    .plans
-                    .entries
-                    .insert((new, rank, links), (plan, last_used))
-                    .is_some()
-            {
-                displaced.push((new, rank, links));
-            }
-        }
-        displaced.extend(tiers.plans.evict_past_capacity());
-        tiers.drop_lowerings_reading(&displaced);
     }
 }
 
@@ -1039,33 +903,24 @@ pub fn global_plan_cache() -> SharedPlanCache {
 }
 
 /// A communicator's private handle on its [`SharedPlanCache`] store: plans
-/// memoised per `(root, link class)` under the rank fingerprint and GPUs of
-/// the communicator's current induced topology and options, plus the warm seeds
-/// a delta demoted. Misses go through [`SharedPlanCache::resolve`] and pack.
-/// The handle also records the plans it serves, so a lowering can list what
-/// it read (see "the lowering tier" in the module docs).
+/// memoised per `(root, link class)` for the communicator's current induced
+/// topology and options, plus the warm seeds a delta demoted. Misses go
+/// through [`SharedPlanCache::resolve`] and pack. The handle also records
+/// the plans it serves, so a lowering can list what it read (see "the
+/// lowering tier" in the module docs).
 ///
-/// A lookup under a different fingerprint or GPUs than the memoised plans
-/// were built under (an unannounced topology or options change) drops them
-/// — and, when the fingerprint changed, the store entries packed for its
-/// GPUs under the old shape, since the communicator just observed that
-/// hardware no longer exists as recorded — and rebuilds, so a caller never
-/// receives a stale plan.
+/// The handle serves one shape: its owner builds it for the shape and tells
+/// it of every change through [`PlanCache::note_delta`], as
+/// [`crate::Communicator::replan`] does.
 #[derive(Debug)]
 pub(crate) struct PlanCache {
     store: SharedPlanCache,
-    /// Rank fingerprint the memoised plans were built under; `None` while
-    /// empty.
-    built_under: Option<u64>,
-    /// The GPUs the memoised plans span, in the induced topology's order.
-    labels: Vec<GpuId>,
     plans: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
     /// Stale plans demoted by [`PlanCache::note_delta`], each consumed by the
     /// next miss on its key to drive [`TreeGen::plan_warm`].
     seeds: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
-    /// Every plan served (or recorded through [`PlanCache::record`]) since
-    /// the last [`PlanCache::take_reads`], with its rank fingerprint.
-    reads: PlanReads,
+    /// Every plan served since the last [`PlanCache::take_reads`].
+    reads: Vec<Arc<TreePlan>>,
 }
 
 impl PlanCache {
@@ -1073,8 +928,6 @@ impl PlanCache {
     pub(crate) fn new(store: SharedPlanCache) -> Self {
         PlanCache {
             store,
-            built_under: None,
-            labels: Vec::new(),
             plans: BTreeMap::new(),
             seeds: BTreeMap::new(),
             reads: Vec::new(),
@@ -1086,37 +939,14 @@ impl PlanCache {
         &self.store
     }
 
-    /// Records plans read outside the handle (the three-phase planner's
-    /// per-server plans) next to the ones it served.
-    pub(crate) fn record(&mut self, reads: impl IntoIterator<Item = (u64, Arc<TreePlan>)>) {
-        self.reads.extend(reads);
-    }
-
-    /// Takes the plans served or recorded since the last call.
-    pub(crate) fn take_reads(&mut self) -> PlanReads {
+    /// Takes the plans served since the last call.
+    pub(crate) fn take_reads(&mut self) -> Vec<Arc<TreePlan>> {
         std::mem::take(&mut self.reads)
     }
 
-    /// Whether the handle was never looked up, adopted into or told of a
-    /// delta: it holds no plan and no seed, so it contradicts no plan.
-    pub(crate) fn is_unused(&self) -> bool {
-        self.built_under.is_none()
-    }
-
-    /// Whether the handle holds a plan under fingerprint `fp` for `plan`'s
-    /// key that differs from `plan` by a bit.
-    pub(crate) fn contradicts(&self, fp: u64, plan: &Arc<TreePlan>) -> bool {
-        self.built_under == Some(fp)
-            && self
-                .plans
-                .get(&(plan.root, plan.links))
-                .is_some_and(|held| !Arc::ptr_eq(held, plan) && !held.bit_eq(plan))
-    }
-
-    /// Takes `plan`, read under fingerprint `fp` by a lowering another
-    /// communicator made, as if this handle had served it.
-    pub(crate) fn adopt(&mut self, fp: u64, plan: Arc<TreePlan>) {
-        self.rekey(fp, plan.gpus.iter().copied());
+    /// Takes `plan`, read by a lowering another communicator made, as if
+    /// this handle had served it.
+    pub(crate) fn adopt(&mut self, plan: Arc<TreePlan>) {
         self.plans.entry((plan.root, plan.links)).or_insert(plan);
     }
 
@@ -1130,54 +960,25 @@ impl PlanCache {
         self.seeds.len()
     }
 
-    /// Points the handle at fingerprint `fp` over GPUs `gpus`. A change (as
-    /// opposed to the first lookup) drops the memoised plans and the seeds —
-    /// an unannounced change could make them arbitrarily wrong as warm
-    /// starts — and a changed fingerprint also the store entries packed for
-    /// the old GPUs under the old shape.
-    fn rekey(&mut self, fp: u64, gpus: impl Iterator<Item = GpuId> + Clone) {
-        if self.built_under == Some(fp) && self.labels.iter().copied().eq(gpus.clone()) {
-            return;
-        }
-        if let Some(old) = self.built_under.filter(|&old| old != fp) {
-            self.store.retarget(old, fp, &self.labels, |_| false);
-        }
-        self.plans.clear();
-        self.seeds.clear();
-        self.built_under = Some(fp);
-        self.labels = gpus.collect();
-    }
-
     /// Applies an in-place topology-change event — a fault, a heal or a NIC
-    /// change; it adds no GPU — to the handle and its store in one pass.
-    /// `induced` and `options` are the **post-event** planning inputs.
+    /// change; it adds no GPU — to the handle. `induced` and `options` are
+    /// the **post-event** planning inputs.
     ///
-    /// Locally, plans the delta provably did not touch — untouched by
-    /// removals, or healed by added links (see `plan_survives_delta`) — stay
-    /// live. A surviving plan of a class the delta added links to is
-    /// re-certified against the healed topology's broadcast min-cut and
-    /// demoted too if its rate fell below `(1 − ε)` of it, so the next lookup
-    /// re-packs through the restored capacity; a heal that does not raise the
-    /// cut keeps plans live and bit-identical. Every demoted plan becomes a
-    /// warm seed.
-    ///
-    /// In the store, a delta that only adds links changes nothing — the old
-    /// shape persists as a subgraph, so its entries keep serving lookups
-    /// under the old fingerprint. Otherwise the old shape's store plans that
-    /// survive the delta are also filed under the new fingerprint, and those
-    /// packed for this slice's own GPUs leave the old one; the handle keeps
-    /// its own copies as warm seeds instead (see `SharedPlanCache::retarget`).
+    /// Plans the delta provably did not touch — untouched by removals, or
+    /// healed by added links (see `plan_survives_delta`) — stay live. A
+    /// surviving plan of a class the delta added links to is re-certified
+    /// against the healed topology's broadcast min-cut and demoted too if
+    /// its rate fell below `(1 − ε)` of it, so the next lookup re-packs
+    /// through the restored capacity; a heal that does not raise the cut
+    /// keeps plans live and bit-identical. Every demoted plan becomes a warm
+    /// seed. The store is not told: its entries are cold plans of their
+    /// keys, and the handle's kept and warm plans stay the handle's.
     pub(crate) fn note_delta(
         &mut self,
         induced: &Topology,
         options: &TreeGenOptions,
         delta: &TopologyDelta,
     ) {
-        let new_fp = rank_fingerprint(induced, options);
-        let gpus = gpu_ids(induced);
-        if self.built_under == Some(new_fp) && self.labels.iter().copied().eq(gpus.clone()) {
-            return;
-        }
         // Lazily built per link class: one graph + one certificate per
         // re-certified root, only on deltas that actually add links.
         let mut cert_graphs: BTreeMap<LinkSelection, DiGraph> = BTreeMap::new();
@@ -1205,20 +1006,12 @@ impl PlanCache {
                 self.seeds.insert(key, plan);
             }
         }
-        if let Some(old) = self.built_under {
-            if !delta.is_pure_growth() {
-                self.store.retarget(old, new_fp, &self.labels, |plan| {
-                    plan_survives_delta(plan, delta)
-                });
-            }
-        }
-        self.built_under = Some(new_fp);
-        self.labels = gpus.collect();
     }
 
-    /// The plan for `(root, options.links)`: served from the handle when
-    /// memoised, otherwise through [`SharedPlanCache::resolve`] (a store hit,
-    /// or a pack — warm from the root's seed when a delta left one).
+    /// The plan for `(root, options.links)` on `induced`, whose
+    /// [`rank_fingerprint`] is `fp`: served from the handle when memoised,
+    /// otherwise through [`SharedPlanCache::resolve`] (a store hit, or a
+    /// pack — warm from the root's seed when a delta left one).
     ///
     /// # Errors
     /// A failed pack; nothing is cached for it.
@@ -1226,19 +1019,18 @@ impl PlanCache {
         &mut self,
         induced: &Topology,
         options: &TreeGenOptions,
+        fp: u64,
         root: GpuId,
     ) -> Result<Arc<TreePlan>> {
-        let fp = rank_fingerprint(induced, options);
-        self.rekey(fp, gpu_ids(induced));
         let links = options.links;
         if let Some(plan) = self.plans.get(&(root, links)) {
-            self.reads.push((fp, plan.clone()));
+            self.reads.push(plan.clone());
             return Ok(plan.clone());
         }
         let seed = self.seeds.remove(&(root, links));
         let plan = self.store.resolve(options, induced, fp, root, seed)?;
         self.plans.insert((root, links), plan.clone());
-        self.reads.push((fp, plan.clone()));
+        self.reads.push(plan.clone());
         Ok(plan)
     }
 }
@@ -1345,6 +1137,18 @@ mod tests {
         PlanCache::new(SharedPlanCache::new())
     }
 
+    impl PlanCache {
+        /// [`PlanCache::plan_for`] under `induced`'s rank fingerprint.
+        fn plan(
+            &mut self,
+            induced: &Topology,
+            options: &TreeGenOptions,
+            root: GpuId,
+        ) -> Result<Arc<TreePlan>> {
+            self.plan_for(induced, options, rank_fingerprint(induced, options), root)
+        }
+    }
+
     /// The store's plan under `(fp, root rank, links)`.
     fn stored(
         store: &SharedPlanCache,
@@ -1366,63 +1170,20 @@ mod tests {
         let opts = TreeGenOptions::default();
         let mut cache = handle();
         assert_eq!(cache.len(), 0);
-        let first = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let first = cache.plan(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(cache.len(), 1);
         // a repeat is served locally: the very same plan, no store traffic
-        let again = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let again = cache.plan(&induced, &opts, GpuId(0)).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(cache.store().stats(), (0, 1));
         // a different root and a different link class are distinct entries
-        cache.plan_for(&induced, &opts, GpuId(1)).unwrap();
+        cache.plan(&induced, &opts, GpuId(1)).unwrap();
         let pcie = TreeGenOptions {
             links: LinkSelection::PcieOnly,
             ..opts
         };
-        cache.plan_for(&induced, &pcie, GpuId(0)).unwrap();
+        cache.plan(&induced, &pcie, GpuId(0)).unwrap();
         assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn plan_cache_rekeys_on_changed_options_instead_of_panicking() {
-        let induced = induced(&dgx1v(), 8);
-        let mut cache = handle();
-        let opts = TreeGenOptions::default();
-        cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
-        assert_eq!(cache.len(), 1);
-        // same options, different link class: both entries coexist
-        let pcie = TreeGenOptions {
-            links: LinkSelection::PcieOnly,
-            ..opts
-        };
-        cache.plan_for(&induced, &pcie, GpuId(0)).unwrap();
-        assert_eq!(cache.len(), 2);
-        // materially different options: the cache rebuilds instead of
-        // serving a plan computed under the old options
-        let retuned = TreeGenOptions {
-            skip_minimize: true,
-            ..opts
-        };
-        let raw = cache.plan_for(&induced, &retuned, GpuId(0)).unwrap();
-        assert!(raw.num_trees() > 6, "skip_minimize must take effect");
-        assert_eq!(cache.len(), 1, "old-option plans were dropped");
-    }
-
-    #[test]
-    fn plan_cache_rekeys_on_changed_topology() {
-        let topo = dgx1v();
-        let opts = TreeGenOptions::default();
-        let mut cache = handle();
-        let full = induced(&topo, 8);
-        let full_rate = cache.plan_for(&full, &opts, GpuId(0)).unwrap().rate_gbps();
-        // shrink the allocation: the cache must not serve the 8-GPU plan
-        let half = induced(&topo, 4);
-        let half_plan = cache.plan_for(&half, &opts, GpuId(0)).unwrap();
-        assert_eq!(half_plan.gpus.len(), 4);
-        assert!(half_plan.rate_gbps() < full_rate);
-        assert_eq!(cache.len(), 1);
-        // and going back re-plans (correctness over reuse across epochs)
-        let again = cache.plan_for(&full, &opts, GpuId(0)).unwrap();
-        assert_eq!(again.rate_gbps().to_bits(), full_rate.to_bits());
     }
 
     #[test]
@@ -1432,7 +1193,7 @@ mod tests {
         let induced = topo.induced(&[GpuId(1), GpuId(4)]).unwrap();
         let mut cache = handle();
         assert!(cache
-            .plan_for(&induced, &TreeGenOptions::default(), GpuId(1))
+            .plan(&induced, &TreeGenOptions::default(), GpuId(1))
             .is_err());
         assert_eq!(cache.len(), 0);
         assert!(cache.store().is_empty());
@@ -1466,14 +1227,13 @@ mod tests {
         let induced = induced(&dgx1v(), 4);
         let fp = |o: &TreeGenOptions| plan_fingerprint(&induced, o);
         let base = TreeGenOptions::default();
-        let mut variants = [base; 7];
+        let mut variants = [base; 6];
         variants[0].packing.epsilon = 0.1;
         variants[1].packing.max_iterations += 1;
         variants[2].minimize.threshold = 0.1;
         variants[3].minimize.unit_gbps = Some(25.0);
         variants[4].minimize.max_bb_nodes += 1;
         variants[5].minimize.known_optimum = Some(138.0);
-        variants[6].skip_minimize = true;
         for v in &variants {
             assert_ne!(fp(v), fp(&base), "plan fingerprint ignores {v:?}");
         }
@@ -1551,10 +1311,8 @@ mod tests {
         assert!(Renaming::new(&ids(&[0, 1]), &ids(&[40])).is_none());
         // a plan packed on one server, renamed, is the other server's pack
         let opts = TreeGenOptions::default();
-        let packed = handle().plan_for(&local_shape(0), &opts, GpuId(1)).unwrap();
-        let own = handle()
-            .plan_for(&local_shape(5), &opts, GpuId(41))
-            .unwrap();
+        let packed = handle().plan(&local_shape(0), &opts, GpuId(1)).unwrap();
+        let own = handle().plan(&local_shape(5), &opts, GpuId(41)).unwrap();
         assert!(renaming.plan(&packed).unwrap().bit_eq(&own));
         // an order-reversing renaming would reorder the plan's GPUs
         let reversed = Renaming::new(&ids(&[0, 1, 3]), &ids(&[43, 41, 40])).unwrap();
@@ -1584,13 +1342,13 @@ mod tests {
         // packs the faster slice afresh
         let store = SharedPlanCache::new();
         PlanCache::new(store.clone())
-            .plan_for(&a, &opts, GpuId(0))
+            .plan(&a, &opts, GpuId(0))
             .unwrap();
         PlanCache::new(store.clone())
-            .plan_for(&b, &opts, GpuId(40))
+            .plan(&b, &opts, GpuId(40))
             .unwrap();
         PlanCache::new(store.clone())
-            .plan_for(&faster, &opts, GpuId(40))
+            .plan(&faster, &opts, GpuId(40))
             .unwrap();
         assert_eq!(store.stats(), (1, 2));
     }
@@ -1601,17 +1359,17 @@ mod tests {
         let (a, b) = (local_shape(0), local_shape(5));
         let store = SharedPlanCache::new();
         let packed = PlanCache::new(store.clone())
-            .plan_for(&a, &opts, GpuId(1))
+            .plan(&a, &opts, GpuId(1))
             .unwrap();
         let hit = PlanCache::new(store.clone())
-            .plan_for(&b, &opts, GpuId(41))
+            .plan(&b, &opts, GpuId(41))
             .unwrap();
         assert_eq!(store.stats(), (1, 1));
-        let own = handle().plan_for(&b, &opts, GpuId(41)).unwrap();
+        let own = handle().plan(&b, &opts, GpuId(41)).unwrap();
         assert!(hit.bit_eq(&own));
         // a hit on the packing slice's own GPUs is the stored plan itself
         let again = PlanCache::new(store.clone())
-            .plan_for(&a, &opts, GpuId(1))
+            .plan(&a, &opts, GpuId(1))
             .unwrap();
         assert!(Arc::ptr_eq(&packed, &again));
     }
@@ -1620,7 +1378,7 @@ mod tests {
     fn a_stored_plan_that_cannot_be_relabelled_is_a_miss() {
         let opts = TreeGenOptions::default();
         let (three, two) = (induced(&dgx1v(), 3), induced(&dgx1v(), 2));
-        let plan = handle().plan_for(&three, &opts, GpuId(0)).unwrap();
+        let plan = handle().plan(&three, &opts, GpuId(0)).unwrap();
         let onto = |ids: &[usize]| relabelled(&plan, ids.iter().map(|&i| GpuId(i)));
         assert!(Arc::ptr_eq(&onto(&[0, 1, 2]).unwrap(), &plan));
         assert!(onto(&[0, 1]).is_none(), "one GPU short");
@@ -1642,7 +1400,7 @@ mod tests {
         let fp = rank_fingerprint(&two, &opts);
         store.lock().plans.insert((fp, 0, opts.links), plan.clone());
         let got = PlanCache::new(store.clone())
-            .plan_for(&two, &opts, GpuId(0))
+            .plan(&two, &opts, GpuId(0))
             .unwrap();
         assert_eq!(got.gpus, two.gpu_ids());
         assert_eq!(store.stats(), (0, 1));
@@ -1653,27 +1411,45 @@ mod tests {
     }
 
     #[test]
-    fn a_delta_retires_only_the_plans_packed_for_its_own_slice() {
+    fn a_delta_leaves_the_store_serving_the_cold_plan_of_every_key() {
         let opts = TreeGenOptions::default();
         let (a, b) = (local_shape(0), local_shape(5));
         let fp = rank_fingerprint(&a, &opts);
         let store = SharedPlanCache::new();
-        PlanCache::new(store.clone())
-            .plan_for(&a, &opts, GpuId(0))
+        let packed = PlanCache::new(store.clone())
+            .plan(&a, &opts, GpuId(0))
             .unwrap();
-        // server 5's slice takes server 0's plan, then loses a link: the
-        // plan stays filed for server 0's slice, whose hardware is intact
+        // server 5's slice takes server 0's plan, then loses a link it
+        // routes over and repairs warm: the plan stays filed for the shape,
+        // and the repair stays the handle's
         let mut on_b = PlanCache::new(store.clone());
-        on_b.plan_for(&b, &opts, GpuId(40)).unwrap();
+        on_b.plan(&b, &opts, GpuId(40)).unwrap();
         let delta = TopologyDelta::kill_link(&b, GpuId(40), GpuId(41));
-        on_b.note_delta(&b.apply_delta(&delta).unwrap(), &opts, &delta);
-        assert!(stored(&store, fp, 0, opts.links).is_some());
-        // server 0's own slice losing the link retires it
+        let damaged = b.apply_delta(&delta).unwrap();
+        on_b.note_delta(&damaged, &opts, &delta);
+        assert_eq!(on_b.seeded(), 1);
+        let warm = on_b.plan(&damaged, &opts, GpuId(40)).unwrap();
+        assert!(warm.mwu.warm_seeded > 0, "the repair ran from the seed");
+        assert!(Arc::ptr_eq(
+            &stored(&store, fp, 0, opts.links).unwrap(),
+            &packed
+        ));
+        let damaged_fp = rank_fingerprint(&damaged, &opts);
+        assert!(stored(&store, damaged_fp, 0, opts.links).is_none());
+        // another handle on the damaged slice is served an isolated pack
+        let served = PlanCache::new(store.clone())
+            .plan(&damaged, &opts, GpuId(40))
+            .unwrap();
+        assert!(served.bit_eq(&handle().plan(&damaged, &opts, GpuId(40)).unwrap()));
+        // server 0's own slice losing the link leaves its plan filed too
         let mut on_a = PlanCache::new(store.clone());
-        on_a.plan_for(&a, &opts, GpuId(0)).unwrap();
+        on_a.plan(&a, &opts, GpuId(0)).unwrap();
         let delta = TopologyDelta::kill_link(&a, GpuId(0), GpuId(1));
         on_a.note_delta(&a.apply_delta(&delta).unwrap(), &opts, &delta);
-        assert!(stored(&store, fp, 0, opts.links).is_none());
+        assert!(Arc::ptr_eq(
+            &stored(&store, fp, 0, opts.links).unwrap(),
+            &packed
+        ));
     }
 
     #[test]
@@ -1683,16 +1459,16 @@ mod tests {
         let shared = SharedPlanCache::new();
         // "communicator" A packs and publishes
         let mut a = PlanCache::new(shared.clone());
-        let plan_a = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let plan_a = a.plan(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (0, 1), "first pack is a store miss");
         assert_eq!(shared.len(), 1);
         // "communicator" B of the same job shape reuses A's plan
         let mut b = PlanCache::new(shared.clone());
-        let plan_b = b.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let plan_b = b.plan(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1), "same shape must hit");
         assert!(Arc::ptr_eq(&plan_a, &plan_b), "a hit shares the plan");
         // a local repeat never touches the store
-        b.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        b.plan(&induced, &opts, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1));
     }
 
@@ -1703,13 +1479,13 @@ mod tests {
         let shared = SharedPlanCache::new();
         assert_eq!(shared.mwu_iterations(), 0);
         let plan = PlanCache::new(shared.clone())
-            .plan_for(&induced, &opts, GpuId(0))
+            .plan(&induced, &opts, GpuId(0))
             .unwrap();
         assert!(plan.mwu.iterations > 0, "the full DGX-1V packs with MWU");
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
         // another handle's lookup is a store hit: no packing, no count
         PlanCache::new(shared.clone())
-            .plan_for(&induced, &opts, GpuId(0))
+            .plan(&induced, &opts, GpuId(0))
             .unwrap();
         assert_eq!(shared.stats(), (1, 1));
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
@@ -1722,20 +1498,18 @@ mod tests {
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         PlanCache::new(shared.clone())
-            .plan_for(&full, &opts, GpuId(0))
+            .plan(&full, &opts, GpuId(0))
             .unwrap();
         // different allocation shape: miss, packed fresh
         let half = induced(&topo, 4);
         PlanCache::new(shared.clone())
-            .plan_for(&half, &opts, GpuId(0))
+            .plan(&half, &opts, GpuId(0))
             .unwrap();
         // different options on the original shape: miss again
-        let retuned = TreeGenOptions {
-            skip_minimize: true,
-            ..opts
-        };
+        let mut retuned = opts;
+        retuned.minimize.threshold = 0.1;
         PlanCache::new(shared.clone())
-            .plan_for(&full, &retuned, GpuId(0))
+            .plan(&full, &retuned, GpuId(0))
             .unwrap();
         assert_eq!(shared.stats(), (0, 3));
         // unlike a handle, the store keeps all three shapes
@@ -1743,33 +1517,37 @@ mod tests {
     }
 
     #[test]
-    fn a_changed_topology_fingerprint_drops_the_old_shape_from_the_store() {
+    fn a_changed_topology_leaves_the_old_shape_in_the_store() {
         let topo = dgx1v();
         let full = induced(&topo, 8);
         let half = induced(&topo, 4);
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
-        // a second handle keeps the full-shape plan alive in the store
         PlanCache::new(shared.clone())
-            .plan_for(&full, &opts, GpuId(0))
+            .plan(&full, &opts, GpuId(0))
             .unwrap();
         assert_eq!(shared.len(), 1);
-        // handle A observes its topology change full -> half: the
-        // full-shape plans are dropped from the store automatically (the
-        // hardware they were built for no longer exists as recorded)
+        // handle A sees its topology change full -> half and repairs warm:
+        // the full-shape plan stays in the store, and the repair is A's own
         let mut a = PlanCache::new(shared.clone());
-        a.plan_for(&full, &opts, GpuId(0)).unwrap();
-        a.plan_for(&half, &opts, GpuId(0)).unwrap();
-        assert_eq!(
-            shared.len(),
-            1,
-            "only the half-shape plan survives the fingerprint change"
-        );
+        a.plan(&full, &opts, GpuId(0)).unwrap();
+        let delta = TopologyDelta::between(&full, &half);
+        a.note_delta(&half, &opts, &delta);
+        a.plan(&half, &opts, GpuId(0)).unwrap();
+        assert_eq!(shared.len(), 1, "a warm repack is not published");
+        let fp_full = rank_fingerprint(&full, &opts);
+        assert!(stored(&shared, fp_full, 0, opts.links).is_some());
+        // a fresh handle on the half shape packs it cold, as an isolated
+        // handle does, and publishes that
+        let cold = PlanCache::new(shared.clone())
+            .plan(&half, &opts, GpuId(0))
+            .unwrap();
+        assert!(cold.bit_eq(&handle().plan(&half, &opts, GpuId(0)).unwrap()));
         let fp_half = rank_fingerprint(&half, &opts);
-        assert!(
-            stored(&shared, fp_half, 0, opts.links).is_some(),
-            "the new shape's plan is the survivor"
-        );
+        assert!(Arc::ptr_eq(
+            &stored(&shared, fp_half, 0, opts.links).unwrap(),
+            &cold
+        ));
     }
 
     #[test]
@@ -1777,7 +1555,7 @@ mod tests {
         let induced = induced(&dgx1v(), 8);
         let opts = TreeGenOptions::default();
         let fp = rank_fingerprint(&induced, &opts);
-        let plan = handle().plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let plan = handle().plan(&induced, &opts, GpuId(0)).unwrap();
         let key = |r: usize| (fp, GpuId(r), opts.links);
         let mut tier = Tier::new(2);
         // fill to capacity: roots 0 and 1
@@ -1806,17 +1584,17 @@ mod tests {
         let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::with_capacity(1);
         let mut a = PlanCache::new(shared.clone());
-        let first = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
-        a.plan_for(&induced, &opts, GpuId(1)).unwrap();
+        let first = a.plan(&induced, &opts, GpuId(0)).unwrap();
+        a.plan(&induced, &opts, GpuId(1)).unwrap();
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.evictions(), 1, "root 0 fell out of the store");
         // the handle still serves root 0 without consulting the store
-        let again = a.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let again = a.plan(&induced, &opts, GpuId(0)).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(shared.stats(), (0, 2));
         // another handle simply re-packs the evicted root, bit-identically
         let replanned = PlanCache::new(shared.clone())
-            .plan_for(&induced, &opts, GpuId(0))
+            .plan(&induced, &opts, GpuId(0))
             .unwrap();
         assert!(replanned.bit_eq(&first), "re-pack is bit-identical");
     }
@@ -1841,7 +1619,7 @@ mod tests {
     ) -> Vec<Arc<TreePlan>> {
         roots
             .iter()
-            .map(|&r| cache.plan_for(induced, opts, r).unwrap())
+            .map(|&r| cache.plan(induced, opts, r).unwrap())
             .collect()
     }
 
@@ -1872,7 +1650,7 @@ mod tests {
                 .trees
                 .iter()
                 .all(|t| t.tree.edges.iter().all(|e| !dead.contains(e))));
-            let cold = cold_cache.plan_for(&after, &opts, root).unwrap();
+            let cold = cold_cache.plan(&after, &opts, root).unwrap();
             assert!(
                 plan.rate_gbps() >= cold.rate_gbps() - 1e-9,
                 "warm replan for root {root} must not be worse than cold"
@@ -1881,12 +1659,12 @@ mod tests {
     }
 
     #[test]
-    fn pure_removal_delta_keeps_unaffected_plans_live_across_tiers() {
+    fn pure_removal_delta_keeps_unaffected_plans_live_in_the_handle() {
         use blink_topology::LinkKind;
         let induced = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default(); // NvLinkOnly
         let mut cache = handle();
-        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let before = cache.plan(&induced, &opts, GpuId(0)).unwrap();
         // a PCIe link dies; the NVLink plan never touched it
         let pcie = *induced
             .links()
@@ -1901,12 +1679,18 @@ mod tests {
         cache.note_delta(&after, &opts, &delta);
         assert_eq!(cache.len(), 1, "untouched plan stays live locally");
         assert_eq!(cache.seeded(), 0);
-        // the store re-keyed the survivor to the new fingerprint
-        let fp_after = rank_fingerprint(&after, &opts);
-        assert!(stored(cache.store(), fp_after, 0, opts.links).is_some());
-        // and the next lookup serves it bit-identically without re-packing
-        let again = cache.plan_for(&after, &opts, GpuId(0)).unwrap();
+        // the next lookup serves it bit-identically without re-packing
+        let again = cache.plan(&after, &opts, GpuId(0)).unwrap();
         assert!(before.bit_eq(&again));
+        assert_eq!(cache.store().stats(), (0, 1));
+        // the survivor stays the handle's: the store files nothing under
+        // the new fingerprint, and another handle there packs it cold
+        let fp_after = rank_fingerprint(&after, &opts);
+        assert!(stored(cache.store(), fp_after, 0, opts.links).is_none());
+        let cold = PlanCache::new(cache.store().clone())
+            .plan(&after, &opts, GpuId(0))
+            .unwrap();
+        assert!(cold.bit_eq(&handle().plan(&after, &opts, GpuId(0)).unwrap()));
     }
 
     #[test]
@@ -1915,7 +1699,7 @@ mod tests {
         let induced = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default();
         let mut cache = handle();
-        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let before = cache.plan(&induced, &opts, GpuId(0)).unwrap();
         let fp_before = rank_fingerprint(&induced, &opts);
         // a fresh NVLink lane appears between GPUs 0 and 3: pure growth. On
         // this quad the broadcast min-cut from root 0 is pinned by the
@@ -1937,7 +1721,7 @@ mod tests {
             "growth that leaves the certificate must not demote the plan"
         );
         assert_eq!(cache.seeded(), 0);
-        let again = cache.plan_for(&after, &opts, GpuId(0)).unwrap();
+        let again = cache.plan(&after, &opts, GpuId(0)).unwrap();
         assert!(
             before.bit_eq(&again),
             "retained plan is served bit-identical"
@@ -1953,7 +1737,7 @@ mod tests {
         let induced = induced(&dgx1v(), 4);
         let opts = TreeGenOptions::default(); // NvLinkOnly
         let mut cache = handle();
-        let before = cache.plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let before = cache.plan(&induced, &opts, GpuId(0)).unwrap();
         // extra PCIe capacity appears: invisible to an NVLink plan
         let delta = TopologyDelta {
             added_links: vec![
@@ -1966,7 +1750,7 @@ mod tests {
         cache.note_delta(&after, &opts, &delta);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.seeded(), 0);
-        let again = cache.plan_for(&after, &opts, GpuId(0)).unwrap();
+        let again = cache.plan(&after, &opts, GpuId(0)).unwrap();
         assert!(before.bit_eq(&again));
     }
 
@@ -1978,7 +1762,7 @@ mod tests {
         let kill = TopologyDelta::kill_link(&full, GpuId(0), GpuId(1));
         let damaged = full.apply_delta(&kill).unwrap();
         let mut cache = handle();
-        let degraded = cache.plan_for(&damaged, &opts, GpuId(0)).unwrap();
+        let degraded = cache.plan(&damaged, &opts, GpuId(0)).unwrap();
         // ...then the link comes back: a pure-growth delta that raises the
         // broadcast min-cut from root 0
         let grow = TopologyDelta::between(&damaged, &full);
@@ -1991,9 +1775,9 @@ mod tests {
         );
         assert_eq!(cache.seeded(), 1);
         // the re-pack consumes the seed and recovers the full-topology rate
-        let recovered = cache.plan_for(&full, &opts, GpuId(0)).unwrap();
+        let recovered = cache.plan(&full, &opts, GpuId(0)).unwrap();
         assert_eq!(cache.seeded(), 0, "warm seed consumed");
-        let cold = handle().plan_for(&full, &opts, GpuId(0)).unwrap();
+        let cold = handle().plan(&full, &opts, GpuId(0)).unwrap();
         assert!(
             recovered.rate_gbps() >= cold.rate_gbps() - 1e-9,
             "re-packed rate {} must recover the cold full-topology rate {}",
@@ -2018,14 +1802,12 @@ mod tests {
         let b = global_plan_cache();
         let induced = induced(&dgx1v(), 2);
         let opts = TreeGenOptions::default();
-        let plan = handle().plan_for(&induced, &opts, GpuId(0)).unwrap();
+        let plan = handle().plan(&induced, &opts, GpuId(0)).unwrap();
         // a synthetic fingerprint no real communicator can collide with
         let fp = u64::MAX - 12345;
         a.lock().plans.insert((fp, 999, opts.links), plan.clone());
         let via_b = stored(&b, fp, 999, opts.links).unwrap();
-        assert!(via_b.bit_eq(&plan));
-        b.retarget(fp, fp, &plan.gpus, |_| false);
-        assert!(stored(&a, fp, 999, opts.links).is_none());
+        assert!(Arc::ptr_eq(&via_b, &plan));
     }
 
     #[test]

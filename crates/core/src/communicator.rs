@@ -41,10 +41,11 @@
 //! onto its own GPUs when another slice made it), and a call whose chunk
 //! differs (the MIAD tuner moving under [`Communicator::run`]) lowers
 //! afresh. The fingerprint is computed once when the communicator is built
-//! and once per [`Communicator::replan`]; the entries a replan makes stale
-//! die with their plans in the store. What stays per communicator is what
-//! must not be shared: the MIAD tuners and, on switch fabrics, the strategy
-//! verdicts, which enter the key instead.
+//! and once per [`Communicator::replan`]; a replan that leaves the
+//! communicator holding kept plans or warm seeds gives it a fingerprint no
+//! other communicator can form, since those plans are its own. What stays
+//! per communicator is what must not be shared: the MIAD tuners and, on
+//! switch fabrics, the strategy verdicts, which enter the key instead.
 //! [`Communicator::run_traced`], [`Communicator::run_streamed`] and
 //! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
 //! simulate on a scratch checked out of the process's pool for one run. A
@@ -55,9 +56,8 @@
 //! [`Communicator::run`] reads only the run's total time, so the engine
 //! builds no per-op spans or per-link accounting for it; where the stored
 //! form runs here and a run already simulated it, `run` takes the total the
-//! tier memoised beside the form and runs no engine at all. A fresh
-//! communicator's first hit renames none of the stored lowering's plans
-//! until something reads them.
+//! tier memoised beside the form and runs no engine at all. A hit renames
+//! none of the stored lowering's plans until something reads them.
 //!
 //! # Building one
 //!
@@ -81,13 +81,13 @@
 
 use crate::autotune::{
     global_plan_cache, rank_fingerprint_and_order, ChunkAutotuner, Compiled, Lowering, LoweringKey,
-    PlanCache, PlanReads, Renaming, SharedPlanCache,
+    PlanCache, Renaming, SharedPlanCache,
 };
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::{CollectiveKind, CollectiveReport};
 use crate::fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 use crate::hybrid::HybridPlanner;
-use crate::multiserver::three_phase_lowering;
+use crate::multiserver::three_phase_allreduce_cached;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
 use crate::treegen::{LinkSelection, ScratchPool, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
@@ -103,6 +103,7 @@ use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Options for a [`Communicator`] (set through
@@ -352,15 +353,6 @@ impl Lowered {
     }
 }
 
-/// What a stored lowering hands the communicator taking it (see
-/// [`Communicator::hand`]): the plans it read and its picked root, as the
-/// communicator names its GPUs.
-struct Handed {
-    /// The lowering's plans renamed; `None` when they need no renaming.
-    plans: Option<PlanReads>,
-    root: Option<GpuId>,
-}
-
 /// One program of a [`StreamedRun`]: a fused batch (or unfused single
 /// request) with its issue time, completion time and the oracle-replayable
 /// trace.
@@ -460,10 +452,10 @@ struct ShapeState {
     /// part of its lowering keys: a shared verdict would let one
     /// communicator's first call pick another's strategy.
     switch_strategy: BTreeMap<CollectiveKind, SwitchChoice>,
-    /// A stored lowering the communicator took while its plan handle was
-    /// unused, whose plans and picked root it has not adopted yet: a fresh
-    /// communicator's first collective reads neither, so it renames them
-    /// only when something does (see [`Communicator::settle`]).
+    /// The stored lowering the communicator last took, whose plans and
+    /// picked root it has not adopted yet: a collective that hits reads
+    /// neither, so they are renamed only when something does (see
+    /// [`Communicator::settle`]).
     unadopted: Option<Arc<Lowering>>,
 }
 
@@ -488,6 +480,16 @@ impl ShapeState {
             unadopted: None,
         }
     }
+}
+
+/// A lowering fingerprint no other communicator can form, for one whose
+/// replan left it holding kept plans or warm seeds: those are not the cold
+/// plans of their keys, so its lowerings are its own.
+fn private_lowering_fp() -> u64 {
+    static REPLANS: AtomicU64 = AtomicU64::new(0);
+    let mut h = DefaultHasher::new();
+    ("private", REPLANS.fetch_add(1, Ordering::Relaxed)).hash(&mut h);
+    h.finish()
 }
 
 /// The lowering tier's key for a communicator: everything a lowering reads
@@ -887,23 +889,14 @@ impl Communicator {
         };
         let lookup = key(self.shape.switch_strategy.get(&kind).copied());
         self.settle();
-        // An unused handle holds no plan a stored lowering could contradict,
-        // so it takes a hit without reading the lowering's plans; it adopts
-        // them when something reads its plans.
-        let unused = self.plans.is_unused();
-        let mut handed = None;
-        let hit = self.plans.store().lowering(&lookup, |l| {
-            if unused {
-                return l.labels.len() == self.allocation.len();
-            }
-            handed = self.hand(l);
-            handed.is_some()
-        });
+        // A hit is taken without reading the lowering's plans; they are
+        // adopted when something reads the handle's plans.
+        let hit = self
+            .plans
+            .store()
+            .lowering(&lookup, |l| l.labels.len() == self.allocation.len());
         if let Some(hit) = hit {
-            match handed {
-                Some(handed) => self.adopt(&hit, handed),
-                None => self.shape.unadopted = Some(hit.clone()),
-            }
+            self.shape.unadopted = Some(hit.clone());
             let lowered = Lowered::new(hit);
             // the entry's first hit compiles its program over this
             // communicator's GPUs; later hits read no program to run it
@@ -924,13 +917,13 @@ impl Communicator {
         if kind.root().is_none() && self.packs_per_root() {
             if let Some((picked, swept)) = &self.shape.picked {
                 root = Some(*picked);
-                plans.extend(swept.iter().map(|p| (self.shape.plan_fp, p.clone())));
+                plans.extend(swept.iter().cloned());
             }
         }
         let sweep = plans.len();
-        for (fp, plan) in self.plans.take_reads() {
-            if !plans.iter().any(|(_, p)| Arc::ptr_eq(p, &plan)) {
-                plans.push((fp, plan));
+        for plan in self.plans.take_reads() {
+            if !plans.iter().any(|p| Arc::ptr_eq(p, &plan)) {
+                plans.push(plan);
             }
         }
         let lowering = Arc::new(Lowering {
@@ -950,80 +943,52 @@ impl Communicator {
         Ok((Lowered::new(lowering), chunk, raced))
     }
 
-    /// What a stored lowering hands this communicator, if it is the one
-    /// this communicator would lower afresh: no plan it read, renamed onto
-    /// this communicator's GPUs, conflicts with a plan the handle holds. The
-    /// store keeps it only while its plans are the plan tier's, which is
-    /// where a fresh lowering would find any plan the handle lacks. That
-    /// covers the picked root too: the handle holds every plan its own root
-    /// sweep read, and a sweep over the same plans picks the same root.
+    /// Adopts the stored lowering the communicator last took
+    /// ([`ShapeState::unadopted`]), leaving it as lowering afresh would
+    /// have: the plans the lowering read join the handle, and its picked
+    /// root (with its sweep's plans) becomes this communicator's. A lowering
+    /// another slice made is adopted renamed position by position from its
+    /// allocation onto this one (its lowering key is this communicator's,
+    /// so both list one slice shape in one order); a renaming that would
+    /// reorder a plan's GPUs, which only a fingerprint collision allows,
+    /// adopts nothing.
     ///
-    /// A lowering another slice made is handed renamed position by position
-    /// from its allocation onto this one (its lowering key is this
-    /// communicator's, so both list one slice shape in one order): its
-    /// plans and picked root here, its program when a caller reads it
-    /// ([`Lowered::program`]).
-    fn hand(&self, lowering: &Lowering) -> Option<Handed> {
-        let renaming = if lowering.labels == self.allocation {
-            None
-        } else {
-            Some(Renaming::new(&lowering.labels, &self.allocation)?)
-        };
-        let plans = match &renaming {
-            None => None,
-            Some(renaming) => Some(
-                lowering
-                    .plans
-                    .iter()
-                    .map(|(fp, plan)| Some((*fp, renaming.plan(plan)?)))
-                    .collect::<Option<PlanReads>>()?,
-            ),
-        };
-        let read = plans.as_ref().unwrap_or(&lowering.plans);
-        if read
-            .iter()
-            .any(|(fp, plan)| self.plans.contradicts(*fp, plan))
-        {
-            return None;
-        }
-        let root = match &renaming {
-            Some(renaming) => lowering.root.map(|g| renaming.gpu(g)),
-            None => lowering.root,
-        };
-        Some(Handed { plans, root })
-    }
-
-    /// Leaves the communicator as lowering afresh would have: the plans the
-    /// stored lowering read join the handle, and its picked root (with its
-    /// sweep's plans) becomes this communicator's, all as `handed` names
-    /// them.
-    fn adopt(&mut self, lowering: &Lowering, handed: Handed) {
-        let plans = handed.plans.as_ref().unwrap_or(&lowering.plans);
-        for (fp, plan) in plans {
-            if *fp == self.shape.plan_fp {
-                self.plans.adopt(*fp, plan.clone());
-            }
-        }
-        if let (Some(root), None) = (handed.root, &self.shape.picked) {
-            let swept = plans[..lowering.sweep].iter();
-            self.shape.picked = Some((root, swept.map(|(_, p)| p.clone()).collect()));
-        }
-    }
-
-    /// Adopts the stored lowering the communicator took without reading
-    /// its plans ([`ShapeState::unadopted`]), as a hit on a used handle
-    /// adopts at once. Every reader of the handle's plans or the picked
-    /// root (a lowering-tier lookup, a replan) settles first, so the handle
-    /// is still as unused as when the lowering was taken, and the
-    /// communicator ends as the eager adoption would have left it. The
-    /// lowering key guarantees the renaming keeps each plan's GPU order, so
-    /// only a fingerprint collision could leave nothing to adopt.
+    /// Every reader of the handle's plans or the picked root (a
+    /// lowering-tier lookup, a replan) settles first. The entry's plans are
+    /// the cold plans of their keys, and so is every plan the handle holds
+    /// under a shared lowering key, so adopting them late changes nothing a
+    /// fresh lowering would have read.
     fn settle(&mut self) {
-        if let Some(lowering) = self.shape.unadopted.take() {
-            if let Some(handed) = self.hand(&lowering) {
-                self.adopt(&lowering, handed);
-            }
+        let Some(lowering) = self.shape.unadopted.take() else {
+            return;
+        };
+        let mut root = lowering.root;
+        let mut renamed = None;
+        if lowering.labels != self.allocation {
+            let Some(renaming) = Renaming::new(&lowering.labels, &self.allocation) else {
+                return;
+            };
+            let plans = lowering.plans.iter().map(|plan| renaming.plan(plan));
+            let Some(plans) = plans.collect::<Option<Vec<_>>>() else {
+                return;
+            };
+            renamed = Some(plans);
+            root = root.map(|g| renaming.gpu(g));
         }
+        let plans = renamed.as_ref().unwrap_or(&lowering.plans);
+        for plan in plans {
+            self.plans.adopt(plan.clone());
+        }
+        if let (Some(root), None) = (root, &self.shape.picked) {
+            self.shape.picked = Some((root, plans[..lowering.sweep].to_vec()));
+        }
+    }
+
+    /// The plan for `root` under `options` on this communicator's slice,
+    /// through its plan handle.
+    fn plan(&mut self, options: &TreeGenOptions, root: GpuId) -> Result<Arc<TreePlan>> {
+        let fp = self.shape.plan_fp;
+        self.plans.plan_for(self.sim.topology(), options, fp, root)
     }
 
     /// Whether rootless collectives run over per-root packed trees and a
@@ -1111,7 +1076,7 @@ impl Communicator {
                 continue;
             }
             let seeds = self.plans.seeded();
-            let Ok(plan) = self.plans.plan_for(self.sim.topology(), &treegen, cand) else {
+            let Ok(plan) = self.plan(&treegen, cand) else {
                 return SweepOutcome::fallback(self.allocation[0]);
             };
             // Only roots that consumed a seed contribute repair evidence: a
@@ -1150,8 +1115,10 @@ impl Communicator {
     /// Blink builds one per allocation. Chunk autotuners reset (the hardware their throughput feedback
     /// calibrated against no longer exists), and the communicator's lowering
     /// fingerprint is recomputed, so it never takes a lowering made for the
-    /// old shape; the store drops those together with the plans the delta
-    /// touched.
+    /// old shape. Kept plans and warm repairs are this communicator's own:
+    /// the store is not told of them, and when the handle holds any, the
+    /// communicator's lowerings go under a fingerprint no other communicator
+    /// can form.
     ///
     /// # Graceful-degradation ladder
     ///
@@ -1233,6 +1200,9 @@ impl Communicator {
             .note_delta(self.sim.topology(), &self.options.treegen, delta);
         let plans_kept = self.plans.len();
         let seeds_demoted = self.plans.seeded();
+        if plans_kept + seeds_demoted > 0 {
+            self.shape.lowering_fp = private_lowering_fp();
+        }
         let packed_path = self.packs_per_root();
         let mut sweep = if packed_path {
             self.root_sweep()
@@ -1289,7 +1259,7 @@ impl Communicator {
                     "{kind} across servers is not supported; only AllReduce uses the three-phase protocol"
                 )));
             }
-            let attempt = three_phase_lowering(
+            let attempt = three_phase_allreduce_cached(
                 self.sim.topology(),
                 &self.allocation,
                 bytes,
@@ -1301,8 +1271,8 @@ impl Communicator {
             // GPUs {1, 4} on a DGX-1V share no NVLink); retry the whole local
             // phase over the always-complete PCIe mesh, mirroring the
             // single-server fallback below.
-            let (program, info, reads, fell_back) = match attempt {
-                Ok((program, info, reads)) => (program, info, reads, false),
+            let (program, info, fell_back) = match attempt {
+                Ok((program, info)) => (program, info, false),
                 Err(_) if self.options.treegen.links == LinkSelection::NvLinkOnly => {
                     let pcie_tg = TreeGenOptions {
                         links: LinkSelection::PcieOnly,
@@ -1312,7 +1282,7 @@ impl Communicator {
                         link_class: blink_sim::LinkClass::Pcie,
                         ..self.codegen_options(chunk)
                     };
-                    let (program, info, reads) = three_phase_lowering(
+                    let (program, info) = three_phase_allreduce_cached(
                         self.sim.topology(),
                         &self.allocation,
                         bytes,
@@ -1320,11 +1290,10 @@ impl Communicator {
                         &pcie_cg,
                         self.plans.store(),
                     )?;
-                    (program, info, reads, true)
+                    (program, info, true)
                 }
                 Err(e) => return Err(e),
             };
-            self.plans.record(reads);
             let strategy = format!(
                 "three-phase multi-server ({} servers, {} partitions{})",
                 info.servers,
@@ -1364,6 +1333,7 @@ impl Communicator {
                 let planner = HybridPlanner::plan_cached(
                     &mut self.plans,
                     self.sim.topology(),
+                    self.shape.plan_fp,
                     root,
                     &self.options.treegen,
                 )?;
@@ -1374,9 +1344,7 @@ impl Communicator {
                 return Ok((program, n, strategy, None));
             }
             let treegen_opts = self.options.treegen;
-            let plan = self
-                .plans
-                .plan_for(self.sim.topology(), &treegen_opts, root)?;
+            let plan = self.plan(&treegen_opts, root)?;
             let n = plan.num_trees();
             let program = cg.build(&plan.trees, kind, bytes)?;
             let strategy = if plan.mwu.hit_iteration_cap {
@@ -1396,7 +1364,7 @@ impl Communicator {
             link_class: blink_sim::LinkClass::Pcie,
             ..self.codegen_options(chunk)
         });
-        let plan = self.plans.plan_for(self.sim.topology(), &pcie_opts, root)?;
+        let plan = self.plan(&pcie_opts, root)?;
         let n = plan.num_trees();
         let capped = plan.mwu.hit_iteration_cap;
         let program = pcie_cg.build(&plan.trees, kind, bytes)?;
@@ -1493,9 +1461,7 @@ impl Communicator {
                 // so rootless collectives skip the root sweep.
                 let root = kind.root().unwrap_or(self.allocation[0]);
                 let treegen_opts = self.options.treegen;
-                let plan = self
-                    .plans
-                    .plan_for(self.sim.topology(), &treegen_opts, root)?;
+                let plan = self.plan(&treegen_opts, root)?;
                 let n = plan.num_trees();
                 let program = cg.build(&plan.trees, kind, bytes)?;
                 Ok((
@@ -2595,18 +2561,14 @@ mod tests {
             (root, LinkSelection::PcieOnly),
         ];
         // the second and third lowerings read the same two plans as the
-        // first, so the store must be able to drop them with either
+        // first, so a communicator taking either must adopt both
         for (kind, bytes) in [
             (CollectiveKind::Broadcast { root }, mb(64)),
             (CollectiveKind::Broadcast { root }, mb(8)),
             (CollectiveKind::AllReduce, mb(8)),
         ] {
             let lowering = comm.lower(kind, bytes).unwrap().entry;
-            let read: Vec<_> = lowering
-                .plans
-                .iter()
-                .map(|(_, p)| (p.root, p.links))
-                .collect();
+            let read: Vec<_> = lowering.plans.iter().map(|p| (p.root, p.links)).collect();
             assert_eq!(read, both, "{kind} at {bytes} B");
         }
     }
@@ -2938,32 +2900,37 @@ mod tests {
     }
 
     #[test]
-    fn a_lowering_dies_with_a_plan_the_store_evicts() {
+    fn a_lowering_outlives_the_plans_the_store_evicts() {
         let store = SharedPlanCache::with_capacity(1);
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let build = || {
+        let build = |store: SharedPlanCache| {
             Communicator::builder(dgx1v())
                 .allocation(&alloc)
-                .shared_plans(store.clone())
+                .shared_plans(store)
                 .build()
                 .unwrap()
         };
-        let mut a = build();
+        let kind = CollectiveKind::AllReduce;
+        let mut a = build(store.clone());
         a.all_reduce(mb(16)).unwrap();
         // root 1's plan evicts root 0's, which the AllReduce was lowered from
         a.broadcast(GpuId(1), mb(1)).unwrap();
         assert_eq!(store.evictions(), 1);
         let (packs, (hits, misses)) = (store.stats().1, store.lowering_stats());
-        build().all_reduce(mb(16)).unwrap();
-        assert_eq!(store.lowering_stats(), (hits, misses + 1), "lowered afresh");
-        assert_eq!(store.stats().1, packs + 1, "over a fresh pack");
+        let (_, served, _) = build(store.clone()).run_traced(kind, mb(16)).unwrap();
+        assert_eq!(store.lowering_stats(), (hits + 1, misses), "served");
+        assert_eq!(store.stats().1, packs, "no pack");
+        let (_, isolated, _) = build(SharedPlanCache::new())
+            .run_traced(kind, mb(16))
+            .unwrap();
+        assert_eq!(*served, *isolated);
     }
 
     #[test]
     fn a_stored_lowering_over_plans_the_handle_does_not_hold_is_not_taken() {
-        // At capacity 2 the plan tier forgets a communicator's plan while
-        // its handle keeps it, so another communicator can store a lowering
-        // of the same signature over a different plan of the same shape.
+        // Two communicators that repaired the same damage by different paths
+        // hold different plans for one shape, and a small plan tier forgets
+        // plans their handles keep: each lowers over its own plans.
         let store = SharedPlanCache::with_capacity(2);
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let build = || {

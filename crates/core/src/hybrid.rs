@@ -70,7 +70,8 @@ pub struct HybridPlanner {
 
 impl HybridPlanner {
     /// Plans hybrid transfers rooted at `root` over the induced topology of an
-    /// allocation, through a communicator's plan cache: the NVLink and PCIe
+    /// allocation, whose rank fingerprint is `fp`, through a communicator's
+    /// plan cache: the NVLink and PCIe
     /// plans are memoised per root, so re-planning the same collective (the
     /// autotune loop) skips the MWU packing entirely.
     ///
@@ -79,6 +80,7 @@ impl HybridPlanner {
     pub(crate) fn plan_cached(
         cache: &mut PlanCache,
         induced: &Topology,
+        fp: u64,
         root: GpuId,
         base: &TreeGenOptions,
     ) -> Result<Self> {
@@ -88,6 +90,7 @@ impl HybridPlanner {
                 links: LinkSelection::NvLinkOnly,
                 ..*base
             },
+            fp,
             root,
         )?;
         let pcie = cache.plan_for(
@@ -96,6 +99,7 @@ impl HybridPlanner {
                 links: LinkSelection::PcieOnly,
                 ..*base
             },
+            fp,
             root,
         )?;
         // PCIe is a shared switch hierarchy, not a set of independent
@@ -227,13 +231,15 @@ impl HybridPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autotune::SharedPlanCache;
+    use crate::autotune::{rank_fingerprint, SharedPlanCache};
     use blink_sim::Simulator;
     use blink_topology::presets::dgx1v;
 
     fn plan(induced: &Topology, root: GpuId) -> HybridPlanner {
         let mut cache = PlanCache::new(SharedPlanCache::new());
-        HybridPlanner::plan_cached(&mut cache, induced, root, &TreeGenOptions::default()).unwrap()
+        let options = TreeGenOptions::default();
+        let fp = rank_fingerprint(induced, &options);
+        HybridPlanner::plan_cached(&mut cache, induced, fp, root, &options).unwrap()
     }
 
     fn mb(n: u64) -> u64 {

@@ -13,7 +13,7 @@
 //! 3. **Local broadcast** — every server-local root broadcasts its fully
 //!    reduced partition over the local trees.
 
-use crate::autotune::{rank_fingerprint, PlanReads, SharedPlanCache};
+use crate::autotune::{rank_fingerprint, SharedPlanCache};
 use crate::codegen::{check_op_budget, Chunks, CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
 use crate::treegen::{TreeGenOptions, TreePlan};
@@ -74,20 +74,6 @@ pub fn three_phase_allreduce_cached(
     cg_options: &CodeGenOptions,
     store: &SharedPlanCache,
 ) -> Result<(Program, ThreePhaseInfo)> {
-    three_phase_lowering(machine, allocation, bytes, tg_options, cg_options, store)
-        .map(|(program, info, _)| (program, info))
-}
-
-/// [`three_phase_allreduce_cached`], plus every per-server plan the program
-/// was lowered from, each with its server-induced rank fingerprint.
-pub(crate) fn three_phase_lowering(
-    machine: &Topology,
-    allocation: &[GpuId],
-    bytes: u64,
-    tg_options: &TreeGenOptions,
-    cg_options: &CodeGenOptions,
-    store: &SharedPlanCache,
-) -> Result<(Program, ThreePhaseInfo, PlanReads)> {
     // group by server, preserving allocation order
     let mut by_server: BTreeMap<ServerId, Vec<GpuId>> = BTreeMap::new();
     for &g in allocation {
@@ -118,7 +104,6 @@ pub(crate) fn three_phase_lowering(
         .map(|(_, gpus)| (0..partitions).map(|p| gpus[p % gpus.len()]).collect())
         .collect();
     let mut plans: Vec<Vec<Arc<TreePlan>>> = Vec::with_capacity(servers.len());
-    let mut reads = PlanReads::with_capacity(servers.len() * partitions);
     for ((_, gpus), server_roots) in servers.iter().zip(&roots) {
         let topo = machine
             .induced(gpus)
@@ -128,7 +113,6 @@ pub(crate) fn three_phase_lowering(
             .iter()
             .map(|&root| store.resolve(tg_options, &topo, fp, root, None))
             .collect::<Result<Vec<_>>>()?;
-        reads.extend(server_plans.iter().map(|plan| (fp, plan.clone())));
         plans.push(server_plans);
     }
     let local_rates: Vec<f64> = plans
@@ -273,7 +257,6 @@ pub(crate) fn three_phase_lowering(
             roots,
             local_rates_gbps: local_rates,
         },
-        reads,
     ))
 }
 

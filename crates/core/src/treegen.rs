@@ -216,9 +216,6 @@ pub struct TreeGenOptions {
     pub packing: PackingOptions,
     /// Tree-count minimisation options.
     pub minimize: MinimizeOptions,
-    /// Skip the minimisation step (used by ablation benchmarks to quantify
-    /// what Section 3.2.1 buys).
-    pub skip_minimize: bool,
 }
 
 impl Default for TreeGenOptions {
@@ -227,7 +224,6 @@ impl Default for TreeGenOptions {
             links: LinkSelection::NvLinkOnly,
             packing: PackingOptions::default(),
             minimize: MinimizeOptions::default(),
-            skip_minimize: false,
         }
     }
 }
@@ -429,21 +425,15 @@ impl TreeGen {
         // problem a second time.
         let optimal = stats.certificate_gbps;
         let before = packing.num_trees();
-        let final_packing = if self.options.skip_minimize {
-            packing
-        } else {
-            let minimize = MinimizeOptions {
-                // an explicitly configured optimum wins; otherwise forward
-                // the certificate the packing just computed
-                known_optimum: self.options.minimize.known_optimum.or(Some(optimal)),
-                ..self.options.minimize
-            };
-            match warm {
-                Some(w) => {
-                    minimize_trees_warm_in(&g, &packing, &minimize, &mut scratch.minimize, w)
-                }
-                None => minimize_trees_in(&g, &packing, &minimize, &mut scratch.minimize),
-            }
+        let minimize = MinimizeOptions {
+            // an explicitly configured optimum wins; otherwise forward the
+            // certificate the packing just computed
+            known_optimum: self.options.minimize.known_optimum.or(Some(optimal)),
+            ..self.options.minimize
+        };
+        let final_packing = match warm {
+            Some(w) => minimize_trees_warm_in(&g, &packing, &minimize, &mut scratch.minimize, w),
+            None => minimize_trees_in(&g, &packing, &minimize, &mut scratch.minimize),
         };
         Ok(TreePlan {
             root,
@@ -498,22 +488,6 @@ mod tests {
         assert!(plan.max_depth() >= 1);
         // all trees share the requested root
         assert!(plan.trees.iter().all(|t| t.tree.root == GpuId(0)));
-    }
-
-    #[test]
-    fn skip_minimize_keeps_the_raw_packing() {
-        let topo = induced(&dgx1v(), &[0, 1, 2, 3, 4, 5, 6, 7]);
-        let tg = TreeGen::new(
-            topo,
-            TreeGenOptions {
-                skip_minimize: true,
-                ..Default::default()
-            },
-        );
-        let plan = tg.plan(GpuId(0)).unwrap();
-        // the raw MWU packing uses many more trees than the minimised one
-        assert!(plan.num_trees() > 6, "got {}", plan.num_trees());
-        assert!(plan.rate_gbps() > 0.85 * plan.optimal_rate_gbps);
     }
 
     #[test]
@@ -576,8 +550,11 @@ mod tests {
         // another root, a warm replan and non-default options run the MWU
         assert!(cold.plan(GpuId(6)).unwrap().mwu.iterations > 0);
         assert!(cold.plan_warm(GpuId(2), &plan).unwrap().mwu.warm_seeded > 0);
-        let raw = TreeGenOptions {
-            skip_minimize: true,
+        let loose = TreeGenOptions {
+            minimize: MinimizeOptions {
+                threshold: 0.1,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let coarse = TreeGenOptions {
@@ -587,7 +564,7 @@ mod tests {
             },
             ..Default::default()
         };
-        for options in [raw, coarse] {
+        for options in [loose, coarse] {
             let plan = TreeGen::new(topo.clone(), options).plan(GpuId(2)).unwrap();
             assert!(plan.mwu.iterations > 0, "{options:?}");
         }

@@ -4,9 +4,8 @@
 //! Blink's planner stack reacts to such an event through a
 //! [`TopologyDelta`] — a self-contained description of the links and GPUs
 //! that appeared or disappeared — rather than re-probing and re-planning the
-//! world from scratch. Deltas are derived by diffing two probed topologies
-//! ([`TopologyDelta::between`], or [`crate::probe::TopologyProber::probe_delta`]
-//! at the discovery layer) and can be re-applied to a topology
+//! world from scratch. Deltas are derived by diffing two induced topologies
+//! ([`TopologyDelta::between`]) and can be re-applied to a topology
 //! ([`Topology::apply_delta`]) so that planners, caches and simulators all
 //! agree on the post-churn world.
 //!

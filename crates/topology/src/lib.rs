@@ -20,9 +20,11 @@
 //!   whose NVLink graph is connected are the paper's "unique settings",
 //! * process-group splits ([`GroupSplit`]) that partition one job's
 //!   allocation into nested subgroups (by server, by stride, or explicit GPU
-//!   sets) whose induced topologies share the parent's links, and
-//! * a runtime [`probe::TopologyProber`] that mimics Blink's `LD_PRELOAD`-time
-//!   discovery of the links available to the GPUs a scheduler allocated.
+//!   sets) whose induced topologies share the parent's links.
+//!
+//! Blink discovers at start-up which links exist among exactly the GPUs a
+//! scheduler allocated (Section 2.3); here that discovery is
+//! [`Topology::induced`] over the modelled machine.
 //!
 //! Real hardware is not required anywhere: the presets encode the wiring shown
 //! in Figure 1 of the paper and the bandwidths it reports (NVLink Gen1
@@ -63,13 +65,11 @@ mod topology;
 pub mod enumerate;
 pub mod group;
 pub mod presets;
-pub mod probe;
 
 pub use delta::TopologyDelta;
 pub use group::GroupSplit;
 pub use ids::{GpuId, ServerId};
 pub use link::{Link, LinkKind};
-pub use probe::ProbeError;
 pub use topology::{GpuInfo, Topology, TopologyError};
 
 /// Convenience result alias used throughout the crate.

@@ -1,6 +1,6 @@
 //! A multi-tenant scheduler fragments GPU allocations; this example submits a
 //! synthetic job stream to the cluster simulator, picks a fragmented
-//! single-server placement, probes its topology and shows what Blink's
+//! single-server placement, induces its topology and shows what Blink's
 //! TreeGen packs for it versus the rings NCCL could build.
 //!
 //! Run with: `cargo run --release --example fragmented_job`
@@ -9,7 +9,6 @@ use blink::prelude::*;
 use blink_core::treegen::{TreeGen, TreeGenOptions};
 use blink_graph::{find_rings, DiGraph};
 use blink_sched::{Cluster, WorkloadConfig, WorkloadGenerator};
-use blink_topology::probe::TopologyProber;
 
 fn main() {
     // 1. schedule a few thousand jobs onto a 16-server cluster
@@ -37,13 +36,14 @@ fn main() {
     let local: Vec<GpuId> = slice.iter().map(|g| GpuId(g.index() % 8)).collect();
     println!("examining per-server slice {:?}", local);
 
-    // 3. probe the induced topology and compare tree packing vs rings
+    // 3. induce the slice's topology and compare tree packing vs rings
     let machine = presets::dgx1v();
-    let probe = TopologyProber::new(machine.clone())
-        .probe(&local)
-        .expect("valid slice");
-    println!("fully NVLink connected: {}", probe.fully_nvlink_connected());
-    let plan = TreeGen::new(probe.topology.clone(), TreeGenOptions::default())
+    let induced = machine.induced(&local).expect("valid slice");
+    let fully_connected = local
+        .iter()
+        .all(|&a| local.iter().all(|&b| a == b || induced.has_nvlink(a, b)));
+    println!("fully NVLink connected: {fully_connected}");
+    let plan = TreeGen::new(induced.clone(), TreeGenOptions::default())
         .plan(local[0])
         .expect("plans");
     println!(
@@ -52,7 +52,7 @@ fn main() {
         plan.rate_gbps(),
         plan.optimal_rate_gbps
     );
-    let nvlink = DiGraph::from_topology_filtered(&probe.topology, |l| l.kind.is_nvlink());
+    let nvlink = DiGraph::from_topology_filtered(&induced, |l| l.kind.is_nvlink());
     let rings = find_rings(&nvlink, 23.0);
     println!(
         "NCCL finds {} NVLink ring pair(s){}",

@@ -604,12 +604,60 @@ fn no_communicator_of_a_shared_store_takes_a_lowering_over_a_dead_link() {
     let damaged = dgx1v().apply_delta(&delta).unwrap();
     let (_, fresh, _) = build(damaged).run_traced(kind, 16 << 20).unwrap();
     assert!(!uses(&fresh, x, y));
-    // and the old lowering died with the plans the replans retargeted: a
-    // communicator still on the healthy machine lowers and packs afresh
+    // and a communicator still on the healthy machine is served the old
+    // lowering from the store, which is what an isolated one lowers
     let (lowerings, packs) = (store.lowering_stats(), store.stats());
-    build(dgx1v()).run_traced(kind, 16 << 20).unwrap();
-    assert_eq!(store.lowering_stats(), (lowerings.0, lowerings.1 + 1));
-    assert_eq!(store.stats().1, packs.1 + 1);
+    let (_, healthy, _) = build(dgx1v()).run_traced(kind, 16 << 20).unwrap();
+    assert_eq!(store.lowering_stats(), (lowerings.0 + 1, lowerings.1));
+    assert_eq!(store.stats(), packs, "no plan looked up");
+    assert!(Arc::ptr_eq(&healthy, &before));
+    let (_, isolated, _) = isolated_on(dgx1v(), &alloc)
+        .run_traced(kind, 16 << 20)
+        .unwrap();
+    assert_eq!(*healthy, *isolated);
+}
+
+/// A communicator over `alloc` on `machine` with a private plan store.
+fn isolated_on(machine: Topology, alloc: &[GpuId]) -> Communicator {
+    Communicator::builder(machine)
+        .allocation(alloc)
+        .isolated_plans()
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn a_communicator_on_a_repaired_machine_lowers_what_an_isolated_one_lowers() {
+    let alloc = ids(&[0, 1, 2, 3, 4, 5, 6, 7]);
+    let store = SharedPlanCache::new();
+    let build = |machine: Topology| {
+        Communicator::builder(machine)
+            .allocation(&alloc)
+            .shared_plans(store.clone())
+            .build()
+            .unwrap()
+    };
+    let (kind, bytes) = (CollectiveKind::AllReduce, 16 << 20);
+    // a warm-repairs a dead 0-1 NVLink
+    let mut a = build(dgx1v());
+    a.run_traced(kind, bytes).unwrap();
+    let delta = TopologyDelta::kill_link(a.induced_topology(), GpuId(0), GpuId(1));
+    let replan = a.replan(&delta).unwrap();
+    assert!(replan.warm_seeded_trees > 0, "the repair is warm");
+    let (_, repaired, _) = a.run_traced(kind, bytes).unwrap();
+    // a fresh communicator on the damaged machine, over the same store,
+    // lowers and runs what an isolated one there does, not a's repair
+    let damaged = dgx1v().apply_delta(&delta).unwrap();
+    let (report, shared, spans) = build(damaged.clone()).run_traced(kind, bytes).unwrap();
+    let (fresh, isolated, fresh_spans) = isolated_on(damaged, &alloc)
+        .run_traced(kind, bytes)
+        .unwrap();
+    assert_eq!(*shared, *isolated);
+    assert_eq!(
+        format!("{report:?} {spans:?}"),
+        format!("{fresh:?} {fresh_spans:?}")
+    );
+    assert_ne!(*repaired, *shared, "the warm repair is another program");
 }
 
 /// The endpoints of the first NVLink copy in `program`.
@@ -1031,13 +1079,20 @@ fn a_delta_on_one_servers_job_leaves_what_another_servers_job_is_served() {
         !uses(&after, x, y),
         "the replanned job avoids the dead link"
     );
-    // the plan server 0 packed left the store with its lowering, so server
-    // 3's job re-lowers, and is served what it was
-    let misses = store.lowering_stats().1;
+    // the replan stays server 0's own, so server 3's job is served the
+    // stored lowering again, which is what an isolated communicator lowers
+    let lowerings = store.lowering_stats();
     let again = all_reduce(&mut other, bytes);
-    assert_eq!(store.lowering_stats().1, misses + 1, "a re-lowering");
+    assert_eq!(
+        store.lowering_stats(),
+        (lowerings.0 + 1, lowerings.1),
+        "served from the store"
+    );
     assert_eq!(*again.0, *served);
     assert_eq!(again.1, report);
+    let isolated = all_reduce(&mut placed_on(&slices(3), options, None), bytes);
+    assert_eq!(*again.0, *isolated.0);
+    assert_eq!(again.1, isolated.1);
     // and a new job of the shape, on server 7, lowers what a private
     // communicator lowers
     let shared = all_reduce(&mut placed_on(&slices(7), options, Some(&store)), bytes);
