@@ -311,7 +311,6 @@ fn job_allocations(shape: &[&[usize]]) -> JobAllocations {
     let (kind, bytes) = (CollectiveKind::AllReduce, config.collective_bytes);
     let build = |slices: &[(usize, Vec<GpuId>)]| {
         CommunicatorBuilder::from_placement(config.server_kind, config.nic_gbps, slices)
-            .options(config.comm_options)
             .shared_plans(store.clone())
             .build()
             .expect("a fleet placement builds")

@@ -32,11 +32,9 @@
 //! as the test-only bit-identity oracle the sim crate's unit tests pin the
 //! fast engine against.
 //!
-//! The stage simulates under a calibration with a non-zero
-//! [`SimParams::per_segment_overhead_us`]: a batched multi-range copy pays
-//! the driver's per-extra-range cost explicitly, so the segmented program's
-//! *simulated* time is honest about batching (and still beats the split
-//! shape, which pays a full per-op launch overhead per range instead).
+//! The stage simulates under the default calibration: a batched
+//! multi-range copy pays one launch overhead for its summed bytes, while
+//! the split shape pays a full launch overhead per range.
 //!
 //! Run with `cargo run --release -p blink-bench --bin bench_sim`.
 //!
@@ -55,7 +53,7 @@ use blink_bench::over_recording;
 use blink_core::onehop::one_hop_trees;
 use blink_core::{CodeGen, CodeGenOptions, CollectiveKind, Communicator, TreeGen, TreeGenOptions};
 use blink_graph::WeightedTree;
-use blink_sim::{EngineScratch, Program, SimParams, Simulator};
+use blink_sim::{EngineScratch, Program, Simulator};
 use blink_topology::presets::{dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
 use serde::Serialize;
@@ -64,12 +62,6 @@ use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// Calibrated per-extra-range cost of a batched multi-segment transfer
-/// (µs). Small next to [`SimParams::op_launch_overhead_us`] — batching a
-/// range is cheap, launching an op is not — which is exactly the asymmetry
-/// that makes segment aggregation worthwhile.
-const PER_SEGMENT_OVERHEAD_US: f64 = 0.2;
 
 fn mb(n: u64) -> u64 {
     n * 1024 * 1024
@@ -93,8 +85,8 @@ struct EnginePathReport {
 struct SimStageReport {
     /// What the stage simulates.
     scenario: String,
-    /// Simulated wall-clock of the segmented program under the calibrated
-    /// params (pays `per_segment_overhead_us` per extra range).
+    /// Simulated wall-clock of the segmented program (one launch overhead
+    /// per op, whatever its ranges).
     fast_total_us: f64,
     /// Simulated wall-clock of the split shape (pays a full launch overhead
     /// per range); must stay >= `fast_total_us`.
@@ -170,7 +162,7 @@ fn time_path<F: FnMut()>(ops: usize, runs: usize, mut f: F) -> EnginePathReport 
 }
 
 /// Measures segmented vs split emission shapes of the same program, both on
-/// the interned engine under the calibrated per-segment overhead.
+/// the interned engine under the default calibration.
 fn measure_stage(
     scenario: &str,
     machine: &Topology,
@@ -178,11 +170,7 @@ fn measure_stage(
     fast_runs: usize,
     naive_runs: usize,
 ) -> SimStageReport {
-    let params = SimParams {
-        per_segment_overhead_us: PER_SEGMENT_OVERHEAD_US,
-        ..SimParams::default()
-    };
-    let sim = Simulator::new(machine.clone(), params);
+    let sim = Simulator::with_defaults(machine.clone());
     let split = program.split_segments();
     let mut scratch = EngineScratch::new();
     let mut split_scratch = EngineScratch::new();
@@ -309,7 +297,7 @@ fn check_allgather(stage: &SimStageReport, recorded: &serde_json::Value) -> Vec<
     if stage.fast_total_us > stage.naive_total_us {
         failures.push(format!(
             "{}: segmented program simulates slower ({:.1} us) than the split shape \
-             ({:.1} us) under the calibrated per-segment overhead",
+             ({:.1} us)",
             stage.scenario, stage.fast_total_us, stage.naive_total_us
         ));
     }

@@ -417,7 +417,7 @@ pub fn fig14_theoretical_speedup() -> Vec<TheoreticalSpeedupRow> {
     let mut rows = Vec::new();
     for (machine, gen_name) in [(dgx1p(), "P100"), (dgx1v(), "V100")] {
         let classes = unique_allocations(&machine, 3..=8).expect("preset enumerates");
-        let planner = NcclPlanner::with_defaults(machine.clone());
+        let planner = NcclPlanner::new(machine.clone());
         let mut bcast_speedups = Vec::new();
         let mut ar_speedups = Vec::new();
         for class in &classes {

@@ -2,9 +2,9 @@
 //! baseline on a given machine/allocation and report its throughput.
 
 use blink_core::{CollectiveKind, Communicator, CommunicatorOptions};
-use blink_nccl::schedule::{build_program, NcclCollective, ScheduleOptions};
-use blink_nccl::{NcclPlanner, PlannerOptions};
-use blink_sim::{SimParams, Simulator};
+use blink_nccl::schedule::{build_program, NcclCollective};
+use blink_nccl::NcclPlanner;
+use blink_sim::Simulator;
 use blink_topology::{GpuId, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -78,7 +78,7 @@ pub fn nccl_collective(
     kind: CollectiveKind,
     bytes: u64,
 ) -> CollectiveMeasurement {
-    let planner = NcclPlanner::new(machine.clone(), PlannerOptions::default());
+    let planner = NcclPlanner::new(machine.clone());
     let plan = planner
         .plan(allocation, bytes)
         .expect("harness allocations are valid");
@@ -87,9 +87,8 @@ pub fn nccl_collective(
         CollectiveKind::AllReduce => NcclCollective::AllReduce,
         other => panic!("the NCCL baseline harness only measures Broadcast/AllReduce, not {other}"),
     };
-    let program = build_program(&plan, collective, bytes, &ScheduleOptions::default())
-        .expect("valid plans lower to programs");
-    let report = Simulator::new(machine.clone(), SimParams::default())
+    let program = build_program(&plan, collective, bytes).expect("valid plans lower to programs");
+    let report = Simulator::with_defaults(machine.clone())
         .run(&program)
         .expect("baseline programs execute");
     CollectiveMeasurement {

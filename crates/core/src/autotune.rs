@@ -24,9 +24,9 @@
 //!   every one of those communicators (and every per-server planner of the
 //!   three-phase multi-server AllReduce) reuse the others' packing work.
 //! * Each communicator plans through a private handle on its store that
-//!   memoises `(root, link class) → plan` for its current induced topology
-//!   and options. Only handle misses reach the store, and a handle keeps its
-//!   plans even when the store evicts them.
+//!   memoises `(root, link class) → plan` for its current induced topology.
+//!   Only handle misses reach the store, and a handle keeps its plans even
+//!   when the store evicts them.
 //!
 //! The store also owns the programs its communicators lower from its plans
 //! (the lowering tier, below), so a communicator built for a freshly placed
@@ -37,26 +37,26 @@
 //!
 //! The store has one bounded LRU plan tier, keyed by `(rank fingerprint,
 //! root rank, link class)` — the rank fingerprint covers the induced
-//! topology, with GPUs and servers numbered by rank, and the
-//! link-class-normalised options. The same job shape on any server of a
-//! fleet therefore hits, relabelled by position onto the looking-up
-//! slice's GPUs, and anything else misses. Relabelling keeps the GPUs'
-//! order, so a hit is the plan a private pack would make: every
-//! communicator's plans, and so its programs, are a pure function of its
-//! allocation and options, whatever the store saw before. A lookup the tier
-//! misses is packed on the caller's thread and published, so a later lookup
-//! of the key (the three-phase planner's next server of the same local
-//! shape, say) hits it.
+//! topology, with GPUs and servers numbered by rank; no options enter the
+//! key, since every plan is packed under the default [`TreeGenOptions`].
+//! The same job shape on any server of a fleet therefore hits, relabelled
+//! by position onto the looking-up slice's GPUs, and anything else misses.
+//! Relabelling keeps the GPUs' order, so a hit is the plan a private pack
+//! would make: every communicator's plans, and so its programs, are a pure
+//! function of its allocation, whatever the store saw before. A lookup the
+//! tier misses is packed on the caller's thread and published, so a later
+//! lookup of the key (the three-phase planner's next server of the same
+//! local shape, say) hits it.
 //!
 //! # A store entry is a pure function of its key
 //!
 //! The plan tier holds only cold plans: a plan the store packed with no
 //! warm seed, which is what [`TreeGen::plan`] makes for the key's slice
-//! shape, root and options. Every lowering in the lowering tier was made
-//! by a communicator whose plans were all such plans. So whoever published
-//! an entry, and whenever, a hit is what a private communicator would plan
-//! or lower; nothing in the store is ever invalidated, and eviction only
-//! ever costs a re-pack or a re-lowering.
+//! shape, root and link class under the default options. Every lowering in
+//! the lowering tier was made by a communicator whose plans were all such
+//! plans. So whoever published an entry, and whenever, a hit is what a
+//! private communicator would plan or lower; nothing in the store is ever
+//! invalidated, and eviction only ever costs a re-pack or a re-lowering.
 //!
 //! Warm and kept plans are private to the communicator that replanned.
 //! [`crate::Communicator::replan`] hands the [`TopologyDelta`] to its
@@ -74,9 +74,9 @@
 //! lets every training iteration reuse it, the store keeps each lowered
 //! program next to the plans it was lowered from. An entry is keyed by the
 //! communicator's lowering fingerprint — its rank fingerprint, its
-//! allocation order by rank, and every option a lowering reads, computed
-//! once per build and per replan — plus `(kind, bytes, chunk)` and, on a
-//! switch fabric, the communicator's own strategy verdict. Like the plan
+//! allocation order by rank and whether it lowers hybrid transfers,
+//! computed once per build and per replan — plus `(kind, bytes, chunk)`
+//! and, on a switch fabric, the communicator's own strategy verdict. Like the plan
 //! tier's, the key names GPUs by rank, so one slice shape in one order is
 //! one key on every server of a fleet; a slice whose ids do not ascend
 //! keeps id keys. An entry holds the shared `Arc<Program>` over the GPUs of
@@ -130,30 +130,42 @@ use crate::collective::CollectiveKind;
 use crate::communicator::SwitchChoice;
 use crate::treegen::{LinkSelection, TreeGen, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
-use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
+use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, PackingOptions, WeightedTree};
 use blink_sim::{CompiledProgram, Program, Simulator};
 use blink_topology::{GpuId, GpuInfo, ServerId, Topology, TopologyDelta};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A 64-bit fingerprint of everything (besides the root and link class) a
-/// cached [`TreePlan`] depends on: the induced topology's GPUs, links and
-/// per-GPU fabric caps, plus the [`TreeGenOptions`] with the link class
-/// normalised away (it is part of the cache key instead, so option sets that
-/// differ only in link class — the hybrid planner's NVLink/PCIe pair — share
-/// one fingerprint).
+/// [`TreePlan`] from [`TreeGen`] depends on: the induced topology's GPUs,
+/// links and per-GPU fabric caps, plus the [`TreeGenOptions`] with the link
+/// class left out (it is part of a plan key instead, so option sets that
+/// differ only in link class share one fingerprint).
 ///
 /// It tells GPU and server ids apart: two topologies share it only when
 /// they are identical, so a plan made for one can be lowered on the other
 /// as it is. [`SharedPlanCache`] keys its plans by a coarser fingerprint
 /// that numbers GPUs and servers by rank, which the same slice shape on
-/// different servers shares.
+/// different servers shares, and hashes no options: every communicator
+/// plans under the default ones.
 pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
+    // every option field a plan depends on, in one fixed order — all of
+    // them except the link class
+    let TreeGenOptions {
+        packing,
+        minimize,
+        links: _,
+    } = options;
     let mut h = DefaultHasher::new();
-    rank_fingerprint(induced, options).hash(&mut h);
+    rank_fingerprint(induced).hash(&mut h);
+    packing.epsilon.to_bits().hash(&mut h);
+    packing.max_iterations.hash(&mut h);
+    minimize.threshold.to_bits().hash(&mut h);
+    minimize.unit_gbps.map(f64::to_bits).hash(&mut h);
+    minimize.max_bb_nodes.hash(&mut h);
+    minimize.known_optimum.map(f64::to_bits).hash(&mut h);
     for g in induced.gpus() {
         (g.id, g.server).hash(&mut h);
     }
@@ -243,12 +255,12 @@ impl BufferedHasher {
 }
 
 /// The plan tier's fingerprint: everything (besides the root and link
-/// class) a cached [`TreePlan`] depends on — each GPU's local index and
-/// fabric cap, each link's kind, lanes and bandwidth, and the
-/// [`TreeGenOptions`] but the link class — with each GPU and link endpoint
-/// hashed by its **rank** (its position in the topology's ascending GPU
-/// ids) and each server by its position among the topology's servers,
-/// instead of by id. [`plan_fingerprint`] is this plus the ids.
+/// class) a stored [`TreePlan`] depends on — each GPU's local index and
+/// fabric cap, and each link's kind, lanes and bandwidth — with each GPU
+/// and link endpoint hashed by its **rank** (its position in the
+/// topology's ascending GPU ids) and each server by its position among the
+/// topology's servers, instead of by id. [`plan_fingerprint`] hashes this with the options and
+/// the ids.
 ///
 /// Slices related by an order-preserving renumbering — the same local
 /// shape on two servers of one kind, say `{0, 1, 3}` and `{24, 25, 27}` —
@@ -263,8 +275,8 @@ impl BufferedHasher {
 /// its GPUs (a placement's and a preset's never do): ranks are binary
 /// searches in the GPU list, servers are numbered as they change, and the
 /// bytes are hashed through a stack buffer.
-pub(crate) fn rank_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
-    fingerprint_under(Names::of(induced), induced, options)
+pub(crate) fn rank_fingerprint(induced: &Topology) -> u64 {
+    fingerprint_under(Names::of(induced), induced)
 }
 
 /// [`rank_fingerprint`], and `allocation` named as it names GPUs: each by
@@ -273,16 +285,15 @@ pub(crate) fn rank_fingerprint(induced: &Topology, options: &TreeGenOptions) -> 
 /// order exactly when the names agree.
 pub(crate) fn rank_fingerprint_and_order<'a>(
     induced: &'a Topology,
-    options: &TreeGenOptions,
     allocation: &'a [GpuId],
 ) -> (u64, impl ExactSizeIterator<Item = u64> + 'a) {
     let names = Names::of(induced);
     let order = allocation.iter().map(move |&g| names.gpu(g));
-    (fingerprint_under(names, induced, options), order)
+    (fingerprint_under(names, induced), order)
 }
 
 /// [`rank_fingerprint`] with `names`, how it names `induced`'s GPUs.
-fn fingerprint_under(names: Names<'_>, induced: &Topology, options: &TreeGenOptions) -> u64 {
+fn fingerprint_under(names: Names<'_>, induced: &Topology) -> u64 {
     let gpus = induced.gpus();
     let ranked = matches!(names, Names::Ranks(_));
     // By rank, a server is named by its position among the topology's
@@ -321,26 +332,6 @@ fn fingerprint_under(names: Names<'_>, induced: &Topology, options: &TreeGenOpti
         h.put(&l.lanes.to_le_bytes());
         h.put(&l.bandwidth_gbps.to_bits().to_le_bytes());
     }
-    // every option field a plan depends on, in one fixed order — all of
-    // them except the link class, which the cache keys on separately
-    let TreeGenOptions {
-        packing,
-        minimize,
-        links: _,
-    } = options;
-    let optional = |value: Option<f64>| {
-        value.map_or([0; 9], |v| {
-            let mut bytes = [1; 9];
-            bytes[1..].copy_from_slice(&v.to_bits().to_le_bytes());
-            bytes
-        })
-    };
-    h.put(&packing.epsilon.to_bits().to_le_bytes());
-    h.put(&(packing.max_iterations as u64).to_le_bytes());
-    h.put(&minimize.threshold.to_bits().to_le_bytes());
-    h.put(&optional(minimize.unit_gbps));
-    h.put(&(minimize.max_bb_nodes as u64).to_le_bytes());
-    h.put(&optional(minimize.known_optimum));
     h.into_hasher().finish()
 }
 
@@ -448,19 +439,21 @@ impl Renaming {
 ///
 /// # One bounded plan tier
 ///
-/// Plans are keyed by `(rank fingerprint, root rank, link class)`, the
-/// rank fingerprint being [`plan_fingerprint`] with each GPU, link endpoint
-/// and server hashed by its rank among the slice's instead of by its id.
-/// Slices related by an order-preserving renumbering — one local shape on
-/// different servers — share a key: a stored plan keeps the GPU labels of
-/// the slice that packed it, and a hit from another slice gets a copy
-/// relabelled by position onto its own GPUs, which is the very plan a cold
-/// pack there would make (a hit on the packing slice's own GPUs gets the
-/// stored plan itself). Other isomorphic allocations (the mirror halves of
-/// a DGX-1V, the stride subgroups of a process-group split) reorder GPUs
-/// and are different keys: each packs its own plans, exactly as a private
-/// communicator would. The tier holds only cold plans (see "a store entry
-/// is a pure function of its key" in the module docs).
+/// Plans are keyed by `(rank fingerprint, root rank, link class)`, with no
+/// options: every plan is packed under the default [`TreeGenOptions`]. The
+/// rank fingerprint hashes the induced topology as [`plan_fingerprint`]
+/// does, but each GPU, link endpoint and server by its rank among the
+/// slice's instead of by its id. Slices related by an order-preserving
+/// renumbering — one local shape on different servers — share a key: a
+/// stored plan keeps the GPU labels of the slice that packed it, and a hit
+/// from another slice gets a copy relabelled by position onto its own
+/// GPUs, which is the very plan a cold pack there would make (a hit on the
+/// packing slice's own GPUs gets the stored plan itself). Other isomorphic
+/// allocations (the mirror halves of a DGX-1V, the stride subgroups of a
+/// process-group split) reorder GPUs and are different keys: each packs its
+/// own plans, exactly as a private communicator would. The tier holds only
+/// cold plans (see "a store entry is a pure function of its key" in the
+/// module docs).
 ///
 /// The tier holds at most [`SharedPlanCache::DEFAULT_CAPACITY`] plans and
 /// evicts its least-recently-used entry when an insert would exceed the
@@ -800,15 +793,16 @@ impl SharedPlanCache {
         tiers.lowerings.insert(key, lowering);
     }
 
-    /// The one lookup-or-pack-and-publish routine: the plan for `root` on
-    /// `induced`, `fp` being `induced`'s [`rank_fingerprint`]. A plan-tier
-    /// hit comes back relabelled onto `induced`'s GPUs. A miss packs on the
-    /// calling thread — warm from `seed` when one is given — and a cold
-    /// pack is published; a warm one stays the caller's, and a failed pack
-    /// is counted and returned, not cached.
+    /// The one lookup-or-pack-and-publish routine: the plan for `root` over
+    /// the `links` class of `induced`, `fp` being `induced`'s
+    /// [`rank_fingerprint`]. A plan-tier hit comes back relabelled onto
+    /// `induced`'s GPUs. A miss packs on the calling thread under the
+    /// default [`TreeGenOptions`] — warm from `seed` when one is given — and
+    /// a cold pack is published; a warm one stays the caller's, and a
+    /// failed pack is counted and returned, not cached.
     pub(crate) fn resolve(
         &self,
-        options: &TreeGenOptions,
+        links: LinkSelection,
         induced: &Topology,
         fp: u64,
         root: GpuId,
@@ -819,7 +813,7 @@ impl SharedPlanCache {
                 "root {root} is not in the allocation"
             )));
         };
-        let key = (fp, rank, options.links);
+        let key = (fp, rank, links);
         let mut hit = None;
         self.lock().plans.get_if(&key, |stored| {
             hit = relabelled(stored, gpu_ids(induced));
@@ -828,7 +822,11 @@ impl SharedPlanCache {
         if let Some(plan) = hit {
             return Ok(plan);
         }
-        let tg = TreeGen::new(induced.clone(), *options);
+        let options = TreeGenOptions {
+            links,
+            ..TreeGenOptions::default()
+        };
+        let tg = TreeGen::new(induced.clone(), options);
         let plan = match &seed {
             Some(seed) => tg.plan_warm(root, seed),
             None => tg.plan(root),
@@ -904,7 +902,7 @@ pub fn global_plan_cache() -> SharedPlanCache {
 
 /// A communicator's private handle on its [`SharedPlanCache`] store: plans
 /// memoised per `(root, link class)` for the communicator's current induced
-/// topology and options, plus the warm seeds a delta demoted. Misses go
+/// topology, plus the warm seeds a delta demoted. Misses go
 /// through [`SharedPlanCache::resolve`] and pack. The handle also records
 /// the plans it serves, so a lowering can list what it read (see "the
 /// lowering tier" in the module docs).
@@ -961,24 +959,21 @@ impl PlanCache {
     }
 
     /// Applies an in-place topology-change event — a fault, a heal or a NIC
-    /// change; it adds no GPU — to the handle. `induced` and `options` are
-    /// the **post-event** planning inputs.
+    /// change; it adds no GPU — to the handle. `induced` is the
+    /// **post-event** topology.
     ///
     /// Plans the delta provably did not touch — untouched by removals, or
     /// healed by added links (see `plan_survives_delta`) — stay live. A
     /// surviving plan of a class the delta added links to is re-certified
     /// against the healed topology's broadcast min-cut and demoted too if
-    /// its rate fell below `(1 − ε)` of it, so the next lookup re-packs
+    /// its rate fell below `(1 − ε)` of it (the default packing ε), so the
+    /// next lookup re-packs
     /// through the restored capacity; a heal that does not raise the cut
     /// keeps plans live and bit-identical. Every demoted plan becomes a warm
     /// seed. The store is not told: its entries are cold plans of their
     /// keys, and the handle's kept and warm plans stay the handle's.
-    pub(crate) fn note_delta(
-        &mut self,
-        induced: &Topology,
-        options: &TreeGenOptions,
-        delta: &TopologyDelta,
-    ) {
+    pub(crate) fn note_delta(&mut self, induced: &Topology, delta: &TopologyDelta) {
+        let epsilon = PackingOptions::default().epsilon;
         // Lazily built per link class: one graph + one certificate per
         // re-certified root, only on deltas that actually add links.
         let mut cert_graphs: BTreeMap<LinkSelection, DiGraph> = BTreeMap::new();
@@ -995,7 +990,7 @@ impl PlanCache {
                     match g.node(plan.root) {
                         Some(root) => {
                             let cert = optimal_broadcast_rate(g, root);
-                            plan.rate_gbps() + 1e-9 < (1.0 - options.packing.epsilon) * cert
+                            plan.rate_gbps() + 1e-9 < (1.0 - epsilon) * cert
                         }
                         None => false,
                     }
@@ -1008,7 +1003,7 @@ impl PlanCache {
         }
     }
 
-    /// The plan for `(root, options.links)` on `induced`, whose
+    /// The plan for `(root, links)` on `induced`, whose
     /// [`rank_fingerprint`] is `fp`: served from the handle when memoised,
     /// otherwise through [`SharedPlanCache::resolve`] (a store hit, or a
     /// pack — warm from the root's seed when a delta left one).
@@ -1018,17 +1013,16 @@ impl PlanCache {
     pub(crate) fn plan_for(
         &mut self,
         induced: &Topology,
-        options: &TreeGenOptions,
+        links: LinkSelection,
         fp: u64,
         root: GpuId,
     ) -> Result<Arc<TreePlan>> {
-        let links = options.links;
         if let Some(plan) = self.plans.get(&(root, links)) {
             self.reads.push(plan.clone());
             return Ok(plan.clone());
         }
         let seed = self.seeds.remove(&(root, links));
-        let plan = self.store.resolve(options, induced, fp, root, seed)?;
+        let plan = self.store.resolve(links, induced, fp, root, seed)?;
         self.plans.insert((root, links), plan.clone());
         self.reads.push(plan.clone());
         Ok(plan)
@@ -1036,8 +1030,8 @@ impl PlanCache {
 }
 
 /// MIAD chunk-size controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChunkAutotuner {
+#[derive(Debug, Clone)]
+pub(crate) struct ChunkAutotuner {
     current: u64,
     best_throughput: f64,
     growth_factor: f64,
@@ -1053,7 +1047,7 @@ impl ChunkAutotuner {
     ///
     /// The paper's example (Figure 12) starts at 1 MB and doubles each
     /// iteration until throughput stops improving.
-    pub fn new(initial_chunk: u64) -> Self {
+    pub(crate) fn new(initial_chunk: u64) -> Self {
         ChunkAutotuner {
             current: initial_chunk.max(64 * 1024),
             best_throughput: 0.0,
@@ -1066,31 +1060,20 @@ impl ChunkAutotuner {
         }
     }
 
-    /// Creates a tuner with the paper's defaults (1 MB initial chunk, 2×
-    /// growth).
-    pub fn with_defaults() -> Self {
-        Self::new(1 << 20)
-    }
-
     /// The chunk size to use for the next iteration.
-    pub fn chunk_bytes(&self) -> u64 {
+    pub(crate) fn chunk_bytes(&self) -> u64 {
         self.current
-    }
-
-    /// Whether the controller has reached steady state.
-    pub fn is_settled(&self) -> bool {
-        self.settled
     }
 
     /// The `(chunk size, throughput)` trace so far — this is exactly the data
     /// plotted in Figure 12.
-    pub fn history(&self) -> &[(u64, f64)] {
+    pub(crate) fn history(&self) -> &[(u64, f64)] {
         &self.history
     }
 
     /// Reports the throughput (GB/s) observed with the current chunk size and
     /// advances the controller.
-    pub fn observe(&mut self, throughput_gbps: f64) {
+    pub(crate) fn observe(&mut self, throughput_gbps: f64) {
         self.history.push((self.current, throughput_gbps));
         if self.settled {
             return;
@@ -1114,16 +1097,13 @@ impl ChunkAutotuner {
             self.settled = true;
         }
     }
-
-    /// Resets the controller (e.g. when the buffer size changes drastically).
-    pub fn reset(&mut self, initial_chunk: u64) {
-        *self = ChunkAutotuner::new(initial_chunk);
-    }
 }
 
 impl Default for ChunkAutotuner {
+    /// The paper's tuner: a 1 MB first chunk, doubled while throughput
+    /// improves.
     fn default() -> Self {
-        Self::with_defaults()
+        Self::new(1 << 20)
     }
 }
 
@@ -1138,14 +1118,11 @@ mod tests {
     }
 
     impl PlanCache {
-        /// [`PlanCache::plan_for`] under `induced`'s rank fingerprint.
-        fn plan(
-            &mut self,
-            induced: &Topology,
-            options: &TreeGenOptions,
-            root: GpuId,
-        ) -> Result<Arc<TreePlan>> {
-            self.plan_for(induced, options, rank_fingerprint(induced, options), root)
+        /// [`PlanCache::plan_for`] over NVLink under `induced`'s rank
+        /// fingerprint.
+        fn plan(&mut self, induced: &Topology, root: GpuId) -> Result<Arc<TreePlan>> {
+            let fp = rank_fingerprint(induced);
+            self.plan_for(induced, LinkSelection::NvLinkOnly, fp, root)
         }
     }
 
@@ -1167,22 +1144,20 @@ mod tests {
     #[test]
     fn plan_cache_memoises_per_root_and_link_class() {
         let induced = induced(&dgx1v(), 4);
-        let opts = TreeGenOptions::default();
         let mut cache = handle();
         assert_eq!(cache.len(), 0);
-        let first = cache.plan(&induced, &opts, GpuId(0)).unwrap();
+        let first = cache.plan(&induced, GpuId(0)).unwrap();
         assert_eq!(cache.len(), 1);
         // a repeat is served locally: the very same plan, no store traffic
-        let again = cache.plan(&induced, &opts, GpuId(0)).unwrap();
+        let again = cache.plan(&induced, GpuId(0)).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(cache.store().stats(), (0, 1));
         // a different root and a different link class are distinct entries
-        cache.plan(&induced, &opts, GpuId(1)).unwrap();
-        let pcie = TreeGenOptions {
-            links: LinkSelection::PcieOnly,
-            ..opts
-        };
-        cache.plan(&induced, &pcie, GpuId(0)).unwrap();
+        cache.plan(&induced, GpuId(1)).unwrap();
+        let fp = rank_fingerprint(&induced);
+        cache
+            .plan_for(&induced, LinkSelection::PcieOnly, fp, GpuId(0))
+            .unwrap();
         assert_eq!(cache.len(), 3);
     }
 
@@ -1192,9 +1167,7 @@ mod tests {
         // GPUs 1 and 4 share no NVLink: NvLinkOnly planning fails
         let induced = topo.induced(&[GpuId(1), GpuId(4)]).unwrap();
         let mut cache = handle();
-        assert!(cache
-            .plan(&induced, &TreeGenOptions::default(), GpuId(1))
-            .is_err());
+        assert!(cache.plan(&induced, GpuId(1)).is_err());
         assert_eq!(cache.len(), 0);
         assert!(cache.store().is_empty());
     }
@@ -1255,41 +1228,28 @@ mod tests {
 
     #[test]
     fn one_shape_on_two_servers_shares_a_rank_fingerprint() {
-        let nvlink = TreeGenOptions::default();
-        let pcie = TreeGenOptions {
-            links: LinkSelection::PcieOnly,
-            ..nvlink
-        };
         let (a, b) = (local_shape(0), local_shape(5));
-        assert_eq!(rank_fingerprint(&a, &nvlink), rank_fingerprint(&b, &nvlink));
-        assert_eq!(
-            rank_fingerprint(&a, &nvlink),
-            rank_fingerprint(&b, &pcie),
-            "the link class is normalised away"
-        );
+        assert_eq!(rank_fingerprint(&a), rank_fingerprint(&b));
         // the exact fingerprint still tells the two servers' GPUs apart
-        assert_ne!(plan_fingerprint(&a, &nvlink), plan_fingerprint(&b, &nvlink));
+        let opts = TreeGenOptions::default();
+        assert_ne!(plan_fingerprint(&a, &opts), plan_fingerprint(&b, &opts));
         // and an isomorphic slice that reorders GPUs is another key
         let mirrored = dgx1v().induced(&[GpuId(4), GpuId(5), GpuId(7)]).unwrap();
-        assert_ne!(
-            rank_fingerprint(&a, &nvlink),
-            rank_fingerprint(&mirrored, &nvlink)
-        );
+        assert_ne!(rank_fingerprint(&a), rank_fingerprint(&mirrored));
     }
 
     #[test]
     fn an_allocation_is_ordered_by_rank_unless_its_slice_hashes_ids() {
-        let opts = TreeGenOptions::default();
         let (a, b) = (local_shape(0), local_shape(5));
         let order = |induced: &Topology, alloc: &[usize]| {
             let alloc: Vec<GpuId> = alloc.iter().map(|&g| GpuId(g)).collect();
-            let (fp, names) = rank_fingerprint_and_order(induced, &opts, &alloc);
+            let (fp, names) = rank_fingerprint_and_order(induced, &alloc);
             (fp, names.collect::<Vec<u64>>())
         };
         // one shape in one order on two servers: one key
         let (fp, ranks) = order(&a, &[0, 1, 3]);
         assert_eq!((fp, ranks.clone()), order(&b, &[40, 41, 43]));
-        assert_eq!(fp, rank_fingerprint(&a, &opts));
+        assert_eq!(fp, rank_fingerprint(&a));
         assert_eq!(ranks, [0, 1, 2]);
         // the same GPUs in another order are another order
         assert_eq!(order(&b, &[43, 40, 41]).1, [2, 0, 1]);
@@ -1310,9 +1270,8 @@ mod tests {
         assert_eq!(renaming.gpu(GpuId(7)), GpuId(7), "outside the slice");
         assert!(Renaming::new(&ids(&[0, 1]), &ids(&[40])).is_none());
         // a plan packed on one server, renamed, is the other server's pack
-        let opts = TreeGenOptions::default();
-        let packed = handle().plan(&local_shape(0), &opts, GpuId(1)).unwrap();
-        let own = handle().plan(&local_shape(5), &opts, GpuId(41)).unwrap();
+        let packed = handle().plan(&local_shape(0), GpuId(1)).unwrap();
+        let own = handle().plan(&local_shape(5), GpuId(41)).unwrap();
         assert!(renaming.plan(&packed).unwrap().bit_eq(&own));
         // an order-reversing renaming would reorder the plan's GPUs
         let reversed = Renaming::new(&ids(&[0, 1, 3]), &ids(&[43, 41, 40])).unwrap();
@@ -1321,7 +1280,6 @@ mod tests {
 
     #[test]
     fn one_ulp_of_one_link_separates_rank_keys() {
-        let opts = TreeGenOptions::default();
         let (a, b) = (local_shape(0), local_shape(5));
         let mut faster = Topology::new(b.name());
         for g in b.gpus() {
@@ -1334,51 +1292,36 @@ mod tests {
             }
             faster.add_link(link).unwrap();
         }
-        assert_ne!(
-            rank_fingerprint(&a, &opts),
-            rank_fingerprint(&faster, &opts)
-        );
+        assert_ne!(rank_fingerprint(&a), rank_fingerprint(&faster));
         // so the store relabels server 0's plan for server 5's slice, but
         // packs the faster slice afresh
         let store = SharedPlanCache::new();
+        PlanCache::new(store.clone()).plan(&a, GpuId(0)).unwrap();
+        PlanCache::new(store.clone()).plan(&b, GpuId(40)).unwrap();
         PlanCache::new(store.clone())
-            .plan(&a, &opts, GpuId(0))
-            .unwrap();
-        PlanCache::new(store.clone())
-            .plan(&b, &opts, GpuId(40))
-            .unwrap();
-        PlanCache::new(store.clone())
-            .plan(&faster, &opts, GpuId(40))
+            .plan(&faster, GpuId(40))
             .unwrap();
         assert_eq!(store.stats(), (1, 2));
     }
 
     #[test]
     fn a_hit_from_another_server_is_that_servers_own_pack() {
-        let opts = TreeGenOptions::default();
         let (a, b) = (local_shape(0), local_shape(5));
         let store = SharedPlanCache::new();
-        let packed = PlanCache::new(store.clone())
-            .plan(&a, &opts, GpuId(1))
-            .unwrap();
-        let hit = PlanCache::new(store.clone())
-            .plan(&b, &opts, GpuId(41))
-            .unwrap();
+        let packed = PlanCache::new(store.clone()).plan(&a, GpuId(1)).unwrap();
+        let hit = PlanCache::new(store.clone()).plan(&b, GpuId(41)).unwrap();
         assert_eq!(store.stats(), (1, 1));
-        let own = handle().plan(&b, &opts, GpuId(41)).unwrap();
+        let own = handle().plan(&b, GpuId(41)).unwrap();
         assert!(hit.bit_eq(&own));
         // a hit on the packing slice's own GPUs is the stored plan itself
-        let again = PlanCache::new(store.clone())
-            .plan(&a, &opts, GpuId(1))
-            .unwrap();
+        let again = PlanCache::new(store.clone()).plan(&a, GpuId(1)).unwrap();
         assert!(Arc::ptr_eq(&packed, &again));
     }
 
     #[test]
     fn a_stored_plan_that_cannot_be_relabelled_is_a_miss() {
-        let opts = TreeGenOptions::default();
         let (three, two) = (induced(&dgx1v(), 3), induced(&dgx1v(), 2));
-        let plan = handle().plan(&three, &opts, GpuId(0)).unwrap();
+        let plan = handle().plan(&three, GpuId(0)).unwrap();
         let onto = |ids: &[usize]| relabelled(&plan, ids.iter().map(|&i| GpuId(i)));
         assert!(Arc::ptr_eq(&onto(&[0, 1, 2]).unwrap(), &plan));
         assert!(onto(&[0, 1]).is_none(), "one GPU short");
@@ -1397,11 +1340,12 @@ mod tests {
         // a plan filed under a key it does not fit — a fingerprint
         // collision — is a miss and packs afresh
         let store = SharedPlanCache::new();
-        let fp = rank_fingerprint(&two, &opts);
-        store.lock().plans.insert((fp, 0, opts.links), plan.clone());
-        let got = PlanCache::new(store.clone())
-            .plan(&two, &opts, GpuId(0))
-            .unwrap();
+        let fp = rank_fingerprint(&two);
+        store
+            .lock()
+            .plans
+            .insert((fp, 0, LinkSelection::NvLinkOnly), plan.clone());
+        let got = PlanCache::new(store.clone()).plan(&two, GpuId(0)).unwrap();
         assert_eq!(got.gpus, two.gpu_ids());
         assert_eq!(store.stats(), (0, 1));
     }
@@ -1412,42 +1356,39 @@ mod tests {
 
     #[test]
     fn a_delta_leaves_the_store_serving_the_cold_plan_of_every_key() {
-        let opts = TreeGenOptions::default();
         let (a, b) = (local_shape(0), local_shape(5));
-        let fp = rank_fingerprint(&a, &opts);
+        let fp = rank_fingerprint(&a);
         let store = SharedPlanCache::new();
-        let packed = PlanCache::new(store.clone())
-            .plan(&a, &opts, GpuId(0))
-            .unwrap();
+        let packed = PlanCache::new(store.clone()).plan(&a, GpuId(0)).unwrap();
         // server 5's slice takes server 0's plan, then loses a link it
         // routes over and repairs warm: the plan stays filed for the shape,
         // and the repair stays the handle's
         let mut on_b = PlanCache::new(store.clone());
-        on_b.plan(&b, &opts, GpuId(40)).unwrap();
+        on_b.plan(&b, GpuId(40)).unwrap();
         let delta = TopologyDelta::kill_link(&b, GpuId(40), GpuId(41));
         let damaged = b.apply_delta(&delta).unwrap();
-        on_b.note_delta(&damaged, &opts, &delta);
+        on_b.note_delta(&damaged, &delta);
         assert_eq!(on_b.seeded(), 1);
-        let warm = on_b.plan(&damaged, &opts, GpuId(40)).unwrap();
+        let warm = on_b.plan(&damaged, GpuId(40)).unwrap();
         assert!(warm.mwu.warm_seeded > 0, "the repair ran from the seed");
         assert!(Arc::ptr_eq(
-            &stored(&store, fp, 0, opts.links).unwrap(),
+            &stored(&store, fp, 0, LinkSelection::NvLinkOnly).unwrap(),
             &packed
         ));
-        let damaged_fp = rank_fingerprint(&damaged, &opts);
-        assert!(stored(&store, damaged_fp, 0, opts.links).is_none());
+        let damaged_fp = rank_fingerprint(&damaged);
+        assert!(stored(&store, damaged_fp, 0, LinkSelection::NvLinkOnly).is_none());
         // another handle on the damaged slice is served an isolated pack
         let served = PlanCache::new(store.clone())
-            .plan(&damaged, &opts, GpuId(40))
+            .plan(&damaged, GpuId(40))
             .unwrap();
-        assert!(served.bit_eq(&handle().plan(&damaged, &opts, GpuId(40)).unwrap()));
+        assert!(served.bit_eq(&handle().plan(&damaged, GpuId(40)).unwrap()));
         // server 0's own slice losing the link leaves its plan filed too
         let mut on_a = PlanCache::new(store.clone());
-        on_a.plan(&a, &opts, GpuId(0)).unwrap();
+        on_a.plan(&a, GpuId(0)).unwrap();
         let delta = TopologyDelta::kill_link(&a, GpuId(0), GpuId(1));
-        on_a.note_delta(&a.apply_delta(&delta).unwrap(), &opts, &delta);
+        on_a.note_delta(&a.apply_delta(&delta).unwrap(), &delta);
         assert!(Arc::ptr_eq(
-            &stored(&store, fp, 0, opts.links).unwrap(),
+            &stored(&store, fp, 0, LinkSelection::NvLinkOnly).unwrap(),
             &packed
         ));
     }
@@ -1455,65 +1396,56 @@ mod tests {
     #[test]
     fn the_store_hands_plans_across_handles() {
         let induced = induced(&dgx1v(), 8);
-        let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         // "communicator" A packs and publishes
         let mut a = PlanCache::new(shared.clone());
-        let plan_a = a.plan(&induced, &opts, GpuId(0)).unwrap();
+        let plan_a = a.plan(&induced, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (0, 1), "first pack is a store miss");
         assert_eq!(shared.len(), 1);
         // "communicator" B of the same job shape reuses A's plan
         let mut b = PlanCache::new(shared.clone());
-        let plan_b = b.plan(&induced, &opts, GpuId(0)).unwrap();
+        let plan_b = b.plan(&induced, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1), "same shape must hit");
         assert!(Arc::ptr_eq(&plan_a, &plan_b), "a hit shares the plan");
         // a local repeat never touches the store
-        b.plan(&induced, &opts, GpuId(0)).unwrap();
+        b.plan(&induced, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1));
     }
 
     #[test]
     fn mwu_iterations_count_packs_and_not_hits() {
         let induced = induced(&dgx1v(), 8);
-        let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         assert_eq!(shared.mwu_iterations(), 0);
         let plan = PlanCache::new(shared.clone())
-            .plan(&induced, &opts, GpuId(0))
+            .plan(&induced, GpuId(0))
             .unwrap();
         assert!(plan.mwu.iterations > 0, "the full DGX-1V packs with MWU");
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
         // another handle's lookup is a store hit: no packing, no count
         PlanCache::new(shared.clone())
-            .plan(&induced, &opts, GpuId(0))
+            .plan(&induced, GpuId(0))
             .unwrap();
         assert_eq!(shared.stats(), (1, 1));
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
     }
 
     #[test]
-    fn the_store_misses_on_changed_topology_or_options() {
+    fn the_store_misses_on_a_changed_topology() {
         let topo = dgx1v();
         let full = induced(&topo, 8);
-        let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         PlanCache::new(shared.clone())
-            .plan(&full, &opts, GpuId(0))
+            .plan(&full, GpuId(0))
             .unwrap();
         // different allocation shape: miss, packed fresh
         let half = induced(&topo, 4);
         PlanCache::new(shared.clone())
-            .plan(&half, &opts, GpuId(0))
+            .plan(&half, GpuId(0))
             .unwrap();
-        // different options on the original shape: miss again
-        let mut retuned = opts;
-        retuned.minimize.threshold = 0.1;
-        PlanCache::new(shared.clone())
-            .plan(&full, &retuned, GpuId(0))
-            .unwrap();
-        assert_eq!(shared.stats(), (0, 3));
-        // unlike a handle, the store keeps all three shapes
-        assert_eq!(shared.len(), 3);
+        assert_eq!(shared.stats(), (0, 2));
+        // unlike a handle, the store keeps both shapes
+        assert_eq!(shared.len(), 2);
     }
 
     #[test]
@@ -1521,31 +1453,30 @@ mod tests {
         let topo = dgx1v();
         let full = induced(&topo, 8);
         let half = induced(&topo, 4);
-        let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::new();
         PlanCache::new(shared.clone())
-            .plan(&full, &opts, GpuId(0))
+            .plan(&full, GpuId(0))
             .unwrap();
         assert_eq!(shared.len(), 1);
         // handle A sees its topology change full -> half and repairs warm:
         // the full-shape plan stays in the store, and the repair is A's own
         let mut a = PlanCache::new(shared.clone());
-        a.plan(&full, &opts, GpuId(0)).unwrap();
+        a.plan(&full, GpuId(0)).unwrap();
         let delta = TopologyDelta::between(&full, &half);
-        a.note_delta(&half, &opts, &delta);
-        a.plan(&half, &opts, GpuId(0)).unwrap();
+        a.note_delta(&half, &delta);
+        a.plan(&half, GpuId(0)).unwrap();
         assert_eq!(shared.len(), 1, "a warm repack is not published");
-        let fp_full = rank_fingerprint(&full, &opts);
-        assert!(stored(&shared, fp_full, 0, opts.links).is_some());
+        let fp_full = rank_fingerprint(&full);
+        assert!(stored(&shared, fp_full, 0, LinkSelection::NvLinkOnly).is_some());
         // a fresh handle on the half shape packs it cold, as an isolated
         // handle does, and publishes that
         let cold = PlanCache::new(shared.clone())
-            .plan(&half, &opts, GpuId(0))
+            .plan(&half, GpuId(0))
             .unwrap();
-        assert!(cold.bit_eq(&handle().plan(&half, &opts, GpuId(0)).unwrap()));
-        let fp_half = rank_fingerprint(&half, &opts);
+        assert!(cold.bit_eq(&handle().plan(&half, GpuId(0)).unwrap()));
+        let fp_half = rank_fingerprint(&half);
         assert!(Arc::ptr_eq(
-            &stored(&shared, fp_half, 0, opts.links).unwrap(),
+            &stored(&shared, fp_half, 0, LinkSelection::NvLinkOnly).unwrap(),
             &cold
         ));
     }
@@ -1553,10 +1484,9 @@ mod tests {
     #[test]
     fn a_tier_evicts_its_least_recently_used_entry_past_capacity() {
         let induced = induced(&dgx1v(), 8);
-        let opts = TreeGenOptions::default();
-        let fp = rank_fingerprint(&induced, &opts);
-        let plan = handle().plan(&induced, &opts, GpuId(0)).unwrap();
-        let key = |r: usize| (fp, GpuId(r), opts.links);
+        let fp = rank_fingerprint(&induced);
+        let plan = handle().plan(&induced, GpuId(0)).unwrap();
+        let key = |r: usize| (fp, GpuId(r), LinkSelection::NvLinkOnly);
         let mut tier = Tier::new(2);
         // fill to capacity: roots 0 and 1
         tier.insert(key(0), plan.clone());
@@ -1581,20 +1511,19 @@ mod tests {
     #[test]
     fn a_handle_keeps_its_plans_when_the_store_evicts_them() {
         let induced = induced(&dgx1v(), 8);
-        let opts = TreeGenOptions::default();
         let shared = SharedPlanCache::with_capacity(1);
         let mut a = PlanCache::new(shared.clone());
-        let first = a.plan(&induced, &opts, GpuId(0)).unwrap();
-        a.plan(&induced, &opts, GpuId(1)).unwrap();
+        let first = a.plan(&induced, GpuId(0)).unwrap();
+        a.plan(&induced, GpuId(1)).unwrap();
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.evictions(), 1, "root 0 fell out of the store");
         // the handle still serves root 0 without consulting the store
-        let again = a.plan(&induced, &opts, GpuId(0)).unwrap();
+        let again = a.plan(&induced, GpuId(0)).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(shared.stats(), (0, 2));
         // another handle simply re-packs the evicted root, bit-identically
         let replanned = PlanCache::new(shared.clone())
-            .plan(&induced, &opts, GpuId(0))
+            .plan(&induced, GpuId(0))
             .unwrap();
         assert!(replanned.bit_eq(&first), "re-pack is bit-identical");
     }
@@ -1611,15 +1540,10 @@ mod tests {
     }
 
     /// Plans every root of `roots` through `cache`, in order.
-    fn plan_each(
-        cache: &mut PlanCache,
-        induced: &Topology,
-        opts: &TreeGenOptions,
-        roots: &[GpuId],
-    ) -> Vec<Arc<TreePlan>> {
+    fn plan_each(cache: &mut PlanCache, induced: &Topology, roots: &[GpuId]) -> Vec<Arc<TreePlan>> {
         roots
             .iter()
-            .map(|&r| cache.plan(induced, opts, r).unwrap())
+            .map(|&r| cache.plan(induced, r).unwrap())
             .collect()
     }
 
@@ -1627,14 +1551,13 @@ mod tests {
     fn note_delta_demotes_touched_plans_to_seeds_and_replans_warm() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let induced = induced(&dgx1v(), 8);
-        let opts = TreeGenOptions::default();
         let mut cache = handle();
-        plan_each(&mut cache, &induced, &opts, &alloc);
+        plan_each(&mut cache, &induced, &alloc);
         assert_eq!(cache.len(), 8);
         // a physical NVLink connection dies
         let delta = TopologyDelta::kill_link(&induced, GpuId(0), GpuId(1));
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &opts, &delta);
+        cache.note_delta(&after, &delta);
         // every plan either survived (untouched by the dead pair) or became
         // a warm-start seed — none were thrown away
         assert_eq!(cache.len() + cache.seeded(), 8);
@@ -1642,7 +1565,7 @@ mod tests {
         // replanning consumes the seeds and yields plans that avoid the
         // dead pair and are never worse than a cold re-plan
         let dead = delta.removed_pairs();
-        let warm = plan_each(&mut cache, &after, &opts, &alloc);
+        let warm = plan_each(&mut cache, &after, &alloc);
         assert_eq!(cache.seeded(), 0, "seeds are consumed on use");
         let mut cold_cache = handle();
         for (plan, &root) in warm.iter().zip(&alloc) {
@@ -1650,7 +1573,7 @@ mod tests {
                 .trees
                 .iter()
                 .all(|t| t.tree.edges.iter().all(|e| !dead.contains(e))));
-            let cold = cold_cache.plan(&after, &opts, root).unwrap();
+            let cold = cold_cache.plan(&after, root).unwrap();
             assert!(
                 plan.rate_gbps() >= cold.rate_gbps() - 1e-9,
                 "warm replan for root {root} must not be worse than cold"
@@ -1662,9 +1585,8 @@ mod tests {
     fn pure_removal_delta_keeps_unaffected_plans_live_in_the_handle() {
         use blink_topology::LinkKind;
         let induced = induced(&dgx1v(), 4);
-        let opts = TreeGenOptions::default(); // NvLinkOnly
         let mut cache = handle();
-        let before = cache.plan(&induced, &opts, GpuId(0)).unwrap();
+        let before = cache.plan(&induced, GpuId(0)).unwrap();
         // a PCIe link dies; the NVLink plan never touched it
         let pcie = *induced
             .links()
@@ -1676,31 +1598,30 @@ mod tests {
             ..Default::default()
         };
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &opts, &delta);
+        cache.note_delta(&after, &delta);
         assert_eq!(cache.len(), 1, "untouched plan stays live locally");
         assert_eq!(cache.seeded(), 0);
         // the next lookup serves it bit-identically without re-packing
-        let again = cache.plan(&after, &opts, GpuId(0)).unwrap();
+        let again = cache.plan(&after, GpuId(0)).unwrap();
         assert!(before.bit_eq(&again));
         assert_eq!(cache.store().stats(), (0, 1));
         // the survivor stays the handle's: the store files nothing under
         // the new fingerprint, and another handle there packs it cold
-        let fp_after = rank_fingerprint(&after, &opts);
-        assert!(stored(cache.store(), fp_after, 0, opts.links).is_none());
+        let fp_after = rank_fingerprint(&after);
+        assert!(stored(cache.store(), fp_after, 0, LinkSelection::NvLinkOnly).is_none());
         let cold = PlanCache::new(cache.store().clone())
-            .plan(&after, &opts, GpuId(0))
+            .plan(&after, GpuId(0))
             .unwrap();
-        assert!(cold.bit_eq(&handle().plan(&after, &opts, GpuId(0)).unwrap()));
+        assert!(cold.bit_eq(&handle().plan(&after, GpuId(0)).unwrap()));
     }
 
     #[test]
     fn growth_below_the_certificate_keeps_a_plan_live() {
         use blink_topology::{Link, LinkKind};
         let induced = induced(&dgx1v(), 4);
-        let opts = TreeGenOptions::default();
         let mut cache = handle();
-        let before = cache.plan(&induced, &opts, GpuId(0)).unwrap();
-        let fp_before = rank_fingerprint(&induced, &opts);
+        let before = cache.plan(&induced, GpuId(0)).unwrap();
+        let fp_before = rank_fingerprint(&induced);
         // a fresh NVLink lane appears between GPUs 0 and 3: pure growth. On
         // this quad the broadcast min-cut from root 0 is pinned by the
         // capacity *into* GPU 1, which the new lane does not touch — the
@@ -1714,30 +1635,29 @@ mod tests {
         };
         assert!(delta.is_pure_growth() && !delta.is_pure_removal());
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &opts, &delta);
+        cache.note_delta(&after, &delta);
         assert_eq!(
             cache.len(),
             1,
             "growth that leaves the certificate must not demote the plan"
         );
         assert_eq!(cache.seeded(), 0);
-        let again = cache.plan(&after, &opts, GpuId(0)).unwrap();
+        let again = cache.plan(&after, GpuId(0)).unwrap();
         assert!(
             before.bit_eq(&again),
             "retained plan is served bit-identical"
         );
         // the store keeps the old shape's entry: that shape persists as a
         // subgraph of the grown one, so its fingerprint is still meaningful
-        assert!(stored(cache.store(), fp_before, 0, opts.links).is_some());
+        assert!(stored(cache.store(), fp_before, 0, LinkSelection::NvLinkOnly).is_some());
     }
 
     #[test]
     fn growth_of_another_link_class_never_triggers_recertification() {
         use blink_topology::{Link, LinkKind};
         let induced = induced(&dgx1v(), 4);
-        let opts = TreeGenOptions::default(); // NvLinkOnly
         let mut cache = handle();
-        let before = cache.plan(&induced, &opts, GpuId(0)).unwrap();
+        let before = cache.plan(&induced, GpuId(0)).unwrap();
         // extra PCIe capacity appears: invisible to an NVLink plan
         let delta = TopologyDelta {
             added_links: vec![
@@ -1747,27 +1667,26 @@ mod tests {
             ..Default::default()
         };
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &opts, &delta);
+        cache.note_delta(&after, &delta);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.seeded(), 0);
-        let again = cache.plan(&after, &opts, GpuId(0)).unwrap();
+        let again = cache.plan(&after, GpuId(0)).unwrap();
         assert!(before.bit_eq(&again));
     }
 
     #[test]
     fn growth_that_raises_the_certificate_repacks_and_recovers_the_rate() {
         let full = induced(&dgx1v(), 4);
-        let opts = TreeGenOptions::default();
         // plan over a damaged quad (the 0-1 NVLink pair is down)...
         let kill = TopologyDelta::kill_link(&full, GpuId(0), GpuId(1));
         let damaged = full.apply_delta(&kill).unwrap();
         let mut cache = handle();
-        let degraded = cache.plan(&damaged, &opts, GpuId(0)).unwrap();
+        let degraded = cache.plan(&damaged, GpuId(0)).unwrap();
         // ...then the link comes back: a pure-growth delta that raises the
         // broadcast min-cut from root 0
         let grow = TopologyDelta::between(&damaged, &full);
         assert!(grow.is_pure_growth() && !grow.added_links.is_empty());
-        cache.note_delta(&full, &opts, &grow);
+        cache.note_delta(&full, &grow);
         assert_eq!(
             cache.len(),
             0,
@@ -1775,9 +1694,9 @@ mod tests {
         );
         assert_eq!(cache.seeded(), 1);
         // the re-pack consumes the seed and recovers the full-topology rate
-        let recovered = cache.plan(&full, &opts, GpuId(0)).unwrap();
+        let recovered = cache.plan(&full, GpuId(0)).unwrap();
         assert_eq!(cache.seeded(), 0, "warm seed consumed");
-        let cold = handle().plan(&full, &opts, GpuId(0)).unwrap();
+        let cold = handle().plan(&full, GpuId(0)).unwrap();
         assert!(
             recovered.rate_gbps() >= cold.rate_gbps() - 1e-9,
             "re-packed rate {} must recover the cold full-topology rate {}",
@@ -1792,7 +1711,7 @@ mod tests {
         );
         assert!(
             recovered.rate_gbps()
-                >= (1.0 - opts.packing.epsilon) * recovered.optimal_rate_gbps - 1e-9
+                >= (1.0 - PackingOptions::default().epsilon) * recovered.optimal_rate_gbps - 1e-9
         );
     }
 
@@ -1801,12 +1720,13 @@ mod tests {
         let a = global_plan_cache();
         let b = global_plan_cache();
         let induced = induced(&dgx1v(), 2);
-        let opts = TreeGenOptions::default();
-        let plan = handle().plan(&induced, &opts, GpuId(0)).unwrap();
+        let plan = handle().plan(&induced, GpuId(0)).unwrap();
         // a synthetic fingerprint no real communicator can collide with
         let fp = u64::MAX - 12345;
-        a.lock().plans.insert((fp, 999, opts.links), plan.clone());
-        let via_b = stored(&b, fp, 999, opts.links).unwrap();
+        a.lock()
+            .plans
+            .insert((fp, 999, LinkSelection::NvLinkOnly), plan.clone());
+        let via_b = stored(&b, fp, 999, LinkSelection::NvLinkOnly).unwrap();
         assert!(Arc::ptr_eq(&via_b, &plan));
     }
 
@@ -1818,7 +1738,7 @@ mod tests {
         assert_eq!(t.chunk_bytes(), 2 << 20);
         t.observe(60.0);
         assert_eq!(t.chunk_bytes(), 4 << 20);
-        assert!(!t.is_settled());
+        assert!(!t.settled);
         assert_eq!(t.history().len(), 2);
     }
 
@@ -1828,7 +1748,7 @@ mod tests {
         t.observe(40.0); // -> 2 MB
         t.observe(80.0); // -> 4 MB
         t.observe(60.0); // regression: back off and settle
-        assert!(t.is_settled());
+        assert!(t.settled);
         assert_eq!(t.chunk_bytes(), (4 << 20) - (512 * 1024));
         let before = t.chunk_bytes();
         t.observe(100.0); // settled: no change
@@ -1840,11 +1760,11 @@ mod tests {
         let mut t = ChunkAutotuner::new(1 << 20);
         t.observe(40.0);
         t.observe(40.1); // within 1% of the best -> settle
-        assert!(t.is_settled());
+        assert!(t.settled);
     }
 
     #[test]
-    fn respects_bounds_and_reset() {
+    fn respects_bounds() {
         let mut t = ChunkAutotuner::new(1);
         assert!(t.chunk_bytes() >= 64 * 1024);
         for gbps in [
@@ -1853,10 +1773,7 @@ mod tests {
             t.observe(gbps);
         }
         assert!(t.chunk_bytes() <= 64 << 20);
-        assert!(t.is_settled());
-        t.reset(1 << 20);
-        assert!(!t.is_settled());
-        assert_eq!(t.chunk_bytes(), 1 << 20);
-        assert!(t.history().is_empty());
+        assert!(t.settled);
+        assert_eq!(t.chunk_bytes(), 64 << 20);
     }
 }

@@ -89,12 +89,12 @@ use crate::fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 use crate::hybrid::HybridPlanner;
 use crate::multiserver::three_phase_allreduce_cached;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
-use crate::treegen::{LinkSelection, ScratchPool, TreeGenOptions, TreePlan};
+use crate::treegen::{LinkSelection, ScratchPool, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate_in, DiGraph, NodeIdx, WeightedTree};
 use blink_sim::{
-    algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, RunReport, SimParams,
-    Simulator, ValueCheck,
+    algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, RunReport, Simulator,
+    ValueCheck,
 };
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta, TopologyError};
@@ -106,14 +106,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Options for a [`Communicator`] (set through
-/// [`CommunicatorBuilder::options`]).
+/// The choices a caller makes for a [`Communicator`] (set through
+/// [`CommunicatorBuilder::options`]): the chunk policy, hybrid transfers
+/// and the fusion threshold. Everything else a communicator derives from
+/// its allocation's topology: it plans under the default
+/// [`crate::TreeGenOptions`], packing NVLink trees (PCIe ones where NVLink
+/// cannot span), and simulates on the default [`blink_sim::SimParams`].
 #[derive(Debug, Clone, Copy)]
 pub struct CommunicatorOptions {
-    /// Hardware calibration parameters for the simulator backend.
-    pub sim_params: SimParams,
-    /// TreeGen options (packing ε, minimisation threshold, link class).
-    pub treegen: TreeGenOptions,
     /// Fixed chunk size; `None` enables the MIAD automatic tuner.
     pub chunk_bytes: Option<u64>,
     /// Enable hybrid PCIe + NVLink transfers (Section 3.4).
@@ -130,8 +130,6 @@ pub struct CommunicatorOptions {
 impl Default for CommunicatorOptions {
     fn default() -> Self {
         CommunicatorOptions {
-            sim_params: SimParams::default(),
-            treegen: TreeGenOptions::default(),
             chunk_bytes: Some(4 << 20),
             use_hybrid: false,
             fusion_threshold_bytes: 4 << 20,
@@ -411,8 +409,8 @@ pub struct Communicator {
     options: CommunicatorOptions,
     /// This communicator's handle on its plan store: collectives re-issued
     /// by the autotune loop skip the packing stage entirely. The handle
-    /// keys its plans under a topology/options fingerprint, so it would
-    /// rebuild rather than serve stale plans if either ever changed.
+    /// keys its plans under a topology fingerprint, so it would rebuild
+    /// rather than serve stale plans if the topology ever changed.
     plans: PlanCache,
     /// What the communicator derived from its current shape.
     shape: ShapeState,
@@ -424,8 +422,7 @@ pub struct Communicator {
 /// [`Communicator::replan`], so no memo kept here can outlive its shape.
 #[derive(Debug)]
 struct ShapeState {
-    /// [`crate::autotune::rank_fingerprint`] of the induced topology and
-    /// TreeGen options.
+    /// [`crate::autotune::rank_fingerprint`] of the induced topology.
     plan_fp: u64,
     /// The key the store's lowering tier files this communicator's
     /// lowerings under (see [`lowering_fingerprint`]).
@@ -443,10 +440,10 @@ struct ShapeState {
     /// best rootless-collective root is a constant — no per-call certificate
     /// sweep.
     picked: Option<(GpuId, Vec<Arc<TreePlan>>)>,
-    /// Memoised spannability verdicts per `(root, link class)` — including
-    /// the negative ones the plan cache cannot represent, so PCIe-fallback
+    /// Memoised NVLink spannability verdicts per root — including the
+    /// negative ones the plan cache cannot represent, so PCIe-fallback
     /// communicators stop rebuilding the NVLink graph every collective.
-    spannable: BTreeMap<(GpuId, LinkSelection), bool>,
+    spannable: BTreeMap<GpuId, bool>,
     /// Memoised winner of the one-hop-vs-packed simulate-off per collective
     /// kind (rooted kinds per root) on switch fabrics. Per communicator, and
     /// part of its lowering keys: a shared verdict would let one
@@ -463,8 +460,7 @@ impl ShapeState {
     /// The fresh state of a communicator over `allocation`, simulated on
     /// `sim` over its induced topology.
     fn new(allocation: &[GpuId], options: &CommunicatorOptions, sim: &Simulator) -> Self {
-        let (plan_fp, order) =
-            rank_fingerprint_and_order(sim.topology(), &options.treegen, allocation);
+        let (plan_fp, order) = rank_fingerprint_and_order(sim.topology(), allocation);
         let dense = allocation
             .iter()
             .map(|&g| sim.gpu_index(g).unwrap_or(usize::MAX))
@@ -496,9 +492,9 @@ fn private_lowering_fp() -> u64 {
 /// besides the collective signature, the chunk and the plans themselves —
 /// the rank fingerprint, the allocation `order` as that fingerprint names
 /// GPUs (by rank, so the same slice shape on any server shares the key; by
-/// id where the slice's ids do not ascend) and every option a lowering
-/// reads. Computed once per build and per replan, without collecting the
-/// order.
+/// id where the slice's ids do not ascend) and the one option a lowering
+/// reads, [`CommunicatorOptions::use_hybrid`]. Computed once per build and
+/// per replan, without collecting the order.
 fn lowering_fingerprint(
     plan_fp: u64,
     order: impl ExactSizeIterator<Item = u64>,
@@ -506,8 +502,6 @@ fn lowering_fingerprint(
 ) -> u64 {
     // Destructured so a new option cannot be silently left out.
     let CommunicatorOptions {
-        sim_params,
-        treegen,
         chunk_bytes: _,
         use_hybrid,
         fusion_threshold_bytes: _,
@@ -517,10 +511,6 @@ fn lowering_fingerprint(
     // as a `[u64]` hashes: its length, then each name
     h.write_usize(order.len());
     order.for_each(|name| h.write_u64(name));
-    treegen.links.hash(&mut h);
-    for bits in sim_params.to_bits() {
-        bits.hash(&mut h);
-    }
     use_hybrid.hash(&mut h);
     h.finish()
 }
@@ -984,11 +974,11 @@ impl Communicator {
         }
     }
 
-    /// The plan for `root` under `options` on this communicator's slice,
-    /// through its plan handle.
-    fn plan(&mut self, options: &TreeGenOptions, root: GpuId) -> Result<Arc<TreePlan>> {
+    /// The plan for `root` over the `links` class of this communicator's
+    /// slice, through its plan handle.
+    fn plan(&mut self, links: LinkSelection, root: GpuId) -> Result<Arc<TreePlan>> {
         let fp = self.shape.plan_fp;
-        self.plans.plan_for(self.sim.topology(), options, fp, root)
+        self.plans.plan_for(self.sim.topology(), links, fp, root)
     }
 
     /// Whether rootless collectives run over per-root packed trees and a
@@ -1041,24 +1031,23 @@ impl Communicator {
     /// collectives pack their root on first use.
     ///
     /// Returns a [`SweepOutcome`]; the fallback outcome (`allocation[0]`,
-    /// rate 0, `spannable: false`) when no candidate spans the selected link
-    /// class (the later per-root planning surfaces the real error).
+    /// rate 0, `spannable: false`) when NVLink spans from no candidate (the
+    /// later per-root planning surfaces the real error).
     fn root_sweep(&mut self) -> SweepOutcome {
-        let links = self.options.treegen.links;
+        let links = LinkSelection::NvLinkOnly;
         let g = DiGraph::from_topology_filtered(self.sim.topology(), |l| links.matches(l));
         let candidates: Vec<(GpuId, NodeIdx)> = self
             .allocation
             .iter()
             .filter_map(|&cand| {
                 let idx = g.node(cand).filter(|&i| g.spans_from(i));
-                self.shape.spannable.insert((cand, links), idx.is_some());
+                self.shape.spannable.insert(cand, idx.is_some());
                 idx.map(|i| (cand, i))
             })
             .collect();
         let Some(&(first, _)) = candidates.first() else {
             return SweepOutcome::fallback(self.allocation[0]);
         };
-        let treegen = self.options.treegen;
         let mut out = SweepOutcome {
             rate_gbps: -1.0,
             spannable: true,
@@ -1076,7 +1065,7 @@ impl Communicator {
                 continue;
             }
             let seeds = self.plans.seeded();
-            let Ok(plan) = self.plan(&treegen, cand) else {
+            let Ok(plan) = self.plan(links, cand) else {
                 return SweepOutcome::fallback(self.allocation[0]);
             };
             // Only roots that consumed a seed contribute repair evidence: a
@@ -1194,10 +1183,9 @@ impl Communicator {
         }
         self.allocation = allocation;
         self.machine = Arc::new(machine);
-        self.sim = Simulator::new(induced, self.options.sim_params);
+        self.sim = Simulator::with_defaults(induced);
         self.shape = ShapeState::new(&self.allocation, &self.options, &self.sim);
-        self.plans
-            .note_delta(self.sim.topology(), &self.options.treegen, delta);
+        self.plans.note_delta(self.sim.topology(), delta);
         let plans_kept = self.plans.len();
         let seeds_demoted = self.plans.seeded();
         if plans_kept + seeds_demoted > 0 {
@@ -1263,7 +1251,7 @@ impl Communicator {
                 self.sim.topology(),
                 &self.allocation,
                 bytes,
-                &self.options.treegen,
+                LinkSelection::NvLinkOnly,
                 &self.codegen_options(chunk),
                 self.plans.store(),
             );
@@ -1273,11 +1261,7 @@ impl Communicator {
             // single-server fallback below.
             let (program, info, fell_back) = match attempt {
                 Ok((program, info)) => (program, info, false),
-                Err(_) if self.options.treegen.links == LinkSelection::NvLinkOnly => {
-                    let pcie_tg = TreeGenOptions {
-                        links: LinkSelection::PcieOnly,
-                        ..self.options.treegen
-                    };
+                Err(_) => {
                     let pcie_cg = CodeGenOptions {
                         link_class: blink_sim::LinkClass::Pcie,
                         ..self.codegen_options(chunk)
@@ -1286,13 +1270,12 @@ impl Communicator {
                         self.sim.topology(),
                         &self.allocation,
                         bytes,
-                        &pcie_tg,
+                        LinkSelection::PcieOnly,
                         &pcie_cg,
                         self.plans.store(),
                     )?;
                     (program, info, true)
                 }
-                Err(e) => return Err(e),
             };
             let strategy = format!(
                 "three-phase multi-server ({} servers, {} partitions{})",
@@ -1315,16 +1298,17 @@ impl Communicator {
             Some(root) => root,
             None => self.pick_root(),
         };
-        // Only the first collective per (root, link class) pays for the graph
-        // build and reachability walk; the verdict (positive or negative) is
-        // memoised for every later call.
-        let links = self.options.treegen.links;
-        let nvlink_spans = match self.shape.spannable.get(&(root, links)) {
+        // Only the first collective per root pays for the graph build and
+        // reachability walk; the verdict (positive or negative) is memoised
+        // for every later call.
+        let nvlink_spans = match self.shape.spannable.get(&root) {
             Some(&spans) => spans,
             None => {
-                let g = DiGraph::from_topology_filtered(self.sim.topology(), |l| links.matches(l));
+                let g = DiGraph::from_topology_filtered(self.sim.topology(), |l| {
+                    LinkSelection::NvLinkOnly.matches(l)
+                });
                 let spans = g.node(root).map(|i| g.spans_from(i)).unwrap_or(false);
-                self.shape.spannable.insert((root, links), spans);
+                self.shape.spannable.insert(root, spans);
                 spans
             }
         };
@@ -1335,7 +1319,6 @@ impl Communicator {
                     self.sim.topology(),
                     self.shape.plan_fp,
                     root,
-                    &self.options.treegen,
                 )?;
                 let (program, split) =
                     planner.build(kind, bytes, &self.codegen_options(chunk), self.sim.params())?;
@@ -1343,8 +1326,7 @@ impl Communicator {
                 let strategy = format!("hybrid NVLink+PCIe ({} B over PCIe)", split.pcie_bytes);
                 return Ok((program, n, strategy, None));
             }
-            let treegen_opts = self.options.treegen;
-            let plan = self.plan(&treegen_opts, root)?;
+            let plan = self.plan(LinkSelection::NvLinkOnly, root)?;
             let n = plan.num_trees();
             let program = cg.build(&plan.trees, kind, bytes)?;
             let strategy = if plan.mwu.hit_iteration_cap {
@@ -1356,15 +1338,11 @@ impl Communicator {
         }
 
         // ---- NVLink cannot span the allocation: fall back to PCIe trees ----
-        let pcie_opts = TreeGenOptions {
-            links: LinkSelection::PcieOnly,
-            ..self.options.treegen
-        };
         let pcie_cg = CodeGen::new(CodeGenOptions {
             link_class: blink_sim::LinkClass::Pcie,
             ..self.codegen_options(chunk)
         });
-        let plan = self.plan(&pcie_opts, root)?;
+        let plan = self.plan(LinkSelection::PcieOnly, root)?;
         let n = plan.num_trees();
         let capped = plan.mwu.hit_iteration_cap;
         let program = pcie_cg.build(&plan.trees, kind, bytes)?;
@@ -1460,8 +1438,7 @@ impl Communicator {
                 // Any root spans a switch fabric and the graph is symmetric,
                 // so rootless collectives skip the root sweep.
                 let root = kind.root().unwrap_or(self.allocation[0]);
-                let treegen_opts = self.options.treegen;
-                let plan = self.plan(&treegen_opts, root)?;
+                let plan = self.plan(LinkSelection::NvLinkOnly, root)?;
                 let n = plan.num_trees();
                 let program = cg.build(&plan.trees, kind, bytes)?;
                 Ok((
@@ -1687,7 +1664,7 @@ impl CommunicatorBuilder {
             None if self.isolated => SharedPlanCache::new(),
             None => global_plan_cache(),
         };
-        let sim = Simulator::new(induced, self.options.sim_params);
+        let sim = Simulator::with_defaults(induced);
         let shape = ShapeState::new(&allocation, &self.options, &sim);
         Ok(Communicator {
             allocation,
@@ -1976,9 +1953,7 @@ mod tests {
                 s.iter().map(|&(a, b)| (a.to_bits(), b.to_bits())).collect()
             };
             assert_eq!(bits(&spans), bits(&second_spans), "{alloc:?}");
-            let fresh = Simulator::new(dgx2(), options.sim_params)
-                .run(&program)
-                .unwrap();
+            let fresh = Simulator::with_defaults(dgx2()).run(&program).unwrap();
             assert_eq!(bits(&spans), bits(&fresh.op_spans), "{alloc:?}");
             // and the first run_checked on a fresh communicator conforms
             let mut comm = Communicator::builder(dgx2())
@@ -2145,12 +2120,9 @@ mod tests {
             (1usize, vec![GpuId(8), GpuId(13)]),
         ];
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
-        let opts = TreeGenOptions::default();
         let fps: Vec<u64> = slices
             .iter()
-            .map(|(_, gpus)| {
-                crate::autotune::rank_fingerprint(&machine.induced(gpus).unwrap(), &opts)
-            })
+            .map(|(_, gpus)| crate::autotune::rank_fingerprint(&machine.induced(gpus).unwrap()))
             .collect();
         assert_ne!(fps[0], fps[1], "the two slices must differ in shape");
         let mut comm = CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices)
@@ -2797,9 +2769,7 @@ mod tests {
         let renamed = away.lower(kind, mb(8)).unwrap();
         assert!(Arc::ptr_eq(&renamed.entry, &hit.entry), "one entry");
         assert!(away.form_for(&renamed).is_some() && form.form.fits(&away.sim));
-        assert!(!form
-            .form
-            .fits(&Simulator::new(machine.clone(), SimParams::default())));
+        assert!(!form.form.fits(&Simulator::with_defaults(machine.clone())));
         let (total, spans) = away.simulate_lowered(&renamed, true).unwrap();
         let own = away
             .sim
@@ -3076,21 +3046,20 @@ mod tests {
         // reduction kernel that never finishes
         let bad_params = [
             (
-                SimParams {
+                blink_sim::SimParams {
                     link_latency_us: -1e6,
-                    ..SimParams::default()
+                    ..Default::default()
                 },
                 "negative link latency",
             ),
             (
-                SimParams {
+                blink_sim::SimParams {
                     reduce_bandwidth_gbps: 0.0,
-                    ..SimParams::default()
+                    ..Default::default()
                 },
                 "zero reduce bandwidth",
             ),
         ];
-        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         for (params, what) in bad_params {
             let sim = Simulator::new(dgx1v(), params);
             let mut b = ProgramBuilder::new();
@@ -3098,24 +3067,6 @@ mod tests {
             let c = b.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, &[], "c");
             b.reduce(GpuId(1), mb(1), s, &[c], "r");
             invalid(sim.run(&b.build().unwrap()), what);
-
-            for machine in [dgx1v(), dgx2()] {
-                let options = CommunicatorOptions {
-                    sim_params: params,
-                    ..Default::default()
-                };
-                let built = Communicator::builder(machine)
-                    .allocation(&alloc)
-                    .options(options)
-                    .build();
-                let outcome = built.and_then(|mut comm| comm.all_reduce(mb(64)));
-                match outcome {
-                    Err(BlinkError::Simulation(msg)) => {
-                        assert!(msg.contains("finite and non-negative"), "{what}: {msg}")
-                    }
-                    other => panic!("{what}: {other:?}"),
-                }
-            }
         }
     }
 }

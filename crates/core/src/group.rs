@@ -27,7 +27,7 @@ use crate::collective::CollectiveKind;
 use crate::communicator::Communicator;
 use crate::treegen::ScratchPool;
 use crate::{BlinkError, Result};
-use blink_sim::{check_collective, CompiledProgram, Program, Simulator, ValueCheck};
+use blink_sim::{check_collective, Program, Simulator, ValueCheck};
 use blink_topology::{GroupSplit, Topology};
 use std::sync::Arc;
 
@@ -52,13 +52,9 @@ pub struct GroupCollective {
     /// Human-readable strategy the child communicator picked.
     pub strategy: String,
     /// The lowered transfer program (empty for trivial requests), shared
-    /// with the plan store's lowering tier.
+    /// with the plan store's lowering tier. The shared session simulates
+    /// the machine, so it runs this program, never a compiled form.
     pub program: Arc<Program>,
-    /// The compiled form the lowering tier keeps beside the lowering, once
-    /// a call hit it: `program`'s, up to renaming its GPUs by dense index,
-    /// compiled on a simulator of the subgroup's slice. The shared session
-    /// simulates the machine, so it runs `program` itself.
-    pub compiled: Option<Arc<CompiledProgram>>,
     /// Per-op `(start, end)` times on the shared schedule, indexed by the
     /// program's op ids.
     pub op_spans: Vec<(f64, f64)>,
@@ -93,7 +89,7 @@ impl ProcessGroups {
                     .build()?,
             );
         }
-        let sim = Simulator::new(machine, options.sim_params);
+        let sim = Simulator::with_defaults(machine);
         Ok(ProcessGroups { sim, children })
     }
 
@@ -102,9 +98,10 @@ impl ProcessGroups {
         &self.children
     }
 
-    /// Mutable access to one child (e.g. to run a subgroup collective solo).
-    pub fn group_mut(&mut self, index: usize) -> &mut Communicator {
-        &mut self.children[index]
+    /// The child communicators, mutably (e.g. to run a subgroup collective
+    /// solo), in subgroup order.
+    pub fn groups_mut(&mut self) -> &mut [Communicator] {
+        &mut self.children
     }
 
     /// Number of subgroups.
@@ -144,17 +141,15 @@ impl ProcessGroups {
         }
         let mut groups = Vec::with_capacity(requests.len());
         for (child, &(kind, bytes)) in self.children.iter_mut().zip(requests) {
-            let (program, compiled, strategy) = if child.allocation().len() < 2 || bytes == 0 {
+            let (program, strategy) = if child.allocation().len() < 2 || bytes == 0 {
                 (
                     Arc::default(),
-                    None,
                     "trivial (single GPU or empty buffer)".to_string(),
                 )
             } else {
                 let lowered = child.lower(kind, bytes)?;
                 (
                     lowered.program(child.allocation()),
-                    lowered.entry.compiled.get().map(|c| c.form.clone()),
                     lowered.entry.strategy.clone(),
                 )
             };
@@ -164,7 +159,6 @@ impl ProcessGroups {
                 end_us: 0.0,
                 strategy,
                 program,
-                compiled,
                 op_spans: Vec::new(),
             });
         }
@@ -329,11 +323,10 @@ mod tests {
         let bytes = 32 << 20;
         let requests = vec![(CollectiveKind::AllReduce, bytes); 2];
         let together = groups.run_concurrent(&requests).unwrap();
-        let solo: f64 = (0..2)
-            .map(|i| {
-                let r = groups.group_mut(i).all_reduce(bytes).unwrap();
-                r.elapsed_us
-            })
+        let solo: f64 = groups
+            .groups_mut()
+            .iter_mut()
+            .map(|group| group.all_reduce(bytes).unwrap().elapsed_us)
             .fold(0.0, f64::max);
         assert!(
             together.finish_us >= solo - 1e-6,
@@ -341,5 +334,16 @@ mod tests {
             together.finish_us,
             solo
         );
+    }
+
+    #[test]
+    fn an_out_of_range_subgroup_is_none() {
+        let parent = Communicator::builder(dgx1v())
+            .isolated_plans()
+            .build()
+            .unwrap();
+        let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
+        assert!(groups.groups_mut().get_mut(2).is_none());
+        assert!(groups.groups_mut().get_mut(1).is_some());
     }
 }

@@ -14,7 +14,7 @@
 use crate::autotune::PlanCache;
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
-use crate::treegen::{LinkSelection, TreeGenOptions, TreePlan};
+use crate::treegen::{LinkSelection, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::WeightedTree;
 use blink_sim::{LinkClass, Program, ProgramBuilder, SimParams};
@@ -82,26 +82,9 @@ impl HybridPlanner {
         induced: &Topology,
         fp: u64,
         root: GpuId,
-        base: &TreeGenOptions,
     ) -> Result<Self> {
-        let nvlink_plan = cache.plan_for(
-            induced,
-            &TreeGenOptions {
-                links: LinkSelection::NvLinkOnly,
-                ..*base
-            },
-            fp,
-            root,
-        )?;
-        let pcie = cache.plan_for(
-            induced,
-            &TreeGenOptions {
-                links: LinkSelection::PcieOnly,
-                ..*base
-            },
-            fp,
-            root,
-        )?;
+        let nvlink_plan = cache.plan_for(induced, LinkSelection::NvLinkOnly, fp, root)?;
+        let pcie = cache.plan_for(induced, LinkSelection::PcieOnly, fp, root)?;
         // PCIe is a shared switch hierarchy, not a set of independent
         // point-to-point links: packing several "PCIe trees" would double
         // count the fabric. Blink builds a single tree set over PCIe
@@ -237,9 +220,8 @@ mod tests {
 
     fn plan(induced: &Topology, root: GpuId) -> HybridPlanner {
         let mut cache = PlanCache::new(SharedPlanCache::new());
-        let options = TreeGenOptions::default();
-        let fp = rank_fingerprint(induced, &options);
-        HybridPlanner::plan_cached(&mut cache, induced, fp, root, &options).unwrap()
+        let fp = rank_fingerprint(induced);
+        HybridPlanner::plan_cached(&mut cache, induced, fp, root).unwrap()
     }
 
     fn mb(n: u64) -> u64 {

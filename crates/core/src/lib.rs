@@ -142,7 +142,7 @@ pub mod multiserver;
 pub mod onehop;
 pub mod treegen;
 
-pub use autotune::{global_plan_cache, plan_fingerprint, ChunkAutotuner, SharedPlanCache};
+pub use autotune::{global_plan_cache, plan_fingerprint, SharedPlanCache};
 pub use codegen::{CodeGen, CodeGenOptions};
 pub use collective::{CollectiveKind, CollectiveReport};
 pub use communicator::{

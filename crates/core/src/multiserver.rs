@@ -16,7 +16,7 @@
 use crate::autotune::{rank_fingerprint, SharedPlanCache};
 use crate::codegen::{check_op_budget, Chunks, CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
-use crate::treegen::{TreeGenOptions, TreePlan};
+use crate::treegen::{LinkSelection, TreePlan};
 use crate::{BlinkError, Result};
 use blink_sim::{LinkClass, OpId, Program, ProgramBuilder};
 use blink_topology::{GpuId, ServerId, Topology};
@@ -52,8 +52,9 @@ fn split_even(total: u64, parts: usize) -> Vec<u64> {
 /// Builds the three-phase AllReduce program for an allocation spanning
 /// multiple servers.
 ///
-/// Every per-server, per-partition-root plan is looked up in `store` under
-/// its server-induced topology's rank fingerprint first, and fresh packs
+/// Every per-server, per-partition-root plan over the `links` class is
+/// looked up in `store` under its server-induced topology's rank
+/// fingerprint first, and fresh packs
 /// are published back, so repeated collectives (the communicator's autotune
 /// loop) and other communicators of the same shape, on any servers, never
 /// re-pack. The per-server plans are independent (PAPER.md §3.5); the
@@ -70,7 +71,7 @@ pub fn three_phase_allreduce_cached(
     machine: &Topology,
     allocation: &[GpuId],
     bytes: u64,
-    tg_options: &TreeGenOptions,
+    links: LinkSelection,
     cg_options: &CodeGenOptions,
     store: &SharedPlanCache,
 ) -> Result<(Program, ThreePhaseInfo)> {
@@ -108,10 +109,10 @@ pub fn three_phase_allreduce_cached(
         let topo = machine
             .induced(gpus)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        let fp = rank_fingerprint(&topo, tg_options);
+        let fp = rank_fingerprint(&topo);
         let server_plans = server_roots
             .iter()
-            .map(|&root| store.resolve(tg_options, &topo, fp, root, None))
+            .map(|&root| store.resolve(links, &topo, fp, root, None))
             .collect::<Result<Vec<_>>>()?;
         plans.push(server_plans);
     }
@@ -270,7 +271,7 @@ mod tests {
         n * 1024 * 1024
     }
 
-    /// Default options on a fresh store, so every call packs.
+    /// NVLink plans on a fresh store, so every call packs.
     fn three_phase(
         machine: &Topology,
         alloc: &[GpuId],
@@ -280,7 +281,7 @@ mod tests {
             machine,
             alloc,
             bytes,
-            &TreeGenOptions::default(),
+            LinkSelection::NvLinkOnly,
             &CodeGenOptions::default(),
             &SharedPlanCache::new(),
         )
@@ -348,7 +349,7 @@ mod tests {
             &machine,
             &alloc,
             mb(50),
-            &TreeGenOptions::default(),
+            LinkSelection::NvLinkOnly,
             &CodeGenOptions::default(),
             &cache,
         )
@@ -362,7 +363,7 @@ mod tests {
             &machine,
             &alloc,
             mb(50),
-            &TreeGenOptions::default(),
+            LinkSelection::NvLinkOnly,
             &CodeGenOptions::default(),
             &cache,
         )

@@ -54,7 +54,7 @@ mod tests {
 
     #[test]
     fn full_dgx1v_rates() {
-        let planner = NcclPlanner::with_defaults(dgx1v());
+        let planner = NcclPlanner::new(dgx1v());
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let plan = planner.plan(&alloc, 500 << 20).unwrap();
         let bcast = broadcast_rate_gbps(&plan);
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn pcie_fallback_rates_are_pcie_bound() {
-        let planner = NcclPlanner::with_defaults(dgx1p());
+        let planner = NcclPlanner::new(dgx1p());
         let plan = planner
             .plan(&[GpuId(0), GpuId(1), GpuId(4)], 500 << 20)
             .unwrap();
@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn allreduce_rate_is_roughly_half_of_broadcast() {
-        let planner = NcclPlanner::with_defaults(dgx1p());
+        let planner = NcclPlanner::new(dgx1p());
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let plan = planner.plan(&alloc, 500 << 20).unwrap();
         let ratio = allreduce_rate_gbps(&plan) / broadcast_rate_gbps(&plan);

@@ -17,6 +17,12 @@
 //!   comparison of Figure 14 and for quick estimates inside the training
 //!   simulator.
 //!
+//! The baseline takes no options. [`NcclPlanner::new`] reads the lane
+//! bandwidth from the allocation (its smallest NVLink capacity), switches a
+//! switch fabric to double-binary trees below
+//! [`planner::TREE_THRESHOLD_BYTES`], and [`schedule::build_program`]
+//! pipelines 4 MiB chunks, Blink's default chunk size.
+//!
 //! The planner is intentionally faithful to NCCL's documented *constraints*
 //! (rings must traverse every GPU; a ring uses one NVLink lane per hop; PCIe
 //! is used only when NVLink rings are impossible) rather than to its exact
@@ -32,5 +38,5 @@ pub mod planner;
 pub mod schedule;
 
 pub use cost::{allreduce_rate_gbps, broadcast_rate_gbps};
-pub use planner::{NcclAlgorithm, NcclPlan, NcclPlanner, PlannerOptions};
-pub use schedule::{NcclCollective, ScheduleOptions};
+pub use planner::{NcclAlgorithm, NcclPlan, NcclPlanner};
+pub use schedule::NcclCollective;

@@ -7,30 +7,12 @@ use blink_topology::{GpuId, LinkKind, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Options controlling the planner.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct PlannerOptions {
-    /// Per-lane NVLink bandwidth used to convert merged edge capacities back
-    /// into lane counts during ring discovery (GB/s). When `None`, the
-    /// smallest NVLink capacity in the topology is used.
-    pub lane_gbps: Option<f64>,
-    /// Below this many bytes, AllReduce on a switch fabric (DGX-2) uses
-    /// double-binary trees instead of rings, mirroring NCCL 2.4's protocol
-    /// switch for latency-bound sizes.
-    pub tree_threshold_bytes: u64,
-}
-
-impl Default for PlannerOptions {
-    fn default() -> Self {
-        PlannerOptions {
-            lane_gbps: None,
-            // NCCL's tree/ring switchover for collectives on NVSwitch systems
-            // happens at small sizes; the paper quotes "< 16KB" for trees but
-            // observes tree-like latency behaviour through the KB range.
-            tree_threshold_bytes: 64 * 1024,
-        }
-    }
-}
+/// Below this many bytes, a collective on a switch fabric (DGX-2) runs over
+/// double-binary trees instead of rings, mirroring NCCL 2.4's protocol
+/// switch for latency-bound sizes. NCCL's switchover on NVSwitch systems
+/// happens at small sizes; the paper quotes "< 16KB" for trees but observes
+/// tree-like latency behaviour through the KB range.
+pub const TREE_THRESHOLD_BYTES: u64 = 64 * 1024;
 
 /// Which protocol NCCL would run for one collective call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -151,18 +133,12 @@ impl std::error::Error for PlanError {}
 #[derive(Debug, Clone)]
 pub struct NcclPlanner {
     topology: Topology,
-    options: PlannerOptions,
 }
 
 impl NcclPlanner {
     /// Creates a planner over a machine (or cluster) topology.
-    pub fn new(topology: Topology, options: PlannerOptions) -> Self {
-        NcclPlanner { topology, options }
-    }
-
-    /// Creates a planner with default options.
-    pub fn with_defaults(topology: Topology) -> Self {
-        Self::new(topology, PlannerOptions::default())
+    pub fn new(topology: Topology) -> Self {
+        NcclPlanner { topology }
     }
 
     /// The underlying topology.
@@ -170,10 +146,12 @@ impl NcclPlanner {
         &self.topology
     }
 
-    fn lane_gbps(&self, nvlink: &DiGraph) -> f64 {
-        self.options
-            .lane_gbps
-            .or_else(|| nvlink.min_capacity())
+    /// The per-lane NVLink bandwidth ring discovery converts merged edge
+    /// capacities back into lane counts with (GB/s): the allocation's
+    /// smallest NVLink capacity.
+    fn lane_gbps(nvlink: &DiGraph) -> f64 {
+        nvlink
+            .min_capacity()
             .unwrap_or(LinkKind::NvLinkGen2.nominal_bandwidth_gbps())
     }
 
@@ -226,10 +204,10 @@ impl NcclPlanner {
             .induced(allocation)
             .expect("allocation validated above");
         let nvlink = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
-        let lane = self.lane_gbps(&nvlink);
+        let lane = Self::lane_gbps(&nvlink);
         let pcie = self.pcie_gbps(&sub, allocation);
 
-        if self.is_switch_fabric(&sub, allocation) && bytes < self.options.tree_threshold_bytes {
+        if self.is_switch_fabric(&sub, allocation) && bytes < TREE_THRESHOLD_BYTES {
             let dbt = double_binary_tree(allocation);
             return Ok(NcclPlan {
                 gpus: allocation.to_vec(),
@@ -265,7 +243,7 @@ mod tests {
 
     #[test]
     fn full_dgx1v_plans_nvlink_rings() {
-        let planner = NcclPlanner::with_defaults(dgx1v());
+        let planner = NcclPlanner::new(dgx1v());
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let plan = planner.plan(&alloc, 500 << 20).unwrap();
         assert!(matches!(plan.algorithm, NcclAlgorithm::NvLinkRings(_)));
@@ -276,7 +254,7 @@ mod tests {
 
     #[test]
     fn disconnected_triple_falls_back_to_pcie() {
-        let planner = NcclPlanner::with_defaults(dgx1p());
+        let planner = NcclPlanner::new(dgx1p());
         let plan = planner
             .plan(&[GpuId(0), GpuId(1), GpuId(4)], 500 << 20)
             .unwrap();
@@ -287,7 +265,7 @@ mod tests {
 
     #[test]
     fn figure4_six_gpu_case_gets_one_ring_pair() {
-        let planner = NcclPlanner::with_defaults(dgx1p());
+        let planner = NcclPlanner::new(dgx1p());
         let alloc = [GpuId(0), GpuId(1), GpuId(3), GpuId(4), GpuId(5), GpuId(7)];
         let plan = planner.plan(&alloc, 500 << 20).unwrap();
         match &plan.algorithm {
@@ -298,7 +276,7 @@ mod tests {
 
     #[test]
     fn dgx2_small_messages_use_double_binary_trees() {
-        let planner = NcclPlanner::with_defaults(dgx2());
+        let planner = NcclPlanner::new(dgx2());
         let alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
         let small = planner.plan(&alloc, 4 * 1024).unwrap();
         assert!(matches!(
@@ -314,7 +292,7 @@ mod tests {
     fn dgx1_small_messages_do_not_use_trees() {
         // the tree/ring switch only applies to switch fabrics with per-GPU
         // injection caps (the DGX-2); a DGX-1 allocation keeps using rings
-        let planner = NcclPlanner::with_defaults(dgx1v());
+        let planner = NcclPlanner::new(dgx1v());
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let plan = planner.plan(&alloc, 4 * 1024).unwrap();
         assert!(!matches!(
@@ -325,7 +303,7 @@ mod tests {
 
     #[test]
     fn planning_errors() {
-        let planner = NcclPlanner::with_defaults(dgx1v());
+        let planner = NcclPlanner::new(dgx1v());
         assert_eq!(
             planner.plan(&[GpuId(0)], 1024).unwrap_err(),
             PlanError::TooFewGpus

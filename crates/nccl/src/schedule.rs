@@ -32,20 +32,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Options for schedule generation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ScheduleOptions {
-    /// Target chunk size for pipelining, in bytes.
-    pub chunk_bytes: u64,
-}
-
-impl Default for ScheduleOptions {
-    fn default() -> Self {
-        ScheduleOptions {
-            chunk_bytes: 4 << 20,
-        }
-    }
-}
+/// Target chunk size for pipelining, in bytes.
+const CHUNK_BYTES: u64 = 4 << 20;
 
 /// The collectives the baseline implements (the two the paper evaluates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,12 +78,13 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-fn chunk_sizes(total: u64, target: u64) -> Vec<u64> {
+/// `total` split into the fewest near-equal chunks of at most
+/// [`CHUNK_BYTES`].
+fn chunk_sizes(total: u64) -> Vec<u64> {
     if total == 0 {
         return Vec::new();
     }
-    let target = target.max(1);
-    let chunks = total.div_ceil(target);
+    let chunks = total.div_ceil(CHUNK_BYTES);
     let base = total / chunks;
     let rem = total % chunks;
     (0..chunks)
@@ -125,7 +114,6 @@ pub fn build_program(
     plan: &NcclPlan,
     collective: NcclCollective,
     bytes: u64,
-    opts: &ScheduleOptions,
 ) -> Result<Program, ScheduleError> {
     let mut b = ProgramBuilder::new();
     match (&plan.algorithm, collective) {
@@ -134,7 +122,7 @@ pub fn build_program(
             let shares = split_even(bytes, channels.len());
             let mut base = 0u64;
             for (ring, share) in channels.iter().zip(shares) {
-                ring_broadcast(&mut b, ring, root, base, share, LinkClass::NvLink, opts)?;
+                ring_broadcast(&mut b, ring, root, base, share, LinkClass::NvLink)?;
                 base += share;
             }
         }
@@ -143,20 +131,20 @@ pub fn build_program(
             let shares = split_even(bytes, channels.len());
             let mut base = 0u64;
             for (ring, share) in channels.iter().zip(shares) {
-                ring_allreduce(&mut b, ring, base, share, LinkClass::NvLink, opts);
+                ring_allreduce(&mut b, ring, base, share, LinkClass::NvLink);
                 base += share;
             }
         }
         (NcclAlgorithm::PcieRing(ring), NcclCollective::Broadcast { root }) => {
-            ring_broadcast(&mut b, ring, root, 0, bytes, LinkClass::Pcie, opts)?;
+            ring_broadcast(&mut b, ring, root, 0, bytes, LinkClass::Pcie)?;
         }
         (NcclAlgorithm::PcieRing(ring), NcclCollective::AllReduce) => {
-            ring_allreduce(&mut b, ring, 0, bytes, LinkClass::Pcie, opts);
+            ring_allreduce(&mut b, ring, 0, bytes, LinkClass::Pcie);
         }
         (NcclAlgorithm::DoubleBinaryTrees(dbt), NcclCollective::AllReduce) => {
             let shares = split_even(bytes, 2);
-            tree_allreduce(&mut b, &tree_a(dbt), 0, shares[0], opts);
-            tree_allreduce(&mut b, &tree_b(dbt), shares[0], shares[1], opts);
+            tree_allreduce(&mut b, &tree_a(dbt), 0, shares[0]);
+            tree_allreduce(&mut b, &tree_b(dbt), shares[0], shares[1]);
         }
         (NcclAlgorithm::DoubleBinaryTrees(dbt), NcclCollective::Broadcast { root }) => {
             // NCCL broadcasts small messages over a tree rooted at the
@@ -169,8 +157,8 @@ pub fn build_program(
                 return Err(ScheduleError::RootNotInPlan(root));
             }
             let shares = split_even(bytes, 2);
-            tree_broadcast(&mut b, &tree_a(dbt), root, 0, shares[0], opts);
-            tree_broadcast(&mut b, &tree_b(dbt), root, shares[0], shares[1], opts);
+            tree_broadcast(&mut b, &tree_a(dbt), root, 0, shares[0]);
+            tree_broadcast(&mut b, &tree_b(dbt), root, shares[0], shares[1]);
         }
     }
     b.build()
@@ -192,9 +180,8 @@ pub fn run_checked(
     plan: &NcclPlan,
     collective: NcclCollective,
     bytes: u64,
-    opts: &ScheduleOptions,
 ) -> Result<(RunReport, ValueCheck), ScheduleError> {
-    let program = build_program(plan, collective, bytes, opts)?;
+    let program = build_program(plan, collective, bytes)?;
     let report = sim
         .run(&program)
         .map_err(|e| ScheduleError::Internal(e.to_string()))?;
@@ -235,7 +222,6 @@ fn ring_broadcast(
     base: u64,
     share: u64,
     class: LinkClass,
-    opts: &ScheduleOptions,
 ) -> Result<(), ScheduleError> {
     let rooted = ring
         .rooted_at(root)
@@ -246,7 +232,7 @@ fn ring_broadcast(
     }
     let streams: Vec<StreamId> = (0..order.len() - 1).map(|_| b.new_stream()).collect();
     let mut off = base;
-    for sz in chunk_sizes(share, opts.chunk_bytes) {
+    for sz in chunk_sizes(share) {
         let mut arrival: Option<OpId> = None;
         for hop in 0..order.len() - 1 {
             arrival = Some(b.copy_range(
@@ -269,14 +255,7 @@ fn ring_broadcast(
 /// Segment `s` of the share is owned by `order[s]`; every copy and reduction
 /// carries the exact piece of the segment it moves in this pass, so the
 /// oracle can verify no piece is shifted, dropped or double-folded.
-fn ring_allreduce(
-    b: &mut ProgramBuilder,
-    ring: &Ring,
-    base: u64,
-    share: u64,
-    class: LinkClass,
-    opts: &ScheduleOptions,
-) {
+fn ring_allreduce(b: &mut ProgramBuilder, ring: &Ring, base: u64, share: u64, class: LinkClass) {
     let order = &ring.order;
     let n = order.len();
     if n < 2 || share == 0 {
@@ -296,7 +275,7 @@ fn ring_allreduce(
     // head-of-line blocking in the FIFO streams.
     let segments = split_even(share, n);
     let max_segment = segments.iter().copied().max().unwrap_or(0);
-    let passes = max_segment.div_ceil(opts.chunk_bytes.max(1)).max(1) as usize;
+    let passes = max_segment.div_ceil(CHUNK_BYTES).max(1) as usize;
     let pieces: Vec<Vec<u64>> = segments
         .iter()
         .map(|&seg| split_even(seg, passes))
@@ -395,14 +374,7 @@ fn ring_allreduce(
 /// re-orienting the (undirected) tree edges outward from `root` — NCCL's
 /// small-message broadcast reuses the AllReduce trees but the data must
 /// originate at the caller's root, not the tree's.
-fn tree_broadcast(
-    b: &mut ProgramBuilder,
-    tree: &Arborescence,
-    root: GpuId,
-    base: u64,
-    share: u64,
-    opts: &ScheduleOptions,
-) {
+fn tree_broadcast(b: &mut ProgramBuilder, tree: &Arborescence, root: GpuId, base: u64, share: u64) {
     if share == 0 || tree.num_vertices() < 2 {
         return;
     }
@@ -428,7 +400,7 @@ fn tree_broadcast(
         streams.insert((p, c), b.new_stream());
     }
     let mut off = base;
-    for sz in chunk_sizes(share, opts.chunk_bytes) {
+    for sz in chunk_sizes(share) {
         let mut arrival: BTreeMap<GpuId, OpId> = BTreeMap::new();
         for &(p, child) in &oriented {
             let dep = arrival.get(&p).copied();
@@ -450,13 +422,7 @@ fn tree_broadcast(
 
 /// Reduce-then-broadcast of `[base, base + share)` over one double binary
 /// tree; every chunk's copies and reductions carry their exact sub-range.
-fn tree_allreduce(
-    b: &mut ProgramBuilder,
-    tree: &Arborescence,
-    base: u64,
-    share: u64,
-    opts: &ScheduleOptions,
-) {
+fn tree_allreduce(b: &mut ProgramBuilder, tree: &Arborescence, base: u64, share: u64) {
     if share == 0 || tree.num_vertices() < 2 {
         return;
     }
@@ -470,7 +436,7 @@ fn tree_allreduce(
     let mut order = tree.bfs_order();
     order.reverse();
     let mut off = base;
-    for sz in chunk_sizes(share, opts.chunk_bytes) {
+    for sz in chunk_sizes(share) {
         // reduce phase: every vertex sends its (reduced) value to its parent
         let mut uploaded: BTreeMap<GpuId, OpId> = BTreeMap::new();
         let mut reduced_at: BTreeMap<GpuId, OpId> = BTreeMap::new();
@@ -546,17 +512,12 @@ mod tests {
     #[test]
     fn full_dgx1v_broadcast_reaches_ring_bandwidth() {
         let topo = dgx1v();
-        let planner = NcclPlanner::with_defaults(topo.clone());
+        let planner = NcclPlanner::new(topo.clone());
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let bytes = mb(500);
         let plan = planner.plan(&alloc, bytes).unwrap();
-        let prog = build_program(
-            &plan,
-            NcclCollective::Broadcast { root: GpuId(0) },
-            bytes,
-            &ScheduleOptions::default(),
-        )
-        .unwrap();
+        let prog =
+            build_program(&plan, NcclCollective::Broadcast { root: GpuId(0) }, bytes).unwrap();
         let report = Simulator::with_defaults(topo).run(&prog).unwrap();
         let bw = report.algorithmic_bandwidth_gbps(bytes);
         // 6 directed channels at ~23 GB/s ≈ 138 GB/s theoretical; pipeline
@@ -570,17 +531,12 @@ mod tests {
         // Figure 2(b): NCCL broadcast over GPUs {0,1,4} falls back to PCIe and
         // achieves only ~5 GB/s.
         let topo = dgx1p();
-        let planner = NcclPlanner::with_defaults(topo.clone());
+        let planner = NcclPlanner::new(topo.clone());
         let alloc = [GpuId(0), GpuId(1), GpuId(4)];
         let bytes = mb(500);
         let plan = planner.plan(&alloc, bytes).unwrap();
-        let prog = build_program(
-            &plan,
-            NcclCollective::Broadcast { root: GpuId(0) },
-            bytes,
-            &ScheduleOptions::default(),
-        )
-        .unwrap();
+        let prog =
+            build_program(&plan, NcclCollective::Broadcast { root: GpuId(0) }, bytes).unwrap();
         let report = Simulator::with_defaults(topo).run(&prog).unwrap();
         let bw = report.algorithmic_bandwidth_gbps(bytes);
         assert!(bw > 3.0 && bw < 6.0, "bw = {bw}");
@@ -589,33 +545,19 @@ mod tests {
     #[test]
     fn full_dgx1v_allreduce_is_roughly_half_of_broadcast() {
         let topo = dgx1v();
-        let planner = NcclPlanner::with_defaults(topo.clone());
+        let planner = NcclPlanner::new(topo.clone());
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let bytes = mb(200);
         let plan = planner.plan(&alloc, bytes).unwrap();
         let sim = Simulator::with_defaults(topo);
         let bcast = sim
             .run(
-                &build_program(
-                    &plan,
-                    NcclCollective::Broadcast { root: GpuId(0) },
-                    bytes,
-                    &ScheduleOptions::default(),
-                )
-                .unwrap(),
+                &build_program(&plan, NcclCollective::Broadcast { root: GpuId(0) }, bytes).unwrap(),
             )
             .unwrap()
             .algorithmic_bandwidth_gbps(bytes);
         let ar = sim
-            .run(
-                &build_program(
-                    &plan,
-                    NcclCollective::AllReduce,
-                    bytes,
-                    &ScheduleOptions::default(),
-                )
-                .unwrap(),
-            )
+            .run(&build_program(&plan, NcclCollective::AllReduce, bytes).unwrap())
             .unwrap()
             .algorithmic_bandwidth_gbps(bytes);
         assert!(ar < 0.95 * bcast, "allreduce {ar} vs broadcast {bcast}");
@@ -625,17 +567,11 @@ mod tests {
     #[test]
     fn dgx2_small_allreduce_uses_trees_and_has_low_op_count() {
         let topo = dgx2();
-        let planner = NcclPlanner::with_defaults(topo.clone());
+        let planner = NcclPlanner::new(topo.clone());
         let alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
         let bytes = 8 * 1024;
         let plan = planner.plan(&alloc, bytes).unwrap();
-        let prog = build_program(
-            &plan,
-            NcclCollective::AllReduce,
-            bytes,
-            &ScheduleOptions::default(),
-        )
-        .unwrap();
+        let prog = build_program(&plan, NcclCollective::AllReduce, bytes).unwrap();
         assert!(!prog.is_empty());
         let report = Simulator::with_defaults(topo).run(&prog).unwrap();
         // latency-bound: a handful of tree hops, each dominated by the launch
@@ -646,16 +582,11 @@ mod tests {
     #[test]
     fn broadcast_root_must_be_in_plan() {
         let topo = dgx1v();
-        let planner = NcclPlanner::with_defaults(topo);
+        let planner = NcclPlanner::new(topo);
         let alloc = [GpuId(0), GpuId(1), GpuId(2)];
         let plan = planner.plan(&alloc, mb(1)).unwrap();
-        let err = build_program(
-            &plan,
-            NcclCollective::Broadcast { root: GpuId(7) },
-            mb(1),
-            &ScheduleOptions::default(),
-        )
-        .unwrap_err();
+        let err =
+            build_program(&plan, NcclCollective::Broadcast { root: GpuId(7) }, mb(1)).unwrap_err();
         assert_eq!(err, ScheduleError::RootNotInPlan(GpuId(7)));
     }
 
@@ -665,17 +596,11 @@ mod tests {
         // each of its N segments crosses 2(N-1) hops, so the total volume
         // physically copied is `2 (N-1) * bytes` regardless of channel count.
         let topo = dgx1v();
-        let planner = NcclPlanner::with_defaults(topo);
+        let planner = NcclPlanner::new(topo);
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let bytes = mb(64);
         let plan = planner.plan(&alloc, bytes).unwrap();
-        let prog = build_program(
-            &plan,
-            NcclCollective::AllReduce,
-            bytes,
-            &ScheduleOptions::default(),
-        )
-        .unwrap();
+        let prog = build_program(&plan, NcclCollective::AllReduce, bytes).unwrap();
         let n = alloc.len() as u64;
         let expected = bytes * 2 * (n - 1);
         let moved = prog.total_copy_bytes();
@@ -700,16 +625,14 @@ mod tests {
             (dgx1p(), vec![GpuId(0), GpuId(1), GpuId(4)]), // PCIe fallback
         ];
         for (topo, alloc) in cases {
-            let planner = NcclPlanner::with_defaults(topo.clone());
+            let planner = NcclPlanner::new(topo.clone());
             let plan = planner.plan(&alloc, bytes).unwrap();
             let sim = Simulator::with_defaults(topo);
             for collective in [
                 NcclCollective::Broadcast { root: alloc[0] },
                 NcclCollective::AllReduce,
             ] {
-                let (_, check) =
-                    run_checked(&sim, &plan, collective, bytes, &ScheduleOptions::default())
-                        .unwrap();
+                let (_, check) = run_checked(&sim, &plan, collective, bytes).unwrap();
                 assert!(
                     check.is_correct(),
                     "alloc {alloc:?} {collective:?}:\n{check}"
@@ -725,7 +648,7 @@ mod tests {
         // not a tree root (the re-rooting the oracle originally caught
         // missing)
         let topo = dgx2();
-        let planner = NcclPlanner::with_defaults(topo.clone());
+        let planner = NcclPlanner::new(topo.clone());
         let alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
         let bytes = 8 * 1024 + 5;
         let plan = planner.plan(&alloc, bytes).unwrap();
@@ -735,24 +658,11 @@ mod tests {
         ));
         let sim = Simulator::with_defaults(topo);
         for root in [GpuId(0), GpuId(7), GpuId(15)] {
-            let (_, check) = run_checked(
-                &sim,
-                &plan,
-                NcclCollective::Broadcast { root },
-                bytes,
-                &ScheduleOptions::default(),
-            )
-            .unwrap();
+            let (_, check) =
+                run_checked(&sim, &plan, NcclCollective::Broadcast { root }, bytes).unwrap();
             assert!(check.is_correct(), "root {root}:\n{check}");
         }
-        let (_, check) = run_checked(
-            &sim,
-            &plan,
-            NcclCollective::AllReduce,
-            bytes,
-            &ScheduleOptions::default(),
-        )
-        .unwrap();
+        let (_, check) = run_checked(&sim, &plan, NcclCollective::AllReduce, bytes).unwrap();
         assert!(check.is_correct(), "dbt allreduce:\n{check}");
     }
 
@@ -761,17 +671,11 @@ mod tests {
         // corrupt one AG copy's offset: the classic ring-chunking bug class
         use blink_sim::{OpKind, ProgramBuilder};
         let topo = dgx1v();
-        let planner = NcclPlanner::with_defaults(topo.clone());
+        let planner = NcclPlanner::new(topo.clone());
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let bytes = mb(2) + 3;
         let plan = planner.plan(&alloc, bytes).unwrap();
-        let program = build_program(
-            &plan,
-            NcclCollective::AllReduce,
-            bytes,
-            &ScheduleOptions::default(),
-        )
-        .unwrap();
+        let program = build_program(&plan, NcclCollective::AllReduce, bytes).unwrap();
         let target = program
             .ops()
             .rposition(|o| o.tag == "nccl-ar ag")
@@ -800,16 +704,10 @@ mod tests {
     #[test]
     fn zero_bytes_yields_empty_program() {
         let topo = dgx1v();
-        let planner = NcclPlanner::with_defaults(topo);
+        let planner = NcclPlanner::new(topo);
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let plan = planner.plan(&alloc, 0).unwrap();
-        let prog = build_program(
-            &plan,
-            NcclCollective::AllReduce,
-            0,
-            &ScheduleOptions::default(),
-        )
-        .unwrap();
+        let prog = build_program(&plan, NcclCollective::AllReduce, 0).unwrap();
         assert!(prog.is_empty());
     }
 }

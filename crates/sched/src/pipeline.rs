@@ -29,7 +29,7 @@ use crate::workload::{Job, WorkloadConfig, WorkloadGenerator};
 use blink_core::communicator::TracedRun;
 use blink_core::{
     BlinkError, CollectiveKind, CollectiveReport, Communicator, CommunicatorBuilder,
-    CommunicatorOptions, DegradationLevel, SharedPlanCache,
+    DegradationLevel, SharedPlanCache,
 };
 use blink_topology::presets::{gpus_per_server, placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Link, LinkKind, ServerId, Topology, TopologyDelta};
@@ -67,9 +67,6 @@ pub struct FleetConfig {
     /// the fleet cache like any job communicator, so a subgroup whose slice
     /// a job already planned reuses that job's plans and lowerings.
     pub subgroup_lift_every: usize,
-    /// Options for every job communicator. Every job plans through the
-    /// pipeline's own plan store ([`FleetPipeline::shared_cache`]).
-    pub comm_options: CommunicatorOptions,
     /// Seeded fault injection: `Some` weaves the deterministic fault
     /// schedule into the loop (see the crate-level "failure model" docs);
     /// `None` (the default) runs the pipeline fault-free.
@@ -95,7 +92,6 @@ impl Default for FleetConfig {
             check_every: 0,
             consolidate: true,
             subgroup_lift_every: 0,
-            comm_options: CommunicatorOptions::default(),
             faults: None,
             retry: RetryPolicy::default(),
         }
@@ -510,10 +506,7 @@ impl FleetPipeline {
         } else {
             Communicator::builder(self.degraded_target(placement)?)
         };
-        builder
-            .options(self.config.comm_options)
-            .shared_plans(self.shared.clone())
-            .build()
+        builder.shared_plans(self.shared.clone()).build()
     }
 
     /// Runs a started job's first AllReduce on `comm`: through the

@@ -763,7 +763,7 @@ struct Reads {
     gpus: u32,
     compute_base: u32,
     /// The bits of the [`SimParams`] every duration was computed under.
-    params: [u64; 6],
+    params: [u64; 5],
 }
 
 /// A program compiled for the engine by [`Simulator::compile`]: its
@@ -918,7 +918,6 @@ impl Simulator {
     /// module docs depends on it.
     fn op_duration(&self, op: OpRef<'_>, bw: f64) -> Result<f64, SimError> {
         let p = &self.params;
-        let segments = op.segments.len();
         let duration = match op.kind {
             OpKind::Copy { src, dst, class } => {
                 if bw <= 0.0 {
@@ -928,14 +927,9 @@ impl Simulator {
                     LinkClass::Network => p.network_latency_us,
                     _ => p.link_latency_us,
                 };
-                p.op_launch_overhead_us
-                    + latency
-                    + SimParams::transfer_us(op.payload_bytes(), bw)
-                    + p.segment_overhead_us(segments)
+                p.op_launch_overhead_us + latency + SimParams::transfer_us(op.payload_bytes(), bw)
             }
-            OpKind::Reduce { .. } => {
-                p.reduce_us(op.payload_bytes()) + p.segment_overhead_us(segments)
-            }
+            OpKind::Reduce { .. } => p.reduce_us(op.payload_bytes()),
             OpKind::Compute { duration_us, .. } => p.op_launch_overhead_us + duration_us,
             OpKind::TogglePeerAccess { gpus } => f64::from(gpus) * p.dpa_per_gpu_us,
         };
@@ -2372,44 +2366,6 @@ mod tests {
         assert_sessions_bit_identical(&reference, &fast);
         assert_eq!(fast.programs[0].start_us.to_bits(), d.to_bits());
         assert_eq!(fast.programs[1].op_spans[1].0.to_bits(), (d + d).to_bits());
-    }
-
-    #[test]
-    fn a_segmented_copy_charges_per_segment_overhead_when_calibrated() {
-        let params = SimParams {
-            per_segment_overhead_us: 0.5,
-            ..SimParams::default()
-        };
-        let sim = Simulator::new(dgx1v(), params);
-        let mut b = ProgramBuilder::new();
-        let s = b.new_stream();
-        b.copy_segs(
-            GpuId(0),
-            GpuId(3),
-            &[
-                Segment::new(0, mb(10)),
-                Segment::new(mb(30), mb(10)),
-                Segment::new(mb(90), mb(10)),
-            ],
-            LinkClass::NvLink,
-            s,
-            &[],
-            "seg",
-        );
-        let prog = b.build().unwrap();
-        let segged = sim.run(&prog).unwrap().total_us;
-        let mut b = ProgramBuilder::new();
-        let s = b.new_stream();
-        b.copy(GpuId(0), GpuId(3), mb(30), LinkClass::NvLink, s, &[], "");
-        let contiguous = sim.run(&b.build().unwrap()).unwrap().total_us;
-        // three ranges = two extra descriptors beyond the first
-        assert!(
-            (segged - (contiguous + 1.0)).abs() < 1e-9,
-            "segged {segged} vs contiguous {contiguous}"
-        );
-        // the reference scheduler charges the identical duration
-        let reference = sim.run_reference(&prog).unwrap().total_us;
-        assert_eq!(segged.to_bits(), reference.to_bits());
     }
 
     #[test]

@@ -41,18 +41,6 @@ pub struct SimParams {
     /// Per-message latency of a cross-server network transfer in microseconds
     /// (NIC + switch traversal), applied on top of the launch overhead.
     pub network_latency_us: f64,
-    /// Extra cost per payload segment *beyond the first* of a data-moving op,
-    /// in microseconds.
-    ///
-    /// A multi-segment op models one batched CUDA call (one launch overhead,
-    /// summed transfer time), but a real driver still walks one descriptor per
-    /// non-contiguous range, so calibration may want to distinguish the
-    /// batched-copy regime from the per-range regime. The default is 0.0 —
-    /// segment layout does not change the timing of equal volume — which keeps
-    /// the engine bit-identical to the pre-existing model; `bench_sim`'s
-    /// calibration defaults thread a non-zero value through to surface the
-    /// term.
-    pub per_segment_overhead_us: f64,
 }
 
 impl Default for SimParams {
@@ -63,7 +51,6 @@ impl Default for SimParams {
             dpa_per_gpu_us: 270.0,
             link_latency_us: 1.0,
             network_latency_us: 15.0,
-            per_segment_overhead_us: 0.0,
         }
     }
 }
@@ -83,16 +70,9 @@ impl SimParams {
         self.op_launch_overhead_us + Self::transfer_us(bytes, self.reduce_bandwidth_gbps)
     }
 
-    /// Extra descriptor-walk cost of a data-moving op carrying `segments`
-    /// payload ranges: the first range rides on the launch overhead, each
-    /// further range costs [`SimParams::per_segment_overhead_us`].
-    pub fn segment_overhead_us(&self, segments: usize) -> f64 {
-        self.per_segment_overhead_us * segments.saturating_sub(1) as f64
-    }
-
     /// Every parameter's bit pattern, in declaration order. Two calibrations
     /// with equal bits time every op identically.
-    pub fn to_bits(&self) -> [u64; 6] {
+    pub fn to_bits(&self) -> [u64; 5] {
         // Destructured so a new parameter cannot be silently left out.
         let SimParams {
             op_launch_overhead_us,
@@ -100,7 +80,6 @@ impl SimParams {
             dpa_per_gpu_us,
             link_latency_us,
             network_latency_us,
-            per_segment_overhead_us,
         } = *self;
         [
             op_launch_overhead_us,
@@ -108,7 +87,6 @@ impl SimParams {
             dpa_per_gpu_us,
             link_latency_us,
             network_latency_us,
-            per_segment_overhead_us,
         ]
         .map(f64::to_bits)
     }
@@ -140,18 +118,5 @@ mod tests {
         let t = p.reduce_us(1 << 20);
         assert!(t > p.op_launch_overhead_us);
         assert!(t < 20.0 + p.op_launch_overhead_us);
-    }
-
-    #[test]
-    fn segment_overhead_defaults_to_zero_and_charges_extra_ranges_only() {
-        let p = SimParams::default();
-        assert_eq!(p.segment_overhead_us(3), 0.0);
-        let p = SimParams {
-            per_segment_overhead_us: 0.5,
-            ..SimParams::default()
-        };
-        assert_eq!(p.segment_overhead_us(0), 0.0);
-        assert_eq!(p.segment_overhead_us(1), 0.0);
-        assert_eq!(p.segment_overhead_us(4), 1.5);
     }
 }

@@ -4,9 +4,10 @@
 //! what makes the Blink-vs-NCCL end-to-end comparison apples-to-apples.
 
 use blink_core::{CollectiveKind, Communicator};
-use blink_nccl::schedule::{build_program, NcclCollective, ScheduleOptions};
-use blink_nccl::{NcclPlan, NcclPlanner, PlannerOptions};
-use blink_sim::{EngineScratch, SimParams, Simulator};
+use blink_nccl::planner::TREE_THRESHOLD_BYTES;
+use blink_nccl::schedule::{build_program, NcclCollective};
+use blink_nccl::{NcclPlan, NcclPlanner};
+use blink_sim::{EngineScratch, Simulator};
 use blink_topology::{GpuId, Topology};
 use std::collections::BTreeMap;
 
@@ -149,11 +150,10 @@ pub struct NcclBackend {
     /// training loop calls in with a new byte size every bucket/fusion
     /// configuration.
     planner: NcclPlanner,
-    /// The planner's tree-vs-ring protocol switch point: an NCCL plan
-    /// depends on `bytes` only through which side of this threshold it
-    /// falls, so the plan tier below needs at most two entries.
-    tree_threshold_bytes: u64,
-    /// Memoised plans per byte regime (`true` = below the tree threshold),
+    /// Memoised plans per byte regime (`true` = below
+    /// [`TREE_THRESHOLD_BYTES`]; an NCCL plan depends on `bytes` only
+    /// through which side of that threshold it falls, so the tier needs at
+    /// most two entries),
     /// mirroring `blink-core`'s plan cache for the baseline: re-sizing
     /// the collective re-lowers the program but never re-plans.
     plan_tier: BTreeMap<bool, NcclPlan>,
@@ -166,16 +166,13 @@ pub struct NcclBackend {
 impl NcclBackend {
     /// Creates the backend for an allocation on a machine.
     pub fn new(machine: Topology, allocation: &[GpuId]) -> Self {
-        let sim = Simulator::new(machine.clone(), SimParams::default());
-        let options = PlannerOptions::default();
-        let tree_threshold_bytes = options.tree_threshold_bytes;
-        let planner = NcclPlanner::new(machine.clone(), options);
+        let sim = Simulator::with_defaults(machine.clone());
+        let planner = NcclPlanner::new(machine.clone());
         NcclBackend {
             machine,
             allocation: allocation.to_vec(),
             sim,
             planner,
-            tree_threshold_bytes,
             plan_tier: BTreeMap::new(),
             scratch: EngineScratch::new(),
             cache: BTreeMap::new(),
@@ -183,7 +180,7 @@ impl NcclBackend {
     }
 
     fn single_server_us(&mut self, bytes: u64) -> f64 {
-        let small = bytes < self.tree_threshold_bytes;
+        let small = bytes < TREE_THRESHOLD_BYTES;
         if !self.plan_tier.contains_key(&small) {
             match self.planner.plan(&self.allocation, bytes) {
                 Ok(plan) => {
@@ -193,12 +190,7 @@ impl NcclBackend {
             }
         }
         let plan = &self.plan_tier[&small];
-        let Ok(program) = build_program(
-            plan,
-            NcclCollective::AllReduce,
-            bytes,
-            &ScheduleOptions::default(),
-        ) else {
+        let Ok(program) = build_program(plan, NcclCollective::AllReduce, bytes) else {
             return f64::INFINITY;
         };
         self.sim

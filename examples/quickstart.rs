@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use blink::prelude::*;
-use blink_nccl::schedule::{build_program, NcclCollective, ScheduleOptions};
+use blink_nccl::schedule::{build_program, NcclCollective};
 use blink_nccl::NcclPlanner;
 use blink_sim::Simulator;
 
@@ -25,7 +25,7 @@ fn main() {
     println!("Blink  {bcast}");
     println!("Blink  {ar}");
 
-    let planner = NcclPlanner::with_defaults(machine.clone());
+    let planner = NcclPlanner::new(machine.clone());
     let plan = planner.plan(&allocation, bytes).expect("nccl plan");
     println!("NCCL   plan: {plan}");
     let sim = Simulator::with_defaults(machine);
@@ -33,8 +33,7 @@ fn main() {
         ("broadcast", NcclCollective::Broadcast { root: GpuId(1) }),
         ("allreduce", NcclCollective::AllReduce),
     ] {
-        let program = build_program(&plan, collective, bytes, &ScheduleOptions::default())
-            .expect("nccl schedule");
+        let program = build_program(&plan, collective, bytes).expect("nccl schedule");
         let report = sim.run(&program).expect("nccl program runs");
         println!(
             "NCCL   {name}: {:.2} GB/s ({:.0} us)",

@@ -555,7 +555,7 @@ fn split_segment_programs_stay_conformant() {
 #[test]
 fn nccl_baseline_conforms() {
     use blink_nccl::planner::NcclPlanner;
-    use blink_nccl::schedule::{run_checked, NcclCollective, ScheduleOptions};
+    use blink_nccl::schedule::{run_checked, NcclCollective};
     let bytes = mb(8) + 13;
     let cases: Vec<(Topology, Vec<GpuId>, u64)> = vec![
         (dgx1v(), (0..8).map(GpuId).collect(), bytes),
@@ -563,15 +563,14 @@ fn nccl_baseline_conforms() {
         (dgx2(), (0..16).map(GpuId).collect(), 8 * 1024 + 5), // double binary trees
     ];
     for (machine, alloc, bytes) in cases {
-        let planner = NcclPlanner::with_defaults(machine.clone());
+        let planner = NcclPlanner::new(machine.clone());
         let plan = planner.plan(&alloc, bytes).unwrap();
         let sim = Simulator::with_defaults(machine);
         for collective in [
             NcclCollective::Broadcast { root: alloc[1] },
             NcclCollective::AllReduce,
         ] {
-            let (_, check) =
-                run_checked(&sim, &plan, collective, bytes, &ScheduleOptions::default()).unwrap();
+            let (_, check) = run_checked(&sim, &plan, collective, bytes).unwrap();
             assert!(
                 check.is_correct(),
                 "nccl {collective:?} on {alloc:?}:\n{check}"

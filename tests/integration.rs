@@ -5,18 +5,18 @@
 use blink::prelude::*;
 use blink_bench::measure::{blink_collective, mb, nccl_collective};
 use blink_core::multiserver::{three_phase_allreduce_cached, ThreePhaseInfo};
-use blink_core::{CodeGenOptions, CollectiveKind, SharedPlanCache, TreeGenOptions};
+use blink_core::{CodeGenOptions, CollectiveKind, LinkSelection, SharedPlanCache};
 use blink_sim::{check_collective, CollectiveSpec, Program, Simulator};
 use blink_topology::enumerate::unique_allocations;
 use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
 
-/// The three-phase AllReduce with default options, planned on a fresh store.
+/// The three-phase AllReduce over NVLink, planned on a fresh store.
 fn three_phase(machine: &Topology, alloc: &[GpuId], bytes: u64) -> (Program, ThreePhaseInfo) {
     three_phase_allreduce_cached(
         machine,
         alloc,
         bytes,
-        &TreeGenOptions::default(),
+        LinkSelection::NvLinkOnly,
         &CodeGenOptions::default(),
         &SharedPlanCache::new(),
     )

@@ -131,7 +131,7 @@ fn a_store_whose_pool_is_warm_lowers_the_three_phase_program_unchanged() {
             &machine,
             &alloc,
             (32 << 20) + 5,
-            &TreeGenOptions::default(),
+            LinkSelection::NvLinkOnly,
             &CodeGenOptions::default(),
             store,
         )
@@ -338,7 +338,7 @@ fn a_two_server_job_packs_the_local_shape_its_servers_share_once() {
             &machine,
             &alloc,
             (32 << 20) + 5,
-            &TreeGenOptions::default(),
+            LinkSelection::NvLinkOnly,
             &CodeGenOptions::default(),
             store,
         )
@@ -468,7 +468,7 @@ fn every_dgx1_class_member_lowers_what_a_private_communicator_lowers() {
                     CollectiveKind::AllReduce,
                     CollectiveKind::Broadcast { root: member[0] },
                 ] {
-                    let (_, shared, _) = groups.group_mut(0).run_traced(kind, bytes).unwrap();
+                    let (_, shared, _) = groups.groups_mut()[0].run_traced(kind, bytes).unwrap();
                     let (_, fresh, _) = private.run_traced(kind, bytes).unwrap();
                     lowerings += 1;
                     if *shared != *fresh {
@@ -773,36 +773,16 @@ fn a_machine_that_differs_in_one_read_recompiles() {
             assert_eq!(run_bits(&reused), run_bits(&fresh));
         }
     }
-    // a fresh communicator under the changed calibration lowers the same
-    // programs and runs them as the stored forms do on its simulator
-    let mut slow = Communicator::builder(dgx1v())
-        .allocation(&alloc)
-        .options(CommunicatorOptions {
-            sim_params: slower,
-            ..Default::default()
-        })
-        .isolated_plans()
-        .build()
-        .unwrap();
-    let slow_run = step(&mut slow);
+    // under the changed calibration, a session of the stored forms runs
+    // as a session of the plain programs does
     let slow_sim = Simulator::new(dgx1v(), slower);
-    let mut session = slow_sim.session();
+    let (mut forms, mut plain) = (slow_sim.session(), slow_sim.session());
     for (g, form) in home.groups.iter().zip(compiled_forms(&home)) {
-        session.admit_compiled(g.program.clone(), form, g.issue_us);
+        forms.admit_compiled(g.program.clone(), form, g.issue_us);
+        plain.admit(g.program.clone(), g.issue_us);
     }
-    let report = session.run().unwrap();
-    for ((g, fresh), span) in home
-        .groups
-        .iter()
-        .zip(&slow_run.groups)
-        .zip(&report.programs)
-    {
-        assert_eq!(*g.program, *fresh.program);
-        assert_eq!(
-            format!("{:?}", span.op_spans),
-            format!("{:?}", fresh.op_spans)
-        );
-    }
+    let (forms, plain) = (forms.run().unwrap(), plain.run().unwrap());
+    assert_eq!(format!("{forms:?}"), format!("{plain:?}"));
 }
 
 #[test]
@@ -896,22 +876,26 @@ fn a_shared_form_that_does_not_fit_never_serves_its_memoised_total() {
 }
 
 #[test]
-fn a_repeated_concurrent_step_reuses_every_compiled_form() {
+fn a_repeated_concurrent_step_lowers_nothing_new() {
+    let store = SharedPlanCache::new();
     let parent = Communicator::builder(dgx1v())
-        .isolated_plans()
+        .shared_plans(store.clone())
         .build()
         .unwrap();
     let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
     let requests = vec![(CollectiveKind::AllReduce, 8 << 20); 2];
-    let runs: Vec<_> = (0..3)
-        .map(|_| groups.run_concurrent(&requests).unwrap())
-        .collect();
-    let forms = |run: &GroupRun| -> Vec<Option<Arc<CompiledProgram>>> {
-        run.groups.iter().map(|g| g.compiled.clone()).collect()
-    };
-    for (a, b) in forms(&runs[1]).iter().zip(forms(&runs[2])) {
-        let (a, b) = (a.as_ref().unwrap(), b.unwrap());
-        assert!(Arc::ptr_eq(a, &b), "the third step compiles nothing new");
+    let mut runs: Vec<GroupRun> = Vec::new();
+    let mut misses = Vec::new();
+    for _ in 0..3 {
+        runs.push(groups.run_concurrent(&requests).unwrap());
+        misses.push(store.lowering_stats().1);
+    }
+    assert_eq!(misses[2], misses[1], "the third step lowers nothing new");
+    for (a, b) in runs[1].groups.iter().zip(&runs[2].groups) {
+        assert!(
+            Arc::ptr_eq(&a.program, &b.program),
+            "and runs the stored programs"
+        );
     }
     for run in &runs[1..] {
         assert_eq!(run.finish_us.to_bits(), runs[0].finish_us.to_bits());
@@ -1126,7 +1110,6 @@ fn a_fleet_serves_every_first_collective_what_an_isolated_communicator_lowers() 
             config.nic_gbps,
             &placement.slices,
         )
-        .options(config.comm_options)
         .isolated_plans()
         .build()
         .unwrap();
@@ -1237,7 +1220,6 @@ fn a_job_placed_mid_outage_is_built_on_the_degraded_topology() {
         .unwrap()
         .filter_links(|l| l.kind == LinkKind::Pcie || !flapped.contains(&(l.src, l.dst)));
     let (fresh, fresh_program, fresh_spans) = Communicator::builder(degraded)
-        .options(config.comm_options)
         .isolated_plans()
         .build()
         .unwrap()
