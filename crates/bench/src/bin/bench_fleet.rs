@@ -71,6 +71,7 @@ use blink_bench::{over_recording, percentiles, Percentiles};
 use blink_core::{CollectiveKind, Communicator, CommunicatorBuilder, ScratchPool, SharedPlanCache};
 use blink_sched::{
     EventRecord, FaultConfig, FleetConfig, FleetPipeline, FleetReport, JobOutcome, Stage,
+    MAX_RETRY_ATTEMPTS,
 };
 use blink_topology::presets::{dgx1v, gpus_per_server};
 use blink_topology::GpuId;
@@ -499,7 +500,7 @@ fn chaos_section(run: &Run) -> ChaosSection {
             fault_seed: faults.seed,
             mean_fault_interval: faults.mean_interval,
             mean_outage: faults.mean_outage,
-            retry_max_attempts: config.retry.max_attempts,
+            retry_max_attempts: MAX_RETRY_ATTEMPTS,
         },
         wall_seconds: run.wall_seconds,
         submitted: r.submitted,

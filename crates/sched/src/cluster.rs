@@ -1,4 +1,4 @@
-//! First-fit cluster simulator producing fragmented per-server allocations.
+//! Best-fit cluster simulator producing fragmented per-server allocations.
 
 use crate::workload::{AllocationHistogram, Job};
 use blink_topology::GpuId;
@@ -55,7 +55,9 @@ impl PartialOrd for Completion {
 /// Per-server GPU slices of one running job: `(server index, gpu indices)`.
 type ServerAllocation = Vec<(usize, Vec<usize>)>;
 
-/// A cluster of identical multi-GPU servers with a first-fit scheduler.
+/// A cluster of identical multi-GPU servers with a best-fit scheduler: a job
+/// goes to the tightest server that can hold it, or is split across the
+/// largest free blocks when none can.
 #[derive(Debug)]
 pub struct Cluster {
     gpus_per_server: usize,
@@ -86,16 +88,6 @@ impl Cluster {
             rejected_capacity: 0,
             rejected_contention: 0,
         }
-    }
-
-    /// Number of servers.
-    pub fn num_servers(&self) -> usize {
-        self.free.len()
-    }
-
-    /// GPUs per server.
-    pub fn gpus_per_server(&self) -> usize {
-        self.gpus_per_server
     }
 
     /// Total number of GPUs in the cluster (free or busy).

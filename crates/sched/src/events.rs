@@ -27,12 +27,9 @@ pub enum Stage {
     /// Running the job's first collective on the simulator.
     FirstCollective,
     /// A departure-triggered consolidation: re-placing a fragmented job onto
-    /// one server and replanning its communicator via the topology delta.
+    /// one server, building a new communicator over the new placement and
+    /// running its first collective there.
     Consolidate,
-    /// A sampled subgroup lift: splitting a placed job's communicator into
-    /// per-server process groups and replaying concurrent subgroup
-    /// collectives through the value-level oracle.
-    SubgroupLift,
     /// A fault event: the injected record itself (instantaneous, keyed by
     /// fault id) and, as a begin/end span keyed by job id, each affected
     /// job's recovery — the replan through the degradation ladder plus the
@@ -59,7 +56,6 @@ impl Stage {
             Stage::Plan => "plan",
             Stage::FirstCollective => "first_collective",
             Stage::Consolidate => "consolidate",
-            Stage::SubgroupLift => "subgroup_lift",
             Stage::Fault => "fault",
             Stage::Heal => "heal",
             Stage::Retry => "retry",
@@ -171,15 +167,6 @@ impl EventMonitor {
     /// Number of records for one stage.
     pub fn count(&self, stage: Stage) -> usize {
         self.records.iter().filter(|r| r.stage == stage).count()
-    }
-
-    /// Total µs spent in one stage across all records.
-    pub fn total_us(&self, stage: Stage) -> f64 {
-        self.records
-            .iter()
-            .filter(|r| r.stage == stage)
-            .map(EventRecord::duration_us)
-            .sum()
     }
 
     /// The `(job id, stage)` sequence — the deterministic skeleton of the

@@ -14,8 +14,8 @@
 //! records at each arrival ([`FaultInjector::pull_until`]), translates them
 //! into [`blink_topology::TopologyDelta`]s for every affected running job,
 //! and walks each one through `Communicator::replan`'s graceful-degradation
-//! ladder. Jobs whose every GPU is lost are evicted and requeued under the
-//! bounded [`RetryPolicy`].
+//! ladder. Jobs whose every GPU is lost are evicted and requeued, at most
+//! [`MAX_RETRY_ATTEMPTS`] times, after [`retry_delay`].
 
 use blink_topology::presets::{dgx1p, dgx1v, dgx2, gpus_per_server, ServerKind};
 use blink_topology::LinkKind;
@@ -91,6 +91,10 @@ pub struct FaultRecord {
     pub heal: bool,
 }
 
+/// Relative frequency of each fault kind, in [`FaultEvent`] order: link
+/// flap, GPU drop, NIC degradation, server loss.
+const FAULT_WEIGHTS: [f64; 4] = [0.5, 0.2, 0.2, 0.1];
+
 /// Seeded configuration of a [`FaultInjector`].
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
@@ -101,14 +105,6 @@ pub struct FaultConfig {
     pub mean_interval: f64,
     /// Mean outage duration before the matching heal (exponential).
     pub mean_outage: f64,
-    /// Relative frequency of [`FaultEvent::LinkFlap`].
-    pub link_flap_weight: f64,
-    /// Relative frequency of [`FaultEvent::GpuDrop`].
-    pub gpu_drop_weight: f64,
-    /// Relative frequency of [`FaultEvent::NicDegrade`].
-    pub nic_degrade_weight: f64,
-    /// Relative frequency of [`FaultEvent::ServerLoss`].
-    pub server_loss_weight: f64,
 }
 
 impl Default for FaultConfig {
@@ -117,46 +113,20 @@ impl Default for FaultConfig {
             seed: 1337,
             mean_interval: 25.0,
             mean_outage: 15.0,
-            link_flap_weight: 0.5,
-            gpu_drop_weight: 0.2,
-            nic_degrade_weight: 0.2,
-            server_loss_weight: 0.1,
         }
     }
 }
 
-/// Bounded retry/backoff policy for jobs whose replan or collective failed
-/// (or whose every GPU was lost): the job is evicted, requeued, and offered
-/// again after an exponentially growing delay, at most
-/// [`RetryPolicy::max_attempts`] times. Requeue order is deterministic:
-/// ascending `(retry time, job id)`.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum placement attempts after an eviction; a job that exhausts
-    /// them is counted lost (`0` disables retries entirely).
-    pub max_attempts: u32,
-    /// Delay before the first retry (simulation time).
-    pub backoff: f64,
-    /// Multiplier applied to the delay after each failed attempt.
-    pub multiplier: f64,
-}
+/// Placement attempts an evicted job gets: a job whose replan or collective
+/// failed, or whose every GPU was lost, is evicted, requeued and offered
+/// again after [`retry_delay`], and counted lost once every attempt failed.
+/// Requeue order is deterministic: ascending `(retry time, job id)`.
+pub const MAX_RETRY_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff: 2.0,
-            multiplier: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Delay before attempt number `attempt` (0-based):
-    /// `backoff * multiplier^attempt`.
-    pub fn delay(&self, attempt: u32) -> f64 {
-        self.backoff * self.multiplier.powi(attempt as i32)
-    }
+/// Simulation-time delay before retry attempt `attempt` (0-based):
+/// `2 · 2^attempt`.
+pub fn retry_delay(attempt: u32) -> f64 {
+    2.0 * 2.0f64.powi(attempt as i32)
 }
 
 /// A pending heal, min-ordered by `(time, fault id)`.
@@ -222,13 +192,8 @@ impl FaultInjector {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let kinds = WeightedIndex::new([
-            config.link_flap_weight,
-            config.gpu_drop_weight,
-            config.nic_degrade_weight,
-            config.server_loss_weight,
-        ])
-        .expect("fault weights must be non-negative with a positive sum");
+        let kinds =
+            WeightedIndex::new(FAULT_WEIGHTS).expect("the fault weights form a distribution");
         let rng = StdRng::seed_from_u64(config.seed);
         FaultInjector {
             rng,
@@ -459,10 +424,9 @@ mod tests {
 
     #[test]
     fn retry_policy_backs_off_exponentially() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.delay(0), 2.0);
-        assert_eq!(p.delay(1), 4.0);
-        assert_eq!(p.delay(2), 8.0);
-        assert!(p.delay(1) > p.delay(0));
+        assert_eq!(retry_delay(0), 2.0);
+        assert_eq!(retry_delay(1), 4.0);
+        assert_eq!(retry_delay(2), 8.0);
+        assert!(retry_delay(1) > retry_delay(0));
     }
 }

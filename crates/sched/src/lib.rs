@@ -9,9 +9,9 @@
 //! *fragmented* per-server allocations — 3, 5, 6 or 7 GPUs of one job on a
 //! single machine — and those fragments induce the irregular topologies that
 //! break ring-based collectives. This crate reproduces that effect with a
-//! simple first-fit cluster simulator: jobs arrive with power-of-two sizes,
-//! run for a random duration, and may be split across servers when no single
-//! server can hold them.
+//! simple best-fit cluster simulator: jobs arrive with power-of-two sizes,
+//! run for a random duration, land on the tightest server that can hold
+//! them, and are split across servers when no single server can.
 //!
 //! ## The fleet pipeline
 //!
@@ -24,9 +24,9 @@
 //!    one `Depart` event per finished job, in completion order (ties by
 //!    ascending job id). If departures freed room and consolidation is
 //!    enabled, fragmented survivors are re-packed next (`Consolidate`
-//!    events, in ascending job-id order); each move is replayed into the
-//!    job's live communicator as a [`blink_topology::TopologyDelta`], so the
-//!    plan cache invalidates incrementally instead of replanning cold.
+//!    events, in ascending job-id order); a moved job is a new communicator
+//!    over its new placement, which runs its first AllReduce before it
+//!    replaces the old one.
 //! 2. The arrival is then placed (`Place` span on success, an instantaneous
 //!    `Reject` otherwise), its communicator built over the placement-induced
 //!    slice topology (`Plan` span) with a fleet-wide shared plan cache, and
@@ -62,12 +62,12 @@
 //! collective as a recovery probe; heals replan affected jobs back onto the
 //! restored capacity (shed GPUs return to the free pool, never to a shrunk
 //! job). A job whose every GPU is lost — or whose recovery replan fails — is
-//! evicted and re-offered under the bounded [`faults::RetryPolicy`]
-//! (exponential backoff, deterministic ascending `(retry time, job id)`
-//! order); exhausting the attempts counts the job lost. The whole run —
-//! event order, recovery rungs, rates, every counter — is a pure function of
-//! the `(workload seed, fault seed)` pair, which is what `bench_fleet`'s chaos
-//! replay gates on.
+//! evicted and re-offered at most [`faults::MAX_RETRY_ATTEMPTS`] times
+//! (exponential backoff, [`faults::retry_delay`], in deterministic ascending
+//! `(retry time, job id)` order); exhausting the attempts counts the job
+//! lost. The whole run — event order, recovery rungs, rates, every counter —
+//! is a pure function of the `(workload seed, fault seed)` pair, which is
+//! what `bench_fleet`'s chaos replay gates on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -80,6 +80,8 @@ pub mod workload;
 
 pub use cluster::{Cluster, Placement};
 pub use events::{EventMonitor, EventRecord, PendingEvent, Stage};
-pub use faults::{FaultConfig, FaultEvent, FaultInjector, FaultRecord, RetryPolicy};
+pub use faults::{
+    retry_delay, FaultConfig, FaultEvent, FaultInjector, FaultRecord, MAX_RETRY_ATTEMPTS,
+};
 pub use pipeline::{FleetConfig, FleetPipeline, FleetReport, JobOutcome};
 pub use workload::{AllocationHistogram, Job, WorkloadConfig, WorkloadGenerator};

@@ -24,7 +24,9 @@
 
 use crate::cluster::{Cluster, Placement};
 use crate::events::{EventMonitor, Stage};
-use crate::faults::{FaultConfig, FaultEvent, FaultInjector, FaultRecord, RetryPolicy};
+use crate::faults::{
+    retry_delay, FaultConfig, FaultEvent, FaultInjector, FaultRecord, MAX_RETRY_ATTEMPTS,
+};
 use crate::workload::{Job, WorkloadConfig, WorkloadGenerator};
 use blink_core::communicator::TracedRun;
 use blink_core::{
@@ -32,7 +34,7 @@ use blink_core::{
     DegradationLevel, SharedPlanCache,
 };
 use blink_topology::presets::{gpus_per_server, placement_topology, ServerKind};
-use blink_topology::{GpuId, GroupSplit, Link, LinkKind, ServerId, Topology, TopologyDelta};
+use blink_topology::{GpuId, Link, LinkKind, ServerId, Topology, TopologyDelta};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -59,21 +61,10 @@ pub struct FleetConfig {
     /// room. A moved job gets a new communicator over its new placement,
     /// which runs its first AllReduce before it replaces the old one.
     pub consolidate: bool,
-    /// Lift every `subgroup_lift_every`-th placed multi-GPU job into
-    /// per-server process groups ([`Communicator::split`] with
-    /// [`GroupSplit::ByServer`]) and replay one concurrent AllReduce per
-    /// subgroup through the value-level oracle on a shared simulator
-    /// session; 0 disables the sampling. Subgroups plan and lower through
-    /// the fleet cache like any job communicator, so a subgroup whose slice
-    /// a job already planned reuses that job's plans and lowerings.
-    pub subgroup_lift_every: usize,
     /// Seeded fault injection: `Some` weaves the deterministic fault
     /// schedule into the loop (see the crate-level "failure model" docs);
     /// `None` (the default) runs the pipeline fault-free.
     pub faults: Option<FaultConfig>,
-    /// Bounded retry/backoff for jobs evicted by faults (or whose replan /
-    /// collective failed while fault injection is active).
-    pub retry: RetryPolicy,
 }
 
 impl Default for FleetConfig {
@@ -91,9 +82,7 @@ impl Default for FleetConfig {
             collective_bytes: 16 << 20,
             check_every: 0,
             consolidate: true,
-            subgroup_lift_every: 0,
             faults: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -133,7 +122,7 @@ pub struct JobOutcome {
 /// Lifetime totals of a [`FleetPipeline`] plus the per-job outcomes of the
 /// jobs placed so far. Returned by [`FleetPipeline::run_jobs`]; counters
 /// accumulate across calls on the same pipeline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct FleetReport {
     /// Jobs offered to the cluster.
     pub submitted: usize,
@@ -158,14 +147,6 @@ pub struct FleetReport {
     pub checks_run: usize,
     /// Oracle replays that found a conformance violation (must stay 0).
     pub checks_failed: usize,
-    /// Placed jobs lifted into per-server process groups for a concurrent
-    /// subgroup replay.
-    pub subgroup_lifts: usize,
-    /// Individual subgroup collectives value-checked across those lifts.
-    pub subgroup_checks_run: usize,
-    /// Subgroup replays that violated their collective contract (must stay
-    /// 0).
-    pub subgroup_checks_failed: usize,
     /// Fault onsets injected so far.
     pub faults_injected: usize,
     /// Heal events applied so far.
@@ -244,32 +225,16 @@ pub struct FleetPipeline {
     shared: SharedPlanCache,
     monitor: EventMonitor,
     running: BTreeMap<u64, RunningJob>,
-    outcomes: Vec<JobOutcome>,
-    submitted: usize,
-    departures: usize,
-    consolidations: usize,
-    consolidations_improved: usize,
-    checks_run: usize,
-    checks_failed: usize,
-    subgroup_lifts: usize,
-    subgroup_checks_run: usize,
-    subgroup_checks_failed: usize,
     injector: Option<FaultInjector>,
     /// Faults currently in force, keyed by fault id (removed on heal).
     active: BTreeMap<u64, FaultEvent>,
     /// Evicted jobs awaiting retry, sorted by ascending `(retry_at, job id)`.
     retries: Vec<PendingRetry>,
-    faults_injected: usize,
-    heals_applied: usize,
-    fault_recoveries: usize,
-    recovery_rungs: BTreeMap<String, usize>,
-    recoveries_full_warm: usize,
-    recoveries_full_warm_zero_iter: usize,
-    gpus_shed: usize,
-    evictions: usize,
-    retries_scheduled: usize,
-    retries_succeeded: usize,
-    jobs_lost: usize,
+    /// The pipeline's own counters and outcomes. The fields read from
+    /// elsewhere — `placed`, the rejections, the shared-cache stats and
+    /// `retries_pending` — stay at their defaults; [`FleetPipeline::report`]
+    /// fills them in.
+    counts: FleetReport,
     /// Unsampled first collectives' placements and traced runs, once
     /// [`FleetPipeline::keep_first_runs`] asked for them.
     first_runs: Option<Vec<(Placement, TracedRun)>>,
@@ -280,13 +245,6 @@ impl FleetPipeline {
     /// hit-rate accounting is clean even when other communicators exist in
     /// the process.
     pub fn new(config: FleetConfig) -> Self {
-        Self::with_shared_cache(config, SharedPlanCache::new())
-    }
-
-    /// Creates a pipeline planning through an explicit shared cache (e.g.
-    /// [`blink_core::global_plan_cache`] to pool plans with communicators
-    /// created elsewhere in the process).
-    pub fn with_shared_cache(config: FleetConfig, shared: SharedPlanCache) -> Self {
         let cluster = Cluster::new(config.servers, gpus_per_server(config.server_kind));
         let injector = config
             .faults
@@ -295,33 +253,13 @@ impl FleetPipeline {
         FleetPipeline {
             config,
             cluster,
-            shared,
+            shared: SharedPlanCache::new(),
             monitor: EventMonitor::new(),
             running: BTreeMap::new(),
-            outcomes: Vec::new(),
-            submitted: 0,
-            departures: 0,
-            consolidations: 0,
-            consolidations_improved: 0,
-            checks_run: 0,
-            checks_failed: 0,
-            subgroup_lifts: 0,
-            subgroup_checks_run: 0,
-            subgroup_checks_failed: 0,
             injector,
             active: BTreeMap::new(),
             retries: Vec::new(),
-            faults_injected: 0,
-            heals_applied: 0,
-            fault_recoveries: 0,
-            recovery_rungs: BTreeMap::new(),
-            recoveries_full_warm: 0,
-            recoveries_full_warm_zero_iter: 0,
-            gpus_shed: 0,
-            evictions: 0,
-            retries_scheduled: 0,
-            retries_succeeded: 0,
-            jobs_lost: 0,
+            counts: FleetReport::default(),
             first_runs: None,
         }
     }
@@ -384,7 +322,7 @@ impl FleetPipeline {
     /// counted as rejections, not errors).
     pub fn run_jobs(&mut self, jobs: &[Job]) -> blink_core::Result<FleetReport> {
         for job in jobs {
-            self.submitted += 1;
+            self.counts.submitted += 1;
             self.absorb_departures(job.arrival)?;
             self.apply_faults(job.arrival)?;
             self.drain_retries(job.arrival)?;
@@ -401,7 +339,11 @@ impl FleetPipeline {
             let plan = self.monitor.commit(plan);
 
             let checked = self.config.check_every > 0
-                && self.outcomes.len().is_multiple_of(self.config.check_every);
+                && self
+                    .counts
+                    .outcomes
+                    .len()
+                    .is_multiple_of(self.config.check_every);
             let first = self.monitor.begin(job.id, Stage::FirstCollective);
             let report = match self.first_collective(&mut comm, &placement, checked) {
                 Ok(report) => report,
@@ -411,7 +353,7 @@ impl FleetPipeline {
                 Err(_) if self.injector.is_some() => {
                     self.monitor.commit(first);
                     self.cluster.evict(job.id);
-                    self.evictions += 1;
+                    self.counts.evictions += 1;
                     self.queue_retry(*job, job.arrival);
                     continue;
                 }
@@ -419,17 +361,7 @@ impl FleetPipeline {
             };
             let first = self.monitor.commit(first);
 
-            let lift_due = self.config.subgroup_lift_every > 0
-                && placement.total_gpus() > 1
-                && self
-                    .outcomes
-                    .len()
-                    .is_multiple_of(self.config.subgroup_lift_every);
-            if lift_due {
-                self.lift_subgroups(job.id, &comm)?;
-            }
-
-            self.outcomes.push(JobOutcome {
+            self.counts.outcomes.push(JobOutcome {
                 job_id: job.id,
                 gpus: placement.total_gpus(),
                 fragmented: placement.is_fragmented(),
@@ -461,33 +393,13 @@ impl FleetPipeline {
     pub fn report(&self) -> FleetReport {
         let (shared_hits, shared_misses) = self.shared.stats();
         FleetReport {
-            submitted: self.submitted,
-            placed: self.outcomes.len(),
+            placed: self.counts.outcomes.len(),
             rejected_capacity: self.cluster.rejected_capacity(),
             rejected_contention: self.cluster.rejected_contention(),
-            departures: self.departures,
-            consolidations: self.consolidations,
-            consolidations_improved: self.consolidations_improved,
             shared_hits,
             shared_misses,
-            checks_run: self.checks_run,
-            checks_failed: self.checks_failed,
-            subgroup_lifts: self.subgroup_lifts,
-            subgroup_checks_run: self.subgroup_checks_run,
-            subgroup_checks_failed: self.subgroup_checks_failed,
-            faults_injected: self.faults_injected,
-            heals_applied: self.heals_applied,
-            fault_recoveries: self.fault_recoveries,
-            recovery_rungs: self.recovery_rungs.clone(),
-            recoveries_full_warm: self.recoveries_full_warm,
-            recoveries_full_warm_zero_iter: self.recoveries_full_warm_zero_iter,
-            gpus_shed: self.gpus_shed,
-            evictions: self.evictions,
-            retries_scheduled: self.retries_scheduled,
-            retries_succeeded: self.retries_succeeded,
             retries_pending: self.retries.len(),
-            jobs_lost: self.jobs_lost,
-            outcomes: self.outcomes.clone(),
+            ..self.counts.clone()
         }
     }
 
@@ -521,9 +433,9 @@ impl FleetPipeline {
         let (kind, bytes) = (CollectiveKind::AllReduce, self.config.collective_bytes);
         if checked {
             let (report, check) = comm.run_checked(kind, bytes)?;
-            self.checks_run += 1;
+            self.counts.checks_run += 1;
             if !check.is_correct() {
-                self.checks_failed += 1;
+                self.counts.checks_failed += 1;
             }
             Ok(report)
         } else if let Some(kept) = &mut self.first_runs {
@@ -534,24 +446,6 @@ impl FleetPipeline {
         } else {
             comm.run(kind, bytes)
         }
-    }
-
-    /// Splits a placed job's communicator into per-server process groups and
-    /// replays one concurrent AllReduce per subgroup through the value-level
-    /// oracle on a shared session — the hierarchical-job conformance probe.
-    /// Subgroup communicators plan through the fleet cache like any job's,
-    /// so a per-server slice planned before packs no second time.
-    fn lift_subgroups(&mut self, job_id: u64, comm: &Communicator) -> blink_core::Result<()> {
-        let span = self.monitor.begin(job_id, Stage::SubgroupLift);
-        let mut groups = comm.split(&GroupSplit::ByServer)?;
-        let requests: Vec<(CollectiveKind, u64)> =
-            vec![(CollectiveKind::AllReduce, self.config.collective_bytes); groups.len()];
-        let (_, checks) = groups.run_concurrent_checked(&requests)?;
-        self.subgroup_lifts += 1;
-        self.subgroup_checks_run += checks.len();
-        self.subgroup_checks_failed += checks.iter().filter(|c| !c.is_correct()).count();
-        self.monitor.commit(span);
-        Ok(())
     }
 
     /// Releases every job completed by `time`, records the departures, and —
@@ -566,7 +460,7 @@ impl FleetPipeline {
         for id in departed {
             self.monitor.instant(id, Stage::Depart);
             self.running.remove(&id);
-            self.departures += 1;
+            self.counts.departures += 1;
         }
         if !self.config.consolidate {
             return Ok(());
@@ -584,10 +478,10 @@ impl FleetPipeline {
             let span = self.monitor.begin(id, Stage::Consolidate);
             let mut comm = self.communicator(&placement)?;
             let report = self.first_collective(&mut comm, &placement, false)?;
-            self.consolidations += 1;
+            self.counts.consolidations += 1;
             let job = self.running.get_mut(&id).expect("candidate is running");
             if report.algorithmic_bandwidth_gbps > job.rate_gbps + 1e-9 {
-                self.consolidations_improved += 1;
+                self.counts.consolidations_improved += 1;
             }
             *job = RunningJob {
                 comm,
@@ -628,56 +522,32 @@ impl FleetPipeline {
     }
 
     fn apply_onset(&mut self, rec: &FaultRecord) -> blink_core::Result<()> {
-        self.faults_injected += 1;
+        self.counts.faults_injected += 1;
         self.active.insert(rec.fault_id, rec.event);
         let gps = gpus_per_server(self.config.server_kind);
-        match rec.event {
-            FaultEvent::GpuDrop { server, gpu } => self.cluster.quarantine(server, gpu),
-            FaultEvent::ServerLoss { server } => self.cluster.quarantine_server(server),
-            _ => {}
-        }
+        let kills_gpus = match rec.event {
+            FaultEvent::GpuDrop { server, gpu } => {
+                self.cluster.quarantine(server, gpu);
+                true
+            }
+            FaultEvent::ServerLoss { server } => {
+                self.cluster.quarantine_server(server);
+                true
+            }
+            FaultEvent::LinkFlap { .. } | FaultEvent::NicDegrade { .. } => false,
+        };
         // Affected running jobs in ascending id order; a job whose every GPU
         // is gone is evicted into the retry queue, the rest recover in place.
         let mut evict: Vec<u64> = Vec::new();
         let mut recover: Vec<u64> = Vec::new();
         for (&id, job) in &self.running {
-            let holds = |g: GpuId| {
-                job.placement
-                    .slices
-                    .iter()
-                    .any(|(_, gpus)| gpus.contains(&g))
-            };
-            match rec.event {
-                FaultEvent::LinkFlap { server, a, b } => {
-                    if holds(GpuId(server * gps + a)) && holds(GpuId(server * gps + b)) {
-                        recover.push(id);
-                    }
-                }
-                FaultEvent::GpuDrop { server, gpu } => {
-                    if holds(GpuId(server * gps + gpu)) {
-                        if self.job_has_live_gpu(job, gps) {
-                            recover.push(id);
-                        } else {
-                            evict.push(id);
-                        }
-                    }
-                }
-                FaultEvent::NicDegrade { server, .. } => {
-                    if job.placement.is_fragmented()
-                        && job.placement.slices.iter().any(|(s, _)| *s == server)
-                    {
-                        recover.push(id);
-                    }
-                }
-                FaultEvent::ServerLoss { server } => {
-                    if job.placement.slices.iter().any(|(s, _)| *s == server) {
-                        if self.job_has_live_gpu(job, gps) {
-                            recover.push(id);
-                        } else {
-                            evict.push(id);
-                        }
-                    }
-                }
+            if !touches(rec.event, &job.placement, gps) {
+                continue;
+            }
+            if kills_gpus && !self.job_has_live_gpu(job, gps) {
+                evict.push(id);
+            } else {
+                recover.push(id);
             }
         }
         for id in recover {
@@ -696,42 +566,26 @@ impl FleetPipeline {
         if self.active.remove(&rec.fault_id).is_none() {
             return Ok(());
         }
-        self.heals_applied += 1;
+        self.counts.heals_applied += 1;
         let gps = gpus_per_server(self.config.server_kind);
-        match rec.event {
-            FaultEvent::GpuDrop { server, gpu } => self.cluster.heal(server, gpu),
-            FaultEvent::ServerLoss { server } => self.cluster.heal_server(server),
-            _ => {}
-        }
         // Restored capacity flows back into running jobs: flapped links and
         // degraded NICs replan to their healed state. Shed GPUs do *not*
         // rejoin a shrunk job — the device returns to the free pool instead.
-        let recover: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|(_, job)| {
-                let holds = |g: GpuId| {
-                    job.placement
-                        .slices
-                        .iter()
-                        .any(|(_, gpus)| gpus.contains(&g))
-                };
-                match rec.event {
-                    FaultEvent::LinkFlap { server, a, b } => {
-                        holds(GpuId(server * gps + a)) && holds(GpuId(server * gps + b))
-                    }
-                    FaultEvent::NicDegrade { server, .. } => {
-                        job.placement.is_fragmented()
-                            && job.placement.slices.iter().any(|(s, _)| *s == server)
-                    }
-                    _ => false,
+        match rec.event {
+            FaultEvent::GpuDrop { server, gpu } => self.cluster.heal(server, gpu),
+            FaultEvent::ServerLoss { server } => self.cluster.heal_server(server),
+            FaultEvent::LinkFlap { .. } | FaultEvent::NicDegrade { .. } => {
+                let recover: Vec<u64> = self
+                    .running
+                    .iter()
+                    .filter(|(_, job)| touches(rec.event, &job.placement, gps))
+                    .map(|(&id, _)| id)
+                    .collect();
+                for id in recover {
+                    let delta = self.recovery_delta(id, rec.event)?;
+                    self.recover_job(id, rec.at, Stage::Heal, delta)?;
                 }
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in recover {
-            let delta = self.recovery_delta(id, rec.event)?;
-            self.recover_job(id, rec.at, Stage::Heal, delta)?;
+            }
         }
         Ok(())
     }
@@ -773,6 +627,7 @@ impl FleetPipeline {
                     .map(|report| (rep, report))
             })
         };
+        self.monitor.commit(span);
         match outcome {
             Ok((rep, report)) => {
                 // The GPUs the job lost — dead ones the delta removed and
@@ -793,30 +648,23 @@ impl FleetPipeline {
                     self.cluster.shed(id, &lost);
                     job.placement = self.cluster.placement(id).expect("the job is running");
                 }
-                self.fault_recoveries += 1;
-                *self
+                let counts = &mut self.counts;
+                counts.fault_recoveries += 1;
+                *counts
                     .recovery_rungs
                     .entry(rep.degradation.to_string())
                     .or_insert(0) += 1;
                 if rep.degradation == DegradationLevel::FullWarmRepair {
-                    self.recoveries_full_warm += 1;
+                    counts.recoveries_full_warm += 1;
                     if rep.warm_iterations == 0 {
-                        self.recoveries_full_warm_zero_iter += 1;
+                        counts.recoveries_full_warm_zero_iter += 1;
                     }
                 }
-                self.gpus_shed += lost.len();
-                self.monitor.commit(span);
-                Ok(())
+                counts.gpus_shed += lost.len();
             }
-            Err(err) => {
-                self.monitor.commit(span);
-                if self.config.retry.max_attempts == 0 {
-                    return Err(err);
-                }
-                self.evict_and_requeue(id, time);
-                Ok(())
-            }
+            Err(_) => self.evict_and_requeue(id, time),
         }
+        Ok(())
     }
 
     /// The placement topology with every active fault applied: dead GPUs
@@ -900,24 +748,18 @@ impl FleetPipeline {
     fn evict_and_requeue(&mut self, id: u64, time: f64) {
         if let Some(running) = self.running.remove(&id) {
             self.cluster.evict(id);
-            self.evictions += 1;
+            self.counts.evictions += 1;
             self.queue_retry(running.job, time);
         }
     }
 
     /// Enters a job into the retry queue (a fresh eviction episode).
     fn queue_retry(&mut self, job: Job, now: f64) {
-        let max = self.config.retry.max_attempts;
-        if max == 0 {
-            self.jobs_lost += 1;
-            self.monitor.instant(job.id, Stage::Reject);
-            return;
-        }
-        self.retries_scheduled += 1;
+        self.counts.retries_scheduled += 1;
         self.push_retry(PendingRetry {
-            retry_at: now + self.config.retry.delay(0),
+            retry_at: now + retry_delay(0),
             job,
-            attempts_left: max,
+            attempts_left: MAX_RETRY_ATTEMPTS,
         });
     }
 
@@ -936,13 +778,13 @@ impl FleetPipeline {
     fn fail_attempt(&mut self, mut pending: PendingRetry, now: f64) {
         pending.attempts_left -= 1;
         if pending.attempts_left == 0 {
-            self.jobs_lost += 1;
+            self.counts.jobs_lost += 1;
             self.monitor.instant(pending.job.id, Stage::Reject);
             return;
         }
-        let used = self.config.retry.max_attempts - pending.attempts_left;
-        pending.retry_at = now + self.config.retry.delay(used);
-        self.retries_scheduled += 1;
+        let used = MAX_RETRY_ATTEMPTS - pending.attempts_left;
+        pending.retry_at = now + retry_delay(used);
+        self.counts.retries_scheduled += 1;
         self.push_retry(pending);
     }
 
@@ -963,7 +805,7 @@ impl FleetPipeline {
                 }
                 Some(placement) => match self.admit_retry(&job, placement) {
                     Ok(()) => {
-                        self.retries_succeeded += 1;
+                        self.counts.retries_succeeded += 1;
                         self.monitor.commit(span);
                     }
                     Err(_) => {
@@ -1014,6 +856,24 @@ impl FleetPipeline {
     }
 }
 
+/// Whether `event` reaches a running job on `placement`: a flap between two
+/// GPUs it holds, the drop of a GPU it holds, a degraded NIC on a server a
+/// fragmented job spans, or the loss of a server it spans. A flap's or a NIC
+/// degradation's heal reaches the jobs its onset reached.
+fn touches(event: FaultEvent, placement: &Placement, gps: usize) -> bool {
+    let holds = |server: usize, local: usize| {
+        let g = GpuId(server * gps + local);
+        placement.slices.iter().any(|(_, gpus)| gpus.contains(&g))
+    };
+    let spans = |server: usize| placement.slices.iter().any(|(s, _)| *s == server);
+    match event {
+        FaultEvent::LinkFlap { server, a, b } => holds(server, a) && holds(server, b),
+        FaultEvent::GpuDrop { server, gpu } => holds(server, gpu),
+        FaultEvent::NicDegrade { server, .. } => placement.is_fragmented() && spans(server),
+        FaultEvent::ServerLoss { server } => spans(server),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1033,6 +893,18 @@ mod tests {
             check_every: 13,
             ..Default::default()
         }
+    }
+
+    /// `report` with every outcome's wall-clock times zeroed, so two runs
+    /// compare field for field (rates by their shortest round-trip digits).
+    fn deterministic(mut report: FleetReport) -> String {
+        for o in &mut report.outcomes {
+            o.ttfc_us = 0.0;
+            o.place_us = 0.0;
+            o.plan_us = 0.0;
+            o.first_collective_us = 0.0;
+        }
+        format!("{report:?}")
     }
 
     #[test]
@@ -1098,25 +970,14 @@ mod tests {
             order_a, order_b,
             "event order must be a pure function of the seed"
         );
-        assert_eq!(a.placed, b.placed);
-        assert_eq!(a.departures, b.departures);
-        assert_eq!(a.consolidations, b.consolidations);
-        assert_eq!(
-            (a.shared_hits, a.shared_misses),
-            (b.shared_hits, b.shared_misses)
-        );
-        for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(oa.job_id, ob.job_id);
-            assert_eq!(oa.rate_gbps.to_bits(), ob.rate_gbps.to_bits());
-            assert_eq!(oa.strategy, ob.strategy);
-        }
+        assert!(a.consolidations > 0 && a.checks_run > 0, "{a:?}");
+        assert_eq!(deterministic(a), deterministic(b));
         // ...and a different seed produces a different stream
         let (order_c, _) = run(FleetConfig {
             workload: WorkloadConfig {
                 seed: 7,
                 mean_interarrival: 0.5,
                 mean_duration: 50.0,
-                ..Default::default()
             },
             ..small_config()
         });
@@ -1280,47 +1141,12 @@ mod tests {
     }
 
     #[test]
-    fn subgroup_lifts_replay_conformant_concurrent_subgroups() {
-        let mut pipeline = FleetPipeline::new(FleetConfig {
-            subgroup_lift_every: 5,
-            ..small_config()
-        });
-        let report = pipeline.run().unwrap();
-        assert!(report.subgroup_lifts > 0, "{report:?}");
-        assert!(report.subgroup_checks_run >= report.subgroup_lifts);
-        assert_eq!(
-            report.subgroup_checks_failed, 0,
-            "a concurrent subgroup replay violated its collective contract"
-        );
-        assert_eq!(
-            pipeline.monitor().count(Stage::SubgroupLift),
-            report.subgroup_lifts
-        );
-        // subgroups plan and lower through the fleet store, where their
-        // parent job and same-shape jobs on other servers already published
-        // plans and lowerings: the lifts add store hits (in the plan tier,
-        // or in the lowering tier that answers before it) to the same job
-        // stream planned without them
-        let hits = |pipeline: &FleetPipeline| {
-            let store = pipeline.shared_cache();
-            store.stats().0 + store.lowering_stats().0
-        };
-        let mut unlifted = FleetPipeline::new(small_config());
-        unlifted.run().unwrap();
-        assert!(
-            hits(&pipeline) > hits(&unlifted),
-            "lifted subgroups never reused fleet work"
-        );
-    }
-
-    #[test]
     fn chaos_fleet_runs_are_a_pure_function_of_both_seeds() {
         let chaos_config = |fault_seed: u64| FleetConfig {
             faults: Some(FaultConfig {
                 seed: fault_seed,
                 mean_interval: 10.0,
                 mean_outage: 8.0,
-                ..Default::default()
             }),
             ..small_config()
         };
@@ -1340,19 +1166,7 @@ mod tests {
         assert_eq!(a.recoveries_full_warm, a.recoveries_full_warm_zero_iter);
         // bit-identical replay of the whole chaos experiment
         assert_eq!(order_a, order_b, "chaos must replay identically");
-        assert_eq!(a.faults_injected, b.faults_injected);
-        assert_eq!(a.heals_applied, b.heals_applied);
-        assert_eq!(a.fault_recoveries, b.fault_recoveries);
-        assert_eq!(a.recovery_rungs, b.recovery_rungs);
-        assert_eq!(a.gpus_shed, b.gpus_shed);
-        assert_eq!(a.evictions, b.evictions);
-        assert_eq!(a.retries_scheduled, b.retries_scheduled);
-        assert_eq!(a.retries_succeeded, b.retries_succeeded);
-        assert_eq!(a.jobs_lost, b.jobs_lost);
-        for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(oa.job_id, ob.job_id);
-            assert_eq!(oa.rate_gbps.to_bits(), ob.rate_gbps.to_bits());
-        }
+        assert_eq!(deterministic(a), deterministic(b));
         // ...and a different fault seed produces a different experiment
         let (order_c, _) = run(chaos_config(12));
         assert_ne!(order_a, order_c);

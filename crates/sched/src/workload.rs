@@ -18,17 +18,21 @@ pub struct Job {
     pub duration: f64,
 }
 
+/// Candidate job sizes. Multi-GPU requests are overwhelmingly powers of two
+/// (the paper's observation), but clusters also run a large population of
+/// single-GPU jobs; it is exactly those that punch odd-sized holes into
+/// servers and force multi-GPU jobs into 3/5/6/7-GPU per-server fragments.
+const JOB_SIZES: [u32; 5] = [1, 2, 4, 8, 16];
+/// Relative weight of each of [`JOB_SIZES`].
+const JOB_SIZE_WEIGHTS: [f64; 5] = [0.30, 0.25, 0.20, 0.17, 0.08];
+
 /// Configuration of the synthetic workload.
 ///
-/// Defaults follow the shape reported for the Cloud-X trace: multi-GPU jobs
-/// request 2, 4, 8 or 16 GPUs with strong preference for powers of two and a
-/// heavy tail of long-running jobs.
+/// Job sizes follow the shape reported for the Cloud-X trace: 1, 2, 4, 8 or
+/// 16 GPUs with a strong preference for powers of two, and a heavy tail of
+/// long-running jobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadConfig {
-    /// Candidate job sizes.
-    pub sizes: Vec<u32>,
-    /// Relative weight of each size (same length as `sizes`).
-    pub size_weights: Vec<f64>,
     /// Mean inter-arrival time.
     pub mean_interarrival: f64,
     /// Mean job duration.
@@ -40,13 +44,6 @@ pub struct WorkloadConfig {
 impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
-            // Multi-GPU requests are overwhelmingly powers of two (the paper's
-            // observation), but clusters also run a large population of
-            // single-GPU jobs; it is exactly those that punch odd-sized holes
-            // into servers and force multi-GPU jobs into 3/5/6/7-GPU
-            // per-server fragments.
-            sizes: vec![1, 2, 4, 8, 16],
-            size_weights: vec![0.30, 0.25, 0.20, 0.17, 0.08],
             mean_interarrival: 1.0,
             mean_duration: 60.0,
             seed: 42,
@@ -66,18 +63,9 @@ pub struct WorkloadGenerator {
 
 impl WorkloadGenerator {
     /// Creates a generator from a configuration.
-    ///
-    /// # Panics
-    /// Panics if `sizes` and `size_weights` differ in length or the weights
-    /// are not a valid distribution.
     pub fn new(config: WorkloadConfig) -> Self {
-        assert_eq!(
-            config.sizes.len(),
-            config.size_weights.len(),
-            "one weight per size"
-        );
         let size_dist =
-            WeightedIndex::new(config.size_weights.clone()).expect("weights form a distribution");
+            WeightedIndex::new(JOB_SIZE_WEIGHTS).expect("the size weights form a distribution");
         let rng = StdRng::seed_from_u64(config.seed);
         WorkloadGenerator {
             config,
@@ -95,7 +83,7 @@ impl WorkloadGenerator {
         self.clock += -self.config.mean_interarrival * u.ln();
         let u: f64 = self.rng.random::<f64>().max(1e-12);
         let duration = -self.config.mean_duration * u.ln();
-        let gpus = self.config.sizes[self.size_dist.sample(&mut self.rng)];
+        let gpus = JOB_SIZES[self.size_dist.sample(&mut self.rng)];
         let job = Job {
             id: self.next_id,
             gpus,
@@ -201,15 +189,5 @@ mod tests {
         // out-of-range records are ignored
         h.record(99);
         assert_eq!(h.total_multi_gpu(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per size")]
-    fn mismatched_weights_panic() {
-        WorkloadGenerator::new(WorkloadConfig {
-            sizes: vec![2, 4],
-            size_weights: vec![1.0],
-            ..Default::default()
-        });
     }
 }
