@@ -145,11 +145,11 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// differ only in link class share one fingerprint).
 ///
 /// It tells GPU and server ids apart: two topologies share it only when
-/// they are identical, so a plan made for one can be lowered on the other
-/// as it is. [`SharedPlanCache`] keys its plans by a coarser fingerprint
-/// that numbers GPUs and servers by rank, which the same slice shape on
-/// different servers shares, and hashes no options: every communicator
-/// plans under the default ones.
+/// they agree in everything a plan reads, ids included, so a plan made for
+/// one can be lowered on the other as it is. [`SharedPlanCache`] keys its
+/// plans by a coarser fingerprint that numbers GPUs and servers by rank,
+/// which the same slice shape on different servers shares, and hashes no
+/// options: every communicator plans under the default ones.
 pub fn plan_fingerprint(induced: &Topology, options: &TreeGenOptions) -> u64 {
     // every option field a plan depends on, in one fixed order — all of
     // them except the link class
@@ -255,21 +255,27 @@ impl BufferedHasher {
 }
 
 /// The plan tier's fingerprint: everything (besides the root and link
-/// class) a stored [`TreePlan`] depends on — each GPU's local index and
-/// fabric cap, and each link's kind, lanes and bandwidth — with each GPU
-/// and link endpoint hashed by its **rank** (its position in the
-/// topology's ascending GPU ids) and each server by its position among the
-/// topology's servers, instead of by id. [`plan_fingerprint`] hashes this with the options and
-/// the ids.
+/// class) a stored [`TreePlan`], a lowering or a compiled form reads of the
+/// topology — each GPU's server and fabric cap, and each link's kind, lanes
+/// and bandwidth, in order — with each GPU and link endpoint hashed by its
+/// **rank** (its position in the topology's ascending GPU ids) and each
+/// server by its position among the topology's servers, instead of by id.
+/// A GPU's [`local_index`](GpuInfo::local_index) is read by none of them,
+/// so it is not hashed. [`plan_fingerprint`] hashes this with the options
+/// and the ids.
 ///
-/// Slices related by an order-preserving renumbering — the same local
-/// shape on two servers of one kind, say `{0, 1, 3}` and `{24, 25, 27}` —
-/// therefore share it. Their planning graphs are equal up to that
-/// renumbering, nodes and edges in the same order, so TreeGen makes the
-/// same plan for both up to relabelling (see [`SharedPlanCache`]). Other
-/// isomorphic slices (the mirror halves of a DGX-1V) do not share it, and
-/// neither does a topology whose GPU ids do not ascend or span more than
-/// [`MAX_RANK_SPAN`] values: those hash ids, as [`plan_fingerprint`] does.
+/// Slices related by an order-preserving renumbering therefore share it:
+/// the same local shape on two servers of one kind, say `{0, 1, 3}` and
+/// `{24, 25, 27}`, and equally one shape at two places on a server whose
+/// links agree in order, such as the DGX-1V quads `{0, 1, 3}` and
+/// `{4, 5, 7}`. Their planning graphs are equal up to that renumbering,
+/// nodes and edges in the same order, so TreeGen makes the same plan for
+/// both up to relabelling (see [`SharedPlanCache`]). Isomorphic slices that
+/// match only under a reordering (on a DGX-1V, `{0, 1, 2}` and `{0, 1, 3}`,
+/// whose double lane joins ranks 1 and 2 in one and ranks 0 and 2 in the
+/// other) do not share it, and neither does a topology whose GPU ids do not
+/// ascend or span more than [`MAX_RANK_SPAN`] values: those hash ids, as
+/// [`plan_fingerprint`] does.
 ///
 /// It allocates nothing when the topology's servers do not descend along
 /// its GPUs (a placement's and a preset's never do): ranks are binary
@@ -321,7 +327,6 @@ fn fingerprint_under(names: Names<'_>, induced: &Topology) -> u64 {
         let cap = induced.gpu_cap(g.id);
         names.put(&mut h, names.gpu(g.id));
         names.put(&mut h, server);
-        h.put(&(g.local_index as u64).to_le_bytes());
         h.put(&[u8::from(cap.is_some())]);
         h.put(&cap.map_or(0, f64::to_bits).to_le_bytes());
     }
@@ -444,14 +449,14 @@ impl Renaming {
 /// rank fingerprint hashes the induced topology as [`plan_fingerprint`]
 /// does, but each GPU, link endpoint and server by its rank among the
 /// slice's instead of by its id. Slices related by an order-preserving
-/// renumbering — one local shape on different servers — share a key: a
-/// stored plan keeps the GPU labels of the slice that packed it, and a hit
-/// from another slice gets a copy relabelled by position onto its own
-/// GPUs, which is the very plan a cold pack there would make (a hit on the
-/// packing slice's own GPUs gets the stored plan itself). Other isomorphic
-/// allocations (the mirror halves of a DGX-1V, the stride subgroups of a
-/// process-group split) reorder GPUs and are different keys: each packs its
-/// own plans, exactly as a private communicator would. The tier holds only
+/// renumbering — one local shape on different servers, or at different
+/// places on one server — share a key: a stored plan keeps the GPU labels
+/// of the slice that packed it, and a hit from another slice gets a copy
+/// relabelled by position onto its own GPUs, which is the very plan a cold
+/// pack there would make (a hit on the packing slice's own GPUs gets the
+/// stored plan itself). Other isomorphic allocations, which match only
+/// under a reordering of their GPUs, are different keys: each packs its own
+/// plans, exactly as a private communicator would. The tier holds only
 /// cold plans (see "a store entry is a pure function of its key" in the
 /// module docs).
 ///
@@ -509,10 +514,12 @@ impl Default for Tiers {
 }
 
 /// The lowering tier's key: the communicator's lowering fingerprint (its
-/// slice shape by rank, not its GPU ids), the collective signature, the
-/// chunk size and, on a switch fabric, the communicator's strategy verdict
-/// for the kind (`None` elsewhere, and before the communicator has raced
-/// the kind — a lookup no entry answers).
+/// slice shape by rank, not its GPU ids), the collective signature — a
+/// rooted kind's root named by its position in the communicator's
+/// allocation (`GpuId(i)` for its `i`-th GPU), not by id — the chunk size
+/// and, on a switch fabric, the communicator's strategy verdict for the
+/// kind (`None` elsewhere, and before the communicator has raced the kind —
+/// a lookup no entry answers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct LoweringKey {
     pub(crate) base: u64,
@@ -1233,9 +1240,22 @@ mod tests {
         // the exact fingerprint still tells the two servers' GPUs apart
         let opts = TreeGenOptions::default();
         assert_ne!(plan_fingerprint(&a, &opts), plan_fingerprint(&b, &opts));
-        // and an isomorphic slice that reorders GPUs is another key
-        let mirrored = dgx1v().induced(&[GpuId(4), GpuId(5), GpuId(7)]).unwrap();
-        assert_ne!(rank_fingerprint(&a), rank_fingerprint(&mirrored));
+        // one shape at another place on a server shares it too: {4, 5, 7}
+        // has {0, 1, 3}'s links in the same order, so {0, 1, 3}'s plan,
+        // relabelled, is {4, 5, 7}'s own pack
+        let slice = |gpus: &[usize]| dgx1v().induced(&ids_of(gpus)).unwrap();
+        let (home, mirrored) = (slice(&[0, 1, 3]), slice(&[4, 5, 7]));
+        assert_eq!(rank_fingerprint(&home), rank_fingerprint(&mirrored));
+        let packed = handle().plan(&home, GpuId(1)).unwrap();
+        let own = handle().plan(&mirrored, GpuId(5)).unwrap();
+        let renaming = Renaming::new(&ids_of(&[0, 1, 3]), &ids_of(&[4, 5, 7])).unwrap();
+        assert!(renaming.plan(&packed).unwrap().bit_eq(&own));
+        // an isomorphic slice whose double lane joins other ranks is
+        // another key
+        assert_ne!(
+            rank_fingerprint(&home),
+            rank_fingerprint(&slice(&[0, 1, 2]))
+        );
     }
 
     #[test]

@@ -51,6 +51,17 @@ impl CollectiveKind {
         }
     }
 
+    /// The same kind with its root, for rooted collectives, replaced by
+    /// `root`.
+    pub(crate) fn with_root(self, root: GpuId) -> Self {
+        match self {
+            CollectiveKind::Broadcast { .. } => CollectiveKind::Broadcast { root },
+            CollectiveKind::Gather { .. } => CollectiveKind::Gather { root },
+            CollectiveKind::Reduce { .. } => CollectiveKind::Reduce { root },
+            rootless => rootless,
+        }
+    }
+
     /// Whether the collective applies a reduction function.
     pub fn reduces(&self) -> bool {
         matches!(

@@ -868,11 +868,25 @@ impl Communicator {
         kind: CollectiveKind,
         bytes: u64,
     ) -> Result<(Lowered, u64, Option<RunReport>)> {
+        // the key names a rooted collective's root by its position in the
+        // allocation, so one shape's rooted collectives from one position
+        // share an entry on every server
+        let keyed_kind = match kind.root() {
+            Some(root) => {
+                let Some(position) = self.allocation.iter().position(|&g| g == root) else {
+                    return Err(BlinkError::Planning(format!(
+                        "root {root} is not in the allocation"
+                    )));
+                };
+                kind.with_root(GpuId(position))
+            }
+            None => kind,
+        };
         let chunk = self.current_chunk(kind, bytes);
         let base = self.shape.lowering_fp;
         let key = |verdict| LoweringKey {
             base,
-            kind,
+            kind: keyed_kind,
             bytes,
             chunk,
             verdict,
@@ -1232,14 +1246,9 @@ impl Communicator {
         })
     }
 
+    /// Lowers `kind` afresh; a rooted kind's root is in the allocation
+    /// ([`Communicator::lower_raced`] checks it).
     fn build_program(&mut self, kind: CollectiveKind, bytes: u64, chunk: u64) -> Result<Built> {
-        if let Some(root) = kind.root() {
-            if !self.allocation.contains(&root) {
-                return Err(BlinkError::Planning(format!(
-                    "root {root} is not in the allocation"
-                )));
-            }
-        }
         // ---- multi-server allocations: the three-phase protocol ----
         if self.is_multi_server() {
             if kind != CollectiveKind::AllReduce {
@@ -2110,14 +2119,15 @@ mod tests {
 
     #[test]
     fn a_three_phase_lowering_stops_at_its_first_unspannable_server() {
-        // Neither slice is NVLink-spannable on a DGX-1V ({1, 4} and {0, 5}
-        // share no NVLink), and the two are different local shapes, so no
-        // server's plans could serve the other's. Planning server by server
-        // stops at server 0's first root, then the PCIe fallback runs; a
-        // batch that packed every (server, root) key first failed 4 packs.
+        // Neither slice is NVLink-spannable on a DGX-1V ({1, 4} share no
+        // NVLink, and GPU 0 of {0, 5, 6} none with the others), and their
+        // links differ, so no server's plans could serve the other's.
+        // Planning server by server stops at server 0's first root, then the
+        // PCIe fallback runs; a batch that packed every (server, root) key
+        // first failed 4 packs.
         let slices = vec![
             (0usize, vec![GpuId(1), GpuId(4)]),
-            (1usize, vec![GpuId(8), GpuId(13)]),
+            (1usize, vec![GpuId(8), GpuId(13), GpuId(14)]),
         ];
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let fps: Vec<u64> = slices

@@ -70,6 +70,9 @@ pub struct GpuInfo {
     /// Server this GPU lives on.
     pub server: ServerId,
     /// Index of the GPU *within* its server (what `nvidia-smi` would show).
+    /// Descriptive only: no planner, lowering or simulation reads it, and
+    /// it is part of no plan-store key, so one slice shape at two places on
+    /// a server shares its plans and lowerings.
     pub local_index: usize,
 }
 

@@ -17,6 +17,7 @@ use blink_sim::{
 use blink_topology::enumerate::unique_allocations;
 use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, placement_topology, ServerKind};
 use blink_topology::{GroupSplit, LinkKind, TopologyDelta};
+use rand::prelude::*;
 use std::sync::Arc;
 
 fn ids(v: &[usize]) -> Vec<GpuId> {
@@ -421,15 +422,20 @@ fn repeated_splits_take_every_subgroup_lowering_a_private_communicator_makes() {
     };
     let shared = SharedPlanCache::new();
     let (_, first) = split_and_run(&shared);
-    let (hits, _) = shared.lowering_stats();
+    let (hits, misses) = shared.lowering_stats();
+    assert_eq!(
+        misses, 1,
+        "the halves are one shape in one order: the second takes the first's lowering"
+    );
     let (allocs, second) = split_and_run(&shared);
     assert_eq!(
-        shared.lowering_stats().0,
-        hits + 2,
+        shared.lowering_stats(),
+        (hits + 2, misses),
         "both subgroups take their lowering from the store"
     );
     for ((a, b), alloc) in first.iter().zip(&second).zip(&allocs) {
-        assert!(Arc::ptr_eq(a, b));
+        // the second half runs a copy renamed onto its GPUs
+        assert_eq!(**a, **b);
         let mut private = Communicator::builder(dgx1v())
             .allocation(alloc)
             .isolated_plans()
@@ -890,12 +896,11 @@ fn a_repeated_concurrent_step_lowers_nothing_new() {
         runs.push(groups.run_concurrent(&requests).unwrap());
         misses.push(store.lowering_stats().1);
     }
+    assert_eq!(misses[0], 1, "the two halves share one lowering");
     assert_eq!(misses[2], misses[1], "the third step lowers nothing new");
     for (a, b) in runs[1].groups.iter().zip(&runs[2].groups) {
-        assert!(
-            Arc::ptr_eq(&a.program, &b.program),
-            "and runs the stored programs"
-        );
+        // one stored program, the second half's renamed onto its GPUs
+        assert_eq!(*a.program, *b.program, "and runs the stored programs");
     }
     for run in &runs[1..] {
         assert_eq!(run.finish_us.to_bits(), runs[0].finish_us.to_bits());
@@ -1006,35 +1011,238 @@ fn every_local_shape_lowers_on_every_server_what_an_isolated_communicator_lowers
     }
 }
 
+/// What a stored lowering reads of `comm`, with GPUs and servers named by
+/// their positions in its slice instead of by id: each GPU's server and
+/// fabric cap, every link in order (endpoints, kind, lanes, bandwidth
+/// bits), the allocation order and whether it lowers hybrid transfers. Two
+/// communicators whose slices' ids ascend share a lowering-tier key
+/// exactly when these agree.
+fn lowering_shape(comm: &Communicator) -> String {
+    let topo = comm.induced_topology();
+    let ids = topo.gpu_ids();
+    let rank = |g: GpuId| ids.iter().position(|&id| id == g).unwrap();
+    let mut servers: Vec<_> = topo.gpus().iter().map(|g| g.server).collect();
+    servers.dedup();
+    let gpus: Vec<_> = topo
+        .gpus()
+        .iter()
+        .map(|g| {
+            let server = servers.iter().position(|&s| s == g.server).unwrap();
+            (server, topo.gpu_cap(g.id).map(f64::to_bits))
+        })
+        .collect();
+    let links: Vec<_> = topo
+        .links()
+        .iter()
+        .map(|l| {
+            let bw = l.bandwidth_gbps.to_bits();
+            (rank(l.src), rank(l.dst), l.kind, l.lanes, bw)
+        })
+        .collect();
+    let order: Vec<usize> = comm.allocation().iter().map(|&g| rank(g)).collect();
+    let hybrid = comm.options().use_hybrid;
+    format!("{gpus:?} {links:?} {order:?} {hybrid}")
+}
+
 #[test]
 fn every_local_shape_runs_on_every_server_what_an_isolated_communicator_runs() {
-    // the first server lowers afresh and simulates; the second hits, keeps
-    // the entry's compiled form and simulates it, memoising its total; the
-    // third hits and is served that total without running the engine
+    // the first communicator of a lowering shape lowers afresh and
+    // simulates; the second hits, keeps the entry's compiled form and
+    // simulates it, memoising its total; every later one hits and is
+    // served that total without running the engine. Local shapes at
+    // different places on a server can be one lowering shape, so the
+    // count follows the shape, not the server set.
     let bytes = (3 << 20) + 5;
     let kind = CollectiveKind::AllReduce;
     let store = SharedPlanCache::new();
+    let mut seen = std::collections::HashMap::new();
     for (locals, options) in &local_shapes() {
         for (k, slices) in on_three_server_sets(locals).iter().enumerate() {
             let (hits, misses) = store.lowering_stats();
             let runs = store.engine_runs();
-            let shared = placed_on(slices, *options, Some(&store))
-                .run(kind, bytes)
-                .unwrap();
+            let mut comm = placed_on(slices, *options, Some(&store));
+            let before: &mut u64 = seen.entry(lowering_shape(&comm)).or_default();
+            let earlier = *before;
+            *before += 1;
+            let shared = comm.run(kind, bytes).unwrap();
             let private = placed_on(slices, *options, None).run(kind, bytes).unwrap();
             assert_eq!(format!("{shared:?}"), format!("{private:?}"), "{slices:?}");
             assert_eq!(shared.elapsed_us.to_bits(), private.elapsed_us.to_bits());
-            let memo_hit = k == 2;
-            if k > 0 {
-                assert_eq!(store.lowering_stats(), (hits + 1, misses), "{slices:?}");
-            }
+            assert!(
+                k == 0 || earlier > 0,
+                "a later server set shares the first's"
+            );
+            let hit = u64::from(earlier > 0);
+            assert_eq!(
+                store.lowering_stats(),
+                (hits + hit, misses + 1 - hit),
+                "{slices:?}"
+            );
             assert_eq!(
                 store.engine_runs(),
-                runs + u64::from(!memo_hit),
-                "{slices:?}: server set {k} runs the engine only without a memoised total"
+                runs + u64::from(earlier < 2),
+                "{slices:?}: the shape's communicator {earlier} runs the engine only \
+                 without a memoised total"
             );
         }
     }
+    assert!(
+        seen.len() < local_shapes().len(),
+        "some local shapes share a lowering"
+    );
+}
+
+#[test]
+fn a_rooted_collective_lowers_once_for_one_position_of_one_local_shape() {
+    // a rooted lowering is keyed by the root's position in the allocation,
+    // so one local shape rooted at one position lowers once on any server
+    let bytes = (3 << 20) + 5;
+    let local = [0, 1, 3, 6];
+    let kinds: [fn(GpuId) -> CollectiveKind; 3] = [
+        |root| CollectiveKind::Broadcast { root },
+        |root| CollectiveKind::Gather { root },
+        |root| CollectiveKind::Reduce { root },
+    ];
+    for kind_at in kinds {
+        let store = SharedPlanCache::new();
+        for (server, position) in [(0, 1), (5, 1), (2, 1), (5, 3)] {
+            let slices = vec![(server, on_server(server, &local))];
+            let kind = kind_at(slices[0].1[position]);
+            let (hits, misses) = store.lowering_stats();
+            let options = CommunicatorOptions::default();
+            let (report, program, _) = placed_on(&slices, options, Some(&store))
+                .run_traced(kind, bytes)
+                .unwrap();
+            let (fresh, own, _) = placed_on(&slices, options, None)
+                .run_traced(kind, bytes)
+                .unwrap();
+            assert_eq!(*program, *own, "{kind} on server {server}");
+            assert_eq!(format!("{report:?}"), format!("{fresh:?}"));
+            let fresh_lowering = server == 0 || position == 3;
+            assert_eq!(
+                store.lowering_stats(),
+                if fresh_lowering {
+                    (hits, misses + 1)
+                } else {
+                    (hits + 1, misses)
+                },
+                "{kind} on server {server}"
+            );
+        }
+    }
+}
+
+/// A seeded random DGX-1V placement: one to three ascending servers of
+/// eight, each with a random set of one or two local GPUs, or two or three
+/// on a lone server. Small sets, so that many placements share a shape.
+fn random_placement(rng: &mut StdRng) -> Vec<(usize, Vec<GpuId>)> {
+    let n_servers = 1 + rng.random_below(3) as usize;
+    let mut servers: Vec<usize> = Vec::new();
+    while servers.len() < n_servers {
+        let s = rng.random_below(8) as usize;
+        if !servers.contains(&s) {
+            servers.push(s);
+        }
+    }
+    servers.sort_unstable();
+    servers
+        .into_iter()
+        .map(|server| {
+            let size = if n_servers == 1 {
+                2 + rng.random_below(2) as usize
+            } else {
+                1 + rng.random_below(2) as usize
+            };
+            let mut local: Vec<usize> = Vec::new();
+            while local.len() < size {
+                let l = rng.random_below(8) as usize;
+                if !local.contains(&l) {
+                    local.push(l);
+                }
+            }
+            local.sort_unstable();
+            (server, on_server(server, &local))
+        })
+        .collect()
+}
+
+#[test]
+fn placements_that_share_a_rank_fingerprint_share_what_they_run() {
+    // Seeded random placements, paired wherever their lowering shapes
+    // agree. The second of each pair takes the first's lowering from a
+    // shared store, and its first AllReduce reports and traces what an
+    // isolated communicator's does.
+    let bytes = (3 << 20) + 5;
+    let kind = CollectiveKind::AllReduce;
+    let options = CommunicatorOptions::default();
+    let mut rng = StdRng::seed_from_u64(0x5eed_0039);
+    let placements: Vec<_> = (0..64).map(|_| random_placement(&mut rng)).collect();
+    let isolated: Vec<(String, Arc<Program>, String)> = placements
+        .iter()
+        .map(|slices| {
+            let mut comm = placed_on(slices, options, None);
+            let (report, program, _) = comm.run_traced(kind, bytes).unwrap();
+            (lowering_shape(&comm), program, format!("{report:?}"))
+        })
+        .collect();
+    let mut pairs = 0;
+    for (i, a) in placements.iter().enumerate() {
+        for (j, b) in placements.iter().enumerate().skip(i + 1) {
+            if isolated[i].0 != isolated[j].0 {
+                continue;
+            }
+            pairs += 1;
+            let store = SharedPlanCache::new();
+            placed_on(a, options, Some(&store))
+                .run(kind, bytes)
+                .unwrap();
+            let mut comm = placed_on(b, options, Some(&store));
+            let report = comm.run(kind, bytes).unwrap();
+            let (traced, program, _) = comm.run_traced(kind, bytes).unwrap();
+            assert_eq!(store.lowering_stats(), (2, 1), "{b:?} hits {a:?}");
+            let (_, own, own_report) = &isolated[j];
+            assert_eq!(&format!("{report:?}"), own_report, "{b:?} after {a:?}");
+            assert_eq!(&format!("{traced:?}"), own_report);
+            assert_eq!(*program, **own, "{b:?} after {a:?}");
+        }
+    }
+    assert!(pairs >= 30, "only {pairs} pairs share a lowering shape");
+    // and through one store, a placement hits exactly when an earlier
+    // placement had its lowering shape
+    let store = SharedPlanCache::new();
+    for (k, slices) in placements.iter().enumerate() {
+        let (hits, _) = store.lowering_stats();
+        placed_on(slices, options, Some(&store))
+            .run(kind, bytes)
+            .unwrap();
+        let shared = isolated[..k].iter().any(|(s, ..)| *s == isolated[k].0);
+        assert_eq!(
+            store.lowering_stats().0,
+            hits + u64::from(shared),
+            "{slices:?}"
+        );
+    }
+}
+
+#[test]
+fn every_one_plus_one_placement_is_one_fresh_lowering() {
+    let bytes = 16 << 20;
+    let options = CommunicatorOptions::default();
+    let store = SharedPlanCache::new();
+    let mut reports = Vec::new();
+    for (s1, s2) in [(0, 1), (2, 5), (3, 7), (4, 6)] {
+        for l1 in 0..8 {
+            for l2 in [l1, (l1 + 3) % 8] {
+                let slices = vec![(s1, on_server(s1, &[l1])), (s2, on_server(s2, &[l2]))];
+                let report = placed_on(&slices, options, Some(&store))
+                    .run(CollectiveKind::AllReduce, bytes)
+                    .unwrap();
+                reports.push(format!("{report:?}"));
+            }
+        }
+    }
+    assert_eq!(store.lowering_stats(), (63, 1));
+    assert!(reports.iter().all(|r| *r == reports[0]));
 }
 
 #[test]
