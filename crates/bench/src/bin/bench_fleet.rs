@@ -21,14 +21,14 @@
 //!   the bounded retry policy.
 //!
 //! Each section records the replay's deterministic work, read off its plan
-//! store: fresh lowerings, lowering-tier hits, the ops those fresh lowerings
-//! emitted, the compiled forms the lowering tier kept, packs (plan-store
-//! misses), the packs among them that failed, the MWU iterations the packs
-//! ran, the engine runs the communicators executed (a first collective
-//! served a stored lowering's memoised total runs none), and the planner
-//! scratches the process's pool created during the
-//! replay beyond the one warm scratch it starts from (a replay plans on
-//! one thread, so any is a regression). Wall time — time-to-first-collective
+//! store: fresh lowerings (each compiles the one engine form its entry
+//! keeps), lowering-tier hits, the ops those fresh lowerings emitted, packs
+//! (plan-store misses), the packs among them that failed, the MWU
+//! iterations the packs ran, the engine runs the communicators executed (a
+//! first collective served a stored lowering's memoised total runs none),
+//! and the planner scratches the process's pool created during the replay
+//! beyond the one warm scratch it starts from (a replay plans on one
+//! thread, so any is a regression). Wall time — time-to-first-collective
 //! (TTFC), plans served per second, recovery spans — is printed and
 //! recorded as context only.
 //!
@@ -37,7 +37,7 @@
 //! binary installs [`blink_bench::alloc::Counting`]): for three placements
 //! — 2 GPUs on one server, 4 GPUs on one server, 2+2 GPUs over two servers
 //! — a store is warmed with the same slice shape on other servers (one
-//! fresh lowering, then the hit that compiles its form), and one
+//! fresh lowering, which compiles its form, then a hit), and one
 //! `CommunicatorBuilder::from_placement(..).build()` and one first
 //! AllReduce, a lowering-tier hit, are counted. Beside them,
 //! `cold_first_collective` counts what a job pays with nothing to hit: an
@@ -94,8 +94,6 @@ struct Work {
     lowering_hits: u64,
     /// Ops summed over the fresh lowerings' programs.
     lowered_ops: u64,
-    /// Compiled forms the lowering tier kept (one per entry at most).
-    compiled_forms: u64,
     /// Plan-store misses: plans packed.
     packs: u64,
     /// Packs that failed, their link class unable to span the slice.
@@ -112,12 +110,11 @@ struct Work {
 
 impl Work {
     /// The counters under their recorded keys.
-    fn counters(&self) -> [(&'static str, u64); 9] {
+    fn counters(&self) -> [(&'static str, u64); 8] {
         [
             ("fresh_lowerings", self.fresh_lowerings),
             ("lowering_hits", self.lowering_hits),
             ("lowered_ops", self.lowered_ops),
-            ("compiled_forms", self.compiled_forms),
             ("packs", self.packs),
             ("failed_packs", self.failed_packs),
             ("mwu_iterations", self.mwu_iterations),
@@ -176,7 +173,6 @@ fn replay(config: FleetConfig) -> Run {
             fresh_lowerings,
             lowering_hits,
             lowered_ops: store.lowered_ops(),
-            compiled_forms: store.compiled_forms(),
             packs: store.stats().1,
             failed_packs: store.failed_packs(),
             mwu_iterations: store.mwu_iterations(),
@@ -290,8 +286,8 @@ const ALLOCATION_PLACEMENTS: [(&str, &[&[usize]]); 3] = [
 
 /// Counts one build and one first AllReduce of `shape` (local GPU indices
 /// per server) on a store warmed with the same shape on other servers: its
-/// first placement lowers afresh, its second hits and compiles the entry's
-/// form, its third is counted.
+/// first placement lowers afresh and compiles the entry's form, its second
+/// hits, its third is counted.
 fn job_allocations(shape: &[&[usize]]) -> JobAllocations {
     let config = config(false);
     let store = SharedPlanCache::new();
@@ -828,7 +824,6 @@ mod tests {
         fresh_lowerings: 226,
         lowering_hits: 184,
         lowered_ops: 40_000,
-        compiled_forms: 79,
         packs: 341,
         failed_packs: 30,
         mwu_iterations: 14_842,
@@ -847,11 +842,10 @@ mod tests {
 
     #[test]
     fn the_work_gate_fails_any_counter_one_worse_than_its_recording() {
-        let bumps: [fn(&mut Work); 9] = [
+        let bumps: [fn(&mut Work); 8] = [
             |w| w.fresh_lowerings += 1,
             |w| w.lowering_hits -= 1,
             |w| w.lowered_ops += 1,
-            |w| w.compiled_forms += 1,
             |w| w.packs += 1,
             |w| w.failed_packs += 1,
             |w| w.mwu_iterations += 1,
@@ -884,7 +878,7 @@ mod tests {
         }
         let failures = work_gate(Some(&recorded), &WORK);
         assert_eq!(failures, ["work mwu_iterations is not recorded"]);
-        assert_eq!(work_gate(None, &WORK).len(), 9);
+        assert_eq!(work_gate(None, &WORK).len(), WORK.counters().len());
     }
 
     #[test]

@@ -51,10 +51,10 @@
 //! # A store entry is a pure function of its key
 //!
 //! The plan tier holds only cold plans: a plan the store packed with no
-//! warm seed, which is what [`TreeGen::plan`] makes for the key's slice
-//! shape, root and link class under the default options. Every lowering in
-//! the lowering tier was made by a communicator whose plans were all such
-//! plans. So whoever published an entry, and whenever, a hit is what a
+//! warm seed, which is what [`TreeGen::plan`](crate::treegen::TreeGen::plan)
+//! makes for the key's slice shape, root and link class under the default
+//! options. Every lowering in the lowering tier was made by a communicator
+//! whose plans were all such plans. So whoever published an entry, and whenever, a hit is what a
 //! private communicator would plan or lower; nothing in the store is ever
 //! invalidated, and eviction only ever costs a re-pack or a re-lowering.
 //!
@@ -62,9 +62,10 @@
 //! [`crate::Communicator::replan`] hands the [`TopologyDelta`] to its
 //! handle, which keeps the plans the delta provably did not touch and
 //! demotes the rest to *warm seeds*; the next miss on a seed's key repacks
-//! it through [`TreeGen::plan_warm`], typically with zero MWU iterations,
-//! and the result is not published. A communicator left holding kept plans
-//! or seeds files its lowerings under a key no other communicator can form.
+//! it as [`TreeGen::plan_warm`](crate::treegen::TreeGen::plan_warm) would,
+//! typically with zero MWU iterations, and the result is not published. A
+//! communicator left holding kept plans or seeds files its lowerings under
+//! a key no other communicator can form.
 //! A hardware change gives the changed slice a new fingerprint, so every
 //! other communicator keeps being served the cold entries of its own key.
 //!
@@ -79,9 +80,11 @@
 //! and, on a switch fabric, the communicator's own strategy verdict. Like the plan
 //! tier's, the key names GPUs by rank, so one slice shape in one order is
 //! one key on every server of a fleet; a slice whose ids do not ascend
-//! keeps id keys. An entry holds the shared `Arc<Program>` over the GPUs of
-//! the communicator that lowered it (its labels), the tree count, the
-//! strategy tag, the picked root and the plans the lowering read.
+//! keeps id keys. An entry holds the program's engine compiled form
+//! ([`blink_sim::CompiledProgram`], which holds the shared `Arc<Program>`)
+//! over the GPUs of the communicator that lowered it (its labels), the tree
+//! count, the strategy tag, the picked root and the plans the lowering
+//! read.
 //!
 //! A hit hands those plans to the communicator's handle, so it ends up
 //! exactly as a fresh lowering would have left it. A hit on the lowering
@@ -97,41 +100,42 @@
 //! key are the same whoever holds them, so a handle holding some of them
 //! already holds the very same ones.
 //!
-//! An entry also keeps one engine compiled form ([`blink_sim::CompiledProgram`]),
-//! so a lowering a training loop replays every step, or a fleet places on
+//! The compiled form is part of the lowering, as Blink's CodeGen emits a
+//! collective once per allocation and every later iteration reuses it: the
+//! communicator that lowers afresh compiles the program on its simulator
+//! before it publishes the entry, so every entry holds exactly one form,
+//! and a lowering a training loop replays every step, or a fleet places on
 //! server after server, is validated and resolved once, not once per run.
-//! A fresh lowering's first run compiles into the run's scratch, as any run
-//! does; only the entry's first hit compiles an owned form, of the program
-//! over the hitting communicator's GPUs on its simulator
-//! ([`SharedPlanCache::compiled_forms`] counts them). A form names GPUs by
-//! dense index (their position among the simulator's GPU ids), so it runs
-//! a later hit's program wherever that communicator's GPUs sit at the same
-//! dense indices as the first hitter's and the form
-//! [fits](blink_sim::CompiledProgram::fits) its simulator. A communicator
-//! simulates its own slice, so that is every slice of the shape, in the
-//! same order, on any server or machine. Anywhere else (GPUs at other
-//! dense indices, a simulator that differs in something the form read) the
-//! run compiles the communicator's own program into its scratch, so a
-//! shared form never changes a schedule.
+//! A form names GPUs by dense index (their position among the simulator's
+//! GPU ids), so it runs a hit's program wherever that communicator's GPUs
+//! sit at the same dense indices as the lowering communicator's and the
+//! form [fits](blink_sim::CompiledProgram::fits) its simulator. A
+//! communicator simulates its own slice, so that is every slice of the
+//! shape, in the same order, on any server or machine. Anywhere else (GPUs
+//! at other dense indices, a simulator that differs in something the form
+//! read) the run compiles the communicator's own program into its scratch,
+//! so a shared form never changes a schedule.
 //!
 //! Run alone from time 0, a fitting form's total is a pure function of what
 //! the form read, and `fits` compares every one of those reads. So the
-//! form also keeps that total, set by the first
-//! [`crate::Communicator::run`] that simulates it, and every later `run`
-//! whose form fits is served the total without touching the engine, as
-//! Blink's CodeGen emits a collective once and every later call reuses it.
-//! A fresh lowering, a form that does not fit, and every run that needs
-//! more than the total (traced and checked runs, streams, sessions and
-//! process groups) still simulate ([`SharedPlanCache::engine_runs`] counts
-//! the runs that did). The form and its total live and die with their
-//! entry: eviction drops them with the lowering.
+//! entry also keeps that total, set by the first run of the form — the
+//! fresh lowering's own first [`crate::Communicator::run`], or the
+//! switch-fabric race that picked it — and every later `run` whose form
+//! fits, the entry's first hit included, is served the total without
+//! touching the engine. A lowering made for a stream or a process group
+//! has no total until some `run` of its form simulates it. A form that does
+//! not fit, and every run that needs more than the total (traced and
+//! checked runs, streams, sessions and process groups), still simulate
+//! ([`SharedPlanCache::engine_runs`] counts the runs that did). The form
+//! and its total live and die with their entry: eviction drops them with
+//! the lowering.
 
 use crate::collective::CollectiveKind;
 use crate::communicator::SwitchChoice;
-use crate::treegen::{LinkSelection, TreeGen, TreeGenOptions, TreePlan};
+use crate::treegen::{plan_over, LinkSelection, PlanningGraphs, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
-use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, PackingOptions, WeightedTree};
-use blink_sim::{CompiledProgram, Program, Simulator};
+use blink_graph::{optimal_broadcast_rate, Arborescence, PackingOptions, WeightedTree};
+use blink_sim::{CompiledProgram, Program};
 use blink_topology::{GpuId, GpuInfo, ServerId, Topology, TopologyDelta};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -139,10 +143,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A 64-bit fingerprint of everything (besides the root and link class) a
-/// [`TreePlan`] from [`TreeGen`] depends on: the induced topology's GPUs,
-/// links and per-GPU fabric caps, plus the [`TreeGenOptions`] with the link
-/// class left out (it is part of a plan key instead, so option sets that
-/// differ only in link class share one fingerprint).
+/// [`TreePlan`] from [`TreeGen`](crate::treegen::TreeGen) depends on: the
+/// induced topology's GPUs, links and per-GPU fabric caps, plus the
+/// [`TreeGenOptions`] with the link class left out (it is part of a plan
+/// key instead, so option sets that differ only in link class share one
+/// fingerprint).
 ///
 /// It tells GPU and server ids apart: two topologies share it only when
 /// they agree in everything a plan reads, ids included, so a plan made for
@@ -493,8 +498,6 @@ struct Tiers {
     failed_packs: u64,
     /// Ops summed over every fresh lowering offered to the lowering tier.
     lowered_ops: u64,
-    /// Compiled forms kept in lowering-tier entries.
-    compiled_forms: u64,
     /// Engine runs the store's communicators executed.
     engine_runs: u64,
 }
@@ -507,7 +510,6 @@ impl Default for Tiers {
             mwu_iterations: 0,
             failed_packs: 0,
             lowered_ops: 0,
-            compiled_forms: 0,
             engine_runs: 0,
         }
     }
@@ -532,15 +534,22 @@ pub(crate) struct LoweringKey {
 /// One lowered collective in the lowering tier.
 #[derive(Debug)]
 pub(crate) struct Lowering {
-    /// The program, over the GPUs of the communicator that lowered it.
-    pub(crate) program: Arc<Program>,
+    /// The engine's compiled form of the program, over the GPUs of the
+    /// communicator that lowered it, compiled on its simulator; the program
+    /// is [`CompiledProgram::program`].
+    pub(crate) form: Arc<CompiledProgram>,
     /// That communicator's allocation, in its order: a communicator of
     /// another slice renames `labels[i]` to its own `i`-th GPU.
     pub(crate) labels: Vec<GpuId>,
-    /// The engine's compiled form of the program, made on the entry's first
-    /// hit, and its memoised total once a run simulated it (see "the
-    /// lowering tier" in the module docs).
-    pub(crate) compiled: OnceLock<Compiled>,
+    /// The dense index ([`blink_sim::Simulator::gpu_index`]) of each GPU of
+    /// `labels` on that simulator, in allocation order.
+    pub(crate) dense: Vec<usize>,
+    /// The total time of the form run alone from time 0 on a simulator it
+    /// [fits](CompiledProgram::fits), set by the first such run (or by the
+    /// switch-fabric race that picked it). A fitting form reads nothing of
+    /// the simulator but what `fits` compares, so the total is the same on
+    /// every simulator the form fits.
+    pub(crate) total_us: OnceLock<f64>,
     /// Spanning trees (or partitions) the lowering used.
     pub(crate) num_trees: usize,
     /// Human-readable strategy tag of the lowering.
@@ -554,32 +563,15 @@ pub(crate) struct Lowering {
     pub(crate) sweep: usize,
 }
 
-/// A lowering's compiled form and the allocation it was compiled for: the
-/// program the first hit ran, over that communicator's GPUs, compiled on
-/// its simulator. Beside it, the form's isolated total once a run has
-/// simulated it (see "the lowering tier" in the module docs).
-#[derive(Debug)]
-pub(crate) struct Compiled {
-    pub(crate) form: Arc<CompiledProgram>,
-    /// The dense index ([`Simulator::gpu_index`]) of each GPU of that
-    /// allocation, in its order.
-    dense: Vec<usize>,
-    /// The total time of the form run alone from time 0 on a simulator it
-    /// [fits](CompiledProgram::fits), set by the first such run. A fitting
-    /// form reads nothing of the simulator but what `fits` compares, so
-    /// the total is the same on every simulator the form fits.
-    pub(crate) total_us: OnceLock<f64>,
-}
-
 impl Lowering {
-    /// The entry's compiled form, when it was compiled for an allocation
-    /// whose GPUs sit at `dense` — the dense indices, in allocation order,
-    /// of the caller's GPUs on its simulator. The entry's program renamed
-    /// onto the caller's allocation is then the form's program renamed by
-    /// dense index, so the form runs it wherever it
+    /// The entry's compiled form, when the caller's GPUs sit at the same
+    /// dense indices as the lowering communicator's: `dense` lists the
+    /// caller's, in allocation order, on its simulator. The entry's program
+    /// renamed onto the caller's allocation is then the form's program
+    /// renamed by dense index, so the form runs it wherever it
     /// [fits](CompiledProgram::fits).
-    pub(crate) fn form_for(&self, dense: &[usize]) -> Option<&Compiled> {
-        self.compiled.get().filter(|c| c.dense == dense)
+    pub(crate) fn form_for(&self, dense: &[usize]) -> Option<&Arc<CompiledProgram>> {
+        (self.dense == dense).then_some(&self.form)
     }
 }
 
@@ -728,19 +720,14 @@ impl SharedPlanCache {
         self.lock().lowered_ops
     }
 
-    /// Compiled forms the lowering tier's entries kept since creation: one
-    /// per entry at most, made on its first hit. Runs that compile into a
-    /// scratch (fresh lowerings, a form that does not fit) add none.
-    pub fn compiled_forms(&self) -> u64 {
-        self.lock().compiled_forms
-    }
-
     /// Engine runs the store's communicators executed since creation: each
     /// [`crate::Communicator::run`] or [`crate::Communicator::run_traced`]
     /// that simulated its program, and each strategy a switch fabric's
     /// first lowering of a kind raced. A run served a stored lowering's
-    /// memoised total adds none; streams, sessions and process groups are
-    /// not counted.
+    /// memoised total adds none, so a lowering that is only `run` where its
+    /// form fits simulates once in its entry's life: on its fresh lowering,
+    /// or in the race. Compiling a form runs no engine, and streams,
+    /// sessions and process groups are not counted.
     pub fn engine_runs(&self) -> u64 {
         self.lock().engine_runs
     }
@@ -748,34 +735,6 @@ impl SharedPlanCache {
     /// Counts one engine run (see [`SharedPlanCache::engine_runs`]).
     pub(crate) fn count_engine_run(&self) {
         self.lock().engine_runs += 1;
-    }
-
-    /// Compiles `program` — `lowering`'s program over the hitting
-    /// communicator's GPUs, whose dense indices on `sim` are `dense` — and
-    /// keeps the form in the entry, unless it keeps one already. A program
-    /// that fails to compile keeps none; its runs report the error as a
-    /// fresh lowering's would.
-    pub(crate) fn keep_compiled(
-        &self,
-        lowering: &Lowering,
-        program: &Arc<Program>,
-        sim: &Simulator,
-        dense: &[usize],
-    ) {
-        if lowering.compiled.get().is_some() {
-            return;
-        }
-        if let Ok(form) = sim.compile(program.clone()) {
-            let compiled = Compiled {
-                form: Arc::new(form),
-                dense: dense.to_vec(),
-                total_us: OnceLock::new(),
-            };
-            // a concurrent hit may have kept its own form first
-            if lowering.compiled.set(compiled).is_ok() {
-                self.lock().compiled_forms += 1;
-            }
-        }
     }
 
     /// How many plans the LRU bound has evicted from the plan tier since
@@ -796,17 +755,18 @@ impl SharedPlanCache {
     /// Stores `lowering` under `key`.
     pub(crate) fn publish_lowering(&self, key: LoweringKey, lowering: Arc<Lowering>) {
         let mut tiers = self.lock();
-        tiers.lowered_ops += lowering.program.len() as u64;
+        tiers.lowered_ops += lowering.form.program().len() as u64;
         tiers.lowerings.insert(key, lowering);
     }
 
     /// The one lookup-or-pack-and-publish routine: the plan for `root` over
     /// the `links` class of `induced`, `fp` being `induced`'s
-    /// [`rank_fingerprint`]. A plan-tier hit comes back relabelled onto
-    /// `induced`'s GPUs. A miss packs on the calling thread under the
-    /// default [`TreeGenOptions`] — warm from `seed` when one is given — and
-    /// a cold pack is published; a warm one stays the caller's, and a
-    /// failed pack is counted and returned, not cached.
+    /// [`rank_fingerprint`] and `graphs` its planning graphs. A plan-tier
+    /// hit comes back relabelled onto `induced`'s GPUs and builds no graph.
+    /// A miss packs on the calling thread over the `links` graph of
+    /// `graphs` under the default [`TreeGenOptions`] — warm from `seed` when
+    /// one is given — and a cold pack is published; a warm one stays the
+    /// caller's, and a failed pack is counted and returned, not cached.
     pub(crate) fn resolve(
         &self,
         links: LinkSelection,
@@ -814,6 +774,7 @@ impl SharedPlanCache {
         fp: u64,
         root: GpuId,
         seed: Option<Arc<TreePlan>>,
+        graphs: &PlanningGraphs,
     ) -> Result<Arc<TreePlan>> {
         let Some(rank) = induced.gpus().iter().position(|g| g.id == root) else {
             return Err(BlinkError::Planning(format!(
@@ -833,11 +794,7 @@ impl SharedPlanCache {
             links,
             ..TreeGenOptions::default()
         };
-        let tg = TreeGen::new(induced.clone(), options);
-        let plan = match &seed {
-            Some(seed) => tg.plan_warm(root, seed),
-            None => tg.plan(root),
-        };
+        let plan = plan_over(graphs.get(induced, links), &options, root, seed.as_deref());
         let mut tiers = self.lock();
         match plan {
             Ok(plan) => {
@@ -922,7 +879,7 @@ pub(crate) struct PlanCache {
     store: SharedPlanCache,
     plans: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
     /// Stale plans demoted by [`PlanCache::note_delta`], each consumed by the
-    /// next miss on its key to drive [`TreeGen::plan_warm`].
+    /// next miss on its key to drive [`TreeGen::plan_warm`](crate::treegen::TreeGen::plan_warm).
     seeds: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
     /// Every plan served since the last [`PlanCache::take_reads`].
     reads: Vec<Arc<TreePlan>>,
@@ -967,7 +924,7 @@ impl PlanCache {
 
     /// Applies an in-place topology-change event — a fault, a heal or a NIC
     /// change; it adds no GPU — to the handle. `induced` is the
-    /// **post-event** topology.
+    /// **post-event** topology and `graphs` its planning graphs.
     ///
     /// Plans the delta provably did not touch — untouched by removals, or
     /// healed by added links (see `plan_survives_delta`) — stay live. A
@@ -979,21 +936,22 @@ impl PlanCache {
     /// keeps plans live and bit-identical. Every demoted plan becomes a warm
     /// seed. The store is not told: its entries are cold plans of their
     /// keys, and the handle's kept and warm plans stay the handle's.
-    pub(crate) fn note_delta(&mut self, induced: &Topology, delta: &TopologyDelta) {
+    pub(crate) fn note_delta(
+        &mut self,
+        induced: &Topology,
+        delta: &TopologyDelta,
+        graphs: &PlanningGraphs,
+    ) {
         let epsilon = PackingOptions::default().epsilon;
-        // Lazily built per link class: one graph + one certificate per
-        // re-certified root, only on deltas that actually add links.
-        let mut cert_graphs: BTreeMap<LinkSelection, DiGraph> = BTreeMap::new();
         for (key, plan) in std::mem::take(&mut self.plans) {
             let survives = plan_survives_delta(&plan, delta);
             let outgrown = survives
                 && plan.gpus.len() >= 2
                 && delta.added_links.iter().any(|l| plan.links.matches(l))
                 && {
-                    let links = plan.links;
-                    let g = cert_graphs.entry(links).or_insert_with(|| {
-                        DiGraph::from_topology_filtered(induced, |l| links.matches(l))
-                    });
+                    // one certificate per re-certified root, only on deltas
+                    // that add links of the plan's class
+                    let g = graphs.get(induced, plan.links);
                     match g.node(plan.root) {
                         Some(root) => {
                             let cert = optimal_broadcast_rate(g, root);
@@ -1011,9 +969,10 @@ impl PlanCache {
     }
 
     /// The plan for `(root, links)` on `induced`, whose
-    /// [`rank_fingerprint`] is `fp`: served from the handle when memoised,
-    /// otherwise through [`SharedPlanCache::resolve`] (a store hit, or a
-    /// pack — warm from the root's seed when a delta left one).
+    /// [`rank_fingerprint`] is `fp` and planning graphs `graphs`: served
+    /// from the handle when memoised, otherwise through
+    /// [`SharedPlanCache::resolve`] (a store hit, or a pack — warm from the
+    /// root's seed when a delta left one).
     ///
     /// # Errors
     /// A failed pack; nothing is cached for it.
@@ -1023,13 +982,14 @@ impl PlanCache {
         links: LinkSelection,
         fp: u64,
         root: GpuId,
+        graphs: &PlanningGraphs,
     ) -> Result<Arc<TreePlan>> {
         if let Some(plan) = self.plans.get(&(root, links)) {
             self.reads.push(plan.clone());
             return Ok(plan.clone());
         }
         let seed = self.seeds.remove(&(root, links));
-        let plan = self.store.resolve(links, induced, fp, root, seed)?;
+        let plan = self.store.resolve(links, induced, fp, root, seed, graphs)?;
         self.plans.insert((root, links), plan.clone());
         self.reads.push(plan.clone());
         Ok(plan)
@@ -1129,7 +1089,8 @@ mod tests {
         /// fingerprint.
         fn plan(&mut self, induced: &Topology, root: GpuId) -> Result<Arc<TreePlan>> {
             let fp = rank_fingerprint(induced);
-            self.plan_for(induced, LinkSelection::NvLinkOnly, fp, root)
+            let graphs = PlanningGraphs::default();
+            self.plan_for(induced, LinkSelection::NvLinkOnly, fp, root, &graphs)
         }
     }
 
@@ -1163,7 +1124,13 @@ mod tests {
         cache.plan(&induced, GpuId(1)).unwrap();
         let fp = rank_fingerprint(&induced);
         cache
-            .plan_for(&induced, LinkSelection::PcieOnly, fp, GpuId(0))
+            .plan_for(
+                &induced,
+                LinkSelection::PcieOnly,
+                fp,
+                GpuId(0),
+                &PlanningGraphs::default(),
+            )
             .unwrap();
         assert_eq!(cache.len(), 3);
     }
@@ -1387,7 +1354,7 @@ mod tests {
         on_b.plan(&b, GpuId(40)).unwrap();
         let delta = TopologyDelta::kill_link(&b, GpuId(40), GpuId(41));
         let damaged = b.apply_delta(&delta).unwrap();
-        on_b.note_delta(&damaged, &delta);
+        on_b.note_delta(&damaged, &delta, &PlanningGraphs::default());
         assert_eq!(on_b.seeded(), 1);
         let warm = on_b.plan(&damaged, GpuId(40)).unwrap();
         assert!(warm.mwu.warm_seeded > 0, "the repair ran from the seed");
@@ -1406,11 +1373,97 @@ mod tests {
         let mut on_a = PlanCache::new(store.clone());
         on_a.plan(&a, GpuId(0)).unwrap();
         let delta = TopologyDelta::kill_link(&a, GpuId(0), GpuId(1));
-        on_a.note_delta(&a.apply_delta(&delta).unwrap(), &delta);
+        on_a.note_delta(
+            &a.apply_delta(&delta).unwrap(),
+            &delta,
+            &PlanningGraphs::default(),
+        );
         assert!(Arc::ptr_eq(
             &stored(&store, fp, 0, LinkSelection::NvLinkOnly).unwrap(),
             &packed
         ));
+    }
+
+    /// Whether a resolved plan is the plan TreeGen made, or both failed
+    /// alike.
+    fn resolved_as(resolved: Result<Arc<TreePlan>>, made: Result<TreePlan>) -> bool {
+        match (resolved, made) {
+            (Ok(resolved), Ok(made)) => resolved.bit_eq(&made),
+            (Err(resolved), Err(made)) => resolved.to_string() == made.to_string(),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn a_plan_resolved_over_a_shapes_graphs_is_the_one_treegen_makes() {
+        use crate::treegen::TreeGen;
+        use blink_topology::presets::{dgx1p, dgx2};
+        // DGX-1V, DGX-1P and DGX-2 slices, and DGX-1P slices NVLink cannot
+        // span, planned over PCIe as the fallback does; each shape's plans
+        // go through one set of planning graphs, cold from the first and
+        // last GPU, then warm from seeds: each root's own cold plan,
+        // another root's (which seeds nothing), and the cold plan again on
+        // the slice with its first two GPUs' links killed
+        let nvlink = LinkSelection::NvLinkOnly;
+        let pcie = LinkSelection::PcieOnly;
+        let cases = [
+            (dgx1v(), vec![0, 1, 2, 3, 4, 5, 6, 7], nvlink),
+            (dgx1v(), vec![1, 4, 5, 6], nvlink),
+            (dgx1p(), vec![0, 1, 3, 4, 5, 7], nvlink),
+            (dgx2(), vec![0, 3, 7, 11, 12], nvlink),
+            (dgx1p(), vec![1, 4], pcie),
+            (dgx1p(), vec![1, 4, 6], pcie),
+        ];
+        for (machine, gpus, links) in cases {
+            let alloc: Vec<GpuId> = gpus.into_iter().map(GpuId).collect();
+            let induced = machine.induced(&alloc).unwrap();
+            let fp = rank_fingerprint(&induced);
+            let options = TreeGenOptions {
+                links,
+                ..TreeGenOptions::default()
+            };
+            let tg = TreeGen::new(induced.clone(), options);
+            let (store, graphs) = (SharedPlanCache::new(), PlanningGraphs::default());
+            let roots = [alloc[0], alloc[alloc.len() - 1]];
+            let cold = roots.map(|root| {
+                let plan = store.resolve(links, &induced, fp, root, None, &graphs);
+                let made = tg.plan(root);
+                assert!(resolved_as(plan.clone(), made), "{alloc:?} from {root}");
+                plan.unwrap()
+            });
+            let delta = TopologyDelta::kill_link(&induced, alloc[0], alloc[1]);
+            let damaged = induced.apply_delta(&delta).unwrap();
+            let damaged_graphs = PlanningGraphs::default();
+            let damaged_tg = TreeGen::new(damaged.clone(), options);
+            for (k, &root) in roots.iter().enumerate() {
+                for seed in [&cold[k], &cold[1 - k]] {
+                    // a fresh store, so the key misses and the seed is read
+                    let warm = SharedPlanCache::new().resolve(
+                        links,
+                        &induced,
+                        fp,
+                        root,
+                        Some(seed.clone()),
+                        &graphs,
+                    );
+                    let made = tg.plan_warm(root, seed);
+                    assert!(resolved_as(warm, made), "{alloc:?} from {root}");
+                }
+                let repaired = SharedPlanCache::new().resolve(
+                    links,
+                    &damaged,
+                    rank_fingerprint(&damaged),
+                    root,
+                    Some(cold[k].clone()),
+                    &damaged_graphs,
+                );
+                let made = damaged_tg.plan_warm(root, &cold[k]);
+                assert!(
+                    resolved_as(repaired, made),
+                    "{alloc:?} repaired from {root}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1483,7 +1536,7 @@ mod tests {
         let mut a = PlanCache::new(shared.clone());
         a.plan(&full, GpuId(0)).unwrap();
         let delta = TopologyDelta::between(&full, &half);
-        a.note_delta(&half, &delta);
+        a.note_delta(&half, &delta, &PlanningGraphs::default());
         a.plan(&half, GpuId(0)).unwrap();
         assert_eq!(shared.len(), 1, "a warm repack is not published");
         let fp_full = rank_fingerprint(&full);
@@ -1577,7 +1630,7 @@ mod tests {
         // a physical NVLink connection dies
         let delta = TopologyDelta::kill_link(&induced, GpuId(0), GpuId(1));
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &delta);
+        cache.note_delta(&after, &delta, &PlanningGraphs::default());
         // every plan either survived (untouched by the dead pair) or became
         // a warm-start seed — none were thrown away
         assert_eq!(cache.len() + cache.seeded(), 8);
@@ -1618,7 +1671,7 @@ mod tests {
             ..Default::default()
         };
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &delta);
+        cache.note_delta(&after, &delta, &PlanningGraphs::default());
         assert_eq!(cache.len(), 1, "untouched plan stays live locally");
         assert_eq!(cache.seeded(), 0);
         // the next lookup serves it bit-identically without re-packing
@@ -1655,7 +1708,7 @@ mod tests {
         };
         assert!(delta.is_pure_growth() && !delta.is_pure_removal());
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &delta);
+        cache.note_delta(&after, &delta, &PlanningGraphs::default());
         assert_eq!(
             cache.len(),
             1,
@@ -1687,7 +1740,7 @@ mod tests {
             ..Default::default()
         };
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &delta);
+        cache.note_delta(&after, &delta, &PlanningGraphs::default());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.seeded(), 0);
         let again = cache.plan(&after, GpuId(0)).unwrap();
@@ -1706,7 +1759,7 @@ mod tests {
         // broadcast min-cut from root 0
         let grow = TopologyDelta::between(&damaged, &full);
         assert!(grow.is_pure_growth() && !grow.added_links.is_empty());
-        cache.note_delta(&full, &grow);
+        cache.note_delta(&full, &grow, &PlanningGraphs::default());
         assert_eq!(
             cache.len(),
             0,

@@ -49,15 +49,15 @@
 //! [`Communicator::run_traced`], [`Communicator::run_streamed`] and
 //! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
 //! simulate on a scratch checked out of the process's pool for one run. A
-//! call that hits a stored lowering also runs the engine's compiled form
-//! the tier keeps beside it where that form runs here, so a repeated step,
-//! or the same job shape on another server, skips validating and resolving
-//! its programs; a fresh lowering compiles into the run's scratch.
-//! [`Communicator::run`] reads only the run's total time, so the engine
-//! builds no per-op spans or per-link accounting for it; where the stored
-//! form runs here and a run already simulated it, `run` takes the total the
-//! tier memoised beside the form and runs no engine at all. A hit renames
-//! none of the stored lowering's plans until something reads them.
+//! fresh lowering compiles its program into the engine's form on the
+//! communicator's simulator, and the form is part of the stored lowering;
+//! every call runs that form where it runs here, so a repeated step, or the
+//! same job shape on another server, skips validating and resolving its
+//! programs. [`Communicator::run`] reads only the run's total time, so the
+//! engine builds no per-op spans or per-link accounting for it; where the
+//! stored form runs here and a run already simulated it, `run` takes the
+//! total the tier memoised beside the form and runs no engine at all. A hit
+//! renames none of the stored lowering's plans until something reads them.
 //!
 //! # Building one
 //!
@@ -80,7 +80,7 @@
 //! splits.
 
 use crate::autotune::{
-    global_plan_cache, rank_fingerprint_and_order, ChunkAutotuner, Compiled, Lowering, LoweringKey,
+    global_plan_cache, rank_fingerprint_and_order, ChunkAutotuner, Lowering, LoweringKey,
     PlanCache, Renaming, SharedPlanCache,
 };
 use crate::codegen::{CodeGen, CodeGenOptions};
@@ -89,12 +89,11 @@ use crate::fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 use crate::hybrid::HybridPlanner;
 use crate::multiserver::three_phase_allreduce_cached;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
-use crate::treegen::{LinkSelection, ScratchPool, TreePlan};
+use crate::treegen::{LinkSelection, PlanningGraphs, ScratchPool, TreePlan};
 use crate::{BlinkError, Result};
-use blink_graph::{optimal_broadcast_rate_in, DiGraph, NodeIdx, WeightedTree};
+use blink_graph::{optimal_broadcast_rate_in, NodeIdx, WeightedTree};
 use blink_sim::{
-    algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, RunReport, Simulator,
-    ValueCheck,
+    algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, Simulator, ValueCheck,
 };
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta, TopologyError};
@@ -308,10 +307,14 @@ type LoweredRun = (CollectiveReport, Option<Lowered>, Vec<(f64, f64)>);
 /// One collective signature: the key of a communicator's chunk tuners.
 type Signature = (CollectiveKind, u64);
 
-/// A fresh lowering: the program, the trees (or partitions) it uses, its
-/// strategy tag and, when a switch-fabric strategy race simulated the
-/// winner, that run.
-type Built = (Program, usize, String, Option<RunReport>);
+/// A lowered program before it is compiled: the program, the trees (or
+/// partitions) it uses and its strategy tag.
+type Candidate = (Program, usize, String);
+
+/// A fresh lowering: its program compiled on the communicator's simulator,
+/// the trees (or partitions) it uses, its strategy tag and, when a
+/// switch-fabric strategy race ran it, its isolated total.
+type Built = (CompiledProgram, usize, String, Option<f64>);
 
 /// A lowering as one communicator runs it: the lowering tier's entry and,
 /// once a caller read it, its program over the communicator's GPUs.
@@ -336,15 +339,16 @@ impl Lowered {
     /// (the same slice shape in the same order, since the lowering key
     /// says so), made on the first call.
     pub(crate) fn program(&self, allocation: &[GpuId]) -> Arc<Program> {
+        let program = self.entry.form.program();
         if self.entry.labels == allocation {
-            return self.entry.program.clone();
+            return program.clone();
         }
         self.program
             .get_or_init(|| {
                 // the tier hands a lowering only to allocations of its
                 // labels' length, which is all a renaming needs
                 let renamed = Renaming::new(&self.entry.labels, allocation)
-                    .map(|renaming| renaming.program(&self.entry.program));
+                    .map(|renaming| renaming.program(program));
                 Arc::new(renamed.unwrap_or_default())
             })
             .clone()
@@ -367,11 +371,11 @@ pub struct StreamedGroup {
     /// The lowered (possibly fused) program, shared with the plan store's
     /// lowering tier.
     pub program: Arc<Program>,
-    /// The compiled form the lowering tier keeps beside the lowering, once
-    /// a call hit it (see [`crate::autotune`]): `program`'s, up to renaming
-    /// its GPUs by dense index. The session ran it when it was compiled for
-    /// GPUs at this communicator's dense indices and fits its simulator.
-    pub compiled: Option<Arc<CompiledProgram>>,
+    /// The lowering's compiled form, kept in the lowering tier with it (see
+    /// [`crate::autotune`]): `program`'s, up to renaming its GPUs by dense
+    /// index. The session ran it when it was compiled for GPUs at this
+    /// communicator's dense indices and fits its simulator.
+    pub compiled: Arc<CompiledProgram>,
     /// The engine's per-op `(start, end)` spans for this program.
     pub op_spans: Vec<(f64, f64)>,
     /// Human-readable strategy tag of the lowering.
@@ -432,6 +436,10 @@ struct ShapeState {
     /// compiled form must have been compiled for to run here (see
     /// [`Lowering::form_for`]).
     dense: Vec<usize>,
+    /// The induced topology's planning graphs, each built by the first
+    /// fresh lowering or root sweep that needs it; a lowering-tier hit
+    /// builds none.
+    graphs: PlanningGraphs,
     /// Per-signature MIAD chunk tuners, consulted only when
     /// [`CommunicatorOptions::chunk_bytes`] is `None`.
     tuners: BTreeMap<Signature, ChunkAutotuner>,
@@ -441,8 +449,9 @@ struct ShapeState {
     /// sweep.
     picked: Option<(GpuId, Vec<Arc<TreePlan>>)>,
     /// Memoised NVLink spannability verdicts per root — including the
-    /// negative ones the plan cache cannot represent, so PCIe-fallback
-    /// communicators stop rebuilding the NVLink graph every collective.
+    /// negative ones the plan cache cannot represent, so a PCIe-fallback
+    /// communicator walks the NVLink graph once per root, not once per
+    /// fresh lowering.
     spannable: BTreeMap<GpuId, bool>,
     /// Memoised winner of the one-hop-vs-packed simulate-off per collective
     /// kind (rooted kinds per root) on switch fabrics. Per communicator, and
@@ -469,6 +478,7 @@ impl ShapeState {
             plan_fp,
             lowering_fp: lowering_fingerprint(plan_fp, order, options),
             dense,
+            graphs: PlanningGraphs::default(),
             tuners: BTreeMap::new(),
             picked: None,
             spannable: BTreeMap::new(),
@@ -646,11 +656,9 @@ impl Communicator {
             let g = self.allocation[i];
             return Err(BlinkError::Planning(format!("GPU {g} not in topology")));
         }
-        let (lowered, chunk, raced) = self.lower_raced(kind, bytes)?;
-        let (total_us, op_spans) = match raced {
-            Some(report) => (report.total_us, report.op_spans),
-            None => self.simulate_lowered(&lowered, spans)?,
-        };
+        let lowered = self.lower(kind, bytes)?;
+        let chunk = self.current_chunk(kind, bytes);
+        let (total_us, op_spans) = self.simulate_lowered(&lowered, spans)?;
         let lowering = &lowered.entry;
         let gbps = algorithmic_bandwidth_gbps(bytes, total_us);
         self.observe_chunk(kind, bytes, gbps);
@@ -747,17 +755,18 @@ impl Communicator {
                 issue_us,
                 end_us: issue_us,
                 program: lowered.program(&self.allocation),
-                compiled: lowered.entry.compiled.get().map(|c| c.form.clone()),
+                compiled: lowered.entry.form.clone(),
                 op_spans: Vec::new(),
                 strategy: lowered.entry.strategy.clone(),
             });
         }
         let mut session = self.sim.session();
         for (g, from_form) in out.iter().zip(from_form) {
-            match g.compiled.clone().filter(|_| from_form) {
-                Some(compiled) => session.admit_compiled(g.program.clone(), compiled, g.issue_us),
-                None => session.admit(g.program.clone(), g.issue_us),
-            };
+            if from_form {
+                session.admit_compiled(g.program.clone(), g.compiled.clone(), g.issue_us);
+            } else {
+                session.admit(g.program.clone(), g.issue_us);
+            }
         }
         let report = session
             .run_with_scratch(&mut ScratchPool::process().checkout().engine)
@@ -852,22 +861,10 @@ impl Communicator {
     /// Lowers `kind` over `bytes` at the signature's current chunk size,
     /// through the plan store's lowering tier: a hit returns the stored
     /// lowering (renamed onto this communicator's GPUs when another slice
-    /// lowered it), a miss lowers afresh and publishes the result. Failed
-    /// lowerings are not stored.
+    /// lowered it), a miss lowers afresh, compiles the program on this
+    /// communicator's simulator and publishes the result. Failed lowerings
+    /// are not stored.
     pub(crate) fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Lowered> {
-        self.lower_raced(kind, bytes).map(|(lowered, _, _)| lowered)
-    }
-
-    /// [`Communicator::lower`], plus the chunk size it lowered at and the
-    /// winner's run when this lowering was fresh and raced two
-    /// switch-fabric strategies (see [`Communicator::build_switch_program`]):
-    /// the race already simulated the program, so the caller about to run
-    /// it can report that run.
-    fn lower_raced(
-        &mut self,
-        kind: CollectiveKind,
-        bytes: u64,
-    ) -> Result<(Lowered, u64, Option<RunReport>)> {
         // the key names a rooted collective's root by its position in the
         // allocation, so one shape's rooted collectives from one position
         // share an entry on every server
@@ -901,21 +898,10 @@ impl Communicator {
             .lowering(&lookup, |l| l.labels.len() == self.allocation.len());
         if let Some(hit) = hit {
             self.shape.unadopted = Some(hit.clone());
-            let lowered = Lowered::new(hit);
-            // the entry's first hit compiles its program over this
-            // communicator's GPUs; later hits read no program to run it
-            if lowered.entry.compiled.get().is_none() {
-                self.plans.store().keep_compiled(
-                    &lowered.entry,
-                    &lowered.program(&self.allocation),
-                    &self.sim,
-                    &self.shape.dense,
-                );
-            }
-            return Ok((lowered, chunk, None));
+            return Ok(Lowered::new(hit));
         }
         self.plans.take_reads();
-        let (program, num_trees, strategy, raced) = self.build_program(kind, bytes, chunk)?;
+        let (form, num_trees, strategy, total_us) = self.build_program(kind, bytes, chunk)?;
         let mut plans = Vec::new();
         let mut root = None;
         if kind.root().is_none() && self.packs_per_root() {
@@ -931,9 +917,10 @@ impl Communicator {
             }
         }
         let lowering = Arc::new(Lowering {
-            program: Arc::new(program),
+            form: Arc::new(form),
             labels: self.allocation.clone(),
-            compiled: OnceLock::new(),
+            dense: self.shape.dense.clone(),
+            total_us: total_us.map(OnceLock::from).unwrap_or_default(),
             num_trees,
             strategy,
             root,
@@ -944,7 +931,7 @@ impl Communicator {
         self.plans
             .store()
             .publish_lowering(publish, lowering.clone());
-        Ok((Lowered::new(lowering), chunk, raced))
+        Ok(Lowered::new(lowering))
     }
 
     /// Adopts the stored lowering the communicator last took
@@ -991,8 +978,14 @@ impl Communicator {
     /// The plan for `root` over the `links` class of this communicator's
     /// slice, through its plan handle.
     fn plan(&mut self, links: LinkSelection, root: GpuId) -> Result<Arc<TreePlan>> {
-        let fp = self.shape.plan_fp;
-        self.plans.plan_for(self.sim.topology(), links, fp, root)
+        let shape = &self.shape;
+        self.plans.plan_for(
+            self.sim.topology(),
+            links,
+            shape.plan_fp,
+            root,
+            &shape.graphs,
+        )
     }
 
     /// Whether rootless collectives run over per-root packed trees and a
@@ -1049,7 +1042,7 @@ impl Communicator {
     /// later per-root planning surfaces the real error).
     fn root_sweep(&mut self) -> SweepOutcome {
         let links = LinkSelection::NvLinkOnly;
-        let g = DiGraph::from_topology_filtered(self.sim.topology(), |l| links.matches(l));
+        let g = self.shape.graphs.get(self.sim.topology(), links);
         let candidates: Vec<(GpuId, NodeIdx)> = self
             .allocation
             .iter()
@@ -1071,7 +1064,7 @@ impl Communicator {
             // The first candidate packs unconditionally (no plan to beat yet).
             if out.rate_gbps >= 0.0
                 && optimal_broadcast_rate_in(
-                    &g,
+                    g,
                     idx,
                     &mut ScratchPool::process().checkout().certificate,
                 ) <= out.rate_gbps
@@ -1079,7 +1072,11 @@ impl Communicator {
                 continue;
             }
             let seeds = self.plans.seeded();
-            let Ok(plan) = self.plan(links, cand) else {
+            let fp = self.shape.plan_fp;
+            let planned =
+                self.plans
+                    .plan_for(self.sim.topology(), links, fp, cand, &self.shape.graphs);
+            let Ok(plan) = planned else {
                 return SweepOutcome::fallback(self.allocation[0]);
             };
             // Only roots that consumed a seed contribute repair evidence: a
@@ -1199,7 +1196,8 @@ impl Communicator {
         self.machine = Arc::new(machine);
         self.sim = Simulator::with_defaults(induced);
         self.shape = ShapeState::new(&self.allocation, &self.options, &self.sim);
-        self.plans.note_delta(self.sim.topology(), delta);
+        self.plans
+            .note_delta(self.sim.topology(), delta, &self.shape.graphs);
         let plans_kept = self.plans.len();
         let seeds_demoted = self.plans.seeded();
         if plans_kept + seeds_demoted > 0 {
@@ -1246,8 +1244,9 @@ impl Communicator {
         })
     }
 
-    /// Lowers `kind` afresh; a rooted kind's root is in the allocation
-    /// ([`Communicator::lower_raced`] checks it).
+    /// Lowers `kind` afresh and compiles the program on the communicator's
+    /// simulator; a rooted kind's root is in the allocation
+    /// ([`Communicator::lower`] checks it).
     fn build_program(&mut self, kind: CollectiveKind, bytes: u64, chunk: u64) -> Result<Built> {
         // ---- multi-server allocations: the three-phase protocol ----
         if self.is_multi_server() {
@@ -1292,7 +1291,7 @@ impl Communicator {
                 info.partitions,
                 if fell_back { "; PCIe fallback" } else { "" }
             );
-            return Ok((program, info.partitions, strategy, None));
+            return self.compile((program, info.partitions, strategy));
         }
 
         let cg = CodeGen::new(self.codegen_options(chunk));
@@ -1313,9 +1312,10 @@ impl Communicator {
         let nvlink_spans = match self.shape.spannable.get(&root) {
             Some(&spans) => spans,
             None => {
-                let g = DiGraph::from_topology_filtered(self.sim.topology(), |l| {
-                    LinkSelection::NvLinkOnly.matches(l)
-                });
+                let g = self
+                    .shape
+                    .graphs
+                    .get(self.sim.topology(), LinkSelection::NvLinkOnly);
                 let spans = g.node(root).map(|i| g.spans_from(i)).unwrap_or(false);
                 self.shape.spannable.insert(root, spans);
                 spans
@@ -1328,12 +1328,13 @@ impl Communicator {
                     self.sim.topology(),
                     self.shape.plan_fp,
                     root,
+                    &self.shape.graphs,
                 )?;
                 let (program, split) =
                     planner.build(kind, bytes, &self.codegen_options(chunk), self.sim.params())?;
                 let n = planner.nvlink_plan().num_trees() + planner.pcie_plan().num_trees();
                 let strategy = format!("hybrid NVLink+PCIe ({} B over PCIe)", split.pcie_bytes);
-                return Ok((program, n, strategy, None));
+                return self.compile((program, n, strategy));
             }
             let plan = self.plan(LinkSelection::NvLinkOnly, root)?;
             let n = plan.num_trees();
@@ -1343,7 +1344,7 @@ impl Communicator {
             } else {
                 "packed spanning trees (NVLink)".to_string()
             };
-            return Ok((program, n, strategy, None));
+            return self.compile((program, n, strategy));
         }
 
         // ---- NVLink cannot span the allocation: fall back to PCIe trees ----
@@ -1360,7 +1361,7 @@ impl Communicator {
         } else {
             "packed spanning trees (PCIe fallback)".to_string()
         };
-        Ok((program, n, strategy, None))
+        self.compile((program, n, strategy))
     }
 
     /// Lowers a collective on an all-to-all switch fabric (NVSwitch): one-hop
@@ -1385,11 +1386,11 @@ impl Communicator {
     /// [`Communicator::replan`], and part of the key every later lowering of
     /// the kind is stored under.
     ///
-    /// The race's winning run is the first call's report: it is returned
-    /// with the lowering, and [`Communicator::run_traced`] reports it instead
-    /// of simulating the winner a second time. It is never stored, so later
-    /// calls (lowering-tier hits) simulate their program once, as on any
-    /// fabric.
+    /// The race compiles both candidates and runs each form alone once; the
+    /// winner's form is the lowering's, and its run's total the lowering's
+    /// memoised total, so the first [`Communicator::run`] simulates nothing
+    /// more. Once the kind is decided, a fresh lowering (another byte size
+    /// or chunk) builds and compiles the winning strategy only.
     fn build_switch_program(
         &mut self,
         kind: CollectiveKind,
@@ -1397,25 +1398,29 @@ impl Communicator {
         chunk: u64,
     ) -> Result<Built> {
         if let Some(&choice) = self.shape.switch_strategy.get(&kind) {
-            let (program, n, strategy) = self.switch_candidate(choice, kind, bytes, chunk)?;
-            return Ok((program, n, strategy, None));
+            let candidate = self.switch_candidate(choice, kind, bytes, chunk)?;
+            return self.compile(candidate);
         }
         let one_hop = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
-        let (choice, (program, n, strategy), run) =
-            match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk) {
-                Ok(packed) => {
-                    let one_hop_run = self.simulate(&one_hop.0)?;
-                    let packed_run = self.simulate(&packed.0)?;
-                    if packed_run.total_us + 1e-9 < one_hop_run.total_us {
-                        (SwitchChoice::Packed, packed, Some(packed_run))
-                    } else {
-                        (SwitchChoice::OneHop, one_hop, Some(one_hop_run))
-                    }
+        let mut one_hop = self.compile(one_hop)?;
+        let (choice, built) = match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk)
+        {
+            Ok(packed) => {
+                let mut packed = self.compile(packed)?;
+                let one_hop_us = self.simulate(&one_hop.0)?;
+                let packed_us = self.simulate(&packed.0)?;
+                if packed_us + 1e-9 < one_hop_us {
+                    packed.3 = Some(packed_us);
+                    (SwitchChoice::Packed, packed)
+                } else {
+                    one_hop.3 = Some(one_hop_us);
+                    (SwitchChoice::OneHop, one_hop)
                 }
-                Err(_) => (SwitchChoice::OneHop, one_hop, None),
-            };
+            }
+            Err(_) => (SwitchChoice::OneHop, one_hop),
+        };
         self.shape.switch_strategy.insert(kind, choice);
-        Ok((program, n, strategy, run))
+        Ok(built)
     }
 
     /// Builds one switch-fabric candidate lowering.
@@ -1425,7 +1430,7 @@ impl Communicator {
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
-    ) -> Result<(Program, usize, String)> {
+    ) -> Result<Candidate> {
         let cg = CodeGen::new(self.codegen_options(chunk));
         match choice {
             SwitchChoice::OneHop => {
@@ -1459,20 +1464,27 @@ impl Communicator {
         }
     }
 
-    /// The compiled form `lowered`'s entry keeps, when it was compiled for
-    /// GPUs at this communicator's dense indices (see
-    /// [`Lowering::form_for`]).
-    pub(crate) fn form_for<'a>(&self, lowered: &'a Lowered) -> Option<&'a Compiled> {
+    /// `lowered`'s compiled form, when it was compiled for GPUs at this
+    /// communicator's dense indices (see [`Lowering::form_for`]).
+    pub(crate) fn form_for<'a>(&self, lowered: &'a Lowered) -> Option<&'a Arc<CompiledProgram>> {
         lowered.entry.form_for(&self.shape.dense)
     }
 
-    /// Simulates `program` once on a scratch checked out of the process's
-    /// pool.
-    fn simulate(&self, program: &Program) -> Result<RunReport> {
+    /// `candidate` with its program compiled on the communicator's
+    /// simulator, failing as a run of the program would.
+    fn compile(&self, (program, n, strategy): Candidate) -> Result<Built> {
+        let form = self.sim.compile(program);
+        let form = form.map_err(|e| BlinkError::Simulation(e.to_string()))?;
+        Ok((form, n, strategy, None))
+    }
+
+    /// Runs `form`, compiled on this communicator's simulator, alone once on
+    /// a scratch checked out of the process's pool, and returns its total.
+    fn simulate(&self, form: &CompiledProgram) -> Result<f64> {
         self.plans.store().count_engine_run();
         let engine = &mut ScratchPool::process().checkout().engine;
         self.sim
-            .run_with_scratch(program, engine)
+            .run_total(form.program(), Some(form), engine)
             .map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 
@@ -1481,20 +1493,22 @@ impl Communicator {
     /// renaming the program, and from its program otherwise — and returns
     /// the total time with, when `spans` asks for them, the per-op spans.
     /// Without spans, a fitting form whose total a run already memoised
-    /// returns that total and runs nothing; the first fitting run sets it.
+    /// returns that total and runs nothing; every run of a fitting form
+    /// sets it.
     fn simulate_lowered(&self, lowered: &Lowered, spans: bool) -> Result<(f64, Vec<(f64, f64)>)> {
-        let compiled = self.form_for(lowered).filter(|c| c.form.fits(&self.sim));
-        if let Some(&total_us) = compiled.and_then(|c| c.total_us.get()).filter(|_| !spans) {
+        let entry = &lowered.entry;
+        let form = self.form_for(lowered).filter(|form| form.fits(&self.sim));
+        if let Some(&total_us) = form.and(entry.total_us.get()).filter(|_| !spans) {
             return Ok((total_us, Vec::new()));
         }
         self.plans.store().count_engine_run();
-        let form = compiled.map(|c| &*c.form);
         // a fitting form reads nothing of the program it runs but its
-        // length, which renaming keeps, so the entry's own stands in
+        // length, which renaming keeps, so the form's own stands in
         let program = match form {
-            Some(_) => lowered.entry.program.clone(),
+            Some(form) => form.program().clone(),
             None => lowered.program(&self.allocation),
         };
+        let form = form.map(|form| &**form);
         let engine = &mut ScratchPool::process().checkout().engine;
         let run = if spans {
             match form {
@@ -1503,14 +1517,16 @@ impl Communicator {
             }
             .map(|report| (report.total_us, report.op_spans))
         } else {
-            let total_us = self.sim.run_total(&program, form, engine);
-            if let (Some(c), Ok(total_us)) = (compiled, &total_us) {
-                // a concurrent run of the same form sets the same bits
-                let _ = c.total_us.set(*total_us);
-            }
-            total_us.map(|total_us| (total_us, Vec::new()))
+            self.sim
+                .run_total(&program, form, engine)
+                .map(|total_us| (total_us, Vec::new()))
         };
-        run.map_err(|e| BlinkError::Simulation(e.to_string()))
+        let run = run.map_err(|e| BlinkError::Simulation(e.to_string()))?;
+        if form.is_some() {
+            // a concurrent run of the same form sets the same bits
+            let _ = entry.total_us.set(run.0);
+        }
+        Ok(run)
     }
 }
 
@@ -1922,10 +1938,12 @@ mod tests {
     }
 
     #[test]
-    fn a_raced_dgx2_first_call_reports_the_winners_run() {
-        // the race simulates the winner once and the first call reports
-        // that run: it must pass the oracle and match a lowering-tier hit (and
-        // a fresh simulation of the same program) bit for bit
+    fn a_raced_dgx2_first_call_is_served_the_winners_memoised_total() {
+        // the race runs each candidate's form once and keeps the winner's
+        // total in the lowering, so neither the first call nor a repeat
+        // simulates anything more; the total is what a fresh simulation of
+        // the winner's program gives, and a traced run of it passes the
+        // oracle
         let options = CommunicatorOptions {
             chunk_bytes: Some(4 << 20),
             ..Default::default()
@@ -1948,22 +1966,23 @@ mod tests {
                 .isolated_plans()
                 .build()
                 .unwrap();
-            let (first, program, spans) = comm.run_traced(kind, bytes).unwrap();
+            let first = comm.run(kind, bytes).unwrap();
             assert_eq!(first.strategy, winner, "{alloc:?}");
-            let check = check_collective(kind.spec(), &program, &spans, &alloc, bytes);
-            assert!(check.is_correct(), "{alloc:?}: {check}");
-            let (second, again, second_spans) = comm.run_traced(kind, bytes).unwrap();
-            assert!(
-                Arc::ptr_eq(&program, &again),
-                "the second call is a lowering-tier hit"
-            );
+            let store = comm.plan_store().clone();
+            assert_eq!(store.engine_runs(), 2, "the race ran each candidate once");
+            let second = comm.run(kind, bytes).unwrap();
+            assert_eq!(store.engine_runs(), 2, "the repeat is served the memo");
             assert_eq!(first.elapsed_us.to_bits(), second.elapsed_us.to_bits());
+            let (traced, program, spans) = comm.run_traced(kind, bytes).unwrap();
+            assert_eq!(first.elapsed_us.to_bits(), traced.elapsed_us.to_bits());
+            let fresh = Simulator::with_defaults(dgx2()).run(&program).unwrap();
+            assert_eq!(first.elapsed_us.to_bits(), fresh.total_us.to_bits());
             let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
                 s.iter().map(|&(a, b)| (a.to_bits(), b.to_bits())).collect()
             };
-            assert_eq!(bits(&spans), bits(&second_spans), "{alloc:?}");
-            let fresh = Simulator::with_defaults(dgx2()).run(&program).unwrap();
             assert_eq!(bits(&spans), bits(&fresh.op_spans), "{alloc:?}");
+            let check = check_collective(kind.spec(), &program, &spans, &alloc, bytes);
+            assert!(check.is_correct(), "{alloc:?}: {check}");
             // and the first run_checked on a fresh communicator conforms
             let mut comm = Communicator::builder(dgx2())
                 .allocation(&alloc)
@@ -2754,9 +2773,10 @@ mod tests {
     fn a_form_runs_for_the_same_slice_shape_on_any_server() {
         // GPUs {0, 1, 3} of servers 0 and 2 of one machine share a lowering
         // key. Each job simulates its own slice, where its GPUs sit at dense
-        // indices 0, 1, 2, so server 2's job runs server 0's form, and the
-        // run is the one its own compile makes. A whole-machine simulator
-        // reads other links; the form does not fit it.
+        // indices 0, 1, 2, so server 2's job runs the form server 0's fresh
+        // lowering compiled, and the run is the one its own compile makes.
+        // A whole-machine simulator reads other links; the form does not fit
+        // it.
         let machine = multi_server(4, ServerKind::Dgx1V, 5.0);
         let store = SharedPlanCache::new();
         let on = |gpus: [usize; 3]| {
@@ -2767,19 +2787,18 @@ mod tests {
                 .unwrap()
         };
         let kind = CollectiveKind::AllReduce;
-        on([0, 1, 3]).lower(kind, mb(8)).unwrap();
-        let mut again = on([0, 1, 3]);
-        let hit = again.lower(kind, mb(8)).unwrap();
-        let form = hit
-            .entry
-            .compiled
-            .get()
-            .expect("the first hit keeps a form");
+        let fresh = on([0, 1, 3]).lower(kind, mb(8)).unwrap();
+        let form = &fresh.entry.form;
+        let hit = on([0, 1, 3]).lower(kind, mb(8)).unwrap();
+        assert!(
+            Arc::ptr_eq(&hit.entry, &fresh.entry),
+            "the hit runs that form"
+        );
         let mut away = on([16, 17, 19]);
         let renamed = away.lower(kind, mb(8)).unwrap();
-        assert!(Arc::ptr_eq(&renamed.entry, &hit.entry), "one entry");
-        assert!(away.form_for(&renamed).is_some() && form.form.fits(&away.sim));
-        assert!(!form.form.fits(&Simulator::with_defaults(machine.clone())));
+        assert!(Arc::ptr_eq(&renamed.entry, &fresh.entry), "one entry");
+        assert!(away.form_for(&renamed).is_some() && form.fits(&away.sim));
+        assert!(!form.fits(&Simulator::with_defaults(machine.clone())));
         let (total, spans) = away.simulate_lowered(&renamed, true).unwrap();
         let own = away
             .sim
@@ -2790,7 +2809,7 @@ mod tests {
             .unwrap();
         assert_eq!(total.to_bits(), own.total_us.to_bits());
         assert_eq!(format!("{spans:?}"), format!("{:?}", own.op_spans));
-        assert_eq!(store.compiled_forms(), 1);
+        assert_eq!(store.lowering_stats(), (2, 1), "one lowering, one form");
     }
 
     #[test]
@@ -2820,12 +2839,8 @@ mod tests {
         assert_eq!(first.groups.len(), 4);
         assert_eq!(first.finish_us.to_bits(), second.finish_us.to_bits());
         assert_eq!(first.finish_us.to_bits(), third.finish_us.to_bits());
-        // the second step hits every lowering, so it runs compiled forms,
-        // and the third runs the very same ones
-        for (b, c) in second.groups.iter().zip(&third.groups) {
-            let (b, c) = (b.compiled.as_ref(), c.compiled.as_ref());
-            assert!(Arc::ptr_eq(b.unwrap(), c.unwrap()));
-        }
+        // every lowering carries its compiled form from the first step on,
+        // and the later steps hit them, so they run the very same forms
         for (a, b) in first
             .groups
             .iter()
@@ -2833,10 +2848,8 @@ mod tests {
             .chain(first.groups.iter().zip(&third.groups))
         {
             assert!(Arc::ptr_eq(&a.program, &b.program), "{:?}", a.group);
-            assert!(Arc::ptr_eq(
-                &a.program,
-                b.compiled.as_ref().unwrap().program()
-            ));
+            assert!(Arc::ptr_eq(&a.compiled, &b.compiled), "{:?}", a.group);
+            assert!(Arc::ptr_eq(&a.program, b.compiled.program()));
             assert_eq!(a.end_us.to_bits(), b.end_us.to_bits());
             assert_eq!(a.op_spans.len(), b.op_spans.len());
             for (x, y) in a.op_spans.iter().zip(&b.op_spans) {

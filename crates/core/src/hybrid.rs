@@ -14,7 +14,7 @@
 use crate::autotune::PlanCache;
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
-use crate::treegen::{LinkSelection, TreePlan};
+use crate::treegen::{LinkSelection, PlanningGraphs, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::WeightedTree;
 use blink_sim::{LinkClass, Program, ProgramBuilder, SimParams};
@@ -70,8 +70,8 @@ pub struct HybridPlanner {
 
 impl HybridPlanner {
     /// Plans hybrid transfers rooted at `root` over the induced topology of an
-    /// allocation, whose rank fingerprint is `fp`, through a communicator's
-    /// plan cache: the NVLink and PCIe
+    /// allocation, whose rank fingerprint is `fp` and planning graphs
+    /// `graphs`, through a communicator's plan cache: the NVLink and PCIe
     /// plans are memoised per root, so re-planning the same collective (the
     /// autotune loop) skips the MWU packing entirely.
     ///
@@ -82,9 +82,10 @@ impl HybridPlanner {
         induced: &Topology,
         fp: u64,
         root: GpuId,
+        graphs: &PlanningGraphs,
     ) -> Result<Self> {
-        let nvlink_plan = cache.plan_for(induced, LinkSelection::NvLinkOnly, fp, root)?;
-        let pcie = cache.plan_for(induced, LinkSelection::PcieOnly, fp, root)?;
+        let nvlink_plan = cache.plan_for(induced, LinkSelection::NvLinkOnly, fp, root, graphs)?;
+        let pcie = cache.plan_for(induced, LinkSelection::PcieOnly, fp, root, graphs)?;
         // PCIe is a shared switch hierarchy, not a set of independent
         // point-to-point links: packing several "PCIe trees" would double
         // count the fabric. Blink builds a single tree set over PCIe
@@ -221,7 +222,8 @@ mod tests {
     fn plan(induced: &Topology, root: GpuId) -> HybridPlanner {
         let mut cache = PlanCache::new(SharedPlanCache::new());
         let fp = rank_fingerprint(induced);
-        HybridPlanner::plan_cached(&mut cache, induced, fp, root).unwrap()
+        HybridPlanner::plan_cached(&mut cache, induced, fp, root, &PlanningGraphs::default())
+            .unwrap()
     }
 
     fn mb(n: u64) -> u64 {

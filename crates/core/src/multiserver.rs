@@ -16,7 +16,7 @@
 use crate::autotune::{rank_fingerprint, SharedPlanCache};
 use crate::codegen::{check_op_budget, Chunks, CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
-use crate::treegen::{LinkSelection, TreePlan};
+use crate::treegen::{LinkSelection, PlanningGraphs, TreePlan};
 use crate::{BlinkError, Result};
 use blink_sim::{LinkClass, OpId, Program, ProgramBuilder};
 use blink_topology::{GpuId, ServerId, Topology};
@@ -110,9 +110,10 @@ pub fn three_phase_allreduce_cached(
             .induced(gpus)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
         let fp = rank_fingerprint(&topo);
+        let graphs = PlanningGraphs::default();
         let server_plans = server_roots
             .iter()
-            .map(|&root| store.resolve(links, &topo, fp, root, None))
+            .map(|&root| store.resolve(links, &topo, fp, root, None, &graphs))
             .collect::<Result<Vec<_>>>()?;
         plans.push(server_plans);
     }

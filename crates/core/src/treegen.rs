@@ -322,8 +322,7 @@ impl TreeGen {
     }
 
     fn graph(&self) -> DiGraph {
-        let links = self.options.links;
-        DiGraph::from_topology_filtered(&self.topology, |l| links.matches(l))
+        planning_graph(&self.topology, self.options.links)
     }
 
     /// Whether a spanning tree rooted at `root` exists over the selected link
@@ -342,7 +341,7 @@ impl TreeGen {
     /// Fails when the root is not in the allocation or the selected link class
     /// cannot span the allocation.
     pub fn plan(&self, root: GpuId) -> Result<TreePlan> {
-        self.plan_seeded(root, None)
+        plan_over(&self.graph(), &self.options, root, None)
     }
 
     /// [`TreeGen::plan`] warm-started from a stale plan — the incremental
@@ -365,105 +364,139 @@ impl TreeGen {
     /// # Errors
     /// Same as [`TreeGen::plan`].
     pub fn plan_warm(&self, root: GpuId, warm: &TreePlan) -> Result<TreePlan> {
-        if warm.root != root || warm.links != self.options.links || warm.trees.is_empty() {
-            return self.plan(root);
-        }
-        self.plan_seeded(root, Some(&TreePacking::new(root, warm.trees.clone())))
+        plan_over(&self.graph(), &self.options, root, Some(warm))
     }
+}
 
-    /// The one planning body behind [`TreeGen::plan`] (`warm == None`) and
-    /// [`TreeGen::plan_warm`]: packing, then minimisation, each seeded from
-    /// `warm` when given.
-    fn plan_seeded(&self, root: GpuId, warm: Option<&TreePacking>) -> Result<TreePlan> {
-        let g = self.graph();
-        let gpus = self.topology.gpu_ids();
-        if gpus.len() == 1 {
-            return Ok(TreePlan {
-                root,
-                gpus,
-                trees: Vec::new(),
-                optimal_rate_gbps: 0.0,
-                trees_before_minimize: 0,
-                links: self.options.links,
-                mwu: PackingStats::trivial(),
-            });
-        }
-        let mut guard = ScratchPool::process().checkout();
-        let scratch = &mut *guard;
-        if let (None, Some(capacity)) = (warm, self.closed_form(&g, root)) {
-            let trees = relay_trees(&gpus, root, capacity);
-            let optimal = optimal_broadcast_rate_in(&g, 0, &mut scratch.certificate);
-            return Ok(TreePlan {
-                root,
-                gpus,
-                optimal_rate_gbps: optimal,
-                trees_before_minimize: trees.len(),
-                links: self.options.links,
-                mwu: PackingStats {
-                    iterations: 0,
-                    distinct_trees: trees.len(),
-                    hit_iteration_cap: false,
-                    termination: PackingTermination::Certificate,
-                    certificate_gbps: optimal,
-                    warm_seeded: 0,
-                    warm_dropped: 0,
-                    warm_repaired: 0,
-                    warm_topup: 0,
-                },
-                trees,
-            });
-        }
-        let opts = &self.options.packing;
-        let (packing, stats) = match warm {
-            Some(w) => pack_spanning_trees_warm_in(&g, root, opts, &mut scratch.packing, w),
-            None => pack_spanning_trees_in(&g, root, opts, &mut scratch.packing),
-        }
-        .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        // The packing already computed the Edmonds/Lovász certificate for its
-        // early exit; reuse it instead of recomputing it — both here and
-        // inside the minimisation, which would otherwise solve the same cut
-        // problem a second time.
-        let optimal = stats.certificate_gbps;
-        let before = packing.num_trees();
-        let minimize = MinimizeOptions {
-            // an explicitly configured optimum wins; otherwise forward the
-            // certificate the packing just computed
-            known_optimum: self.options.minimize.known_optimum.or(Some(optimal)),
-            ..self.options.minimize
+/// The graph TreeGen packs over: `topology`'s links of the `links` class,
+/// parallel links pooled, with every GPU a node in topology order.
+fn planning_graph(topology: &Topology, links: LinkSelection) -> DiGraph {
+    DiGraph::from_topology_filtered(topology, |l| links.matches(l))
+}
+
+/// The planning graphs of one induced topology, one per link class, each
+/// built on its first use: a holder kept per shape builds each graph at
+/// most once, and a caller whose plans all hit a store builds none.
+#[derive(Debug, Default)]
+pub(crate) struct PlanningGraphs {
+    nvlink: OnceLock<DiGraph>,
+    pcie: OnceLock<DiGraph>,
+}
+
+impl PlanningGraphs {
+    /// The `links` graph of `induced`, the topology every earlier call
+    /// passed.
+    pub(crate) fn get(&self, induced: &Topology, links: LinkSelection) -> &DiGraph {
+        let cell = match links {
+            LinkSelection::NvLinkOnly => &self.nvlink,
+            LinkSelection::PcieOnly => &self.pcie,
         };
-        let final_packing = match warm {
-            Some(w) => minimize_trees_warm_in(&g, &packing, &minimize, &mut scratch.minimize, w),
-            None => minimize_trees_in(&g, &packing, &minimize, &mut scratch.minimize),
-        };
-        Ok(TreePlan {
+        cell.get_or_init(|| planning_graph(induced, links))
+    }
+}
+
+/// The one planning body behind [`TreeGen::plan`] (`warm == None`),
+/// [`TreeGen::plan_warm`] and the plan store's packs: packing, then
+/// minimisation, over `g` (the `options.links` graph of the induced
+/// topology), each seeded from `warm` when it can seed this plan (same root
+/// and link class, some trees).
+pub(crate) fn plan_over(
+    g: &DiGraph,
+    options: &TreeGenOptions,
+    root: GpuId,
+    warm: Option<&TreePlan>,
+) -> Result<TreePlan> {
+    let gpus = g.gpus().to_vec();
+    if gpus.len() == 1 {
+        return Ok(TreePlan {
             root,
             gpus,
-            trees: final_packing.trees,
+            trees: Vec::new(),
+            optimal_rate_gbps: 0.0,
+            trees_before_minimize: 0,
+            links: options.links,
+            mwu: PackingStats::trivial(),
+        });
+    }
+    let warm = warm
+        .filter(|w| w.root == root && w.links == options.links && !w.trees.is_empty())
+        .map(|w| TreePacking::new(root, w.trees.clone()));
+    let warm = warm.as_ref();
+    let mut guard = ScratchPool::process().checkout();
+    let scratch = &mut *guard;
+    if let (None, Some(capacity)) = (warm, closed_form(g, options, root)) {
+        let trees = relay_trees(&gpus, root, capacity);
+        let optimal = optimal_broadcast_rate_in(g, 0, &mut scratch.certificate);
+        return Ok(TreePlan {
+            root,
+            gpus,
             optimal_rate_gbps: optimal,
-            trees_before_minimize: before,
-            links: self.options.links,
-            mwu: stats,
-        })
+            trees_before_minimize: trees.len(),
+            links: options.links,
+            mwu: PackingStats {
+                iterations: 0,
+                distinct_trees: trees.len(),
+                hit_iteration_cap: false,
+                termination: PackingTermination::Certificate,
+                certificate_gbps: optimal,
+                warm_seeded: 0,
+                warm_dropped: 0,
+                warm_repaired: 0,
+                warm_topup: 0,
+            },
+            trees,
+        });
     }
+    let opts = &options.packing;
+    let (packing, stats) = match warm {
+        Some(w) => pack_spanning_trees_warm_in(g, root, opts, &mut scratch.packing, w),
+        None => pack_spanning_trees_in(g, root, opts, &mut scratch.packing),
+    }
+    .map_err(|e| BlinkError::Planning(e.to_string()))?;
+    // The packing already computed the Edmonds/Lovász certificate for its
+    // early exit; reuse it instead of recomputing it — both here and
+    // inside the minimisation, which would otherwise solve the same cut
+    // problem a second time.
+    let optimal = stats.certificate_gbps;
+    let before = packing.num_trees();
+    let minimize = MinimizeOptions {
+        // an explicitly configured optimum wins; otherwise forward the
+        // certificate the packing just computed
+        known_optimum: options.minimize.known_optimum.or(Some(optimal)),
+        ..options.minimize
+    };
+    let final_packing = match warm {
+        Some(w) => minimize_trees_warm_in(g, &packing, &minimize, &mut scratch.minimize, w),
+        None => minimize_trees_in(g, &packing, &minimize, &mut scratch.minimize),
+    };
+    Ok(TreePlan {
+        root,
+        gpus,
+        trees: final_packing.trees,
+        optimal_rate_gbps: optimal,
+        trees_before_minimize: before,
+        links: options.links,
+        mwu: stats,
+    })
+}
 
-    /// The capacity of every edge when a cold plan from `root` has a closed
-    /// form: `g` is a complete uniform digraph
-    /// ([`complete_uniform_capacity`]), `root` is its first node and its GPUs
-    /// ascend (so it is the smallest GPU), and the options are the default
-    /// ones, under which MWU packing plus minimisation returns the relay
-    /// trees ([`relay_trees`]) bit for bit. `None` otherwise.
-    fn closed_form(&self, g: &DiGraph, root: GpuId) -> Option<f64> {
-        let defaults = TreeGenOptions {
-            links: self.options.links,
-            ..TreeGenOptions::default()
-        };
-        let first = g.gpus().first() == Some(&root);
-        let ascending = g.gpus().windows(2).all(|w| w[0] < w[1]);
-        if self.options != defaults || !first || !ascending {
-            return None;
-        }
-        complete_uniform_capacity(g)
+/// The capacity of every edge when a cold plan from `root` has a closed
+/// form: `g` is a complete uniform digraph ([`complete_uniform_capacity`]),
+/// `root` is its first node and its GPUs ascend (so it is the smallest GPU),
+/// and `options` are the default ones, under which MWU packing plus
+/// minimisation returns the relay trees ([`relay_trees`]) bit for bit.
+/// `None` otherwise.
+fn closed_form(g: &DiGraph, options: &TreeGenOptions, root: GpuId) -> Option<f64> {
+    let defaults = TreeGenOptions {
+        links: options.links,
+        ..TreeGenOptions::default()
+    };
+    let first = g.gpus().first() == Some(&root);
+    let ascending = g.gpus().windows(2).all(|w| w[0] < w[1]);
+    if *options != defaults || !first || !ascending {
+        return None;
     }
+    complete_uniform_capacity(g)
 }
 
 #[cfg(test)]

@@ -695,12 +695,9 @@ fn step_bits(run: &StreamedRun) -> String {
     format!("{:?} {spans:?}", run.finish_us)
 }
 
-/// The compiled forms a step ran, one per group; every group has one.
+/// The compiled forms of a step's lowerings, one per group.
 fn compiled_forms(run: &StreamedRun) -> Vec<Arc<CompiledProgram>> {
-    run.groups
-        .iter()
-        .map(|g| g.compiled.clone().expect("a hit keeps a compiled form"))
-        .collect()
+    run.groups.iter().map(|g| g.compiled.clone()).collect()
 }
 
 #[test]
@@ -709,15 +706,16 @@ fn placement_communicators_over_the_same_slices_share_one_compiled_form() {
     let placed = || CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices);
     let store = SharedPlanCache::new();
     let mut a = placed().shared_plans(store.clone()).build().unwrap();
+    // a fresh lowering carries its form from its first run on
     let fresh = step(&mut a);
-    // the second 16 MiB bucket already hits the first one's lowering
-    assert!(fresh.groups[0].compiled.is_none());
+    let forms = compiled_forms(&fresh);
     let repeat = step(&mut a);
-    let forms = compiled_forms(&repeat);
     let mut b = placed().shared_plans(store.clone()).build().unwrap();
     let shared = step(&mut b);
-    for (form, other) in forms.iter().zip(compiled_forms(&shared)) {
-        assert!(Arc::ptr_eq(form, &other), "b runs a's compiled form");
+    for run in [&repeat, &shared] {
+        for (form, other) in forms.iter().zip(compiled_forms(run)) {
+            assert!(Arc::ptr_eq(form, &other), "a's repeat and b run a's form");
+        }
     }
     let private = step(&mut placed().isolated_plans().build().unwrap());
     for run in [&repeat, &shared] {
@@ -847,12 +845,12 @@ fn a_shared_form_that_does_not_fit_never_serves_its_memoised_total() {
             .build()
             .unwrap()
     };
-    // a fresh lowering, then the hit that keeps the form and memoises its
-    // total, then a run served that total
+    // a fresh lowering, which compiles the form and whose run memoises its
+    // total, then two hits served that total
     let mut home = on(&with_nics);
     let runs: Vec<_> = (0..3).map(|_| home.run(kind, bytes).unwrap()).collect();
-    assert_eq!(store.engine_runs(), 2, "the third run is served the memo");
-    assert_eq!(store.compiled_forms(), 1);
+    assert_eq!(store.engine_runs(), 1, "the later runs are served the memo");
+    assert_eq!(store.lowering_stats(), (2, 1), "one lowering, one form");
     let mut away = on(&without_nics);
     for i in 1..=2 {
         let (hits, misses) = store.lowering_stats();
@@ -862,7 +860,7 @@ fn a_shared_form_that_does_not_fit_never_serves_its_memoised_total() {
             (hits + 1, misses),
             "a shared lowering"
         );
-        assert_eq!(store.engine_runs(), 2 + i, "a form that does not fit runs");
+        assert_eq!(store.engine_runs(), 1 + i, "a form that does not fit runs");
         let private = Communicator::builder(without_nics.clone())
             .isolated_plans()
             .build()
@@ -1046,12 +1044,11 @@ fn lowering_shape(comm: &Communicator) -> String {
 
 #[test]
 fn every_local_shape_runs_on_every_server_what_an_isolated_communicator_runs() {
-    // the first communicator of a lowering shape lowers afresh and
-    // simulates; the second hits, keeps the entry's compiled form and
-    // simulates it, memoising its total; every later one hits and is
-    // served that total without running the engine. Local shapes at
-    // different places on a server can be one lowering shape, so the
-    // count follows the shape, not the server set.
+    // the first communicator of a lowering shape lowers afresh, compiling
+    // the entry's form, and simulates it, memoising its total; every later
+    // one hits and is served that total without running the engine. Local
+    // shapes at different places on a server can be one lowering shape, so
+    // the count follows the shape, not the server set.
     let bytes = (3 << 20) + 5;
     let kind = CollectiveKind::AllReduce;
     let store = SharedPlanCache::new();
@@ -1080,7 +1077,7 @@ fn every_local_shape_runs_on_every_server_what_an_isolated_communicator_runs() {
             );
             assert_eq!(
                 store.engine_runs(),
-                runs + u64::from(earlier < 2),
+                runs + u64::from(earlier == 0),
                 "{slices:?}: the shape's communicator {earlier} runs the engine only \
                  without a memoised total"
             );
@@ -1090,6 +1087,29 @@ fn every_local_shape_runs_on_every_server_what_an_isolated_communicator_runs() {
         seen.len() < local_shapes().len(),
         "some local shapes share a lowering"
     );
+}
+
+#[test]
+fn the_first_hit_of_a_run_runs_no_engine() {
+    // the fresh lowering's run memoised its form's total, so the entry's
+    // first hit, on another server, is served it: no compile, no engine
+    let (kind, bytes) = (CollectiveKind::AllReduce, 16 << 20);
+    let options = CommunicatorOptions::default();
+    let store = SharedPlanCache::new();
+    let on = |server| vec![(server, on_server(server, &[0, 1, 2, 5]))];
+    let fresh = placed_on(&on(0), options, Some(&store))
+        .run(kind, bytes)
+        .unwrap();
+    assert_eq!(store.engine_runs(), 1);
+    let hit = placed_on(&on(3), options, Some(&store))
+        .run(kind, bytes)
+        .unwrap();
+    assert_eq!(store.lowering_stats(), (1, 1), "the second run hits");
+    assert_eq!(store.engine_runs(), 1, "and runs no engine");
+    let private = placed_on(&on(3), options, None).run(kind, bytes).unwrap();
+    for report in [&fresh, &private] {
+        assert_eq!(format!("{hit:?}"), format!("{report:?}"));
+    }
 }
 
 #[test]
