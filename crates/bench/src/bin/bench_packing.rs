@@ -29,6 +29,15 @@
 //! (0) and trees (15 and 11), and whether that plan is bit-identical to the
 //! stage's own MWU-plus-minimisation plan of the same graph.
 //!
+//! A sixth stage, **lane_packing**, runs the exact lane packer
+//! ([`blink_graph::pack_lanes_in`]) from every root of every DGX-1V and
+//! DGX-1P class of 2–8 GPUs that NVLink spans (299 class × root plans). It
+//! records the packer's work — max-flows run and search nodes visited,
+//! summed and per plan at most — and how many plans fall short of their
+//! certificate (0: the packing is exact). Beside them, as context, it
+//! records the mean and maximum wall time of one exact plan and of one MWU
+//! packing plus minimisation of the same graph and root.
+//!
 //! The pre-optimisation naive solvers are not measured here: they survive
 //! only as the test-only bit-identity oracles the graph crate's unit tests
 //! pin the fast paths against. The recorded throughput here is consequently
@@ -55,19 +64,24 @@
 //!   are the same on every runner, so the gate is armed everywhere;
 //! * the TreeGen plans of the full DGX-2 and its 12-GPU shape must run no
 //!   more MWU iterations and keep no more trees than recorded, and each must
-//!   be bit-identical to the stage's MWU-plus-minimisation plan.
+//!   be bit-identical to the stage's MWU-plus-minimisation plan;
+//! * the lane stage's max-flows and search nodes, summed and per plan at
+//!   most, and its trees must not exceed the recording, every plan must
+//!   reach its certificate, and the plan count must equal the recording.
 //!
 //! It does not rewrite the JSON.
 
 use blink_bench::alloc::{allocations, Counting};
 use blink_bench::over_recording;
 use blink_core::{TreeGen, TreeGenOptions};
+use blink_graph::lanes::whole_lanes;
 use blink_graph::{
-    broadcast_rate_all_sinks_in, minimize_trees_in, optimal_broadcast_rate,
-    optimal_broadcast_rate_in, pack_spanning_trees_in, DiGraph, MaxFlowScratch, MinimizeOptions,
-    MinimizeScratch, PackingOptions, PackingScratch, TreePacking,
+    broadcast_rate_all_sinks_in, lane_unit, minimize_trees_in, optimal_broadcast_rate,
+    optimal_broadcast_rate_in, pack_lanes_in, pack_spanning_trees_in, DiGraph, LaneScratch,
+    MaxFlowScratch, MinimizeOptions, MinimizeScratch, PackingOptions, PackingScratch, TreePacking,
 };
-use blink_topology::presets::{dgx1v, dgx2, multi_server, ServerKind, DEFAULT_NIC_GBPS};
+use blink_topology::enumerate::unique_allocations;
+use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind, DEFAULT_NIC_GBPS};
 use blink_topology::GpuId;
 use serde::Serialize;
 use std::time::Instant;
@@ -190,6 +204,100 @@ fn treegen_dgx2(gpus: usize, minimized: &TreePacking, certificate: f64) -> (usiz
     (plan.mwu.iterations, plan.num_trees(), same)
 }
 
+/// The exact lane packer over every DGX-1V and DGX-1P class × root.
+#[derive(Debug, Serialize)]
+struct LanePackingReport {
+    /// Class × root plans packed (every root NVLink spans; gated equal).
+    plans: usize,
+    /// Max-flows run over all plans (gated).
+    max_flows: u64,
+    /// Search nodes visited over all plans (gated).
+    search_nodes: u64,
+    /// Max-flows of the costliest plan (gated).
+    max_flows_per_plan_max: u64,
+    /// Search nodes of the costliest plan (gated).
+    search_nodes_per_plan_max: u64,
+    /// Trees over all plans, identical ones merged (gated).
+    trees: usize,
+    /// Plans whose rate is not their certificate (gated 0).
+    below_certificate: usize,
+    /// Mean wall-clock microseconds of one exact plan (context only).
+    mean_us: f64,
+    /// The slowest exact plan's wall-clock microseconds (context only).
+    max_us: f64,
+    /// Mean wall-clock microseconds of one MWU packing plus minimisation of
+    /// the same graphs and roots (context only).
+    mwu_mean_us: f64,
+    /// The slowest MWU packing plus minimisation (context only).
+    mwu_max_us: f64,
+}
+
+/// Packs every DGX-1V and DGX-1P class of 2–8 GPUs from every root NVLink
+/// spans, exactly and by MWU plus minimisation, timing each over `runs`
+/// calls.
+fn lane_packing(runs: usize) -> LanePackingReport {
+    let mut out = LanePackingReport {
+        plans: 0,
+        max_flows: 0,
+        search_nodes: 0,
+        max_flows_per_plan_max: 0,
+        search_nodes_per_plan_max: 0,
+        trees: 0,
+        below_certificate: 0,
+        mean_us: 0.0,
+        max_us: 0.0,
+        mwu_mean_us: 0.0,
+        mwu_max_us: 0.0,
+    };
+    let (mut lanes, mut packing, mut minimize) = Default::default();
+    let mut cut = MaxFlowScratch::new();
+    let opts = PackingOptions::default();
+    for machine in [dgx1v(), dgx1p()] {
+        for class in unique_allocations(&machine, 2..=8).expect("a preset enumerates") {
+            let induced = machine
+                .induced(&class.representative)
+                .expect("a valid class");
+            let g = DiGraph::from_topology_filtered(&induced, |l| l.kind.is_nvlink());
+            // a class with no NVLink edge has no lane and no spanning root
+            let Some(unit) = lane_unit(&g) else {
+                continue;
+            };
+            for (r, _) in g.spanning_roots().iter().enumerate().filter(|(_, &s)| s) {
+                let root = g.gpu(r);
+                let certificate = optimal_broadcast_rate_in(&g, r, &mut cut);
+                let k = whole_lanes(certificate, unit).expect("a whole number of lanes");
+                let pack = |lanes: &mut LaneScratch| {
+                    pack_lanes_in(&g, root, unit, k, lanes).expect("the lanes hold k trees")
+                };
+                let (plan, stats) = pack(&mut lanes);
+                let us = time_calls(runs, || {
+                    pack(&mut lanes);
+                }) * 1e6;
+                let mwu_us = time_calls(runs, || {
+                    let (p, _) = pack_spanning_trees_in(&g, root, &opts, &mut packing)
+                        .expect("the class spans");
+                    minimize_trees_in(&g, &p, &MinimizeOptions::default(), &mut minimize);
+                }) * 1e6;
+                out.plans += 1;
+                out.max_flows += stats.max_flows;
+                out.search_nodes += stats.search_nodes;
+                out.max_flows_per_plan_max = out.max_flows_per_plan_max.max(stats.max_flows);
+                out.search_nodes_per_plan_max =
+                    out.search_nodes_per_plan_max.max(stats.search_nodes);
+                out.trees += plan.num_trees();
+                out.below_certificate += usize::from(plan.rate() != certificate);
+                out.mean_us += us;
+                out.max_us = out.max_us.max(us);
+                out.mwu_mean_us += mwu_us;
+                out.mwu_max_us = out.mwu_max_us.max(mwu_us);
+            }
+        }
+    }
+    out.mean_us /= out.plans as f64;
+    out.mwu_mean_us /= out.plans as f64;
+    out
+}
+
 #[derive(Debug, Serialize)]
 struct Config {
     topology: String,
@@ -212,6 +320,8 @@ struct Report {
     certificate_allsinks: CertificateAllSinksReport,
     /// Packing and minimising the full DGX-2: work counts only.
     dgx2_packing: Dgx2PackingReport,
+    /// The exact lane packer over every DGX-1 class × root.
+    lane_packing: LanePackingReport,
 }
 
 /// Times `runs` invocations of `f` and returns mean seconds per call.
@@ -363,6 +473,7 @@ fn measure(quick: bool) -> Report {
         certificate,
         certificate_allsinks,
         dgx2_packing,
+        lane_packing: lane_packing(if quick { 2 } else { 10 }),
     }
 }
 
@@ -450,6 +561,33 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
             None => failures.push(format!("dgx2_packing {key} is not recorded")),
         }
     }
+    let l = &report.lane_packing;
+    failures.extend(over_recording(
+        "lane_packing",
+        recorded.get("lane_packing"),
+        &[
+            ("max_flows", l.max_flows as f64),
+            ("search_nodes", l.search_nodes as f64),
+            ("max_flows_per_plan_max", l.max_flows_per_plan_max as f64),
+            (
+                "search_nodes_per_plan_max",
+                l.search_nodes_per_plan_max as f64,
+            ),
+            ("trees", l.trees as f64),
+        ],
+    ));
+    if l.below_certificate != 0 {
+        failures.push(format!(
+            "lane_packing: {} plans fall short of their certificate",
+            l.below_certificate
+        ));
+    }
+    if recorded_f64(&["lane_packing", "plans"]) != Some(l.plans as f64) {
+        failures.push(format!(
+            "lane_packing packs {} class × root plans, not the recorded number",
+            l.plans
+        ));
+    }
     match recorded_f64(&["dgx2_packing", "certificate_gbps"]) {
         Some(rec) if (d.certificate_gbps - rec).abs() > 1e-6 * rec.max(1.0) => {
             failures.push(format!(
@@ -485,6 +623,7 @@ fn main() {
             out.certificate_allsinks.vertices,
         );
         eprintln!("{}", dgx2_summary(&out.dgx2_packing));
+        eprintln!("{}", lane_summary(&out.lane_packing));
         if failures.is_empty() {
             eprintln!("all packing quality gates hold against the recorded trajectory");
             return;
@@ -512,6 +651,26 @@ fn main() {
         out.certificate_allsinks.vertices,
     );
     eprintln!("{}", dgx2_summary(&out.dgx2_packing));
+    eprintln!("{}", lane_summary(&out.lane_packing));
+}
+
+fn lane_summary(l: &LanePackingReport) -> String {
+    format!(
+        "lane_packing: {} plans, {} max-flows ({} at most per plan), {} search nodes ({} at \
+         most), {} trees, {} below their certificate; exact {:.1} us mean, {:.1} us max; MWU \
+         plus minimisation {:.1} us mean, {:.1} us max (context only)",
+        l.plans,
+        l.max_flows,
+        l.max_flows_per_plan_max,
+        l.search_nodes,
+        l.search_nodes_per_plan_max,
+        l.trees,
+        l.below_certificate,
+        l.mean_us,
+        l.max_us,
+        l.mwu_mean_us,
+        l.mwu_max_us,
+    )
 }
 
 fn dgx2_summary(d: &Dgx2PackingReport) -> String {

@@ -1,7 +1,9 @@
 //! The paper's evaluation in one run: every figure of
 //! [`blink_bench::figures`], the Section 5.2 class counts (`sec5_2`) and
-//! the Section 3.2.1 tree-minimisation case study, each printed as a table
-//! and recorded in `BENCH_paper.json` under its figure id. Figures 19 and
+//! the Section 3.2.1 tree-minimisation case study and the per-class sweep
+//! of exact lane packings against MWU plus minimisation (`class_sweep`,
+//! counted in `class_sweep_summary`), each printed as a table and recorded
+//! in `BENCH_paper.json` under its figure id. Figures 19 and
 //! 20 plot one sweep, recorded once as `fig19_20`. Every row is simulated,
 //! so it is the same on every runner; `EXPERIMENTS.md` reads each paper
 //! claim off a field of the recording.
@@ -28,7 +30,8 @@ fn rows<T: Serialize>(rows: Vec<T>) -> Vec<Value> {
 }
 
 /// Every figure once, in paper order: (figure id, rows).
-fn run_figures() -> [(&'static str, Vec<Value>); 19] {
+fn run_figures() -> [(&'static str, Vec<Value>); 21] {
+    let (sweep, sweep_summary) = class_sweep();
     [
         ("fig02", rows(fig02_broadcast_motivation())),
         ("fig03", rows(fig03_scheduler_allocations(40_000))),
@@ -49,6 +52,8 @@ fn run_figures() -> [(&'static str, Vec<Value>); 19] {
         ("fig24", rows(fig24_depth_tests())),
         ("fig26", rows(fig26_breadth_tests())),
         ("tab_tree_minimization", rows(vec![tab_tree_minimization()])),
+        ("class_sweep", rows(sweep)),
+        ("class_sweep_summary", rows(vec![sweep_summary])),
     ]
 }
 

@@ -7,7 +7,11 @@
 //! on a communicator with an empty cache and every root the sweep packs
 //! starts from scratch (cold). Both paths run the exact same `replan` code;
 //! the only difference is whether delta invalidation had stale plans to
-//! demote into seeds. Each communicator plans through a fresh
+//! demote into seeds. On a lane graph (every DGX-1 NVLink slice) a replan
+//! sets its seeds aside and packs exactly, so warm and cold do the same
+//! work there and the warm replan reports the `exact` repair path; the
+//! `kill_link_mixed_dgx1v` scenario, whose extra 7 GB/s link makes the graph
+//! no lane graph, keeps a warm repair under the gates. Each communicator plans through a fresh
 //! [`SharedPlanCache`], which counts the work one replan performs: the roots
 //! it packs (`warm_packs` / `cold_packs`, store misses) and the MWU
 //! iterations those packs run (`warm_mwu_iterations` /
@@ -25,14 +29,15 @@
 //! It fails, on every runner, when a replanned program fails the value-level
 //! oracle, when its realised AllReduce rate is not positive or differs from
 //! the recording by a bit, when warm loses packing rate to cold, when a warm
-//! repair of consumed seeds needs an MWU iteration, when a warm replan runs
+//! repair of consumed seeds needs an MWU iteration, when a replan that set
+//! its seeds aside reports a path other than `exact`, when a warm replan runs
 //! more MWU iterations than a cold one, or when any scenario's packs or MWU
 //! iterations exceed the recording. Exits non-zero on regression.
 
 use blink_bench::{over_recording, percentiles, Percentiles};
 use blink_core::{CollectiveKind, Communicator, ReplanReport, SharedPlanCache};
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
-use blink_topology::{GpuId, Topology, TopologyDelta};
+use blink_topology::{GpuId, LinkKind, Topology, TopologyDelta};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -51,14 +56,29 @@ struct Scenario {
 /// Every scenario is a pure removal, so the warm seed's certificate still
 /// upper-bounds the new optimum: warm must match or beat cold's packing
 /// rate, and a repair of consumed seeds must need no MWU iteration. The
-/// DGX-2 lowers one-hop and packs no root, so its packing rates are both 0
-/// and its realised AllReduce rate is what it reports.
+/// DGX-1 NVLink graphs are lane graphs, whose replans set their seeds aside
+/// and pack exactly, warm and cold alike; `kill_link_mixed_dgx1v` adds a
+/// 7 GB/s NVLink duplex between GPUs 0 and 1, which makes the graph no lane
+/// graph, so its warm replan repairs its seeds. The DGX-2 lowers one-hop
+/// and packs no root, so its packing rates are both 0 and its realised
+/// AllReduce rate is what it reports.
 fn scenarios() -> Vec<Scenario> {
     let alloc8: Vec<GpuId> = (0..8).map(GpuId).collect();
     let v = dgx1v();
     let p = dgx1p();
     let d2 = dgx2();
+    let mut mixed = dgx1v();
+    mixed
+        .add_duplex_with_bandwidth(GpuId(0), GpuId(1), LinkKind::NvLinkGen2, 1, 7.0)
+        .expect("GPUs 0 and 1 are on the machine");
     vec![
+        Scenario {
+            name: "kill_link_mixed_dgx1v",
+            topology: "dgx1v+7",
+            machine: mixed.clone(),
+            allocation: alloc8.clone(),
+            delta: TopologyDelta::kill_link(&mixed, GpuId(2), GpuId(3)),
+        },
         Scenario {
             name: "kill_link_dgx1v",
             topology: "dgx1v",
@@ -119,7 +139,7 @@ struct ScenarioReport {
     /// zero-iteration warm-repair guarantee).
     warm_iterations: usize,
     /// Which repair path the warm replan took (`"reroute"` / `"iterated"` /
-    /// `"cold"`).
+    /// `"exact"` / `"cold"`).
     repair_path: String,
     warm_rate_gbps: f64,
     cold_rate_gbps: f64,
@@ -376,6 +396,14 @@ fn main() {
                     sc.name, sc.repair_path
                 ));
             }
+        }
+        // seeds a replan did not repair warm were set aside for an exact
+        // pack of a lane graph, and the report says so
+        if sc.seeds_demoted > 0 && sc.warm_seeded_trees == 0 && sc.repair_path != "exact" {
+            failures.push(format!(
+                "{}: the replan set its seeds aside but reports the '{}' path",
+                sc.name, sc.repair_path
+            ));
         }
     }
     if failures.is_empty() {

@@ -3,10 +3,14 @@
 //! and records them in `BENCH_paper.json`.
 
 use crate::measure::{blink_collective, blink_collective_with, mb, nccl_collective};
+use blink_core::codegen::{CodeGen, CodeGenOptions};
 use blink_core::communicator::CommunicatorOptions;
 use blink_core::treegen::{TreeGen, TreeGenOptions};
 use blink_core::CollectiveKind;
-use blink_graph::{optimal_broadcast_rate, DiGraph};
+use blink_graph::{
+    minimize_trees, optimal_broadcast_rate, pack_spanning_trees, DiGraph, MinimizeOptions,
+    PackingOptions, WeightedTree,
+};
 use blink_nccl::{allreduce_rate_gbps, broadcast_rate_gbps, NcclPlanner};
 use blink_sched::{Cluster, WorkloadConfig, WorkloadGenerator};
 use blink_sim::patterns;
@@ -564,6 +568,138 @@ pub fn fig17_allreduce_dgx1v() -> Vec<ComparisonRow> {
 }
 
 // ---------------------------------------------------------------------------
+// Per-class sweep: exact lane packings against MWU plus minimisation
+// ---------------------------------------------------------------------------
+
+/// One class × collective × size of the per-class sweep.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ClassSweepRow {
+    /// "dgx-1v" or "dgx-1p".
+    pub machine: String,
+    /// The class representative.
+    pub allocation: String,
+    /// "allreduce", or "broadcast" from the representative's first GPU.
+    pub collective: String,
+    /// Buffer size in bytes.
+    pub bytes: u64,
+    /// Blink's simulated time (µs).
+    pub blink_us: f64,
+    /// The simulated time (µs) of the plans MWU packing plus minimisation
+    /// makes, from the root the certificate-bounded sweep picks among them:
+    /// what TreeGen ran on every DGX-1 NVLink graph before it packed lane
+    /// graphs exactly.
+    pub mwu_us: f64,
+    /// "better", "same" or "worse": `blink_us` against `mwu_us`.
+    pub verdict: String,
+}
+
+/// The per-class sweep's verdict counts.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ClassSweepSummary {
+    /// Runs faster than the MWU plans.
+    pub better: usize,
+    /// Runs bit-equal to the MWU plans' time.
+    pub same: usize,
+    /// Runs slower than the MWU plans.
+    pub worse: usize,
+}
+
+/// The plan MWU packing plus minimisation makes from `root` over `g`.
+fn mwu_plan(g: &DiGraph, root: GpuId) -> Option<Vec<WeightedTree>> {
+    if !g.spans_from(g.node(root)?) {
+        return None;
+    }
+    let packing = pack_spanning_trees(g, root, &PackingOptions::default()).ok()?;
+    Some(minimize_trees(g, &packing, &MinimizeOptions::default()).trees)
+}
+
+/// The simulated time of `kind` over `trees` on `induced`, lowered as a
+/// communicator lowers with its default chunk.
+fn trees_us(induced: &Topology, trees: &[WeightedTree], kind: CollectiveKind, bytes: u64) -> f64 {
+    let chunk_bytes = CommunicatorOptions::default()
+        .chunk_bytes
+        .expect("a default chunk");
+    let program = CodeGen::new(CodeGenOptions {
+        chunk_bytes,
+        ..CodeGenOptions::default()
+    })
+    .build(trees, kind, bytes)
+    .expect("a plan lowers");
+    Simulator::with_defaults(induced.clone())
+        .run(&program)
+        .expect("a lowered plan simulates")
+        .total_us
+}
+
+/// Every DGX-1V and DGX-1P class of 2–8 GPUs: AllReduce at 16, 25, 64 and
+/// 500 MB (`mb`), and Broadcast at 64 MiB from the representative's
+/// first GPU, by Blink and by the MWU plans (see [`ClassSweepRow::mwu_us`]).
+/// A class NVLink cannot span rides PCIe either way; its MWU time is
+/// Blink's.
+pub fn class_sweep() -> (Vec<ClassSweepRow>, ClassSweepSummary) {
+    let mut rows = Vec::new();
+    for (machine, name) in [(dgx1v(), "dgx-1v"), (dgx1p(), "dgx-1p")] {
+        for class in unique_allocations(&machine, 2..=8).expect("preset enumerates") {
+            let alloc = class.representative.clone();
+            let induced = machine.induced(&alloc).expect("valid class");
+            let g = DiGraph::from_topology_filtered(&induced, |l| l.kind.is_nvlink());
+            // the sweep's pick: the first root with the strictly highest rate
+            let mut picked: Option<Vec<WeightedTree>> = None;
+            for trees in alloc.iter().filter_map(|&root| mwu_plan(&g, root)) {
+                let rate = |t: &[WeightedTree]| t.iter().map(|w| w.weight).sum::<f64>();
+                if picked.as_ref().is_none_or(|p| rate(&trees) > rate(p)) {
+                    picked = Some(trees);
+                }
+            }
+            let first = alloc[0];
+            let broadcast = mwu_plan(&g, first);
+            let runs = [
+                (CollectiveKind::AllReduce, mb(16), &picked),
+                (CollectiveKind::AllReduce, mb(25), &picked),
+                (CollectiveKind::AllReduce, mb(64), &picked),
+                (CollectiveKind::AllReduce, mb(500), &picked),
+                (
+                    CollectiveKind::Broadcast { root: first },
+                    mb(64),
+                    &broadcast,
+                ),
+            ];
+            for (kind, bytes, trees) in runs {
+                let blink_us = blink_collective(&machine, &alloc, kind, bytes).elapsed_us;
+                let mwu_us = trees
+                    .as_ref()
+                    .map_or(blink_us, |t| trees_us(&induced, t, kind, bytes));
+                let verdict = match blink_us.partial_cmp(&mwu_us) {
+                    Some(std::cmp::Ordering::Less) => "better",
+                    Some(std::cmp::Ordering::Equal) => "same",
+                    _ => "worse",
+                };
+                rows.push(ClassSweepRow {
+                    machine: name.to_string(),
+                    allocation: class.label(),
+                    collective: match kind {
+                        CollectiveKind::AllReduce => "allreduce",
+                        _ => "broadcast",
+                    }
+                    .to_string(),
+                    bytes,
+                    blink_us,
+                    mwu_us,
+                    verdict: verdict.to_string(),
+                });
+            }
+        }
+    }
+    let count = |v: &str| rows.iter().filter(|r| r.verdict == v).count();
+    let summary = ClassSweepSummary {
+        better: count("better"),
+        same: count("same"),
+        worse: count("worse"),
+    };
+    (rows, summary)
+}
+
+// ---------------------------------------------------------------------------
 // Figure 18: end-to-end single-server training
 // ---------------------------------------------------------------------------
 
@@ -833,26 +969,41 @@ pub struct TreeMinimizationRow {
     pub mwu_trees: usize,
     /// Trees after the ILP-style minimisation.
     pub minimized_trees: usize,
-    /// Final packing rate in NVLink-lane units.
+    /// The minimised packing's rate in NVLink-lane units.
     pub rate_lanes: f64,
     /// Bytes per tree for a 1000 MB transfer, in MB.
     pub mb_per_tree: f64,
+    /// MWU iterations TreeGen runs for the same plan (0: it packs the lane
+    /// graph exactly).
+    pub treegen_mwu_iterations: usize,
+    /// Trees in TreeGen's plan.
+    pub treegen_trees: usize,
+    /// TreeGen's rate in NVLink-lane units.
+    pub treegen_rate_lanes: f64,
 }
 
-/// Section 3.2.1: the 181-trees-to-6 reduction on the full DGX-1V.
+/// Section 3.2.1: the 181-trees-to-6 reduction on the full DGX-1V, by the
+/// paper's MWU packing and minimisation, beside the plan TreeGen makes.
 pub fn tab_tree_minimization() -> TreeMinimizationRow {
     let machine = dgx1v();
     let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
     let induced = machine.induced(&alloc).expect("valid");
-    let minimized = TreeGen::new(induced, TreeGenOptions::default())
+    let g = DiGraph::from_topology_filtered(&induced, |l| l.kind.is_nvlink());
+    let packing =
+        pack_spanning_trees(&g, GpuId(0), &PackingOptions::default()).expect("the DGX-1V spans");
+    let minimized = minimize_trees(&g, &packing, &MinimizeOptions::default());
+    let plan = TreeGen::new(induced, TreeGenOptions::default())
         .plan(GpuId(0))
         .expect("plans");
     TreeMinimizationRow {
         allocation: label(&alloc),
-        mwu_trees: minimized.trees_before_minimize,
+        mwu_trees: packing.num_trees(),
         minimized_trees: minimized.num_trees(),
-        rate_lanes: minimized.rate_gbps() / 23.0,
+        rate_lanes: minimized.rate() / 23.0,
         mb_per_tree: 1000.0 / minimized.num_trees() as f64,
+        treegen_mwu_iterations: plan.mwu.iterations,
+        treegen_trees: plan.num_trees(),
+        treegen_rate_lanes: plan.rate_gbps() / 23.0,
     }
 }
 
@@ -912,6 +1063,9 @@ mod tests {
         assert_eq!(row.minimized_trees, 6);
         assert!((row.rate_lanes - 6.0).abs() < 0.1);
         assert!((row.mb_per_tree - 166.6).abs() < 1.0);
+        // TreeGen packs the lane graph exactly: 6 one-lane trees, no MWU
+        assert_eq!(row.treegen_mwu_iterations, 0);
+        assert_eq!((row.treegen_trees, row.treegen_rate_lanes), (6, 6.0));
     }
 
     #[test]

@@ -488,9 +488,13 @@ pub struct SharedPlanCache {
 /// rank being its position among the slice's GPUs.
 type PlanKey = (u64, usize, LinkSelection);
 
+/// A plan-tier entry: the cold plan, or the error its pack failed with
+/// (the link class cannot span the slice from the root).
+type Packed = std::result::Result<Arc<TreePlan>, BlinkError>;
+
 #[derive(Debug)]
 struct Tiers {
-    plans: Tier<PlanKey, Arc<TreePlan>>,
+    plans: Tier<PlanKey, Packed>,
     lowerings: Tier<LoweringKey, Arc<Lowering>>,
     /// MWU iterations summed over every plan the store packed.
     mwu_iterations: u64,
@@ -677,7 +681,8 @@ impl SharedPlanCache {
         self.inner.lock().expect("shared plan cache poisoned")
     }
 
-    /// Number of plans memoised in the plan tier (across all fingerprints).
+    /// Number of entries in the plan tier (across all fingerprints): cold
+    /// plans and failed packs.
     pub fn len(&self) -> usize {
         self.lock().plans.entries.len()
     }
@@ -707,8 +712,9 @@ impl SharedPlanCache {
     }
 
     /// Packs that failed since creation, because the requested link class
-    /// cannot span the slice from the root. A failed pack is not stored, so
-    /// a later lookup of its key packs (and fails) again.
+    /// cannot span the slice from the root. A failed cold pack is stored, so
+    /// a later lookup of its key fails with the same error as a plan-tier
+    /// hit and packs nothing.
     pub fn failed_packs(&self) -> u64 {
         self.lock().failed_packs
     }
@@ -765,8 +771,8 @@ impl SharedPlanCache {
     /// hit comes back relabelled onto `induced`'s GPUs and builds no graph.
     /// A miss packs on the calling thread over the `links` graph of
     /// `graphs` under the default [`TreeGenOptions`] — warm from `seed` when
-    /// one is given — and a cold pack is published; a warm one stays the
-    /// caller's, and a failed pack is counted and returned, not cached.
+    /// one is given — and a cold pack is published, a failed one included;
+    /// a warm one stays the caller's. A failed pack is counted.
     pub(crate) fn resolve(
         &self,
         links: LinkSelection,
@@ -784,11 +790,14 @@ impl SharedPlanCache {
         let key = (fp, rank, links);
         let mut hit = None;
         self.lock().plans.get_if(&key, |stored| {
-            hit = relabelled(stored, gpu_ids(induced));
+            hit = match stored {
+                Ok(plan) => relabelled(plan, gpu_ids(induced)).map(Ok),
+                Err(e) => Some(Err(e.clone())),
+            };
             hit.is_some()
         });
         if let Some(plan) = hit {
-            return Ok(plan);
+            return plan;
         }
         let options = TreeGenOptions {
             links,
@@ -801,12 +810,15 @@ impl SharedPlanCache {
                 let plan = Arc::new(plan);
                 tiers.mwu_iterations += plan.mwu.iterations as u64;
                 if seed.is_none() {
-                    tiers.plans.insert(key, plan.clone());
+                    tiers.plans.insert(key, Ok(plan.clone()));
                 }
                 Ok(plan)
             }
             Err(e) => {
                 tiers.failed_packs += 1;
+                if seed.is_none() {
+                    tiers.plans.insert(key, Err(e.clone()));
+                }
                 Err(e)
             }
         }
@@ -951,7 +963,7 @@ impl PlanCache {
                 && {
                     // one certificate per re-certified root, only on deltas
                     // that add links of the plan's class
-                    let g = graphs.get(induced, plan.links);
+                    let g = &graphs.get(induced, plan.links).graph;
                     match g.node(plan.root) {
                         Some(root) => {
                             let cert = optimal_broadcast_rate(g, root);
@@ -975,7 +987,8 @@ impl PlanCache {
     /// root's seed when a delta left one).
     ///
     /// # Errors
-    /// A failed pack; nothing is cached for it.
+    /// A failed pack; the handle caches nothing for it, and the store keeps
+    /// a cold failure (see [`SharedPlanCache::resolve`]).
     pub(crate) fn plan_for(
         &mut self,
         induced: &Topology,
@@ -1077,6 +1090,7 @@ impl Default for ChunkAutotuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blink_graph::PackingTermination;
     use blink_topology::presets::dgx1v;
 
     /// A handle on a fresh private store.
@@ -1101,7 +1115,7 @@ mod tests {
         rank: usize,
         links: LinkSelection,
     ) -> Option<Arc<TreePlan>> {
-        store.lock().plans.get(&(fp, rank, links))
+        store.lock().plans.get(&(fp, rank, links))?.ok()
     }
 
     fn induced(topo: &Topology, n: usize) -> Topology {
@@ -1136,14 +1150,27 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_does_not_cache_failures() {
+    fn a_failed_pack_is_stored_once_and_never_repacked() {
         let topo = blink_topology::presets::dgx1p();
         // GPUs 1 and 4 share no NVLink: NvLinkOnly planning fails
         let induced = topo.induced(&[GpuId(1), GpuId(4)]).unwrap();
         let mut cache = handle();
-        assert!(cache.plan(&induced, GpuId(1)).is_err());
-        assert_eq!(cache.len(), 0);
-        assert!(cache.store().is_empty());
+        let failed = cache.plan(&induced, GpuId(1)).unwrap_err();
+        assert_eq!(cache.len(), 0, "a handle keeps plans only");
+        assert_eq!(cache.store().len(), 1, "the store keeps the failure");
+        assert_eq!(cache.store().failed_packs(), 1);
+        // a later lookup, from any handle, hits the failure and packs nothing
+        let store = cache.store().clone();
+        assert_eq!(
+            handle_on(&store).plan(&induced, GpuId(1)).unwrap_err(),
+            failed
+        );
+        assert_eq!(store.failed_packs(), 1);
+        assert_eq!(store.stats(), (1, 1));
+    }
+
+    fn handle_on(store: &SharedPlanCache) -> PlanCache {
+        PlanCache::new(store.clone())
     }
 
     #[test]
@@ -1331,7 +1358,7 @@ mod tests {
         store
             .lock()
             .plans
-            .insert((fp, 0, LinkSelection::NvLinkOnly), plan.clone());
+            .insert((fp, 0, LinkSelection::NvLinkOnly), Ok(plan.clone()));
         let got = PlanCache::new(store.clone()).plan(&two, GpuId(0)).unwrap();
         assert_eq!(got.gpus, two.gpu_ids());
         assert_eq!(store.stats(), (0, 1));
@@ -1356,8 +1383,11 @@ mod tests {
         let damaged = b.apply_delta(&delta).unwrap();
         on_b.note_delta(&damaged, &delta, &PlanningGraphs::default());
         assert_eq!(on_b.seeded(), 1);
-        let warm = on_b.plan(&damaged, GpuId(40)).unwrap();
-        assert!(warm.mwu.warm_seeded > 0, "the repair ran from the seed");
+        let repacked = on_b.plan(&damaged, GpuId(40)).unwrap();
+        assert_eq!(on_b.seeded(), 0, "the repack consumed the seed");
+        // a DGX-1V slice is a lane graph: the seed is set aside for an exact
+        // pack, which stays the handle's
+        assert_eq!(repacked.mwu.termination, PackingTermination::Exact);
         assert!(Arc::ptr_eq(
             &stored(&store, fp, 0, LinkSelection::NvLinkOnly).unwrap(),
             &packed
@@ -1487,17 +1517,20 @@ mod tests {
 
     #[test]
     fn mwu_iterations_count_packs_and_not_hits() {
-        let induced = induced(&dgx1v(), 8);
+        let induced = induced(&blink_topology::presets::dgx2(), 4);
         let shared = SharedPlanCache::new();
         assert_eq!(shared.mwu_iterations(), 0);
         let plan = PlanCache::new(shared.clone())
-            .plan(&induced, GpuId(0))
+            .plan(&induced, GpuId(1))
             .unwrap();
-        assert!(plan.mwu.iterations > 0, "the full DGX-1V packs with MWU");
+        assert!(
+            plan.mwu.iterations > 0,
+            "a DGX-2 root past the first packs with MWU"
+        );
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
         // another handle's lookup is a store hit: no packing, no count
         PlanCache::new(shared.clone())
-            .plan(&induced, GpuId(0))
+            .plan(&induced, GpuId(1))
             .unwrap();
         assert_eq!(shared.stats(), (1, 1));
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
@@ -1798,7 +1831,7 @@ mod tests {
         let fp = u64::MAX - 12345;
         a.lock()
             .plans
-            .insert((fp, 999, LinkSelection::NvLinkOnly), plan.clone());
+            .insert((fp, 999, LinkSelection::NvLinkOnly), Ok(plan.clone()));
         let via_b = stored(&b, fp, 999, LinkSelection::NvLinkOnly).unwrap();
         assert!(Arc::ptr_eq(&via_b, &plan));
     }

@@ -91,7 +91,7 @@ use crate::multiserver::three_phase_allreduce_cached;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
 use crate::treegen::{LinkSelection, PlanningGraphs, ScratchPool, TreePlan};
 use crate::{BlinkError, Result};
-use blink_graph::{optimal_broadcast_rate_in, NodeIdx, WeightedTree};
+use blink_graph::{optimal_broadcast_rate_in, PackingTermination, WeightedTree};
 use blink_sim::{
     algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, Simulator, ValueCheck,
 };
@@ -163,6 +163,8 @@ struct SweepOutcome {
     warm_iterations: usize,
     warm_repaired: usize,
     warm_topup: usize,
+    /// Roots whose seed was set aside for an exact lane packing.
+    exact_repacks: usize,
 }
 
 impl SweepOutcome {
@@ -176,6 +178,7 @@ impl SweepOutcome {
             warm_iterations: 0,
             warm_repaired: 0,
             warm_topup: 0,
+            exact_repacks: 0,
         }
     }
 }
@@ -220,7 +223,7 @@ impl std::fmt::Display for DegradationLevel {
 
 /// How the packing layer recovered the stale plans during a
 /// [`Communicator::replan`] — the evidence behind the unconditional
-/// zero-iteration warm-repair claim.
+/// zero-iteration warm-repair claim, and the path that actually ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RepairPath {
     /// Warm seeds were consumed and the min-cost reroute (plus residual
@@ -230,6 +233,10 @@ pub enum RepairPath {
     /// Warm seeds were consumed but at least one root needed corrective MWU
     /// iterations on top of the seeded state.
     Iterated,
+    /// Warm seeds were set aside: the survivor graph is a lane graph, and
+    /// every root that had a seed was packed exactly and cold, with no MWU
+    /// (cheaper than a warm repair there; see [`crate::treegen`]).
+    Exact,
     /// No warm seeds were consumed: every re-plan went cold (empty cache,
     /// non-packing strategy, or the delta kept all plans exact).
     #[default]
@@ -241,6 +248,7 @@ impl std::fmt::Display for RepairPath {
         let s = match self {
             RepairPath::Reroute => "reroute",
             RepairPath::Iterated => "iterated",
+            RepairPath::Exact => "exact",
             RepairPath::Cold => "cold",
         };
         f.write_str(s)
@@ -448,10 +456,10 @@ struct ShapeState {
     /// best rootless-collective root is a constant — no per-call certificate
     /// sweep.
     picked: Option<(GpuId, Vec<Arc<TreePlan>>)>,
-    /// Memoised NVLink spannability verdicts per root — including the
-    /// negative ones the plan cache cannot represent, so a PCIe-fallback
-    /// communicator walks the NVLink graph once per root, not once per
-    /// fresh lowering.
+    /// Memoised NVLink spannability verdicts of every GPU, worked out in one
+    /// pass on first use — including the negative ones, so a PCIe-fallback
+    /// communicator walks the NVLink graph once, not once per fresh
+    /// lowering.
     spannable: BTreeMap<GpuId, bool>,
     /// Memoised winner of the one-hop-vs-packed simulate-off per collective
     /// kind (rooted kinds per root) on switch fabrics. Per communicator, and
@@ -1019,6 +1027,23 @@ impl Communicator {
         sweep.root
     }
 
+    /// Whether NVLink spans the shape from `root`. The first call works out
+    /// every GPU's verdict in one pass ([`blink_graph::DiGraph::spanning_roots`])
+    /// and memoises them for the shape.
+    fn nvlink_spans(&mut self, root: GpuId) -> bool {
+        let shape = &mut self.shape;
+        if shape.spannable.is_empty() {
+            let g = &shape
+                .graphs
+                .get(self.sim.topology(), LinkSelection::NvLinkOnly)
+                .graph;
+            shape
+                .spannable
+                .extend(g.gpus().iter().copied().zip(g.spanning_roots()));
+        }
+        shape.spannable.get(&root).copied().unwrap_or(false)
+    }
+
     /// Walks the spannable candidate roots in allocation order, plans each
     /// one that can still win through the plan cache (consuming any
     /// warm-start seed a delta left behind) and picks the first with the
@@ -1042,17 +1067,10 @@ impl Communicator {
     /// later per-root planning surfaces the real error).
     fn root_sweep(&mut self) -> SweepOutcome {
         let links = LinkSelection::NvLinkOnly;
-        let g = self.shape.graphs.get(self.sim.topology(), links);
-        let candidates: Vec<(GpuId, NodeIdx)> = self
-            .allocation
-            .iter()
-            .filter_map(|&cand| {
-                let idx = g.node(cand).filter(|&i| g.spans_from(i));
-                self.shape.spannable.insert(cand, idx.is_some());
-                idx.map(|i| (cand, i))
-            })
-            .collect();
-        let Some(&(first, _)) = candidates.first() else {
+        let mut candidates = self.allocation.clone();
+        candidates.retain(|&cand| self.nvlink_spans(cand));
+        let g = &self.shape.graphs.get(self.sim.topology(), links).graph;
+        let Some(&first) = candidates.first() else {
             return SweepOutcome::fallback(self.allocation[0]);
         };
         let mut out = SweepOutcome {
@@ -1060,12 +1078,12 @@ impl Communicator {
             spannable: true,
             ..SweepOutcome::fallback(first)
         };
-        for (cand, idx) in candidates {
+        for cand in candidates {
             // The first candidate packs unconditionally (no plan to beat yet).
             if out.rate_gbps >= 0.0
                 && optimal_broadcast_rate_in(
                     g,
-                    idx,
+                    g.node(cand).expect("a spanning root is a node"),
                     &mut ScratchPool::process().checkout().certificate,
                 ) <= out.rate_gbps
             {
@@ -1088,6 +1106,10 @@ impl Communicator {
                 out.warm_iterations += plan.mwu.iterations;
                 out.warm_repaired += plan.mwu.warm_repaired;
                 out.warm_topup += plan.mwu.warm_topup;
+            } else if self.plans.seeded() < seeds
+                && plan.mwu.termination == PackingTermination::Exact
+            {
+                out.exact_repacks += 1;
             }
             if plan.rate_gbps() > out.rate_gbps {
                 out.rate_gbps = plan.rate_gbps();
@@ -1108,7 +1130,13 @@ impl Communicator {
     /// seeded from its old trees, and re-certifies against the post-event
     /// min-cut. Collectives issued afterwards use the recovered plans
     /// directly; a seed the sweep did not consume warms the first rooted
-    /// collective on its root.
+    /// collective on its root. Where the survivor NVLink graph is a lane
+    /// graph (every DGX-1 slice), a seed is set aside instead: the root
+    /// packs exactly and cold, which costs less than a warm repair there
+    /// and reaches the certificate, and the report says so
+    /// ([`RepairPath::Exact`], on the [`DegradationLevel::PackedReplan`]
+    /// rung). Warm seeds and MWU repair serve only graphs that are not lane
+    /// graphs.
     ///
     /// Removed GPUs leave the allocation. An allocation never grows in
     /// place: a job handed more GPUs gets a new communicator over them, as
@@ -1129,9 +1157,10 @@ impl Communicator {
     ///    repaired from its warm seeds in zero MWU iterations (or survived
     ///    invalidation untouched): as fast as before, no cold planning.
     /// 2. **[`DegradationLevel::PackedReplan`]** — ordinary packing re-ran on
-    ///    the survivor graph (cold, or warm plus corrective iterations). A
-    ///    delta that drops the picked root lands here: no seed is left for
-    ///    the successor root, which packs cold ([`RepairPath::Cold`]).
+    ///    the survivor graph (cold, exact, or warm plus corrective
+    ///    iterations). A delta that drops the picked root lands here: no
+    ///    seed is left for the successor root, which packs cold
+    ///    ([`RepairPath::Cold`]).
     /// 3. **[`DegradationLevel::PcieFallback`]** — no candidate root spans
     ///    the surviving NVLink graph; collectives lower over PCIe trees (or
     ///    one-hop on switch fabrics) until a heal restores spannability.
@@ -1214,6 +1243,8 @@ impl Communicator {
             RepairPath::Reroute
         } else if sweep.warm_seeded > 0 {
             RepairPath::Iterated
+        } else if sweep.exact_repacks > 0 {
+            RepairPath::Exact
         } else {
             RepairPath::Cold
         };
@@ -1306,22 +1337,7 @@ impl Communicator {
             Some(root) => root,
             None => self.pick_root(),
         };
-        // Only the first collective per root pays for the graph build and
-        // reachability walk; the verdict (positive or negative) is memoised
-        // for every later call.
-        let nvlink_spans = match self.shape.spannable.get(&root) {
-            Some(&spans) => spans,
-            None => {
-                let g = self
-                    .shape
-                    .graphs
-                    .get(self.sim.topology(), LinkSelection::NvLinkOnly);
-                let spans = g.node(root).map(|i| g.spans_from(i)).unwrap_or(false);
-                self.shape.spannable.insert(root, spans);
-                spans
-            }
-        };
-        if nvlink_spans {
+        if self.nvlink_spans(root) {
             if self.options.use_hybrid {
                 let planner = HybridPlanner::plan_cached(
                     &mut self.plans,
@@ -2303,17 +2319,45 @@ mod tests {
         assert_eq!(ra.elapsed_us.to_bits(), rb.elapsed_us.to_bits());
     }
 
+    /// A DGX-1V with an extra 7 GB/s NVLink duplex between GPUs 0 and 1: its
+    /// NVLink graph is no lane graph, so its plans pack by MWU and its
+    /// replans repair warm.
+    fn mixed_dgx1v() -> Topology {
+        use blink_topology::LinkKind;
+        let mut machine = dgx1v();
+        machine
+            .add_duplex_with_bandwidth(GpuId(0), GpuId(1), LinkKind::NvLinkGen2, 1, 7.0)
+            .unwrap();
+        machine
+    }
+
+    #[test]
+    fn replan_on_a_lane_graph_packs_exactly() {
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
+        comm.all_reduce(mb(16)).unwrap();
+        let delta = TopologyDelta::kill_link(comm.induced_topology(), GpuId(0), GpuId(1));
+        let report = comm.replan(&delta).unwrap();
+        assert_eq!(report.repair_path, RepairPath::Exact, "{report:?}");
+        assert_eq!(report.degradation, DegradationLevel::PackedReplan);
+        assert_eq!((report.warm_seeded_trees, report.warm_iterations), (0, 0));
+        assert_eq!(report.rate_gbps, 115.0, "the certificate, with no ε");
+        assert_eq!(store.mwu_iterations(), 0);
+        let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
+        assert!(check.is_correct(), "{check}");
+    }
+
     #[test]
     fn replan_recovers_from_a_killed_link_warm() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::builder(dgx1v())
+        let mut comm = Communicator::builder(mixed_dgx1v())
             .allocation(&alloc)
             .build()
             .unwrap();
         let before = comm.all_reduce(mb(100)).unwrap();
         assert!(before.algorithmic_bandwidth_gbps > 30.0);
         // one NVLink duplex dies
-        let delta = TopologyDelta::kill_link(comm.induced_topology(), GpuId(0), GpuId(1));
+        let delta = TopologyDelta::kill_link(comm.induced_topology(), GpuId(2), GpuId(3));
         let report = comm.replan(&delta).unwrap();
         assert_eq!(report.num_gpus, 8);
         assert!(
@@ -2383,15 +2427,16 @@ mod tests {
     }
 
     #[test]
-    fn a_later_candidate_with_a_higher_rate_still_wins() {
-        // DGX-1V {0, 2, 3}: roots 0 and 2 pack 65.55 GB/s, root 3 packs 69
+    fn the_first_root_of_a_lane_graph_attains_the_certificate() {
+        // DGX-1V {0, 2, 3}: the MWU stopped at 65.55 GB/s from roots 0 and 2,
+        // so the sweep packed on to root 3's 69; the exact packing reaches
+        // 69 from root 0, which no later root can beat
         let alloc = [GpuId(0), GpuId(2), GpuId(3)];
         let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
         let sweep = comm.root_sweep();
-        assert_eq!(sweep.root, GpuId(3), "{sweep:?}");
+        assert_eq!(sweep.root, GpuId(0), "{sweep:?}");
         assert_eq!(sweep.rate_gbps, 69.0);
-        let (_, misses) = store.stats();
-        assert!(misses >= 2, "the winner was packed after the first root");
+        assert_eq!(store.stats(), (0, 1), "exactly one root packed");
     }
 
     #[test]
@@ -2414,7 +2459,7 @@ mod tests {
     #[test]
     fn dropping_another_gpu_repairs_the_picked_root_warm() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
+        let (mut comm, store) = with_fresh_store(mixed_dgx1v(), &alloc);
         comm.all_reduce(mb(16)).unwrap();
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(7))).unwrap();
         assert_eq!(report.degradation, DegradationLevel::FullWarmRepair);
@@ -2440,7 +2485,7 @@ mod tests {
     fn replan_compound_delta_reports_full_warm_repair() {
         use blink_topology::LinkKind;
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::builder(dgx1v())
+        let mut comm = Communicator::builder(mixed_dgx1v())
             .allocation(&alloc)
             .build()
             .unwrap();
@@ -2450,7 +2495,7 @@ mod tests {
             (l.src == GpuId(a) && l.dst == GpuId(b)) || (l.src == GpuId(b) && l.dst == GpuId(a))
         };
         let after =
-            before.filter_links(|l| l.kind == LinkKind::Pcie || !(dead(l, 0, 1) || dead(l, 2, 3)));
+            before.filter_links(|l| l.kind == LinkKind::Pcie || !(dead(l, 2, 3) || dead(l, 4, 5)));
         let delta = TopologyDelta::between(&before, &after);
         assert!(delta.removed_links.len() >= 4, "{delta:?}");
         let report = comm.replan(&delta).unwrap();
@@ -2675,11 +2720,12 @@ mod tests {
             .allocation(&alloc)
             .build()
             .unwrap();
-        let alone = comm.all_reduce(mb(32)).unwrap().elapsed_us;
+        let alone = comm.all_reduce(mb(128)).unwrap().elapsed_us;
         // two full-size allreduces issued together share every link, so the
-        // session cannot finish in one collective's time...
+        // session cannot finish in one collective's time (at a size where
+        // link time, not pipeline fill, sets it)...
         let run = comm
-            .run_streamed(CollectiveKind::AllReduce, &[(mb(32), 0.0), (mb(32), 0.0)])
+            .run_streamed(CollectiveKind::AllReduce, &[(mb(128), 0.0), (mb(128), 0.0)])
             .unwrap();
         assert_eq!(run.groups.len(), 2);
         assert!(

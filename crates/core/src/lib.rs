@@ -4,8 +4,13 @@
 //! contribution), implemented over the simulated substrate:
 //!
 //! * [`treegen`] — the TreeGen stage (Figure 9): probe the topology induced by
-//!   a job's GPU allocation, pack spanning trees with the MWU approximation
-//!   and minimise the number of trees (Sections 3.1–3.2) over a
+//!   a job's GPU allocation and pack spanning trees. On a lane graph (every
+//!   DGX-1 NVLink slice) the packing is exact: Lovász's construction of the
+//!   certificate's whole-lane trees, with no MWU. Elsewhere (PCIe, the
+//!   hybrid's PCIe half, DGX-2 roots past the first) it is the paper's MWU
+//!   approximation followed by tree-count minimisation (Sections 3.1–3.2),
+//!   and a complete uniform graph from its first GPU is written down in
+//!   closed form. Planning runs over a
 //!   [`ScratchPool`] of reusable planning and engine buffers: one pool per
 //!   process ([`ScratchPool::process`]), whatever plan store
 //!   ([`SharedPlanCache`]) a communicator attaches to. Planning runs on
@@ -93,15 +98,18 @@
 //!
 //! 1. [`DegradationLevel::FullWarmRepair`] — the delta's damage was repaired
 //!    entirely from warm seeds (min-cost reroute over the packing residual,
-//!    zero MWU iterations) or did not touch the cached plans at all. This is
-//!    the common rung for link flaps and single/compound GPU drops, and the
-//!    one `bench_replan` and `bench_fleet`'s chaos replay pin with
+//!    zero MWU iterations) or did not touch the cached plans at all. Warm
+//!    repair serves graphs that are not lane graphs; `bench_replan` and
+//!    `bench_fleet`'s chaos replay pin it with
 //!    [`ReplanReport::warm_iterations`]` == 0` and
-//!    [`ReplanReport::repair_path`]` == `[`RepairPath::Reroute`].
-//! 2. [`DegradationLevel::PackedReplan`] — ordinary (cold or iterated-warm)
-//!    packing on the survivor graph; rate re-certified against the
-//!    post-event min-cut. Dropping the picked root lands here: its plan
-//!    cannot seed the successor root, which packs cold.
+//!    [`ReplanReport::repair_path`]` == `[`RepairPath::Reroute`] wherever it
+//!    runs.
+//! 2. [`DegradationLevel::PackedReplan`] — ordinary packing on the survivor
+//!    graph: exact on a lane graph ([`RepairPath::Exact`]: every DGX-1 link
+//!    or GPU loss that touches a plan lands here, for less than a warm
+//!    repair costs), otherwise cold or iterated-warm MWU; rate re-certified
+//!    against the post-event min-cut. Dropping the picked root lands here:
+//!    its plan cannot seed the successor root, which packs cold.
 //! 3. [`DegradationLevel::PcieFallback`] — the surviving NVLink graph spans
 //!    from no candidate root; collectives lower over the always-complete
 //!    PCIe mesh (or one-hop on switch fabrics) until a heal event restores

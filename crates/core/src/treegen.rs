@@ -1,22 +1,38 @@
 //! TreeGen: from a probed topology to a minimal set of weighted spanning
 //! trees (Sections 3.1–3.2 of the paper).
 //!
-//! A plan is MWU packing followed by tree-count minimisation, with one
-//! exception: a cold plan over a complete uniform graph (every NVSwitch
-//! allocation, DGX-1P NVLink quads, PCIe graphs within one complex) from its
-//! smallest GPU, under the default options, is written down in closed form —
-//! the `n − 1` relay trees of [`crate::onehop::relay_trees`], which are what
-//! packing plus minimisation return there, bit for bit (see the
-//! [`crate::onehop`] module docs). Such a plan reports the work it did: zero
-//! MWU iterations, `n − 1` trees before minimisation and a
-//! [`blink_graph::PackingTermination::Certificate`] exit. Its certificate
-//! still comes from [`blink_graph::optimal_broadcast_rate_in`].
+//! A plan under the default options takes the first of three paths that
+//! applies:
+//!
+//! 1. **Closed form.** A cold plan over a complete uniform graph (every
+//!    NVSwitch allocation, DGX-1P NVLink quads, PCIe graphs within one
+//!    complex) from its smallest GPU is written down: the `n − 1` relay
+//!    trees of [`crate::onehop::relay_trees`], which are what packing plus
+//!    minimisation return there, bit for bit (see the [`crate::onehop`]
+//!    module docs). It reports zero MWU iterations, `n − 1` trees before
+//!    minimisation and a [`blink_graph::PackingTermination::Certificate`]
+//!    exit.
+//! 2. **Exact lane packing.** An NVLink graph whose every pooled pair
+//!    capacity is a whole number of lanes, among GPUs with no switch-port
+//!    cap (every DGX-1 slice; see [`blink_graph::lanes`]), packs the
+//!    certificate's `k` whole-lane trees by Lovász's construction, cold or
+//!    warm alike: a stale plan is set aside, since the exact pack costs less
+//!    than a warm repair and its rate is the certificate, with no ε. It
+//!    reports zero MWU iterations, `k` trees before identical ones merged
+//!    and a [`blink_graph::PackingTermination::Exact`] exit.
+//! 3. **MWU packing, then tree-count minimisation**, seeded from a stale
+//!    plan on a warm replan: every other graph (PCIe, the hybrid's PCIe
+//!    half, DGX-2 roots past the first) and any non-default options.
+//!
+//! Every plan's certificate comes from
+//! [`blink_graph::optimal_broadcast_rate_in`].
 //!
 //! Every [`TreeGen`] plans over the process's one [`ScratchPool`]
 //! ([`ScratchPool::process`]) — a thread-safe pool of [`PlannerScratch`]
 //! instances, each bundling the reusable MWU packing buffers
 //! ([`blink_graph::PackingScratch`]), the minimisation arenas
-//! ([`blink_graph::MinimizeScratch`]), a standalone certificate scratch for
+//! ([`blink_graph::MinimizeScratch`]), the exact lane packer's buffers
+//! ([`blink_graph::LaneScratch`]), a standalone certificate scratch for
 //! certificate-only sweeps and the simulator's [`EngineScratch`] — so
 //! repeated `plan` calls (per-root, as in the three-phase multi-server
 //! AllReduce) and repeated simulations never re-allocate their buffers.
@@ -50,10 +66,12 @@
 
 use crate::onehop::{complete_uniform_capacity, relay_trees};
 use crate::{BlinkError, Result};
+use blink_graph::lanes::{whole_lanes, LANE_MAX_NODES};
 use blink_graph::{
-    minimize_trees_in, minimize_trees_warm_in, optimal_broadcast_rate_in, pack_spanning_trees_in,
-    pack_spanning_trees_warm_in, DiGraph, MaxFlowScratch, MinimizeOptions, MinimizeScratch,
-    PackingOptions, PackingScratch, PackingStats, PackingTermination, TreePacking, WeightedTree,
+    lane_unit, minimize_trees_in, minimize_trees_warm_in, optimal_broadcast_rate_in, pack_lanes_in,
+    pack_spanning_trees_in, pack_spanning_trees_warm_in, DiGraph, LaneScratch, MaxFlowScratch,
+    MinimizeOptions, MinimizeScratch, PackingError, PackingOptions, PackingScratch, PackingStats,
+    PackingTermination, TreePacking, WeightedTree,
 };
 use blink_sim::EngineScratch;
 use blink_topology::{GpuId, LinkKind, Topology};
@@ -64,12 +82,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// The full set of reusable buffers one plan-and-run needs: the MWU packing
 /// scratch, the tree-minimisation scratch (which embeds a certificate
 /// scratch), a standalone certificate scratch for certificate-only root
-/// sweeps, and the simulator's engine scratch.
+/// sweeps and exact plans, the exact lane packer's scratch, and the
+/// simulator's engine scratch.
 /// Buffer reuse only — contents never affect results (see the bit-identical
 /// regression tests in `tests/properties.rs`).
 ///
 /// Each part is boxed, so checking a scratch out of a [`ScratchPool`] and
-/// back moves four pointers rather than some three kilobytes of buffer
+/// back moves five pointers rather than some three kilobytes of buffer
 /// headers: a same-sized stand-in took about 140 ns less per checkout and
 /// return on a 2-vCPU x86-64 host.
 #[derive(Debug, Clone, Default)]
@@ -79,8 +98,11 @@ pub struct PlannerScratch {
     /// Minimisation buffers (branch-and-bound stack, greedy peel, certificate).
     pub minimize: Box<MinimizeScratch>,
     /// Certificate buffers for certificate-only sweeps (the communicator's
-    /// root-picking pass), so they reuse pool scratches too.
+    /// root-picking pass) and the exact lane packing's certificate, so they
+    /// reuse pool scratches too.
     pub certificate: Box<MaxFlowScratch>,
+    /// Exact lane-packing buffers (residual lanes, search stack, max-flow).
+    pub lanes: Box<LaneScratch>,
     /// Engine buffers for one simulated run or session.
     pub engine: Box<EngineScratch>,
 }
@@ -321,21 +343,23 @@ impl TreeGen {
         &self.topology
     }
 
-    fn graph(&self) -> DiGraph {
+    fn graph(&self) -> PlanningGraph {
         planning_graph(&self.topology, self.options.links)
     }
 
     /// Whether a spanning tree rooted at `root` exists over the selected link
     /// class (if not, callers fall back to PCIe or hybrid strategies).
     pub fn can_span(&self, root: GpuId) -> bool {
-        let g = self.graph();
+        let g = self.graph().graph;
         match g.node(root) {
             Some(idx) => g.spans_from(idx),
             None => false,
         }
     }
 
-    /// Runs packing + minimisation for a broadcast/reduce root.
+    /// Plans the trees of a broadcast/reduce root: exactly on a lane graph
+    /// (see the module docs), and otherwise by MWU packing and
+    /// minimisation.
     ///
     /// # Errors
     /// Fails when the root is not in the allocation or the selected link class
@@ -345,7 +369,9 @@ impl TreeGen {
     }
 
     /// [`TreeGen::plan`] warm-started from a stale plan — the incremental
-    /// replanning path after a topology delta.
+    /// replanning path after a topology delta. On a lane graph the stale
+    /// plan is set aside and the plan is [`TreeGen::plan`]'s, which packs
+    /// exactly for less than a warm repair costs.
     ///
     /// The stale plan's (minimised) trees seed the MWU packing — surviving
     /// trees keep their rates, trees over dead links or vertices are
@@ -368,10 +394,32 @@ impl TreeGen {
     }
 }
 
-/// The graph TreeGen packs over: `topology`'s links of the `links` class,
-/// parallel links pooled, with every GPU a node in topology order.
-fn planning_graph(topology: &Topology, links: LinkSelection) -> DiGraph {
-    DiGraph::from_topology_filtered(topology, |l| links.matches(l))
+/// The graph TreeGen packs over, and its lane when it is a lane graph.
+#[derive(Debug)]
+pub(crate) struct PlanningGraph {
+    /// `topology`'s links of one class, parallel links pooled, with every
+    /// GPU a node in topology order.
+    pub(crate) graph: DiGraph,
+    /// The graph's lane ([`lane_unit`]) when its plans pack exactly: an
+    /// NVLink graph of at most [`LANE_MAX_NODES`] GPUs with no switch-port
+    /// cap (a DGX-2's NVSwitch ports cap what a GPU sends in all, so its
+    /// graph is no plain lane graph), every pooled pair capacity a whole
+    /// number of lanes.
+    pub(crate) lane: Option<f64>,
+}
+
+/// The `links` planning graph of `topology`.
+fn planning_graph(topology: &Topology, links: LinkSelection) -> PlanningGraph {
+    let graph = DiGraph::from_topology_filtered(topology, |l| links.matches(l));
+    let uncapped = topology
+        .gpus()
+        .iter()
+        .all(|g| topology.gpu_cap(g.id).is_none());
+    let small = graph.num_nodes() <= LANE_MAX_NODES;
+    let lane = (links == LinkSelection::NvLinkOnly && uncapped && small)
+        .then(|| lane_unit(&graph))
+        .flatten();
+    PlanningGraph { graph, lane }
 }
 
 /// The planning graphs of one induced topology, one per link class, each
@@ -379,14 +427,14 @@ fn planning_graph(topology: &Topology, links: LinkSelection) -> DiGraph {
 /// most once, and a caller whose plans all hit a store builds none.
 #[derive(Debug, Default)]
 pub(crate) struct PlanningGraphs {
-    nvlink: OnceLock<DiGraph>,
-    pcie: OnceLock<DiGraph>,
+    nvlink: OnceLock<PlanningGraph>,
+    pcie: OnceLock<PlanningGraph>,
 }
 
 impl PlanningGraphs {
     /// The `links` graph of `induced`, the topology every earlier call
     /// passed.
-    pub(crate) fn get(&self, induced: &Topology, links: LinkSelection) -> &DiGraph {
+    pub(crate) fn get(&self, induced: &Topology, links: LinkSelection) -> &PlanningGraph {
         let cell = match links {
             LinkSelection::NvLinkOnly => &self.nvlink,
             LinkSelection::PcieOnly => &self.pcie,
@@ -396,16 +444,25 @@ impl PlanningGraphs {
 }
 
 /// The one planning body behind [`TreeGen::plan`] (`warm == None`),
-/// [`TreeGen::plan_warm`] and the plan store's packs: packing, then
-/// minimisation, over `g` (the `options.links` graph of the induced
-/// topology), each seeded from `warm` when it can seed this plan (same root
-/// and link class, some trees).
+/// [`TreeGen::plan_warm`] and the plan store's packs, over `g` (the
+/// `options.links` graph of the induced topology): the closed form where it
+/// applies, then the exact lane packing on a lane graph under the default
+/// options (which sets `warm` aside), and otherwise MWU packing and
+/// minimisation, each seeded from `warm` when it can seed this plan (same
+/// root and link class, some trees).
 pub(crate) fn plan_over(
-    g: &DiGraph,
+    g: &PlanningGraph,
     options: &TreeGenOptions,
     root: GpuId,
     warm: Option<&TreePlan>,
 ) -> Result<TreePlan> {
+    let defaults = *options
+        == TreeGenOptions {
+            links: options.links,
+            ..TreeGenOptions::default()
+        };
+    let lane = g.lane.filter(|_| defaults);
+    let g = &g.graph;
     let gpus = g.gpus().to_vec();
     if gpus.len() == 1 {
         return Ok(TreePlan {
@@ -418,34 +475,46 @@ pub(crate) fn plan_over(
             mwu: PackingStats::trivial(),
         });
     }
+    let seeds = |w: &&TreePlan| w.root == root && w.links == options.links && !w.trees.is_empty();
     let warm = warm
-        .filter(|w| w.root == root && w.links == options.links && !w.trees.is_empty())
+        .filter(|w| lane.is_none() && seeds(w))
         .map(|w| TreePacking::new(root, w.trees.clone()));
     let warm = warm.as_ref();
     let mut guard = ScratchPool::process().checkout();
     let scratch = &mut *guard;
-    if let (None, Some(capacity)) = (warm, closed_form(g, options, root)) {
+    // A plan written down without MWU: its trees, the unit trees before
+    // identical ones merged, and its certificate.
+    let unpacked = |trees: Vec<WeightedTree>, before: usize, optimal: f64| TreePlan {
+        root,
+        gpus: gpus.clone(),
+        optimal_rate_gbps: optimal,
+        trees_before_minimize: before,
+        links: options.links,
+        mwu: PackingStats {
+            distinct_trees: trees.len(),
+            termination: PackingTermination::Exact,
+            certificate_gbps: optimal,
+            ..PackingStats::trivial()
+        },
+        trees,
+    };
+    if let (None, Some(capacity)) = (warm, closed_form(g, defaults, root)) {
         let trees = relay_trees(&gpus, root, capacity);
         let optimal = optimal_broadcast_rate_in(g, 0, &mut scratch.certificate);
-        return Ok(TreePlan {
-            root,
-            gpus,
-            optimal_rate_gbps: optimal,
-            trees_before_minimize: trees.len(),
-            links: options.links,
-            mwu: PackingStats {
-                iterations: 0,
-                distinct_trees: trees.len(),
-                hit_iteration_cap: false,
-                termination: PackingTermination::Certificate,
-                certificate_gbps: optimal,
-                warm_seeded: 0,
-                warm_dropped: 0,
-                warm_repaired: 0,
-                warm_topup: 0,
-            },
-            trees,
-        });
+        let mut plan = unpacked(trees, gpus.len() - 1, optimal);
+        plan.mwu.termination = PackingTermination::Certificate;
+        return Ok(plan);
+    }
+    if let (Some(unit), Some(r)) = (lane, g.node(root)) {
+        if !g.spans_from(r) {
+            return Err(BlinkError::Planning(PackingError::Unreachable.to_string()));
+        }
+        let optimal = optimal_broadcast_rate_in(g, r, &mut scratch.certificate);
+        if let Some(k) = whole_lanes(optimal, unit) {
+            let (packing, stats) = pack_lanes_in(g, root, unit, k, &mut scratch.lanes)
+                .map_err(|e| BlinkError::Planning(e.to_string()))?;
+            return Ok(unpacked(packing.trees, stats.lane_trees, optimal));
+        }
     }
     let opts = &options.packing;
     let (packing, stats) = match warm {
@@ -483,17 +552,13 @@ pub(crate) fn plan_over(
 /// The capacity of every edge when a cold plan from `root` has a closed
 /// form: `g` is a complete uniform digraph ([`complete_uniform_capacity`]),
 /// `root` is its first node and its GPUs ascend (so it is the smallest GPU),
-/// and `options` are the default ones, under which MWU packing plus
+/// and the options are the `defaults`, under which MWU packing plus
 /// minimisation returns the relay trees ([`relay_trees`]) bit for bit.
 /// `None` otherwise.
-fn closed_form(g: &DiGraph, options: &TreeGenOptions, root: GpuId) -> Option<f64> {
-    let defaults = TreeGenOptions {
-        links: options.links,
-        ..TreeGenOptions::default()
-    };
+fn closed_form(g: &DiGraph, defaults: bool, root: GpuId) -> Option<f64> {
     let first = g.gpus().first() == Some(&root);
     let ascending = g.gpus().windows(2).all(|w| w[0] < w[1]);
-    if *options != defaults || !first || !ascending {
+    if !defaults || !first || !ascending {
         return None;
     }
     complete_uniform_capacity(g)

@@ -199,6 +199,62 @@ impl DiGraph {
         self.reachable_from(root).len() == self.nodes.len()
     }
 
+    /// For every node, whether every node is reachable from it: the roots a
+    /// spanning arborescence can have, `spans_from` of each node in three
+    /// walks over the graph instead of one per node. The node a depth-first
+    /// search over all nodes finishes last lies in a source component of
+    /// the graph's condensation; if it reaches every node, the roots are
+    /// exactly the nodes that reach it, and otherwise there are none.
+    pub fn spanning_roots(&self) -> Vec<bool> {
+        let n = self.nodes.len();
+        let mut roots = vec![false; n];
+        let mut seen = vec![false; n];
+        let mut last = None;
+        let mut stack: Vec<(NodeIdx, usize)> = Vec::new();
+        for start in 0..n {
+            if seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            stack.push((start, 0));
+            while let Some((u, next)) = stack.last_mut() {
+                let u = *u;
+                match self.out_adj[u].get(*next) {
+                    Some(&e) => {
+                        *next += 1;
+                        let v = self.edges[e].dst;
+                        if !seen[v] {
+                            seen[v] = true;
+                            stack.push((v, 0));
+                        }
+                    }
+                    None => {
+                        stack.pop();
+                        last = Some(u);
+                    }
+                }
+            }
+        }
+        let Some(source) = last else {
+            return roots;
+        };
+        if !self.spans_from(source) {
+            return roots;
+        }
+        roots[source] = true;
+        let mut walk = vec![source];
+        while let Some(v) = walk.pop() {
+            for &e in &self.in_adj[v] {
+                let u = self.edges[e].src;
+                if !roots[u] {
+                    roots[u] = true;
+                    walk.push(u);
+                }
+            }
+        }
+        roots
+    }
+
     /// Minimum positive edge capacity (useful as the "one tree unit").
     /// Returns `None` for an edgeless graph.
     pub fn min_capacity(&self) -> Option<f64> {
@@ -270,6 +326,32 @@ mod tests {
         // edge_between stays first-edge: the pair's canonical representative
         assert_eq!(g.edge_between(a, b), Some(e0));
         assert_ne!(e0, e1);
+    }
+
+    #[test]
+    fn spanning_roots_are_the_nodes_that_span() {
+        for mask in 1u32..256 {
+            let alloc: Vec<GpuId> = (0..8)
+                .filter(|&i| mask & (1 << i) != 0)
+                .map(GpuId)
+                .collect();
+            let sub = dgx1v().induced(&alloc).unwrap();
+            for links in [0, 1] {
+                let g = DiGraph::from_topology_filtered(&sub, |l| {
+                    (links == 0 && l.kind.is_nvlink()) || (links == 1 && l.src.0 % 3 != l.dst.0 % 2)
+                });
+                let roots = g.spanning_roots();
+                for (i, &root) in roots.iter().enumerate() {
+                    assert_eq!(root, g.spans_from(i), "{alloc:?} links {links} node {i}");
+                }
+            }
+        }
+        let mut chain = DiGraph::new();
+        let a = chain.add_node(GpuId(0));
+        let b = chain.add_node(GpuId(1));
+        chain.add_edge(b, a, 1.0);
+        assert_eq!(chain.spanning_roots(), vec![false, true]);
+        assert!(DiGraph::new().spanning_roots().is_empty());
     }
 
     #[test]

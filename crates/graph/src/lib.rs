@@ -72,6 +72,7 @@ pub mod arborescence;
 mod baseline;
 pub mod dbtree;
 pub mod digraph;
+pub mod lanes;
 pub mod maxflow;
 pub mod minimize;
 pub mod packing;
@@ -79,6 +80,7 @@ pub mod rings;
 
 pub use arborescence::{min_arborescence, min_arborescence_in, Arborescence, ArborescenceScratch};
 pub use digraph::{DiGraph, Edge, EdgeIdx, NodeIdx};
+pub use lanes::{lane_unit, pack_lanes_in, LaneScratch, LaneStats};
 pub use maxflow::{
     broadcast_rate_all_sinks_in, optimal_broadcast_rate, optimal_broadcast_rate_in, MaxFlowScratch,
     CUT_ENUMERATION_MAX_NODES,
@@ -102,4 +104,5 @@ const _: () = {
     assert_send::<PackingScratch>();
     assert_send::<MinimizeScratch>();
     assert_send::<MaxFlowScratch>();
+    assert_send::<LaneScratch>();
 };

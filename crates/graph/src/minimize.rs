@@ -112,6 +112,72 @@ enum BbStep {
     Untake(u32),
 }
 
+/// Which candidates the branch-and-bound's residual still fits, kept as it
+/// takes and returns candidates: per candidate, how many of its edges have
+/// no unit left.
+#[derive(Debug, Clone, Default)]
+struct Blocking {
+    /// Per candidate, its edges with no residual unit.
+    blocked: Vec<u32>,
+    /// The candidates using edge `e` are `users[users_off[e]..users_off[e + 1]]`.
+    users_off: Vec<u32>,
+    users: Vec<u32>,
+    /// Next free slot per edge while filling `users`.
+    fill: Vec<u32>,
+}
+
+impl Blocking {
+    /// Indexes the candidates by edge and counts each one's edges with no
+    /// unit in `unit_caps`.
+    fn start(&mut self, sorted_edges: &[u32], sorted_off: &[u32], unit_caps: &[u32]) {
+        let cands = sorted_off
+            .windows(2)
+            .map(|w| &sorted_edges[w[0] as usize..w[1] as usize]);
+        self.users_off.clear();
+        self.users_off.resize(unit_caps.len() + 1, 0);
+        for &e in sorted_edges {
+            self.users_off[e as usize + 1] += 1;
+        }
+        for e in 0..unit_caps.len() {
+            self.users_off[e + 1] += self.users_off[e];
+        }
+        self.users.clear();
+        self.users.resize(sorted_edges.len(), 0);
+        self.blocked.clear();
+        self.fill.clone_from(&self.users_off);
+        for (c, edges) in cands.enumerate() {
+            for &e in edges {
+                self.users[self.fill[e as usize] as usize] = c as u32;
+                self.fill[e as usize] += 1;
+            }
+            self.blocked.push(
+                edges
+                    .iter()
+                    .filter(|&&e| unit_caps[e as usize] == 0)
+                    .count() as u32,
+            );
+        }
+    }
+
+    fn users(&self, e: u32) -> std::ops::Range<usize> {
+        self.users_off[e as usize] as usize..self.users_off[e as usize + 1] as usize
+    }
+
+    /// Edge `e` just lost its last unit.
+    fn block(&mut self, e: u32) {
+        for i in self.users(e) {
+            self.blocked[self.users[i] as usize] += 1;
+        }
+    }
+
+    /// Edge `e` just regained a unit.
+    fn free(&mut self, e: u32) {
+        for i in self.users(e) {
+            self.blocked[self.users[i] as usize] -= 1;
+        }
+    }
+}
+
 /// Reusable buffers for [`minimize_trees_in`]: the arborescence-solver arena
 /// and certificate scratch, the pair-merged capacity view, the greedy-peel
 /// length/residual vectors, the candidate accumulator (flattened sorted
@@ -154,6 +220,8 @@ pub struct MinimizeScratch {
     /// Residual unit capacity entering each vertex (`Σ bb_residual[e]` over
     /// `e` into `v`) — the admissible bound's state.
     in_units: Vec<u32>,
+    /// Which candidates the residual still fits — the fitting bound's state.
+    blocking: Blocking,
     edge_dst: Vec<u32>,
     chosen: Vec<u32>,
     best: Vec<u32>,
@@ -277,11 +345,13 @@ fn arborescence_from_ids(graph: &DiGraph, root_idx: usize, ids: &[u32]) -> Arbor
 /// Iterative branch-and-bound over the sorted candidate view: maximise the
 /// number of selected candidates subject to integer unit capacities.
 ///
-/// Two admissible bounds prune a search node: the remaining-candidate count
-/// (the recursive reference's bound) and the **in-unit cut**: every candidate
+/// Three admissible bounds prune a search node: the remaining-candidate count
+/// (the recursive reference's bound), the remaining candidates that fit the
+/// current residual (a candidate that does not fit now never fits deeper,
+/// where the residual only shrinks), and the **in-unit cut**: every candidate
 /// is a spanning arborescence, so it consumes exactly one capacity unit
 /// entering every non-root vertex — no more than
-/// `min over v ≠ root of in_units(v)` further candidates can ever fit. Both
+/// `min over v ≠ root of in_units(v)` further candidates can ever fit. The
 /// bounds only discard subtrees that cannot *strictly* beat the incumbent, so
 /// incumbent improvements happen at exactly the reference implementation's
 /// DFS nodes, in the same order — the in-unit cut merely reaches them orders
@@ -307,6 +377,7 @@ fn branch_and_bound_in(
     warm_incumbent: &[u32],
     bb_residual: &mut Vec<u32>,
     in_units: &mut Vec<u32>,
+    blocking: &mut Blocking,
     chosen: &mut Vec<u32>,
     best: &mut Vec<u32>,
     stack: &mut Vec<BbStep>,
@@ -345,6 +416,7 @@ fn branch_and_bound_in(
     for (e, &units) in unit_caps.iter().enumerate() {
         in_units[edge_dst[e] as usize] += units;
     }
+    blocking.start(sorted_edges, sorted_off, unit_caps);
     chosen.clear();
     stack.clear();
     stack.push(BbStep::Visit(0));
@@ -353,6 +425,9 @@ fn branch_and_bound_in(
             BbStep::Untake(i) => {
                 chosen.pop();
                 for &e in cand(i) {
+                    if bb_residual[e as usize] == 0 {
+                        blocking.free(e);
+                    }
                     bb_residual[e as usize] += 1;
                     in_units[edge_dst[e as usize] as usize] += 1;
                 }
@@ -381,7 +456,15 @@ fn branch_and_bound_in(
                 if chosen.len() + (k - i as usize).min(in_cut) <= best.len() {
                     continue;
                 }
-                if cand(i).iter().all(|&e| bb_residual[e as usize] > 0) {
+                // a candidate that does not fit the residual now never fits
+                // deeper, where the residual only shrinks: fewer than
+                // `best + 1 − chosen` fitting candidates cannot beat `best`
+                let needed = best.len() + 1 - chosen.len();
+                let blocked = &blocking.blocked[i as usize..];
+                if blocked.iter().filter(|&&b| b == 0).take(needed).count() < needed {
+                    continue;
+                }
+                if blocking.blocked[i as usize] == 0 {
                     // take-branch first, then untake, then the skip-branch —
                     // pushed in reverse execution order
                     stack.push(BbStep::Visit(i + 1));
@@ -390,6 +473,9 @@ fn branch_and_bound_in(
                     for &e in cand(i) {
                         bb_residual[e as usize] -= 1;
                         in_units[edge_dst[e as usize] as usize] -= 1;
+                        if bb_residual[e as usize] == 0 {
+                            blocking.block(e);
+                        }
                     }
                     chosen.push(i);
                 } else {
@@ -740,6 +826,7 @@ fn minimize_impl(
             warm_best,
             bb_residual,
             in_units,
+            blocking,
             chosen,
             best,
             stack,
@@ -756,6 +843,7 @@ fn minimize_impl(
             warm_best,
             bb_residual,
             in_units,
+            blocking,
             chosen,
             best,
             stack,

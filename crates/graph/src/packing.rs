@@ -106,6 +106,9 @@ pub enum PackingError {
     /// arborescence exists (the caller should fall back to another link class,
     /// e.g. PCIe).
     Unreachable,
+    /// The graph has more vertices than the exact lane packer handles
+    /// ([`crate::lanes::LANE_MAX_NODES`]).
+    TooLarge(usize),
 }
 
 impl fmt::Display for PackingError {
@@ -113,6 +116,11 @@ impl fmt::Display for PackingError {
         match self {
             PackingError::EmptyGraph => write!(f, "graph has no vertices"),
             PackingError::UnknownRoot(g) => write!(f, "root {g} is not in the graph"),
+            PackingError::TooLarge(n) => write!(
+                f,
+                "{n} vertices; the lane packer handles at most {}",
+                crate::lanes::LANE_MAX_NODES
+            ),
             PackingError::Unreachable => {
                 write!(
                     f,
@@ -277,6 +285,10 @@ pub enum PackingTermination {
     /// The graph was too small for any packing to exist (a single vertex), so
     /// the MWU loop never ran.
     Trivial,
+    /// No MWU ran: the packing is exact, written down in closed form or built
+    /// by the lane packer ([`crate::lanes`]), and its rate is the
+    /// certificate.
+    Exact,
 }
 
 /// Diagnostics from one MWU packing run.

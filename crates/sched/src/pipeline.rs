@@ -31,7 +31,7 @@ use crate::workload::{Job, WorkloadConfig, WorkloadGenerator};
 use blink_core::communicator::TracedRun;
 use blink_core::{
     BlinkError, CollectiveKind, CollectiveReport, Communicator, CommunicatorBuilder,
-    DegradationLevel, SharedPlanCache,
+    DegradationLevel, RepairPath, SharedPlanCache,
 };
 use blink_topology::presets::{gpus_per_server, placement_topology, ServerKind};
 use blink_topology::{GpuId, Link, LinkKind, ServerId, Topology, TopologyDelta};
@@ -164,6 +164,9 @@ pub struct FleetReport {
     /// min-cost-reroute guarantee `bench_fleet`'s chaos replay gates on (the
     /// two counters must be equal).
     pub recoveries_full_warm_zero_iter: usize,
+    /// Recoveries that repacked a lane graph exactly
+    /// ([`RepairPath::Exact`]), setting its warm seeds aside.
+    pub recoveries_exact: usize,
     /// GPUs recoveries took from their jobs across all jobs: dead GPUs, and
     /// the live ones a shrink-rung recovery shed.
     pub gpus_shed: usize,
@@ -660,6 +663,7 @@ impl FleetPipeline {
                         counts.recoveries_full_warm_zero_iter += 1;
                     }
                 }
+                counts.recoveries_exact += usize::from(rep.repair_path == RepairPath::Exact);
                 counts.gpus_shed += lost.len();
             }
             Err(_) => self.evict_and_requeue(id, time),

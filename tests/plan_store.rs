@@ -632,6 +632,17 @@ fn isolated_on(machine: Topology, alloc: &[GpuId]) -> Communicator {
         .unwrap()
 }
 
+/// A DGX-1V with an extra 7 GB/s NVLink duplex between GPUs 0 and 1: its
+/// NVLink graph is no lane graph (the 0-1 pair carries 30 GB/s, not a whole
+/// number of 23 GB/s lanes), so it packs by MWU and repairs warm.
+fn mixed_dgx1v() -> Topology {
+    let mut machine = dgx1v();
+    machine
+        .add_duplex_with_bandwidth(GpuId(0), GpuId(1), LinkKind::NvLinkGen2, 1, 7.0)
+        .unwrap();
+    machine
+}
+
 #[test]
 fn a_communicator_on_a_repaired_machine_lowers_what_an_isolated_one_lowers() {
     let alloc = ids(&[0, 1, 2, 3, 4, 5, 6, 7]);
@@ -644,16 +655,17 @@ fn a_communicator_on_a_repaired_machine_lowers_what_an_isolated_one_lowers() {
             .unwrap()
     };
     let (kind, bytes) = (CollectiveKind::AllReduce, 16 << 20);
-    // a warm-repairs a dead 0-1 NVLink
-    let mut a = build(dgx1v());
+    // a warm-repairs a dead 2-3 NVLink; the survivors are still no lane
+    // graph (a lane graph repacks exactly and cold instead)
+    let mut a = build(mixed_dgx1v());
     a.run_traced(kind, bytes).unwrap();
-    let delta = TopologyDelta::kill_link(a.induced_topology(), GpuId(0), GpuId(1));
+    let delta = TopologyDelta::kill_link(a.induced_topology(), GpuId(2), GpuId(3));
     let replan = a.replan(&delta).unwrap();
     assert!(replan.warm_seeded_trees > 0, "the repair is warm");
     let (_, repaired, _) = a.run_traced(kind, bytes).unwrap();
     // a fresh communicator on the damaged machine, over the same store,
     // lowers and runs what an isolated one there does, not a's repair
-    let damaged = dgx1v().apply_delta(&delta).unwrap();
+    let damaged = mixed_dgx1v().apply_delta(&delta).unwrap();
     let (report, shared, spans) = build(damaged.clone()).run_traced(kind, bytes).unwrap();
     let (fresh, isolated, fresh_spans) = isolated_on(damaged, &alloc)
         .run_traced(kind, bytes)

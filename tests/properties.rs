@@ -399,11 +399,14 @@ fn mwu_oracle(g: &DiGraph, root: GpuId) -> Option<(Vec<WeightedTree>, f64)> {
 }
 
 /// Plans `alloc` of `machine` over `links` from `root` and checks the plan
-/// against [`mwu_oracle`]: trees, order, weights and certificate bit for bit.
-/// Where the closed form applies (a complete uniform graph planned from its
-/// first GPU) it also checks that no MWU ran and that the relay trees use
-/// each edge at most once at the certificate's rate. Returns whether the
-/// closed form applied.
+/// against [`mwu_oracle`]. Where the closed form applies (a complete uniform
+/// graph planned from its first GPU) the plan is the oracle's trees, order,
+/// weights and certificate bit for bit, no MWU ran, and the relay trees use
+/// each edge at most once at the certificate's rate. Elsewhere on a lane
+/// graph (NVLink among GPUs with no switch-port cap) the plan is exact: no
+/// MWU ran, its rate is the certificate bit for bit and at least the
+/// oracle's. Elsewhere still, the MWU ran and the plan is the oracle's bit
+/// for bit. Returns whether the closed form applied.
 fn check_closed_form(
     machine: &Topology,
     alloc: &[GpuId],
@@ -412,6 +415,8 @@ fn check_closed_form(
 ) -> bool {
     let sub = machine.induced(alloc).unwrap();
     let g = DiGraph::from_topology_filtered(&sub, |l| links.matches(l));
+    let lanes = links == LinkSelection::NvLinkOnly
+        && sub.gpus().iter().all(|g| sub.gpu_cap(g.id).is_none());
     let treegen = TreeGen::new(
         sub,
         TreeGenOptions {
@@ -430,12 +435,20 @@ fn check_closed_form(
         certificate.to_bits(),
         "{case}"
     );
+    let closed = complete_uniform_capacity(&g).is_some() && root == alloc[0];
+    if lanes && !closed {
+        assert_eq!(plan.mwu.iterations, 0, "{case}: no MWU on a lane graph");
+        assert_eq!(plan.mwu.termination, PackingTermination::Exact, "{case}");
+        assert_eq!(plan.rate_gbps().to_bits(), certificate.to_bits(), "{case}");
+        let mwu_rate: f64 = trees.iter().map(|t| t.weight).sum();
+        assert!(plan.rate_gbps() >= mwu_rate, "{case}: below the MWU");
+        return false;
+    }
     assert_eq!(plan.trees.len(), trees.len(), "{case}");
     for (a, b) in plan.trees.iter().zip(&trees) {
         assert_eq!(a.tree, b.tree, "{case}");
         assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{case}");
     }
-    let closed = complete_uniform_capacity(&g).is_some() && root == alloc[0];
     if closed {
         let n = alloc.len();
         assert_eq!(plan.mwu.iterations, 0, "{case}");
@@ -466,8 +479,10 @@ fn check_closed_form(
 
 /// Every DGX-1V and DGX-1P subset of 2–8 GPUs over either link class: a
 /// complete uniform one plans in closed form from its first GPU, equal to the
-/// MWU oracle, and from its other GPUs through the MWU, equal to it too; a
-/// sample of the others plans from its first GPU as the oracle does.
+/// MWU oracle, and from its other GPUs exactly over NVLink (a lane graph) or
+/// through the MWU over PCIe, equal to it there; a sample of the others
+/// plans from its first GPU exactly over NVLink and as the oracle does over
+/// PCIe.
 #[test]
 fn closed_form_plans_are_the_mwu_plans_on_every_dgx1_subset() {
     for machine in [dgx1v(), dgx1p()] {
@@ -544,6 +559,60 @@ fn closed_form_plans_are_the_mwu_plans_on_seeded_dgx2_subsets() {
         }
     }
     assert!(closed >= 50, "{closed} closed-form plans");
+}
+
+// ---- exact lane packings on every DGX-1 class ----
+
+/// Every DGX-1V and DGX-1P class of 2–8 GPUs, from every root NVLink spans
+/// (299 class × root plans): TreeGen's plan reaches its certificate bit for
+/// bit with at most 6 (V) or 4 (P) trees, uses no GPU pair past its lanes,
+/// spans every GPU with every tree, runs no MWU, plans bit-identically twice
+/// and never falls below the MWU oracle's rate.
+#[test]
+fn exact_plans_reach_the_certificate_on_every_dgx1_class_and_root() {
+    let mut plans = 0;
+    for (machine, most, unit) in [(dgx1v(), 6, 23.0), (dgx1p(), 4, 19.0)] {
+        for class in unique_allocations(&machine, 2..=8).unwrap() {
+            let alloc = &class.representative;
+            let sub = machine.induced(alloc).unwrap();
+            let g = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
+            let treegen = TreeGen::new(sub, TreeGenOptions::default());
+            for &root in alloc {
+                let case = format!("{} {alloc:?} from {root}", machine.name());
+                let Some((trees, certificate)) = mwu_oracle(&g, root) else {
+                    continue;
+                };
+                plans += 1;
+                let plan = treegen.plan(root).unwrap();
+                assert!(plan.bit_eq(&treegen.plan(root).unwrap()), "{case}");
+                assert_eq!(plan.rate_gbps().to_bits(), certificate.to_bits(), "{case}");
+                assert_eq!(
+                    plan.optimal_rate_gbps.to_bits(),
+                    certificate.to_bits(),
+                    "{case}"
+                );
+                assert_eq!(plan.mwu.iterations, 0, "{case}");
+                assert!(
+                    plan.num_trees() <= most,
+                    "{case}: {} trees",
+                    plan.num_trees()
+                );
+                let mwu_rate: f64 = trees.iter().map(|t| t.weight).sum();
+                assert!(plan.rate_gbps() >= mwu_rate, "{case}");
+                let packing = TreePacking::new(root, plan.trees.clone());
+                assert!(
+                    packing.max_overuse(&g) <= 1.0,
+                    "{case}: a pair past its lanes"
+                );
+                for wt in &plan.trees {
+                    assert!(wt.tree.is_valid_over(alloc), "{case}: {:?}", wt.tree);
+                    let lanes = wt.weight / unit;
+                    assert_eq!(lanes, lanes.round(), "{case}: {} GB/s", wt.weight);
+                }
+            }
+        }
+    }
+    assert_eq!(plans, 299, "class × root plans");
 }
 
 // ---- the certificate-bounded root sweep ----
