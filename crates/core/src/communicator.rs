@@ -91,7 +91,7 @@ use crate::multiserver::three_phase_allreduce_cached;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
 use crate::treegen::{LinkSelection, PlanningGraphs, ScratchPool, TreePlan};
 use crate::{BlinkError, Result};
-use blink_graph::{optimal_broadcast_rate_in, PackingTermination, WeightedTree};
+use blink_graph::{optimal_broadcast_rate_in, WeightedTree};
 use blink_sim::{
     algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, Simulator, ValueCheck,
 };
@@ -234,8 +234,9 @@ pub enum RepairPath {
     /// iterations on top of the seeded state.
     Iterated,
     /// Warm seeds were set aside: the survivor graph is a lane graph, and
-    /// every root that had a seed was packed exactly and cold, with no MWU
-    /// (cheaper than a warm repair there; see [`crate::treegen`]).
+    /// every root that had a seed was planned cold with no MWU, packed
+    /// exactly or written down in closed form (cheaper than a warm repair
+    /// there; see [`crate::treegen`]).
     Exact,
     /// No warm seeds were consumed: every re-plan went cold (empty cache,
     /// non-packing strategy, or the delta kept all plans exact).
@@ -1106,9 +1107,9 @@ impl Communicator {
                 out.warm_iterations += plan.mwu.iterations;
                 out.warm_repaired += plan.mwu.warm_repaired;
                 out.warm_topup += plan.mwu.warm_topup;
-            } else if self.plans.seeded() < seeds
-                && plan.mwu.termination == PackingTermination::Exact
-            {
+            } else if self.plans.seeded() < seeds && plan.mwu.iterations == 0 {
+                // a lane graph sets its seed aside and packs exactly, or
+                // writes the plan down in closed form
                 out.exact_repacks += 1;
             }
             if plan.rate_gbps() > out.rate_gbps {
@@ -2347,6 +2348,25 @@ mod tests {
         assert!(check.is_correct(), "{check}");
     }
 
+    /// A DGX-1P quad that loses a GPU leaves a complete uniform triangle,
+    /// whose plan from its smallest GPU is written down in closed form: the
+    /// seed it consumed was set aside all the same, and the report says so.
+    #[test]
+    fn a_closed_form_replan_on_a_lane_graph_reports_the_seed_set_aside() {
+        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let (mut comm, store) = with_fresh_store(dgx1p(), &alloc);
+        comm.all_reduce(mb(16)).unwrap();
+        let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(3))).unwrap();
+        assert_eq!(report.num_gpus, 3);
+        assert_eq!(report.seeds_demoted, 1, "{report:?}");
+        assert_eq!(report.repair_path, RepairPath::Exact, "{report:?}");
+        assert_eq!(report.degradation, DegradationLevel::PackedReplan);
+        assert_eq!((report.warm_seeded_trees, report.warm_iterations), (0, 0));
+        assert_eq!(store.mwu_iterations(), 0);
+        let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
+        assert!(check.is_correct(), "{check}");
+    }
+
     #[test]
     fn replan_recovers_from_a_killed_link_warm() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
@@ -2720,12 +2740,11 @@ mod tests {
             .allocation(&alloc)
             .build()
             .unwrap();
-        let alone = comm.all_reduce(mb(128)).unwrap().elapsed_us;
+        let alone = comm.all_reduce(mb(32)).unwrap().elapsed_us;
         // two full-size allreduces issued together share every link, so the
-        // session cannot finish in one collective's time (at a size where
-        // link time, not pipeline fill, sets it)...
+        // session cannot finish in one collective's time...
         let run = comm
-            .run_streamed(CollectiveKind::AllReduce, &[(mb(128), 0.0), (mb(128), 0.0)])
+            .run_streamed(CollectiveKind::AllReduce, &[(mb(32), 0.0), (mb(32), 0.0)])
             .unwrap();
         assert_eq!(run.groups.len(), 2);
         assert!(
@@ -2734,6 +2753,24 @@ mod tests {
             run.finish_us
         );
         // ...but FIFO sharing wastes nothing catastrophic either
+        assert!(run.finish_us < 3.0 * alone);
+    }
+
+    /// The same contention at a size where link time, not pipeline fill,
+    /// sets one collective's time.
+    #[test]
+    fn streamed_requests_contend_at_a_link_bound_size() {
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let mut comm = Communicator::builder(dgx1v())
+            .allocation(&alloc)
+            .build()
+            .unwrap();
+        let alone = comm.all_reduce(mb(128)).unwrap().elapsed_us;
+        let run = comm
+            .run_streamed(CollectiveKind::AllReduce, &[(mb(128), 0.0), (mb(128), 0.0)])
+            .unwrap();
+        assert_eq!(run.groups.len(), 2);
+        assert!(run.finish_us > 1.5 * alone, "{} vs {alone}", run.finish_us);
         assert!(run.finish_us < 3.0 * alone);
     }
 

@@ -6,7 +6,9 @@
 //! * [`treegen`] — the TreeGen stage (Figure 9): probe the topology induced by
 //!   a job's GPU allocation and pack spanning trees. On a lane graph (every
 //!   DGX-1 NVLink slice) the packing is exact: Lovász's construction of the
-//!   certificate's whole-lane trees, with no MWU. Elsewhere (PCIe, the
+//!   certificate's whole-lane trees, with no MWU, keeping the packing a
+//!   pipeline model of the lowered collective rates fastest among those a
+//!   few arc orders grow. Elsewhere (PCIe, the
 //!   hybrid's PCIe half, DGX-2 roots past the first) it is the paper's MWU
 //!   approximation followed by tree-count minimisation (Sections 3.1–3.2),
 //!   and a complete uniform graph from its first GPU is written down in

@@ -16,13 +16,15 @@
 //!    capacity is a whole number of lanes, among GPUs with no switch-port
 //!    cap (every DGX-1 slice; see [`blink_graph::lanes`]), packs the
 //!    certificate's `k` whole-lane trees by Lovász's construction, cold or
-//!    warm alike: a stale plan is set aside, since the exact pack costs less
-//!    than a warm repair and its rate is the certificate, with no ε. It
-//!    reports zero MWU iterations, `k` trees before identical ones merged
+//!    warm alike and whatever the MWU options: a stale plan is set aside,
+//!    since the exact pack costs less than a warm repair and its rate is the
+//!    certificate, with no ε. Of the packings its arc orders grow, it keeps
+//!    the one its pipeline model of the lowered collective rates fastest.
+//!    It reports zero MWU iterations, `k` trees before identical ones merged
 //!    and a [`blink_graph::PackingTermination::Exact`] exit.
 //! 3. **MWU packing, then tree-count minimisation**, seeded from a stale
 //!    plan on a warm replan: every other graph (PCIe, the hybrid's PCIe
-//!    half, DGX-2 roots past the first) and any non-default options.
+//!    half, DGX-2 roots past the first).
 //!
 //! Every plan's certificate comes from
 //! [`blink_graph::optimal_broadcast_rate_in`].
@@ -446,10 +448,10 @@ impl PlanningGraphs {
 /// The one planning body behind [`TreeGen::plan`] (`warm == None`),
 /// [`TreeGen::plan_warm`] and the plan store's packs, over `g` (the
 /// `options.links` graph of the induced topology): the closed form where it
-/// applies, then the exact lane packing on a lane graph under the default
-/// options (which sets `warm` aside), and otherwise MWU packing and
-/// minimisation, each seeded from `warm` when it can seed this plan (same
-/// root and link class, some trees).
+/// applies, then the exact lane packing on a lane graph, whatever the MWU
+/// options (they do not apply to it; it sets `warm` aside), and otherwise
+/// MWU packing and minimisation, each seeded from `warm` when it can seed
+/// this plan (same root and link class, some trees).
 pub(crate) fn plan_over(
     g: &PlanningGraph,
     options: &TreeGenOptions,
@@ -461,8 +463,7 @@ pub(crate) fn plan_over(
             links: options.links,
             ..TreeGenOptions::default()
         };
-    let lane = g.lane.filter(|_| defaults);
-    let g = &g.graph;
+    let (g, lane) = (&g.graph, g.lane);
     let gpus = g.gpus().to_vec();
     if gpus.len() == 1 {
         return Ok(TreePlan {
@@ -666,6 +667,28 @@ mod tests {
             let plan = TreeGen::new(topo.clone(), options).plan(GpuId(2)).unwrap();
             assert!(plan.mwu.iterations > 0, "{options:?}");
         }
+    }
+
+    #[test]
+    fn mwu_options_leave_a_lane_graph_on_the_exact_packer() {
+        let topo = induced(&dgx1v(), &[0, 1, 2, 4, 5, 7]);
+        let exact = TreeGen::new(topo.clone(), TreeGenOptions::default());
+        let exact = exact.plan(GpuId(0)).unwrap();
+        let coarse = TreeGenOptions {
+            packing: PackingOptions {
+                epsilon: 0.1,
+                ..Default::default()
+            },
+            minimize: MinimizeOptions {
+                threshold: 0.1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let plan = TreeGen::new(topo, coarse).plan(GpuId(0)).unwrap();
+        assert_eq!(plan.mwu.termination, PackingTermination::Exact);
+        assert_eq!(plan.mwu.iterations, 0);
+        assert!(plan.bit_eq(&exact), "{plan:?} vs {exact:?}");
     }
 
     #[test]

@@ -30,38 +30,49 @@
 //! # Which packing
 //!
 //! Many packings reach the optimum, and they differ in how their lanes group
-//! into trees. A bounded, deterministic depth-first search over the sorted
-//! growth order tries depth and root fan-out bounds `(D, F)` in that order,
-//! from the shallowest depth any tree can have and a fan-out of one, each
-//! against an admissible prune: an unplaced vertex that no residual path
-//! can attach within `D` ends the branch, and so does a residual that no
-//! longer reaches every vertex within `D` for a tree still to come. Within
-//! one bound it takes arcs shallowest child first, then the parent with the
-//! fewest children in the tree, and keeps the first packing it finds. One
+//! into trees and which GPU pairs their arcs cross. On a DGX-1V a pair has
+//! one or two lanes, and a copy runs at its pair's pooled bandwidth, so a
+//! tree that crosses a two-lane pair moves its chunk twice as fast there as
+//! over a one-lane pair, whatever lane the tree holds. The packer therefore
+//! grows up to three packings, one per arc order, and keeps the one a
+//! pipeline model (`pipeline_us`) rates fastest:
+//!
+//! 1. *roomy*: the arc whose GPU pair has the most lanes left first, then
+//!    the shallowest child, grown greedily;
+//! 2. *shallow*: the shallowest child first, then the lowest child, then the
+//!    parent with the fewest children in the tree;
+//! 3. *shallow-wide*: as *shallow*, but among arcs to one depth the widest
+//!    pair first. It is skipped where every pair has the same lanes (it
+//!    would repeat *shallow*) and where the packing is too large to search.
+//!
+//! The two shallow orders run a bounded, deterministic depth-first search
+//! over the sorted growth order. It tries depth and root fan-out bounds
+//! `(D, F)` in that order, from the shallowest depth any tree can have and
+//! a fan-out of one, each against an admissible prune: an unplaced vertex
+//! that no residual path can attach within `D` ends the branch, and so does
+//! a residual that no longer reaches every vertex within `D` for a tree
+//! still to come. Within one bound it keeps the first packing it finds. One
 //! bound may spend 32 search nodes (arcs placed, including those later
-//! undone) and all of them together 256.
+//! undone) and all of them together 256. The search runs twice: as above,
+//! and with only arcs whose GPU pair would carry no more trees, counted both
+//! ways, than it has lanes, within 64 search nodes (an AllReduce runs every
+//! tree edge backwards in its reduce phase, so a pair two trees cross in
+//! opposite directions carries twice its lanes' worth there). Of the two,
+//! the packing with the shallower deepest tree, then fewer lanes past their
+//! pairs both ways, then the smaller root fan-out within one tree, then the
+//! smaller total depth is that order's. The two-way search runs only when
+//! the first packing takes a pair past its lanes both ways. Should neither
+//! search find a packing, or the packing have more than 32 arcs (the whole
+//! DGX-1V has 42), the trees grow by the order with no bound, which never
+//! needs to backtrack.
 //!
-//! The search runs twice: as above, and with only arcs whose GPU pair would
-//! carry no more trees, counted both ways, than it has lanes, within
-//! 64 search nodes. An AllReduce runs every tree edge backwards in
-//! its reduce phase, so a pair two trees cross in opposite directions
-//! carries twice its lanes' worth there. Of the two packings found, the
-//! one that minimises, in order, the depth of its deepest tree (which
-//! bounds pipeline fill), the lanes it takes past its pairs both ways, the
-//! root's largest fan-out within one tree (a tree that takes most of the
-//! root's lanes leaves the others deep) and the total depth of its trees
-//! is kept. The two-way search runs only when the first packing takes a
-//! pair past its lanes both ways, the one thing it is there to remove.
-//!
-//! Should neither search find a packing, or the packing have more than
-//! 32 arcs (the whole DGX-1V has 42, and no bound below
-//! its greedy depth was ever found within budget), each tree grows by the
-//! same order with no bound, which never needs to backtrack. Identical
-//! trees merge into one tree weighted by their lanes.
-//!
-//! The objective is a proxy for simulated time, and an imperfect one: on
-//! the DGX-1 classes the plans it picks beat MWU plus minimisation on some
-//! collectives and lose on others (`bench_paper`'s `class_sweep`).
+//! The model times AllReduce at 16, 25, 64 and 500 MiB and Broadcast at
+//! 64 MiB over each packing as CodeGen lowers it and the simulator runs it
+//! by default; a packing is kept over the roomy one only when its times,
+//! each relative to the roomy packing's, sum lower. The model is exact for
+//! one tree and approximate for several, where it does not see every wait
+//! the simulator's links impose. Identical trees merge into one tree
+//! weighted by their lanes.
 //!
 //! [`LaneStats`] counts the work: max-flows run and search nodes visited.
 
@@ -125,8 +136,18 @@ pub struct LaneScratch {
     kids: Vec<u32>,
     /// Parent of every vertex in every tree, `k × n` row-major.
     parents: Vec<u32>,
-    /// The best-scored packing's `parents`.
+    /// The packing the current growth order grew, as `parents`.
+    grown: Vec<u32>,
+    /// The packing kept so far, as `parents`.
     best: Vec<u32>,
+    /// The model's distinct trees: first tree and multiplicity.
+    distinct: Vec<(u32, u32)>,
+    /// The model's per-round busy time of every link, `n × n` row-major.
+    link: Vec<f64>,
+    /// The model's first and last chunk at every vertex, up then down.
+    stages: Vec<(f64, f64)>,
+    /// The model's vertices by depth.
+    by_depth: Vec<(usize, usize)>,
     /// Candidate arcs `(depth, child, parent's children, parent)`, one run
     /// per search level.
     cands: Vec<(u32, u32, u32, u32)>,
@@ -235,6 +256,7 @@ pub fn pack_lanes_in(
         max_fanout: u32::MAX,
         two_way: false,
         canonical: true,
+        order: Order::Shallow,
         stats: &mut stats,
         limit: 0,
     };
@@ -247,36 +269,200 @@ pub fn pack_lanes_in(
     // every later tree needs one of the root's lanes
     let widest = (root_lanes + 1).saturating_sub(trees as u32);
     let searched = trees * (n - 1) <= LANE_SEARCH_ARCS;
-    let mut best = None;
-    for two_way in [false, true].into_iter().filter(|_| searched) {
-        // the two-way search is there to remove lanes past their pairs
-        if two_way && best.is_some_and(|(_, overflow, _, _)| overflow == 0) {
-            break;
+    // the first packing's times weigh every reference collective, and it
+    // stays unless another is faster
+    let (mut base, mut kept) = ([0.0; REFERENCE.len()], f64::INFINITY);
+    // over pairs of one width the wide order is the shallow one
+    let mut widths = search.s.cap.iter().filter(|&&c| c > 0);
+    let uniform = widths.next().is_none_or(|&w| widths.all(|&c| c == w));
+    for order in [Order::Roomy, Order::Shallow, Order::ShallowWide] {
+        if order == Order::ShallowWide && (uniform || !searched) {
+            continue;
         }
-        search.two_way = two_way;
-        if let Some(score) = search.bounded(shallowest, widest) {
-            if best.is_none_or(|b| score < b) {
-                best = Some(score);
-                search.s.best.clone_from(&search.s.parents);
+        search.order = order;
+        let mut best = None;
+        let bounded = searched && order != Order::Roomy;
+        for two_way in [false, true].into_iter().filter(|_| bounded) {
+            // the two-way search is there to remove lanes past their pairs
+            if two_way && best.is_some_and(|(_, overflow, _, _)| overflow == 0) {
+                break;
             }
+            search.two_way = two_way;
+            search.canonical = true;
+            if let Some(score) = search.bounded(shallowest, widest) {
+                if best.is_none_or(|b| score < b) {
+                    best = Some(score);
+                    search.s.grown.clone_from(&search.s.parents);
+                }
+            }
+            search.reset();
         }
-        search.reset();
-    }
-    if best.is_none() {
-        // grow every tree by the same arc order with no bound; Lovász's
-        // lemma guarantees a safe arc at every step
-        search.max_depth = n as u32;
-        search.max_fanout = u32::MAX;
-        search.two_way = false;
-        search.canonical = false;
-        search.limit = u64::MAX;
-        if search.start_tree(0) != Step::Found {
-            return Err(PackingError::Unreachable);
+        if best.is_none() {
+            // grow every tree by the order with no bound; Lovász's lemma
+            // guarantees a safe arc at every step
+            search.max_depth = n as u32;
+            search.max_fanout = u32::MAX;
+            search.two_way = false;
+            search.canonical = false;
+            search.limit = u64::MAX;
+            if search.start_tree(0) != Step::Found {
+                return Err(PackingError::Unreachable);
+            }
+            search.s.grown.clone_from(&search.s.parents);
+            search.reset();
         }
-        search.s.best.clone_from(&search.s.parents);
+        let times = pipeline_us(search.s, n, r, trees, unit);
+        if kept.is_infinite() {
+            base = times;
+        }
+        let cost: f64 = times.iter().zip(&base).map(|(t, b)| t / b).sum();
+        if kept.is_infinite() || cost < kept - 1e-9 {
+            kept = cost;
+            search.s.best.clone_from(&search.s.grown);
+        }
     }
     stats.lane_trees = trees;
     Ok((merged_trees(graph, r, unit, trees, &scratch.best), stats))
+}
+
+/// The collectives [`pipeline_us`] times a packing by: AllReduce (`true`)
+/// and Broadcast (`false`), in bytes.
+const REFERENCE: [(bool, f64); 5] = [
+    (true, (16 << 20) as f64),
+    (true, (25 << 20) as f64),
+    (true, (64 << 20) as f64),
+    (true, (500 << 20) as f64),
+    (false, (64 << 20) as f64),
+];
+
+/// Chunk size, fixed cost of a copy and of a reduction (µs) and reduction
+/// bandwidth (GB/s) of the lowering [`pipeline_us`] models: `blink-core`'s
+/// default chunk and `blink-sim`'s default calibration (a 4 µs launch,
+/// plus 1 µs on the wire for a copy).
+const CHUNK_BYTES: f64 = (4 << 20) as f64;
+const COPY_US: f64 = 5.0;
+const REDUCE_US: f64 = 4.0;
+const REDUCE_GBPS: f64 = 100.0;
+
+/// The modelled time, in µs, of each [`REFERENCE`] collective over the
+/// `trees` unit-lane trees in `s.grown`, lowered as CodeGen lowers them:
+/// identical trees merge, each tree's share is cut into chunks, a copy runs
+/// at its GPU pair's pooled bandwidth, and a vertex reduces its children's
+/// chunk in the stream of its copy up the tree (the root, in that of its
+/// copy to its first child). Each tree is a pipeline: a stage (one vertex's
+/// reduce-and-copy up, or one copy down) passes the first chunk after its
+/// own time and every later one after the larger of its own time and the
+/// copies all trees put on its link each round, and a vertex waits for all
+/// its children. The slowest tree's last chunk sets the time.
+fn pipeline_us(
+    s: &mut LaneScratch,
+    n: usize,
+    root: usize,
+    trees: usize,
+    unit: f64,
+) -> [f64; REFERENCE.len()] {
+    let LaneScratch {
+        cap,
+        grown,
+        distinct,
+        link,
+        stages,
+        by_depth,
+        ..
+    } = s;
+    let row = |t: usize| &grown[t * n..(t + 1) * n];
+    // each distinct tree with its multiplicity
+    distinct.clear();
+    for t in 0..trees {
+        match distinct
+            .iter_mut()
+            .find(|(f, _)| row(*f as usize) == row(t))
+        {
+            Some((_, m)) => *m += 1,
+            None => distinct.push((t as u32, 1)),
+        }
+    }
+    let copy =
+        |a: usize, b: usize, bytes: f64| COPY_US + bytes / (f64::from(cap[a * n + b]) * unit * 1e3);
+    let mut out = [0.0; REFERENCE.len()];
+    for (slot, &(all_reduce, bytes)) in out.iter_mut().zip(&REFERENCE) {
+        let chunk = |m: u32| {
+            let share = bytes * f64::from(m) / trees as f64;
+            let chunks = (share / CHUNK_BYTES).ceil().max(1.0);
+            (chunks, share / chunks)
+        };
+        link.clear();
+        link.resize(n * n, 0.0);
+        for &(t, m) in distinct.iter() {
+            let (_, size) = chunk(m);
+            for v in (0..n).filter(|&v| v != root) {
+                let p = row(t as usize)[v] as usize;
+                link[p * n + v] += copy(p, v, size);
+                if all_reduce {
+                    link[v * n + p] += copy(v, p, size);
+                }
+            }
+        }
+        let mut total: f64 = 0.0;
+        for &(t, m) in distinct.iter() {
+            let (chunks, size) = chunk(m);
+            let reduce = REDUCE_US + size / (REDUCE_GBPS * 1e3);
+            let parents = row(t as usize);
+            // first and last chunk through a stage of `own` µs per chunk
+            // that passes later chunks every `every` µs
+            let stage = |(first, last): (f64, f64), own: f64, every: f64| {
+                let first = first + own;
+                (first, (last + own).max(first + (chunks - 1.0) * every))
+            };
+            let depth = |mut v: usize| {
+                let mut d = 0;
+                while v != root {
+                    v = parents[v] as usize;
+                    d += 1;
+                }
+                d
+            };
+            by_depth.clear();
+            by_depth.extend((0..n).map(|v| (depth(v), v)));
+            by_depth.sort_unstable();
+            let kids = |u: usize| {
+                (0..n)
+                    .filter(|&v| v != root && parents[v] as usize == u)
+                    .count()
+            };
+            let first_child = (0..n).find(|&v| v != root && parents[v] as usize == root);
+            // (first, last) chunk ready at each vertex, leaves up, then
+            // arrived at each vertex from the root down
+            stages.clear();
+            stages.resize(2 * n, (0.0, 0.0));
+            let (ready, at) = stages.split_at_mut(n);
+            if all_reduce {
+                for &(_, v) in by_depth.iter().rev() {
+                    let own = if kids(v) > 0 { reduce } else { 0.0 };
+                    if v == root {
+                        ready[v] = stage(ready[v], own, own);
+                        continue;
+                    }
+                    let p = parents[v] as usize;
+                    let own = own + copy(v, p, size);
+                    let up = stage(ready[v], own, own.max(link[v * n + p]));
+                    ready[p] = (ready[p].0.max(up.0), ready[p].1.max(up.1));
+                }
+            }
+            at[root] = if all_reduce { ready[root] } else { (0.0, 0.0) };
+            for &(_, v) in by_depth.iter().filter(|&&(_, v)| v != root) {
+                let p = parents[v] as usize;
+                let mut own = copy(p, v, size);
+                if all_reduce && Some(v) == first_child {
+                    own += reduce;
+                }
+                at[v] = stage(at[p], own, own.max(link[p * n + v]));
+                total = total.max(at[v].1);
+            }
+        }
+        *slot = total;
+    }
+    out
 }
 
 /// The `trees` grown trees of `parents` as weighted arborescences, identical
@@ -313,6 +499,22 @@ fn merged_trees(
     TreePacking::new(graph.gpu(root), trees)
 }
 
+/// The orders the packer tries arcs in. Each yields one packing, and the
+/// one [`pipeline_us`] rates fastest is kept (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Shallowest child first, then the lowest child, then the parent with
+    /// the fewest children in the tree, then the lowest parent; searched
+    /// under depth and fan-out bounds.
+    Shallow,
+    /// As [`Order::Shallow`], but among arcs to the same depth the one on the
+    /// GPU pair with the most lanes first; searched the same way.
+    ShallowWide,
+    /// The arc whose GPU pair has the most lanes left first, then as
+    /// [`Order::Shallow`]; grown greedily, with no bound.
+    Roomy,
+}
+
 /// How one branch of the search ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
@@ -342,6 +544,8 @@ struct Search<'a> {
     /// Grow each tree in `(depth, child)` order only, so the search visits
     /// every tree once; off for the unbounded growth past the budget.
     canonical: bool,
+    /// The order arcs are tried in.
+    order: Order,
     stats: &'a mut LaneStats,
     /// The search-node count at which this bound gives up.
     limit: u64,
@@ -487,9 +691,7 @@ impl Search<'_> {
         self.s.parents[row + v as usize] = NONE;
     }
 
-    /// Pushes the arcs that may extend tree `t`, in preference order:
-    /// shallowest child first, then the lowest child, then the parent with
-    /// the fewest children, then the lowest parent.
+    /// Pushes the arcs that may extend tree `t`, in the search's [`Order`].
     fn candidates(&mut self, t: u32, last: (u32, u32)) {
         let (n, row) = (self.n, t as usize * self.n);
         let s = &mut *self.s;
@@ -517,7 +719,17 @@ impl Search<'_> {
                 s.cands.push((key.0, key.1, kids[u], u as u32));
             }
         }
-        s.cands[base..].sort_unstable();
+        let lanes = |lanes: &[u32], u: u32, v: u32| u32::MAX - lanes[u as usize * n + v as usize];
+        let cands = &mut s.cands[base..];
+        match self.order {
+            Order::Shallow => cands.sort_unstable(),
+            Order::ShallowWide => {
+                cands.sort_unstable_by_key(|&(d, v, k, u)| (d, lanes(&s.cap, u, v), v, k, u))
+            }
+            Order::Roomy => {
+                cands.sort_unstable_by_key(|&(d, v, k, u)| (lanes(&s.lanes, u, v), d, v, k, u))
+            }
+        }
     }
 
     /// Whether every unplaced vertex of tree `t` can still attach within the
@@ -688,6 +900,34 @@ mod tests {
             }
             assert!(stats.max_flows >= 6 * 7 && stats.search_nodes >= 6 * 7);
         }
+    }
+
+    #[test]
+    fn a_lone_tree_crosses_the_two_lane_pairs() {
+        // 0–2 and 2–6 are one lane each, 0–3 and 2–3 two: one tree spans,
+        // and 0→3→2→6 copies at twice the speed of 0→2→{3,6} on two hops
+        let g = nvlink(&dgx1v(), &[0, 2, 3, 6]);
+        let (packing, _) = pack_lanes_in(&g, GpuId(0), 23.0, 1, &mut LaneScratch::new()).unwrap();
+        let edges = [(0, 3), (2, 6), (3, 2)].map(|(a, b)| (GpuId(a), GpuId(b)));
+        assert_eq!(packing.trees.len(), 1);
+        assert_eq!(packing.trees[0].tree.edges, edges);
+    }
+
+    #[test]
+    fn the_model_times_one_tree_as_the_pipeline_it_lowers_to() {
+        // a two-GPU chain over one lane: 16 MiB is four 4 MiB chunks, each
+        // copied up, reduced at the root and copied down in the stream that
+        // reduces, which then passes a chunk every reduce and copy
+        let g = nvlink(&dgx1v(), &[0, 1]);
+        let mut s = LaneScratch::new();
+        pack_lanes_in(&g, GpuId(0), 23.0, 1, &mut s).unwrap();
+        s.grown.clone_from(&s.best);
+        let copy = COPY_US + CHUNK_BYTES / 23e3;
+        let reduce = REDUCE_US + CHUNK_BYTES / (REDUCE_GBPS * 1e3);
+        let all_reduce = copy + 4.0 * (reduce + copy) + reduce;
+        let times = pipeline_us(&mut s, 2, 0, 1, 23.0);
+        assert!((times[0] - all_reduce).abs() < 1e-6, "{times:?}");
+        assert!((times[4] - 16.0 * copy).abs() < 1e-6, "{times:?}");
     }
 
     #[test]
