@@ -24,6 +24,10 @@
 //!   * overlapped strictly beats serialized on every preset x model row;
 //!   * every overlapped/fused schedule passes the semantics oracle;
 //!   * the small-bucket rows actually fused at least one program;
+//!   * the oracle's fresh communicator lowers nothing afresh: the training
+//!     backend's communicator already lowered every group on the same
+//!     process-wide plan store, and a lowering is a function of its key, so
+//!     the store's lowering misses stay put across the oracle's run;
 //!   * re-running each row's overlapped step, twice, lowers and compiles
 //!     nothing new: every group's program and compiled form are the first
 //!     run's `Arc`s, kept in the plan store's lowering tier, and the finish
@@ -35,7 +39,7 @@
 //!
 //! Exits non-zero on regression.
 
-use blink_core::{CollectiveKind, Communicator};
+use blink_core::{global_plan_cache, CollectiveKind, Communicator};
 use blink_topology::presets::{dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
 use blink_train::{BlinkBackend, DnnModel, TrainerConfig, TrainingSimulator};
@@ -86,6 +90,10 @@ struct Row {
     /// The overlapped schedule (and every fused constituent) passed the
     /// value-level oracle.
     conformant: bool,
+    /// Lowering-tier misses the oracle's fresh communicator added to the
+    /// process-wide plan store the backend lowered through (0: it took every
+    /// group's lowering from the store).
+    oracle_fresh_lowerings: u64,
     /// Re-running the overlapped step, twice, lowered and compiled nothing
     /// new (every group's program and compiled form are the first run's
     /// memoised ones), and both repeats finished at the bit-identical time.
@@ -121,9 +129,12 @@ fn run_case(preset: &Preset, model: &DnnModel, config: TrainerConfig, fusion_gat
         .build()
         .expect("preset allocation plans");
     let requests: Vec<(u64, f64)> = buckets.iter().map(|b| (b.bytes, b.ready_us)).collect();
+    let store = global_plan_cache();
+    let before = store.lowering_stats().1;
     let (run, checks) = comm
         .run_streamed_checked(CollectiveKind::AllReduce, &requests)
         .expect("streamed schedule runs");
+    let oracle_fresh_lowerings = store.lowering_stats().1 - before;
     let mut rerun = || {
         comm.run_streamed(CollectiveKind::AllReduce, &requests)
             .expect("streamed schedule re-runs")
@@ -152,6 +163,7 @@ fn run_case(preset: &Preset, model: &DnnModel, config: TrainerConfig, fusion_gat
         speedup: serialized.iteration_us / overlapped.iteration_us,
         fusion_gated,
         conformant: checks.iter().all(|c| c.is_correct()),
+        oracle_fresh_lowerings,
         rerun_memoised: memoised,
     }
 }
@@ -262,6 +274,13 @@ fn main() {
             if row.fusion_gated && row.fused_programs == 0 {
                 failures.push(format!(
                     "{key}: small-bucket regime fused no programs (threshold pass inert)"
+                ));
+            }
+            if row.oracle_fresh_lowerings != 0 {
+                failures.push(format!(
+                    "{key}: the oracle's fresh communicator lowered {} program(s) afresh \
+                     that the backend's communicator already lowered",
+                    row.oracle_fresh_lowerings
                 ));
             }
             if !row.rerun_memoised {

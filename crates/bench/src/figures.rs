@@ -358,27 +358,114 @@ pub struct AutotuneRow {
     pub gbps: f64,
 }
 
+/// The MIAD chunk-size controller of Section 4.2.1: grow the chunk size
+/// geometrically while throughput keeps improving, back off additively once
+/// it regresses, and settle. A communicator lowers at a fixed chunk, so its
+/// reports depend on nothing but the call; [`fig12_chunk_autotune`] builds
+/// each step's communicator at [`ChunkAutotuner::chunk_bytes`] and feeds the
+/// step's throughput to [`ChunkAutotuner::observe`].
+#[derive(Debug, Clone)]
+pub struct ChunkAutotuner {
+    current: u64,
+    best_throughput: f64,
+    growth_factor: f64,
+    decrease_bytes: u64,
+    min_chunk: u64,
+    max_chunk: u64,
+    settled: bool,
+    history: Vec<(u64, f64)>,
+}
+
+impl ChunkAutotuner {
+    /// Creates a tuner starting from `initial_chunk` bytes.
+    ///
+    /// The paper's example (Figure 12) starts at 1 MB and doubles each
+    /// iteration until throughput stops improving.
+    pub fn new(initial_chunk: u64) -> Self {
+        ChunkAutotuner {
+            current: initial_chunk.max(64 * 1024),
+            best_throughput: 0.0,
+            growth_factor: 2.0,
+            decrease_bytes: 512 * 1024,
+            min_chunk: 64 * 1024,
+            max_chunk: 64 << 20,
+            settled: false,
+            history: Vec::new(),
+        }
+    }
+
+    /// The chunk size to use for the next iteration.
+    pub fn chunk_bytes(&self) -> u64 {
+        self.current
+    }
+
+    /// The `(chunk size, throughput)` trace so far — this is exactly the data
+    /// plotted in Figure 12.
+    pub fn history(&self) -> &[(u64, f64)] {
+        &self.history
+    }
+
+    /// Reports the throughput (GB/s) observed with the current chunk size and
+    /// advances the controller.
+    pub fn observe(&mut self, throughput_gbps: f64) {
+        self.history.push((self.current, throughput_gbps));
+        if self.settled {
+            return;
+        }
+        if throughput_gbps > self.best_throughput * 1.01 {
+            // still improving: multiplicative increase
+            self.best_throughput = throughput_gbps;
+            self.current = ((self.current as f64 * self.growth_factor) as u64).min(self.max_chunk);
+            if self.current == self.max_chunk {
+                self.settled = true;
+            }
+        } else if throughput_gbps < self.best_throughput * 0.99 {
+            // regression: additive decrease, then settle
+            self.current = self
+                .current
+                .saturating_sub(self.decrease_bytes)
+                .max(self.min_chunk);
+            self.settled = true;
+        } else {
+            // within noise of the best: stop here
+            self.settled = true;
+        }
+    }
+}
+
+impl Default for ChunkAutotuner {
+    /// The paper's tuner: a 1 MB first chunk, doubled while throughput
+    /// improves.
+    fn default() -> Self {
+        Self::new(1 << 20)
+    }
+}
+
 /// Figure 12: the chunk-size trace of the MIAD tuner while broadcasting over
-/// 4 GPUs.
+/// 4 GPUs. Each step builds a communicator at the tuner's chunk and feeds
+/// the broadcast's throughput back to the tuner.
 pub fn fig12_chunk_autotune(iterations: usize) -> Vec<AutotuneRow> {
     let machine = dgx1v();
     let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-    let mut comm = blink_core::Communicator::builder(machine)
-        .allocation(&alloc)
-        .options(CommunicatorOptions {
-            chunk_bytes: None,
-            ..Default::default()
-        })
-        .build()
-        .expect("valid allocation");
     let bytes = mb(500);
+    let mut tuner = ChunkAutotuner::default();
     for _ in 0..iterations {
-        comm.broadcast(GpuId(0), bytes).expect("broadcast runs");
+        let mut comm = blink_core::Communicator::builder(machine.clone())
+            .allocation(&alloc)
+            .options(CommunicatorOptions {
+                chunk_bytes: tuner.chunk_bytes(),
+                ..Default::default()
+            })
+            .build()
+            .expect("valid allocation");
+        let report = comm.broadcast(GpuId(0), bytes).expect("broadcast runs");
+        tuner.observe(report.algorithmic_bandwidth_gbps);
     }
-    comm.autotune_history(CollectiveKind::Broadcast { root: GpuId(0) }, bytes)
-        .into_iter()
+    tuner
+        .history()
+        .iter()
         .enumerate()
-        .map(|(i, (chunk, gbps))| AutotuneRow {
+        .map(|(i, &(chunk, gbps))| AutotuneRow {
             iteration: i + 1,
             chunk_mb: chunk as f64 / (1 << 20) as f64,
             gbps,
@@ -616,11 +703,8 @@ fn mwu_plan(g: &DiGraph, root: GpuId) -> Option<Vec<WeightedTree>> {
 /// The simulated time of `kind` over `trees` on `induced`, lowered as a
 /// communicator lowers with its default chunk.
 fn trees_us(induced: &Topology, trees: &[WeightedTree], kind: CollectiveKind, bytes: u64) -> f64 {
-    let chunk_bytes = CommunicatorOptions::default()
-        .chunk_bytes
-        .expect("a default chunk");
     let program = CodeGen::new(CodeGenOptions {
-        chunk_bytes,
+        chunk_bytes: CommunicatorOptions::default().chunk_bytes,
         ..CodeGenOptions::default()
     })
     .build(trees, kind, bytes)
@@ -1054,6 +1138,60 @@ mod tests {
         assert!(rows[1].chunk_mb > rows[0].chunk_mb);
         let last = rows.last().expect("non-empty");
         assert_eq!(rows[rows.len() - 2].chunk_mb, last.chunk_mb);
+    }
+
+    #[test]
+    fn grows_while_throughput_improves() {
+        let mut t = ChunkAutotuner::new(1 << 20);
+        assert_eq!(t.chunk_bytes(), 1 << 20);
+        t.observe(40.0);
+        assert_eq!(t.chunk_bytes(), 2 << 20);
+        t.observe(60.0);
+        assert_eq!(t.chunk_bytes(), 4 << 20);
+        assert!(!t.settled);
+        assert_eq!(t.history().len(), 2);
+    }
+
+    #[test]
+    fn backs_off_additively_on_regression() {
+        let mut t = ChunkAutotuner::new(1 << 20);
+        t.observe(40.0); // -> 2 MB
+        t.observe(80.0); // -> 4 MB
+        t.observe(60.0); // regression: back off and settle
+        assert!(t.settled);
+        assert_eq!(t.chunk_bytes(), (4 << 20) - (512 * 1024));
+        let before = t.chunk_bytes();
+        t.observe(100.0); // settled: no change
+        assert_eq!(t.chunk_bytes(), before);
+    }
+
+    #[test]
+    fn settles_when_throughput_plateaus() {
+        let mut t = ChunkAutotuner::new(1 << 20);
+        t.observe(40.0);
+        t.observe(40.1); // within 1% of the best -> settle
+        assert!(t.settled);
+    }
+
+    #[test]
+    fn respects_bounds() {
+        let mut t = ChunkAutotuner::new(1);
+        assert!(t.chunk_bytes() >= 64 * 1024);
+        for gbps in [
+            1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
+        ] {
+            t.observe(gbps);
+        }
+        assert!(t.chunk_bytes() <= 64 << 20);
+        assert!(t.settled);
+        assert_eq!(t.chunk_bytes(), 64 << 20);
+    }
+
+    #[test]
+    fn figure12_records_every_step_and_moves_the_chunk() {
+        let rows = fig12_chunk_autotune(5);
+        assert_eq!(rows.len(), 5);
+        assert!(rows.windows(2).any(|w| w[0].chunk_mb != w[1].chunk_mb));
     }
 
     #[test]

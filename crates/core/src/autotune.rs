@@ -1,19 +1,10 @@
-//! Automatic chunk-size selection (Section 4.2.1, Figure 12) and plan reuse
-//! for the tuning loop.
+//! Plan and lowering reuse: one plan store, a handle per communicator.
 //!
-//! The optimal chunk size trades pipeline latency (smaller chunks let a node
-//! start forwarding earlier) against per-chunk CUDA launch overhead (each
-//! chunk costs at least three CUDA commands). Because training jobs run the
-//! same collective thousands of times, Blink tunes the chunk size online with
-//! a multiplicative-increase / additive-decrease (MIAD) controller: grow the
-//! chunk size geometrically while throughput keeps improving, back off
-//! additively once it regresses, and settle into a steady state.
-//!
-//! # Plan caching: one store, a handle per communicator
-//!
-//! The tuning loop re-issues the same collective over and over while only the
-//! chunk size changes — the tree set does not. Plans are memoised at two
-//! levels so the MWU packing stays out of that loop entirely:
+//! A training job re-issues the same collectives over and over, and a fleet
+//! places the same job shapes on server after server. Neither repeat
+//! changes the tree set or the program a collective lowers to, so plans and
+//! lowerings are memoised at two levels and the packing and lowering stages
+//! run once per key:
 //!
 //! * [`SharedPlanCache`] is the one plan store. Every
 //!   [`crate::Communicator`] holds one: an explicit store passed to
@@ -76,8 +67,10 @@
 //! program next to the plans it was lowered from. An entry is keyed by the
 //! communicator's lowering fingerprint — its rank fingerprint, its
 //! allocation order by rank and whether it lowers hybrid transfers,
-//! computed once per build and per replan — plus `(kind, bytes, chunk)`
-//! and, on a switch fabric, the communicator's own strategy verdict. Like the plan
+//! computed once per build and per replan — plus `(kind, bytes, chunk)`.
+//! On a switch fabric the first lowering of a key races one-hop against
+//! packed trees and stores the winner, whose strategy tag says which side
+//! won, so every later lookup takes it, from any communicator. Like the plan
 //! tier's, the key names GPUs by rank, so one slice shape in one order is
 //! one key on every server of a fleet; a slice whose ids do not ascend
 //! keeps id keys. An entry holds the program's engine compiled form
@@ -131,7 +124,6 @@
 //! the lowering.
 
 use crate::collective::CollectiveKind;
-use crate::communicator::SwitchChoice;
 use crate::treegen::{plan_over, LinkSelection, PlanningGraphs, TreeGenOptions, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate, Arborescence, PackingOptions, WeightedTree};
@@ -522,17 +514,16 @@ impl Default for Tiers {
 /// The lowering tier's key: the communicator's lowering fingerprint (its
 /// slice shape by rank, not its GPU ids), the collective signature — a
 /// rooted kind's root named by its position in the communicator's
-/// allocation (`GpuId(i)` for its `i`-th GPU), not by id — the chunk size
-/// and, on a switch fabric, the communicator's strategy verdict for the
-/// kind (`None` elsewhere, and before the communicator has raced the kind —
-/// a lookup no entry answers).
+/// allocation (`GpuId(i)` for its `i`-th GPU), not by id — and the chunk
+/// size. Nothing of a communicator's call history enters it: an entry is
+/// what the first lowering of the key made, a switch fabric's strategy race
+/// included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct LoweringKey {
     pub(crate) base: u64,
     pub(crate) kind: CollectiveKind,
     pub(crate) bytes: u64,
     pub(crate) chunk: u64,
-    pub(crate) verdict: Option<SwitchChoice>,
 }
 
 /// One lowered collective in the lowering tier.
@@ -729,7 +720,7 @@ impl SharedPlanCache {
     /// Engine runs the store's communicators executed since creation: each
     /// [`crate::Communicator::run`] or [`crate::Communicator::run_traced`]
     /// that simulated its program, and each strategy a switch fabric's
-    /// first lowering of a kind raced. A run served a stored lowering's
+    /// fresh lowering of a key raced. A run served a stored lowering's
     /// memoised total adds none, so a lowering that is only `run` where its
     /// form fits simulates once in its entry's life: on its fresh lowering,
     /// or in the race. Compiling a form runs no engine, and streams,
@@ -1006,84 +997,6 @@ impl PlanCache {
         self.plans.insert((root, links), plan.clone());
         self.reads.push(plan.clone());
         Ok(plan)
-    }
-}
-
-/// MIAD chunk-size controller.
-#[derive(Debug, Clone)]
-pub(crate) struct ChunkAutotuner {
-    current: u64,
-    best_throughput: f64,
-    growth_factor: f64,
-    decrease_bytes: u64,
-    min_chunk: u64,
-    max_chunk: u64,
-    settled: bool,
-    history: Vec<(u64, f64)>,
-}
-
-impl ChunkAutotuner {
-    /// Creates a tuner starting from `initial_chunk` bytes.
-    ///
-    /// The paper's example (Figure 12) starts at 1 MB and doubles each
-    /// iteration until throughput stops improving.
-    pub(crate) fn new(initial_chunk: u64) -> Self {
-        ChunkAutotuner {
-            current: initial_chunk.max(64 * 1024),
-            best_throughput: 0.0,
-            growth_factor: 2.0,
-            decrease_bytes: 512 * 1024,
-            min_chunk: 64 * 1024,
-            max_chunk: 64 << 20,
-            settled: false,
-            history: Vec::new(),
-        }
-    }
-
-    /// The chunk size to use for the next iteration.
-    pub(crate) fn chunk_bytes(&self) -> u64 {
-        self.current
-    }
-
-    /// The `(chunk size, throughput)` trace so far — this is exactly the data
-    /// plotted in Figure 12.
-    pub(crate) fn history(&self) -> &[(u64, f64)] {
-        &self.history
-    }
-
-    /// Reports the throughput (GB/s) observed with the current chunk size and
-    /// advances the controller.
-    pub(crate) fn observe(&mut self, throughput_gbps: f64) {
-        self.history.push((self.current, throughput_gbps));
-        if self.settled {
-            return;
-        }
-        if throughput_gbps > self.best_throughput * 1.01 {
-            // still improving: multiplicative increase
-            self.best_throughput = throughput_gbps;
-            self.current = ((self.current as f64 * self.growth_factor) as u64).min(self.max_chunk);
-            if self.current == self.max_chunk {
-                self.settled = true;
-            }
-        } else if throughput_gbps < self.best_throughput * 0.99 {
-            // regression: additive decrease, then settle
-            self.current = self
-                .current
-                .saturating_sub(self.decrease_bytes)
-                .max(self.min_chunk);
-            self.settled = true;
-        } else {
-            // within noise of the best: stop here
-            self.settled = true;
-        }
-    }
-}
-
-impl Default for ChunkAutotuner {
-    /// The paper's tuner: a 1 MB first chunk, doubled while throughput
-    /// improves.
-    fn default() -> Self {
-        Self::new(1 << 20)
     }
 }
 
@@ -1834,52 +1747,5 @@ mod tests {
             .insert((fp, 999, LinkSelection::NvLinkOnly), Ok(plan.clone()));
         let via_b = stored(&b, fp, 999, LinkSelection::NvLinkOnly).unwrap();
         assert!(Arc::ptr_eq(&via_b, &plan));
-    }
-
-    #[test]
-    fn grows_while_throughput_improves() {
-        let mut t = ChunkAutotuner::new(1 << 20);
-        assert_eq!(t.chunk_bytes(), 1 << 20);
-        t.observe(40.0);
-        assert_eq!(t.chunk_bytes(), 2 << 20);
-        t.observe(60.0);
-        assert_eq!(t.chunk_bytes(), 4 << 20);
-        assert!(!t.settled);
-        assert_eq!(t.history().len(), 2);
-    }
-
-    #[test]
-    fn backs_off_additively_on_regression() {
-        let mut t = ChunkAutotuner::new(1 << 20);
-        t.observe(40.0); // -> 2 MB
-        t.observe(80.0); // -> 4 MB
-        t.observe(60.0); // regression: back off and settle
-        assert!(t.settled);
-        assert_eq!(t.chunk_bytes(), (4 << 20) - (512 * 1024));
-        let before = t.chunk_bytes();
-        t.observe(100.0); // settled: no change
-        assert_eq!(t.chunk_bytes(), before);
-    }
-
-    #[test]
-    fn settles_when_throughput_plateaus() {
-        let mut t = ChunkAutotuner::new(1 << 20);
-        t.observe(40.0);
-        t.observe(40.1); // within 1% of the best -> settle
-        assert!(t.settled);
-    }
-
-    #[test]
-    fn respects_bounds() {
-        let mut t = ChunkAutotuner::new(1);
-        assert!(t.chunk_bytes() >= 64 * 1024);
-        for gbps in [
-            1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
-        ] {
-            t.observe(gbps);
-        }
-        assert!(t.chunk_bytes() <= 64 << 20);
-        assert!(t.settled);
-        assert_eq!(t.chunk_bytes(), 64 << 20);
     }
 }

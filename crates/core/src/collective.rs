@@ -11,8 +11,8 @@ use std::fmt;
 /// inverse of Broadcast, AllGather is AllReduce without the reduction, and
 /// ReduceScatter is the first half of AllReduce.
 ///
-/// Kinds order and hash, so `(kind, bytes)` keys a communicator's
-/// per-signature state directly.
+/// Kinds order and hash, so a kind keys the plan store's lowering tier
+/// directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum CollectiveKind {
     /// One-to-all: `root` sends its buffer to every other GPU.

@@ -31,12 +31,13 @@
 //!   strategy × collective × topology matrix).
 //! * [`collective`] — the collective operations Blink exposes (Broadcast,
 //!   Gather, Reduce, AllGather, ReduceScatter, AllReduce) and their reports.
-//! * [`autotune`] — the multiplicative-increase / additive-decrease automatic
-//!   chunk-size selection (Section 4.2.1, Figure 12), and the plan cache
-//!   that keeps packing and lowering out of the tuning loop: one
-//!   [`SharedPlanCache`] store with one plan tier keyed by the allocation's
-//!   exact shape and a tier of lowered programs, and a private handle on it
-//!   in every communicator.
+//! * [`autotune`] — the plan cache that keeps packing and lowering out of
+//!   repeated calls: one [`SharedPlanCache`] store with one plan tier keyed
+//!   by the allocation's exact shape and a tier of lowered programs, and a
+//!   private handle on it in every communicator. A communicator lowers at a
+//!   fixed chunk size; the paper's MIAD chunk tuner (Section 4.2.1,
+//!   Figure 12) is a standalone controller in `blink-bench`'s Figure 12
+//!   harness, which builds each step's communicator at the tuner's chunk.
 //! * [`fusion`] — batching of small concurrent same-kind collectives into one
 //!   segmented program over their concatenated logical space (the SparCML
 //!   observation applied to per-layer gradient buckets), with a window
@@ -73,14 +74,16 @@
 //! private one for isolation. A communicator spans any induced subgraph of its machine — fragmented
 //! DGX-1 quads and *partially allocated* DGX-2 NVSwitch fabrics plan the
 //! same way. On all-to-all switch fabrics there is no hard-wired strategy:
-//! the first collective of each kind lowers **both** candidates — the
-//! paper's one-hop broadcast trees and TreeGen's packed spanning trees over
-//! the induced switch graph (in closed form from the smallest GPU, see
-//! [`onehop::relay_trees`]) — simulates each once, and memoises whichever
-//! finishes first (the packed certificate `(m−1)·b` beats one-hop's `b`
-//! on fragments where the root's re-injection is the bottleneck, while
-//! one-hop keeps its latency edge where aggregate rates tie). The verdict
-//! is per collective kind and is dropped on [`Communicator::replan`].
+//! the first lowering of each `(kind, bytes, chunk)` key builds **both**
+//! candidates — the paper's one-hop broadcast trees and TreeGen's packed
+//! spanning trees over the induced switch graph (in closed form from the
+//! smallest GPU, see [`onehop::relay_trees`]) — simulates each once, and
+//! stores whichever finishes first in the plan store's lowering tier (the
+//! packed certificate `(m−1)·b` beats one-hop's `b` on fragments where the
+//! root's re-injection is the bottleneck, while one-hop keeps its latency
+//! edge where aggregate rates tie). Every later lookup of the key takes
+//! that winner, from any communicator of the shape, so what a call runs
+//! never depends on the calls before it.
 //!
 //! [`Communicator::split`] partitions an allocation with a
 //! [`blink_topology::GroupSplit`] (by server / by stride / explicit sets)

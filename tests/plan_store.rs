@@ -376,28 +376,40 @@ fn a_two_server_job_packs_the_local_shape_its_servers_share_once() {
 }
 
 #[test]
-fn switch_verdicts_stay_with_the_communicator_that_raced() {
+fn a_switch_verdict_belongs_to_its_lowering_key() {
     // On a whole DGX-2 the AllReduce race picks packed trees at 16 MiB and
-    // one-hop trees at 256 MiB, so two communicators whose first calls use
-    // those sizes hold different verdicts for the same kind.
+    // one-hop trees at 256 MiB. In either order, each call lowers what a
+    // fresh communicator's first call lowers: no earlier call picks a later
+    // call's strategy.
     let full = ids(&(0..16).collect::<Vec<_>>());
     let build = || Communicator::builder(dgx2()).allocation(&full);
     let (big, small) = (
         (CollectiveKind::AllReduce, 256 << 20),
         (CollectiveKind::AllReduce, 16 << 20),
     );
-    let shared = SharedPlanCache::new();
-    let a = lowered(&build, &shared, &[big, small]);
-    let b = lowered(&build, &shared, &[small, big]);
-    let fresh_a = lowered(&build, &SharedPlanCache::new(), &[big, small]);
-    let fresh_b = lowered(&build, &SharedPlanCache::new(), &[small, big]);
-    for (got, fresh) in a.iter().chain(&b).zip(fresh_a.iter().chain(&fresh_b)) {
-        assert_eq!(**got, **fresh);
+    let fresh = |call| lowered(&build, &SharedPlanCache::new(), &[call]).remove(0);
+    for calls in [[big, small], [small, big]] {
+        let got = lowered(&build, &SharedPlanCache::new(), &calls);
+        for (program, call) in got.iter().zip(calls) {
+            assert_eq!(**program, *fresh(call), "{calls:?}");
+        }
     }
-    assert_ne!(
-        *a[0], *b[1],
-        "the verdicts differ, so the 256 MiB programs do"
-    );
+    // One store: the first communicator races the key, and every later one
+    // takes its winner and the winner's memoised total, running no engine.
+    let shared = SharedPlanCache::new();
+    let mut engine_runs = vec![shared.engine_runs()];
+    let mut strategies = Vec::new();
+    for _ in 0..3 {
+        let mut comm = build().shared_plans(shared.clone()).build().unwrap();
+        strategies.push(comm.run(big.0, big.1).unwrap().strategy);
+        engine_runs.push(shared.engine_runs());
+    }
+    assert_eq!(engine_runs, [0, 2, 2, 2]);
+    assert_eq!(shared.lowering_stats(), (2, 1));
+    assert!(strategies.iter().all(|s| s == "one-hop switch trees"));
+    let mut comm = build().isolated_plans().build().unwrap();
+    let packed = comm.run(small.0, small.1).unwrap().strategy;
+    assert_eq!(packed, "packed spanning trees (NVLink switch fabric)");
 }
 
 #[test]
@@ -495,50 +507,32 @@ fn every_dgx1_class_member_lowers_what_a_private_communicator_lowers() {
 
 #[test]
 fn a_replan_after_a_tier_hit_reports_what_it_would_after_a_fresh_lowering() {
-    // (machine, allocation, delta, calls before the replan)
+    // (machine, allocation, delta)
     type Delta = fn(&Topology) -> TopologyDelta;
-    let cases: [(Topology, Vec<GpuId>, Delta, usize); 4] = [
-        (
-            dgx1v(),
-            ids(&[0, 1, 2, 3, 4, 5, 6, 7]),
-            |t| TopologyDelta::kill_link(t, GpuId(0), GpuId(1)),
-            1,
-        ),
-        (
-            dgx1v(),
-            ids(&[0, 1, 2, 3, 4, 5, 6, 7]),
-            |_| TopologyDelta::drop_gpu(GpuId(7)),
-            1,
-        ),
+    let cases: [(Topology, Vec<GpuId>, Delta); 4] = [
+        (dgx1v(), ids(&[0, 1, 2, 3, 4, 5, 6, 7]), |t| {
+            TopologyDelta::kill_link(t, GpuId(0), GpuId(1))
+        }),
+        (dgx1v(), ids(&[0, 1, 2, 3, 4, 5, 6, 7]), |_| {
+            TopologyDelta::drop_gpu(GpuId(7))
+        }),
         // two roots pack in this allocation's sweep
-        (
-            dgx1v(),
-            ids(&[0, 2, 3]),
-            |t| TopologyDelta::kill_link(t, GpuId(2), GpuId(3)),
-            1,
-        ),
-        // the first call of a kind on a switch fabric always races, so the
-        // second is the one that takes a stored lowering
-        (
-            dgx2(),
-            ids(&[0, 3, 7, 11, 12]),
-            |t| TopologyDelta::kill_link(t, GpuId(0), GpuId(3)),
-            2,
-        ),
+        (dgx1v(), ids(&[0, 2, 3]), |t| {
+            TopologyDelta::kill_link(t, GpuId(2), GpuId(3))
+        }),
+        (dgx2(), ids(&[0, 3, 7, 11, 12]), |t| {
+            TopologyDelta::kill_link(t, GpuId(0), GpuId(3))
+        }),
     ];
     // The earlier communicator lowers 4 MiB (running the root sweep) before
     // 8 MiB; the tested one issues 8 MiB first, so it takes a lowering made
     // after the sweep, and replans right after its tier hit.
-    let sizes = [8 << 20, 4 << 20];
-    for (machine, alloc, delta, calls) in cases {
+    for (machine, alloc, delta) in cases {
         let replanned = |mut comm: Communicator| {
-            let programs: Vec<Arc<Program>> = sizes[..calls]
-                .iter()
-                .map(|&bytes| comm.run_traced(CollectiveKind::AllReduce, bytes).unwrap().1)
-                .collect();
+            let (_, program, _) = comm.run_traced(CollectiveKind::AllReduce, 8 << 20).unwrap();
             let report = comm.replan(&delta(comm.induced_topology())).unwrap();
             let (_, after, _) = comm.run_traced(CollectiveKind::AllReduce, 4 << 20).unwrap();
-            (programs, format!("{report:?}"), after)
+            (program, format!("{report:?}"), after)
         };
         let on = |store: &SharedPlanCache| {
             Communicator::builder(machine.clone())
@@ -549,22 +543,20 @@ fn a_replan_after_a_tier_hit_reports_what_it_would_after_a_fresh_lowering() {
         };
         let shared = SharedPlanCache::new();
         let mut earlier = on(&shared);
-        for bytes in sizes.iter().rev() {
-            earlier.run(CollectiveKind::AllReduce, *bytes).unwrap();
+        for bytes in [4 << 20, 8 << 20] {
+            earlier.run(CollectiveKind::AllReduce, bytes).unwrap();
         }
         let (hits, _) = shared.lowering_stats();
-        let (programs, report, after) = replanned(on(&shared));
+        let (program, report, after) = replanned(on(&shared));
         assert_eq!(
             shared.lowering_stats().0,
             hits + 1,
             "{alloc:?}: one tier hit"
         );
         let fresh = SharedPlanCache::new();
-        let (fresh_programs, fresh_report, fresh_after) = replanned(on(&fresh));
+        let (fresh_program, fresh_report, fresh_after) = replanned(on(&fresh));
         assert_eq!(fresh.lowering_stats().0, 0);
-        for (a, b) in programs.iter().zip(&fresh_programs) {
-            assert_eq!(**a, **b, "{alloc:?}");
-        }
+        assert_eq!(*program, *fresh_program, "{alloc:?}");
         assert_eq!(report, fresh_report, "{alloc:?}");
         assert_eq!(*after, *fresh_after, "{alloc:?}");
     }
