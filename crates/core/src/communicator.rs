@@ -19,16 +19,12 @@
 //! collectives pack their own root on first use.
 //!
 //! When the fabric changes underneath a live job, [`Communicator::replan`]
-//! takes a [`TopologyDelta`] and recovers in place: the plan cache demotes
-//! only the plans the delta touches (everything else is kept verbatim), the
-//! demoted plans re-enter the packer as warm seeds via
-//! `TreeGen::plan_warm` — repairing damaged trees around dead links instead
-//! of re-packing from scratch — and the resulting plan is re-certified by
-//! the same MWU certificate a cold plan gets. The replan re-runs the bounded
-//! sweep, so a delta that touches the picked root's plan repairs that one
-//! root. A replan never grows the allocation: a job handed more or other
-//! GPUs gets a new communicator over them. Warm replans are bit-identical-or-better in rate and faster than
-//! cold replans on link and GPU failures (see `bench_replan`);
+//! takes a [`TopologyDelta`] and recovers in place: the plan cache keeps
+//! the plans the delta provably did not touch and drops the rest, and the
+//! replan re-runs the bounded sweep over the surviving slice, so a delta
+//! that touches the picked root's plan re-plans that root as TreeGen plans
+//! any slice, from cold. A replan never grows the allocation: a job handed
+//! more or other GPUs gets a new communicator over them.
 //! [`Communicator::run_checked`] then proves the recovered program
 //! byte-exact on the post-churn hardware.
 //!
@@ -36,15 +32,16 @@
 //!
 //! A communicator keeps no lowered programs and no scratch of its own. Every
 //! collective it lowers goes to its plan store's lowering tier (see
-//! [`crate::autotune`]), keyed by `(kind, bytes, chunk)` under the
+//! [`crate::store`]), keyed by `(kind, bytes, chunk)` under the
 //! communicator's lowering fingerprint, so a repeated call — or a call any
 //! communicator of the same slice shape and options already made, on any
 //! server — takes the stored lowering instead of lowering again (renamed
 //! onto its own GPUs when another slice made it). The fingerprint is
 //! computed once when the communicator is built and once per
 //! [`Communicator::replan`]; a replan that leaves the communicator holding
-//! kept plans or warm seeds gives it a fingerprint no other communicator can
-//! form, since those plans are its own. A communicator keeps no call
+//! kept plans gives it a fingerprint no other communicator can form, since
+//! those plans are its own, and one that keeps none shares the fingerprint
+//! of a fresh communicator over the changed machine. A communicator keeps no call
 //! history that could pick what it lowers: on a switch fabric the first
 //! lowering of a key races the strategies and stores the winner, and every
 //! later lookup of the key, from this communicator or a fresh one, takes it.
@@ -81,16 +78,16 @@
 //! for [`Communicator::machine_topology`], replans and process-group
 //! splits.
 
-use crate::autotune::{
-    global_plan_cache, rank_fingerprint_and_order, Lowering, LoweringKey, PlanCache, Renaming,
-    SharedPlanCache,
-};
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::{CollectiveKind, CollectiveReport};
 use crate::fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 use crate::hybrid::HybridPlanner;
 use crate::multiserver::three_phase_allreduce_cached;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
+use crate::store::{
+    global_plan_cache, rank_fingerprint_and_order, Lowering, LoweringKey, PlanCache, Renaming,
+    SharedPlanCache,
+};
 use crate::treegen::{LinkSelection, PlanningGraphs, ScratchPool, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::{optimal_broadcast_rate_in, WeightedTree};
@@ -141,8 +138,8 @@ impl Default for CommunicatorOptions {
 }
 
 /// What one [`Communicator::root_sweep`] observed: the winning root and
-/// rate, the plans it read, whether any candidate spans the selected link
-/// class, and the warm-repair evidence summed over warm-rebuilt roots only.
+/// rate, the plans it read, and whether any candidate spans the selected
+/// link class.
 #[derive(Debug, Clone)]
 struct SweepOutcome {
     root: GpuId,
@@ -150,12 +147,6 @@ struct SweepOutcome {
     plans: Vec<Arc<TreePlan>>,
     /// At least one candidate root spans the selected link class.
     spannable: bool,
-    warm_seeded: usize,
-    warm_iterations: usize,
-    warm_repaired: usize,
-    warm_topup: usize,
-    /// Roots whose seed was set aside for an exact lane packing.
-    exact_repacks: usize,
 }
 
 impl SweepOutcome {
@@ -165,11 +156,6 @@ impl SweepOutcome {
             rate_gbps: 0.0,
             plans: Vec::new(),
             spannable: false,
-            warm_seeded: 0,
-            warm_iterations: 0,
-            warm_repaired: 0,
-            warm_topup: 0,
-            exact_repacks: 0,
         }
     }
 }
@@ -180,14 +166,16 @@ impl SweepOutcome {
 /// conformance matrix drives each rung through `run_checked`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum DegradationLevel {
-    /// Every plan the delta touched was repaired warm — seeds consumed, zero
-    /// MWU iterations — or survived invalidation untouched. Collectives run
-    /// at the re-certified packed rate with no cold planning work.
+    /// Every plan the communicator held survived the delta untouched, so
+    /// collectives run on them as before and nothing was re-planned. The
+    /// name is older than its meaning; it stays because the benchmark
+    /// reports the rung by it.
     FullWarmRepair,
-    /// The survivor graph was re-planned by ordinary packing (cold, or warm
-    /// with corrective MWU iterations). Also the neutral classification for
-    /// strategies that do not pack per-root trees (switch fabrics,
-    /// multi-server three-phase, single-GPU allocations).
+    /// The survivor graph was re-planned from cold: a store hit, a closed
+    /// form, an exact lane packing, or MWU packing plus minimisation. Also
+    /// the neutral classification for strategies that do not pack per-root
+    /// trees (switch fabrics, multi-server three-phase, single-GPU
+    /// allocations).
     #[default]
     PackedReplan,
     /// The surviving NVLink graph can no longer span the allocation from any
@@ -212,71 +200,23 @@ impl std::fmt::Display for DegradationLevel {
     }
 }
 
-/// How the packing layer recovered the stale plans during a
-/// [`Communicator::replan`] — the evidence behind the unconditional
-/// zero-iteration warm-repair claim, and the path that actually ran.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RepairPath {
-    /// Warm seeds were consumed and the min-cost reroute (plus residual
-    /// top-up) reached the (1−ε)·certificate exit in **zero** MWU
-    /// iterations across every warm-rebuilt root.
-    Reroute,
-    /// Warm seeds were consumed but at least one root needed corrective MWU
-    /// iterations on top of the seeded state.
-    Iterated,
-    /// Warm seeds were set aside: the survivor graph is a lane graph, and
-    /// every root that had a seed was planned cold with no MWU, packed
-    /// exactly or written down in closed form (cheaper than a warm repair
-    /// there; see [`crate::treegen`]).
-    Exact,
-    /// No warm seeds were consumed: every re-plan went cold (empty cache,
-    /// non-packing strategy, or the delta kept all plans exact).
-    #[default]
-    Cold,
-}
-
-impl std::fmt::Display for RepairPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            RepairPath::Reroute => "reroute",
-            RepairPath::Iterated => "iterated",
-            RepairPath::Exact => "exact",
-            RepairPath::Cold => "cold",
-        };
-        f.write_str(s)
-    }
-}
-
-/// What a [`Communicator::replan`] call did — cache survivorship, warm-start
-/// evidence, the re-picked root, and where on the degradation ladder the
-/// recovery landed, for observability and the replan/chaos benchmarks.
+/// What a [`Communicator::replan`] call did — cache survivorship, the
+/// planning work it ran, the re-picked root, and where on the degradation
+/// ladder the recovery landed, for observability and the replan/chaos
+/// benchmarks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplanReport {
     /// Plans that survived delta invalidation untouched (still exact for the
     /// post-event topology).
     pub plans_kept: usize,
-    /// Stale plans the delta demoted to warm-start seeds.
-    pub seeds_demoted: usize,
-    /// Trees re-seeded into the MWU state across the warm re-plans (0 when
-    /// every re-plan went cold or no packing strategy applies).
-    pub warm_seeded_trees: usize,
-    /// MWU iterations spent by warm-rebuilt roots (plans whose packing
-    /// consumed seeds). 0 is the repaired-in-place guarantee; kept plans'
-    /// original cold-pack iterations are *not* counted here.
+    /// Plans the delta touched, which the replan dropped; a later lookup of
+    /// one of their keys plans the changed slice from cold.
+    pub plans_dropped: usize,
+    /// MWU iterations of the packs this replan itself ran. A store hit, a
+    /// kept plan, an exact lane packing and a closed-form plan add 0. The
+    /// field keeps its name because the benchmark reads it by that name.
     #[serde(default)]
     pub warm_iterations: usize,
-    /// Damaged warm trees recovered by the min-cost reroute (subset of
-    /// `warm_seeded_trees`; the rest were intact and re-seeded directly).
-    #[serde(default)]
-    pub warm_repaired_trees: usize,
-    /// Fresh arborescences added by the residual top-up stage during warm
-    /// repair.
-    #[serde(default)]
-    pub warm_topup_trees: usize,
-    /// How the packing layer recovered stale plans (reroute / iterated /
-    /// cold).
-    #[serde(default)]
-    pub repair_path: RepairPath,
     /// Which rung of the graceful-degradation ladder this replan landed on.
     #[serde(default)]
     pub degradation: DegradationLevel,
@@ -369,7 +309,7 @@ pub struct StreamedGroup {
     /// lowering tier.
     pub program: Arc<Program>,
     /// The lowering's compiled form, kept in the lowering tier with it (see
-    /// [`crate::autotune`]): `program`'s, up to renaming its GPUs by dense
+    /// [`crate::store`]): `program`'s, up to renaming its GPUs by dense
     /// index. The session ran it when it was compiled for GPUs at this
     /// communicator's dense indices and fits its simulator.
     pub compiled: Arc<CompiledProgram>,
@@ -408,10 +348,10 @@ pub struct Communicator {
     /// The simulator over the induced topology, which it holds.
     sim: Simulator,
     options: CommunicatorOptions,
-    /// This communicator's handle on its plan store: collectives re-issued
-    /// by the autotune loop skip the packing stage entirely. The handle
-    /// keys its plans under a topology fingerprint, so it would rebuild
-    /// rather than serve stale plans if the topology ever changed.
+    /// This communicator's handle on its plan store: re-issued collectives
+    /// skip the packing stage entirely. [`Communicator::replan`] tells the
+    /// handle of every topology change, so it never serves a plan the
+    /// change touched.
     plans: PlanCache,
     /// What the communicator derived from its current shape.
     shape: ShapeState,
@@ -423,7 +363,7 @@ pub struct Communicator {
 /// [`Communicator::replan`], so no memo kept here can outlive its shape.
 #[derive(Debug)]
 struct ShapeState {
-    /// [`crate::autotune::rank_fingerprint`] of the induced topology.
+    /// [`crate::store::rank_fingerprint`] of the induced topology.
     plan_fp: u64,
     /// The key the store's lowering tier files this communicator's
     /// lowerings under (see [`lowering_fingerprint`]).
@@ -476,8 +416,8 @@ impl ShapeState {
 }
 
 /// A lowering fingerprint no other communicator can form, for one whose
-/// replan left it holding kept plans or warm seeds: those are not the cold
-/// plans of their keys, so its lowerings are its own.
+/// replan left it holding kept plans: those are cold plans of the slice
+/// before the fault, not of its changed key, so its lowerings are its own.
 fn private_lowering_fp() -> u64 {
     static REPLANS: AtomicU64 = AtomicU64::new(0);
     let mut h = DefaultHasher::new();
@@ -604,7 +544,7 @@ impl Communicator {
     /// stored lowering whose compiled form fits this communicator's
     /// simulator returns the total its first run memoised, bit for bit what
     /// simulating it again would give, and runs no engine (see "the lowering
-    /// tier" in [`crate::autotune`]).
+    /// tier" in [`crate::store`]).
     pub fn run(&mut self, kind: CollectiveKind, bytes: u64) -> Result<CollectiveReport> {
         self.run_lowered(kind, bytes, false)
             .map(|(report, _, _)| report)
@@ -980,9 +920,8 @@ impl Communicator {
     }
 
     /// Walks the spannable candidate roots in allocation order, plans each
-    /// one that can still win through the plan cache (consuming any
-    /// warm-start seed a delta left behind) and picks the first with the
-    /// strictly highest *plan* rate.
+    /// one that can still win through the plan cache and picks the first
+    /// with the strictly highest *plan* rate.
     ///
     /// The sweep is bounded by the certificate. Before packing a candidate
     /// it computes the candidate's Edmonds/Lovász optimum on the same graph
@@ -1024,7 +963,6 @@ impl Communicator {
             {
                 continue;
             }
-            let seeds = self.plans.seeded();
             let fp = self.shape.plan_fp;
             let planned =
                 self.plans
@@ -1032,20 +970,6 @@ impl Communicator {
             let Ok(plan) = planned else {
                 return SweepOutcome::fallback(self.allocation[0]);
             };
-            // Only roots that consumed a seed contribute repair evidence: a
-            // kept plan, or one a build took from the store, carries the
-            // iteration counts of whichever pack or repair made it, which
-            // would drown the zero-iteration signal.
-            if self.plans.seeded() < seeds && plan.mwu.warm_seeded > 0 {
-                out.warm_seeded += plan.mwu.warm_seeded;
-                out.warm_iterations += plan.mwu.iterations;
-                out.warm_repaired += plan.mwu.warm_repaired;
-                out.warm_topup += plan.mwu.warm_topup;
-            } else if self.plans.seeded() < seeds && plan.mwu.iterations == 0 {
-                // a lane graph sets its seed aside and packs exactly, or
-                // writes the plan down in closed form
-                out.exact_repacks += 1;
-            }
             if plan.rate_gbps() > out.rate_gbps {
                 out.rate_gbps = plan.rate_gbps();
                 out.root = cand;
@@ -1059,42 +983,35 @@ impl Communicator {
     /// or GPU, a heal, a NIC change — without rebuilding the communicator:
     /// applies `delta` to the machine model, re-induces the (possibly
     /// shrunken) allocation, delta-invalidates the plan cache (it keeps
-    /// plans the event provably did not touch and demotes the rest to
-    /// warm-start seeds), then re-runs the certificate-bounded root sweep — every
-    /// root the sweep packs re-plans **warm** when a seed is left for it,
-    /// seeded from its old trees, and re-certifies against the post-event
-    /// min-cut. Collectives issued afterwards use the recovered plans
-    /// directly; a seed the sweep did not consume warms the first rooted
-    /// collective on its root. Where the survivor NVLink graph is a lane
-    /// graph (every DGX-1 slice), a seed is set aside instead: the root
-    /// packs exactly and cold, which costs less than a warm repair there
-    /// and reaches the certificate, and the report says so
-    /// ([`RepairPath::Exact`], on the [`DegradationLevel::PackedReplan`]
-    /// rung). Warm seeds and MWU repair serve only graphs that are not lane
-    /// graphs.
+    /// plans the event provably did not touch and drops the rest), then
+    /// re-runs the certificate-bounded root sweep. Every root the sweep
+    /// plans afresh goes through the plan store from cold, as a fresh
+    /// communicator's would: a store hit, or a pack the store publishes.
+    /// Collectives issued afterwards use the recovered plans directly; a
+    /// dropped rooted plan is re-planned by the first collective on its
+    /// root.
     ///
     /// Removed GPUs leave the allocation. An allocation never grows in
     /// place: a job handed more GPUs gets a new communicator over them, as
     /// Blink builds one per allocation. The communicator's lowering
     /// fingerprint is recomputed, so it never takes a lowering made for the
-    /// old shape. Kept plans and warm repairs are this communicator's own:
-    /// the store is not told of them, and when the handle holds any, the
-    /// communicator's lowerings go under a fingerprint no other communicator
-    /// can form.
+    /// old shape. Kept plans are this communicator's own: the store is not
+    /// told of them, and when the handle holds any, the communicator's
+    /// lowerings go under a fingerprint no other communicator can form. A
+    /// replan that keeps none holds what a fresh communicator over the
+    /// changed machine holds, and shares its lowerings.
     ///
     /// # Graceful-degradation ladder
     ///
     /// Recovery walks a four-rung ladder, and the rung taken is reported in
     /// [`ReplanReport::degradation`]:
     ///
-    /// 1. **[`DegradationLevel::FullWarmRepair`]** — every touched plan was
-    ///    repaired from its warm seeds in zero MWU iterations (or survived
-    ///    invalidation untouched): as fast as before, no cold planning.
-    /// 2. **[`DegradationLevel::PackedReplan`]** — ordinary packing re-ran on
-    ///    the survivor graph (cold, exact, or warm plus corrective
-    ///    iterations). A delta that drops the picked root lands here: no
-    ///    seed is left for the successor root, which packs cold
-    ///    ([`RepairPath::Cold`]).
+    /// 1. **[`DegradationLevel::FullWarmRepair`]** — every plan the
+    ///    communicator held survived the delta: as fast as before, nothing
+    ///    re-planned.
+    /// 2. **[`DegradationLevel::PackedReplan`]** — the survivor graph was
+    ///    re-planned from cold (a store hit, a closed form, an exact lane
+    ///    packing, or MWU plus minimisation).
     /// 3. **[`DegradationLevel::PcieFallback`]** — no candidate root spans
     ///    the surviving NVLink graph; collectives lower over PCIe trees (or
     ///    one-hop on switch fabrics) until a heal restores spannability.
@@ -1159,48 +1076,34 @@ impl Communicator {
         self.machine = Arc::new(machine);
         self.sim = Simulator::with_defaults(induced);
         self.shape = ShapeState::new(&self.allocation, &self.options, &self.sim);
-        self.plans
+        let plans_dropped = self
+            .plans
             .note_delta(self.sim.topology(), delta, &self.shape.graphs);
         let plans_kept = self.plans.len();
-        let seeds_demoted = self.plans.seeded();
-        if plans_kept + seeds_demoted > 0 {
+        if plans_kept > 0 {
             self.shape.lowering_fp = private_lowering_fp();
         }
         let packed_path = self.packs_per_root();
+        let packed_before = self.plans.packed_iterations();
         let mut sweep = if packed_path {
             self.root_sweep()
         } else {
             SweepOutcome::fallback(self.allocation[0])
         };
         self.shape.picked = Some((sweep.root, std::mem::take(&mut sweep.plans)));
-        let repair_path = if sweep.warm_seeded > 0 && sweep.warm_iterations == 0 {
-            RepairPath::Reroute
-        } else if sweep.warm_seeded > 0 {
-            RepairPath::Iterated
-        } else if sweep.exact_repacks > 0 {
-            RepairPath::Exact
-        } else {
-            RepairPath::Cold
-        };
         let degradation = if !shed_gpus.is_empty() {
             DegradationLevel::ShrunkSubgroup
         } else if packed_path && !sweep.spannable {
             DegradationLevel::PcieFallback
-        } else if packed_path
-            && (repair_path == RepairPath::Reroute || (seeds_demoted == 0 && plans_kept > 0))
-        {
+        } else if packed_path && plans_kept > 0 && plans_dropped == 0 {
             DegradationLevel::FullWarmRepair
         } else {
             DegradationLevel::PackedReplan
         };
         Ok(ReplanReport {
             plans_kept,
-            seeds_demoted,
-            warm_seeded_trees: sweep.warm_seeded,
-            warm_iterations: sweep.warm_iterations,
-            warm_repaired_trees: sweep.warm_repaired,
-            warm_topup_trees: sweep.warm_topup,
-            repair_path,
+            plans_dropped,
+            warm_iterations: self.plans.packed_iterations() - packed_before,
             degradation,
             shed_gpus,
             root: sweep.root,
@@ -2071,7 +1974,7 @@ mod tests {
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let fps: Vec<u64> = slices
             .iter()
-            .map(|(_, gpus)| crate::autotune::rank_fingerprint(&machine.induced(gpus).unwrap()))
+            .map(|(_, gpus)| crate::store::rank_fingerprint(&machine.induced(gpus).unwrap()))
             .collect();
         assert_ne!(fps[0], fps[1], "the two slices must differ in shape");
         let mut comm = CommunicatorBuilder::from_placement(ServerKind::Dgx1V, 5.0, &slices)
@@ -2224,8 +2127,7 @@ mod tests {
     }
 
     /// A DGX-1V with an extra 7 GB/s NVLink duplex between GPUs 0 and 1: its
-    /// NVLink graph is no lane graph, so its plans pack by MWU and its
-    /// replans repair warm.
+    /// NVLink graph is no lane graph, so its plans and replans pack by MWU.
     fn mixed_dgx1v() -> Topology {
         use blink_topology::LinkKind;
         let mut machine = dgx1v();
@@ -2242,9 +2144,8 @@ mod tests {
         comm.all_reduce(mb(16)).unwrap();
         let delta = TopologyDelta::kill_link(comm.induced_topology(), GpuId(0), GpuId(1));
         let report = comm.replan(&delta).unwrap();
-        assert_eq!(report.repair_path, RepairPath::Exact, "{report:?}");
         assert_eq!(report.degradation, DegradationLevel::PackedReplan);
-        assert_eq!((report.warm_seeded_trees, report.warm_iterations), (0, 0));
+        assert_eq!((report.plans_dropped, report.warm_iterations), (1, 0));
         assert_eq!(report.rate_gbps, 115.0, "the certificate, with no ε");
         assert_eq!(store.mwu_iterations(), 0);
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
@@ -2252,40 +2153,42 @@ mod tests {
     }
 
     /// A DGX-1P quad that loses a GPU leaves a complete uniform triangle,
-    /// whose plan from its smallest GPU is written down in closed form: the
-    /// seed it consumed was set aside all the same, and the report says so.
+    /// whose plan from its smallest GPU is written down in closed form.
     #[test]
-    fn a_closed_form_replan_on_a_lane_graph_reports_the_seed_set_aside() {
+    fn a_closed_form_replan_runs_no_mwu() {
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let (mut comm, store) = with_fresh_store(dgx1p(), &alloc);
         comm.all_reduce(mb(16)).unwrap();
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(3))).unwrap();
         assert_eq!(report.num_gpus, 3);
-        assert_eq!(report.seeds_demoted, 1, "{report:?}");
-        assert_eq!(report.repair_path, RepairPath::Exact, "{report:?}");
+        assert_eq!(
+            (report.plans_dropped, report.plans_kept),
+            (1, 0),
+            "{report:?}"
+        );
         assert_eq!(report.degradation, DegradationLevel::PackedReplan);
-        assert_eq!((report.warm_seeded_trees, report.warm_iterations), (0, 0));
+        assert_eq!(report.warm_iterations, 0);
         assert_eq!(store.mwu_iterations(), 0);
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
         assert!(check.is_correct(), "{check}");
     }
 
     #[test]
-    fn replan_recovers_from_a_killed_link_warm() {
+    fn replan_recovers_from_a_killed_link() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let mut comm = Communicator::builder(mixed_dgx1v())
-            .allocation(&alloc)
-            .build()
-            .unwrap();
+        let (mut comm, store) = with_fresh_store(mixed_dgx1v(), &alloc);
         let before = comm.all_reduce(mb(100)).unwrap();
         assert!(before.algorithmic_bandwidth_gbps > 30.0);
         // one NVLink duplex dies
+        let packed = store.mwu_iterations();
         let delta = TopologyDelta::kill_link(comm.induced_topology(), GpuId(2), GpuId(3));
         let report = comm.replan(&delta).unwrap();
         assert_eq!(report.num_gpus, 8);
-        assert!(
-            report.warm_seeded_trees > 0,
-            "stale plans must warm-start the re-plan: {report:?}"
+        assert!(report.plans_dropped > 0, "{report:?}");
+        assert!(report.warm_iterations > 0, "no lane graph: {report:?}");
+        assert_eq!(
+            store.mwu_iterations() - packed,
+            report.warm_iterations as u64
         );
         assert!(report.rate_gbps > 0.0);
         // the recovered communicator still runs correct collectives
@@ -2295,6 +2198,37 @@ mod tests {
         assert!(check.is_correct(), "{check:?}");
         assert!(after.algorithmic_bandwidth_gbps > 0.0);
         assert!(after.algorithmic_bandwidth_gbps <= before.algorithmic_bandwidth_gbps + 1e-6);
+    }
+
+    /// A replan reports the MWU iterations of the packs it ran itself: a
+    /// second communicator replanned through the same delta on the same
+    /// store hits the plans the first one published and packs nothing.
+    #[test]
+    fn a_replan_that_hits_the_store_reports_no_iterations() {
+        // a DGX-2 quad that loses a link is no switch fabric any more, and
+        // its port caps make it no lane graph: its plans pack by MWU
+        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let store = SharedPlanCache::new();
+        let comm = || {
+            Communicator::builder(dgx2())
+                .allocation(&alloc)
+                .shared_plans(store.clone())
+                .build()
+                .unwrap()
+        };
+        let (mut first, mut second) = (comm(), comm());
+        let delta = TopologyDelta::kill_link(first.induced_topology(), GpuId(0), GpuId(1));
+        let reports = [&mut first, &mut second].map(|c| {
+            c.all_reduce(mb(16)).unwrap();
+            c.replan(&delta).unwrap()
+        });
+        assert!(reports[0].warm_iterations > 0, "{:?}", reports[0]);
+        assert_eq!(reports[1].warm_iterations, 0, "{:?}", reports[1]);
+        assert_eq!(reports[0].root, reports[1].root);
+        assert_eq!(
+            reports[0].rate_gbps.to_bits(),
+            reports[1].rate_gbps.to_bits()
+        );
     }
 
     #[test]
@@ -2369,8 +2303,6 @@ mod tests {
         comm.all_reduce(mb(16)).unwrap();
         assert_eq!(comm.shape.picked.as_ref().map(|p| p.0), Some(GpuId(0)));
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(0))).unwrap();
-        // the dropped root's plan cannot seed another root
-        assert_eq!(report.repair_path, RepairPath::Cold, "{report:?}");
         assert_eq!(report.degradation, DegradationLevel::PackedReplan);
         assert_eq!(report.root, GpuId(1));
         assert_eq!(report.rate_gbps, 92.0);
@@ -2380,15 +2312,13 @@ mod tests {
     }
 
     #[test]
-    fn dropping_another_gpu_repairs_the_picked_root_warm() {
+    fn dropping_another_gpu_replans_the_picked_root_cold() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let (mut comm, store) = with_fresh_store(mixed_dgx1v(), &alloc);
         comm.all_reduce(mb(16)).unwrap();
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(7))).unwrap();
-        assert_eq!(report.degradation, DegradationLevel::FullWarmRepair);
-        assert_eq!(report.repair_path, RepairPath::Reroute, "{report:?}");
-        assert_eq!(report.warm_iterations, 0);
-        assert_eq!((report.seeds_demoted, report.root), (1, GpuId(0)));
+        assert_eq!(report.degradation, DegradationLevel::PackedReplan);
+        assert_eq!((report.plans_dropped, report.root), (1, GpuId(0)));
         assert_eq!(store.stats(), (0, 2), "only the picked root re-plans");
     }
 
@@ -2401,11 +2331,41 @@ mod tests {
         assert!(comm.replan(&TopologyDelta::drop_gpu(GpuId(3))).is_err());
     }
 
-    /// Ladder rung 1: a compound delta (two simultaneous NVLink duplex
-    /// failures) repairs warm with zero MWU iterations and is reported as
-    /// [`DegradationLevel::FullWarmRepair`] via [`RepairPath::Reroute`].
+    /// Ladder rung 1: a delta that touches no plan the communicator holds
+    /// keeps every plan and re-plans nothing.
     #[test]
-    fn replan_compound_delta_reports_full_warm_repair() {
+    fn replan_that_touches_no_plan_reports_full_warm_repair() {
+        use blink_topology::LinkKind;
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
+        comm.all_reduce(mb(50)).unwrap();
+        let before = comm.induced_topology().clone();
+        let pcie = *before
+            .links()
+            .iter()
+            .find(|l| l.kind == LinkKind::Pcie)
+            .unwrap();
+        let delta = TopologyDelta {
+            removed_links: vec![pcie],
+            ..Default::default()
+        };
+        let report = comm.replan(&delta).unwrap();
+        assert_eq!(
+            report.degradation,
+            DegradationLevel::FullWarmRepair,
+            "{report:?}"
+        );
+        assert_eq!((report.plans_kept, report.plans_dropped), (1, 0));
+        assert_eq!(report.warm_iterations, 0);
+        assert_eq!(store.stats(), (0, 1), "nothing re-planned");
+        let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(50)).unwrap();
+        assert!(check.is_correct(), "{check:?}");
+    }
+
+    /// A compound delta (two simultaneous NVLink duplex failures) re-plans
+    /// the touched plans from cold.
+    #[test]
+    fn replan_compound_delta_replans_cold() {
         use blink_topology::LinkKind;
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let mut comm = Communicator::builder(mixed_dgx1v())
@@ -2424,13 +2384,10 @@ mod tests {
         let report = comm.replan(&delta).unwrap();
         assert_eq!(
             report.degradation,
-            DegradationLevel::FullWarmRepair,
+            DegradationLevel::PackedReplan,
             "{report:?}"
         );
-        assert_eq!(report.repair_path, RepairPath::Reroute, "{report:?}");
-        assert_eq!(report.warm_iterations, 0, "{report:?}");
-        assert!(report.warm_seeded_trees > 0);
-        assert!(report.warm_repaired_trees > 0, "{report:?}");
+        assert!(report.plans_dropped > 0, "{report:?}");
         assert!(report.shed_gpus.is_empty());
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(50)).unwrap();
         assert!(check.is_correct(), "{check:?}");
@@ -2886,14 +2843,15 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_lowering_over_plans_the_handle_does_not_hold_is_not_taken() {
-        // Two communicators that repaired the same damage by different paths
-        // hold different plans for one shape, and a small plan tier forgets
-        // plans their handles keep: each lowers over its own plans.
+    fn a_replan_that_keeps_no_plan_shares_a_fresh_communicators_lowerings() {
+        // Two communicators that recovered from the same damage by different
+        // deltas, and a fresh one on the damaged machine, hold the same cold
+        // plans for one shape, even when a small plan tier forgets plans
+        // their handles keep: they share one lowering.
         let store = SharedPlanCache::with_capacity(2);
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let build = || {
-            Communicator::builder(dgx1v())
+        let build = |machine: Topology| {
+            Communicator::builder(machine)
                 .allocation(&alloc)
                 .shared_plans(store.clone())
                 .build()
@@ -2903,28 +2861,40 @@ mod tests {
         let kill = |comm: &Communicator, a: usize, b: usize| {
             TopologyDelta::kill_link(comm.induced_topology(), GpuId(a), GpuId(b))
         };
-        // b repairs two link failures one at a time
-        let mut b = build();
+        // b recovers from two link failures one at a time
+        let mut b = build(dgx1v());
         b.all_reduce(mb(16)).unwrap();
         let healthy = b.induced_topology().clone();
-        b.replan(&kill(&b, 0, 1)).unwrap();
-        b.replan(&kill(&b, 2, 3)).unwrap();
+        for (x, y) in [(0, 1), (2, 3)] {
+            let report = b.replan(&kill(&b, x, y)).unwrap();
+            assert_eq!(report.plans_kept, 0, "{report:?}");
+        }
         let (_, mine, _) = b.run_traced(kind, mb(16)).unwrap();
         for root in [1, 2] {
             b.broadcast(GpuId(root), mb(1)).unwrap();
         }
-        // d repairs both at once, and stores its own lowering
-        let mut d = build();
+        // d recovers from both at once and takes b's lowering
+        let mut d = build(dgx1v());
         d.all_reduce(mb(16)).unwrap();
-        d.replan(&TopologyDelta::between(&healthy, b.induced_topology()))
-            .unwrap();
+        let both = TopologyDelta::between(&healthy, b.induced_topology());
+        assert_eq!(d.replan(&both).unwrap().plans_kept, 0);
         let (_, theirs, _) = d.run_traced(kind, mb(16)).unwrap();
+        assert!(Arc::ptr_eq(&theirs, &mine), "d takes b's lowering");
         let (_, again, _) = b.run_traced(kind, mb(16)).unwrap();
-        assert!(
-            !Arc::ptr_eq(&again, &theirs),
-            "b must not take d's lowering"
-        );
-        assert_eq!(*again, *mine, "b lowers over its own plan");
+        assert!(Arc::ptr_eq(&again, &mine));
+        // and so does a fresh communicator on the damaged machine, whose
+        // program an isolated one lowers too
+        let damaged = dgx1v().apply_delta(&both).unwrap();
+        let (_, fresh, _) = build(damaged.clone()).run_traced(kind, mb(16)).unwrap();
+        assert!(Arc::ptr_eq(&fresh, &mine));
+        let (_, isolated, _) = Communicator::builder(damaged)
+            .allocation(&alloc)
+            .isolated_plans()
+            .build()
+            .unwrap()
+            .run_traced(kind, mb(16))
+            .unwrap();
+        assert_eq!(*isolated, *mine);
         let (_, check) = b.run_checked(kind, mb(16)).unwrap();
         assert!(check.is_correct(), "{check}");
     }

@@ -11,9 +11,9 @@
 //! D_pcie = D · BW_p / (BW_p + BW_n)  −  T_dpa · BW_p · BW_n / (BW_p + BW_n)
 //! ```
 
-use crate::autotune::PlanCache;
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
+use crate::store::PlanCache;
 use crate::treegen::{LinkSelection, PlanningGraphs, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::WeightedTree;
@@ -72,8 +72,8 @@ impl HybridPlanner {
     /// Plans hybrid transfers rooted at `root` over the induced topology of an
     /// allocation, whose rank fingerprint is `fp` and planning graphs
     /// `graphs`, through a communicator's plan cache: the NVLink and PCIe
-    /// plans are memoised per root, so re-planning the same collective (the
-    /// autotune loop) skips the MWU packing entirely.
+    /// plans are memoised per root, so re-planning the same collective skips
+    /// the MWU packing entirely.
     ///
     /// # Errors
     /// Fails if either link class cannot span the allocation from `root`.
@@ -215,7 +215,7 @@ impl HybridPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autotune::{rank_fingerprint, SharedPlanCache};
+    use crate::store::{rank_fingerprint, SharedPlanCache};
     use blink_sim::Simulator;
     use blink_topology::presets::dgx1v;
 

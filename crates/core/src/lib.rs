@@ -31,7 +31,7 @@
 //!   strategy × collective × topology matrix).
 //! * [`collective`] — the collective operations Blink exposes (Broadcast,
 //!   Gather, Reduce, AllGather, ReduceScatter, AllReduce) and their reports.
-//! * [`autotune`] — the plan cache that keeps packing and lowering out of
+//! * [`store`] — the plan cache that keeps packing and lowering out of
 //!   repeated calls: one [`SharedPlanCache`] store with one plan tier keyed
 //!   by the allocation's exact shape and a tier of lowered programs, and a
 //!   private handle on it in every communicator. A communicator lowers at a
@@ -57,9 +57,9 @@
 //!   simulator. Rootless collectives run over one root picked by a sweep
 //!   that packs only the candidates whose certificate can still beat the
 //!   best plan. [`Communicator::replan`] absorbs topology churn (failures
-//!   and elasticity) by delta-invalidating the plan cache and warm-starting
-//!   the packer from the surviving trees (`bench_replan` records warm and
-//!   cold latency and the roots each packs).
+//!   and elasticity) by delta-invalidating the plan cache and re-planning
+//!   what the delta touched from cold (`bench_replan` records the latency
+//!   and the roots each replan packs).
 //! * [`group`] — hierarchical process groups: [`Communicator::split`] turns
 //!   one communicator into nested subgroups whose induced topologies share
 //!   the parent's links, executed concurrently through one simulator session
@@ -101,20 +101,13 @@
 //! [`ReplanReport::degradation`] so callers can distinguish "as fast as
 //! before" from "alive but slower" from "alive but smaller":
 //!
-//! 1. [`DegradationLevel::FullWarmRepair`] — the delta's damage was repaired
-//!    entirely from warm seeds (min-cost reroute over the packing residual,
-//!    zero MWU iterations) or did not touch the cached plans at all. Warm
-//!    repair serves graphs that are not lane graphs; `bench_replan` and
-//!    `bench_fleet`'s chaos replay pin it with
-//!    [`ReplanReport::warm_iterations`]` == 0` and
-//!    [`ReplanReport::repair_path`]` == `[`RepairPath::Reroute`] wherever it
-//!    runs.
-//! 2. [`DegradationLevel::PackedReplan`] — ordinary packing on the survivor
-//!    graph: exact on a lane graph ([`RepairPath::Exact`]: every DGX-1 link
-//!    or GPU loss that touches a plan lands here, for less than a warm
-//!    repair costs), otherwise cold or iterated-warm MWU; rate re-certified
-//!    against the post-event min-cut. Dropping the picked root lands here:
-//!    its plan cannot seed the successor root, which packs cold.
+//! 1. [`DegradationLevel::FullWarmRepair`] — the delta did not touch any
+//!    plan the communicator held: every plan survived, nothing re-planned.
+//! 2. [`DegradationLevel::PackedReplan`] — the survivor graph was re-planned
+//!    from cold, as TreeGen plans any slice: a plan-store hit, a closed
+//!    form, an exact lane packing (every DGX-1 link or GPU loss that touches
+//!    a plan), or MWU plus minimisation. [`ReplanReport::warm_iterations`]
+//!    counts the MWU iterations the replan's own packs ran.
 //! 3. [`DegradationLevel::PcieFallback`] — the surviving NVLink graph spans
 //!    from no candidate root; collectives lower over the always-complete
 //!    PCIe mesh (or one-hop on switch fabrics) until a heal event restores
@@ -144,7 +137,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod autotune;
 pub mod codegen;
 pub mod collective;
 pub mod communicator;
@@ -153,17 +145,18 @@ pub mod group;
 pub mod hybrid;
 pub mod multiserver;
 pub mod onehop;
+pub mod store;
 pub mod treegen;
 
-pub use autotune::{global_plan_cache, plan_fingerprint, SharedPlanCache};
 pub use codegen::{CodeGen, CodeGenOptions};
 pub use collective::{CollectiveKind, CollectiveReport};
 pub use communicator::{
-    Communicator, CommunicatorBuilder, CommunicatorOptions, DegradationLevel, RepairPath,
-    ReplanReport, StreamedGroup, StreamedRun,
+    Communicator, CommunicatorBuilder, CommunicatorOptions, DegradationLevel, ReplanReport,
+    StreamedGroup, StreamedRun,
 };
 pub use fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 pub use group::{GroupCollective, GroupRun, ProcessGroups};
+pub use store::{global_plan_cache, plan_fingerprint, SharedPlanCache};
 pub use treegen::{
     LinkSelection, PlannerScratch, ScratchGuard, ScratchPool, TreeGen, TreeGenOptions, TreePlan,
 };

@@ -13,9 +13,9 @@
 //! 3. **Local broadcast** — every server-local root broadcasts its fully
 //!    reduced partition over the local trees.
 
-use crate::autotune::{rank_fingerprint, SharedPlanCache};
 use crate::codegen::{check_op_budget, Chunks, CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
+use crate::store::{rank_fingerprint, SharedPlanCache};
 use crate::treegen::{LinkSelection, PlanningGraphs, TreePlan};
 use crate::{BlinkError, Result};
 use blink_sim::{LinkClass, OpId, Program, ProgramBuilder};
@@ -54,10 +54,9 @@ fn split_even(total: u64, parts: usize) -> Vec<u64> {
 ///
 /// Every per-server, per-partition-root plan over the `links` class is
 /// looked up in `store` under its server-induced topology's rank
-/// fingerprint first, and fresh packs
-/// are published back, so repeated collectives (the communicator's autotune
-/// loop) and other communicators of the same shape, on any servers, never
-/// re-pack. The per-server plans are independent (PAPER.md §3.5); the
+/// fingerprint first, and fresh packs are published back, so repeated
+/// collectives and other communicators of the same shape, on any servers,
+/// never re-pack. The per-server plans are independent (PAPER.md §3.5); the
 /// servers plan one after another on the calling thread, so a server whose
 /// local shape an earlier one shares hits that server's fresh plans,
 /// relabelled. Planning stops at the first server the link class cannot
@@ -113,7 +112,7 @@ pub fn three_phase_allreduce_cached(
         let graphs = PlanningGraphs::default();
         let server_plans = server_roots
             .iter()
-            .map(|&root| store.resolve(links, &topo, fp, root, None, &graphs))
+            .map(|&root| Ok(store.resolve(links, &topo, fp, root, &graphs)?.0))
             .collect::<Result<Vec<_>>>()?;
         plans.push(server_plans);
     }

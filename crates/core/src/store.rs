@@ -41,24 +41,28 @@
 //!
 //! # A store entry is a pure function of its key
 //!
-//! The plan tier holds only cold plans: a plan the store packed with no
-//! warm seed, which is what [`TreeGen::plan`](crate::treegen::TreeGen::plan)
-//! makes for the key's slice shape, root and link class under the default
-//! options. Every lowering in the lowering tier was made by a communicator
-//! whose plans were all such plans. So whoever published an entry, and whenever, a hit is what a
-//! private communicator would plan or lower; nothing in the store is ever
-//! invalidated, and eviction only ever costs a re-pack or a re-lowering.
+//! The plan tier holds only cold plans: what
+//! [`TreeGen::plan`](crate::treegen::TreeGen::plan) makes for the key's
+//! slice shape, root and link class under the default options. Every
+//! lowering in the lowering tier was made by a communicator whose plans were
+//! all such plans. So whoever published an entry, and whenever, a hit is
+//! what a private communicator would plan or lower; nothing in the store is
+//! ever invalidated, and eviction only ever costs a re-pack or a
+//! re-lowering.
 //!
-//! Warm and kept plans are private to the communicator that replanned.
+//! A replan keeps what a fault did not touch and plans the rest from cold.
 //! [`crate::Communicator::replan`] hands the [`TopologyDelta`] to its
-//! handle, which keeps the plans the delta provably did not touch and
-//! demotes the rest to *warm seeds*; the next miss on a seed's key repacks
-//! it as [`TreeGen::plan_warm`](crate::treegen::TreeGen::plan_warm) would,
-//! typically with zero MWU iterations, and the result is not published. A
-//! communicator left holding kept plans or seeds files its lowerings under
-//! a key no other communicator can form.
-//! A hardware change gives the changed slice a new fingerprint, so every
-//! other communicator keeps being served the cold entries of its own key.
+//! handle, which keeps the plans the delta provably did not touch and drops
+//! the rest; the next lookup of a dropped key goes to the store on the
+//! changed slice like any other miss, so it hits a plan another
+//! communicator published for that slice or packs and publishes one. A
+//! kept plan is a cold plan of the slice before the fault, not of the
+//! changed one, so kept plans stay private: a communicator left holding any
+//! files its lowerings under a key no other communicator can form. One
+//! that kept none holds what a fresh communicator over the changed machine
+//! holds, and shares its lowerings. A hardware change gives the changed
+//! slice a new fingerprint, so every other communicator keeps being served
+//! the cold entries of its own key.
 //!
 //! # The lowering tier
 //!
@@ -761,18 +765,18 @@ impl SharedPlanCache {
     /// [`rank_fingerprint`] and `graphs` its planning graphs. A plan-tier
     /// hit comes back relabelled onto `induced`'s GPUs and builds no graph.
     /// A miss packs on the calling thread over the `links` graph of
-    /// `graphs` under the default [`TreeGenOptions`] — warm from `seed` when
-    /// one is given — and a cold pack is published, a failed one included;
-    /// a warm one stays the caller's. A failed pack is counted.
+    /// `graphs` under the default [`TreeGenOptions`] and publishes the
+    /// result, a failed pack included. A failed pack is counted. Beside the
+    /// plan comes the number of MWU iterations this call ran: the plan's own
+    /// after a pack, 0 after a hit.
     pub(crate) fn resolve(
         &self,
         links: LinkSelection,
         induced: &Topology,
         fp: u64,
         root: GpuId,
-        seed: Option<Arc<TreePlan>>,
         graphs: &PlanningGraphs,
-    ) -> Result<Arc<TreePlan>> {
+    ) -> Result<(Arc<TreePlan>, usize)> {
         let Some(rank) = induced.gpus().iter().position(|g| g.id == root) else {
             return Err(BlinkError::Planning(format!(
                 "root {root} is not in the allocation"
@@ -788,28 +792,24 @@ impl SharedPlanCache {
             hit.is_some()
         });
         if let Some(plan) = hit {
-            return plan;
+            return plan.map(|plan| (plan, 0));
         }
         let options = TreeGenOptions {
             links,
             ..TreeGenOptions::default()
         };
-        let plan = plan_over(graphs.get(induced, links), &options, root, seed.as_deref());
+        let plan = plan_over(graphs.get(induced, links), &options, root);
         let mut tiers = self.lock();
         match plan {
             Ok(plan) => {
                 let plan = Arc::new(plan);
                 tiers.mwu_iterations += plan.mwu.iterations as u64;
-                if seed.is_none() {
-                    tiers.plans.insert(key, Ok(plan.clone()));
-                }
-                Ok(plan)
+                tiers.plans.insert(key, Ok(plan.clone()));
+                Ok((plan.clone(), plan.mwu.iterations))
             }
             Err(e) => {
                 tiers.failed_packs += 1;
-                if seed.is_none() {
-                    tiers.plans.insert(key, Err(e.clone()));
-                }
+                tiers.plans.insert(key, Err(e.clone()));
                 Err(e)
             }
         }
@@ -869,10 +869,10 @@ pub fn global_plan_cache() -> SharedPlanCache {
 
 /// A communicator's private handle on its [`SharedPlanCache`] store: plans
 /// memoised per `(root, link class)` for the communicator's current induced
-/// topology, plus the warm seeds a delta demoted. Misses go
-/// through [`SharedPlanCache::resolve`] and pack. The handle also records
-/// the plans it serves, so a lowering can list what it read (see "the
-/// lowering tier" in the module docs).
+/// topology. Misses go through [`SharedPlanCache::resolve`]. The handle
+/// also records the plans it serves, so a lowering can list what it read
+/// (see "the lowering tier" in the module docs), and counts the MWU
+/// iterations its misses packed.
 ///
 /// The handle serves one shape: its owner builds it for the shape and tells
 /// it of every change through [`PlanCache::note_delta`], as
@@ -881,11 +881,10 @@ pub fn global_plan_cache() -> SharedPlanCache {
 pub(crate) struct PlanCache {
     store: SharedPlanCache,
     plans: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
-    /// Stale plans demoted by [`PlanCache::note_delta`], each consumed by the
-    /// next miss on its key to drive [`TreeGen::plan_warm`](crate::treegen::TreeGen::plan_warm).
-    seeds: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
     /// Every plan served since the last [`PlanCache::take_reads`].
     reads: Vec<Arc<TreePlan>>,
+    /// MWU iterations of the packs this handle's misses ran.
+    packed_iterations: usize,
 }
 
 impl PlanCache {
@@ -894,8 +893,8 @@ impl PlanCache {
         PlanCache {
             store,
             plans: BTreeMap::new(),
-            seeds: BTreeMap::new(),
             reads: Vec::new(),
+            packed_iterations: 0,
         }
     }
 
@@ -920,9 +919,10 @@ impl PlanCache {
         self.plans.len()
     }
 
-    /// Number of warm-start seeds awaiting consumption.
-    pub(crate) fn seeded(&self) -> usize {
-        self.seeds.len()
+    /// MWU iterations of the packs this handle's misses ran, in all: a
+    /// store hit and a memoised plan add none.
+    pub(crate) fn packed_iterations(&self) -> usize {
+        self.packed_iterations
     }
 
     /// Applies an in-place topology-change event — a fault, a heal or a NIC
@@ -932,20 +932,22 @@ impl PlanCache {
     /// Plans the delta provably did not touch — untouched by removals, or
     /// healed by added links (see `plan_survives_delta`) — stay live. A
     /// surviving plan of a class the delta added links to is re-certified
-    /// against the healed topology's broadcast min-cut and demoted too if
+    /// against the healed topology's broadcast min-cut and dropped too if
     /// its rate fell below `(1 − ε)` of it (the default packing ε), so the
-    /// next lookup re-packs
-    /// through the restored capacity; a heal that does not raise the cut
-    /// keeps plans live and bit-identical. Every demoted plan becomes a warm
-    /// seed. The store is not told: its entries are cold plans of their
-    /// keys, and the handle's kept and warm plans stay the handle's.
+    /// next lookup plans through the restored capacity; a heal that does not
+    /// raise the cut keeps plans live and bit-identical. Every other plan is
+    /// dropped, and the next lookup of its key resolves from cold. The store
+    /// is not told: its entries are cold plans of their keys, and the
+    /// handle's kept plans stay the handle's. Returns how many plans were
+    /// dropped.
     pub(crate) fn note_delta(
         &mut self,
         induced: &Topology,
         delta: &TopologyDelta,
         graphs: &PlanningGraphs,
-    ) {
+    ) -> usize {
         let epsilon = PackingOptions::default().epsilon;
+        let held = self.plans.len();
         for (key, plan) in std::mem::take(&mut self.plans) {
             let survives = plan_survives_delta(&plan, delta);
             let outgrown = survives
@@ -965,17 +967,15 @@ impl PlanCache {
                 };
             if survives && !outgrown {
                 self.plans.insert(key, plan);
-            } else {
-                self.seeds.insert(key, plan);
             }
         }
+        held - self.plans.len()
     }
 
     /// The plan for `(root, links)` on `induced`, whose
     /// [`rank_fingerprint`] is `fp` and planning graphs `graphs`: served
     /// from the handle when memoised, otherwise through
-    /// [`SharedPlanCache::resolve`] (a store hit, or a pack — warm from the
-    /// root's seed when a delta left one).
+    /// [`SharedPlanCache::resolve`] (a store hit, or a pack it publishes).
     ///
     /// # Errors
     /// A failed pack; the handle caches nothing for it, and the store keeps
@@ -992,8 +992,8 @@ impl PlanCache {
             self.reads.push(plan.clone());
             return Ok(plan.clone());
         }
-        let seed = self.seeds.remove(&(root, links));
-        let plan = self.store.resolve(links, induced, fp, root, seed, graphs)?;
+        let (plan, iterations) = self.store.resolve(links, induced, fp, root, graphs)?;
+        self.packed_iterations += iterations;
         self.plans.insert((root, links), plan.clone());
         self.reads.push(plan.clone());
         Ok(plan)
@@ -1288,30 +1288,33 @@ mod tests {
         let store = SharedPlanCache::new();
         let packed = PlanCache::new(store.clone()).plan(&a, GpuId(0)).unwrap();
         // server 5's slice takes server 0's plan, then loses a link it
-        // routes over and repairs warm: the plan stays filed for the shape,
-        // and the repair stays the handle's
+        // routes over: the handle drops the plan, the old plan stays filed
+        // for the old shape, and the replan is the damaged slice's cold plan
         let mut on_b = PlanCache::new(store.clone());
         on_b.plan(&b, GpuId(40)).unwrap();
         let delta = TopologyDelta::kill_link(&b, GpuId(40), GpuId(41));
         let damaged = b.apply_delta(&delta).unwrap();
-        on_b.note_delta(&damaged, &delta, &PlanningGraphs::default());
-        assert_eq!(on_b.seeded(), 1);
+        assert_eq!(
+            on_b.note_delta(&damaged, &delta, &PlanningGraphs::default()),
+            1
+        );
+        assert_eq!(on_b.len(), 0);
         let repacked = on_b.plan(&damaged, GpuId(40)).unwrap();
-        assert_eq!(on_b.seeded(), 0, "the repack consumed the seed");
-        // a DGX-1V slice is a lane graph: the seed is set aside for an exact
-        // pack, which stays the handle's
         assert_eq!(repacked.mwu.termination, PackingTermination::Exact);
+        assert!(repacked.bit_eq(&handle().plan(&damaged, GpuId(40)).unwrap()));
         assert!(Arc::ptr_eq(
             &stored(&store, fp, 0, LinkSelection::NvLinkOnly).unwrap(),
             &packed
         ));
+        // the replan is published like any miss: another handle on the
+        // damaged slice hits it
         let damaged_fp = rank_fingerprint(&damaged);
-        assert!(stored(&store, damaged_fp, 0, LinkSelection::NvLinkOnly).is_none());
-        // another handle on the damaged slice is served an isolated pack
+        let filed = stored(&store, damaged_fp, 0, LinkSelection::NvLinkOnly).unwrap();
+        assert!(Arc::ptr_eq(&filed, &repacked));
         let served = PlanCache::new(store.clone())
             .plan(&damaged, GpuId(40))
             .unwrap();
-        assert!(served.bit_eq(&handle().plan(&damaged, GpuId(40)).unwrap()));
+        assert!(Arc::ptr_eq(&served, &repacked));
         // server 0's own slice losing the link leaves its plan filed too
         let mut on_a = PlanCache::new(store.clone());
         on_a.plan(&a, GpuId(0)).unwrap();
@@ -1329,9 +1332,9 @@ mod tests {
 
     /// Whether a resolved plan is the plan TreeGen made, or both failed
     /// alike.
-    fn resolved_as(resolved: Result<Arc<TreePlan>>, made: Result<TreePlan>) -> bool {
+    fn resolved_as(resolved: Result<(Arc<TreePlan>, usize)>, made: Result<TreePlan>) -> bool {
         match (resolved, made) {
-            (Ok(resolved), Ok(made)) => resolved.bit_eq(&made),
+            (Ok((resolved, _)), Ok(made)) => resolved.bit_eq(&made),
             (Err(resolved), Err(made)) => resolved.to_string() == made.to_string(),
             _ => false,
         }
@@ -1343,10 +1346,8 @@ mod tests {
         use blink_topology::presets::{dgx1p, dgx2};
         // DGX-1V, DGX-1P and DGX-2 slices, and DGX-1P slices NVLink cannot
         // span, planned over PCIe as the fallback does; each shape's plans
-        // go through one set of planning graphs, cold from the first and
-        // last GPU, then warm from seeds: each root's own cold plan,
-        // another root's (which seeds nothing), and the cold plan again on
-        // the slice with its first two GPUs' links killed
+        // go through one set of planning graphs from the first and last GPU,
+        // then again on the slice with its first two GPUs' links killed
         let nvlink = LinkSelection::NvLinkOnly;
         let pcie = LinkSelection::PcieOnly;
         let cases = [
@@ -1360,51 +1361,21 @@ mod tests {
         for (machine, gpus, links) in cases {
             let alloc: Vec<GpuId> = gpus.into_iter().map(GpuId).collect();
             let induced = machine.induced(&alloc).unwrap();
-            let fp = rank_fingerprint(&induced);
+            let delta = TopologyDelta::kill_link(&induced, alloc[0], alloc[1]);
+            let damaged = induced.apply_delta(&delta).unwrap();
             let options = TreeGenOptions {
                 links,
                 ..TreeGenOptions::default()
             };
-            let tg = TreeGen::new(induced.clone(), options);
-            let (store, graphs) = (SharedPlanCache::new(), PlanningGraphs::default());
-            let roots = [alloc[0], alloc[alloc.len() - 1]];
-            let cold = roots.map(|root| {
-                let plan = store.resolve(links, &induced, fp, root, None, &graphs);
-                let made = tg.plan(root);
-                assert!(resolved_as(plan.clone(), made), "{alloc:?} from {root}");
-                plan.unwrap()
-            });
-            let delta = TopologyDelta::kill_link(&induced, alloc[0], alloc[1]);
-            let damaged = induced.apply_delta(&delta).unwrap();
-            let damaged_graphs = PlanningGraphs::default();
-            let damaged_tg = TreeGen::new(damaged.clone(), options);
-            for (k, &root) in roots.iter().enumerate() {
-                for seed in [&cold[k], &cold[1 - k]] {
-                    // a fresh store, so the key misses and the seed is read
-                    let warm = SharedPlanCache::new().resolve(
-                        links,
-                        &induced,
-                        fp,
-                        root,
-                        Some(seed.clone()),
-                        &graphs,
-                    );
-                    let made = tg.plan_warm(root, seed);
-                    assert!(resolved_as(warm, made), "{alloc:?} from {root}");
+            for topo in [&induced, &damaged] {
+                let fp = rank_fingerprint(topo);
+                let tg = TreeGen::new(topo.clone(), options);
+                let (store, graphs) = (SharedPlanCache::new(), PlanningGraphs::default());
+                for root in [alloc[0], alloc[alloc.len() - 1]] {
+                    let plan = store.resolve(links, topo, fp, root, &graphs);
+                    let made = tg.plan(root);
+                    assert!(resolved_as(plan, made), "{alloc:?} from {root}");
                 }
-                let repaired = SharedPlanCache::new().resolve(
-                    links,
-                    &damaged,
-                    rank_fingerprint(&damaged),
-                    root,
-                    Some(cold[k].clone()),
-                    &damaged_graphs,
-                );
-                let made = damaged_tg.plan_warm(root, &cold[k]);
-                assert!(
-                    resolved_as(repaired, made),
-                    "{alloc:?} repaired from {root}"
-                );
             }
         }
     }
@@ -1433,20 +1404,23 @@ mod tests {
         let induced = induced(&blink_topology::presets::dgx2(), 4);
         let shared = SharedPlanCache::new();
         assert_eq!(shared.mwu_iterations(), 0);
-        let plan = PlanCache::new(shared.clone())
-            .plan(&induced, GpuId(1))
-            .unwrap();
+        let mut packer = PlanCache::new(shared.clone());
+        let plan = packer.plan(&induced, GpuId(1)).unwrap();
         assert!(
             plan.mwu.iterations > 0,
             "a DGX-2 root past the first packs with MWU"
         );
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
+        assert_eq!(packer.packed_iterations(), plan.mwu.iterations);
+        // a memoised repeat packs nothing
+        packer.plan(&induced, GpuId(1)).unwrap();
+        assert_eq!(packer.packed_iterations(), plan.mwu.iterations);
         // another handle's lookup is a store hit: no packing, no count
-        PlanCache::new(shared.clone())
-            .plan(&induced, GpuId(1))
-            .unwrap();
+        let mut hitter = PlanCache::new(shared.clone());
+        hitter.plan(&induced, GpuId(1)).unwrap();
         assert_eq!(shared.stats(), (1, 1));
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
+        assert_eq!(hitter.packed_iterations(), 0);
     }
 
     #[test]
@@ -1477,26 +1451,22 @@ mod tests {
             .plan(&full, GpuId(0))
             .unwrap();
         assert_eq!(shared.len(), 1);
-        // handle A sees its topology change full -> half and repairs warm:
-        // the full-shape plan stays in the store, and the repair is A's own
+        // handle A sees its topology change full -> half and replans: the
+        // full-shape plan stays in the store, and A's cold plan of the half
+        // shape, which an isolated handle packs too, is published beside it
         let mut a = PlanCache::new(shared.clone());
         a.plan(&full, GpuId(0)).unwrap();
         let delta = TopologyDelta::between(&full, &half);
         a.note_delta(&half, &delta, &PlanningGraphs::default());
-        a.plan(&half, GpuId(0)).unwrap();
-        assert_eq!(shared.len(), 1, "a warm repack is not published");
+        let replanned = a.plan(&half, GpuId(0)).unwrap();
+        assert_eq!(shared.len(), 2);
         let fp_full = rank_fingerprint(&full);
         assert!(stored(&shared, fp_full, 0, LinkSelection::NvLinkOnly).is_some());
-        // a fresh handle on the half shape packs it cold, as an isolated
-        // handle does, and publishes that
-        let cold = PlanCache::new(shared.clone())
-            .plan(&half, GpuId(0))
-            .unwrap();
-        assert!(cold.bit_eq(&handle().plan(&half, GpuId(0)).unwrap()));
+        assert!(replanned.bit_eq(&handle().plan(&half, GpuId(0)).unwrap()));
         let fp_half = rank_fingerprint(&half);
         assert!(Arc::ptr_eq(
             &stored(&shared, fp_half, 0, LinkSelection::NvLinkOnly).unwrap(),
-            &cold
+            &replanned
         ));
     }
 
@@ -1567,7 +1537,7 @@ mod tests {
     }
 
     #[test]
-    fn note_delta_demotes_touched_plans_to_seeds_and_replans_warm() {
+    fn note_delta_drops_touched_plans_and_replans_them_cold() {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let induced = induced(&dgx1v(), 8);
         let mut cache = handle();
@@ -1576,27 +1546,22 @@ mod tests {
         // a physical NVLink connection dies
         let delta = TopologyDelta::kill_link(&induced, GpuId(0), GpuId(1));
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &delta, &PlanningGraphs::default());
-        // every plan either survived (untouched by the dead pair) or became
-        // a warm-start seed — none were thrown away
-        assert_eq!(cache.len() + cache.seeded(), 8);
-        assert!(cache.seeded() >= 1, "some plan used the killed link");
-        // replanning consumes the seeds and yields plans that avoid the
-        // dead pair and are never worse than a cold re-plan
+        let dropped = cache.note_delta(&after, &delta, &PlanningGraphs::default());
+        // every plan either survived (untouched by the dead pair) or was
+        // dropped
+        assert_eq!(cache.len() + dropped, 8);
+        assert!(dropped >= 1, "some plan used the killed link");
+        // a dropped root replans to an isolated handle's plan of the damaged
+        // slice, which avoids the dead pair; a kept one is served as it was
         let dead = delta.removed_pairs();
-        let warm = plan_each(&mut cache, &after, &alloc);
-        assert_eq!(cache.seeded(), 0, "seeds are consumed on use");
         let mut cold_cache = handle();
-        for (plan, &root) in warm.iter().zip(&alloc) {
+        for (plan, &root) in plan_each(&mut cache, &after, &alloc).iter().zip(&alloc) {
             assert!(plan
                 .trees
                 .iter()
                 .all(|t| t.tree.edges.iter().all(|e| !dead.contains(e))));
             let cold = cold_cache.plan(&after, root).unwrap();
-            assert!(
-                plan.rate_gbps() >= cold.rate_gbps() - 1e-9,
-                "warm replan for root {root} must not be worse than cold"
-            );
+            assert!(plan.rate_gbps() >= cold.rate_gbps() - 1e-9, "root {root}");
         }
     }
 
@@ -1617,9 +1582,9 @@ mod tests {
             ..Default::default()
         };
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &delta, &PlanningGraphs::default());
+        let dropped = cache.note_delta(&after, &delta, &PlanningGraphs::default());
         assert_eq!(cache.len(), 1, "untouched plan stays live locally");
-        assert_eq!(cache.seeded(), 0);
+        assert_eq!(dropped, 0);
         // the next lookup serves it bit-identically without re-packing
         let again = cache.plan(&after, GpuId(0)).unwrap();
         assert!(before.bit_eq(&again));
@@ -1654,13 +1619,13 @@ mod tests {
         };
         assert!(delta.is_pure_growth() && !delta.is_pure_removal());
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &delta, &PlanningGraphs::default());
+        let dropped = cache.note_delta(&after, &delta, &PlanningGraphs::default());
         assert_eq!(
             cache.len(),
             1,
-            "growth that leaves the certificate must not demote the plan"
+            "growth that leaves the certificate must not drop the plan"
         );
-        assert_eq!(cache.seeded(), 0);
+        assert_eq!(dropped, 0);
         let again = cache.plan(&after, GpuId(0)).unwrap();
         assert!(
             before.bit_eq(&again),
@@ -1686,9 +1651,8 @@ mod tests {
             ..Default::default()
         };
         let after = induced.apply_delta(&delta).unwrap();
-        cache.note_delta(&after, &delta, &PlanningGraphs::default());
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.seeded(), 0);
+        let dropped = cache.note_delta(&after, &delta, &PlanningGraphs::default());
+        assert_eq!((cache.len(), dropped), (1, 0));
         let again = cache.plan(&after, GpuId(0)).unwrap();
         assert!(before.bit_eq(&again));
     }
@@ -1705,23 +1669,16 @@ mod tests {
         // broadcast min-cut from root 0
         let grow = TopologyDelta::between(&damaged, &full);
         assert!(grow.is_pure_growth() && !grow.added_links.is_empty());
-        cache.note_delta(&full, &grow, &PlanningGraphs::default());
+        let dropped = cache.note_delta(&full, &grow, &PlanningGraphs::default());
         assert_eq!(
-            cache.len(),
-            0,
-            "certificate rose: the surviving plan must be demoted for re-pack"
+            (cache.len(), dropped),
+            (0, 1),
+            "certificate rose: the surviving plan must be dropped for re-pack"
         );
-        assert_eq!(cache.seeded(), 1);
-        // the re-pack consumes the seed and recovers the full-topology rate
+        // the re-pack is the full topology's cold plan
         let recovered = cache.plan(&full, GpuId(0)).unwrap();
-        assert_eq!(cache.seeded(), 0, "warm seed consumed");
         let cold = handle().plan(&full, GpuId(0)).unwrap();
-        assert!(
-            recovered.rate_gbps() >= cold.rate_gbps() - 1e-9,
-            "re-packed rate {} must recover the cold full-topology rate {}",
-            recovered.rate_gbps(),
-            cold.rate_gbps()
-        );
+        assert!(recovered.bit_eq(&cold));
         assert!(
             recovered.rate_gbps() > degraded.rate_gbps() + 1e-9,
             "re-pack must actually use the restored link ({} vs degraded {})",

@@ -4,7 +4,7 @@
 //! A plan under the default options takes the first of three paths that
 //! applies:
 //!
-//! 1. **Closed form.** A cold plan over a complete uniform graph (every
+//! 1. **Closed form.** A plan over a complete uniform graph (every
 //!    NVSwitch allocation, DGX-1P NVLink quads, PCIe graphs within one
 //!    complex) from its smallest GPU is written down: the `n − 1` relay
 //!    trees of [`crate::onehop::relay_trees`], which are what packing plus
@@ -15,16 +15,18 @@
 //! 2. **Exact lane packing.** An NVLink graph whose every pooled pair
 //!    capacity is a whole number of lanes, among GPUs with no switch-port
 //!    cap (every DGX-1 slice; see [`blink_graph::lanes`]), packs the
-//!    certificate's `k` whole-lane trees by Lovász's construction, cold or
-//!    warm alike and whatever the MWU options: a stale plan is set aside,
-//!    since the exact pack costs less than a warm repair and its rate is the
-//!    certificate, with no ε. Of the packings its arc orders grow, it keeps
+//!    certificate's `k` whole-lane trees by Lovász's construction, whatever
+//!    the MWU options: its rate is the certificate, with no ε. Of the
+//!    packings its arc orders grow, it keeps
 //!    the one its pipeline model of the lowered collective rates fastest.
 //!    It reports zero MWU iterations, `k` trees before identical ones merged
 //!    and a [`blink_graph::PackingTermination::Exact`] exit.
-//! 3. **MWU packing, then tree-count minimisation**, seeded from a stale
-//!    plan on a warm replan: every other graph (PCIe, the hybrid's PCIe
-//!    half, DGX-2 roots past the first).
+//! 3. **MWU packing, then tree-count minimisation**: every other graph
+//!    (PCIe, the hybrid's PCIe half, DGX-2 roots past the first).
+//!
+//! A plan depends on the induced topology, the root and the options only. A
+//! replan after a topology delta plans the surviving slice by the same three
+//! paths; no earlier plan seeds it.
 //!
 //! Every plan's certificate comes from
 //! [`blink_graph::optimal_broadcast_rate_in`].
@@ -70,10 +72,9 @@ use crate::onehop::{complete_uniform_capacity, relay_trees};
 use crate::{BlinkError, Result};
 use blink_graph::lanes::{whole_lanes, LANE_MAX_NODES};
 use blink_graph::{
-    lane_unit, minimize_trees_in, minimize_trees_warm_in, optimal_broadcast_rate_in, pack_lanes_in,
-    pack_spanning_trees_in, pack_spanning_trees_warm_in, DiGraph, LaneScratch, MaxFlowScratch,
-    MinimizeOptions, MinimizeScratch, PackingError, PackingOptions, PackingScratch, PackingStats,
-    PackingTermination, TreePacking, WeightedTree,
+    lane_unit, minimize_trees_in, optimal_broadcast_rate_in, pack_lanes_in, pack_spanning_trees_in,
+    DiGraph, LaneScratch, MaxFlowScratch, MinimizeOptions, MinimizeScratch, PackingError,
+    PackingOptions, PackingScratch, PackingStats, PackingTermination, TreePacking, WeightedTree,
 };
 use blink_sim::EngineScratch;
 use blink_topology::{GpuId, LinkKind, Topology};
@@ -367,32 +368,7 @@ impl TreeGen {
     /// Fails when the root is not in the allocation or the selected link class
     /// cannot span the allocation.
     pub fn plan(&self, root: GpuId) -> Result<TreePlan> {
-        plan_over(&self.graph(), &self.options, root, None)
-    }
-
-    /// [`TreeGen::plan`] warm-started from a stale plan — the incremental
-    /// replanning path after a topology delta. On a lane graph the stale
-    /// plan is set aside and the plan is [`TreeGen::plan`]'s, which packs
-    /// exactly for less than a warm repair costs.
-    ///
-    /// The stale plan's (minimised) trees seed the MWU packing — surviving
-    /// trees keep their rates, trees over dead links or vertices are
-    /// deterministically repaired ([`pack_spanning_trees_warm_in`]) — and its
-    /// selection seeds the minimisation's branch-and-bound incumbent
-    /// ([`minimize_trees_warm_in`]). On a small delta the packing typically
-    /// converges in zero MWU iterations, making a warm plan build cost little
-    /// more than one certificate.
-    ///
-    /// Falls back to a cold [`TreeGen::plan`] when the stale plan cannot seed
-    /// this one (different root or link class). The result always satisfies
-    /// the same `(1 − ε)`-of-certificate guarantee as a cold plan, and its
-    /// rate is never worse than the cold plan's minimised rate on the same
-    /// topology.
-    ///
-    /// # Errors
-    /// Same as [`TreeGen::plan`].
-    pub fn plan_warm(&self, root: GpuId, warm: &TreePlan) -> Result<TreePlan> {
-        plan_over(&self.graph(), &self.options, root, Some(warm))
+        plan_over(&self.graph(), &self.options, root)
     }
 }
 
@@ -445,18 +421,15 @@ impl PlanningGraphs {
     }
 }
 
-/// The one planning body behind [`TreeGen::plan`] (`warm == None`),
-/// [`TreeGen::plan_warm`] and the plan store's packs, over `g` (the
-/// `options.links` graph of the induced topology): the closed form where it
-/// applies, then the exact lane packing on a lane graph, whatever the MWU
-/// options (they do not apply to it; it sets `warm` aside), and otherwise
-/// MWU packing and minimisation, each seeded from `warm` when it can seed
-/// this plan (same root and link class, some trees).
+/// The one planning body behind [`TreeGen::plan`] and the plan store's
+/// packs, over `g` (the `options.links` graph of the induced topology): the
+/// closed form where it applies, then the exact lane packing on a lane
+/// graph, whatever the MWU options (they do not apply to it), and otherwise
+/// MWU packing and minimisation.
 pub(crate) fn plan_over(
     g: &PlanningGraph,
     options: &TreeGenOptions,
     root: GpuId,
-    warm: Option<&TreePlan>,
 ) -> Result<TreePlan> {
     let defaults = *options
         == TreeGenOptions {
@@ -476,11 +449,6 @@ pub(crate) fn plan_over(
             mwu: PackingStats::trivial(),
         });
     }
-    let seeds = |w: &&TreePlan| w.root == root && w.links == options.links && !w.trees.is_empty();
-    let warm = warm
-        .filter(|w| lane.is_none() && seeds(w))
-        .map(|w| TreePacking::new(root, w.trees.clone()));
-    let warm = warm.as_ref();
     let mut guard = ScratchPool::process().checkout();
     let scratch = &mut *guard;
     // A plan written down without MWU: its trees, the unit trees before
@@ -499,7 +467,7 @@ pub(crate) fn plan_over(
         },
         trees,
     };
-    if let (None, Some(capacity)) = (warm, closed_form(g, defaults, root)) {
+    if let Some(capacity) = closed_form(g, defaults, root) {
         let trees = relay_trees(&gpus, root, capacity);
         let optimal = optimal_broadcast_rate_in(g, 0, &mut scratch.certificate);
         let mut plan = unpacked(trees, gpus.len() - 1, optimal);
@@ -518,11 +486,8 @@ pub(crate) fn plan_over(
         }
     }
     let opts = &options.packing;
-    let (packing, stats) = match warm {
-        Some(w) => pack_spanning_trees_warm_in(g, root, opts, &mut scratch.packing, w),
-        None => pack_spanning_trees_in(g, root, opts, &mut scratch.packing),
-    }
-    .map_err(|e| BlinkError::Planning(e.to_string()))?;
+    let (packing, stats) = pack_spanning_trees_in(g, root, opts, &mut scratch.packing)
+        .map_err(|e| BlinkError::Planning(e.to_string()))?;
     // The packing already computed the Edmonds/Lovász certificate for its
     // early exit; reuse it instead of recomputing it — both here and
     // inside the minimisation, which would otherwise solve the same cut
@@ -535,10 +500,7 @@ pub(crate) fn plan_over(
         known_optimum: options.minimize.known_optimum.or(Some(optimal)),
         ..options.minimize
     };
-    let final_packing = match warm {
-        Some(w) => minimize_trees_warm_in(g, &packing, &minimize, &mut scratch.minimize, w),
-        None => minimize_trees_in(g, &packing, &minimize, &mut scratch.minimize),
-    };
+    let final_packing = minimize_trees_in(g, &packing, &minimize, &mut scratch.minimize);
     Ok(TreePlan {
         root,
         gpus,
@@ -550,7 +512,7 @@ pub(crate) fn plan_over(
     })
 }
 
-/// The capacity of every edge when a cold plan from `root` has a closed
+/// The capacity of every edge when a plan from `root` has a closed
 /// form: `g` is a complete uniform digraph ([`complete_uniform_capacity`]),
 /// `root` is its first node and its GPUs ascend (so it is the smallest GPU),
 /// and the options are the `defaults`, under which MWU packing plus
@@ -641,14 +603,13 @@ mod tests {
     }
 
     #[test]
-    fn only_a_cold_default_plan_from_the_smallest_gpu_is_closed_form() {
+    fn only_a_default_plan_from_the_smallest_gpu_is_closed_form() {
         let topo = induced(&dgx2(), &[2, 5, 6, 11, 13]);
         let cold = TreeGen::new(topo.clone(), TreeGenOptions::default());
         let plan = cold.plan(GpuId(2)).unwrap();
         assert_eq!((plan.mwu.iterations, plan.num_trees()), (0, 4));
-        // another root, a warm replan and non-default options run the MWU
+        // another root and non-default options run the MWU
         assert!(cold.plan(GpuId(6)).unwrap().mwu.iterations > 0);
-        assert!(cold.plan_warm(GpuId(2), &plan).unwrap().mwu.warm_seeded > 0);
         let loose = TreeGenOptions {
             minimize: MinimizeOptions {
                 threshold: 0.1,

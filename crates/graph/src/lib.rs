@@ -17,7 +17,8 @@
 //! * [`packing`] — the multiplicative-weight-update (MWU) approximate
 //!   fractional packing of spanning arborescences (Section 3.2), engineered as
 //!   a zero-allocation hot loop over reusable [`PackingScratch`] buffers with
-//!   a min-cut-certificate early exit.
+//!   a min-cut-certificate early exit. Every packing starts cold: a replan
+//!   after a topology delta packs the surviving graph afresh.
 //! * [`minimize`] — the tree-count minimisation step (Section 3.2.1): a 0/1
 //!   integer program solved by an iterative branch-and-bound over the MWU
 //!   candidates (reusable [`MinimizeScratch`] buffers), with the paper's
@@ -85,12 +86,10 @@ pub use maxflow::{
     broadcast_rate_all_sinks_in, optimal_broadcast_rate, optimal_broadcast_rate_in, MaxFlowScratch,
     CUT_ENUMERATION_MAX_NODES,
 };
-pub use minimize::{
-    minimize_trees, minimize_trees_in, minimize_trees_warm_in, MinimizeOptions, MinimizeScratch,
-};
+pub use minimize::{minimize_trees, minimize_trees_in, MinimizeOptions, MinimizeScratch};
 pub use packing::{
-    pack_spanning_trees, pack_spanning_trees_in, pack_spanning_trees_warm_in, PackingError,
-    PackingOptions, PackingScratch, PackingStats, PackingTermination, TreePacking, WeightedTree,
+    pack_spanning_trees, pack_spanning_trees_in, PackingError, PackingOptions, PackingScratch,
+    PackingStats, PackingTermination, TreePacking, WeightedTree,
 };
 pub use rings::{find_rings, Ring, RingSearch};
 

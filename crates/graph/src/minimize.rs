@@ -48,19 +48,6 @@
 //! (the unified [`DiGraph::capacity_between`] semantics): each pair's
 //! capacity is accounted at its canonical representative edge (the pair's
 //! first edge), which is also the edge candidate trees are expressed over.
-//!
-//! # Warm-start replanning
-//!
-//! [`minimize_trees_warm_in`] accepts a previous plan's minimised selection
-//! as the branch-and-bound incumbent. Incumbent trees that still map onto
-//! the new graph are added to the candidate set and seeded as the starting
-//! `best` (greedily truncated to unit feasibility); trees that reference a
-//! dead link or vertex, or no longer span a grown vertex set, are skipped —
-//! in the worst case the seed is empty and the search degenerates to the
-//! cold greedy-first-fit start. Because incumbents are only ever displaced by
-//! *strictly larger* selections, a warm run's integral selection is at least
-//! as large as the cold run's, and on an unchanged topology the result is
-//! bit-identical to the cold path.
 
 use crate::arborescence::{min_arborescence_in, Arborescence, ArborescenceScratch};
 use crate::digraph::DiGraph;
@@ -226,9 +213,6 @@ pub struct MinimizeScratch {
     chosen: Vec<u32>,
     best: Vec<u32>,
     stack: Vec<BbStep>,
-    /// Warm-start incumbent (sorted-candidate indices) seeded into the
-    /// branch-and-bound; empty on cold runs.
-    warm_best: Vec<u32>,
     // fractional relaxation
     frac_residual: Vec<f64>,
 }
@@ -374,7 +358,6 @@ fn branch_and_bound_in(
     root_idx: usize,
     num_nodes: usize,
     max_nodes: usize,
-    warm_incumbent: &[u32],
     bb_residual: &mut Vec<u32>,
     in_units: &mut Vec<u32>,
     blocking: &mut Blocking,
@@ -397,16 +380,6 @@ fn branch_and_bound_in(
             }
             best.push(i);
         }
-    }
-    // A warm incumbent (the previous plan's minimised selection, already
-    // truncated to unit feasibility by the caller) replaces the greedy one
-    // when it is strictly larger, so the bound prunes from a near-optimal
-    // start. Search-node *improvement* semantics are unchanged — only
-    // strictly larger selections ever displace the incumbent — so a warm run
-    // returns a selection at least as large as the cold run's.
-    if warm_incumbent.len() > best.len() {
-        best.clear();
-        best.extend_from_slice(warm_incumbent);
     }
     let mut explored = 0usize;
     bb_residual.clear();
@@ -511,39 +484,6 @@ pub fn minimize_trees_in(
     packing: &TreePacking,
     opts: &MinimizeOptions,
     scratch: &mut MinimizeScratch,
-) -> TreePacking {
-    minimize_impl(graph, packing, opts, scratch, None)
-}
-
-/// [`minimize_trees_in`] with a warm-start incumbent — the
-/// incremental-replanning fast path.
-///
-/// `incumbent` is a previously minimised packing (typically the stale plan's
-/// selection before a topology delta). Its trees that still map onto `graph`
-/// — every vertex and GPU-pair edge present, still spanning — are added to
-/// the candidate set and seeded as the branch-and-bound incumbent (truncated
-/// greedily to integer unit feasibility), so the bound prunes from a
-/// near-optimal start instead of the greedy first-fit. Trees that no longer
-/// map are silently skipped; an incumbent rooted elsewhere is ignored
-/// entirely. The warm run's integral selection is never smaller than the
-/// cold run's on the same graph, and on an unchanged topology the result is
-/// bit-identical to the cold path.
-pub fn minimize_trees_warm_in(
-    graph: &DiGraph,
-    packing: &TreePacking,
-    opts: &MinimizeOptions,
-    scratch: &mut MinimizeScratch,
-    incumbent: &TreePacking,
-) -> TreePacking {
-    minimize_impl(graph, packing, opts, scratch, Some(incumbent))
-}
-
-fn minimize_impl(
-    graph: &DiGraph,
-    packing: &TreePacking,
-    opts: &MinimizeOptions,
-    scratch: &mut MinimizeScratch,
-    warm: Option<&TreePacking>,
 ) -> TreePacking {
     let Some(root_idx) = graph.node(packing.root) else {
         return packing.clone();
@@ -690,57 +630,6 @@ fn minimize_impl(
         }
     }
 
-    // ---- warm incumbent: record the old minimised selection's surviving
-    // trees as candidates and remember their insertion indices ----
-    let mut warm_insertion: Vec<u32> = Vec::new();
-    if let Some(inc) = warm {
-        if inc.root == packing.root {
-            for wt in &inc.trees {
-                if wt.weight <= 1e-12 {
-                    continue;
-                }
-                scratch.key.clear();
-                let mut mapped = true;
-                for &(p, c) in &wt.tree.edges {
-                    let rep = match (graph.node(p), graph.node(c)) {
-                        (Some(u), Some(v)) => {
-                            scratch.rep_of_pair.get(&(u as u32, v as u32)).copied()
-                        }
-                        _ => None,
-                    };
-                    match rep {
-                        Some(r) => scratch.key.push(r),
-                        None => {
-                            mapped = false;
-                            break;
-                        }
-                    }
-                }
-                // a surviving incumbent tree must still span the vertex set
-                // (a grown job's old trees do not — they are skipped and the
-                // MWU candidates take over)
-                if !mapped || scratch.key.len() + 1 != graph.num_nodes() {
-                    continue;
-                }
-                scratch.key.sort_unstable_by_key(|&id| pair_of(id));
-                record_candidate(
-                    graph,
-                    root_idx,
-                    &scratch.key,
-                    &mut scratch.seen,
-                    &mut scratch.cand_edges,
-                    &mut scratch.cand_off,
-                    &mut scratch.cand_depth,
-                    &mut scratch.depth_of,
-                );
-                let idx = scratch.seen[scratch.key.as_slice()];
-                if !warm_insertion.contains(&idx) {
-                    warm_insertion.push(idx);
-                }
-            }
-        }
-    }
-
     // ---- sort candidates by (depth, GPU-pair key): shallower trees first so
     // the branch-and-bound prefers shorter forwarding pipelines, ties broken
     // exactly like the reference's sorted pair lists ----
@@ -776,43 +665,6 @@ fn minimize_impl(
         scratch.sorted_off.push(scratch.sorted_edges.len() as u32);
     }
 
-    // ---- translate the warm incumbent into sorted-candidate indices and
-    // greedily truncate it to integer unit feasibility (a delta may have
-    // shrunk a pair's pooled units below what the old selection used) ----
-    {
-        let MinimizeScratch {
-            warm_best,
-            residual,
-            unit_caps,
-            sorted_edges,
-            sorted_off,
-            order,
-            ..
-        } = &mut *scratch;
-        warm_best.clear();
-        if !warm_insertion.is_empty() {
-            for (pos, &c) in order.iter().enumerate() {
-                if warm_insertion.contains(&c) {
-                    warm_best.push(pos as u32);
-                }
-            }
-            residual.clear();
-            residual.extend_from_slice(unit_caps);
-            warm_best.retain(|&i| {
-                let ids = &sorted_edges
-                    [sorted_off[i as usize] as usize..sorted_off[i as usize + 1] as usize];
-                if ids.iter().all(|&e| residual[e as usize] > 0) {
-                    for &e in ids {
-                        residual[e as usize] -= 1;
-                    }
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-    }
-
     scratch.edge_dst.clear();
     scratch
         .edge_dst
@@ -823,7 +675,6 @@ fn minimize_impl(
             sorted_off,
             unit_caps,
             edge_dst,
-            warm_best,
             bb_residual,
             in_units,
             blocking,
@@ -840,7 +691,6 @@ fn minimize_impl(
             root_idx,
             graph.num_nodes(),
             opts.max_bb_nodes,
-            warm_best,
             bb_residual,
             in_units,
             blocking,
@@ -1059,81 +909,6 @@ mod tests {
                 assert_eq!(a.tree, b.tree);
                 assert_eq!(a.weight.to_bits(), b.weight.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn warm_incumbent_is_bit_identical_on_unchanged_graph() {
-        let topo = dgx1v();
-        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let g = nvlink_graph(&topo, &alloc);
-        let packing = pack_spanning_trees(
-            &g,
-            GpuId(0),
-            &PackingOptions {
-                epsilon: 0.08,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut scratch = MinimizeScratch::new();
-        let cold = minimize_trees_in(&g, &packing, &MinimizeOptions::default(), &mut scratch);
-        let warm = minimize_trees_warm_in(
-            &g,
-            &packing,
-            &MinimizeOptions::default(),
-            &mut scratch,
-            &cold,
-        );
-        assert_eq!(cold.trees.len(), warm.trees.len());
-        for (a, b) in cold.trees.iter().zip(&warm.trees) {
-            assert_eq!(a.tree, b.tree);
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_incumbent_with_dead_link_is_never_worse_than_cold() {
-        let topo = dgx1v();
-        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let g = nvlink_graph(&topo, &alloc);
-        let opts = PackingOptions {
-            epsilon: 0.08,
-            ..Default::default()
-        };
-        let stale = minimize_trees(
-            &g,
-            &pack_spanning_trees(&g, GpuId(0), &opts).unwrap(),
-            &MinimizeOptions::default(),
-        );
-        // degrade: kill the 0↔1 NVLink pair, replan on the survivor graph
-        let degraded = topo.filter_links(|l| {
-            !(l.kind.is_nvlink()
-                && ((l.src == GpuId(0) && l.dst == GpuId(1))
-                    || (l.src == GpuId(1) && l.dst == GpuId(0))))
-        });
-        let g2 = nvlink_graph(&degraded, &alloc);
-        let packing2 = pack_spanning_trees(&g2, GpuId(0), &opts).unwrap();
-        let mut scratch = MinimizeScratch::new();
-        let cold = minimize_trees_in(&g2, &packing2, &MinimizeOptions::default(), &mut scratch);
-        let warm = minimize_trees_warm_in(
-            &g2,
-            &packing2,
-            &MinimizeOptions::default(),
-            &mut scratch,
-            &stale,
-        );
-        assert!(warm.is_feasible(&g2));
-        assert!(
-            warm.rate() >= cold.rate() - 1e-9,
-            "warm {} vs cold {}",
-            warm.rate(),
-            cold.rate()
-        );
-        // incumbent trees over the dead pair must not leak into the result
-        for t in &warm.trees {
-            assert!(!t.tree.edges.contains(&(GpuId(0), GpuId(1))));
-            assert!(!t.tree.edges.contains(&(GpuId(1), GpuId(0))));
         }
     }
 

@@ -30,42 +30,11 @@
 //!   `(1 − ε)` of it — usually orders of magnitude before the classical dual
 //!   stopping rule would fire.
 //!
-//! # Warm-start replanning
+//! # Replanning
 //!
-//! [`pack_spanning_trees_warm_in`] seeds the MWU state from a previous
-//! packing before the first iteration, for incremental replanning after a
-//! topology delta (a link died, a GPU dropped, a job grew). The contract:
-//!
-//! * Warm trees whose edges all survive in the new graph keep their
-//!   accumulated rates in full.
-//! * Warm trees touching a dead link or vertex are *rerouted*
-//!   deterministically: the tree's full old weight is re-decomposed over the
-//!   surviving capacity in equal slices, each slice built as a fresh
-//!   arborescence by repeatedly taking the crossing edge whose node-pair
-//!   group has the lowest prospective overuse ratio (ties break on the
-//!   lowest edge id) — fractional water-filling of every in-cut.
-//!   Over-subscription is what the running `total / max_overuse` feasibility
-//!   ratio exists to absorb, and the final packing is scaled to feasibility
-//!   either way. Only a tree that cannot be rerouted at all (the new graph
-//!   no longer spans from the root) is dropped.
-//! * After all warm trees are replayed, any gap left between the repaired
-//!   rate and the `(1 − ε)`·certificate exit — compound deltas clamp several
-//!   trees against the same dead region — is closed by a **min-cost reroute
-//!   over the packing residual**: widest (max-bottleneck) spanning
-//!   arborescences of the unused capacity are extracted and seeded until the
-//!   exit fires or the residual no longer spans, so the zero-MWU-iteration
-//!   guarantee holds for multi-failure deltas too, not just single ones.
-//! * Seeded state is indistinguishable from having routed those trees in
-//!   ordinary MWU iterations: lengths inflate multiplicatively, the dual and
-//!   the running feasibility estimate account for the seeds, and the
-//!   certificate early-exit is consulted *before* the first iteration — on an
-//!   unchanged or purely-degraded topology the loop typically runs zero
-//!   iterations.
-//! * If the warm packing's root is not the requested root the seeds are
-//!   ignored and the run degenerates to a cold pack; callers that cannot map
-//!   an old plan onto the new topology at all should simply call the cold
-//!   entrypoint. Cold runs are bit-identical whether or not the warm entry
-//!   exists ([`pack_spanning_trees_in`] delegates with no seeds).
+//! Every packing starts cold: a replan after a topology delta packs the
+//! surviving graph from scratch, so a packing depends on the graph, the root
+//! and the options only, never on a plan that came before it.
 
 use crate::arborescence::{min_arborescence_in, Arborescence, ArborescenceScratch};
 use crate::digraph::DiGraph;
@@ -309,26 +278,6 @@ pub struct PackingStats {
     /// their capacity in the certificate exactly as they do in
     /// [`TreePacking::max_overuse`], so no special-casing is needed.
     pub certificate_gbps: f64,
-    /// Number of warm-start trees seeded into the MWU state before the first
-    /// iteration (after repair); `0` on cold runs.
-    #[serde(default)]
-    pub warm_seeded: usize,
-    /// Number of warm-start trees dropped (negligible previous weight, a
-    /// mismatched root, or the new graph no longer admits a spanning
-    /// repair); `0` on cold runs.
-    #[serde(default)]
-    pub warm_dropped: usize,
-    /// Number of *damaged* warm trees that were rerouted over the surviving
-    /// capacity (a subset of `warm_seeded`; intact trees replay without
-    /// repair). `0` on cold runs.
-    #[serde(default)]
-    pub warm_repaired: usize,
-    /// Number of residual top-up arborescences packed after warm seeding —
-    /// the min-cost reroute over the packing residual that closes any gap
-    /// between the repaired warm rate and the `(1 − ε)`·certificate exit
-    /// without spending MWU iterations. `0` on cold runs.
-    #[serde(default)]
-    pub warm_topup: usize,
 }
 
 impl PackingStats {
@@ -341,10 +290,6 @@ impl PackingStats {
             hit_iteration_cap: false,
             termination: PackingTermination::Trivial,
             certificate_gbps: 0.0,
-            warm_seeded: 0,
-            warm_dropped: 0,
-            warm_repaired: 0,
-            warm_topup: 0,
         }
     }
 }
@@ -355,8 +300,8 @@ impl PackingStats {
 ///
 /// One scratch serves any number of packings over any graphs — buffers grow to
 /// the high-water mark and stay allocated, so repeated TreeGen invocations
-/// (per-root, per-link-class, the hybrid planner, the communicator's autotune
-/// loop) share a single set of allocations.
+/// (per-root, per-link-class, the hybrid planner, repeated collectives) share
+/// a single set of allocations.
 #[derive(Debug, Clone, Default)]
 pub struct PackingScratch {
     arb: ArborescenceScratch,
@@ -374,53 +319,12 @@ pub struct PackingScratch {
     group_of_pair: HashMap<(u32, u32), u32>,
     key: Vec<u32>,
     acc: HashMap<Box<[u32]>, f64>,
-    /// Warm-start repair state: representative edge id per `(src, dst)` node
-    /// pair, parent-edge assignment and coverage marks per node.
-    pair_edge: HashMap<(u32, u32), u32>,
-    warm_parent: Vec<u32>,
-    covered: Vec<bool>,
-    /// Capacity (per group) that not-yet-seeded warm trees still need for
-    /// their kept edges; grafted reroutes must not consume it.
-    group_reserved: Vec<f64>,
 }
 
 impl PackingScratch {
     /// Creates an empty scratch. Buffers are sized lazily on first packing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Routes `weight` along the tree whose sorted edge ids are in `key`: the
-    /// accumulator, the raw total, the per-pair usage and running overuse,
-    /// the edge lengths and the dual move exactly as in one MWU iteration.
-    /// Walking the sorted key makes the dual's floating-point sum depend on
-    /// the tree's edge set only, not on the order its edges were found in.
-    fn route_key(
-        &mut self,
-        weight: f64,
-        eps: f64,
-        total_raw: &mut f64,
-        max_overuse: &mut f64,
-        dual: &mut f64,
-    ) {
-        if let Some(w) = self.acc.get_mut(self.key.as_slice()) {
-            *w += weight;
-        } else {
-            self.acc.insert(self.key.as_slice().into(), weight);
-        }
-        *total_raw += weight;
-        for &e in &self.key {
-            let e = e as usize;
-            let g = self.edge_group[e] as usize;
-            self.group_usage[g] += weight;
-            let overuse = self.group_usage[g] / self.group_cap[g];
-            if overuse > *max_overuse {
-                *max_overuse = overuse;
-            }
-            let old_len = self.lengths[e];
-            self.lengths[e] = old_len * (1.0 + eps * weight / self.caps[e]);
-            *dual += (self.lengths[e] - old_len) * self.caps[e];
-        }
     }
 }
 
@@ -464,40 +368,6 @@ pub fn pack_spanning_trees_in(
     root: GpuId,
     opts: &PackingOptions,
     scratch: &mut PackingScratch,
-) -> Result<(TreePacking, PackingStats), PackingError> {
-    pack_impl(graph, root, opts, scratch, None)
-}
-
-/// [`pack_spanning_trees_in`] with warm-start seeding from a previous packing
-/// — the incremental-replanning fast path (see the module docs for the exact
-/// warm-start contract).
-///
-/// Surviving warm trees are replayed into the MWU state (lengths, dual,
-/// usage, accumulated rates) as if each had been routed in one iteration;
-/// trees touching edges or vertices absent from `graph` are deterministically
-/// repaired first. The certificate early-exit is checked before the first
-/// iteration, so replanning after a small topology delta typically runs zero
-/// MWU iterations. If `warm.root != root` the seeds are ignored and the run
-/// is an ordinary cold pack.
-///
-/// # Errors
-/// Same as [`pack_spanning_trees`].
-pub fn pack_spanning_trees_warm_in(
-    graph: &DiGraph,
-    root: GpuId,
-    opts: &PackingOptions,
-    scratch: &mut PackingScratch,
-    warm: &TreePacking,
-) -> Result<(TreePacking, PackingStats), PackingError> {
-    pack_impl(graph, root, opts, scratch, Some(warm))
-}
-
-fn pack_impl(
-    graph: &DiGraph,
-    root: GpuId,
-    opts: &PackingOptions,
-    scratch: &mut PackingScratch,
-    warm: Option<&TreePacking>,
 ) -> Result<(TreePacking, PackingStats), PackingError> {
     if graph.num_nodes() == 0 {
         return Err(PackingError::EmptyGraph);
@@ -557,61 +427,8 @@ fn pack_impl(
 
     let mut total_raw = 0.0f64;
     let mut max_overuse = 0.0f64;
-    let mut warm_seeded = 0usize;
-    let mut warm_dropped = 0usize;
-    let mut warm_repaired = 0usize;
-    let mut warm_topup = 0usize;
-    if let Some(prev) = warm {
-        if prev.root == root && !prev.trees.is_empty() {
-            seed_warm_trees(
-                graph,
-                root_idx,
-                eps,
-                prev,
-                scratch,
-                &mut total_raw,
-                &mut max_overuse,
-                &mut dual,
-                &mut warm_seeded,
-                &mut warm_dropped,
-                &mut warm_repaired,
-            );
-            // Compound deltas can leave the repaired warm rate short of the
-            // certificate exit (several trees clamp against the same dead
-            // region). Rather than spending MWU iterations, reroute the
-            // shortfall over the *packing residual*: repeatedly extract the
-            // widest (max-bottleneck) spanning arborescence of the unused
-            // capacity and seed it, exactly like a flow decomposition of the
-            // residual graph. Cold runs never reach this code.
-            if certificate.is_finite() {
-                seed_residual_topup(
-                    graph,
-                    root_idx,
-                    eps,
-                    target,
-                    scratch,
-                    &mut total_raw,
-                    &mut max_overuse,
-                    &mut dual,
-                    &mut warm_topup,
-                );
-            }
-        } else {
-            warm_dropped = prev.trees.len();
-        }
-    }
-
     let mut iterations = 0usize;
     let mut termination = PackingTermination::IterationCap;
-    // Warm seeds may already satisfy the certificate exit (the usual case on
-    // an unchanged or purely-degraded topology): check before iterating. Cold
-    // runs (no seeds) never take this branch, keeping them bit-identical.
-    if (warm_seeded > 0 || warm_topup > 0)
-        && certificate.is_finite()
-        && total_raw / max_overuse.max(1.0) >= target
-    {
-        termination = PackingTermination::Certificate;
-    }
     while termination == PackingTermination::IterationCap && iterations < opts.max_iterations {
         iterations += 1;
         let tree = min_arborescence_in(graph, root_idx, &scratch.lengths, &mut scratch.arb)
@@ -621,13 +438,34 @@ fn pack_impl(
             .map(|&e| scratch.caps[e])
             .fold(f64::INFINITY, f64::min);
         // Accumulate and route under a compact sorted-edge-id key; the boxed
-        // key is only allocated the first time a distinct tree appears. The
-        // running worst over-subscription factor `route_key` maintains gives
-        // the feasibility-scaled rate for free.
+        // key is only allocated the first time a distinct tree appears.
+        // Walking the sorted key makes the dual's floating-point sum depend
+        // on the tree's edge set only, not on the order the solver listed
+        // it in. The running worst over-subscription factor gives the
+        // feasibility-scaled rate for free.
         scratch.key.clear();
         scratch.key.extend(tree.iter().map(|&e| e as u32));
         scratch.key.sort_unstable();
-        scratch.route_key(bottleneck, eps, &mut total_raw, &mut max_overuse, &mut dual);
+        if let Some(w) = scratch.acc.get_mut(scratch.key.as_slice()) {
+            *w += bottleneck;
+        } else {
+            scratch
+                .acc
+                .insert(scratch.key.as_slice().into(), bottleneck);
+        }
+        total_raw += bottleneck;
+        for &e in &scratch.key {
+            let e = e as usize;
+            let g = scratch.edge_group[e] as usize;
+            scratch.group_usage[g] += bottleneck;
+            let overuse = scratch.group_usage[g] / scratch.group_cap[g];
+            if overuse > max_overuse {
+                max_overuse = overuse;
+            }
+            let old_len = scratch.lengths[e];
+            scratch.lengths[e] = old_len * (1.0 + eps * bottleneck / scratch.caps[e]);
+            dual += (scratch.lengths[e] - old_len) * scratch.caps[e];
+        }
         if certificate.is_finite() && total_raw / max_overuse.max(1.0) >= target {
             termination = PackingTermination::Certificate;
             break;
@@ -667,379 +505,9 @@ fn pack_impl(
         hit_iteration_cap: termination == PackingTermination::IterationCap,
         termination,
         certificate_gbps: certificate,
-        warm_seeded,
-        warm_dropped,
-        warm_repaired,
-        warm_topup,
     };
     let packing = TreePacking::new(root, trees).scaled_to_feasible(graph);
     Ok((packing, stats))
-}
-
-/// Replays a previous packing's trees into freshly-initialised MWU state.
-///
-/// Intact warm trees (every edge's GPU pair survives) are replayed verbatim
-/// at what fits of their old weight. Damaged trees are *rerouted*: their full
-/// old weight is re-decomposed over the surviving capacity in equal slices,
-/// each slice a fresh arborescence grown by repeatedly taking the crossing
-/// edge whose node-pair group has the lowest prospective overuse ratio (ties
-/// break on the lowest edge id). The feasibility-scaled rate absorbs any
-/// resulting over-subscription, exactly as it does for ordinary iterations.
-/// Seeding mutates exactly the state one MWU iteration would: the
-/// accumulator, the raw total, the per-pair usage / running overuse, the
-/// edge lengths and the dual.
-/// Reroute slices per damaged warm tree: more slices means finer
-/// water-filling (the residual imbalance left on any node pair is at most
-/// one slice's weight), at the cost of more distinct accumulated trees.
-const MAX_REPAIR_PASSES: usize = 32;
-/// Weight below which a repair pass (or remainder) is not worth seeding.
-const SPLIT_EPS: f64 = 1e-9;
-
-#[allow(clippy::too_many_arguments)]
-fn seed_warm_trees(
-    graph: &DiGraph,
-    root_idx: usize,
-    eps: f64,
-    warm: &TreePacking,
-    scratch: &mut PackingScratch,
-    total_raw: &mut f64,
-    max_overuse: &mut f64,
-    dual: &mut f64,
-    warm_seeded: &mut usize,
-    warm_dropped: &mut usize,
-    warm_repaired: &mut usize,
-) {
-    let n = graph.num_nodes();
-    scratch.pair_edge.clear();
-    for (i, e) in graph.edges().iter().enumerate() {
-        scratch
-            .pair_edge
-            .entry((e.src as u32, e.dst as u32))
-            .or_insert(i as u32);
-    }
-    // Seed intact trees before damaged ones: an old packing was feasible as a
-    // whole, so replaying its untouched trees first reproduces exactly the
-    // usage they had before, and the repairs that follow see the true
-    // remaining residuals.
-    let mut order: Vec<(bool, usize)> = warm
-        .trees
-        .iter()
-        .enumerate()
-        .filter(|(_, wt)| wt.weight > 1e-12)
-        .map(|(i, wt)| {
-            let intact = wt
-                .tree
-                .edges
-                .iter()
-                .all(|&(p, c)| match (graph.node(p), graph.node(c)) {
-                    (Some(u), Some(v)) => {
-                        v == root_idx || scratch.pair_edge.contains_key(&(u as u32, v as u32))
-                    }
-                    _ => false,
-                });
-            (!intact, i)
-        })
-        .collect();
-    order.sort_unstable();
-    // Reserve every pending *intact* tree's kept-edge demand up front. A
-    // reroute through capacity a later intact tree's surviving edges still
-    // need would starve that tree down to nothing; keeping reroutes out of
-    // reserved capacity lets the whole warm set seed at (close to) its old
-    // collective rate instead of first-come-first-served. Damaged trees
-    // reserve nothing: their weight is fully rerouted, so they have no fixed
-    // demand to protect (and they seed after every intact tree anyway).
-    scratch.group_reserved.clear();
-    scratch.group_reserved.resize(scratch.group_cap.len(), 0.0);
-    for &(damaged, i) in &order {
-        if damaged {
-            continue;
-        }
-        let wt = &warm.trees[i];
-        for &(p, c) in &wt.tree.edges {
-            let (Some(u), Some(v)) = (graph.node(p), graph.node(c)) else {
-                continue;
-            };
-            if v == root_idx {
-                continue;
-            }
-            if let Some(&e) = scratch.pair_edge.get(&(u as u32, v as u32)) {
-                scratch.group_reserved[scratch.edge_group[e as usize] as usize] += wt.weight;
-            }
-        }
-    }
-    for (damaged, i) in order {
-        let wt = &warm.trees[i];
-        // This tree is being seeded now: its kept-edge demand turns into real
-        // usage (or is forfeited), either way it is no longer "reserved".
-        if !damaged {
-            for &(p, c) in &wt.tree.edges {
-                let (Some(u), Some(v)) = (graph.node(p), graph.node(c)) else {
-                    continue;
-                };
-                if v == root_idx {
-                    continue;
-                }
-                if let Some(&e) = scratch.pair_edge.get(&(u as u32, v as u32)) {
-                    scratch.group_reserved[scratch.edge_group[e as usize] as usize] -= wt.weight;
-                }
-            }
-        }
-        // A damaged tree's old weight may not fit through any single
-        // replacement route of an (almost saturated) surviving graph, but a
-        // *flow* of that value usually exists across several. Repair
-        // therefore re-decomposes the damaged weight over the surviving
-        // capacity in equal slices: each pass builds a fresh arborescence by
-        // repeatedly taking the crossing edge whose node-pair group has the
-        // lowest prospective overuse ratio, seeds one slice through it, and
-        // lets the next pass see the updated usage — fractional water-filling
-        // of every in-cut. Keeping the damaged tree's surviving edges pinned
-        // instead would anchor its whole weight on whatever pairs the *old*
-        // optimum happened to use, and no graft placement could then undo the
-        // imbalance; full re-decomposition is what makes the repair a
-        // min-cost reroute rather than a patch.
-        let mut remaining = wt.weight;
-        let mut seeded_any = false;
-        for pass in 0..MAX_REPAIR_PASSES {
-            // Intact trees replay their own edges as parent assignments (one
-            // in-edge per node); damaged trees start from scratch and let the
-            // ratio-minimising loop below route everything.
-            scratch.warm_parent.clear();
-            scratch.warm_parent.resize(n, u32::MAX);
-            if !damaged {
-                for &(p, c) in &wt.tree.edges {
-                    let (Some(u), Some(v)) = (graph.node(p), graph.node(c)) else {
-                        continue;
-                    };
-                    if v == root_idx {
-                        continue;
-                    }
-                    if let Some(&e) = scratch.pair_edge.get(&(u as u32, v as u32)) {
-                        scratch.warm_parent[v] = e;
-                    }
-                }
-            }
-            // Cover everything reachable from the root through kept edges.
-            scratch.covered.clear();
-            scratch.covered.resize(n, false);
-            scratch.covered[root_idx] = true;
-            let mut num_covered = 1usize;
-            loop {
-                let mut progress = false;
-                for v in 0..n {
-                    if !scratch.covered[v] && scratch.warm_parent[v] != u32::MAX {
-                        let pe = &graph.edges()[scratch.warm_parent[v] as usize];
-                        if scratch.covered[pe.src] {
-                            scratch.covered[v] = true;
-                            num_covered += 1;
-                            progress = true;
-                        }
-                    }
-                }
-                if !progress {
-                    break;
-                }
-            }
-            let intact = num_covered == n;
-            // Graft uncovered vertices back through the group with the most
-            // *relative* headroom — the lowest prospective overuse ratio
-            // `(usage + reserved) / cap`. Every spanning arborescence crosses
-            // each vertex's in-cut exactly once, so the feasibility-scaled
-            // rate is ultimately bounded by the most loaded in-group; picking
-            // grafts by overuse ratio water-fills each in-cut and keeps that
-            // bound as low as the surviving capacity allows. Ties break on
-            // the lowest edge id.
-            let mut repair_failed = false;
-            let mut grafts: Vec<u32> = Vec::new();
-            while num_covered < n {
-                let mut best: Option<(f64, u32)> = None;
-                for (i, e) in graph.edges().iter().enumerate() {
-                    if scratch.covered[e.src] && !scratch.covered[e.dst] {
-                        let g = scratch.edge_group[i] as usize;
-                        let load = (scratch.group_usage[g] + scratch.group_reserved[g].max(0.0))
-                            / scratch.group_cap[g];
-                        let better = match best {
-                            None => true,
-                            Some((bl, bi)) => load < bl || (load == bl && (i as u32) < bi),
-                        };
-                        if better {
-                            best = Some((load, i as u32));
-                        }
-                    }
-                }
-                let Some((_, ei)) = best else {
-                    repair_failed = true;
-                    break;
-                };
-                let v = graph.edges()[ei as usize].dst;
-                // Grafting replaces any kept in-edge of `v`, in-degree stays 1.
-                scratch.warm_parent[v] = ei;
-                grafts.push(ei);
-                scratch.covered[v] = true;
-                num_covered += 1;
-                // Re-cover any orphan subtree now reattached through kept edges.
-                loop {
-                    let mut progress = false;
-                    for w in 0..n {
-                        if !scratch.covered[w] && scratch.warm_parent[w] != u32::MAX {
-                            let pe = &graph.edges()[scratch.warm_parent[w] as usize];
-                            if scratch.covered[pe.src] {
-                                scratch.covered[w] = true;
-                                num_covered += 1;
-                                progress = true;
-                            }
-                        }
-                    }
-                    if !progress {
-                        break;
-                    }
-                }
-            }
-            if repair_failed {
-                break;
-            }
-            // Seed weight: what remains of the old rate, clamped to the
-            // bottleneck residual so the replayed packing stays feasible.
-            // Grafted edges additionally respect pending reservations; kept
-            // edges consume exactly the capacity this tree reserved.
-            scratch.key.clear();
-            for v in 0..n {
-                if v != root_idx {
-                    debug_assert_ne!(scratch.warm_parent[v], u32::MAX);
-                    scratch.key.push(scratch.warm_parent[v]);
-                }
-            }
-            scratch.key.sort_unstable();
-            let mut min_avail = remaining;
-            for &e in &scratch.key {
-                let g = scratch.edge_group[e as usize] as usize;
-                let mut avail = scratch.group_cap[g] - scratch.group_usage[g];
-                if grafts.contains(&e) {
-                    avail -= scratch.group_reserved[g].max(0.0);
-                }
-                min_avail = min_avail.min(avail);
-            }
-            // An intact tree seeds exactly what fits — its clamp can only be
-            // a lost parallel lane, and smearing a lane loss over the rest of
-            // the packing would just lower the scaled rate. A *damaged* tree
-            // must seed its full old weight (over-subscribing if necessary —
-            // the running `total / max_overuse` ratio absorbs overuse exactly
-            // as it does for ordinary MWU iterations), in *equal slices*
-            // across the pass budget: each slice re-picks the
-            // ratio-minimising grafts against the updated usage, so even a
-            // heavily-minimised packing (few trees, large weights) spreads
-            // its rerouted load across each in-cut the way a fractional
-            // water-filling would, instead of dumping one tree's whole rate
-            // through a single replacement pair. The equal split telescopes
-            // to completion within the pass budget.
-            let weight = if intact {
-                min_avail
-            } else {
-                let passes_left = (MAX_REPAIR_PASSES - pass) as f64;
-                (remaining / passes_left).min(remaining)
-            };
-            if weight <= SPLIT_EPS {
-                break;
-            }
-            scratch.route_key(weight, eps, total_raw, max_overuse, dual);
-            seeded_any = true;
-            remaining -= weight;
-            // An intact tree reroutes nothing: its clamp can only have been a
-            // parallel-lane loss, which further passes cannot recover.
-            if intact || remaining <= SPLIT_EPS {
-                break;
-            }
-        }
-        if seeded_any {
-            *warm_seeded += 1;
-            if damaged {
-                *warm_repaired += 1;
-            }
-        } else {
-            *warm_dropped += 1;
-        }
-    }
-}
-
-/// Min-cost reroute over the packing residual: closes the gap between the
-/// repaired warm rate and the `(1 − ε)`·certificate exit without MWU
-/// iterations.
-///
-/// After every warm tree has been replayed, the unused capacity
-/// (`group_cap − group_usage` per node pair) forms a residual graph. As long
-/// as the feasibility-scaled rate is short of `target` and the residual still
-/// admits a spanning arborescence from the root, this extracts the *widest*
-/// one — grown Prim-style by repeatedly taking the maximum-residual edge
-/// leaving the covered set, ties broken on the lowest edge id, which yields a
-/// max-bottleneck arborescence — and seeds it at its bottleneck residual,
-/// exactly as one MWU iteration would (accumulator, totals, usage, lengths,
-/// dual). Each extraction saturates at least one node-pair group, so the loop
-/// runs at most `#groups` times; in practice one or two trees close the gap a
-/// compound delta opened. Seeded weight never exceeds any group's residual,
-/// so the running `max_overuse` cannot grow — every top-up tree increases the
-/// feasibility-scaled rate monotonically.
-#[allow(clippy::too_many_arguments)]
-fn seed_residual_topup(
-    graph: &DiGraph,
-    root_idx: usize,
-    eps: f64,
-    target: f64,
-    scratch: &mut PackingScratch,
-    total_raw: &mut f64,
-    max_overuse: &mut f64,
-    dual: &mut f64,
-    warm_topup: &mut usize,
-) {
-    let n = graph.num_nodes();
-    'outer: while *total_raw / max_overuse.max(1.0) < target {
-        scratch.covered.clear();
-        scratch.covered.resize(n, false);
-        scratch.covered[root_idx] = true;
-        let mut num_covered = 1usize;
-        scratch.warm_parent.clear();
-        scratch.warm_parent.resize(n, u32::MAX);
-        let mut bottleneck = f64::INFINITY;
-        while num_covered < n {
-            let mut best: Option<(f64, u32)> = None;
-            for (i, e) in graph.edges().iter().enumerate() {
-                if scratch.covered[e.src] && !scratch.covered[e.dst] {
-                    let g = scratch.edge_group[i] as usize;
-                    let resid = scratch.group_cap[g] - scratch.group_usage[g];
-                    if resid <= SPLIT_EPS {
-                        continue;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some((br, bi)) => resid > br || (resid == br && (i as u32) < bi),
-                    };
-                    if better {
-                        best = Some((resid, i as u32));
-                    }
-                }
-            }
-            // The residual no longer spans from the root: whatever capacity
-            // is left cannot carry another whole tree. MWU iterations (if
-            // any) take over from here.
-            let Some((resid, ei)) = best else {
-                break 'outer;
-            };
-            scratch.warm_parent[graph.edges()[ei as usize].dst] = ei;
-            scratch.covered[graph.edges()[ei as usize].dst] = true;
-            num_covered += 1;
-            bottleneck = bottleneck.min(resid);
-        }
-        if !bottleneck.is_finite() || bottleneck <= SPLIT_EPS {
-            break;
-        }
-        scratch.key.clear();
-        for v in 0..n {
-            if v != root_idx {
-                scratch.key.push(scratch.warm_parent[v]);
-            }
-        }
-        scratch.key.sort_unstable();
-        scratch.route_key(bottleneck, eps, total_raw, max_overuse, dual);
-        *warm_topup += 1;
-    }
 }
 
 #[cfg(test)]
@@ -1236,148 +704,6 @@ mod tests {
             packing.rate(),
             stats.certificate_gbps
         );
-    }
-
-    #[test]
-    fn warm_start_on_unchanged_topology_runs_zero_iterations() {
-        let topo = dgx1v();
-        let g = DiGraph::from_topology_filtered(&topo, |l| l.kind.is_nvlink());
-        let opts = PackingOptions::default();
-        let mut scratch = PackingScratch::new();
-        let (cold, cold_stats) = pack_spanning_trees_in(&g, GpuId(0), &opts, &mut scratch).unwrap();
-        let (warm, warm_stats) =
-            pack_spanning_trees_warm_in(&g, GpuId(0), &opts, &mut scratch, &cold).unwrap();
-        assert_eq!(warm_stats.iterations, 0, "seeds should satisfy the target");
-        assert_eq!(warm_stats.termination, PackingTermination::Certificate);
-        assert_eq!(warm_stats.warm_seeded, cold.trees.len());
-        assert_eq!(warm_stats.warm_dropped, 0);
-        assert!(warm.is_feasible(&g));
-        assert!(warm.rate() >= (1.0 - opts.epsilon) * cold_stats.certificate_gbps - 1e-9);
-    }
-
-    #[test]
-    fn warm_start_survives_killed_link() {
-        let topo = dgx1v();
-        let g = DiGraph::from_topology_filtered(&topo, |l| l.kind.is_nvlink());
-        let opts = PackingOptions::default();
-        let mut scratch = PackingScratch::new();
-        let (cold, cold_stats) = pack_spanning_trees_in(&g, GpuId(0), &opts, &mut scratch).unwrap();
-        // Kill the 0→1 / 1→0 NVLink pair entirely.
-        let degraded = topo.filter_links(|l| {
-            !(l.kind.is_nvlink()
-                && ((l.src == GpuId(0) && l.dst == GpuId(1))
-                    || (l.src == GpuId(1) && l.dst == GpuId(0))))
-        });
-        let g2 = DiGraph::from_topology_filtered(&degraded, |l| l.kind.is_nvlink());
-        let (warm, warm_stats) =
-            pack_spanning_trees_warm_in(&g2, GpuId(0), &opts, &mut scratch, &cold).unwrap();
-        assert!(warm_stats.certificate_gbps < cold_stats.certificate_gbps);
-        assert_eq!(warm_stats.termination, PackingTermination::Certificate);
-        assert!(warm.is_feasible(&g2));
-        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        for wt in &warm.trees {
-            assert!(wt.tree.is_valid_over(&alloc));
-            assert!(!wt.tree.edges.contains(&(GpuId(0), GpuId(1))));
-            assert!(!wt.tree.edges.contains(&(GpuId(1), GpuId(0))));
-        }
-        assert!(warm.rate() >= (1.0 - opts.epsilon) * warm_stats.certificate_gbps - 1e-9);
-    }
-
-    #[test]
-    fn warm_start_repairs_dropped_gpu() {
-        let topo = dgx1v();
-        let g = DiGraph::from_topology_filtered(&topo, |l| l.kind.is_nvlink());
-        let opts = PackingOptions::default();
-        let mut scratch = PackingScratch::new();
-        let (cold, _) = pack_spanning_trees_in(&g, GpuId(0), &opts, &mut scratch).unwrap();
-        let survivors: Vec<GpuId> = (0..7).map(GpuId).collect();
-        let sub = topo.induced(&survivors).unwrap();
-        let g2 = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
-        let (warm, warm_stats) =
-            pack_spanning_trees_warm_in(&g2, GpuId(0), &opts, &mut scratch, &cold).unwrap();
-        assert!(warm_stats.warm_seeded > 0);
-        assert!(warm.is_feasible(&g2));
-        for wt in &warm.trees {
-            assert!(wt.tree.is_valid_over(&survivors));
-        }
-        assert!(warm.rate() >= (1.0 - opts.epsilon) * warm_stats.certificate_gbps - 1e-9);
-    }
-
-    /// Compound deltas — several simultaneous failures — must still reach
-    /// the certificate exit in **zero** MWU iterations: the clamp-and-split
-    /// repair handles what it can and the residual top-up reroutes the rest.
-    #[test]
-    fn warm_start_compound_delta_runs_zero_iterations() {
-        let opts = PackingOptions::default();
-        let mut scratch = PackingScratch::new();
-        let kill = |t: &Topology, a: usize, b: usize| {
-            t.filter_links(|l| {
-                !(l.kind.is_nvlink()
-                    && ((l.src == GpuId(a) && l.dst == GpuId(b))
-                        || (l.src == GpuId(b) && l.dst == GpuId(a))))
-            })
-        };
-        // two simultaneous link kills on a full DGX-1V
-        let topo = dgx1v();
-        let g = DiGraph::from_topology_filtered(&topo, |l| l.kind.is_nvlink());
-        let (cold_prev, _) = pack_spanning_trees_in(&g, GpuId(0), &opts, &mut scratch).unwrap();
-        let degraded = kill(&kill(&topo, 0, 1), 2, 3);
-        let g2 = DiGraph::from_topology_filtered(&degraded, |l| l.kind.is_nvlink());
-        let (warm, warm_stats) =
-            pack_spanning_trees_warm_in(&g2, GpuId(0), &opts, &mut scratch, &cold_prev).unwrap();
-        assert_eq!(
-            warm_stats.iterations, 0,
-            "2-link compound delta must repair without iterating (topup {})",
-            warm_stats.warm_topup
-        );
-        assert_eq!(warm_stats.termination, PackingTermination::Certificate);
-        assert!(warm.is_feasible(&g2));
-        let (cold, _) = pack_spanning_trees_in(&g2, GpuId(0), &opts, &mut scratch).unwrap();
-        assert!(
-            warm.rate() >= cold.rate() - 1e-9,
-            "warm {} must not trail cold {}",
-            warm.rate(),
-            cold.rate()
-        );
-
-        // link kill + GPU drop, simultaneously
-        let survivors: Vec<GpuId> = (0..7).map(GpuId).collect();
-        let wounded = kill(&topo, 1, 4).induced(&survivors).unwrap();
-        let g3 = DiGraph::from_topology_filtered(&wounded, |l| l.kind.is_nvlink());
-        let (warm, warm_stats) =
-            pack_spanning_trees_warm_in(&g3, GpuId(0), &opts, &mut scratch, &cold_prev).unwrap();
-        assert_eq!(
-            warm_stats.iterations, 0,
-            "link+GPU compound delta must repair without iterating (topup {})",
-            warm_stats.warm_topup
-        );
-        assert_eq!(warm_stats.termination, PackingTermination::Certificate);
-        assert!(warm.is_feasible(&g3));
-        for wt in &warm.trees {
-            assert!(wt.tree.is_valid_over(&survivors));
-        }
-        let (cold, _) = pack_spanning_trees_in(&g3, GpuId(0), &opts, &mut scratch).unwrap();
-        assert!(warm.rate() >= cold.rate() - 1e-9);
-    }
-
-    #[test]
-    fn warm_start_with_mismatched_root_matches_cold_bitwise() {
-        let topo = dgx1p();
-        let g = DiGraph::from_topology_filtered(&topo, |l| l.kind.is_nvlink());
-        let opts = PackingOptions::default();
-        let mut scratch = PackingScratch::new();
-        let (prev, _) = pack_spanning_trees_in(&g, GpuId(3), &opts, &mut scratch).unwrap();
-        let (cold, cold_stats) = pack_spanning_trees_in(&g, GpuId(0), &opts, &mut scratch).unwrap();
-        let (warm, warm_stats) =
-            pack_spanning_trees_warm_in(&g, GpuId(0), &opts, &mut scratch, &prev).unwrap();
-        assert_eq!(warm_stats.iterations, cold_stats.iterations);
-        assert_eq!(warm_stats.warm_seeded, 0);
-        assert_eq!(warm_stats.warm_dropped, prev.trees.len());
-        assert_eq!(warm.trees.len(), cold.trees.len());
-        for (a, b) in warm.trees.iter().zip(&cold.trees) {
-            assert_eq!(a.tree, b.tree);
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-        }
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl TopologyDelta {
     /// Whether the delta only removes capacity (no new links or GPUs). Under
     /// a pure removal the broadcast min-cut of any surviving subgraph can
     /// only decrease, which is what lets plan caches keep untouched plans
-    /// alive instead of demoting them to warm seeds.
+    /// alive instead of dropping them.
     pub fn is_pure_removal(&self) -> bool {
         self.added_links.is_empty() && self.added_gpus.is_empty()
     }

@@ -609,7 +609,7 @@ fn run_checked_trivial_cases_and_address_spaces() {
 
 /// Replanned communicators: every failure/elasticity scenario — a killed
 /// link, a dropped GPU — on each single-server topology class lands on
-/// `run_checked`, proving the warm-started recovery plans move every byte
+/// `run_checked`, proving the replanned recovery plans move every byte
 /// exactly where the contract requires on the *post-churn* hardware.
 #[test]
 fn replanned_communicators_conform_across_failure_scenarios() {
@@ -672,9 +672,7 @@ fn replanned_communicators_conform_across_failure_scenarios() {
 /// Compound failures: two fault events composed into one
 /// [`TopologyDelta::compose`] delta — two links, a link plus a GPU, a GPU
 /// plus a degraded server NIC — replanned in a single shot on DGX-1V and
-/// DGX-2 and replayed through the value-level oracle. Whenever the warm
-/// repair consumed seeds, it must also have needed zero corrective MWU
-/// iterations (the compound-delta half of the warm-repair guarantee).
+/// DGX-2 and replayed through the value-level oracle.
 #[test]
 fn replanned_communicators_conform_across_compound_failures() {
     use blink_topology::{ServerId, TopologyDelta};
@@ -737,13 +735,7 @@ fn replanned_communicators_conform_across_compound_failures() {
             .unwrap();
         // Plan and run once pre-failure, exactly as a live job would.
         comm.all_reduce(mb(1)).unwrap();
-        let rep = comm.replan(&delta).unwrap();
-        if rep.warm_seeded_trees > 0 {
-            assert_eq!(
-                rep.warm_iterations, 0,
-                "{label}: compound-delta warm repair must need zero MWU iterations"
-            );
-        }
+        comm.replan(&delta).unwrap();
         // Single-server compound failures run the full collective matrix;
         // the cross-machine NIC scenarios run the three-phase AllReduce.
         let kinds: Vec<CollectiveKind> = if multi {
@@ -976,12 +968,12 @@ fn a_dropped_fused_constituent_is_caught_and_pinpointed() {
     }
 }
 
-/// Mutation negative for warm-start replanning: a warm start that illegally
-/// kept a tree routed over a dead link must not survive the gate. The stale
-/// plan is caught twice — the packing-level feasibility certificate rejects
-/// it (a dead pair has no capacity) and the engine refuses to execute its
-/// lowered program on the degraded machine — while the *legal* warm path
-/// (repair) provably avoids the dead pair and stays byte-exact end to end.
+/// Mutation negative for replanning: a replan that illegally kept a tree
+/// routed over a dead link must not survive the gate. The stale plan is
+/// caught twice — the packing-level feasibility certificate rejects it (a
+/// dead pair has no capacity) and the engine refuses to execute its lowered
+/// program on the degraded machine — while the *legal* path, TreeGen's plan
+/// of the degraded slice, provably avoids the dead pair and executes.
 #[test]
 fn a_stale_plan_kept_over_a_dead_link_is_caught() {
     use blink_graph::{DiGraph, TreePacking};
@@ -1028,31 +1020,33 @@ fn a_stale_plan_kept_over_a_dead_link_is_caught() {
         "the engine must refuse a program that copies over a dead link"
     );
 
-    // The legal warm path repairs instead: no repaired tree touches the dead
-    // pair, and the replanned collective is byte-exact on the new hardware.
-    let warm = TreeGen::new(degraded.induced(&alloc).unwrap(), TreeGenOptions::default())
-        .plan_warm(GpuId(0), &stale)
+    // The legal path plans the degraded slice: no tree of the replan
+    // touches the dead pair, and the replanned collective executes on the
+    // new hardware.
+    let replanned = TreeGen::new(degraded.induced(&alloc).unwrap(), TreeGenOptions::default())
+        .plan(GpuId(0))
         .unwrap();
-    for wt in &warm.trees {
+    for wt in &replanned.trees {
         assert!(
             !wt.tree.edges.contains(&dead) && !wt.tree.edges.contains(&(dead.1, dead.0)),
-            "repair must route around the dead pair"
+            "the replan must route around the dead pair"
         );
     }
     let program = cg
         .build(
-            &warm.trees,
+            &replanned.trees,
             CollectiveKind::Broadcast { root: GpuId(0) },
             mb(4),
         )
         .unwrap();
-    sim.run(&program).expect("the repaired program executes");
+    sim.run(&program).expect("the replanned program executes");
 }
 
 /// Compound-delta mutation negative: a stale plan kept across a *composed*
 /// two-link failure must be caught by the same two tripwires — the packing
-/// feasibility certificate and the engine — while the legal warm repair
-/// routes around both dead pairs at once and still executes.
+/// feasibility certificate and the engine — while the legal path, TreeGen's
+/// plan of the degraded slice, routes around both dead pairs at once and
+/// still executes.
 #[test]
 fn a_stale_plan_kept_over_a_compound_failure_is_caught() {
     use blink_graph::{DiGraph, TreePacking};
@@ -1109,25 +1103,26 @@ fn a_stale_plan_kept_over_a_compound_failure_is_caught() {
         "the engine must refuse a program that copies over a dead link"
     );
 
-    // The legal warm path repairs around *both* pairs in one pass and the
-    // recovered program executes on the compound-degraded hardware.
-    let warm = TreeGen::new(degraded.clone(), TreeGenOptions::default())
-        .plan_warm(GpuId(0), &stale)
+    // The legal path plans the degraded slice, routing around *both* pairs
+    // in one pass, and the recovered program executes on the
+    // compound-degraded hardware.
+    let replanned = TreeGen::new(degraded.clone(), TreeGenOptions::default())
+        .plan(GpuId(0))
         .unwrap();
-    for wt in &warm.trees {
+    for wt in &replanned.trees {
         for &d in &dead {
             assert!(
                 !uses(&wt.tree.edges, d),
-                "repair must route around every dead pair"
+                "the replan must route around every dead pair"
             );
         }
     }
     let program = cg
         .build(
-            &warm.trees,
+            &replanned.trees,
             CollectiveKind::Broadcast { root: GpuId(0) },
             mb(4),
         )
         .unwrap();
-    sim.run(&program).expect("the repaired program executes");
+    sim.run(&program).expect("the replanned program executes");
 }

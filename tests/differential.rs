@@ -9,9 +9,21 @@
 //! of it does, whatever the communicator and its store saw before; a sample
 //! must pass the value-level oracle; and every failure must be a typed
 //! error, never a panic.
+//!
+//! A seeded three quarters of the allocations also replan part way
+//! through their calls, through one or two faults (a killed link, a
+//! dropped GPU) composed into one delta. Every later call is checked against a reference that
+//! depends on what the replan kept: a replan that kept no plan holds what a
+//! fresh communicator over the damaged machine's surviving allocation
+//! holds, so every call must be that fresh communicator's first call; one
+//! that kept plans must call as an isolated communicator that made the same
+//! calls and replanned through the same delta.
 
-use blink_core::{CollectiveKind, Communicator, CommunicatorOptions, SharedPlanCache};
+use blink_core::{
+    CollectiveKind, Communicator, CommunicatorOptions, ReplanReport, SharedPlanCache,
+};
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
+use blink_topology::{GpuId, Topology, TopologyDelta};
 use rand::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -38,9 +50,63 @@ fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
     }
 }
 
+/// One or two faults on `alloc` of `machine`, composed into one delta: a
+/// killed link between two allocated GPUs, or a dropped GPU while at least
+/// two others remain. The second fault touches no GPU of the first.
+fn faults(rng: &mut StdRng, machine: &Topology, alloc: &[GpuId]) -> TopologyDelta {
+    let mut delta = TopologyDelta::default();
+    let mut touched: Vec<GpuId> = Vec::new();
+    for _ in 0..1 + rng.random_below(2) {
+        let free: Vec<GpuId> = alloc
+            .iter()
+            .copied()
+            .filter(|g| !touched.contains(g))
+            .collect();
+        let pick =
+            |rng: &mut StdRng, from: &[GpuId]| from[rng.random_below(from.len() as u64) as usize];
+        if rng.random_below(2) == 0 && free.len() >= 2 {
+            let a = pick(rng, &free);
+            let others: Vec<GpuId> = free.iter().copied().filter(|&g| g != a).collect();
+            let b = pick(rng, &others);
+            delta = delta.compose(&TopologyDelta::kill_link(machine, a, b));
+            touched.extend([a, b]);
+        } else if alloc.len() - delta.removed_gpus.len() > 2 && !free.is_empty() {
+            let g = pick(rng, &free);
+            delta = delta.compose(&TopologyDelta::drop_gpu(g));
+            touched.push(g);
+        }
+    }
+    delta
+}
+
+/// What a later call of a replanned communicator is checked against.
+enum Reference {
+    /// A fresh isolated communicator's first call over this machine and
+    /// allocation.
+    Fresh(Topology, Vec<GpuId>),
+    /// The isolated communicator that made every call and replanned through
+    /// the same delta.
+    Twin,
+}
+
+/// A replan report without the MWU iterations its packs ran, which a store
+/// hit spares: everything two communicators replanned alike agree on.
+fn replan_outcome(report: &ReplanReport) -> String {
+    format!(
+        "{:?}",
+        ReplanReport {
+            warm_iterations: 0,
+            ..report.clone()
+        }
+    )
+}
+
 #[test]
 fn every_call_reports_and_lowers_what_a_fresh_communicator_does() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0042);
+    // the replans draw from their own stream, so the allocations and calls
+    // are those of the test without them
+    let mut fault_rng = StdRng::seed_from_u64(0xfa17_0043);
     let shared = SharedPlanCache::new();
     for _ in 0..ALLOCATIONS {
         let machine = [dgx1v, dgx1p, dgx2][rng.random_below(3) as usize]();
@@ -81,8 +147,32 @@ fn every_call_reports_and_lowers_what_a_fresh_communicator_does() {
         let outside = machine.gpu_ids().into_iter().find(|g| !alloc.contains(g));
         kinds.extend(outside.map(|root| CollectiveKind::Reduce { root }));
         shuffle(&mut rng, &mut kinds);
+        let replan_at = (fault_rng.random_below(4) != 0)
+            .then(|| fault_rng.random_below(kinds.len() as u64 / 2) as usize);
+        let mut twin = replan_at.map(|_| build().isolated_plans().build().unwrap());
+        let mut reference = Reference::Fresh(machine.clone(), alloc.clone());
         let mut sample = None;
-        for kind in kinds {
+        for (i, kind) in kinds.into_iter().enumerate() {
+            if replan_at == Some(i) {
+                let delta = faults(&mut fault_rng, &machine, &alloc);
+                let case = format!("{} {alloc:?} replanned through {delta:?}", machine.name());
+                let twin = twin.as_mut().expect("a replanning allocation has a twin");
+                let replan = |comm: &mut Communicator| {
+                    catch_unwind(AssertUnwindSafe(|| comm.replan(&delta)))
+                        .unwrap_or_else(|_| panic!("{case}: panicked"))
+                        .unwrap_or_else(|e| panic!("{case}: {e}"))
+                };
+                let (report, twins) = (replan(&mut comm), replan(twin));
+                assert_eq!(replan_outcome(&report), replan_outcome(&twins), "{case}");
+                reference = match report.plans_kept {
+                    0 => Reference::Fresh(
+                        machine.apply_delta(&delta).unwrap(),
+                        comm.allocation().to_vec(),
+                    ),
+                    _ => Reference::Twin,
+                };
+                sample = None;
+            }
             let bytes = size(&mut rng);
             let traced = rng.random_below(2) == 0;
             let case = format!(
@@ -101,11 +191,23 @@ fn every_call_reports_and_lowers_what_a_fresh_communicator_does() {
                 catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|_| panic!("{case}: panicked"))
             };
             let got = call(&mut comm);
-            assert_eq!(
-                got,
-                call(&mut build().isolated_plans().build().unwrap()),
-                "{case}"
-            );
+            let want = match &reference {
+                Reference::Fresh(machine, alloc) => call(
+                    &mut Communicator::builder(machine.clone())
+                        .allocation(alloc)
+                        .options(options)
+                        .isolated_plans()
+                        .build()
+                        .unwrap(),
+                ),
+                Reference::Twin => call(twin.as_mut().expect("a replanned twin")),
+            };
+            assert_eq!(got, want, "{case}");
+            // before its replan, the twin makes every call the
+            // communicator makes, so it holds the same plans
+            if replan_at.is_some_and(|at| i < at) {
+                let _ = call(twin.as_mut().expect("a replanning allocation has a twin"));
+            }
             if got.is_ok() && bytes > 0 {
                 sample.get_or_insert((kind, bytes));
             }

@@ -626,7 +626,7 @@ fn isolated_on(machine: Topology, alloc: &[GpuId]) -> Communicator {
 
 /// A DGX-1V with an extra 7 GB/s NVLink duplex between GPUs 0 and 1: its
 /// NVLink graph is no lane graph (the 0-1 pair carries 30 GB/s, not a whole
-/// number of 23 GB/s lanes), so it packs by MWU and repairs warm.
+/// number of 23 GB/s lanes), so it packs by MWU.
 fn mixed_dgx1v() -> Topology {
     let mut machine = dgx1v();
     machine
@@ -647,16 +647,17 @@ fn a_communicator_on_a_repaired_machine_lowers_what_an_isolated_one_lowers() {
             .unwrap()
     };
     let (kind, bytes) = (CollectiveKind::AllReduce, 16 << 20);
-    // a warm-repairs a dead 2-3 NVLink; the survivors are still no lane
-    // graph (a lane graph repacks exactly and cold instead)
+    // a replans around a dead 2-3 NVLink; the survivors are still no lane
+    // graph, so the replan packs by MWU, and it keeps no plan
     let mut a = build(mixed_dgx1v());
     a.run_traced(kind, bytes).unwrap();
     let delta = TopologyDelta::kill_link(a.induced_topology(), GpuId(2), GpuId(3));
     let replan = a.replan(&delta).unwrap();
-    assert!(replan.warm_seeded_trees > 0, "the repair is warm");
+    assert!(replan.warm_iterations > 0, "{replan:?}");
+    assert_eq!(replan.plans_kept, 0, "{replan:?}");
     let (_, repaired, _) = a.run_traced(kind, bytes).unwrap();
     // a fresh communicator on the damaged machine, over the same store,
-    // lowers and runs what an isolated one there does, not a's repair
+    // lowers and runs what an isolated one there does, and so does a
     let damaged = mixed_dgx1v().apply_delta(&delta).unwrap();
     let (report, shared, spans) = build(damaged.clone()).run_traced(kind, bytes).unwrap();
     let (fresh, isolated, fresh_spans) = isolated_on(damaged, &alloc)
@@ -667,7 +668,8 @@ fn a_communicator_on_a_repaired_machine_lowers_what_an_isolated_one_lowers() {
         format!("{report:?} {spans:?}"),
         format!("{fresh:?} {fresh_spans:?}")
     );
-    assert_ne!(*repaired, *shared, "the warm repair is another program");
+    assert_eq!(*repaired, *shared, "the replan is the fresh communicator's");
+    assert!(Arc::ptr_eq(&repaired, &shared), "one shared lowering");
 }
 
 /// The endpoints of the first NVLink copy in `program`.
