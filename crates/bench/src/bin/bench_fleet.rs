@@ -15,7 +15,7 @@
 //! * **chaos** — under [`FaultConfig::default`]'s seeded fault schedule,
 //!   which flaps NVLink pairs, drops GPUs, degrades NICs and kills whole
 //!   servers. Every affected job replans through `Communicator::replan`'s
-//!   graceful-degradation ladder (every plan kept → cold replan → PCIe
+//!   graceful-degradation ladder (slice unchanged → cold replan → PCIe
 //!   fallback → shrunk subgroup) and re-runs its collective as a recovery
 //!   probe; jobs whose every GPU is lost are evicted and re-offered under
 //!   the bounded retry policy.
@@ -252,8 +252,6 @@ struct ChaosSection {
     /// Fraction of all recoveries each rung absorbed — the fleet's
     /// degraded-mode occupancy.
     rung_occupancy: BTreeMap<String, f64>,
-    /// Recoveries whose every plan survived the fault.
-    recoveries_full_warm: usize,
     gpus_shed: usize,
     evictions: usize,
     retries_scheduled: usize,
@@ -509,7 +507,6 @@ fn chaos_section(run: &Run) -> ChaosSection {
         fault_recoveries: r.fault_recoveries,
         recovery_rungs: r.recovery_rungs.clone(),
         rung_occupancy,
-        recoveries_full_warm: r.recoveries_full_warm,
         gpus_shed: r.gpus_shed,
         evictions: r.evictions,
         retries_scheduled: r.retries_scheduled,
@@ -739,13 +736,8 @@ fn main() {
         c.evictions,
     );
     eprintln!(
-        "ladder: {:?}; every plan kept {}; retries: {} scheduled, {} succeeded, \
-         {} jobs lost",
-        c.recovery_rungs,
-        c.recoveries_full_warm,
-        c.retries_scheduled,
-        c.retries_succeeded,
-        c.jobs_lost,
+        "ladder: {:?}; retries: {} scheduled, {} succeeded, {} jobs lost",
+        c.recovery_rungs, c.retries_scheduled, c.retries_succeeded, c.jobs_lost,
     );
     eprintln!("fleet work: {:?}", f.work);
     eprintln!("chaos work: {:?}", c.work);

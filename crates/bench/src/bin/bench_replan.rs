@@ -1,10 +1,10 @@
 //! Replan work and latency across failure scenarios.
 //!
 //! Each scenario applies a [`TopologyDelta`] — kill a link, drop a GPU — to a
-//! planned communicator and measures one [`Communicator::replan`]: the plan
-//! cache keeps the plans the delta did not touch and the replan plans the
-//! rest from cold, as TreeGen plans any slice (closed form, exact lane
-//! packing, or MWU plus minimisation). Each communicator plans through a
+//! planned communicator and measures one [`Communicator::replan`], which
+//! builds the communicator afresh over the damaged machine on its plan
+//! store and plans the changed slice as TreeGen plans any slice (closed
+//! form, exact lane packing, or MWU plus minimisation). Each communicator plans through a
 //! fresh [`SharedPlanCache`], which counts the work the replan performs: the
 //! roots it packs (`packs`, store misses) and the MWU iterations those packs
 //! run (`mwu_iterations`). On a lane graph (every DGX-1 NVLink slice) the
@@ -12,7 +12,10 @@
 //! whose extra 7 GB/s link makes the graph no lane graph, packs by MWU. The
 //! replanned communicator then runs one AllReduce through the value-level
 //! oracle, and that run's realised rate is recorded (`allreduce_rate_gbps`).
-//! Wall time per replan is recorded as context only. (A grown job is not a
+//! Its AllReduce report and traced program are compared with those of a
+//! fresh isolated communicator over the damaged machine's surviving
+//! allocation (`fresh_equal`). Wall time per replan is recorded as context
+//! only. (A grown job is not a
 //! replan: it gets a new communicator over the grown allocation, and
 //! `replan` refuses a delta that adds GPUs.)
 //!
@@ -22,9 +25,11 @@
 //!
 //! With `--check`: quick re-measurement compared against the recorded file.
 //! It fails, on every runner, when a replanned program fails the value-level
-//! oracle, when its realised AllReduce rate is not positive or differs from
-//! the recording by a bit, or when any scenario's packs or MWU iterations
-//! exceed the recording. Exits non-zero on regression.
+//! oracle, when its AllReduce report or traced program differs from a fresh
+//! isolated communicator's over the damaged machine, when its realised
+//! AllReduce rate is not positive or differs from the recording by a bit,
+//! or when any scenario's packs or MWU iterations exceed the recording.
+//! Exits non-zero on regression.
 
 use blink_bench::{over_recording, percentiles, Percentiles};
 use blink_core::{CollectiveKind, Communicator, ReplanReport, SharedPlanCache};
@@ -111,8 +116,6 @@ struct ScenarioReport {
     packs: u64,
     /// MWU iterations one replan's packs run.
     mwu_iterations: u64,
-    plans_kept: usize,
-    plans_dropped: usize,
     /// The picked root's packing rate after the replan (GB/s).
     rate_gbps: f64,
     /// The replanned communicator's AllReduce passed the value-level
@@ -120,6 +123,10 @@ struct ScenarioReport {
     conformant: bool,
     /// That AllReduce's realised algorithmic bandwidth (GB/s, simulated).
     allreduce_rate_gbps: f64,
+    /// The replanned communicator's AllReduce report (every field, floats
+    /// bit for bit) and traced program are a fresh isolated communicator's
+    /// over the damaged machine and the surviving allocation.
+    fresh_equal: bool,
 }
 
 #[derive(Serialize)]
@@ -175,6 +182,19 @@ fn run_scenario(s: &Scenario, runs: usize) -> ScenarioReport {
     let (allreduce, check) = comm
         .run_checked(CollectiveKind::AllReduce, CHECK_BYTES)
         .expect("replanned AllReduce runs");
+    let damaged = s.machine.apply_delta(&s.delta).expect("the delta applies");
+    let mut fresh = Communicator::builder(damaged)
+        .allocation(comm.allocation())
+        .isolated_plans()
+        .build()
+        .expect("fresh communicator over the damaged machine");
+    let traced = |comm: &mut Communicator| {
+        let (report, program, _) = comm
+            .run_traced(CollectiveKind::AllReduce, CHECK_BYTES)
+            .expect("AllReduce runs");
+        (format!("{report:?}"), program)
+    };
+    let (replanned, fresh) = (traced(&mut comm), traced(&mut fresh));
 
     ScenarioReport {
         name: s.name.to_string(),
@@ -184,11 +204,10 @@ fn run_scenario(s: &Scenario, runs: usize) -> ScenarioReport {
         replan: percentiles(samples),
         packs,
         mwu_iterations,
-        plans_kept: report.plans_kept,
-        plans_dropped: report.plans_dropped,
         rate_gbps: report.rate_gbps,
         conformant: check.is_correct(),
         allreduce_rate_gbps: allreduce.algorithmic_bandwidth_gbps,
+        fresh_equal: replanned.0 == fresh.0 && *replanned.1 == *fresh.1,
     }
 }
 
@@ -245,15 +264,14 @@ fn main() {
 
     for sc in &out.scenarios {
         eprintln!(
-            "{:<22} packs {}  MWU iterations {}  kept {} dropped {}  conformant {} at {} GB/s; \
+            "{:<22} packs {}  MWU iterations {}  conformant {} at {} GB/s  fresh-equal {}; \
              wall (context only): {}",
             sc.name,
             sc.packs,
             sc.mwu_iterations,
-            sc.plans_kept,
-            sc.plans_dropped,
             sc.conformant,
             sc.allreduce_rate_gbps,
+            sc.fresh_equal,
             sc.replan,
         );
     }
@@ -276,11 +294,19 @@ fn main() {
                 sc.name
             ));
         }
+        if !sc.fresh_equal {
+            failures.push(format!(
+                "{}: replanned AllReduce reports or lowers other than a fresh communicator \
+                 over the damaged machine",
+                sc.name
+            ));
+        }
     }
     if failures.is_empty() {
         eprintln!(
-            "replan check passed: all scenarios conformant at their recorded AllReduce rates, \
-             packs and MWU iterations within the recording"
+            "replan check passed: all scenarios conformant at their recorded AllReduce rates \
+             and equal to a fresh communicator over the damaged machine, packs and MWU \
+             iterations within the recording"
         );
         return;
     }

@@ -19,13 +19,14 @@
 //! collectives pack their own root on first use.
 //!
 //! When the fabric changes underneath a live job, [`Communicator::replan`]
-//! takes a [`TopologyDelta`] and recovers in place: the plan cache keeps
-//! the plans the delta provably did not touch and drops the rest, and the
-//! replan re-runs the bounded sweep over the surviving slice, so a delta
-//! that touches the picked root's plan re-plans that root as TreeGen plans
-//! any slice, from cold. A replan never grows the allocation: a job handed
-//! more or other GPUs gets a new communicator over them.
-//! [`Communicator::run_checked`] then proves the recovered program
+//! takes a [`TopologyDelta`] and rebuilds the communicator over the damaged
+//! machine and the surviving allocation, as Blink builds one per
+//! allocation: through the constructor [`CommunicatorBuilder::build`] uses,
+//! on the same plan store, followed by the bounded root sweep. What a
+//! replanned communicator plans and lowers is therefore what a fresh one
+//! over the damaged machine plans and lowers. A replan never grows the
+//! allocation: a job handed more or other GPUs gets a new communicator over
+//! them. [`Communicator::run_checked`] then proves the recovered program
 //! byte-exact on the post-churn hardware.
 //!
 //! # Lowerings live in the plan store
@@ -37,11 +38,9 @@
 //! communicator of the same slice shape and options already made, on any
 //! server — takes the stored lowering instead of lowering again (renamed
 //! onto its own GPUs when another slice made it). The fingerprint is
-//! computed once when the communicator is built and once per
-//! [`Communicator::replan`]; a replan that leaves the communicator holding
-//! kept plans gives it a fingerprint no other communicator can form, since
-//! those plans are its own, and one that keeps none shares the fingerprint
-//! of a fresh communicator over the changed machine. A communicator keeps no call
+//! computed once when the communicator is built, and a replan builds it
+//! anew, so a replanned communicator shares the fingerprint of a fresh one
+//! over the changed machine. A communicator keeps no call
 //! history that could pick what it lowers: on a switch fabric the first
 //! lowering of a key races the strategies and stores the winner, and every
 //! later lookup of the key, from this communicator or a fresh one, takes it.
@@ -101,7 +100,6 @@ use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The choices a caller makes for a [`Communicator`] (set through
@@ -166,10 +164,10 @@ impl SweepOutcome {
 /// conformance matrix drives each rung through `run_checked`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum DegradationLevel {
-    /// Every plan the communicator held survived the delta untouched, so
-    /// collectives run on them as before and nothing was re-planned. The
-    /// name is older than its meaning; it stays because the benchmark
-    /// reports the rung by it.
+    /// The delta left the communicator's slice as it was (the same GPUs,
+    /// links and NICs), so the rebuilt communicator runs what it ran
+    /// before. The name is older than its meaning; it stays because the
+    /// benchmark reports the rung by it.
     FullWarmRepair,
     /// The survivor graph was re-planned from cold: a store hit, a closed
     /// form, an exact lane packing, or MWU packing plus minimisation. Also
@@ -200,21 +198,14 @@ impl std::fmt::Display for DegradationLevel {
     }
 }
 
-/// What a [`Communicator::replan`] call did — cache survivorship, the
-/// planning work it ran, the re-picked root, and where on the degradation
-/// ladder the recovery landed, for observability and the replan/chaos
-/// benchmarks.
+/// What a [`Communicator::replan`] call did — the planning work it ran, the
+/// re-picked root, and where on the degradation ladder the recovery
+/// landed, for observability and the replan/chaos benchmarks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplanReport {
-    /// Plans that survived delta invalidation untouched (still exact for the
-    /// post-event topology).
-    pub plans_kept: usize,
-    /// Plans the delta touched, which the replan dropped; a later lookup of
-    /// one of their keys plans the changed slice from cold.
-    pub plans_dropped: usize,
-    /// MWU iterations of the packs this replan itself ran. A store hit, a
-    /// kept plan, an exact lane packing and a closed-form plan add 0. The
-    /// field keeps its name because the benchmark reads it by that name.
+    /// MWU iterations of the packs this replan's root sweep ran. A store
+    /// hit, an exact lane packing and a closed-form plan add 0. The field
+    /// keeps its name because the benchmark reads it by that name.
     #[serde(default)]
     pub warm_iterations: usize,
     /// Which rung of the graceful-degradation ladder this replan landed on.
@@ -349,18 +340,18 @@ pub struct Communicator {
     sim: Simulator,
     options: CommunicatorOptions,
     /// This communicator's handle on its plan store: re-issued collectives
-    /// skip the packing stage entirely. [`Communicator::replan`] tells the
-    /// handle of every topology change, so it never serves a plan the
-    /// change touched.
+    /// skip the packing stage entirely. The handle serves this
+    /// communicator's one shape; [`Communicator::replan`] builds a new
+    /// communicator, and with it a new handle on the same store.
     plans: PlanCache,
     /// What the communicator derived from its current shape.
     shape: ShapeState,
 }
 
 /// Everything a communicator derives from its allocation, induced topology
-/// and options, and must drop when they change. [`ShapeState::new`] is the
-/// one place it is made, by [`CommunicatorBuilder::build`] and again by
-/// [`Communicator::replan`], so no memo kept here can outlive its shape.
+/// and options. [`ShapeState::new`] makes it once per communicator, in
+/// [`Communicator::over`], and neither its allocation nor its topology
+/// changes after, so no memo kept here can outlive its shape.
 #[derive(Debug)]
 struct ShapeState {
     /// [`crate::store::rank_fingerprint`] of the induced topology.
@@ -415,23 +406,13 @@ impl ShapeState {
     }
 }
 
-/// A lowering fingerprint no other communicator can form, for one whose
-/// replan left it holding kept plans: those are cold plans of the slice
-/// before the fault, not of its changed key, so its lowerings are its own.
-fn private_lowering_fp() -> u64 {
-    static REPLANS: AtomicU64 = AtomicU64::new(0);
-    let mut h = DefaultHasher::new();
-    ("private", REPLANS.fetch_add(1, Ordering::Relaxed)).hash(&mut h);
-    h.finish()
-}
-
 /// The lowering tier's key for a communicator: everything a lowering reads
 /// besides the collective signature, the chunk and the plans themselves —
 /// the rank fingerprint, the allocation `order` as that fingerprint names
 /// GPUs (by rank, so the same slice shape on any server shares the key; by
 /// id where the slice's ids do not ascend) and the one option a lowering
-/// reads, [`CommunicatorOptions::use_hybrid`]. Computed once per build and
-/// per replan, without collecting the order.
+/// reads, [`CommunicatorOptions::use_hybrid`]. Computed once per
+/// communicator, without collecting the order.
 fn lowering_fingerprint(
     plan_fp: u64,
     order: impl ExactSizeIterator<Item = u64>,
@@ -459,6 +440,56 @@ impl Communicator {
     /// process-wide [`global_plan_cache`].
     pub fn builder(machine: Topology) -> CommunicatorBuilder {
         CommunicatorBuilder::on_machine(machine)
+    }
+
+    /// The communicator over `allocation` of `machine`, planning through
+    /// `store`: the one place a communicator is made, by
+    /// [`CommunicatorBuilder::build`] and by [`Communicator::replan`].
+    ///
+    /// # Errors
+    /// Empty or unknown allocations, allocations naming a GPU twice.
+    fn over(
+        machine: Arc<Topology>,
+        allocation: Vec<GpuId>,
+        options: CommunicatorOptions,
+        store: SharedPlanCache,
+    ) -> Result<Communicator> {
+        // An allocation of the whole machine, in its order, induces the
+        // machine itself (a placement's always does): share it rather than
+        // re-induce or copy it.
+        let induced = if machine
+            .gpus()
+            .iter()
+            .map(|g| g.id)
+            .eq(allocation.iter().copied())
+        {
+            machine.clone()
+        } else {
+            let induced = machine
+                .induced(&allocation)
+                .map_err(|e| BlinkError::Planning(e.to_string()))?;
+            Arc::new(induced)
+        };
+        // Inducing dedups the GPU set, so a repeated id shows up as a count
+        // mismatch; name the first repeat only on that failure path.
+        if induced.num_gpus() != allocation.len() {
+            let mut seen = BTreeSet::new();
+            if let Some(dup) = allocation.iter().find(|g| !seen.insert(**g)) {
+                return Err(BlinkError::Planning(format!(
+                    "{dup} appears more than once in the allocation"
+                )));
+            }
+        }
+        let sim = Simulator::with_defaults(induced);
+        let shape = ShapeState::new(&allocation, &options, &sim);
+        Ok(Communicator {
+            allocation,
+            machine,
+            sim,
+            options,
+            plans: PlanCache::new(store),
+            shape,
+        })
     }
 
     /// The GPUs this communicator spans.
@@ -567,6 +598,7 @@ impl Communicator {
     /// its program (only callers that read the program rename it), and the
     /// per-op spans only when `spans` asks for them.
     fn run_lowered(&mut self, kind: CollectiveKind, bytes: u64, spans: bool) -> Result<LoweredRun> {
+        self.root_position(kind)?;
         if self.allocation.len() < 2 || bytes == 0 {
             let report = CollectiveReport {
                 kind,
@@ -644,6 +676,7 @@ impl Communicator {
                 requests[i].1
             )));
         }
+        self.root_position(kind)?;
         let ready_floor = requests.iter().map(|r| r.1).fold(0.0f64, f64::max);
         if self.allocation.len() < 2 || requests.iter().all(|r| r.0 == 0) {
             // trivial: nothing moves; every request completes when ready
@@ -758,15 +791,8 @@ impl Communicator {
         // the key names a rooted collective's root by its position in the
         // allocation, so one shape's rooted collectives from one position
         // share an entry on every server
-        let keyed_kind = match kind.root() {
-            Some(root) => {
-                let Some(position) = self.allocation.iter().position(|&g| g == root) else {
-                    return Err(BlinkError::Planning(format!(
-                        "root {root} is not in the allocation"
-                    )));
-                };
-                kind.with_root(GpuId(position))
-            }
+        let keyed_kind = match self.root_position(kind)? {
+            Some(position) => kind.with_root(GpuId(position)),
             None => kind,
         };
         let key = LoweringKey {
@@ -817,6 +843,23 @@ impl Communicator {
         Ok(Lowered::new(lowering))
     }
 
+    /// The position of a rooted `kind`'s root in the allocation (`None` for
+    /// a rootless kind).
+    ///
+    /// # Errors
+    /// A root outside the allocation, whatever the call's size.
+    pub(crate) fn root_position(&self, kind: CollectiveKind) -> Result<Option<usize>> {
+        let Some(root) = kind.root() else {
+            return Ok(None);
+        };
+        match self.allocation.iter().position(|&g| g == root) {
+            Some(position) => Ok(Some(position)),
+            None => Err(BlinkError::Planning(format!(
+                "root {root} is not in the allocation"
+            ))),
+        }
+    }
+
     /// Adopts the stored lowering the communicator last took
     /// ([`ShapeState::unadopted`]), leaving it as lowering afresh would
     /// have: the plans the lowering read join the handle, and its picked
@@ -828,10 +871,9 @@ impl Communicator {
     /// adopts nothing.
     ///
     /// Every reader of the handle's plans or the picked root (a
-    /// lowering-tier lookup, a replan) settles first. The entry's plans are
-    /// the cold plans of their keys, and so is every plan the handle holds
-    /// under a shared lowering key, so adopting them late changes nothing a
-    /// fresh lowering would have read.
+    /// lowering-tier lookup) settles first. The entry's plans are the cold
+    /// plans of their keys, and so is every plan the handle holds, so
+    /// adopting them late changes nothing a fresh lowering would have read.
     fn settle(&mut self) {
         let Some(lowering) = self.shape.unadopted.take() else {
             return;
@@ -890,9 +932,9 @@ impl Communicator {
     /// Picks the root that maximises the achievable packing rate for
     /// all-to-all collectives (any root works; a well-connected one packs
     /// more trees) through the certificate-bounded [`Communicator::root_sweep`],
-    /// so only the picked root's plan is cached. Memoised: the allocation
-    /// only changes through [`Communicator::replan`], which re-runs the sweep
-    /// itself.
+    /// so only the picked root's plan is cached. Memoised: a communicator's
+    /// allocation and topology never change ([`Communicator::replan`] builds
+    /// a new communicator, and sweeps it itself).
     fn pick_root(&mut self) -> GpuId {
         if let Some((root, _)) = &self.shape.picked {
             return *root;
@@ -980,37 +1022,32 @@ impl Communicator {
     }
 
     /// Reacts to a change in the hardware under the allocation — a dead link
-    /// or GPU, a heal, a NIC change — without rebuilding the communicator:
-    /// applies `delta` to the machine model, re-induces the (possibly
-    /// shrunken) allocation, delta-invalidates the plan cache (it keeps
-    /// plans the event provably did not touch and drops the rest), then
-    /// re-runs the certificate-bounded root sweep. Every root the sweep
-    /// plans afresh goes through the plan store from cold, as a fresh
-    /// communicator's would: a store hit, or a pack the store publishes.
-    /// Collectives issued afterwards use the recovered plans directly; a
-    /// dropped rooted plan is re-planned by the first collective on its
-    /// root.
+    /// or GPU, a heal, a NIC change — as Blink reacts to a new allocation
+    /// shape: applies `delta` to the machine model, drops removed GPUs from
+    /// the allocation, shrinks it to its largest connected component, and
+    /// builds the communicator afresh over the damaged machine and the
+    /// surviving allocation, through the constructor
+    /// [`CommunicatorBuilder::build`] uses and on the same plan store. It
+    /// then runs the certificate-bounded root sweep for the report: every
+    /// root it plans is a store hit or a cold pack the store publishes, as a
+    /// fresh communicator's would be. The replanned communicator holds,
+    /// plans and lowers what a fresh communicator over the damaged machine
+    /// and the surviving allocation does, and shares its lowerings.
     ///
     /// Removed GPUs leave the allocation. An allocation never grows in
     /// place: a job handed more GPUs gets a new communicator over them, as
-    /// Blink builds one per allocation. The communicator's lowering
-    /// fingerprint is recomputed, so it never takes a lowering made for the
-    /// old shape. Kept plans are this communicator's own: the store is not
-    /// told of them, and when the handle holds any, the communicator's
-    /// lowerings go under a fingerprint no other communicator can form. A
-    /// replan that keeps none holds what a fresh communicator over the
-    /// changed machine holds, and shares its lowerings.
+    /// Blink builds one per allocation.
     ///
     /// # Graceful-degradation ladder
     ///
     /// Recovery walks a four-rung ladder, and the rung taken is reported in
     /// [`ReplanReport::degradation`]:
     ///
-    /// 1. **[`DegradationLevel::FullWarmRepair`]** — every plan the
-    ///    communicator held survived the delta: as fast as before, nothing
-    ///    re-planned.
-    /// 2. **[`DegradationLevel::PackedReplan`]** — the survivor graph was
-    ///    re-planned from cold (a store hit, a closed form, an exact lane
+    /// 1. **[`DegradationLevel::FullWarmRepair`]** — the delta left the
+    ///    slice as it was (the same GPUs, links and NICs): as fast as
+    ///    before, every plan a store hit unless the store evicted it.
+    /// 2. **[`DegradationLevel::PackedReplan`]** — the changed slice was
+    ///    planned from cold (a store hit, a closed form, an exact lane
     ///    packing, or MWU plus minimisation).
     /// 3. **[`DegradationLevel::PcieFallback`]** — no candidate root spans
     ///    the surviving NVLink graph; collectives lower over PCIe trees (or
@@ -1036,12 +1073,11 @@ impl Communicator {
                     .to_string(),
             ));
         }
-        self.settle();
         let machine = self
             .machine
             .apply_delta(delta)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
-        let mut allocation: Vec<GpuId> = self
+        let allocation: Vec<GpuId> = self
             .allocation
             .iter()
             .copied()
@@ -1052,58 +1088,41 @@ impl Communicator {
                 "replan delta removed every GPU in the allocation".to_string(),
             ));
         }
-        let mut induced = machine
-            .induced(&allocation)
-            .map_err(|e| BlinkError::Planning(e.to_string()))?;
         // Ladder rung 4 (ShrunkSubgroup): if the survivors no longer form one
         // connected component over *any* link class, no strategy can span
         // them — shed the smaller components and keep the job alive on the
         // largest one (ties go to the component holding the earliest
         // allocation GPU, so the shrink is deterministic).
-        let survivors = largest_connected_component(&induced, &allocation);
+        let survivors = largest_connected_component(&machine, &allocation);
         let shed_gpus: Vec<GpuId> = allocation
             .iter()
             .copied()
             .filter(|g| !survivors.contains(g))
             .collect();
-        if !shed_gpus.is_empty() {
-            induced = machine
-                .induced(&survivors)
-                .map_err(|e| BlinkError::Planning(e.to_string()))?;
-            allocation = survivors;
-        }
-        self.allocation = allocation;
-        self.machine = Arc::new(machine);
-        self.sim = Simulator::with_defaults(induced);
-        self.shape = ShapeState::new(&self.allocation, &self.options, &self.sim);
-        let plans_dropped = self
-            .plans
-            .note_delta(self.sim.topology(), delta, &self.shape.graphs);
-        let plans_kept = self.plans.len();
-        if plans_kept > 0 {
-            self.shape.lowering_fp = private_lowering_fp();
-        }
-        let packed_path = self.packs_per_root();
-        let packed_before = self.plans.packed_iterations();
+        let store = self.plans.store().clone();
+        let mut comm = Communicator::over(Arc::new(machine), survivors, self.options, store)?;
+        let unchanged = comm.allocation == self.allocation
+            && comm.shape.plan_fp == self.shape.plan_fp
+            && TopologyDelta::between(self.sim.topology(), comm.sim.topology()).is_empty();
+        let packed_path = comm.packs_per_root();
         let mut sweep = if packed_path {
-            self.root_sweep()
+            comm.root_sweep()
         } else {
-            SweepOutcome::fallback(self.allocation[0])
+            SweepOutcome::fallback(comm.allocation[0])
         };
-        self.shape.picked = Some((sweep.root, std::mem::take(&mut sweep.plans)));
-        let degradation = if !shed_gpus.is_empty() {
+        comm.shape.picked = Some((sweep.root, std::mem::take(&mut sweep.plans)));
+        let degradation = if unchanged {
+            DegradationLevel::FullWarmRepair
+        } else if !shed_gpus.is_empty() {
             DegradationLevel::ShrunkSubgroup
         } else if packed_path && !sweep.spannable {
             DegradationLevel::PcieFallback
-        } else if packed_path && plans_kept > 0 && plans_dropped == 0 {
-            DegradationLevel::FullWarmRepair
         } else {
             DegradationLevel::PackedReplan
         };
+        *self = comm;
         Ok(ReplanReport {
-            plans_kept,
-            plans_dropped,
-            warm_iterations: self.plans.packed_iterations() - packed_before,
+            warm_iterations: self.plans.packed_iterations(),
             degradation,
             shed_gpus,
             root: sweep.root,
@@ -1480,62 +1499,29 @@ impl CommunicatorBuilder {
             Some(allocation) => allocation,
             None => machine.gpu_ids(),
         };
-        // An allocation of the whole machine, in its order, induces the
-        // machine itself (a placement's always does): share it rather than
-        // re-induce or copy it.
-        let machine = Arc::new(machine);
-        let induced = if machine
-            .gpus()
-            .iter()
-            .map(|g| g.id)
-            .eq(allocation.iter().copied())
-        {
-            machine.clone()
-        } else {
-            let induced = machine
-                .induced(&allocation)
-                .map_err(|e| BlinkError::Planning(e.to_string()))?;
-            Arc::new(induced)
-        };
-        // Inducing dedups the GPU set, so a repeated id shows up as a count
-        // mismatch; name the first repeat only on that failure path.
-        if induced.num_gpus() != allocation.len() {
-            let mut seen = BTreeSet::new();
-            if let Some(dup) = allocation.iter().find(|g| !seen.insert(**g)) {
-                return Err(BlinkError::Planning(format!(
-                    "{dup} appears more than once in the allocation"
-                )));
-            }
-        }
         let store = match self.shared {
             Some(shared) => shared,
             None if self.isolated => SharedPlanCache::new(),
             None => global_plan_cache(),
         };
-        let sim = Simulator::with_defaults(induced);
-        let shape = ShapeState::new(&allocation, &self.options, &sim);
-        Ok(Communicator {
-            allocation,
-            machine,
-            sim,
-            options: self.options,
-            plans: PlanCache::new(store),
-            shape,
-        })
+        Communicator::over(Arc::new(machine), allocation, self.options, store)
     }
 }
 
-/// The largest connected component of `allocation` over `induced`'s links
-/// (any class, treated as undirected), in allocation order. Ties between
-/// equal-sized components go to the one discovered first — i.e. the one
-/// containing the earliest allocation GPU — so the shrink rung of the
-/// degradation ladder is deterministic.
-fn largest_connected_component(induced: &Topology, allocation: &[GpuId]) -> Vec<GpuId> {
+/// The largest connected component of `allocation` over the links of
+/// `machine` between its GPUs (any class, treated as undirected), in
+/// allocation order. Ties between equal-sized components go to the one
+/// discovered first — i.e. the one containing the earliest allocation GPU —
+/// so the shrink rung of the degradation ladder is deterministic.
+fn largest_connected_component(machine: &Topology, allocation: &[GpuId]) -> Vec<GpuId> {
     use std::collections::VecDeque;
+    let members: BTreeSet<GpuId> = allocation.iter().copied().collect();
     let mut adj: BTreeMap<GpuId, BTreeSet<GpuId>> = BTreeMap::new();
-    for l in induced.links() {
-        adj.entry(l.src).or_default().insert(l.dst);
-        adj.entry(l.dst).or_default().insert(l.src);
+    for l in machine.links() {
+        if members.contains(&l.src) && members.contains(&l.dst) {
+            adj.entry(l.src).or_default().insert(l.dst);
+            adj.entry(l.dst).or_default().insert(l.src);
+        }
     }
     let mut seen: BTreeSet<GpuId> = BTreeSet::new();
     let mut best: BTreeSet<GpuId> = BTreeSet::new();
@@ -2145,7 +2131,7 @@ mod tests {
         let delta = TopologyDelta::kill_link(comm.induced_topology(), GpuId(0), GpuId(1));
         let report = comm.replan(&delta).unwrap();
         assert_eq!(report.degradation, DegradationLevel::PackedReplan);
-        assert_eq!((report.plans_dropped, report.warm_iterations), (1, 0));
+        assert_eq!(report.warm_iterations, 0);
         assert_eq!(report.rate_gbps, 115.0, "the certificate, with no ε");
         assert_eq!(store.mwu_iterations(), 0);
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
@@ -2161,11 +2147,6 @@ mod tests {
         comm.all_reduce(mb(16)).unwrap();
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(3))).unwrap();
         assert_eq!(report.num_gpus, 3);
-        assert_eq!(
-            (report.plans_dropped, report.plans_kept),
-            (1, 0),
-            "{report:?}"
-        );
         assert_eq!(report.degradation, DegradationLevel::PackedReplan);
         assert_eq!(report.warm_iterations, 0);
         assert_eq!(store.mwu_iterations(), 0);
@@ -2184,7 +2165,6 @@ mod tests {
         let delta = TopologyDelta::kill_link(comm.induced_topology(), GpuId(2), GpuId(3));
         let report = comm.replan(&delta).unwrap();
         assert_eq!(report.num_gpus, 8);
-        assert!(report.plans_dropped > 0, "{report:?}");
         assert!(report.warm_iterations > 0, "no lane graph: {report:?}");
         assert_eq!(
             store.mwu_iterations() - packed,
@@ -2318,7 +2298,7 @@ mod tests {
         comm.all_reduce(mb(16)).unwrap();
         let report = comm.replan(&TopologyDelta::drop_gpu(GpuId(7))).unwrap();
         assert_eq!(report.degradation, DegradationLevel::PackedReplan);
-        assert_eq!((report.plans_dropped, report.root), (1, GpuId(0)));
+        assert_eq!(report.root, GpuId(0));
         assert_eq!(store.stats(), (0, 2), "only the picked root re-plans");
     }
 
@@ -2331,16 +2311,36 @@ mod tests {
         assert!(comm.replan(&TopologyDelta::drop_gpu(GpuId(3))).is_err());
     }
 
-    /// Ladder rung 1: a delta that touches no plan the communicator holds
-    /// keeps every plan and re-plans nothing.
+    /// Ladder rung 1: a delta that misses the slice leaves it as it was, so
+    /// the rebuilt communicator is served its plans and lowerings by the
+    /// store. A PCIe link that dies under an NVLink job changes the slice:
+    /// its NVLink plans pack again, at the rate they had.
     #[test]
-    fn replan_that_touches_no_plan_reports_full_warm_repair() {
+    fn a_replan_that_leaves_the_slice_unchanged_reports_full_warm_repair() {
         use blink_topology::LinkKind;
-        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
         let (mut comm, store) = with_fresh_store(dgx1v(), &alloc);
-        comm.all_reduce(mb(50)).unwrap();
-        let before = comm.induced_topology().clone();
-        let pcie = *before
+        let before = comm.all_reduce(mb(50)).unwrap();
+        let (hits, swept) = store.stats();
+        assert_eq!(hits, 0);
+        // a link between two GPUs outside the allocation dies
+        let missed = TopologyDelta::kill_link(comm.machine_topology(), GpuId(4), GpuId(5));
+        let report = comm.replan(&missed).unwrap();
+        assert_eq!(
+            report.degradation,
+            DegradationLevel::FullWarmRepair,
+            "{report:?}"
+        );
+        assert_eq!(report.warm_iterations, 0);
+        assert_eq!(store.stats(), (swept, swept), "every swept root hits");
+        let lowerings = store.lowering_stats();
+        let after = comm.all_reduce(mb(50)).unwrap();
+        assert_eq!(store.lowering_stats(), (lowerings.0 + 1, lowerings.1));
+        assert_eq!(format!("{after:?}"), format!("{before:?}"));
+        // a PCIe link inside the slice dies: a new slice, the same NVLink
+        // graph
+        let pcie = *comm
+            .induced_topology()
             .links()
             .iter()
             .find(|l| l.kind == LinkKind::Pcie)
@@ -2349,15 +2349,16 @@ mod tests {
             removed_links: vec![pcie],
             ..Default::default()
         };
+        let unchanged = report;
         let report = comm.replan(&delta).unwrap();
         assert_eq!(
             report.degradation,
-            DegradationLevel::FullWarmRepair,
+            DegradationLevel::PackedReplan,
             "{report:?}"
         );
-        assert_eq!((report.plans_kept, report.plans_dropped), (1, 0));
-        assert_eq!(report.warm_iterations, 0);
-        assert_eq!(store.stats(), (0, 1), "nothing re-planned");
+        assert_eq!(report.root, unchanged.root);
+        assert_eq!(report.rate_gbps.to_bits(), unchanged.rate_gbps.to_bits());
+        assert_eq!(store.stats(), (swept, 2 * swept), "every swept root packs");
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(50)).unwrap();
         assert!(check.is_correct(), "{check:?}");
     }
@@ -2387,7 +2388,6 @@ mod tests {
             DegradationLevel::PackedReplan,
             "{report:?}"
         );
-        assert!(report.plans_dropped > 0, "{report:?}");
         assert!(report.shed_gpus.is_empty());
         let (_, check) = comm.run_checked(CollectiveKind::AllReduce, mb(50)).unwrap();
         assert!(check.is_correct(), "{check:?}");
@@ -2440,7 +2440,6 @@ mod tests {
         let before = comm.induced_topology().clone();
         let after = before.filter_links(|l| l.src != GpuId(5) && l.dst != GpuId(5));
         let delta = TopologyDelta::between(&before, &after);
-        assert!(delta.is_pure_removal());
         let report = comm.replan(&delta).unwrap();
         assert_eq!(
             report.degradation,
@@ -2655,6 +2654,7 @@ mod tests {
     fn a_root_outside_the_allocation_is_a_typed_error() {
         let two_servers = multi_server(2, ServerKind::Dgx1V, 5.0);
         let cases = [
+            (dgx1v(), vec![GpuId(0)]),
             (dgx1v(), vec![GpuId(0), GpuId(1)]),
             (dgx2(), vec![GpuId(0), GpuId(1)]),
             (two_servers, vec![GpuId(0), GpuId(1), GpuId(8), GpuId(9)]),
@@ -2677,8 +2677,11 @@ mod tests {
                     }
                     other => panic!("expected a planning error, got {other}"),
                 };
-                expect_root_error(comm.run_traced(kind, mb(1)).unwrap_err());
-                expect_root_error(comm.run_streamed(kind, &[(mb(1), 0.0)]).unwrap_err());
+                // a trivial call, empty or on one GPU, checks its root too
+                for bytes in [0, mb(1)] {
+                    expect_root_error(comm.run_traced(kind, bytes).unwrap_err());
+                    expect_root_error(comm.run_streamed(kind, &[(bytes, 0.0)]).unwrap_err());
+                }
             }
             // a root inside the allocation still runs
             let inside = CollectiveKind::Broadcast { root: alloc[0] };
@@ -2843,7 +2846,7 @@ mod tests {
     }
 
     #[test]
-    fn a_replan_that_keeps_no_plan_shares_a_fresh_communicators_lowerings() {
+    fn a_replanned_communicator_shares_a_fresh_communicators_lowerings() {
         // Two communicators that recovered from the same damage by different
         // deltas, and a fresh one on the damaged machine, hold the same cold
         // plans for one shape, even when a small plan tier forgets plans
@@ -2866,8 +2869,7 @@ mod tests {
         b.all_reduce(mb(16)).unwrap();
         let healthy = b.induced_topology().clone();
         for (x, y) in [(0, 1), (2, 3)] {
-            let report = b.replan(&kill(&b, x, y)).unwrap();
-            assert_eq!(report.plans_kept, 0, "{report:?}");
+            b.replan(&kill(&b, x, y)).unwrap();
         }
         let (_, mine, _) = b.run_traced(kind, mb(16)).unwrap();
         for root in [1, 2] {
@@ -2877,7 +2879,7 @@ mod tests {
         let mut d = build(dgx1v());
         d.all_reduce(mb(16)).unwrap();
         let both = TopologyDelta::between(&healthy, b.induced_topology());
-        assert_eq!(d.replan(&both).unwrap().plans_kept, 0);
+        d.replan(&both).unwrap();
         let (_, theirs, _) = d.run_traced(kind, mb(16)).unwrap();
         assert!(Arc::ptr_eq(&theirs, &mine), "d takes b's lowering");
         let (_, again, _) = b.run_traced(kind, mb(16)).unwrap();

@@ -141,6 +141,7 @@ impl ProcessGroups {
         }
         let mut groups = Vec::with_capacity(requests.len());
         for (child, &(kind, bytes)) in self.children.iter_mut().zip(requests) {
+            child.root_position(kind)?;
             let (program, strategy) = if child.allocation().len() < 2 || bytes == 0 {
                 (
                     Arc::default(),

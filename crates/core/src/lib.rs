@@ -57,8 +57,8 @@
 //!   simulator. Rootless collectives run over one root picked by a sweep
 //!   that packs only the candidates whose certificate can still beat the
 //!   best plan. [`Communicator::replan`] absorbs topology churn (failures
-//!   and elasticity) by delta-invalidating the plan cache and re-planning
-//!   what the delta touched from cold (`bench_replan` records the latency
+//!   and heals) by building the communicator afresh over the damaged
+//!   machine on the same plan store (`bench_replan` records the latency
 //!   and the roots each replan packs).
 //! * [`group`] — hierarchical process groups: [`Communicator::split`] turns
 //!   one communicator into nested subgroups whose induced topologies share
@@ -101,13 +101,14 @@
 //! [`ReplanReport::degradation`] so callers can distinguish "as fast as
 //! before" from "alive but slower" from "alive but smaller":
 //!
-//! 1. [`DegradationLevel::FullWarmRepair`] — the delta did not touch any
-//!    plan the communicator held: every plan survived, nothing re-planned.
-//! 2. [`DegradationLevel::PackedReplan`] — the survivor graph was re-planned
+//! 1. [`DegradationLevel::FullWarmRepair`] — the delta left the
+//!    communicator's slice as it was (it missed the allocation's GPUs, links
+//!    and NICs): the rebuilt communicator runs what it ran before.
+//! 2. [`DegradationLevel::PackedReplan`] — the changed slice was planned
 //!    from cold, as TreeGen plans any slice: a plan-store hit, a closed
-//!    form, an exact lane packing (every DGX-1 link or GPU loss that touches
-//!    a plan), or MWU plus minimisation. [`ReplanReport::warm_iterations`]
-//!    counts the MWU iterations the replan's own packs ran.
+//!    form, an exact lane packing (every DGX-1 NVLink slice), or MWU plus
+//!    minimisation. [`ReplanReport::warm_iterations`] counts the MWU
+//!    iterations the replan's root sweep ran.
 //! 3. [`DegradationLevel::PcieFallback`] — the surviving NVLink graph spans
 //!    from no candidate root; collectives lower over the always-complete
 //!    PCIe mesh (or one-hop on switch fabrics) until a heal event restores

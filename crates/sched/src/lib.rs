@@ -57,7 +57,7 @@
 //!
 //! Each onset carries a matching heal at onset + outage. On every fault the
 //! pipeline replans each affected running job through
-//! `Communicator::replan`'s graceful-degradation ladder (every plan kept →
+//! `Communicator::replan`'s graceful-degradation ladder (slice unchanged →
 //! cold replan → PCIe fallback → shrunk subgroup) and re-runs its
 //! collective as a recovery probe; heals replan affected jobs back onto the
 //! restored capacity (shed GPUs return to the free pool, never to a shrunk

@@ -31,7 +31,7 @@ use crate::workload::{Job, WorkloadConfig, WorkloadGenerator};
 use blink_core::communicator::TracedRun;
 use blink_core::{
     BlinkError, CollectiveKind, CollectiveReport, Communicator, CommunicatorBuilder,
-    DegradationLevel, SharedPlanCache,
+    SharedPlanCache,
 };
 use blink_topology::presets::{gpus_per_server, placement_topology, ServerKind};
 use blink_topology::{GpuId, Link, LinkKind, ServerId, Topology, TopologyDelta};
@@ -155,12 +155,9 @@ pub struct FleetReport {
     /// per running job touched by a fault or heal).
     pub fault_recoveries: usize,
     /// How many recoveries landed on each rung of the graceful-degradation
-    /// ladder, keyed by [`DegradationLevel`]'s display tag
+    /// ladder, keyed by [`blink_core::DegradationLevel`]'s display tag
     /// (`"full-warm-repair"`, `"packed-replan"`, ...).
     pub recovery_rungs: BTreeMap<String, usize>,
-    /// Recoveries that reported [`DegradationLevel::FullWarmRepair`]: every
-    /// plan the job's communicator held survived the fault.
-    pub recoveries_full_warm: usize,
     /// GPUs recoveries took from their jobs across all jobs: dead GPUs, and
     /// the live ones a shrink-rung recovery shed.
     pub gpus_shed: usize,
@@ -651,8 +648,6 @@ impl FleetPipeline {
                     .recovery_rungs
                     .entry(rep.degradation.to_string())
                     .or_insert(0) += 1;
-                counts.recoveries_full_warm +=
-                    usize::from(rep.degradation == DegradationLevel::FullWarmRepair);
                 counts.gpus_shed += lost.len();
             }
             Err(_) => self.evict_and_requeue(id, time),

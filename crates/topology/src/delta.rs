@@ -1,10 +1,10 @@
-//! Topology-change events for incremental replanning.
+//! Topology-change events for replanning.
 //!
 //! Real fleets churn: NVLink lanes fail, GPUs drop out of a job, links heal.
-//! Blink's planner stack reacts to such an event through a
+//! Blink's planner stack learns of such an event through a
 //! [`TopologyDelta`] — a self-contained description of the links and GPUs
-//! that appeared or disappeared — rather than re-probing and re-planning the
-//! world from scratch. Deltas are derived by diffing two induced topologies
+//! that appeared or disappeared — rather than by re-probing the hardware.
+//! Deltas are derived by diffing two induced topologies
 //! ([`TopologyDelta::between`]) and can be re-applied to a topology
 //! ([`Topology::apply_delta`]) so that planners, caches and simulators all
 //! agree on the post-churn world.
@@ -263,32 +263,6 @@ impl TopologyDelta {
             changed_server_nics,
         }
     }
-
-    /// Whether the delta only removes capacity (no new links or GPUs). Under
-    /// a pure removal the broadcast min-cut of any surviving subgraph can
-    /// only decrease, which is what lets plan caches keep untouched plans
-    /// alive instead of dropping them.
-    pub fn is_pure_removal(&self) -> bool {
-        self.added_links.is_empty() && self.added_gpus.is_empty()
-    }
-
-    /// Whether the delta only adds capacity (no removed links or GPUs). Under
-    /// a pure growth the pre-event topology persists verbatim as a subgraph
-    /// of the post-event one, so every certificate proved against it is still
-    /// a true statement about live hardware — plan caches keep entries for
-    /// the old shape alive under their old fingerprint instead of dropping
-    /// them (a healed link leaves the damaged shape's plans servable).
-    pub fn is_pure_growth(&self) -> bool {
-        self.removed_links.is_empty() && self.removed_gpus.is_empty()
-    }
-
-    /// The directed GPU pairs losing at least one link, including every pair
-    /// incident to a removed GPU as far as the delta can tell (pairs of
-    /// removed GPUs are representable only by the GPU id itself — callers
-    /// should also consult [`TopologyDelta::removed_gpus`]).
-    pub fn removed_pairs(&self) -> BTreeSet<(GpuId, GpuId)> {
-        self.removed_links.iter().map(|l| (l.src, l.dst)).collect()
-    }
 }
 
 impl Topology {
@@ -374,7 +348,6 @@ mod tests {
         let old = dgx1v();
         let new = old.without_link(GpuId(0), GpuId(1)).without_gpu(GpuId(7));
         let delta = TopologyDelta::between(&old, &new);
-        assert!(delta.is_pure_removal());
         assert!(!delta.is_empty());
         assert_eq!(delta.removed_gpus, vec![GpuId(7)]);
         // only the 0↔1 links are listed; GPU 7's incident links are implied
@@ -397,8 +370,6 @@ mod tests {
         let old = cluster.induced(&half).unwrap();
         let new = cluster.induced(&all).unwrap();
         let delta = TopologyDelta::between(&old, &new);
-        assert!(!delta.is_pure_removal());
-        assert!(delta.is_pure_growth());
         assert_eq!(delta.added_gpus.len(), 8);
         assert!(delta.removed_links.is_empty() && delta.removed_gpus.is_empty());
         // the second server's NIC arrives with its GPUs
@@ -502,7 +473,6 @@ mod tests {
         let server = cluster.servers()[1];
         let degrade = TopologyDelta::set_server_nic(server, 1.25);
         assert!(!degrade.is_empty());
-        assert!(degrade.is_pure_removal() && degrade.is_pure_growth());
         let degraded = cluster.apply_delta(&degrade).unwrap();
         assert_eq!(degraded.server_nic(server), Some(1.25));
         // between() captures the NIC change on a surviving server…
@@ -523,9 +493,5 @@ mod tests {
         let applied = topo.apply_delta(&delta).unwrap();
         let direct = topo.without_link(GpuId(2), GpuId(3));
         assert!(TopologyDelta::between(&applied, &direct).is_empty());
-        assert_eq!(
-            delta.removed_pairs(),
-            [(GpuId(2), GpuId(3)), (GpuId(3), GpuId(2))].into()
-        );
     }
 }

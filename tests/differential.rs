@@ -12,15 +12,17 @@
 //!
 //! A seeded three quarters of the allocations also replan part way
 //! through their calls, through one or two faults (a killed link, a
-//! dropped GPU) composed into one delta. Every later call is checked against a reference that
-//! depends on what the replan kept: a replan that kept no plan holds what a
-//! fresh communicator over the damaged machine's surviving allocation
-//! holds, so every call must be that fresh communicator's first call; one
-//! that kept plans must call as an isolated communicator that made the same
-//! calls and replanned through the same delta.
+//! dropped GPU) composed into one delta, and replan again later through a
+//! heal that restores the killed links between the GPUs that survived.
+//! Every allocation also replans once through an empty delta, which must
+//! report the first rung of the degradation ladder. A replan is a fresh
+//! build over the damaged machine, so every call after a replan must be a
+//! fresh isolated communicator's first call over the machine the replans
+//! left and the surviving allocation, and every replan must report the
+//! root and rate that communicator's root sweep picks.
 
 use blink_core::{
-    CollectiveKind, Communicator, CommunicatorOptions, ReplanReport, SharedPlanCache,
+    CollectiveKind, Communicator, CommunicatorOptions, DegradationLevel, SharedPlanCache,
 };
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology, TopologyDelta};
@@ -79,26 +81,18 @@ fn faults(rng: &mut StdRng, machine: &Topology, alloc: &[GpuId]) -> TopologyDelt
     delta
 }
 
-/// What a later call of a replanned communicator is checked against.
-enum Reference {
-    /// A fresh isolated communicator's first call over this machine and
-    /// allocation.
-    Fresh(Topology, Vec<GpuId>),
-    /// The isolated communicator that made every call and replanned through
-    /// the same delta.
-    Twin,
-}
-
-/// A replan report without the MWU iterations its packs ran, which a store
-/// hit spares: everything two communicators replanned alike agree on.
-fn replan_outcome(report: &ReplanReport) -> String {
-    format!(
-        "{:?}",
-        ReplanReport {
-            warm_iterations: 0,
-            ..report.clone()
-        }
-    )
+/// The delta that restores the links `fault` killed between GPUs of
+/// `alloc`.
+fn heal(fault: &TopologyDelta, alloc: &[GpuId]) -> TopologyDelta {
+    TopologyDelta {
+        added_links: fault
+            .removed_links
+            .iter()
+            .filter(|l| alloc.contains(&l.src) && alloc.contains(&l.dst))
+            .copied()
+            .collect(),
+        ..Default::default()
+    }
 }
 
 #[test]
@@ -149,28 +143,56 @@ fn every_call_reports_and_lowers_what_a_fresh_communicator_does() {
         shuffle(&mut rng, &mut kinds);
         let replan_at = (fault_rng.random_below(4) != 0)
             .then(|| fault_rng.random_below(kinds.len() as u64 / 2) as usize);
-        let mut twin = replan_at.map(|_| build().isolated_plans().build().unwrap());
-        let mut reference = Reference::Fresh(machine.clone(), alloc.clone());
+        // every replan leaves a quarter of the calls or more after it
+        let heal_at =
+            replan_at.map(|at| at + 1 + fault_rng.random_below(kinds.len() as u64 / 4) as usize);
+        let empty_at = fault_rng.random_below(kinds.len() as u64 / 2) as usize;
+        // the machine and allocation a fresh communicator is built over to
+        // check each call against, and the faults in force
+        let mut reference = (machine.clone(), alloc.clone());
+        let mut fault = TopologyDelta::default();
         let mut sample = None;
         for (i, kind) in kinds.into_iter().enumerate() {
+            let mut deltas = Vec::new();
             if replan_at == Some(i) {
-                let delta = faults(&mut fault_rng, &machine, &alloc);
+                fault = faults(&mut fault_rng, &machine, &alloc);
+                deltas.push(fault.clone());
+            }
+            if heal_at == Some(i) {
+                deltas.push(heal(&fault, comm.allocation()));
+            }
+            if empty_at == i {
+                deltas.push(TopologyDelta::default());
+            }
+            for delta in deltas {
                 let case = format!("{} {alloc:?} replanned through {delta:?}", machine.name());
-                let twin = twin.as_mut().expect("a replanning allocation has a twin");
-                let replan = |comm: &mut Communicator| {
-                    catch_unwind(AssertUnwindSafe(|| comm.replan(&delta)))
-                        .unwrap_or_else(|_| panic!("{case}: panicked"))
-                        .unwrap_or_else(|e| panic!("{case}: {e}"))
-                };
-                let (report, twins) = (replan(&mut comm), replan(twin));
-                assert_eq!(replan_outcome(&report), replan_outcome(&twins), "{case}");
-                reference = match report.plans_kept {
-                    0 => Reference::Fresh(
-                        machine.apply_delta(&delta).unwrap(),
-                        comm.allocation().to_vec(),
-                    ),
-                    _ => Reference::Twin,
-                };
+                let report = catch_unwind(AssertUnwindSafe(|| comm.replan(&delta)))
+                    .unwrap_or_else(|_| panic!("{case}: panicked"))
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                let survivors = comm.allocation().to_vec();
+                if delta.is_empty() {
+                    assert_eq!(
+                        report.degradation,
+                        DegradationLevel::FullWarmRepair,
+                        "{case}"
+                    );
+                    assert_eq!(survivors, reference.1, "{case}");
+                }
+                reference = (reference.0.apply_delta(&delta).unwrap(), survivors);
+                // the root and rate the replan reports are those a fresh
+                // communicator's sweep picks
+                let mut fresh = Communicator::builder(reference.0.clone())
+                    .allocation(&reference.1)
+                    .options(options)
+                    .isolated_plans()
+                    .build()
+                    .unwrap();
+                let swept = fresh.replan(&TopologyDelta::default()).unwrap();
+                assert_eq!(
+                    (report.root, report.rate_gbps.to_bits(), report.num_gpus),
+                    (swept.root, swept.rate_gbps.to_bits(), swept.num_gpus),
+                    "{case}"
+                );
                 sample = None;
             }
             let bytes = size(&mut rng);
@@ -191,23 +213,15 @@ fn every_call_reports_and_lowers_what_a_fresh_communicator_does() {
                 catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|_| panic!("{case}: panicked"))
             };
             let got = call(&mut comm);
-            let want = match &reference {
-                Reference::Fresh(machine, alloc) => call(
-                    &mut Communicator::builder(machine.clone())
-                        .allocation(alloc)
-                        .options(options)
-                        .isolated_plans()
-                        .build()
-                        .unwrap(),
-                ),
-                Reference::Twin => call(twin.as_mut().expect("a replanned twin")),
-            };
+            let want = call(
+                &mut Communicator::builder(reference.0.clone())
+                    .allocation(&reference.1)
+                    .options(options)
+                    .isolated_plans()
+                    .build()
+                    .unwrap(),
+            );
             assert_eq!(got, want, "{case}");
-            // before its replan, the twin makes every call the
-            // communicator makes, so it holds the same plans
-            if replan_at.is_some_and(|at| i < at) {
-                let _ = call(twin.as_mut().expect("a replanning allocation has a twin"));
-            }
             if got.is_ok() && bytes > 0 {
                 sample.get_or_insert((kind, bytes));
             }

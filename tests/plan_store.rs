@@ -648,13 +648,12 @@ fn a_communicator_on_a_repaired_machine_lowers_what_an_isolated_one_lowers() {
     };
     let (kind, bytes) = (CollectiveKind::AllReduce, 16 << 20);
     // a replans around a dead 2-3 NVLink; the survivors are still no lane
-    // graph, so the replan packs by MWU, and it keeps no plan
+    // graph, so the replan packs by MWU
     let mut a = build(mixed_dgx1v());
     a.run_traced(kind, bytes).unwrap();
     let delta = TopologyDelta::kill_link(a.induced_topology(), GpuId(2), GpuId(3));
     let replan = a.replan(&delta).unwrap();
     assert!(replan.warm_iterations > 0, "{replan:?}");
-    assert_eq!(replan.plans_kept, 0, "{replan:?}");
     let (_, repaired, _) = a.run_traced(kind, bytes).unwrap();
     // a fresh communicator on the damaged machine, over the same store,
     // lowers and runs what an isolated one there does, and so does a
