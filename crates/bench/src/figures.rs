@@ -360,7 +360,7 @@ pub struct AutotuneRow {
 
 /// The MIAD chunk-size controller of Section 4.2.1: grow the chunk size
 /// geometrically while throughput keeps improving, back off additively once
-/// it regresses, and settle. A communicator lowers at a fixed chunk, so its
+/// it regresses, and stop there. A communicator lowers at a fixed chunk, so its
 /// reports depend on nothing but the call; [`fig12_chunk_autotune`] builds
 /// each step's communicator at [`ChunkAutotuner::chunk_bytes`] and feeds the
 /// step's throughput to [`ChunkAutotuner::observe`].
@@ -372,7 +372,7 @@ pub struct ChunkAutotuner {
     decrease_bytes: u64,
     min_chunk: u64,
     max_chunk: u64,
-    settled: bool,
+    converged: bool,
     history: Vec<(u64, f64)>,
 }
 
@@ -389,7 +389,7 @@ impl ChunkAutotuner {
             decrease_bytes: 512 * 1024,
             min_chunk: 64 * 1024,
             max_chunk: 64 << 20,
-            settled: false,
+            converged: false,
             history: Vec::new(),
         }
     }
@@ -409,7 +409,7 @@ impl ChunkAutotuner {
     /// advances the controller.
     pub fn observe(&mut self, throughput_gbps: f64) {
         self.history.push((self.current, throughput_gbps));
-        if self.settled {
+        if self.converged {
             return;
         }
         if throughput_gbps > self.best_throughput * 1.01 {
@@ -417,18 +417,18 @@ impl ChunkAutotuner {
             self.best_throughput = throughput_gbps;
             self.current = ((self.current as f64 * self.growth_factor) as u64).min(self.max_chunk);
             if self.current == self.max_chunk {
-                self.settled = true;
+                self.converged = true;
             }
         } else if throughput_gbps < self.best_throughput * 0.99 {
-            // regression: additive decrease, then settle
+            // regression: additive decrease, then stop
             self.current = self
                 .current
                 .saturating_sub(self.decrease_bytes)
                 .max(self.min_chunk);
-            self.settled = true;
+            self.converged = true;
         } else {
             // within noise of the best: stop here
-            self.settled = true;
+            self.converged = true;
         }
     }
 }
@@ -1148,7 +1148,7 @@ mod tests {
         assert_eq!(t.chunk_bytes(), 2 << 20);
         t.observe(60.0);
         assert_eq!(t.chunk_bytes(), 4 << 20);
-        assert!(!t.settled);
+        assert!(!t.converged);
         assert_eq!(t.history().len(), 2);
     }
 
@@ -1157,20 +1157,20 @@ mod tests {
         let mut t = ChunkAutotuner::new(1 << 20);
         t.observe(40.0); // -> 2 MB
         t.observe(80.0); // -> 4 MB
-        t.observe(60.0); // regression: back off and settle
-        assert!(t.settled);
+        t.observe(60.0); // regression: back off and stop
+        assert!(t.converged);
         assert_eq!(t.chunk_bytes(), (4 << 20) - (512 * 1024));
         let before = t.chunk_bytes();
-        t.observe(100.0); // settled: no change
+        t.observe(100.0); // converged: no change
         assert_eq!(t.chunk_bytes(), before);
     }
 
     #[test]
-    fn settles_when_throughput_plateaus() {
+    fn converges_when_throughput_plateaus() {
         let mut t = ChunkAutotuner::new(1 << 20);
         t.observe(40.0);
-        t.observe(40.1); // within 1% of the best -> settle
-        assert!(t.settled);
+        t.observe(40.1); // within 1% of the best -> stop
+        assert!(t.converged);
     }
 
     #[test]
@@ -1183,7 +1183,7 @@ mod tests {
             t.observe(gbps);
         }
         assert!(t.chunk_bytes() <= 64 << 20);
-        assert!(t.settled);
+        assert!(t.converged);
         assert_eq!(t.chunk_bytes(), 64 << 20);
     }
 

@@ -55,7 +55,7 @@
 //! engine builds no per-op spans or per-link accounting for it; where the
 //! stored form runs here and a run already simulated it, `run` takes the
 //! total the tier memoised beside the form and runs no engine at all. A hit
-//! renames none of the stored lowering's plans until something reads them.
+//! reads no plans; a later fresh lowering looks its plans up in the store.
 //!
 //! # Building one
 //!
@@ -84,8 +84,7 @@ use crate::hybrid::HybridPlanner;
 use crate::multiserver::three_phase_allreduce_cached;
 use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
 use crate::store::{
-    global_plan_cache, rank_fingerprint_and_order, Lowering, LoweringKey, PlanCache, Renaming,
-    SharedPlanCache,
+    global_plan_cache, rank_fingerprint_and_order, Lowering, LoweringKey, Renaming, SharedPlanCache,
 };
 use crate::treegen::{LinkSelection, PlanningGraphs, ScratchPool, TreePlan};
 use crate::{BlinkError, Result};
@@ -135,16 +134,18 @@ impl Default for CommunicatorOptions {
     }
 }
 
-/// What one [`Communicator::root_sweep`] observed: the winning root and
-/// rate, the plans it read, and whether any candidate spans the selected
-/// link class.
+/// What one [`Communicator::root_sweep`] observed: the winning root, its
+/// plan and rate, and the MWU iterations of the packs the sweep ran.
 #[derive(Debug, Clone)]
 struct SweepOutcome {
     root: GpuId,
     rate_gbps: f64,
-    plans: Vec<Arc<TreePlan>>,
-    /// At least one candidate root spans the selected link class.
-    spannable: bool,
+    /// The winning root's NVLink plan; `None` when no candidate root spans
+    /// the allocation over NVLink.
+    plan: Option<Arc<TreePlan>>,
+    /// MWU iterations of the packs the sweep's plan lookups ran: 0 for a
+    /// store hit.
+    iterations: usize,
 }
 
 impl SweepOutcome {
@@ -152,8 +153,8 @@ impl SweepOutcome {
         SweepOutcome {
             root,
             rate_gbps: 0.0,
-            plans: Vec::new(),
-            spannable: false,
+            plan: None,
+            iterations: 0,
         }
     }
 }
@@ -339,11 +340,10 @@ pub struct Communicator {
     /// The simulator over the induced topology, which it holds.
     sim: Simulator,
     options: CommunicatorOptions,
-    /// This communicator's handle on its plan store: re-issued collectives
-    /// skip the packing stage entirely. The handle serves this
-    /// communicator's one shape; [`Communicator::replan`] builds a new
-    /// communicator, and with it a new handle on the same store.
-    plans: PlanCache,
+    /// The plan store every plan and lowering of this communicator is
+    /// looked up in and published to; [`Communicator::replan`] builds a new
+    /// communicator on the same store.
+    store: SharedPlanCache,
     /// What the communicator derived from its current shape.
     shape: ShapeState,
 }
@@ -368,21 +368,17 @@ struct ShapeState {
     /// fresh lowering or root sweep that needs it; a lowering-tier hit
     /// builds none.
     graphs: PlanningGraphs,
-    /// Memoised [`Communicator::pick_root`] answer and the plans its root
-    /// sweep read: the allocation and topology are fixed per shape, so the
-    /// best rootless-collective root is a constant — no per-call certificate
-    /// sweep.
-    picked: Option<(GpuId, Vec<Arc<TreePlan>>)>,
+    /// Memoised [`Communicator::pick_root`] answer with the root's NVLink
+    /// plan (`None` when no candidate spans): the allocation and topology
+    /// are fixed per shape, so the best rootless-collective root is a
+    /// constant — no per-call certificate sweep — and a fresh lowering over
+    /// it reads the plan the sweep read instead of looking it up again.
+    picked: Option<(GpuId, Option<Arc<TreePlan>>)>,
     /// Memoised NVLink spannability verdicts of every GPU, worked out in one
     /// pass on first use — including the negative ones, so a PCIe-fallback
     /// communicator walks the NVLink graph once, not once per fresh
     /// lowering.
     spannable: BTreeMap<GpuId, bool>,
-    /// The stored lowering the communicator last took, whose plans and
-    /// picked root it has not adopted yet: a collective that hits reads
-    /// neither, so they are renamed only when something does (see
-    /// [`Communicator::settle`]).
-    unadopted: Option<Arc<Lowering>>,
 }
 
 impl ShapeState {
@@ -401,7 +397,6 @@ impl ShapeState {
             graphs: PlanningGraphs::default(),
             picked: None,
             spannable: BTreeMap::new(),
-            unadopted: None,
         }
     }
 }
@@ -487,7 +482,7 @@ impl Communicator {
             machine,
             sim,
             options,
-            plans: PlanCache::new(store),
+            store,
             shape,
         })
     }
@@ -516,7 +511,7 @@ impl Communicator {
     /// The plan store this communicator looks misses up in and publishes
     /// packs to.
     pub(crate) fn plan_store(&self) -> &SharedPlanCache {
-        self.plans.store()
+        &self.store
     }
 
     /// Whether the allocation spans more than one server.
@@ -801,33 +796,13 @@ impl Communicator {
             bytes,
             chunk: self.options.chunk_bytes,
         };
-        self.settle();
-        // A hit is taken without reading the lowering's plans; they are
-        // adopted when something reads the handle's plans.
         let hit = self
-            .plans
-            .store()
+            .store
             .lowering(&key, |l| l.labels.len() == self.allocation.len());
         if let Some(hit) = hit {
-            self.shape.unadopted = Some(hit.clone());
             return Ok(Lowered::new(hit));
         }
-        self.plans.take_reads();
         let (form, num_trees, strategy, total_us) = self.build_program(kind, bytes)?;
-        let mut plans = Vec::new();
-        let mut root = None;
-        if kind.root().is_none() && self.packs_per_root() {
-            if let Some((picked, swept)) = &self.shape.picked {
-                root = Some(*picked);
-                plans.extend(swept.iter().cloned());
-            }
-        }
-        let sweep = plans.len();
-        for plan in self.plans.take_reads() {
-            if !plans.iter().any(|p| Arc::ptr_eq(p, &plan)) {
-                plans.push(plan);
-            }
-        }
         let lowering = Arc::new(Lowering {
             form: Arc::new(form),
             labels: self.allocation.clone(),
@@ -835,11 +810,8 @@ impl Communicator {
             total_us: total_us.map(OnceLock::from).unwrap_or_default(),
             num_trees,
             strategy,
-            root,
-            plans,
-            sweep,
         });
-        self.plans.store().publish_lowering(key, lowering.clone());
+        self.store.publish_lowering(key, lowering.clone());
         Ok(Lowered::new(lowering))
     }
 
@@ -860,57 +832,22 @@ impl Communicator {
         }
     }
 
-    /// Adopts the stored lowering the communicator last took
-    /// ([`ShapeState::unadopted`]), leaving it as lowering afresh would
-    /// have: the plans the lowering read join the handle, and its picked
-    /// root (with its sweep's plans) becomes this communicator's. A lowering
-    /// another slice made is adopted renamed position by position from its
-    /// allocation onto this one (its lowering key is this communicator's,
-    /// so both list one slice shape in one order); a renaming that would
-    /// reorder a plan's GPUs, which only a fingerprint collision allows,
-    /// adopts nothing.
-    ///
-    /// Every reader of the handle's plans or the picked root (a
-    /// lowering-tier lookup) settles first. The entry's plans are the cold
-    /// plans of their keys, and so is every plan the handle holds, so
-    /// adopting them late changes nothing a fresh lowering would have read.
-    fn settle(&mut self) {
-        let Some(lowering) = self.shape.unadopted.take() else {
-            return;
-        };
-        let mut root = lowering.root;
-        let mut renamed = None;
-        if lowering.labels != self.allocation {
-            let Some(renaming) = Renaming::new(&lowering.labels, &self.allocation) else {
-                return;
-            };
-            let plans = lowering.plans.iter().map(|plan| renaming.plan(plan));
-            let Some(plans) = plans.collect::<Option<Vec<_>>>() else {
-                return;
-            };
-            renamed = Some(plans);
-            root = root.map(|g| renaming.gpu(g));
-        }
-        let plans = renamed.as_ref().unwrap_or(&lowering.plans);
-        for plan in plans {
-            self.plans.adopt(plan.clone());
-        }
-        if let (Some(root), None) = (root, &self.shape.picked) {
-            self.shape.picked = Some((root, plans[..lowering.sweep].to_vec()));
-        }
-    }
-
     /// The plan for `root` over the `links` class of this communicator's
-    /// slice, through its plan handle.
-    fn plan(&mut self, links: LinkSelection, root: GpuId) -> Result<Arc<TreePlan>> {
+    /// slice: the picked root's plan as its sweep read it, and otherwise
+    /// looked up in the plan store ([`SharedPlanCache::resolve`]: a store
+    /// hit, or a pack it publishes).
+    fn plan(&self, links: LinkSelection, root: GpuId) -> Result<Arc<TreePlan>> {
+        if let Some((picked, Some(plan))) = &self.shape.picked {
+            if (*picked, plan.links) == (root, links) {
+                return Ok(plan.clone());
+            }
+        }
         let shape = &self.shape;
-        self.plans.plan_for(
-            self.sim.topology(),
-            links,
-            shape.plan_fp,
-            root,
-            &shape.graphs,
-        )
+        let topology = self.sim.topology();
+        let (plan, _) = self
+            .store
+            .resolve(links, topology, shape.plan_fp, root, &shape.graphs)?;
+        Ok(plan)
     }
 
     /// Whether rootless collectives run over per-root packed trees and a
@@ -931,16 +868,16 @@ impl Communicator {
 
     /// Picks the root that maximises the achievable packing rate for
     /// all-to-all collectives (any root works; a well-connected one packs
-    /// more trees) through the certificate-bounded [`Communicator::root_sweep`],
-    /// so only the picked root's plan is cached. Memoised: a communicator's
-    /// allocation and topology never change ([`Communicator::replan`] builds
-    /// a new communicator, and sweeps it itself).
+    /// more trees) through the certificate-bounded [`Communicator::root_sweep`].
+    /// Memoised with the picked root's plan: a communicator's allocation and
+    /// topology never change ([`Communicator::replan`] builds a new
+    /// communicator, and sweeps it itself).
     fn pick_root(&mut self) -> GpuId {
         if let Some((root, _)) = &self.shape.picked {
             return *root;
         }
         let sweep = self.root_sweep();
-        self.shape.picked = Some((sweep.root, sweep.plans));
+        self.shape.picked = Some((sweep.root, sweep.plan));
         sweep.root
     }
 
@@ -962,7 +899,7 @@ impl Communicator {
     }
 
     /// Walks the spannable candidate roots in allocation order, plans each
-    /// one that can still win through the plan cache and picks the first
+    /// one that can still win through the plan store and picks the first
     /// with the strictly highest *plan* rate.
     ///
     /// The sweep is bounded by the certificate. Before packing a candidate
@@ -979,8 +916,8 @@ impl Communicator {
     /// collectives pack their root on first use.
     ///
     /// Returns a [`SweepOutcome`]; the fallback outcome (`allocation[0]`,
-    /// rate 0, `spannable: false`) when NVLink spans from no candidate (the
-    /// later per-root planning surfaces the real error).
+    /// rate 0, no plan) when NVLink spans from no candidate (the later
+    /// per-root planning surfaces the real error).
     fn root_sweep(&mut self) -> SweepOutcome {
         let links = LinkSelection::NvLinkOnly;
         let mut candidates = self.allocation.clone();
@@ -991,7 +928,6 @@ impl Communicator {
         };
         let mut out = SweepOutcome {
             rate_gbps: -1.0,
-            spannable: true,
             ..SweepOutcome::fallback(first)
         };
         for cand in candidates {
@@ -1007,16 +943,20 @@ impl Communicator {
             }
             let fp = self.shape.plan_fp;
             let planned =
-                self.plans
-                    .plan_for(self.sim.topology(), links, fp, cand, &self.shape.graphs);
-            let Ok(plan) = planned else {
-                return SweepOutcome::fallback(self.allocation[0]);
+                self.store
+                    .resolve(links, self.sim.topology(), fp, cand, &self.shape.graphs);
+            let Ok((plan, iterations)) = planned else {
+                return SweepOutcome {
+                    iterations: out.iterations,
+                    ..SweepOutcome::fallback(self.allocation[0])
+                };
             };
+            out.iterations += iterations;
             if plan.rate_gbps() > out.rate_gbps {
                 out.rate_gbps = plan.rate_gbps();
                 out.root = cand;
+                out.plan = Some(plan);
             }
-            out.plans.push(plan);
         }
         out
     }
@@ -1099,36 +1039,37 @@ impl Communicator {
             .copied()
             .filter(|g| !survivors.contains(g))
             .collect();
-        let store = self.plans.store().clone();
+        let store = self.store.clone();
         let mut comm = Communicator::over(Arc::new(machine), survivors, self.options, store)?;
         let unchanged = comm.allocation == self.allocation
             && comm.shape.plan_fp == self.shape.plan_fp
             && TopologyDelta::between(self.sim.topology(), comm.sim.topology()).is_empty();
         let packed_path = comm.packs_per_root();
-        let mut sweep = if packed_path {
+        let sweep = if packed_path {
             comm.root_sweep()
         } else {
             SweepOutcome::fallback(comm.allocation[0])
         };
-        comm.shape.picked = Some((sweep.root, std::mem::take(&mut sweep.plans)));
         let degradation = if unchanged {
             DegradationLevel::FullWarmRepair
         } else if !shed_gpus.is_empty() {
             DegradationLevel::ShrunkSubgroup
-        } else if packed_path && !sweep.spannable {
+        } else if packed_path && sweep.plan.is_none() {
             DegradationLevel::PcieFallback
         } else {
             DegradationLevel::PackedReplan
         };
-        *self = comm;
-        Ok(ReplanReport {
-            warm_iterations: self.plans.packed_iterations(),
+        let report = ReplanReport {
+            warm_iterations: sweep.iterations,
             degradation,
             shed_gpus,
             root: sweep.root,
             rate_gbps: sweep.rate_gbps,
-            num_gpus: self.allocation.len(),
-        })
+            num_gpus: comm.allocation.len(),
+        };
+        comm.shape.picked = Some((sweep.root, sweep.plan));
+        *self = comm;
+        Ok(report)
     }
 
     /// Lowers `kind` afresh and compiles the program on the communicator's
@@ -1148,7 +1089,7 @@ impl Communicator {
                 bytes,
                 LinkSelection::NvLinkOnly,
                 &self.codegen_options(),
-                self.plans.store(),
+                &self.store,
             );
             // A fragmented per-server slice may not be NVLink-spannable (e.g.
             // GPUs {1, 4} on a DGX-1V share no NVLink); retry the whole local
@@ -1167,7 +1108,7 @@ impl Communicator {
                         bytes,
                         LinkSelection::PcieOnly,
                         &pcie_cg,
-                        self.plans.store(),
+                        &self.store,
                     )?;
                     (program, info, true)
                 }
@@ -1195,8 +1136,8 @@ impl Communicator {
         };
         if self.nvlink_spans(root) {
             if self.options.use_hybrid {
-                let planner = HybridPlanner::plan_cached(
-                    &mut self.plans,
+                let planner = HybridPlanner::plan(
+                    &self.store,
                     self.sim.topology(),
                     self.shape.plan_fp,
                     root,
@@ -1323,7 +1264,7 @@ impl Communicator {
     /// Runs `form`, compiled on this communicator's simulator, alone once on
     /// a scratch checked out of the process's pool, and returns its total.
     fn simulate(&self, form: &CompiledProgram) -> Result<f64> {
-        self.plans.store().count_engine_run();
+        self.store.count_engine_run();
         let engine = &mut ScratchPool::process().checkout().engine;
         self.sim
             .run_total(form.program(), Some(form), engine)
@@ -1343,7 +1284,7 @@ impl Communicator {
         if let Some(&total_us) = form.and(entry.total_us.get()).filter(|_| !spans) {
             return Ok((total_us, Vec::new()));
         }
-        self.plans.store().count_engine_run();
+        self.store.count_engine_run();
         // a fitting form reads nothing of the program it runs but its
         // length, which renaming keeps, so the form's own stands in
         let program = match form {
@@ -2469,36 +2410,6 @@ mod tests {
     }
 
     #[test]
-    fn every_hybrid_lowering_lists_both_plans_it_reads() {
-        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut comm = Communicator::builder(dgx1v())
-            .allocation(&alloc)
-            .options(CommunicatorOptions {
-                use_hybrid: true,
-                ..Default::default()
-            })
-            .isolated_plans()
-            .build()
-            .unwrap();
-        let root = GpuId(0);
-        let both = vec![
-            (root, LinkSelection::NvLinkOnly),
-            (root, LinkSelection::PcieOnly),
-        ];
-        // the second and third lowerings read the same two plans as the
-        // first, so a communicator taking either must adopt both
-        for (kind, bytes) in [
-            (CollectiveKind::Broadcast { root }, mb(64)),
-            (CollectiveKind::Broadcast { root }, mb(8)),
-            (CollectiveKind::AllReduce, mb(8)),
-        ] {
-            let lowering = comm.lower(kind, bytes).unwrap().entry;
-            let read: Vec<_> = lowering.plans.iter().map(|p| (p.root, p.links)).collect();
-            assert_eq!(read, both, "{kind} at {bytes} B");
-        }
-    }
-
-    #[test]
     fn trivial_cases_return_empty_reports() {
         let mut comm = Communicator::builder(dgx1v())
             .allocation(&[GpuId(2)])
@@ -2845,12 +2756,41 @@ mod tests {
         assert_eq!(*served, *isolated);
     }
 
+    /// The store is the only plan cache: a fresh lowering whose plan the
+    /// store evicted packs it again, and lowers what an isolated
+    /// communicator lowers.
+    #[test]
+    fn a_fresh_lowering_repacks_a_plan_the_store_evicted() {
+        let store = SharedPlanCache::with_capacity(1);
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let build = |store: SharedPlanCache| {
+            Communicator::builder(dgx1v())
+                .allocation(&alloc)
+                .shared_plans(store)
+                .build()
+                .unwrap()
+        };
+        let mut comm = build(store.clone());
+        comm.broadcast(GpuId(1), mb(1)).unwrap();
+        // root 2's plan evicts root 1's
+        comm.broadcast(GpuId(2), mb(1)).unwrap();
+        assert_eq!(store.evictions(), 1);
+        let packs = store.stats().1;
+        let kind = CollectiveKind::Broadcast { root: GpuId(1) };
+        let (_, program, _) = comm.run_traced(kind, mb(2)).unwrap();
+        assert_eq!(store.stats().1, packs + 1, "one re-pack");
+        let (_, isolated, _) = build(SharedPlanCache::new())
+            .run_traced(kind, mb(2))
+            .unwrap();
+        assert_eq!(*program, *isolated);
+    }
+
     #[test]
     fn a_replanned_communicator_shares_a_fresh_communicators_lowerings() {
         // Two communicators that recovered from the same damage by different
         // deltas, and a fresh one on the damaged machine, hold the same cold
         // plans for one shape, even when a small plan tier forgets plans
-        // their handles keep: they share one lowering.
+        // they read: they share one lowering.
         let store = SharedPlanCache::with_capacity(2);
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let build = |machine: Topology| {

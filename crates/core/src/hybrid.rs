@@ -13,7 +13,7 @@
 
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
-use crate::store::PlanCache;
+use crate::store::SharedPlanCache;
 use crate::treegen::{LinkSelection, PlanningGraphs, TreePlan};
 use crate::{BlinkError, Result};
 use blink_graph::WeightedTree;
@@ -71,21 +71,22 @@ pub struct HybridPlanner {
 impl HybridPlanner {
     /// Plans hybrid transfers rooted at `root` over the induced topology of an
     /// allocation, whose rank fingerprint is `fp` and planning graphs
-    /// `graphs`, through a communicator's plan cache: the NVLink and PCIe
-    /// plans are memoised per root, so re-planning the same collective skips
-    /// the MWU packing entirely.
+    /// `graphs`, looking both plans up in `store`
+    /// ([`SharedPlanCache::resolve`]): a plan the store holds is not packed
+    /// again.
     ///
     /// # Errors
     /// Fails if either link class cannot span the allocation from `root`.
-    pub(crate) fn plan_cached(
-        cache: &mut PlanCache,
+    pub(crate) fn plan(
+        store: &SharedPlanCache,
         induced: &Topology,
         fp: u64,
         root: GpuId,
         graphs: &PlanningGraphs,
     ) -> Result<Self> {
-        let nvlink_plan = cache.plan_for(induced, LinkSelection::NvLinkOnly, fp, root, graphs)?;
-        let pcie = cache.plan_for(induced, LinkSelection::PcieOnly, fp, root, graphs)?;
+        let (nvlink_plan, _) =
+            store.resolve(LinkSelection::NvLinkOnly, induced, fp, root, graphs)?;
+        let (pcie, _) = store.resolve(LinkSelection::PcieOnly, induced, fp, root, graphs)?;
         // PCIe is a shared switch hierarchy, not a set of independent
         // point-to-point links: packing several "PCIe trees" would double
         // count the fabric. Blink builds a single tree set over PCIe
@@ -215,15 +216,14 @@ impl HybridPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{rank_fingerprint, SharedPlanCache};
+    use crate::store::rank_fingerprint;
     use blink_sim::Simulator;
     use blink_topology::presets::dgx1v;
 
     fn plan(induced: &Topology, root: GpuId) -> HybridPlanner {
-        let mut cache = PlanCache::new(SharedPlanCache::new());
+        let store = SharedPlanCache::new();
         let fp = rank_fingerprint(induced);
-        HybridPlanner::plan_cached(&mut cache, induced, fp, root, &PlanningGraphs::default())
-            .unwrap()
+        HybridPlanner::plan(&store, induced, fp, root, &PlanningGraphs::default()).unwrap()
     }
 
     fn mb(n: u64) -> u64 {

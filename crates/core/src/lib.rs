@@ -33,8 +33,9 @@
 //!   Gather, Reduce, AllGather, ReduceScatter, AllReduce) and their reports.
 //! * [`store`] — the plan cache that keeps packing and lowering out of
 //!   repeated calls: one [`SharedPlanCache`] store with one plan tier keyed
-//!   by the allocation's exact shape and a tier of lowered programs, and a
-//!   private handle on it in every communicator. A communicator lowers at a
+//!   by the allocation's exact shape and a tier of lowered programs; every
+//!   communicator looks each plan and lowering up in its store directly.
+//!   A communicator lowers at a
 //!   fixed chunk size; the paper's MIAD chunk tuner (Section 4.2.1,
 //!   Figure 12) is a standalone controller in `blink-bench`'s Figure 12
 //!   harness, which builds each step's communicator at the tuner's chunk.

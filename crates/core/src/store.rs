@@ -1,23 +1,21 @@
-//! Plan and lowering reuse: one plan store, a handle per communicator.
+//! Plan and lowering reuse: one plan store.
 //!
 //! A training job re-issues the same collectives over and over, and a fleet
 //! places the same job shapes on server after server. Neither repeat
 //! changes the tree set or the program a collective lowers to, so plans and
-//! lowerings are memoised at two levels and the packing and lowering stages
-//! run once per key:
+//! lowerings are memoised and the packing and lowering stages run once per
+//! key.
 //!
-//! * [`SharedPlanCache`] is the one plan store. Every
-//!   [`crate::Communicator`] holds one: an explicit store passed to
-//!   [`crate::CommunicatorBuilder::shared_plans`], a private one for
-//!   [`crate::CommunicatorBuilder::isolated_plans`], and otherwise the
-//!   process-wide [`global_plan_cache`]. The scheduler slices in
-//!   `blink-sched` hand many jobs identical allocations, and the store lets
-//!   every one of those communicators (and every per-server planner of the
-//!   three-phase multi-server AllReduce) reuse the others' packing work.
-//! * Each communicator plans through a private handle on its store that
-//!   memoises `(root, link class) → plan` for its induced topology. Only
-//!   handle misses reach the store, and a handle keeps its plans even when
-//!   the store evicts them.
+//! [`SharedPlanCache`] is the one plan store. Every [`crate::Communicator`]
+//! holds one: an explicit store passed to
+//! [`crate::CommunicatorBuilder::shared_plans`], a private one for
+//! [`crate::CommunicatorBuilder::isolated_plans`], and otherwise the
+//! process-wide [`global_plan_cache`]. Every plan a communicator reads, and
+//! every plan a per-server planner of the three-phase multi-server
+//! AllReduce reads, is looked up in the store through
+//! `SharedPlanCache::resolve`. The scheduler slices in `blink-sched` hand
+//! many jobs identical allocations, and the store lets every one of those
+//! communicators reuse the others' packing work.
 //!
 //! The store also owns the programs its communicators lower from its plans
 //! (the lowering tier, below), so a communicator built for a freshly placed
@@ -51,8 +49,7 @@
 //! re-lowering.
 //!
 //! A replan is a fresh build: [`crate::Communicator::replan`] builds the
-//! communicator anew over the damaged machine on the same store, with a new
-//! handle, so it looks the changed slice up like any other communicator —
+//! communicator anew over the damaged machine on the same store, so it looks the changed slice up like any other communicator —
 //! a plan another communicator published for that slice, or a pack it
 //! publishes — and shares the lowerings of a fresh communicator over the
 //! changed machine. A hardware change gives the changed slice a new
@@ -75,22 +72,16 @@
 //! keeps id keys. An entry holds the program's engine compiled form
 //! ([`blink_sim::CompiledProgram`], which holds the shared `Arc<Program>`)
 //! over the GPUs of the communicator that lowered it (its labels), the tree
-//! count, the strategy tag, the picked root and the plans the lowering
-//! read.
+//! count and the strategy tag. It holds no plans: a later fresh lowering on
+//! the hitting communicator reads its plans from the plan tier, like any
+//! other.
 //!
-//! A hit hands those plans to the communicator's handle, so it ends up
-//! exactly as a fresh lowering would have left it. A hit on the lowering
-//! slice's own GPUs takes everything as stored, program `Arc` included. A
-//! hit from another slice of the shape takes them renamed position by
-//! position from the entry's labels onto its own allocation: its plans (as
-//! the plan tier relabels them) and its picked root, and its program only
+//! A hit on the lowering slice's own GPUs takes the program `Arc` as
+//! stored. A hit from another slice of the shape takes it renamed position
+//! by position from the entry's labels onto its own allocation, and only
 //! when the caller reads it ([`crate::Communicator::run`] does not).
 //! Renaming keeps the GPUs' order, so the renamed program is the one a
-//! fresh lowering there would emit, op for op. A communicator takes a hit
-//! without reading its plans, and adopts them and the picked root only when
-//! something reads them (a later lowering): the plans under one
-//! key are the same whoever holds them, so a handle holding some of them
-//! already holds the very same ones.
+//! fresh lowering there would emit, op for op.
 //!
 //! The compiled form is part of the lowering, as Blink's CodeGen emits a
 //! collective once per allocation and every later iteration reuses it: the
@@ -416,11 +407,6 @@ impl Renaming {
         }
     }
 
-    /// `plan` renamed; `None` when the renaming would reorder its GPUs.
-    pub(crate) fn plan(&self, plan: &Arc<TreePlan>) -> Option<Arc<TreePlan>> {
-        relabelled(plan, plan.gpus.iter().map(|&g| self.gpu(g)))
-    }
-
     /// `program` renamed.
     pub(crate) fn program(&self, program: &Program) -> Program {
         program.renamed(|g| self.gpu(g))
@@ -548,13 +534,6 @@ pub(crate) struct Lowering {
     pub(crate) num_trees: usize,
     /// Human-readable strategy tag of the lowering.
     pub(crate) strategy: String,
-    /// The picked root, when the lowering ran over it.
-    pub(crate) root: Option<GpuId>,
-    /// Every plan the lowering read through its communicator's handle (a
-    /// three-phase lowering reads the store directly and lists none); the
-    /// first `sweep` are the picked root's sweep.
-    pub(crate) plans: Vec<Arc<TreePlan>>,
-    pub(crate) sweep: usize,
 }
 
 impl Lowering {
@@ -826,86 +805,6 @@ pub fn global_plan_cache() -> SharedPlanCache {
     GLOBAL.get_or_init(SharedPlanCache::new).clone()
 }
 
-/// A communicator's private handle on its [`SharedPlanCache`] store: plans
-/// memoised per `(root, link class)` for the communicator's current induced
-/// topology. Misses go through [`SharedPlanCache::resolve`]. The handle
-/// also records the plans it serves, so a lowering can list what it read
-/// (see "the lowering tier" in the module docs), and counts the MWU
-/// iterations its misses packed.
-///
-/// The handle serves one shape: a communicator whose shape changes is a
-/// new communicator, with a new handle.
-#[derive(Debug)]
-pub(crate) struct PlanCache {
-    store: SharedPlanCache,
-    plans: BTreeMap<(GpuId, LinkSelection), Arc<TreePlan>>,
-    /// Every plan served since the last [`PlanCache::take_reads`].
-    reads: Vec<Arc<TreePlan>>,
-    /// MWU iterations of the packs this handle's misses ran.
-    packed_iterations: usize,
-}
-
-impl PlanCache {
-    /// Creates an empty handle on `store`.
-    pub(crate) fn new(store: SharedPlanCache) -> Self {
-        PlanCache {
-            store,
-            plans: BTreeMap::new(),
-            reads: Vec::new(),
-            packed_iterations: 0,
-        }
-    }
-
-    /// The store this handle looks misses up in and publishes packs to.
-    pub(crate) fn store(&self) -> &SharedPlanCache {
-        &self.store
-    }
-
-    /// Takes the plans served since the last call.
-    pub(crate) fn take_reads(&mut self) -> Vec<Arc<TreePlan>> {
-        std::mem::take(&mut self.reads)
-    }
-
-    /// Takes `plan`, read by a lowering another communicator made, as if
-    /// this handle had served it.
-    pub(crate) fn adopt(&mut self, plan: Arc<TreePlan>) {
-        self.plans.entry((plan.root, plan.links)).or_insert(plan);
-    }
-
-    /// MWU iterations of the packs this handle's misses ran, in all: a
-    /// store hit and a memoised plan add none.
-    pub(crate) fn packed_iterations(&self) -> usize {
-        self.packed_iterations
-    }
-
-    /// The plan for `(root, links)` on `induced`, whose
-    /// [`rank_fingerprint`] is `fp` and planning graphs `graphs`: served
-    /// from the handle when memoised, otherwise through
-    /// [`SharedPlanCache::resolve`] (a store hit, or a pack it publishes).
-    ///
-    /// # Errors
-    /// A failed pack; the handle caches nothing for it, and the store keeps
-    /// a cold failure (see [`SharedPlanCache::resolve`]).
-    pub(crate) fn plan_for(
-        &mut self,
-        induced: &Topology,
-        links: LinkSelection,
-        fp: u64,
-        root: GpuId,
-        graphs: &PlanningGraphs,
-    ) -> Result<Arc<TreePlan>> {
-        if let Some(plan) = self.plans.get(&(root, links)) {
-            self.reads.push(plan.clone());
-            return Ok(plan.clone());
-        }
-        let (plan, iterations) = self.store.resolve(links, induced, fp, root, graphs)?;
-        self.packed_iterations += iterations;
-        self.plans.insert((root, links), plan.clone());
-        self.reads.push(plan.clone());
-        Ok(plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,19 +812,29 @@ mod tests {
     use blink_topology::presets::dgx1v;
     use blink_topology::TopologyDelta;
 
-    /// A handle on a fresh private store.
-    fn handle() -> PlanCache {
-        PlanCache::new(SharedPlanCache::new())
+    /// The plan for `(root, links)` on `induced`, resolved through `store`
+    /// under `induced`'s rank fingerprint.
+    fn resolve_on(
+        store: &SharedPlanCache,
+        induced: &Topology,
+        links: LinkSelection,
+        root: GpuId,
+    ) -> Result<Arc<TreePlan>> {
+        let fp = rank_fingerprint(induced);
+        let graphs = PlanningGraphs::default();
+        let (plan, _) = store.resolve(links, induced, fp, root, &graphs)?;
+        Ok(plan)
     }
 
-    impl PlanCache {
-        /// [`PlanCache::plan_for`] over NVLink under `induced`'s rank
-        /// fingerprint.
-        fn plan(&mut self, induced: &Topology, root: GpuId) -> Result<Arc<TreePlan>> {
-            let fp = rank_fingerprint(induced);
-            let graphs = PlanningGraphs::default();
-            self.plan_for(induced, LinkSelection::NvLinkOnly, fp, root, &graphs)
-        }
+    /// The NVLink plan for `root` on `induced`, resolved through `store`.
+    fn plan(store: &SharedPlanCache, induced: &Topology, root: GpuId) -> Result<Arc<TreePlan>> {
+        resolve_on(store, induced, LinkSelection::NvLinkOnly, root)
+    }
+
+    /// The NVLink plan for `root` on `induced`, packed on a fresh private
+    /// store.
+    fn cold(induced: &Topology, root: GpuId) -> Arc<TreePlan> {
+        plan(&SharedPlanCache::new(), induced, root).unwrap()
     }
 
     /// The store's plan under `(fp, root rank, links)`.
@@ -944,29 +853,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_memoises_per_root_and_link_class() {
+    fn the_store_keys_plans_by_root_and_link_class() {
         let induced = induced(&dgx1v(), 4);
-        let mut cache = handle();
-        assert_eq!(cache.plans.len(), 0);
-        let first = cache.plan(&induced, GpuId(0)).unwrap();
-        assert_eq!(cache.plans.len(), 1);
-        // a repeat is served locally: the very same plan, no store traffic
-        let again = cache.plan(&induced, GpuId(0)).unwrap();
+        let store = SharedPlanCache::new();
+        assert!(store.is_empty());
+        let first = plan(&store, &induced, GpuId(0)).unwrap();
+        assert_eq!(store.len(), 1);
+        // a repeat hits: the very same plan, no pack
+        let again = plan(&store, &induced, GpuId(0)).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(cache.store().stats(), (0, 1));
+        assert_eq!(store.stats(), (1, 1));
         // a different root and a different link class are distinct entries
-        cache.plan(&induced, GpuId(1)).unwrap();
-        let fp = rank_fingerprint(&induced);
-        cache
-            .plan_for(
-                &induced,
-                LinkSelection::PcieOnly,
-                fp,
-                GpuId(0),
-                &PlanningGraphs::default(),
-            )
-            .unwrap();
-        assert_eq!(cache.plans.len(), 3);
+        plan(&store, &induced, GpuId(1)).unwrap();
+        resolve_on(&store, &induced, LinkSelection::PcieOnly, GpuId(0)).unwrap();
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.stats(), (1, 3));
     }
 
     #[test]
@@ -974,23 +875,14 @@ mod tests {
         let topo = blink_topology::presets::dgx1p();
         // GPUs 1 and 4 share no NVLink: NvLinkOnly planning fails
         let induced = topo.induced(&[GpuId(1), GpuId(4)]).unwrap();
-        let mut cache = handle();
-        let failed = cache.plan(&induced, GpuId(1)).unwrap_err();
-        assert_eq!(cache.plans.len(), 0, "a handle keeps plans only");
-        assert_eq!(cache.store().len(), 1, "the store keeps the failure");
-        assert_eq!(cache.store().failed_packs(), 1);
-        // a later lookup, from any handle, hits the failure and packs nothing
-        let store = cache.store().clone();
-        assert_eq!(
-            handle_on(&store).plan(&induced, GpuId(1)).unwrap_err(),
-            failed
-        );
+        let store = SharedPlanCache::new();
+        let failed = plan(&store, &induced, GpuId(1)).unwrap_err();
+        assert_eq!(store.len(), 1, "the store keeps the failure");
+        assert_eq!(store.failed_packs(), 1);
+        // a later lookup hits the failure and packs nothing
+        assert_eq!(plan(&store, &induced, GpuId(1)).unwrap_err(), failed);
         assert_eq!(store.failed_packs(), 1);
         assert_eq!(store.stats(), (1, 1));
-    }
-
-    fn handle_on(store: &SharedPlanCache) -> PlanCache {
-        PlanCache::new(store.clone())
     }
 
     #[test]
@@ -1060,10 +952,10 @@ mod tests {
         let slice = |gpus: &[usize]| dgx1v().induced(&ids_of(gpus)).unwrap();
         let (home, mirrored) = (slice(&[0, 1, 3]), slice(&[4, 5, 7]));
         assert_eq!(rank_fingerprint(&home), rank_fingerprint(&mirrored));
-        let packed = handle().plan(&home, GpuId(1)).unwrap();
-        let own = handle().plan(&mirrored, GpuId(5)).unwrap();
-        let renaming = Renaming::new(&ids_of(&[0, 1, 3]), &ids_of(&[4, 5, 7])).unwrap();
-        assert!(renaming.plan(&packed).unwrap().bit_eq(&own));
+        let packed = cold(&home, GpuId(1));
+        let own = cold(&mirrored, GpuId(5));
+        let moved = relabelled(&packed, ids_of(&[4, 5, 7]).into_iter()).unwrap();
+        assert!(moved.bit_eq(&own));
         // an isomorphic slice whose double lane joins other ranks is
         // another key
         assert_ne!(
@@ -1103,13 +995,16 @@ mod tests {
         assert_eq!(renaming.gpu(GpuId(3)), GpuId(43));
         assert_eq!(renaming.gpu(GpuId(7)), GpuId(7), "outside the slice");
         assert!(Renaming::new(&ids(&[0, 1]), &ids(&[40])).is_none());
-        // a plan packed on one server, renamed, is the other server's pack
-        let packed = handle().plan(&local_shape(0), GpuId(1)).unwrap();
-        let own = handle().plan(&local_shape(5), GpuId(41)).unwrap();
-        assert!(renaming.plan(&packed).unwrap().bit_eq(&own));
+        // a plan packed on one server, relabelled under the renaming, is
+        // the other server's pack
+        let packed = cold(&local_shape(0), GpuId(1));
+        let own = cold(&local_shape(5), GpuId(41));
+        let renamed =
+            |renaming: &Renaming| relabelled(&packed, packed.gpus.iter().map(|&g| renaming.gpu(g)));
+        assert!(renamed(&renaming).unwrap().bit_eq(&own));
         // an order-reversing renaming would reorder the plan's GPUs
         let reversed = Renaming::new(&ids(&[0, 1, 3]), &ids(&[43, 41, 40])).unwrap();
-        assert!(reversed.plan(&packed).is_none());
+        assert!(renamed(&reversed).is_none());
     }
 
     #[test]
@@ -1130,11 +1025,9 @@ mod tests {
         // so the store relabels server 0's plan for server 5's slice, but
         // packs the faster slice afresh
         let store = SharedPlanCache::new();
-        PlanCache::new(store.clone()).plan(&a, GpuId(0)).unwrap();
-        PlanCache::new(store.clone()).plan(&b, GpuId(40)).unwrap();
-        PlanCache::new(store.clone())
-            .plan(&faster, GpuId(40))
-            .unwrap();
+        plan(&store, &a, GpuId(0)).unwrap();
+        plan(&store, &b, GpuId(40)).unwrap();
+        plan(&store, &faster, GpuId(40)).unwrap();
         assert_eq!(store.stats(), (1, 2));
     }
 
@@ -1142,27 +1035,26 @@ mod tests {
     fn a_hit_from_another_server_is_that_servers_own_pack() {
         let (a, b) = (local_shape(0), local_shape(5));
         let store = SharedPlanCache::new();
-        let packed = PlanCache::new(store.clone()).plan(&a, GpuId(1)).unwrap();
-        let hit = PlanCache::new(store.clone()).plan(&b, GpuId(41)).unwrap();
+        let packed = plan(&store, &a, GpuId(1)).unwrap();
+        let hit = plan(&store, &b, GpuId(41)).unwrap();
         assert_eq!(store.stats(), (1, 1));
-        let own = handle().plan(&b, GpuId(41)).unwrap();
-        assert!(hit.bit_eq(&own));
+        assert!(hit.bit_eq(&cold(&b, GpuId(41))));
         // a hit on the packing slice's own GPUs is the stored plan itself
-        let again = PlanCache::new(store.clone()).plan(&a, GpuId(1)).unwrap();
+        let again = plan(&store, &a, GpuId(1)).unwrap();
         assert!(Arc::ptr_eq(&packed, &again));
     }
 
     #[test]
     fn a_stored_plan_that_cannot_be_relabelled_is_a_miss() {
         let (three, two) = (induced(&dgx1v(), 3), induced(&dgx1v(), 2));
-        let plan = handle().plan(&three, GpuId(0)).unwrap();
-        let onto = |ids: &[usize]| relabelled(&plan, ids.iter().map(|&i| GpuId(i)));
-        assert!(Arc::ptr_eq(&onto(&[0, 1, 2]).unwrap(), &plan));
+        let packed = cold(&three, GpuId(0));
+        let onto = |ids: &[usize]| relabelled(&packed, ids.iter().map(|&i| GpuId(i)));
+        assert!(Arc::ptr_eq(&onto(&[0, 1, 2]).unwrap(), &packed));
         assert!(onto(&[0, 1]).is_none(), "one GPU short");
         assert!(onto(&[10, 9, 8]).is_none(), "descending");
         let moved = onto(&[8, 9, 10]).unwrap();
         assert_eq!((moved.root, &moved.gpus), (GpuId(8), &ids_of(&[8, 9, 10])));
-        for (t, m) in plan.trees.iter().zip(&moved.trees) {
+        for (t, m) in packed.trees.iter().zip(&moved.trees) {
             let shifted: Vec<_> = t
                 .tree
                 .edges
@@ -1178,8 +1070,8 @@ mod tests {
         store
             .lock()
             .plans
-            .insert((fp, 0, LinkSelection::NvLinkOnly), Ok(plan.clone()));
-        let got = PlanCache::new(store.clone()).plan(&two, GpuId(0)).unwrap();
+            .insert((fp, 0, LinkSelection::NvLinkOnly), Ok(packed.clone()));
+        let got = plan(&store, &two, GpuId(0)).unwrap();
         assert_eq!(got.gpus, two.gpu_ids());
         assert_eq!(store.stats(), (0, 1));
     }
@@ -1193,36 +1085,30 @@ mod tests {
         let (a, b) = (local_shape(0), local_shape(5));
         let fp = rank_fingerprint(&a);
         let store = SharedPlanCache::new();
-        let packed = PlanCache::new(store.clone()).plan(&a, GpuId(0)).unwrap();
+        let packed = plan(&store, &a, GpuId(0)).unwrap();
         // server 5's slice takes server 0's plan, then loses a link it
-        // routes over: a fresh handle on the damaged slice packs its cold
-        // plan, and the old plan stays filed for the old shape
-        PlanCache::new(store.clone()).plan(&b, GpuId(40)).unwrap();
+        // routes over: a lookup on the damaged slice packs its cold plan,
+        // and the old plan stays filed for the old shape
+        plan(&store, &b, GpuId(40)).unwrap();
         let delta = TopologyDelta::kill_link(&b, GpuId(40), GpuId(41));
         let damaged = b.apply_delta(&delta).unwrap();
-        let repacked = PlanCache::new(store.clone())
-            .plan(&damaged, GpuId(40))
-            .unwrap();
+        let repacked = plan(&store, &damaged, GpuId(40)).unwrap();
         assert_eq!(repacked.mwu.termination, PackingTermination::Exact);
-        assert!(repacked.bit_eq(&handle().plan(&damaged, GpuId(40)).unwrap()));
+        assert!(repacked.bit_eq(&cold(&damaged, GpuId(40))));
         assert!(Arc::ptr_eq(
             &stored(&store, fp, 0, LinkSelection::NvLinkOnly).unwrap(),
             &packed
         ));
-        // the replan is published like any miss: another handle on the
+        // the replan is published like any miss: a later lookup on the
         // damaged slice hits it
         let damaged_fp = rank_fingerprint(&damaged);
         let filed = stored(&store, damaged_fp, 0, LinkSelection::NvLinkOnly).unwrap();
         assert!(Arc::ptr_eq(&filed, &repacked));
-        let served = PlanCache::new(store.clone())
-            .plan(&damaged, GpuId(40))
-            .unwrap();
+        let served = plan(&store, &damaged, GpuId(40)).unwrap();
         assert!(Arc::ptr_eq(&served, &repacked));
         // server 0's own slice losing the link leaves its plan filed too
         let delta = TopologyDelta::kill_link(&a, GpuId(0), GpuId(1));
-        PlanCache::new(store.clone())
-            .plan(&a.apply_delta(&delta).unwrap(), GpuId(0))
-            .unwrap();
+        plan(&store, &a.apply_delta(&delta).unwrap(), GpuId(0)).unwrap();
         assert!(Arc::ptr_eq(
             &stored(&store, fp, 0, LinkSelection::NvLinkOnly).unwrap(),
             &packed
@@ -1280,22 +1166,17 @@ mod tests {
     }
 
     #[test]
-    fn the_store_hands_plans_across_handles() {
+    fn the_store_hands_plans_across_lookups() {
         let induced = induced(&dgx1v(), 8);
         let shared = SharedPlanCache::new();
         // "communicator" A packs and publishes
-        let mut a = PlanCache::new(shared.clone());
-        let plan_a = a.plan(&induced, GpuId(0)).unwrap();
+        let plan_a = plan(&shared, &induced, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (0, 1), "first pack is a store miss");
         assert_eq!(shared.len(), 1);
         // "communicator" B of the same job shape reuses A's plan
-        let mut b = PlanCache::new(shared.clone());
-        let plan_b = b.plan(&induced, GpuId(0)).unwrap();
+        let plan_b = plan(&shared, &induced, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (1, 1), "same shape must hit");
         assert!(Arc::ptr_eq(&plan_a, &plan_b), "a hit shares the plan");
-        // a local repeat never touches the store
-        b.plan(&induced, GpuId(0)).unwrap();
-        assert_eq!(shared.stats(), (1, 1));
     }
 
     #[test]
@@ -1303,23 +1184,24 @@ mod tests {
         let induced = induced(&blink_topology::presets::dgx2(), 4);
         let shared = SharedPlanCache::new();
         assert_eq!(shared.mwu_iterations(), 0);
-        let mut packer = PlanCache::new(shared.clone());
-        let plan = packer.plan(&induced, GpuId(1)).unwrap();
+        let (fp, graphs) = (rank_fingerprint(&induced), PlanningGraphs::default());
+        let resolve = || {
+            shared
+                .resolve(LinkSelection::NvLinkOnly, &induced, fp, GpuId(1), &graphs)
+                .unwrap()
+        };
+        let (plan, packed) = resolve();
         assert!(
             plan.mwu.iterations > 0,
             "a DGX-2 root past the first packs with MWU"
         );
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
-        assert_eq!(packer.packed_iterations(), plan.mwu.iterations);
-        // a memoised repeat packs nothing
-        packer.plan(&induced, GpuId(1)).unwrap();
-        assert_eq!(packer.packed_iterations(), plan.mwu.iterations);
-        // another handle's lookup is a store hit: no packing, no count
-        let mut hitter = PlanCache::new(shared.clone());
-        hitter.plan(&induced, GpuId(1)).unwrap();
+        assert_eq!(packed, plan.mwu.iterations);
+        // a repeat is a store hit: no packing, no count
+        let (_, hit) = resolve();
         assert_eq!(shared.stats(), (1, 1));
         assert_eq!(shared.mwu_iterations(), plan.mwu.iterations as u64);
-        assert_eq!(hitter.packed_iterations(), 0);
+        assert_eq!(hit, 0);
     }
 
     #[test]
@@ -1327,16 +1209,12 @@ mod tests {
         let topo = dgx1v();
         let full = induced(&topo, 8);
         let shared = SharedPlanCache::new();
-        PlanCache::new(shared.clone())
-            .plan(&full, GpuId(0))
-            .unwrap();
+        plan(&shared, &full, GpuId(0)).unwrap();
         // different allocation shape: miss, packed fresh
         let half = induced(&topo, 4);
-        PlanCache::new(shared.clone())
-            .plan(&half, GpuId(0))
-            .unwrap();
+        plan(&shared, &half, GpuId(0)).unwrap();
         assert_eq!(shared.stats(), (0, 2));
-        // unlike a handle, the store keeps both shapes
+        // the store keeps both shapes
         assert_eq!(shared.len(), 2);
     }
 
@@ -1346,21 +1224,17 @@ mod tests {
         let full = induced(&topo, 8);
         let half = induced(&topo, 4);
         let shared = SharedPlanCache::new();
-        PlanCache::new(shared.clone())
-            .plan(&full, GpuId(0))
-            .unwrap();
+        plan(&shared, &full, GpuId(0)).unwrap();
         assert_eq!(shared.len(), 1);
-        // the topology changes full -> half and a fresh handle plans the
-        // half shape: the full-shape plan stays in the store, and the half
-        // shape's cold plan, which an isolated handle packs too, is
-        // published beside it
-        let replanned = PlanCache::new(shared.clone())
-            .plan(&half, GpuId(0))
-            .unwrap();
+        // the topology changes full -> half and the half shape is looked
+        // up: the full-shape plan stays in the store, and the half shape's
+        // cold plan, which a private store packs too, is published beside
+        // it
+        let replanned = plan(&shared, &half, GpuId(0)).unwrap();
         assert_eq!(shared.len(), 2);
         let fp_full = rank_fingerprint(&full);
         assert!(stored(&shared, fp_full, 0, LinkSelection::NvLinkOnly).is_some());
-        assert!(replanned.bit_eq(&handle().plan(&half, GpuId(0)).unwrap()));
+        assert!(replanned.bit_eq(&cold(&half, GpuId(0))));
         let fp_half = rank_fingerprint(&half);
         assert!(Arc::ptr_eq(
             &stored(&shared, fp_half, 0, LinkSelection::NvLinkOnly).unwrap(),
@@ -1372,7 +1246,7 @@ mod tests {
     fn a_tier_evicts_its_least_recently_used_entry_past_capacity() {
         let induced = induced(&dgx1v(), 8);
         let fp = rank_fingerprint(&induced);
-        let plan = handle().plan(&induced, GpuId(0)).unwrap();
+        let plan = cold(&induced, GpuId(0));
         let key = |r: usize| (fp, GpuId(r), LinkSelection::NvLinkOnly);
         let mut tier = Tier::new(2);
         // fill to capacity: roots 0 and 1
@@ -1396,26 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn a_handle_keeps_its_plans_when_the_store_evicts_them() {
-        let induced = induced(&dgx1v(), 8);
-        let shared = SharedPlanCache::with_capacity(1);
-        let mut a = PlanCache::new(shared.clone());
-        let first = a.plan(&induced, GpuId(0)).unwrap();
-        a.plan(&induced, GpuId(1)).unwrap();
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared.evictions(), 1, "root 0 fell out of the store");
-        // the handle still serves root 0 without consulting the store
-        let again = a.plan(&induced, GpuId(0)).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(shared.stats(), (0, 2));
-        // another handle simply re-packs the evicted root, bit-identically
-        let replanned = PlanCache::new(shared.clone())
-            .plan(&induced, GpuId(0))
-            .unwrap();
-        assert!(replanned.bit_eq(&first), "re-pack is bit-identical");
-    }
-
-    #[test]
     fn both_tiers_are_bounded_by_the_default_capacity() {
         // the bound must be far above anything the existing suites create,
         // so bounding the store changes no observable behaviour
@@ -1426,11 +1280,15 @@ mod tests {
         assert_eq!(tiers.lowerings.capacity, SharedPlanCache::DEFAULT_CAPACITY);
     }
 
-    /// Plans every root of `roots` through `cache`, in order.
-    fn plan_each(cache: &mut PlanCache, induced: &Topology, roots: &[GpuId]) -> Vec<Arc<TreePlan>> {
+    /// Plans every root of `roots` through `store`, in order.
+    fn plan_each(
+        store: &SharedPlanCache,
+        induced: &Topology,
+        roots: &[GpuId],
+    ) -> Vec<Arc<TreePlan>> {
         roots
             .iter()
-            .map(|&r| cache.plan(induced, r).unwrap())
+            .map(|&r| plan(store, induced, r).unwrap())
             .collect()
     }
 
@@ -1439,24 +1297,20 @@ mod tests {
         let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
         let induced = induced(&dgx1v(), 8);
         let store = SharedPlanCache::new();
-        plan_each(&mut PlanCache::new(store.clone()), &induced, &alloc);
-        // a physical NVLink connection dies: a fresh handle on the damaged
-        // slice on the same store plans every root as an isolated handle
-        // does, around the dead pair
+        plan_each(&store, &induced, &alloc);
+        // a physical NVLink connection dies: the damaged slice, looked up on
+        // the same store, plans every root as a private store does, around
+        // the dead pair
         let delta = TopologyDelta::kill_link(&induced, GpuId(0), GpuId(1));
         let after = induced.apply_delta(&delta).unwrap();
-        let mut cold_cache = handle();
-        let replanned = plan_each(&mut PlanCache::new(store.clone()), &after, &alloc);
+        let replanned = plan_each(&store, &after, &alloc);
         for (plan, &root) in replanned.iter().zip(&alloc) {
             assert!(plan.trees.iter().all(|t| t
                 .tree
                 .edges
                 .iter()
                 .all(|e| !delta.removed_links.iter().any(|l| (l.src, l.dst) == *e))));
-            assert!(
-                plan.bit_eq(&cold_cache.plan(&after, root).unwrap()),
-                "root {root}"
-            );
+            assert!(plan.bit_eq(&cold(&after, root)), "root {root}");
         }
         assert_eq!(store.stats(), (0, 16), "the damaged slice is a new key");
     }
@@ -1466,13 +1320,13 @@ mod tests {
         let a = global_plan_cache();
         let b = global_plan_cache();
         let induced = induced(&dgx1v(), 2);
-        let plan = handle().plan(&induced, GpuId(0)).unwrap();
+        let packed = cold(&induced, GpuId(0));
         // a synthetic fingerprint no real communicator can collide with
         let fp = u64::MAX - 12345;
         a.lock()
             .plans
-            .insert((fp, 999, LinkSelection::NvLinkOnly), Ok(plan.clone()));
+            .insert((fp, 999, LinkSelection::NvLinkOnly), Ok(packed.clone()));
         let via_b = stored(&b, fp, 999, LinkSelection::NvLinkOnly).unwrap();
-        assert!(Arc::ptr_eq(&via_b, &plan));
+        assert!(Arc::ptr_eq(&via_b, &packed));
     }
 }

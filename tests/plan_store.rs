@@ -259,6 +259,29 @@ fn tier_hits_are_the_programs_a_fresh_lowering_makes() {
             assert!(Arc::ptr_eq(a, b), "{name}: a hit shares the program");
             assert_eq!(**b, **c, "{name}: a hit equals a fresh lowering");
         }
+        // a third communicator takes a tier hit, then lowers a key no one
+        // has lowered: it reads every plan that lowering needs from the
+        // store, and packs nothing
+        let unseen = (calls[0].0, calls[0].1 + mb(1));
+        let (misses, iterations) = (shared.stats().1, shared.mwu_iterations());
+        let (hits, fresh) = shared.lowering_stats();
+        let third = lowered(&*build, &shared, &[calls[0], unseen]);
+        assert_eq!(
+            shared.lowering_stats(),
+            (hits + 1, fresh + 1),
+            "{name}: a hit, then a fresh lowering"
+        );
+        assert_eq!(shared.stats().1, misses, "{name}: no plan-tier miss");
+        assert_eq!(
+            shared.mwu_iterations(),
+            iterations,
+            "{name}: no MWU iteration"
+        );
+        let isolated = lowered(&*build, &SharedPlanCache::new(), &[unseen]);
+        assert_eq!(
+            *third[1], *isolated[0],
+            "{name}: the lowering after a hit equals a fresh communicator's"
+        );
     }
 }
 

@@ -352,7 +352,7 @@ proptest! {
 /// 5-GPU NVSwitch allocation the packed-tree certificate is exactly the
 /// `(m−1) · b` aggregate of the induced complete subgraph — 4 × 138 GB/s —
 /// a strict 4× improvement over the 138 GB/s one-hop bound the forced
-/// short-circuit used to settle for.
+/// short-circuit used to accept.
 #[test]
 fn packed_certificate_is_4x_one_hop_on_a_pinned_dgx2_fragment() {
     let machine = dgx2();
