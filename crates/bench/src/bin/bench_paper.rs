@@ -4,7 +4,9 @@
 //! of exact lane packings against MWU plus minimisation (`class_sweep`,
 //! counted in `class_sweep_summary`), each printed as a table and recorded
 //! in `BENCH_paper.json` under its figure id. Figures 19 and
-//! 20 plot one sweep, recorded once as `fig19_20`. Every row is simulated,
+//! 20 plot one sweep, recorded once as `fig19_20`; `dgx2_race_sweep`
+//! records the strategy the switch race picks, and its simulated time, on
+//! DGX-2 slices of every size for four kinds. Every row is simulated,
 //! so it is the same on every runner; `EXPERIMENTS.md` reads each paper
 //! claim off a field of the recording.
 //!
@@ -30,7 +32,7 @@ fn rows<T: Serialize>(rows: Vec<T>) -> Vec<Value> {
 }
 
 /// Every figure once, in paper order: (figure id, rows).
-fn run_figures() -> [(&'static str, Vec<Value>); 21] {
+fn run_figures() -> [(&'static str, Vec<Value>); 22] {
     let (sweep, sweep_summary) = class_sweep();
     [
         ("fig02", rows(fig02_broadcast_motivation())),
@@ -46,6 +48,7 @@ fn run_figures() -> [(&'static str, Vec<Value>); 21] {
         ("fig17", rows(fig17_allreduce_dgx1v())),
         ("fig18", rows(fig18_end_to_end_dgx1v())),
         ("fig19_20", rows(fig19_20_dgx2_allreduce(1024))),
+        ("dgx2_race_sweep", rows(dgx2_race_sweep())),
         ("fig21", rows(fig21_hybrid_transfers())),
         ("fig22a", rows(fig22a_multi_server_training())),
         ("fig22b", rows(fig22b_bandwidth_projection())),

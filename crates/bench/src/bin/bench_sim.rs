@@ -6,7 +6,9 @@
 //! `BENCH_sim.json` so future PRs have a trajectory to compare against:
 //!
 //! * **allgather_dgx2** — the 16-GPU DGX-2 one-hop AllGather, the scenario
-//!   whose op count exploded under exact ranges (one copy per slot per edge).
+//!   whose op count exploded under exact ranges (one copy per slot per edge),
+//!   lowered by [`one_hop_program`], the function behind the communicator's
+//!   one-hop candidate (the pairwise exchange the switch race runs).
 //!   Both sides run on the same interned engine
 //!   ([`blink_sim::Simulator::run_with_scratch`]), so the ratio isolates what
 //!   payload aggregation buys at equal scheduling machinery: the fast side
@@ -17,11 +19,12 @@
 //!   program on the allocating reference scheduler, so the ratio recorded
 //!   then (36×) also counted the engine difference; today's ~8× counts
 //!   payload aggregation alone.
-//! * **codegen** — one 64 MiB AllReduce lowering ([`CodeGen::build`] at its
-//!   default 4 MiB chunks) over the full DGX-1V's packed trees and over the
-//!   16-GPU DGX-2's one-hop trees, and the DGX-1V lowering again at a
-//!   quarter of the chunk size (about 4× the ops over the same trees). The
-//!   binary installs the counting allocator
+//! * **codegen** — one 64 MiB AllReduce lowering at the default 4 MiB
+//!   chunks: [`CodeGen::build`] over the full DGX-1V's packed trees,
+//!   [`one_hop_program`] on the 16-GPU DGX-2 (CodeGen over its one-hop
+//!   trees, re-issued as the pairwise exchange), and the DGX-1V lowering
+//!   again at a quarter of the chunk size (about 4× the ops over the same
+//!   trees). The binary installs the counting allocator
 //!   ([`blink_bench::alloc::Counting`]), so each lowering records its ops
 //!   and heap allocations — counts that are the same on every host — and
 //!   the stage records how many more allocations the 4×-ops lowering makes
@@ -50,9 +53,8 @@
 
 use blink_bench::alloc::{allocations, Counting};
 use blink_bench::over_recording;
-use blink_core::onehop::one_hop_trees;
-use blink_core::{CodeGen, CodeGenOptions, CollectiveKind, Communicator, TreeGen, TreeGenOptions};
-use blink_graph::WeightedTree;
+use blink_core::onehop::one_hop_program;
+use blink_core::{CodeGen, CodeGenOptions, CollectiveKind, TreeGen, TreeGenOptions};
 use blink_sim::{EngineScratch, Program, Simulator};
 use blink_topology::presets::{dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
@@ -119,7 +121,7 @@ struct LoweringReport {
 struct CodegenStage {
     /// The full DGX-1V's packed spanning trees.
     dgx1v_packed: LoweringReport,
-    /// The 16-GPU DGX-2's one-hop trees.
+    /// The 16-GPU DGX-2's one-hop lowering, as the switch race runs it.
     dgx2_one_hop: LoweringReport,
     /// The full DGX-1V's packed trees at a quarter of the default chunk
     /// size: about 4× `dgx1v_packed`'s ops.
@@ -198,11 +200,11 @@ fn measure_stage(
     }
 }
 
-/// Counts one 64 MiB AllReduce lowering over `trees` in `chunk_bytes`
-/// chunks, then times `runs` more.
+/// Counts one 64 MiB AllReduce lowering by `build` in `chunk_bytes` chunks,
+/// then times `runs` more.
 fn measure_lowering(
     scenario: &str,
-    trees: &[WeightedTree],
+    build: impl Fn(&CodeGen, CollectiveKind, u64) -> blink_core::Result<Program>,
     chunk_bytes: u64,
     runs: usize,
 ) -> LoweringReport {
@@ -210,7 +212,7 @@ fn measure_lowering(
         chunk_bytes,
         ..CodeGenOptions::default()
     });
-    let lower = || cg.build(black_box(trees), CollectiveKind::AllReduce, mb(64));
+    let lower = || build(&cg, CollectiveKind::AllReduce, black_box(mb(64)));
     let before = allocations();
     let program = lower().expect("64 MiB AllReduce lowers");
     let allocations = allocations() - before;
@@ -231,33 +233,42 @@ fn measure_lowering(
     }
 }
 
+/// The whole DGX-2's GPUs and their NVSwitch injection cap.
+fn dgx2_slice() -> (Vec<GpuId>, f64) {
+    let machine = dgx2();
+    let alloc = machine.gpu_ids();
+    let cap = machine
+        .gpu_cap(alloc[0])
+        .expect("DGX-2 GPUs have an NVSwitch cap");
+    (alloc, cap)
+}
+
 fn measure_codegen(runs: usize) -> CodegenStage {
     let machine = dgx1v();
     let plan = TreeGen::new(machine.clone(), TreeGenOptions::default())
         .plan(GpuId(0))
         .expect("the full DGX-1V packs");
     let chunk = CodeGenOptions::default().chunk_bytes;
+    let packed = |cg: &CodeGen, kind, bytes| cg.build(&plan.trees, kind, bytes);
     let dgx1v_packed = measure_lowering(
         "dgx1v packed allreduce, 8 GPUs, 64 MiB",
-        &plan.trees,
+        packed,
         chunk,
         runs,
     );
     let dgx1v_packed_quarter_chunk = measure_lowering(
         "dgx1v packed allreduce, 8 GPUs, 64 MiB, quarter chunks",
-        &plan.trees,
+        packed,
         chunk / 4,
         runs,
     );
-    let machine = dgx2();
-    let alloc = machine.gpu_ids();
-    let cap = machine
-        .gpu_cap(alloc[0])
-        .expect("DGX-2 GPUs have an NVSwitch cap");
-    let trees = one_hop_trees(&alloc, cap / alloc.len() as f64);
+    let (alloc, cap) = dgx2_slice();
+    let one_hop = |cg: &CodeGen, kind, bytes| {
+        one_hop_program(cg, &alloc, cap, kind, bytes).map(|(program, _)| program)
+    };
     let dgx2_one_hop = measure_lowering(
         "dgx2 one-hop allreduce, 16 GPUs, 64 MiB",
-        &trees,
+        one_hop,
         chunk,
         runs,
     );
@@ -353,18 +364,13 @@ fn measure(quick: bool) -> Report {
     let lowering_runs = if quick { 50 } else { 500 };
 
     // ---- DGX-2 one-hop AllGather (the per-slot op-count blow-up case) ----
-    let machine = dgx2();
-    let alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
-    let mut comm = Communicator::builder(machine.clone())
-        .allocation(&alloc)
-        .build()
-        .expect("full DGX-2 allocation");
-    let (_, allgather_prog, _) = comm
-        .run_traced(CollectiveKind::AllGather, mb(64))
+    let (alloc, cap) = dgx2_slice();
+    let cg = CodeGen::new(CodeGenOptions::default());
+    let (allgather_prog, _) = one_hop_program(&cg, &alloc, cap, CollectiveKind::AllGather, mb(64))
         .expect("one-hop AllGather lowers");
     let allgather_dgx2 = measure_stage(
         "dgx2 one-hop allgather, 16 GPUs, 64 MiB",
-        &machine,
+        &dgx2(),
         &allgather_prog,
         fast_runs,
         naive_runs,

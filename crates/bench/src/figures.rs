@@ -899,6 +899,68 @@ pub fn fig19_20_dgx2_allreduce(max_mb: u64) -> Vec<Dgx2Row> {
     rows
 }
 
+/// One row of [`dgx2_race_sweep`]: the strategy a DGX-2 slice's switch race
+/// picks for one collective and the simulated time of the pick.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Dgx2RaceRow {
+    /// Number of GPUs.
+    pub gpus: usize,
+    /// The allocation's GPU ids.
+    pub allocation: String,
+    /// The collective (rooted kinds at the allocation's first GPU).
+    pub kind: String,
+    /// Buffer size in bytes.
+    pub bytes: u64,
+    /// The race's winner.
+    pub strategy: String,
+    /// The winner's simulated time (µs).
+    pub us: f64,
+}
+
+/// The switch race on DGX-2 slices of 2–16 GPUs, each blocked (GPUs
+/// `0..n`) and, below 16, strided (GPU `⌊16·i/n⌋` for `i < n`), for
+/// AllReduce, AllGather, ReduceScatter and Broadcast from 1 KB to 1 GiB in
+/// powers of four. Every switch slice of one size is one lowering shape, so
+/// a strided slice takes its blocked twin's lowering from the plan store
+/// and reports its time.
+pub fn dgx2_race_sweep() -> Vec<Dgx2RaceRow> {
+    let machine = dgx2();
+    let mut rows = Vec::new();
+    for n in 2..=16usize {
+        let blocked: Vec<GpuId> = (0..n).map(GpuId).collect();
+        let strided: Vec<GpuId> = (0..n).map(|i| GpuId(16 * i / n)).collect();
+        let slices = if n < 16 {
+            vec![blocked, strided]
+        } else {
+            vec![blocked]
+        };
+        for alloc in slices {
+            let kinds = [
+                CollectiveKind::AllReduce,
+                CollectiveKind::AllGather,
+                CollectiveKind::ReduceScatter,
+                CollectiveKind::Broadcast { root: alloc[0] },
+            ];
+            for kind in kinds {
+                let mut bytes: u64 = 1024;
+                while bytes <= 1 << 30 {
+                    let run = blink_collective(&machine, &alloc, kind, bytes);
+                    rows.push(Dgx2RaceRow {
+                        gpus: n,
+                        allocation: label(&alloc),
+                        kind: kind.to_string(),
+                        bytes,
+                        strategy: run.strategy,
+                        us: run.elapsed_us,
+                    });
+                    bytes *= 4;
+                }
+            }
+        }
+    }
+    rows
+}
+
 // ---------------------------------------------------------------------------
 // Figure 21: hybrid PCIe + NVLink broadcast
 // ---------------------------------------------------------------------------

@@ -82,13 +82,13 @@ use crate::collective::{CollectiveKind, CollectiveReport};
 use crate::fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 use crate::hybrid::HybridPlanner;
 use crate::multiserver::three_phase_allreduce_cached;
-use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
+use crate::onehop::{is_switch_fabric, one_hop_program};
 use crate::store::{
     global_plan_cache, rank_fingerprint_and_order, Lowering, LoweringKey, Renaming, SharedPlanCache,
 };
 use crate::treegen::{LinkSelection, PlanningGraphs, ScratchPool, TreePlan};
 use crate::{BlinkError, Result};
-use blink_graph::{optimal_broadcast_rate_in, WeightedTree};
+use blink_graph::optimal_broadcast_rate_in;
 use blink_sim::{
     algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, Simulator, ValueCheck,
 };
@@ -1217,7 +1217,8 @@ impl Communicator {
     }
 
     /// The one-hop switch-fabric candidate: star trees through the switch
-    /// (the paper's DGX-2 strategy).
+    /// (the paper's DGX-2 strategy), a rootless kind's as a pairwise
+    /// exchange ([`one_hop_program`]).
     fn one_hop_candidate(&self, kind: CollectiveKind, bytes: u64) -> Result<Candidate> {
         // `is_switch_fabric` admits only allocations whose every GPU declares
         // a fabric cap, so this error is never returned
@@ -1225,12 +1226,9 @@ impl Communicator {
         let cap = self.sim.topology().gpu_cap(first).ok_or_else(|| {
             BlinkError::Planning(format!("switch-fabric GPU {first} declares no cap"))
         })?;
-        let trees: Vec<WeightedTree> = match kind.root() {
-            Some(root) => vec![one_hop_broadcast_tree(&self.allocation, root, cap)],
-            None => one_hop_trees(&self.allocation, cap / self.allocation.len() as f64),
-        };
-        let program = CodeGen::new(self.codegen_options()).build(&trees, kind, bytes)?;
-        Ok((program, trees.len(), "one-hop switch trees".to_string()))
+        let cg = CodeGen::new(self.codegen_options());
+        let (program, trees) = one_hop_program(&cg, &self.allocation, cap, kind, bytes)?;
+        Ok((program, trees, "one-hop switch trees".to_string()))
     }
 
     /// The packed switch-fabric candidate: TreeGen's spanning trees over the

@@ -50,7 +50,9 @@
 //! * [`hybrid`] — balanced hybrid PCIe + NVLink transfers (Section 3.4,
 //!   Equation 8, Figure 21).
 //! * [`onehop`] — the DGX-2 / NVSwitch planner: `m` one-hop trees, one rooted
-//!   at every GPU (Section 3.5, Figures 19–20).
+//!   at every GPU (Section 3.5, Figures 19–20), lowered for the rootless
+//!   kinds as a pairwise exchange whose every step is a permutation of the
+//!   switch ports.
 //! * [`multiserver`] — the three-phase cross-machine AllReduce (Section 3.5,
 //!   Figure 10, Figure 22).
 //! * [`communicator`] — the NCCL-flavoured front door: create a communicator

@@ -25,9 +25,139 @@
 //! returns them without packing or minimising. From any other root, the
 //! MWU's tie-breaks land on a different optimum, so those plans, and warm
 //! replans, still run the MWU.
+//!
+//! ## The pairwise exchange
+//!
+//! [`one_hop_program`] is the one-hop candidate the communicator races on a
+//! switch fabric. A rooted kind runs its one star tree as CodeGen emits it.
+//! A rootless kind (AllReduce, AllGather, ReduceScatter) runs CodeGen's
+//! program over the `n` one-hop trees, re-issued as a pairwise exchange:
+//!
+//! * every GPU issues all its copies on one stream, those toward the roots
+//!   (reduce-up or gather) and, as a root, those back out (broadcast or
+//!   scatter), and its reductions on a second;
+//! * the copy stream runs in stages: stage `k` holds chunk `k`'s copies
+//!   toward the roots, then the copies of one chunk back out, chunk `k`
+//!   for AllGather and chunk `k − 1` for the kinds whose root reduces
+//!   first, so a reduction overlaps the next chunk's copies instead of
+//!   stalling the stream;
+//! * each half of a stage runs by shift `s = (src − dst) mod n` over the
+//!   GPUs' ranks, so step `s` is a permutation: every GPU sends to one peer
+//!   and receives from another, and no two copies of a step share a switch
+//!   port;
+//! * the program lists its ops in that order: stage, half, shift, sender.
+//!
+//! So at most `n` copies are ready at once, where tree-major issue readied
+//! all `n(n − 1)` first-phase copies and the engine's candidate window held
+//! only the first few trees' ingress ports. Chaining a GPU's copies gives up
+//! no concurrency the port model allows: every send from a GPU already
+//! serialises on its one switch egress port. CodeGen still emits every
+//! byte range; the re-issue only moves ops and renames their streams, in
+//! one pass over the program with no sort.
+//!
+//! Why one chain per GPU and not one per direction: two chains drift apart
+//! and contend for ingress ports. On `bench_paper`'s `dgx2_race_sweep` they
+//! made a 3-GPU AllReduce at 1 GiB 24% slower than tree-major issue and a
+//! 5-GPU AllGather at 1 GiB 14% slower; one chain leaves no row slower.
 
+use crate::codegen::CodeGen;
+use crate::collective::CollectiveKind;
+use crate::{BlinkError, Result};
 use blink_graph::{Arborescence, DiGraph, WeightedTree};
+use blink_sim::{OpId, OpKind, Program, ProgramBuilder, StreamId};
 use blink_topology::{GpuId, Topology};
+
+/// The one-hop lowering of `kind` on the switch-fabric allocation `gpus`,
+/// whose GPUs inject at `cap`, with the number of trees it runs over: a
+/// rooted kind's star tree ([`one_hop_broadcast_tree`]) as `codegen` emits
+/// it, and a rootless kind's `n` [`one_hop_trees`] re-issued as the
+/// pairwise exchange of the module docs.
+///
+/// # Errors
+/// As [`CodeGen::build`].
+pub fn one_hop_program(
+    codegen: &CodeGen,
+    gpus: &[GpuId],
+    cap: f64,
+    kind: CollectiveKind,
+    bytes: u64,
+) -> Result<(Program, usize)> {
+    if let Some(root) = kind.root() {
+        let tree = one_hop_broadcast_tree(gpus, root, cap);
+        return Ok((codegen.build(&[tree], kind, bytes)?, 1));
+    }
+    let trees = one_hop_trees(gpus, cap / gpus.len() as f64);
+    let program = codegen.build(&trees, kind, bytes)?;
+    Ok((pairwise(&program, gpus, kind)?, trees.len()))
+}
+
+/// `program`, CodeGen's lowering of the rootless `kind` over the
+/// [`one_hop_trees`] of `gpus`, re-issued as a pairwise exchange: the same
+/// ops, dependencies and payloads, in the order and on the streams of the
+/// module docs.
+///
+/// CodeGen emits each tree's chunk as one run of dependency-free copies
+/// toward the root, then the root's reduction and its copies back out,
+/// which all depend on that run; the `k`-th run toward a root is the
+/// tree's chunk `k`. So every op has one slot in the issue order — its
+/// stage, whether it heads back out, its shift and its sender — and one
+/// pass drops each op into a table of slots, a second emits the filled
+/// slots in order.
+fn pairwise(program: &Program, gpus: &[GpuId], kind: CollectiveKind) -> Result<Program> {
+    const EMPTY: usize = usize::MAX;
+    let n = gpus.len();
+    let mut ranks = gpus.to_vec();
+    ranks.sort_unstable();
+    let rank = |g: GpuId| ranks.partition_point(|&r| r < g);
+    // a root that reduces sends chunk `k` back out one stage late, after
+    // its copies of chunk `k + 1` toward the roots
+    let lag = usize::from(kind != CollectiveKind::AllGather);
+    let mut slots = Vec::with_capacity(program.len());
+    // the chunk the next run toward each root carries
+    let mut next_chunk = vec![0; n];
+    let (mut chunk, mut up) = (0, false);
+    for op in program.ops() {
+        let (src, dst) = match op.kind {
+            OpKind::Copy { src, dst, .. } => (rank(src), rank(dst)),
+            OpKind::Reduce { gpu } => (rank(gpu), rank(gpu)),
+            // CodeGen emits no kernels or peer-access toggles
+            _ => (0, 0),
+        };
+        let was_up = std::mem::replace(&mut up, op.deps.is_empty());
+        if up && !was_up {
+            chunk = next_chunk[dst];
+            next_chunk[dst] += 1;
+        }
+        // a reduction takes shift 0 of its stage's first half, which no
+        // copy toward a root uses
+        let (stage, out) = match (up, op.kind) {
+            (true, _) => (chunk, 0),
+            (false, OpKind::Reduce { .. }) => (chunk + lag, 0),
+            (false, _) => (chunk + lag, 1),
+        };
+        slots.push(((stage * 2 + out) * n + (src + n - dst) % n) * n + src);
+    }
+    let stages = next_chunk.into_iter().max().unwrap_or(0) + lag;
+    let mut order = vec![EMPTY; stages * 2 * n * n];
+    for (old, &slot) in slots.iter().enumerate() {
+        order[slot] = old;
+    }
+    let mut b = ProgramBuilder::new();
+    b.reserve(program.len(), program.num_deps(), program.num_segments());
+    // each GPU's copies on stream `rank`, its reductions on `n + rank`
+    let streams: Vec<StreamId> = (0..2 * n).map(|_| b.new_stream()).collect();
+    let mut renamed = vec![OpId(0); program.len()];
+    let mut deps = Vec::with_capacity(n);
+    for (slot, &old) in order.iter().enumerate().filter(|&(_, &old)| old != EMPTY) {
+        let op = program.op(OpId(old));
+        let reduces = usize::from(matches!(op.kind, OpKind::Reduce { .. }));
+        deps.clear();
+        deps.extend(op.deps.iter().map(|d| renamed[d.0]));
+        let stream = streams[reduces * n + slot % n];
+        renamed[old] = b.push(op.kind, op.segments, stream, &deps, op.tag.clone());
+    }
+    b.build().map_err(|e| BlinkError::CodeGen(e.to_string()))
+}
 
 /// Builds the `m` one-hop trees for a switch-fabric allocation, one rooted at
 /// every GPU, each weighted equally (the data is split evenly across roots).
@@ -37,18 +167,7 @@ use blink_topology::{GpuId, Topology};
 /// equals the fabric injection bandwidth.
 pub fn one_hop_trees(gpus: &[GpuId], per_tree_weight: f64) -> Vec<WeightedTree> {
     gpus.iter()
-        .map(|&root| {
-            let edges = gpus
-                .iter()
-                .copied()
-                .filter(|&g| g != root)
-                .map(|g| (root, g))
-                .collect();
-            WeightedTree {
-                tree: Arborescence::new(root, edges),
-                weight: per_tree_weight,
-            }
-        })
+        .map(|&root| one_hop_broadcast_tree(gpus, root, per_tree_weight))
         .collect()
 }
 
@@ -115,12 +234,8 @@ pub fn complete_uniform_capacity(graph: &DiGraph) -> Option<f64> {
 /// fabric, where the root can inject at full port bandwidth directly to every
 /// peer).
 pub fn one_hop_broadcast_tree(gpus: &[GpuId], root: GpuId, weight: f64) -> WeightedTree {
-    let edges = gpus
-        .iter()
-        .copied()
-        .filter(|&g| g != root)
-        .map(|g| (root, g))
-        .collect();
+    let mut edges = Vec::with_capacity(gpus.len().saturating_sub(1));
+    edges.extend(gpus.iter().filter(|&&g| g != root).map(|&g| (root, g)));
     WeightedTree {
         tree: Arborescence::new(root, edges),
         weight,
@@ -141,7 +256,93 @@ pub fn is_switch_fabric(topology: &Topology, gpus: &[GpuId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codegen::CodeGenOptions;
     use blink_topology::presets::{dgx1v, dgx2};
+
+    /// Each GPU's copies in stream order, as (toward a root, shift), after
+    /// checking that the GPU issues them on one stream of its own and its
+    /// reductions on another.
+    fn chains(program: &Program, gpus: &[GpuId]) -> Vec<Vec<(bool, usize)>> {
+        let n = gpus.len();
+        let rank = |g| gpus.binary_search(&g).unwrap();
+        let mut chains = vec![Vec::new(); n];
+        // a stream's owner: GPU `g`'s copies, or `n + g` for its reductions
+        let mut owners = std::collections::BTreeMap::new();
+        for op in program.ops() {
+            let owner = match op.kind {
+                OpKind::Copy { src, dst, .. } => {
+                    let up = matches!(&**op.tag, "blink reduce-up" | "blink gather");
+                    chains[rank(src)].push((up, (rank(src) + n - rank(dst)) % n));
+                    rank(src)
+                }
+                OpKind::Reduce { gpu } => n + rank(gpu),
+                other => panic!("a one-hop lowering emitted {other:?}"),
+            };
+            assert_eq!(*owners.entry(op.stream).or_insert(owner), owner);
+        }
+        let distinct: std::collections::BTreeSet<_> = owners.values().collect();
+        assert_eq!(distinct.len(), owners.len(), "an owner with two streams");
+        chains
+    }
+
+    #[test]
+    fn the_pairwise_exchange_chains_each_gpus_copies_in_shift_order() {
+        let cg = CodeGen::new(CodeGenOptions::default());
+        let full: Vec<GpuId> = (0..16).map(GpuId).collect();
+        let spread: Vec<GpuId> = (0..12).map(|i| GpuId(4 * i / 3)).collect();
+        // sizes that split evenly over the trees: a small chunk, then one,
+        // four and three 4 MiB chunks per tree
+        let cases = [
+            (&full, [1 << 10, 64 << 20, 256 << 20]),
+            (&spread, [12 << 10, 48 << 20, 144 << 20]),
+        ];
+        for (gpus, sizes) in cases {
+            let n = gpus.len();
+            let run = |up| (1..n).map(move |shift| (up, shift));
+            for kind in [
+                CollectiveKind::AllReduce,
+                CollectiveKind::AllGather,
+                CollectiveKind::ReduceScatter,
+            ] {
+                for bytes in sizes {
+                    let label = format!("{kind} over {n} GPUs, {bytes} B");
+                    let (program, trees) = one_hop_program(&cg, gpus, 138.0, kind, bytes).unwrap();
+                    assert_eq!(trees, n);
+                    // the same ops as CodeGen's tree-major program
+                    let tree_major = cg
+                        .build(&one_hop_trees(gpus, 138.0 / n as f64), kind, bytes)
+                        .unwrap();
+                    assert_eq!(program.len(), tree_major.len(), "{label}");
+                    assert_eq!(program.total_copy_bytes(), tree_major.total_copy_bytes());
+                    // Stage k runs chunk k toward the roots, then a chunk
+                    // back out: chunk k, or chunk k − 1 where the root
+                    // reduces it first. Even shards leave a ReduceScatter
+                    // nothing to send back out.
+                    let chunks = (bytes / n as u64).div_ceil(4 << 20) as usize;
+                    let lag = usize::from(kind != CollectiveKind::AllGather);
+                    let mut expected = Vec::new();
+                    for stage in 0..chunks + lag {
+                        if stage < chunks {
+                            expected.extend(run(true));
+                        }
+                        if stage >= lag && kind != CollectiveKind::ReduceScatter {
+                            expected.extend(run(false));
+                        }
+                    }
+                    for (g, chain) in chains(&program, gpus).iter().enumerate() {
+                        assert_eq!(*chain, expected, "{label}: GPU {g}");
+                    }
+                    // at issue, only each GPU's first copy is ready
+                    let mut heads = std::collections::BTreeMap::new();
+                    for op in program.ops() {
+                        heads.entry(op.stream).or_insert(op.deps.is_empty());
+                    }
+                    let ready = heads.values().filter(|&&ready| ready).count();
+                    assert_eq!(ready, n, "{label}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn one_hop_trees_have_depth_one_and_distinct_roots() {

@@ -598,8 +598,12 @@ impl PartialOrd for Ready {
 /// given current resource occupancy (ties broken by issue order). Only the K
 /// earliest-ready ops are candidates — the sorted window described in the
 /// module docs, which never holds more than K — so the scheduler stays
-/// near-linear while still packing independent flows (e.g. the 16x15
-/// one-hop pattern on a DGX-2) tightly.
+/// near-linear. A program that readies more than K ops at once is
+/// scheduled as if only its K lowest-ranked ready ops existed: the 16x15
+/// one-hop AllReduce on a DGX-2, issued tree by tree, readied 240 copies at
+/// issue, and the window's first 128 reached only 9 of the 16 ingress
+/// ports. A program should ready few ops at a time; the one-hop lowering
+/// issues a pairwise exchange that readies one copy per GPU.
 const CANDIDATES: usize = 128;
 
 /// Sentinel for "no op" (no link, no FIFO predecessor) in the compiled
@@ -2298,6 +2302,105 @@ mod tests {
                 link_bytes: report.link_bytes,
             };
             assert_reports_bit_identical(&reference, &streamed);
+        }
+    }
+
+    /// The pairwise exchange a one-hop lowering issues for a rootless
+    /// collective over the 16 GPUs of a DGX-2, `chunks` chunks of 4 MiB
+    /// per tree (see `blink_core::onehop`): every GPU's copies on one
+    /// stream and its reductions on another. Stage `k` runs chunk `k`'s
+    /// copies toward the roots, then a chunk's copies back out from every
+    /// root, chunk `k` for AllGather and, one stage after its reduction,
+    /// chunk `k − 1` for AllReduce; each half runs by shift
+    /// `s = (src − dst) mod 16`. A ReduceScatter over even shards keeps
+    /// each reduced chunk at its root.
+    fn pairwise_program(kind: &str, chunks: usize) -> Program {
+        let (n, chunk) = (16, mb(4));
+        let (reduces, back_out) = match kind {
+            "allreduce" => (true, true),
+            "allgather" => (false, true),
+            _ => (true, false),
+        };
+        let lag = usize::from(reduces);
+        let mut b = ProgramBuilder::new();
+        let copies: Vec<StreamId> = (0..n).map(|_| b.new_stream()).collect();
+        let reductions: Vec<StreamId> = (0..n).map(|_| b.new_stream()).collect();
+        // per chunk and root: the copies that reached it, then what its
+        // copies back out wait for
+        let mut waits = vec![vec![Vec::new(); n]; chunks];
+        let mut segs = Vec::new();
+        let offset = |root: usize, k: usize| (root * chunks + k) as u64 * chunk;
+        // an AllGather root forwards every GPU's slot
+        let slots = if reduces { 1 } else { n as u64 };
+        for stage in 0..chunks + lag {
+            // the chunk this stage reduces and sends back out
+            let back = stage.checked_sub(lag);
+            for k in back.into_iter().filter(|_| reduces) {
+                for (r, wait) in waits[k].iter_mut().enumerate() {
+                    let fold =
+                        b.reduce_range(GpuId(r), offset(r, k), chunk, reductions[r], wait, "");
+                    *wait = vec![fold];
+                }
+            }
+            for s in (1..n).filter(|_| stage < chunks) {
+                for (g, &stream) in copies.iter().enumerate() {
+                    let r = (g + n - s) % n;
+                    let (src, dst) = (GpuId(g), GpuId(r));
+                    let at = offset(r, stage);
+                    let id = b.copy_range(src, dst, at, chunk, LinkClass::NvLink, stream, &[], "");
+                    waits[stage][r].push(id);
+                }
+            }
+            for k in back.into_iter().filter(|_| back_out) {
+                for s in 1..n {
+                    for r in 0..n {
+                        segs.clear();
+                        segs.extend(
+                            (0..slots).map(|i| Segment::new(i * mb(1024) + offset(r, k), chunk)),
+                        );
+                        let (src, dst) = (GpuId(r), GpuId((r + n - s) % n));
+                        let copy = OpKind::Copy {
+                            src,
+                            dst,
+                            class: LinkClass::NvLink,
+                        };
+                        b.push(copy, &segs, copies[r], &waits[k][r], "");
+                    }
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn engine_paths_agree_on_the_pairwise_one_hop_exchange() {
+        let sim = Simulator::with_defaults(dgx2());
+        for kind in ["allreduce", "allgather", "reducescatter"] {
+            for chunks in [1, 4] {
+                let program = pairwise_program(kind, chunks);
+                // one ready copy per GPU at issue, a fraction of the window
+                assert_eq!(roots(&program), 16, "{kind}");
+                let reference = sim.run_reference(&program).unwrap();
+                let fast = sim
+                    .run_with_scratch(&program, &mut EngineScratch::new())
+                    .unwrap();
+                assert_reports_bit_identical(&reference, &fast);
+                let form = sim.compile(Arc::new(program.clone())).unwrap();
+                let compiled = sim
+                    .run_compiled(&program, &form, &mut EngineScratch::new())
+                    .unwrap();
+                assert_reports_bit_identical(&reference, &compiled);
+                let mut session = sim.session();
+                session.admit(program, 0.0);
+                let report = session.run().unwrap();
+                let streamed = RunReport {
+                    total_us: report.total_us,
+                    op_spans: report.programs[0].op_spans.clone(),
+                    link_busy_us: report.link_busy_us,
+                    link_bytes: report.link_bytes,
+                };
+                assert_reports_bit_identical(&reference, &streamed);
+            }
         }
     }
 

@@ -16,6 +16,7 @@
 //! pinpoints the damage. This is what keeps the gate honest: an oracle that
 //! accepts everything would pass the positive matrix too.
 
+use blink_core::onehop::one_hop_program;
 use blink_core::{
     restrict_to_window, CodeGen, CodeGenOptions, CollectiveKind, Communicator, CommunicatorOptions,
     TreeGen, TreeGenOptions,
@@ -102,6 +103,33 @@ fn one_hop_switch_trees_conform_on_dgx2() {
         let k = 2 + rng.random_below(14) as usize; // 2..=15
         let alloc = random_allocation(&mut rng, &pool, k);
         assert_conformant(&machine, &alloc, mb(8) + 13, "one-hop partial");
+    }
+}
+
+/// The one-hop candidate of every rootless kind — the pairwise exchange
+/// the switch race runs whichever side wins — on a 12-GPU slice and the
+/// whole DGX-2, from one small chunk per tree to many, and at an unaligned
+/// size (on 16 GPUs its last tree takes one more chunk than the others).
+#[test]
+fn pairwise_one_hop_exchanges_conform_on_dgx2() {
+    let machine = dgx2();
+    let cg = CodeGen::new(CodeGenOptions::default());
+    for alloc in [(2..14).map(GpuId).collect::<Vec<_>>(), machine.gpu_ids()] {
+        for kind in [
+            CollectiveKind::AllReduce,
+            CollectiveKind::AllGather,
+            CollectiveKind::ReduceScatter,
+        ] {
+            for bytes in [1 << 10, mb(64), mb(64) + 13, mb(1024)] {
+                let (program, _) = one_hop_program(&cg, &alloc, 138.0, kind, bytes).unwrap();
+                let check = run_and_check(&machine, &alloc, kind, bytes, &program);
+                assert!(
+                    check.is_correct(),
+                    "{kind} over {} GPUs, {bytes} B:\n{check}",
+                    alloc.len()
+                );
+            }
+        }
     }
 }
 

@@ -80,7 +80,7 @@ fn blink_allreduce_dominates_nccl_on_dgx1p_classes() {
 
 /// The Figure 20 claim is that Blink's one-hop trees give the DGX-2 a clear
 /// latency advantage at small sizes. Measured, Blink is slower than the
-/// baseline's double binary trees at 1–16 KB (263 against 77 µs); at the
+/// baseline's double binary trees at 1–16 KB (154 against 77 µs); at the
 /// 64 KB tested here it wins only because the baseline switches to rings
 /// there and jumps to 2,365 µs (`EXPERIMENTS.md`, the Fig. 20 row). Blink
 /// also stays competitive at large sizes.

@@ -400,18 +400,16 @@ fn a_two_server_job_packs_the_local_shape_its_servers_share_once() {
 
 #[test]
 fn a_switch_verdict_belongs_to_its_lowering_key() {
-    // On a whole DGX-2 the AllReduce race picks packed trees at 16 MiB and
-    // one-hop trees at 256 MiB. In either order, each call lowers what a
-    // fresh communicator's first call lowers: no earlier call picks a later
-    // call's strategy.
-    let full = ids(&(0..16).collect::<Vec<_>>());
-    let build = || Communicator::builder(dgx2()).allocation(&full);
-    let (big, small) = (
-        (CollectiveKind::AllReduce, 256 << 20),
-        (CollectiveKind::AllReduce, 16 << 20),
-    );
+    // On four GPUs of a DGX-2 the Broadcast race picks one-hop trees at
+    // 64 KiB and packed trees at 1 MiB. In either order, each call lowers
+    // what a fresh communicator's first call lowers: no earlier call picks
+    // a later call's strategy.
+    let slice = ids(&[0, 1, 2, 3]);
+    let build = || Communicator::builder(dgx2()).allocation(&slice);
+    let kind = CollectiveKind::Broadcast { root: slice[0] };
+    let (one_hop, packed) = ((kind, 64 << 10), (kind, 1 << 20));
     let fresh = |call| lowered(&build, &SharedPlanCache::new(), &[call]).remove(0);
-    for calls in [[big, small], [small, big]] {
+    for calls in [[one_hop, packed], [packed, one_hop]] {
         let got = lowered(&build, &SharedPlanCache::new(), &calls);
         for (program, call) in got.iter().zip(calls) {
             assert_eq!(**program, *fresh(call), "{calls:?}");
@@ -424,15 +422,15 @@ fn a_switch_verdict_belongs_to_its_lowering_key() {
     let mut strategies = Vec::new();
     for _ in 0..3 {
         let mut comm = build().shared_plans(shared.clone()).build().unwrap();
-        strategies.push(comm.run(big.0, big.1).unwrap().strategy);
+        strategies.push(comm.run(one_hop.0, one_hop.1).unwrap().strategy);
         engine_runs.push(shared.engine_runs());
     }
     assert_eq!(engine_runs, [0, 2, 2, 2]);
     assert_eq!(shared.lowering_stats(), (2, 1));
     assert!(strategies.iter().all(|s| s == "one-hop switch trees"));
     let mut comm = build().isolated_plans().build().unwrap();
-    let packed = comm.run(small.0, small.1).unwrap().strategy;
-    assert_eq!(packed, "packed spanning trees (NVLink switch fabric)");
+    let strategy = comm.run(packed.0, packed.1).unwrap().strategy;
+    assert_eq!(strategy, "packed spanning trees (NVLink switch fabric)");
 }
 
 #[test]
