@@ -5,8 +5,9 @@
 //! counted in `class_sweep_summary`), each printed as a table and recorded
 //! in `BENCH_paper.json` under its figure id. Figures 19 and
 //! 20 plot one sweep, recorded once as `fig19_20`; `dgx2_race_sweep`
-//! records the strategy the switch race picks, and its simulated time, on
-//! DGX-2 slices of every size for four kinds. Every row is simulated,
+//! records the strategy a switch lowering picks (by kind for the rootless
+//! kinds, by the race for Broadcast), and its simulated time, on DGX-2
+//! slices of every size for four kinds. Every row is simulated,
 //! so it is the same on every runner; `EXPERIMENTS.md` reads each paper
 //! claim off a field of the recording.
 //!

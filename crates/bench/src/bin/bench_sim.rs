@@ -8,7 +8,7 @@
 //! * **allgather_dgx2** — the 16-GPU DGX-2 one-hop AllGather, the scenario
 //!   whose op count exploded under exact ranges (one copy per slot per edge),
 //!   lowered by [`one_hop_program`], the function behind the communicator's
-//!   one-hop candidate (the pairwise exchange the switch race runs).
+//!   one-hop lowering (the pairwise exchange a rootless kind runs).
 //!   Both sides run on the same interned engine
 //!   ([`blink_sim::Simulator::run_with_scratch`]), so the ratio isolates what
 //!   payload aggregation buys at equal scheduling machinery: the fast side
@@ -121,7 +121,7 @@ struct LoweringReport {
 struct CodegenStage {
     /// The full DGX-1V's packed spanning trees.
     dgx1v_packed: LoweringReport,
-    /// The 16-GPU DGX-2's one-hop lowering, as the switch race runs it.
+    /// The 16-GPU DGX-2's one-hop lowering, the pairwise exchange.
     dgx2_one_hop: LoweringReport,
     /// The full DGX-1V's packed trees at a quarter of the default chunk
     /// size: about 4× `dgx1v_packed`'s ops.

@@ -899,8 +899,8 @@ pub fn fig19_20_dgx2_allreduce(max_mb: u64) -> Vec<Dgx2Row> {
     rows
 }
 
-/// One row of [`dgx2_race_sweep`]: the strategy a DGX-2 slice's switch race
-/// picks for one collective and the simulated time of the pick.
+/// One row of [`dgx2_race_sweep`]: the strategy a DGX-2 slice lowers one
+/// collective with and its simulated time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dgx2RaceRow {
     /// Number of GPUs.
@@ -911,18 +911,20 @@ pub struct Dgx2RaceRow {
     pub kind: String,
     /// Buffer size in bytes.
     pub bytes: u64,
-    /// The race's winner.
+    /// The pairwise exchange for a rootless kind, the race's winner for
+    /// Broadcast.
     pub strategy: String,
     /// The winner's simulated time (µs).
     pub us: f64,
 }
 
-/// The switch race on DGX-2 slices of 2–16 GPUs, each blocked (GPUs
+/// The switch lowering on DGX-2 slices of 2–16 GPUs, each blocked (GPUs
 /// `0..n`) and, below 16, strided (GPU `⌊16·i/n⌋` for `i < n`), for
 /// AllReduce, AllGather, ReduceScatter and Broadcast from 1 KB to 1 GiB in
-/// powers of four. Every switch slice of one size is one lowering shape, so
-/// a strided slice takes its blocked twin's lowering from the plan store
-/// and reports its time.
+/// powers of four: the rootless kinds' rows are chosen by kind, the
+/// Broadcast rows by the race. Every switch slice of one size is one
+/// lowering shape, so a strided slice takes its blocked twin's lowering
+/// from the plan store and reports its time.
 pub fn dgx2_race_sweep() -> Vec<Dgx2RaceRow> {
     let machine = dgx2();
     let mut rows = Vec::new();

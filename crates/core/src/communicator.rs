@@ -41,9 +41,10 @@
 //! computed once when the communicator is built, and a replan builds it
 //! anew, so a replanned communicator shares the fingerprint of a fresh one
 //! over the changed machine. A communicator keeps no call
-//! history that could pick what it lowers: on a switch fabric the first
-//! lowering of a key races the strategies and stores the winner, and every
-//! later lookup of the key, from this communicator or a fresh one, takes it.
+//! history that could pick what it lowers: on a switch fabric a rootless
+//! kind always takes the pairwise exchange, and the first lowering of a
+//! rooted key races two strategies and stores the winner, which every later
+//! lookup of the key, from this communicator or a fresh one, takes.
 //! [`Communicator::run_traced`], [`Communicator::run_streamed`] and
 //! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
 //! simulate on a scratch checked out of the process's pool for one run. A
@@ -82,7 +83,7 @@ use crate::collective::{CollectiveKind, CollectiveReport};
 use crate::fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 use crate::hybrid::HybridPlanner;
 use crate::multiserver::three_phase_allreduce_cached;
-use crate::onehop::{is_switch_fabric, one_hop_program};
+use crate::onehop::one_hop_program;
 use crate::store::{
     global_plan_cache, rank_fingerprint_and_order, Lowering, LoweringKey, Renaming, SharedPlanCache,
 };
@@ -219,9 +220,10 @@ pub struct ReplanReport {
     pub shed_gpus: Vec<GpuId>,
     /// The root the re-planned sweep picked for rootless collectives.
     pub root: GpuId,
-    /// The picked root's packing rate (GB/s); 0 when the communicator's
-    /// strategy does not use packed trees (switch fabric, multi-server,
-    /// single GPU).
+    /// The rate (GB/s) of the trees rootless collectives run over: the
+    /// picked root's packing rate, or on a switch fabric the one-hop trees'
+    /// aggregate weight, the GPUs' injection cap. 0 on several servers, one
+    /// GPU, or a slice NVLink spans from no root.
     pub rate_gbps: f64,
     /// GPUs in the allocation after the delta.
     pub num_gpus: usize,
@@ -850,15 +852,6 @@ impl Communicator {
         Ok(plan)
     }
 
-    /// Whether rootless collectives run over per-root packed trees and a
-    /// picked root: a multi-GPU allocation on one server that is not a
-    /// switch fabric.
-    fn packs_per_root(&self) -> bool {
-        self.allocation.len() >= 2
-            && !self.is_multi_server()
-            && !is_switch_fabric(self.sim.topology(), &self.allocation)
-    }
-
     fn codegen_options(&self) -> CodeGenOptions {
         CodeGenOptions {
             chunk_bytes: self.options.chunk_bytes,
@@ -1044,7 +1037,11 @@ impl Communicator {
         let unchanged = comm.allocation == self.allocation
             && comm.shape.plan_fp == self.shape.plan_fp
             && TopologyDelta::between(self.sim.topology(), comm.sim.topology()).is_empty();
-        let packed_path = comm.packs_per_root();
+        // rootless collectives run over per-root packed trees and a picked
+        // root on a multi-GPU allocation on one server that is not a switch
+        let switch_cap = comm.sim.topology().switch_fabric_cap(&comm.allocation);
+        let packed_path =
+            comm.allocation.len() >= 2 && !comm.is_multi_server() && switch_cap.is_none();
         let sweep = if packed_path {
             comm.root_sweep()
         } else {
@@ -1064,7 +1061,7 @@ impl Communicator {
             degradation,
             shed_gpus,
             root: sweep.root,
-            rate_gbps: sweep.rate_gbps,
+            rate_gbps: switch_cap.unwrap_or(sweep.rate_gbps),
             num_gpus: comm.allocation.len(),
         };
         comm.shape.picked = Some((sweep.root, sweep.plan));
@@ -1122,12 +1119,12 @@ impl Communicator {
             return self.compile((program, info.partitions, strategy));
         }
 
-        let cg = CodeGen::new(self.codegen_options());
-
-        // ---- switch fabrics (DGX-2): one-hop vs packed competition ----
-        if is_switch_fabric(self.sim.topology(), &self.allocation) {
-            return self.build_switch_program(kind, bytes);
+        // ---- switch fabrics (DGX-2): one-hop, raced for a rooted kind ----
+        if let Some(cap) = self.sim.topology().switch_fabric_cap(&self.allocation) {
+            return self.build_switch_program(cap, kind, bytes);
         }
+
+        let cg = CodeGen::new(self.codegen_options());
 
         // ---- single DGX-1-style server: packed spanning trees ----
         let root = match kind.root() {
@@ -1177,31 +1174,35 @@ impl Communicator {
         self.compile((program, n, strategy))
     }
 
-    /// Lowers a collective on an all-to-all switch fabric (NVSwitch): one-hop
-    /// trees and TreeGen's packed spanning trees over the induced switch
-    /// graph are *both* candidate strategies: every fresh lowering builds
-    /// and compiles both, runs each form alone once and keeps the faster.
-    /// The induced switch graph is complete and uniform, so a packed plan
-    /// from its smallest GPU (every rootless collective on a
-    /// sorted allocation) is TreeGen's closed form — the `n − 1` relay trees
-    /// ([`crate::onehop::relay_trees`]) MWU packing plus minimisation would
-    /// return, without running either; other roots still pack through the
-    /// MWU.
-    /// One-hop is no longer a forced short-circuit — partial DGX-2
-    /// allocations plan packed trees exactly like any other induced subgraph
-    /// and win whenever their realised rate is higher (rooted collectives on
-    /// fragments, where a one-hop root re-injects the payload once per leaf
-    /// against its injection cap). If packed planning fails, one-hop wins by
-    /// default.
+    /// Lowers a collective on an all-to-all switch fabric (NVSwitch) whose
+    /// GPUs inject at `cap`. A rootless kind runs the one-hop trees as a
+    /// pairwise exchange ([`one_hop_program`]), which moves the fewest bytes
+    /// per switch port, and its first run memoises its total. A rooted kind
+    /// races its one-hop star tree against TreeGen's packed spanning trees
+    /// over the induced switch graph: the fresh lowering builds and compiles
+    /// both, runs each form alone once and keeps the faster. Packed trees
+    /// win on fragments, where a one-hop root re-injects the payload once
+    /// per leaf against its injection cap; if packed planning fails,
+    /// one-hop wins by default.
     ///
     /// The race is decided per lowering key: the lowering tier stores the
     /// winner, whose strategy tag records which side won, so every later
-    /// lookup of the key takes it and races nothing. The winner's form is
-    /// the lowering's, and its run's total the lowering's memoised total, so
-    /// the first [`Communicator::run`] simulates nothing more.
-    fn build_switch_program(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Built> {
-        let mut one_hop = self.compile(self.one_hop_candidate(kind, bytes)?)?;
-        let Ok(packed) = self.packed_switch_candidate(kind, bytes) else {
+    /// lookup of the key takes it and races nothing. The winner's run's
+    /// total is the lowering's memoised total, so the first
+    /// [`Communicator::run`] simulates nothing more.
+    fn build_switch_program(
+        &mut self,
+        cap: f64,
+        kind: CollectiveKind,
+        bytes: u64,
+    ) -> Result<Built> {
+        let cg = CodeGen::new(self.codegen_options());
+        let (program, trees) = one_hop_program(&cg, &self.allocation, cap, kind, bytes)?;
+        let mut one_hop = self.compile((program, trees, "one-hop switch trees".to_string()))?;
+        let packed = kind
+            .root()
+            .map(|root| self.packed_switch_candidate(root, kind, bytes));
+        let Some(Ok(packed)) = packed else {
             return Ok(one_hop);
         };
         let mut packed = self.compile(packed)?;
@@ -1216,29 +1217,17 @@ impl Communicator {
         }
     }
 
-    /// The one-hop switch-fabric candidate: star trees through the switch
-    /// (the paper's DGX-2 strategy), a rootless kind's as a pairwise
-    /// exchange ([`one_hop_program`]).
-    fn one_hop_candidate(&self, kind: CollectiveKind, bytes: u64) -> Result<Candidate> {
-        // `is_switch_fabric` admits only allocations whose every GPU declares
-        // a fabric cap, so this error is never returned
-        let first = self.allocation[0];
-        let cap = self.sim.topology().gpu_cap(first).ok_or_else(|| {
-            BlinkError::Planning(format!("switch-fabric GPU {first} declares no cap"))
-        })?;
-        let cg = CodeGen::new(self.codegen_options());
-        let (program, trees) = one_hop_program(&cg, &self.allocation, cap, kind, bytes)?;
-        Ok((program, trees, "one-hop switch trees".to_string()))
-    }
-
-    /// The packed switch-fabric candidate: TreeGen's spanning trees over the
-    /// induced switch graph, the closed-form relay trees when the root is
-    /// the allocation's smallest GPU and MWU packing plus minimisation
+    /// The packed switch-fabric candidate of a rooted `kind`: TreeGen's
+    /// spanning trees from `root` over the induced switch graph, the
+    /// closed-form relay trees ([`crate::onehop::relay_trees`]) when `root`
+    /// is the allocation's smallest GPU and MWU packing plus minimisation
     /// otherwise.
-    fn packed_switch_candidate(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Candidate> {
-        // Any root spans a switch fabric and the graph is symmetric, so
-        // rootless collectives skip the root sweep.
-        let root = kind.root().unwrap_or(self.allocation[0]);
+    fn packed_switch_candidate(
+        &mut self,
+        root: GpuId,
+        kind: CollectiveKind,
+        bytes: u64,
+    ) -> Result<Candidate> {
         let plan = self.plan(LinkSelection::NvLinkOnly, root)?;
         let program = CodeGen::new(self.codegen_options()).build(&plan.trees, kind, bytes)?;
         let strategy = "packed spanning trees (NVLink switch fabric)".to_string();
@@ -1659,7 +1648,7 @@ mod tests {
         // A fragmented 5-GPU NVSwitch allocation. Broadcast under one-hop
         // re-injects (m−1)× the payload through the root's single port, so
         // packed spanning trees (aggregate (m−1)·b) must win; AllReduce
-        // spreads one-hop roots over every member and keeps its edge.
+        // takes the pairwise exchange over every member's one-hop tree.
         let alloc: Vec<GpuId> = [1, 4, 9, 12, 14].into_iter().map(GpuId).collect();
         let mut comm = Communicator::builder(dgx2())
             .allocation(&alloc)
@@ -1686,12 +1675,12 @@ mod tests {
     }
 
     #[test]
-    fn a_raced_dgx2_first_call_is_served_the_winners_memoised_total() {
-        // the race runs each candidate's form once and keeps the winner's
-        // total in the lowering, so neither the first call nor a repeat
-        // simulates anything more; the total is what a fresh simulation of
-        // the winner's program gives, and a traced run of it passes the
-        // oracle
+    fn a_dgx2_repeat_is_served_the_first_calls_memoised_total() {
+        // a rooted kind races: each candidate's form runs once and the
+        // winner's total stays in the lowering; a rootless kind reads no
+        // plan and simulates once, on its first run. Either way a repeat
+        // simulates nothing more; the total is what a fresh simulation of
+        // the program gives, and a traced run of it passes the oracle
         let options = CommunicatorOptions {
             chunk_bytes: 4 << 20,
             ..Default::default()
@@ -1699,14 +1688,15 @@ mod tests {
         let full: Vec<GpuId> = (0..16).map(GpuId).collect();
         let fragment: Vec<GpuId> = [1, 4, 9, 12, 14].into_iter().map(GpuId).collect();
         let cases = [
-            (full, CollectiveKind::AllReduce, "one-hop switch trees"),
+            (full, CollectiveKind::AllReduce, "one-hop switch trees", 1),
             (
                 fragment,
                 CollectiveKind::Broadcast { root: GpuId(4) },
                 "packed spanning trees (NVLink switch fabric)",
+                2,
             ),
         ];
-        for (alloc, kind, winner) in cases {
+        for (alloc, kind, winner, runs) in cases {
             let bytes = mb(256);
             let mut comm = Communicator::builder(dgx2())
                 .allocation(&alloc)
@@ -1717,9 +1707,13 @@ mod tests {
             let first = comm.run(kind, bytes).unwrap();
             assert_eq!(first.strategy, winner, "{alloc:?}");
             let store = comm.plan_store().clone();
-            assert_eq!(store.engine_runs(), 2, "the race ran each candidate once");
+            assert_eq!(store.engine_runs(), runs, "{alloc:?}: the first call");
+            if kind.root().is_none() {
+                assert_eq!(store.len(), 0, "a rootless switch lowering packs nothing");
+                assert_eq!(store.stats(), (0, 0), "and reads no plan");
+            }
             let second = comm.run(kind, bytes).unwrap();
-            assert_eq!(store.engine_runs(), 2, "the repeat is served the memo");
+            assert_eq!(store.engine_runs(), runs, "the repeat is served the memo");
             assert_eq!(first.elapsed_us.to_bits(), second.elapsed_us.to_bits());
             let (traced, program, spans) = comm.run_traced(kind, bytes).unwrap();
             assert_eq!(first.elapsed_us.to_bits(), traced.elapsed_us.to_bits());

@@ -76,17 +76,16 @@
 //! process-wide [`global_plan_cache`] by default, an explicit one, or a
 //! private one for isolation. A communicator spans any induced subgraph of its machine — fragmented
 //! DGX-1 quads and *partially allocated* DGX-2 NVSwitch fabrics plan the
-//! same way. On all-to-all switch fabrics there is no hard-wired strategy:
-//! the first lowering of each `(kind, bytes, chunk)` key builds **both**
-//! candidates — the paper's one-hop broadcast trees and TreeGen's packed
-//! spanning trees over the induced switch graph (in closed form from the
-//! smallest GPU, see [`onehop::relay_trees`]) — simulates each once, and
-//! stores whichever finishes first in the plan store's lowering tier (the
-//! packed certificate `(m−1)·b` beats one-hop's `b` on fragments where the
-//! root's re-injection is the bottleneck, while one-hop keeps its latency
-//! edge where aggregate rates tie). Every later lookup of the key takes
-//! that winner, from any communicator of the shape, so what a call runs
-//! never depends on the calls before it.
+//! same way. On all-to-all switch fabrics a rootless kind runs the paper's
+//! one-hop trees as a pairwise exchange. The first lowering of a rooted
+//! `(kind, bytes, chunk)` key builds both its one-hop star tree and
+//! TreeGen's packed spanning trees over the induced switch graph (in closed
+//! form from the smallest GPU, see [`onehop::relay_trees`]), simulates each
+//! once and stores whichever finishes first in the plan store's lowering
+//! tier: on fragments the packed certificate `(m−1)·b` beats a one-hop
+//! root's re-injected `b`. Every later lookup of the key takes that winner,
+//! from any communicator of the shape, so what a call runs never depends
+//! on the calls before it.
 //!
 //! [`Communicator::split`] partitions an allocation with a
 //! [`blink_topology::GroupSplit`] (by server / by stride / explicit sets)

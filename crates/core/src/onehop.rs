@@ -10,10 +10,11 @@
 //!
 //! ## Closed-form packed plans
 //!
-//! The packed candidate on a switch fabric needs no search either. Its
-//! planning graph is a *complete uniform* digraph — one edge per ordered GPU
-//! pair, every edge of capacity `c` ([`complete_uniform_capacity`]); so are
-//! DGX-1P NVLink quads and PCIe graphs within one CPU complex. Every
+//! A rooted kind's packed candidate on a switch fabric needs no search
+//! either. Its planning graph is a *complete uniform* digraph — one edge
+//! per ordered GPU pair, every edge of capacity `c`
+//! ([`complete_uniform_capacity`]); so are DGX-1P NVLink quads and PCIe
+//! graphs within one CPU complex. Every
 //! non-root GPU's in-cut there is `(n − 1)·c`, the broadcast certificate,
 //! and the `n − 1` relay trees ([`relay_trees`]) reach it: tree `v` sends
 //! `root → v`, and `v` relays to every other GPU, so each edge carries at
@@ -28,10 +29,11 @@
 //!
 //! ## The pairwise exchange
 //!
-//! [`one_hop_program`] is the one-hop candidate the communicator races on a
-//! switch fabric. A rooted kind runs its one star tree as CodeGen emits it.
-//! A rootless kind (AllReduce, AllGather, ReduceScatter) runs CodeGen's
-//! program over the `n` one-hop trees, re-issued as a pairwise exchange:
+//! [`one_hop_program`] is the communicator's one-hop lowering on a switch
+//! fabric. A rooted kind runs its one star tree as CodeGen emits it, raced
+//! against packed trees. A rootless kind (AllReduce, AllGather,
+//! ReduceScatter) always runs CodeGen's program over the `n` one-hop trees,
+//! re-issued as a pairwise exchange:
 //!
 //! * every GPU issues all its copies on one stream, those toward the roots
 //!   (reduce-up or gather) and, as a root, those back out (broadcast or
@@ -65,7 +67,7 @@ use crate::collective::CollectiveKind;
 use crate::{BlinkError, Result};
 use blink_graph::{Arborescence, DiGraph, WeightedTree};
 use blink_sim::{OpId, OpKind, Program, ProgramBuilder, StreamId};
-use blink_topology::{GpuId, Topology};
+use blink_topology::GpuId;
 
 /// The one-hop lowering of `kind` on the switch-fabric allocation `gpus`,
 /// whose GPUs inject at `cap`, with the number of trees it runs over: a
@@ -242,22 +244,12 @@ pub fn one_hop_broadcast_tree(gpus: &[GpuId], root: GpuId, weight: f64) -> Weigh
     }
 }
 
-/// Whether an allocation on `topology` behaves like a switch fabric: every
-/// pair of allocated GPUs is NVLink-connected and every GPU declares a fabric
-/// injection cap.
-pub fn is_switch_fabric(topology: &Topology, gpus: &[GpuId]) -> bool {
-    gpus.len() >= 2
-        && gpus.iter().all(|&g| topology.gpu_cap(g).is_some())
-        && gpus
-            .iter()
-            .all(|&a| gpus.iter().all(|&b| a == b || topology.has_nvlink(a, b)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codegen::CodeGenOptions;
-    use blink_topology::presets::{dgx1v, dgx2};
+    use blink_sim::Simulator;
+    use blink_topology::presets::dgx2;
 
     /// Each GPU's copies in stream order, as (toward a root, shift), after
     /// checking that the GPU issues them on one stream of its own and its
@@ -345,6 +337,43 @@ mod tests {
     }
 
     #[test]
+    fn packed_relay_trees_never_beat_the_pairwise_exchange_for_a_rootless_kind() {
+        // A rootless kind on a switch fabric lowers straight to the pairwise
+        // exchange; the packed candidate it no longer races, TreeGen's
+        // closed-form relay trees from the smallest GPU, must be no faster
+        // anywhere. An 11-GPU AllReduce at 1 GiB is the closest case.
+        let machine = dgx2();
+        let sim = Simulator::with_defaults(machine.clone());
+        let cg = CodeGen::new(CodeGenOptions::default());
+        let total = |program: &Program| sim.run(program).unwrap().total_us;
+        for n in [2, 3, 11, 16] {
+            let gpus: Vec<GpuId> = (0..n).map(GpuId).collect();
+            let cap = machine.switch_fabric_cap(&gpus).unwrap();
+            let relay = relay_trees(
+                &gpus,
+                gpus[0],
+                machine.nvlink_capacity_between(gpus[0], gpus[1]),
+            );
+            for kind in [
+                CollectiveKind::AllReduce,
+                CollectiveKind::AllGather,
+                CollectiveKind::ReduceScatter,
+            ] {
+                for bytes in [1 << 10, 64 << 20, 1 << 30] {
+                    let (exchange, _) = one_hop_program(&cg, &gpus, cap, kind, bytes).unwrap();
+                    let exchange_us = total(&exchange);
+                    let packed_us = total(&cg.build(&relay, kind, bytes).unwrap());
+                    // the race kept one-hop unless packed was faster by 1e-9
+                    assert!(
+                        exchange_us <= packed_us + 1e-9,
+                        "{kind} over {n} GPUs, {bytes} B: exchange {exchange_us} µs, packed {packed_us} µs"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn one_hop_trees_have_depth_one_and_distinct_roots() {
         let gpus: Vec<GpuId> = (0..16).map(GpuId).collect();
         let trees = one_hop_trees(&gpus, 138.0 / 16.0);
@@ -365,18 +394,5 @@ mod tests {
         assert_eq!(t.tree.root, GpuId(5));
         assert_eq!(t.tree.depth(), 1);
         assert_eq!(t.tree.edges.len(), 15);
-    }
-
-    #[test]
-    fn switch_fabric_detection() {
-        let dgx2 = dgx2();
-        let all16: Vec<GpuId> = (0..16).map(GpuId).collect();
-        assert!(is_switch_fabric(&dgx2, &all16));
-        assert!(is_switch_fabric(&dgx2, &[GpuId(0), GpuId(9), GpuId(15)]));
-        let dgx1 = dgx1v();
-        let quad: Vec<GpuId> = (0..4).map(GpuId).collect();
-        // fully NVLink-connected, but no per-GPU fabric cap -> not a switch
-        assert!(!is_switch_fabric(&dgx1, &quad));
-        assert!(!is_switch_fabric(&dgx2, &[GpuId(3)]));
     }
 }

@@ -64,12 +64,11 @@
 //! communicator's lowering fingerprint — its rank fingerprint, its
 //! allocation order by rank and whether it lowers hybrid transfers,
 //! computed once per communicator — plus `(kind, bytes, chunk)`.
-//! On a switch fabric the first lowering of a key races one-hop against
-//! packed trees and stores the winner, whose strategy tag says which side
-//! won, so every later lookup takes it, from any communicator. Like the plan
-//! tier's, the key names GPUs by rank, so one slice shape in one order is
-//! one key on every server of a fleet; a slice whose ids do not ascend
-//! keeps id keys. An entry holds the program's engine compiled form
+//! On a switch fabric the first lowering of a rooted key races one-hop
+//! against packed trees and stores the winner, so every later lookup takes
+//! it, from any communicator. Like the plan tier's, the key names GPUs by
+//! rank, so one slice shape in one order is one key on every server of a
+//! fleet; a slice whose ids do not ascend keeps id keys. An entry holds the program's engine compiled form
 //! ([`blink_sim::CompiledProgram`], which holds the shared `Arc<Program>`)
 //! over the GPUs of the communicator that lowered it (its labels), the tree
 //! count and the strategy tag. It holds no plans: a later fresh lowering on
@@ -102,7 +101,7 @@
 //! Run alone from time 0, a fitting form's total is a pure function of what
 //! the form read, and `fits` compares every one of those reads. So the
 //! entry also keeps that total, set by the first run of the form — the
-//! fresh lowering's own first [`crate::Communicator::run`], or the
+//! fresh lowering's own first [`crate::Communicator::run`], or the rooted
 //! switch-fabric race that picked it — and every later `run` whose form
 //! fits, the entry's first hit included, is served the total without
 //! touching the engine. A lowering made for a stream or a process group
@@ -501,7 +500,7 @@ impl Default for Tiers {
 /// rooted kind's root named by its position in the communicator's
 /// allocation (`GpuId(i)` for its `i`-th GPU), not by id — and the chunk
 /// size. Nothing of a communicator's call history enters it: an entry is
-/// what the first lowering of the key made, a switch fabric's strategy race
+/// what the first lowering of the key made, a switch fabric's rooted race
 /// included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct LoweringKey {
@@ -526,9 +525,9 @@ pub(crate) struct Lowering {
     pub(crate) dense: Vec<usize>,
     /// The total time of the form run alone from time 0 on a simulator it
     /// [fits](CompiledProgram::fits), set by the first such run (or by the
-    /// switch-fabric race that picked it). A fitting form reads nothing of
-    /// the simulator but what `fits` compares, so the total is the same on
-    /// every simulator the form fits.
+    /// rooted switch-fabric race that picked it). A fitting form reads
+    /// nothing of the simulator but what `fits` compares, so the total is
+    /// the same on every simulator the form fits.
     pub(crate) total_us: OnceLock<f64>,
     /// Spanning trees (or partitions) the lowering used.
     pub(crate) num_trees: usize,
@@ -698,10 +697,10 @@ impl SharedPlanCache {
     /// Engine runs the store's communicators executed since creation: each
     /// [`crate::Communicator::run`] or [`crate::Communicator::run_traced`]
     /// that simulated its program, and each strategy a switch fabric's
-    /// fresh lowering of a key raced. A run served a stored lowering's
-    /// memoised total adds none, so a lowering that is only `run` where its
-    /// form fits simulates once in its entry's life: on its fresh lowering,
-    /// or in the race. Compiling a form runs no engine, and streams,
+    /// fresh lowering of a rooted key raced. A run served a stored
+    /// lowering's memoised total adds none, so a lowering that is only `run`
+    /// where its form fits simulates once in its entry's life: on its first
+    /// run, or in the race. Compiling a form runs no engine, and streams,
     /// sessions and process groups are not counted.
     pub fn engine_runs(&self) -> u64 {
         self.lock().engine_runs

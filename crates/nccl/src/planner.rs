@@ -176,15 +176,6 @@ impl NcclPlanner {
         }
     }
 
-    /// Whether every GPU pair in the allocation is NVLink-connected (a switch
-    /// fabric such as the DGX-2, where NCCL's tree/ring protocol switch
-    /// applies).
-    fn is_switch_fabric(&self, sub: &Topology, gpus: &[GpuId]) -> bool {
-        gpus.iter()
-            .all(|&a| gpus.iter().all(|&b| a == b || sub.has_nvlink(a, b)))
-            && gpus.iter().all(|&g| self.topology.gpu_cap(g).is_some())
-    }
-
     /// Plans the channels NCCL would use for a collective over `allocation`
     /// moving `bytes` bytes.
     ///
@@ -207,7 +198,7 @@ impl NcclPlanner {
         let lane = Self::lane_gbps(&nvlink);
         let pcie = self.pcie_gbps(&sub, allocation);
 
-        if self.is_switch_fabric(&sub, allocation) && bytes < TREE_THRESHOLD_BYTES {
+        if sub.switch_fabric_cap(allocation).is_some() && bytes < TREE_THRESHOLD_BYTES {
             let dbt = double_binary_tree(allocation);
             return Ok(NcclPlan {
                 gpus: allocation.to_vec(),

@@ -295,6 +295,18 @@ impl Topology {
         self.links_between(src, dst).any(|l| l.kind.is_nvlink())
     }
 
+    /// The injection cap of `gpus[0]` when `gpus` behave like a switch
+    /// fabric — at least two GPUs, every pair NVLink-connected, every GPU
+    /// declaring a fabric injection cap — and `None` otherwise.
+    pub fn switch_fabric_cap(&self, gpus: &[GpuId]) -> Option<f64> {
+        let connected = gpus
+            .iter()
+            .all(|&a| gpus.iter().all(|&b| a == b || self.has_nvlink(a, b)));
+        let capped = gpus.iter().all(|&g| self.gpu_cap(g).is_some());
+        let cap = self.gpu_cap(*gpus.first()?);
+        cap.filter(|_| gpus.len() >= 2 && connected && capped)
+    }
+
     /// Out-neighbours of `src` (deduplicated, sorted).
     pub fn neighbors(&self, src: GpuId) -> Vec<GpuId> {
         let mut set: BTreeSet<GpuId> = BTreeSet::new();
@@ -545,6 +557,25 @@ mod tests {
             .unwrap();
         t.add_duplex(GpuId(0), GpuId(2), LinkKind::Pcie, 1).unwrap();
         t
+    }
+
+    #[test]
+    fn switch_fabric_detection() {
+        use crate::presets::{dgx1v, dgx2, DGX2_GPU_INJECTION_GBPS};
+        let dgx2 = dgx2();
+        let all16: Vec<GpuId> = (0..16).map(GpuId).collect();
+        let cap = Some(DGX2_GPU_INJECTION_GBPS);
+        assert_eq!(dgx2.switch_fabric_cap(&all16), cap);
+        assert_eq!(
+            dgx2.switch_fabric_cap(&[GpuId(0), GpuId(9), GpuId(15)]),
+            cap
+        );
+        let dgx1 = dgx1v();
+        let quad: Vec<GpuId> = (0..4).map(GpuId).collect();
+        // fully NVLink-connected, but no per-GPU fabric cap -> not a switch
+        assert_eq!(dgx1.switch_fabric_cap(&quad), None);
+        assert_eq!(dgx2.switch_fabric_cap(&[GpuId(3)]), None);
+        assert_eq!(dgx2.switch_fabric_cap(&[]), None);
     }
 
     #[test]

@@ -22,7 +22,9 @@ use blink_core::{
     TreeGen, TreeGenOptions,
 };
 use blink_sim::{check_collective, OpId, OpKind, Program, ProgramBuilder, Segment, Simulator};
-use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
+use blink_topology::presets::{
+    dgx1p, dgx1v, dgx2, multi_server, ServerKind, DGX2_GPU_INJECTION_GBPS,
+};
 use blink_topology::{GpuId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,9 +108,8 @@ fn one_hop_switch_trees_conform_on_dgx2() {
     }
 }
 
-/// The one-hop candidate of every rootless kind — the pairwise exchange
-/// the switch race runs whichever side wins — on a 12-GPU slice and the
-/// whole DGX-2, from one small chunk per tree to many, and at an unaligned
+/// The pairwise exchange every rootless kind lowers to on a switch fabric,
+/// on a 12-GPU slice and the whole DGX-2, from one small chunk per tree to many, and at an unaligned
 /// size (on 16 GPUs its last tree takes one more chunk than the others).
 #[test]
 fn pairwise_one_hop_exchanges_conform_on_dgx2() {
@@ -685,7 +686,13 @@ fn replanned_communicators_conform_across_failure_scenarios() {
             .unwrap();
         // Plan and run once pre-failure, exactly as a live job would.
         comm.all_reduce(mb(1)).unwrap();
-        comm.replan(&delta).unwrap();
+        let replan = comm.replan(&delta).unwrap();
+        // every survivor slice is a single-server NVLink one, whose trees
+        // carry a rate; a switch fabric's one-hop trees carry the GPUs' cap
+        assert!(replan.rate_gbps > 0.0, "{label}: {replan:?}");
+        if label.starts_with("dgx2") {
+            assert_eq!(replan.rate_gbps, DGX2_GPU_INJECTION_GBPS, "{label}");
+        }
         for kind in all_kinds(GpuId(0)) {
             let (report, check) = comm.run_checked(kind, mb(4) + 13).unwrap();
             assert!(
