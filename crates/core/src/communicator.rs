@@ -45,18 +45,18 @@
 //! kind always takes the pairwise exchange, and the first lowering of a
 //! rooted key races two strategies and stores the winner, which every later
 //! lookup of the key, from this communicator or a fresh one, takes.
-//! [`Communicator::run_traced`], [`Communicator::run_streamed`] and
-//! [`crate::ProcessGroups::run_concurrent`] all lower through the tier, and
-//! simulate on a scratch checked out of the process's pool for one run. A
-//! fresh lowering compiles its program into the engine's form on the
-//! communicator's simulator, and the form is part of the stored lowering;
-//! every call runs that form where it runs here, so a repeated step, or the
-//! same job shape on another server, skips validating and resolving its
-//! programs. [`Communicator::run`] reads only the run's total time, so the
-//! engine builds no per-op spans or per-link accounting for it; where the
-//! stored form runs here and a run already simulated it, `run` takes the
-//! total the tier memoised beside the form and runs no engine at all. A hit
-//! reads no plans; a later fresh lowering looks its plans up in the store.
+//! [`Communicator::run_traced`] and [`Communicator::run_streamed`] both
+//! lower through the tier, and simulate on a scratch checked out of the
+//! process's pool for one run. A fresh lowering compiles its program into
+//! the engine's form on the communicator's simulator, and the form is part
+//! of the stored lowering; every call runs that form where it runs here, so
+//! a repeated step, or the same job shape on another server, skips
+//! validating and resolving its programs. [`Communicator::run`] reads only
+//! the run's total time, so the engine builds no per-op spans or per-link
+//! accounting for it; where the stored form runs here and a run already
+//! simulated it, `run` takes the total the tier memoised beside the form and
+//! runs no engine at all. A hit reads no plans; a later fresh lowering looks
+//! its plans up in the store.
 //!
 //! # Building one
 //!
@@ -75,8 +75,7 @@
 //! resource numbers and dense GPU indices change, the latter to positions
 //! within the slice, so a stored compiled form runs for the same slice
 //! shape on any machine. The machine model is kept beside the simulator
-//! for [`Communicator::machine_topology`], replans and process-group
-//! splits.
+//! for [`Communicator::machine_topology`] and replans.
 
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::{CollectiveKind, CollectiveReport};
@@ -94,7 +93,7 @@ use blink_sim::{
     algorithmic_bandwidth_gbps, check_collective, CompiledProgram, Program, Simulator, ValueCheck,
 };
 use blink_topology::presets::{placement_topology, ServerKind};
-use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta, TopologyError};
+use blink_topology::{GpuId, Topology, TopologyDelta, TopologyError};
 use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
@@ -250,8 +249,8 @@ type Built = (CompiledProgram, usize, String, Option<f64>);
 /// A lowering as one communicator runs it: the lowering tier's entry and,
 /// once a caller read it, its program over the communicator's GPUs.
 #[derive(Debug)]
-pub(crate) struct Lowered {
-    pub(crate) entry: Arc<Lowering>,
+struct Lowered {
+    entry: Arc<Lowering>,
     /// The renamed program, once a caller read it.
     program: OnceCell<Arc<Program>>,
 }
@@ -269,7 +268,7 @@ impl Lowered {
     /// otherwise its renaming position by position from the entry's labels
     /// (the same slice shape in the same order, since the lowering key
     /// says so), made on the first call.
-    pub(crate) fn program(&self, allocation: &[GpuId]) -> Arc<Program> {
+    fn program(&self, allocation: &[GpuId]) -> Arc<Program> {
         let program = self.entry.form.program();
         if self.entry.labels == allocation {
             return program.clone();
@@ -510,31 +509,9 @@ impl Communicator {
         &self.options
     }
 
-    /// The plan store this communicator looks misses up in and publishes
-    /// packs to.
-    pub(crate) fn plan_store(&self) -> &SharedPlanCache {
-        &self.store
-    }
-
     /// Whether the allocation spans more than one server.
     pub fn is_multi_server(&self) -> bool {
         self.sim.topology().servers().len() > 1
-    }
-
-    /// Splits this communicator into nested process-group subgroups (one
-    /// child communicator per part of `split`), whose induced topologies
-    /// share this machine's links. Children plan and lower through the
-    /// parent's plan store like any communicator on it, and
-    /// [`crate::ProcessGroups::run_concurrent`] executes one collective per
-    /// subgroup inside a single simulator session, contending for the shared
-    /// links. The parent communicator is not consumed and remains
-    /// usable.
-    ///
-    /// # Errors
-    /// Propagates invalid splits ([`GroupSplit::partition`]) and child
-    /// construction failures.
-    pub fn split(&self, split: &GroupSplit) -> Result<crate::group::ProcessGroups> {
-        crate::group::ProcessGroups::split_from(self, split)
     }
 
     /// One-to-all broadcast from `root`.
@@ -784,7 +761,7 @@ impl Communicator {
     /// lowered it), a miss lowers afresh, compiles the program on this
     /// communicator's simulator and publishes the result. Failed lowerings
     /// are not stored.
-    pub(crate) fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Lowered> {
+    fn lower(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Lowered> {
         // the key names a rooted collective's root by its position in the
         // allocation, so one shape's rooted collectives from one position
         // share an entry on every server
@@ -822,7 +799,7 @@ impl Communicator {
     ///
     /// # Errors
     /// A root outside the allocation, whatever the call's size.
-    pub(crate) fn root_position(&self, kind: CollectiveKind) -> Result<Option<usize>> {
+    fn root_position(&self, kind: CollectiveKind) -> Result<Option<usize>> {
         let Some(root) = kind.root() else {
             return Ok(None);
         };
@@ -1236,7 +1213,7 @@ impl Communicator {
 
     /// `lowered`'s compiled form, when it was compiled for GPUs at this
     /// communicator's dense indices (see [`Lowering::form_for`]).
-    pub(crate) fn form_for<'a>(&self, lowered: &'a Lowered) -> Option<&'a Arc<CompiledProgram>> {
+    fn form_for<'a>(&self, lowered: &'a Lowered) -> Option<&'a Arc<CompiledProgram>> {
         lowered.entry.form_for(&self.shape.dense)
     }
 
@@ -1706,7 +1683,7 @@ mod tests {
                 .unwrap();
             let first = comm.run(kind, bytes).unwrap();
             assert_eq!(first.strategy, winner, "{alloc:?}");
-            let store = comm.plan_store().clone();
+            let store = comm.store.clone();
             assert_eq!(store.engine_runs(), runs, "{alloc:?}: the first call");
             if kind.root().is_none() {
                 assert_eq!(store.len(), 0, "a rootless switch lowering packs nothing");
@@ -1788,7 +1765,7 @@ mod tests {
             // a private store sees exactly this communicator's two packs
             // (the hybrid plan's NVLink and PCIe trees) — the second
             // communicator of the loop would hit a shared one
-            let store = comm.plan_store();
+            let store = &comm.store;
             assert_eq!(store.stats(), (0, 2), "flags first: {flags_first}");
         }
     }
@@ -1806,7 +1783,7 @@ mod tests {
                 .unwrap();
             let (report, first, _) = comm.run_traced(CollectiveKind::AllReduce, mb(32)).unwrap();
             assert!(report.strategy.contains("three-phase"), "{report}");
-            let store = comm.plan_store().clone();
+            let store = comm.store.clone();
             // 2 servers x n partitions = 2n plans; both servers hold the same
             // local shape, so n packs serve them and the other n are
             // relabelled
@@ -1903,7 +1880,7 @@ mod tests {
         let (report, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
         assert!(report.strategy.contains("PCIe fallback"), "{report}");
         assert!(check.is_correct(), "{check}");
-        assert_eq!(comm.plan_store().failed_packs(), 1);
+        assert_eq!(comm.store.failed_packs(), 1);
     }
 
     #[test]
@@ -2591,10 +2568,6 @@ mod tests {
             if !comm.is_multi_server() {
                 assert!(comm.run_checked(inside, mb(1)).unwrap().1.is_correct());
             }
-            // process groups lower through the same check
-            let mut groups = comm.split(&GroupSplit::ByStride(1)).unwrap();
-            let err = groups.run_concurrent(&[(CollectiveKind::Broadcast { root }, mb(1))]);
-            assert!(matches!(err, Err(BlinkError::Planning(_))));
         }
     }
 

@@ -63,12 +63,8 @@
 //!   and heals) by building the communicator afresh over the damaged
 //!   machine on the same plan store (`bench_replan` records the latency
 //!   and the roots each replan packs).
-//! * [`group`] — hierarchical process groups: [`Communicator::split`] turns
-//!   one communicator into nested subgroups whose induced topologies share
-//!   the parent's links, executed concurrently through one simulator session
-//!   and value-checked per subgroup.
 //!
-//! # Process groups and strategy selection
+//! # Strategy selection
 //!
 //! Communicators are built through one path, [`CommunicatorBuilder`]
 //! ([`Communicator::builder`], or [`CommunicatorBuilder::from_placement`]
@@ -86,15 +82,6 @@
 //! root's re-injected `b`. Every later lookup of the key takes that winner,
 //! from any communicator of the shape, so what a call runs never depends
 //! on the calls before it.
-//!
-//! [`Communicator::split`] partitions an allocation with a
-//! [`blink_topology::GroupSplit`] (by server / by stride / explicit sets)
-//! into child communicators that run concurrently over the links they share
-//! ([`ProcessGroups::run_concurrent`]). Children plan and lower like any
-//! other communicator on the parent's [`SharedPlanCache`]: a subgroup's
-//! program is the one a private communicator over the same GPUs lowers, so
-//! a split costs nothing beyond its children, and a repeated split takes
-//! every child's lowering from the store.
 //!
 //! # The graceful-degradation ladder
 //!
@@ -144,7 +131,6 @@ pub mod codegen;
 pub mod collective;
 pub mod communicator;
 pub mod fusion;
-pub mod group;
 pub mod hybrid;
 pub mod multiserver;
 pub mod onehop;
@@ -158,7 +144,6 @@ pub use communicator::{
     StreamedGroup, StreamedRun,
 };
 pub use fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
-pub use group::{GroupCollective, GroupRun, ProcessGroups};
 pub use store::{global_plan_cache, plan_fingerprint, SharedPlanCache};
 pub use treegen::{
     LinkSelection, PlannerScratch, ScratchGuard, ScratchPool, TreeGen, TreeGenOptions, TreePlan,

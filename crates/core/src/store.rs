@@ -104,10 +104,10 @@
 //! fresh lowering's own first [`crate::Communicator::run`], or the rooted
 //! switch-fabric race that picked it — and every later `run` whose form
 //! fits, the entry's first hit included, is served the total without
-//! touching the engine. A lowering made for a stream or a process group
-//! has no total until some `run` of its form simulates it. A form that does
-//! not fit, and every run that needs more than the total (traced and
-//! checked runs, streams, sessions and process groups), still simulate
+//! touching the engine. A lowering made for a stream has no total until
+//! some `run` of its form simulates it. A form that does not fit, and every
+//! run that needs more than the total (traced and checked runs, streams and
+//! sessions), still simulate
 //! ([`SharedPlanCache::engine_runs`] counts the runs that did). The form
 //! and its total live and die with their entry: eviction drops them with
 //! the lowering.
@@ -700,8 +700,8 @@ impl SharedPlanCache {
     /// fresh lowering of a rooted key raced. A run served a stored
     /// lowering's memoised total adds none, so a lowering that is only `run`
     /// where its form fits simulates once in its entry's life: on its first
-    /// run, or in the race. Compiling a form runs no engine, and streams,
-    /// sessions and process groups are not counted.
+    /// run, or in the race. Compiling a form runs no engine, and streams
+    /// and sessions are not counted.
     pub fn engine_runs(&self) -> u64 {
         self.lock().engine_runs
     }

@@ -45,7 +45,7 @@
 //!
 //! * Every pack, certificate sweep and simulated run in the process checks
 //!   its buffers out of [`ScratchPool::process`]: no plan store,
-//!   communicator, process group or TreeGen holds a scratch of its own. A
+//!   communicator or TreeGen holds a scratch of its own. A
 //!   communicator on a fresh private store, or a job placed into a fresh
 //!   fleet, therefore starts from buffers earlier work already grew, and a
 //!   job that departs takes none with it.

@@ -199,12 +199,6 @@ impl Arborescence {
         // reachability
         self.bfs_order().len() == verts.len()
     }
-
-    /// The reverse view: every edge flipped. Used for the reduce direction of
-    /// AllReduce (children send *toward* the root).
-    pub fn reversed_edges(&self) -> Vec<(GpuId, GpuId)> {
-        self.edges.iter().map(|&(p, c)| (c, p)).collect()
-    }
 }
 
 /// Marks "no edge" / "no enclosing super-node" in the solver's `u32` tables.
@@ -559,7 +553,6 @@ mod tests {
         assert_eq!(arb.bfs_order()[0], GpuId(0));
         assert!(arb.is_valid_over(&[GpuId(0), GpuId(1), GpuId(2), GpuId(3)]));
         assert!(!arb.is_valid_over(&[GpuId(0), GpuId(1)]));
-        assert_eq!(arb.reversed_edges().len(), 3);
     }
 
     #[test]

@@ -194,21 +194,6 @@ impl TreePacking {
         }
     }
 
-    /// Drops trees whose weight is negligible (below `min_weight` GB/s) and
-    /// renormalises nothing — the remaining rate simply shrinks by the dropped
-    /// amount (which is bounded by `min_weight * num_trees`).
-    pub fn pruned(&self, min_weight: f64) -> TreePacking {
-        TreePacking {
-            root: self.root,
-            trees: self
-                .trees
-                .iter()
-                .filter(|t| t.weight >= min_weight)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Splits `total_bytes` across the trees proportionally to their weights.
     /// The returned vector is parallel to `trees` and sums to `total_bytes`.
     pub fn split_bytes(&self, total_bytes: u64) -> Vec<u64> {
@@ -725,16 +710,5 @@ mod tests {
         let split = packing.split_bytes(total);
         assert_eq!(split.iter().sum::<u64>(), total);
         assert_eq!(split.len(), packing.trees.len());
-    }
-
-    #[test]
-    fn pruning_drops_only_tiny_trees() {
-        let topo = dgx1v();
-        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
-        let (packing, _, _) = pack_nvlink(&topo, &alloc, GpuId(0));
-        let pruned = packing.pruned(0.5);
-        assert!(pruned.num_trees() <= packing.num_trees());
-        assert!(pruned.rate() <= packing.rate() + 1e-9);
-        assert!(pruned.trees.iter().all(|t| t.weight >= 0.5));
     }
 }

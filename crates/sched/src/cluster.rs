@@ -24,11 +24,6 @@ impl Placement {
     pub fn is_fragmented(&self) -> bool {
         self.slices.len() > 1
     }
-
-    /// Per-server allocation sizes (the quantity Figure 3 histograms).
-    pub fn per_server_sizes(&self) -> Vec<usize> {
-        self.slices.iter().map(|(_, g)| g.len()).collect()
-    }
 }
 
 #[derive(Debug, PartialEq)]
@@ -572,7 +567,8 @@ mod tests {
         // 4 GPUs with only 2+2 free: fragments across both servers
         let frag = cluster.submit(&job(2, 4, 1.0)).unwrap();
         assert!(frag.is_fragmented());
-        assert_eq!(frag.per_server_sizes(), vec![2, 2]);
+        let sizes: Vec<usize> = frag.slices.iter().map(|(_, g)| g.len()).collect();
+        assert_eq!(sizes, vec![2, 2]);
         // nothing to consolidate into while both servers are tight
         assert!(cluster.try_consolidate(2).is_none());
         // job 0 departs, freeing 6 GPUs on server 0

@@ -211,7 +211,7 @@
 //! other way round. That is what lets `blink-core` keep engine scratches in
 //! one pool per process, next to the planning buffers, and hand whichever
 //! is free to whichever communicator runs next, instead of each
-//! communicator (or process group, or plan store) holding one.
+//! communicator (or plan store) holding one.
 //!
 //! A [`CompiledProgram`] is not a buffer. It is immutable once compiled,
 //! owned by whoever keeps it, `Send` and `Sync`, and independent of any
@@ -1506,11 +1506,6 @@ impl Session<'_> {
         self.entries.push((program.into(), issue_us));
         self.compiled.push(Some(compiled));
         self.entries.len() - 1
-    }
-
-    /// Number of admitted programs.
-    pub fn num_programs(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether no program has been admitted yet.

@@ -17,10 +17,7 @@
 //! * enumeration of *unique* allocation-induced topologies up to isomorphism
 //!   ([`enumerate::unique_allocations`]), the paper's Section 5.2 binning:
 //!   53 DGX-1V and 17 DGX-1P classes of 3–8 GPUs, of which the 46 and 14
-//!   whose NVLink graph is connected are the paper's "unique settings",
-//! * process-group splits ([`GroupSplit`]) that partition one job's
-//!   allocation into nested subgroups (by server, by stride, or explicit GPU
-//!   sets) whose induced topologies share the parent's links.
+//!   whose NVLink graph is connected are the paper's "unique settings".
 //!
 //! Blink discovers at start-up which links exist among exactly the GPUs a
 //! scheduler allocated (Section 2.3); here that discovery is
@@ -63,11 +60,9 @@ mod link;
 mod topology;
 
 pub mod enumerate;
-pub mod group;
 pub mod presets;
 
 pub use delta::TopologyDelta;
-pub use group::GroupSplit;
 pub use ids::{GpuId, ServerId};
 pub use link::{Link, LinkKind};
 pub use topology::{GpuInfo, Topology, TopologyError};

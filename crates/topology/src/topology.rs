@@ -264,11 +264,6 @@ impl Topology {
         self.links.iter().filter(move |l| l.src == src)
     }
 
-    /// All directed links entering `dst`.
-    pub fn links_into(&self, dst: GpuId) -> impl Iterator<Item = &Link> {
-        self.links.iter().filter(move |l| l.dst == dst)
-    }
-
     /// All directed links from `src` to `dst` (there may be several classes).
     pub fn links_between(&self, src: GpuId, dst: GpuId) -> impl Iterator<Item = &Link> {
         self.links
@@ -426,22 +421,6 @@ impl Topology {
     pub fn intra_server_only(&self) -> Topology {
         self.filter_links(|l| !l.kind.is_network())
             .with_name(format!("{}-local", self.name))
-    }
-
-    /// A dense capacity matrix (GB/s), indexed by position in [`Topology::gpu_ids`].
-    ///
-    /// Entry `(i, j)` is the total directed capacity from the `i`-th to the
-    /// `j`-th GPU. Handy for debugging.
-    pub fn capacity_matrix(&self) -> Vec<Vec<f64>> {
-        let ids = self.gpu_ids();
-        let index: BTreeMap<GpuId, usize> = ids.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-        let n = ids.len();
-        let mut m = vec![vec![0.0; n]; n];
-        for l in &self.links {
-            let (i, j) = (index[&l.src], index[&l.dst]);
-            m[i][j] += l.capacity_gbps();
-        }
-        m
     }
 
     /// Checks structural invariants: GPU ids are distinct, every link
@@ -684,15 +663,6 @@ mod tests {
         assert_eq!(t.nvlink_only().links().len(), 4);
         assert_eq!(t.pcie_only().links().len(), 2);
         assert_eq!(t.intra_server_only().links().len(), t.links().len());
-    }
-
-    #[test]
-    fn capacity_matrix_is_consistent_with_queries() {
-        let t = tiny();
-        let m = t.capacity_matrix();
-        assert!((m[0][1] - t.capacity_between(GpuId(0), GpuId(1))).abs() < 1e-9);
-        assert!((m[1][2] - 46.0).abs() < 1e-9);
-        assert!((m[2][2] - 0.0).abs() < 1e-9);
     }
 
     #[test]

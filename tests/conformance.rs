@@ -19,7 +19,7 @@
 use blink_core::onehop::one_hop_program;
 use blink_core::{
     restrict_to_window, CodeGen, CodeGenOptions, CollectiveKind, Communicator, CommunicatorOptions,
-    TreeGen, TreeGenOptions,
+    SharedPlanCache, TreeGen, TreeGenOptions,
 };
 use blink_sim::{check_collective, OpId, OpKind, Program, ProgramBuilder, Segment, Simulator};
 use blink_topology::presets::{
@@ -249,66 +249,77 @@ fn three_phase_multi_server_conforms_on_random_slices() {
     }
 }
 
-/// Hierarchical process groups: splits of random fragmented allocations on
-/// both DGX-1 generations and the DGX-2 switch fabric run concurrent
-/// subgroup collectives through one shared simulator session, and every
-/// subgroup's program must be byte-exact under the shared-link schedule.
-/// Rooted and rootless kinds are mixed across subgroups, so the oracle sees
-/// the contention-shifted spans of each strategy the children pick (packed
-/// trees, one-hop, PCIe fallback, trivial singletons).
+/// Concurrent subgroups: random fragmented allocations on both DGX-1
+/// generations and the DGX-2 switch fabric are split round-robin into
+/// subgroups, each its own communicator on one shared plan store. Every
+/// non-trivial subgroup's program is admitted at `t = 0` into one session
+/// over the machine, and every subgroup's program must be byte-exact under
+/// that shared-link schedule. Rooted and rootless kinds are mixed across
+/// subgroups, so the oracle sees the contention-shifted spans of each
+/// strategy the subgroups pick (packed trees, one-hop, PCIe fallback).
 #[test]
 fn process_group_splits_conform_concurrently() {
-    use blink_topology::GroupSplit;
     let mut rng = StdRng::seed_from_u64(0x96f0);
     let cases: Vec<(&str, Topology, usize)> = vec![
         ("dgx1v", dgx1v(), 8),
         ("dgx1p", dgx1p(), 8),
         ("dgx2", dgx2(), 16),
     ];
+    let bytes = mb(4) + 13;
+    let mut sessions = 0;
     for (label, machine, total) in cases {
         let pool: Vec<GpuId> = (0..total).map(GpuId).collect();
-        for round in 0..2 {
+        let sim = Simulator::with_defaults(machine.clone());
+        for stride in [2, 3] {
             let k = 4 + rng.random_below((total - 3) as u64) as usize; // 4..=total
             let alloc = random_allocation(&mut rng, &pool, k);
-            let parent = Communicator::builder(machine.clone())
-                .allocation(&alloc)
-                .build()
-                .unwrap();
-            let split = if round == 0 {
-                GroupSplit::ByStride(2)
-            } else {
-                GroupSplit::ByStride(3)
-            };
-            let mut groups = parent.split(&split).unwrap();
+            // `alloc[i]` joins subgroup `i % stride`
+            let mut subgroups = vec![Vec::new(); stride];
+            for (i, &g) in alloc.iter().enumerate() {
+                subgroups[i % stride].push(g);
+            }
             // one collective per subgroup, alternating rooted and rootless,
             // each rooted at its own subgroup's first member
-            let requests: Vec<(CollectiveKind, u64)> = groups
-                .groups()
-                .iter()
-                .enumerate()
-                .map(|(i, child)| {
-                    let root = child.allocation()[0];
-                    let kind = match i % 3 {
-                        0 => CollectiveKind::AllReduce,
-                        1 => CollectiveKind::Broadcast { root },
-                        _ => CollectiveKind::ReduceScatter,
-                    };
-                    (kind, mb(4) + 13)
-                })
-                .collect();
-            let (run, checks) = groups.run_concurrent_checked(&requests).unwrap();
-            assert_eq!(checks.len(), groups.len());
-            for ((g, check), child) in run.groups.iter().zip(&checks).zip(groups.groups()) {
+            let store = SharedPlanCache::new();
+            let mut runs = Vec::new();
+            for (i, subgroup) in subgroups.iter().enumerate() {
+                let root = subgroup[0];
+                let kind = match i % 3 {
+                    0 => CollectiveKind::AllReduce,
+                    1 => CollectiveKind::Broadcast { root },
+                    _ => CollectiveKind::ReduceScatter,
+                };
+                let mut comm = Communicator::builder(machine.clone())
+                    .allocation(subgroup)
+                    .shared_plans(store.clone())
+                    .build()
+                    .unwrap();
+                let (report, program, _) = comm.run_traced(kind, bytes).unwrap();
+                runs.push((kind, report.strategy, program));
+            }
+            let mut session = sim.session();
+            for (_, _, program) in &runs {
+                if !program.is_empty() {
+                    session.admit(program.clone(), 0.0);
+                }
+            }
+            let mut spans = session.run().unwrap().programs.into_iter();
+            for ((kind, strategy, program), subgroup) in runs.iter().zip(&subgroups) {
+                let op_spans = if program.is_empty() {
+                    Vec::new()
+                } else {
+                    spans.next().unwrap().op_spans
+                };
+                let check = check_collective(kind.spec(), program, &op_spans, subgroup, bytes);
                 assert!(
                     check.is_correct(),
-                    "{label} alloc {alloc:?} split {split:?} subgroup {:?} {} via '{}':\n{check}",
-                    child.allocation(),
-                    g.kind,
-                    g.strategy
+                    "{label} alloc {alloc:?} stride {stride} subgroup {subgroup:?} {kind} via '{strategy}':\n{check}"
                 );
             }
+            sessions += 1;
         }
     }
+    assert_eq!(sessions, 6, "three machines, two rounds each");
 }
 
 // ---------------------------------------------------------------------------

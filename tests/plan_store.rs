@@ -7,8 +7,8 @@
 use blink::prelude::*;
 use blink_core::multiserver::three_phase_allreduce_cached;
 use blink_core::{
-    CodeGen, CodeGenOptions, GroupRun, LinkSelection, ScratchPool, StreamedRun, TreeGen,
-    TreeGenOptions, TreePlan,
+    CodeGen, CodeGenOptions, LinkSelection, ScratchPool, StreamedRun, TreeGen, TreeGenOptions,
+    TreePlan,
 };
 use blink_sched::{FaultEvent, FaultInjector, FaultRecord, FleetConfig, FleetPipeline, Job};
 use blink_sim::{
@@ -16,7 +16,7 @@ use blink_sim::{
 };
 use blink_topology::enumerate::unique_allocations;
 use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, placement_topology, ServerKind};
-use blink_topology::{GroupSplit, LinkKind, TopologyDelta};
+use blink_topology::{LinkKind, TopologyDelta};
 use rand::prelude::*;
 use std::sync::Arc;
 
@@ -436,54 +436,55 @@ fn a_switch_verdict_belongs_to_its_lowering_key() {
 #[test]
 fn repeated_splits_take_every_subgroup_lowering_a_private_communicator_makes() {
     let (kind, bytes) = (CollectiveKind::AllReduce, 8 << 20);
-    let split_and_run = |store: &SharedPlanCache| {
-        let parent = Communicator::builder(dgx1v())
-            .shared_plans(store.clone())
-            .build()
-            .unwrap();
-        // the two stride halves of a DGX-1V are isomorphic
-        let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
-        let (run, checks) = groups.run_concurrent_checked(&[(kind, bytes); 2]).unwrap();
-        assert!(checks.iter().all(|c| c.is_correct()));
-        let allocs: Vec<Vec<GpuId>> = groups
-            .groups()
+    // the two stride halves of a DGX-1V are isomorphic
+    let halves = [ids(&[0, 2, 4, 6]), ids(&[1, 3, 5, 7])];
+    let split_and_run = |store: &SharedPlanCache| -> Vec<Arc<Program>> {
+        halves
             .iter()
-            .map(|g| g.allocation().to_vec())
-            .collect();
-        let programs: Vec<Arc<Program>> = run.groups.into_iter().map(|g| g.program).collect();
-        (allocs, programs)
+            .map(|half| {
+                let mut comm = Communicator::builder(dgx1v())
+                    .allocation(half)
+                    .shared_plans(store.clone())
+                    .build()
+                    .unwrap();
+                let (_, program, spans) = comm.run_traced(kind, bytes).unwrap();
+                let check = check_collective(kind.spec(), &program, &spans, half, bytes);
+                assert!(check.is_correct(), "{half:?}: {check}");
+                program
+            })
+            .collect()
     };
     let shared = SharedPlanCache::new();
-    let (_, first) = split_and_run(&shared);
+    let first = split_and_run(&shared);
     let (hits, misses) = shared.lowering_stats();
     assert_eq!(
         misses, 1,
         "the halves are one shape in one order: the second takes the first's lowering"
     );
-    let (allocs, second) = split_and_run(&shared);
+    let second = split_and_run(&shared);
     assert_eq!(
         shared.lowering_stats(),
         (hits + 2, misses),
         "both subgroups take their lowering from the store"
     );
-    for ((a, b), alloc) in first.iter().zip(&second).zip(&allocs) {
+    for ((a, b), half) in first.iter().zip(&second).zip(&halves) {
         // the second half runs a copy renamed onto its GPUs
         assert_eq!(**a, **b);
         let mut private = Communicator::builder(dgx1v())
-            .allocation(alloc)
+            .allocation(half)
             .isolated_plans()
             .build()
             .unwrap();
         let (_, fresh, _) = private.run_traced(kind, bytes).unwrap();
-        assert_eq!(**b, *fresh, "subgroup {alloc:?}");
+        assert_eq!(**b, *fresh, "subgroup {half:?}");
     }
 }
 
 #[test]
 fn every_dgx1_class_member_lowers_what_a_private_communicator_lowers() {
-    // Every member of every 2-8 GPU isomorphism class, each a one-group
-    // split over a store the whole class shares: what the store saw before
-    // never changes a member's program.
+    // Every member of every 2-8 GPU isomorphism class, each a communicator
+    // on a store the whole class shares: what the store saw before never
+    // changes a member's program.
     let bytes = 8 << 20;
     let mut lowerings = 0;
     let mut differ = Vec::new();
@@ -491,12 +492,10 @@ fn every_dgx1_class_member_lowers_what_a_private_communicator_lowers() {
         for class in unique_allocations(&machine, 2..=8).unwrap() {
             let store = SharedPlanCache::new();
             for member in &class.members {
-                let parent = Communicator::builder(machine.clone())
+                let mut comm = Communicator::builder(machine.clone())
+                    .allocation(member)
                     .shared_plans(store.clone())
                     .build()
-                    .unwrap();
-                let mut groups = parent
-                    .split(&GroupSplit::Explicit(vec![member.clone()]))
                     .unwrap();
                 let mut private = Communicator::builder(machine.clone())
                     .allocation(member)
@@ -507,7 +506,7 @@ fn every_dgx1_class_member_lowers_what_a_private_communicator_lowers() {
                     CollectiveKind::AllReduce,
                     CollectiveKind::Broadcast { root: member[0] },
                 ] {
-                    let (_, shared, _) = groups.groups_mut()[0].run_traced(kind, bytes).unwrap();
+                    let (_, shared, _) = comm.run_traced(kind, bytes).unwrap();
                     let (_, fresh, _) = private.run_traced(kind, bytes).unwrap();
                     lowerings += 1;
                     if *shared != *fresh {
@@ -907,30 +906,46 @@ fn a_shared_form_that_does_not_fit_never_serves_its_memoised_total() {
 
 #[test]
 fn a_repeated_concurrent_step_lowers_nothing_new() {
+    // one step: the DGX-1V's stride halves, each its own communicator on
+    // one store, run together in one session over the machine
     let store = SharedPlanCache::new();
-    let parent = Communicator::builder(dgx1v())
-        .shared_plans(store.clone())
-        .build()
-        .unwrap();
-    let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
-    let requests = vec![(CollectiveKind::AllReduce, 8 << 20); 2];
-    let mut runs: Vec<GroupRun> = Vec::new();
+    let mut halves: Vec<Communicator> = [ids(&[0, 2, 4, 6]), ids(&[1, 3, 5, 7])]
+        .iter()
+        .map(|half| {
+            Communicator::builder(dgx1v())
+                .allocation(half)
+                .shared_plans(store.clone())
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let sim = Simulator::with_defaults(dgx1v());
+    let mut steps = Vec::new();
     let mut misses = Vec::new();
     for _ in 0..3 {
-        runs.push(groups.run_concurrent(&requests).unwrap());
+        let programs: Vec<Arc<Program>> = halves
+            .iter_mut()
+            .map(|half| {
+                half.run_traced(CollectiveKind::AllReduce, 8 << 20)
+                    .unwrap()
+                    .1
+            })
+            .collect();
+        let mut session = sim.session();
+        for program in &programs {
+            session.admit(program.clone(), 0.0);
+        }
+        steps.push((programs, session.run().unwrap()));
         misses.push(store.lowering_stats().1);
     }
     assert_eq!(misses[0], 1, "the two halves share one lowering");
     assert_eq!(misses[2], misses[1], "the third step lowers nothing new");
-    for (a, b) in runs[1].groups.iter().zip(&runs[2].groups) {
+    for (a, b) in steps[1].0.iter().zip(&steps[2].0) {
         // one stored program, the second half's renamed onto its GPUs
-        assert_eq!(*a.program, *b.program, "and runs the stored programs");
+        assert_eq!(**a, **b, "and runs the stored programs");
     }
-    for run in &runs[1..] {
-        assert_eq!(run.finish_us.to_bits(), runs[0].finish_us.to_bits());
-        for (g, first) in run.groups.iter().zip(&runs[0].groups) {
-            assert_eq!(format!("{:?}", g.op_spans), format!("{:?}", first.op_spans));
-        }
+    for (_, report) in &steps[1..] {
+        assert_eq!(format!("{report:?}"), format!("{:?}", steps[0].1));
     }
 }
 
