@@ -30,6 +30,15 @@
 //!   the stage records how many more allocations the 4×-ops lowering makes
 //!   than the 1× one. Wall time per lowering and per op is recorded as
 //!   context only.
+//! * **session** — one VGG16 training step's 22 gradient buckets (25 MB
+//!   each, at the ready times backward produces them) streamed as
+//!   AllReduces through [`Communicator::run_streamed`] on the full DGX-1V
+//!   and on the full DGX-2: one engine session of 22 programs, the
+//!   heaviest step of the repository benchmark's `train` workload. After a
+//!   warm-up run, which lowers and compiles every bucket and warms the
+//!   process's engine scratch, the stage records the session's ops and
+//!   finish time, the heap allocations of one more run, and the mean wall
+//!   time per run (context only).
 //!
 //! The allocating reference scheduler is not measured here: it survives only
 //! as the test-only bit-identity oracle the sim crate's unit tests pin the
@@ -48,16 +57,19 @@
 //! lowering makes more allocations per op, or emits more ops, than
 //! recorded, or when the quarter-chunk lowering makes more allocations than
 //! the 1× lowering plus the recorded difference — so an allocation per op
-//! cannot hide behind a small per-op average. The measured speedup and wall
-//! times are context only. It does not rewrite the JSON.
+//! cannot hide behind a small per-op average, or when a session's ops or
+//! finish time differ from the recording by a bit or one run of it makes
+//! more allocations than recorded. The measured speedup and wall times are
+//! context only. It does not rewrite the JSON.
 
 use blink_bench::alloc::{allocations, Counting};
 use blink_bench::over_recording;
 use blink_core::onehop::one_hop_program;
-use blink_core::{CodeGen, CodeGenOptions, CollectiveKind, TreeGen, TreeGenOptions};
+use blink_core::{CodeGen, CodeGenOptions, CollectiveKind, Communicator, TreeGen, TreeGenOptions};
 use blink_sim::{EngineScratch, Program, Simulator};
 use blink_topology::presets::{dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
+use blink_train::{BlinkBackend, DnnModel, TrainerConfig, TrainingSimulator};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -132,11 +144,39 @@ struct CodegenStage {
     quarter_chunk_extra_allocations: i64,
 }
 
+/// One streamed training step: its work counts (gated) and wall time
+/// (context).
+#[derive(Debug, Serialize)]
+struct SessionRunReport {
+    /// What is streamed.
+    scenario: String,
+    /// Programs admitted into the session (after fusion).
+    programs: usize,
+    /// Ops over every admitted program (`--check`: bit-equal).
+    ops: usize,
+    /// The session's simulated finish time (`--check`: bit-equal).
+    finish_us: f64,
+    /// Heap allocations one warm `run_streamed` makes (`--check`: must not
+    /// grow).
+    allocations: u64,
+    /// Mean wall-clock microseconds per `run_streamed`; context only, never
+    /// gated.
+    us_per_session: f64,
+}
+
+/// The session stage: VGG16's bucket schedule on both full machines.
+#[derive(Debug, Serialize)]
+struct SessionStage {
+    dgx1v_vgg16: SessionRunReport,
+    dgx2_vgg16: SessionRunReport,
+}
+
 #[derive(Debug, Serialize)]
 struct Config {
     fast_runs: usize,
     naive_runs: usize,
     lowering_runs: usize,
+    session_runs: usize,
 }
 
 #[derive(Debug, Serialize)]
@@ -146,6 +186,8 @@ struct Report {
     allgather_dgx2: SimStageReport,
     /// CodeGen ops and allocations per lowering.
     codegen: CodegenStage,
+    /// One streamed VGG16 step per machine.
+    session: SessionStage,
 }
 
 /// Times `runs` runs of `f` and reports the per-run rate over `ops` ops.
@@ -281,6 +323,55 @@ fn measure_codegen(runs: usize) -> CodegenStage {
     }
 }
 
+/// Streams VGG16's default bucket schedule as AllReduces over the whole of
+/// `machine`: one warm-up run, one counted run, then `runs` timed ones.
+fn measure_session(scenario: &str, machine: Topology, runs: usize) -> SessionRunReport {
+    let alloc = machine.gpu_ids();
+    let mut backend = BlinkBackend::new(machine.clone(), &alloc).expect("the machine plans");
+    let requests: Vec<(u64, f64)> = TrainingSimulator::new(
+        DnnModel::vgg16(),
+        alloc.len(),
+        TrainerConfig::default(),
+        &mut backend,
+    )
+    .bucket_issue()
+    .iter()
+    .map(|b| (b.bytes, b.ready_us))
+    .collect();
+    let mut comm = Communicator::builder(machine)
+        .allocation(&alloc)
+        .build()
+        .expect("the machine plans");
+    let mut stream = || {
+        comm.run_streamed(CollectiveKind::AllReduce, black_box(&requests))
+            .expect("the bucket schedule streams")
+    };
+    let run = stream();
+    let before = allocations();
+    drop(black_box(stream()));
+    let allocations = allocations() - before;
+    let t0 = Instant::now();
+    for _ in 0..runs {
+        black_box(stream());
+    }
+    let per_run = t0.elapsed().as_secs_f64() / runs as f64;
+    SessionRunReport {
+        scenario: scenario.to_string(),
+        programs: run.groups.len(),
+        ops: run.groups.iter().map(|g| g.program.len()).sum(),
+        finish_us: run.finish_us,
+        allocations,
+        us_per_session: per_run * 1e6,
+    }
+}
+
+fn measure_sessions(runs: usize) -> SessionStage {
+    SessionStage {
+        dgx1v_vgg16: measure_session("dgx1v vgg16 step, 8 GPUs, 25 MB buckets", dgx1v(), runs),
+        dgx2_vgg16: measure_session("dgx2 vgg16 step, 16 GPUs, 25 MB buckets", dgx2(), runs),
+    }
+}
+
 /// `--check`'s AllGather gate: both program shapes' op counts and
 /// simulated totals equal the recording bit for bit (they are pure
 /// functions of CodeGen and the engine), and the segmented program
@@ -358,10 +449,44 @@ fn check_codegen(stage: &CodegenStage, recorded: &serde_json::Value) -> Vec<Stri
     failures
 }
 
+/// `--check`'s session gate: every session's ops and finish time equal the
+/// recording bit for bit, and one warm run makes no more allocations than
+/// recorded.
+fn check_sessions(stage: &SessionStage, recorded: &serde_json::Value) -> Vec<String> {
+    let recorded = recorded.get("session");
+    let mut failures = Vec::new();
+    for (name, now) in [
+        ("dgx1v_vgg16", &stage.dgx1v_vgg16),
+        ("dgx2_vgg16", &stage.dgx2_vgg16),
+    ] {
+        eprintln!(
+            "quick check: session {name}: {} programs, {} ops, finish {} us, {} allocations; \
+             {:.0} us/session wall (context only)",
+            now.programs, now.ops, now.finish_us, now.allocations, now.us_per_session
+        );
+        let recorded = recorded.and_then(|r| r.get(name));
+        for (key, value) in [("ops", now.ops as f64), ("finish_us", now.finish_us)] {
+            let was = recorded.and_then(|r| r.get(key)).and_then(|v| v.as_f64());
+            if was.map(f64::to_bits) != Some(value.to_bits()) {
+                failures.push(format!(
+                    "session {name} {key} is {value}, but BENCH_sim.json records {was:?}"
+                ));
+            }
+        }
+        failures.extend(over_recording(
+            &format!("session {name}"),
+            recorded,
+            &[("allocations", now.allocations as f64)],
+        ));
+    }
+    failures
+}
+
 fn measure(quick: bool) -> Report {
     let fast_runs = if quick { 200 } else { 1000 };
     let naive_runs = if quick { 20 } else { 100 };
     let lowering_runs = if quick { 50 } else { 500 };
+    let session_runs = if quick { 20 } else { 200 };
 
     // ---- DGX-2 one-hop AllGather (the per-slot op-count blow-up case) ----
     let (alloc, cap) = dgx2_slice();
@@ -381,9 +506,11 @@ fn measure(quick: bool) -> Report {
             fast_runs,
             naive_runs,
             lowering_runs,
+            session_runs,
         },
         allgather_dgx2,
         codegen: measure_codegen(lowering_runs),
+        session: measure_sessions(session_runs),
     }
 }
 
@@ -407,10 +534,12 @@ fn main() {
         );
         let mut failures = check_allgather(stage, &recorded);
         failures.extend(check_codegen(&out.codegen, &recorded));
+        failures.extend(check_sessions(&out.session, &recorded));
         if failures.is_empty() {
             eprintln!(
                 "allgather ops and simulated totals match the recording; codegen \
-                 allocations and ops within it"
+                 allocations and ops within it; session ops and finish times match it \
+                 and allocations are within it"
             );
             return;
         }
@@ -443,4 +572,10 @@ fn main() {
         "codegen: quarter chunks make {} more allocations than the default",
         codegen.quarter_chunk_extra_allocations
     );
+    for s in [&out.session.dgx1v_vgg16, &out.session.dgx2_vgg16] {
+        eprintln!(
+            "session: {}: {} programs, {} ops, {} allocations, {:.0} us/session",
+            s.scenario, s.programs, s.ops, s.allocations, s.us_per_session
+        );
+    }
 }

@@ -85,20 +85,55 @@
 //! none. Both rules rest on free times never decreasing, which holds
 //! because **every op duration is finite and non-negative**: compiling
 //! checks each duration as it computes it, and a NaN, infinite or negative
-//! one is [`SimError::InvalidProgram`]. Roots become ready at their
-//! program's issue time plus `+0.0`, so no time the scan compares is `-0.0`
-//! and `max` never has to choose between two zeros. Per-link busy time and
-//! bytes are still accounted per link, from the op's link id.
+//! one is [`SimError::InvalidProgram`]. A program's roots become ready at
+//! its issue time plus `+0.0` when the scan admits the program (below), so
+//! no time the scan compares is `-0.0` and `max` never has to choose
+//! between two zeros. Per-link busy time and bytes are still accounted per
+//! link, from the op's link id.
 //!
 //! The K candidates live in a **sorted window** beside the ready heap, in
 //! the heap's pop order (ascending `(ready time, op id)`). Invariant: the
-//! window holds the `min(K, ready)` lowest-ranked ready ops and every heap
-//! entry ranks after all of them. Scheduling an op removes it from the
-//! window and refills the tail with one heap pop; a newly-ready op is
-//! inserted in rank order when the window has room, displaces the window's
-//! last op back to the heap when it ranks before it, and otherwise goes to
-//! the heap. Each scheduled op therefore costs O(1) heap operations instead
-//! of popping and re-pushing the whole window.
+//! window holds the `min(K, ready)` lowest-ranked ready ops of the admitted
+//! programs and every heap entry ranks after all of them. Scheduling an op
+//! removes it from the window and refills the tail with one heap pop; a
+//! newly-ready op is inserted in rank order when the window has room,
+//! displaces the window's last op back to the heap when it ranks before it,
+//! and otherwise goes to the heap. Each scheduled op therefore costs O(1)
+//! heap operations instead of popping and re-pushing the whole window.
+//!
+//! **Programs are admitted lazily, exactly.** The eager algorithm makes
+//! every root of every program ready at its issue time before the first
+//! pick. A training step streams its gradient buckets as one session, and
+//! there the queued buckets' roots would fill the window behind the running
+//! bucket's ops: every op that became ready would evict one of them to the
+//! heap and every pick pop one back, for candidates that never win. The
+//! scan instead orders the programs by `(issue + 0.0, admission index)`,
+//! which is the rank order of their roots (global op ids ascend with
+//! admission index), and admits them along that order, each program's roots
+//! going in through the same insert-or-evict path as a newly ready op:
+//!
+//! 1. before each pick, every pending program whose issue time is `<=` the
+//!    ready time of the window's last op, or the next pending program while
+//!    the window is empty;
+//! 2. after the scan of a window with room, the next pending program when
+//!    its issue time is below the best start plus the 1e-9 µs tie
+//!    tolerance; the scan then continues over its roots.
+//!
+//! (A program is *admitted* when its roots enter the ready set;
+//! [`Session::admit`] only queues it.) After rule 1 every pending root is
+//! ready strictly later than every window op, so it ranks after all of
+//! them; rule 2 keeps every pending root ranked after every window op,
+//! since a program it admits precedes every later pending one in root
+//! rank. So a full window is exactly the K lowest-ranked ready ops of the
+//! whole session, the eager window. A window with room holds every admitted
+//! ready op (the heap is empty), and the eager window is it followed by the
+//! first pending roots in rank order; the eager scan reaches those only
+//! while their ready time is below the best start plus the tolerance (the
+//! early exit below), which is rule 2's test, so both scans examine the
+//! same candidates in the same order. Every pick, span, tie-break and error
+//! is therefore the eager algorithm's, bit for bit. Ordering the programs
+//! sorts a buffer the scan keeps, so a run allocates nothing for it; a
+//! one-program run skips the sort.
 //!
 //! The scan over the window **exits early, exactly**: no op starts before
 //! it is ready, so once a candidate's ready time reaches the best start
@@ -109,11 +144,12 @@
 //! The flat-path schedule is **bit-identical** to the direct implementation
 //! (an allocating reference scheduler over ordered maps that pops K ready
 //! ops, scans all of them and pushes the losers back, and derives each op's
-//! resources and link capacity from the topology on its own, kept in this
-//! module's tests as the oracle they compare against): the resource table,
-//! the compiled tables, the window and the early exit only change how the
-//! candidates and a resource's free time are looked up, never which ops are
-//! candidates, when an op can start, how long it runs, or how ties are
+//! resources and link capacity from the topology on its own, and readies
+//! every root at its issue time from the start, kept in this module's tests
+//! as the oracle they compare against): the resource table, the compiled
+//! tables, the window, lazy admission and the early exit only change how
+//! the candidates and a resource's free time are looked up, never which ops
+//! are candidates, when an op can start, how long it runs, or how ties are
 //! broken. The reference keeps every resource an op holds — stream, link,
 //! ports, NICs — so it checks the binding-resource rule too. Errors
 //! agree too, op by op: a copy without a link of its class fails with
@@ -596,14 +632,16 @@ impl PartialOrd for Ready {
 
 /// Among the ready operations, run the one that can actually *start* earliest
 /// given current resource occupancy (ties broken by issue order). Only the K
-/// earliest-ready ops are candidates — the sorted window described in the
-/// module docs, which never holds more than K — so the scheduler stays
-/// near-linear. A program that readies more than K ops at once is
-/// scheduled as if only its K lowest-ranked ready ops existed: the 16x15
-/// one-hop AllReduce on a DGX-2, issued tree by tree, readied 240 copies at
-/// issue, and the window's first 128 reached only 9 of the 16 ingress
-/// ports. A program should ready few ops at a time; the one-hop lowering
-/// issues a pairwise exchange that readies one copy per GPU.
+/// earliest-ready ops of the whole session are candidates — the sorted
+/// window described in the module docs, which never holds more than K, and
+/// which lazy admission fills exactly as if every program's roots were
+/// ready from its issue time on — so the scheduler stays near-linear. A
+/// program that readies more than K ops at once is scheduled as if only its
+/// K lowest-ranked ready ops existed: the 16x15 one-hop AllReduce on a
+/// DGX-2, issued tree by tree, readied 240 copies at issue, and the window's
+/// first 128 reached only 9 of the 16 ingress ports. A program should ready
+/// few ops at a time; the one-hop lowering issues a pairwise exchange that
+/// readies one copy per GPU.
 const CANDIDATES: usize = 128;
 
 /// Sentinel for "no op" (no link, no FIFO predecessor) in the compiled
@@ -733,6 +771,62 @@ struct ScanState {
     window: Vec<Ready>,
     /// Every other ready op; each ranks after every op in `window`.
     heap: BinaryHeap<Ready>,
+    /// The run's entries as [`Simulator::schedule`] resolved them, in
+    /// admission order until the scan sorts them into the order it admits
+    /// programs in.
+    pending: Vec<Pending>,
+    /// How many of `pending` the scan has admitted.
+    admitted: usize,
+}
+
+/// One entry of a run: its issue time plus `+0.0`, its admission index, and
+/// whether it runs from a stored form that fits the simulator.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    issue: f64,
+    entry: usize,
+    fits: bool,
+}
+
+impl ScanState {
+    /// Makes `r` ready: it goes into the window in rank order when the
+    /// window has room, displaces the window's last op back to the heap
+    /// when it ranks before it, and otherwise goes to the heap.
+    fn make_ready(&mut self, r: Ready) {
+        // the window has room only once the heap is empty
+        if self.window.len() == CANDIDATES {
+            if self.window[CANDIDATES - 1].rank(&r).is_lt() {
+                self.heap.push(r);
+                return;
+            }
+            // evict before inserting: the window never grows past
+            // CANDIDATES
+            if let Some(last) = self.window.pop() {
+                self.heap.push(last);
+            }
+        }
+        let at = self.window.partition_point(|w| w.rank(&r).is_lt());
+        self.window.insert(at, r);
+    }
+
+    /// The issue time of the next program to admit, if any is left.
+    fn next_issue(&self) -> Option<f64> {
+        self.pending.get(self.admitted).map(|p| p.issue)
+    }
+
+    /// Admits the next pending program: its roots become ready at its
+    /// issue time.
+    fn admit_next(&mut self) {
+        let Pending {
+            issue: time, entry, ..
+        } = self.pending[self.admitted];
+        self.admitted += 1;
+        for id in self.op_base[entry]..self.op_base[entry + 1] {
+            if self.indeg[id] == 0 {
+                self.make_ready(Ready { time, id });
+            }
+        }
+    }
 }
 
 /// Reusable buffers for [`Simulator::run_with_scratch`] and
@@ -1211,14 +1305,15 @@ impl Simulator {
         stored: &[Option<C>],
         scratch: &mut EngineScratch,
     ) -> Result<f64, SimError> {
-        let fitting = |i: usize| -> Option<&CompiledProgram> {
-            let form: &CompiledProgram = stored.get(i)?.as_ref()?.borrow();
-            form.fits(self).then_some(form)
-        };
+        let EngineScratch { ops, compile, scan } = scratch;
         // every entry is validated and its issue time checked before any op
         // is resolved; a fitting form's program validated when it compiled
+        scan.pending.clear();
+        scan.pending.reserve(entries.len());
         for (i, (program, issue)) in entries.iter().enumerate() {
-            if fitting(i).is_none() {
+            let form = stored.get(i).and_then(Option::as_ref);
+            let fits = form.is_some_and(|f| f.borrow().fits(self));
+            if !fits {
                 program
                     .borrow()
                     .validate()
@@ -1229,8 +1324,19 @@ impl Simulator {
                     "issue timestamp {issue} must be finite and non-negative"
                 )));
             }
+            // +0.0 turns an issue of -0.0 into +0.0, so every time the scan
+            // compares is >= +0.0 and `max` never meets two zeros; every
+            // other op inherits `>= issue` through its deps
+            scan.pending.push(Pending {
+                issue: *issue + 0.0,
+                entry: i,
+                fits,
+            });
         }
-        let EngineScratch { ops, compile, scan } = scratch;
+        let fitting = |i: usize| -> Option<&CompiledProgram> {
+            let form = stored.get(i)?.as_ref().filter(|_| scan.pending[i].fits)?;
+            Some(form.borrow())
+        };
         // Global op id = op_base[entry] + local op id; the scan's tie-break
         // on global id is what makes admission order part of the
         // determinism contract.
@@ -1263,9 +1369,10 @@ impl Simulator {
         self.scan(tables, entries, scan)
     }
 
-    /// The K-candidate scan over spliced `ops` (see the module docs): each
-    /// op's `(start, end)` goes to `s.op_spans`, and the session's total
-    /// time — the latest op end or issue time — is returned.
+    /// The K-candidate scan over spliced `ops` and the entries `s.pending`
+    /// holds in admission order (see the module docs): each op's
+    /// `(start, end)` goes to `s.op_spans`, and the session's total time —
+    /// the latest op end or issue time — is returned.
     fn scan<P>(
         &self,
         ops: &OpTables,
@@ -1286,59 +1393,68 @@ impl Simulator {
         s.link_used.resize(t.links.len(), false);
         s.ready_time.clear();
         s.ready_time.resize(n, 0.0);
-        s.heap.clear();
-        for (p_idx, (_, issue)) in entries.iter().enumerate() {
-            // Roots become ready at their program's issue timestamp; every
-            // other op inherits `>= issue` transitively through its deps.
-            // Adding +0.0 turns an issue of -0.0 into +0.0, so every time
-            // the scan compares is >= +0.0 and `max` never meets two zeros.
-            let issue = *issue + 0.0;
-            for gi in s.op_base[p_idx]..s.op_base[p_idx + 1] {
-                if s.indeg[gi] == 0 {
-                    s.heap.push(Ready {
-                        time: issue,
-                        id: gi,
-                    });
-                }
-            }
-        }
-
         s.op_spans.clear();
         s.op_spans.resize(n, (0.0, 0.0));
+        s.window.clear();
+        s.heap.clear();
+        // programs enter in root rank order (see "lazy admission" in the
+        // module docs)
+        if s.pending.len() > 1 {
+            s.pending
+                .sort_unstable_by(|a, b| a.issue.total_cmp(&b.issue).then(a.entry.cmp(&b.entry)));
+        }
+        s.admitted = 0;
         let mut total = 0.0f64;
         let mut done = 0usize;
 
-        s.window.clear();
-        while s.window.len() < CANDIDATES {
-            match s.heap.pop() {
-                Some(r) => s.window.push(r),
-                None => break,
-            }
-        }
-
         // ---- the zero-allocation K-candidate scan over the window ----
-        while !s.window.is_empty() {
+        loop {
+            // rule 1: no pending root may rank before the window's last op
+            while let Some(issue) = s.next_issue() {
+                if s.window.last().is_some_and(|last| issue > last.time) {
+                    break;
+                }
+                s.admit_next();
+            }
+            if s.window.is_empty() {
+                break;
+            }
             let mut best_idx = 0usize;
             let mut best_start = f64::INFINITY;
             let mut best_key = usize::MAX;
-            for (idx, cand) in s.window.iter().enumerate() {
-                // start >= cand.time, and the window ascends in time: from
-                // here on no candidate can pass either arm of the rule below
-                if cand.time >= best_start + 1e-9 {
-                    break;
+            let mut from = 0;
+            loop {
+                for (idx, cand) in s.window.iter().enumerate().skip(from) {
+                    // start >= cand.time, and the window ascends in time:
+                    // from here on no candidate can pass either arm of the
+                    // rule below
+                    if cand.time >= best_start + 1e-9 {
+                        break;
+                    }
+                    let (lo, hi) = (
+                        ops.op_res_start[cand.id] as usize,
+                        ops.op_res_start[cand.id + 1] as usize,
+                    );
+                    let mut start = cand.time;
+                    for &r in &ops.op_res[lo..hi] {
+                        start = start.max(s.resource_free[r as usize]);
+                    }
+                    if start < best_start - 1e-9
+                        || (start < best_start + 1e-9 && cand.id < best_key)
+                    {
+                        best_start = start;
+                        best_idx = idx;
+                        best_key = cand.id;
+                    }
                 }
-                let (lo, hi) = (
-                    ops.op_res_start[cand.id] as usize,
-                    ops.op_res_start[cand.id + 1] as usize,
-                );
-                let mut start = cand.time;
-                for &r in &ops.op_res[lo..hi] {
-                    start = start.max(s.resource_free[r as usize]);
-                }
-                if start < best_start - 1e-9 || (start < best_start + 1e-9 && cand.id < best_key) {
-                    best_start = start;
-                    best_idx = idx;
-                    best_key = cand.id;
+                // rule 2: in a window with room, the eager scan would go on
+                // into the next pending program's roots
+                match s.next_issue() {
+                    Some(issue) if s.window.len() < CANDIDATES && issue < best_start + 1e-9 => {
+                        from = s.window.len();
+                        s.admit_next();
+                    }
+                    _ => break,
                 }
             }
             let Ready { time, id } = s.window.remove(best_idx);
@@ -1376,24 +1492,10 @@ impl Simulator {
                 s.ready_time[c] = s.ready_time[c].max(end);
                 s.indeg[c] -= 1;
                 if s.indeg[c] == 0 {
-                    let r = Ready {
+                    s.make_ready(Ready {
                         time: s.ready_time[c],
                         id: c,
-                    };
-                    // the window has room only once the heap is empty
-                    if s.window.len() == CANDIDATES {
-                        if s.window[CANDIDATES - 1].rank(&r).is_lt() {
-                            s.heap.push(r);
-                            continue;
-                        }
-                        // evict before inserting: the window never grows
-                        // past CANDIDATES
-                        if let Some(last) = s.window.pop() {
-                            s.heap.push(last);
-                        }
-                    }
-                    let at = s.window.partition_point(|w| w.rank(&r).is_lt());
-                    s.window.insert(at, r);
+                    });
                 }
             }
         }
@@ -2401,10 +2503,10 @@ mod tests {
 
     #[test]
     fn staggered_sessions_agree_with_the_reference_when_more_than_the_window_is_ready() {
-        // Every program's roots wait in the ready set from t = 0, so more
-        // than CANDIDATES ops are ready; ops that become ready mid-run must
-        // displace later-issued roots from the window. Two programs share
-        // an issue time, so admission order breaks their ties.
+        // The programs' roots together outnumber CANDIDATES, so admitted
+        // roots overflow the window and ops that become ready mid-run must
+        // displace later-issued roots from it. Two programs share an issue
+        // time, so admission order breaks their ties.
         let issues = [0.0, 40.0, 40.0, 250.5];
         for seed in [0x51_7cc1_b727_220a_u64, 0x94d0_49bb_1331_11eb] {
             let mut topo = None;
@@ -2464,6 +2566,123 @@ mod tests {
         assert_sessions_bit_identical(&reference, &fast);
         assert_eq!(fast.programs[0].start_us.to_bits(), d.to_bits());
         assert_eq!(fast.programs[1].op_spans[1].0.to_bits(), (d + d).to_bits());
+    }
+
+    /// Seeded sessions of 2–30 programs of the `wide_random_program` kind
+    /// against the eager reference, bit for bit: issue times of zero, of a
+    /// few shared values and spread out, in no order; some programs empty,
+    /// and some readying more than `CANDIDATES` roots at one instant.
+    #[test]
+    fn lazily_admitted_sessions_match_the_eager_reference() {
+        let mut state = 0x6a09_e667_f3bc_c908u64;
+        let mut next = move |bound: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut empty, mut tied, mut reordered, mut overfull) = (0, 0, 0, 0);
+        for case in 0..20u64 {
+            let count = 2 + next(29);
+            let mut topo = None;
+            let (mut programs, mut issues) = (Vec::new(), Vec::new());
+            for k in 0..count {
+                let width = match next(16) {
+                    0 | 1 => 0,
+                    2 => CANDIDATES + 1 + next(8),
+                    _ => 1 + next(12),
+                };
+                let (t, program) = wide_random_program(case << 8 | k as u64, width);
+                topo = Some(t);
+                programs.push(program);
+                issues.push(match next(4) {
+                    0 => 0.0,
+                    1 => [37.5, 120.0, 400.25][next(3)],
+                    _ => next(4000) as f64 * 0.25,
+                });
+            }
+            empty += programs.iter().filter(|p| p.is_empty()).count();
+            tied += (0..count)
+                .filter(|&i| issues[..i].contains(&issues[i]))
+                .count();
+            reordered += issues.windows(2).filter(|w| w[1] < w[0]).count();
+            let ready_at = |t: f64| -> usize {
+                let at = programs.iter().zip(&issues).filter(|(_, &i)| i == t);
+                at.map(|(p, _)| roots(p)).sum()
+            };
+            overfull += issues.iter().filter(|&&t| ready_at(t) > CANDIDATES).count();
+
+            let sim = Simulator::with_defaults(topo.unwrap());
+            let entries: Vec<(&Program, f64)> = programs.iter().zip(issues.clone()).collect();
+            let reference = sim.run_reference_session(&entries).unwrap();
+            let mut session = sim.session();
+            for (program, &issue) in programs.iter().zip(&issues) {
+                session.admit(program.clone(), issue);
+            }
+            let fast = session.run().unwrap();
+            assert_sessions_bit_identical(&reference, &fast);
+        }
+        assert!(empty > 0 && tied > 0 && reordered > 0 && overfull > 0);
+    }
+
+    #[test]
+    fn a_later_program_whose_root_starts_first_is_admitted_into_a_window_with_room() {
+        // Program A's two copies out of DGX-2 GPU 0 share its egress port:
+        // after the long one, the short one (the window's only op) waits
+        // for the port until d. Program B, issued at 10 < d, copies into
+        // GPU 1 from an idle GPU; its root must be admitted and start at
+        // its issue, before A's short copy takes GPU 1's ingress port.
+        let sim = Simulator::with_defaults(dgx2());
+        let mut a = ProgramBuilder::new();
+        let (s0, s1) = (a.new_stream(), a.new_stream());
+        a.copy(GpuId(0), GpuId(2), mb(64), LinkClass::NvLink, s0, &[], "");
+        a.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s1, &[], "");
+        let a = a.build().unwrap();
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        b.copy(GpuId(3), GpuId(1), mb(1), LinkClass::NvLink, s, &[], "");
+        let b = b.build().unwrap();
+        let reference = sim.run_reference_session(&[(&a, 0.0), (&b, 10.0)]).unwrap();
+        let mut session = sim.session();
+        session.admit(a, 0.0);
+        session.admit(b, 10.0);
+        let fast = session.run().unwrap();
+        assert_sessions_bit_identical(&reference, &fast);
+        let d = fast.programs[0].op_spans[0].1;
+        assert!(d > 10.0 + fast.programs[1].op_spans[0].1);
+        assert_eq!(fast.programs[0].op_spans[1].0.to_bits(), d.to_bits());
+        assert_eq!(fast.programs[1].start_us, 10.0);
+    }
+
+    #[test]
+    fn a_program_issued_exactly_at_the_windows_last_ready_time_is_admitted() {
+        // B's kernel on GPU 0 ends at e and readies more than CANDIDATES
+        // kernels at e, the first on GPU 1. A, admitted first and issued at
+        // e, runs one kernel on GPU 1: its root ranks before all of B's
+        // children, so it takes GPU 1 at e and B's first child waits.
+        let sim = Simulator::with_defaults(dgx2());
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        let head = b.compute(GpuId(0), 7.0, s, &[], "");
+        for k in 0..CANDIDATES + 8 {
+            let s = b.new_stream();
+            b.compute(GpuId(1 + k % 15), 3.0, s, &[head], "");
+        }
+        let b = b.build().unwrap();
+        let e = sim.run(&b).unwrap().op_spans[0].1;
+        let mut a = ProgramBuilder::new();
+        let s = a.new_stream();
+        a.compute(GpuId(1), 5.0, s, &[], "");
+        let a = a.build().unwrap();
+        let reference = sim.run_reference_session(&[(&a, e), (&b, 0.0)]).unwrap();
+        let mut session = sim.session();
+        session.admit(a, e);
+        session.admit(b, 0.0);
+        let fast = session.run().unwrap();
+        assert_sessions_bit_identical(&reference, &fast);
+        assert_eq!(fast.programs[0].start_us.to_bits(), e.to_bits());
+        let a_end = fast.programs[0].end_us;
+        assert_eq!(fast.programs[1].op_spans[1].0.to_bits(), a_end.to_bits());
     }
 
     #[test]
