@@ -38,7 +38,10 @@
 //!   warm-up run, which lowers and compiles every bucket and warms the
 //!   process's engine scratch, the stage records the session's ops and
 //!   finish time, the heap allocations of one more run, and the mean wall
-//!   time per run (context only).
+//!   time per run (context only). It also replays the step's programs on
+//!   an engine scratch of its own and records the candidate scan's work
+//!   ([`blink_sim::ScanWork`]): how many window candidates its picks read
+//!   the resources of, one pick per op.
 //!
 //! The allocating reference scheduler is not measured here: it survives only
 //! as the test-only bit-identity oracle the sim crate's unit tests pin the
@@ -58,8 +61,9 @@
 //! recorded, or when the quarter-chunk lowering makes more allocations than
 //! the 1× lowering plus the recorded difference — so an allocation per op
 //! cannot hide behind a small per-op average, or when a session's ops or
-//! finish time differ from the recording by a bit or one run of it makes
-//! more allocations than recorded. The measured speedup and wall times are
+//! finish time differ from the recording by a bit, one run of it makes
+//! more allocations than recorded, or its picks read more candidates than
+//! recorded. The measured speedup and wall times are
 //! context only. It does not rewrite the JSON.
 
 use blink_bench::alloc::{allocations, Counting};
@@ -159,6 +163,11 @@ struct SessionRunReport {
     /// Heap allocations one warm `run_streamed` makes (`--check`: must not
     /// grow).
     allocations: u64,
+    /// Window candidates whose resources the session's picks read
+    /// (`--check`: must not grow).
+    examined: u64,
+    /// `examined` per pick; every op is one pick.
+    examined_per_pick: f64,
     /// Mean wall-clock microseconds per `run_streamed`; context only, never
     /// gated.
     us_per_session: f64,
@@ -338,6 +347,7 @@ fn measure_session(scenario: &str, machine: Topology, runs: usize) -> SessionRun
     .iter()
     .map(|b| (b.bytes, b.ready_us))
     .collect();
+    let sim = Simulator::with_defaults(machine.clone());
     let mut comm = Communicator::builder(machine)
         .allocation(&alloc)
         .build()
@@ -355,12 +365,25 @@ fn measure_session(scenario: &str, machine: Topology, runs: usize) -> SessionRun
         black_box(stream());
     }
     let per_run = t0.elapsed().as_secs_f64() / runs as f64;
+    // the step's session again, on a scratch whose work is the step's alone
+    let mut session = sim.session();
+    for g in &run.groups {
+        session.admit(g.program.clone(), g.issue_us);
+    }
+    let mut scratch = EngineScratch::new();
+    let replay = session
+        .run_with_scratch(&mut scratch)
+        .expect("the step replays");
+    assert_eq!(replay.total_us.to_bits(), run.finish_us.to_bits());
+    let work = scratch.scan_work();
     SessionRunReport {
         scenario: scenario.to_string(),
         programs: run.groups.len(),
         ops: run.groups.iter().map(|g| g.program.len()).sum(),
         finish_us: run.finish_us,
         allocations,
+        examined: work.examined,
+        examined_per_pick: work.examined as f64 / work.picks as f64,
         us_per_session: per_run * 1e6,
     }
 }
@@ -450,8 +473,8 @@ fn check_codegen(stage: &CodegenStage, recorded: &serde_json::Value) -> Vec<Stri
 }
 
 /// `--check`'s session gate: every session's ops and finish time equal the
-/// recording bit for bit, and one warm run makes no more allocations than
-/// recorded.
+/// recording bit for bit, and neither one warm run's allocations nor the
+/// candidates its picks read exceed the recording.
 fn check_sessions(stage: &SessionStage, recorded: &serde_json::Value) -> Vec<String> {
     let recorded = recorded.get("session");
     let mut failures = Vec::new();
@@ -460,9 +483,14 @@ fn check_sessions(stage: &SessionStage, recorded: &serde_json::Value) -> Vec<Str
         ("dgx2_vgg16", &stage.dgx2_vgg16),
     ] {
         eprintln!(
-            "quick check: session {name}: {} programs, {} ops, finish {} us, {} allocations; \
-             {:.0} us/session wall (context only)",
-            now.programs, now.ops, now.finish_us, now.allocations, now.us_per_session
+            "quick check: session {name}: {} programs, {} ops, finish {} us, {} allocations, \
+             {:.2} candidates read per pick; {:.0} us/session wall (context only)",
+            now.programs,
+            now.ops,
+            now.finish_us,
+            now.allocations,
+            now.examined_per_pick,
+            now.us_per_session
         );
         let recorded = recorded.and_then(|r| r.get(name));
         for (key, value) in [("ops", now.ops as f64), ("finish_us", now.finish_us)] {
@@ -476,7 +504,10 @@ fn check_sessions(stage: &SessionStage, recorded: &serde_json::Value) -> Vec<Str
         failures.extend(over_recording(
             &format!("session {name}"),
             recorded,
-            &[("allocations", now.allocations as f64)],
+            &[
+                ("allocations", now.allocations as f64),
+                ("examined", now.examined as f64),
+            ],
         ));
     }
     failures
@@ -539,7 +570,7 @@ fn main() {
             eprintln!(
                 "allgather ops and simulated totals match the recording; codegen \
                  allocations and ops within it; session ops and finish times match it \
-                 and allocations are within it"
+                 and allocations and candidates read are within it"
             );
             return;
         }
@@ -574,8 +605,9 @@ fn main() {
     );
     for s in [&out.session.dgx1v_vgg16, &out.session.dgx2_vgg16] {
         eprintln!(
-            "session: {}: {} programs, {} ops, {} allocations, {:.0} us/session",
-            s.scenario, s.programs, s.ops, s.allocations, s.us_per_session
+            "session: {}: {} programs, {} ops, {} allocations, {:.2} candidates read per \
+             pick, {:.0} us/session",
+            s.scenario, s.programs, s.ops, s.allocations, s.examined_per_pick, s.us_per_session
         );
     }
 }

@@ -138,8 +138,20 @@
 //! The scan over the window **exits early, exactly**: no op starts before
 //! it is ready, so once a candidate's ready time reaches the best start
 //! found so far plus the 1e-9 µs tie tolerance, neither arm of the
-//! selection rule can fire for it, and — the window ascending in ready time
-//! while the best start only decreases — for no later candidate either.
+//! selection rule can fire for it, so the best stays as it is, and — the
+//! window ascending in ready time — for no later candidate either.
+//! By the same bound the scan **skips, without reading its resources,**
+//! every candidate ready at or after the best start minus the tolerance
+//! whose op id is above the best's. Neither arm of the rule can fire for
+//! it: beating the best needs a start below the best start minus the
+//! tolerance, and its start is at least its ready time; winning the tie
+//! needs a lower op id. The skip passes over that candidate alone: a later
+//! one may be ready in time with a lower id, and still competes. So every
+//! pick, span, tie-break and error stays the eager algorithm's, bit for
+//! bit. A pairwise-exchange step readies all its copy heads at one instant
+//! with free ports, so the lowest id takes the pick and the scan reads its
+//! ports alone, not those of every head that could only tie it.
+//! [`EngineScratch::scan_work`] counts the picks and the candidates read.
 //!
 //! The flat-path schedule is **bit-identical** to the direct implementation
 //! (an allocating reference scheduler over ordered maps that pops K ready
@@ -147,12 +159,12 @@
 //! resources and link capacity from the topology on its own, and readies
 //! every root at its issue time from the start, kept in this module's tests
 //! as the oracle they compare against): the resource table, the compiled
-//! tables, the window, lazy admission and the early exit only change how
-//! the candidates and a resource's free time are looked up, never which ops
-//! are candidates, when an op can start, how long it runs, or how ties are
-//! broken. The reference keeps every resource an op holds — stream, link,
-//! ports, NICs — so it checks the binding-resource rule too. Errors
-//! agree too, op by op: a copy without a link of its class fails with
+//! tables, the window, lazy admission, the early exit and the skip only
+//! change how the candidates and a resource's free time are looked up,
+//! never which ops are candidates, when an op can start, how long it runs,
+//! or how ties are broken. The reference keeps every resource an op holds —
+//! stream, link, ports, NICs — so it checks the binding-resource rule too.
+//! Errors agree too, op by op: a copy without a link of its class fails with
 //! [`SimError::MissingLink`] before an endpoint outside the topology is
 //! reported as [`SimError::UnknownGpu`].
 //!
@@ -238,7 +250,8 @@
 //! the compile temporaries are rewritten per program), it grows to the
 //! largest session seen and never shrinks, and it is `Send` (asserted at
 //! compile time below) so pools can move scratches across threads — but
-//! never share one mutably between concurrent runs.
+//! never share one mutably between concurrent runs. Its one tally,
+//! [`EngineScratch::scan_work`], only counts work: no run reads it.
 //!
 //! One scratch may be threaded through runs over different programs *and
 //! different simulators* in any order: the per-resource arrays are sized
@@ -777,6 +790,20 @@ struct ScanState {
     pending: Vec<Pending>,
     /// How many of `pending` the scan has admitted.
     admitted: usize,
+    /// Every scan's work so far; never reset.
+    work: ScanWork,
+}
+
+/// The candidate scan's deterministic work, summed over every run a
+/// scratch has scheduled ([`EngineScratch::scan_work`]). It depends only on
+/// the runs' programs and issue times, never on the host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanWork {
+    /// Picks: ops scheduled.
+    pub picks: u64,
+    /// Window candidates whose binding resources a pick read (see "exits
+    /// early, exactly" in the module docs for the ones it skips).
+    pub examined: u64,
 }
 
 /// One entry of a run: its issue time plus `+0.0`, its admission index, and
@@ -847,6 +874,12 @@ impl EngineScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The candidate scan's work over every run this scratch has
+    /// scheduled. No report carries it, so no run's result depends on it.
+    pub fn scan_work(&self) -> ScanWork {
+        self.scan.work
     }
 }
 
@@ -1406,6 +1439,7 @@ impl Simulator {
         s.admitted = 0;
         let mut total = 0.0f64;
         let mut done = 0usize;
+        let mut examined = 0u64;
 
         // ---- the zero-allocation K-candidate scan over the window ----
         loop {
@@ -1431,6 +1465,12 @@ impl Simulator {
                     if cand.time >= best_start + 1e-9 {
                         break;
                     }
+                    // start >= cand.time: neither beats the best nor wins
+                    // its tie with a higher id
+                    if cand.time >= best_start - 1e-9 && cand.id > best_key {
+                        continue;
+                    }
+                    examined += 1;
                     let (lo, hi) = (
                         ops.op_res_start[cand.id] as usize,
                         ops.op_res_start[cand.id + 1] as usize,
@@ -1500,6 +1540,8 @@ impl Simulator {
             }
         }
 
+        s.work.picks += done as u64;
+        s.work.examined += examined;
         if done != n {
             return Err(SimError::InvalidProgram(
                 "dependency cycle: not every op became ready".to_string(),
@@ -2566,6 +2608,87 @@ mod tests {
         assert_sessions_bit_identical(&reference, &fast);
         assert_eq!(fast.programs[0].start_us.to_bits(), d.to_bits());
         assert_eq!(fast.programs[1].op_spans[1].0.to_bits(), (d + d).to_bits());
+    }
+
+    #[test]
+    fn a_lower_id_ready_just_inside_the_tie_tolerance_still_takes_the_pick() {
+        // B (issued at 0) readies X (GPU0->GPU1) and Y (GPU4->GPU5); A,
+        // admitted first so its op id is lowest, readies Z (GPU0->GPU1) at
+        // 5e-10, strictly inside the tie tolerance of X's start 0. Y ties
+        // X at a higher id, so the first pick skips it; Z comes after both
+        // in the window but has the lowest id, so it takes the pick and X
+        // waits for the link.
+        let sim = Simulator::with_defaults(dgx1v());
+        let copies = |pairs: &[(usize, usize)]| {
+            let mut b = ProgramBuilder::new();
+            for &(src, dst) in pairs {
+                let s = b.new_stream();
+                b.copy(GpuId(src), GpuId(dst), mb(1), LinkClass::NvLink, s, &[], "");
+            }
+            b.build().unwrap()
+        };
+        let (a, b) = (copies(&[(0, 1)]), copies(&[(0, 1), (4, 5)]));
+        let near = 5e-10;
+        let reference = sim.run_reference_session(&[(&a, near), (&b, 0.0)]).unwrap();
+        let mut session = sim.session();
+        session.admit(a, near);
+        session.admit(b, 0.0);
+        let mut scratch = EngineScratch::new();
+        let fast = session.run_with_scratch(&mut scratch).unwrap();
+        assert_sessions_bit_identical(&reference, &fast);
+        assert_eq!(fast.programs[0].start_us.to_bits(), near.to_bits());
+        let z_end = fast.programs[0].end_us;
+        assert_eq!(fast.programs[1].op_spans[0].0.to_bits(), z_end.to_bits());
+        assert_eq!(fast.programs[1].op_spans[1].0, 0.0);
+        // picks Z (X, Z read; Y skipped), then Y (X, Y read), then X
+        let work = scratch.scan_work();
+        assert_eq!((work.picks, work.examined), (3, 5));
+    }
+
+    /// Sessions that ready many candidates at one instant, against the
+    /// eager reference: pairwise exchanges issued together and apart, and
+    /// two wide random programs whose roots share one ready time.
+    #[test]
+    fn equal_instant_bursts_match_the_eager_reference() {
+        let sim = Simulator::with_defaults(dgx2());
+        let kinds = ["allreduce", "allgather", "reducescatter", "allreduce"];
+        let issues = [0.0, 0.0, 900.0, 900.0];
+        let programs: Vec<Program> = kinds.iter().map(|k| pairwise_program(k, 2)).collect();
+        let entries: Vec<(&Program, f64)> = programs.iter().zip(issues).collect();
+        let reference = sim.run_reference_session(&entries).unwrap();
+        let mut session = sim.session();
+        for (program, issue) in programs.iter().zip(issues) {
+            session.admit(program.clone(), issue);
+        }
+        let mut scratch = EngineScratch::new();
+        let fast = session.run_with_scratch(&mut scratch).unwrap();
+        assert_sessions_bit_identical(&reference, &fast);
+        let ops: usize = programs.iter().map(Program::len).sum();
+        assert_eq!(scratch.scan_work().picks, ops as u64);
+        // alone, an exchange's heads tie at free ports every step and the
+        // lowest id wins: each pick reads one candidate
+        for program in &programs {
+            let mut scratch = EngineScratch::new();
+            sim.run_with_scratch(program, &mut scratch).unwrap();
+            let n = program.len() as u64;
+            let work = scratch.scan_work();
+            assert_eq!((work.picks, work.examined), (n, n));
+        }
+
+        for seed in [0x3c6e_f372_fe94_f82bu64, 0xa54f_f53a_5f1d_36f1] {
+            let (topo, a) = wide_random_program(seed, CANDIDATES / 2 + 5);
+            let (_, b) = wide_random_program(seed + 1, CANDIDATES / 2 + 5);
+            assert!(roots(&a) + roots(&b) > CANDIDATES);
+            let sim = Simulator::with_defaults(topo);
+            let reference = sim
+                .run_reference_session(&[(&a, 25.0), (&b, 25.0)])
+                .unwrap();
+            let mut session = sim.session();
+            session.admit(a, 25.0);
+            session.admit(b, 25.0);
+            let fast = session.run_with_scratch(&mut EngineScratch::new()).unwrap();
+            assert_sessions_bit_identical(&reference, &fast);
+        }
     }
 
     /// Seeded sessions of 2–30 programs of the `wide_random_program` kind

@@ -42,7 +42,8 @@
 //!   sorted window beside the ready heap (O(1) heap operations per
 //!   scheduled op) and the
 //!   scan over it stops, exactly, at the first candidate that becomes ready
-//!   too late to win; timings are bit-identical to the allocating
+//!   too late to win, and skips every candidate that could at best tie a
+//!   winner with a lower op id; timings are bit-identical to the allocating
 //!   pop-K-and-push-back reference scheduler the engine's tests keep as an
 //!   oracle. The scratch obeys the same buffers-not-state / high-water-mark / `Send`
 //!   contract as `blink-graph`'s planning scratches (see [`engine`]'s module
@@ -81,8 +82,8 @@ pub mod program;
 pub mod semantics;
 
 pub use engine::{
-    algorithmic_bandwidth_gbps, CompiledProgram, EngineScratch, ProgramSpan, RunReport, Session,
-    SessionReport, Simulator,
+    algorithmic_bandwidth_gbps, CompiledProgram, EngineScratch, ProgramSpan, RunReport, ScanWork,
+    Session, SessionReport, Simulator,
 };
 pub use params::SimParams;
 pub use program::{LinkClass, OpId, OpKind, OpRef, Program, ProgramBuilder, Segment, StreamId};
